@@ -20,9 +20,8 @@ func benchServer(b *testing.B, shards int) (string, func()) {
 		Shards: shards,
 		Engine: pmkv.Config{Machine: pmkv.SmallMachine(), Buckets: 64},
 	}
-	// Discard the drain report: bench.sh pipes this output into
-	// cmd/benchjson, and report lines interleaved with benchmark result
-	// lines would corrupt the parse.
+	// Discard the drain report: its lines would interleave with the
+	// benchmark result lines that benchstat and friends parse.
 	s, err := newServer(cfg, serverOpts{window: 4096, out: io.Discard})
 	if err != nil {
 		b.Fatal(err)
@@ -45,7 +44,7 @@ func benchServer(b *testing.B, shards int) (string, func()) {
 // server: the JSON line protocol (one op in flight per connection, a
 // write+read syscall pair each) against the pipelined binary protocol
 // at several window depths. This is the transport bound the binary
-// protocol exists to break; bench.sh records it and CI gates on it.
+// protocol exists to break.
 func BenchmarkProtoPipeline(b *testing.B) {
 	b.Run("json", func(b *testing.B) {
 		addr, drain := benchServer(b, 2)

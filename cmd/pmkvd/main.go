@@ -34,10 +34,10 @@
 //
 // -selfcheck N runs the deterministic crash-injection sweep (N seeded
 // crash instants under concurrent scripted load) without any networking
-// and exits nonzero on the first invariant violation; with -shards > 1
-// the sweep fans each instant out to every shard and checks the combined
-// fingerprint for deterministic recovery. CI uses it as the crash smoke
-// test.
+// and exits nonzero on the first invariant violation: each instant fans
+// out to every shard (-shards 1 is the one-shard case of the same sweep)
+// and the combined fingerprint is checked for deterministic recovery. CI
+// uses it as the crash smoke test.
 package main
 
 import (
@@ -59,7 +59,6 @@ import (
 	"persistbarriers/internal/proto"
 	"persistbarriers/internal/sim"
 	"persistbarriers/internal/telemetry"
-	"persistbarriers/internal/wire"
 )
 
 func main() {
@@ -72,11 +71,7 @@ func main() {
 		crashAt  = flag.Uint64("crash-at", 0, "simulated power loss at this cycle of each shard's clock (0 = never)")
 		mailbox  = flag.Int("mailbox", 256, "per-shard request queue depth")
 		maxbatch = flag.Int("maxbatch", 64, "max requests per group commit")
-		minbatch = flag.Int("minbatch", 8, "floor of the adaptive group-commit size (clamped to -maxbatch)")
-		inflight = flag.Int("inflight", 2, "translated batches fed per retire pump (1..8; 1 disables pipelining)")
-		recwork  = flag.Int("recovery-workers", 0, "parallel recovery-replay workers per shard (0 = GOMAXPROCS, 1 = serial)")
 		check    = flag.Bool("check", false, "run the online durable-linearizability checker; verdict printed at drain and after every selfcheck instant")
-		readFast = flag.Bool("read-fast", true, "serve GETs from the per-shard committed-state index when the session has no pending writes (false = every GET goes through the mailbox)")
 
 		window      = flag.Int("window", 128, "binary protocol: max in-flight requests per connection (1..4096)")
 		maxconns    = flag.Int("maxconns", 0, "max concurrent client connections (0 = unlimited)")
@@ -114,15 +109,6 @@ func main() {
 	if *maxbatch < 1 {
 		fail("-maxbatch must be >= 1, got %d", *maxbatch)
 	}
-	if *minbatch < 1 {
-		fail("-minbatch must be >= 1, got %d", *minbatch)
-	}
-	if *inflight < 1 || *inflight > 8 {
-		fail("-inflight must be in 1..8, got %d", *inflight)
-	}
-	if *recwork < 0 {
-		fail("-recovery-workers must be >= 0, got %d", *recwork)
-	}
 	if *selfcheck < 0 {
 		fail("-selfcheck must be >= 0, got %d", *selfcheck)
 	}
@@ -150,18 +136,14 @@ func main() {
 	cfg := pmkv.ShardedConfig{
 		Shards: *shards,
 		Engine: pmkv.Config{
-			Machine:         mcfg,
-			Buckets:         *buckets,
-			BatchGap:        sim.Cycle(*gap),
-			CrashAt:         sim.Cycle(*crashAt),
-			Check:           *check,
-			RecoveryWorkers: *recwork,
+			Machine:  mcfg,
+			Buckets:  *buckets,
+			BatchGap: sim.Cycle(*gap),
+			CrashAt:  sim.Cycle(*crashAt),
+			Check:    *check,
 		},
-		Mailbox:         *mailbox,
-		MaxBatch:        *maxbatch,
-		MinBatch:        *minbatch,
-		MaxInFlight:     *inflight,
-		DisableReadFast: !*readFast,
+		Mailbox:  *mailbox,
+		MaxBatch: *maxbatch,
 	}
 	spec := pmkv.ScriptSpec{
 		Sessions: *sessions,
@@ -171,13 +153,7 @@ func main() {
 	}
 
 	if *selfcheck > 0 {
-		var err error
-		if *shards > 1 {
-			err = runShardedSelfcheck(cfg, spec, *selfcheck)
-		} else {
-			err = runSelfcheck(cfg.Engine, spec, *selfcheck)
-		}
-		if err != nil {
+		if err := runShardedSelfcheck(cfg, spec, *selfcheck); err != nil {
 			fmt.Fprintln(os.Stderr, "pmkvd: selfcheck FAILED:", err)
 			os.Exit(1)
 		}
@@ -197,50 +173,11 @@ func main() {
 	}
 }
 
-// runSelfcheck executes the single-engine crash-injection sweep: one
-// clean run to size the cycle span, then n evenly spaced crash instants,
-// each fully verified (epoch order, prefix closure, KV atomicity, session
-// order) and checked for deterministic recovery.
-func runSelfcheck(cfg pmkv.Config, spec pmkv.ScriptSpec, n int) error {
-	cfg.CrashAt = 0
-	clean, err := pmkv.RunScript(cfg, spec)
-	if err != nil {
-		return fmt.Errorf("clean run: %w", err)
-	}
-	fmt.Printf("clean run: %d cycles, %d publishes, %d epochs, fingerprint %.16s\n",
-		clean.Cycles, clean.Report.TotalPublishes, clean.Report.Epochs, clean.Report.Fingerprint)
-	if clean.DL != nil {
-		fmt.Printf("durable linearizability: %s\n", clean.DL)
-	}
-	crashed := 0
-	for i, at := range pmkv.SweepInstants(clean.Cycles, n) {
-		ccfg := cfg
-		ccfg.CrashAt = at
-		out, err := pmkv.RunScript(ccfg, spec)
-		if err != nil {
-			return fmt.Errorf("crash %d/%d at cycle %d: %w", i+1, n, at, err)
-		}
-		again, err := pmkv.RunScript(ccfg, spec)
-		if err != nil {
-			return fmt.Errorf("crash %d/%d at cycle %d (replay): %w", i+1, n, at, err)
-		}
-		if out.Report.Fingerprint != again.Report.Fingerprint {
-			return fmt.Errorf("crash %d/%d at cycle %d: recovery not deterministic", i+1, n, at)
-		}
-		if out.Crashed {
-			crashed++
-		}
-	}
-	if cfg.Check {
-		fmt.Printf("durable linearizability: OK across %d crash instants\n", n)
-	}
-	fmt.Printf("selfcheck OK: %d instants (%d mid-run crashes), all invariants held, recovery deterministic\n",
-		n, crashed)
-	return nil
-}
-
-// runShardedSelfcheck fans each crash instant out to every shard and
-// checks that the combined per-shard fingerprint is reproducible.
+// runShardedSelfcheck executes the crash-injection sweep: one clean run
+// to size the cycle span, then n evenly spaced crash instants, each
+// fanned out to every shard, fully verified (epoch order, prefix closure,
+// KV atomicity, session order) and checked for a reproducible combined
+// fingerprint.
 func runShardedSelfcheck(cfg pmkv.ShardedConfig, spec pmkv.ScriptSpec, n int) error {
 	cfg.Engine.CrashAt = 0
 	clean, err := pmkv.RunShardedScript(cfg, spec)
@@ -319,6 +256,17 @@ type request struct {
 	Value string `json:"value"`
 }
 
+// response is one server reply line. Value is a string because
+// encoding/json would base64 a []byte; invalid UTF-8 in a stored value
+// is replaced with U+FFFD.
+type response struct {
+	OK      bool   `json:"ok"`
+	Found   bool   `json:"found,omitempty"`
+	Value   string `json:"value,omitempty"`
+	Crashed bool   `json:"crashed,omitempty"`
+	Error   string `json:"error,omitempty"`
+}
+
 // shardStats is the per-shard element of a stats reply: the shard's
 // commit-pipeline counters plus its engine's service metrics.
 type shardStats struct {
@@ -383,7 +331,7 @@ func newServer(cfg pmkv.ShardedConfig, opts serverOpts) (*server, error) {
 	opts.fill()
 	collectors := make([]*obs.Collector, cfg.Shards)
 	for i := range collectors {
-		collectors[i] = obs.NewCollector(0)
+		collectors[i] = obs.NewCollector()
 	}
 	cfg.ConfigureShard = func(shard int, ecfg *pmkv.Config) {
 		ecfg.Machine.Probe = obs.NewProbe(collectors[shard])
@@ -568,14 +516,16 @@ func (s *server) armReadDeadline(conn net.Conn) {
 
 // handleJSON runs one JSON-line connection: a session whose operations
 // execute in program order on each shard, one request in flight at a
-// time. The response path is allocation-free at steady state: one reused
-// encode buffer and one bufio.Writer, both sized once per connection.
+// time. This is the debug and differential-oracle protocol (the binary
+// protocol is the fast one), so it encodes with encoding/json.
 func (s *server) handleJSON(conn net.Conn, br *bufio.Reader) {
 	sess := s.store.NewSession()
 	sc := bufio.NewScanner(br)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	w := bufio.NewWriterSize(conn, 32<<10)
-	buf := make([]byte, 0, 4<<10)
+	enc := json.NewEncoder(w)
+	// One request in flight, so one completion slot serves every op.
+	done := make(chan pmkv.Completion, 1)
 	// One span per connection, reused for every request: the stamp/fold
 	// path stays allocation-free (enforced by telemetry's AllocsPerRun
 	// guards), so tracing costs a few clock reads per op.
@@ -595,25 +545,22 @@ func (s *server) handleJSON(conn net.Conn, br *bufio.Reader) {
 		span.Reset()
 		span.Stamp(telemetry.StageConnRead)
 		var req request
-		var ack pmkv.ShardAck
-		traced := false
+		var reply any
+		ack := pmkv.ShardAck{Shard: -1}
 		if err := json.Unmarshal(line, &req); err != nil {
-			buf = wire.AppendResponse(buf[:0], &wire.Response{Error: "bad request: " + err.Error()})
+			reply = response{Error: "bad request: " + err.Error()}
 		} else if req.Op == "stats" {
-			buf = s.appendStats(buf[:0])
+			reply = s.statsReply()
 		} else {
-			var resp wire.Response
-			resp, ack = s.dispatch(sess, req, span)
-			traced = span != nil && ack.Shard >= 0 && ack.Err == nil
-			buf = wire.AppendResponse(buf[:0], &resp)
+			reply, ack = s.dispatch(sess, req, span, done)
 		}
-		if _, err := w.Write(buf); err != nil {
+		if err := enc.Encode(reply); err != nil {
 			return
 		}
 		if err := w.Flush(); err != nil {
 			return
 		}
-		if traced {
+		if span != nil && ack.Shard >= 0 && ack.Err == nil {
 			span.Stamp(telemetry.StageAckWritten)
 			if req.Op == "get" {
 				d := span.Wall[telemetry.StageAckWritten] - span.Wall[telemetry.StageConnRead]
@@ -633,10 +580,11 @@ func (s *server) handleJSON(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// dispatch routes one data operation to its shard and shapes the ack.
-// The returned ack's Shard is -1 when the request never reached a shard
-// (unknown op, missing key), so the caller knows not to trace it.
-func (s *server) dispatch(sess *pmkv.ShardedSession, req request, span *telemetry.Span) (wire.Response, pmkv.ShardAck) {
+// dispatch routes one data operation to its shard, waits for the ack on
+// the connection's completion slot, and shapes the reply. The returned
+// ack's Shard is -1 when the request never reached a shard (unknown op,
+// missing key), so the caller knows not to trace it.
+func (s *server) dispatch(sess *pmkv.ShardedSession, req request, span *telemetry.Span, done chan pmkv.Completion) (response, pmkv.ShardAck) {
 	none := pmkv.ShardAck{Shard: -1}
 	var op pmkv.Op
 	switch req.Op {
@@ -647,31 +595,34 @@ func (s *server) dispatch(sess *pmkv.ShardedSession, req request, span *telemetr
 	case "del":
 		op = pmkv.Delete
 	default:
-		return wire.Response{Error: fmt.Sprintf("unknown op %q", req.Op)}, none
+		return response{Error: fmt.Sprintf("unknown op %q", req.Op)}, none
 	}
 	if req.Key == "" {
-		return wire.Response{Error: "missing key"}, none
+		return response{Error: "missing key"}, none
 	}
-	ack := s.store.DoSpan(sess, op, req.Key, []byte(req.Value), span)
+	shard, err := s.store.DoAsync(sess, op, req.Key, []byte(req.Value), span, 0, done)
+	ack := pmkv.ShardAck{Shard: shard, Err: err}
+	if err == nil {
+		ack = (<-done).Ack
+	}
 	switch {
 	case ack.Err == pmkv.ErrDraining:
-		return wire.Response{Error: "draining"}, ack
+		return response{Error: "draining"}, ack
 	case ack.Err != nil:
-		return wire.Response{Error: ack.Err.Error()}, ack
+		return response{Error: ack.Err.Error()}, ack
 	}
-	return wire.Response{OK: true, Found: ack.Resp.Found, Value: ack.Resp.Value, Crashed: ack.Crashed}, ack
+	return response{OK: true, Found: ack.Resp.Found, Value: string(ack.Resp.Value), Crashed: ack.Crashed}, ack
 }
 
-// appendStats encodes the stats reply (aggregate + per-shard, plus the
-// stage breakdown when tracing is on) onto buf. This is the cold path;
-// it uses encoding/json.
-func (s *server) appendStats(buf []byte) []byte {
+// statsReply is the stats reply (aggregate + per-shard, plus the stage
+// breakdown when tracing is on), pre-marshaled so a value encoding/json
+// rejects becomes an error line instead of a dropped connection.
+func (s *server) statsReply() any {
 	line, err := json.Marshal(s.statz())
 	if err != nil {
-		return wire.AppendResponse(buf, &wire.Response{Error: "stats: " + err.Error()})
+		return response{Error: "stats: " + err.Error()}
 	}
-	buf = append(buf, line...)
-	return append(buf, '\n')
+	return json.RawMessage(line)
 }
 
 // finalReport closes the store (per-shard drain, or crash snapshot where

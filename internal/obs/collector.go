@@ -6,11 +6,6 @@ import (
 	"persistbarriers/internal/sim"
 )
 
-// CollectorRing is retained for API compatibility with the sample-ring
-// collector; the histogram collector keeps every sample's bucket count,
-// so no window bound applies anymore.
-const CollectorRing = 8192
-
 // ServiceStats is a point-in-time snapshot of a Collector.
 type ServiceStats struct {
 	Cycle sim.Cycle `json:"cycle"`
@@ -75,10 +70,8 @@ type Collector struct {
 	samples uint64
 }
 
-// NewCollector builds a collector. The ring parameter is retained for
-// compatibility with the sample-ring implementation and is ignored: the
-// histogram is fixed-size and loses no samples.
-func NewCollector(ring int) *Collector {
+// NewCollector builds a collector.
+func NewCollector() *Collector {
 	return &Collector{
 		completedAt: make(map[[2]int64]sim.Cycle),
 	}
@@ -141,28 +134,14 @@ func (c *Collector) Snapshot() ServiceStats {
 	return s
 }
 
-// percentile picks the nearest-rank p-th percentile of a sorted slice.
-func percentile(sorted []sim.Cycle, p int) sim.Cycle {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := (len(sorted)*p + 99) / 100
-	if idx > 0 {
-		idx--
-	}
-	return sorted[idx]
-}
-
 // AggregateServiceStats folds per-shard snapshots into one store-wide
 // view: counters sum, Cycle is the furthest shard clock, and latency
 // percentiles are computed over the exact merged histogram (pow-2 bucket
 // counts add), so the pooled percentiles are true percentiles of the
-// union of all shards' samples. Snapshots that carry no histogram (a
-// legacy producer) fall back to the elementwise worst case.
+// union of all shards' samples.
 func AggregateServiceStats(per []ServiceStats) ServiceStats {
 	var agg ServiceStats
 	var merged Hist
-	histless := false
 	for _, s := range per {
 		if s.Cycle > agg.Cycle {
 			agg.Cycle = s.Cycle
@@ -174,22 +153,10 @@ func AggregateServiceStats(per []ServiceStats) ServiceStats {
 		agg.ConflictsInter += s.ConflictsInter
 		agg.ConflictsEviction += s.ConflictsEviction
 		agg.LatencySamples += s.LatencySamples
-		if s.LatencySamples > 0 && len(s.LatencyHist) == 0 {
-			histless = true
-		}
 		h := HistFromCounts(s.LatencyHist)
 		merged.Merge(&h)
-		if s.LatencyP50 > agg.LatencyP50 {
-			agg.LatencyP50 = s.LatencyP50
-		}
-		if s.LatencyP90 > agg.LatencyP90 {
-			agg.LatencyP90 = s.LatencyP90
-		}
-		if s.LatencyP99 > agg.LatencyP99 {
-			agg.LatencyP99 = s.LatencyP99
-		}
 	}
-	if !histless && merged.Total() > 0 {
+	if merged.Total() > 0 {
 		agg.LatencyP50 = sim.Cycle(merged.Percentile(50))
 		agg.LatencyP90 = sim.Cycle(merged.Percentile(90))
 		agg.LatencyP99 = sim.Cycle(merged.Percentile(99))

@@ -10,7 +10,7 @@ import (
 )
 
 func TestCollectorLatencyAndCounts(t *testing.T) {
-	c := NewCollector(0)
+	c := NewCollector()
 	p := NewProbe(c)
 	// Three epochs: complete at t, persist at t+lat. Percentiles are
 	// pow-2 bucket upper bounds of the nearest-rank sample: 20 -> 31,
@@ -60,7 +60,7 @@ func TestCollectorLatencyAndCounts(t *testing.T) {
 // TestCollectorJSONFieldsStable pins the snapshot's wire names: live
 // clients parse the stats line, so a rename is a breaking change.
 func TestCollectorJSONFieldsStable(t *testing.T) {
-	c := NewCollector(0)
+	c := NewCollector()
 	p := NewProbe(c)
 	p.EpochComplete(10, 0, 1, "barrier", 1)
 	p.EpochPersist(22, 0, 1, "natural")
@@ -80,14 +80,15 @@ func TestCollectorJSONFieldsStable(t *testing.T) {
 	}
 }
 
-// TestCollectorNoSampleLoss replaces the old ring-wraparound test: the
-// histogram must keep every sample's weight long past the old ring
-// bound, with percentiles computed over all of them.
+// TestCollectorNoSampleLoss is the wraparound test: the histogram must
+// keep every sample's weight however many arrive, with percentiles
+// computed over all of them.
 func TestCollectorNoSampleLoss(t *testing.T) {
-	c := NewCollector(4) // old implementations dropped to the last 4 samples
+	c := NewCollector()
 	p := NewProbe(c)
-	// 10000 samples of latency 5, then 100 of latency 4000. A 4-sample
-	// ring would see only the tail; the histogram keeps the full mix.
+	// 10000 samples of latency 5, then 100 of latency 4000. A bounded
+	// sample window would see only the tail; the histogram keeps the
+	// full mix.
 	for i := 0; i < 10000; i++ {
 		p.EpochComplete(sim.Cycle(i*10), 0, uint64(i), "barrier", 1)
 		p.EpochPersist(sim.Cycle(i*10+5), 0, uint64(i), "natural")
@@ -112,7 +113,7 @@ func TestCollectorNoSampleLoss(t *testing.T) {
 }
 
 func TestCollectorPersistWithoutComplete(t *testing.T) {
-	c := NewCollector(0)
+	c := NewCollector()
 	p := NewProbe(c)
 	// A persist with no recorded completion (e.g. the sink attached
 	// mid-run) must count but produce no latency sample.
@@ -127,7 +128,7 @@ func TestCollectorPersistWithoutComplete(t *testing.T) {
 }
 
 func TestCollectorConcurrentSnapshot(t *testing.T) {
-	c := NewCollector(64)
+	c := NewCollector()
 	p := NewProbe(c)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -144,48 +145,6 @@ func TestCollectorConcurrentSnapshot(t *testing.T) {
 	wg.Wait()
 	if got := c.Snapshot().EpochsPersisted; got != 1000 {
 		t.Fatalf("persisted = %d", got)
-	}
-}
-
-func TestPercentileNearestRank(t *testing.T) {
-	sorted := []sim.Cycle{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := percentile(sorted, 50); got != 5 {
-		t.Fatalf("p50 = %d", got)
-	}
-	if got := percentile(sorted, 100); got != 10 {
-		t.Fatalf("p100 = %d", got)
-	}
-	if got := percentile(sorted, 1); got != 1 {
-		t.Fatalf("p1 = %d", got)
-	}
-	if got := percentile(nil, 50); got != 0 {
-		t.Fatalf("empty = %d", got)
-	}
-}
-
-// TestPercentileEdgeCases covers the degenerate shapes the nearest-rank
-// rule must handle: a single sample answers every percentile, a tiny n
-// still resolves p99 to the last sample, and all-equal samples answer
-// with that value at every rank.
-func TestPercentileEdgeCases(t *testing.T) {
-	one := []sim.Cycle{42}
-	for _, p := range []int{0, 1, 50, 99, 100} {
-		if got := percentile(one, p); got != 42 {
-			t.Fatalf("n=1 p%d = %d, want 42", p, got)
-		}
-	}
-	tiny := []sim.Cycle{3, 9}
-	if got := percentile(tiny, 99); got != 9 {
-		t.Fatalf("n=2 p99 = %d, want 9 (last sample)", got)
-	}
-	if got := percentile(tiny, 50); got != 3 {
-		t.Fatalf("n=2 p50 = %d, want 3", got)
-	}
-	equal := []sim.Cycle{7, 7, 7, 7, 7}
-	for _, p := range []int{1, 50, 90, 99} {
-		if got := percentile(equal, p); got != 7 {
-			t.Fatalf("all-equal p%d = %d, want 7", p, got)
-		}
 	}
 }
 
@@ -216,6 +175,20 @@ func TestHistBasics(t *testing.T) {
 	back := HistFromCounts(tr)
 	if back != h {
 		t.Fatal("round-trip through Trimmed/HistFromCounts lost counts")
+	}
+	// Nearest-rank edges: one sample answers every percentile, and with
+	// two samples p50 is the first and p99 the last.
+	var one, two Hist
+	one.Observe(42)
+	for _, p := range []int{0, 1, 50, 99, 100} {
+		if got := one.Percentile(p); got != 63 {
+			t.Fatalf("n=1 p%d = %d, want 63 (bucket of 42)", p, got)
+		}
+	}
+	two.Observe(3)
+	two.Observe(9)
+	if p50, p99 := two.Percentile(50), two.Percentile(99); p50 != 3 || p99 != 15 {
+		t.Fatalf("n=2 p50/p99 = %d/%d, want 3/15", p50, p99)
 	}
 	// Oversized input folds into the last bucket.
 	big := make([]uint64, HistBuckets+5)
@@ -294,14 +267,5 @@ func TestAggregateServiceStatsDegenerate(t *testing.T) {
 	got := AggregateServiceStats([]ServiceStats{{Cycle: 5}, {Cycle: 9}})
 	if got.Cycle != 9 || got.LatencySamples != 0 || got.LatencyP99 != 0 {
 		t.Fatalf("all-empty aggregate = %+v", got)
-	}
-	// A legacy snapshot with percentiles but no histogram falls back to
-	// the elementwise worst case.
-	legacy := AggregateServiceStats([]ServiceStats{
-		{LatencySamples: 4, LatencyP50: 30, LatencyP90: 35, LatencyP99: 80},
-		{LatencySamples: 10, LatencyP50: 20, LatencyP90: 40, LatencyP99: 90},
-	})
-	if legacy.LatencyP50 != 30 || legacy.LatencyP90 != 40 || legacy.LatencyP99 != 90 {
-		t.Fatalf("legacy fallback = %+v", legacy)
 	}
 }

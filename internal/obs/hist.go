@@ -58,9 +58,8 @@ func (h *Hist) Total() uint64 {
 }
 
 // Percentile reports the inclusive upper bound of the bucket holding the
-// nearest-rank p-th percentile sample (0 when empty). The rank
-// convention matches percentile() on sorted slices: index
-// ceil(n*p/100)-1.
+// nearest-rank p-th percentile sample (0 when empty): the sample at
+// index ceil(n*p/100)-1 of the sorted order.
 func (h *Hist) Percentile(p int) uint64 {
 	total := h.Total()
 	if total == 0 {

@@ -1,8 +1,9 @@
 // Crash-injection harness: deterministic scripted load so that the same
 // seed always produces the same request stream, a crash instant injected
 // at any cycle, and a verified recovery report. Tests sweep hundreds of
-// crash instants across a run; the pmkvd self-check and the kvstore
-// example run single instants.
+// crash instants across a run through RunShardedScript (shardscript.go),
+// the one scripted driver; the pmkvd self-check fans the same instants
+// out to every shard.
 package pmkv
 
 import (
@@ -138,59 +139,6 @@ type RunResult struct {
 	Recovered map[string][]byte
 	// DL is the durable-linearizability verdict (nil unless cfg.Check).
 	DL *dlcheck.Verdict
-}
-
-// RunScript drives a fresh engine through the scripted load, crashing at
-// cfg.CrashAt if nonzero, then closes, verifies every invariant, and
-// reconstructs the recovered state. Any invariant violation is returned
-// as an error.
-func RunScript(cfg Config, spec ScriptSpec) (*RunResult, error) {
-	spec.fill()
-	e, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sessions := make([]*Session, spec.Sessions)
-	for i := range sessions {
-		sessions[i] = e.NewSession()
-	}
-	out := &RunResult{}
-	for _, round := range genScript(spec) {
-		batch := make([]Request, len(round))
-		for i, op := range round {
-			batch[i] = Request{Sess: sessions[i], Op: op.op, Key: op.key, Value: op.value}
-		}
-		_, err := e.Apply(batch)
-		if err == ErrCrashed {
-			out.Crashed = true
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		out.RoundsApplied++
-	}
-	res, err := e.Close()
-	if err != nil {
-		return nil, err
-	}
-	out.Cycles = e.Now()
-	rep, err := e.Verify(res)
-	out.Report = rep
-	if err != nil {
-		return out, err
-	}
-	out.Recovered, err = e.RecoveredState(res)
-	if err != nil {
-		return out, err
-	}
-	out.DL = e.CheckDL(res)
-	if out.DL != nil {
-		if err := out.DL.Err(); err != nil {
-			return out, fmt.Errorf("pmkv: durable linearizability: %w", err)
-		}
-	}
-	return out, nil
 }
 
 // SweepInstants spreads n crash instants evenly over (0, total], skipping

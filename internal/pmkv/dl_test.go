@@ -21,7 +21,7 @@ func TestCheckDisabledIsNil(t *testing.T) {
 	if e.DL() != nil {
 		t.Fatal("tracker present without Config.Check")
 	}
-	out, err := RunScript(Config{}, checkSpec())
+	out, err := runSingle(Config{}, checkSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestCheckDisabledIsNil(t *testing.T) {
 // TestCheckCleanRun: a clean drain must be durably linearizable with
 // every publish durable.
 func TestCheckCleanRun(t *testing.T) {
-	out, err := RunScript(Config{Check: true}, checkSpec())
+	out, err := runSingle(Config{Check: true}, checkSpec())
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -47,20 +47,21 @@ func TestCheckCleanRun(t *testing.T) {
 }
 
 // TestCheckCrashSweep is the checker acceptance sweep: every crash
-// instant's image must be durably linearizable. RunScript already fails
-// the run on a bad verdict; this pins it across the full sweep.
+// instant's image must be durably linearizable. The scripted driver
+// already fails the run on a bad verdict; this pins it across the full
+// sweep.
 func TestCheckCrashSweep(t *testing.T) {
 	instants := 200
 	if testing.Short() {
 		instants = 12
 	}
 	spec := checkSpec()
-	clean, err := RunScript(Config{Check: true}, spec)
+	clean, err := runSingle(Config{Check: true}, spec)
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
 	for _, at := range SweepInstants(clean.Cycles, instants) {
-		out, err := RunScript(Config{CrashAt: at, Check: true}, spec)
+		out, err := runSingle(Config{CrashAt: at, Check: true}, spec)
 		if err != nil {
 			t.Fatalf("crash at %d: %v", at, err)
 		}
@@ -72,7 +73,7 @@ func TestCheckCrashSweep(t *testing.T) {
 
 // shard0Keys returns n distinct keys that all route to shard 0 of a
 // 4-way store, so a 4-shard run executes the whole script on shard 0
-// with batches identical to the single-engine run.
+// with batches identical to the 1-shard run.
 func shard0Keys(n int) []string {
 	keys := make([]string, 0, n)
 	for i := 0; len(keys) < n; i++ {
@@ -95,19 +96,19 @@ func verdictSig(v *dlcheck.Verdict) string {
 // TestCheckMetamorphicShards: for scripts whose keys all live on shard 0,
 // the 1-shard and 4-shard runs execute identical batches on that engine,
 // so the checker verdicts must be identical at every crash instant — the
-// sharded/unsharded equivalence pinned beyond fingerprint identity.
+// 1-shard/N-shard equivalence pinned beyond fingerprint identity.
 func TestCheckMetamorphicShards(t *testing.T) {
 	instants := 200
 	if testing.Short() {
 		instants = 8
 	}
 	spec := ScriptSpec{Sessions: 4, Rounds: 12, ValueBytes: 96, Seed: 1107, Keys: shard0Keys(10)}
-	single, err := RunScript(Config{Check: true}, spec)
+	single, err := runSingle(Config{Check: true}, spec)
 	if err != nil {
 		t.Fatalf("clean single-shard run: %v", err)
 	}
 	for _, at := range append(SweepInstants(single.Cycles, instants), 0) {
-		one, err := RunScript(Config{CrashAt: at, Check: true}, spec)
+		one, err := runSingle(Config{CrashAt: at, Check: true}, spec)
 		if err != nil {
 			t.Fatalf("1-shard crash at %d: %v", at, err)
 		}

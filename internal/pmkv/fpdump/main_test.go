@@ -1,0 +1,45 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite the golden fingerprint file")
+
+// TestFpdumpGolden is the byte-identity proof for the scripted driver:
+// the clean-drain fingerprint and all 200 crash-instant fingerprints were
+// captured from the single-engine driver before it was deleted, and the
+// single-shard sharded driver must keep reproducing every line.
+func TestFpdumpGolden(t *testing.T) {
+	const golden = "../testdata/fpdump.golden"
+	var got bytes.Buffer
+	if err := dump(&got); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	gotLines := strings.Split(got.String(), "\n")
+	wantLines := strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("fpdump printed %d lines, golden %s has %d (run with -update to regenerate)",
+			len(gotLines)-1, golden, len(wantLines)-1)
+	}
+	for i := range wantLines {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("line %d differs from golden %s (run with -update to regenerate)\n got: %s\nwant: %s",
+				i+1, golden, gotLines[i], wantLines[i])
+		}
+	}
+}

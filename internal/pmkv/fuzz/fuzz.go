@@ -83,13 +83,6 @@ type Failure struct {
 // with the online checker armed, returning the verification error, if
 // any, and the run's final cycle.
 func runAt(c Case, at sim.Cycle) (sim.Cycle, error) {
-	if c.Shards <= 1 {
-		out, err := pmkv.RunScript(pmkv.Config{CrashAt: at, Check: true}, c.Spec())
-		if out != nil {
-			return out.Cycles, err
-		}
-		return 0, err
-	}
 	out, err := pmkv.RunShardedScript(pmkv.ShardedConfig{
 		Shards: c.Shards,
 		Engine: pmkv.Config{CrashAt: at, Check: true},

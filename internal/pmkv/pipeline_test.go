@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"persistbarriers/internal/machine"
 	"persistbarriers/internal/mem"
@@ -223,9 +224,11 @@ func TestCrashWithBusyMailbox(t *testing.T) {
 	if !sawCrash {
 		t.Fatal("crash instant never surfaced in an ack (workload too short?)")
 	}
+	// The worker delivers the crashed acks before it fires OnCrash, so
+	// the callback may still be a few instructions away.
 	select {
 	case <-crashes:
-	default:
+	case <-time.After(5 * time.Second):
 		t.Fatal("OnCrash never fired despite crashed acks")
 	}
 	if _, err := store.Close(); err != nil {
@@ -385,18 +388,18 @@ func TestGroupCommitAllocs(t *testing.T) {
 // across a sweep of crash images.
 func TestParallelReplayByteIdentical(t *testing.T) {
 	spec := testSpec()
-	serial, err := RunScript(Config{RecoveryWorkers: 1}, spec)
+	serial, err := runSingle(Config{RecoveryWorkers: 1}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	instants := append([]sim.Cycle{0}, SweepInstants(serial.Cycles, 6)...)
 	for _, workers := range []int{2, 4, 0} {
 		for _, at := range instants {
-			a, err := RunScript(Config{CrashAt: at, RecoveryWorkers: 1}, spec)
+			a, err := runSingle(Config{CrashAt: at, RecoveryWorkers: 1}, spec)
 			if err != nil {
 				t.Fatalf("serial at %d: %v", at, err)
 			}
-			b, err := RunScript(Config{CrashAt: at, RecoveryWorkers: workers}, spec)
+			b, err := runSingle(Config{CrashAt: at, RecoveryWorkers: workers}, spec)
 			if err != nil {
 				t.Fatalf("workers=%d at %d: %v", workers, at, err)
 			}

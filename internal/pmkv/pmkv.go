@@ -134,7 +134,7 @@ type Request struct {
 
 // Response answers a Request from the engine's volatile state (visibility
 // is immediate; durability is what Verify and RecoveredState reason about).
-// Within one commit window — the Submit batches fed since the last
+// Within one commit window — the SubmitAppend batches fed since the last
 // completed PumpRetire — reads are snapshot-consistent: a Get (or a
 // Delete's Found) observes the state as of window admission plus the
 // session's own writes in the window — never another session's
@@ -466,7 +466,11 @@ func (e *Engine) crashLimit() sim.Cycle {
 // requests in one batch run concurrently in simulated time and contend on
 // shared bucket heads exactly like threads of Figure 10. It returns one
 // response per request (answered from volatile state, which survives even
-// if the machine crashes mid-batch — durability is judged later).
+// if the machine crashes mid-batch — durability is judged later). Apply is
+// the blocking composition of the pipelined worker's halves under one
+// lock hold — SubmitAppend, PumpRetire, then one BatchGap of think time —
+// for callers that drive a single engine round by round (the scripted
+// driver, examples/kvstore).
 func (e *Engine) Apply(batch []Request) ([]Response, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -486,19 +490,12 @@ func (e *Engine) Apply(batch []Request) ([]Response, error) {
 	return resps, nil
 }
 
-// Submit translates a batch and feeds it to the cores without advancing
-// the machine — the front half of a group commit. A sharded worker
-// submits batch k+1 while batch k's persist barriers are still draining;
-// PumpRetire then advances the clock. Responses reflect the volatile
-// state immediately.
-func (e *Engine) Submit(batch []Request) ([]Response, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.submitLocked(nil, batch)
-}
-
-// SubmitAppend is Submit appending responses to dst, so a pipelined
-// committer can reuse one response buffer per in-flight batch instead of
+// SubmitAppend translates a batch and feeds it to the cores without
+// advancing the machine — the front half of a group commit. A sharded
+// worker submits batch k+1 while batch k's persist barriers are still
+// draining; PumpRetire then advances the clock. Responses reflect the
+// volatile state immediately and are appended to dst, so a pipelined
+// committer reuses one response buffer per in-flight batch instead of
 // allocating a fresh slice per commit.
 func (e *Engine) SubmitAppend(dst []Response, batch []Request) ([]Response, error) {
 	e.mu.Lock()
@@ -578,24 +575,10 @@ func (e *Engine) pumpRetireLocked() error {
 	return nil
 }
 
-// StepGap lets the background persist machinery run for one BatchGap of
-// simulated think time, never past the crash instant. ErrCrashed reports
-// that the instant was reached during the gap.
-func (e *Engine) StepGap() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return fmt.Errorf("pmkv: engine closed")
-	}
-	if e.crashed {
-		return ErrCrashed
-	}
-	return e.stepGapLocked()
-}
-
+// stepGapLocked lets the background persist machinery run for one
+// BatchGap of simulated think time, never past the crash instant.
+// ErrCrashed reports that the instant was reached during the gap.
 func (e *Engine) stepGapLocked() error {
-	// Let background persists overlap the think time between batches,
-	// still never past the crash instant.
 	limit := e.crashLimit()
 	gap := e.cfg.BatchGap
 	if limit != sim.MaxCycle && e.m.Now()+gap > limit {
@@ -652,10 +635,14 @@ func (e *Engine) DurableWatermark() (durable, total int, err error) {
 // machinery has nothing scheduled — only new work or Close's final
 // drain can produce further durability. A worker interleaves StepDurable
 // with mailbox polls so waiting for durability never blinds it to
-// arriving requests (the queue_wait cost of the old WaitDurable loop).
+// arriving requests (the queue_wait cost of a blocking WaitDurable loop).
 func (e *Engine) StepDurable(target int) (durable int, dry bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.stepDurableLocked(target)
+}
+
+func (e *Engine) stepDurableLocked(target int) (durable int, dry bool, err error) {
 	if e.closed {
 		return e.durableCursor, false, fmt.Errorf("pmkv: engine closed")
 	}
@@ -676,7 +663,7 @@ func (e *Engine) StepDurable(target int) (durable int, dry bool, err error) {
 }
 
 // RecordCount reports how many mutation records the engine has issued;
-// a pipelined committer snapshots it after Submit as the batch's
+// a pipelined committer snapshots it after SubmitAppend as the batch's
 // durability target.
 func (e *Engine) RecordCount() int {
 	e.mu.Lock()
@@ -697,26 +684,17 @@ func (e *Engine) Quiesced() bool {
 // watermark covers target records (or the crash instant hits, or the
 // machinery runs dry — closed epochs always drain through scheduled
 // events, so an empty event queue means only Close's final drain can make
-// further progress). It returns the watermark reached.
+// further progress). It returns the watermark reached. This is StepDurable
+// looped under one lock hold, for a caller with no mailbox to poll
+// between steps — the single-goroutine engine driver in
+// benchmark/engine.go.
 func (e *Engine) WaitDurable(target int) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return e.durableCursor, fmt.Errorf("pmkv: engine closed")
-	}
 	for {
-		d := e.advanceWatermarkLocked()
-		if d >= target {
-			return d, nil
-		}
-		if e.crashed {
-			return d, ErrCrashed
-		}
-		if e.m.Engine().Pending() == 0 {
-			return d, nil
-		}
-		if err := e.stepGapLocked(); err != nil {
-			return e.advanceWatermarkLocked(), err
+		d, dry, err := e.stepDurableLocked(target)
+		if err != nil || dry || d >= target {
+			return d, err
 		}
 	}
 }

@@ -13,6 +13,16 @@ func testSpec() ScriptSpec {
 	return ScriptSpec{Sessions: 6, Rounds: 24, KeySpace: 16, ValueBytes: 160, Seed: 42}
 }
 
+// runSingle drives the scripted load through a one-shard store and
+// returns that shard's result.
+func runSingle(cfg Config, spec ScriptSpec) (*RunResult, error) {
+	out, err := RunShardedScript(ShardedConfig{Shards: 1, Engine: cfg}, spec)
+	if out == nil {
+		return nil, err
+	}
+	return out.PerShard[0], err
+}
+
 func TestPutGetDelete(t *testing.T) {
 	e, err := New(Config{})
 	if err != nil {
@@ -177,7 +187,7 @@ func TestApplyAfterCloseFails(t *testing.T) {
 }
 
 func TestCleanRunVerifies(t *testing.T) {
-	out, err := RunScript(Config{}, testSpec())
+	out, err := runSingle(Config{}, testSpec())
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -203,14 +213,14 @@ func TestCrashSweep(t *testing.T) {
 		t.Skip("crash sweep is long")
 	}
 	spec := testSpec()
-	clean, err := RunScript(Config{}, spec)
+	clean, err := runSingle(Config{}, spec)
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
 	instants := SweepInstants(clean.Cycles, 200)
 	crashed := 0
 	for _, at := range instants {
-		out, err := RunScript(Config{CrashAt: at}, spec)
+		out, err := runSingle(Config{CrashAt: at}, spec)
 		if err != nil {
 			t.Fatalf("crash at %d: %v", at, err)
 		}
@@ -230,17 +240,17 @@ func TestCrashSweep(t *testing.T) {
 // byte-identical recovered state (the fingerprint acceptance criterion).
 func TestCrashDeterminism(t *testing.T) {
 	spec := testSpec()
-	clean, err := RunScript(Config{}, spec)
+	clean, err := runSingle(Config{}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, frac := range []sim.Cycle{4, 2} {
 		at := clean.Cycles / frac
-		a, err := RunScript(Config{CrashAt: at}, spec)
+		a, err := runSingle(Config{CrashAt: at}, spec)
 		if err != nil {
 			t.Fatalf("run A at %d: %v", at, err)
 		}
-		b, err := RunScript(Config{CrashAt: at}, spec)
+		b, err := runSingle(Config{CrashAt: at}, spec)
 		if err != nil {
 			t.Fatalf("run B at %d: %v", at, err)
 		}
@@ -259,11 +269,11 @@ func TestCrashDeterminism(t *testing.T) {
 // durable and some are lost.
 func TestCrashMidRun(t *testing.T) {
 	spec := testSpec()
-	clean, err := RunScript(Config{}, spec)
+	clean, err := runSingle(Config{}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunScript(Config{CrashAt: clean.Cycles / 2}, spec)
+	out, err := runSingle(Config{CrashAt: clean.Cycles / 2}, spec)
 	if err != nil {
 		t.Fatalf("mid-run crash: %v", err)
 	}

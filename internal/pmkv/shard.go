@@ -170,7 +170,7 @@ type shardJob struct {
 	// done receives exactly one Completion carrying tag. Shard workers
 	// deliver with a plain channel send and must never block on a slow
 	// consumer, so the caller guarantees free capacity for every
-	// outstanding request it has routed to done (DoSpan uses a private
+	// outstanding request it has routed to done (Do uses a private
 	// one-slot channel; pipelined servers bound in-flight requests by the
 	// queue's capacity).
 	done chan<- Completion
@@ -300,18 +300,12 @@ func (s *ShardedStore) NewSession() *ShardedSession {
 
 // Do routes one request to its key's shard and blocks until the shard
 // acks it (for mutations: until the publish is durable, the shard
-// crashed, or the store refused the request).
+// crashed, or the store refused the request). It is DoAsync with a
+// private one-slot completion queue; callers that want telemetry spans,
+// pipelining, or a reused queue call DoAsync directly.
 func (s *ShardedStore) Do(sess *ShardedSession, op Op, key string, value []byte) ShardAck {
-	return s.DoSpan(sess, op, key, value, nil)
-}
-
-// DoSpan is Do with a caller-owned telemetry span: the router stamps
-// shard-route and mailbox-enqueue, and the shard worker stamps dequeue,
-// translate, submit, and durable-watermark as the request moves through
-// its pipeline. span may be nil (then DoSpan is exactly Do).
-func (s *ShardedStore) DoSpan(sess *ShardedSession, op Op, key string, value []byte, span *telemetry.Span) ShardAck {
 	done := make(chan Completion, 1)
-	shard, err := s.DoAsync(sess, op, key, value, span, 0, done)
+	shard, err := s.DoAsync(sess, op, key, value, nil, 0, done)
 	if err != nil {
 		return ShardAck{Shard: shard, Err: err}
 	}
@@ -392,13 +386,13 @@ func (s *ShardedStore) DoAsync(sess *ShardedSession, op Op, key string, value []
 	return id, nil
 }
 
-// pendingBatch is one group commit in flight: after Submit its volatile
-// responses are known (fed, awaiting retirement); after the retire pump
-// its durability ack is gated on the durable-prefix watermark.
+// pendingBatch is one group commit in flight: after SubmitAppend its
+// volatile responses are known (fed, awaiting retirement); after the
+// retire pump its durability ack is gated on the durable-prefix watermark.
 type pendingBatch struct {
 	jobs   []shardJob
 	resps  []Response
-	target int // RecordCount after this batch's Submit
+	target int // RecordCount after this batch's SubmitAppend
 }
 
 // shardWorker is runShard's per-goroutine state: the bounded in-flight
@@ -424,7 +418,7 @@ type shardWorker struct {
 	// arrives, so the worker blocks instead of spinning on the mailbox.
 	dry bool
 
-	reqs     []Request // reusable Submit argument (the engine copies what it keeps)
+	reqs     []Request // reusable SubmitAppend argument (the engine copies what it keeps)
 	jobFree  [][]shardJob
 	respFree [][]Response
 }
@@ -532,7 +526,7 @@ func (w *shardWorker) submit(batch []shardJob) bool {
 		w.dry = false
 		return true
 	case err == ErrCrashed:
-		// The machine lost power before this batch could be fed (Submit
+		// The machine lost power before this batch could be fed (SubmitAppend
 		// refuses wholesale once crashed): its clients see the error, and
 		// everything in flight gets crashed acks.
 		w.crashFlush()
@@ -592,7 +586,7 @@ func (w *shardWorker) pump() bool {
 // busy path dropped the error and waited for durability that could
 // never come); with an idle mailbox one BatchGap of simulated time
 // advances per call, so the worker re-polls the mailbox between gap
-// steps instead of going blind inside the old WaitDurable loop.
+// steps instead of going blind inside a blocking WaitDurable loop.
 func (w *shardWorker) release() {
 	sh := w.sh
 	if len(w.pending) == 0 {

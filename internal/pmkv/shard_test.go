@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"persistbarriers/internal/sim"
 	"persistbarriers/internal/telemetry"
@@ -100,36 +101,6 @@ func scriptKeys(t *testing.T, n int) []string {
 		}
 	}
 	return out
-}
-
-// TestSingleShardReproducesRunScript: at -shards 1 the sharded scripted
-// runner must feed shard 0 the byte-identical batch sequence RunScript
-// feeds its engine, so the per-shard recovery fingerprint reproduces
-// today's single-engine fingerprint — clean and at crash instants.
-func TestSingleShardReproducesRunScript(t *testing.T) {
-	spec := testSpec()
-	clean, err := RunScript(Config{}, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, at := range []sim.Cycle{0, clean.Cycles / 3, clean.Cycles / 2} {
-		single, err := RunScript(Config{CrashAt: at}, spec)
-		if err != nil {
-			t.Fatalf("RunScript at %d: %v", at, err)
-		}
-		sharded, err := RunShardedScript(ShardedConfig{Shards: 1, Engine: Config{CrashAt: at}}, spec)
-		if err != nil {
-			t.Fatalf("RunShardedScript at %d: %v", at, err)
-		}
-		got := sharded.PerShard[0]
-		if got.Report.Fingerprint != single.Report.Fingerprint {
-			t.Fatalf("crash at %d: shard-0 fingerprint %s != single-engine %s",
-				at, got.Report.Fingerprint, single.Report.Fingerprint)
-		}
-		if got.Cycles != single.Cycles || got.RoundsApplied != single.RoundsApplied || got.Crashed != single.Crashed {
-			t.Fatalf("crash at %d: runs diverged: sharded %+v vs single %+v", at, got, single)
-		}
-	}
 }
 
 // TestShardedCrashSweep is the sharded headline test: 200 crash instants
@@ -436,9 +407,11 @@ func TestShardedStoreCrashAcks(t *testing.T) {
 	if !sawCrash {
 		t.Fatal("crash instant never reached under load")
 	}
+	// The worker delivers the crashed acks before it fires OnCrash, so
+	// the callback may still be a few instructions away.
 	select {
 	case <-crashes:
-	default:
+	case <-time.After(5 * time.Second):
 		t.Fatal("OnCrash never fired")
 	}
 	results, err := store.Close()
@@ -481,12 +454,12 @@ func TestNewShardedRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestDoSpanStampsPipeline: a span threaded through DoSpan must come
+// TestDoAsyncStampsPipeline: a span threaded through DoAsync must come
 // back stamped at every pipeline stage the store owns, with wall times
 // nondecreasing along the conn-side order and sim cycles attached to the
 // worker-side stamps. This is the contract the server's stage tracer
 // (and the flight recorder) builds on.
-func TestDoSpanStampsPipeline(t *testing.T) {
+func TestDoAsyncStampsPipeline(t *testing.T) {
 	store, err := NewSharded(ShardedConfig{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -496,9 +469,13 @@ func TestDoSpanStampsPipeline(t *testing.T) {
 	var span telemetry.Span
 	span.Reset()
 	span.Stamp(telemetry.StageConnRead)
-	ack := store.DoSpan(sess, Put, "span-key", []byte("span-val"), &span)
-	if ack.Err != nil || ack.Crashed {
-		t.Fatalf("put ack: %+v", ack)
+	done := make(chan Completion, 1)
+	if _, err := store.DoAsync(sess, Put, "span-key", []byte("span-val"), &span, 7, done); err != nil {
+		t.Fatal(err)
+	}
+	c := <-done
+	if c.Tag != 7 || c.Ack.Err != nil || c.Ack.Crashed {
+		t.Fatalf("put completion: %+v", c)
 	}
 
 	for st := telemetry.StageConnRead; st <= telemetry.StageDurable; st++ {
@@ -532,7 +509,7 @@ func TestDoSpanStampsPipeline(t *testing.T) {
 		t.Fatalf("durable cycle %d before submit cycle %d", span.Cycle[telemetry.StageDurable], span.Cycle[telemetry.StageSubmit])
 	}
 
-	// A nil span must remain a no-op alias for Do.
+	// Do is DoAsync with a nil span: every stamp site must be a no-op.
 	if ack := store.Do(sess, Get, "span-key", nil); ack.Err != nil || string(ack.Resp.Value) != "span-val" {
 		t.Fatalf("nil-span get: %+v", ack)
 	}

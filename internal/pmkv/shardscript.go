@@ -1,11 +1,10 @@
-// Deterministic scripted driver for the sharded store: the same request
-// stream as RunScript, routed through the shard router, with each shard's
-// engine driven round-by-round exactly like the single-engine harness.
-// Shard engines never observe each other's timing, so running them on
-// parallel goroutines (or under any sweep -j setting) yields the same
-// per-shard fingerprints as running them serially — and a single-shard
-// run feeds shard 0 the identical batch sequence RunScript would, so its
-// fingerprint reproduces the unsharded engine's byte for byte.
+// Deterministic scripted driver: the ScriptSpec request stream routed
+// through the shard router, with each shard's engine driven round by
+// round. Shard engines never observe each other's timing, so running
+// them on parallel goroutines (or under any sweep -j setting) yields the
+// same per-shard fingerprints as running them serially. A single-shard
+// run feeds shard 0 every op of every round — the batch sequence the
+// 201 fingerprints in testdata/fpdump.golden were captured from.
 package pmkv
 
 import (

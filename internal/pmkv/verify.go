@@ -81,7 +81,7 @@ func (e *Engine) Verify(res *machine.Result) (*Report, error) {
 		}
 	}
 
-	if err := recovery.CheckOrderingParallel(g, res.Image, workers); err != nil {
+	if err := recovery.CheckOrdering(g, res.Image, workers); err != nil {
 		return rep, fmt.Errorf("pmkv: epoch-order violation: %w", err)
 	}
 	if err := recovery.CheckPersistedClosed(g, res.Image); err != nil {

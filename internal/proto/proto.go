@@ -36,8 +36,7 @@
 // The decoder and encoder are zero-allocation at steady state: parsing
 // sub-slices the frame payload into caller-reused key/value slice
 // headers, and encoding appends into a caller-owned buffer — both
-// guarded by AllocsPerRun tests, the same discipline as internal/wire's
-// JSON response encoder.
+// guarded by AllocsPerRun tests.
 package proto
 
 import (

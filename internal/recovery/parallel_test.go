@@ -45,9 +45,9 @@ func TestCheckOrderingParallelMatchesSerial(t *testing.T) {
 		{5: true, 23: true, 38: true}, // several: lowest index must win
 	} {
 		g, image := violationGraph(4, 10, planted)
-		want := CheckOrdering(g, image)
-		for workers := 1; workers <= 6; workers++ {
-			got := CheckOrderingParallel(g, image, workers)
+		want := CheckOrdering(g, image, 1)
+		for workers := 2; workers <= 6; workers++ {
+			got := CheckOrdering(g, image, workers)
 			if (got == nil) != (want == nil) {
 				t.Fatalf("planted %v, workers %d: got %v, serial %v", planted, workers, got, want)
 			}
@@ -64,7 +64,7 @@ func TestCheckOrderingParallelMatchesSerial(t *testing.T) {
 func TestCheckOrderingParallelLargeClean(t *testing.T) {
 	g, image := violationGraph(8, 64, nil)
 	for _, workers := range []int{0, 1, 3, 16, 1024} {
-		if err := CheckOrderingParallel(g, image, workers); err != nil {
+		if err := CheckOrdering(g, image, workers); err != nil {
 			t.Fatalf("workers %d: clean graph rejected: %v", workers, err)
 		}
 	}
@@ -72,7 +72,7 @@ func TestCheckOrderingParallelLargeClean(t *testing.T) {
 
 var benchSink error
 
-// BenchmarkCheckOrdering compares the serial scan with the strided
+// BenchmarkCheckOrdering compares the serial screening with the strided
 // parallel one (speedup is proportional to cores; on a single-core host
 // they tie).
 func BenchmarkCheckOrdering(b *testing.B) {
@@ -81,7 +81,7 @@ func BenchmarkCheckOrdering(b *testing.B) {
 		name := fmt.Sprintf("workers=%d", workers)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSink = CheckOrderingParallel(g, image, workers)
+				benchSink = CheckOrdering(g, image, workers)
 			}
 		})
 	}

@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"persistbarriers/internal/epoch"
 	"persistbarriers/internal/mem"
@@ -206,27 +207,54 @@ func requiredDurable(g *Graph, image map[mem.Line]mem.Version) []epoch.ID {
 //
 // Clean images — the overwhelmingly common case — are decided by the
 // linear-time screening (requiredDurable + one durability scan per
-// epoch). Only when that screening finds a failure does the original
-// per-epoch scan run, to produce the exact deterministic violation the
-// serial order defines.
-func CheckOrdering(g *Graph, image map[mem.Line]mem.Version) error {
-	for _, id := range requiredDurable(g, image) {
-		if !durableAll(g.epochs[id], image) {
-			if v := checkOrderingRange(g, image, 0, 1, len(g.order)); v != nil {
-				return v
+// epoch). The scans are independent reads of the graph and image, so
+// they stride across workers goroutines: 1 keeps the whole screening on
+// the caller's goroutine, <= 0 means GOMAXPROCS (the convention of
+// pmkv.Config.RecoveryWorkers, which Verify passes straight through).
+// Only when the screening finds a failure does the precise per-epoch
+// scan run, serially, so the violation reported is the one at the lowest
+// epoch index whatever the worker count. The graph must not be mutated
+// (no AddEdge) while the check runs.
+func CheckOrdering(g *Graph, image map[mem.Line]mem.Version, workers int) error {
+	required := requiredDurable(g, image)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(required) {
+		workers = len(required)
+	}
+	var failed atomic.Bool
+	screen := func(w int) {
+		for i := w; i < len(required); i += workers {
+			if !durableAll(g.epochs[required[i]], image) {
+				failed.Store(true)
+				return
 			}
-			return nil
 		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			screen(w)
+		}(w)
+	}
+	screen(0)
+	wg.Wait()
+	if !failed.Load() {
+		return nil
+	}
+	if v := firstViolation(g, image); v != nil {
+		return v
 	}
 	return nil
 }
 
-// checkOrderingRange scans epochs at indices start, start+stride, ... of
-// g.order (up to bound), returning the violation at the lowest index, or
-// nil. It only reads the graph, so strided scans may run concurrently.
-func checkOrderingRange(g *Graph, image map[mem.Line]mem.Version, start, stride, bound int) *OrderingViolation {
-	for i := start; i < bound; i += stride {
-		id := g.order[i]
+// firstViolation scans every epoch of g.order with the transitive
+// predecessor walk, returning the violation at the lowest index, or nil.
+func firstViolation(g *Graph, image map[mem.Line]mem.Version) *OrderingViolation {
+	for _, id := range g.order {
 		s := g.epochs[id]
 		if !touched(s, image) {
 			continue
@@ -239,54 +267,6 @@ func checkOrderingRange(g *Graph, image map[mem.Line]mem.Version, start, stride,
 			if line, ok := fullyDurable(ps, image); !ok {
 				return &OrderingViolation{Later: id, Earlier: pid, Line: line}
 			}
-		}
-	}
-	return nil
-}
-
-// CheckOrderingParallel is CheckOrdering fanned across workers: the
-// linear-time screening's per-epoch durability scans stride across
-// goroutines (they are independent reads of the graph and image). The
-// result is deterministic regardless of worker count — if any worker's
-// share fails the screening, the serial precise scan runs and reports
-// the violation at the lowest epoch index, exactly what CheckOrdering
-// reports. workers <= 0 means GOMAXPROCS. The graph must not be mutated
-// (no AddEdge) while the check runs.
-func CheckOrderingParallel(g *Graph, image map[mem.Line]mem.Version, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(g.order) {
-		workers = len(g.order)
-	}
-	if workers <= 1 {
-		return CheckOrdering(g, image)
-	}
-	required := requiredDurable(g, image)
-	if workers > len(required) {
-		workers = len(required)
-	}
-	failed := make([]bool, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(required); i += workers {
-				if !durableAll(g.epochs[required[i]], image) {
-					failed[w] = true
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, f := range failed {
-		if f {
-			if v := checkOrderingRange(g, image, 0, 1, len(g.order)); v != nil {
-				return v
-			}
-			return nil
 		}
 	}
 	return nil
@@ -413,7 +393,7 @@ func CheckAtomicity(g *Graph, recovered map[mem.Line]mem.Version) error {
 // point used by tests and the harness.
 func CheckAll(histories [][]*epoch.Summary, image map[mem.Line]mem.Version, log []nvram.LogEntry, withRollback bool) error {
 	g := NewGraph(histories)
-	if err := CheckOrdering(g, image); err != nil {
+	if err := CheckOrdering(g, image, 1); err != nil {
 		return err
 	}
 	if err := CheckPersistedClosed(g, image); err != nil {

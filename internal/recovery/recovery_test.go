@@ -57,13 +57,13 @@ func TestCheckOrderingAcceptsPrefix(t *testing.T) {
 	g := NewGraph(h)
 	// Epoch 0 fully durable, epoch 1 not at all: fine.
 	img := map[mem.Line]mem.Version{1: 10, 2: 11}
-	if err := CheckOrdering(g, img); err != nil {
+	if err := CheckOrdering(g, img, 1); err != nil {
 		t.Fatalf("prefix image rejected: %v", err)
 	}
 	// Epoch 1 partially durable with epoch 0 complete: also fine under
 	// BEP (ordering, not atomicity).
 	img[3] = 20
-	if err := CheckOrdering(g, img); err != nil {
+	if err := CheckOrdering(g, img, 1); err != nil {
 		t.Fatalf("complete image rejected: %v", err)
 	}
 }
@@ -76,7 +76,7 @@ func TestCheckOrderingDetectsViolation(t *testing.T) {
 	g := NewGraph(h)
 	// Epoch 1's line durable while epoch 0 is missing line 2.
 	img := map[mem.Line]mem.Version{1: 10, 3: 20}
-	err := CheckOrdering(g, img)
+	err := CheckOrdering(g, img, 1)
 	if err == nil {
 		t.Fatal("ordering violation not detected")
 	}
@@ -97,10 +97,10 @@ func TestCheckOrderingCrossThread(t *testing.T) {
 	}
 	g := NewGraph(h)
 	// Dependent epoch durable, source missing: violation.
-	if err := CheckOrdering(g, map[mem.Line]mem.Version{2: 20}); err == nil {
+	if err := CheckOrdering(g, map[mem.Line]mem.Version{2: 20}, 1); err == nil {
 		t.Fatal("cross-thread ordering violation not detected")
 	}
-	if err := CheckOrdering(g, map[mem.Line]mem.Version{1: 10, 2: 20}); err != nil {
+	if err := CheckOrdering(g, map[mem.Line]mem.Version{1: 10, 2: 20}, 1); err != nil {
 		t.Fatalf("valid cross-thread image rejected: %v", err)
 	}
 }
@@ -115,7 +115,7 @@ func TestCheckOrderingAllowsSupersededVersions(t *testing.T) {
 	}}
 	g := NewGraph(h)
 	img := map[mem.Line]mem.Version{1: 20, 2: 21}
-	if err := CheckOrdering(g, img); err != nil {
+	if err := CheckOrdering(g, img, 1); err != nil {
 		t.Fatalf("superseded version rejected: %v", err)
 	}
 }
