@@ -1,8 +1,10 @@
 // Command fpdump prints the recovered-state fingerprint of every crash
-// instant of a scripted pmkv sweep — the byte-identity baseline used to
-// prove optimizations changed speed, not semantics. Its output is pinned
-// in ../testdata/fpdump.golden; TestFpdumpGolden regenerates it through
-// the same dump function.
+// instant of two scripted pmkv sweeps — the byte-identity baseline used to
+// prove optimizations changed speed, not semantics. The first section (one
+// op per core per round) is pinned in ../testdata/fpdump.golden, the
+// second (four ops per core per round, so publishes share epochs with the
+// next Put's entries) in ../testdata/fpdump-merged.golden; TestFpdumpGolden
+// regenerates both through the same dump function.
 package main
 
 import (
@@ -14,10 +16,17 @@ import (
 	"persistbarriers/internal/sim"
 )
 
+// Both sections run on the 4-core SmallMachine: with 4 sessions every
+// commit window holds one op per core, with 16 it holds four, so only the
+// second crosses epochs merged by the per-core owed barrier.
+var (
+	specSingle = pmkv.ScriptSpec{Sessions: 4, Rounds: 16, KeySpace: 24, ValueBytes: 192, Seed: 7}
+	specMerged = pmkv.ScriptSpec{Sessions: 16, Rounds: 16, KeySpace: 24, ValueBytes: 192, Seed: 7}
+)
+
 // dump writes the clean-drain line and one line per crash instant: 200
 // instants spread over the clean run, each on a fresh single-shard store.
-func dump(w io.Writer) error {
-	spec := pmkv.ScriptSpec{Sessions: 4, Rounds: 16, KeySpace: 24, ValueBytes: 192, Seed: 7}
+func dump(w io.Writer, spec pmkv.ScriptSpec) error {
 	run := func(at sim.Cycle) (*pmkv.RunResult, error) {
 		out, err := pmkv.RunShardedScript(pmkv.ShardedConfig{Shards: 1, Engine: pmkv.Config{CrashAt: at}}, spec)
 		if err != nil {
@@ -41,8 +50,10 @@ func dump(w io.Writer) error {
 }
 
 func main() {
-	if err := dump(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "fpdump:", err)
-		os.Exit(1)
+	for _, spec := range []pmkv.ScriptSpec{specSingle, specMerged} {
+		if err := dump(os.Stdout, spec); err != nil {
+			fmt.Fprintln(os.Stderr, "fpdump:", err)
+			os.Exit(1)
+		}
 	}
 }

@@ -6,18 +6,34 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"persistbarriers/internal/pmkv"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden fingerprint file")
 
 // TestFpdumpGolden is the byte-identity proof for the scripted driver:
-// the clean-drain fingerprint and all 200 crash-instant fingerprints were
-// captured from the single-engine driver before it was deleted, and the
-// single-shard sharded driver must keep reproducing every line.
+// fpdump.golden's clean-drain fingerprint and 200 crash-instant
+// fingerprints were captured from the single-engine driver before it was
+// deleted, and survived the move to one persist barrier per write
+// unchanged (one op per core per window never merges epochs);
+// fpdump-merged.golden pins the same sweep where epochs do merge, so a
+// later speed-only change is held to both.
 func TestFpdumpGolden(t *testing.T) {
-	const golden = "../testdata/fpdump.golden"
+	for _, section := range []struct {
+		golden string
+		spec   pmkv.ScriptSpec
+	}{
+		{"../testdata/fpdump.golden", specSingle},
+		{"../testdata/fpdump-merged.golden", specMerged},
+	} {
+		checkGolden(t, section.golden, section.spec)
+	}
+}
+
+func checkGolden(t *testing.T, golden string, spec pmkv.ScriptSpec) {
 	var got bytes.Buffer
-	if err := dump(&got); err != nil {
+	if err := dump(&got, spec); err != nil {
 		t.Fatal(err)
 	}
 	if *update {

@@ -47,7 +47,11 @@ func (c Case) Spec() pmkv.ScriptSpec {
 // CaseFromBytes is a total decoder: every byte slice maps to a valid,
 // cost-bounded case (the trace.Interleave idiom). The first eight bytes
 // shape the workload; every byte, including the tail, folds into the
-// seed so distinct inputs explore distinct schedules.
+// seed so distinct inputs explore distinct schedules. Sessions spans
+// 1..16 so that, on the 4-core machine, up to four ops share a core in one
+// scripted round and a Put's barrier also closes the previous publish's
+// epoch; first bytes below 6 — every committed corpus seed — decode to
+// the same session count as under the earlier 1..6 range.
 func CaseFromBytes(data []byte) Case {
 	var b [8]byte
 	copy(b[:], data)
@@ -59,7 +63,7 @@ func CaseFromBytes(data []byte) Case {
 	put := 20 + int(b[4])%61 // 20..80
 	get := 5 + int(b[5])%(95-put)
 	return Case{
-		Sessions:   1 + int(b[0])%6,
+		Sessions:   1 + int(b[0])%16,
 		Rounds:     1 + int(b[1])%14,
 		KeySpace:   1 + int(b[2])%12,
 		ValueBytes: 1 + (int(b[3])%8)*16,
@@ -119,13 +123,25 @@ func Run(c Case) *Failure {
 	return nil
 }
 
-// liveRun replays the case's scripted ops sequentially against a live
-// ShardedStore — the server-facing engine with its GET fast path — with
-// the online checker armed, crashing at the given instant (0 = clean
-// drain). It returns the combined recovery fingerprint and the first
-// verification or checker error. Sequential issuance fixes the mutation
-// order, so clean-drain fingerprints are comparable across fast-path
-// configurations.
+// liveWindow is how many requests each session keeps in flight in liveRun:
+// enough that one group commit carries several writes of one session (and
+// so of one core), few enough that the completion queue stays tiny.
+const liveWindow = 4
+
+// liveRun replays the case's scripted ops against a live ShardedStore —
+// the server-facing engine with its GET fast path — with the online
+// checker armed, crashing at the given instant (0 = clean drain). It
+// returns the combined recovery fingerprint and the first verification or
+// checker error. One goroutine issues every op in script order through
+// DoAsync, each session keeping up to liveWindow requests in flight, so
+// commit windows hold consecutive writes of one core and the crash runs
+// cross epochs that merge one publish with the next Put's entries. On a
+// clean drain, two writes to one key are additionally never in flight
+// together (same-window publishes from different cores may commit in
+// either order), which with the single issuer and FIFO mailboxes fixes
+// every key's mutation order, so clean-drain fingerprints are comparable
+// across fast-path configurations; crash runs are judged by recovery and
+// the checker alone and keep their windows full.
 func liveRun(c Case, at sim.Cycle, disableFast bool) (string, sim.Cycle, error) {
 	store, err := pmkv.NewSharded(pmkv.ShardedConfig{
 		Shards:          c.Shards,
@@ -135,21 +151,48 @@ func liveRun(c Case, at sim.Cycle, disableFast bool) (string, sim.Cycle, error) 
 	if err != nil {
 		return "", 0, err
 	}
-	sessions := make(map[int]*pmkv.ShardedSession)
-	for _, op := range pmkv.ScriptOps(c.Spec()) {
-		sess := sessions[op.Sess]
-		if sess == nil {
-			sess = store.NewSession()
-			sessions[op.Sess] = sess
+	ops := pmkv.ScriptOps(c.Spec())
+	sessions := make([]*pmkv.ShardedSession, ops[len(ops)-1].Sess+1)
+	for i := range sessions {
+		sessions[i] = store.NewSession()
+	}
+	// Completions are tagged with the op's index. The queue holds every
+	// request that can be outstanding, so the workers' sends never block.
+	done := make(chan pmkv.Completion, liveWindow*len(sessions))
+	inFlight := make([]int, len(sessions))
+	writes := make(map[string]int) // in-flight writes per key
+	retire := func() {
+		op := ops[(<-done).Tag]
+		inFlight[op.Sess]--
+		if op.Op != pmkv.Get {
+			writes[op.Key]--
 		}
+	}
+	for i, op := range ops {
 		var value []byte
 		if op.Op == pmkv.Put {
 			value = make([]byte, op.ValueLen)
-			for i := range value {
-				value[i] = byte('a' + op.Sess%26)
+			for j := range value {
+				value[j] = byte('a' + op.Sess%26)
 			}
 		}
-		store.Do(sess, op.Op, op.Key, value)
+		for inFlight[op.Sess] == liveWindow || (at == 0 && op.Op != pmkv.Get && writes[op.Key] > 0) {
+			retire()
+		}
+		// A refused request gets no completion; acks themselves are not
+		// inspected — recovery and the checker judge the run.
+		if _, err := store.DoAsync(sessions[op.Sess], op.Op, op.Key, value, nil, uint64(i), done); err != nil {
+			continue
+		}
+		inFlight[op.Sess]++
+		if op.Op != pmkv.Get {
+			writes[op.Key]++
+		}
+	}
+	for _, n := range inFlight {
+		for ; n > 0; n-- {
+			<-done
+		}
 	}
 	results, err := store.Close()
 	if err != nil {

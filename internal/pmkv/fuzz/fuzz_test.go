@@ -17,10 +17,11 @@ func TestCaseFromBytesTotal(t *testing.T) {
 		{0, 0, 0, 0, 0, 0, 0, 0},
 		{1, 2, 3},
 		{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 255, 128},
+		{15, 13, 11, 7, 80, 0, 0, 128},
 	}
 	for _, in := range inputs {
 		c := CaseFromBytes(in)
-		if c.Sessions < 1 || c.Sessions > 6 || c.Rounds < 1 || c.Rounds > 14 {
+		if c.Sessions < 1 || c.Sessions > 16 || c.Rounds < 1 || c.Rounds > 14 {
 			t.Fatalf("case out of bounds for %v: %+v", in, c)
 		}
 		if c.KeySpace < 1 || c.KeySpace > 12 || c.ValueBytes < 1 || c.ValueBytes > 113 {
@@ -82,6 +83,7 @@ func FuzzDurableLinearizability(f *testing.F) {
 	f.Add([]byte{5, 11, 1, 3, 60, 60, 2, 200})          // one hot key, 4 shards, late crash
 	f.Add([]byte{3, 7, 5, 1, 10, 80, 1, 32})            // read-heavy, early crash
 	f.Add([]byte{5, 13, 11, 7, 70, 5, 3, 255, 9, 9, 9}) // delete-heavy tail seed
+	f.Add([]byte{15, 9, 7, 4, 50, 10, 0, 160})          // 16 sessions: 4 ops per core per round, merged epochs
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := CaseFromBytes(data)
 		fail := Run(c)

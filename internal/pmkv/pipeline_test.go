@@ -365,7 +365,12 @@ func TestGroupCommitAllocs(t *testing.T) {
 	// Full commit cycle ceilings: the only allocations left come from the
 	// simulated hardware's event machinery, bounded well under one alloc
 	// per op. A per-request leak in the commit path would add >= batchLen
-	// per run and trip these.
+	// per run and trip these. The put batches above are drained first, so
+	// event allocations of their still-persisting epochs are not charged
+	// to the read-only cycles measured here.
+	if _, err := e.WaitDurable(e.RecordCount()); err != nil {
+		t.Fatal(err)
+	}
 	if avg := testing.AllocsPerRun(50, func() {
 		out, err := e.SubmitAppend(dst[:0], gets)
 		if err != nil {
@@ -380,6 +385,54 @@ func TestGroupCommitAllocs(t *testing.T) {
 	}
 	if _, err := e.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGroupCommitAmortizesBarriers: a larger batch must persist fewer
+// epochs for the same work. The script generator draws ops in one flat
+// sequence, so Sessions x Rounds = 4x64, 16x16 and 64x4 are the same 256
+// ops cut into rounds of 1, 4 and 16 ops per core (SmallMachine has 4
+// cores); only the merged cuts put two writes on one core in one commit
+// window, where a Put's entry→publish barrier also closes the previous
+// publish. Each cut is then crash-swept with every checker on, because
+// no 4-session sweep ever reaches a merged epoch.
+func TestGroupCommitAmortizesBarriers(t *testing.T) {
+	instants := 200
+	if testing.Short() {
+		instants = 12
+	}
+	var epochs []int
+	for _, sessions := range []int{4, 16, 64} {
+		spec := ScriptSpec{Sessions: sessions, Rounds: 256 / sessions, KeySpace: 24, ValueBytes: 192, Seed: 7}
+		clean, err := runSingle(Config{Check: true}, spec)
+		if err != nil {
+			t.Fatalf("%d sessions, clean run: %v", sessions, err)
+		}
+		if clean.Report.DurablePublishes != clean.Report.TotalPublishes {
+			t.Fatalf("%d sessions: %d of %d publishes durable after a clean drain",
+				sessions, clean.Report.DurablePublishes, clean.Report.TotalPublishes)
+		}
+		epochs = append(epochs, clean.Report.Epochs)
+		crashed := 0
+		for _, at := range SweepInstants(clean.Cycles, instants) {
+			out, err := runSingle(Config{CrashAt: at, Check: true}, spec)
+			if err != nil {
+				t.Fatalf("%d sessions, crash at %d: %v", sessions, at, err)
+			}
+			if out.Crashed {
+				crashed++
+			}
+		}
+		if crashed < instants/2 {
+			t.Fatalf("%d sessions: only %d/%d instants crashed mid-run", sessions, crashed, instants)
+		}
+	}
+	t.Logf("epochs persisted at 1/4/16 ops per core per commit: %v", epochs)
+	if !(epochs[0] > epochs[1] && epochs[1] > epochs[2]) {
+		t.Fatalf("epochs %v do not strictly decrease as the batch grows", epochs)
+	}
+	if 10*epochs[2] > 7*epochs[0] {
+		t.Fatalf("16 ops per core persisted %d epochs, want <= 0.70 x the %d of 1 op per core", epochs[2], epochs[0])
 	}
 }
 

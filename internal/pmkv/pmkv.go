@@ -1,10 +1,30 @@
 // Package pmkv is a durable key-value engine built on the epoch-persistency
 // runtime: every Put/Delete is translated online into the paper's Figure 10
 // discipline — write the entry, persist barrier, publish the bucket-head
-// pointer, persist barrier — and executed on the simulated multicore through
-// the machine's streaming program source. Client sessions multiplex onto
-// cores, so concurrent sessions sharing a bucket produce genuine
-// inter-thread dependences (IDT edges) in the epoch hardware.
+// pointer — and executed on the simulated multicore through the machine's
+// streaming program source. Client sessions multiplex onto cores, so
+// concurrent sessions sharing a bucket produce genuine inter-thread
+// dependences (IDT edges) in the epoch hardware.
+//
+// Figure 10's second barrier, the one that closes the publish's epoch, is
+// software-pipelined across the commit window: each core carries one
+// "barrier owed" bit, and the core's next write pays it. A Put's entry
+// stores join the previous publish's epoch and its own entry→publish
+// barrier closes both; a Delete, which has no such barrier, emits the owed
+// one before its publish; Gets never pay; and what is still owed when the
+// window is pumped is flushed as one bare barrier per core. k writes on a
+// core therefore cost k+1 barriers instead of 2k:
+//
+//	E1 | B | P1 E2 | B | P2 E3 | B | ... Pk | B
+//
+// Three orderings survive by construction, and everything downstream rests
+// on them alone: entry i is one epoch before publish i (a durable head
+// never names a torn entry); publish i is one epoch before publish i+1 on
+// the same core (each session's durable publishes are a prefix of its
+// program order, and the checker's happens-before ∪ publish-order closure
+// holds); and two tagged stores to one bucket head are always separated by
+// a barrier, which drains the core's write buffer first. Acks stay gated
+// on the durable watermark, which reads NVRAM, not barriers.
 //
 // The engine does not simulate data bytes (the machine is version-based);
 // it keeps the logical key/value state itself and correlates logical writes
@@ -43,9 +63,13 @@ type Op uint8
 const (
 	// Get reads a key (loads only; persists nothing).
 	Get Op = iota
-	// Put writes a key (entry stores, barrier, publish, barrier).
+	// Put writes a key (entry stores, barrier, publish). The barrier also
+	// closes the core's previous publish when that is still owed; the
+	// barrier closing this publish is owed to the core's next write or the
+	// window-end flush.
 	Put
-	// Delete unlinks a key (publish of a tombstone head, barrier).
+	// Delete unlinks a key (the core's owed barrier if any, then the
+	// publish of a tombstone head, whose own barrier is owed in turn).
 	Delete
 )
 
@@ -202,6 +226,12 @@ type Engine struct {
 	// cfg.Check (nil-receiver methods make disabled hooks free).
 	dl *dlcheck.Tracker
 
+	// owed[core] records that the core's newest publish store is still in
+	// an open epoch: the barrier that closes it is paid by the core's next
+	// write (a Put's entry→publish barrier, a Delete's leading barrier) or,
+	// failing that, by the window-end flush in pumpRetireLocked.
+	owed []bool
+
 	nextToken uint64
 	nextEntry mem.Addr
 	sessions  int
@@ -219,11 +249,14 @@ type Engine struct {
 }
 
 // New builds an engine on a fresh streaming machine. The engine's token
-// correlation requires that a persist barrier drains every posted store
-// before the next op issues (a session's publish stores rewrite its bucket
-// heads, and two tagged stores to one line must never be in flight at
-// once), so the machine must use the LB model with programmer barriers:
-// NP ignores barriers and bulk-epoch mode makes them transparent.
+// correlation requires that two tagged stores to one line are never in
+// flight at once. Entry lines are written once; a core's publish stores
+// rewrite its bucket heads, and between any two of them translate places
+// exactly one persist barrier (a Put's entry→publish barrier, or the owed
+// barrier a Delete pays), which drains every posted store before the next
+// op issues. So the machine must use the LB model with programmer
+// barriers: NP ignores barriers and bulk-epoch mode makes them
+// transparent.
 func New(cfg Config) (*Engine, error) {
 	cfg.fill()
 	if cfg.Machine.Model != machine.LB {
@@ -246,6 +279,7 @@ func New(cfg Config) (*Engine, error) {
 		entries:   make(map[string][]mem.Line),
 		lastRec:   make(map[string]int),
 		batch:     make(map[string]*batchKey),
+		owed:      make([]bool, cfg.Machine.Cores),
 		nextEntry: entryBase,
 		seqs:      make(map[int]int),
 	}
@@ -369,6 +403,10 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 	if req.Sess == nil {
 		return Response{}, nil, fmt.Errorf("pmkv: request without session")
 	}
+	core := req.Sess.Core
+	if core < 0 || core >= len(e.owed) {
+		return Response{}, nil, fmt.Errorf("pmkv: session %d bound to core %d of %d", req.Sess.ID, core, len(e.owed))
+	}
 	bucket := e.bucketOf(req.Key)
 	head := e.headLine(bucket)
 	seq := e.seqs[req.Sess.ID]
@@ -394,7 +432,7 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 		copy(val, req.Value)
 		rec := e.arenaRecord()
 		*rec = OpRecord{
-			Sess: req.Sess.ID, Seq: seq, Core: req.Sess.Core,
+			Sess: req.Sess.ID, Seq: seq, Core: core,
 			Op: Put, Key: req.Key, Bucket: bucket, Head: head,
 			Value: val,
 		}
@@ -406,11 +444,14 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 			rec.EntryTokens[i] = e.nextToken
 			b.StoreTagged(l.Addr(), e.nextToken)
 		}
+		// One barrier per Put: it closes the epoch holding these entry
+		// stores and, when owed, the core's previous publish. This publish
+		// opens the next epoch and leaves its own barrier owed.
 		b.Barrier()
 		e.nextToken++
 		rec.PubToken = e.nextToken
 		b.StoreTagged(head.Addr(), rec.PubToken)
-		b.Barrier()
+		e.owed[core] = true
 		b.TxEnd()
 
 		recIdx := len(e.records)
@@ -427,14 +468,19 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 		_, found, obsRec := e.observedRead(req.Sess.ID, req.Key)
 		rec := e.arenaRecord()
 		*rec = OpRecord{
-			Sess: req.Sess.ID, Seq: seq, Core: req.Sess.Core,
+			Sess: req.Sess.ID, Seq: seq, Core: core,
 			Op: Delete, Key: req.Key, Bucket: bucket, Head: head,
+		}
+		if e.owed[core] {
+			// No entry→publish barrier to ride on: pay the previous
+			// publish's barrier here, so publishes stay one per epoch.
+			b.Barrier()
 		}
 		b.Load(head.Addr())
 		e.nextToken++
 		rec.PubToken = e.nextToken
 		b.StoreTagged(head.Addr(), rec.PubToken)
-		b.Barrier()
+		e.owed[core] = true
 		b.TxEnd()
 
 		recIdx := len(e.records)
@@ -493,10 +539,12 @@ func (e *Engine) Apply(batch []Request) ([]Response, error) {
 // SubmitAppend translates a batch and feeds it to the cores without
 // advancing the machine — the front half of a group commit. A sharded
 // worker submits batch k+1 while batch k's persist barriers are still
-// draining; PumpRetire then advances the clock. Responses reflect the
-// volatile state immediately and are appended to dst, so a pipelined
-// committer reuses one response buffer per in-flight batch instead of
-// allocating a fresh slice per commit.
+// draining; PumpRetire then advances the clock. Each core's last publish
+// is left in an open epoch (its barrier owed), so a following
+// SubmitAppend's first write on that core merges into it. Responses
+// reflect the volatile state immediately and are appended to dst, so a
+// pipelined committer reuses one response buffer per in-flight batch
+// instead of allocating a fresh slice per commit.
 func (e *Engine) SubmitAppend(dst []Response, batch []Request) ([]Response, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -544,10 +592,12 @@ func (e *Engine) clearBatchLocked() {
 	clear(e.batch)
 }
 
-// PumpRetire advances the machine until every fed op has retired (or the
-// crash instant / a deadlock intervenes). Retirement is the ack point of
-// the pipelined commit: visibility is settled, while the epochs holding
-// the batch's publishes keep persisting in the background.
+// PumpRetire closes the commit window: it feeds each core the persist
+// barrier its newest publish still owes, then advances the machine until
+// every fed op has retired (or the crash instant / a deadlock
+// intervenes). Retirement is the ack point of the pipelined commit:
+// visibility is settled and every fed publish sits in a closed epoch,
+// while those epochs keep persisting in the background.
 func (e *Engine) PumpRetire() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -561,6 +611,21 @@ func (e *Engine) PumpRetire() error {
 }
 
 func (e *Engine) pumpRetireLocked() error {
+	// Window-end flush: each core whose newest publish is still in an open
+	// epoch gets the one barrier it owes, so "everything fed has retired"
+	// includes "every fed publish is in a closed epoch" and the background
+	// machinery can persist it. Done here rather than per SubmitAppend so
+	// the debt also carries across the batches a pipelined worker feeds
+	// before one pump.
+	for core, owed := range e.owed {
+		if !owed {
+			continue
+		}
+		if err := e.m.Feed(core, e.opBuf.Reset().Barrier().Ops()); err != nil {
+			return err
+		}
+		e.owed[core] = false
+	}
 	limit := e.crashLimit()
 	if !e.m.PumpUntilIdle(limit) {
 		if e.m.Deadlocked() {
@@ -737,8 +802,10 @@ func (e *Engine) Volatile() map[string][]byte {
 }
 
 // Close ends the run and returns the machine result. On a clean close the
-// feed drains (all epochs persist); after a crash the result is a snapshot
-// of the NVRAM image at the crash instant.
+// feed drains (all epochs persist — the machine's end-of-run drain closes
+// each core's open epoch, so a barrier still owed by writes submitted but
+// never pumped needs no flush here); after a crash the result is a
+// snapshot of the NVRAM image at the crash instant.
 func (e *Engine) Close() (*machine.Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

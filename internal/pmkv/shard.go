@@ -545,9 +545,11 @@ func (w *shardWorker) submit(batch []shardJob) bool {
 }
 
 // pump retires everything fed since the last pump: one PumpRetire closes
-// the commit window for every in-flight batch at once, and their acks
-// move to the watermark gate. Reports false on a crash (pipeline state
-// was flushed).
+// the commit window for every in-flight batch at once — the engine first
+// feeds each core the one barrier its newest publish still owes, so the
+// batches fed since the last pump share that barrier and "retired" means
+// every fed publish sits in a closed epoch — and their acks move to the
+// watermark gate. Reports false on a crash (pipeline state was flushed).
 func (w *shardWorker) pump() bool {
 	sh := w.sh
 	err := sh.eng.PumpRetire()
