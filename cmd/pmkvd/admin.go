@@ -3,7 +3,9 @@
 //
 //	/metrics       Prometheus 0.0.4 text exposition — per-shard pipeline
 //	               stage histograms (seconds), persist-latency histograms
-//	               (simulated cycles), and shard/engine counters.
+//	               (simulated cycles), shard/engine counters, how much
+//	               audit state each engine holds and has released, and
+//	               the process's resident and heap memory.
 //	/statz         JSON superset of the wire "stats" op: aggregate +
 //	               per-shard ServiceStats plus the live per-stage
 //	               breakdown (pooled and per shard).
@@ -20,7 +22,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"runtime"
 	"strconv"
+	"strings"
 
 	"persistbarriers/internal/obs"
 	"persistbarriers/internal/pmkv"
@@ -31,9 +36,10 @@ import (
 // "stats" reply (same field names for the shared parts) with the stage
 // tracer's live breakdown attached.
 type statzReply struct {
-	OK     bool             `json:"ok"`
-	Stats  obs.ServiceStats `json:"stats"`
-	Shards []shardStats     `json:"shards"`
+	OK      bool             `json:"ok"`
+	Stats   obs.ServiceStats `json:"stats"`
+	Shards  []shardStats     `json:"shards"`
+	Process processStats     `json:"process"`
 
 	// Stages pools every shard's stage-segment histograms (exact merge);
 	// ShardStages is the same breakdown per shard.
@@ -41,11 +47,33 @@ type statzReply struct {
 	ShardStages [][]telemetry.StageStats `json:"shard_stages,omitempty"`
 }
 
+// processStats is the memory the whole server holds, as the kernel and
+// the Go runtime see it.
+type processStats struct {
+	ResidentBytes  uint64 `json:"resident_memory_bytes"` // 0 where /proc is absent
+	HeapInuseBytes uint64 `json:"heap_inuse_bytes"`
+}
+
+func readProcessStats() processStats {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	ps := processStats{HeapInuseBytes: ms.HeapInuse}
+	// statm's second field is the resident set in pages.
+	if statm, err := os.ReadFile("/proc/self/statm"); err == nil {
+		if f := strings.Fields(string(statm)); len(f) > 1 {
+			if pages, err := strconv.ParseUint(f[1], 10, 64); err == nil {
+				ps.ResidentBytes = pages * uint64(os.Getpagesize())
+			}
+		}
+	}
+	return ps
+}
+
 // statz assembles the stats snapshot shared by the wire "stats" op and
 // the admin /statz handler.
 func (s *server) statz() statzReply {
 	metrics := s.store.Metrics()
-	reply := statzReply{OK: true, Shards: make([]shardStats, len(metrics))}
+	reply := statzReply{OK: true, Shards: make([]shardStats, len(metrics)), Process: readProcessStats()}
 	per := make([]obs.ServiceStats, len(metrics))
 	for i, m := range metrics {
 		per[i] = s.collectors[i].Snapshot()
@@ -170,14 +198,24 @@ func (s *server) renderMetrics(dst []byte) []byte {
 			func(m pmkv.ShardMetrics) float64 { return float64(m.FastHits) }},
 		{"pmkv_read_fallback_total", "GETs that fell back to the mailbox (pending writes, drain, or crash).",
 			func(m pmkv.ShardMetrics) float64 { return float64(m.FastFallbacks) }},
-		{"pmkv_read_index_published", "Mutation records folded into the read index (durable watermark).",
+		{"pmkv_read_index_published", "Durable watermark the checkpoint behind fast GETs covers.",
 			func(m pmkv.ShardMetrics) float64 { return float64(m.ReadPublished) }},
+		{"pmkv_records_retained", "Mutation records still held: submitted, not yet durable.",
+			func(m pmkv.ShardMetrics) float64 { return float64(m.Retained) }},
+		{"pmkv_records_folded_total", "Mutation records verified, folded into the checkpoint and released.",
+			func(m pmkv.ShardMetrics) float64 { return float64(m.Folded) }},
+		{"pmkv_checkpoint_keys", "Keys in the committed-state checkpoint, tombstones included.",
+			func(m pmkv.ShardMetrics) float64 { return float64(m.CheckpointKeys) }},
+		{"pmkv_epochs_trimmed_total", "Persisted epochs dropped from the machine's retained history.",
+			func(m pmkv.ShardMetrics) float64 { return float64(m.EpochsTrimmed) }},
 	}
 	counterNames := map[string]bool{
 		"pmkv_shard_batches_total":   true,
 		"pmkv_shard_publishes_total": true,
 		"pmkv_read_fast_hits_total":  true,
 		"pmkv_read_fallback_total":   true,
+		"pmkv_records_folded_total":  true,
+		"pmkv_epochs_trimmed_total":  true,
 	}
 	for _, g := range gauges {
 		typ := "gauge"
@@ -196,6 +234,16 @@ func (s *server) renderMetrics(dst []byte) []byte {
 		dst = telemetry.AppendHistogram(dst, "pmkv_shard_batch_size",
 			shardLabel(m.Shard), m.BatchSizes, 1)
 	}
+
+	ps := readProcessStats()
+	if ps.ResidentBytes > 0 {
+		dst = telemetry.AppendMetricHeader(dst, "process_resident_memory_bytes", "gauge",
+			"Resident memory size in bytes.")
+		dst = telemetry.AppendUintSample(dst, "process_resident_memory_bytes", "", ps.ResidentBytes)
+	}
+	dst = telemetry.AppendMetricHeader(dst, "go_memstats_heap_inuse_bytes", "gauge",
+		"Bytes in in-use heap spans.")
+	dst = telemetry.AppendUintSample(dst, "go_memstats_heap_inuse_bytes", "", ps.HeapInuseBytes)
 	return dst
 }
 

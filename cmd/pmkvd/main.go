@@ -656,9 +656,10 @@ func (s *server) finalReport() error {
 		if r.Crashed {
 			shardMode = fmt.Sprintf("crashed at cycle %d", r.Cycles)
 		}
-		fmt.Fprintf(s.opts.out, "  shard %d: %s after %d cycles; publishes %d durable / %d total; %d keys; %d epochs persisted (p50=%d p99=%d cycles)\n",
+		fmt.Fprintf(s.opts.out, "  shard %d: %s after %d cycles; publishes %d durable / %d total; %d keys; %d epochs persisted (p50=%d p99=%d cycles); folded %d / retained %d\n",
 			r.Shard, shardMode, r.Cycles, r.Report.DurablePublishes, r.Report.TotalPublishes,
-			r.Report.RecoveredKeys, st.EpochsPersisted, st.LatencyP50, st.LatencyP99)
+			r.Report.RecoveredKeys, st.EpochsPersisted, st.LatencyP50, st.LatencyP99,
+			r.Retention.Folded, r.Retention.Retained)
 		fps[i] = r.Report.Fingerprint
 		recovered += r.Report.RecoveredKeys
 	}

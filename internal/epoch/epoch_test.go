@@ -354,6 +354,40 @@ func TestHistoryRecordsWritesAndDeps(t *testing.T) {
 	}
 }
 
+// TestDropHistory: dropping the oldest persisted summaries leaves the
+// rest, in order, ahead of the unpersisted window in History, and the
+// backing array lets go of what was dropped.
+func TestDropHistory(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RecordHistory = true
+	eng, tbl, arb, _ := harness(t, cfg)
+	for i := 0; i < 3; i++ {
+		tbl.Current().AddPending(mem.Line(10 + i))
+		tbl.Advance(0, BarrierAdvance)
+	}
+	arb.DemandThrough(2, CauseInter)
+	eng.Run()
+	if got := len(tbl.Persisted()); got != 3 {
+		t.Fatalf("persisted summaries = %d, want 3", got)
+	}
+	backing := tbl.Persisted()
+	tbl.DropHistory(2)
+	if p := tbl.Persisted(); len(p) != 1 || p[0].ID.Num != 2 {
+		t.Fatalf("after dropping 2: %+v", p)
+	}
+	if backing[1] != nil || backing[2] != nil {
+		t.Fatal("dropped summaries still referenced from the backing array")
+	}
+	hist := tbl.History()
+	if len(hist) != 2 || hist[0].ID.Num != 2 || !hist[0].PersistedFlag || hist[1].ID.Num != 3 || hist[1].PersistedFlag {
+		t.Fatalf("history after drop = %+v", hist)
+	}
+	tbl.DropHistory(0)
+	if len(tbl.Persisted()) != 1 {
+		t.Fatal("DropHistory(0) dropped something")
+	}
+}
+
 func TestHistoryDisabledReturnsNil(t *testing.T) {
 	tbl := newTable(t, DefaultConfig())
 	if tbl.History() != nil {

@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"fmt"
+	"slices"
 
 	"persistbarriers/internal/mem"
 	"persistbarriers/internal/obs"
@@ -418,6 +419,17 @@ func (t *Table) History() []*Summary {
 		})
 	}
 	return out
+}
+
+// Persisted returns the retained summaries of this core's persisted epochs,
+// oldest first (shared slice; do not modify).
+func (t *Table) Persisted() []*Summary { return t.history }
+
+// DropHistory forgets the n oldest retained summaries. The survivors are
+// copied down (not resliced) so the backing array stops referencing the
+// dropped ones.
+func (t *Table) DropHistory(n int) {
+	t.history = slices.Delete(t.history, 0, n)
 }
 
 // allEdges merges IDT register sources and online-enforced orderings into

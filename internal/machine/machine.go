@@ -8,6 +8,7 @@ import (
 	"persistbarriers/internal/mem"
 	"persistbarriers/internal/noc"
 	"persistbarriers/internal/nvram"
+	"persistbarriers/internal/recovery"
 	"persistbarriers/internal/sim"
 	"persistbarriers/internal/trace"
 )
@@ -156,6 +157,10 @@ type Machine struct {
 	// avoidBusy is the victim filter llcInsert passes to VictimAvoiding,
 	// built once so the hot path does not allocate a closure per insert.
 	avoidBusy func(mem.Line) bool
+	// lineDurableVersion and epochPersisted are TrimHistory's two views of
+	// the live machine, built once for the same reason.
+	lineDurableVersion func(mem.Line) mem.Version
+	epochPersisted     func(epoch.ID) bool
 	// lineBufs is a free-list of flush-set scratch buffers; flushes can
 	// nest (a demanded flush inside flushEpoch), so buffers are acquired
 	// and released stack-wise rather than shared.
@@ -222,6 +227,8 @@ func New(cfg Config) (*Machine, error) {
 		ls := m.lines.lookup(l)
 		return ls != nil && ls.busy != nil
 	}
+	m.lineDurableVersion = mcs.PersistedVersion
+	m.epochPersisted = func(id epoch.ID) bool { return m.cores[id.Core].table.IsPersisted(id.Num) }
 
 	if cfg.Probe.Active() {
 		mesh.AttachProbe(cfg.Probe, eng.Now)
@@ -322,6 +329,59 @@ func (m *Machine) PersistedVersion(line mem.Line) mem.Version {
 func (m *Machine) TokenVersion(token uint64) (mem.Version, bool) {
 	v, ok := m.tokenVersions[token]
 	return v, ok
+}
+
+// TaggedStores reports how many retired tagged stores the machine still
+// remembers the committed version of.
+func (m *Machine) TaggedStores() int { return len(m.tokenVersions) }
+
+// ForgetTokensThrough drops the committed versions of every tagged store
+// whose token is at most tok: TokenVersion and Result.TokenVersions stop
+// reporting them. A streaming application that hands out tokens in
+// increasing order calls it once it has settled what those stores did, so
+// the table holds only the stores still in question.
+func (m *Machine) ForgetTokensThrough(tok uint64) {
+	for t := range m.tokenVersions {
+		if t <= tok {
+			delete(m.tokenVersions, t)
+		}
+	}
+}
+
+// TrimHistory releases retained epoch history (Config.RecordHistory): on
+// each core it drops the oldest persisted epochs whose every write is a
+// version below keep[core] — a core's versions grow with its epochs, so
+// that is a prefix, and the epoch holding version keep[core] and all after
+// it stay for Result.Histories. An epoch leaves only after
+// recovery.CheckTrimmable has held it to the ordering and closure
+// invariants against the live NVRAM image; the first epoch that fails
+// stays, with everything after it on that core, and its error is
+// returned. trimmed counts the epochs dropped by this call.
+func (m *Machine) TrimHistory(keep []mem.Version) (trimmed int, err error) {
+	for _, c := range m.cores {
+		if c.table == nil {
+			continue
+		}
+		n := 0
+	scan:
+		for _, s := range c.table.Persisted() {
+			for _, v := range s.Writes {
+				if v >= keep[c.id] {
+					break scan
+				}
+			}
+			if cerr := recovery.CheckTrimmable(s, m.lineDurableVersion, m.epochPersisted); cerr != nil {
+				if err == nil {
+					err = cerr
+				}
+				break
+			}
+			n++
+		}
+		c.table.DropHistory(n)
+		trimmed += n
+	}
+	return trimmed, err
 }
 
 // Config returns the machine's configuration.

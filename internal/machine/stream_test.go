@@ -1,9 +1,11 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"persistbarriers/internal/mem"
+	"persistbarriers/internal/recovery"
 	"persistbarriers/internal/sim"
 	"persistbarriers/internal/trace"
 )
@@ -166,4 +168,109 @@ func TestStreamTaggedSameLineOverlapPanics(t *testing.T) {
 		}
 	}()
 	m.PumpUntilIdle(sim.MaxCycle)
+}
+
+// streamTagged runs n barriered tagged stores (tokens 1..n, one line each)
+// on core 0 of a streaming machine and lets every epoch persist.
+func streamTagged(t *testing.T, n int) *Machine {
+	t.Helper()
+	m, err := New(lbStreamConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.StartStream(); err != nil {
+		t.Fatal(err)
+	}
+	var b trace.Builder
+	for i := 0; i < n; i++ {
+		b.StoreTagged(mem.Addr(0x1000+i*64), uint64(i+1)).Barrier()
+	}
+	if err := m.Feed(0, b.Ops()); err != nil {
+		t.Fatal(err)
+	}
+	if !m.PumpUntilIdle(sim.MaxCycle) {
+		t.Fatal("machine did not go idle")
+	}
+	for m.Engine().Pending() > 0 {
+		m.Step(1000)
+	}
+	return m
+}
+
+// TestForgetTokensThrough: forgotten tokens leave both the live query and
+// the result; later ones stay.
+func TestForgetTokensThrough(t *testing.T) {
+	m := streamTagged(t, 6)
+	if m.TaggedStores() != 6 {
+		t.Fatalf("tagged stores = %d, want 6", m.TaggedStores())
+	}
+	m.ForgetTokensThrough(4)
+	if _, ok := m.TokenVersion(4); ok {
+		t.Fatal("token 4 still known after ForgetTokensThrough(4)")
+	}
+	if v, ok := m.TokenVersion(5); !ok || v == mem.NoVersion {
+		t.Fatal("token 5 forgotten")
+	}
+	if r := m.Snapshot(); len(r.TokenVersions) != 2 {
+		t.Fatalf("result carries %d token versions, want 2", len(r.TokenVersions))
+	}
+}
+
+// TestTrimHistory: history below the keep bound goes, the epoch holding
+// the bound and everything after it stays, untouched cores are untouched,
+// and what is left still passes the recovery checks.
+func TestTrimHistory(t *testing.T) {
+	m := streamTagged(t, 6)
+	before := len(m.Snapshot().Histories[0])
+	v4, _ := m.TokenVersion(4)
+	keep := []mem.Version{v4, ^mem.Version(0), ^mem.Version(0), ^mem.Version(0)}
+	trimmed, err := m.TrimHistory(keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trimmed != 3 {
+		t.Fatalf("trimmed %d epochs, want the 3 that wrote tokens 1..3", trimmed)
+	}
+	r := m.Snapshot()
+	if got := len(r.Histories[0]); got != before-3 {
+		t.Fatalf("core 0 history = %d epochs, want %d", got, before-3)
+	}
+	g := recovery.NewGraph(r.Histories)
+	if _, ok := g.WriterOf(v4); !ok {
+		t.Fatal("the epoch that wrote the keep bound was trimmed")
+	}
+	v3, _ := m.TokenVersion(3)
+	if _, ok := g.WriterOf(v3); ok {
+		t.Fatal("an epoch below the keep bound survived")
+	}
+	if err := recovery.CheckAll(r.Histories, r.Image, nil, false); err != nil {
+		t.Fatalf("trimmed history fails recovery checks: %v", err)
+	}
+	if again, err := m.TrimHistory(keep); again != 0 || err != nil {
+		t.Fatalf("second trim at the same bound = %d, %v", again, err)
+	}
+}
+
+// TestTrimHistoryRefusesUndurableWrite plants the bug the trim check
+// exists for: an epoch offered for trimming while one of its writes is not
+// in NVRAM. The trim must refuse it — and everything after it on the core
+// — and say why, while epochs before it still go.
+func TestTrimHistoryRefusesUndurableWrite(t *testing.T) {
+	m := streamTagged(t, 6)
+	all := []mem.Version{^mem.Version(0), ^mem.Version(0), ^mem.Version(0), ^mem.Version(0)}
+	hist := m.cores[0].table.Persisted()
+	before := len(hist)
+	lost := mem.LineOf(0x9000)
+	hist[2].Writes[lost] = hist[2].Writes[mem.LineOf(0x1000+2*64)] // never written back
+	trimmed, err := m.TrimHistory(all)
+	if err == nil || !strings.Contains(err.Error(), "is not durable") {
+		t.Fatalf("trim of an epoch with an undurable write: err = %v", err)
+	}
+	if trimmed != 2 || len(m.cores[0].table.Persisted()) != before-2 {
+		t.Fatalf("trimmed %d, %d left of %d: want exactly the two epochs before the bad one gone",
+			trimmed, len(m.cores[0].table.Persisted()), before)
+	}
+	if again, err := m.TrimHistory(all); again != 0 || err == nil {
+		t.Fatalf("second attempt = %d, %v: the bad epoch must keep blocking", again, err)
+	}
 }

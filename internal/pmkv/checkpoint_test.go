@@ -3,68 +3,121 @@ package pmkv
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"persistbarriers/internal/mem"
 	"persistbarriers/internal/sim"
 )
 
-// TestReadIndexBasics: insert/get/tombstone semantics on the bare index.
+// TestReadIndexBasics: insert/get/tombstone semantics on the bare
+// checkpoint, including the rule that commit order, not insert order,
+// picks a key's winner.
 func TestReadIndexBasics(t *testing.T) {
-	ri := newReadIndex()
-	if v, found, rec := ri.get("a"); v != nil || found || rec != -1 {
-		t.Fatalf("empty index get = (%q, %v, %d), want (nil, false, -1)", v, found, rec)
+	cp := newCheckpoint(64)
+	if v, found, rec := cp.get("a"); v != nil || found || rec != -1 {
+		t.Fatalf("empty checkpoint get = (%q, %v, %d), want (nil, false, -1)", v, found, rec)
 	}
-	ri.insert("a", []byte("v1"), true, 0)
-	ri.insert("b", []byte("v2"), true, 1)
-	if v, found, rec := ri.get("a"); string(v) != "v1" || !found || rec != 0 {
+	cp.insert("a", []byte("v1"), true, 0, 10)
+	cp.insert("b", []byte("v2"), true, 1, 11)
+	if v, found, rec := cp.get("a"); string(v) != "v1" || !found || rec != 0 {
 		t.Fatalf("get a = (%q, %v, %d)", v, found, rec)
 	}
 	// Newer insert shadows the older entry.
-	ri.insert("a", []byte("v3"), true, 2)
-	if v, _, rec := ri.get("a"); string(v) != "v3" || rec != 2 {
+	cp.insert("a", []byte("v3"), true, 2, 12)
+	if v, _, rec := cp.get("a"); string(v) != "v3" || rec != 2 {
 		t.Fatalf("shadowed get a = (%q, rec %d), want (v3, 2)", v, rec)
 	}
 	// A tombstone answers found=false but keeps the record index.
-	ri.insert("b", nil, false, 3)
-	if v, found, rec := ri.get("b"); v != nil || found || rec != 3 {
+	cp.insert("b", nil, false, 3, 13)
+	if v, found, rec := cp.get("b"); v != nil || found || rec != 3 {
 		t.Fatalf("tombstone get b = (%q, %v, %d), want (nil, false, 3)", v, found, rec)
+	}
+	// A later record whose publish committed earlier loses: NVRAM holds
+	// the higher version last.
+	cp.insert("a", []byte("stale"), true, 4, 5)
+	if v, _, rec := cp.get("a"); string(v) != "v3" || rec != 2 {
+		t.Fatalf("get a after a lower-version insert = (%q, rec %d), want (v3, 2)", v, rec)
+	}
+	if cp.keys != 2 || cp.entries != 4 {
+		t.Fatalf("keys, entries = %d, %d, want 2, 4", cp.keys, cp.entries)
 	}
 }
 
-// TestReadIndexPublishPrefix: publish folds exactly [published, durable)
-// and is idempotent on stale watermarks.
+// TestReadIndexAbsoluteRecordIndex: record indices stay absolute and keep
+// growing for the life of the process, so an entry must carry one above
+// 2^31 intact — a wrapped index would hand the checker a wrong
+// happens-before edge.
+func TestReadIndexAbsoluteRecordIndex(t *testing.T) {
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("int is 32 bits on this platform")
+	}
+	cp := newCheckpoint(64)
+	big := math.MaxInt32 + 12345
+	cp.insert("k", []byte("v"), true, big, 1)
+	if _, _, rec := cp.get("k"); rec != big {
+		t.Fatalf("rec = %d, want %d", rec, big)
+	}
+	for i := 0; i < 4*cpMinRebuild; i++ { // force a rebuild to copy the entry
+		cp.insert(fmt.Sprintf("x%d", i%8), nil, false, big+1+i, mem.Version(2+i))
+	}
+	if _, _, rec := cp.get("k"); rec != big {
+		t.Fatalf("rec after rebuild = %d, want %d", rec, big)
+	}
+}
+
+// TestReadIndexPublishPrefix: the checkpoint covers exactly the durable
+// prefix — a write is invisible to ReadCommitted until the watermark has
+// passed it, visible from then on, and stale watermark polls change
+// nothing.
 func TestReadIndexPublishPrefix(t *testing.T) {
-	ri := newReadIndex()
-	recs := []*OpRecord{
-		{Op: Put, Key: "x", Value: []byte("1")},
-		{Op: Put, Key: "y", Value: []byte("2")},
-		{Op: Delete, Key: "x"},
-		{Op: Put, Key: "z", Value: []byte("3")},
+	e, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ri.publish(recs, 2)
-	if ri.watermark() != 2 {
-		t.Fatalf("watermark = %d, want 2", ri.watermark())
+	sess := e.NewSession()
+	submit := func(op Op, key, val string) {
+		t.Helper()
+		if _, err := e.SubmitAppend(nil, []Request{{Sess: sess, Op: op, Key: key, Value: []byte(val)}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.PumpRetire(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if v, found, _ := ri.get("x"); string(v) != "1" || !found {
-		t.Fatalf("x before delete published = (%q, %v)", v, found)
+	submit(Put, "x", "1")
+	submit(Put, "y", "2")
+	if d, err := e.WaitDurable(2); err != nil || d != 2 {
+		t.Fatalf("WaitDurable(2) = %d, %v", d, err)
 	}
-	if _, found, rec := ri.get("z"); found || rec != -1 {
+	if e.Committed() != 2 {
+		t.Fatalf("Committed = %d, want 2", e.Committed())
+	}
+	submit(Delete, "x", "")
+	submit(Put, "z", "3")
+	// Retired but not yet durable: PumpRetire does not move the watermark.
+	if v, found, rec := e.ReadCommitted("x"); string(v) != "1" || !found || rec != 0 {
+		t.Fatalf("x before its delete is durable = (%q, %v, %d)", v, found, rec)
+	}
+	if _, found, rec := e.ReadCommitted("z"); found || rec != -1 {
 		t.Fatal("z visible before its publish is durable")
 	}
-	// Stale and duplicate watermarks are no-ops.
-	ri.publish(recs, 1)
-	ri.publish(recs, 2)
-	if ri.watermark() != 2 {
-		t.Fatalf("watermark moved backward: %d", ri.watermark())
+	if d, err := e.WaitDurable(4); err != nil || d != 4 {
+		t.Fatalf("WaitDurable(4) = %d, %v", d, err)
 	}
-	ri.publish(recs, 4)
-	if v, found, rec := ri.get("x"); v != nil || found || rec != 2 {
+	if d, _, _ := e.DurableWatermark(); d != 4 || e.Committed() != 4 {
+		t.Fatalf("watermark %d, Committed %d after a repeat poll, want 4", d, e.Committed())
+	}
+	if v, found, rec := e.ReadCommitted("x"); v != nil || found || rec != 2 {
 		t.Fatalf("x after delete = (%q, %v, %d), want tombstone rec 2", v, found, rec)
 	}
-	if v, _, _ := ri.get("z"); string(v) != "3" {
+	if v, _, _ := e.ReadCommitted("z"); string(v) != "3" {
 		t.Fatalf("z = %q, want 3", v)
+	}
+	if ret := e.Retention(); ret.Retained != 0 || ret.Folded != 4 || ret.CheckpointKeys != 3 {
+		t.Fatalf("retention = %+v, want 0 retained, 4 folded, 3 keys", ret)
 	}
 }
 
@@ -72,37 +125,61 @@ func TestReadIndexPublishPrefix(t *testing.T) {
 // key's newest state — including tombstones, which still shadow older
 // live entries — and shrink the chain count to the live key count.
 func TestReadIndexRebuildKeepsTombstones(t *testing.T) {
-	ri := newReadIndex()
+	cp := newCheckpoint(64)
 	const keys = 32
 	// Hammer a small key set until rebuilds have certainly run
 	// (entries > 128 and > 2*keys triggers one per insert past that).
-	rec := int32(0)
-	want := make(map[int]int32)
+	rec := 0
+	want := make(map[int]int)
 	for round := 0; round < 20; round++ {
 		for k := 0; k < keys; k++ {
 			key := fmt.Sprintf("k%03d", k)
 			if (round+k)%5 == 0 {
-				ri.insert(key, nil, false, rec)
+				cp.insert(key, nil, false, rec, mem.Version(rec+1))
 				want[k] = -rec // negative marks a tombstone
 			} else {
-				ri.insert(key, []byte(fmt.Sprintf("v%d", rec)), true, rec)
+				cp.insert(key, []byte(fmt.Sprintf("v%d", rec)), true, rec, mem.Version(rec+1))
 				want[k] = rec
 			}
 			rec++
 		}
 	}
-	if ri.entries > 2*keys {
-		t.Fatalf("rebuild never compacted: %d entries for %d keys", ri.entries, keys)
+	if cp.entries > 2*keys {
+		t.Fatalf("rebuild never compacted: %d entries for %d keys", cp.entries, keys)
+	}
+	seen := 0
+	cp.each(func(*cpEntry) { seen++ })
+	if seen != keys {
+		t.Fatalf("each visited %d entries, want one per key (%d)", seen, keys)
 	}
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("k%03d", k)
-		v, found, gotRec := ri.get(key)
+		v, found, gotRec := cp.get(key)
 		if w := want[k]; w < 0 {
-			if found || gotRec != int(-w) {
+			if found || gotRec != -w {
 				t.Fatalf("%s: tombstone lost in rebuild: (%q, %v, %d)", key, v, found, gotRec)
 			}
-		} else if !found || string(v) != fmt.Sprintf("v%d", w) || gotRec != int(w) {
+		} else if !found || string(v) != fmt.Sprintf("v%d", w) || gotRec != w {
 			t.Fatalf("%s = (%q, %v, %d), want v%d", key, v, found, gotRec, w)
+		}
+	}
+}
+
+// TestReadIndexGrowsWithDistinctKeys: a table that fills with distinct
+// keys (nothing shadowed, so compaction alone never fires) must still
+// grow, or chains lengthen without bound.
+func TestReadIndexGrowsWithDistinctKeys(t *testing.T) {
+	cp := newCheckpoint(64)
+	const keys = 4096
+	for i := 0; i < keys; i++ {
+		cp.insert(fmt.Sprintf("d%05d", i), []byte("v"), true, i, mem.Version(i+1))
+	}
+	if n := len(cp.table.Load().buckets); n < keys {
+		t.Fatalf("table has %d buckets for %d distinct keys", n, keys)
+	}
+	for i := 0; i < keys; i += 97 {
+		if _, found, rec := cp.get(fmt.Sprintf("d%05d", i)); !found || rec != i {
+			t.Fatalf("key %d lost across growth: found %v rec %d", i, found, rec)
 		}
 	}
 }

@@ -6,6 +6,9 @@
 package pmkv
 
 import (
+	"cmp"
+	"slices"
+
 	"persistbarriers/internal/dlcheck"
 	"persistbarriers/internal/machine"
 )
@@ -90,29 +93,32 @@ func (e *Engine) ObserveFastRead(sess int, key string, rec int) {
 
 // DLImage translates a machine result into the checker's image: every
 // retired publish, grouped per bucket in head-store commit (version)
-// order, flagged durable when its head version reached NVRAM. The
+// order, flagged durable when its head version reached NVRAM — the stubs
+// of the folded publishes (judged against this image like any other, so a
+// publish folded too early shows as lost) plus the tail's. The
 // cross-bucket interleaving is immaterial to the checker — only each
 // bucket's chain order carries edges — so buckets are emitted in
 // ascending bucket order for determinism.
 func (e *Engine) DLImage(res *machine.Result) *dlcheck.Image {
 	e.mu.Lock()
-	records := e.records
-	buckets := e.cfg.Buckets
+	tail, first := e.tail, e.durableCursor
+	pubs := slices.Clone(e.cp.stubs)
 	e.mu.Unlock()
 
-	recIdx := make(map[*OpRecord]int, len(records))
-	for i, r := range records {
-		recIdx[r] = i
+	for i, r := range tail {
+		if v, ok := res.TokenVersions[r.PubToken]; ok {
+			pubs = append(pubs, dlStub{ver: v, rec: first + i, bucket: r.Bucket})
+		}
 	}
-	byBucket, total := publishesByBucket(records, res.TokenVersions, buckets)
-	img := &dlcheck.Image{Order: make([]dlcheck.Publish, 0, total)}
-	for _, recs := range byBucket {
-		for _, p := range recs {
-			img.Order = append(img.Order, dlcheck.Publish{
-				Rec:     recIdx[p.r],
-				Bucket:  p.r.Bucket,
-				Durable: durable(res.Image, p.r.Head, p.v),
-			})
+	slices.SortFunc(pubs, func(a, b dlStub) int {
+		return cmp.Or(cmp.Compare(a.bucket, b.bucket), cmp.Compare(a.ver, b.ver))
+	})
+	img := &dlcheck.Image{Order: make([]dlcheck.Publish, len(pubs))}
+	for i, p := range pubs {
+		img.Order[i] = dlcheck.Publish{
+			Rec:     p.rec,
+			Bucket:  p.bucket,
+			Durable: durable(res.Image, e.headLine(p.bucket), p.ver),
 		}
 	}
 	return img

@@ -1,0 +1,285 @@
+// Tests for the fold path: records are verified, folded into the
+// checkpoint and released at the durable watermark, so the checkers that
+// guard it must be shown able to catch a planted bug in it, and the state
+// the engine retains must stay bounded however long it runs.
+package pmkv
+
+import (
+	"bufio"
+	"fmt"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// runPlanted is the scripted driver's single-shard run (the one the
+// goldens are captured from) on an engine with a bug planted in its fold
+// path.
+func runPlanted(cfg Config, spec ScriptSpec, bug plantedBug) (*RunResult, error) {
+	spec.fill()
+	e, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.plant = bug
+	sessions := make([][]*Session, spec.Sessions)
+	for i := range sessions {
+		sessions[i] = []*Session{e.NewSession()}
+	}
+	return runShardScript(e, 0, 1, sessions, genScript(spec))
+}
+
+// longSpec is fpdump's third section: 4 096 ops over 256 keys, so most
+// publishes are superseded long after they were folded.
+func longSpec() ScriptSpec {
+	return ScriptSpec{Sessions: 8, Rounds: 512, KeySpace: 256, ValueBytes: 192, Seed: 7}
+}
+
+// goldenLongFingerprint reads the clean-drain fingerprint pinned in
+// testdata/fpdump-long.golden from the engine that kept every record.
+func goldenLongFingerprint(t *testing.T) string {
+	t.Helper()
+	f, err := os.Open("testdata/fpdump-long.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	if !sc.Scan() {
+		t.Fatal("fpdump-long.golden is empty")
+	}
+	for _, field := range strings.Fields(sc.Text()) {
+		if fp, ok := strings.CutPrefix(field, "fp="); ok {
+			return fp
+		}
+	}
+	t.Fatalf("no fp= on the golden's clean line: %q", sc.Text())
+	return ""
+}
+
+// TestScriptedRunFoldsAndTrims: the scripted driver — what the goldens and
+// the crash fuzzer run — must exercise the checkpoint, not leave
+// everything in the tail: by the end of the long script nearly every
+// record has been folded and released and most epochs trimmed, so the
+// pinned Report counts are checkpoint totals plus a short tail.
+func TestScriptedRunFoldsAndTrims(t *testing.T) {
+	spec := longSpec()
+	spec.fill()
+	e, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := make([][]*Session, spec.Sessions)
+	for i := range sessions {
+		sessions[i] = []*Session{e.NewSession()}
+	}
+	out, err := runShardScript(e, 0, 1, sessions, genScript(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ret, rep := e.Retention(), out.Report
+	if ret.Folded+ret.Retained != rep.TotalPublishes {
+		t.Fatalf("folded %d + retained %d != %d publishes", ret.Folded, ret.Retained, rep.TotalPublishes)
+	}
+	if ret.Retained > 4*spec.Sessions {
+		t.Fatalf("%d records still in the tail at Close; a round is %d ops", ret.Retained, spec.Sessions)
+	}
+	if 2*ret.EpochsTrimmed < rep.Epochs {
+		t.Fatalf("only %d of %d epochs trimmed", ret.EpochsTrimmed, rep.Epochs)
+	}
+	if ret.CheckpointKeys < rep.RecoveredKeys {
+		t.Fatalf("checkpoint holds %d keys, recovery found %d", ret.CheckpointKeys, rep.RecoveredKeys)
+	}
+}
+
+// TestPlantedCursorOffByOne: a durable cursor one record ahead of the
+// truth folds a publish that is not in NVRAM yet. A crash before it
+// persists must be caught — by the torn-write check at fold time, by
+// Verify finding the folded publish missing from the image, or by the
+// checker reporting a publish the image has lost — and the live store,
+// which acks on the cursor, must be caught acking a lost write.
+func TestPlantedCursorOffByOne(t *testing.T) {
+	spec := testSpec()
+	clean, err := runSingle(Config{Check: true}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caught := 0
+	instants := SweepInstants(clean.Cycles, 40)
+	for _, at := range instants {
+		if _, err := runPlanted(Config{CrashAt: at, Check: true}, spec, plantNone); err != nil {
+			t.Fatalf("crash at %d, nothing planted: %v", at, err)
+		}
+		_, err := runPlanted(Config{CrashAt: at, Check: true}, spec, plantCursorOffByOne)
+		if err == nil {
+			continue
+		}
+		caught++
+		msg := err.Error()
+		if !strings.Contains(msg, "torn write") && !strings.Contains(msg, "is not in the image") &&
+			!strings.Contains(msg, "no matching publish") && !strings.Contains(msg, "happens-after lost publish") {
+			t.Fatalf("crash at %d: caught by an unexpected check: %v", at, err)
+		}
+	}
+	if caught < len(instants)/4 {
+		t.Fatalf("planted off-by-one cursor caught at only %d of %d crash instants", caught, len(instants))
+	}
+
+	// Live: one blocking client, so every write is its own batch and is
+	// acked the moment the planted cursor passes it — before it persists.
+	store, err := NewSharded(ShardedConfig{Shards: 1, Engine: Config{CrashAt: clean.Cycles / 2, Check: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := store.shards[0].eng
+	eng.mu.Lock()
+	eng.plant = plantCursorOffByOne
+	eng.mu.Unlock()
+	sess := store.NewSession()
+	for i := 0; i < 10_000; i++ {
+		if ack := store.Do(sess, Put, fmt.Sprintf("k%02d", i%16), []byte("v")); ack.Crashed || ack.Err != nil {
+			break
+		}
+	}
+	if !store.Crashed() {
+		t.Fatal("live store never reached its crash instant")
+	}
+	if _, err := store.Close(); err == nil {
+		t.Fatal("live store acked on an off-by-one cursor and nothing noticed")
+	} else if msg := err.Error(); !strings.Contains(msg, "acked durable but is not recovered") &&
+		!strings.Contains(msg, "is not in the image") && !strings.Contains(msg, "torn write") {
+		t.Fatalf("caught by an unexpected check: %v", err)
+	}
+}
+
+// TestPlantedDropTombstone: a Delete left out of the checkpoint resurrects
+// the key it deleted. The recovered state must then differ from the
+// fingerprint the retain-everything engine pinned, and a fast GET after an
+// acked delete must expose it on the live store.
+func TestPlantedDropTombstone(t *testing.T) {
+	want := goldenLongFingerprint(t)
+	honest, err := runPlanted(Config{}, longSpec(), plantNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if honest.Report.Fingerprint != want {
+		t.Fatalf("unplanted run recovered %s, golden pins %s", honest.Report.Fingerprint, want)
+	}
+	planted, err := runPlanted(Config{}, longSpec(), plantDropTombstone)
+	if err == nil && planted.Report.Fingerprint == want && planted.Report.RecoveredKeys == honest.Report.RecoveredKeys {
+		t.Fatal("a tombstone dropped from the checkpoint left the recovered state unchanged")
+	}
+
+	store, err := NewSharded(ShardedConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := store.shards[0].eng
+	eng.mu.Lock()
+	eng.plant = plantDropTombstone
+	eng.mu.Unlock()
+	sess := store.NewSession()
+	store.Do(sess, Put, "k", []byte("v"))
+	store.Do(sess, Delete, "k", nil)
+	if ack := store.Do(sess, Get, "k", nil); !ack.Fast || !ack.Resp.Found {
+		t.Fatalf("planted bug did not reach the fast path: %+v", ack)
+	}
+	store.Close()
+}
+
+// TestRetainedStateBounded: through a live store, the records the engines
+// hold and the store tokens the machines remember stay under a constant
+// however many writes have been served, and the heap stops growing with
+// them. Writes are mostly deletes: a delete is a full mutation — record,
+// publish, token, epoch — but allocates no entry line, so the per-line
+// state the machine still keeps for every Put (line table, NVRAM image)
+// does not mask what is being measured.
+func TestRetainedStateBounded(t *testing.T) {
+	total, sample := 200_000, 50_000
+	if testing.Short() {
+		total, sample = 40_000, 10_000
+	}
+	store, err := NewSharded(ShardedConfig{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window, keys = 64, 1024
+	sess := store.NewSession()
+	done := make(chan Completion, window)
+	val := make([]byte, 64)
+	key := make([]string, keys)
+	for i := range key {
+		key[i] = fmt.Sprintf("key%05d", i)
+	}
+
+	var heapAt = map[int]uint64{}
+	inFlight := 0
+	for i := 1; i <= total; i++ {
+		op, v := Delete, []byte(nil) // 70 % deletes, 28 % gets, 2 % puts
+		switch {
+		case i%50 == 0:
+			op, v = Put, val
+		case i%10 < 3:
+			op = Get
+		}
+		if inFlight == window {
+			if c := <-done; c.Ack.Err != nil || c.Ack.Crashed {
+				t.Fatalf("op %d: %+v", c.Tag, c.Ack)
+			}
+			inFlight--
+		}
+		if _, err := store.DoAsync(sess, op, key[(i*7919)%keys], v, nil, uint64(i), done); err != nil {
+			t.Fatal(err)
+		}
+		inFlight++
+		if i%5_000 == 0 {
+			// Mid-flight: what is held is bounded by the client's window,
+			// not by i (a Put tags two stores, a Delete one).
+			for _, sh := range store.shards {
+				sh.eng.mu.Lock()
+				retained, tokens := len(sh.eng.tail), sh.eng.m.TaggedStores()
+				sh.eng.mu.Unlock()
+				if retained > window || tokens > 2*window {
+					t.Fatalf("after %d ops shard %d retains %d records and %d store tokens", i, sh.id, retained, tokens)
+				}
+			}
+		}
+		if i != sample && i != total {
+			continue
+		}
+		for ; inFlight > 0; inFlight-- {
+			<-done
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		heapAt[i] = ms.HeapInuse
+	}
+	t.Logf("heap in use: %d B after %d ops, %d B after %d ops", heapAt[sample], sample, heapAt[total], total)
+	if float64(heapAt[total]) > 1.3*float64(heapAt[sample]) {
+		t.Fatalf("heap in use grew from %d B at %d ops to %d B at %d ops (> 1.3x)",
+			heapAt[sample], sample, heapAt[total], total)
+	}
+	var folded int
+	for _, m := range store.Metrics() {
+		folded += m.Folded
+		if m.Retained != 0 {
+			t.Fatalf("shard %d still retains %d records with nothing in flight", m.Shard, m.Retained)
+		}
+	}
+	if want := total * 72 / 100; folded != want {
+		t.Fatalf("folded %d records, want every one of the %d writes", folded, want)
+	}
+	closed := make(chan error, 1)
+	go func() { _, err := store.Close(); closed <- err }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("Close still verifying after 60 s: recovery is not checkpoint + tail")
+	}
+}

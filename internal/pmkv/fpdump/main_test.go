@@ -6,8 +6,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"persistbarriers/internal/pmkv"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden fingerprint file")
@@ -17,23 +15,21 @@ var update = flag.Bool("update", false, "rewrite the golden fingerprint file")
 // fingerprints were captured from the single-engine driver before it was
 // deleted, and survived the move to one persist barrier per write
 // unchanged (one op per core per window never merges epochs);
-// fpdump-merged.golden pins the same sweep where epochs do merge, so a
-// later speed-only change is held to both.
+// fpdump-merged.golden pins the same sweep where epochs do merge; and
+// fpdump-long.golden was captured from the engine that kept every record,
+// before records were folded behind the durable watermark, so
+// checkpoint-plus-tail recovery is held to a full replay's fingerprint and
+// Report counts. A later speed-only change is held to all three.
 func TestFpdumpGolden(t *testing.T) {
-	for _, section := range []struct {
-		golden string
-		spec   pmkv.ScriptSpec
-	}{
-		{"../testdata/fpdump.golden", specSingle},
-		{"../testdata/fpdump-merged.golden", specMerged},
-	} {
-		checkGolden(t, section.golden, section.spec)
+	for _, s := range sections {
+		checkGolden(t, s)
 	}
 }
 
-func checkGolden(t *testing.T, golden string, spec pmkv.ScriptSpec) {
+func checkGolden(t *testing.T, s section) {
+	golden := s.golden
 	var got bytes.Buffer
-	if err := dump(&got, spec); err != nil {
+	if err := dump(&got, s); err != nil {
 		t.Fatal(err)
 	}
 	if *update {

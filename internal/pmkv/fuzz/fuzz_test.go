@@ -84,6 +84,10 @@ func FuzzDurableLinearizability(f *testing.F) {
 	f.Add([]byte{3, 7, 5, 1, 10, 80, 1, 32})            // read-heavy, early crash
 	f.Add([]byte{5, 13, 11, 7, 70, 5, 3, 255, 9, 9, 9}) // delete-heavy tail seed
 	f.Add([]byte{15, 9, 7, 4, 50, 10, 0, 160})          // 16 sessions: 4 ops per core per round, merged epochs
+	// Records are folded and released at every watermark advance, so every
+	// case crosses folds; this is the longest history a case can have (224
+	// ops), crashed late, where recovery is almost all checkpoint.
+	f.Add([]byte{15, 13, 11, 7, 60, 5, 0, 230})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := CaseFromBytes(data)
 		fail := Run(c)

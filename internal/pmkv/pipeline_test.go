@@ -1,18 +1,16 @@
 // Tests for the v2 shard-worker hot path: the gather loop's boundary
 // behavior, the adaptive batch limit, crash routing on the busy ack
-// path, the allocation discipline of the group-commit path, and the
-// parallel recovery replay's byte-identity with the serial reference.
+// path, the allocation discipline of the group-commit path, and
+// recovery's byte-identity at every worker count.
 package pmkv
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
 	"persistbarriers/internal/machine"
-	"persistbarriers/internal/mem"
 	"persistbarriers/internal/sim"
 )
 
@@ -436,9 +434,10 @@ func TestGroupCommitAmortizesBarriers(t *testing.T) {
 	}
 }
 
-// TestParallelReplayByteIdentical: recovery replay must produce the
-// byte-identical fingerprint at every worker count, on clean drains and
-// across a sweep of crash images.
+// TestParallelReplayByteIdentical: recovery must produce the
+// byte-identical fingerprint at every RecoveryWorkers setting (the
+// epoch-order screening is the part that strides across workers), on
+// clean drains and across a sweep of crash images.
 func TestParallelReplayByteIdentical(t *testing.T) {
 	spec := testSpec()
 	serial, err := runSingle(Config{RecoveryWorkers: 1}, spec)
@@ -462,62 +461,6 @@ func TestParallelReplayByteIdentical(t *testing.T) {
 			}
 		}
 	}
-}
-
-// legacyRecoveredState reproduces the pre-v2 recovery replay — per-head
-// publish lists sorted with TokenVersions map lookups inside the
-// comparator, then one serial bucket loop resolving each publish's
-// version through the map again. BenchmarkParallelRecovery uses it as
-// the baseline the optimized replay is measured against; its output
-// must stay byte-identical to the new path.
-func legacyRecoveredState(e *Engine, res *machine.Result) (map[string][]byte, error) {
-	e.mu.Lock()
-	records := e.records
-	buckets := e.cfg.Buckets
-	e.mu.Unlock()
-
-	tokens := res.TokenVersions
-	byHead := make(map[mem.Line][]*OpRecord)
-	for _, r := range records {
-		if r.Op == Get {
-			continue
-		}
-		if _, ok := tokens[r.PubToken]; !ok {
-			continue
-		}
-		byHead[r.Head] = append(byHead[r.Head], r)
-	}
-	for _, recs := range byHead {
-		sort.Slice(recs, func(i, j int) bool {
-			return tokens[recs[i].PubToken] < tokens[recs[j].PubToken]
-		})
-	}
-	state := make(map[string][]byte)
-	for b := 0; b < buckets; b++ {
-		h := e.headLine(b)
-		hv := res.Image[h]
-		if hv == mem.NoVersion {
-			continue
-		}
-		matched := false
-		for _, r := range byHead[h] {
-			v := tokens[r.PubToken]
-			if v > hv {
-				break
-			}
-			matched = matched || v == hv
-			switch r.Op {
-			case Put:
-				state[r.Key] = r.Value
-			case Delete:
-				delete(state, r.Key)
-			}
-		}
-		if !matched {
-			return nil, fmt.Errorf("pmkv: bucket %d head holds version %d with no matching publish", b, hv)
-		}
-	}
-	return state, nil
 }
 
 // recoveryFixture builds an engine holding n mutation records and its
@@ -556,52 +499,19 @@ func recoveryFixture(tb testing.TB, n int) (*Engine, *machine.Result) {
 	return e, res
 }
 
-// TestLegacyReplayAgreesWithNew anchors the benchmark baseline: the
-// legacy replay and the optimized one must recover identical state.
-func TestLegacyReplayAgreesWithNew(t *testing.T) {
-	e, res := recoveryFixture(t, 2000)
-	legacy, err := legacyRecoveredState(e, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state, err := e.RecoveredState(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if FingerprintState(legacy) != FingerprintState(state) {
-		t.Fatal("legacy and optimized replay recover different state")
-	}
-	if len(state) == 0 {
-		t.Fatal("fixture recovered no keys")
-	}
-}
-
-// BenchmarkParallelRecovery measures full recovery replay
-// (publish-order reconstruction + per-bucket replay) against store
-// size: the pre-v2 implementation, the optimized serial path, and the
-// parallel path at GOMAXPROCS workers. The serial win is algorithmic
-// (materialized publish versions, no map lookups in sort comparators);
-// the parallel win stacks on top with host cores.
-func BenchmarkParallelRecovery(b *testing.B) {
+// BenchmarkRecovery measures RecoveredState against how many mutation
+// records the run issued. The fixture folds as it goes, so what is timed
+// is checkpoint plus tail: the cost follows the key count, not the
+// history length.
+func BenchmarkRecovery(b *testing.B) {
 	for _, n := range []int{2000, 8000, 32000} {
 		e, res := recoveryFixture(b, n)
-		b.Run(fmt.Sprintf("records=%d/legacy", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := legacyRecoveredState(e, res); err != nil {
+				if _, err := e.RecoveredState(res); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		for _, workers := range []int{1, 0} {
-			name := fmt.Sprintf("records=%d/workers=%d", n, workers)
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					byBucket, total := publishesByBucket(e.records, res.TokenVersions, e.cfg.Buckets)
-					if _, err := e.replayState(byBucket, total, res, e.cfg.Buckets, workers); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }

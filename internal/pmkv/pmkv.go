@@ -38,7 +38,10 @@
 package pmkv
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -106,10 +109,9 @@ type Config struct {
 	// against the final image. Off by default; when off the observation
 	// hooks are nil-receiver no-ops costing zero allocations.
 	Check bool
-	// RecoveryWorkers bounds the per-bucket replay parallelism of
-	// RecoveredState and Verify (buckets are disjoint, so their publish
-	// prefixes replay concurrently). 0 means GOMAXPROCS; 1 forces the
-	// serial reference path.
+	// RecoveryWorkers bounds the parallelism of Verify's epoch-order
+	// screening (recovery.CheckOrdering). 0 means GOMAXPROCS; 1 keeps it
+	// on the caller's goroutine.
 	RecoveryWorkers int
 }
 
@@ -173,8 +175,10 @@ type Response struct {
 	Value []byte
 }
 
-// OpRecord retains what the engine needs to audit one mutating operation
-// against the crash image.
+// OpRecord holds what the engine needs to audit one mutating operation
+// against NVRAM, from translate until the durable watermark passes it: the
+// record is then verified, folded into the checkpoint and released (see
+// Engine.fold), so at most the in-flight window of them exists.
 type OpRecord struct {
 	Sess, Seq int
 	Core      int
@@ -182,11 +186,13 @@ type OpRecord struct {
 	Key       string
 	Bucket    int
 	Head      mem.Line
-	// PubToken tags the head-pointer store; EntryTokens/EntryLines tag the
-	// write-entry stores (empty for Delete).
-	PubToken    uint64
-	EntryTokens []uint64
-	EntryLines  []mem.Line
+	// PubToken tags the head-pointer store. A Put's write-entry stores
+	// cover the Entries consecutive lines from EntryLine and carry the
+	// Entries tokens just below PubToken, in line order (both counters only
+	// move forward); a Delete has none.
+	PubToken  uint64
+	EntryLine mem.Line
+	Entries   int
 	// Value is the value this publish installs (nil for Delete). Recovery
 	// replays each bucket's durable publishes, in the order their head
 	// stores committed, applying these deltas — the machine's commit order
@@ -202,25 +208,28 @@ type Engine struct {
 	cfg Config
 	m   *machine.Machine
 
-	kv      map[string][]byte     // volatile logical state
-	entries map[string][]mem.Line // current entry lines per key (for Get loads)
-	lastRec map[string]int        // last mutation record index per key
-	batch   map[string]*batchKey  // current commit window's write overlay
-	bkFree  []*batchKey           // overlay freelist (cleared entries, reused next window)
+	// Per-key volatile state. None of it may hold a slice into a
+	// per-mutation arena chunk once the key's newest record is folded, or
+	// one live key would pin the chunk: kv is repointed at the checkpoint's
+	// copy of the value at fold time, and entries holds spans by value.
+	kv      map[string][]byte    // volatile logical state
+	entries map[string]lineSpan  // current entry lines per key (for Get loads)
+	lastRec map[string]int       // last mutation record index per key
+	batch   map[string]*batchKey // current commit window's write overlay
+	bkFree  []*batchKey          // overlay freelist (cleared entries, reused next window)
 
 	// opBuf is the shared translation buffer: Feed copies the ops it is
 	// handed, so one builder (reset per request) serves every translate
 	// without allocating.
 	opBuf trace.Builder
 
-	// Arenas for the per-mutation state the engine retains for the whole
-	// run (value bytes, audit records, entry lines/tokens). Retention
-	// forever rules out pooling; chunked bump allocation amortizes the
-	// per-op cost to ~zero instead.
-	valArena  []byte
-	recArena  []OpRecord
-	lineArena []mem.Line
-	tokArena  []uint64
+	// Arenas for the per-mutation state (value bytes, audit records) a
+	// write needs until it is durable. Chunked bump allocation amortizes
+	// the per-op cost to ~zero; nothing is freed by hand — fold drops the
+	// last long-lived references into a chunk and the collector takes it
+	// once every record carved from it has been released.
+	valArena []byte
+	recArena []OpRecord
 
 	// dl observes ops for durable-linearizability checking; nil unless
 	// cfg.Check (nil-receiver methods make disabled hooks free).
@@ -237,12 +246,28 @@ type Engine struct {
 	sessions  int
 	seqs      map[int]int // per-session sequence numbers
 
-	records []*OpRecord
+	// tail is the audit trail still owed a persist: the mutation records,
+	// oldest first, that the durable watermark has not passed. Record
+	// indices stay absolute — record i of the run is tail[i-durableCursor]
+	// — and RecordCount keeps counting every record ever issued.
+	tail []*OpRecord
 	// durableCursor is the durable-prefix watermark: every record below it
-	// has its publish store durable in NVRAM. It only moves forward, one
-	// cheap point query per record, so polling it between batches is O(new
-	// durability) rather than O(history).
+	// had its publish store durable in NVRAM when the cursor passed it, was
+	// verified and folded into cp at that moment, and is gone. It only
+	// moves forward, one cheap point query per record, so polling it
+	// between batches is O(new durability) rather than O(history).
 	durableCursor int
+	// cp is the committed-state checkpoint: what remains of the records
+	// below durableCursor. Fast GETs read it without the engine lock.
+	cp *checkpoint
+	// foldErr latches the first verification failure found while folding;
+	// Verify returns it.
+	foldErr error
+	// keep is TrimHistory's per-core argument, reused across releases.
+	keep []mem.Version
+	// plant, set only by tests, makes fold misbehave in one named way so
+	// the checkers can be shown to catch it.
+	plant plantedBug
 
 	crashed bool
 	closed  bool
@@ -276,10 +301,12 @@ func New(cfg Config) (*Engine, error) {
 		cfg:       cfg,
 		m:         m,
 		kv:        make(map[string][]byte),
-		entries:   make(map[string][]mem.Line),
+		entries:   make(map[string]lineSpan),
 		lastRec:   make(map[string]int),
 		batch:     make(map[string]*batchKey),
 		owed:      make([]bool, cfg.Machine.Cores),
+		cp:        newCheckpoint(cfg.Buckets),
+		keep:      make([]mem.Version, cfg.Machine.Cores),
 		nextEntry: entryBase,
 		seqs:      make(map[int]int),
 	}
@@ -317,11 +344,10 @@ func (e *Engine) headLine(bucket int) mem.Line {
 
 // Arena chunk sizes: large enough that chunk turnover is rare under the
 // shard workers' steady state, small enough that an idle engine wastes
-// little.
+// little and a chunk's last record is released soon after its first.
 const (
 	valArenaChunk = 64 << 10
 	recArenaChunk = 256
-	idxArenaChunk = 1024
 )
 
 // arenaBytes carves n bytes off the value arena. The returned slice has
@@ -349,49 +375,24 @@ func (e *Engine) arenaRecord() *OpRecord {
 	return &e.recArena[len(e.recArena)-1]
 }
 
-// arenaLines carves n entry lines off the line arena.
-func (e *Engine) arenaLines(n int) []mem.Line {
-	if len(e.lineArena)+n > cap(e.lineArena) {
-		c := idxArenaChunk
-		if n > c {
-			c = n
-		}
-		e.lineArena = make([]mem.Line, 0, c)
-	}
-	off := len(e.lineArena)
-	e.lineArena = e.lineArena[:off+n]
-	return e.lineArena[off : off+n : off+n]
-}
-
-// arenaTokens carves n store tokens off the token arena.
-func (e *Engine) arenaTokens(n int) []uint64 {
-	if len(e.tokArena)+n > cap(e.tokArena) {
-		c := idxArenaChunk
-		if n > c {
-			c = n
-		}
-		e.tokArena = make([]uint64, 0, c)
-	}
-	off := len(e.tokArena)
-	e.tokArena = e.tokArena[:off+n]
-	return e.tokArena[off : off+n : off+n]
+// lineSpan is a run of n consecutive lines starting at first.
+type lineSpan struct {
+	first mem.Line
+	n     int
 }
 
 // entryLinesFor allocates fresh lines for a value (at least one; one line
 // per 64 value bytes). Entries are never rewritten — each Put gets new
 // lines, like a log-structured heap — so tagged entry stores trivially
 // satisfy the one-tagged-store-per-line constraint.
-func (e *Engine) entryLinesFor(value []byte) []mem.Line {
+func (e *Engine) entryLinesFor(value []byte) lineSpan {
 	n := (len(value) + int(mem.LineSize) - 1) / int(mem.LineSize)
 	if n == 0 {
 		n = 1
 	}
-	lines := e.arenaLines(n)
-	for i := range lines {
-		lines[i] = mem.LineOf(e.nextEntry)
-		e.nextEntry += mem.LineSize
-	}
-	return lines
+	span := lineSpan{first: mem.LineOf(e.nextEntry), n: n}
+	e.nextEntry += mem.Addr(n) * mem.LineSize
+	return span
 }
 
 // translate turns one request into a per-core op stream, updates the
@@ -420,8 +421,9 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 		// Loads target the key's newest entry lines (the op stream is
 		// independent of which snapshot answers the read, keeping machine
 		// timing — and every existing fingerprint — unchanged).
-		for _, l := range e.entries[req.Key] {
-			b.Load(l.Addr())
+		span := e.entries[req.Key]
+		for i := 0; i < span.n; i++ {
+			b.Load((span.first + mem.Line(i)).Addr())
 		}
 		b.TxEnd()
 		e.dl.ObserveRead(req.Sess.ID, req.Key, obsRec)
@@ -436,13 +438,12 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 			Op: Put, Key: req.Key, Bucket: bucket, Head: head,
 			Value: val,
 		}
-		rec.EntryLines = e.entryLinesFor(val)
-		rec.EntryTokens = e.arenaTokens(len(rec.EntryLines))
+		span := e.entryLinesFor(val)
+		rec.EntryLine, rec.Entries = span.first, span.n
 		b.Load(head.Addr())
-		for i, l := range rec.EntryLines {
+		for i := 0; i < span.n; i++ {
 			e.nextToken++
-			rec.EntryTokens[i] = e.nextToken
-			b.StoreTagged(l.Addr(), e.nextToken)
+			b.StoreTagged((span.first + mem.Line(i)).Addr(), e.nextToken)
 		}
 		// One barrier per Put: it closes the epoch holding these entry
 		// stores and, when owed, the core's previous publish. This publish
@@ -454,13 +455,13 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 		e.owed[core] = true
 		b.TxEnd()
 
-		recIdx := len(e.records)
+		recIdx := e.recordCount()
 		bk := e.batchFor(req.Key)
 		bk.bySess[req.Sess.ID] = batchWrite{val: val, found: true, rec: recIdx}
 		e.kv[req.Key] = val
-		e.entries[req.Key] = rec.EntryLines
+		e.entries[req.Key] = span
 		e.lastRec[req.Key] = recIdx
-		e.records = append(e.records, rec)
+		e.tail = append(e.tail, rec)
 		e.dl.ObserveWrite(req.Sess.ID, recIdx, req.Key)
 		return Response{Found: true, Value: val}, b.Ops(), nil
 
@@ -483,13 +484,13 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 		e.owed[core] = true
 		b.TxEnd()
 
-		recIdx := len(e.records)
+		recIdx := e.recordCount()
 		bk := e.batchFor(req.Key)
 		bk.bySess[req.Sess.ID] = batchWrite{found: false, rec: recIdx}
 		delete(e.kv, req.Key)
 		delete(e.entries, req.Key)
 		e.lastRec[req.Key] = recIdx
-		e.records = append(e.records, rec)
+		e.tail = append(e.tail, rec)
 		e.dl.ObserveRead(req.Sess.ID, req.Key, obsRec)
 		e.dl.ObserveWrite(req.Sess.ID, recIdx, req.Key)
 		return Response{Found: found}, b.Ops(), nil
@@ -514,9 +515,10 @@ func (e *Engine) crashLimit() sim.Cycle {
 // response per request (answered from volatile state, which survives even
 // if the machine crashes mid-batch — durability is judged later). Apply is
 // the blocking composition of the pipelined worker's halves under one
-// lock hold — SubmitAppend, PumpRetire, then one BatchGap of think time —
-// for callers that drive a single engine round by round (the scripted
-// driver, examples/kvstore).
+// lock hold — SubmitAppend, PumpRetire, one BatchGap of think time, then
+// the durable watermark (so whatever became durable is folded and
+// released) — for callers that drive a single engine round by round (the
+// scripted driver, examples/kvstore).
 func (e *Engine) Apply(batch []Request) ([]Response, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -526,14 +528,14 @@ func (e *Engine) Apply(batch []Request) ([]Response, error) {
 	}
 	if err := e.pumpRetireLocked(); err != nil {
 		if err == ErrCrashed {
+			e.advanceWatermarkLocked()
 			return resps, ErrCrashed
 		}
 		return nil, err
 	}
-	if err := e.stepGapLocked(); err != nil {
-		return resps, err
-	}
-	return resps, nil
+	err = e.stepGapLocked()
+	e.advanceWatermarkLocked()
+	return resps, err
 }
 
 // SubmitAppend translates a batch and feeds it to the cores without
@@ -662,17 +664,128 @@ func (e *Engine) stepGapLocked() error {
 // version >= v of its bucket head (the line-rewrite conflict rules make
 // ">=" exactly "v persisted"). The cursor stops at the first non-durable
 // record, so everything below it is a durable prefix of the engine's
-// mutation order.
+// mutation order. Durability is also the moment audit state is checked
+// and dropped: each record the cursor passes is verified and folded into
+// the checkpoint, then the passed records are released together. After
+// Close the image is final and the cursor stays put, so Verify,
+// RecoveredState and DLImage all read one frozen checkpoint and tail.
 func (e *Engine) advanceWatermarkLocked() int {
-	for e.durableCursor < len(e.records) {
-		r := e.records[e.durableCursor]
+	if e.closed {
+		return e.durableCursor
+	}
+	n := 0
+	for ; n < len(e.tail); n++ {
+		r := e.tail[n]
 		v, ok := e.m.TokenVersion(r.PubToken)
-		if !ok || v == mem.NoVersion || e.m.PersistedVersion(r.Head) < v {
+		durable := ok && v != mem.NoVersion && e.m.PersistedVersion(r.Head) >= v
+		if e.plant == plantCursorOffByOne && ok && n == 0 {
+			durable = true // the oldest retired publish counts as durable
+		}
+		if !durable {
 			break
 		}
-		e.durableCursor++
+		e.fold(r, e.durableCursor+n, v)
+	}
+	if n > 0 {
+		e.release(n)
 	}
 	return e.durableCursor
+}
+
+// plantedBug names a deliberate defect in the fold path (tests only).
+type plantedBug uint8
+
+const (
+	plantNone plantedBug = iota
+	// plantCursorOffByOne folds a record whose publish is not in NVRAM yet.
+	plantCursorOffByOne
+	// plantDropTombstone leaves a folded Delete out of the checkpoint.
+	plantDropTombstone
+)
+
+// fold is what happens to record idx at the instant it becomes durable,
+// with its publish committed at version v: it is verified with the
+// predicates Verify applies to the tail at Close, then folded into the
+// checkpoint. The publish being in NVRAM is the caller's loop condition,
+// and the record's session has no earlier non-durable publish because the
+// cursor passes records in submission order, which extends each session's
+// program order; what is left to check is the torn write — every entry
+// store retired and in NVRAM.
+func (e *Engine) fold(r *OpRecord, idx int, v mem.Version) {
+	for i := 0; i < r.Entries && e.foldErr == nil; i++ {
+		l := r.EntryLine + mem.Line(i)
+		ev, ok := e.m.TokenVersion(r.PubToken - uint64(r.Entries-i))
+		if !ok || ev == mem.NoVersion || e.m.PersistedVersion(l) < ev {
+			e.foldErr = tornWrite(r, l)
+		}
+	}
+	cp := e.cp
+	if cp.lastVer[r.Bucket] != mem.NoVersion {
+		cp.edges++
+	}
+	cp.lastVer[r.Bucket] = max(cp.lastVer[r.Bucket], v)
+	if e.dl != nil {
+		cp.stubs = append(cp.stubs, dlStub{ver: v, rec: idx, bucket: r.Bucket})
+	}
+	// The checkpoint and kv outlive the record, so they get their own copy
+	// of the value, not a slice of the arena chunk.
+	var val []byte
+	if r.Op == Put {
+		val = bytes.Clone(r.Value)
+		if e.lastRec[r.Key] == idx {
+			e.kv[r.Key] = val
+		}
+	}
+	if r.Op == Put || e.plant != plantDropTombstone {
+		cp.insert(r.Key, val, r.Op == Put, idx, v)
+	}
+	// Published last: a reader that sees the watermark finds the entry.
+	cp.folded.Store(int64(idx + 1))
+}
+
+// release drops the n oldest tail records, all just folded, and with them
+// everything kept only for their sake: their store tokens' versions
+// (tokens grow in record order) and, per core, the retained history of
+// persisted epochs older than the core's oldest store still in the tail,
+// so every remaining record still finds the epoch that wrote it.
+func (e *Engine) release(n int) {
+	last := e.tail[n-1].PubToken
+	e.tail = slices.Delete(e.tail, 0, n) // copies down and zeroes the vacated slots
+	e.durableCursor += n
+	e.m.ForgetTokensThrough(last)
+
+	// A core's first tail record bounds it: that record's first tagged
+	// store is the oldest of the core's stores still in question (program
+	// order), and a store that has not retired is in no persisted epoch.
+	// The scan stops once every core is bounded, and the tail is the
+	// in-flight window in any case.
+	const all = mem.Version(math.MaxUint64)
+	clear(e.keep)
+	unbounded := len(e.keep)
+	for _, r := range e.tail {
+		if unbounded == 0 {
+			break
+		}
+		if e.keep[r.Core] != mem.NoVersion {
+			continue
+		}
+		v, ok := e.m.TokenVersion(r.PubToken - uint64(r.Entries))
+		if !ok {
+			v = all
+		}
+		e.keep[r.Core] = v
+		unbounded--
+	}
+	for core, v := range e.keep {
+		if v == mem.NoVersion {
+			e.keep[core] = all
+		}
+	}
+	trimmed, err := e.m.TrimHistory(e.keep)
+	e.cp.trimmed += trimmed
+	if err != nil && e.foldErr == nil {
+		e.foldErr = fmt.Errorf("pmkv: trimming epoch history: %w", err)
+	}
 }
 
 // DurableWatermark reports the durable-prefix watermark: the number of
@@ -688,9 +801,9 @@ func (e *Engine) DurableWatermark() (durable, total int, err error) {
 	defer e.mu.Unlock()
 	d := e.advanceWatermarkLocked()
 	if e.crashed {
-		return d, len(e.records), ErrCrashed
+		return d, e.recordCount(), ErrCrashed
 	}
-	return d, len(e.records), nil
+	return d, e.recordCount(), nil
 }
 
 // StepDurable advances the durable watermark toward target without
@@ -727,14 +840,56 @@ func (e *Engine) stepDurableLocked(target int) (durable int, dry bool, err error
 	return e.advanceWatermarkLocked(), false, nil
 }
 
-// RecordCount reports how many mutation records the engine has issued;
-// a pipelined committer snapshots it after SubmitAppend as the batch's
-// durability target.
+// RecordCount reports how many mutation records the engine has issued
+// over its whole life (released ones included); a pipelined committer
+// snapshots it after SubmitAppend as the batch's durability target.
 func (e *Engine) RecordCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.records)
+	return e.recordCount()
 }
+
+func (e *Engine) recordCount() int { return e.durableCursor + len(e.tail) }
+
+// Retention is a point-in-time view of how much audit state the engine
+// holds and how much it has let go.
+type Retention struct {
+	// Retained counts mutation records still held (the tail: submitted,
+	// not yet durable); Folded the records verified, folded into the
+	// checkpoint and released since the engine started.
+	Retained int `json:"records_retained"`
+	Folded   int `json:"records_folded"`
+	// CheckpointKeys counts keys in the checkpoint, tombstones included.
+	CheckpointKeys int `json:"checkpoint_keys"`
+	// EpochsTrimmed counts persisted epochs dropped from the machine's
+	// retained history.
+	EpochsTrimmed int `json:"epochs_trimmed"`
+}
+
+// Retention reports the engine's retained and released audit state.
+func (e *Engine) Retention() Retention {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return Retention{
+		Retained:       len(e.tail),
+		Folded:         e.durableCursor,
+		CheckpointKeys: e.cp.keys,
+		EpochsTrimmed:  e.cp.trimmed,
+	}
+}
+
+// ReadCommitted answers a key from the checkpoint — the state as of the
+// durable watermark — without taking the engine lock: the value (or a
+// durable tombstone, found=false) and the mutation record that published
+// it, rec=-1 when no durable publish names the key. Safe from any
+// goroutine; the shard GET fast path.
+func (e *Engine) ReadCommitted(key string) (val []byte, found bool, rec int) {
+	return e.cp.get(key)
+}
+
+// Committed reports the durable watermark ReadCommitted's answers cover:
+// every mutation record below it is in the checkpoint.
+func (e *Engine) Committed() int { return int(e.cp.folded.Load()) }
 
 // Quiesced reports whether the machine has nothing scheduled — no
 // background persist machinery in flight, so only Close's final drain
@@ -783,13 +938,6 @@ func (e *Engine) Now() sim.Cycle {
 	return e.m.Now()
 }
 
-// Records returns the mutation audit trail (shared slice; do not modify).
-func (e *Engine) Records() []*OpRecord {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.records
-}
-
 // Volatile returns a copy of the engine's in-memory (pre-crash) state.
 func (e *Engine) Volatile() map[string][]byte {
 	e.mu.Lock()
@@ -819,46 +967,51 @@ func (e *Engine) Close() (*machine.Result, error) {
 	return e.m.Drain()
 }
 
-// pub pairs a mutation record with the version its publish store
-// committed at.
+// pub is one retired publish in its bucket's commit order: the version
+// its head store committed at, and either the tail record that issued it
+// or — r nil — the bucket's newest folded publish, which stands in for
+// every publish already released.
 type pub struct {
 	r *OpRecord
 	v mem.Version
 }
 
-// publishesByBucket groups mutation records whose publish store
-// committed, per bucket, sorted by committed version — the total publish
-// order NVRAM saw for each bucket. It also reports the total publish
-// count, which pre-sizes the recovered-state map. Committed versions are
-// materialized once, and buckets index a plain slice: the sort
-// comparator and every downstream consumer (replay, edge construction,
-// the DL image) read pub.v with no map hashing per record — token
-// re-resolution and head-line hashing dominated large-store replay.
-func publishesByBucket(records []*OpRecord, tokens map[uint64]mem.Version, buckets int) ([][]pub, int) {
+// publishesByBucket groups the tail's mutation records whose publish
+// store committed, per bucket, sorted by committed version — the total
+// publish order NVRAM saw for each bucket since its last folded publish,
+// which joins the list when the bucket has one. It also reports the
+// tail's publish count. Committed versions are materialized once, and
+// buckets index a plain slice: the sort comparator and every downstream
+// consumer (replay, edge construction) read pub.v with no map hashing per
+// record.
+func publishesByBucket(tail []*OpRecord, tokens map[uint64]mem.Version, lastVer []mem.Version) ([][]pub, int) {
 	// Counting pass, then one flat backing array carved into per-bucket
 	// regions: no per-bucket append growth, one allocation for every
 	// bucket's list. The counts overcount (publishes that never retired
 	// are filtered in the fill pass), which only wastes capacity.
-	counts := make([]int, buckets)
-	mutations := 0
-	for _, r := range records {
-		if r.Op != Get {
-			counts[r.Bucket]++
-			mutations++
+	counts := make([]int, len(lastVer))
+	slots := len(tail)
+	for b, v := range lastVer {
+		if v != mem.NoVersion {
+			counts[b]++
+			slots++
 		}
 	}
-	flat := make([]pub, mutations)
-	byBucket := make([][]pub, buckets)
+	for _, r := range tail {
+		counts[r.Bucket]++
+	}
+	flat := make([]pub, slots)
+	byBucket := make([][]pub, len(lastVer))
 	off := 0
 	for b, c := range counts {
 		byBucket[b] = flat[off : off : off+c]
 		off += c
+		if v := lastVer[b]; v != mem.NoVersion {
+			byBucket[b] = append(byBucket[b], pub{v: v})
+		}
 	}
 	total := 0
-	for _, r := range records {
-		if r.Op == Get {
-			continue
-		}
+	for _, r := range tail {
 		v, ok := tokens[r.PubToken]
 		if !ok {
 			continue // publish never retired before the crash
@@ -867,16 +1020,7 @@ func publishesByBucket(records []*OpRecord, tokens map[uint64]mem.Version, bucke
 		total++
 	}
 	for _, recs := range byBucket {
-		slices.SortFunc(recs, func(a, b pub) int {
-			switch {
-			case a.v < b.v:
-				return -1
-			case a.v > b.v:
-				return 1
-			default:
-				return 0
-			}
-		})
+		slices.SortFunc(recs, func(a, b pub) int { return cmp.Compare(a.v, b.v) })
 	}
 	return byBucket, total
 }

@@ -80,12 +80,13 @@ type ShardedConfig struct {
 	// own pump, the pre-v2 behavior.
 	MaxInFlight int
 	// DisableReadFast turns off the lock-free GET fast path. By default
-	// Do/DoAsync answer a GET directly from the shard's committed-state
-	// read index — no mailbox hop, no translate, no machine time — when
-	// the session has no in-flight writes on that shard (so the PR 7
-	// snapshot semantics hold: own same-batch writes visible via the
-	// fallback, foreign same-batch writes never, because the index only
-	// ever holds the durably-acknowledged prefix).
+	// Do/DoAsync answer a GET directly from the shard engine's checkpoint
+	// — no mailbox hop, no translate, no machine time — when the session
+	// has no in-flight writes on that shard (so the PR 7 snapshot
+	// semantics hold: own same-batch writes visible via the fallback,
+	// foreign same-batch writes never, because the checkpoint only ever
+	// holds the durable prefix). The engine keeps its checkpoint either
+	// way; this only decides whether GETs consult it.
 	DisableReadFast bool
 	// ConfigureShard, when non-nil, is called with each shard's engine
 	// config before construction — the hook servers use to attach a
@@ -202,7 +203,6 @@ type shard struct {
 	id    int
 	eng   *Engine
 	mail  chan shardJob
-	idx   *readIndex   // committed-state index behind the GET fast path
 	subMu sync.RWMutex // senders hold R; drain holds W to flip accepting+close
 	open  bool         // guarded by subMu
 
@@ -262,7 +262,6 @@ func NewSharded(cfg ShardedConfig) (*ShardedStore, error) {
 			id:   i,
 			eng:  eng,
 			mail: make(chan shardJob, cfg.Mailbox),
-			idx:  newReadIndex(),
 			open: true,
 		}
 		sh.batchLim.Store(int64(cfg.MinBatch))
@@ -340,21 +339,21 @@ func (s *ShardedStore) DoAsync(sess *ShardedSession, op Op, key string, value []
 	sh := s.shards[id]
 	if op == Get && s.readFast {
 		if sess.pending[id].Load() == 0 && !s.draining.Load() && !sh.crashedFl.Load() {
-			// The index holds exactly the durably-acknowledged prefix:
+			// The engine's checkpoint holds exactly the durable prefix:
 			// pending==0 means every one of this session's writes here is
-			// acked, and the worker publishes a batch's records before
-			// releasing its acks, so the session's own writes are present
-			// and any missing foreign write is unacked (free to linearize
-			// after this read). Absence is therefore an authoritative
-			// not-found.
-			val, found, rec := sh.idx.get(key)
+			// acked, and the watermark folds a batch's records before the
+			// worker releases its acks, so the session's own writes are
+			// present and any missing foreign write is unacked (free to
+			// linearize after this read). Absence is therefore an
+			// authoritative not-found.
+			val, found, rec := sh.eng.ReadCommitted(key)
 			sh.eng.ObserveFastRead(sess.per[id].ID, key, rec)
 			sh.fastHits.Add(1)
 			span.Stamp(telemetry.StageDurable)
 			done <- Completion{Tag: tag, Ack: ShardAck{
 				Resp:    Response{Found: found, Value: val},
 				Shard:   id,
-				Durable: sh.idx.watermark(),
+				Durable: sh.eng.Committed(),
 				Fast:    true,
 			}}
 			return id, nil
@@ -616,14 +615,11 @@ func (w *shardWorker) release() {
 		w.pending = w.pending[:0]
 		return
 	}
-	// Publish the newly durable records into the read index BEFORE any
-	// ack below is delivered: a client that has received a durable ack
-	// must find that write on the fast path (the atomic bucket store
-	// happens-before the ack's channel send, which happens-before the
-	// client's next request).
-	if w.s.readFast && durable > 0 {
-		sh.idx.publish(sh.eng.Records(), durable)
-	}
+	// The watermark call above folded the newly durable records into the
+	// engine's checkpoint BEFORE any ack below is delivered: a client that
+	// has received a durable ack must find that write on the fast path (the
+	// atomic bucket store happens-before the ack's channel send, which
+	// happens-before the client's next request).
 	cycle := int64(sh.eng.Now())
 	for len(w.pending) > 0 && w.pending[0].target <= durable {
 		p := w.pending[0]
@@ -748,10 +744,12 @@ type ShardMetrics struct {
 	Crashed    bool      `json:"crashed,omitempty"`
 	// FastHits / FastFallbacks count GETs answered on the lock-free fast
 	// path vs routed through the mailbox while the fast path was on;
-	// ReadPublished is the durable-prefix watermark the read index covers.
+	// ReadPublished is the durable-prefix watermark the checkpoint covers.
 	FastHits      uint64 `json:"read_fast_hits"`
 	FastFallbacks uint64 `json:"read_fallbacks"`
 	ReadPublished int    `json:"read_published"`
+	// Retention is what the shard's engine holds and has released.
+	Retention
 	// BatchSizes is the group-commit size distribution (power-of-two
 	// buckets; Counts[b] holds batches of size in (2^(b-1)-1, 2^b-1]).
 	BatchSizes telemetry.HistSnapshot `json:"batch_sizes"`
@@ -774,7 +772,8 @@ func (s *ShardedStore) Metrics() []ShardMetrics {
 			Crashed:       sh.crashedFl.Load(),
 			FastHits:      sh.fastHits.Load(),
 			FastFallbacks: sh.fastFalls.Load(),
-			ReadPublished: sh.idx.watermark(),
+			ReadPublished: sh.eng.Committed(),
+			Retention:     sh.eng.Retention(),
 			BatchSizes:    sh.batchHist.Snapshot(),
 		}
 		if m.Batches > 0 {
@@ -815,8 +814,12 @@ type ShardResult struct {
 	Recovered map[string][]byte
 	// DL is the durable-linearizability verdict (nil unless the shard
 	// engine ran with Config.Check).
-	DL  *dlcheck.Verdict
-	Err error
+	DL *dlcheck.Verdict
+	// Retention is what the engine held and had released when it closed:
+	// Retained is the tail recovery walked, Folded what the checkpoint
+	// already covered.
+	Retention Retention
+	Err       error
 }
 
 // Close drains the store (BeginDrain + worker quiesce), then closes and
@@ -844,6 +847,7 @@ func (s *ShardedStore) Close() ([]ShardResult, error) {
 			defer wg.Done()
 			r := ShardResult{Shard: sh.id, Crashed: sh.eng.Crashed(), Cycles: sh.eng.Now()}
 			res, err := sh.eng.Close()
+			r.Retention = sh.eng.Retention()
 			if err != nil {
 				r.Err = err
 			} else {

@@ -8,9 +8,7 @@ package pmkv
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"persistbarriers/internal/machine"
 	"persistbarriers/internal/mem"
@@ -42,8 +40,18 @@ func durable(image map[mem.Line]mem.Version, l mem.Line, v mem.Version) bool {
 	return v != mem.NoVersion && image[l] >= v
 }
 
-// Verify audits a machine result against the engine's mutation record. It
-// checks, in order:
+// tornWrite reports a publish durable while one of its entry lines is not.
+func tornWrite(r *OpRecord, l mem.Line) error {
+	return fmt.Errorf(
+		"pmkv: torn write: sess %d seq %d (%v %q) published durably but entry line %v is not durable",
+		r.Sess, r.Seq, r.Op, r.Key, l)
+}
+
+// Verify audits a machine result against the engine's mutation record:
+// the checkpoint, whose records were each held to checks 3 and 4 at the
+// instant they became durable and whose epochs were held to checks 1 and
+// 2 before they were trimmed (a failure then was latched and is returned
+// here first), plus the tail still unfolded at Close. It checks, in order:
 //
 //  1. Epoch-order invariant (recovery.CheckOrdering) over the history
 //     graph strengthened with publish-order edges: for each bucket head,
@@ -55,29 +63,49 @@ func durable(image map[mem.Line]mem.Version, l mem.Line, v mem.Version) bool {
 //  4. Session order: each session's durable publishes are a prefix of its
 //     program order (a later publish durable while an earlier one is lost
 //     would invert the barrier ordering).
+//
+// Every Report count is what a replay of the whole history would print:
+// the checkpoint's running totals plus the tail's.
 func (e *Engine) Verify(res *machine.Result) (*Report, error) {
 	e.mu.Lock()
-	records := e.records
-	buckets := e.cfg.Buckets
+	tail, first, cp, foldErr := e.tail, e.durableCursor, e.cp, e.foldErr
 	workers := e.cfg.RecoveryWorkers
 	e.mu.Unlock()
 
 	g := recovery.NewGraph(res.Histories)
-	rep := &Report{Epochs: len(g.Epochs())}
+	rep := &Report{
+		Epochs:           cp.trimmed + len(g.Epochs()),
+		PublishEdges:     cp.edges,
+		DurablePublishes: first,
+		TotalPublishes:   first,
+	}
+	if foldErr != nil {
+		return rep, foldErr
+	}
 
-	byBucket, total := publishesByBucket(records, res.TokenVersions, buckets)
-	for _, recs := range byBucket {
-		rep.TotalPublishes += len(recs)
+	byBucket, total := publishesByBucket(tail, res.TokenVersions, cp.lastVer)
+	rep.TotalPublishes += total
+	for b, recs := range byBucket {
+		// Every folded publish was in NVRAM when it was folded, and NVRAM
+		// only moves forward.
+		if hv, lv := res.Image[e.headLine(b)], cp.lastVer[b]; hv < lv {
+			return rep, fmt.Errorf("pmkv: bucket %d: folded publish version %d is not in the image (head holds %d)", b, lv, hv)
+		}
 		for i := 1; i < len(recs); i++ {
 			prev, ok1 := g.WriterOf(recs[i-1].v)
 			next, ok2 := g.WriterOf(recs[i].v)
-			if !ok1 || !ok2 {
-				// The writing epoch was still open at the crash; its
-				// writes cannot be durable and no edge is needed.
+			// A tail publish with no writer sat in an epoch still open at
+			// the crash; its writes cannot be durable and no edge is
+			// needed. The folded publish's epoch may have been trimmed: the
+			// edge still counts, and TrimHistory already held that epoch to
+			// what the edge would demand of it.
+			if (!ok1 && recs[i-1].r != nil) || (!ok2 && recs[i].r != nil) {
 				continue
 			}
-			g.AddEdge(next, prev)
 			rep.PublishEdges++
+			if ok1 && ok2 {
+				g.AddEdge(next, prev)
+			}
 		}
 	}
 
@@ -89,32 +117,30 @@ func (e *Engine) Verify(res *machine.Result) (*Report, error) {
 	}
 
 	// KV atomicity: durable publish => whole entry durable.
-	for _, r := range records {
-		if r.Op == Get {
-			continue
-		}
+	for _, r := range tail {
 		pubVer, retired := res.TokenVersions[r.PubToken]
 		if !retired || !durable(res.Image, r.Head, pubVer) {
 			continue
 		}
 		rep.DurablePublishes++
-		for i, l := range r.EntryLines {
-			ev, ok := res.TokenVersions[r.EntryTokens[i]]
+		for i := 0; i < r.Entries; i++ {
+			l := r.EntryLine + mem.Line(i)
+			ev, ok := res.TokenVersions[r.PubToken-uint64(r.Entries-i)]
 			if !ok || !durable(res.Image, l, ev) {
-				return rep, fmt.Errorf(
-					"pmkv: torn write: sess %d seq %d (%v %q) published durably but entry line %v is not durable",
-					r.Sess, r.Seq, r.Op, r.Key, l)
+				return rep, tornWrite(r, l)
 			}
 		}
 	}
 
 	// Session order: durable publishes form a program-order prefix. Every
-	// violation in the image is collected, not just the first.
-	if errs := sessionOrderErrors(records, res.TokenVersions, res.Image); len(errs) > 0 {
+	// violation in the image is collected, not just the first. The tail is
+	// enough: every folded record is durable, and every earlier record of
+	// its session was folded before it.
+	if errs := sessionOrderErrors(tail, res.TokenVersions, res.Image); len(errs) > 0 {
 		return rep, errors.Join(errs...)
 	}
 
-	state, err := e.replayState(byBucket, total, res, buckets, workers)
+	state, err := e.replayState(byBucket, total, res.Image)
 	if err != nil {
 		return rep, err
 	}
@@ -136,9 +162,7 @@ func (e *Engine) Verify(res *machine.Result) (*Report, error) {
 func sessionOrderErrors(records []*OpRecord, tokens map[uint64]mem.Version, image map[mem.Line]mem.Version) []error {
 	bySess := make(map[int][]*OpRecord)
 	for _, r := range records {
-		if r.Op != Get {
-			bySess[r.Sess] = append(bySess[r.Sess], r)
-		}
+		bySess[r.Sess] = append(bySess[r.Sess], r)
 	}
 	sessIDs := make([]int, 0, len(bySess))
 	for id := range bySess {
@@ -185,45 +209,44 @@ func recoverySnapshot(state map[string][]byte) [][2]string {
 }
 
 // RecoveredState reconstructs the durable key-value contents from the
-// crash image: for each bucket, the durable head version names the last
-// publish that persisted (the line-rewrite conflict rules make every
-// earlier version of the head durable too), so the bucket's contents are
-// the deltas of its publishes up to that version, replayed in the order
-// their head stores committed. Commit order — not translate order — is
-// what NVRAM saw: two same-batch sessions publishing to one bucket can
-// commit in either order, and the recovered state must include both.
-// Entry durability is the atomicity invariant Verify enforces.
+// crash image: the checkpoint — every publish folded at the durable
+// watermark — overlaid with the tail. For each bucket, the durable head
+// version names the last publish that persisted (the line-rewrite
+// conflict rules make every earlier version of the head durable too), so
+// the bucket's contents are the deltas of its publishes up to that
+// version, replayed in the order their head stores committed. Commit
+// order — not translate order — is what NVRAM saw: two same-batch
+// sessions publishing to one bucket can commit in either order, and the
+// recovered state must include both. Entry durability is the atomicity
+// invariant Verify enforces.
 func (e *Engine) RecoveredState(res *machine.Result) (map[string][]byte, error) {
 	e.mu.Lock()
-	records := e.records
-	buckets := e.cfg.Buckets
-	workers := e.cfg.RecoveryWorkers
+	tail, lastVer := e.tail, e.cp.lastVer
 	e.mu.Unlock()
 
-	byBucket, total := publishesByBucket(records, res.TokenVersions, buckets)
-	return e.replayState(byBucket, total, res, buckets, workers)
+	byBucket, total := publishesByBucket(tail, res.TokenVersions, lastVer)
+	return e.replayState(byBucket, total, res.Image)
 }
 
-// tombstone marks a key whose newest durable publish in its bucket is a
-// Delete during the backward replay; identity (not value) distinguishes
-// it from any user value. replayBucket removes every tombstone before
-// returning, so it never escapes into recovered state.
+// tombstone marks a key whose newest durable publish is a Delete while
+// the state is being assembled; identity (not value) distinguishes it from
+// any user value. replayState removes every tombstone before returning,
+// so it never escapes into recovered state.
 var tombstone = []byte{0}
 
-// replayBucket folds one bucket's durable publish prefix into state. The
-// bucket's contents are the deltas of its publishes up to the durable
-// head version, in commit order. The walk runs backward — newest durable
-// publish first — so each key costs one map assignment (its final value)
-// instead of one per overwrite; older publishes of an already-decided
-// key only pay a lookup. dead is a reused scratch buffer for keys whose
-// final publish is a Delete.
-func (e *Engine) replayBucket(byBucket [][]pub, res *machine.Result, b int, state map[string][]byte, dead *[]string) error {
-	h := e.headLine(b)
-	hv := res.Image[h]
+// replayBucket decides, for every key the bucket's tail publishes touch,
+// which durable publish NVRAM holds last. The bucket's contents are the
+// deltas of its publishes up to the durable head version, in commit
+// order. The walk runs backward — newest durable publish first — so each
+// key costs one map assignment (its final value); older publishes of an
+// already-decided key only pay a lookup. A key's folded publish wins over
+// a tail publish that committed before it. Tombstones stay in state (and
+// are appended to dead) so the checkpoint merge cannot resurrect the key.
+func (e *Engine) replayBucket(recs []pub, image map[mem.Line]mem.Version, b int, state map[string][]byte, dead *[]string) error {
+	hv := image[e.headLine(b)]
 	if hv == mem.NoVersion {
 		return nil
 	}
-	recs := byBucket[b]
 	// Durable prefix boundary: versions of one head line are distinct and
 	// recs is version-sorted, so a matching publish is exactly at the
 	// boundary's left edge.
@@ -231,99 +254,49 @@ func (e *Engine) replayBucket(byBucket [][]pub, res *machine.Result, b int, stat
 	if idx == 0 || recs[idx-1].v != hv {
 		return fmt.Errorf("pmkv: bucket %d head holds version %d with no matching publish", b, hv)
 	}
-	tombs := (*dead)[:0]
 	for i := idx - 1; i >= 0; i-- {
 		r := recs[i].r
+		if r == nil {
+			continue // the folded publish: its key is in the checkpoint
+		}
 		if _, decided := state[r.Key]; decided {
 			continue // a newer durable publish already fixed this key
 		}
-		if r.Op == Delete {
-			state[r.Key] = tombstone
-			tombs = append(tombs, r.Key)
+		val, live := r.Value, r.Op == Put
+		if en := e.cp.lookup(r.Key); en != nil && en.ver > recs[i].v {
+			val, live = en.val, en.found
+		}
+		if live {
+			state[r.Key] = val
 		} else {
-			state[r.Key] = r.Value
+			state[r.Key] = tombstone
+			*dead = append(*dead, r.Key)
 		}
 	}
-	for _, k := range tombs {
-		delete(state, k)
-	}
-	*dead = tombs[:0]
 	return nil
 }
 
-// replayState replays every bucket's durable publish prefix. Buckets
-// partition the keyspace (each key hashes to exactly one bucket and one
-// head line), so their replays touch disjoint keys and run concurrently:
-// worker w owns buckets congruent to w, builds a private map, and the
-// partials merge after the join. Any worker count yields byte-identical
-// state; on error the lowest failing bucket's error is returned, exactly
-// as a serial scan would report it.
-func (e *Engine) replayState(byBucket [][]pub, total int, res *machine.Result, buckets, workers int) (map[string][]byte, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > buckets {
-		workers = buckets
-	}
-	if workers <= 1 {
-		// Pre-sized at the publish count: distinct keys can only be fewer,
-		// and incremental map growth is a large fraction of replay cost.
-		state := make(map[string][]byte, total)
-		var dead []string
-		for b := 0; b < buckets; b++ {
-			if err := e.replayBucket(byBucket, res, b, state, &dead); err != nil {
-				return nil, err
-			}
+// replayState assembles the recovered state: each bucket's durable tail
+// publishes first, then every checkpoint key the tail left undecided.
+// Buckets partition the keyspace, so the order they are replayed in does
+// not matter; on error the lowest failing bucket's error is returned.
+func (e *Engine) replayState(byBucket [][]pub, total int, image map[mem.Line]mem.Version) (map[string][]byte, error) {
+	// Pre-sized: distinct keys can only be fewer, and incremental map
+	// growth is a large fraction of replay cost.
+	state := make(map[string][]byte, e.cp.keys+total)
+	var dead []string
+	for b, recs := range byBucket {
+		if err := e.replayBucket(recs, image, b, state, &dead); err != nil {
+			return nil, err
 		}
-		return state, nil
 	}
-
-	type part struct {
-		state     map[string][]byte
-		err       error
-		errBucket int
-	}
-	parts := make([]part, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			p := &parts[w]
-			p.state = make(map[string][]byte, total/workers+1)
-			p.errBucket = buckets
-			var dead []string
-			for b := w; b < buckets; b += workers {
-				if err := e.replayBucket(byBucket, res, b, p.state, &dead); err != nil {
-					// First error is this worker's lowest failing bucket
-					// (ascending stride); the merge discards all state.
-					p.err, p.errBucket = err, b
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	n := 0
-	for w := range parts {
-		if parts[w].err != nil {
-			// Deterministic across worker counts: lowest bucket wins.
-			lowest := &parts[w]
-			for v := w + 1; v < workers; v++ {
-				if parts[v].err != nil && parts[v].errBucket < lowest.errBucket {
-					lowest = &parts[v]
-				}
-			}
-			return nil, lowest.err
+	e.cp.each(func(en *cpEntry) {
+		if _, decided := state[en.key]; !decided && en.found {
+			state[en.key] = en.val
 		}
-		n += len(parts[w].state)
-	}
-	state := make(map[string][]byte, n)
-	for w := range parts {
-		for k, v := range parts[w].state {
-			state[k] = v
-		}
+	})
+	for _, k := range dead {
+		delete(state, k)
 	}
 	return state, nil
 }

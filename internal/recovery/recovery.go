@@ -320,6 +320,39 @@ screen:
 	return nil
 }
 
+// CheckTrimmable decides whether a persisted epoch may leave the retained
+// history for good: it holds the epoch to what CheckOrdering and
+// CheckPersistedClosed would conclude about it at any later image. Every
+// write must be durable now (durable reports a line's NVRAM version, which
+// only grows) and every direct predecessor — the previous epoch on the
+// core and each recorded dependence — must have persisted; predecessors
+// are trimmed under the same rule or stay in the graph, so the transitive
+// closure follows by induction. A graph built without the epoch then
+// loses no violation: the checks skip predecessors they have no summary
+// for.
+func CheckTrimmable(s *epoch.Summary, durable func(mem.Line) mem.Version, persisted func(epoch.ID) bool) error {
+	missing, torn := mem.Line(0), false
+	for l, v := range s.Writes {
+		if durable(l) < v && (!torn || l < missing) {
+			missing, torn = l, true
+		}
+	}
+	if torn {
+		return fmt.Errorf("recovery: epoch %v declared persisted but line %v is not durable", s.ID, missing)
+	}
+	if s.ID.Num > 0 {
+		if prev := (epoch.ID{Core: s.ID.Core, Num: s.ID.Num - 1}); !persisted(prev) {
+			return fmt.Errorf("recovery: persisted epoch %v has unpersisted predecessor %v", s.ID, prev)
+		}
+	}
+	for _, d := range s.Deps {
+		if !persisted(d) {
+			return fmt.Errorf("recovery: persisted epoch %v has unpersisted predecessor %v", s.ID, d)
+		}
+	}
+	return nil
+}
+
 // Rollback applies the durable undo log to the crash image, restoring the
 // pre-epoch value of every line whose durable version belongs to an epoch
 // the hardware had not declared persisted — the §5.2.1 recovery step that

@@ -1,6 +1,8 @@
 package recovery
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"persistbarriers/internal/epoch"
@@ -206,5 +208,61 @@ func TestCheckAllEndToEnd(t *testing.T) {
 	// ordering (BEP doesn't promise atomicity).
 	if err := CheckAll(h, img, nil, false); err != nil {
 		t.Fatalf("CheckAll (no rollback) failed: %v", err)
+	}
+}
+
+// TestCheckTrimmable: an epoch may leave the retained history only when
+// every write is durable and every direct predecessor has persisted.
+func TestCheckTrimmable(t *testing.T) {
+	dep := epoch.ID{Core: 1, Num: 4}
+	s := summary(0, 3, true, map[mem.Line]mem.Version{7: 30, 5: 31}, dep)
+	image := map[mem.Line]mem.Version{5: 31, 7: 40}
+	durable := func(l mem.Line) mem.Version { return image[l] }
+	all := func(epoch.ID) bool { return true }
+	if err := CheckTrimmable(s, durable, all); err != nil {
+		t.Fatalf("durable epoch with persisted predecessors refused: %v", err)
+	}
+	image[5], image[7] = 30, 29
+	if err := CheckTrimmable(s, durable, all); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("line %v is", mem.Line(5))) {
+		t.Fatalf("two lines missing: err = %v, want the lowest line named", err)
+	}
+	image[5], image[7] = 31, 30
+	for _, missing := range []epoch.ID{{Core: 0, Num: 2}, dep} {
+		err := CheckTrimmable(s, durable, func(id epoch.ID) bool { return id != missing })
+		if err == nil || !strings.Contains(err.Error(), "unpersisted predecessor") {
+			t.Fatalf("predecessor %v unpersisted: err = %v", missing, err)
+		}
+	}
+}
+
+// TestGraphToleratesTrimmedPrefix: histories whose oldest epochs have been
+// trimmed still build a graph and pass both checks — program-order and
+// dependence edges into the missing prefix are skipped, not dereferenced —
+// and a violation among the epochs that remain is still found.
+func TestGraphToleratesTrimmedPrefix(t *testing.T) {
+	trimmed := epoch.ID{Core: 0, Num: 6}
+	h := [][]*epoch.Summary{
+		{ // core 0 starts at epoch 7: 0..6 were trimmed
+			summary(0, 7, true, map[mem.Line]mem.Version{1: 70}),
+			summary(0, 8, false, map[mem.Line]mem.Version{2: 80}),
+		},
+		{summary(1, 3, true, map[mem.Line]mem.Version{3: 75}, trimmed)},
+	}
+	g := NewGraph(h)
+	image := map[mem.Line]mem.Version{1: 70, 3: 75}
+	if err := CheckOrdering(g, image, 2); err != nil {
+		t.Fatalf("ordering over a trimmed prefix: %v", err)
+	}
+	if err := CheckPersistedClosed(g, image); err != nil {
+		t.Fatalf("closure over a trimmed prefix: %v", err)
+	}
+	g.AddEdge(epoch.ID{Core: 1, Num: 3}, trimmed) // unknown epoch: ignored
+	if preds := g.Predecessors(epoch.ID{Core: 1, Num: 3}); len(preds) != 1 || preds[0] != trimmed {
+		t.Fatalf("predecessors = %v, want only the recorded dependence", preds)
+	}
+	image[2] = 80 // epoch 8 durable while epoch 7 loses its line
+	delete(image, 1)
+	if err := CheckOrdering(g, image, 1); err == nil {
+		t.Fatal("violation among the remaining epochs went unnoticed")
 	}
 }

@@ -7,9 +7,11 @@
 # must verify, and the flight-recorder dump must be written and
 # consistent with the recovery report (no ack beyond the durable prefix).
 # The dump is copied to $FLIGHT_ARTIFACT (default flight-recorder.json in
-# the repo root) so CI can upload it as a post-mortem artifact. The load
-# is rate-limited so recovery verification (superlinear in retired
-# publishes) stays fast in CI.
+# the repo root) so CI can upload it as a post-mortem artifact. Between
+# the two, a write-heavy soak scrapes /metrics mid-run and asserts that
+# the engines are releasing what is durable (pmkv_records_folded_total
+# against pmkv_records_retained) and that the process stays under a
+# resident-memory ceiling.
 #
 # Both phases run with -check, so the online durable-linearizability
 # verdict line must appear — under a clean SIGTERM drain first, then
@@ -32,7 +34,7 @@ go build -o "$dir/promcheck" ./cmd/promcheck
 
 # Phase 1: clean drain under load with the durable-linearizability
 # checker on — SIGTERM quiesces every shard and the verdict must be OK.
-"$dir/pmkvd" -addr "$addr" -shards 4 -check >"$dir/pmkvd-clean.log" 2>&1 &
+"$dir/pmkvd" -addr "$addr" -shards 4 -check -admin "$admin" >"$dir/pmkvd-clean.log" 2>&1 &
 pid=$!
 sleep 1
 "$dir/pmkvload" -addr "$addr" -conns 2 -rate 150 -duration 2s &
@@ -56,6 +58,10 @@ grep -q "clean drain" "$dir/pmkvd-clean.log" || {
 }
 grep -q "durable linearizability: OK" "$dir/pmkvd-clean.log" || {
     echo "scale_smoke: no durable-linearizability verdict under clean drain" >&2
+    exit 1
+}
+grep -q "flight recorder: .* consistency OK" "$dir/pmkvd-clean.log" || {
+    echo "scale_smoke: flight recorder inconsistent with recovery report under clean drain" >&2
     exit 1
 }
 
@@ -93,6 +99,69 @@ fi
 cat "$dir/pmkvd-read.log"
 grep -q "durable linearizability: OK" "$dir/pmkvd-read.log" || {
     echo "scale_smoke: no durable-linearizability verdict in the read-heavy phase" >&2
+    exit 1
+}
+grep -q "flight recorder: .* consistency OK" "$dir/pmkvd-read.log" || {
+    echo "scale_smoke: flight recorder inconsistent with recovery report in the read-heavy phase" >&2
+    exit 1
+}
+
+# Phase 1c: write-heavy soak (45/50/5, paced at 40k ops/s for 10 s) — the
+# 20-second stand-in for a nightly soak. Every durable write is verified,
+# folded into its shard's checkpoint and released, so mid-run the engines
+# must have let go of far more records than they hold, and the process
+# must fit under a ceiling that retaining every record would break (at the
+# scrape, ~175k writes: about 100 MB resident, half of it the checker's
+# own history, against about 300 MB when each write kept its record,
+# tokens and epoch summary for good).
+rss_ceiling=$((160 << 20))
+"$dir/pmkvd" -addr "$addr" -shards 2 -check -admin "$admin" >"$dir/pmkvd-soak.log" 2>&1 &
+pid=$!
+sleep 1
+"$dir/pmkvload" -addr "$addr" -proto binary -window 64 -conns 2 -keys 4096 \
+    -get 0.45 -del 0.05 -rate 40000 -duration 10s &
+loadpid=$!
+sleep 8
+curl -fsS "http://$admin/metrics" >"$dir/metrics-soak.txt" || {
+    echo "scale_smoke: /metrics scrape (soak phase) failed" >&2
+    exit 1
+}
+"$dir/promcheck" "$dir/metrics-soak.txt"
+sum() { awk -v m="$1" '$1 ~ "^"m"($|{)" {s+=$2} END {printf "%.0f\n", s}' "$dir/metrics-soak.txt"; }
+folded=$(sum pmkv_records_folded_total)
+retained=$(sum pmkv_records_retained)
+rss=$(sum process_resident_memory_bytes)
+echo "scale_smoke: soak scrape: folded $folded, retained $retained, resident $rss bytes"
+[ "$folded" -gt 0 ] && [ "$folded" -ge $((10 * retained)) ] || {
+    echo "scale_smoke: soak: folded $folded has not passed 10 x retained $retained" >&2
+    exit 1
+}
+[ "$rss" -gt 0 ] && [ "$rss" -lt "$rss_ceiling" ] || {
+    echo "scale_smoke: soak: resident $rss bytes is not under the $rss_ceiling-byte ceiling" >&2
+    exit 1
+}
+wait "$loadpid"
+kill -TERM "$pid"
+for _ in $(seq 1 120); do
+    kill -0 "$pid" 2>/dev/null || break
+    sleep 1
+done
+if kill -0 "$pid" 2>/dev/null; then
+    echo "scale_smoke: pmkvd (soak phase) did not drain within 120s" >&2
+    cat "$dir/pmkvd-soak.log" >&2
+    exit 1
+fi
+cat "$dir/pmkvd-soak.log"
+grep -q "recovery invariants: OK" "$dir/pmkvd-soak.log" || {
+    echo "scale_smoke: recovery verification did not pass after the soak" >&2
+    exit 1
+}
+grep -q "flight recorder: .* consistency OK" "$dir/pmkvd-soak.log" || {
+    echo "scale_smoke: flight recorder inconsistent with recovery report after the soak" >&2
+    exit 1
+}
+grep -q "durable linearizability: OK" "$dir/pmkvd-soak.log" || {
+    echo "scale_smoke: no durable-linearizability verdict after the soak" >&2
     exit 1
 }
 
