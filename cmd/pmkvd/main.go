@@ -1,33 +1,13 @@
-// Command pmkvd serves the pmkv durable key-value engine over TCP. With
-// -shards N the keyspace is partitioned by a stable hash across N
-// independent simulated machines, each owned by one worker goroutine
-// running a pipelined group commit: batch k+1 is translated while batch
-// k's persist barriers drain, and a client's ack is released only when
-// the shard's durable-prefix watermark covers its write. Connections
-// route to shards through a pure hash — no global lock on the data path.
+// Command pmkvd serves the pmkv durable key-value engine over TCP. It is
+// flag parsing, signal wiring and printing around internal/server, which
+// documents the wire protocols, the drain and the report. With -shards N
+// the keyspace is partitioned by a stable hash across N independent
+// simulated machines, each owned by one worker goroutine running a
+// pipelined group commit; a client's ack is released only when the
+// shard's durable-prefix watermark covers its write.
 //
-// Two wire protocols share the port, auto-detected per connection from
-// its first byte. A 0xB1 byte opens the pipelined binary protocol
-// (internal/proto): length-prefixed frames with client-chosen request
-// ids, up to -window requests in flight per connection, responses
-// written out of order the moment each op's shard acks it, batched into
-// single socket writes. Anything else is the original JSON line
-// protocol, one request in flight at a time:
-//
-//	-> {"op":"put","key":"user:7","value":"alice"}
-//	<- {"ok":true,"found":true}
-//	-> {"op":"get","key":"user:7"}
-//	<- {"ok":true,"found":true,"value":"alice"}
-//	-> {"op":"del","key":"user:7"}
-//	<- {"ok":true,"found":true}
-//	-> {"op":"stats"}
-//	<- {"ok":true,"stats":{...aggregate...},"shards":[{...per shard...}]}
-//
-// On SIGINT/SIGTERM the server stops accepting, quiesces every shard
-// mailbox (requests racing the drain are either committed before the
-// final barrier or refused with "draining" — never applied after the
-// recovery snapshot), drains and verifies every shard, and prints the
-// per-shard and combined reports. With -crash-at N every shard loses
+// On SIGINT/SIGTERM the server drains, verifies every shard and prints
+// the per-shard and combined report. With -crash-at N every shard loses
 // power at cycle N of its own clock; clients in a crashing batch still
 // get their responses (flagged "crashed":true) and the server drains the
 // surviving shards and verifies every crash image.
@@ -41,24 +21,18 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
-	"time"
 
 	"persistbarriers/internal/dlcheck"
-	"persistbarriers/internal/obs"
 	"persistbarriers/internal/pmkv"
-	"persistbarriers/internal/proto"
+	"persistbarriers/internal/server"
 	"persistbarriers/internal/sim"
-	"persistbarriers/internal/telemetry"
 )
 
 func main() {
@@ -79,7 +53,6 @@ func main() {
 
 		admin      = flag.String("admin", "", "admin HTTP address for /metrics, /statz, /debug/pprof (empty = off)")
 		flightDump = flag.String("flight-dump", "", "write the flight-recorder dump here on crash/drain (empty = off)")
-		flightRing = flag.Int("flight-ring", telemetry.DefaultRing, "per-shard flight-recorder capacity (rounded up to a power of two)")
 
 		selfcheck = flag.Int("selfcheck", 0, "run N crash-injection instants and exit (no server)")
 		sessions  = flag.Int("sessions", 6, "selfcheck: concurrent scripted sessions")
@@ -94,42 +67,27 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pmkvd: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	if *shards < 1 || *shards > pmkv.MaxShards {
-		fail("-shards must be in 1..%d, got %d", pmkv.MaxShards, *shards)
+	within := func(name string, v, lo, hi int) {
+		if v < lo || v > hi {
+			fail("-%s must be in %d..%d, got %d", name, lo, hi, v)
+		}
 	}
-	if *cores < 1 || *cores > 32 {
-		fail("-cores must be in 1..32, got %d", *cores)
+	atLeast := func(name string, v, lo int) {
+		if v < lo {
+			fail("-%s must be >= %d, got %d", name, lo, v)
+		}
 	}
-	if *buckets < 1 {
-		fail("-buckets must be >= 1, got %d", *buckets)
-	}
-	if *mailbox < 1 {
-		fail("-mailbox must be >= 1, got %d", *mailbox)
-	}
-	if *maxbatch < 1 {
-		fail("-maxbatch must be >= 1, got %d", *maxbatch)
-	}
-	if *selfcheck < 0 {
-		fail("-selfcheck must be >= 0, got %d", *selfcheck)
-	}
-	if *flightRing < 1 {
-		fail("-flight-ring must be >= 1, got %d", *flightRing)
-	}
-	if *window < 1 || *window > 4096 {
-		fail("-window must be in 1..4096, got %d", *window)
-	}
-	if *maxconns < 0 {
-		fail("-maxconns must be >= 0, got %d", *maxconns)
-	}
-	if *sessions < 1 {
-		fail("-sessions must be >= 1, got %d", *sessions)
-	}
-	if *rounds < 1 {
-		fail("-rounds must be >= 1, got %d", *rounds)
-	}
-	if *keyspace < 1 {
-		fail("-keyspace must be >= 1, got %d", *keyspace)
-	}
+	within("shards", *shards, 1, pmkv.MaxShards)
+	within("cores", *cores, 1, 32)
+	atLeast("buckets", *buckets, 1)
+	atLeast("mailbox", *mailbox, 1)
+	atLeast("maxbatch", *maxbatch, 1)
+	atLeast("selfcheck", *selfcheck, 0)
+	within("window", *window, 1, 4096)
+	atLeast("maxconns", *maxconns, 0)
+	atLeast("sessions", *sessions, 1)
+	atLeast("rounds", *rounds, 1)
+	atLeast("keyspace", *keyspace, 1)
 
 	mcfg := pmkv.SmallMachine()
 	mcfg.Cores = *cores
@@ -145,27 +103,21 @@ func main() {
 		Mailbox:  *mailbox,
 		MaxBatch: *maxbatch,
 	}
-	spec := pmkv.ScriptSpec{
-		Sessions: *sessions,
-		Rounds:   *rounds,
-		KeySpace: *keyspace,
-		Seed:     *seed,
-	}
 
 	if *selfcheck > 0 {
-		if err := runShardedSelfcheck(cfg, spec, *selfcheck); err != nil {
+		spec := pmkv.ScriptSpec{Sessions: *sessions, Rounds: *rounds, KeySpace: *keyspace, Seed: *seed}
+		if err := runSelfcheck(cfg, spec, *selfcheck); err != nil {
 			fmt.Fprintln(os.Stderr, "pmkvd: selfcheck FAILED:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	opts := serverOpts{
-		flightPath:  *flightDump,
-		flightRing:  *flightRing,
-		window:      *window,
-		maxConns:    *maxconns,
-		connTimeout: *connTimeout,
-		tracing:     *admin != "" || *flightDump != "",
+	opts := server.Options{
+		Window:      *window,
+		MaxConns:    *maxconns,
+		ConnTimeout: *connTimeout,
+		Tracing:     *admin != "",
+		FlightPath:  *flightDump,
 	}
 	if err := serve(*addr, *admin, cfg, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "pmkvd:", err)
@@ -173,31 +125,68 @@ func main() {
 	}
 }
 
-// runShardedSelfcheck executes the crash-injection sweep: one clean run
-// to size the cycle span, then n evenly spaced crash instants, each
-// fanned out to every shard, fully verified (epoch order, prefix closure,
-// KV atomicity, session order) and checked for a reproducible combined
-// fingerprint.
-func runShardedSelfcheck(cfg pmkv.ShardedConfig, spec pmkv.ScriptSpec, n int) error {
+// serve runs one server from listen to printed report.
+func serve(addr, adminAddr string, cfg pmkv.ShardedConfig, opts server.Options) error {
+	s, err := server.New(cfg, opts)
+	if err != nil {
+		return err
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	if adminAddr != "" {
+		adminLn, err := net.Listen("tcp", adminAddr)
+		if err != nil {
+			ln.Close()
+			return fmt.Errorf("admin listener: %w", err)
+		}
+		defer adminLn.Close()
+		go http.Serve(adminLn, s.AdminHandler())
+		fmt.Printf("pmkvd: admin endpoint on http://%s (/metrics /statz /debug/pprof)\n", adminLn.Addr())
+	}
+
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
+	go func() {
+		<-sigs
+		fmt.Fprintln(os.Stderr, "pmkvd: draining...")
+		s.BeginDrain()
+	}()
+
+	fmt.Printf("pmkvd: serving on %s (%d shards, %d cores each, %s barrier, %d buckets)\n",
+		ln.Addr(), cfg.Shards, cfg.Engine.Machine.Cores, cfg.Engine.Machine.BarrierName(), cfg.Engine.Buckets)
+	serveErr := s.Serve(ln)
+	rep, err := s.Close()
+	if werr := rep.WriteText(os.Stdout); err == nil {
+		err = werr
+	}
+	if err == nil {
+		err = serveErr
+	}
+	return err
+}
+
+// runSelfcheck executes the crash-injection sweep: one clean run to size
+// the cycle span, then n evenly spaced crash instants, each fanned out to
+// every shard, fully verified (epoch order, prefix closure, KV atomicity,
+// session order) and checked for a reproducible combined fingerprint.
+func runSelfcheck(cfg pmkv.ShardedConfig, spec pmkv.ScriptSpec, n int) error {
 	cfg.Engine.CrashAt = 0
 	clean, err := pmkv.RunShardedScript(cfg, spec)
 	if err != nil {
 		return fmt.Errorf("clean run: %w", err)
 	}
 	var span sim.Cycle
-	for _, r := range clean.PerShard {
-		if r.Cycles > span {
-			span = r.Cycles
-		}
+	verdicts := make([]*dlcheck.Verdict, len(clean.PerShard))
+	for i, r := range clean.PerShard {
+		span = max(span, r.Cycles)
+		verdicts[i] = r.DL
 	}
 	fmt.Printf("clean run: %d shards, span %d cycles, %d publishes, combined fingerprint %.16s\n",
 		len(clean.PerShard), span, clean.TotalPublishes(), clean.Fingerprint)
-	verdicts := make([]*dlcheck.Verdict, len(clean.PerShard))
-	for i, r := range clean.PerShard {
-		verdicts[i] = r.DL
-	}
-	if line := dlLine(verdicts); line != "" {
-		fmt.Printf("durable linearizability: %s\n", line)
+	if v := dlcheck.Merge(verdicts); v != nil {
+		fmt.Printf("durable linearizability: %s\n", v)
 	}
 	crashed := 0
 	for i, at := range pmkv.SweepInstants(span, n) {
@@ -223,521 +212,5 @@ func runShardedSelfcheck(cfg pmkv.ShardedConfig, spec pmkv.ScriptSpec, n int) er
 	}
 	fmt.Printf("selfcheck OK: %d shards x %d instants (%d mid-run crashes), all invariants held, recovery deterministic\n",
 		cfg.Shards, n, crashed)
-	return nil
-}
-
-// dlLine folds per-shard durable-linearizability verdicts into one
-// greppable report body ("" when the checker was off everywhere).
-func dlLine(vs []*dlcheck.Verdict) string {
-	var agg dlcheck.Verdict
-	any := false
-	for _, v := range vs {
-		if v == nil {
-			continue
-		}
-		any = true
-		agg.Ops += v.Ops
-		agg.Reads += v.Reads
-		agg.Publishes += v.Publishes
-		agg.Durable += v.Durable
-		agg.Acked += v.Acked
-		agg.Violations = append(agg.Violations, v.Violations...)
-	}
-	if !any {
-		return ""
-	}
-	return agg.String()
-}
-
-// request is the wire format of one client line.
-type request struct {
-	Op    string `json:"op"`
-	Key   string `json:"key"`
-	Value string `json:"value"`
-}
-
-// response is one server reply line. Value is a string because
-// encoding/json would base64 a []byte; invalid UTF-8 in a stored value
-// is replaced with U+FFFD.
-type response struct {
-	OK      bool   `json:"ok"`
-	Found   bool   `json:"found,omitempty"`
-	Value   string `json:"value,omitempty"`
-	Crashed bool   `json:"crashed,omitempty"`
-	Error   string `json:"error,omitempty"`
-}
-
-// shardStats is the per-shard element of a stats reply: the shard's
-// commit-pipeline counters plus its engine's service metrics.
-type shardStats struct {
-	pmkv.ShardMetrics
-	Service obs.ServiceStats `json:"service"`
-}
-
-// serverOpts carries everything that shapes a server besides the store
-// config itself; tests build servers directly from it.
-type serverOpts struct {
-	flightPath string // where finalReport writes the flight dump ("" = off)
-	flightRing int
-	window     int // binary protocol pipeline depth per connection
-	maxConns   int // accept limit (0 = unlimited)
-	// connTimeout, when > 0, is the rolling read idle deadline: a
-	// connection that sends nothing for this long is dropped.
-	connTimeout time.Duration
-	// writeTimeout bounds each response flush so a client that stops
-	// reading cannot pin the drain (default 5s).
-	writeTimeout time.Duration
-	tracing      bool // attach the stage tracer / flight recorder
-	// out receives the drain/recovery report (default os.Stdout);
-	// benchmarks discard it so report lines don't interleave with the
-	// benchmark output being parsed downstream.
-	out io.Writer
-}
-
-func (o *serverOpts) fill() {
-	if o.window <= 0 {
-		o.window = 128
-	}
-	if o.flightRing <= 0 {
-		o.flightRing = telemetry.DefaultRing
-	}
-	if o.writeTimeout <= 0 {
-		o.writeTimeout = 5 * time.Second
-	}
-	if o.out == nil {
-		o.out = os.Stdout
-	}
-}
-
-// server glues the listener, the per-connection readers, and the sharded
-// store whose workers own all engine forward progress.
-type server struct {
-	store      *pmkv.ShardedStore
-	collectors []*obs.Collector
-	tracer     *telemetry.Tracer // nil when telemetry is off; nil-safe throughout
-	opts       serverOpts
-	ln         net.Listener
-
-	mu       sync.Mutex
-	conns    map[net.Conn]bool
-	draining bool
-
-	wg sync.WaitGroup
-}
-
-// newServer builds the collectors, tracer, and sharded store. The caller
-// supplies the listener (via run) so tests can serve in-process.
-func newServer(cfg pmkv.ShardedConfig, opts serverOpts) (*server, error) {
-	opts.fill()
-	collectors := make([]*obs.Collector, cfg.Shards)
-	for i := range collectors {
-		collectors[i] = obs.NewCollector()
-	}
-	cfg.ConfigureShard = func(shard int, ecfg *pmkv.Config) {
-		ecfg.Machine.Probe = obs.NewProbe(collectors[shard])
-	}
-	s := &server{
-		collectors: collectors,
-		opts:       opts,
-		conns:      make(map[net.Conn]bool),
-	}
-	// The stage tracer rides along whenever anything consumes it: the
-	// admin endpoint exposes it live, the flight dump post-mortem.
-	if opts.tracing {
-		s.tracer = telemetry.New(telemetry.Config{Shards: cfg.Shards, Ring: opts.flightRing})
-	}
-	// OnCrash runs on the crashing shard's worker goroutine; the drain must
-	// start elsewhere (BeginDrain waits on producers only workers unblock).
-	cfg.OnCrash = func(shard int) {
-		fmt.Fprintf(os.Stderr, "pmkvd: shard %d lost power, draining...\n", shard)
-		go s.beginDrain()
-	}
-	store, err := pmkv.NewSharded(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.store = store
-	return s, nil
-}
-
-// run accepts on ln until the drain begins, then waits out every
-// connection and produces the final verified report.
-func (s *server) run(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		ln.Close()
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			break // listener closed: drain begins
-		}
-		if !s.track(conn) {
-			conn.Close()
-			continue
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
-
-	s.beginDrain() // idempotent; also covers listener errors
-	s.wg.Wait()
-
-	return s.finalReport()
-}
-
-func serve(addr, adminAddr string, cfg pmkv.ShardedConfig, opts serverOpts) error {
-	opts.tracing = opts.tracing || adminAddr != ""
-	s, err := newServer(cfg, opts)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-
-	var adminLn net.Listener
-	if adminAddr != "" {
-		adminLn, err = s.startAdmin(adminAddr)
-		if err != nil {
-			ln.Close()
-			return fmt.Errorf("admin listener: %w", err)
-		}
-		defer adminLn.Close()
-		fmt.Printf("pmkvd: admin endpoint on http://%s (/metrics /statz /debug/pprof)\n", adminLn.Addr())
-	}
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		<-sigs
-		fmt.Fprintln(os.Stderr, "pmkvd: draining...")
-		s.beginDrain()
-	}()
-
-	fmt.Printf("pmkvd: serving on %s (%d shards, %d cores each, %s barrier, %d buckets)\n",
-		ln.Addr(), cfg.Shards, cfg.Engine.Machine.Cores, cfg.Engine.Machine.BarrierName(), cfg.Engine.Buckets)
-	return s.run(ln)
-}
-
-// track registers a connection unless the server is draining or the
-// -maxconns accept limit is hit.
-func (s *server) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return false
-	}
-	if s.opts.maxConns > 0 && len(s.conns) >= s.opts.maxConns {
-		return false
-	}
-	s.conns[conn] = true
-	return true
-}
-
-func (s *server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
-
-// beginDrain stops accepting, quiesces every shard mailbox, and unblocks
-// connection readers. Ordering matters: the store drain comes first, so a
-// request that races it is either already in a mailbox (committed and
-// acked before the final barrier) or refused with ErrDraining — and the
-// readers are then unblocked with an immediate deadline rather than a
-// close, so in-flight responses (the crashed-batch replies in particular)
-// are still written before each handler returns.
-func (s *server) beginDrain() {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return
-	}
-	s.draining = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.store.BeginDrain()
-	for _, c := range conns {
-		c.SetReadDeadline(time.Now())
-	}
-}
-
-// handle runs one connection, auto-detecting its protocol from the
-// first byte: the binary request magic (0xB1, high bit set) opens the
-// pipelined path; anything else — a JSON line starts with '{' or
-// whitespace, all < 0x80 — falls through to the line protocol.
-func (s *server) handle(conn net.Conn) {
-	defer s.untrack(conn)
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	s.armReadDeadline(conn)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == proto.FrameRequest {
-		s.handleBinary(conn, br)
-		return
-	}
-	s.handleJSON(conn, br)
-}
-
-// armReadDeadline (re)arms the rolling idle deadline, then re-checks the
-// drain flag: beginDrain's immediate deadline must win the race against
-// a reader extending its own, or a drain could stall for a full idle
-// period.
-func (s *server) armReadDeadline(conn net.Conn) {
-	if s.opts.connTimeout <= 0 {
-		return
-	}
-	conn.SetReadDeadline(time.Now().Add(s.opts.connTimeout))
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		conn.SetReadDeadline(time.Now())
-	}
-}
-
-// handleJSON runs one JSON-line connection: a session whose operations
-// execute in program order on each shard, one request in flight at a
-// time. This is the debug and differential-oracle protocol (the binary
-// protocol is the fast one), so it encodes with encoding/json.
-func (s *server) handleJSON(conn net.Conn, br *bufio.Reader) {
-	sess := s.store.NewSession()
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	w := bufio.NewWriterSize(conn, 32<<10)
-	enc := json.NewEncoder(w)
-	// One request in flight, so one completion slot serves every op.
-	done := make(chan pmkv.Completion, 1)
-	// One span per connection, reused for every request: the stamp/fold
-	// path stays allocation-free (enforced by telemetry's AllocsPerRun
-	// guards), so tracing costs a few clock reads per op.
-	var span *telemetry.Span
-	if s.tracer.Enabled() {
-		span = new(telemetry.Span)
-	}
-	for {
-		s.armReadDeadline(conn)
-		if !sc.Scan() {
-			return
-		}
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		span.Reset()
-		span.Stamp(telemetry.StageConnRead)
-		var req request
-		var reply any
-		ack := pmkv.ShardAck{Shard: -1}
-		if err := json.Unmarshal(line, &req); err != nil {
-			reply = response{Error: "bad request: " + err.Error()}
-		} else if req.Op == "stats" {
-			reply = s.statsReply()
-		} else {
-			reply, ack = s.dispatch(sess, req, span, done)
-		}
-		if err := enc.Encode(reply); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if span != nil && ack.Shard >= 0 && ack.Err == nil {
-			span.Stamp(telemetry.StageAckWritten)
-			if req.Op == "get" {
-				d := span.Wall[telemetry.StageAckWritten] - span.Wall[telemetry.StageConnRead]
-				if d > 0 {
-					s.tracer.ObserveReadPath(ack.Shard, ack.Fast, uint64(d))
-				}
-			}
-			s.tracer.Complete(ack.Shard, span, telemetry.Meta{
-				Op:      req.Op,
-				Sess:    sess.ID,
-				Key:     req.Key,
-				Durable: ack.Durable,
-				Crashed: ack.Crashed,
-				OK:      true,
-			})
-		}
-	}
-}
-
-// dispatch routes one data operation to its shard, waits for the ack on
-// the connection's completion slot, and shapes the reply. The returned
-// ack's Shard is -1 when the request never reached a shard (unknown op,
-// missing key), so the caller knows not to trace it.
-func (s *server) dispatch(sess *pmkv.ShardedSession, req request, span *telemetry.Span, done chan pmkv.Completion) (response, pmkv.ShardAck) {
-	none := pmkv.ShardAck{Shard: -1}
-	var op pmkv.Op
-	switch req.Op {
-	case "get":
-		op = pmkv.Get
-	case "put":
-		op = pmkv.Put
-	case "del":
-		op = pmkv.Delete
-	default:
-		return response{Error: fmt.Sprintf("unknown op %q", req.Op)}, none
-	}
-	if req.Key == "" {
-		return response{Error: "missing key"}, none
-	}
-	shard, err := s.store.DoAsync(sess, op, req.Key, []byte(req.Value), span, 0, done)
-	ack := pmkv.ShardAck{Shard: shard, Err: err}
-	if err == nil {
-		ack = (<-done).Ack
-	}
-	switch {
-	case ack.Err == pmkv.ErrDraining:
-		return response{Error: "draining"}, ack
-	case ack.Err != nil:
-		return response{Error: ack.Err.Error()}, ack
-	}
-	return response{OK: true, Found: ack.Resp.Found, Value: string(ack.Resp.Value), Crashed: ack.Crashed}, ack
-}
-
-// statsReply is the stats reply (aggregate + per-shard, plus the stage
-// breakdown when tracing is on), pre-marshaled so a value encoding/json
-// rejects becomes an error line instead of a dropped connection.
-func (s *server) statsReply() any {
-	line, err := json.Marshal(s.statz())
-	if err != nil {
-		return response{Error: "stats: " + err.Error()}
-	}
-	return json.RawMessage(line)
-}
-
-// finalReport closes the store (per-shard drain, or crash snapshot where
-// a shard lost power), verifies every shard's recovery invariants, and
-// prints per-shard plus combined outcomes.
-func (s *server) finalReport() error {
-	crashed := s.store.Crashed()
-	results, err := s.store.Close()
-	verdicts := make([]*dlcheck.Verdict, len(results))
-	for i, r := range results {
-		verdicts[i] = r.DL
-	}
-	if err != nil {
-		// Close folds checker rejections into its error; the verdict line
-		// still prints so the smoke scripts can grep it on either path.
-		if line := dlLine(verdicts); line != "" {
-			fmt.Fprintf(s.opts.out, "  durable linearizability: %s\n", line)
-		}
-		return fmt.Errorf("recovery verification FAILED: %w", err)
-	}
-	mode := "clean drain"
-	if crashed {
-		mode = "CRASH"
-	}
-	fmt.Fprintf(s.opts.out, "pmkvd: %s across %d shards\n", mode, len(results))
-	fps := make([]string, len(results))
-	recovered := 0
-	for i, r := range results {
-		st := s.collectors[i].Snapshot()
-		shardMode := "clean"
-		if r.Crashed {
-			shardMode = fmt.Sprintf("crashed at cycle %d", r.Cycles)
-		}
-		fmt.Fprintf(s.opts.out, "  shard %d: %s after %d cycles; publishes %d durable / %d total; %d keys; %d epochs persisted (p50=%d p99=%d cycles); folded %d / retained %d\n",
-			r.Shard, shardMode, r.Cycles, r.Report.DurablePublishes, r.Report.TotalPublishes,
-			r.Report.RecoveredKeys, st.EpochsPersisted, st.LatencyP50, st.LatencyP99,
-			r.Retention.Folded, r.Retention.Retained)
-		fps[i] = r.Report.Fingerprint
-		recovered += r.Report.RecoveredKeys
-	}
-	fmt.Fprintf(s.opts.out, "  recovered keys: %d; combined fingerprint %.16s\n", recovered, pmkv.CombineFingerprints(fps))
-	fmt.Fprintf(s.opts.out, "  recovery invariants: OK\n")
-	if line := dlLine(verdicts); line != "" {
-		fmt.Fprintf(s.opts.out, "  durable linearizability: %s\n", line)
-	}
-	if err := s.flightReport(results); err != nil {
-		return err
-	}
-	return nil
-}
-
-// flightReport writes the flight-recorder dump and cross-checks it
-// against the recovery reports: every non-crashed acked op carried a
-// durable watermark at ack time, and the final image's durable prefix
-// can only have grown since — so the largest acked watermark per shard
-// must be covered by that shard's recovered DurablePublishes. A
-// violation means an ack escaped before its write was durable, which is
-// exactly the bug class the paper's write-entry discipline exists to
-// prevent.
-func (s *server) flightReport(results []pmkv.ShardResult) error {
-	if !s.tracer.Enabled() {
-		return nil
-	}
-	if stages := s.tracer.StageSummary(); len(stages) > 0 {
-		fmt.Fprintf(s.opts.out, "  stage breakdown (pooled across shards, microseconds):\n")
-		for _, st := range stages {
-			if st.Count == 0 {
-				continue
-			}
-			fmt.Fprintf(s.opts.out, "    %-12s n=%-8d mean=%-10.1f p50=%-10.1f p90=%-10.1f p99=%.1f\n",
-				st.Stage, st.Count, st.MeanUS, st.P50US, st.P90US, st.P99US)
-		}
-	}
-	dump := s.tracer.Dump()
-	events := 0
-	bad := 0
-	for _, fs := range dump.Shards {
-		durable := -1
-		for _, r := range results {
-			if r.Shard == fs.Shard {
-				durable = r.Report.DurablePublishes
-			}
-		}
-		events += fs.Retained
-		for _, ev := range fs.Events {
-			if ev.OK && !ev.Crashed && durable >= 0 && ev.Durable > durable {
-				bad++
-				fmt.Fprintf(os.Stderr, "pmkvd: shard %d op %s %q acked at watermark %d but only %d publishes recovered durable\n",
-					fs.Shard, ev.Op, ev.Key, ev.Durable, durable)
-			}
-		}
-	}
-	if s.opts.flightPath != "" {
-		f, err := os.Create(s.opts.flightPath)
-		if err != nil {
-			return fmt.Errorf("flight dump: %w", err)
-		}
-		if err := s.tracer.WriteDump(f); err != nil {
-			f.Close()
-			return fmt.Errorf("flight dump: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("flight dump: %w", err)
-		}
-	}
-	where := "not written (-flight-dump unset)"
-	if s.opts.flightPath != "" {
-		where = s.opts.flightPath
-	}
-	if bad > 0 {
-		fmt.Fprintf(s.opts.out, "  flight recorder: %d events, dump %s, consistency FAILED (%d acks beyond durable prefix)\n",
-			events, where, bad)
-		return fmt.Errorf("flight recorder: %d acked ops beyond the recovered durable prefix", bad)
-	}
-	fmt.Fprintf(s.opts.out, "  flight recorder: %d events, dump %s, consistency OK (acked watermarks within durable prefix)\n",
-		events, where)
 	return nil
 }

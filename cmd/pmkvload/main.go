@@ -15,10 +15,11 @@
 // delay (send - scheduled: time spent blocked behind the pipe or the
 // window) and service time (completion - send: the server round trip).
 //
-// Output is a throughput line plus latency histogram summaries
-// (p50/p90/p99/p99.9/max, from power-of-two microsecond buckets merged
-// across connections); -json emits the same numbers as one JSON object
-// for scripts.
+// Output is a throughput line plus latency summaries (p50/p90/p99/p99.9
+// from internal/hist microsecond histograms merged across connections —
+// nearest-rank bucket upper bounds, at most 12.5 % above the sample —
+// plus exact mean and max); -json emits the same numbers as one JSON
+// object for scripts.
 //
 // The generator is deterministic per seed: connection i derives its rng
 // from -seed and i, so two runs against the same server configuration
@@ -39,56 +40,27 @@ import (
 	"sync/atomic"
 	"time"
 
+	"persistbarriers/internal/hist"
 	"persistbarriers/internal/proto"
 	"persistbarriers/internal/proto/client"
 	"persistbarriers/internal/telemetry"
 )
 
-const histBuckets = 40 // bucket i holds latencies < 2^i microseconds
-
-type request struct {
-	Op    string `json:"op"`
-	Key   string `json:"key"`
-	Value string `json:"value,omitempty"`
-}
-
-type response struct {
-	OK      bool   `json:"ok"`
-	Found   bool   `json:"found"`
-	Value   string `json:"value"`
-	Crashed bool   `json:"crashed"`
-	Error   string `json:"error"`
-}
-
-// latDist is one latency distribution (power-of-two microsecond
-// buckets).
-type latDist struct {
-	hist  [histBuckets]uint64
+// dist is one latency distribution in microseconds: the shared
+// histogram plus the exact maximum, which no bucket bound can give.
+type dist struct {
+	hist.Hist
 	maxUS uint64
-	sumUS uint64
 }
 
-func (d *latDist) record(us uint64) {
-	if us > d.maxUS {
-		d.maxUS = us
-	}
-	d.sumUS += us
-	b := 0
-	for us > 0 && b < histBuckets-1 {
-		us >>= 1
-		b++
-	}
-	d.hist[b]++
+func (d *dist) record(us uint64) {
+	d.maxUS = max(d.maxUS, us)
+	d.Observe(us)
 }
 
-func (d *latDist) merge(o *latDist) {
-	d.sumUS += o.sumUS
-	if o.maxUS > d.maxUS {
-		d.maxUS = o.maxUS
-	}
-	for b := range o.hist {
-		d.hist[b] += o.hist[b]
-	}
+func (d *dist) merge(o *dist) {
+	d.maxUS = max(d.maxUS, o.maxUS)
+	d.Merge(&o.Hist)
 }
 
 // opDists bundles the three latency distributions for one op kind:
@@ -96,9 +68,9 @@ func (d *latDist) merge(o *latDist) {
 // gap between the two.
 type opDists struct {
 	ops   uint64
-	total latDist
-	svc   latDist
-	queue latDist
+	total dist
+	svc   dist
+	queue dist
 }
 
 func (d *opDists) record(scheduledToDone, sendToDone, queued time.Duration) {
@@ -131,9 +103,9 @@ type connStats struct {
 	errors   uint64
 	crashed  uint64
 	draining uint64
-	total    latDist
-	svc      latDist
-	queue    latDist
+	total    dist
+	svc      dist
+	queue    dist
 	read     opDists
 	write    opDists
 }
@@ -362,18 +334,18 @@ func runJSONConn(addr string, id int, deadline time.Time, interval time.Duration
 			next = next.Add(interval)
 		}
 		key := fmt.Sprintf("k%06d", smp.key())
-		var req request
+		var req proto.LineRequest
 		isRead := false
 		switch smp.op() {
 		case 0:
-			req = request{Op: "get", Key: key}
+			req = proto.LineRequest{Op: "get", Key: key}
 			st.gets++
 			isRead = true
 		case 2:
-			req = request{Op: "del", Key: key}
+			req = proto.LineRequest{Op: "del", Key: key}
 			st.dels++
 		default:
-			req = request{Op: "put", Key: key, Value: value}
+			req = proto.LineRequest{Op: "put", Key: key, Value: value}
 			st.puts++
 		}
 		line, err := json.Marshal(req)
@@ -397,7 +369,7 @@ func runJSONConn(addr string, id int, deadline time.Time, interval time.Duration
 		st.record(done.Sub(scheduled), done.Sub(sent), sent.Sub(scheduled), isRead)
 		st.ops++
 
-		var resp response
+		var resp proto.LineResponse
 		if err := json.Unmarshal(respLine, &resp); err != nil {
 			st.errors++
 			continue
@@ -573,29 +545,6 @@ func runBinaryConn(addr string, id int, deadline time.Time, interval time.Durati
 	return nil
 }
 
-// percentileUS returns the upper bound, in microseconds, of the bucket
-// holding the p-th percentile sample.
-func percentileUS(hist *[histBuckets]uint64, total uint64, p float64) uint64 {
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(float64(total) * p)
-	if rank >= total {
-		rank = total - 1
-	}
-	var seen uint64
-	for b := 0; b < histBuckets; b++ {
-		seen += hist[b]
-		if seen > rank {
-			if b == 0 {
-				return 1
-			}
-			return uint64(1) << b
-		}
-	}
-	return uint64(1) << (histBuckets - 1)
-}
-
 // summarySchemaVersion identifies the -json layout. Adding fields is
 // backward compatible; bump this when a field is renamed, removed, or
 // changes meaning. TestSummarySchemaLocked pins the current set.
@@ -608,6 +557,9 @@ func percentileUS(hist *[histBuckets]uint64, total uint64, p float64) uint64 {
 // v4: adds read/write objects splitting every latency distribution by op
 // kind (gets vs puts+deletes), so the read fast path's effect shows
 // without a second filtered run. The flat combined fields are unchanged.
+// (Percentile values have since become finer — bucket bounds at most
+// 12.5 % above the sample rather than the next power of two — with no
+// field added, renamed or removed.)
 const summarySchemaVersion = 4
 
 // KindSummary is one op kind's slice of the latency numbers (read =
@@ -632,9 +584,9 @@ type KindSummary struct {
 
 // kindSummary folds one op kind's distributions into its summary slice.
 func kindSummary(d *opDists) KindSummary {
-	mean, p50, p90, p99, p999 := distSummary(&d.total, d.ops)
-	svcMean, svcP50, _, svcP99, _ := distSummary(&d.svc, d.ops)
-	qMean, qP50, _, qP99, _ := distSummary(&d.queue, d.ops)
+	mean, p50, p90, p99, p999 := distSummary(&d.total)
+	svcMean, svcP50, _, svcP99, _ := distSummary(&d.svc)
+	qMean, qP50, _, qP99, _ := distSummary(&d.queue)
 	return KindSummary{
 		Ops:         d.ops,
 		MeanUS:      mean,
@@ -698,12 +650,8 @@ type Summary struct {
 
 // distSummary folds one latency distribution into (mean, p50, p90, p99,
 // p99.9) microseconds.
-func distSummary(d *latDist, ops uint64) (mean, p50, p90, p99, p999 uint64) {
-	if ops > 0 {
-		mean = d.sumUS / ops
-	}
-	return mean, percentileUS(&d.hist, ops, 0.50), percentileUS(&d.hist, ops, 0.90),
-		percentileUS(&d.hist, ops, 0.99), percentileUS(&d.hist, ops, 0.999)
+func distSummary(d *dist) (mean, p50, p90, p99, p999 uint64) {
+	return uint64(d.Mean()), d.Percentile(50), d.Percentile(90), d.Percentile(99), d.Percentile(99.9)
 }
 
 func report(stats []connStats, elapsed time.Duration, conns int, protoName string, window int, jsonOut bool, stages []telemetry.StageStats, shards []ServerShard) {
@@ -726,9 +674,9 @@ func report(stats []connStats, elapsed time.Duration, conns int, protoName strin
 		total.write.merge(&s.write)
 	}
 	opsPerSec := float64(total.ops) / elapsed.Seconds()
-	mean, p50, p90, p99, p999 := distSummary(&total.total, total.ops)
-	svcMean, svcP50, svcP90, svcP99, svcP999 := distSummary(&total.svc, total.ops)
-	qMean, qP50, _, qP99, _ := distSummary(&total.queue, total.ops)
+	mean, p50, p90, p99, p999 := distSummary(&total.total)
+	svcMean, svcP50, svcP90, svcP99, svcP999 := distSummary(&total.svc)
+	qMean, qP50, _, qP99, _ := distSummary(&total.queue)
 	if protoName == "json" {
 		window = 1 // one op in flight by construction
 	}

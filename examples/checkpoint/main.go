@@ -84,7 +84,7 @@ func main() {
 		if err := recovery.CheckAtomicity(g, recovered); err != nil {
 			log.Fatalf("recovered state NOT epoch-atomic: %v", err)
 		}
-		if err := recovery.CheckOrdering(g, result.Image, 1); err != nil {
+		if err := recovery.CheckOrdering(g, result.Image); err != nil {
 			log.Fatalf("persist ordering violated: %v", err)
 		}
 		fmt.Println("recovered state is epoch-atomic ✓ — restart from the last checkpoint is safe")

@@ -102,6 +102,28 @@ func (v *Verdict) String() string {
 	return fmt.Sprintf("FAILED (%d violations; first: %s)", len(v.Violations), v.Violations[0].Msg)
 }
 
+// Merge folds per-shard verdicts into one: counts add, violations
+// concatenate in shard order. Nil verdicts (shards that ran without the
+// checker) are skipped, and the result is nil when every one is.
+func Merge(vs []*Verdict) *Verdict {
+	var agg *Verdict
+	for _, v := range vs {
+		if v == nil {
+			continue
+		}
+		if agg == nil {
+			agg = new(Verdict)
+		}
+		agg.Ops += v.Ops
+		agg.Reads += v.Reads
+		agg.Publishes += v.Publishes
+		agg.Durable += v.Durable
+		agg.Acked += v.Acked
+		agg.Violations = append(agg.Violations, v.Violations...)
+	}
+	return agg
+}
+
 // Check decides durable linearizability of the image. It runs entirely
 // at check time: per-session lost thresholds come from the first
 // non-durable publish in program order, full clocks are reconstructed

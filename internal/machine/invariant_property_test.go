@@ -81,7 +81,7 @@ func checkInvariants(t *testing.T, cfg Config, p *trace.Program, crash sim.Cycle
 		t.Fatal(err)
 	}
 	g := recovery.NewGraph(r.Histories)
-	if err := recovery.CheckOrdering(g, r.Image, 1); err != nil {
+	if err := recovery.CheckOrdering(g, r.Image); err != nil {
 		t.Fatalf("%s: invariant 1 (epoch order): %v", label, err)
 	}
 	if err := recovery.CheckPersistedClosed(g, r.Image); err != nil {

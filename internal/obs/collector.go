@@ -3,6 +3,7 @@ package obs
 import (
 	"sync"
 
+	"persistbarriers/internal/hist"
 	"persistbarriers/internal/sim"
 )
 
@@ -18,35 +19,33 @@ type ServiceStats struct {
 	ConflictsInter    uint64 `json:"conflicts_inter"`
 	ConflictsEviction uint64 `json:"conflicts_eviction"`
 
-	// Persist latency (epoch completion to durability), in cycles.
-	// Percentiles are the pow-2 bucket upper bounds of the nearest-rank
-	// sample over all samples since the collector was built.
+	// Persist latency (epoch completion to durability), in cycles, over
+	// all samples since the collector was built. The percentiles are
+	// LatencyHist's (see hist.Hist.Percentile); the histogram itself rides
+	// along so per-shard snapshots merge exactly in AggregateServiceStats
+	// and an exposition can report the exact sum.
 	LatencySamples int       `json:"latency_samples"`
 	LatencyP50     sim.Cycle `json:"latency_p50"`
 	LatencyP90     sim.Cycle `json:"latency_p90"`
 	LatencyP99     sim.Cycle `json:"latency_p99"`
-
-	// LatencyHist carries the raw pow-2 bucket counts (bucket b counts
-	// latencies with bits.Len64(v) == b; trailing zero buckets trimmed) so
-	// per-shard snapshots merge exactly in AggregateServiceStats.
-	LatencyHist []uint64 `json:"latency_hist,omitempty"`
+	LatencyHist    hist.Hist `json:"latency_hist,omitzero"`
 }
 
-// EpochsPerKcycle is durable epochs per kilocycle — the engine's service
-// throughput in simulated time.
-func (s ServiceStats) EpochsPerKcycle() float64 {
-	if s.Cycle == 0 {
-		return 0
-	}
-	return float64(s.EpochsPersisted) / float64(s.Cycle) * 1000
+// setLatency fills the latency summary fields from h.
+func (s *ServiceStats) setLatency(h *hist.Hist) {
+	s.LatencyHist = *h
+	s.LatencySamples = int(h.Total())
+	s.LatencyP50 = sim.Cycle(h.Percentile(50))
+	s.LatencyP90 = sim.Cycle(h.Percentile(90))
+	s.LatencyP99 = sim.Cycle(h.Percentile(99))
 }
 
 // Collector is a Sink that folds the event stream into live serving
 // metrics: epoch throughput, persist-latency percentiles, and conflict
 // counts by kind. Unlike the Sampler it is safe for concurrent use — a
 // server's stats endpoint reads Snapshot while the engine emits. Latency
-// samples fold into a power-of-two histogram at emission time, so
-// Snapshot never sorts and never drops samples.
+// samples fold into a histogram at emission time, so Snapshot never
+// sorts and never drops samples.
 type Collector struct {
 	mu sync.Mutex
 
@@ -64,10 +63,8 @@ type Collector struct {
 	// keyed by (core, epoch). Entries are consumed by the persist event.
 	completedAt map[[2]int64]sim.Cycle
 
-	// hist folds complete->persist latencies; samples is its running
-	// total (maintained incrementally so Snapshot stays O(buckets)).
-	hist    Hist
-	samples uint64
+	// latency folds complete->persist latencies.
+	latency hist.Hist
 }
 
 // NewCollector builds a collector.
@@ -96,8 +93,7 @@ func (c *Collector) Emit(ev Event) {
 		key := [2]int64{int64(ev.Core), ev.Epoch}
 		if done, ok := c.completedAt[key]; ok {
 			delete(c.completedAt, key)
-			c.hist.Observe(uint64(ev.Cycle - done))
-			c.samples++
+			c.latency.Observe(uint64(ev.Cycle - done))
 		}
 	case KConflict:
 		switch ev.Label {
@@ -123,25 +119,19 @@ func (c *Collector) Snapshot() ServiceStats {
 		ConflictsIntra:    c.intra,
 		ConflictsInter:    c.inter,
 		ConflictsEviction: c.eviction,
-		LatencySamples:    int(c.samples),
 	}
-	if c.samples > 0 {
-		s.LatencyP50 = sim.Cycle(c.hist.Percentile(50))
-		s.LatencyP90 = sim.Cycle(c.hist.Percentile(90))
-		s.LatencyP99 = sim.Cycle(c.hist.Percentile(99))
-		s.LatencyHist = c.hist.Trimmed()
-	}
+	s.setLatency(&c.latency)
 	return s
 }
 
 // AggregateServiceStats folds per-shard snapshots into one store-wide
 // view: counters sum, Cycle is the furthest shard clock, and latency
-// percentiles are computed over the exact merged histogram (pow-2 bucket
+// percentiles are computed over the exact merged histogram (bucket
 // counts add), so the pooled percentiles are true percentiles of the
 // union of all shards' samples.
 func AggregateServiceStats(per []ServiceStats) ServiceStats {
 	var agg ServiceStats
-	var merged Hist
+	var merged hist.Hist
 	for _, s := range per {
 		if s.Cycle > agg.Cycle {
 			agg.Cycle = s.Cycle
@@ -152,15 +142,8 @@ func AggregateServiceStats(per []ServiceStats) ServiceStats {
 		agg.ConflictsIntra += s.ConflictsIntra
 		agg.ConflictsInter += s.ConflictsInter
 		agg.ConflictsEviction += s.ConflictsEviction
-		agg.LatencySamples += s.LatencySamples
-		h := HistFromCounts(s.LatencyHist)
-		merged.Merge(&h)
+		merged.Merge(&s.LatencyHist)
 	}
-	if merged.Total() > 0 {
-		agg.LatencyP50 = sim.Cycle(merged.Percentile(50))
-		agg.LatencyP90 = sim.Cycle(merged.Percentile(90))
-		agg.LatencyP99 = sim.Cycle(merged.Percentile(99))
-		agg.LatencyHist = merged.Trimmed()
-	}
+	agg.setLatency(&merged)
 	return agg
 }

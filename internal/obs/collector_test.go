@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"persistbarriers/internal/hist"
 	"persistbarriers/internal/sim"
 )
 
@@ -13,8 +14,8 @@ func TestCollectorLatencyAndCounts(t *testing.T) {
 	c := NewCollector()
 	p := NewProbe(c)
 	// Three epochs: complete at t, persist at t+lat. Percentiles are
-	// pow-2 bucket upper bounds of the nearest-rank sample: 20 -> 31,
-	// 300 -> 511.
+	// bucket upper bounds of the nearest-rank sample: 20 -> 21 (a bucket
+	// two wide), 300 -> 319 (32 wide).
 	lats := []sim.Cycle{10, 20, 300}
 	for i, lat := range lats {
 		t0 := sim.Cycle(100 * (i + 1))
@@ -39,21 +40,21 @@ func TestCollectorLatencyAndCounts(t *testing.T) {
 	if s.LatencySamples != 3 {
 		t.Fatalf("latency samples: %+v", s)
 	}
-	if s.LatencyP50 != 31 {
-		t.Fatalf("p50 = %d, want 31 (bucket of sample 20)", s.LatencyP50)
+	if s.LatencyP50 != 21 {
+		t.Fatalf("p50 = %d, want 21 (bucket of sample 20)", s.LatencyP50)
 	}
-	if s.LatencyP99 != 511 {
-		t.Fatalf("p99 = %d, want 511 (bucket of sample 300)", s.LatencyP99)
+	if s.LatencyP99 != 319 {
+		t.Fatalf("p99 = %d, want 319 (bucket of sample 300)", s.LatencyP99)
 	}
 	if s.Cycle != 720 {
 		t.Fatalf("cycle = %d, want 720", s.Cycle)
 	}
-	if len(s.LatencyHist) == 0 {
-		t.Fatal("snapshot carries no histogram")
+	var want hist.Hist
+	for _, lat := range lats {
+		want.Observe(uint64(lat))
 	}
-	// 10 -> bucket 4, 20 -> bucket 5, 300 -> bucket 9.
-	if s.LatencyHist[4] != 1 || s.LatencyHist[5] != 1 || s.LatencyHist[9] != 1 {
-		t.Fatalf("hist = %v", s.LatencyHist)
+	if s.LatencyHist != want {
+		t.Fatalf("snapshot histogram is not the three samples: sum %d", s.LatencyHist.Sum)
 	}
 }
 
@@ -101,10 +102,10 @@ func TestCollectorNoSampleLoss(t *testing.T) {
 	if s.LatencySamples != 10100 {
 		t.Fatalf("samples = %d, want 10100 (histogram must not drop)", s.LatencySamples)
 	}
-	if s.LatencyP50 != 7 {
-		t.Fatalf("p50 = %d, want 7 (bucket of the dominant 5-cycle mass)", s.LatencyP50)
+	if s.LatencyP50 != 5 {
+		t.Fatalf("p50 = %d, want 5 (the dominant 5-cycle mass)", s.LatencyP50)
 	}
-	if s.LatencyP99 != 7 {
+	if s.LatencyP99 != 5 {
 		t.Fatalf("p99 = %d: the 1%% tail must not capture p99 of 10100 samples", s.LatencyP99)
 	}
 	if s.EpochsPersisted != 10100 {
@@ -122,8 +123,8 @@ func TestCollectorPersistWithoutComplete(t *testing.T) {
 	if s.EpochsPersisted != 1 || s.LatencySamples != 0 {
 		t.Fatalf("%+v", s)
 	}
-	if s.LatencyHist != nil {
-		t.Fatalf("empty collector carries hist: %v", s.LatencyHist)
+	if s.LatencyHist != (hist.Hist{}) {
+		t.Fatalf("empty collector carries a histogram: sum %d", s.LatencyHist.Sum)
 	}
 }
 
@@ -148,81 +149,26 @@ func TestCollectorConcurrentSnapshot(t *testing.T) {
 	}
 }
 
-func TestHistBasics(t *testing.T) {
-	var h Hist
-	if h.Total() != 0 || h.Percentile(50) != 0 || h.Trimmed() != nil {
-		t.Fatal("zero hist not empty")
-	}
-	h.Observe(0)
-	h.Observe(1)
-	h.Observe(20)
-	if h.Total() != 3 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Counts[0] != 1 || h.Counts[1] != 1 || h.Counts[5] != 1 {
-		t.Fatalf("counts = %v", h.Counts[:8])
-	}
-	if got := h.Percentile(50); got != 1 {
-		t.Fatalf("p50 = %d, want 1", got)
-	}
-	if got := h.Percentile(99); got != 31 {
-		t.Fatalf("p99 = %d, want 31", got)
-	}
-	tr := h.Trimmed()
-	if len(tr) != 6 {
-		t.Fatalf("trimmed len = %d, want 6", len(tr))
-	}
-	back := HistFromCounts(tr)
-	if back != h {
-		t.Fatal("round-trip through Trimmed/HistFromCounts lost counts")
-	}
-	// Nearest-rank edges: one sample answers every percentile, and with
-	// two samples p50 is the first and p99 the last.
-	var one, two Hist
-	one.Observe(42)
-	for _, p := range []int{0, 1, 50, 99, 100} {
-		if got := one.Percentile(p); got != 63 {
-			t.Fatalf("n=1 p%d = %d, want 63 (bucket of 42)", p, got)
-		}
-	}
-	two.Observe(3)
-	two.Observe(9)
-	if p50, p99 := two.Percentile(50), two.Percentile(99); p50 != 3 || p99 != 15 {
-		t.Fatalf("n=2 p50/p99 = %d/%d, want 3/15", p50, p99)
-	}
-	// Oversized input folds into the last bucket.
-	big := make([]uint64, HistBuckets+5)
-	big[HistBuckets+4] = 3
-	if got := HistFromCounts(big); got.Counts[HistBuckets-1] != 3 {
-		t.Fatal("overflow buckets must fold into the last bucket")
-	}
-}
-
 // TestAggregateServiceStats: pooled percentiles over the merged
 // histogram are exact — a shard with many fast samples pulls the pooled
 // p50 down to its bucket, which the old elementwise-max rule could not
 // represent.
 func TestAggregateServiceStats(t *testing.T) {
 	build := func(samples []uint64) ServiceStats {
-		var h Hist
+		var s ServiceStats
 		for _, v := range samples {
-			h.Observe(v)
+			s.LatencyHist.Observe(v)
 		}
-		return ServiceStats{
-			LatencySamples: len(samples),
-			LatencyP50:     sim.Cycle(h.Percentile(50)),
-			LatencyP90:     sim.Cycle(h.Percentile(90)),
-			LatencyP99:     sim.Cycle(h.Percentile(99)),
-			LatencyHist:    h.Trimmed(),
-		}
+		s.setLatency(&s.LatencyHist)
+		return s
 	}
 	fast := make([]uint64, 90)
 	for i := range fast {
-		fast[i] = 10 // bucket 4, upper 15
+		fast[i] = 10 // exact
 	}
 	slow := make([]uint64, 10)
 	for i := range slow {
-		slow[i] = 1000 // bucket 10, upper 1023
+		slow[i] = 1000 // bucket [960, 1023]
 	}
 	a := build(fast)
 	a.Cycle, a.Txs, a.EpochsOpened, a.EpochsPersisted, a.ConflictsIntra = 100, 5, 4, 3, 1
@@ -245,19 +191,19 @@ func TestAggregateServiceStats(t *testing.T) {
 	// Exact pooled percentiles: 90% of samples are fast, so pooled p50
 	// and p90 sit in the fast bucket; only p99 reaches the slow one.
 	// Elementwise-max would have reported p50 = 1023.
-	if agg.LatencyP50 != 15 || agg.LatencyP90 != 15 {
-		t.Fatalf("pooled p50/p90 = %d/%d, want 15/15", agg.LatencyP50, agg.LatencyP90)
+	if agg.LatencyP50 != 10 || agg.LatencyP90 != 10 {
+		t.Fatalf("pooled p50/p90 = %d/%d, want 10/10", agg.LatencyP50, agg.LatencyP90)
 	}
 	if agg.LatencyP99 != 1023 {
 		t.Fatalf("pooled p99 = %d, want 1023", agg.LatencyP99)
 	}
-	if len(agg.LatencyHist) == 0 {
+	if agg.LatencyHist.Total() != 100 || agg.LatencyHist.Sum != 90*10+10*1000 {
 		t.Fatal("aggregate lost the merged histogram")
 	}
 }
 
 func TestAggregateServiceStatsDegenerate(t *testing.T) {
-	if got := AggregateServiceStats(nil); len(got.LatencyHist) != 0 || got.LatencySamples != 0 || got.Cycle != 0 {
+	if got := AggregateServiceStats(nil); got != (ServiceStats{}) {
 		t.Fatalf("empty aggregate = %+v, want zero", got)
 	}
 	if got := AggregateServiceStats([]ServiceStats{}); got.LatencyP50 != 0 {

@@ -10,9 +10,15 @@
 // potential emission site. Components never format strings or allocate
 // unless a sink is attached.
 //
+// obs owns the simulated-cycle domain of the service's statistics (the
+// Collector's ServiceStats: epochs, conflicts, persist latency in
+// cycles); internal/telemetry owns the wall-clock domain. Neither owns a
+// histogram: both fold into internal/hist.
+//
 // obs sits below epoch/nvram/noc/machine in the dependency order (it
-// imports only mem and sim), so any layer may emit without cycles. Epoch
-// identities are carried as plain (core, num) pairs for the same reason.
+// imports only hist, mem and sim), so any layer may emit without cycles.
+// Epoch identities are carried as plain (core, num) pairs for the same
+// reason.
 package obs
 
 import (

@@ -261,10 +261,10 @@ func TestBatchMetricsExposed(t *testing.T) {
 			t.Fatalf("shard %d: batch limit %d outside [2, 8]", m.Shard, m.BatchLimit)
 		}
 		batches += m.Batches
-		sized += m.BatchSizes.Total
-		if m.BatchSizes.Sum < m.BatchSizes.Total {
+		sized += m.BatchSizes.Total()
+		if m.BatchSizes.Sum < m.BatchSizes.Total() {
 			t.Fatalf("shard %d: histogram sum %d < count %d (batches smaller than 1?)",
-				m.Shard, m.BatchSizes.Sum, m.BatchSizes.Total)
+				m.Shard, m.BatchSizes.Sum, m.BatchSizes.Total())
 		}
 	}
 	if batches == 0 || sized != batches {
@@ -435,30 +435,25 @@ func TestGroupCommitAmortizesBarriers(t *testing.T) {
 }
 
 // TestParallelReplayByteIdentical: recovery must produce the
-// byte-identical fingerprint at every RecoveryWorkers setting (the
-// epoch-order screening is the part that strides across workers), on
-// clean drains and across a sweep of crash images.
+// byte-identical fingerprint on every replay of the same run, on clean
+// drains and across a sweep of crash images.
 func TestParallelReplayByteIdentical(t *testing.T) {
 	spec := testSpec()
-	serial, err := runSingle(Config{RecoveryWorkers: 1}, spec)
+	clean, err := runSingle(Config{}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	instants := append([]sim.Cycle{0}, SweepInstants(serial.Cycles, 6)...)
-	for _, workers := range []int{2, 4, 0} {
-		for _, at := range instants {
-			a, err := runSingle(Config{CrashAt: at, RecoveryWorkers: 1}, spec)
-			if err != nil {
-				t.Fatalf("serial at %d: %v", at, err)
-			}
-			b, err := runSingle(Config{CrashAt: at, RecoveryWorkers: workers}, spec)
-			if err != nil {
-				t.Fatalf("workers=%d at %d: %v", workers, at, err)
-			}
-			if a.Report.Fingerprint != b.Report.Fingerprint {
-				t.Fatalf("crash at %d: workers=%d fingerprint %s != serial %s",
-					at, workers, b.Report.Fingerprint, a.Report.Fingerprint)
-			}
+	for _, at := range append([]sim.Cycle{0}, SweepInstants(clean.Cycles, 6)...) {
+		a, err := runSingle(Config{CrashAt: at}, spec)
+		if err != nil {
+			t.Fatalf("at %d: %v", at, err)
+		}
+		b, err := runSingle(Config{CrashAt: at}, spec)
+		if err != nil {
+			t.Fatalf("replay at %d: %v", at, err)
+		}
+		if a.Report.Fingerprint != b.Report.Fingerprint {
+			t.Fatalf("crash at %d: fingerprint %s != replay's %s", at, b.Report.Fingerprint, a.Report.Fingerprint)
 		}
 	}
 }

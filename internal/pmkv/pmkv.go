@@ -109,10 +109,6 @@ type Config struct {
 	// against the final image. Off by default; when off the observation
 	// hooks are nil-receiver no-ops costing zero allocations.
 	Check bool
-	// RecoveryWorkers bounds the parallelism of Verify's epoch-order
-	// screening (recovery.CheckOrdering). 0 means GOMAXPROCS; 1 keeps it
-	// on the caller's goroutine.
-	RecoveryWorkers int
 }
 
 // SmallMachine is a 4-core LB++ machine suitable for interactive use and

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"persistbarriers/internal/dlcheck"
+	"persistbarriers/internal/hist"
 	"persistbarriers/internal/sim"
 	"persistbarriers/internal/stats"
 	"persistbarriers/internal/telemetry"
@@ -211,10 +212,10 @@ type shard struct {
 	deq       atomic.Uint64
 	batches   atomic.Uint64
 	batchOps  atomic.Uint64
-	batchHist telemetry.AtomicHist // group-commit size distribution
-	batchLim  atomic.Int64         // live adaptive batch limit
-	fastHits  atomic.Uint64        // GETs served on the fast path
-	fastFalls atomic.Uint64        // GETs that fell back to the mailbox
+	batchHist hist.Atomic   // group-commit size distribution
+	batchLim  atomic.Int64  // live adaptive batch limit
+	fastHits  atomic.Uint64 // GETs served on the fast path
+	fastFalls atomic.Uint64 // GETs that fell back to the mailbox
 	crashedFl atomic.Bool
 }
 
@@ -378,10 +379,12 @@ func (s *ShardedStore) DoAsync(sess *ShardedSession, op Op, key string, value []
 		}
 		return id, ErrDraining
 	}
+	// Stamped before the send: once the job is in the mailbox the span is
+	// the worker's (and then the completion reader's), not the caller's.
+	span.Stamp(telemetry.StageEnqueue)
 	sh.mail <- j
 	sh.enq.Add(1)
 	sh.subMu.RUnlock()
-	span.Stamp(telemetry.StageEnqueue)
 	return id, nil
 }
 
@@ -743,16 +746,14 @@ type ShardMetrics struct {
 	Cycle      sim.Cycle `json:"cycle"`
 	Crashed    bool      `json:"crashed,omitempty"`
 	// FastHits / FastFallbacks count GETs answered on the lock-free fast
-	// path vs routed through the mailbox while the fast path was on;
-	// ReadPublished is the durable-prefix watermark the checkpoint covers.
+	// path vs routed through the mailbox while the fast path was on.
 	FastHits      uint64 `json:"read_fast_hits"`
 	FastFallbacks uint64 `json:"read_fallbacks"`
-	ReadPublished int    `json:"read_published"`
-	// Retention is what the shard's engine holds and has released.
+	// Retention is what the shard's engine holds and has released; its
+	// Folded count is also the watermark the fast path's checkpoint covers.
 	Retention
-	// BatchSizes is the group-commit size distribution (power-of-two
-	// buckets; Counts[b] holds batches of size in (2^(b-1)-1, 2^b-1]).
-	BatchSizes telemetry.HistSnapshot `json:"batch_sizes"`
+	// BatchSizes is the group-commit size distribution.
+	BatchSizes hist.Hist `json:"batch_sizes"`
 }
 
 // Metrics snapshots every shard's pipeline state.
@@ -772,7 +773,6 @@ func (s *ShardedStore) Metrics() []ShardMetrics {
 			Crashed:       sh.crashedFl.Load(),
 			FastHits:      sh.fastHits.Load(),
 			FastFallbacks: sh.fastFalls.Load(),
-			ReadPublished: sh.eng.Committed(),
 			Retention:     sh.eng.Retention(),
 			BatchSizes:    sh.batchHist.Snapshot(),
 		}

@@ -69,7 +69,6 @@ func tornWrite(r *OpRecord, l mem.Line) error {
 func (e *Engine) Verify(res *machine.Result) (*Report, error) {
 	e.mu.Lock()
 	tail, first, cp, foldErr := e.tail, e.durableCursor, e.cp, e.foldErr
-	workers := e.cfg.RecoveryWorkers
 	e.mu.Unlock()
 
 	g := recovery.NewGraph(res.Histories)
@@ -109,7 +108,7 @@ func (e *Engine) Verify(res *machine.Result) (*Report, error) {
 		}
 	}
 
-	if err := recovery.CheckOrdering(g, res.Image, workers); err != nil {
+	if err := recovery.CheckOrdering(g, res.Image); err != nil {
 		return rep, fmt.Errorf("pmkv: epoch-order violation: %w", err)
 	}
 	if err := recovery.CheckPersistedClosed(g, res.Image); err != nil {

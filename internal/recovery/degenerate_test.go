@@ -25,7 +25,7 @@ func TestEmptyWriteSetEpoch(t *testing.T) {
 		t.Fatalf("epochs = %v", g.Epochs())
 	}
 	img := map[mem.Line]mem.Version{1: 10}
-	if err := CheckOrdering(g, img, 1); err != nil {
+	if err := CheckOrdering(g, img); err != nil {
 		t.Fatalf("empty-write-set predecessor blocked its successor: %v", err)
 	}
 	if err := CheckPersistedClosed(g, img); err != nil {
@@ -92,14 +92,14 @@ func TestAddEdgeStrengthensGraph(t *testing.T) {
 	// edge, a violation once the application declares a happened-before b.
 	img := map[mem.Line]mem.Version{2: 20}
 	g := NewGraph(h)
-	if err := CheckOrdering(g, img, 1); err != nil {
+	if err := CheckOrdering(g, img); err != nil {
 		t.Fatalf("independent epochs rejected: %v", err)
 	}
 	g.AddEdge(b, a)
 	if preds := g.Predecessors(b); len(preds) != 1 || preds[0] != a {
 		t.Fatalf("predecessors after AddEdge = %v", preds)
 	}
-	if err := CheckOrdering(g, img, 1); err == nil {
+	if err := CheckOrdering(g, img); err == nil {
 		t.Fatal("application-order violation not detected after AddEdge")
 	}
 }

@@ -13,10 +13,7 @@ package recovery
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"persistbarriers/internal/epoch"
 	"persistbarriers/internal/mem"
@@ -207,46 +204,17 @@ func requiredDurable(g *Graph, image map[mem.Line]mem.Version) []epoch.ID {
 //
 // Clean images — the overwhelmingly common case — are decided by the
 // linear-time screening (requiredDurable + one durability scan per
-// epoch). The scans are independent reads of the graph and image, so
-// they stride across workers goroutines: 1 keeps the whole screening on
-// the caller's goroutine, <= 0 means GOMAXPROCS (the convention of
-// pmkv.Config.RecoveryWorkers, which Verify passes straight through).
-// Only when the screening finds a failure does the precise per-epoch
-// scan run, serially, so the violation reported is the one at the lowest
-// epoch index whatever the worker count. The graph must not be mutated
-// (no AddEdge) while the check runs.
-func CheckOrdering(g *Graph, image map[mem.Line]mem.Version, workers int) error {
-	required := requiredDurable(g, image)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(required) {
-		workers = len(required)
-	}
-	var failed atomic.Bool
-	screen := func(w int) {
-		for i := w; i < len(required); i += workers {
-			if !durableAll(g.epochs[required[i]], image) {
-				failed.Store(true)
-				return
+// epoch). Only when the screening finds a failure does the precise
+// per-epoch scan run, so the violation reported is the one at the lowest
+// epoch index.
+func CheckOrdering(g *Graph, image map[mem.Line]mem.Version) error {
+	for _, id := range requiredDurable(g, image) {
+		if !durableAll(g.epochs[id], image) {
+			if v := firstViolation(g, image); v != nil {
+				return v
 			}
+			break
 		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			screen(w)
-		}(w)
-	}
-	screen(0)
-	wg.Wait()
-	if !failed.Load() {
-		return nil
-	}
-	if v := firstViolation(g, image); v != nil {
-		return v
 	}
 	return nil
 }
@@ -426,7 +394,7 @@ func CheckAtomicity(g *Graph, recovered map[mem.Line]mem.Version) error {
 // point used by tests and the harness.
 func CheckAll(histories [][]*epoch.Summary, image map[mem.Line]mem.Version, log []nvram.LogEntry, withRollback bool) error {
 	g := NewGraph(histories)
-	if err := CheckOrdering(g, image, 1); err != nil {
+	if err := CheckOrdering(g, image); err != nil {
 		return err
 	}
 	if err := CheckPersistedClosed(g, image); err != nil {

@@ -59,13 +59,13 @@ func TestCheckOrderingAcceptsPrefix(t *testing.T) {
 	g := NewGraph(h)
 	// Epoch 0 fully durable, epoch 1 not at all: fine.
 	img := map[mem.Line]mem.Version{1: 10, 2: 11}
-	if err := CheckOrdering(g, img, 1); err != nil {
+	if err := CheckOrdering(g, img); err != nil {
 		t.Fatalf("prefix image rejected: %v", err)
 	}
 	// Epoch 1 partially durable with epoch 0 complete: also fine under
 	// BEP (ordering, not atomicity).
 	img[3] = 20
-	if err := CheckOrdering(g, img, 1); err != nil {
+	if err := CheckOrdering(g, img); err != nil {
 		t.Fatalf("complete image rejected: %v", err)
 	}
 }
@@ -78,7 +78,7 @@ func TestCheckOrderingDetectsViolation(t *testing.T) {
 	g := NewGraph(h)
 	// Epoch 1's line durable while epoch 0 is missing line 2.
 	img := map[mem.Line]mem.Version{1: 10, 3: 20}
-	err := CheckOrdering(g, img, 1)
+	err := CheckOrdering(g, img)
 	if err == nil {
 		t.Fatal("ordering violation not detected")
 	}
@@ -99,10 +99,10 @@ func TestCheckOrderingCrossThread(t *testing.T) {
 	}
 	g := NewGraph(h)
 	// Dependent epoch durable, source missing: violation.
-	if err := CheckOrdering(g, map[mem.Line]mem.Version{2: 20}, 1); err == nil {
+	if err := CheckOrdering(g, map[mem.Line]mem.Version{2: 20}); err == nil {
 		t.Fatal("cross-thread ordering violation not detected")
 	}
-	if err := CheckOrdering(g, map[mem.Line]mem.Version{1: 10, 2: 20}, 1); err != nil {
+	if err := CheckOrdering(g, map[mem.Line]mem.Version{1: 10, 2: 20}); err != nil {
 		t.Fatalf("valid cross-thread image rejected: %v", err)
 	}
 }
@@ -117,7 +117,7 @@ func TestCheckOrderingAllowsSupersededVersions(t *testing.T) {
 	}}
 	g := NewGraph(h)
 	img := map[mem.Line]mem.Version{1: 20, 2: 21}
-	if err := CheckOrdering(g, img, 1); err != nil {
+	if err := CheckOrdering(g, img); err != nil {
 		t.Fatalf("superseded version rejected: %v", err)
 	}
 }
@@ -250,7 +250,7 @@ func TestGraphToleratesTrimmedPrefix(t *testing.T) {
 	}
 	g := NewGraph(h)
 	image := map[mem.Line]mem.Version{1: 70, 3: 75}
-	if err := CheckOrdering(g, image, 2); err != nil {
+	if err := CheckOrdering(g, image); err != nil {
 		t.Fatalf("ordering over a trimmed prefix: %v", err)
 	}
 	if err := CheckPersistedClosed(g, image); err != nil {
@@ -262,7 +262,7 @@ func TestGraphToleratesTrimmedPrefix(t *testing.T) {
 	}
 	image[2] = 80 // epoch 8 durable while epoch 7 loses its line
 	delete(image, 1)
-	if err := CheckOrdering(g, image, 1); err == nil {
+	if err := CheckOrdering(g, image); err == nil {
 		t.Fatal("violation among the remaining epochs went unnoticed")
 	}
 }

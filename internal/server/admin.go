@@ -1,5 +1,6 @@
-// Admin endpoint: pmkvd -admin ADDR serves live operational telemetry on
-// a second listener, out of band of the data protocol:
+// The admin surface: AdminHandler serves live operational telemetry out
+// of band of the data protocol (pmkvd -admin ADDR puts it on a second
+// listener):
 //
 //	/metrics       Prometheus 0.0.4 text exposition — per-shard pipeline
 //	               stage histograms (seconds), persist-latency histograms
@@ -14,12 +15,12 @@
 // The scrape path takes no lock the data path contends on: stage
 // histograms are atomic counters folded per-shard, and collector
 // snapshots take the same short mutex the wire stats op already does.
-package main
+
+package server
 
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -32,14 +33,14 @@ import (
 	"persistbarriers/internal/telemetry"
 )
 
-// statzReply is the /statz payload. It is a strict superset of the wire
-// "stats" reply (same field names for the shared parts) with the stage
-// tracer's live breakdown attached.
-type statzReply struct {
+// Statz is the stats snapshot: the /statz payload and the wire "stats"
+// reply. Stats and Shards[].Service are the simulated-cycle domain (one
+// obs.Collector per shard), Stages the wall-clock one (the tracer).
+type Statz struct {
 	OK      bool             `json:"ok"`
 	Stats   obs.ServiceStats `json:"stats"`
-	Shards  []shardStats     `json:"shards"`
-	Process processStats     `json:"process"`
+	Shards  []ShardStatz     `json:"shards"`
+	Process ProcessStats     `json:"process"`
 
 	// Stages pools every shard's stage-segment histograms (exact merge);
 	// ShardStages is the same breakdown per shard.
@@ -47,17 +48,24 @@ type statzReply struct {
 	ShardStages [][]telemetry.StageStats `json:"shard_stages,omitempty"`
 }
 
-// processStats is the memory the whole server holds, as the kernel and
+// ShardStatz is one shard's commit-pipeline counters plus its engine's
+// service metrics.
+type ShardStatz struct {
+	pmkv.ShardMetrics
+	Service obs.ServiceStats `json:"service"`
+}
+
+// ProcessStats is the memory the whole server holds, as the kernel and
 // the Go runtime see it.
-type processStats struct {
+type ProcessStats struct {
 	ResidentBytes  uint64 `json:"resident_memory_bytes"` // 0 where /proc is absent
 	HeapInuseBytes uint64 `json:"heap_inuse_bytes"`
 }
 
-func readProcessStats() processStats {
+func readProcessStats() ProcessStats {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	ps := processStats{HeapInuseBytes: ms.HeapInuse}
+	ps := ProcessStats{HeapInuseBytes: ms.HeapInuse}
 	// statm's second field is the resident set in pages.
 	if statm, err := os.ReadFile("/proc/self/statm"); err == nil {
 		if f := strings.Fields(string(statm)); len(f) > 1 {
@@ -69,15 +77,14 @@ func readProcessStats() processStats {
 	return ps
 }
 
-// statz assembles the stats snapshot shared by the wire "stats" op and
-// the admin /statz handler.
-func (s *server) statz() statzReply {
+// Statz assembles the stats snapshot.
+func (s *Server) Statz() Statz {
 	metrics := s.store.Metrics()
-	reply := statzReply{OK: true, Shards: make([]shardStats, len(metrics)), Process: readProcessStats()}
+	reply := Statz{OK: true, Shards: make([]ShardStatz, len(metrics)), Process: readProcessStats()}
 	per := make([]obs.ServiceStats, len(metrics))
 	for i, m := range metrics {
 		per[i] = s.collectors[i].Snapshot()
-		reply.Shards[i] = shardStats{ShardMetrics: m, Service: per[i]}
+		reply.Shards[i] = ShardStatz{ShardMetrics: m, Service: per[i]}
 	}
 	reply.Stats = obs.AggregateServiceStats(per)
 	if s.tracer.Enabled() {
@@ -90,42 +97,31 @@ func (s *server) statz() statzReply {
 	return reply
 }
 
-// startAdmin binds the admin listener and serves it in the background.
-// The returned listener is closed by the caller at drain time.
-func (s *server) startAdmin(addr string) (net.Listener, error) {
+// AdminHandler serves /metrics, /statz and /debug/pprof/.
+func (s *Server) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/statz", s.handleStatz)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Write(s.appendMetrics(nil))
+	})
+	mux.HandleFunc("/statz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		enc.Encode(s.Statz())
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
-	return ln, nil
+	return mux
 }
 
-func (s *server) handleStatz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(s.statz())
-}
-
-func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write(s.renderMetrics(nil))
-}
-
-// renderMetrics composes the full exposition: stage histograms from the
+// appendMetrics composes the full exposition: stage histograms from the
 // tracer, persist-latency cycle histograms and engine counters from the
 // per-shard collectors, and pipeline gauges from the store.
-func (s *server) renderMetrics(dst []byte) []byte {
+func (s *Server) appendMetrics(dst []byte) []byte {
 	dst = s.tracer.AppendStageMetrics(dst)
 
 	metrics := s.store.Metrics()
@@ -137,11 +133,10 @@ func (s *server) renderMetrics(dst []byte) []byte {
 	dst = telemetry.AppendMetricHeader(dst, "pmkv_persist_latency_cycles", "histogram",
 		"Epoch completion-to-durability latency in simulated cycles, per shard.")
 	for i, st := range per {
-		if len(st.LatencyHist) == 0 {
-			continue
+		if st.LatencySamples > 0 {
+			dst = telemetry.AppendHistogram(dst, "pmkv_persist_latency_cycles",
+				shardLabel(i), st.LatencyHist, 1)
 		}
-		dst = telemetry.AppendCycleHistogram(dst, "pmkv_persist_latency_cycles",
-			shardLabel(i), st.LatencyHist)
 	}
 
 	counters := []struct {
@@ -198,11 +193,9 @@ func (s *server) renderMetrics(dst []byte) []byte {
 			func(m pmkv.ShardMetrics) float64 { return float64(m.FastHits) }},
 		{"pmkv_read_fallback_total", "GETs that fell back to the mailbox (pending writes, drain, or crash).",
 			func(m pmkv.ShardMetrics) float64 { return float64(m.FastFallbacks) }},
-		{"pmkv_read_index_published", "Durable watermark the checkpoint behind fast GETs covers.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.ReadPublished) }},
 		{"pmkv_records_retained", "Mutation records still held: submitted, not yet durable.",
 			func(m pmkv.ShardMetrics) float64 { return float64(m.Retained) }},
-		{"pmkv_records_folded_total", "Mutation records verified, folded into the checkpoint and released.",
+		{"pmkv_records_folded_total", "Mutation records verified, folded into the checkpoint (which fast GETs read) and released.",
 			func(m pmkv.ShardMetrics) float64 { return float64(m.Folded) }},
 		{"pmkv_checkpoint_keys", "Keys in the committed-state checkpoint, tombstones included.",
 			func(m pmkv.ShardMetrics) float64 { return float64(m.CheckpointKeys) }},

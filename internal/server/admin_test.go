@@ -1,4 +1,4 @@
-package main
+package server_test
 
 import (
 	"bytes"
@@ -6,39 +6,91 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 
 	"persistbarriers/internal/pmkv"
+	"persistbarriers/internal/proto"
+	"persistbarriers/internal/proto/client"
+	"persistbarriers/internal/server"
 	"persistbarriers/internal/telemetry"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/metrics-families.golden")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+// checkGolden compares got with testdata/name, rewriting it under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := "testdata/" + name
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from %s (run with -update to regenerate)\ngot:\n%s", path, got)
+	}
+}
+
+// scrape GETs one admin path from the server's handler.
+func scrape(t *testing.T, ts *testServer, path string) []byte {
+	t.Helper()
+	admin := httptest.NewServer(ts.AdminHandler())
+	defer admin.Close()
+	resp, err := http.Get(admin.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: %s, %v", path, resp.Status, err)
+	}
+	return body
+}
 
 // TestMetricsFamiliesGolden holds a live server's /metrics to what
 // promcheck accepts (telemetry.ValidateExposition) and pins the families
 // it exposes — name and type, in exposition order — so a gauge cannot
 // vanish or change type unnoticed. It then reads the retention gauges
 // back: after acked writes the engines have folded and released records,
-// and the same numbers appear on /statz and on the drain report's shard
-// lines behind the fields the benchmark parses.
+// and the same numbers appear on /statz and in the drain report.
 func TestMetricsFamiliesGolden(t *testing.T) {
-	var report bytes.Buffer
-	s, _, done := startTestServer(t, pmkv.ShardedConfig{Shards: 2}, serverOpts{tracing: true, out: &report})
-	sess := s.store.NewSession()
+	ts := startTestServer(t, pmkv.ShardedConfig{Shards: 2}, server.Options{Tracing: true})
 	const writes = 200
-	for i := 0; i < writes; i++ {
-		op, val := pmkv.Put, []byte("value")
-		if i%10 == 9 {
-			op, val = pmkv.Delete, nil
+	failed := 0
+	c, err := client.New(ts.dial(t), client.Options{Window: 16, OnComplete: func(resp *proto.Response, _, _ int64) {
+		if resp.Err != "" || resp.Crashed {
+			failed++
 		}
-		if ack := s.store.Do(sess, op, fmt.Sprintf("k%02d", i%40), val); ack.Err != nil || ack.Crashed {
-			t.Fatalf("write %d: %+v", i, ack)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < writes; i++ {
+		key := []byte(fmt.Sprintf("k%02d", i%40))
+		if i%10 == 9 {
+			err = c.Del(uint64(i), key)
+		} else {
+			err = c.Put(uint64(i), key, []byte("value"))
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
+	if err := c.Wait(); err != nil || failed > 0 {
+		t.Fatalf("%d of %d writes failed, wait: %v", failed, writes, err)
+	}
+	c.Close()
 
-	exposition := s.renderMetrics(nil)
+	exposition := scrape(t, ts, "/metrics")
 	if err := telemetry.ValidateExposition(exposition); err != nil {
 		t.Fatalf("exposition does not validate: %v", err)
 	}
@@ -56,19 +108,7 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 			sums[name] += v
 		}
 	}
-	const golden = "testdata/metrics-families.golden"
-	if *update {
-		if err := os.WriteFile(golden, families.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	if !bytes.Equal(families.Bytes(), want) {
-		t.Errorf("metric families differ from %s (run with -update to regenerate)\ngot:\n%s", golden, families.String())
-	}
+	checkGolden(t, "metrics-families.golden", families.Bytes())
 
 	// Every write was acked durable, so all of them are folded and none
 	// retained; 40 keys were written.
@@ -99,11 +139,7 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 			Heap uint64 `json:"heap_inuse_bytes"`
 		} `json:"process"`
 	}
-	line, err := json.Marshal(s.statz())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(line, &statz); err != nil {
+	if err := json.Unmarshal(scrape(t, ts, "/statz"), &statz); err != nil {
 		t.Fatal(err)
 	}
 	folded, keys := 0, 0
@@ -115,25 +151,14 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 		t.Errorf("/statz: folded %d, keys %d, heap %d; want %d, 40, > 0", folded, keys, statz.Process.Heap, writes)
 	}
 
-	s.beginDrain()
-	if err := waitServer(t, done); err != nil {
-		t.Fatal(err)
-	}
-	out, _ := io.ReadAll(&report)
 	total := 0
-	for _, line := range strings.Split(string(out), "\n") {
-		var shard, cycles, durable, all, recovered, epochs, p50, p99, f, r int
-		n, _ := fmt.Sscanf(strings.TrimSpace(line),
-			"shard %d: clean after %d cycles; publishes %d durable / %d total; %d keys; %d epochs persisted (p50=%d p99=%d cycles); folded %d / retained %d",
-			&shard, &cycles, &durable, &all, &recovered, &epochs, &p50, &p99, &f, &r)
-		if n == 10 {
-			if f+r != all {
-				t.Errorf("shard %d: folded %d + retained %d != %d publishes", shard, f, r, all)
-			}
-			total += all
+	for _, sh := range ts.drain(t).Shards {
+		if sh.Folded+sh.Retained != sh.TotalPublishes {
+			t.Errorf("shard %d: folded %d + retained %d != %d publishes", sh.Shard, sh.Folded, sh.Retained, sh.TotalPublishes)
 		}
+		total += sh.TotalPublishes
 	}
 	if total != writes {
-		t.Errorf("drain report accounts for %d publishes, want %d:\n%s", total, writes, out)
+		t.Errorf("drain report accounts for %d publishes, want %d", total, writes)
 	}
 }

@@ -1,43 +1,20 @@
-package main
+package server_test
 
 import (
 	"bufio"
 	"fmt"
-	"io"
-	"net"
 	"testing"
 
 	"persistbarriers/internal/pmkv"
 	"persistbarriers/internal/proto"
 	"persistbarriers/internal/proto/client"
+	"persistbarriers/internal/server"
 )
 
-// benchServer starts an in-process server on loopback TCP for one
-// benchmark run and hands back its address plus a drain func.
-func benchServer(b *testing.B, shards int) (string, func()) {
-	b.Helper()
-	cfg := pmkv.ShardedConfig{
-		Shards: shards,
-		Engine: pmkv.Config{Machine: pmkv.SmallMachine(), Buckets: 64},
-	}
-	// Discard the drain report: its lines would interleave with the
-	// benchmark result lines that benchstat and friends parse.
-	s, err := newServer(cfg, serverOpts{window: 4096, out: io.Discard})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.run(ln) }()
-	return ln.Addr().String(), func() {
-		s.beginDrain()
-		if err := <-done; err != nil {
-			b.Fatalf("drain: %v", err)
-		}
-	}
+// benchConfig is the 2-shard store BenchmarkProtoPipeline serves.
+var benchConfig = pmkv.ShardedConfig{
+	Shards: 2,
+	Engine: pmkv.Config{Machine: pmkv.SmallMachine(), Buckets: 64},
 }
 
 // BenchmarkProtoPipeline measures live ops/sec through a loopback
@@ -47,11 +24,8 @@ func benchServer(b *testing.B, shards int) (string, func()) {
 // protocol exists to break.
 func BenchmarkProtoPipeline(b *testing.B) {
 	b.Run("json", func(b *testing.B) {
-		addr, drain := benchServer(b, 2)
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			b.Fatal(err)
-		}
+		ts := startTestServer(b, benchConfig, server.Options{Window: 4096})
+		conn := ts.dial(b)
 		br := bufio.NewReader(conn)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -63,15 +37,12 @@ func BenchmarkProtoPipeline(b *testing.B) {
 		b.StopTimer()
 		reportOpsPerSec(b)
 		conn.Close()
-		drain()
+		ts.drain(b)
 	})
 	for _, w := range []int{16, 128, 1024} {
 		b.Run(fmt.Sprintf("binary-w%d", w), func(b *testing.B) {
-			addr, drain := benchServer(b, 2)
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				b.Fatal(err)
-			}
+			ts := startTestServer(b, benchConfig, server.Options{Window: 4096})
+			conn := ts.dial(b)
 			errs := 0
 			c, err := client.New(conn, client.Options{
 				Window: w,
@@ -104,7 +75,7 @@ func BenchmarkProtoPipeline(b *testing.B) {
 				b.Fatalf("%d ops errored", errs)
 			}
 			c.Close()
-			drain()
+			ts.drain(b)
 		})
 	}
 }

@@ -7,7 +7,8 @@
 // the completion queue's capacity, so shard workers never block
 // delivering an ack; that invariant is what lets one connection overlap
 // hundreds of persists the way the paper's epochs overlap barriers.
-package main
+
+package server
 
 import (
 	"bufio"
@@ -46,7 +47,7 @@ type binRec struct {
 
 // binConn is one pipelined connection's shared state.
 type binConn struct {
-	s    *server
+	s    *Server
 	conn net.Conn
 	sess *pmkv.ShardedSession
 
@@ -68,8 +69,8 @@ func binTag(rec uint32, sub int) uint64 { return uint64(rec)<<32 | uint64(uint32
 // handleBinary runs one binary connection's reader side and owns its
 // teardown: by the time it returns, every dispatched op has completed
 // and the writer has flushed (or discarded) every response.
-func (s *server) handleBinary(conn net.Conn, br *bufio.Reader) {
-	win := s.opts.window
+func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
+	win := s.opts.Window
 	bc := &binConn{
 		s:      s,
 		conn:   conn,
@@ -270,7 +271,7 @@ func (bc *binConn) writeLoop(writerDone chan struct{}) {
 
 	flush := func() {
 		if len(wbuf) > 0 && !discard {
-			bc.conn.SetWriteDeadline(time.Now().Add(bc.s.opts.writeTimeout))
+			bc.conn.SetWriteDeadline(time.Now().Add(bc.s.opts.WriteTimeout))
 			if _, err := bc.conn.Write(wbuf); err != nil {
 				discard = true
 				bc.conn.Close() // unblock the reader too
@@ -279,21 +280,15 @@ func (bc *binConn) writeLoop(writerDone chan struct{}) {
 		for _, ri := range unflushed {
 			rec := &bc.recs[ri]
 			if rec.traced && !discard {
-				span := &bc.spans[ri]
-				span.Stamp(telemetry.StageAckWritten)
-				if (rec.op == proto.OpGet || rec.op == proto.OpMGet) && rec.errMsg == "" {
-					d := span.Wall[telemetry.StageAckWritten] - span.Wall[telemetry.StageConnRead]
-					if d > 0 {
-						bc.s.tracer.ObserveReadPath(rec.shard, rec.fast, uint64(d))
-					}
-				}
-				bc.s.tracer.Complete(rec.shard, span, telemetry.Meta{
+				served := rec.errMsg == ""
+				get := rec.op == proto.OpGet || rec.op == proto.OpMGet
+				bc.s.complete(rec.shard, &bc.spans[ri], get && served, rec.fast, telemetry.Meta{
 					Op:      rec.op.String(),
 					Sess:    bc.sess.ID,
 					Key:     rec.key0,
 					Durable: rec.durable,
 					Crashed: rec.crashed,
-					OK:      rec.errMsg == "",
+					OK:      served,
 				})
 			}
 			bc.free <- ri

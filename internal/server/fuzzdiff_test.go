@@ -1,4 +1,4 @@
-package main
+package server_test
 
 import (
 	"bufio"
@@ -12,6 +12,7 @@ import (
 	"persistbarriers/internal/pmkv"
 	"persistbarriers/internal/proto"
 	"persistbarriers/internal/proto/client"
+	"persistbarriers/internal/server"
 )
 
 // diffOp is one operation of a differential-fuzz case. Multi groups
@@ -55,32 +56,24 @@ type diffOutcome struct {
 	Err   string
 }
 
-// diffServer hosts one in-process server over a net.Pipe connection.
+// diffServer is one in-process server and the client end of a net.Pipe
+// connection handed to its ServeConn, so the fuzzed ops cross no socket.
 type diffServer struct {
-	s    *server
+	ts   *testServer
 	conn net.Conn
 }
 
 func newDiffServer(t testing.TB, disableFast bool) *diffServer {
 	t.Helper()
-	cfg := pmkv.ShardedConfig{
+	ts := startTestServer(t, pmkv.ShardedConfig{
 		Shards:          2,
 		Engine:          pmkv.Config{Machine: pmkv.SmallMachine(), Buckets: 16, Check: true},
 		MaxBatch:        8,
 		DisableReadFast: disableFast,
-	}
-	s, err := newServer(cfg, serverOpts{window: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, server.Options{Window: 8})
 	sc, cc := net.Pipe()
-	s.track(sc)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.handle(sc)
-	}()
-	return &diffServer{s: s, conn: cc}
+	ts.ServeConn(sc)
+	return &diffServer{ts: ts, conn: cc}
 }
 
 // finish drains the server and returns the combined recovered-state
@@ -88,23 +81,14 @@ func newDiffServer(t testing.TB, disableFast bool) *diffServer {
 func (d *diffServer) finish(t testing.TB) string {
 	t.Helper()
 	d.conn.Close()
-	d.s.beginDrain()
-	d.s.wg.Wait()
-	results, err := d.s.store.Close()
-	if err != nil {
-		t.Fatalf("recovery verification: %v", err)
+	rep := d.ts.drain(t)
+	if rep.DL == nil {
+		t.Fatal("checker was on but no verdict")
 	}
-	fps := make([]string, len(results))
-	for i, r := range results {
-		fps[i] = r.Report.Fingerprint
-		if r.DL == nil {
-			t.Fatalf("shard %d: checker was on but no verdict", r.Shard)
-		}
-		if vErr := r.DL.Err(); vErr != nil {
-			t.Fatalf("shard %d: durable linearizability: %v", r.Shard, vErr)
-		}
+	if err := rep.DL.Err(); err != nil {
+		t.Fatalf("durable linearizability: %v", err)
 	}
-	return pmkv.CombineFingerprints(fps)
+	return rep.Fingerprint
 }
 
 func diffKey(i int) string { return fmt.Sprintf("k%d", i) }
@@ -140,12 +124,7 @@ func runJSON(t testing.TB, conn net.Conn, ops []diffOp) []diffOutcome {
 			if err != nil {
 				t.Fatalf("json read: %v", err)
 			}
-			var resp struct {
-				OK    bool   `json:"ok"`
-				Found bool   `json:"found"`
-				Value string `json:"value"`
-				Error string `json:"error"`
-			}
+			var resp proto.LineResponse
 			if err := json.Unmarshal(line, &resp); err != nil {
 				t.Fatalf("json resp %q: %v", line, err)
 			}

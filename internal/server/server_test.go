@@ -1,4 +1,4 @@
-package main
+package server_test
 
 import (
 	"bufio"
@@ -13,32 +13,69 @@ import (
 	"persistbarriers/internal/pmkv"
 	"persistbarriers/internal/proto"
 	"persistbarriers/internal/proto/client"
+	"persistbarriers/internal/server"
 )
 
-// startTestServer runs a server in-process on an ephemeral port and
-// returns its address plus a done channel carrying run()'s error.
-func startTestServer(t *testing.T, cfg pmkv.ShardedConfig, opts serverOpts) (*server, string, chan error) {
-	t.Helper()
-	s, err := newServer(cfg, opts)
+// testServer is a server serving in-process on a loopback listener.
+type testServer struct {
+	*server.Server
+	addr   string
+	served chan error // Serve's result
+}
+
+// startTestServer is the one way tests, benchmarks and the fuzzer get a
+// server: built by server.New, serving on an ephemeral loopback port.
+func startTestServer(tb testing.TB, cfg pmkv.ShardedConfig, opts server.Options) *testServer {
+	tb.Helper()
+	s, err := server.New(cfg, opts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- s.run(ln) }()
-	return s, ln.Addr().String(), done
+	ts := &testServer{Server: s, addr: ln.Addr().String(), served: make(chan error, 1)}
+	go func() { ts.served <- s.Serve(ln) }()
+	return ts
 }
 
-func waitServer(t *testing.T, done chan error) error {
-	t.Helper()
+// dial opens a client connection over loopback TCP.
+func (ts *testServer) dial(tb testing.TB) net.Conn {
+	tb.Helper()
+	conn, err := net.Dial("tcp", ts.addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return conn
+}
+
+// drain begins the drain, waits for Serve and Close, and returns the
+// verified report; any failure or a drain that hangs fails the test.
+func (ts *testServer) drain(tb testing.TB) *server.Report {
+	tb.Helper()
+	ts.BeginDrain()
+	type closed struct {
+		rep *server.Report
+		err error
+	}
+	done := make(chan closed, 1)
+	go func() {
+		err := <-ts.served
+		rep, cerr := ts.Close()
+		if cerr != nil {
+			err = cerr
+		}
+		done <- closed{rep, err}
+	}()
 	select {
-	case err := <-done:
-		return err
+	case c := <-done:
+		if c.err != nil {
+			tb.Fatalf("drain: %v", c.err)
+		}
+		return c.rep
 	case <-time.After(30 * time.Second):
-		t.Fatal("server did not finish draining")
+		tb.Fatal("server did not finish draining")
 		return nil
 	}
 }
@@ -47,12 +84,8 @@ func waitServer(t *testing.T, done chan error) error {
 // multi-op frame through a live server and checks every response, then
 // drains cleanly.
 func TestBinaryProtocolRoundTrip(t *testing.T) {
-	s, addr, done := startTestServer(t, pmkv.ShardedConfig{Shards: 2}, serverOpts{window: 16})
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := startTestServer(t, pmkv.ShardedConfig{Shards: 2}, server.Options{Window: 16})
+	conn := ts.dial(t)
 	type reply struct {
 		errMsg  string
 		results []proto.Result
@@ -132,29 +165,18 @@ func TestBinaryProtocolRoundTrip(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s.beginDrain()
-	if err := waitServer(t, done); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
+	ts.drain(t)
 }
 
 // TestAutoDetectBothProtocols: a JSON-line connection and a binary
 // connection work side by side against one server.
 func TestAutoDetectBothProtocols(t *testing.T) {
-	s, addr, done := startTestServer(t, pmkv.ShardedConfig{Shards: 1}, serverOpts{window: 8})
+	ts := startTestServer(t, pmkv.ShardedConfig{Shards: 1}, server.Options{Window: 8})
 
 	// JSON connection writes a key...
-	jc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jc := ts.dial(t)
 	fmt.Fprintf(jc, "{\"op\":\"put\",\"key\":\"shared\",\"value\":\"from-json\"}\n")
-	var jresp struct {
-		OK    bool   `json:"ok"`
-		Found bool   `json:"found"`
-		Value string `json:"value"`
-		Error string `json:"error"`
-	}
+	var jresp proto.LineResponse
 	jr := bufio.NewReader(jc)
 	line, err := jr.ReadBytes('\n')
 	if err != nil || json.Unmarshal(line, &jresp) != nil || !jresp.OK {
@@ -162,10 +184,7 @@ func TestAutoDetectBothProtocols(t *testing.T) {
 	}
 
 	// ...and a binary connection reads it back.
-	bcn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bcn := ts.dial(t)
 	got := make(chan string, 1)
 	c, err := client.New(bcn, client.Options{
 		Window: 8,
@@ -192,10 +211,7 @@ func TestAutoDetectBothProtocols(t *testing.T) {
 	c.Close()
 	jc.Close()
 
-	s.beginDrain()
-	if err := waitServer(t, done); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
+	ts.drain(t)
 }
 
 // TestDrainWithStalledPipelinedClient is the PR 3 drain-unblock
@@ -205,15 +221,12 @@ func TestAutoDetectBothProtocols(t *testing.T) {
 // completions keep recycling the window, the reader unblocks via read
 // deadline) with the store's invariants intact.
 func TestDrainWithStalledPipelinedClient(t *testing.T) {
-	s, addr, done := startTestServer(t, pmkv.ShardedConfig{Shards: 2},
-		serverOpts{window: 8, writeTimeout: 200 * time.Millisecond})
+	ts := startTestServer(t, pmkv.ShardedConfig{Shards: 2},
+		server.Options{Window: 8, WriteTimeout: 200 * time.Millisecond})
 
 	// Seed a value big enough that a handful of pipelined GET responses
 	// overflow any socket buffer, wedging the server's writer mid-flush.
-	seed, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seed := ts.dial(t)
 	big := make([]byte, 512<<10)
 	for i := range big {
 		big[i] = byte(i)
@@ -229,10 +242,7 @@ func TestDrainWithStalledPipelinedClient(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := ts.dial(t)
 	// Raw frames, bypassing the client library: pipeline GETs for the big
 	// value and never read a single response byte.
 	var buf []byte
@@ -246,27 +256,16 @@ func TestDrainWithStalledPipelinedClient(t *testing.T) {
 	// 512KB of responses cannot fit any socket buffer), then drain. The
 	// server must not wait on us.
 	time.Sleep(300 * time.Millisecond)
-	s.beginDrain()
-	if err := waitServer(t, done); err != nil {
-		t.Fatalf("drain with stalled client: %v", err)
-	}
+	ts.drain(t)
 	conn.Close()
 }
 
 // TestMaxConnsLimit: connections beyond -maxconns are refused (closed
 // immediately), and slots free up when a connection ends.
 func TestMaxConnsLimit(t *testing.T) {
-	s, addr, done := startTestServer(t, pmkv.ShardedConfig{Shards: 1},
-		serverOpts{window: 4, maxConns: 2})
-
-	dial := func() net.Conn {
-		t.Helper()
-		c, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
+	ts := startTestServer(t, pmkv.ShardedConfig{Shards: 1},
+		server.Options{Window: 4, MaxConns: 2})
+	dial := func() net.Conn { return ts.dial(t) }
 	// ping proves the server kept the connection: a refused conn is
 	// closed without a response.
 	ping := func(c net.Conn, want bool) bool {
@@ -307,22 +306,16 @@ func TestMaxConnsLimit(t *testing.T) {
 	}
 	c2.Close()
 
-	s.beginDrain()
-	if err := waitServer(t, done); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
+	ts.drain(t)
 }
 
 // TestReadIdleTimeout: with -conn-timeout set, a silent connection is
 // dropped and the server can drain without waiting on it.
 func TestReadIdleTimeout(t *testing.T) {
-	s, addr, done := startTestServer(t, pmkv.ShardedConfig{Shards: 1},
-		serverOpts{window: 4, connTimeout: 150 * time.Millisecond})
+	ts := startTestServer(t, pmkv.ShardedConfig{Shards: 1},
+		server.Options{Window: 4, ConnTimeout: 150 * time.Millisecond})
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := ts.dial(t)
 	// Say nothing. The server should hang up on us.
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
@@ -330,8 +323,5 @@ func TestReadIdleTimeout(t *testing.T) {
 	}
 	conn.Close()
 
-	s.beginDrain()
-	if err := waitServer(t, done); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
+	ts.drain(t)
 }

@@ -7,10 +7,11 @@ package telemetry
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
+
+	"persistbarriers/internal/hist"
 )
 
 // AppendMetricHeader appends the # HELP / # TYPE preamble for a metric.
@@ -56,24 +57,17 @@ func AppendUintSample(dst []byte, name, labels string, value uint64) []byte {
 	return dst
 }
 
-// appendHistogram renders one HistSnapshot as a Prometheus histogram:
-// cumulative buckets at the pow-2 upper bounds scaled by scale (ns ->
-// seconds uses 1e-9), then +Inf, _sum, and _count. Empty leading and
-// trailing bucket runs are collapsed — only buckets up to the highest
-// nonzero one are emitted individually — keeping scrapes compact while
-// cumulative counts stay exact.
-func appendHistogram(dst []byte, name, labels string, h HistSnapshot, scale float64) []byte {
-	top := 0
-	for b := HistBuckets - 1; b >= 0; b-- {
-		if h.Counts[b] != 0 {
-			top = b
-			break
-		}
-	}
-	var cum uint64
-	for b := 0; b <= top; b++ {
-		cum += h.Counts[b]
-		le := strconv.FormatFloat(float64(BucketUpper(b))*scale, 'g', -1, 64)
+// AppendHistogram renders h as a Prometheus histogram: cumulative
+// buckets, +Inf, _sum and _count. The le bounds are the power-of-two
+// ones (0, 1, 3, 7, 15, ...): a line is emitted where an octave of the
+// layout ends, carrying the exact sum of the sub-buckets below it, so a
+// scrape stays one line per octave while _sum is the exact h.Sum. Only
+// octaves up to the highest nonzero bucket are emitted. scale converts
+// the observed unit to the exposition unit (1 for cycles and batch
+// sizes; 1e-9 for nanoseconds to seconds). The caller appends the
+// # HELP / # TYPE preamble once via AppendMetricHeader.
+func AppendHistogram(dst []byte, name, labels string, h hist.Hist, scale float64) []byte {
+	bucketLine := func(le string, cum uint64) {
 		dst = append(dst, name...)
 		dst = append(dst, "_bucket{"...)
 		if labels != "" {
@@ -86,28 +80,29 @@ func appendHistogram(dst []byte, name, labels string, h HistSnapshot, scale floa
 		dst = strconv.AppendUint(dst, cum, 10)
 		dst = append(dst, '\n')
 	}
-	dst = append(dst, name...)
-	dst = append(dst, "_bucket{"...)
-	if labels != "" {
-		dst = append(dst, labels...)
-		dst = append(dst, ',')
+	top := 0
+	for b := hist.Buckets - 1; b > 0; b-- {
+		if h.Counts[b] != 0 {
+			top = b
+			break
+		}
 	}
-	dst = append(dst, "le=\"+Inf\"} "...)
-	dst = strconv.AppendUint(dst, h.Total, 10)
-	dst = append(dst, '\n')
-
+	var cum uint64
+	for b := 0; b < hist.Buckets; b++ {
+		cum += h.Counts[b]
+		upper := hist.Upper(b)
+		if upper&(upper+1) != 0 {
+			continue // mid-octave
+		}
+		bucketLine(strconv.FormatFloat(float64(upper)*scale, 'g', -1, 64), cum)
+		if b >= top {
+			break
+		}
+	}
+	bucketLine("+Inf", cum)
 	dst = AppendSample(dst, name+"_sum", labels, float64(h.Sum)*scale)
-	dst = AppendUintSample(dst, name+"_count", labels, h.Total)
+	dst = AppendUintSample(dst, name+"_count", labels, cum)
 	return dst
-}
-
-// AppendHistogram renders one HistSnapshot as a Prometheus histogram
-// (cumulative pow-2 buckets, +Inf, _sum, _count). scale converts the
-// observed unit to the exposition unit (1 for dimensionless values like
-// batch sizes; 1e-9 for nanoseconds to seconds). The caller appends the
-// # HELP / # TYPE preamble once via AppendMetricHeader.
-func AppendHistogram(dst []byte, name, labels string, h HistSnapshot, scale float64) []byte {
-	return appendHistogram(dst, name, labels, h, scale)
 }
 
 // StageMetricName is the exposition name of the per-segment duration
@@ -123,18 +118,13 @@ func (t *Tracer) AppendStageMetrics(dst []byte) []byte {
 	dst = AppendMetricHeader(dst, StageMetricName, "histogram",
 		"Wall-clock duration of each pmkv pipeline stage segment, per shard.")
 	for shard := range t.shards {
-		for seg := 0; seg < NumSegments; seg++ {
-			labels := fmt.Sprintf("shard=%q,stage=%q", strconv.Itoa(shard), segmentNames[seg])
-			dst = appendHistogram(dst, StageMetricName, labels, t.shards[shard].segs[seg].Snapshot(), 1e-9)
+		// The read-path rows ride along as synthetic stages: end-to-end
+		// GET latency served from the index vs through the mailbox.
+		hs := t.shards[shard].snapshot()
+		for i := range hs {
+			labels := fmt.Sprintf("shard=%q,stage=%q", strconv.Itoa(shard), stageName(i))
+			dst = AppendHistogram(dst, StageMetricName, labels, hs[i], 1e-9)
 		}
-		// Read-path rows ride along as synthetic stages: end-to-end GET
-		// latency served from the index vs through the mailbox.
-		dst = appendHistogram(dst, StageMetricName,
-			fmt.Sprintf("shard=%q,stage=%q", strconv.Itoa(shard), ReadFastStage),
-			t.shards[shard].fast.Snapshot(), 1e-9)
-		dst = appendHistogram(dst, StageMetricName,
-			fmt.Sprintf("shard=%q,stage=%q", strconv.Itoa(shard), ReadFallbackStage),
-			t.shards[shard].fallback.Snapshot(), 1e-9)
 	}
 	dst = AppendMetricHeader(dst, "pmkv_stage_ops_total", "counter",
 		"Completed operations folded into the stage tracer, per shard.")
@@ -143,29 +133,6 @@ func (t *Tracer) AppendStageMetrics(dst []byte) []byte {
 			fmt.Sprintf("shard=%q", strconv.Itoa(shard)), t.shards[shard].ops.Load())
 	}
 	return dst
-}
-
-// WriteMetrics writes the tracer's exposition to w.
-func (t *Tracer) WriteMetrics(w io.Writer) error {
-	_, err := w.Write(t.AppendStageMetrics(nil))
-	return err
-}
-
-// AppendCycleHistogram renders a pow-2 histogram of simulated-cycle
-// values (e.g. obs persist latency) as a Prometheus histogram with
-// cycle-valued le bounds. counts follows the internal/obs convention:
-// counts[b] holds values v with bits.Len64(v) == b.
-func AppendCycleHistogram(dst []byte, name, labels string, counts []uint64) []byte {
-	var h HistSnapshot
-	for b, c := range counts {
-		if b >= HistBuckets {
-			break
-		}
-		h.Counts[b] = c
-		h.Total += c
-		h.Sum += c * BucketUpper(b) // upper-bound approximation of the sum
-	}
-	return appendHistogram(dst, name, labels, h, 1)
 }
 
 // ValidateExposition checks that data is well-formed Prometheus text

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"persistbarriers/internal/obs"
+	"persistbarriers/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden metrics file")
@@ -27,11 +30,7 @@ func deterministicTracer() *Tracer {
 // TestMetricsGolden pins the Prometheus text format byte-for-byte: the
 // smoke test scrapes this exposition live, so format drift must be loud.
 func TestMetricsGolden(t *testing.T) {
-	tr := deterministicTracer()
-	var buf bytes.Buffer
-	if err := tr.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := bytes.NewBuffer(deterministicTracer().AppendStageMetrics(nil))
 	golden := filepath.Join("testdata", "metrics.golden")
 	if *update {
 		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
@@ -48,16 +47,12 @@ func TestMetricsGolden(t *testing.T) {
 }
 
 func TestMetricsValidate(t *testing.T) {
-	tr := deterministicTracer()
-	var buf bytes.Buffer
-	if err := tr.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateExposition(buf.Bytes()); err != nil {
+	exposition := deterministicTracer().AppendStageMetrics(nil)
+	if err := ValidateExposition(exposition); err != nil {
 		t.Fatalf("own exposition does not validate: %v", err)
 	}
 	// Spot-check shape: headers, a bucket line, +Inf, count.
-	out := buf.String()
+	out := string(exposition)
 	for _, want := range []string{
 		"# TYPE pmkv_stage_duration_seconds histogram",
 		`pmkv_stage_duration_seconds_bucket{shard="0",stage="route",le="+Inf"} 3`,
@@ -97,22 +92,45 @@ func TestValidateExpositionRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestAppendCycleHistogram(t *testing.T) {
-	counts := make([]uint64, 12)
-	counts[4] = 10 // values ~8..15 cycles
-	counts[11] = 2 // values ~1024..2047 cycles
-	out := AppendCycleHistogram(nil, "pmkv_persist_latency_cycles", `shard="0"`, counts)
-	if err := ValidateExposition(append([]byte("# TYPE pmkv_persist_latency_cycles histogram\n"), out...)); err != nil {
+// TestPersistLatencySumExact folds known persist latencies through an
+// obs.Collector and renders them the way the server's /metrics does:
+// _sum / _count must be their arithmetic mean exactly (the histogram it
+// replaced kept no sum, and the exposition made one up from bucket upper
+// bounds), and the octave bounds must still validate with sub-buckets
+// summed into them.
+func TestPersistLatencySumExact(t *testing.T) {
+	c := obs.NewCollector()
+	p := obs.NewProbe(c)
+	lats := []sim.Cycle{9, 10, 11, 100, 1030, 1900}
+	var sum float64
+	for i, lat := range lats {
+		p.EpochComplete(sim.Cycle(1000*i), 0, uint64(i), "barrier", 1)
+		p.EpochPersist(sim.Cycle(1000*i)+lat, 0, uint64(i), "natural")
+		sum += float64(lat)
+	}
+	const name = "pmkv_persist_latency_cycles"
+	out := AppendMetricHeader(nil, name, "histogram", "help")
+	out = AppendHistogram(out, name, `shard="0"`, c.Snapshot().LatencyHist, 1)
+	if err := ValidateExposition(out); err != nil {
 		t.Fatalf("cycle histogram invalid: %v", err)
 	}
-	s := string(out)
+	values := make(map[string]float64)
+	for _, line := range strings.Split(string(out), "\n") {
+		if sample, _, value, err := parseSample(line); err == nil {
+			values[sample] = value
+		}
+	}
+	if got := values[name+"_sum"] / values[name+"_count"]; got != sum/float64(len(lats)) {
+		t.Fatalf("_sum/_count = %g, want the exact mean %g", got, sum/float64(len(lats)))
+	}
 	for _, want := range []string{
-		`pmkv_persist_latency_cycles_bucket{shard="0",le="15"} 10`,
-		`pmkv_persist_latency_cycles_bucket{shard="0",le="+Inf"} 12`,
-		`pmkv_persist_latency_cycles_count{shard="0"} 12`,
+		name + `_bucket{shard="0",le="15"} 3`,
+		name + `_bucket{shard="0",le="127"} 4`,
+		name + `_bucket{shard="0",le="2047"} 6`,
+		name + `_bucket{shard="0",le="+Inf"} 6`,
 	} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("missing %q in:\n%s", want, s)
+		if !strings.Contains(string(out), want+"\n") {
+			t.Fatalf("missing %q in:\n%s", want, out)
 		}
 	}
 }

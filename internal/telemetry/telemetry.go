@@ -3,9 +3,14 @@
 // plus, where the shard worker knows it, sim cycle) at fixed pipeline
 // stages — conn-read, shard-route, mailbox-enqueue, dequeue, translate,
 // submit, durable-watermark, ack-written — and the completed span is
-// folded into per-shard power-of-two duration histograms, one per stage
-// segment, so a scrape can answer the question the paper asks of the
-// hardware: where does persist latency hide?
+// folded into per-shard duration histograms, one per stage segment, so
+// a scrape can answer the question the paper asks of the hardware: where
+// does persist latency hide?
+//
+// telemetry owns the wall-clock domain of the service's statistics and
+// internal/obs the simulated-cycle domain; neither owns a histogram —
+// both fold into internal/hist, and this package's Prometheus renderer
+// serves both.
 //
 // The hot path is allocation-free and lock-free: stamping writes into a
 // caller-owned Span, folding is a handful of atomic adds, and the flight
@@ -16,9 +21,10 @@
 package telemetry
 
 import (
-	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"persistbarriers/internal/hist"
 )
 
 // Stage enumerates the stamp points of one operation's path through the
@@ -30,8 +36,10 @@ const (
 	StageConnRead Stage = iota
 	// StageShardRoute: the request is parsed and hashed to its shard.
 	StageShardRoute
-	// StageEnqueue: the request landed in the shard's mailbox (the send
-	// blocks under backpressure, so route->enqueue is queue admission).
+	// StageEnqueue: the request is handed to the shard's mailbox. It is
+	// stamped just before the send, after which the span is no longer the
+	// submitter's to write, so time blocked on a full mailbox counts as
+	// queue wait.
 	StageEnqueue
 	// StageDequeue: the shard worker pulled the request off the mailbox.
 	StageDequeue
@@ -81,9 +89,9 @@ const NumSegments = int(NumStages) - 1
 
 // segmentNames label the durations between consecutive stamps; segment i
 // covers Stage(i) -> Stage(i+1). The names answer "which part of the
-// pipeline": parse+route, mailbox admission, queue wait, batch gather +
-// translate+feed, machine pump to retirement, barrier-drain to the
-// durable watermark, and the reply hop + response write syscall.
+// pipeline": parse+route, job hand-off, mailbox admission and wait, batch
+// gather + translate+feed, machine pump to retirement, barrier-drain to
+// the durable watermark, and the reply hop + response write syscall.
 var segmentNames = [NumSegments]string{
 	"route",        // conn-read        -> shard-route
 	"enqueue",      // shard-route      -> mailbox-enqueue
@@ -142,98 +150,6 @@ func (s *Span) StampAt(st Stage, cycle int64) {
 // Stamped reports whether stage st was stamped.
 func (s *Span) Stamped(st Stage) bool { return s != nil && s.Wall[st] != 0 }
 
-// HistBuckets is the power-of-two histogram size: bucket b counts values
-// v with bits.Len64(v) == b, i.e. bucket 0 holds exactly 0 and bucket
-// b>0 holds [2^(b-1), 2^b-1]. 48 buckets cover ~78 hours in nanoseconds.
-const HistBuckets = 48
-
-// histBucket maps a value to its bucket.
-func histBucket(v uint64) int {
-	b := bits.Len64(v)
-	if b >= HistBuckets {
-		b = HistBuckets - 1
-	}
-	return b
-}
-
-// BucketUpper reports bucket b's inclusive upper bound (2^b - 1; 0 for
-// bucket 0). The last bucket is unbounded but reports its nominal bound.
-func BucketUpper(b int) uint64 {
-	if b <= 0 {
-		return 0
-	}
-	return 1<<uint(b) - 1
-}
-
-// AtomicHist is a lock-free power-of-two histogram: Observe is two
-// atomic adds, safe from any number of goroutines.
-type AtomicHist struct {
-	counts [HistBuckets]atomic.Uint64
-	sum    atomic.Uint64
-}
-
-// Observe folds one value in.
-func (h *AtomicHist) Observe(v uint64) {
-	h.counts[histBucket(v)].Add(1)
-	h.sum.Add(v)
-}
-
-// Snapshot copies the histogram's current state.
-func (h *AtomicHist) Snapshot() HistSnapshot {
-	var s HistSnapshot
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-		s.Total += s.Counts[i]
-	}
-	s.Sum = h.sum.Load()
-	return s
-}
-
-// HistSnapshot is a point-in-time copy of an AtomicHist, mergeable and
-// queryable without synchronization.
-type HistSnapshot struct {
-	Counts [HistBuckets]uint64
-	Total  uint64
-	Sum    uint64
-}
-
-// Merge adds o into h (exact: bucket counts and sums just add).
-func (h *HistSnapshot) Merge(o HistSnapshot) {
-	for i := range h.Counts {
-		h.Counts[i] += o.Counts[i]
-	}
-	h.Total += o.Total
-	h.Sum += o.Sum
-}
-
-// Percentile reports the inclusive upper bound of the bucket holding the
-// nearest-rank p-th percentile sample (0 when empty).
-func (h *HistSnapshot) Percentile(p float64) uint64 {
-	if h.Total == 0 {
-		return 0
-	}
-	rank := uint64(float64(h.Total) * p / 100)
-	if rank >= h.Total {
-		rank = h.Total - 1
-	}
-	var seen uint64
-	for b := 0; b < HistBuckets; b++ {
-		seen += h.Counts[b]
-		if seen > rank {
-			return BucketUpper(b)
-		}
-	}
-	return BucketUpper(HistBuckets - 1)
-}
-
-// Mean reports the exact mean of observed values (0 when empty).
-func (h *HistSnapshot) Mean() float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Total)
-}
-
 // Meta carries the per-op identity folded into the flight recorder at
 // completion time.
 type Meta struct {
@@ -253,12 +169,12 @@ type Meta struct {
 
 // shardTel is one shard's telemetry state.
 type shardTel struct {
-	segs [NumSegments]AtomicHist
+	segs [NumSegments]hist.Atomic
 	// fast / fallback hold end-to-end GET latency by read path: served
 	// from the committed-state index on the caller's goroutine, or routed
 	// through the shard mailbox like a write.
-	fast     AtomicHist
-	fallback AtomicHist
+	fast     hist.Atomic
+	fallback hist.Atomic
 	rec      Recorder
 	ops      atomic.Uint64
 }
@@ -356,17 +272,6 @@ func (t *Tracer) ObserveReadPath(shard int, fast bool, d uint64) {
 	}
 }
 
-// ReadPathHist snapshots one shard's fast or fallback read histogram.
-func (t *Tracer) ReadPathHist(shard int, fast bool) HistSnapshot {
-	if t == nil || shard < 0 || shard >= len(t.shards) {
-		return HistSnapshot{}
-	}
-	if fast {
-		return t.shards[shard].fast.Snapshot()
-	}
-	return t.shards[shard].fallback.Snapshot()
-}
-
 // Ops reports how many completed operations shard has folded.
 func (t *Tracer) Ops(shard int) uint64 {
 	if t == nil || shard < 0 || shard >= len(t.shards) {
@@ -376,9 +281,9 @@ func (t *Tracer) Ops(shard int) uint64 {
 }
 
 // SegmentHist snapshots one shard's segment histogram.
-func (t *Tracer) SegmentHist(shard, seg int) HistSnapshot {
+func (t *Tracer) SegmentHist(shard, seg int) hist.Hist {
 	if t == nil || shard < 0 || shard >= len(t.shards) || seg < 0 || seg >= NumSegments {
-		return HistSnapshot{}
+		return hist.Hist{}
 	}
 	return t.shards[shard].segs[seg].Snapshot()
 }
@@ -403,10 +308,10 @@ const (
 	ReadFallbackStage = "read_fallback"
 )
 
-func stageRow(name string, h HistSnapshot) StageStats {
+func stageRow(name string, h *hist.Hist) StageStats {
 	return StageStats{
 		Stage:  name,
-		Count:  h.Total,
+		Count:  h.Total(),
 		MeanUS: h.Mean() / 1e3,
 		P50US:  float64(h.Percentile(50)) / 1e3,
 		P90US:  float64(h.Percentile(90)) / 1e3,
@@ -414,12 +319,36 @@ func stageRow(name string, h HistSnapshot) StageStats {
 	}
 }
 
-func summarize(hists [NumSegments]HistSnapshot, fast, fallback HistSnapshot) []StageStats {
-	out := make([]StageStats, 0, NumSegments+2)
-	for i := 0; i < NumSegments; i++ {
-		out = append(out, stageRow(segmentNames[i], hists[i]))
+// stageDists is one shard's (or the pool's) histograms in summary-row
+// order: the pipeline segments, then the fast and fallback read paths.
+type stageDists [NumSegments + 2]hist.Hist
+
+func (st *shardTel) snapshot() stageDists {
+	var hs stageDists
+	for i := range st.segs {
+		hs[i] = st.segs[i].Snapshot()
 	}
-	out = append(out, stageRow(ReadFastStage, fast), stageRow(ReadFallbackStage, fallback))
+	hs[NumSegments] = st.fast.Snapshot()
+	hs[NumSegments+1] = st.fallback.Snapshot()
+	return hs
+}
+
+// stageName labels row i of a stageDists.
+func stageName(i int) string {
+	switch i {
+	case NumSegments:
+		return ReadFastStage
+	case NumSegments + 1:
+		return ReadFallbackStage
+	}
+	return segmentNames[i]
+}
+
+func summarize(hs *stageDists) []StageStats {
+	out := make([]StageStats, len(hs))
+	for i := range hs {
+		out[i] = stageRow(stageName(i), &hs[i])
+	}
 	return out
 }
 
@@ -429,29 +358,22 @@ func (t *Tracer) ShardStageSummary(shard int) []StageStats {
 	if t == nil || shard < 0 || shard >= len(t.shards) {
 		return nil
 	}
-	var hists [NumSegments]HistSnapshot
-	for i := 0; i < NumSegments; i++ {
-		hists[i] = t.shards[shard].segs[i].Snapshot()
-	}
-	st := &t.shards[shard]
-	return summarize(hists, st.fast.Snapshot(), st.fallback.Snapshot())
+	hs := t.shards[shard].snapshot()
+	return summarize(&hs)
 }
 
-// StageSummary merges every shard's segment histograms (exact: pow-2
-// bucket counts add) and summarizes the pooled distributions, read-path
-// rows included.
+// StageSummary merges every shard's histograms (exact: bucket counts
+// add) and summarizes the pooled distributions, read-path rows included.
 func (t *Tracer) StageSummary() []StageStats {
 	if t == nil {
 		return nil
 	}
-	var hists [NumSegments]HistSnapshot
-	var fast, fallback HistSnapshot
+	var pooled stageDists
 	for s := range t.shards {
-		for i := 0; i < NumSegments; i++ {
-			hists[i].Merge(t.shards[s].segs[i].Snapshot())
+		hs := t.shards[s].snapshot()
+		for i := range hs {
+			pooled[i].Merge(&hs[i])
 		}
-		fast.Merge(t.shards[s].fast.Snapshot())
-		fallback.Merge(t.shards[s].fallback.Snapshot())
 	}
-	return summarize(hists, fast, fallback)
+	return summarize(&pooled)
 }

@@ -1,8 +1,10 @@
 package telemetry
 
 import (
-	"math"
+	"strings"
 	"testing"
+
+	"persistbarriers/internal/hist"
 )
 
 // span with deterministic stamps: stage i at base + sum of the first i
@@ -43,20 +45,15 @@ func TestCompleteFoldsSegments(t *testing.T) {
 	tr.Complete(1, stampedSpan(1000, gaps), Meta{Op: "put", Sess: 3, Key: "k1", Durable: 7, OK: true})
 
 	for seg := 0; seg < NumSegments; seg++ {
-		h := tr.SegmentHist(1, seg)
-		if h.Total != 1 {
-			t.Fatalf("seg %d total = %d", seg, h.Total)
-		}
-		if h.Sum != uint64(gaps[seg]) {
-			t.Fatalf("seg %d sum = %d, want %d", seg, h.Sum, gaps[seg])
-		}
-		if got := h.Counts[histBucket(uint64(gaps[seg]))]; got != 1 {
-			t.Fatalf("seg %d bucket count = %d", seg, got)
+		var want hist.Hist
+		want.Observe(uint64(gaps[seg]))
+		if h := tr.SegmentHist(1, seg); h != want {
+			t.Fatalf("seg %d: total %d sum %d, want the one sample %d", seg, h.Total(), h.Sum, gaps[seg])
 		}
 	}
 	// Shard 0 untouched.
-	if h := tr.SegmentHist(0, 0); h.Total != 0 {
-		t.Fatalf("shard 0 polluted: %+v", h)
+	if h := tr.SegmentHist(0, 0); h.Total() != 0 {
+		t.Fatalf("shard 0 polluted: %d samples", h.Total())
 	}
 	if tr.Ops(1) != 1 || tr.Ops(0) != 0 {
 		t.Fatalf("ops = %d/%d", tr.Ops(0), tr.Ops(1))
@@ -73,17 +70,10 @@ func TestCompleteSkipsUnstampedSegments(t *testing.T) {
 	sp.Wall[StageDequeue] = 500
 	sp.Wall[StageTranslate] = 700
 	tr.Complete(0, sp, Meta{})
-	if h := tr.SegmentHist(0, 0); h.Total != 1 || h.Sum != 50 {
-		t.Fatalf("route: %+v", h)
-	}
-	if h := tr.SegmentHist(0, 1); h.Total != 0 {
-		t.Fatalf("enqueue should be empty: %+v", h)
-	}
-	if h := tr.SegmentHist(0, 2); h.Total != 0 {
-		t.Fatalf("queue_wait should be empty: %+v", h)
-	}
-	if h := tr.SegmentHist(0, 3); h.Total != 1 || h.Sum != 200 {
-		t.Fatalf("translate: %+v", h)
+	for seg, want := range []struct{ n, sum uint64 }{{1, 50}, {0, 0}, {0, 0}, {1, 200}} {
+		if h := tr.SegmentHist(0, seg); h.Total() != want.n || h.Sum != want.sum {
+			t.Fatalf("%s: %d samples summing to %d, want %d and %d", SegmentName(seg), h.Total(), h.Sum, want.n, want.sum)
+		}
 	}
 }
 
@@ -124,47 +114,28 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestHistBucketBounds: the exposition keeps one power-of-two le bound
+// per octave however fine the layout underneath is, each carrying the
+// exact cumulative count of the sub-buckets below it, and nothing past
+// the octave of the largest sample.
 func TestHistBucketBounds(t *testing.T) {
-	cases := []struct {
-		v uint64
-		b int
-	}{{0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {1023, 10}, {1024, 11}, {math.MaxUint64, HistBuckets - 1}}
-	for _, c := range cases {
-		if got := histBucket(c.v); got != c.b {
-			t.Fatalf("histBucket(%d) = %d, want %d", c.v, got, c.b)
+	var h hist.Hist
+	for _, v := range []uint64{0, 1, 2, 3, 4, 1000, 1023, 1024} {
+		h.Observe(v)
+	}
+	out := string(AppendHistogram(nil, "m", "", h, 1))
+	var bounds []string
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, `m_bucket{le="`); ok {
+			bounds = append(bounds, strings.Replace(rest, `"}`, "", 1))
 		}
 	}
-	if BucketUpper(0) != 0 || BucketUpper(1) != 1 || BucketUpper(5) != 31 {
-		t.Fatal("BucketUpper wrong")
+	want := "0 1|1 2|3 4|7 5|15 5|31 5|63 5|127 5|255 5|511 5|1023 7|2047 8|+Inf 8"
+	if got := strings.Join(bounds, "|"); got != want {
+		t.Fatalf("bucket lines:\n got %s\nwant %s", got, want)
 	}
-}
-
-func TestHistSnapshotPercentileAndMerge(t *testing.T) {
-	var a, b AtomicHist
-	for i := 0; i < 90; i++ {
-		a.Observe(10) // bucket 4, upper 15
-	}
-	for i := 0; i < 10; i++ {
-		b.Observe(1000) // bucket 10, upper 1023
-	}
-	m := a.Snapshot()
-	m.Merge(b.Snapshot())
-	if m.Total != 100 {
-		t.Fatalf("total = %d", m.Total)
-	}
-	if got := m.Percentile(50); got != 15 {
-		t.Fatalf("p50 = %d, want 15", got)
-	}
-	if got := m.Percentile(99); got != 1023 {
-		t.Fatalf("p99 = %d, want 1023", got)
-	}
-	wantMean := (90*10.0 + 10*1000.0) / 100
-	if m.Mean() != wantMean {
-		t.Fatalf("mean = %g, want %g", m.Mean(), wantMean)
-	}
-	var empty HistSnapshot
-	if empty.Percentile(50) != 0 || empty.Mean() != 0 {
-		t.Fatal("empty hist not zero")
+	if !strings.Contains(out, "m_sum 3057\nm_count 8\n") {
+		t.Fatalf("sum and count are not exact:\n%s", out)
 	}
 }
 
@@ -192,8 +163,8 @@ func TestStageSummaryMergesShards(t *testing.T) {
 		if s.P50US > 2 {
 			t.Fatalf("%s p50 = %g us, want ~1", s.Stage, s.P50US)
 		}
-		// p99 lands in the slow shard's bucket (900000ns ~ bucket 20, upper
-		// 1048575ns ~ 1048.575us).
+		// p99 lands in the slow shard's bucket (900000ns, reported as its
+		// bucket's upper bound 917503ns).
 		if s.P99US < 500 {
 			t.Fatalf("%s p99 = %g us, want the slow sample", s.Stage, s.P99US)
 		}

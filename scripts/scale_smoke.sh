@@ -22,36 +22,61 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-addr=${SMOKE_ADDR:-127.0.0.1:7199}
-admin=${SMOKE_ADMIN:-127.0.0.1:7299}
 artifact=${FLIGHT_ARTIFACT:-flight-recorder.json}
 dir=$(mktemp -d)
+pid=
 trap 'kill -9 "$pid" 2>/dev/null || true; rm -rf "$dir"' EXIT
 
 go build -o "$dir/pmkvd" ./cmd/pmkvd
 go build -o "$dir/pmkvload" ./cmd/pmkvload
 go build -o "$dir/promcheck" ./cmd/promcheck
 
+# start_server LOG FLAGS... starts pmkvd on free ports (it binds :0 and
+# prints what it got, which is also how benchmark/server.go finds it) and
+# sets pid, addr and admin once it is serving.
+start_server() {
+    local log=$1
+    shift
+    "$dir/pmkvd" -addr 127.0.0.1:0 -admin 127.0.0.1:0 "$@" >"$log" 2>&1 &
+    pid=$!
+    for _ in $(seq 1 200); do
+        addr=$(sed -n 's/^pmkvd: serving on \([^ ]*\).*/\1/p' "$log")
+        [ -n "$addr" ] && break
+        kill -0 "$pid" 2>/dev/null || break
+        sleep 0.1
+    done
+    admin=$(sed -n 's|^pmkvd: admin endpoint on http://\([^ ]*\).*|\1|p' "$log")
+    if [ -z "$addr" ] || [ -z "$admin" ]; then
+        echo "scale_smoke: pmkvd did not start serving" >&2
+        cat "$log" >&2
+        exit 1
+    fi
+}
+
+# wait_exit PHASE LOG waits up to 120 s for pmkvd to finish its drain and
+# prints its log.
+wait_exit() {
+    for _ in $(seq 1 120); do
+        kill -0 "$pid" 2>/dev/null || break
+        sleep 1
+    done
+    if kill -0 "$pid" 2>/dev/null; then
+        echo "scale_smoke: pmkvd ($1) did not drain within 120s" >&2
+        cat "$2" >&2
+        exit 1
+    fi
+    cat "$2"
+}
+
 # Phase 1: clean drain under load with the durable-linearizability
 # checker on — SIGTERM quiesces every shard and the verdict must be OK.
-"$dir/pmkvd" -addr "$addr" -shards 4 -check -admin "$admin" >"$dir/pmkvd-clean.log" 2>&1 &
-pid=$!
-sleep 1
+start_server "$dir/pmkvd-clean.log" -shards 4 -check
 "$dir/pmkvload" -addr "$addr" -conns 2 -rate 150 -duration 2s &
 jsonload=$!
 "$dir/pmkvload" -addr "$addr" -proto binary -window 32 -conns 2 -rate 150 -duration 2s
 wait "$jsonload"
 kill -TERM "$pid"
-for _ in $(seq 1 120); do
-    kill -0 "$pid" 2>/dev/null || break
-    sleep 1
-done
-if kill -0 "$pid" 2>/dev/null; then
-    echo "scale_smoke: pmkvd (clean phase) did not drain within 120s" >&2
-    cat "$dir/pmkvd-clean.log" >&2
-    exit 1
-fi
-cat "$dir/pmkvd-clean.log"
+wait_exit "clean phase" "$dir/pmkvd-clean.log"
 grep -q "clean drain" "$dir/pmkvd-clean.log" || {
     echo "scale_smoke: clean phase did not report a clean drain" >&2
     exit 1
@@ -69,9 +94,7 @@ grep -q "flight recorder: .* consistency OK" "$dir/pmkvd-clean.log" || {
 # path must actually serve hits (counted on /metrics), and the clean
 # drain's durable-linearizability verdict must still be OK with reads
 # bypassing the shard mailboxes.
-"$dir/pmkvd" -addr "$addr" -shards 4 -check -admin "$admin" >"$dir/pmkvd-read.log" 2>&1 &
-pid=$!
-sleep 1
+start_server "$dir/pmkvd-read.log" -shards 4 -check
 "$dir/pmkvload" -addr "$addr" -get 0.95 -del 0.01 -conns 2 -rate 300 -duration 2s &
 jsonload=$!
 "$dir/pmkvload" -addr "$addr" -proto binary -window 32 -get 0.95 -del 0.01 \
@@ -87,16 +110,7 @@ grep '^pmkv_read_fast_hits_total' "$dir/metrics-read.txt" | awk '{s+=$2} END {ex
     exit 1
 }
 kill -TERM "$pid"
-for _ in $(seq 1 120); do
-    kill -0 "$pid" 2>/dev/null || break
-    sleep 1
-done
-if kill -0 "$pid" 2>/dev/null; then
-    echo "scale_smoke: pmkvd (read phase) did not drain within 120s" >&2
-    cat "$dir/pmkvd-read.log" >&2
-    exit 1
-fi
-cat "$dir/pmkvd-read.log"
+wait_exit "read phase" "$dir/pmkvd-read.log"
 grep -q "durable linearizability: OK" "$dir/pmkvd-read.log" || {
     echo "scale_smoke: no durable-linearizability verdict in the read-heavy phase" >&2
     exit 1
@@ -115,9 +129,7 @@ grep -q "flight recorder: .* consistency OK" "$dir/pmkvd-read.log" || {
 # own history, against about 300 MB when each write kept its record,
 # tokens and epoch summary for good).
 rss_ceiling=$((160 << 20))
-"$dir/pmkvd" -addr "$addr" -shards 2 -check -admin "$admin" >"$dir/pmkvd-soak.log" 2>&1 &
-pid=$!
-sleep 1
+start_server "$dir/pmkvd-soak.log" -shards 2 -check
 "$dir/pmkvload" -addr "$addr" -proto binary -window 64 -conns 2 -keys 4096 \
     -get 0.45 -del 0.05 -rate 40000 -duration 10s &
 loadpid=$!
@@ -142,16 +154,7 @@ echo "scale_smoke: soak scrape: folded $folded, retained $retained, resident $rs
 }
 wait "$loadpid"
 kill -TERM "$pid"
-for _ in $(seq 1 120); do
-    kill -0 "$pid" 2>/dev/null || break
-    sleep 1
-done
-if kill -0 "$pid" 2>/dev/null; then
-    echo "scale_smoke: pmkvd (soak phase) did not drain within 120s" >&2
-    cat "$dir/pmkvd-soak.log" >&2
-    exit 1
-fi
-cat "$dir/pmkvd-soak.log"
+wait_exit "soak phase" "$dir/pmkvd-soak.log"
 grep -q "recovery invariants: OK" "$dir/pmkvd-soak.log" || {
     echo "scale_smoke: recovery verification did not pass after the soak" >&2
     exit 1
@@ -166,10 +169,8 @@ grep -q "durable linearizability: OK" "$dir/pmkvd-soak.log" || {
 }
 
 # Phase 2: crash mid-load, flight recorder + checker both armed.
-"$dir/pmkvd" -addr "$addr" -shards 4 -crash-at 100000 -check \
-    -admin "$admin" -flight-dump "$dir/flight.json" >"$dir/pmkvd.log" 2>&1 &
-pid=$!
-sleep 1
+start_server "$dir/pmkvd.log" -shards 4 -crash-at 100000 -check \
+    -flight-dump "$dir/flight.json"
 
 "$dir/pmkvload" -addr "$addr" -conns 4 -rate 200 -duration 5s &
 jsonload=$!
@@ -201,17 +202,7 @@ wait "$loadpid"
 wait "$jsonload"
 
 # The crash fires mid-load and the server drains itself; wait for exit.
-for _ in $(seq 1 120); do
-    kill -0 "$pid" 2>/dev/null || break
-    sleep 1
-done
-if kill -0 "$pid" 2>/dev/null; then
-    echo "scale_smoke: pmkvd did not drain within 120s" >&2
-    cat "$dir/pmkvd.log" >&2
-    exit 1
-fi
-
-cat "$dir/pmkvd.log"
+wait_exit "crash phase" "$dir/pmkvd.log"
 grep -q "crashed at cycle" "$dir/pmkvd.log" || {
     echo "scale_smoke: no shard reached its crash instant" >&2
     exit 1
