@@ -31,6 +31,7 @@ import (
 	"strings"
 
 	"persistbarriers/internal/harness"
+	"persistbarriers/internal/profiling"
 	"persistbarriers/internal/stats"
 )
 
@@ -54,25 +55,25 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		flag.Usage()
-		exit(2)
+		profiling.Exit(2)
 	}
-	if err := startProfiles(*cpuProfile, *memProfile); err != nil {
+	if err := profiling.Start(*cpuProfile, *memProfile); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
-		exit(1)
+		profiling.Exit(1)
 	}
-	defer stopProfiles()
+	defer profiling.Stop()
 	// Reject bad inputs before any sweep spins up workers.
 	if *threads < 0 || *threads > 32 {
 		fmt.Fprintf(os.Stderr, "figures: -threads must be in 1..32 (or 0 for the option set's default), got %d\n", *threads)
-		exit(2)
+		profiling.Exit(2)
 	}
 	if *parallel < 1 {
 		fmt.Fprintf(os.Stderr, "figures: -j must be >= 1, got %d\n", *parallel)
-		exit(2)
+		profiling.Exit(2)
 	}
 	if *microOps < 0 || *appOps < 0 {
 		fmt.Fprintf(os.Stderr, "figures: -microops and -appops must be >= 0\n")
-		exit(2)
+		profiling.Exit(2)
 	}
 
 	opt := harness.Defaults()
@@ -106,7 +107,7 @@ func main() {
 	if !known {
 		fmt.Fprintf(os.Stderr, "figures: unknown artifact %q (choose from: %s)\n",
 			name, strings.Join(artifactNames(), " "))
-		exit(2)
+		profiling.Exit(2)
 	}
 	names := []string{name}
 	if name == "all" {
@@ -123,7 +124,7 @@ func main() {
 		doc, err := runArtifact(a, opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", a, err)
-			exit(1)
+			profiling.Exit(1)
 		}
 		if *jsonOut {
 			docs = append(docs, doc)
@@ -148,7 +149,7 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
-			exit(1)
+			profiling.Exit(1)
 		}
 	}
 }

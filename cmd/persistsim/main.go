@@ -42,6 +42,7 @@ import (
 	"persistbarriers/internal/harness"
 	"persistbarriers/internal/machine"
 	"persistbarriers/internal/obs"
+	"persistbarriers/internal/profiling"
 	"persistbarriers/internal/sim"
 	"persistbarriers/internal/stats"
 	"persistbarriers/internal/trace"
@@ -70,28 +71,28 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile (pprof) to this file on exit")
 	)
 	flag.Parse()
-	if err := startProfiles(*cpuProfile, *memProfile); err != nil {
+	if err := profiling.Start(*cpuProfile, *memProfile); err != nil {
 		fmt.Fprintln(os.Stderr, "persistsim:", err)
-		exit(1)
+		profiling.Exit(1)
 	}
-	defer stopProfiles()
+	defer profiling.Stop()
 
 	// Reject bad inputs before any machine or worker pool is built.
 	if *threads < 1 || *threads > 32 {
 		fmt.Fprintf(os.Stderr, "persistsim: -threads must be in 1..32, got %d\n", *threads)
-		exit(2)
+		profiling.Exit(2)
 	}
 	if *ops < 1 {
 		fmt.Fprintf(os.Stderr, "persistsim: -ops must be >= 1, got %d\n", *ops)
-		exit(2)
+		profiling.Exit(2)
 	}
 	if *parallel < 1 {
 		fmt.Fprintf(os.Stderr, "persistsim: -j must be >= 1, got %d\n", *parallel)
-		exit(2)
+		profiling.Exit(2)
 	}
 	if *bulk < 0 {
 		fmt.Fprintf(os.Stderr, "persistsim: -bulk must be >= 0, got %d\n", *bulk)
-		exit(2)
+		profiling.Exit(2)
 	}
 
 	cfg := machine.DefaultConfig()
@@ -118,12 +119,12 @@ func main() {
 		cfg.IDT, cfg.PF = true, true
 	default:
 		fmt.Fprintf(os.Stderr, "persistsim: unknown barrier %q\n", *barrier)
-		exit(2)
+		profiling.Exit(2)
 	}
 	if *bulk > 0 {
 		if cfg.Model != machine.LB {
 			fmt.Fprintln(os.Stderr, "persistsim: -bulk requires an LB-family barrier")
-			exit(2)
+			profiling.Exit(2)
 		}
 		cfg.BulkEpochStores = *bulk
 		cfg.Logging = *logging
@@ -134,7 +135,7 @@ func main() {
 
 	if *repeat < 1 {
 		fmt.Fprintln(os.Stderr, "persistsim: -repeat must be >= 1")
-		exit(2)
+		profiling.Exit(2)
 	}
 	if *repeat > 1 {
 		runRepeat(cfg, *wl, *threads, *ops, *seed, *repeat, *parallel,
@@ -168,26 +169,26 @@ func main() {
 		p, err = prof.Generate(spec)
 	} else {
 		fmt.Fprintf(os.Stderr, "persistsim: unknown workload %q\n", *wl)
-		exit(2)
+		profiling.Exit(2)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "persistsim:", err)
-		exit(1)
+		profiling.Exit(1)
 	}
 
 	m, err := machine.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "persistsim:", err)
-		exit(1)
+		profiling.Exit(1)
 	}
 	if err := m.Load(p); err != nil {
 		fmt.Fprintln(os.Stderr, "persistsim:", err)
-		exit(1)
+		profiling.Exit(1)
 	}
 	r, err := m.Run()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "persistsim:", err)
-		exit(1)
+		profiling.Exit(1)
 	}
 
 	// Exports are written even for deadlocked runs — a trace of the
@@ -195,7 +196,7 @@ func main() {
 	if tracer != nil {
 		if err := writeFile(*traceOut, tracer.Export); err != nil {
 			fmt.Fprintln(os.Stderr, "persistsim:", err)
-			exit(1)
+			profiling.Exit(1)
 		}
 	}
 	if sampler != nil {
@@ -205,7 +206,7 @@ func main() {
 		}
 		if err := writeFile(*metricsOut, export); err != nil {
 			fmt.Fprintln(os.Stderr, "persistsim:", err)
-			exit(1)
+			profiling.Exit(1)
 		}
 	}
 
@@ -213,7 +214,7 @@ func main() {
 		printJSON(os.Stdout, *wl, spec, p, cfg, r)
 		if r.Deadlocked {
 			fmt.Fprintln(os.Stderr, "persistsim: DEADLOCKED (see §3.3 — enable splitting or fix barrier placement)")
-			exit(1)
+			profiling.Exit(1)
 		}
 		return
 	}
@@ -228,7 +229,7 @@ func main() {
 	if r.Deadlocked {
 		// Diagnostics go to stderr so stdout stays machine-parseable.
 		fmt.Fprintln(os.Stderr, "persistsim: DEADLOCKED (see §3.3 — enable splitting or fix barrier placement)")
-		exit(1)
+		profiling.Exit(1)
 	}
 	fmt.Printf("exec cycles:     %d (drain at %d)\n", r.ExecCycles, r.DrainCycles)
 	fmt.Printf("transactions:    %d (%.3f per kilocycle)\n", r.Transactions, r.Throughput())
@@ -256,7 +257,7 @@ func runRepeat(cfg machine.Config, wl string, threads, ops int, seed uint64, n, 
 	prof, isApp := workload.Apps()[wl]
 	if !isMicro && !isApp {
 		fmt.Fprintf(os.Stderr, "persistsim: unknown workload %q\n", wl)
-		exit(2)
+		profiling.Exit(2)
 	}
 	type probeSet struct {
 		tracer  *obs.ChromeTracer
@@ -299,7 +300,7 @@ func runRepeat(cfg machine.Config, wl string, threads, ops int, seed uint64, n, 
 	results, err := harness.Sweep(jobs, harness.SweepOptions{Parallelism: parallel, AllowDeadlock: true})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "persistsim:", err)
-		exit(1)
+		profiling.Exit(1)
 	}
 
 	deadlocked := false
@@ -308,7 +309,7 @@ func runRepeat(cfg machine.Config, wl string, threads, ops int, seed uint64, n, 
 		if probes[i].tracer != nil {
 			if err := writeFile(seedPath(traceOut, specs[i].Seed), probes[i].tracer.Export); err != nil {
 				fmt.Fprintln(os.Stderr, "persistsim:", err)
-				exit(1)
+				profiling.Exit(1)
 			}
 		}
 		if probes[i].sampler != nil {
@@ -318,7 +319,7 @@ func runRepeat(cfg machine.Config, wl string, threads, ops int, seed uint64, n, 
 			}
 			if err := writeFile(seedPath(metricsOut, specs[i].Seed), export); err != nil {
 				fmt.Fprintln(os.Stderr, "persistsim:", err)
-				exit(1)
+				profiling.Exit(1)
 			}
 		}
 		if r.Deadlocked {
@@ -329,7 +330,7 @@ func runRepeat(cfg machine.Config, wl string, threads, ops int, seed uint64, n, 
 			p, err := jobs[i].Gen()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "persistsim:", err)
-				exit(1)
+				profiling.Exit(1)
 			}
 			summaries = append(summaries, buildSummary(wl, specs[i], p, cfg, r))
 			continue
@@ -351,11 +352,11 @@ func runRepeat(cfg machine.Config, wl string, threads, ops int, seed uint64, n, 
 		enc.SetIndent("", " ")
 		if err := enc.Encode(summaries); err != nil {
 			fmt.Fprintln(os.Stderr, "persistsim:", err)
-			exit(1)
+			profiling.Exit(1)
 		}
 	}
 	if deadlocked {
-		exit(1)
+		profiling.Exit(1)
 	}
 }
 
@@ -436,7 +437,7 @@ func printJSON(w *os.File, wl string, spec workload.Spec, p *trace.Program, cfg 
 	s := buildSummary(wl, spec, p, cfg, r)
 	if err := enc.Encode(&s); err != nil {
 		fmt.Fprintln(os.Stderr, "persistsim:", err)
-		exit(1)
+		profiling.Exit(1)
 	}
 }
 

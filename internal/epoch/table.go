@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"persistbarriers/internal/hist"
 	"persistbarriers/internal/mem"
 	"persistbarriers/internal/obs"
 	"persistbarriers/internal/sim"
@@ -237,6 +238,9 @@ type Stats struct {
 	DepsRecorded      uint64
 	DepRegFull        uint64
 	Splits            uint64
+	// PersistLatency is each persisted epoch's completion-to-durability
+	// time in cycles.
+	PersistLatency hist.Hist
 }
 
 // Table is one core's epoch-tracking hardware: the window of unpersisted
@@ -376,6 +380,7 @@ func (t *Table) markPersisted(r *Record, now sim.Cycle) {
 	}
 	t.stats.ByCause[cause]++
 	t.stats.EpochsPersisted++
+	t.stats.PersistLatency.Observe(uint64(now - r.CompletedAt))
 	// Figure 12's notion: the epoch either was the target of a conflict
 	// (even if IDT resolved it offline) or was flushed as part of a
 	// conflict-demanded chain.

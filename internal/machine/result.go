@@ -3,6 +3,7 @@ package machine
 import (
 	"persistbarriers/internal/cache"
 	"persistbarriers/internal/epoch"
+	"persistbarriers/internal/hist"
 	"persistbarriers/internal/mem"
 	"persistbarriers/internal/noc"
 	"persistbarriers/internal/nvram"
@@ -123,15 +124,92 @@ func (r *Result) StallTotal(cause StallCause) sim.Cycle {
 	return t
 }
 
-// result snapshots the machine state into a Result.
-func (m *Machine) result() *Result {
-	r := &Result{
-		Barrier:        m.cfg.BarrierName(),
-		Model:          m.cfg.Model,
-		ExecCycles:     m.execCycles,
-		DrainCycles:    m.drainCycles,
-		Finished:       m.finished,
-		Deadlocked:     m.deadlocked,
+// Counters is the machine's running totals: every quantity the paper
+// evaluates a barrier by (§7), counted once where it happens — in the
+// epoch tables, the arbiters, the access paths — and summed here. Reading
+// them is O(cores + banks) and touches no history, image or token map, so
+// a live service reads them at any instant; Result carries the same
+// numbers for a finished run. The JSON tags are the names pmkvd's stats
+// reply uses; the nested types keep their Go field names there, because
+// their untagged canonical JSON is what run fingerprints hash.
+type Counters struct {
+	// Cycle is the simulated clock at the reading.
+	Cycle        sim.Cycle      `json:"cycle"`
+	Transactions uint64         `json:"txs"`
+	Conflicts    ConflictCounts `json:"conflicts"`
+	Epochs       EpochAggregate `json:"epochs"`
+	// PersistLatency is epoch completion to durability, in cycles, over
+	// every epoch persisted so far. It sits beside Epochs rather than in
+	// it because EpochAggregate's JSON form is fingerprinted.
+	PersistLatency hist.Hist `json:"persist_latency,omitzero"`
+	// Stalls sums each StallCause over the cores.
+	Stalls         [numStallCauses]sim.Cycle `json:"stall_cycles"`
+	PersistedLines uint64                    `json:"persisted_lines"`
+	LogWrites      uint64                    `json:"log_writes"`
+
+	MC  nvram.Stats `json:"mc"`
+	NoC noc.Stats   `json:"noc"`
+	L1  cache.Stats `json:"l1"`
+	LLC cache.Stats `json:"llc"`
+}
+
+// addCache adds one cache's counts into dst.
+func addCache(dst *cache.Stats, s cache.Stats) {
+	dst.Hits += s.Hits
+	dst.Misses += s.Misses
+	dst.Evictions += s.Evictions
+	dst.DirtyEvicts += s.DirtyEvicts
+}
+
+// Add folds o into c field by field, so per-machine readings pool into
+// one store-wide reading: counts and stall cycles sum, the latency
+// histograms merge exactly, Cycle is the furthest clock and NoC.AvgHops
+// the message-weighted mean.
+func (c *Counters) Add(o *Counters) {
+	c.Cycle = max(c.Cycle, o.Cycle)
+	c.Transactions += o.Transactions
+	c.Conflicts.Intra += o.Conflicts.Intra
+	c.Conflicts.Inter += o.Conflicts.Inter
+	c.Conflicts.Eviction += o.Conflicts.Eviction
+	c.Conflicts.IDTFallbacks += o.Conflicts.IDTFallbacks
+	c.Epochs.Opened += o.Epochs.Opened
+	c.Epochs.Persisted += o.Epochs.Persisted
+	c.Epochs.Conflicting += o.Epochs.Conflicting
+	for i, n := range o.Epochs.ByCause {
+		c.Epochs.ByCause[i] += n
+	}
+	for i, n := range o.Epochs.ByAdvance {
+		c.Epochs.ByAdvance[i] += n
+	}
+	c.Epochs.Deps += o.Epochs.Deps
+	c.Epochs.Splits += o.Epochs.Splits
+	c.Epochs.Flushes += o.Epochs.Flushes
+	c.Epochs.Natural += o.Epochs.Natural
+	c.PersistLatency.Merge(&o.PersistLatency)
+	for i, n := range o.Stalls {
+		c.Stalls[i] += n
+	}
+	c.PersistedLines += o.PersistedLines
+	c.LogWrites += o.LogWrites
+	c.MC.Reads += o.MC.Reads
+	c.MC.Writes += o.MC.Writes
+	c.MC.LogWrites += o.MC.LogWrites
+	c.MC.BusyCycles += o.MC.BusyCycles
+	c.MC.StallCycles += o.MC.StallCycles
+	if msgs := c.NoC.Messages + o.NoC.Messages; msgs > 0 {
+		c.NoC.AvgHops = (c.NoC.AvgHops*float64(c.NoC.Messages) + o.NoC.AvgHops*float64(o.NoC.Messages)) / float64(msgs)
+	}
+	c.NoC.Messages += o.NoC.Messages
+	c.NoC.Flits += o.NoC.Flits
+	addCache(&c.L1, o.L1)
+	addCache(&c.LLC, o.LLC)
+}
+
+// Counters reads the machine's counters as of the current cycle. Like
+// every Machine method it must not race the engine.
+func (m *Machine) Counters() Counters {
+	c := Counters{
+		Cycle:          m.eng.Now(),
 		PersistedLines: m.persistedLines,
 		LogWrites:      m.logWrites,
 		MC:             m.mcs.Stats(),
@@ -142,54 +220,76 @@ func (m *Machine) result() *Result {
 			Eviction:     m.evictionConflicts,
 			IDTFallbacks: m.idtFallbacks,
 		},
-		PersistLog: m.persistLog,
+	}
+	for _, core := range m.cores {
+		c.Transactions += core.txs
+		for i, n := range core.stalls {
+			c.Stalls[i] += n
+		}
+		addCache(&c.L1, core.l1.Stats())
+		if core.table == nil {
+			continue
+		}
+		ts := core.table.Stats()
+		c.Epochs.Opened += ts.EpochsOpened
+		c.Epochs.Persisted += ts.EpochsPersisted
+		c.Epochs.Conflicting += ts.ConflictingEpochs
+		c.Epochs.Deps += ts.DepsRecorded
+		c.Epochs.Splits += ts.Splits
+		for i := range ts.ByCause {
+			c.Epochs.ByCause[i] += ts.ByCause[i]
+		}
+		for i := range ts.ByAdvance {
+			c.Epochs.ByAdvance[i] += ts.ByAdvance[i]
+		}
+		c.PersistLatency.Merge(&ts.PersistLatency)
+		as := core.arb.Stats()
+		c.Epochs.Flushes += as.FlushesDriven
+		c.Epochs.Natural += as.NaturalPersists
+	}
+	for _, b := range m.banks {
+		addCache(&c.LLC, b.arr.Stats())
+	}
+	return c
+}
+
+// result snapshots the machine state into a Result: the counters, plus
+// the per-core detail and the recovery material only a Result carries.
+func (m *Machine) result() *Result {
+	c := m.Counters()
+	r := &Result{
+		Barrier:        m.cfg.BarrierName(),
+		Model:          m.cfg.Model,
+		ExecCycles:     m.execCycles,
+		DrainCycles:    m.drainCycles,
+		Finished:       m.finished,
+		Deadlocked:     m.deadlocked,
+		Transactions:   c.Transactions,
+		Conflicts:      c.Conflicts,
+		Epochs:         c.Epochs,
+		PersistedLines: c.PersistedLines,
+		LogWrites:      c.LogWrites,
+		MC:             c.MC,
+		NoC:            c.NoC,
+		L1:             c.L1,
+		LLC:            c.LLC,
+		PersistLog:     m.persistLog,
 	}
 	if !m.finished {
 		// Crashed or deadlocked mid-run: report progress so far.
-		r.ExecCycles = m.eng.Now()
+		r.ExecCycles = c.Cycle
 	}
-	for _, c := range m.cores {
-		cr := CoreResult{
-			Transactions: c.txs,
-			OpsRetired:   c.retired + c.pc,
-			ExecDone:     c.execDone,
-			Stalls:       c.stalls,
-			OpTimes:      c.opTimes,
+	for _, core := range m.cores {
+		r.Cores = append(r.Cores, CoreResult{
+			Transactions: core.txs,
+			OpsRetired:   core.retired + core.pc,
+			ExecDone:     core.execDone,
+			Stalls:       core.stalls,
+			OpTimes:      core.opTimes,
+		})
+		if core.table != nil && m.cfg.RecordHistory {
+			r.Histories = append(r.Histories, core.table.History())
 		}
-		r.Transactions += c.txs
-		r.Cores = append(r.Cores, cr)
-		l1s := c.l1.Stats()
-		r.L1.Hits += l1s.Hits
-		r.L1.Misses += l1s.Misses
-		r.L1.Evictions += l1s.Evictions
-		r.L1.DirtyEvicts += l1s.DirtyEvicts
-		if c.table != nil {
-			ts := c.table.Stats()
-			r.Epochs.Opened += ts.EpochsOpened
-			r.Epochs.Persisted += ts.EpochsPersisted
-			r.Epochs.Conflicting += ts.ConflictingEpochs
-			r.Epochs.Deps += ts.DepsRecorded
-			r.Epochs.Splits += ts.Splits
-			for i := range ts.ByCause {
-				r.Epochs.ByCause[i] += ts.ByCause[i]
-			}
-			for i := range ts.ByAdvance {
-				r.Epochs.ByAdvance[i] += ts.ByAdvance[i]
-			}
-			as := c.arb.Stats()
-			r.Epochs.Flushes += as.FlushesDriven
-			r.Epochs.Natural += as.NaturalPersists
-			if m.cfg.RecordHistory {
-				r.Histories = append(r.Histories, c.table.History())
-			}
-		}
-	}
-	for _, b := range m.banks {
-		bs := b.arr.Stats()
-		r.LLC.Hits += bs.Hits
-		r.LLC.Misses += bs.Misses
-		r.LLC.Evictions += bs.Evictions
-		r.LLC.DirtyEvicts += bs.DirtyEvicts
 	}
 	if m.cfg.RecordHistory {
 		r.Image = m.mcs.Image()

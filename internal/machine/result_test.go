@@ -4,7 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"persistbarriers/internal/epoch"
+	"persistbarriers/internal/noc"
 	"persistbarriers/internal/sim"
+	"persistbarriers/internal/workload"
 )
 
 func TestConflictCountsTotal(t *testing.T) {
@@ -71,5 +74,170 @@ func TestResultStallTotal(t *testing.T) {
 	}
 	if got := r.StallTotal(StallEviction); got != 0 {
 		t.Errorf("StallTotal(eviction) = %d, want 0", got)
+	}
+}
+
+// countersOf picks out of a Result the fields Counters also carries.
+func countersOf(r *Result) Counters {
+	c := Counters{
+		Transactions:   r.Transactions,
+		Conflicts:      r.Conflicts,
+		Epochs:         r.Epochs,
+		PersistedLines: r.PersistedLines,
+		LogWrites:      r.LogWrites,
+		MC:             r.MC,
+		NoC:            r.NoC,
+		L1:             r.L1,
+		LLC:            r.LLC,
+	}
+	for cause := range c.Stalls {
+		c.Stalls[cause] = r.StallTotal(StallCause(cause))
+	}
+	return c
+}
+
+// TestCountersMatchResult: Machine.Counters is the counter half of
+// result(), so after Run, Snapshot and Drain it must equal the returned
+// Result field for field — and carry one latency sample per persisted
+// epoch at the machine's clock.
+func TestCountersMatchResult(t *testing.T) {
+	check := func(t *testing.T, m *Machine, r *Result) {
+		t.Helper()
+		got := m.Counters()
+		if got.Cycle != m.Now() {
+			t.Errorf("Cycle = %d, want the clock %d", got.Cycle, m.Now())
+		}
+		if n := got.PersistLatency.Total(); n != r.Epochs.Persisted || n == 0 {
+			t.Errorf("%d latency samples for %d persisted epochs", n, r.Epochs.Persisted)
+		}
+		want := countersOf(r)
+		want.Cycle, want.PersistLatency = got.Cycle, got.PersistLatency
+		if got != want {
+			t.Errorf("Counters differ from the Result:\n got %+v\nwant %+v", got, want)
+		}
+	}
+	spec := workload.Spec{Threads: 4, OpsPerThread: 40, Seed: 3}
+	queue, err := workload.Queue(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("queue LB++ Run", func(t *testing.T) {
+		m, err := New(lbStreamConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Load(queue); err != nil {
+			t.Fatal(err)
+		}
+		r, err := m.Run()
+		if err != nil || !r.Finished {
+			t.Fatalf("run: %v, finished %v", err, r.Finished)
+		}
+		if r.Conflicts.Total() == 0 || r.StallTotal(StallWriteBuffer) == 0 {
+			t.Fatalf("workload too tame to tell counters apart: %+v", r.Conflicts)
+		}
+		check(t, m, r)
+	})
+
+	t.Run("ssca2 bulk logging Run", func(t *testing.T) {
+		cfg := lbStreamConfig()
+		cfg.BulkEpochStores, cfg.Logging, cfg.CheckpointLines = 8, true, 4
+		p, err := workload.Apps()["ssca2"].Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		r, err := m.Run()
+		if err != nil || !r.Finished {
+			t.Fatalf("run: %v, finished %v", err, r.Finished)
+		}
+		if r.LogWrites == 0 || r.Epochs.ByAdvance[epoch.HardwareAdvance] == 0 {
+			t.Fatalf("not a bulk logging run: %d log writes, advances %v", r.LogWrites, r.Epochs.ByAdvance)
+		}
+		check(t, m, r)
+	})
+
+	t.Run("queue LB++ stream Snapshot and Drain", func(t *testing.T) {
+		m, err := New(lbStreamConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.StartStream(); err != nil {
+			t.Fatal(err)
+		}
+		for core, ops := range queue.Traces {
+			if err := m.Feed(core, ops); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.PumpUntilIdle(5_000) {
+			t.Fatal("the whole trace retired before the mid-run snapshot")
+		}
+		check(t, m, m.Snapshot())
+		if !m.PumpUntilIdle(sim.MaxCycle) {
+			t.Fatal("machine did not go idle")
+		}
+		r, err := m.Drain()
+		if err != nil || !r.Finished {
+			t.Fatalf("drain: %v, finished %v", err, r.Finished)
+		}
+		check(t, m, r)
+	})
+}
+
+// TestCountersAdd: pooling per-machine readings is exact. Counts and
+// stall cycles sum, Cycle is the furthest clock, and percentiles of the
+// merged latency histogram are true percentiles of the union — a shard
+// with many fast samples pulls the pooled p50 down to its bucket, which an
+// elementwise rule over per-shard percentiles could not represent.
+func TestCountersAdd(t *testing.T) {
+	var a, b Counters
+	for i := 0; i < 90; i++ {
+		a.PersistLatency.Observe(10) // exact
+	}
+	for i := 0; i < 10; i++ {
+		b.PersistLatency.Observe(1000) // bucket [960, 1023]
+	}
+	a.Cycle, a.Transactions, a.Epochs.Opened, a.Epochs.Persisted, a.Conflicts.Intra = 100, 5, 4, 3, 1
+	a.Epochs.ByCause[epoch.CauseProactive], a.Stalls[StallWriteBuffer], a.L1.Hits = 3, 40, 7
+	a.NoC = noc.Stats{Messages: 30, Flits: 60, AvgHops: 2}
+	b.Cycle, b.Transactions, b.Epochs.Opened, b.Epochs.Persisted, b.Conflicts.Inter = 250, 7, 6, 5, 2
+	b.Epochs.ByCause[epoch.CauseProactive], b.Stalls[StallWriteBuffer], b.L1.Hits = 4, 2, 1
+	b.Epochs.ByCause[epoch.CauseNatural], b.Epochs.Deps, b.MC.Writes, b.LLC.Misses = 1, 2, 9, 3
+	b.NoC = noc.Stats{Messages: 10, Flits: 10, AvgHops: 4}
+
+	var sum Counters
+	sum.Add(&a)
+	if sum != a {
+		t.Fatalf("zero + a = %+v, want a", sum)
+	}
+	sum.Add(&b)
+	if sum.Cycle != 250 {
+		t.Errorf("Cycle = %d, want the furthest clock 250", sum.Cycle)
+	}
+	if sum.Transactions != 12 || sum.Epochs.Opened != 10 || sum.Epochs.Persisted != 8 ||
+		sum.Conflicts.Intra != 1 || sum.Conflicts.Inter != 2 || sum.Epochs.Deps != 2 ||
+		sum.Epochs.ByCause[epoch.CauseProactive] != 7 || sum.Epochs.ByCause[epoch.CauseNatural] != 1 ||
+		sum.Stalls[StallWriteBuffer] != 42 || sum.L1.Hits != 8 || sum.LLC.Misses != 3 || sum.MC.Writes != 9 {
+		t.Errorf("counts not summed: %+v", sum)
+	}
+	if sum.NoC.Messages != 40 || sum.NoC.Flits != 70 || sum.NoC.AvgHops != 2.5 {
+		t.Errorf("NoC = %+v, want 40 messages, 70 flits, 2.5 hops on average", sum.NoC)
+	}
+	h := sum.PersistLatency
+	if h.Total() != 100 || h.Sum != 90*10+10*1000 {
+		t.Fatalf("merged histogram holds %d samples summing to %d", h.Total(), h.Sum)
+	}
+	// 90 % of the samples are fast, so pooled p50 and p90 sit in the fast
+	// bucket and only p99 reaches the slow one.
+	if p50, p90, p99 := h.Percentile(50), h.Percentile(90), h.Percentile(99); p50 != 10 || p90 != 10 || p99 != 1023 {
+		t.Errorf("pooled p50/p90/p99 = %d/%d/%d, want 10/10/1023", p50, p90, p99)
 	}
 }

@@ -10,13 +10,14 @@
 // potential emission site. Components never format strings or allocate
 // unless a sink is attached.
 //
-// obs owns the simulated-cycle domain of the service's statistics (the
-// Collector's ServiceStats: epochs, conflicts, persist latency in
-// cycles); internal/telemetry owns the wall-clock domain. Neither owns a
-// histogram: both fold into internal/hist.
+// obs counts nothing. Every total the stream could be folded into is
+// already kept where it happens — epoch.Table, the arbiter, the machine's
+// access paths — and read through machine.Counters, which is what pmkvd
+// serves; its engines run with a nil Probe. The stream is for artifacts
+// that need the events themselves, in order: a trace, a time series.
 //
 // obs sits below epoch/nvram/noc/machine in the dependency order (it
-// imports only hist, mem and sim), so any layer may emit without cycles.
+// imports only mem and sim), so any layer may emit without cycles.
 // Epoch identities are carried as plain (core, num) pairs for the same
 // reason.
 package obs

@@ -116,7 +116,7 @@ func TestReadIndexPublishPrefix(t *testing.T) {
 	if v, _, _ := e.ReadCommitted("z"); string(v) != "3" {
 		t.Fatalf("z = %q, want 3", v)
 	}
-	if ret := e.Retention(); ret.Retained != 0 || ret.Folded != 4 || ret.CheckpointKeys != 3 {
+	if ret := e.Stats().Retention; ret.Retained != 0 || ret.Folded != 4 || ret.CheckpointKeys != 3 {
 		t.Fatalf("retention = %+v, want 0 retained, 4 folded, 3 keys", ret)
 	}
 }

@@ -79,7 +79,7 @@ func TestScriptedRunFoldsAndTrims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ret, rep := e.Retention(), out.Report
+	ret, rep := e.Stats().Retention, out.Report
 	if ret.Folded+ret.Retained != rep.TotalPublishes {
 		t.Fatalf("folded %d + retained %d != %d publishes", ret.Folded, ret.Retained, rep.TotalPublishes)
 	}
@@ -138,12 +138,16 @@ func TestPlantedCursorOffByOne(t *testing.T) {
 	eng.plant = plantCursorOffByOne
 	eng.mu.Unlock()
 	sess := store.NewSession()
-	for i := 0; i < 10_000; i++ {
-		if ack := store.Do(sess, Put, fmt.Sprintf("k%02d", i%16), []byte("v")); ack.Crashed || ack.Err != nil {
-			break
+	// The crashed ack is the evidence: the worker raises the store's
+	// Crashed flag only after it has delivered it.
+	crashed := false
+	for i := 0; i < 10_000 && !crashed; i++ {
+		ack := store.Do(sess, Put, fmt.Sprintf("k%02d", i%16), []byte("v"))
+		if crashed = ack.Crashed || ack.Err == ErrCrashed; !crashed && ack.Err != nil {
+			t.Fatal(ack.Err)
 		}
 	}
-	if !store.Crashed() {
+	if !crashed {
 		t.Fatal("live store never reached its crash instant")
 	}
 	if _, err := store.Close(); err == nil {

@@ -20,8 +20,8 @@ import (
 func testWorker(cfg ShardedConfig) (*shardWorker, *shard) {
 	cfg.fill()
 	sh := &shard{id: 0, mail: make(chan shardJob, cfg.Mailbox), open: true}
-	sh.batchLim.Store(int64(cfg.MinBatch))
-	w := &shardWorker{s: &ShardedStore{cfg: cfg}, sh: sh, open: true, limit: cfg.MinBatch}
+	sh.batchLim.Store(int64(cfg.minBatch()))
+	w := &shardWorker{s: &ShardedStore{cfg: cfg}, sh: sh, open: true, limit: cfg.minBatch()}
 	return w, sh
 }
 
@@ -29,7 +29,6 @@ func fillMail(sh *shard, n int) {
 	done := make(chan Completion, n)
 	for i := 0; i < n; i++ {
 		sh.mail <- shardJob{done: done, tag: uint64(i)}
-		sh.enq.Add(1)
 	}
 }
 
@@ -37,49 +36,46 @@ func fillMail(sh *shard, n int) {
 // drains them all and — because nothing is left behind — the adaptive
 // limit must NOT grow.
 func TestGatherExactLimit(t *testing.T) {
-	w, sh := testWorker(ShardedConfig{MinBatch: 4, MaxBatch: 16})
+	w, sh := testWorker(ShardedConfig{MaxBatch: 32})
 	w.fed = append(w.fed, pendingBatch{}) // skip the blocking receive
-	fillMail(sh, 4)
+	fillMail(sh, 8)
 	batch := w.gather()
-	if len(batch) != 4 {
-		t.Fatalf("gather drained %d jobs, want exactly 4", len(batch))
+	if len(batch) != 8 {
+		t.Fatalf("gather drained %d jobs, want exactly 8", len(batch))
 	}
-	if w.limit != 4 {
+	if w.limit != 8 {
 		t.Fatalf("limit grew to %d on an exactly-full gather with an empty mailbox", w.limit)
-	}
-	if got := sh.deq.Load(); got != 4 {
-		t.Fatalf("deq counter = %d, want 4", got)
 	}
 }
 
 // TestGatherGrowsUnderBacklog: filling the limit with requests still
 // queued behind it doubles the limit, capped at MaxBatch.
 func TestGatherGrowsUnderBacklog(t *testing.T) {
-	w, sh := testWorker(ShardedConfig{MinBatch: 4, MaxBatch: 16, Mailbox: 64})
+	w, sh := testWorker(ShardedConfig{MaxBatch: 32, Mailbox: 128})
 	w.fed = append(w.fed, pendingBatch{})
-	fillMail(sh, 40)
+	fillMail(sh, 80)
 	var sizes []int
 	for len(sh.mail) > 0 {
 		b := w.gather()
 		sizes = append(sizes, len(b))
 	}
-	if w.limit != 16 {
-		t.Fatalf("limit = %d after sustained backlog, want MaxBatch 16", w.limit)
+	if w.limit != 32 {
+		t.Fatalf("limit = %d after sustained backlog, want MaxBatch 32", w.limit)
 	}
-	if sizes[0] != 4 || sizes[1] != 8 || sizes[2] != 16 {
-		t.Fatalf("batch sizes %v: want doubling ramp 4, 8, 16, ...", sizes)
+	if sizes[0] != 8 || sizes[1] != 16 || sizes[2] != 32 {
+		t.Fatalf("batch sizes %v: want doubling ramp 8, 16, 32, ...", sizes)
 	}
-	if got := sh.batchLim.Load(); got != 16 {
-		t.Fatalf("live batch-limit gauge = %d, want 16", got)
+	if got := sh.batchLim.Load(); got != 32 {
+		t.Fatalf("live batch-limit gauge = %d, want 32", got)
 	}
 }
 
 // TestGatherShrinksWhenBlocked: a worker that had to block for work
-// halves its limit (demand is light), never below MinBatch.
+// halves its limit (demand is light), never below the floor of 8.
 func TestGatherShrinksWhenBlocked(t *testing.T) {
-	w, sh := testWorker(ShardedConfig{MinBatch: 2, MaxBatch: 16})
-	w.limit = 16
-	for i, want := range []int{8, 4, 2, 2} {
+	w, sh := testWorker(ShardedConfig{MaxBatch: 64})
+	w.limit = 64
+	for i, want := range []int{32, 16, 8, 8} {
 		fillMail(sh, 1)
 		if b := w.gather(); len(b) != 1 {
 			t.Fatalf("block %d: gather returned %d jobs", i, len(b))
@@ -94,7 +90,7 @@ func TestGatherShrinksWhenBlocked(t *testing.T) {
 // must end the gather with the jobs already taken (they commit) and
 // flip the worker closed.
 func TestGatherMailboxClosesMidGather(t *testing.T) {
-	w, sh := testWorker(ShardedConfig{MinBatch: 8, MaxBatch: 8})
+	w, sh := testWorker(ShardedConfig{MaxBatch: 8})
 	w.fed = append(w.fed, pendingBatch{})
 	fillMail(sh, 3)
 	close(sh.mail)
@@ -112,30 +108,30 @@ func TestGatherMailboxClosesMidGather(t *testing.T) {
 }
 
 // TestSetLimitClamps: the adaptive limit can never leave
-// [MinBatch, MaxBatch].
+// [min(8, MaxBatch), MaxBatch].
 func TestSetLimitClamps(t *testing.T) {
-	w, _ := testWorker(ShardedConfig{MinBatch: 4, MaxBatch: 32})
+	w, _ := testWorker(ShardedConfig{MaxBatch: 32})
 	w.setLimit(1 << 20)
 	if w.limit != 32 {
 		t.Fatalf("limit = %d, want clamped to MaxBatch 32", w.limit)
 	}
 	w.setLimit(0)
-	if w.limit != 4 {
-		t.Fatalf("limit = %d, want clamped to MinBatch 4", w.limit)
+	if w.limit != 8 {
+		t.Fatalf("limit = %d, want clamped to the floor of 8", w.limit)
 	}
 }
 
 // TestShardedConfigFillClamps pins the defaulting rules the flags rely
-// on: MinBatch folds down to MaxBatch, MaxInFlight clamps to 1..8.
+// on, and that the batch floor folds down to a smaller MaxBatch.
 func TestShardedConfigFillClamps(t *testing.T) {
-	c := ShardedConfig{MaxBatch: 4, MinBatch: 100, MaxInFlight: 99}
+	c := ShardedConfig{MaxBatch: 4}
 	c.fill()
-	if c.MinBatch != 4 || c.MaxInFlight != 8 {
-		t.Fatalf("fill: MinBatch=%d MaxInFlight=%d, want 4 and 8", c.MinBatch, c.MaxInFlight)
+	if c.minBatch() != 4 {
+		t.Fatalf("minBatch = %d under MaxBatch 4, want 4", c.minBatch())
 	}
 	var d ShardedConfig
 	d.fill()
-	if d.MinBatch != 8 || d.MaxBatch != 64 || d.MaxInFlight != 2 {
+	if d.Shards != 1 || d.Mailbox != 256 || d.MaxBatch != 64 || d.minBatch() != 8 {
 		t.Fatalf("defaults: %+v", d)
 	}
 }
@@ -183,13 +179,11 @@ func TestDurableWatermarkReportsCrash(t *testing.T) {
 func TestCrashWithBusyMailbox(t *testing.T) {
 	crashes := make(chan int, 1)
 	store, err := NewSharded(ShardedConfig{
-		Shards:      1,
-		Mailbox:     16,
-		MinBatch:    2,
-		MaxBatch:    4,
-		MaxInFlight: 2,
-		Engine:      Config{CrashAt: 20_000},
-		OnCrash:     func(shard int) { crashes <- shard },
+		Shards:   1,
+		Mailbox:  16,
+		MaxBatch: 4,
+		Engine:   Config{CrashAt: 20_000},
+		OnCrash:  func(shard int) { crashes <- shard },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +232,7 @@ func TestCrashWithBusyMailbox(t *testing.T) {
 // batch-size histogram and an in-bounds live batch limit through
 // Metrics.
 func TestBatchMetricsExposed(t *testing.T) {
-	store, err := NewSharded(ShardedConfig{Shards: 2, MinBatch: 2, MaxBatch: 8})
+	store, err := NewSharded(ShardedConfig{Shards: 2, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +251,8 @@ func TestBatchMetricsExposed(t *testing.T) {
 	}
 	var batches, sized uint64
 	for _, m := range store.Metrics() {
-		if m.BatchLimit < 2 || m.BatchLimit > 8 {
-			t.Fatalf("shard %d: batch limit %d outside [2, 8]", m.Shard, m.BatchLimit)
+		if m.BatchLimit < 8 || m.BatchLimit > 16 {
+			t.Fatalf("shard %d: batch limit %d outside [8, 16]", m.Shard, m.BatchLimit)
 		}
 		batches += m.Batches
 		sized += m.BatchSizes.Total()

@@ -862,15 +862,29 @@ type Retention struct {
 	EpochsTrimmed int `json:"epochs_trimmed"`
 }
 
-// Retention reports the engine's retained and released audit state.
-func (e *Engine) Retention() Retention {
+// EngineStats is a read-only snapshot of an engine: what it holds and has
+// released, and its machine's counters (Cycle is the engine's clock).
+// Folded is the durable watermark as the engine's driver last advanced it
+// and Folded + Retained the records issued; reading them moves neither.
+type EngineStats struct {
+	Retention
+	machine.Counters
+}
+
+// Stats reads the engine's state under one lock hold. Unlike
+// DurableWatermark it folds, releases and trims nothing, so any goroutine
+// — a metrics scrape — may call it without doing the driver's work.
+func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return Retention{
-		Retained:       len(e.tail),
-		Folded:         e.durableCursor,
-		CheckpointKeys: e.cp.keys,
-		EpochsTrimmed:  e.cp.trimmed,
+	return EngineStats{
+		Retention: Retention{
+			Retained:       len(e.tail),
+			Folded:         e.durableCursor,
+			CheckpointKeys: e.cp.keys,
+			EpochsTrimmed:  e.cp.trimmed,
+		},
+		Counters: e.m.Counters(),
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"persistbarriers/internal/dlcheck"
 	"persistbarriers/internal/hist"
+	"persistbarriers/internal/machine"
 	"persistbarriers/internal/sim"
 	"persistbarriers/internal/stats"
 	"persistbarriers/internal/telemetry"
@@ -70,16 +71,6 @@ type ShardedConfig struct {
 	// MaxBatch bounds how many mailbox requests one group commit drains
 	// (default 64).
 	MaxBatch int
-	// MinBatch is the floor of the adaptive batch size (default 8, clamped
-	// to MaxBatch). Workers start here, double the limit when a gather
-	// fills it with requests still queued behind it, and halve it when
-	// they have to block for work.
-	MinBatch int
-	// MaxInFlight bounds how many translated batches may be fed to the
-	// machine before one retire pump closes the commit window (default 2,
-	// clamped to 1..8). 1 disables pipelining: every batch pays for its
-	// own pump, the pre-v2 behavior.
-	MaxInFlight int
 	// DisableReadFast turns off the lock-free GET fast path. By default
 	// Do/DoAsync answer a GET directly from the shard engine's checkpoint
 	// — no mailbox hop, no translate, no machine time — when the session
@@ -89,10 +80,6 @@ type ShardedConfig struct {
 	// holds the durable prefix). The engine keeps its checkpoint either
 	// way; this only decides whether GETs consult it.
 	DisableReadFast bool
-	// ConfigureShard, when non-nil, is called with each shard's engine
-	// config before construction — the hook servers use to attach a
-	// per-shard observability probe.
-	ConfigureShard func(shard int, cfg *Config)
 	// OnCrash, when non-nil, is called once per shard, from that shard's
 	// worker goroutine, after the shard hits its crash instant and its
 	// pending acks have been delivered (flagged crashed). Servers use it
@@ -112,19 +99,16 @@ func (c *ShardedConfig) fill() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.MinBatch <= 0 {
-		c.MinBatch = 8
-	}
-	if c.MinBatch > c.MaxBatch {
-		c.MinBatch = c.MaxBatch
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 2
-	}
-	if c.MaxInFlight > 8 {
-		c.MaxInFlight = 8
-	}
 }
+
+// commitWindow bounds how many translated batches a worker feeds to the
+// machine before one retire pump closes the commit window.
+const commitWindow = 2
+
+// minBatch is the floor of the adaptive batch size. Workers start there,
+// double the limit when a gather fills it with requests still queued
+// behind it, and halve it when they have to block for work.
+func (c *ShardedConfig) minBatch() int { return min(8, c.MaxBatch) }
 
 // ShardedSession is one client's handle across every shard: its requests
 // execute in program order per shard (global cross-shard order is not
@@ -208,8 +192,6 @@ type shard struct {
 	open  bool         // guarded by subMu
 
 	// metrics
-	enq       atomic.Uint64
-	deq       atomic.Uint64
 	batches   atomic.Uint64
 	batchOps  atomic.Uint64
 	batchHist hist.Atomic   // group-commit size distribution
@@ -218,9 +200,6 @@ type shard struct {
 	fastFalls atomic.Uint64 // GETs that fell back to the mailbox
 	crashedFl atomic.Bool
 }
-
-// queueDepth is the number of requests accepted but not yet group-committed.
-func (sh *shard) queueDepth() int { return int(sh.enq.Load() - sh.deq.Load()) }
 
 // ShardedStore partitions the keyspace across independent engines. All
 // methods are safe for concurrent use; request routing takes no global
@@ -251,11 +230,7 @@ func NewSharded(cfg ShardedConfig) (*ShardedStore, error) {
 	}
 	s := &ShardedStore{cfg: cfg, readFast: !cfg.DisableReadFast}
 	for i := 0; i < cfg.Shards; i++ {
-		ecfg := cfg.Engine
-		if cfg.ConfigureShard != nil {
-			cfg.ConfigureShard(i, &ecfg)
-		}
-		eng, err := New(ecfg)
+		eng, err := New(cfg.Engine)
 		if err != nil {
 			return nil, fmt.Errorf("pmkv: shard %d: %w", i, err)
 		}
@@ -265,7 +240,7 @@ func NewSharded(cfg ShardedConfig) (*ShardedStore, error) {
 			mail: make(chan shardJob, cfg.Mailbox),
 			open: true,
 		}
-		sh.batchLim.Store(int64(cfg.MinBatch))
+		sh.batchLim.Store(int64(cfg.minBatch()))
 		s.shards = append(s.shards, sh)
 	}
 	for _, sh := range s.shards {
@@ -383,7 +358,6 @@ func (s *ShardedStore) DoAsync(sess *ShardedSession, op Op, key string, value []
 	// the worker's (and then the completion reader's), not the caller's.
 	span.Stamp(telemetry.StageEnqueue)
 	sh.mail <- j
-	sh.enq.Add(1)
 	sh.subMu.RUnlock()
 	return id, nil
 }
@@ -412,7 +386,7 @@ type shardWorker struct {
 	fed     []pendingBatch
 	pending []pendingBatch
 
-	// limit is the adaptive batch size in [MinBatch, MaxBatch].
+	// limit is the adaptive batch size in [minBatch, MaxBatch].
 	limit int
 
 	// dry records that the persist machinery has nothing scheduled while
@@ -440,7 +414,7 @@ func (s *ShardedStore) runShard(sh *shard) {
 		} else if !w.submit(batch) {
 			continue
 		}
-		if w.open && len(w.fed) > 0 && len(w.fed) < s.cfg.MaxInFlight && len(sh.mail) > 0 {
+		if w.open && len(w.fed) > 0 && len(w.fed) < commitWindow && len(sh.mail) > 0 {
 			continue // pipeline: translate the next batch before pumping
 		}
 		if len(w.fed) > 0 && !w.pump() {
@@ -466,7 +440,6 @@ func (w *shardWorker) gather() []shardJob {
 		}
 		j.span.Stamp(telemetry.StageDequeue)
 		batch = append(batch, j)
-		sh.deq.Add(1)
 		w.setLimit(w.limit / 2)
 	}
 	for w.open && len(batch) < w.limit {
@@ -478,7 +451,6 @@ func (w *shardWorker) gather() []shardJob {
 			}
 			j.span.Stamp(telemetry.StageDequeue)
 			batch = append(batch, j)
-			sh.deq.Add(1)
 		default:
 			return batch
 		}
@@ -489,15 +461,10 @@ func (w *shardWorker) gather() []shardJob {
 	return batch
 }
 
-// setLimit moves the adaptive batch limit, clamped to its config bounds,
+// setLimit moves the adaptive batch limit, clamped to its bounds,
 // publishing changes to the live gauge.
 func (w *shardWorker) setLimit(l int) {
-	if l < w.s.cfg.MinBatch {
-		l = w.s.cfg.MinBatch
-	}
-	if l > w.s.cfg.MaxBatch {
-		l = w.s.cfg.MaxBatch
-	}
+	l = min(max(l, w.s.cfg.minBatch()), w.s.cfg.MaxBatch)
 	if l != w.limit {
 		w.limit = l
 		w.sh.batchLim.Store(int64(l))
@@ -731,20 +698,20 @@ func (s *ShardedStore) Crashed() bool {
 	return false
 }
 
-// ShardMetrics is a point-in-time view of one shard's queue and commit
-// pipeline, complementing the obs.Collector stream a server attaches per
-// shard.
+// ShardMetrics is a point-in-time view of one shard: its queue and commit
+// pipeline, what its engine retains, and its machine's counters.
 type ShardMetrics struct {
-	Shard      int       `json:"shard"`
-	QueueDepth int       `json:"queue_depth"`
-	MailboxCap int       `json:"mailbox_cap"`
-	Batches    uint64    `json:"batches"`
-	AvgBatch   float64   `json:"avg_batch"`
-	BatchLimit int       `json:"batch_limit"` // live adaptive batch limit
-	Durable    int       `json:"durable_publishes"`
-	Total      int       `json:"total_publishes"`
-	Cycle      sim.Cycle `json:"cycle"`
-	Crashed    bool      `json:"crashed,omitempty"`
+	Shard      int     `json:"shard"`
+	QueueDepth int     `json:"queue_depth"` // requests waiting in the mailbox
+	MailboxCap int     `json:"mailbox_cap"`
+	Batches    uint64  `json:"batches"`
+	AvgBatch   float64 `json:"avg_batch"`
+	BatchLimit int     `json:"batch_limit"` // live adaptive batch limit
+	// Durable is the durable watermark as the worker last advanced it (a
+	// snapshot reads it, never moves it); Total the publishes issued.
+	Durable int  `json:"durable_publishes"`
+	Total   int  `json:"total_publishes"`
+	Crashed bool `json:"crashed,omitempty"`
 	// FastHits / FastFallbacks count GETs answered on the lock-free fast
 	// path vs routed through the mailbox while the fast path was on.
 	FastHits      uint64 `json:"read_fast_hits"`
@@ -754,27 +721,32 @@ type ShardMetrics struct {
 	Retention
 	// BatchSizes is the group-commit size distribution.
 	BatchSizes hist.Hist `json:"batch_sizes"`
+	// Counters are the shard machine's own counts, in simulated cycles;
+	// Counters.Cycle is the shard's clock.
+	Counters machine.Counters `json:"counters"`
 }
 
-// Metrics snapshots every shard's pipeline state.
+// Metrics snapshots every shard. It only reads: one Engine.Stats per
+// shard, which takes the engine lock once and leaves the watermark, the
+// tail and the machine's history to the worker.
 func (s *ShardedStore) Metrics() []ShardMetrics {
 	out := make([]ShardMetrics, len(s.shards))
 	for i, sh := range s.shards {
-		d, total, _ := sh.eng.DurableWatermark()
+		st := sh.eng.Stats()
 		m := ShardMetrics{
 			Shard:         i,
-			QueueDepth:    sh.queueDepth(),
+			QueueDepth:    len(sh.mail),
 			MailboxCap:    s.cfg.Mailbox,
 			Batches:       sh.batches.Load(),
 			BatchLimit:    int(sh.batchLim.Load()),
-			Durable:       d,
-			Total:         total,
-			Cycle:         sh.eng.Now(),
+			Durable:       st.Folded,
+			Total:         st.Folded + st.Retained,
 			Crashed:       sh.crashedFl.Load(),
 			FastHits:      sh.fastHits.Load(),
 			FastFallbacks: sh.fastFalls.Load(),
-			Retention:     sh.eng.Retention(),
+			Retention:     st.Retention,
 			BatchSizes:    sh.batchHist.Snapshot(),
+			Counters:      st.Counters,
 		}
 		if m.Batches > 0 {
 			m.AvgBatch = float64(sh.batchOps.Load()) / float64(m.Batches)
@@ -815,11 +787,11 @@ type ShardResult struct {
 	// DL is the durable-linearizability verdict (nil unless the shard
 	// engine ran with Config.Check).
 	DL *dlcheck.Verdict
-	// Retention is what the engine held and had released when it closed:
-	// Retained is the tail recovery walked, Folded what the checkpoint
-	// already covered.
-	Retention Retention
-	Err       error
+	// Stats is the engine's final snapshot, taken after it closed: Retained
+	// is the tail recovery walked, Folded what the checkpoint already
+	// covered, and the counters include the closing drain.
+	Stats EngineStats
+	Err   error
 }
 
 // Close drains the store (BeginDrain + worker quiesce), then closes and
@@ -847,7 +819,7 @@ func (s *ShardedStore) Close() ([]ShardResult, error) {
 			defer wg.Done()
 			r := ShardResult{Shard: sh.id, Crashed: sh.eng.Crashed(), Cycles: sh.eng.Now()}
 			res, err := sh.eng.Close()
-			r.Retention = sh.eng.Retention()
+			r.Stats = sh.eng.Stats()
 			if err != nil {
 				r.Err = err
 			} else {

@@ -59,11 +59,7 @@ func RunShardedScript(cfg ShardedConfig, spec ScriptSpec) (*ShardedRunResult, er
 	}
 	engines := make([]*Engine, cfg.Shards)
 	for i := range engines {
-		ecfg := cfg.Engine
-		if cfg.ConfigureShard != nil {
-			cfg.ConfigureShard(i, &ecfg)
-		}
-		eng, err := New(ecfg)
+		eng, err := New(cfg.Engine)
 		if err != nil {
 			return nil, fmt.Errorf("pmkv: shard %d: %w", i, err)
 		}

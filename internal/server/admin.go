@@ -3,18 +3,21 @@
 // listener):
 //
 //	/metrics       Prometheus 0.0.4 text exposition — per-shard pipeline
-//	               stage histograms (seconds), persist-latency histograms
-//	               (simulated cycles), shard/engine counters, how much
-//	               audit state each engine holds and has released, and
-//	               the process's resident and heap memory.
-//	/statz         JSON superset of the wire "stats" op: aggregate +
-//	               per-shard ServiceStats plus the live per-stage
-//	               breakdown (pooled and per shard).
+//	               stage histograms (seconds), each shard machine's own
+//	               counters (simulated cycles: persist latency, epochs by
+//	               cause, conflicts, IDT edges, splits, stall cycles), the
+//	               commit-pipeline gauges, how much audit state each
+//	               engine holds and has released, and the process's
+//	               resident and heap memory.
+//	/statz         The wire "stats" reply: the store-wide counters, every
+//	               shard's ShardMetrics, and the live per-stage breakdown
+//	               (pooled and per shard).
 //	/debug/pprof/  the standard Go profiling handlers.
 //
-// The scrape path takes no lock the data path contends on: stage
-// histograms are atomic counters folded per-shard, and collector
-// snapshots take the same short mutex the wire stats op already does.
+// A scrape only reads. Stage histograms are atomic counters folded per
+// shard; everything else is one pmkv.Engine.Stats per shard, which takes
+// that engine's lock once — the lock its worker holds while it translates
+// and pumps — copies O(cores + banks) counters and moves nothing.
 
 package server
 
@@ -28,31 +31,26 @@ import (
 	"strconv"
 	"strings"
 
-	"persistbarriers/internal/obs"
+	"persistbarriers/internal/epoch"
+	"persistbarriers/internal/machine"
 	"persistbarriers/internal/pmkv"
 	"persistbarriers/internal/telemetry"
 )
 
 // Statz is the stats snapshot: the /statz payload and the wire "stats"
-// reply. Stats and Shards[].Service are the simulated-cycle domain (one
-// obs.Collector per shard), Stages the wall-clock one (the tracer).
+// reply. Stats and Shards[].Counters are the simulated-cycle domain (each
+// shard machine's own counters; Stats is their sum), Stages the wall-clock
+// one (the tracer).
 type Statz struct {
-	OK      bool             `json:"ok"`
-	Stats   obs.ServiceStats `json:"stats"`
-	Shards  []ShardStatz     `json:"shards"`
-	Process ProcessStats     `json:"process"`
+	OK      bool                `json:"ok"`
+	Stats   machine.Counters    `json:"stats"`
+	Shards  []pmkv.ShardMetrics `json:"shards"`
+	Process ProcessStats        `json:"process"`
 
 	// Stages pools every shard's stage-segment histograms (exact merge);
 	// ShardStages is the same breakdown per shard.
 	Stages      []telemetry.StageStats   `json:"stages,omitempty"`
 	ShardStages [][]telemetry.StageStats `json:"shard_stages,omitempty"`
-}
-
-// ShardStatz is one shard's commit-pipeline counters plus its engine's
-// service metrics.
-type ShardStatz struct {
-	pmkv.ShardMetrics
-	Service obs.ServiceStats `json:"service"`
 }
 
 // ProcessStats is the memory the whole server holds, as the kernel and
@@ -79,14 +77,10 @@ func readProcessStats() ProcessStats {
 
 // Statz assembles the stats snapshot.
 func (s *Server) Statz() Statz {
-	metrics := s.store.Metrics()
-	reply := Statz{OK: true, Shards: make([]ShardStatz, len(metrics)), Process: readProcessStats()}
-	per := make([]obs.ServiceStats, len(metrics))
-	for i, m := range metrics {
-		per[i] = s.collectors[i].Snapshot()
-		reply.Shards[i] = ShardStatz{ShardMetrics: m, Service: per[i]}
+	reply := Statz{OK: true, Shards: s.store.Metrics(), Process: readProcessStats()}
+	for i := range reply.Shards {
+		reply.Stats.Add(&reply.Shards[i].Counters)
 	}
-	reply.Stats = obs.AggregateServiceStats(per)
 	if s.tracer.Enabled() {
 		reply.Stages = s.tracer.StageSummary()
 		reply.ShardStages = make([][]telemetry.StageStats, s.tracer.Shards())
@@ -118,55 +112,88 @@ func (s *Server) AdminHandler() http.Handler {
 	return mux
 }
 
+// sample is one value of a counter family; label, when set, is the
+// pre-rendered label pair that tells it from the family's other samples.
+type sample struct {
+	label string
+	value uint64
+}
+
+func one(v uint64) []sample { return []sample{{value: v}} }
+
+// machineCounters are the /metrics families read from each shard
+// machine's counters: the quantities the paper evaluates a barrier by.
+var machineCounters = []struct {
+	name, help string
+	samples    func(*machine.Counters) []sample
+}{
+	{"pmkv_txs_total", "Transactions retired, per shard.",
+		func(c *machine.Counters) []sample { return one(c.Transactions) }},
+	{"pmkv_epochs_opened_total", "Epochs opened, per shard.",
+		func(c *machine.Counters) []sample { return one(c.Epochs.Opened) }},
+	{"pmkv_epochs_persisted_total", "Epochs made durable, per shard.",
+		func(c *machine.Counters) []sample { return one(c.Epochs.Persisted) }},
+	{"pmkv_conflicts_total", "Epoch conflicts by kind, per shard.",
+		func(c *machine.Counters) []sample {
+			return []sample{
+				{`kind="intra"`, c.Conflicts.Intra},
+				{`kind="inter"`, c.Conflicts.Inter},
+				{`kind="eviction"`, c.Conflicts.Eviction},
+			}
+		}},
+	{"pmkv_epochs_conflicting_total", "Persisted epochs that were the target of a conflict (Fig. 12's numerator; the denominator is pmkv_epochs_persisted_total).",
+		func(c *machine.Counters) []sample { return one(c.Epochs.Conflicting) }},
+	{"pmkv_epochs_persisted_by_cause_total", "Epochs made durable, by what made them persist: a conflict cause is an online persist (a request waited for it), every other cause an offline one.",
+		func(c *machine.Counters) (out []sample) {
+			for cause := epoch.CauseIntra; cause <= epoch.CauseNatural; cause++ {
+				out = append(out, sample{fmt.Sprintf("cause=%q", cause), c.Epochs.ByCause[cause]})
+			}
+			return out
+		}},
+	{"pmkv_epoch_splits_total", "Ongoing epochs split by the deadlock-avoidance rule (Section 3.3).",
+		func(c *machine.Counters) []sample { return one(c.Epochs.Splits) }},
+	{"pmkv_idt_edges_total", "Inter-thread dependences recorded in IDT registers instead of stalling the request.",
+		func(c *machine.Counters) []sample { return one(c.Epochs.Deps) }},
+	{"pmkv_idt_fallbacks_total", "Inter-thread conflicts that found the dependence registers full and stalled online.",
+		func(c *machine.Counters) []sample { return one(c.Conflicts.IDTFallbacks) }},
+	{"pmkv_stall_cycles_total", "Simulated cycles cores spent stalled on persist ordering, by cause, summed over cores.",
+		func(c *machine.Counters) (out []sample) {
+			for cause, cycles := range c.Stalls {
+				out = append(out, sample{fmt.Sprintf("cause=%q", machine.StallCause(cause)), uint64(cycles)})
+			}
+			return out
+		}},
+}
+
 // appendMetrics composes the full exposition: stage histograms from the
-// tracer, persist-latency cycle histograms and engine counters from the
-// per-shard collectors, and pipeline gauges from the store.
+// tracer, then everything store.Metrics reports — the machines' counters
+// and persist-latency histograms, and the pipeline gauges.
 func (s *Server) appendMetrics(dst []byte) []byte {
 	dst = s.tracer.AppendStageMetrics(dst)
 
 	metrics := s.store.Metrics()
-	per := make([]obs.ServiceStats, len(metrics))
-	for i := range metrics {
-		per[i] = s.collectors[i].Snapshot()
-	}
 
 	dst = telemetry.AppendMetricHeader(dst, "pmkv_persist_latency_cycles", "histogram",
 		"Epoch completion-to-durability latency in simulated cycles, per shard.")
-	for i, st := range per {
-		if st.LatencySamples > 0 {
+	for _, m := range metrics {
+		if m.Counters.Epochs.Persisted > 0 {
 			dst = telemetry.AppendHistogram(dst, "pmkv_persist_latency_cycles",
-				shardLabel(i), st.LatencyHist, 1)
+				shardLabel(m.Shard), m.Counters.PersistLatency, 1)
 		}
 	}
 
-	counters := []struct {
-		name, help string
-		value      func(obs.ServiceStats) uint64
-	}{
-		{"pmkv_txs_total", "Transactions retired, per shard.",
-			func(st obs.ServiceStats) uint64 { return st.Txs }},
-		{"pmkv_epochs_opened_total", "Epochs opened, per shard.",
-			func(st obs.ServiceStats) uint64 { return st.EpochsOpened }},
-		{"pmkv_epochs_persisted_total", "Epochs made durable, per shard.",
-			func(st obs.ServiceStats) uint64 { return st.EpochsPersisted }},
-	}
-	for _, c := range counters {
-		dst = telemetry.AppendMetricHeader(dst, c.name, "counter", c.help)
-		for i, st := range per {
-			dst = telemetry.AppendUintSample(dst, c.name, shardLabel(i), c.value(st))
+	for _, f := range machineCounters {
+		dst = telemetry.AppendMetricHeader(dst, f.name, "counter", f.help)
+		for i := range metrics {
+			shard := shardLabel(i)
+			for _, sm := range f.samples(&metrics[i].Counters) {
+				labels := shard
+				if sm.label != "" {
+					labels += "," + sm.label
+				}
+				dst = telemetry.AppendUintSample(dst, f.name, labels, sm.value)
+			}
 		}
-	}
-
-	dst = telemetry.AppendMetricHeader(dst, "pmkv_conflicts_total", "counter",
-		"Epoch conflicts by kind, per shard.")
-	for i, st := range per {
-		sl := strconv.Itoa(i)
-		dst = telemetry.AppendUintSample(dst, "pmkv_conflicts_total",
-			fmt.Sprintf("shard=%q,kind=\"intra\"", sl), st.ConflictsIntra)
-		dst = telemetry.AppendUintSample(dst, "pmkv_conflicts_total",
-			fmt.Sprintf("shard=%q,kind=\"inter\"", sl), st.ConflictsInter)
-		dst = telemetry.AppendUintSample(dst, "pmkv_conflicts_total",
-			fmt.Sprintf("shard=%q,kind=\"eviction\"", sl), st.ConflictsEviction)
 	}
 
 	gauges := []struct {
@@ -174,7 +201,7 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 		value      func(pmkv.ShardMetrics) float64
 	}{
 		{"pmkv_shard_cycle", "Shard simulated clock.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.Cycle) }},
+			func(m pmkv.ShardMetrics) float64 { return float64(m.Counters.Cycle) }},
 		{"pmkv_shard_queue_depth", "Requests waiting in the shard mailbox.",
 			func(m pmkv.ShardMetrics) float64 { return float64(m.QueueDepth) }},
 		{"pmkv_shard_mailbox_capacity", "Shard mailbox capacity.",

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -127,8 +128,24 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 	if sums["go_memstats_heap_inuse_bytes"] == 0 {
 		t.Error("go_memstats_heap_inuse_bytes = 0")
 	}
+	// The machine's counters, read in one scrape: every persisted epoch has
+	// exactly one cause and one latency sample, and 200 writes on the
+	// default PF machine persist mostly proactively and stall somewhere.
+	persisted := sums["pmkv_epochs_persisted_total"]
+	if got := sums["pmkv_epochs_persisted_by_cause_total"]; got != persisted || persisted == 0 {
+		t.Errorf("pmkv_epochs_persisted_by_cause_total sums to %v over causes, pmkv_epochs_persisted_total is %v", got, persisted)
+	}
+	if got := sums["pmkv_persist_latency_cycles_count"]; got != persisted {
+		t.Errorf("pmkv_persist_latency_cycles_count = %v, want one per persisted epoch (%v)", got, persisted)
+	}
+	if sums["pmkv_stall_cycles_total"] == 0 || sums["pmkv_epochs_conflicting_total"] > persisted {
+		t.Errorf("stall cycles %v, conflicting epochs %v of %v", sums["pmkv_stall_cycles_total"], sums["pmkv_epochs_conflicting_total"], persisted)
+	}
 
 	var statz struct {
+		Stats struct {
+			Epochs struct{ Persisted float64 }
+		} `json:"stats"`
 		Shards []struct {
 			Folded   int `json:"records_folded"`
 			Retained int `json:"records_retained"`
@@ -150,6 +167,11 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 	if folded != writes || keys != 40 || statz.Process.Heap == 0 {
 		t.Errorf("/statz: folded %d, keys %d, heap %d; want %d, 40, > 0", folded, keys, statz.Process.Heap, writes)
 	}
+	// Nothing is in flight, so the store-wide sum on /statz is the sum the
+	// /metrics scrape saw.
+	if statz.Stats.Epochs.Persisted != persisted {
+		t.Errorf("/statz stats: %v epochs persisted, /metrics summed to %v", statz.Stats.Epochs.Persisted, persisted)
+	}
 
 	total := 0
 	for _, sh := range ts.drain(t).Shards {
@@ -161,4 +183,52 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 	if total != writes {
 		t.Errorf("drain report accounts for %d publishes, want %d", total, writes)
 	}
+}
+
+// TestStatsReplyFieldsStable pins the wire names of the JSON-line "stats"
+// reply (/statz is the same document): live clients parse it, so a rename
+// is a breaking change. The nested epochs, conflicts and cache objects
+// carry machine.Result's own field names — they are untagged there
+// because their canonical JSON is fingerprinted.
+func TestStatsReplyFieldsStable(t *testing.T) {
+	ts := startTestServer(t, pmkv.ShardedConfig{Shards: 2}, server.Options{})
+	conn := ts.dial(t)
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	fmt.Fprintf(conn, "{\"op\":\"put\",\"key\":\"k\",\"value\":\"v\"}\n{\"op\":\"stats\"}\n")
+	if _, err := r.ReadBytes('\n'); err != nil {
+		t.Fatal(err)
+	}
+	line, err := r.ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply struct {
+		OK     bool                       `json:"ok"`
+		Stats  map[string]json.RawMessage `json:"stats"`
+		Shards []map[string]json.RawMessage
+	}
+	if err := json.Unmarshal(line, &reply); err != nil || !reply.OK || len(reply.Shards) != 2 {
+		t.Fatalf("stats reply %q: %v", line, err)
+	}
+	counters := []string{"cycle", "txs", "conflicts", "epochs", "persist_latency", "stall_cycles",
+		"persisted_lines", "log_writes", "mc", "noc", "l1", "llc"}
+	for _, field := range counters {
+		if _, ok := reply.Stats[field]; !ok {
+			t.Errorf("stats object lacks %q: %s", field, line)
+		}
+	}
+	for _, field := range []string{"shard", "queue_depth", "mailbox_cap", "batches", "avg_batch", "batch_limit",
+		"durable_publishes", "total_publishes", "read_fast_hits", "read_fallbacks", "records_retained",
+		"records_folded", "checkpoint_keys", "epochs_trimmed", "batch_sizes", "counters"} {
+		if _, ok := reply.Shards[0][field]; !ok {
+			t.Errorf("shard object lacks %q: %s", field, line)
+		}
+	}
+	for _, nested := range []string{`"epochs":{"Opened":`, `"Persisted":`, `"ByCause":[`, `"conflicts":{"Intra":`, `"IDTFallbacks":`} {
+		if !strings.Contains(string(line), nested) {
+			t.Errorf("stats reply lacks %s: %s", nested, line)
+		}
+	}
+	ts.drain(t)
 }

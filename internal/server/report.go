@@ -89,7 +89,6 @@ func (s *Server) Close() (*Report, error) {
 	rep.Shards = make([]ShardReport, len(results))
 	fps := make([]string, len(results))
 	for i, r := range results {
-		st := s.collectors[i].Snapshot()
 		rep.Shards[i] = ShardReport{
 			Shard:            r.Shard,
 			Crashed:          r.Crashed,
@@ -97,11 +96,11 @@ func (s *Server) Close() (*Report, error) {
 			DurablePublishes: r.Report.DurablePublishes,
 			TotalPublishes:   r.Report.TotalPublishes,
 			Keys:             r.Report.RecoveredKeys,
-			EpochsPersisted:  st.EpochsPersisted,
-			LatencyP50:       st.LatencyP50,
-			LatencyP99:       st.LatencyP99,
-			Folded:           r.Retention.Folded,
-			Retained:         r.Retention.Retained,
+			EpochsPersisted:  r.Stats.Epochs.Persisted,
+			LatencyP50:       sim.Cycle(r.Stats.PersistLatency.Percentile(50)),
+			LatencyP99:       sim.Cycle(r.Stats.PersistLatency.Percentile(99)),
+			Folded:           r.Stats.Folded,
+			Retained:         r.Stats.Retained,
 		}
 		fps[i] = r.Report.Fingerprint
 		rep.RecoveredKeys += r.Report.RecoveredKeys

@@ -30,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"persistbarriers/internal/obs"
 	"persistbarriers/internal/pmkv"
 	"persistbarriers/internal/proto"
 	"persistbarriers/internal/telemetry"
@@ -62,10 +61,9 @@ type Options struct {
 // Server glues the listener, the per-connection readers, and the sharded
 // store whose workers own all engine forward progress.
 type Server struct {
-	store      *pmkv.ShardedStore
-	collectors []*obs.Collector
-	tracer     *telemetry.Tracer // nil when tracing is off; nil-safe throughout
-	opts       Options
+	store  *pmkv.ShardedStore
+	tracer *telemetry.Tracer // nil when tracing is off; nil-safe throughout
+	opts   Options
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -75,8 +73,8 @@ type Server struct {
 	wg sync.WaitGroup // one per served connection
 }
 
-// New builds the per-shard collectors, the tracer, and the sharded
-// store. cfg.OnCrash and cfg.ConfigureShard are the server's to set.
+// New builds the tracer and the sharded store. cfg.OnCrash is the
+// server's to set.
 func New(cfg pmkv.ShardedConfig, opts Options) (*Server, error) {
 	if opts.Window <= 0 {
 		opts.Window = 128
@@ -84,17 +82,7 @@ func New(cfg pmkv.ShardedConfig, opts Options) (*Server, error) {
 	if opts.WriteTimeout <= 0 {
 		opts.WriteTimeout = 5 * time.Second
 	}
-	s := &Server{
-		collectors: make([]*obs.Collector, cfg.Shards),
-		opts:       opts,
-		conns:      make(map[net.Conn]bool),
-	}
-	for i := range s.collectors {
-		s.collectors[i] = obs.NewCollector()
-	}
-	cfg.ConfigureShard = func(shard int, ecfg *pmkv.Config) {
-		ecfg.Machine.Probe = obs.NewProbe(s.collectors[shard])
-	}
+	s := &Server{opts: opts, conns: make(map[net.Conn]bool)}
 	if opts.Tracing || opts.FlightPath != "" {
 		s.tracer = telemetry.New(telemetry.Config{Shards: cfg.Shards})
 	}

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"persistbarriers/internal/obs"
+	"persistbarriers/internal/epoch"
 	"persistbarriers/internal/sim"
 )
 
@@ -92,25 +92,41 @@ func TestValidateExpositionRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestPersistLatencySumExact folds known persist latencies through an
-// obs.Collector and renders them the way the server's /metrics does:
-// _sum / _count must be their arithmetic mean exactly (the histogram it
-// replaced kept no sum, and the exposition made one up from bucket upper
-// bounds), and the octave bounds must still validate with sub-buckets
-// summed into them.
+// noFlush is an epoch.FlushDriver for epochs that never need a flush.
+type noFlush struct{}
+
+func (noFlush) FlushEpoch(*epoch.Record, func()) { panic("flush of an epoch with nothing pending") }
+
+// TestPersistLatencySumExact persists epochs at known latencies through an
+// epoch.Table — where the machine's persist-latency histogram is filled —
+// and renders it the way the server's /metrics does: _sum / _count must be
+// their arithmetic mean exactly (an earlier histogram kept no sum, and the
+// exposition made one up from bucket upper bounds), and the octave bounds
+// must still validate with sub-buckets summed into them.
 func TestPersistLatencySumExact(t *testing.T) {
-	c := obs.NewCollector()
-	p := obs.NewProbe(c)
+	eng := sim.NewEngine()
+	tbl, err := epoch.NewTable(0, epoch.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	arb, err := epoch.NewArbiter(eng, tbl, noFlush{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	lats := []sim.Cycle{9, 10, 11, 100, 1030, 1900}
 	var sum float64
 	for i, lat := range lats {
-		p.EpochComplete(sim.Cycle(1000*i), 0, uint64(i), "barrier", 1)
-		p.EpochPersist(sim.Cycle(1000*i)+lat, 0, uint64(i), "natural")
+		// The epoch completes at t0 with nothing pending, so the first Kick
+		// after that — lat cycles later — finds it durable.
+		t0 := sim.Cycle(10_000 * i)
+		eng.At(t0, func() { tbl.Advance(t0, epoch.BarrierAdvance) })
+		eng.At(t0+lat, arb.Kick)
 		sum += float64(lat)
 	}
+	eng.Run()
 	const name = "pmkv_persist_latency_cycles"
 	out := AppendMetricHeader(nil, name, "histogram", "help")
-	out = AppendHistogram(out, name, `shard="0"`, c.Snapshot().LatencyHist, 1)
+	out = AppendHistogram(out, name, `shard="0"`, tbl.Stats().PersistLatency, 1)
 	if err := ValidateExposition(out); err != nil {
 		t.Fatalf("cycle histogram invalid: %v", err)
 	}

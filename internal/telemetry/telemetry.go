@@ -7,10 +7,11 @@
 // a scrape can answer the question the paper asks of the hardware: where
 // does persist latency hide?
 //
-// telemetry owns the wall-clock domain of the service's statistics and
-// internal/obs the simulated-cycle domain; neither owns a histogram —
-// both fold into internal/hist, and this package's Prometheus renderer
-// serves both.
+// telemetry owns the wall-clock domain of the service's statistics; the
+// simulated-cycle domain is the machine's own counters
+// (machine.Counters, read per shard through pmkv.Engine.Stats). Neither
+// owns a histogram — both fold into internal/hist, and this package's
+// Prometheus renderer serves both.
 //
 // The hot path is allocation-free and lock-free: stamping writes into a
 // caller-owned Span, folding is a handful of atomic adds, and the flight

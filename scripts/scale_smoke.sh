@@ -189,6 +189,17 @@ grep -q '^pmkv_stage_duration_seconds_bucket' "$dir/metrics.txt" || {
     echo "scale_smoke: exposition has no stage histograms" >&2
     exit 1
 }
+# The machines' own counters are on the same scrape: stall cycles by
+# cause, and — the default machine has PF on — epochs persisted proactively.
+grep -q '^pmkv_stall_cycles_total{' "$dir/metrics.txt" || {
+    echo "scale_smoke: exposition has no pmkv_stall_cycles_total" >&2
+    exit 1
+}
+grep '^pmkv_epochs_persisted_by_cause_total{.*cause="proactive"}' "$dir/metrics.txt" |
+    awk '{s+=$2} END {exit s>0?0:1}' || {
+    echo "scale_smoke: no epoch persisted proactively on a PF machine" >&2
+    exit 1
+}
 curl -fsS "http://$admin/statz" >"$dir/statz.json" || {
     echo "scale_smoke: /statz scrape failed" >&2
     exit 1
