@@ -205,6 +205,75 @@ func TestCleanRunVerifies(t *testing.T) {
 	}
 }
 
+// TestCleanRunMatchesScriptOracle pins what a clean run must recover, from
+// the script alone, so it holds whatever addresses and timing the engine
+// chooses (the fpdump goldens pin one engine's commit order; this does
+// not). A round is one commit window: the last round that writes a key
+// decides it. One writer there and the recovered value is exactly that
+// write (absent for a Delete); several and they raced across cores, the
+// durable winner is whichever head store committed last, and the recovered
+// value must be one of theirs.
+func TestCleanRunMatchesScriptOracle(t *testing.T) {
+	specs := []struct {
+		name string
+		spec ScriptSpec
+	}{
+		{"fpdump", ScriptSpec{Sessions: 4, Rounds: 16, KeySpace: 24, ValueBytes: 192, Seed: 7}},
+		{"fpdump-merged", ScriptSpec{Sessions: 16, Rounds: 16, KeySpace: 24, ValueBytes: 192, Seed: 7}},
+		{"fpdump-long", longSpec()},
+		{"testSpec", testSpec()},
+	}
+	for _, s := range specs {
+		name, spec := s.name, s.spec
+		spec.fill()
+		last := make(map[string][]scriptOp) // the key's writes in the last round that has any
+		for _, round := range genScript(spec) {
+			fresh := make(map[string]bool)
+			for _, op := range round {
+				if op.op == Get {
+					continue
+				}
+				if !fresh[op.key] {
+					fresh[op.key], last[op.key] = true, nil
+				}
+				last[op.key] = append(last[op.key], op)
+			}
+		}
+		out, err := runSingle(Config{Check: true}, spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if out.DL == nil || !out.DL.OK() {
+			t.Fatalf("%s: checker verdict %v", name, out.DL)
+		}
+		races := 0
+		for key, writes := range last {
+			got, found := out.Recovered[key]
+			ok := false
+			for _, w := range writes {
+				if w.op == Delete {
+					ok = ok || !found
+				} else {
+					ok = ok || (found && bytes.Equal(got, w.value))
+				}
+			}
+			if !ok {
+				t.Errorf("%s: key %q recovered (found=%v, %d B), which none of the %d writes of its last round left",
+					name, key, found, len(got), len(writes))
+			}
+			if len(writes) > 1 {
+				races++
+			}
+		}
+		for key := range out.Recovered {
+			if last[key] == nil {
+				t.Errorf("%s: recovered key %q, which the script never writes", name, key)
+			}
+		}
+		t.Logf("%s: %d keys written, %d recovered, %d decided by a same-window race", name, len(last), len(out.Recovered), races)
+	}
+}
+
 // TestCrashSweep is the headline acceptance test: 200 seeded crash
 // instants spread across the run, >= 4 concurrent sessions, zero
 // epoch-order / prefix-closure / KV-atomicity violations.
