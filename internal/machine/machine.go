@@ -335,6 +335,10 @@ func (m *Machine) TokenVersion(token uint64) (mem.Version, bool) {
 // remembers the committed version of.
 func (m *Machine) TaggedStores() int { return len(m.tokenVersions) }
 
+// LinesTracked reports how many distinct lines the machine keeps per-line
+// state for: every line ever touched, since the line table is insert-only.
+func (m *Machine) LinesTracked() int { return m.lines.count }
+
 // ForgetTokensThrough drops the committed versions of every tagged store
 // whose token is at most tok: TokenVersion and Result.TokenVersions stop
 // reporting them. A streaming application that hands out tokens in

@@ -1,12 +1,13 @@
 // Committed-state checkpoint: what the engine keeps of a write once it is
 // durable. When the durable watermark passes a mutation record the engine
 // verifies it, folds it in here — key → (value | tombstone, record index,
-// publish version), newest publish per key — and drops the record itself,
-// so audit state exists only while a persist is still owed. One structure
-// serves both consumers: recovery (Verify, RecoveredState and DLImage are
-// this checkpoint plus the unfolded tail) and the GET fast path, whose
-// callers answer reads against precisely the durable prefix without
-// touching the shard mailbox, the engine lock, or the simulated machine.
+// publish version, entry lines), newest publish per key — and drops the
+// record itself, so audit state exists only while a persist is still owed.
+// One structure serves both consumers: recovery (Verify, RecoveredState and
+// DLImage are this checkpoint plus the unfolded tail) and the GET fast
+// path, whose callers answer reads against precisely the durable prefix
+// without touching the shard mailbox, the engine lock, or the simulated
+// machine.
 //
 // The per-key map is a chained hash whose bucket heads are atomic pointers
 // to immutable entries. The discipline mirrors the paper's publish-pointer
@@ -43,6 +44,14 @@ type cpEntry struct {
 	rec   int
 	ver   mem.Version
 	found bool
+	// span is the entry lines a Put's value lives in (n == 0 for a
+	// tombstone) and hi the highest version its entry stores committed at.
+	// While the entry is its key's newest nothing else may write those
+	// lines, so a line of span holding a version above hi was recycled too
+	// early (Verify check 5); once a newer entry shadows this one, span is
+	// what the engine's free list gets back.
+	span lineSpan
+	hi   mem.Version
 }
 
 // cpTable is one immutable-shape bucket array. Growth replaces the whole
@@ -138,25 +147,29 @@ func (cp *checkpoint) get(key string) (val []byte, found bool, rec int) {
 // insert links a publish at its key's chain head (single atomic store; the
 // entry and its chain are immutable from that point) unless the key's
 // folded entry committed later, in which case NVRAM already holds the
-// newer state and the older publish changes nothing. val must not alias
-// memory the caller will reuse or wants released.
-func (cp *checkpoint) insert(key string, val []byte, found bool, rec int, ver mem.Version) {
+// newer state and the older publish changes nothing. It returns the
+// loser's entry lines, which no durable head names any more: the shadowed
+// entry's when en wins, en's own when it loses (n == 0: the loser was a
+// tombstone, or the key is new). en.val must not alias memory the caller
+// will reuse or wants released.
+func (cp *checkpoint) insert(en cpEntry) (loser lineSpan) {
 	t := cp.table.Load()
-	b := t.bucket(key)
+	b := t.bucket(en.key)
 	head := b.Load()
 	fresh := true
 	for e := head; e != nil; e = e.next {
-		if e.key == key {
-			if e.ver > ver {
-				return
+		if e.key == en.key {
+			if e.ver > en.ver {
+				return en.span
 			}
 			// Share the shadowed entry's key so a hot key pins one string,
 			// not the latest request's.
-			key, fresh = e.key, false
+			en.key, loser, fresh = e.key, e.span, false
 			break
 		}
 	}
-	b.Store(&cpEntry{next: head, key: key, val: val, rec: rec, ver: ver, found: found})
+	en.next = head
+	b.Store(&en)
 	cp.entries++
 	if fresh {
 		cp.keys++
@@ -168,6 +181,7 @@ func (cp *checkpoint) insert(key string, val []byte, found bool, rec int, ver me
 	if cp.entries > cpMinRebuild && (cp.entries > 2*cp.keys || cp.entries > len(t.buckets)) {
 		cp.rebuild()
 	}
+	return loser
 }
 
 // each calls fn with the newest entry of every key, tombstones included.
@@ -203,7 +217,9 @@ func (cp *checkpoint) rebuild() {
 	kept := 0
 	cp.each(func(e *cpEntry) {
 		b := nt.bucket(e.key)
-		b.Store(&cpEntry{next: b.Load(), key: e.key, val: e.val, rec: e.rec, ver: e.ver, found: e.found})
+		ne := *e
+		ne.next = b.Load()
+		b.Store(&ne)
 		kept++
 	})
 	cp.entries, cp.keys = kept, kept

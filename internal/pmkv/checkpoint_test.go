@@ -20,24 +20,24 @@ func TestReadIndexBasics(t *testing.T) {
 	if v, found, rec := cp.get("a"); v != nil || found || rec != -1 {
 		t.Fatalf("empty checkpoint get = (%q, %v, %d), want (nil, false, -1)", v, found, rec)
 	}
-	cp.insert("a", []byte("v1"), true, 0, 10)
-	cp.insert("b", []byte("v2"), true, 1, 11)
+	cp.insert(cpEntry{key: "a", val: []byte("v1"), found: true, rec: 0, ver: 10})
+	cp.insert(cpEntry{key: "b", val: []byte("v2"), found: true, rec: 1, ver: 11})
 	if v, found, rec := cp.get("a"); string(v) != "v1" || !found || rec != 0 {
 		t.Fatalf("get a = (%q, %v, %d)", v, found, rec)
 	}
 	// Newer insert shadows the older entry.
-	cp.insert("a", []byte("v3"), true, 2, 12)
+	cp.insert(cpEntry{key: "a", val: []byte("v3"), found: true, rec: 2, ver: 12})
 	if v, _, rec := cp.get("a"); string(v) != "v3" || rec != 2 {
 		t.Fatalf("shadowed get a = (%q, rec %d), want (v3, 2)", v, rec)
 	}
 	// A tombstone answers found=false but keeps the record index.
-	cp.insert("b", nil, false, 3, 13)
+	cp.insert(cpEntry{key: "b", rec: 3, ver: 13})
 	if v, found, rec := cp.get("b"); v != nil || found || rec != 3 {
 		t.Fatalf("tombstone get b = (%q, %v, %d), want (nil, false, 3)", v, found, rec)
 	}
 	// A later record whose publish committed earlier loses: NVRAM holds
 	// the higher version last.
-	cp.insert("a", []byte("stale"), true, 4, 5)
+	cp.insert(cpEntry{key: "a", val: []byte("stale"), found: true, rec: 4, ver: 5})
 	if v, _, rec := cp.get("a"); string(v) != "v3" || rec != 2 {
 		t.Fatalf("get a after a lower-version insert = (%q, rec %d), want (v3, 2)", v, rec)
 	}
@@ -56,12 +56,12 @@ func TestReadIndexAbsoluteRecordIndex(t *testing.T) {
 	}
 	cp := newCheckpoint(64)
 	big := math.MaxInt32 + 12345
-	cp.insert("k", []byte("v"), true, big, 1)
+	cp.insert(cpEntry{key: "k", val: []byte("v"), found: true, rec: big, ver: 1})
 	if _, _, rec := cp.get("k"); rec != big {
 		t.Fatalf("rec = %d, want %d", rec, big)
 	}
 	for i := 0; i < 4*cpMinRebuild; i++ { // force a rebuild to copy the entry
-		cp.insert(fmt.Sprintf("x%d", i%8), nil, false, big+1+i, mem.Version(2+i))
+		cp.insert(cpEntry{key: fmt.Sprintf("x%d", i%8), rec: big + 1 + i, ver: mem.Version(2 + i)})
 	}
 	if _, _, rec := cp.get("k"); rec != big {
 		t.Fatalf("rec after rebuild = %d, want %d", rec, big)
@@ -135,10 +135,10 @@ func TestReadIndexRebuildKeepsTombstones(t *testing.T) {
 		for k := 0; k < keys; k++ {
 			key := fmt.Sprintf("k%03d", k)
 			if (round+k)%5 == 0 {
-				cp.insert(key, nil, false, rec, mem.Version(rec+1))
+				cp.insert(cpEntry{key: key, rec: rec, ver: mem.Version(rec + 1)})
 				want[k] = -rec // negative marks a tombstone
 			} else {
-				cp.insert(key, []byte(fmt.Sprintf("v%d", rec)), true, rec, mem.Version(rec+1))
+				cp.insert(cpEntry{key: key, val: []byte(fmt.Sprintf("v%d", rec)), found: true, rec: rec, ver: mem.Version(rec + 1)})
 				want[k] = rec
 			}
 			rec++
@@ -172,7 +172,7 @@ func TestReadIndexGrowsWithDistinctKeys(t *testing.T) {
 	cp := newCheckpoint(64)
 	const keys = 4096
 	for i := 0; i < keys; i++ {
-		cp.insert(fmt.Sprintf("d%05d", i), []byte("v"), true, i, mem.Version(i+1))
+		cp.insert(cpEntry{key: fmt.Sprintf("d%05d", i), val: []byte("v"), found: true, rec: i, ver: mem.Version(i + 1)})
 	}
 	if n := len(cp.table.Load().buckets); n < keys {
 		t.Fatalf("table has %d buckets for %d distinct keys", n, keys)
@@ -180,6 +180,33 @@ func TestReadIndexGrowsWithDistinctKeys(t *testing.T) {
 	for i := 0; i < keys; i += 97 {
 		if _, found, rec := cp.get(fmt.Sprintf("d%05d", i)); !found || rec != i {
 			t.Fatalf("key %d lost across growth: found %v rec %d", i, found, rec)
+		}
+	}
+}
+
+// TestCheckpointRebuildKeepsSpans: a rebuild copies whole entries. The span
+// and hi an entry carries are what the free list and Verify's check 5 get
+// back later, so an entry that lost them in a rebuild would leak its lines
+// and pass the check blind.
+func TestCheckpointRebuildKeepsSpans(t *testing.T) {
+	cp := newCheckpoint(64)
+	const keys = 2 * cpMinRebuild
+	spanOf := func(i int) lineSpan { return lineSpan{first: mem.Line(1000 + 8*i), n: 1 + i%5} }
+	for i := 0; i < keys; i++ {
+		cp.insert(cpEntry{key: fmt.Sprintf("s%04d", i), val: []byte("v"), found: true, rec: i, ver: mem.Version(i + 1), span: spanOf(i), hi: mem.Version(i + 1)})
+	}
+	old := cp.table.Load()
+	cp.rebuild()
+	if cp.table.Load() == old {
+		t.Fatal("rebuild did not swap the table")
+	}
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("s%04d", i)
+		if en := cp.lookup(key); en.hi != mem.Version(i+1) {
+			t.Fatalf("%s: hi = %d after the rebuild, want %d", key, en.hi, i+1)
+		}
+		if loser := cp.insert(cpEntry{key: key, rec: keys + i, ver: mem.Version(keys + i + 1)}); loser != spanOf(i) {
+			t.Fatalf("%s: shadowing it returned span %+v, want the one inserted, %+v", key, loser, spanOf(i))
 		}
 	}
 }

@@ -8,27 +8,34 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
 
-// runPlanted is the scripted driver's single-shard run (the one the
+// runPlantedEngine is the scripted driver's single-shard run (the one the
 // goldens are captured from) on an engine with a bug planted in its fold
-// path.
-func runPlanted(cfg Config, spec ScriptSpec, bug plantedBug) (*RunResult, error) {
+// path; the closed engine comes back for tests that read what it holds.
+func runPlantedEngine(cfg Config, spec ScriptSpec, bug plantedBug) (*Engine, *RunResult, error) {
 	spec.fill()
 	e, err := New(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e.plant = bug
 	sessions := make([][]*Session, spec.Sessions)
 	for i := range sessions {
 		sessions[i] = []*Session{e.NewSession()}
 	}
-	return runShardScript(e, 0, 1, sessions, genScript(spec))
+	out, err := runShardScript(e, 0, 1, sessions, genScript(spec))
+	return e, out, err
+}
+
+func runPlanted(cfg Config, spec ScriptSpec, bug plantedBug) (*RunResult, error) {
+	_, out, err := runPlantedEngine(cfg, spec, bug)
+	return out, err
 }
 
 // longSpec is fpdump's third section: 4 096 ops over 256 keys, so most
@@ -66,16 +73,7 @@ func goldenLongFingerprint(t *testing.T) string {
 // pinned Report counts are checkpoint totals plus a short tail.
 func TestScriptedRunFoldsAndTrims(t *testing.T) {
 	spec := longSpec()
-	spec.fill()
-	e, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessions := make([][]*Session, spec.Sessions)
-	for i := range sessions {
-		sessions[i] = []*Session{e.NewSession()}
-	}
-	out, err := runShardScript(e, 0, 1, sessions, genScript(spec))
+	e, out, err := runPlantedEngine(Config{}, spec, plantNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +95,10 @@ func TestScriptedRunFoldsAndTrims(t *testing.T) {
 // TestPlantedCursorOffByOne: a durable cursor one record ahead of the
 // truth folds a publish that is not in NVRAM yet. A crash before it
 // persists must be caught — by the torn-write check at fold time, by
-// Verify finding the folded publish missing from the image, or by the
-// checker reporting a publish the image has lost — and the live store,
-// which acks on the cursor, must be caught acking a lost write.
+// Verify finding the folded publish missing from the image or (the early
+// fold also frees the entry it shadowed early) a live entry overwritten,
+// or by the checker reporting a publish the image has lost — and the live
+// store, which acks on the cursor, must be caught acking a lost write.
 func TestPlantedCursorOffByOne(t *testing.T) {
 	spec := testSpec()
 	clean, err := runSingle(Config{Check: true}, spec)
@@ -119,7 +118,8 @@ func TestPlantedCursorOffByOne(t *testing.T) {
 		caught++
 		msg := err.Error()
 		if !strings.Contains(msg, "torn write") && !strings.Contains(msg, "is not in the image") &&
-			!strings.Contains(msg, "no matching publish") && !strings.Contains(msg, "happens-after lost publish") {
+			!strings.Contains(msg, "no matching publish") && !strings.Contains(msg, "happens-after lost publish") &&
+			!strings.Contains(msg, "was overwritten under a durable head") {
 			t.Fatalf("crash at %d: caught by an unexpected check: %v", at, err)
 		}
 	}
@@ -193,13 +193,60 @@ func TestPlantedDropTombstone(t *testing.T) {
 	store.Close()
 }
 
+// TestSessionChurnLeavesNothing: a session's request counter lives in the
+// Session the engine issued, so ten thousand short-lived sessions — a
+// server's connection churn — leave the engine holding nothing for them:
+// sequence numbers still count per session, and no map in the engine has
+// grown past the key space.
+func TestSessionChurnLeavesNothing(t *testing.T) {
+	e, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sessions, keys = 10_000, 16
+	lastSeq := func(s *Session, n int) int {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := e.SubmitAppend(nil, []Request{{Sess: s, Op: Put, Key: fmt.Sprintf("k%02d", s.ID%keys), Value: []byte("v")}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seq := e.tail[len(e.tail)-1].Seq
+		if s.ID%64 == 0 {
+			if err := e.PumpRetire(); err != nil {
+				t.Fatal(err)
+			}
+			settle(t, e)
+		}
+		return seq
+	}
+	var reused *Session
+	for i := 0; i < sessions; i++ {
+		s := e.NewSession()
+		if seq := lastSeq(s, 1); seq != 0 {
+			t.Fatalf("session %d's first request has seq %d", s.ID, seq)
+		}
+		if i == sessions/2 {
+			reused = s
+		}
+	}
+	if seq := lastSeq(reused, 2); seq != 2 {
+		t.Fatalf("a session reused for two more requests reached seq %d, want 2", seq)
+	}
+	ev := reflect.ValueOf(e).Elem()
+	for i := 0; i < ev.NumField(); i++ {
+		if f := ev.Field(i); f.Kind() == reflect.Map && f.Len() > keys {
+			t.Fatalf("Engine.%s holds %d entries after %d sessions over %d keys", ev.Type().Field(i).Name, f.Len(), sessions, keys)
+		}
+	}
+}
+
 // TestRetainedStateBounded: through a live store, the records the engines
-// hold and the store tokens the machines remember stay under a constant
-// however many writes have been served, and the heap stops growing with
-// them. Writes are mostly deletes: a delete is a full mutation — record,
-// publish, token, epoch — but allocates no entry line, so the per-line
-// state the machine still keeps for every Put (line table, NVRAM image)
-// does not mask what is being measured.
+// hold, the store tokens and the lines the machines remember, and the
+// entry-line heap stay under a constant however many writes have been
+// served, and the process heap stops growing with them. Writes are mostly
+// Puts over a fixed key space: every one of them needs entry lines, and
+// all but the first per key must get them from the free list.
 func TestRetainedStateBounded(t *testing.T) {
 	total, sample := 200_000, 50_000
 	if testing.Short() {
@@ -221,10 +268,10 @@ func TestRetainedStateBounded(t *testing.T) {
 	var heapAt = map[int]uint64{}
 	inFlight := 0
 	for i := 1; i <= total; i++ {
-		op, v := Delete, []byte(nil) // 70 % deletes, 28 % gets, 2 % puts
+		op, v := Put, val // 70 % puts, 28 % gets, 2 % deletes
 		switch {
 		case i%50 == 0:
-			op, v = Put, val
+			op, v = Delete, nil
 		case i%10 < 3:
 			op = Get
 		}
@@ -275,6 +322,17 @@ func TestRetainedStateBounded(t *testing.T) {
 	}
 	if want := total * 72 / 100; folded != want {
 		t.Fatalf("folded %d records, want every one of the %d writes", folded, want)
+	}
+	// The heap is as large as the live keys plus what was in flight, not
+	// the writes served; the machine tracks those lines and the bucket
+	// heads, nothing per write.
+	for _, m := range store.Metrics() {
+		if m.EntryLinesBumped > keys+window {
+			t.Fatalf("shard %d carved %d entry lines for at most %d keys and a window of %d", m.Shard, m.EntryLinesBumped, keys, window)
+		}
+		if heads := store.shards[m.Shard].eng.cfg.Buckets; m.LinesTracked > keys+window+heads {
+			t.Fatalf("shard %d's machine tracks %d lines: %d keys, window %d, %d bucket heads", m.Shard, m.LinesTracked, keys, window, heads)
+		}
 	}
 	closed := make(chan error, 1)
 	go func() { _, err := store.Close(); closed <- err }()

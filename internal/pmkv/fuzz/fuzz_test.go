@@ -88,6 +88,10 @@ func FuzzDurableLinearizability(f *testing.F) {
 	// case crosses folds; this is the longest history a case can have (224
 	// ops), crashed late, where recovery is almost all checkpoint.
 	f.Add([]byte{15, 13, 11, 7, 60, 5, 0, 230})
+	// testdata's seed-06 (one session, one key, put del put put, crash at
+	// 250/256) is the smallest case that rejects an engine recycling entry
+	// lines one watermark early while the honest engine already reuses a
+	// line in it: pmkv.TestPlantedRecycleEarlyFuzzCases.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := CaseFromBytes(data)
 		fail := Run(c)

@@ -26,6 +26,15 @@
 // a barrier, which drains the core's write buffer first. Acks stay gated
 // on the durable watermark, which reads NVRAM, not barriers.
 //
+// Entry lines are recycled, under one rule: a line may be rewritten only
+// after the publish that stopped naming it is durable. The fold — which
+// runs behind the durable watermark — returns a superseded entry's lines
+// to a free list, and a Put takes its lines from that list before it
+// carves new ones, so the persistent heap, and with it every per-line
+// structure of the machine, is as large as the live data plus the
+// in-flight window, and a Put mostly rewrites lines the caches still hold
+// (see entryLinesFor).
+//
 // The engine does not simulate data bytes (the machine is version-based);
 // it keeps the logical key/value state itself and correlates logical writes
 // with the durable image through store tokens: each entry line and each
@@ -42,6 +51,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -144,6 +154,9 @@ func (c *Config) fill() {
 type Session struct {
 	ID   int
 	Core int
+	// seq numbers the session's requests; like the rest of the session's
+	// engine-side state it is touched only under the engine lock.
+	seq int
 }
 
 // Request is one client operation.
@@ -238,9 +251,15 @@ type Engine struct {
 	owed []bool
 
 	nextToken uint64
-	nextEntry mem.Addr
 	sessions  int
-	seqs      map[int]int // per-session sequence numbers
+
+	// The entry-line heap: nextEntry is the bump pointer, free the lines
+	// given back — one LIFO stack of span starts per power-of-two size
+	// class (see entryLinesFor) — and recycled the lines taken off free
+	// again, counted at class size like everything here.
+	nextEntry mem.Addr
+	free      [][]mem.Line
+	recycled  int
 
 	// tail is the audit trail still owed a persist: the mutation records,
 	// oldest first, that the durable watermark has not passed. Record
@@ -271,13 +290,14 @@ type Engine struct {
 
 // New builds an engine on a fresh streaming machine. The engine's token
 // correlation requires that two tagged stores to one line are never in
-// flight at once. Entry lines are written once; a core's publish stores
-// rewrite its bucket heads, and between any two of them translate places
-// exactly one persist barrier (a Put's entry→publish barrier, or the owed
-// barrier a Delete pays), which drains every posted store before the next
-// op issues. So the machine must use the LB model with programmer
-// barriers: NP ignores barriers and bulk-epoch mode makes them
-// transparent.
+// flight at once. An entry line is rewritten only after the record that
+// last stored to it was folded, hence retired (see entryLinesFor); a core's
+// publish stores rewrite its bucket heads, and between any two of them
+// translate places exactly one persist barrier (a Put's entry→publish
+// barrier, or the owed barrier a Delete pays), which drains every posted
+// store before the next op issues. So the machine must use the LB model
+// with programmer barriers: NP ignores barriers and bulk-epoch mode makes
+// them transparent.
 func New(cfg Config) (*Engine, error) {
 	cfg.fill()
 	if cfg.Machine.Model != machine.LB {
@@ -304,7 +324,6 @@ func New(cfg Config) (*Engine, error) {
 		cp:        newCheckpoint(cfg.Buckets),
 		keep:      make([]mem.Version, cfg.Machine.Cores),
 		nextEntry: entryBase,
-		seqs:      make(map[int]int),
 	}
 	if cfg.Check {
 		e.dl = dlcheck.New()
@@ -371,24 +390,54 @@ func (e *Engine) arenaRecord() *OpRecord {
 	return &e.recArena[len(e.recArena)-1]
 }
 
-// lineSpan is a run of n consecutive lines starting at first.
+// lineSpan is a run of n consecutive lines starting at first. An entry's
+// span is the n lines its value is stored to; it was carved from the heap
+// at its size class, so the 1<<sizeClass(n) lines from first are its own.
 type lineSpan struct {
 	first mem.Line
 	n     int
 }
 
-// entryLinesFor allocates fresh lines for a value (at least one; one line
-// per 64 value bytes). Entries are never rewritten — each Put gets new
-// lines, like a log-structured heap — so tagged entry stores trivially
-// satisfy the one-tagged-store-per-line constraint.
+// sizeClass is the power-of-two class an n-line span is carved and reused
+// at: class c spans are 1<<c lines long (1, 2, 3–4, 5–8, ... lines).
+func sizeClass(n int) int { return bits.Len(uint(n - 1)) }
+
+// entryLinesFor finds lines for a value (at least one; one line per 64
+// value bytes): the most recently freed span of the value's size class,
+// which the caches most likely still hold, or — only when that class has
+// none — new lines off the bump pointer.
+//
+// Reuse is safe under one rule: a line may be rewritten only after the
+// publish that stopped naming it is durable. Otherwise a crash image can
+// hold a head that names a half-overwritten entry. fold enforces it by
+// being the only place that frees: it runs behind the durable watermark,
+// under the engine lock, and frees the entry that lost its key to a
+// durable publish. The same placement keeps the machine's
+// one-tagged-store-per-line constraint (the last record to store to a
+// freed line retired before it could fold) and frees each span exactly
+// once. Verify's check 5 is what notices a line rewritten too early.
 func (e *Engine) entryLinesFor(value []byte) lineSpan {
-	n := (len(value) + int(mem.LineSize) - 1) / int(mem.LineSize)
-	if n == 0 {
-		n = 1
+	n := max(1, (len(value)+int(mem.LineSize)-1)/int(mem.LineSize))
+	c := sizeClass(n)
+	if c < len(e.free) && len(e.free[c]) > 0 {
+		stack := e.free[c]
+		e.free[c] = stack[:len(stack)-1]
+		e.recycled += 1 << c
+		return lineSpan{first: stack[len(stack)-1], n: n}
 	}
 	span := lineSpan{first: mem.LineOf(e.nextEntry), n: n}
-	e.nextEntry += mem.Addr(n) * mem.LineSize
+	e.nextEntry += mem.Addr(1<<c) * mem.LineSize
 	return span
+}
+
+// freeSpan gives an entry's lines back for reuse. Only fold may call it
+// (see entryLinesFor).
+func (e *Engine) freeSpan(s lineSpan) {
+	c := sizeClass(s.n)
+	for len(e.free) <= c {
+		e.free = append(e.free, nil)
+	}
+	e.free[c] = append(e.free[c], s.first)
 }
 
 // translate turns one request into a per-core op stream, updates the
@@ -406,8 +455,8 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 	}
 	bucket := e.bucketOf(req.Key)
 	head := e.headLine(bucket)
-	seq := e.seqs[req.Sess.ID]
-	e.seqs[req.Sess.ID]++
+	seq := req.Sess.seq
+	req.Sess.seq++
 
 	b := e.opBuf.Reset()
 	switch req.Op {
@@ -434,6 +483,7 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 			Op: Put, Key: req.Key, Bucket: bucket, Head: head,
 			Value: val,
 		}
+		e.plantedEarlyFree(req.Key)
 		span := e.entryLinesFor(val)
 		rec.EntryLine, rec.Entries = span.first, span.n
 		b.Load(head.Addr())
@@ -468,6 +518,7 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 			Sess: req.Sess.ID, Seq: seq, Core: core,
 			Op: Delete, Key: req.Key, Bucket: bucket, Head: head,
 		}
+		e.plantedEarlyFree(req.Key)
 		if e.owed[core] {
 			// No entry→publish barrier to ride on: pay the previous
 			// publish's barrier here, so publishes stay one per epoch.
@@ -697,7 +748,21 @@ const (
 	plantCursorOffByOne
 	// plantDropTombstone leaves a folded Delete out of the checkpoint.
 	plantDropTombstone
+	// plantRecycleEarly frees a key's entry lines when the write that
+	// supersedes them is translated — one watermark before fold would.
+	plantRecycleEarly
 )
+
+// plantedEarlyFree is plantRecycleEarly's free, called where translate
+// supersedes key's current entry.
+func (e *Engine) plantedEarlyFree(key string) {
+	if e.plant != plantRecycleEarly {
+		return
+	}
+	if span, ok := e.entries[key]; ok {
+		e.freeSpan(span)
+	}
+}
 
 // fold is what happens to record idx at the instant it becomes durable,
 // with its publish committed at version v: it is verified with the
@@ -708,12 +773,14 @@ const (
 // program order; what is left to check is the torn write — every entry
 // store retired and in NVRAM.
 func (e *Engine) fold(r *OpRecord, idx int, v mem.Version) {
-	for i := 0; i < r.Entries && e.foldErr == nil; i++ {
+	var hi mem.Version // the newest version the entry stores committed at
+	for i := 0; i < r.Entries; i++ {
 		l := r.EntryLine + mem.Line(i)
 		ev, ok := e.m.TokenVersion(r.PubToken - uint64(r.Entries-i))
-		if !ok || ev == mem.NoVersion || e.m.PersistedVersion(l) < ev {
+		if (!ok || ev == mem.NoVersion || e.m.PersistedVersion(l) < ev) && e.foldErr == nil {
 			e.foldErr = tornWrite(r, l)
 		}
+		hi = max(hi, ev)
 	}
 	cp := e.cp
 	if cp.lastVer[r.Bucket] != mem.NoVersion {
@@ -733,7 +800,26 @@ func (e *Engine) fold(r *OpRecord, idx int, v mem.Version) {
 		}
 	}
 	if r.Op == Put || e.plant != plantDropTombstone {
-		cp.insert(r.Key, val, r.Op == Put, idx, v)
+		span := lineSpan{first: r.EntryLine, n: r.Entries}
+		loser := cp.insert(cpEntry{key: r.Key, val: val, rec: idx, ver: v, found: r.Op == Put, span: span, hi: hi})
+		// The loser's lines are named by no durable head any more — the
+		// publish that superseded them is in NVRAM — so this, and nowhere
+		// else, is where they become reusable (see entryLinesFor).
+		if loser.n > 0 {
+			if loser == span && e.entries[r.Key] == span {
+				// This record lost to a same-window publish that committed
+				// after it, and no later Put has moved the key on: later
+				// GETs load the winner's lines, never freed ones.
+				if w := cp.lookup(r.Key); w.found {
+					e.entries[r.Key] = w.span
+				} else {
+					delete(e.entries, r.Key)
+				}
+			}
+			if e.plant != plantRecycleEarly {
+				e.freeSpan(loser)
+			}
+		}
 	}
 	// Published last: a reader that sees the watermark finds the entry.
 	cp.folded.Store(int64(idx + 1))
@@ -860,6 +946,16 @@ type Retention struct {
 	// EpochsTrimmed counts persisted epochs dropped from the machine's
 	// retained history.
 	EpochsTrimmed int `json:"epochs_trimmed"`
+	// The entry-line heap, in lines: EntryLinesBumped were carved off the
+	// bump pointer (the heap's size, which stops growing once the free list
+	// feeds the Puts), EntryLinesRecycled taken off the free list again,
+	// EntryLinesFree are on it now.
+	EntryLinesBumped   int `json:"entry_lines_bumped"`
+	EntryLinesRecycled int `json:"entry_lines_recycled"`
+	EntryLinesFree     int `json:"entry_lines_free"`
+	// LinesTracked counts the lines the machine keeps per-line state for
+	// (bucket heads and every entry line ever carved).
+	LinesTracked int `json:"lines_tracked"`
 }
 
 // EngineStats is a read-only snapshot of an engine: what it holds and has
@@ -877,12 +973,20 @@ type EngineStats struct {
 func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	free := 0
+	for c, stack := range e.free {
+		free += len(stack) << c
+	}
 	return EngineStats{
 		Retention: Retention{
-			Retained:       len(e.tail),
-			Folded:         e.durableCursor,
-			CheckpointKeys: e.cp.keys,
-			EpochsTrimmed:  e.cp.trimmed,
+			Retained:           len(e.tail),
+			Folded:             e.durableCursor,
+			CheckpointKeys:     e.cp.keys,
+			EpochsTrimmed:      e.cp.trimmed,
+			EntryLinesBumped:   int((e.nextEntry - entryBase) / mem.LineSize),
+			EntryLinesRecycled: e.recycled,
+			EntryLinesFree:     free,
+			LinesTracked:       e.m.LinesTracked(),
 		},
 		Counters: e.m.Counters(),
 	}

@@ -40,6 +40,18 @@ func durable(image map[mem.Line]mem.Version, l mem.Line, v mem.Version) bool {
 	return v != mem.NoVersion && image[l] >= v
 }
 
+// overwritten reports the first of an entry's lines that holds, in the
+// image, a version above hi — the newest the entry itself stored: someone
+// rewrote the line while a durable head still named the entry.
+func overwritten(image map[mem.Line]mem.Version, key string, span lineSpan, hi mem.Version) error {
+	for i := 0; i < span.n; i++ {
+		if l := span.first + mem.Line(i); image[l] > hi {
+			return fmt.Errorf("pmkv: entry line %v of %q was overwritten under a durable head", l, key)
+		}
+	}
+	return nil
+}
+
 // tornWrite reports a publish durable while one of its entry lines is not.
 func tornWrite(r *OpRecord, l mem.Line) error {
 	return fmt.Errorf(
@@ -63,6 +75,11 @@ func tornWrite(r *OpRecord, l mem.Line) error {
 //  4. Session order: each session's durable publishes are a prefix of its
 //     program order (a later publish durable while an earlier one is lost
 //     would invert the barrier ordering).
+//  5. Live entries are intact: no line of a checkpoint entry or of a
+//     durable tail Put holds a version above what that entry stored. The
+//     model has versions, not bytes, so this is how a line recycled before
+//     the publish that stopped naming it was durable shows: check 3's ">="
+//     cannot tell an entry's own store from a later occupant's.
 //
 // Every Report count is what a replay of the whole history would print:
 // the checkpoint's running totals plus the tail's.
@@ -137,6 +154,30 @@ func (e *Engine) Verify(res *machine.Result) (*Report, error) {
 	// its session was folded before it.
 	if errs := sessionOrderErrors(tail, res.TokenVersions, res.Image); len(errs) > 0 {
 		return rep, errors.Join(errs...)
+	}
+
+	// Live entries are intact: every durable tail Put, line by line against
+	// the version its own store committed, and every key's newest folded
+	// entry against the newest version it stored.
+	for _, r := range tail {
+		if pubVer, retired := res.TokenVersions[r.PubToken]; !retired || !durable(res.Image, r.Head, pubVer) {
+			continue
+		}
+		for i := 0; i < r.Entries; i++ {
+			line := lineSpan{first: r.EntryLine + mem.Line(i), n: 1}
+			if err := overwritten(res.Image, r.Key, line, res.TokenVersions[r.PubToken-uint64(r.Entries-i)]); err != nil {
+				return rep, err
+			}
+		}
+	}
+	var intact error
+	cp.each(func(en *cpEntry) {
+		if intact == nil && en.found {
+			intact = overwritten(res.Image, en.key, en.span, en.hi)
+		}
+	})
+	if intact != nil {
+		return rep, intact
 	}
 
 	state, err := e.replayState(byBucket, total, res.Image)

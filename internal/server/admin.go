@@ -228,14 +228,24 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 			func(m pmkv.ShardMetrics) float64 { return float64(m.CheckpointKeys) }},
 		{"pmkv_epochs_trimmed_total", "Persisted epochs dropped from the machine's retained history.",
 			func(m pmkv.ShardMetrics) float64 { return float64(m.EpochsTrimmed) }},
+		{"pmkv_entry_lines_bumped_total", "Entry lines carved off the heap's bump pointer: the persistent heap's size, flat once the free list feeds the Puts.",
+			func(m pmkv.ShardMetrics) float64 { return float64(m.EntryLinesBumped) }},
+		{"pmkv_entry_lines_recycled_total", "Entry lines taken off the free list for a Put instead of carving new ones.",
+			func(m pmkv.ShardMetrics) float64 { return float64(m.EntryLinesRecycled) }},
+		{"pmkv_entry_lines_free", "Entry lines on the free list: superseded behind the durable watermark, not yet reused.",
+			func(m pmkv.ShardMetrics) float64 { return float64(m.EntryLinesFree) }},
+		{"pmkv_machine_lines_tracked", "Lines the simulated machine keeps per-line state for.",
+			func(m pmkv.ShardMetrics) float64 { return float64(m.LinesTracked) }},
 	}
 	counterNames := map[string]bool{
-		"pmkv_shard_batches_total":   true,
-		"pmkv_shard_publishes_total": true,
-		"pmkv_read_fast_hits_total":  true,
-		"pmkv_read_fallback_total":   true,
-		"pmkv_records_folded_total":  true,
-		"pmkv_epochs_trimmed_total":  true,
+		"pmkv_shard_batches_total":        true,
+		"pmkv_shard_publishes_total":      true,
+		"pmkv_read_fast_hits_total":       true,
+		"pmkv_read_fallback_total":        true,
+		"pmkv_records_folded_total":       true,
+		"pmkv_epochs_trimmed_total":       true,
+		"pmkv_entry_lines_bumped_total":   true,
+		"pmkv_entry_lines_recycled_total": true,
 	}
 	for _, g := range gauges {
 		typ := "gauge"

@@ -125,6 +125,13 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 	if sums["pmkv_epochs_trimmed_total"] == 0 {
 		t.Error("pmkv_epochs_trimmed_total = 0 after 200 durable writes")
 	}
+	// 180 of the writes are one-line Puts: each got its line off the bump
+	// pointer or the free list, and 40 keys cannot need 180 lines.
+	bumped, recycled := sums["pmkv_entry_lines_bumped_total"], sums["pmkv_entry_lines_recycled_total"]
+	if bumped+recycled != writes*9/10 || recycled == 0 || sums["pmkv_machine_lines_tracked"] < bumped {
+		t.Errorf("entry lines: %v bumped + %v recycled for %d Puts, %v free, machine tracks %v",
+			bumped, recycled, writes*9/10, sums["pmkv_entry_lines_free"], sums["pmkv_machine_lines_tracked"])
+	}
 	if sums["go_memstats_heap_inuse_bytes"] == 0 {
 		t.Error("go_memstats_heap_inuse_bytes = 0")
 	}
@@ -220,7 +227,8 @@ func TestStatsReplyFieldsStable(t *testing.T) {
 	}
 	for _, field := range []string{"shard", "queue_depth", "mailbox_cap", "batches", "avg_batch", "batch_limit",
 		"durable_publishes", "total_publishes", "read_fast_hits", "read_fallbacks", "records_retained",
-		"records_folded", "checkpoint_keys", "epochs_trimmed", "batch_sizes", "counters"} {
+		"records_folded", "checkpoint_keys", "epochs_trimmed", "entry_lines_bumped", "entry_lines_recycled",
+		"entry_lines_free", "lines_tracked", "batch_sizes", "counters"} {
 		if _, ok := reply.Shards[0][field]; !ok {
 			t.Errorf("shard object lacks %q: %s", field, line)
 		}

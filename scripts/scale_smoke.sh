@@ -10,7 +10,9 @@
 # the repo root) so CI can upload it as a post-mortem artifact. Between
 # the two, a write-heavy soak scrapes /metrics mid-run and asserts that
 # the engines are releasing what is durable (pmkv_records_folded_total
-# against pmkv_records_retained) and that the process stays under a
+# against pmkv_records_retained), that Puts rewrite recycled entry lines
+# (pmkv_entry_lines_recycled_total against pmkv_entry_lines_bumped_total,
+# pmkv_machine_lines_tracked) and that the process stays under a
 # resident-memory ceiling.
 #
 # Both phases run with -check, so the online durable-linearizability
@@ -122,13 +124,16 @@ grep -q "flight recorder: .* consistency OK" "$dir/pmkvd-read.log" || {
 
 # Phase 1c: write-heavy soak (45/50/5, paced at 40k ops/s for 10 s) — the
 # 20-second stand-in for a nightly soak. Every durable write is verified,
-# folded into its shard's checkpoint and released, so mid-run the engines
-# must have let go of far more records than they hold, and the process
-# must fit under a ceiling that retaining every record would break (at the
-# scrape, ~175k writes: about 100 MB resident, half of it the checker's
-# own history, against about 300 MB when each write kept its record,
-# tokens and epoch summary for good).
-rss_ceiling=$((160 << 20))
+# folded into its shard's checkpoint and released, and the entry lines it
+# superseded go back to the free list, so mid-run the engines must have let
+# go of far more records than they hold, the heap must be fed by recycling,
+# and the process must fit under a ceiling that growing per write would
+# break. At the scrape, ~175k writes in: 67-72 MB resident (ceiling: that
+# plus 25 %), against 103 MB while every Put carved new lines and 300 MB
+# when each write also kept its record, tokens and epoch summary for good.
+# Most of what is left is the checker's own history, which -check still
+# keeps per op, so the ceiling is tied to this run length.
+rss_ceiling=$((86 << 20))
 start_server "$dir/pmkvd-soak.log" -shards 2 -check
 "$dir/pmkvload" -addr "$addr" -proto binary -window 64 -conns 2 -keys 4096 \
     -get 0.45 -del 0.05 -rate 40000 -duration 10s &
@@ -143,9 +148,24 @@ sum() { awk -v m="$1" '$1 ~ "^"m"($|{)" {s+=$2} END {printf "%.0f\n", s}' "$dir/
 folded=$(sum pmkv_records_folded_total)
 retained=$(sum pmkv_records_retained)
 rss=$(sum process_resident_memory_bytes)
+bumped=$(sum pmkv_entry_lines_bumped_total)
+recycled=$(sum pmkv_entry_lines_recycled_total)
+tracked=$(sum pmkv_machine_lines_tracked)
 echo "scale_smoke: soak scrape: folded $folded, retained $retained, resident $rss bytes"
+echo "scale_smoke: soak scrape: entry lines bumped $bumped, recycled $recycled; machine lines tracked $tracked"
 [ "$folded" -gt 0 ] && [ "$folded" -ge $((10 * retained)) ] || {
     echo "scale_smoke: soak: folded $folded has not passed 10 x retained $retained" >&2
+    exit 1
+}
+# The persistent heap is the live keys, not the writes served: by now the
+# Puts are fed by the free list, and the machines keep per-line state for
+# the 4 096 keys' entries, the in-flight window and the bucket heads.
+[ "$bumped" -gt 0 ] && [ "$recycled" -ge $((5 * bumped)) ] || {
+    echo "scale_smoke: soak: $recycled entry lines recycled has not passed 5 x $bumped bumped" >&2
+    exit 1
+}
+[ "$tracked" -gt 0 ] && [ "$tracked" -lt $((3 * 4096)) ] || {
+    echo "scale_smoke: soak: the machines track $tracked lines for 4096 keys" >&2
     exit 1
 }
 [ "$rss" -gt 0 ] && [ "$rss" -lt "$rss_ceiling" ] || {
