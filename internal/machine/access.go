@@ -123,7 +123,9 @@ func (m *Machine) recallOwner(c *coreCtx, kind mem.Kind, line mem.Line, b *bankC
 			return
 		}
 		ent, has := o.l1.Peek(line)
-		m.dbg(line, "recallOwner from=%d kind=%v has=%v dirty=%v tag=%v ver=%d", o.id, kind, has, ent.Dirty, ent.Tag, ent.Version)
+		if m.cfg.DebugLine != 0 {
+			m.dbg(line, "recallOwner from=%d kind=%v has=%v dirty=%v tag=%v ver=%d", o.id, kind, has, ent.Dirty, ent.Tag, ent.Version)
+		}
 		finish := func() {
 			// The writeback may have waited on an epoch flush and the
 			// world may have moved. Downgrade o's copy only if it still
@@ -167,7 +169,9 @@ func (m *Machine) recallOwner(c *coreCtx, kind mem.Kind, line mem.Line, b *bankC
 func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver mem.Version, cont func()) {
 	if !b.arr.Contains(line) {
 		// Inclusion was broken by a concurrent eviction: re-establish.
-		m.dbg(line, "llcApplyWriteback reinsert tag=%v ver=%d", tag, ver)
+		if m.cfg.DebugLine != 0 {
+			m.dbg(line, "llcApplyWriteback reinsert tag=%v ver=%d", tag, ver)
+		}
 		m.llcInsert(nil, b, line, ver, func() {
 			m.llcApplyWriteback(b, line, tag, ver, cont)
 		})
@@ -175,7 +179,9 @@ func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver
 	}
 	ent, _ := b.arr.Peek(line)
 	if ent.Version > ver {
-		m.dbg(line, "llcApplyWriteback stale-skip tag=%v ver=%d entVer=%d entTag=%v entDirty=%v", tag, ver, ent.Version, ent.Tag, ent.Dirty)
+		if m.cfg.DebugLine != 0 {
+			m.dbg(line, "llcApplyWriteback stale-skip tag=%v ver=%d entVer=%d entTag=%v entDirty=%v", tag, ver, ent.Version, ent.Tag, ent.Dirty)
+		}
 		cont() // a newer version already landed; drop the stale data
 		return
 	}
@@ -186,7 +192,9 @@ func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver
 		// epoch is still unpersisted; otherwise the copy is legitimately
 		// clean.
 		if !ent.Dirty && m.lookupRec(tag) != nil {
-			m.dbg(line, "llcApplyWriteback restore-tag tag=%v ver=%d", tag, ver)
+			if m.cfg.DebugLine != 0 {
+				m.dbg(line, "llcApplyWriteback restore-tag tag=%v ver=%d", tag, ver)
+			}
 			b.arr.Write(line, tag, ver)
 		}
 		cont()
@@ -206,7 +214,9 @@ func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver
 			return
 		}
 	}
-	m.dbg(line, "llcApplyWriteback apply tag=%v ver=%d", tag, ver)
+	if m.cfg.DebugLine != 0 {
+		m.dbg(line, "llcApplyWriteback apply tag=%v ver=%d", tag, ver)
+	}
 	b.arr.Write(line, tag, ver)
 	cont()
 }
@@ -274,7 +284,9 @@ func (m *Machine) llcInsert(c *coreCtx, b *bankCtx, line mem.Line, ver mem.Versi
 		vd.owner = -1
 	}
 	finishInsert := func() {
-		m.dbg(v.Line, "llcInsert evict victim dirty=%v tag=%v ver=%d", v.Dirty, v.Tag, v.Version)
+		if m.cfg.DebugLine != 0 {
+			m.dbg(v.Line, "llcInsert evict victim dirty=%v tag=%v ver=%d", v.Dirty, v.Tag, v.Version)
+		}
 		m.backInvalidate(v.Line, vd)
 		if vd.owner >= 0 {
 			// A dirty private copy survived an ownership race; the
@@ -537,7 +549,9 @@ func (m *Machine) commitStore(c *coreCtx, line mem.Line) mem.Version {
 	cur := c.table.Current()
 	first := cur.AddPending(line)
 	prev := c.l1.Write(line, cur.ID, ver)
-	m.dbg(line, "commitStore core=%d epoch=%v ver=%d prev={dirty=%v tag=%v ver=%d}", c.id, cur.ID, ver, prev.Dirty, prev.Tag, prev.Version)
+	if m.cfg.DebugLine != 0 {
+		m.dbg(line, "commitStore core=%d epoch=%v ver=%d prev={dirty=%v tag=%v ver=%d}", c.id, cur.ID, ver, prev.Dirty, prev.Tag, prev.Version)
+	}
 	if prev.Dirty && prev.Tag.Valid() && prev.Tag != cur.ID && m.lookupRec(prev.Tag) != nil {
 		panic(fmt.Sprintf("machine: store on core %d overwrote unpersisted %v version of %v",
 			c.id, prev.Tag, line))

@@ -69,7 +69,9 @@ func (m *Machine) flushEpoch(c *coreCtx, rec *epoch.Record, done func()) {
 		if arrive > bankReady[b.id] {
 			bankReady[b.id] = arrive
 		}
-		m.dbg(line, "flushEpoch l1-writeback epoch=%v ver=%d", id, ent.Version)
+		if m.cfg.DebugLine != 0 {
+			m.dbg(line, "flushEpoch l1-writeback epoch=%v ver=%d", id, ent.Version)
+		}
 		if llcEnt, ok := b.arr.Peek(line); !ok {
 			// The LLC no longer holds the line (evicted or clflushed):
 			// flush it straight from the L1 to NVRAM instead of forcing
@@ -150,11 +152,15 @@ func (m *Machine) bankFlush(c *coreCtx, b *bankCtx, rec *epoch.Record, barrier *
 		m.eng.After(sim.Cycle(i)*m.cfg.FlushIssue, func() {
 			ent, ok := b.arr.Peek(line)
 			if !ok || ent.Tag != rec.ID {
-				m.dbg(line, "bankFlush skip epoch=%v ok=%v tag=%v", rec.ID, ok, ent.Tag)
+				if m.cfg.DebugLine != 0 {
+					m.dbg(line, "bankFlush skip epoch=%v ok=%v tag=%v", rec.ID, ok, ent.Tag)
+				}
 				lineDone() // drained or evicted concurrently
 				return
 			}
-			m.dbg(line, "bankFlush drain epoch=%v ver=%d", rec.ID, ent.Version)
+			if m.cfg.DebugLine != 0 {
+				m.dbg(line, "bankFlush drain epoch=%v ver=%d", rec.ID, ent.Version)
+			}
 			if m.cfg.FlushMode == cache.Invalidating {
 				// clflush semantics: the flush evicts the line from the
 				// whole hierarchy, destroying locality (§7 discussion).
