@@ -38,8 +38,15 @@ type Arbiter struct {
 	// else ever flushes.
 	demandSource DemandSourceFunc
 
-	flushing bool
-	stats    ArbiterStats
+	// flushing is the epoch whose flush handshake is in flight, nil when
+	// none: the arbiter drives one flush at a time, so the record its done
+	// callback needs is a field and the callback is bound once.
+	flushing  *Record
+	flushDone func()
+	// kick is Kick bound once, for the dependence subscriptions.
+	kick func()
+
+	stats ArbiterStats
 }
 
 // SetDemandSource installs the cross-core demand forwarder.
@@ -50,7 +57,17 @@ func NewArbiter(eng *sim.Engine, table *Table, driver FlushDriver) (*Arbiter, er
 	if eng == nil || table == nil || driver == nil {
 		return nil, fmt.Errorf("epoch: arbiter requires engine, table and driver")
 	}
-	return &Arbiter{eng: eng, table: table, driver: driver}, nil
+	a := &Arbiter{eng: eng, table: table, driver: driver}
+	a.flushDone, a.kick = a.flushCompleted, a.Kick
+	return a, nil
+}
+
+// flushCompleted is the flush driver's done callback (PersistCMP landed).
+func (a *Arbiter) flushCompleted() {
+	head := a.flushing
+	a.flushing = nil
+	head.FlushCompleted = true
+	a.Kick()
 }
 
 // Table returns the arbiter's epoch table.
@@ -95,7 +112,7 @@ func (a *Arbiter) RequestProactive(num uint64) {
 // dependence source persists.
 func (a *Arbiter) Kick() {
 	for {
-		if a.flushing {
+		if a.flushing != nil {
 			return
 		}
 		head := a.table.Oldest()
@@ -147,15 +164,11 @@ func (a *Arbiter) Kick() {
 		if !head.flushWanted {
 			return // buffered: wait for natural drain or a demand
 		}
-		a.flushing = true
+		a.flushing = head
 		head.State = Flushing
 		a.stats.FlushesDriven++
 		a.table.cfg.Probe.EpochFlushStart(a.eng.Now(), head.ID.Core, head.ID.Num, head.Cause.String())
-		a.driver.FlushEpoch(head, func() {
-			a.flushing = false
-			head.FlushCompleted = true
-			a.Kick()
-		})
+		a.driver.FlushEpoch(head, a.flushDone)
 		return
 	}
 }
@@ -172,7 +185,7 @@ func (a *Arbiter) subscribeDeps(r *Record) bool {
 		ready = false
 		if !d.subscribed {
 			d.subscribed = true
-			d.persisted.Subscribe(a.Kick)
+			d.persisted.Subscribe(a.kick)
 		}
 	}
 	return ready

@@ -563,15 +563,9 @@ func (m *Machine) commitStore(c *coreCtx, line mem.Line) mem.Version {
 	if m.cfg.Logging && first {
 		m.logWrites++
 		cur.LogPending++
-		mc := m.mcs.ControllerFor(line)
-		mcTile := m.mcTiles[mc.ID()]
-		entry := nvram.LogEntry{Line: line, Old: prev.Version, EpochCore: cur.ID.Core, EpochNum: cur.ID.Num}
-		m.eng.After(m.mesh.Latency(c.tile, mcTile, mem.LineSize), func() {
-			mc.WriteLog(entry, func() {
-				cur.LogPending--
-				c.arb.Kick()
-			})
-		})
+		w := m.acquireNVWrite(cur, line, prev.Version)
+		w.log = true
+		m.eng.After(m.mesh.Latency(c.tile, m.mcTiles[w.mc.ID()], mem.LineSize), w.arrive)
 	}
 	return ver
 }
@@ -645,16 +639,60 @@ func (m *Machine) nvramWriteFrom(from noc.Tile, rec *epoch.Record, line mem.Line
 	if rec != nil {
 		rec.AcksInFlight++
 	}
-	mc := m.mcs.ControllerFor(line)
-	mcTile := m.mcTiles[mc.ID()]
-	m.eng.After(m.mesh.Latency(from, mcTile, mem.LineSize), func() {
-		mc.Write(line, ver, func() {
-			m.lineDurable(rec, line, ver)
-			if ack != nil {
-				ack()
-			}
-		})
-	})
+	w := m.acquireNVWrite(rec, line, ver)
+	w.ack = ack
+	m.eng.After(m.mesh.Latency(from, m.mcTiles[w.mc.ID()], mem.LineSize), w.arrive)
+}
+
+// nvWrite is one durable write on its way from a tile to a memory
+// controller and into NVRAM: a line version, or (log set) the undo-log
+// entry saying line held version ver before epoch rec first wrote it. A
+// pooled frame like flush.go's: arrive and acked are bound once, and the
+// frame is released when the PersistAck has fired.
+type nvWrite struct {
+	m    *Machine
+	mc   *nvram.Controller
+	rec  *epoch.Record
+	line mem.Line
+	ver  mem.Version
+	log  bool
+	ack  func()
+
+	arrive func() // bound: the write reaches the controller's tile
+	acked  func() // bound: the PersistAck
+}
+
+func (m *Machine) acquireNVWrite(rec *epoch.Record, line mem.Line, ver mem.Version) *nvWrite {
+	w := m.nvWrites.get()
+	if w == nil {
+		w = &nvWrite{m: m}
+		w.arrive, w.acked = w.atController, w.persistAck
+	}
+	w.mc, w.rec, w.line, w.ver = m.mcs.ControllerFor(line), rec, line, ver
+	return w
+}
+
+func (w *nvWrite) atController() {
+	if w.log {
+		w.mc.WriteLog(nvram.LogEntry{Line: w.line, Old: w.ver, EpochCore: w.rec.ID.Core, EpochNum: w.rec.ID.Num}, w.acked)
+		return
+	}
+	w.mc.Write(w.line, w.ver, w.acked)
+}
+
+func (w *nvWrite) persistAck() {
+	m, rec, line, ver, log, ack := w.m, w.rec, w.line, w.ver, w.log, w.ack
+	w.mc, w.rec, w.log, w.ack = nil, nil, false, nil
+	m.nvWrites.put(w)
+	if log {
+		rec.LogPending--
+		m.cores[rec.ID.Core].arb.Kick()
+		return
+	}
+	m.lineDurable(rec, line, ver)
+	if ack != nil {
+		ack()
+	}
 }
 
 // lookupRec resolves a cache tag to its live epoch record, or nil when the

@@ -3,6 +3,7 @@ package machine
 import (
 	"persistbarriers/internal/cache"
 	"persistbarriers/internal/epoch"
+	"persistbarriers/internal/mem"
 	"persistbarriers/internal/sim"
 )
 
@@ -56,18 +57,18 @@ func (d *flushDriver) FlushEpoch(rec *epoch.Record, done func()) {
 func (m *Machine) flushEpoch(c *coreCtx, rec *epoch.Record, done func()) {
 	id := rec.ID
 	now := m.eng.Now()
+	f := m.acquireFlushOp(c, rec, done)
 
 	// Step 1a: L1 writebacks of the epoch's lines, pipelined one line per
 	// FlushIssue interval; each bank may not start before its last line
 	// arrives (the EpochCMP precondition of §4.1).
-	bankReady := make([]sim.Cycle, len(m.banks))
 	l1Lines := c.l1.AppendLinesOf(m.acquireLineBuf(), id)
 	for i, line := range l1Lines {
 		b := m.bank(line)
 		ent, _ := c.l1.Peek(line)
 		arrive := now + sim.Cycle(i)*m.cfg.FlushIssue + m.mesh.Latency(c.tile, b.tile, 64)
-		if arrive > bankReady[b.id] {
-			bankReady[b.id] = arrive
+		if bo := &f.banks[b.id]; arrive > bo.ready {
+			bo.ready = arrive
 		}
 		if m.cfg.DebugLine != 0 {
 			m.dbg(line, "flushEpoch l1-writeback epoch=%v ver=%d", id, ent.Version)
@@ -100,91 +101,187 @@ func (m *Machine) flushEpoch(c *coreCtx, rec *epoch.Record, done func()) {
 	}
 	m.releaseLineBuf(l1Lines)
 
-	// Step 4 happens when every bank has acked.
-	barrier := sim.NewBarrier(len(m.banks), func() {
-		var worst sim.Cycle
-		for _, b := range m.banks {
-			if l := m.mesh.Latency(c.tile, b.tile, 0); l > worst {
-				worst = l
-			}
+	// Steps 1b-3 per bank; step 4 happens when every bank has acked.
+	for i := range f.banks {
+		bo := &f.banks[i]
+		start := now + m.mesh.Latency(c.tile, bo.b.tile, 0) // FlushEpoch message
+		if bo.ready > start {
+			start = bo.ready
 		}
-		m.eng.After(worst, done) // PersistCMP broadcast
-	})
-
-	// Steps 1b-3 per bank.
-	for _, b := range m.banks {
-		b := b
-		start := now + m.mesh.Latency(c.tile, b.tile, 0) // FlushEpoch message
-		if bankReady[b.id] > start {
-			start = bankReady[b.id]
-		}
-		m.eng.At(start, func() { m.bankFlush(c, b, rec, barrier) })
+		m.eng.At(start, bo.flush)
 	}
 }
 
-// bankFlush drains one bank's lines of the epoch to NVRAM and sends the
-// BankAck when its last PersistAck arrives.
-func (m *Machine) bankFlush(c *coreCtx, b *bankCtx, rec *epoch.Record, barrier *sim.Barrier) {
-	bankAck := func() {
-		if m.cfg.Probe.Active() {
-			m.cfg.Probe.BankAck(m.eng.Now(), b.id, rec.ID.Core, rec.ID.Num)
+// The handshake's continuations are methods on pooled frames, not
+// closures: a flushOp per handshake, holding one bankOp per LLC bank, and a
+// lineOp per line a bank drains. Each frame's method values are bound once,
+// when the frame is first made; a frame goes back to its machine's free
+// list only when the last continuation scheduled on it has fired, with its
+// pointers cleared, so a continuation that fires later panics instead of
+// acting on the frame's next occupant. The frames schedule exactly the
+// events the closures did, in the same order, at the same cycles.
+
+// flushOp is one handshake from FlushEpoch broadcast to the last BankAck.
+type flushOp struct {
+	m    *Machine
+	c    *coreCtx
+	rec  *epoch.Record
+	done func()
+
+	banks   []bankOp // one per LLC bank, bank order
+	sending int      // banks that have not sent their BankAck yet
+	acks    int      // BankAcks that have not reached the arbiter yet
+
+	bankAcked func() // bound: one BankAck arrives at the arbiter
+}
+
+// bankOp is one bank's share of a handshake.
+type bankOp struct {
+	f         *flushOp
+	b         *bankCtx
+	ready     sim.Cycle // when the last L1 writeback reaches this bank
+	remaining int       // lines whose PersistAck the BankAck still waits for
+
+	flush func() // bound: FlushEpoch arrives at the bank
+}
+
+// lineOp is one line of a bank's drain, from its issue slot to its
+// PersistAck.
+type lineOp struct {
+	bo   *bankOp
+	line mem.Line
+
+	drain func() // bound: the line's issue slot
+	done  func() // bound: the line is durable (or needed no write)
+}
+
+func (m *Machine) acquireFlushOp(c *coreCtx, rec *epoch.Record, done func()) *flushOp {
+	f := m.flushOps.get()
+	if f == nil {
+		f = &flushOp{m: m, banks: make([]bankOp, len(m.banks))}
+		f.bankAcked = f.bankAckArrived
+		for i := range f.banks {
+			bo := &f.banks[i]
+			bo.f, bo.b = f, m.banks[i]
+			bo.flush = bo.bankFlush
 		}
-		m.eng.After(m.mesh.Latency(b.tile, c.tile, 0), barrier.Arrive)
 	}
+	f.c, f.rec, f.done = c, rec, done
+	f.sending, f.acks = len(f.banks), len(f.banks)
+	for i := range f.banks {
+		f.banks[i].ready = 0
+	}
+	return f
+}
+
+func (m *Machine) releaseFlushOp(f *flushOp) {
+	f.c, f.rec, f.done = nil, nil, nil
+	m.flushOps.put(f)
+}
+
+// bankFlush drains one bank's lines of the epoch to NVRAM; the BankAck
+// goes out when the last PersistAck arrives.
+func (bo *bankOp) bankFlush() {
+	m, rec, b := bo.f.m, bo.f.rec, bo.b
 	lines := b.arr.AppendLinesOf(m.acquireLineBuf(), rec.ID)
 	if m.cfg.Probe.Active() {
 		m.cfg.Probe.BankFlushStart(m.eng.Now(), b.id, rec.ID.Core, rec.ID.Num, len(lines))
 	}
 	if len(lines) == 0 {
 		m.releaseLineBuf(lines)
-		bankAck()
+		bo.sendAck()
 		return
 	}
-	remaining := len(lines)
-	lineDone := func() {
-		remaining--
-		if remaining == 0 {
-			bankAck()
+	bo.remaining = len(lines)
+	for i, line := range lines {
+		lo := m.lineOps.get()
+		if lo == nil {
+			lo = &lineOp{}
+			lo.drain, lo.done = lo.drainLine, lo.lineDone
+		}
+		lo.bo, lo.line = bo, line
+		m.eng.After(sim.Cycle(i)*m.cfg.FlushIssue, lo.drain)
+	}
+	// Each lineOp holds its own line; the snapshot buffer is free to reuse.
+	m.releaseLineBuf(lines)
+}
+
+func (lo *lineOp) drainLine() {
+	m, rec, b, line := lo.bo.f.m, lo.bo.f.rec, lo.bo.b, lo.line
+	ent, ok := b.arr.Peek(line)
+	if !ok || ent.Tag != rec.ID {
+		if m.cfg.DebugLine != 0 {
+			m.dbg(line, "bankFlush skip epoch=%v ok=%v tag=%v", rec.ID, ok, ent.Tag)
+		}
+		lo.lineDone() // drained or evicted concurrently
+		return
+	}
+	if m.cfg.DebugLine != 0 {
+		m.dbg(line, "bankFlush drain epoch=%v ver=%d", rec.ID, ent.Version)
+	}
+	if m.cfg.FlushMode == cache.Invalidating {
+		// clflush semantics: the flush evicts the line from the
+		// whole hierarchy, destroying locality (§7 discussion).
+		// Only clean private copies may be dropped — a dirty L1
+		// copy holds a newer version from a later epoch and
+		// remains tracked by its owner.
+		b.arr.Invalidate(line)
+		d := m.dirEntryFor(line)
+		for _, o := range m.cores {
+			if pe, ok := o.l1.Peek(line); ok && !pe.Dirty {
+				o.l1.Invalidate(line)
+				d.sharers &^= 1 << uint(o.id)
+				if d.owner == o.id {
+					d.owner = -1
+				}
+			}
+		}
+	} else {
+		b.arr.CleanLine(line)
+	}
+	m.nvramWriteFrom(b.tile, rec, line, ent.Version, lo.done)
+}
+
+func (lo *lineOp) lineDone() {
+	bo := lo.bo
+	lo.bo = nil
+	bo.f.m.lineOps.put(lo)
+	bo.remaining--
+	if bo.remaining == 0 {
+		bo.sendAck()
+	}
+}
+
+// sendAck sends this bank's BankAck to the arbiter.
+func (bo *bankOp) sendAck() {
+	f := bo.f
+	m, c, rec := f.m, f.c, f.rec
+	if m.cfg.Probe.Active() {
+		m.cfg.Probe.BankAck(m.eng.Now(), bo.b.id, rec.ID.Core, rec.ID.Num)
+	}
+	m.eng.After(m.mesh.Latency(bo.b.tile, c.tile, 0), f.bankAcked)
+	f.sending--
+	if m.plantEarlyFlushRelease && f.sending == 0 {
+		m.releaseFlushOp(f)
+	}
+}
+
+// bankAckArrived collects one BankAck; the last one broadcasts PersistCMP
+// and ends the flushOp (done belongs to the arbiter, not to this frame).
+func (f *flushOp) bankAckArrived() {
+	f.acks--
+	if f.acks > 0 {
+		return
+	}
+	m, c, done := f.m, f.c, f.done
+	var worst sim.Cycle
+	for _, b := range m.banks {
+		if l := m.mesh.Latency(c.tile, b.tile, 0); l > worst {
+			worst = l
 		}
 	}
-	for i, line := range lines {
-		line := line
-		m.eng.After(sim.Cycle(i)*m.cfg.FlushIssue, func() {
-			ent, ok := b.arr.Peek(line)
-			if !ok || ent.Tag != rec.ID {
-				if m.cfg.DebugLine != 0 {
-					m.dbg(line, "bankFlush skip epoch=%v ok=%v tag=%v", rec.ID, ok, ent.Tag)
-				}
-				lineDone() // drained or evicted concurrently
-				return
-			}
-			if m.cfg.DebugLine != 0 {
-				m.dbg(line, "bankFlush drain epoch=%v ver=%d", rec.ID, ent.Version)
-			}
-			if m.cfg.FlushMode == cache.Invalidating {
-				// clflush semantics: the flush evicts the line from the
-				// whole hierarchy, destroying locality (§7 discussion).
-				// Only clean private copies may be dropped — a dirty L1
-				// copy holds a newer version from a later epoch and
-				// remains tracked by its owner.
-				b.arr.Invalidate(line)
-				d := m.dirEntryFor(line)
-				for _, o := range m.cores {
-					if pe, ok := o.l1.Peek(line); ok && !pe.Dirty {
-						o.l1.Invalidate(line)
-						d.sharers &^= 1 << uint(o.id)
-						if d.owner == o.id {
-							d.owner = -1
-						}
-					}
-				}
-			} else {
-				b.arr.CleanLine(line)
-			}
-			m.nvramWriteFrom(b.tile, rec, line, ent.Version, lineDone)
-		})
+	if !m.plantEarlyFlushRelease {
+		m.releaseFlushOp(f)
 	}
-	// Each scheduled closure captured its own line copy; the snapshot
-	// buffer itself is free to reuse.
-	m.releaseLineBuf(lines)
+	m.eng.After(worst, done) // PersistCMP broadcast
 }

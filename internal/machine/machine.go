@@ -165,6 +165,16 @@ type Machine struct {
 	// nest (a demanded flush inside flushEpoch), so buffers are acquired
 	// and released stack-wise rather than shared.
 	lineBufs [][]mem.Line
+	// Free lists of the protocol's continuation frames (flush.go has the
+	// lifetime rule). The machine is single-threaded, so each is a plain
+	// LIFO; its depth settles at the most frames ever in flight at once.
+	flushOps pool[flushOp]
+	lineOps  pool[lineOp]
+	nvWrites pool[nvWrite]
+	// plantEarlyFlushRelease (tests only) returns a flushOp to its free
+	// list when the last BankAck is sent instead of when it arrives, to
+	// show the goldens catch a frame released while still in flight.
+	plantEarlyFlushRelease bool
 
 	vs      mem.VersionSource
 	mcTiles []noc.Tile
@@ -407,6 +417,23 @@ func (m *Machine) latestVersion(line mem.Line) mem.Version {
 	}
 	return 0
 }
+
+// pool is a LIFO free list of frames of one type.
+type pool[T any] []*T
+
+// get pops the most recently released frame, or returns nil when the
+// caller has to make a new one.
+func (p *pool[T]) get() *T {
+	n := len(*p)
+	if n == 0 {
+		return nil
+	}
+	f := (*p)[n-1]
+	*p = (*p)[:n-1]
+	return f
+}
+
+func (p *pool[T]) put(f *T) { *p = append(*p, f) }
 
 // acquireLineBuf returns an empty flush-set scratch buffer, reusing a
 // released one when available.

@@ -64,8 +64,66 @@ type Controller struct {
 	image map[mem.Line]mem.Version // durable data region
 	log   []LogEntry               // durable undo-log region, append order
 
+	// freeWrites holds the pendingWrite frames not in flight, newest on
+	// top: a steady-state Write or WriteLog takes one and allocates nothing.
+	freeWrites []*pendingWrite
+
 	stats Stats
 	probe *obs.Probe
+}
+
+// pendingWrite is one Write or WriteLog between admission and its
+// PersistAck. It takes the place of a closure per request: durable and
+// logged are bound once, when the frame is first made, and the frame
+// returns to its controller's free list when the one it scheduled fires.
+type pendingWrite struct {
+	c     *Controller // nil while on the free list, so a late fire panics
+	line  mem.Line
+	v     mem.Version
+	entry LogEntry
+	done  func()
+
+	durable func() // bound: the line write reached NVRAM
+	logged  func() // bound: the log entry reached NVRAM
+}
+
+func (c *Controller) acquireWrite(done func()) *pendingWrite {
+	var w *pendingWrite
+	if n := len(c.freeWrites); n > 0 {
+		w = c.freeWrites[n-1]
+		c.freeWrites = c.freeWrites[:n-1]
+	} else {
+		w = &pendingWrite{}
+		w.durable, w.logged = w.fireWrite, w.fireLog
+	}
+	w.c, w.done = c, done
+	return w
+}
+
+// release returns w to the free list and hands back what its ack needs.
+func (w *pendingWrite) release() (*Controller, func()) {
+	c, done := w.c, w.done
+	w.c, w.done = nil, nil
+	c.freeWrites = append(c.freeWrites, w)
+	return c, done
+}
+
+func (w *pendingWrite) fireWrite() {
+	line, v := w.line, w.v
+	c, done := w.release()
+	c.image[line] = v
+	if done != nil {
+		done()
+	}
+}
+
+func (w *pendingWrite) fireLog() {
+	entry := w.entry
+	c, done := w.release()
+	c.log = append(c.log, entry)
+	if done != nil {
+		done()
+	}
 }
 
 // Stats counts controller activity.
@@ -136,12 +194,9 @@ func (c *Controller) Read(line mem.Line, done func()) {
 func (c *Controller) Write(line mem.Line, v mem.Version, done func()) {
 	start := c.admit(c.cfg.WriteService)
 	c.stats.Writes++
-	c.eng.At(start+c.cfg.WriteLatency, func() {
-		c.image[line] = v
-		if done != nil {
-			done()
-		}
-	})
+	w := c.acquireWrite(done)
+	w.line, w.v = line, v
+	c.eng.At(start+c.cfg.WriteLatency, w.durable)
 }
 
 // WriteLog durably appends an undo-log entry. done fires when the entry is
@@ -149,12 +204,9 @@ func (c *Controller) Write(line mem.Line, v mem.Version, done func()) {
 func (c *Controller) WriteLog(entry LogEntry, done func()) {
 	start := c.admit(c.cfg.WriteService)
 	c.stats.LogWrites++
-	c.eng.At(start+c.cfg.WriteLatency, func() {
-		c.log = append(c.log, entry)
-		if done != nil {
-			done()
-		}
-	})
+	w := c.acquireWrite(done)
+	w.entry = entry
+	c.eng.At(start+c.cfg.WriteLatency, w.logged)
 }
 
 // Stats returns a snapshot of the controller's counters.
