@@ -23,143 +23,221 @@ func (m *Machine) access(c *coreCtx, kind mem.Kind, line mem.Line, done func()) 
 		if d.owner == c.id {
 			// Exclusive hit. The only ordering hazard is an intra-thread
 			// conflict with the line's own older-epoch tag.
-			m.resolveConflict(c, kind, line, ent.Tag, func(dep *epoch.Record) {
-				m.tryCommitStore(c, line, dep, done)
-			})
+			m.resolveConflict(m.acquireReq(c, kind, line, done), ent.Tag)
 			return
 		}
 		// Shared hit needing an upgrade: take the LLC path for ownership.
 	}
-	b := m.bank(line)
-	m.eng.After(m.cfg.L1Latency+m.mesh.Latency(c.tile, b.tile, 0), func() {
-		m.atBank(c, kind, line, b, done)
-	})
+	r := m.acquireReq(c, kind, line, done)
+	r.b = m.bank(line)
+	m.eng.After(m.cfg.L1Latency+m.mesh.Latency(c.tile, r.b.tile, 0), r.arrive)
+}
+
+// memReq is one load or store from the moment it needs more than an L1
+// hit until it completes: a pooled frame like flush.go's, whose bound
+// methods are every continuation the request path schedules. A request
+// that reaches its home bank takes the line's transient state (locked) and
+// lends the line its own busy signal; an exclusive L1 hit stays unlocked.
+// The chain is sequential, so one set of fields serves every hop and one
+// stall serves every wait. A locked request is released by release, an
+// unlocked one when its store commits or restarts.
+type memReq struct {
+	m    *Machine
+	c    *coreCtx
+	kind mem.Kind
+	line mem.Line
+	done func()
+
+	b      *bankCtx   // home bank
+	ls     *lineState // the line's state, once locked
+	locked bool       // holds ls.busy; restarts re-enter atBankLocked
+	busy   sim.Signal // what ls.busy points at while locked
+	stall  stall
+
+	tag   epoch.ID      // the tag the conflict check ran against
+	src   *epoch.Record // inter-thread conflict: the source epoch being resolved
+	dep   *epoch.Record // deferred IDT dependence, attached at completion
+	owner *coreCtx      // recall in flight: the core being recalled
+	ver   mem.Version   // version in transit: the owner's copy (recall), then the LLC's (grant)
+
+	arrive        func() // bound: atBank
+	retry         func() // bound: atBankLocked
+	release       func() // bound: unlock
+	recallLanded  func() // bound: recallArrived
+	recallDone    func() // bound: recallFinish
+	fillAtMC      func() // bound: fillRead
+	fillRead      func() // bound: fillReturn
+	fillBack      func() // bound: fillInsert
+	granted       func() // bound: grantArrived
+	filled        func() // bound: l1Filled
+	recommit      func() // bound: commit
+	resolvedNoDep func() // bound: resolved(nil)
+	idtRetry      func() // bound: idtResolve
+	onlineRetry   func() // bound: onlineInterResolve
+}
+
+func (m *Machine) acquireReq(c *coreCtx, kind mem.Kind, line mem.Line, done func()) *memReq {
+	r := m.memReqs.get()
+	if r == nil {
+		r = &memReq{m: m}
+		r.stall.init(m)
+		r.arrive, r.retry, r.release = r.atBank, r.atBankLocked, r.unlock
+		r.recallLanded, r.recallDone = r.recallArrived, r.recallFinish
+		r.fillAtMC, r.fillRead, r.fillBack = r.fillReadLine, r.fillReturn, r.fillInsert
+		r.granted, r.filled, r.recommit = r.grantArrived, r.l1Filled, r.commit
+		r.resolvedNoDep = func() { r.resolved(nil) }
+		r.idtRetry, r.onlineRetry = r.idtResolve, r.onlineInterResolve
+	}
+	r.c, r.kind, r.line, r.done = c, kind, line, done
+	r.stall.c = c
+	return r
+}
+
+// releaseReq ends an unlocked request (or, from unlock, a locked one) and
+// hands back its completion.
+func (m *Machine) releaseReq(r *memReq) func() {
+	done := r.done
+	r.c, r.done, r.b, r.ls, r.src, r.dep, r.owner, r.stall.c = nil, nil, nil, nil, nil, nil, nil, nil
+	r.locked = false
+	m.memReqs.put(r)
+	return done
 }
 
 // atBank is the request's arrival at the home LLC bank. The bank admits
 // one request per line at a time (the transient-state blocking a real
 // controller's MSHRs provide): competing requests queue behind the line's
 // busy signal, which eliminates ownership races and request livelock.
-func (m *Machine) atBank(c *coreCtx, kind mem.Kind, line mem.Line, b *bankCtx, done func()) {
-	ls := m.lines.get(line)
+func (r *memReq) atBank() {
+	m := r.m
+	ls := m.lines.get(r.line)
 	if ls.busy != nil {
-		ls.busy.Subscribe(func() { m.atBank(c, kind, line, b, done) })
+		ls.busy.Subscribe(r.arrive)
 		return
 	}
-	sig := &sim.Signal{}
-	ls.busy = sig
+	r.ls, r.locked = ls, true
+	r.busy.Reset()
+	ls.busy = &r.busy
 	if m.trackBusy {
-		ls.busyInfo = fmt.Sprintf("core=%d kind=%v at=%d", c.id, kind, m.eng.Now())
+		ls.busyInfo = fmt.Sprintf("core=%d kind=%v at=%d", r.c.id, r.kind, m.eng.Now())
 	}
-	// One retry closure serves every restart of this request (mshr merge,
-	// recall, fill, tag change, ownership race) instead of allocating a
-	// fresh continuation per hop.
-	var retry func()
-	release := func() {
-		ls.busy = nil
-		ls.busyInfo = ""
-		sig.Fire()
-		done()
-	}
-	retry = func() { m.atBankLocked(c, kind, line, b, ls, retry, release) }
-	m.atBankLocked(c, kind, line, b, ls, retry, release)
+	r.atBankLocked()
 }
 
-// busyPhase updates the line's transient-state holder description; only
-// called on paths that already checked m.trackBusy is cheap enough, so it
-// re-checks internally and is a no-op in normal runs.
-func (m *Machine) busyPhase(c *coreCtx, kind mem.Kind, ls *lineState, p string) {
-	if m.trackBusy && ls.busy != nil {
-		ls.busyInfo = fmt.Sprintf("core=%d kind=%v phase=%s at=%d", c.id, kind, p, m.eng.Now())
+// unlock completes a locked request: the line's transient state is freed,
+// the requests queued behind it re-arrive, and done fires.
+func (r *memReq) unlock() {
+	r.ls.busy = nil
+	r.ls.busyInfo = ""
+	r.busy.Fire()
+	r.m.releaseReq(r)()
+}
+
+// busyPhase updates the line's transient-state holder description; a no-op
+// in normal runs.
+func (r *memReq) busyPhase(p string) {
+	if r.m.trackBusy && r.ls.busy != nil {
+		r.ls.busyInfo = fmt.Sprintf("core=%d kind=%v phase=%s at=%d", r.c.id, r.kind, p, r.m.eng.Now())
 	}
 }
 
 // atBankLocked processes a request that holds the line's transient state:
 // recall a remote modified copy, ensure residency, run the conflict check,
-// then grant. retry restarts the locked request from the top; done
-// releases the busy signal and completes it.
-func (m *Machine) atBankLocked(c *coreCtx, kind mem.Kind, line mem.Line, b *bankCtx, ls *lineState, retry, done func()) {
-	if sig := ls.mshr; sig != nil {
-		// A fill for this line is in flight; merge behind it.
-		m.busyPhase(c, kind, ls, "mshr-wait")
-		sig.Subscribe(retry)
+// then grant. Every restart of the request (recall, fill, tag change,
+// ownership race) re-enters here.
+func (r *memReq) atBankLocked() {
+	d := &r.ls.dir
+	if d.owner >= 0 && d.owner != r.c.id {
+		r.busyPhase("recall")
+		r.recallOwner()
 		return
 	}
-	d := &ls.dir
-	if d.owner >= 0 && d.owner != c.id {
-		m.busyPhase(c, kind, ls, "recall")
-		m.recallOwner(c, kind, line, b, d, retry)
+	if !r.b.arr.Contains(r.line) {
+		r.busyPhase("fill")
+		r.llcFill()
 		return
 	}
-	if !b.arr.Contains(line) {
-		m.busyPhase(c, kind, ls, "fill")
-		m.llcFill(c, b, line, ls, retry)
+	ent, _ := r.b.arr.Lookup(r.line)
+	r.busyPhase("conflict")
+	r.m.resolveConflict(r, ent.Tag)
+}
+
+// resolved continues a request whose conflict check (against r.tag) is
+// settled. dep is the inter-thread source epoch whose dependence must be
+// attached to the requesting epoch at completion time (nil when the request
+// may complete without tracking anything).
+func (r *memReq) resolved(dep *epoch.Record) {
+	r.dep = dep
+	if !r.locked {
+		r.commit()
 		return
 	}
-	ent, _ := b.arr.Lookup(line)
-	m.busyPhase(c, kind, ls, "conflict")
-	m.resolveConflict(c, kind, line, ent.Tag, func(dep *epoch.Record) {
-		// An online resolution may have waited; if a new epoch's version
-		// landed in the LLC meanwhile, the conflict check must be redone
-		// against the fresh tag.
-		if cur, ok := b.arr.Peek(line); !ok || cur.Tag != ent.Tag {
-			retry()
-			return
-		}
-		m.busyPhase(c, kind, ls, "grant")
-		m.grant(c, kind, line, b, d, dep, retry, done)
-	})
+	// An online resolution may have waited; if a new epoch's version
+	// landed in the LLC meanwhile, the conflict check must be redone
+	// against the fresh tag.
+	if cur, ok := r.b.arr.Peek(r.line); !ok || cur.Tag != r.tag {
+		r.atBankLocked()
+		return
+	}
+	r.busyPhase("grant")
+	r.grant()
 }
 
 // recallOwner pulls the line out of the current owner's L1: its dirty data
 // is written back into the LLC copy, and the owner's copy is invalidated
 // (store) or downgraded to shared (load).
-func (m *Machine) recallOwner(c *coreCtx, kind mem.Kind, line mem.Line, b *bankCtx, d *dirEntry, cont func()) {
-	o := m.cores[d.owner]
+func (r *memReq) recallOwner() {
+	m, b := r.m, r.b
+	o := m.cores[r.ls.dir.owner]
+	r.owner = o
 	lat := m.mesh.Latency(b.tile, o.tile, 0) + m.cfg.L1Latency + m.mesh.Latency(o.tile, b.tile, mem.LineSize)
-	m.eng.After(lat, func() {
-		if d.owner != o.id {
-			cont() // another request already recalled it
-			return
+	m.eng.After(lat, r.recallLanded)
+}
+
+func (r *memReq) recallArrived() {
+	m, o := r.m, r.owner
+	if r.ls.dir.owner != o.id {
+		r.atBankLocked() // another request already recalled it
+		return
+	}
+	ent, has := o.l1.Peek(r.line)
+	if m.cfg.DebugLine != 0 {
+		m.dbg(r.line, "recallOwner from=%d kind=%v has=%v dirty=%v tag=%v ver=%d", o.id, r.kind, has, ent.Dirty, ent.Tag, ent.Version)
+	}
+	r.ver = ent.Version
+	if has && ent.Dirty {
+		m.llcApplyWriteback(r.b, r.line, ent.Tag, ent.Version, r.recallDone)
+		return
+	}
+	r.recallFinish()
+}
+
+// recallFinish runs once the owner's data is in the LLC. The writeback may
+// have waited on an epoch flush and the world may have moved. Downgrade
+// o's copy only if it still holds at most the version we wrote back — a
+// newer version means o recommitted and must stay the tracked owner. A
+// vanished copy also releases ownership, or the recall would retry forever.
+func (r *memReq) recallFinish() {
+	o, d := r.owner, &r.ls.dir
+	pe, ok := o.l1.Peek(r.line)
+	switch {
+	case !ok:
+		d.sharers &^= 1 << uint(o.id)
+		if d.owner == o.id {
+			d.owner = -1
 		}
-		ent, has := o.l1.Peek(line)
-		if m.cfg.DebugLine != 0 {
-			m.dbg(line, "recallOwner from=%d kind=%v has=%v dirty=%v tag=%v ver=%d", o.id, kind, has, ent.Dirty, ent.Tag, ent.Version)
+	case pe.Version <= r.ver:
+		if r.kind == mem.Store {
+			o.l1.Invalidate(r.line)
+			d.sharers &^= 1 << uint(o.id)
+		} else {
+			o.l1.CleanLine(r.line)
+			d.sharers |= 1 << uint(o.id)
 		}
-		finish := func() {
-			// The writeback may have waited on an epoch flush and the
-			// world may have moved. Downgrade o's copy only if it still
-			// holds at most the version we wrote back — a newer version
-			// means o recommitted and must stay the tracked owner. A
-			// vanished copy also releases ownership, or the recall would
-			// retry forever.
-			pe, ok := o.l1.Peek(line)
-			switch {
-			case !ok:
-				d.sharers &^= 1 << uint(o.id)
-				if d.owner == o.id {
-					d.owner = -1
-				}
-			case pe.Version <= ent.Version:
-				if kind == mem.Store {
-					o.l1.Invalidate(line)
-					d.sharers &^= 1 << uint(o.id)
-				} else {
-					o.l1.CleanLine(line)
-					d.sharers |= 1 << uint(o.id)
-				}
-				if d.owner == o.id {
-					d.owner = -1
-				}
-			}
-			cont()
+		if d.owner == o.id {
+			d.owner = -1
 		}
-		if has && ent.Dirty {
-			m.llcApplyWriteback(b, line, ent.Tag, ent.Version, finish)
-			return
-		}
-		finish()
-	})
+	}
+	r.atBankLocked()
 }
 
 // llcApplyWriteback merges a written-back dirty line into the LLC copy.
@@ -221,23 +299,26 @@ func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver
 	cont()
 }
 
-// llcFill fetches a missing line from NVRAM into the bank.
-func (m *Machine) llcFill(c *coreCtx, b *bankCtx, line mem.Line, ls *lineState, cont func()) {
-	sig := &sim.Signal{}
-	ls.mshr = sig
-	mc := m.mcs.ControllerFor(line)
-	mcTile := m.mcTiles[mc.ID()]
-	m.eng.After(m.mesh.Latency(b.tile, mcTile, 0), func() {
-		mc.Read(line, func() {
-			m.eng.After(m.mesh.Latency(mcTile, b.tile, mem.LineSize), func() {
-				m.llcInsert(c, b, line, ls.latest, func() {
-					ls.mshr = nil
-					sig.Fire()
-					cont()
-				})
-			})
-		})
-	})
+// llcFill fetches a missing line from NVRAM into the bank: request to the
+// controller's tile, device read, data back to the bank, insert.
+func (r *memReq) llcFill() {
+	m := r.m
+	mcTile := m.mcTiles[m.mcs.ControllerFor(r.line).ID()]
+	m.eng.After(m.mesh.Latency(r.b.tile, mcTile, 0), r.fillAtMC)
+}
+
+func (r *memReq) fillReadLine() {
+	r.m.mcs.ControllerFor(r.line).Read(r.line, r.fillRead)
+}
+
+func (r *memReq) fillReturn() {
+	m := r.m
+	mcTile := m.mcTiles[m.mcs.ControllerFor(r.line).ID()]
+	m.eng.After(m.mesh.Latency(mcTile, r.b.tile, mem.LineSize), r.fillBack)
+}
+
+func (r *memReq) fillInsert() {
+	r.m.llcInsert(r.c, r.b, r.line, r.ls.latest, r.retry)
 }
 
 // llcInsert places a line into the bank, resolving the victim's coherence
@@ -377,21 +458,21 @@ func (m *Machine) backInvalidate(line mem.Line, d *dirEntry) {
 }
 
 // grant finishes a request at the bank: data response for loads,
-// ownership (with sharer invalidation) for stores. dep is the deferred
-// inter-thread dependence to attach at completion; retry restarts the
-// locked request.
-func (m *Machine) grant(c *coreCtx, kind mem.Kind, line mem.Line, b *bankCtx, d *dirEntry, dep *epoch.Record, retry, done func()) {
+// ownership (with sharer invalidation) for stores.
+func (r *memReq) grant() {
+	m, c, b, line, d := r.m, r.c, r.b, r.line, &r.ls.dir
 	if !b.arr.Contains(line) {
-		retry() // evicted while we waited: restart
+		r.atBankLocked() // evicted while we waited: restart
 		return
 	}
-	if kind == mem.Store && d.owner >= 0 && d.owner != c.id {
-		retry() // ownership raced away: restart
+	if r.kind == mem.Store && d.owner >= 0 && d.owner != c.id {
+		r.atBankLocked() // ownership raced away: restart
 		return
 	}
 	ent, _ := b.arr.Peek(line)
+	r.ver = ent.Version
 	respLat := m.cfg.LLCLatency + m.mesh.Latency(b.tile, c.tile, mem.LineSize)
-	if kind == mem.Store {
+	if r.kind == mem.Store {
 		// Invalidate the other sharers; the slowest round trip bounds
 		// the grant.
 		var invLat sim.Cycle
@@ -416,37 +497,32 @@ func (m *Machine) grant(c *coreCtx, kind mem.Kind, line mem.Line, b *bankCtx, d 
 		}
 		// The line's busy signal (held since atBank) covers the transfer
 		// until the commit completes.
-		m.eng.After(respLat, func() {
-			m.l1Fill(c, line, ent.Version, func() {
-				m.tryCommitStoreEx(c, line, dep, retry, done)
-			})
-		})
-		return
+	} else {
+		d.sharers |= 1 << uint(c.id)
 	}
-	d.sharers |= 1 << uint(c.id)
-	m.eng.After(respLat, func() {
-		m.l1Fill(c, line, ent.Version, func() {
-			// Loads attach their inter-thread dependence at completion.
-			m.attachDep(c, dep, done)
-		})
-	})
+	m.eng.After(respLat, r.granted)
 }
 
-// tryCommitStore commits a store whose ordering conflicts were resolved,
-// but only if the core still holds the line and no other core snatched
-// ownership during the waits; otherwise the access restarts. The
+func (r *memReq) grantArrived() { r.m.l1Fill(r.c, r.line, r.ver, r.filled) }
+
+func (r *memReq) l1Filled() {
+	if r.kind == mem.Store {
+		r.commit()
+		return
+	}
+	// Loads attach their inter-thread dependence at completion.
+	r.m.attachDep(r, r.dep, r.release)
+}
+
+// commit commits a store whose ordering conflicts were resolved, but only
+// if the core still holds the line and no other core snatched ownership
+// during the waits; otherwise the access restarts — a locked request from
+// the top of atBankLocked, an exclusive L1 hit as a fresh access. The
 // dependence attachment, the check, and the commit happen in one event, so
 // exactly one contender wins and the dependence lands on the epoch that
 // tags the line.
-func (m *Machine) tryCommitStore(c *coreCtx, line mem.Line, dep *epoch.Record, done func()) {
-	m.tryCommitStoreEx(c, line, dep, nil, done)
-}
-
-// tryCommitStoreEx is tryCommitStore with retry carrying the locked
-// request's restart continuation when the caller holds the line's busy
-// signal (the grant path does); the exclusive L1-hit path passes nil and
-// restarts through a fresh access instead.
-func (m *Machine) tryCommitStoreEx(c *coreCtx, line mem.Line, dep *epoch.Record, retry func(), done func()) {
+func (r *memReq) commit() {
+	m, c, line := r.m, r.c, r.line
 	d := m.dirEntryFor(line)
 	if ent, hit := c.l1.Peek(line); hit && (d.owner == c.id || d.owner == -1) {
 		// With posted stores, an earlier same-core store (or an epoch
@@ -461,30 +537,31 @@ func (m *Machine) tryCommitStoreEx(c *coreCtx, line mem.Line, dep *epoch.Record,
 					m.cfg.Probe.Conflict(m.eng.Now(), obs.ConflictIntra, c.id, rec.ID.Core, rec.ID.Num, line, obs.ResolveOnline)
 				}
 				c.arb.DemandThrough(ent.Tag.Num, epoch.CauseIntra)
-				m.stallUntil(c, &rec.Persisted, StallIntra, func() {
-					m.tryCommitStoreEx(c, line, dep, retry, done)
-				})
+				r.stall.until(&rec.Persisted, StallIntra, r.recommit)
 				return
 			}
 		}
-		if dep != nil && dep.State != epoch.Persisted {
+		if dep := r.dep; dep != nil && dep.State != epoch.Persisted {
 			// Attach the deferred inter-thread dependence, then rerun
 			// every check: the register-full fallback may have waited,
 			// and the world may have moved meanwhile. On the synchronous
 			// success path the recheck happens in this same event.
-			m.attachDep(c, dep, func() {
-				m.tryCommitStoreEx(c, line, nil, retry, done)
-			})
+			r.dep = nil
+			m.attachDep(r, dep, r.recommit)
 			return
 		}
-		m.finishStore(c, line, done)
+		if r.locked {
+			m.finishStore(c, line, r.release)
+		} else {
+			m.finishStore(c, line, m.releaseReq(r))
+		}
 		return
 	}
-	if retry != nil {
-		retry()
+	if r.locked {
+		r.atBankLocked()
 		return
 	}
-	m.access(c, mem.Store, line, done)
+	m.access(c, mem.Store, line, m.releaseReq(r))
 }
 
 // l1Fill installs a line into c's L1, writing back a dirty victim first.

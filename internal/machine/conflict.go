@@ -6,47 +6,47 @@ import (
 	"persistbarriers/internal/obs"
 )
 
-// resolveConflict enforces the epoch-conflict rules of Section 3 before a
-// request may complete against a line carrying epoch tag `tag`. cont
-// receives the inter-thread source epoch whose dependence must be attached
-// to the requesting epoch at completion time (nil when the request may
-// complete without tracking anything). Deferring the attachment to
-// completion matters: a deadlock-avoidance split can advance the
-// requester's epoch between resolution and commit, and the dependence
-// belongs to the epoch that finally performs the access.
-func (m *Machine) resolveConflict(c *coreCtx, kind mem.Kind, line mem.Line, tag epoch.ID, cont func(dep *epoch.Record)) {
+// resolveConflict enforces the epoch-conflict rules of Section 3 before
+// request r may complete against a line carrying epoch tag `tag`; it ends in
+// r.resolved, which receives the inter-thread source epoch whose dependence
+// must be attached to the requesting epoch at completion time. Deferring
+// the attachment to completion matters: a deadlock-avoidance split can
+// advance the requester's epoch between resolution and commit, and the
+// dependence belongs to the epoch that finally performs the access.
+func (m *Machine) resolveConflict(r *memReq, tag epoch.ID) {
+	c := r.c
+	r.tag = tag
 	if !m.usesEpochs() || !tag.Valid() {
-		cont(nil)
+		r.resolved(nil)
 		return
 	}
 	if tag.Core == c.id {
 		// Intra-thread: reads never conflict (program-order persist
 		// tracking already covers them, §3.2); writes to a line of an
 		// older unpersisted epoch must flush that epoch first.
-		if kind == mem.Load {
-			cont(nil)
+		if r.kind == mem.Load {
+			r.resolved(nil)
 			return
 		}
 		rec := c.table.Lookup(tag.Num)
 		if rec == nil || rec == c.table.Current() {
-			cont(nil)
+			r.resolved(nil)
 			return
 		}
 		m.intraConflicts++
 		rec.ConflictDemanded = true
 		if m.cfg.Probe.Active() {
-			m.cfg.Probe.Conflict(m.eng.Now(), obs.ConflictIntra, c.id, rec.ID.Core, rec.ID.Num, line, obs.ResolveOnline)
+			m.cfg.Probe.Conflict(m.eng.Now(), obs.ConflictIntra, c.id, rec.ID.Core, rec.ID.Num, r.line, obs.ResolveOnline)
 		}
 		c.arb.DemandThrough(tag.Num, epoch.CauseIntra)
-		m.stallUntil(c, &rec.Persisted, StallIntra, func() { cont(nil) })
+		r.stall.until(&rec.Persisted, StallIntra, r.resolvedNoDep)
 		return
 	}
 	// Inter-thread conflict (§3.1): both loads and stores establish a
 	// persist-ordering constraint on the source epoch.
-	src := m.cores[tag.Core]
-	rec := src.table.Lookup(tag.Num)
+	rec := m.cores[tag.Core].table.Lookup(tag.Num)
 	if rec == nil {
-		cont(nil)
+		r.resolved(nil)
 		return
 	}
 	m.interConflicts++
@@ -56,23 +56,25 @@ func (m *Machine) resolveConflict(c *coreCtx, kind mem.Kind, line mem.Line, tag 
 		if m.cfg.IDT {
 			res = obs.ResolveIDT
 		}
-		m.cfg.Probe.Conflict(m.eng.Now(), obs.ConflictInter, c.id, rec.ID.Core, rec.ID.Num, line, res)
+		m.cfg.Probe.Conflict(m.eng.Now(), obs.ConflictInter, c.id, rec.ID.Core, rec.ID.Num, r.line, res)
 	}
+	r.src = rec
 	if m.cfg.IDT {
-		m.idtResolve(c, src, rec, cont)
+		r.idtResolve()
 		return
 	}
-	m.onlineInterResolve(c, src, rec, func() { cont(nil) })
+	r.onlineInterResolve()
 }
 
-// idtResolve handles an inter-thread conflict with the IDT optimization:
-// the request completes immediately and the dependence is handed to the
-// caller for attachment at completion. If the source epoch is still
+// idtResolve handles an inter-thread conflict (with epoch r.src) under the
+// IDT optimization: the request completes immediately and the dependence
+// is handed on for attachment at completion. If the source epoch is still
 // ongoing, the deadlock-avoidance split (§3.3) closes it first so the
 // dependence can never become circular.
-func (m *Machine) idtResolve(c *coreCtx, src *coreCtx, rec *epoch.Record, cont func(dep *epoch.Record)) {
+func (r *memReq) idtResolve() {
+	m, rec := r.m, r.src
 	if rec.State == epoch.Persisted {
-		cont(nil)
+		r.resolved(nil)
 		return
 	}
 	if rec.State == epoch.Open {
@@ -80,21 +82,22 @@ func (m *Machine) idtResolve(c *coreCtx, src *coreCtx, rec *epoch.Record, cont f
 			// Without splitting, the only safe resolution is to wait
 			// for the ongoing epoch — the configuration that deadlocks
 			// on Figure 5(a)'s circular pattern.
-			m.onlineInterResolve(c, src, rec, func() { cont(nil) })
+			r.onlineInterResolve()
 			return
 		}
-		m.splitEpoch(src, func() { m.idtResolve(c, src, rec, cont) })
+		m.splitEpoch(m.cores[rec.ID.Core], r.idtRetry)
 		return
 	}
-	cont(rec)
+	r.resolved(rec)
 }
 
-// attachDep registers the deferred IDT dependence on c's current epoch at
-// request completion. When the dependence registers are full, it falls
-// back to the online flush (as the hardware would) and retries; retry runs
-// in the same event as the eventual completion, so attachment and the
-// access commit stay atomic.
-func (m *Machine) attachDep(c *coreCtx, rec *epoch.Record, cont func()) {
+// attachDep registers the deferred IDT dependence on the current epoch of
+// r's core at request completion. When the dependence registers are full,
+// it falls back to the online flush (as the hardware would) and retries;
+// retry runs in the same event as the eventual completion, so attachment
+// and the access commit stay atomic.
+func (m *Machine) attachDep(r *memReq, rec *epoch.Record, cont func()) {
+	c := r.c
 	if rec == nil || rec.State == epoch.Persisted {
 		cont()
 		return
@@ -109,21 +112,23 @@ func (m *Machine) attachDep(c *coreCtx, rec *epoch.Record, cont func()) {
 	}
 	src := m.cores[rec.ID.Core]
 	src.arb.DemandThrough(rec.ID.Num, epoch.CauseInter)
-	m.stallUntil(c, &rec.Persisted, StallInter, cont)
+	r.stall.until(&rec.Persisted, StallInter, cont)
 }
 
 // onlineInterResolve is the LB behaviour: demand a flush of the source
-// epoch chain and stall the request until it persists. If splitting is
-// enabled and the source epoch is ongoing, the completed first half is
-// flushed (the "[w]ithout IDT we would have had to flush the first part"
-// case of §3.3).
-func (m *Machine) onlineInterResolve(c *coreCtx, src *coreCtx, rec *epoch.Record, cont func()) {
+// epoch chain (r.src) and stall the request until it persists. If
+// splitting is enabled and the source epoch is ongoing, the completed first
+// half is flushed (the "[w]ithout IDT we would have had to flush the first
+// part" case of §3.3).
+func (r *memReq) onlineInterResolve() {
+	m, c, rec := r.m, r.c, r.src
 	if rec.State == epoch.Persisted {
-		cont()
+		r.resolved(nil)
 		return
 	}
+	src := m.cores[rec.ID.Core]
 	if rec.State == epoch.Open && m.cfg.EnableSplit {
-		m.splitEpoch(src, func() { m.onlineInterResolve(c, src, rec, cont) })
+		m.splitEpoch(src, r.onlineRetry)
 		return
 	}
 	if m.cfg.RecordHistory {
@@ -132,7 +137,7 @@ func (m *Machine) onlineInterResolve(c *coreCtx, src *coreCtx, rec *epoch.Record
 		c.table.Current().OnlineEdges = append(c.table.Current().OnlineEdges, rec.ID)
 	}
 	src.arb.DemandThrough(rec.ID.Num, epoch.CauseInter)
-	m.stallUntil(c, &rec.Persisted, StallInter, cont)
+	r.stall.until(&rec.Persisted, StallInter, r.resolvedNoDep)
 }
 
 // demandFlush demands a flush through rec and runs then when it persists,

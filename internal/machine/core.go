@@ -8,9 +8,34 @@ import (
 	"persistbarriers/internal/trace"
 )
 
+// The core is serial: it retires one op at a time and has at most one
+// continuation of its own outstanding (its posted stores travel as
+// memReqs). So the core is its own frame: every continuation its pipeline
+// schedules is a method value bound once, in newCore, and what a closure
+// would have captured is a field.
+
+// bindCore binds c's continuations.
+func (m *Machine) bindCore(c *coreCtx) {
+	c.m = m
+	c.stall.init(m)
+	c.stall.c = c
+	c.step, c.after = c.stepCore, c.retireOp
+	c.storeDone, c.storeIssued = c.postedStoreDone, c.afterStore
+	c.epBarrierFn, c.lbBarrierFn, c.checkpointFn = c.epBarrier, c.lbBarrier, c.writeCheckpoint
+}
+
+// retireOp is the completion of every op the core executes.
+func (c *coreCtx) retireOp() {
+	if c.m.cfg.RecordOpTimes {
+		c.opTimes = append(c.opTimes, c.m.eng.Now())
+	}
+	c.stepCore()
+}
+
 // stepCore retires the next op of core c; completion of async ops
-// re-enters it.
-func (m *Machine) stepCore(c *coreCtx) {
+// re-enters it through c.after.
+func (c *coreCtx) stepCore() {
+	m := c.m
 	if c.pc >= len(c.ops) {
 		if m.streaming && !m.feedClosed {
 			// Streaming mode: park until Feed appends more ops (or
@@ -19,33 +44,24 @@ func (m *Machine) stepCore(c *coreCtx) {
 			return
 		}
 		// Wait for the write buffer to drain before retiring the core.
-		m.drainWriteBuffer(c, func() { m.coreFinished(c) })
+		c.drainWriteBuffer(func() { m.coreFinished(c) })
 		return
 	}
 	op := c.ops[c.pc]
 	c.pc++
-	if c.after == nil {
-		c.after = func() {
-			if m.cfg.RecordOpTimes {
-				c.opTimes = append(c.opTimes, m.eng.Now())
-			}
-			m.stepCore(c)
-		}
-	}
-	after := c.after
 	switch op.Kind {
 	case trace.Compute:
-		m.eng.After(op.Cycles, after)
+		m.eng.After(op.Cycles, c.after)
 	case trace.TxEnd:
 		c.txs++
 		if m.cfg.Probe.Active() {
 			m.cfg.Probe.TxRetired(m.eng.Now(), c.id)
 		}
-		m.eng.After(0, after) // zero-time, but break recursion depth
+		m.eng.After(0, c.after) // zero-time, but break recursion depth
 	case trace.Barrier:
-		m.barrier(c, after)
+		c.barrier()
 	case trace.Load:
-		m.access(c, mem.Load, mem.LineOf(op.Addr), after)
+		m.access(c, mem.Load, mem.LineOf(op.Addr), c.after)
 	case trace.Store:
 		if op.Token != 0 {
 			line := mem.LineOf(op.Addr)
@@ -63,7 +79,7 @@ func (m *Machine) stepCore(c *coreCtx) {
 			}
 			c.pendingTok[line] = op.Token
 		}
-		m.postStore(c, mem.LineOf(op.Addr), after)
+		c.postStore(mem.LineOf(op.Addr))
 	default:
 		panic("machine: unknown op kind")
 	}
@@ -74,119 +90,124 @@ func (m *Machine) stepCore(c *coreCtx) {
 // the background, stalling only when the buffer is full. Strict
 // persistency bypasses the buffer — rule S2 forbids a store to issue
 // before its predecessor persisted.
-func (m *Machine) postStore(c *coreCtx, line mem.Line, cont func()) {
+func (c *coreCtx) postStore(line mem.Line) {
+	m := c.m
 	if m.cfg.Model == SP || m.cfg.WriteBuffer == 0 {
-		m.countBulkStore(c)
-		m.access(c, mem.Store, line, func() { m.afterStore(c, cont) })
+		c.countBulkStore()
+		m.access(c, mem.Store, line, c.storeIssued)
 		return
 	}
 	if c.wbOutstanding >= m.cfg.WriteBuffer {
-		t0 := m.eng.Now()
-		c.wbFull = append(c.wbFull, func() {
-			c.stalls[StallWriteBuffer] += m.eng.Now() - t0
-			m.postStore(c, line, cont)
-		})
+		// The core stops here until a slot frees, so there is only ever
+		// this one store waiting.
+		c.wbStalled, c.wbStalledLine, c.wbStalledAt = true, line, m.eng.Now()
 		return
 	}
 	c.wbOutstanding++
-	m.countBulkStore(c)
-	m.access(c, mem.Store, line, func() {
-		c.wbOutstanding--
-		if len(c.wbFull) > 0 {
-			w := c.wbFull[0]
-			c.wbFull = c.wbFull[1:]
-			w()
-		}
-		if c.wbOutstanding == 0 && c.wbDrain != nil {
-			d := c.wbDrain
-			c.wbDrain = nil
-			d()
-		}
-	})
-	m.eng.After(m.cfg.L1Latency, func() { m.afterStore(c, cont) })
+	c.countBulkStore()
+	m.access(c, mem.Store, line, c.storeDone)
+	m.eng.After(m.cfg.L1Latency, c.storeIssued)
+}
+
+// postedStoreDone is the completion of a store posted through the write
+// buffer: its slot goes to the store stalled on a full buffer, if any, and
+// the last one out wakes the barrier (or end of run) waiting for the drain.
+func (c *coreCtx) postedStoreDone() {
+	now := c.m.eng.Now()
+	c.wbOutstanding--
+	if c.wbStalled {
+		c.wbStalled = false
+		c.stalls[StallWriteBuffer] += now - c.wbStalledAt
+		c.postStore(c.wbStalledLine)
+	}
+	if c.wbOutstanding == 0 && c.wbDrained != nil {
+		drained := c.wbDrained
+		c.wbDrained = nil
+		c.stalls[StallWriteBuffer] += now - c.wbDrainAt
+		drained()
+	}
 }
 
 // countBulkStore tracks the hardware persistence engine's store quota.
-func (m *Machine) countBulkStore(c *coreCtx) {
-	if m.cfg.BulkEpochStores > 0 {
+func (c *coreCtx) countBulkStore() {
+	if c.m.cfg.BulkEpochStores > 0 {
 		c.storesSinceBarrier++
 	}
 }
 
-// afterStore applies bulk-mode hardware barrier insertion at issue order.
-func (m *Machine) afterStore(c *coreCtx, cont func()) {
-	if m.cfg.BulkEpochStores > 0 && c.storesSinceBarrier >= m.cfg.BulkEpochStores {
+// afterStore runs when a store has issued; it applies bulk-mode hardware
+// barrier insertion at issue order.
+func (c *coreCtx) afterStore() {
+	if n := c.m.cfg.BulkEpochStores; n > 0 && c.storesSinceBarrier >= n {
 		c.storesSinceBarrier = 0
-		m.hardwareBarrier(c, cont)
+		c.hardwareBarrier()
 		return
 	}
-	cont()
+	c.after()
 }
 
 // drainWriteBuffer runs cont once every posted store has completed. Only
 // one drain waiter can exist per core (the core is serial).
-func (m *Machine) drainWriteBuffer(c *coreCtx, cont func()) {
+func (c *coreCtx) drainWriteBuffer(cont func()) {
 	if c.wbOutstanding == 0 {
 		cont()
 		return
 	}
-	t0 := m.eng.Now()
-	c.wbDrain = func() {
-		c.stalls[StallWriteBuffer] += m.eng.Now() - t0
-		cont()
-	}
+	c.wbDrained, c.wbDrainAt = cont, c.m.eng.Now()
 }
 
 // barrier handles a programmer-inserted persist barrier per the model. A
 // barrier first drains the write buffer: an epoch may only complete when
 // all its stores have completed (§4.1's EpochCMP precondition).
-func (m *Machine) barrier(c *coreCtx, cont func()) {
-	switch m.cfg.Model {
+func (c *coreCtx) barrier() {
+	switch c.m.cfg.Model {
 	case NP, SP, WT:
 		// NP ignores barriers; SP and WT already order every store.
-		cont()
+		c.after()
 	case EP:
-		m.drainWriteBuffer(c, func() { m.epBarrier(c, cont) })
+		c.drainWriteBuffer(c.epBarrierFn)
 	case LB:
-		if m.cfg.BulkEpochStores > 0 {
+		if c.m.cfg.BulkEpochStores > 0 {
 			// Bulk mode: hardware places barriers; programmer barriers
 			// in the trace are transparent.
-			cont()
+			c.after()
 			return
 		}
-		m.drainWriteBuffer(c, func() { m.lbBarrier(c, epoch.BarrierAdvance, cont) })
+		c.advanceWhy = epoch.BarrierAdvance
+		c.drainWriteBuffer(c.lbBarrierFn)
 	}
 }
 
 // epBarrier closes the epoch and stalls until it has persisted (rule E2).
-func (m *Machine) epBarrier(c *coreCtx, cont func()) {
-	tbl := c.table
+func (c *coreCtx) epBarrier() {
+	m, tbl := c.m, c.table
 	if !tbl.CanAdvance() {
 		// Cannot happen under EP (previous epoch persisted before the
 		// barrier returned), but guard for structural safety.
 		oldest := tbl.Oldest()
 		c.arb.DemandThrough(oldest.ID.Num, epoch.CausePressure)
-		m.stallUntil(c, &oldest.Persisted, StallPressure, func() { m.epBarrier(c, cont) })
+		c.stall.until(&oldest.Persisted, StallPressure, c.epBarrierFn)
 		return
 	}
 	closed := tbl.Current()
 	tbl.Advance(m.eng.Now(), epoch.BarrierAdvance)
 	c.arb.DemandThrough(closed.ID.Num, epoch.CauseEager)
-	m.stallUntil(c, &closed.Persisted, StallBarrier, cont)
+	c.stall.until(&closed.Persisted, StallBarrier, c.after)
 }
 
-// lbBarrier closes the epoch without waiting (buffered epoch persistency),
-// stalling only when the in-flight window is exhausted.
-func (m *Machine) lbBarrier(c *coreCtx, why epoch.AdvanceReason, cont func()) {
+// lbBarrier closes the epoch (for the reason in c.advanceWhy) without
+// waiting (buffered epoch persistency), stalling only when the in-flight
+// window is exhausted.
+func (c *coreCtx) lbBarrier() {
 	tbl := c.table
 	if !tbl.CanAdvance() {
 		oldest := tbl.Oldest()
 		c.arb.DemandThrough(oldest.ID.Num, epoch.CausePressure)
-		m.stallUntil(c, &oldest.Persisted, StallPressure, func() { m.lbBarrier(c, why, cont) })
+		c.stall.until(&oldest.Persisted, StallPressure, c.lbBarrierFn)
 		return
 	}
-	m.completeEpoch(c, why)
-	cont()
+	c.m.completeEpoch(c, c.advanceWhy)
+	c.after()
 }
 
 // completeEpoch closes c's current epoch (barrier, hardware quota, split,
@@ -205,24 +226,22 @@ func (m *Machine) completeEpoch(c *coreCtx, why epoch.AdvanceReason) *epoch.Reco
 // hardwareBarrier is the bulk-mode BSP epoch boundary: drain the write
 // buffer, persist the processor state (register checkpoint) into the
 // closing epoch, then close it like an LB barrier.
-func (m *Machine) hardwareBarrier(c *coreCtx, cont func()) {
-	m.drainWriteBuffer(c, func() {
-		m.writeCheckpoint(c, 0, func() {
-			m.lbBarrier(c, epoch.HardwareAdvance, cont)
-		})
-	})
+func (c *coreCtx) hardwareBarrier() {
+	c.advanceWhy = epoch.HardwareAdvance
+	c.ckptNext = 0
+	c.drainWriteBuffer(c.checkpointFn)
 }
 
-// writeCheckpoint stores the i-th..last register-state lines of the
-// current epoch's rotating checkpoint slot.
-func (m *Machine) writeCheckpoint(c *coreCtx, i int, cont func()) {
+// writeCheckpoint stores the next register-state line of the current
+// epoch's rotating checkpoint slot, then closes the epoch after the last.
+func (c *coreCtx) writeCheckpoint() {
+	m, i := c.m, c.ckptNext
 	if i >= m.cfg.CheckpointLines {
-		cont()
+		c.lbBarrier()
 		return
 	}
+	c.ckptNext++
 	slot := c.table.Current().ID.Num % 8
 	addr := c.ckptBase + mem.Addr(slot)*mem.Addr(m.cfg.CheckpointLines)*64 + mem.Addr(i)*64
-	m.access(c, mem.Store, mem.LineOf(addr), func() {
-		m.writeCheckpoint(c, i+1, cont)
-	})
+	m.access(c, mem.Store, mem.LineOf(addr), c.checkpointFn)
 }

@@ -83,9 +83,6 @@ func TestLivenessDiagnostics(t *testing.T) {
 		if ls.busy != nil {
 			t.Logf("busy line %v fired=%v holder=%s", ls.line, ls.busy.Fired(), ls.busyInfo)
 		}
-		if ls.mshr != nil {
-			t.Logf("mshr line %v", ls.line)
-		}
 	})
 	for _, l := range m.DebugTrace() {
 		t.Log(l)

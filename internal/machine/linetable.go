@@ -13,8 +13,9 @@ type lineState struct {
 	line   mem.Line
 	latest mem.Version // newest committed version (0: never written)
 	dir    dirEntry
-	mshr   *sim.Signal // in-flight LLC fill, nil when none
-	busy   *sim.Signal // transient-state holder, nil when free
+	// busy is the transient-state holder's signal (it lives in that
+	// request's memReq), nil when the line is free.
+	busy *sim.Signal
 	// busyInfo describes the busy holder; maintained only when the
 	// machine's trackBusy flag is set (Config.TrackBusyInfo or DebugLine).
 	busyInfo string

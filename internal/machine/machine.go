@@ -79,6 +79,7 @@ type dirEntry struct {
 }
 
 type coreCtx struct {
+	m    *Machine
 	id   int
 	tile noc.Tile
 	l1   *cache.Cache
@@ -93,20 +94,26 @@ type coreCtx struct {
 	// a long-lived feed does not grow the slice without bound). The core's
 	// total retirement count is retired + pc.
 	retired int
-	// after is the hoisted retire continuation shared by every op this
-	// core executes (allocating it per op would put one closure on the
-	// heap per retired instruction).
-	after func()
-	txs   uint64
-	done  bool
+	txs     uint64
+	done    bool
 
 	// waiting marks a streaming-mode core parked with no ops left; Feed
 	// (or CloseFeed) reschedules it.
 	waiting bool
-	// wake is the hoisted un-park continuation, shared by every Feed that
-	// finds this core parked (per-Feed closures would allocate on the
-	// group-commit hot path).
-	wake func()
+
+	// The core's continuations, bound once by bindCore (core.go): step
+	// starts or un-parks the core, after retires the op in flight, the rest
+	// are the store and barrier pipeline's hops.
+	step, after            func()
+	storeDone, storeIssued func()
+	epBarrierFn            func()
+	lbBarrierFn            func()
+	checkpointFn           func()
+	stall                  stall
+	// advanceWhy is why the barrier in progress closes its epoch, and
+	// ckptNext the next register-checkpoint line a hardware barrier writes.
+	advanceWhy epoch.AdvanceReason
+	ckptNext   int
 
 	// pendingTok maps a line to the token of the tagged store currently
 	// in flight to it (see trace.Op.Token).
@@ -122,10 +129,16 @@ type coreCtx struct {
 	wtQueue    []wtWrite
 	wtWaiters  []func()
 
-	// Posted-store write buffer (Table 1: 32 entries).
+	// Posted-store write buffer (Table 1: 32 entries): the stores in
+	// flight, the one store the core is stalled on while the buffer is full
+	// (and since when), and the continuation waiting for the buffer to
+	// drain (and since when).
 	wbOutstanding int
-	wbFull        []func()
-	wbDrain       func()
+	wbStalled     bool
+	wbStalledLine mem.Line
+	wbStalledAt   sim.Cycle
+	wbDrained     func()
+	wbDrainAt     sim.Cycle
 
 	stalls   [numStallCauses]sim.Cycle
 	opTimes  []sim.Cycle
@@ -171,6 +184,7 @@ type Machine struct {
 	flushOps pool[flushOp]
 	lineOps  pool[lineOp]
 	nvWrites pool[nvWrite]
+	memReqs  pool[memReq]
 	// plantEarlyFlushRelease (tests only) returns a flushOp to its free
 	// list when the last BankAck is sent instead of when it arrives, to
 	// show the goldens catch a frame released while still in flight.
@@ -285,6 +299,7 @@ func New(cfg Config) (*Machine, error) {
 			}
 			c.arb = arb
 		}
+		m.bindCore(c)
 		m.cores = append(m.cores, c)
 	}
 	if m.usesEpochs() {
@@ -505,8 +520,7 @@ func (m *Machine) start() error {
 	}
 	for _, c := range m.cores {
 		if len(c.ops) > 0 {
-			c := c
-			m.eng.At(0, func() { m.stepCore(c) })
+			m.eng.At(0, c.step)
 		} else {
 			c.done = true
 		}
@@ -661,12 +675,30 @@ func (m *Machine) dbg(line mem.Line, format string, args ...any) {
 // DebugTrace returns the accumulated line trace (diagnostics).
 func (m *Machine) DebugTrace() []string { return m.debugLog }
 
-// stallUntil subscribes cont to sig, attributing the waited cycles to the
-// given cause on core c.
-func (m *Machine) stallUntil(c *coreCtx, sig *sim.Signal, cause StallCause, cont func()) {
-	t0 := m.eng.Now()
-	sig.Subscribe(func() {
-		c.stalls[cause] += m.eng.Now() - t0
-		cont()
-	})
+// stall is one wait on a signal whose cycles are charged to a stall cause
+// of core c. Every frame that can wait embeds one: a frame is a sequential
+// chain, so it waits on one signal at a time, and woke is bound once.
+type stall struct {
+	m     *Machine
+	c     *coreCtx
+	cause StallCause
+	since sim.Cycle
+	cont  func()
+
+	woke func() // bound: wake
+}
+
+func (s *stall) init(m *Machine) { s.m, s.woke = m, s.wake }
+
+// until runs cont when sig fires, attributing the waited cycles to cause.
+func (s *stall) until(sig *sim.Signal, cause StallCause, cont func()) {
+	s.cause, s.since, s.cont = cause, s.m.eng.Now(), cont
+	sig.Subscribe(s.woke)
+}
+
+func (s *stall) wake() {
+	s.c.stalls[s.cause] += s.m.eng.Now() - s.since
+	cont := s.cont
+	s.cont = nil
+	cont()
 }

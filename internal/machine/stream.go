@@ -25,8 +25,7 @@ func (m *Machine) StartStream() error {
 	m.streaming = true
 	m.runningCores = len(m.cores)
 	for _, c := range m.cores {
-		c := c
-		m.eng.At(0, func() { m.stepCore(c) })
+		m.eng.At(0, c.step)
 	}
 	return nil
 }
@@ -55,10 +54,7 @@ func (m *Machine) Feed(core int, ops []trace.Op) error {
 	c.ops = append(c.ops, ops...)
 	if c.waiting {
 		c.waiting = false
-		if c.wake == nil {
-			c.wake = func() { m.stepCore(c) }
-		}
-		m.eng.At(m.eng.Now(), c.wake)
+		m.eng.At(m.eng.Now(), c.step)
 	}
 	return nil
 }
@@ -74,8 +70,7 @@ func (m *Machine) CloseFeed() {
 	for _, c := range m.cores {
 		if c.waiting {
 			c.waiting = false
-			c := c
-			m.eng.At(m.eng.Now(), func() { m.stepCore(c) })
+			m.eng.At(m.eng.Now(), c.step)
 		}
 	}
 }

@@ -189,26 +189,3 @@ func TestSignalDoubleFireIsIdempotent(t *testing.T) {
 		t.Fatalf("hits = %d, want 1", hits)
 	}
 }
-
-func TestBarrierFiresOnLastArrival(t *testing.T) {
-	fired := false
-	b := NewBarrier(3, func() { fired = true })
-	b.Arrive()
-	b.Arrive()
-	if fired {
-		t.Fatal("barrier fired early")
-	}
-	b.Arrive()
-	if !fired {
-		t.Fatal("barrier did not fire on last arrival")
-	}
-	b.Arrive() // extra arrivals are ignored
-}
-
-func TestBarrierZeroCountFiresImmediately(t *testing.T) {
-	fired := false
-	NewBarrier(0, func() { fired = true })
-	if !fired {
-		t.Fatal("zero-count barrier did not fire at construction")
-	}
-}

@@ -32,44 +32,15 @@ func (s *Signal) Fire() {
 	s.fired = true
 	subs := s.subs
 	s.subs = nil
-	for _, fn := range subs {
+	for i, fn := range subs {
+		subs[i] = nil
 		fn()
 	}
+	s.subs = subs[:0] // keep the array for a Reset signal's next round
 }
 
-// Barrier counts down from n and fires a callback when it reaches zero.
-// It models ack-collection points such as the arbiter waiting for BankAck
-// messages from every LLC bank.
-type Barrier struct {
-	remaining int
-	done      func()
-}
-
-// NewBarrier returns a Barrier expecting n arrivals. If n <= 0 the callback
-// fires immediately at construction.
-func NewBarrier(n int, done func()) *Barrier {
-	b := &Barrier{remaining: n, done: done}
-	if n <= 0 {
-		b.fire()
-	}
-	return b
-}
-
-// Arrive records one arrival; the callback fires on the last one.
-func (b *Barrier) Arrive() {
-	if b.remaining <= 0 {
-		return
-	}
-	b.remaining--
-	if b.remaining == 0 {
-		b.fire()
-	}
-}
-
-func (b *Barrier) fire() {
-	if b.done != nil {
-		d := b.done
-		b.done = nil
-		d()
-	}
-}
+// Reset returns a fired signal to the unfired state, so a signal embedded
+// in a reused frame can serve again (its subscriber array is kept, so a
+// steady-state Subscribe does not allocate). It must not be called while
+// Fire is running.
+func (s *Signal) Reset() { s.fired = false }
