@@ -74,6 +74,7 @@ func BenchmarkFig4IDT(b *testing.B) {
 // throughput of every barrier variant normalized to LB (paper gmeans:
 // LB+IDT 1.03x, LB+PF 1.17x, LB++ 1.22x).
 func BenchmarkFig11BEPThroughput(b *testing.B) {
+	b.ReportAllocs()
 	var last *harness.BEPResults
 	for i := 0; i < b.N; i++ {
 		r, err := harness.RunBEP(benchOpt())
@@ -221,6 +222,7 @@ func BenchmarkSimulatorCore(b *testing.B) {
 	if prog, err = workload.Queue(spec); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var events, cycles uint64
 	for i := 0; i < b.N; i++ {
@@ -294,6 +296,7 @@ func BenchmarkEngineOpCost(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if resps, err = e.SubmitAppend(resps[:0], batch); err != nil {

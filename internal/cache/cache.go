@@ -85,6 +85,9 @@ type Cache struct {
 	// setPool recycles drained epoch line slices; epochs are born and
 	// retired constantly and their sets are small.
 	setPool [][]mem.Line
+	// candidates is VictimAvoiding's scratch copy of the eligible ways,
+	// kept so a full-set insert does not allocate.
+	candidates []way
 
 	stats Stats
 }
@@ -208,12 +211,13 @@ func (c *Cache) VictimAvoiding(line mem.Line, avoid func(mem.Line) bool) (Entry,
 			return Entry{}, false, true
 		}
 	}
-	var candidates []way
+	candidates := c.candidates[:0]
 	for i := range set {
 		if !avoid(set[i].line) {
 			candidates = append(candidates, set[i])
 		}
 	}
+	c.candidates = candidates
 	if len(candidates) == 0 {
 		return Entry{}, true, false
 	}

@@ -41,10 +41,10 @@ type Arbiter struct {
 	// flushing is the epoch whose flush handshake is in flight, nil when
 	// none: the arbiter drives one flush at a time, so the record its done
 	// callback needs is a field and the callback is bound once.
-	flushing  *Record
-	flushDone func()
-	// kick is Kick bound once, for the dependence subscriptions.
-	kick func()
+	flushing         *Record
+	flushCompletedFn func()
+	// kickFn is Kick bound once, for the dependence subscriptions.
+	kickFn func()
 
 	stats ArbiterStats
 }
@@ -58,7 +58,7 @@ func NewArbiter(eng *sim.Engine, table *Table, driver FlushDriver) (*Arbiter, er
 		return nil, fmt.Errorf("epoch: arbiter requires engine, table and driver")
 	}
 	a := &Arbiter{eng: eng, table: table, driver: driver}
-	a.flushDone, a.kick = a.flushCompleted, a.Kick
+	a.flushCompletedFn, a.kickFn = a.flushCompleted, a.Kick
 	return a, nil
 }
 
@@ -168,7 +168,7 @@ func (a *Arbiter) Kick() {
 		head.State = Flushing
 		a.stats.FlushesDriven++
 		a.table.cfg.Probe.EpochFlushStart(a.eng.Now(), head.ID.Core, head.ID.Num, head.Cause.String())
-		a.driver.FlushEpoch(head, a.flushDone)
+		a.driver.FlushEpoch(head, a.flushCompletedFn)
 		return
 	}
 }
@@ -185,7 +185,7 @@ func (a *Arbiter) subscribeDeps(r *Record) bool {
 		ready = false
 		if !d.subscribed {
 			d.subscribed = true
-			d.persisted.Subscribe(a.kick)
+			d.persisted.Subscribe(a.kickFn)
 		}
 	}
 	return ready

@@ -400,7 +400,11 @@ func (t *Table) markPersisted(r *Record, now sim.Cycle) {
 			PersistedFlag: true,
 		})
 	}
-	t.window = t.window[1:]
+	// Copy down rather than reslice, so the window keeps its capacity and
+	// the next open appends without allocating.
+	n := copy(t.window, t.window[1:])
+	t.window[n] = nil
+	t.window = t.window[:n]
 	r.Persisted.Fire()
 }
 

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 
+	"persistbarriers/internal/cache"
 	"persistbarriers/internal/epoch"
 	"persistbarriers/internal/mem"
 	"persistbarriers/internal/noc"
@@ -30,7 +31,7 @@ func (m *Machine) access(c *coreCtx, kind mem.Kind, line mem.Line, done func()) 
 	}
 	r := m.acquireReq(c, kind, line, done)
 	r.b = m.bank(line)
-	m.eng.After(m.cfg.L1Latency+m.mesh.Latency(c.tile, r.b.tile, 0), r.arrive)
+	m.eng.After(m.cfg.L1Latency+m.mesh.Latency(c.tile, r.b.tile, 0), r.atBankFn)
 }
 
 // memReq is one load or store from the moment it needs more than an L1
@@ -39,8 +40,8 @@ func (m *Machine) access(c *coreCtx, kind mem.Kind, line mem.Line, done func()) 
 // that reaches its home bank takes the line's transient state (locked) and
 // lends the line its own busy signal; an exclusive L1 hit stays unlocked.
 // The chain is sequential, so one set of fields serves every hop and one
-// stall serves every wait. A locked request is released by release, an
-// unlocked one when its store commits or restarts.
+// stall serves every wait. A locked request goes back to the free list in
+// unlock, an unlocked one when its store commits or restarts.
 type memReq struct {
 	m    *Machine
 	c    *coreCtx
@@ -60,20 +61,15 @@ type memReq struct {
 	owner *coreCtx      // recall in flight: the core being recalled
 	ver   mem.Version   // version in transit: the owner's copy (recall), then the LLC's (grant)
 
-	arrive        func() // bound: atBank
-	retry         func() // bound: atBankLocked
-	release       func() // bound: unlock
-	recallLanded  func() // bound: recallArrived
-	recallDone    func() // bound: recallFinish
-	fillAtMC      func() // bound: fillRead
-	fillRead      func() // bound: fillReturn
-	fillBack      func() // bound: fillInsert
-	granted       func() // bound: grantArrived
-	filled        func() // bound: l1Filled
-	recommit      func() // bound: commit
-	resolvedNoDep func() // bound: resolved(nil)
-	idtRetry      func() // bound: idtResolve
-	onlineRetry   func() // bound: onlineInterResolve
+	victim cache.Entry // the dirty L1 line the fill is writing back first
+
+	// Every continuation, bound once in acquireReq: xFn is r.x.
+	atBankFn, atBankLockedFn, unlockFn         func()
+	recallArrivedFn, recallFinishFn            func()
+	fillReadLineFn, fillReturnFn, fillInsertFn func()
+	l1FillFn, victimAtBankFn, victimWrittenFn  func()
+	commitFn, resolvedNilFn                    func()
+	idtResolveFn, onlineInterResolveFn         func()
 }
 
 func (m *Machine) acquireReq(c *coreCtx, kind mem.Kind, line mem.Line, done func()) *memReq {
@@ -81,12 +77,12 @@ func (m *Machine) acquireReq(c *coreCtx, kind mem.Kind, line mem.Line, done func
 	if r == nil {
 		r = &memReq{m: m}
 		r.stall.init(m)
-		r.arrive, r.retry, r.release = r.atBank, r.atBankLocked, r.unlock
-		r.recallLanded, r.recallDone = r.recallArrived, r.recallFinish
-		r.fillAtMC, r.fillRead, r.fillBack = r.fillReadLine, r.fillReturn, r.fillInsert
-		r.granted, r.filled, r.recommit = r.grantArrived, r.l1Filled, r.commit
-		r.resolvedNoDep = func() { r.resolved(nil) }
-		r.idtRetry, r.onlineRetry = r.idtResolve, r.onlineInterResolve
+		r.atBankFn, r.atBankLockedFn, r.unlockFn = r.atBank, r.atBankLocked, r.unlock
+		r.recallArrivedFn, r.recallFinishFn = r.recallArrived, r.recallFinish
+		r.fillReadLineFn, r.fillReturnFn, r.fillInsertFn = r.fillReadLine, r.fillReturn, r.fillInsert
+		r.l1FillFn, r.victimAtBankFn, r.victimWrittenFn = r.l1Fill, r.victimAtBank, r.victimWritten
+		r.commitFn, r.resolvedNilFn = r.commit, func() { r.resolved(nil) }
+		r.idtResolveFn, r.onlineInterResolveFn = r.idtResolve, r.onlineInterResolve
 	}
 	r.c, r.kind, r.line, r.done = c, kind, line, done
 	r.stall.c = c
@@ -111,7 +107,7 @@ func (r *memReq) atBank() {
 	m := r.m
 	ls := m.lines.get(r.line)
 	if ls.busy != nil {
-		ls.busy.Subscribe(r.arrive)
+		ls.busy.Subscribe(r.atBankFn)
 		return
 	}
 	r.ls, r.locked = ls, true
@@ -190,7 +186,7 @@ func (r *memReq) recallOwner() {
 	o := m.cores[r.ls.dir.owner]
 	r.owner = o
 	lat := m.mesh.Latency(b.tile, o.tile, 0) + m.cfg.L1Latency + m.mesh.Latency(o.tile, b.tile, mem.LineSize)
-	m.eng.After(lat, r.recallLanded)
+	m.eng.After(lat, r.recallArrivedFn)
 }
 
 func (r *memReq) recallArrived() {
@@ -205,7 +201,7 @@ func (r *memReq) recallArrived() {
 	}
 	r.ver = ent.Version
 	if has && ent.Dirty {
-		m.llcApplyWriteback(r.b, r.line, ent.Tag, ent.Version, r.recallDone)
+		m.llcApplyWriteback(r.b, r.line, ent.Tag, ent.Version, r.recallFinishFn)
 		return
 	}
 	r.recallFinish()
@@ -304,21 +300,21 @@ func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver
 func (r *memReq) llcFill() {
 	m := r.m
 	mcTile := m.mcTiles[m.mcs.ControllerFor(r.line).ID()]
-	m.eng.After(m.mesh.Latency(r.b.tile, mcTile, 0), r.fillAtMC)
+	m.eng.After(m.mesh.Latency(r.b.tile, mcTile, 0), r.fillReadLineFn)
 }
 
 func (r *memReq) fillReadLine() {
-	r.m.mcs.ControllerFor(r.line).Read(r.line, r.fillRead)
+	r.m.mcs.ControllerFor(r.line).Read(r.line, r.fillReturnFn)
 }
 
 func (r *memReq) fillReturn() {
 	m := r.m
 	mcTile := m.mcTiles[m.mcs.ControllerFor(r.line).ID()]
-	m.eng.After(m.mesh.Latency(mcTile, r.b.tile, mem.LineSize), r.fillBack)
+	m.eng.After(m.mesh.Latency(mcTile, r.b.tile, mem.LineSize), r.fillInsertFn)
 }
 
 func (r *memReq) fillInsert() {
-	r.m.llcInsert(r.c, r.b, r.line, r.ls.latest, r.retry)
+	r.m.llcInsert(r.c, r.b, r.line, r.ls.latest, r.atBankLockedFn)
 }
 
 // llcInsert places a line into the bank, resolving the victim's coherence
@@ -334,7 +330,7 @@ func (m *Machine) llcInsert(c *coreCtx, b *bankCtx, line mem.Line, ver mem.Versi
 	// heavy set contention. If every way is busy, retry shortly.
 	v, full, ok := b.arr.VictimAvoiding(line, m.avoidBusy)
 	if !ok {
-		m.eng.After(m.cfg.LLCLatency, func() { m.llcInsert(c, b, line, ver, cont) })
+		m.eng.After(m.cfg.LLCLatency, m.deferInsert(c, b, line, ver, cont).rerunFn)
 		return
 	}
 	if !full {
@@ -350,16 +346,9 @@ func (m *Machine) llcInsert(c *coreCtx, b *bankCtx, line mem.Line, ver mem.Versi
 		ent, has := o.l1.Peek(v.Line)
 		if has && ent.Dirty {
 			lat := m.mesh.Latency(b.tile, o.tile, 0) + m.cfg.L1Latency + m.mesh.Latency(o.tile, b.tile, mem.LineSize)
-			m.eng.After(lat, func() {
-				m.llcApplyWriteback(b, v.Line, ent.Tag, ent.Version, func() {
-					if vd.owner == o.id {
-						o.l1.Invalidate(v.Line)
-						vd.owner = -1
-						vd.sharers &^= 1 << uint(o.id)
-					}
-					m.llcInsert(c, b, line, ver, cont)
-				})
-			})
+			w := m.deferInsert(c, b, line, ver, cont)
+			w.owner, w.copy = o, ent
+			m.eng.After(lat, w.recalledFn)
 			return
 		}
 		vd.owner = -1
@@ -414,13 +403,66 @@ func (m *Machine) llcInsert(c *coreCtx, b *bankCtx, line mem.Line, ver mem.Versi
 		}
 		m.cfg.Probe.Conflict(m.eng.Now(), obs.ConflictEviction, reqCore, rec.ID.Core, rec.ID.Num, v.Line, obs.ResolveDemand)
 	}
-	t0 := m.eng.Now()
-	m.demandFlush(src, rec, epoch.CauseEviction, func() {
-		if c != nil {
-			c.stalls[StallEviction] += m.eng.Now() - t0
-		}
-		m.llcInsert(c, b, line, ver, cont)
-	})
+	w := m.deferInsert(c, b, line, ver, cont)
+	w.since = m.eng.Now()
+	m.demandFlush(src, rec, epoch.CauseEviction, w.flushedFn)
+}
+
+// insertWait is an llcInsert that has to wait before it can run again: for
+// a way to come free, for the victim's dirty L1 copy to be recalled, or
+// for the victim's epoch to be flushed. It holds the call's arguments and
+// reruns the call; a pooled frame like flush.go's, released as it reruns.
+type insertWait struct {
+	m    *Machine
+	c    *coreCtx
+	b    *bankCtx
+	line mem.Line
+	ver  mem.Version
+	cont func()
+
+	owner *coreCtx    // recall: the core holding the victim modified...
+	copy  cache.Entry // ...and its copy when the recall was sent
+	since sim.Cycle   // eviction conflict: when the requester began to stall
+
+	rerunFn, recalledFn, writtenBackFn, flushedFn func() // bound once in deferInsert
+}
+
+func (m *Machine) deferInsert(c *coreCtx, b *bankCtx, line mem.Line, ver mem.Version, cont func()) *insertWait {
+	w := m.insertWaits.get()
+	if w == nil {
+		w = &insertWait{m: m}
+		w.rerunFn, w.recalledFn, w.writtenBackFn, w.flushedFn = w.rerun, w.recalled, w.writtenBack, w.flushed
+	}
+	w.c, w.b, w.line, w.ver, w.cont = c, b, line, ver, cont
+	return w
+}
+
+func (w *insertWait) rerun() {
+	m, c, b, line, ver, cont := w.m, w.c, w.b, w.line, w.ver, w.cont
+	w.c, w.b, w.cont, w.owner = nil, nil, nil, nil
+	m.insertWaits.put(w)
+	m.llcInsert(c, b, line, ver, cont)
+}
+
+func (w *insertWait) recalled() {
+	w.m.llcApplyWriteback(w.b, w.copy.Line, w.copy.Tag, w.copy.Version, w.writtenBackFn)
+}
+
+func (w *insertWait) writtenBack() {
+	o, vd := w.owner, w.m.dirEntryFor(w.copy.Line)
+	if vd.owner == o.id {
+		o.l1.Invalidate(w.copy.Line)
+		vd.owner = -1
+		vd.sharers &^= 1 << uint(o.id)
+	}
+	w.rerun()
+}
+
+func (w *insertWait) flushed() {
+	if w.c != nil {
+		w.c.stalls[StallEviction] += w.m.eng.Now() - w.since
+	}
+	w.rerun()
 }
 
 // canDrainLine reports whether a line of rec may be written to NVRAM right
@@ -500,18 +542,7 @@ func (r *memReq) grant() {
 	} else {
 		d.sharers |= 1 << uint(c.id)
 	}
-	m.eng.After(respLat, r.granted)
-}
-
-func (r *memReq) grantArrived() { r.m.l1Fill(r.c, r.line, r.ver, r.filled) }
-
-func (r *memReq) l1Filled() {
-	if r.kind == mem.Store {
-		r.commit()
-		return
-	}
-	// Loads attach their inter-thread dependence at completion.
-	r.m.attachDep(r, r.dep, r.release)
+	m.eng.After(respLat, r.l1FillFn)
 }
 
 // commit commits a store whose ordering conflicts were resolved, but only
@@ -537,7 +568,7 @@ func (r *memReq) commit() {
 					m.cfg.Probe.Conflict(m.eng.Now(), obs.ConflictIntra, c.id, rec.ID.Core, rec.ID.Num, line, obs.ResolveOnline)
 				}
 				c.arb.DemandThrough(ent.Tag.Num, epoch.CauseIntra)
-				r.stall.until(&rec.Persisted, StallIntra, r.recommit)
+				r.stall.until(&rec.Persisted, StallIntra, r.commitFn)
 				return
 			}
 		}
@@ -547,11 +578,11 @@ func (r *memReq) commit() {
 			// and the world may have moved meanwhile. On the synchronous
 			// success path the recheck happens in this same event.
 			r.dep = nil
-			m.attachDep(r, dep, r.recommit)
+			m.attachDep(r, dep, r.commitFn)
 			return
 		}
 		if r.locked {
-			m.finishStore(c, line, r.release)
+			m.finishStore(c, line, r.unlockFn)
 		} else {
 			m.finishStore(c, line, m.releaseReq(r))
 		}
@@ -564,32 +595,49 @@ func (r *memReq) commit() {
 	m.access(c, mem.Store, line, m.releaseReq(r))
 }
 
-// l1Fill installs a line into c's L1, writing back a dirty victim first.
-func (m *Machine) l1Fill(c *coreCtx, line mem.Line, ver mem.Version, cont func()) {
-	if c.l1.Contains(line) {
-		cont() // upgrade: data already present
+// l1Fill installs the granted line into the requester's L1, writing back a
+// dirty victim first.
+func (r *memReq) l1Fill() {
+	m, c := r.m, r.c
+	if c.l1.Contains(r.line) {
+		r.l1Filled() // upgrade: data already present
 		return
 	}
-	v, full := c.l1.Victim(line)
+	v, full := c.l1.Victim(r.line)
 	if full && v.Dirty {
-		vb := m.bank(v.Line)
-		m.eng.After(m.mesh.Latency(c.tile, vb.tile, mem.LineSize), func() {
-			m.llcApplyWriteback(vb, v.Line, v.Tag, v.Version, func() {
-				if ent, has := c.l1.Peek(v.Line); has && ent.Dirty {
-					c.l1.Invalidate(v.Line)
-					vd := m.dirEntryFor(v.Line)
-					if vd.owner == c.id {
-						vd.owner = -1
-					}
-					vd.sharers &^= 1 << uint(c.id)
-				}
-				m.l1Fill(c, line, ver, cont)
-			})
-		})
+		r.victim = v
+		m.eng.After(m.mesh.Latency(c.tile, m.bank(v.Line).tile, mem.LineSize), r.victimAtBankFn)
 		return
 	}
-	c.l1.Insert(line, false, epoch.None, ver)
-	cont()
+	c.l1.Insert(r.line, false, epoch.None, r.ver)
+	r.l1Filled()
+}
+
+func (r *memReq) victimAtBank() {
+	v := r.victim
+	r.m.llcApplyWriteback(r.m.bank(v.Line), v.Line, v.Tag, v.Version, r.victimWrittenFn)
+}
+
+func (r *memReq) victimWritten() {
+	c, line := r.c, r.victim.Line
+	if ent, has := c.l1.Peek(line); has && ent.Dirty {
+		c.l1.Invalidate(line)
+		vd := r.m.dirEntryFor(line)
+		if vd.owner == c.id {
+			vd.owner = -1
+		}
+		vd.sharers &^= 1 << uint(c.id)
+	}
+	r.l1Fill()
+}
+
+func (r *memReq) l1Filled() {
+	if r.kind == mem.Store {
+		r.commit()
+		return
+	}
+	// Loads attach their inter-thread dependence at completion.
+	r.m.attachDep(r, r.dep, r.unlockFn)
 }
 
 // finishStore commits the store and applies the model's persist rule.
@@ -642,7 +690,7 @@ func (m *Machine) commitStore(c *coreCtx, line mem.Line) mem.Version {
 		cur.LogPending++
 		w := m.acquireNVWrite(cur, line, prev.Version)
 		w.log = true
-		m.eng.After(m.mesh.Latency(c.tile, m.mcTiles[w.mc.ID()], mem.LineSize), w.arrive)
+		m.eng.After(m.mesh.Latency(c.tile, m.mcTiles[w.mc.ID()], mem.LineSize), w.atControllerFn)
 	}
 	return ver
 }
@@ -718,13 +766,13 @@ func (m *Machine) nvramWriteFrom(from noc.Tile, rec *epoch.Record, line mem.Line
 	}
 	w := m.acquireNVWrite(rec, line, ver)
 	w.ack = ack
-	m.eng.After(m.mesh.Latency(from, m.mcTiles[w.mc.ID()], mem.LineSize), w.arrive)
+	m.eng.After(m.mesh.Latency(from, m.mcTiles[w.mc.ID()], mem.LineSize), w.atControllerFn)
 }
 
 // nvWrite is one durable write on its way from a tile to a memory
 // controller and into NVRAM: a line version, or (log set) the undo-log
 // entry saying line held version ver before epoch rec first wrote it. A
-// pooled frame like flush.go's: arrive and acked are bound once, and the
+// pooled frame like flush.go's: its two continuations are bound once, and the
 // frame is released when the PersistAck has fired.
 type nvWrite struct {
 	m    *Machine
@@ -735,15 +783,14 @@ type nvWrite struct {
 	log  bool
 	ack  func()
 
-	arrive func() // bound: the write reaches the controller's tile
-	acked  func() // bound: the PersistAck
+	atControllerFn, persistAckFn func() // bound once in acquireNVWrite
 }
 
 func (m *Machine) acquireNVWrite(rec *epoch.Record, line mem.Line, ver mem.Version) *nvWrite {
 	w := m.nvWrites.get()
 	if w == nil {
 		w = &nvWrite{m: m}
-		w.arrive, w.acked = w.atController, w.persistAck
+		w.atControllerFn, w.persistAckFn = w.atController, w.persistAck
 	}
 	w.mc, w.rec, w.line, w.ver = m.mcs.ControllerFor(line), rec, line, ver
 	return w
@@ -751,10 +798,10 @@ func (m *Machine) acquireNVWrite(rec *epoch.Record, line mem.Line, ver mem.Versi
 
 func (w *nvWrite) atController() {
 	if w.log {
-		w.mc.WriteLog(nvram.LogEntry{Line: w.line, Old: w.ver, EpochCore: w.rec.ID.Core, EpochNum: w.rec.ID.Num}, w.acked)
+		w.mc.WriteLog(nvram.LogEntry{Line: w.line, Old: w.ver, EpochCore: w.rec.ID.Core, EpochNum: w.rec.ID.Num}, w.persistAckFn)
 		return
 	}
-	w.mc.Write(w.line, w.ver, w.acked)
+	w.mc.Write(w.line, w.ver, w.persistAckFn)
 }
 
 func (w *nvWrite) persistAck() {

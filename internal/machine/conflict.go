@@ -39,7 +39,7 @@ func (m *Machine) resolveConflict(r *memReq, tag epoch.ID) {
 			m.cfg.Probe.Conflict(m.eng.Now(), obs.ConflictIntra, c.id, rec.ID.Core, rec.ID.Num, r.line, obs.ResolveOnline)
 		}
 		c.arb.DemandThrough(tag.Num, epoch.CauseIntra)
-		r.stall.until(&rec.Persisted, StallIntra, r.resolvedNoDep)
+		r.stall.until(&rec.Persisted, StallIntra, r.resolvedNilFn)
 		return
 	}
 	// Inter-thread conflict (§3.1): both loads and stores establish a
@@ -85,7 +85,7 @@ func (r *memReq) idtResolve() {
 			r.onlineInterResolve()
 			return
 		}
-		m.splitEpoch(m.cores[rec.ID.Core], r.idtRetry)
+		m.splitEpoch(m.cores[rec.ID.Core], r.idtResolveFn)
 		return
 	}
 	r.resolved(rec)
@@ -128,7 +128,7 @@ func (r *memReq) onlineInterResolve() {
 	}
 	src := m.cores[rec.ID.Core]
 	if rec.State == epoch.Open && m.cfg.EnableSplit {
-		m.splitEpoch(src, r.onlineRetry)
+		m.splitEpoch(src, r.onlineInterResolveFn)
 		return
 	}
 	if m.cfg.RecordHistory {
@@ -137,7 +137,7 @@ func (r *memReq) onlineInterResolve() {
 		c.table.Current().OnlineEdges = append(c.table.Current().OnlineEdges, rec.ID)
 	}
 	src.arb.DemandThrough(rec.ID.Num, epoch.CauseInter)
-	r.stall.until(&rec.Persisted, StallInter, r.resolvedNoDep)
+	r.stall.until(&rec.Persisted, StallInter, r.resolvedNilFn)
 }
 
 // demandFlush demands a flush through rec and runs then when it persists,

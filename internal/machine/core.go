@@ -19,9 +19,9 @@ func (m *Machine) bindCore(c *coreCtx) {
 	c.m = m
 	c.stall.init(m)
 	c.stall.c = c
-	c.step, c.after = c.stepCore, c.retireOp
-	c.storeDone, c.storeIssued = c.postedStoreDone, c.afterStore
-	c.epBarrierFn, c.lbBarrierFn, c.checkpointFn = c.epBarrier, c.lbBarrier, c.writeCheckpoint
+	c.stepCoreFn, c.after = c.stepCore, c.retireOp
+	c.postedStoreDoneFn, c.afterStoreFn = c.postedStoreDone, c.afterStore
+	c.epBarrierFn, c.lbBarrierFn, c.writeCheckpointFn = c.epBarrier, c.lbBarrier, c.writeCheckpoint
 }
 
 // retireOp is the completion of every op the core executes.
@@ -94,7 +94,7 @@ func (c *coreCtx) postStore(line mem.Line) {
 	m := c.m
 	if m.cfg.Model == SP || m.cfg.WriteBuffer == 0 {
 		c.countBulkStore()
-		m.access(c, mem.Store, line, c.storeIssued)
+		m.access(c, mem.Store, line, c.afterStoreFn)
 		return
 	}
 	if c.wbOutstanding >= m.cfg.WriteBuffer {
@@ -105,8 +105,8 @@ func (c *coreCtx) postStore(line mem.Line) {
 	}
 	c.wbOutstanding++
 	c.countBulkStore()
-	m.access(c, mem.Store, line, c.storeDone)
-	m.eng.After(m.cfg.L1Latency, c.storeIssued)
+	m.access(c, mem.Store, line, c.postedStoreDoneFn)
+	m.eng.After(m.cfg.L1Latency, c.afterStoreFn)
 }
 
 // postedStoreDone is the completion of a store posted through the write
@@ -229,7 +229,7 @@ func (m *Machine) completeEpoch(c *coreCtx, why epoch.AdvanceReason) *epoch.Reco
 func (c *coreCtx) hardwareBarrier() {
 	c.advanceWhy = epoch.HardwareAdvance
 	c.ckptNext = 0
-	c.drainWriteBuffer(c.checkpointFn)
+	c.drainWriteBuffer(c.writeCheckpointFn)
 }
 
 // writeCheckpoint stores the next register-state line of the current
@@ -243,5 +243,5 @@ func (c *coreCtx) writeCheckpoint() {
 	c.ckptNext++
 	slot := c.table.Current().ID.Num % 8
 	addr := c.ckptBase + mem.Addr(slot)*mem.Addr(m.cfg.CheckpointLines)*64 + mem.Addr(i)*64
-	m.access(c, mem.Store, mem.LineOf(addr), c.checkpointFn)
+	m.access(c, mem.Store, mem.LineOf(addr), c.writeCheckpointFn)
 }

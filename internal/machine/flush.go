@@ -108,7 +108,7 @@ func (m *Machine) flushEpoch(c *coreCtx, rec *epoch.Record, done func()) {
 		if bo.ready > start {
 			start = bo.ready
 		}
-		m.eng.At(start, bo.flush)
+		m.eng.At(start, bo.bankFlushFn)
 	}
 }
 
@@ -132,7 +132,7 @@ type flushOp struct {
 	sending int      // banks that have not sent their BankAck yet
 	acks    int      // BankAcks that have not reached the arbiter yet
 
-	bankAcked func() // bound: one BankAck arrives at the arbiter
+	bankAckArrivedFn func() // bound once in acquireFlushOp, as bankOp.bankFlushFn is
 }
 
 // bankOp is one bank's share of a handshake.
@@ -142,7 +142,7 @@ type bankOp struct {
 	ready     sim.Cycle // when the last L1 writeback reaches this bank
 	remaining int       // lines whose PersistAck the BankAck still waits for
 
-	flush func() // bound: FlushEpoch arrives at the bank
+	bankFlushFn func()
 }
 
 // lineOp is one line of a bank's drain, from its issue slot to its
@@ -151,19 +151,18 @@ type lineOp struct {
 	bo   *bankOp
 	line mem.Line
 
-	drain func() // bound: the line's issue slot
-	done  func() // bound: the line is durable (or needed no write)
+	drainLineFn, lineDoneFn func() // bound once in bankFlush
 }
 
 func (m *Machine) acquireFlushOp(c *coreCtx, rec *epoch.Record, done func()) *flushOp {
 	f := m.flushOps.get()
 	if f == nil {
 		f = &flushOp{m: m, banks: make([]bankOp, len(m.banks))}
-		f.bankAcked = f.bankAckArrived
+		f.bankAckArrivedFn = f.bankAckArrived
 		for i := range f.banks {
 			bo := &f.banks[i]
 			bo.f, bo.b = f, m.banks[i]
-			bo.flush = bo.bankFlush
+			bo.bankFlushFn = bo.bankFlush
 		}
 	}
 	f.c, f.rec, f.done = c, rec, done
@@ -197,10 +196,10 @@ func (bo *bankOp) bankFlush() {
 		lo := m.lineOps.get()
 		if lo == nil {
 			lo = &lineOp{}
-			lo.drain, lo.done = lo.drainLine, lo.lineDone
+			lo.drainLineFn, lo.lineDoneFn = lo.drainLine, lo.lineDone
 		}
 		lo.bo, lo.line = bo, line
-		m.eng.After(sim.Cycle(i)*m.cfg.FlushIssue, lo.drain)
+		m.eng.After(sim.Cycle(i)*m.cfg.FlushIssue, lo.drainLineFn)
 	}
 	// Each lineOp holds its own line; the snapshot buffer is free to reuse.
 	m.releaseLineBuf(lines)
@@ -239,7 +238,7 @@ func (lo *lineOp) drainLine() {
 	} else {
 		b.arr.CleanLine(line)
 	}
-	m.nvramWriteFrom(b.tile, rec, line, ent.Version, lo.done)
+	m.nvramWriteFrom(b.tile, rec, line, ent.Version, lo.lineDoneFn)
 }
 
 func (lo *lineOp) lineDone() {
@@ -259,7 +258,7 @@ func (bo *bankOp) sendAck() {
 	if m.cfg.Probe.Active() {
 		m.cfg.Probe.BankAck(m.eng.Now(), bo.b.id, rec.ID.Core, rec.ID.Num)
 	}
-	m.eng.After(m.mesh.Latency(bo.b.tile, c.tile, 0), f.bankAcked)
+	m.eng.After(m.mesh.Latency(bo.b.tile, c.tile, 0), f.bankAckArrivedFn)
 	f.sending--
 	if m.plantEarlyFlushRelease && f.sending == 0 {
 		m.releaseFlushOp(f)

@@ -101,15 +101,13 @@ type coreCtx struct {
 	// (or CloseFeed) reschedules it.
 	waiting bool
 
-	// The core's continuations, bound once by bindCore (core.go): step
-	// starts or un-parks the core, after retires the op in flight, the rest
-	// are the store and barrier pipeline's hops.
-	step, after            func()
-	storeDone, storeIssued func()
-	epBarrierFn            func()
-	lbBarrierFn            func()
-	checkpointFn           func()
-	stall                  stall
+	// The core's continuations, bound once by bindCore (core.go): xFn is
+	// c.x, and after (c.retireOp) completes every op the core executes.
+	stepCoreFn, after               func()
+	postedStoreDoneFn, afterStoreFn func()
+	epBarrierFn, lbBarrierFn        func()
+	writeCheckpointFn               func()
+	stall                           stall
 	// advanceWhy is why the barrier in progress closes its epoch, and
 	// ckptNext the next register-checkpoint line a hardware barrier writes.
 	advanceWhy epoch.AdvanceReason
@@ -181,10 +179,11 @@ type Machine struct {
 	// Free lists of the protocol's continuation frames (flush.go has the
 	// lifetime rule). The machine is single-threaded, so each is a plain
 	// LIFO; its depth settles at the most frames ever in flight at once.
-	flushOps pool[flushOp]
-	lineOps  pool[lineOp]
-	nvWrites pool[nvWrite]
-	memReqs  pool[memReq]
+	flushOps    pool[flushOp]
+	lineOps     pool[lineOp]
+	nvWrites    pool[nvWrite]
+	memReqs     pool[memReq]
+	insertWaits pool[insertWait]
 	// plantEarlyFlushRelease (tests only) returns a flushOp to its free
 	// list when the last BankAck is sent instead of when it arrives, to
 	// show the goldens catch a frame released while still in flight.
@@ -520,7 +519,7 @@ func (m *Machine) start() error {
 	}
 	for _, c := range m.cores {
 		if len(c.ops) > 0 {
-			m.eng.At(0, c.step)
+			m.eng.At(0, c.stepCoreFn)
 		} else {
 			c.done = true
 		}
@@ -677,7 +676,7 @@ func (m *Machine) DebugTrace() []string { return m.debugLog }
 
 // stall is one wait on a signal whose cycles are charged to a stall cause
 // of core c. Every frame that can wait embeds one: a frame is a sequential
-// chain, so it waits on one signal at a time, and woke is bound once.
+// chain, so it waits on one signal at a time, and wakeFn is bound once.
 type stall struct {
 	m     *Machine
 	c     *coreCtx
@@ -685,15 +684,15 @@ type stall struct {
 	since sim.Cycle
 	cont  func()
 
-	woke func() // bound: wake
+	wakeFn func()
 }
 
-func (s *stall) init(m *Machine) { s.m, s.woke = m, s.wake }
+func (s *stall) init(m *Machine) { s.m, s.wakeFn = m, s.wake }
 
 // until runs cont when sig fires, attributing the waited cycles to cause.
 func (s *stall) until(sig *sim.Signal, cause StallCause, cont func()) {
 	s.cause, s.since, s.cont = cause, s.m.eng.Now(), cont
-	sig.Subscribe(s.woke)
+	sig.Subscribe(s.wakeFn)
 }
 
 func (s *stall) wake() {

@@ -1,0 +1,75 @@
+package machine
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"persistbarriers/internal/stats"
+	"persistbarriers/internal/workload"
+)
+
+// runQuickGrid runs the Fig. 11 quick grid (the five micro-benchmarks under
+// the four LB variants, at harness.Quick's sizes) and fingerprints every
+// result in grid order. A panic inside a run is returned, not raised.
+func runQuickGrid(planted bool) (fp string, panicked any) {
+	defer func() { panicked = recover() }()
+	var all []*Result
+	for _, bench := range workload.MicrobenchmarkNames() {
+		for _, v := range []struct{ idt, pf bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+			p, err := workload.Microbenchmarks()[bench](workload.Spec{Threads: 8, OpsPerThread: 15, Seed: 42})
+			if err != nil {
+				panic(err)
+			}
+			cfg := DefaultConfig()
+			cfg.Cores, cfg.Model, cfg.IDT, cfg.PF = 8, LB, v.idt, v.pf
+			m, err := New(cfg)
+			if err != nil {
+				panic(err)
+			}
+			m.plantEarlyFlushRelease = planted
+			if err := m.Load(p); err != nil {
+				panic(err)
+			}
+			r, err := m.Run()
+			if err != nil {
+				panic(err)
+			}
+			if r.Deadlocked {
+				panic(fmt.Sprintf("%s under %s deadlocked", bench, cfg.BarrierName()))
+			}
+			all = append(all, r)
+		}
+	}
+	return stats.MustFingerprint(all), nil
+}
+
+// TestPlantedEarlyFlushRelease tests the tester: the frames' lifetime rule
+// (flush.go) is only as good as the goldens' ability to notice a frame
+// released while a continuation on it is still scheduled. The plant returns
+// a flushOp to its free list when the last BankAck is sent, a mesh
+// crossing before it arrives; the quick grid must notice at once — the
+// late BankAck finds the frame's pointers cleared and panics, or finds the
+// next flush in it and moves a fingerprint.
+func TestPlantedEarlyFlushRelease(t *testing.T) {
+	clean, p := runQuickGrid(false)
+	if p != nil {
+		t.Fatalf("clean grid panicked: %v", p)
+	}
+	if again, _ := runQuickGrid(false); again != clean {
+		t.Fatalf("clean grid is not deterministic: %.12s then %.12s", clean, again)
+	}
+	start := time.Now()
+	planted, p := runQuickGrid(true)
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("the planted grid took %v to give its verdict, want under 5s", took)
+	}
+	switch {
+	case p != nil:
+		t.Logf("caught: panic: %v", p)
+	case planted != clean:
+		t.Logf("caught: fingerprint %.12s, clean %.12s", planted, clean)
+	default:
+		t.Fatal("a flushOp released before its last BankAck arrived went unnoticed")
+	}
+}

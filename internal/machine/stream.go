@@ -25,7 +25,7 @@ func (m *Machine) StartStream() error {
 	m.streaming = true
 	m.runningCores = len(m.cores)
 	for _, c := range m.cores {
-		m.eng.At(0, c.step)
+		m.eng.At(0, c.stepCoreFn)
 	}
 	return nil
 }
@@ -54,7 +54,7 @@ func (m *Machine) Feed(core int, ops []trace.Op) error {
 	c.ops = append(c.ops, ops...)
 	if c.waiting {
 		c.waiting = false
-		m.eng.At(m.eng.Now(), c.step)
+		m.eng.At(m.eng.Now(), c.stepCoreFn)
 	}
 	return nil
 }
@@ -70,7 +70,7 @@ func (m *Machine) CloseFeed() {
 	for _, c := range m.cores {
 		if c.waiting {
 			c.waiting = false
-			m.eng.At(m.eng.Now(), c.step)
+			m.eng.At(m.eng.Now(), c.stepCoreFn)
 		}
 	}
 }

@@ -73,8 +73,8 @@ type Controller struct {
 }
 
 // pendingWrite is one Write or WriteLog between admission and its
-// PersistAck. It takes the place of a closure per request: durable and
-// logged are bound once, when the frame is first made, and the frame
+// PersistAck. It takes the place of a closure per request: its two
+// continuations are bound once, when the frame is first made, and the frame
 // returns to its controller's free list when the one it scheduled fires.
 type pendingWrite struct {
 	c     *Controller // nil while on the free list, so a late fire panics
@@ -83,8 +83,7 @@ type pendingWrite struct {
 	entry LogEntry
 	done  func()
 
-	durable func() // bound: the line write reached NVRAM
-	logged  func() // bound: the log entry reached NVRAM
+	fireWriteFn, fireLogFn func() // bound once in acquireWrite
 }
 
 func (c *Controller) acquireWrite(done func()) *pendingWrite {
@@ -94,7 +93,7 @@ func (c *Controller) acquireWrite(done func()) *pendingWrite {
 		c.freeWrites = c.freeWrites[:n-1]
 	} else {
 		w = &pendingWrite{}
-		w.durable, w.logged = w.fireWrite, w.fireLog
+		w.fireWriteFn, w.fireLogFn = w.fireWrite, w.fireLog
 	}
 	w.c, w.done = c, done
 	return w
@@ -196,7 +195,7 @@ func (c *Controller) Write(line mem.Line, v mem.Version, done func()) {
 	c.stats.Writes++
 	w := c.acquireWrite(done)
 	w.line, w.v = line, v
-	c.eng.At(start+c.cfg.WriteLatency, w.durable)
+	c.eng.At(start+c.cfg.WriteLatency, w.fireWriteFn)
 }
 
 // WriteLog durably appends an undo-log entry. done fires when the entry is
@@ -206,7 +205,7 @@ func (c *Controller) WriteLog(entry LogEntry, done func()) {
 	c.stats.LogWrites++
 	w := c.acquireWrite(done)
 	w.entry = entry
-	c.eng.At(start+c.cfg.WriteLatency, w.logged)
+	c.eng.At(start+c.cfg.WriteLatency, w.fireLogFn)
 }
 
 // Stats returns a snapshot of the controller's counters.

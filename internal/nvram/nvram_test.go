@@ -194,3 +194,39 @@ func TestParallelControllersDoNotQueueOnEachOther(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteZeroAlloc: a controller in steady state serves Write and
+// WriteLog without allocating — the request in flight is a pendingWrite
+// taken from the controller's free list, not a closure. The log itself is
+// append-only, so the gate measures WriteLog against a log with room.
+func TestWriteZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	c := newCtrl(t, eng)
+	acks := 0
+	ack := func() { acks++ }
+	const burst = 16 // writes in flight at once
+	round := func() {
+		for i := 0; i < burst; i++ {
+			c.Write(mem.Line(i), mem.Version(acks+1), ack)
+			c.WriteLog(LogEntry{Line: mem.Line(i)}, ack)
+		}
+		eng.Run()
+	}
+	round() // warm: frames made, image keys present, event queue sized
+	c.log = make([]LogEntry, 0, 201*burst)
+	before := acks
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Fatalf("steady-state Write+WriteLog allocated %.2f times per %d-request burst, want 0", n, 2*burst)
+	}
+	if got, want := acks-before, 201*2*burst; got != want {
+		t.Fatalf("%d acks fired, want %d", got, want)
+	}
+	if len(c.freeWrites) != 2*burst {
+		t.Fatalf("free list holds %d frames after the bursts drained, want %d (the most ever in flight)", len(c.freeWrites), 2*burst)
+	}
+	for _, w := range c.freeWrites {
+		if w.c != nil || w.done != nil {
+			t.Fatal("a released frame still points at its controller or ack")
+		}
+	}
+}

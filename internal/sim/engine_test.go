@@ -189,3 +189,29 @@ func TestSignalDoubleFireIsIdempotent(t *testing.T) {
 		t.Fatalf("hits = %d, want 1", hits)
 	}
 }
+
+// TestSignalResetZeroAlloc: a Reset signal serves another round of
+// subscribers from the array it already has, which is what lets a pooled
+// frame embed its signal instead of allocating one per use.
+func TestSignalResetZeroAlloc(t *testing.T) {
+	var s Signal
+	hits := 0
+	fn := func() { hits++ }
+	round := func() {
+		s.Reset()
+		for i := 0; i < 4; i++ {
+			s.Subscribe(fn)
+		}
+		if s.Fired() {
+			t.Fatal("signal reads fired after Reset")
+		}
+		s.Fire()
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("Reset/Subscribe/Fire round allocated %.2f times, want 0", n)
+	}
+	if hits != 4*102 {
+		t.Fatalf("%d subscriber runs, want %d: a round's subscribers must each run exactly once", hits, 4*102)
+	}
+}
