@@ -347,7 +347,7 @@ func (m *Machine) llcInsert(c *coreCtx, b *bankCtx, line mem.Line, ver mem.Versi
 		if has && ent.Dirty {
 			lat := m.mesh.Latency(b.tile, o.tile, 0) + m.cfg.L1Latency + m.mesh.Latency(o.tile, b.tile, mem.LineSize)
 			w := m.deferInsert(c, b, line, ver, cont)
-			w.owner, w.copy = o, ent
+			w.owner, w.held = o, ent
 			m.eng.After(lat, w.recalledFn)
 			return
 		}
@@ -421,7 +421,7 @@ type insertWait struct {
 	cont func()
 
 	owner *coreCtx    // recall: the core holding the victim modified...
-	copy  cache.Entry // ...and its copy when the recall was sent
+	held  cache.Entry // ...and its copy when the recall was sent
 	since sim.Cycle   // eviction conflict: when the requester began to stall
 
 	rerunFn, recalledFn, writtenBackFn, flushedFn func() // bound once in deferInsert
@@ -445,13 +445,13 @@ func (w *insertWait) rerun() {
 }
 
 func (w *insertWait) recalled() {
-	w.m.llcApplyWriteback(w.b, w.copy.Line, w.copy.Tag, w.copy.Version, w.writtenBackFn)
+	w.m.llcApplyWriteback(w.b, w.held.Line, w.held.Tag, w.held.Version, w.writtenBackFn)
 }
 
 func (w *insertWait) writtenBack() {
-	o, vd := w.owner, w.m.dirEntryFor(w.copy.Line)
+	o, vd := w.owner, w.m.dirEntryFor(w.held.Line)
 	if vd.owner == o.id {
-		o.l1.Invalidate(w.copy.Line)
+		o.l1.Invalidate(w.held.Line)
 		vd.owner = -1
 		vd.sharers &^= 1 << uint(o.id)
 	}

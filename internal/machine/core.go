@@ -11,10 +11,9 @@ import (
 // The core is serial: it retires one op at a time and has at most one
 // continuation of its own outstanding (its posted stores travel as
 // memReqs). So the core is its own frame: every continuation its pipeline
-// schedules is a method value bound once, in newCore, and what a closure
+// schedules is a method value bound once, by bindCore, and what a closure
 // would have captured is a field.
 
-// bindCore binds c's continuations.
 func (m *Machine) bindCore(c *coreCtx) {
 	c.m = m
 	c.stall.init(m)

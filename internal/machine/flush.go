@@ -108,6 +108,7 @@ func (m *Machine) flushEpoch(c *coreCtx, rec *epoch.Record, done func()) {
 		if bo.ready > start {
 			start = bo.ready
 		}
+		bo.ready = 0 // for the frame's next handshake
 		m.eng.At(start, bo.bankFlushFn)
 	}
 }
@@ -129,7 +130,7 @@ type flushOp struct {
 	done func()
 
 	banks   []bankOp // one per LLC bank, bank order
-	sending int      // banks that have not sent their BankAck yet
+	sending int      // banks that have not sent their BankAck yet (only plantEarlyFlushRelease reads it)
 	acks    int      // BankAcks that have not reached the arbiter yet
 
 	bankAckArrivedFn func() // bound once in acquireFlushOp, as bankOp.bankFlushFn is
@@ -139,7 +140,7 @@ type flushOp struct {
 type bankOp struct {
 	f         *flushOp
 	b         *bankCtx
-	ready     sim.Cycle // when the last L1 writeback reaches this bank
+	ready     sim.Cycle // when the last L1 writeback reaches this bank; 0 between handshakes
 	remaining int       // lines whose PersistAck the BankAck still waits for
 
 	bankFlushFn func()
@@ -167,9 +168,6 @@ func (m *Machine) acquireFlushOp(c *coreCtx, rec *epoch.Record, done func()) *fl
 	}
 	f.c, f.rec, f.done = c, rec, done
 	f.sending, f.acks = len(f.banks), len(f.banks)
-	for i := range f.banks {
-		f.banks[i].ready = 0
-	}
 	return f
 }
 
