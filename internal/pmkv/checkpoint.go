@@ -147,12 +147,12 @@ func (cp *checkpoint) get(key string) (val []byte, found bool, rec int) {
 // insert links a publish at its key's chain head (single atomic store; the
 // entry and its chain are immutable from that point) unless the key's
 // folded entry committed later, in which case NVRAM already holds the
-// newer state and the older publish changes nothing. It returns the
-// loser's entry lines, which no durable head names any more: the shadowed
-// entry's when en wins, en's own when it loses (n == 0: the loser was a
-// tombstone, or the key is new). en.val must not alias memory the caller
-// will reuse or wants released.
-func (cp *checkpoint) insert(en cpEntry) (loser lineSpan) {
+// newer state and the older publish changes nothing. It returns whether en
+// won and the loser's entry lines, which no durable head names any more:
+// the shadowed entry's when en wins, en's own when it loses (n == 0: the
+// loser was a tombstone, or the key is new). en.val must not alias memory
+// the caller will reuse or wants released.
+func (cp *checkpoint) insert(en cpEntry) (loser lineSpan, won bool) {
 	t := cp.table.Load()
 	b := t.bucket(en.key)
 	head := b.Load()
@@ -160,7 +160,7 @@ func (cp *checkpoint) insert(en cpEntry) (loser lineSpan) {
 	for e := head; e != nil; e = e.next {
 		if e.key == en.key {
 			if e.ver > en.ver {
-				return en.span
+				return en.span, false
 			}
 			// Share the shadowed entry's key so a hot key pins one string,
 			// not the latest request's.
@@ -181,7 +181,7 @@ func (cp *checkpoint) insert(en cpEntry) (loser lineSpan) {
 	if cp.entries > cpMinRebuild && (cp.entries > 2*cp.keys || cp.entries > len(t.buckets)) {
 		cp.rebuild()
 	}
-	return loser
+	return loser, true
 }
 
 // each calls fn with the newest entry of every key, tombstones included.

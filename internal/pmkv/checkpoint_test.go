@@ -205,7 +205,7 @@ func TestCheckpointRebuildKeepsSpans(t *testing.T) {
 		if en := cp.lookup(key); en.hi != mem.Version(i+1) {
 			t.Fatalf("%s: hi = %d after the rebuild, want %d", key, en.hi, i+1)
 		}
-		if loser := cp.insert(cpEntry{key: key, rec: keys + i, ver: mem.Version(keys + i + 1)}); loser != spanOf(i) {
+		if loser, _ := cp.insert(cpEntry{key: key, rec: keys + i, ver: mem.Version(keys + i + 1)}); loser != spanOf(i) {
 			t.Fatalf("%s: shadowing it returned span %+v, want the one inserted, %+v", key, loser, spanOf(i))
 		}
 	}

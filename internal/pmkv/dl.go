@@ -1,5 +1,5 @@
-// Durable-linearizability bridge: the engine's group-commit read
-// snapshot (which publish answered each read), the observation hooks
+// Durable-linearizability bridge: the engine's one read rule (which
+// publish answers a read), the observation hooks
 // into internal/dlcheck, and the translation of a machine result into
 // the checker's image — the per-bucket publish commit order with
 // per-publish durability flags.
@@ -13,67 +13,41 @@ import (
 	"persistbarriers/internal/machine"
 )
 
-// batchWrite is one session's last write to a key within the current
-// group commit (the value its own later reads in the batch observe).
-type batchWrite struct {
-	val   []byte
-	found bool
-	rec   int
-}
-
-// batchKey is the per-key overlay for the current group commit: the
-// pre-batch snapshot every other session's reads observe, plus the
-// per-session writes for read-your-own-batch-writes.
-type batchKey struct {
-	oldVal   []byte
-	oldFound bool
-	oldRec   int
-	bySess   map[int]batchWrite
-}
-
-// lastRecOf reports the last mutation record index for a key (-1: the
-// key has never been mutated).
-func (e *Engine) lastRecOf(key string) int {
-	if r, ok := e.lastRec[key]; ok {
-		return r
+// observedRead is the one answer to "what does key hold for session sess":
+// the session's own write in the open commit window (unless the watermark
+// has already folded it), else the key's settled state — the overlay's
+// record, which is the retired publish that committed last, else the
+// checkpoint's entry. It returns the value, whether the key is present, the
+// mutation record that published it (-1: never written; the tracker's
+// happens-before edge) and its entry lines, which are what a Get loads.
+// Caller holds e.mu.
+func (e *Engine) observedRead(sess int, key string) (val []byte, found bool, rec int, span lineSpan) {
+	r := e.batch[key][sess]
+	if r == nil || r.Idx < e.durableCursor {
+		r = e.live[key]
 	}
-	return -1
-}
-
-// observedRead answers a read under the group-commit snapshot semantics:
-// the session's own write in the current batch if it made one, else the
-// pre-batch state. rec identifies the publish whose value (or tombstone)
-// the response carries (-1: never written), feeding the tracker's
-// happens-before edge. Caller holds e.mu.
-func (e *Engine) observedRead(sess int, key string) (val []byte, found bool, rec int) {
-	if bk, ok := e.batch[key]; ok {
-		if w, ok := bk.bySess[sess]; ok {
-			return w.val, w.found, w.rec
-		}
-		return bk.oldVal, bk.oldFound, bk.oldRec
+	if r != nil {
+		return r.Value, r.Op == Put, r.Idx, lineSpan{first: r.EntryLine, n: r.Entries}
 	}
-	val, found = e.kv[key]
-	return val, found, e.lastRecOf(key)
+	if en := e.cp.lookup(key); en != nil {
+		return en.val, en.found, en.rec, en.span
+	}
+	return nil, false, -1, lineSpan{}
 }
 
-// batchFor returns the key's overlay for the current commit window,
-// capturing the pre-window snapshot on first touch. Entries come from
-// the freelist clearBatchLocked refills, so the steady-state window
-// allocates nothing. Caller holds e.mu.
-func (e *Engine) batchFor(key string) *batchKey {
-	bk, ok := e.batch[key]
-	if !ok {
+// batchFor returns the open commit window's writers of key, by session, on
+// a map from the freelist clearBatchLocked refills. Caller holds e.mu.
+func (e *Engine) batchFor(key string) map[int]*OpRecord {
+	writers := e.batch[key]
+	if writers == nil {
 		if n := len(e.bkFree); n > 0 {
-			bk = e.bkFree[n-1]
-			e.bkFree = e.bkFree[:n-1]
+			writers, e.bkFree = e.bkFree[n-1], e.bkFree[:n-1]
 		} else {
-			bk = &batchKey{bySess: make(map[int]batchWrite)}
+			writers = make(map[int]*OpRecord)
 		}
-		bk.oldVal, bk.oldFound = e.kv[key]
-		bk.oldRec = e.lastRecOf(key)
-		e.batch[key] = bk
+		e.batch[key] = writers
 	}
-	return bk
+	return writers
 }
 
 // DL exposes the engine's durable-linearizability tracker (nil unless
@@ -101,13 +75,13 @@ func (e *Engine) ObserveFastRead(sess int, key string, rec int) {
 // ascending bucket order for determinism.
 func (e *Engine) DLImage(res *machine.Result) *dlcheck.Image {
 	e.mu.Lock()
-	tail, first := e.tail, e.durableCursor
+	tail := e.tail
 	pubs := slices.Clone(e.cp.stubs)
 	e.mu.Unlock()
 
-	for i, r := range tail {
+	for _, r := range tail {
 		if v, ok := res.TokenVersions[r.PubToken]; ok {
-			pubs = append(pubs, dlStub{ver: v, rec: first + i, bucket: r.Bucket})
+			pubs = append(pubs, dlStub{ver: v, rec: r.Idx, bucket: r.Bucket})
 		}
 	}
 	slices.SortFunc(pubs, func(a, b dlStub) int {

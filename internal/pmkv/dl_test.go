@@ -315,16 +315,22 @@ func TestBatchSnapshotReads(t *testing.T) {
 	if !resps[3].Found {
 		t.Fatal("same-batch foreign delete should observe the pre-batch key")
 	}
-	// Next batch: the overlay is gone; everyone sees the settled state.
+	// Next batch: the window is settled, and everyone is served what NVRAM
+	// holds — the racer whose head store committed last, whichever it is.
 	resps, err = e.Apply([]Request{{Sess: s2, Op: Get, Key: "k"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resps[0].Found {
-		t.Fatalf("read after deleting batch = %+v, want not-found", resps[0])
-	}
-	if _, err := e.Close(); err != nil {
+	res, err := e.Close()
+	if err != nil {
 		t.Fatal(err)
+	}
+	state, err := e.RecoveredState(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, found := state["k"]; resps[0].Found != found || string(resps[0].Value) != string(want) {
+		t.Fatalf("read after the racing batch = %q found=%v, recovery holds %q found=%v", resps[0].Value, resps[0].Found, want, found)
 	}
 }
 

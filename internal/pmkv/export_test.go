@@ -28,3 +28,19 @@ func CaughtEarlyRecycle(err error) bool {
 	return strings.Contains(err.Error(), "was overwritten under a durable head") ||
 		strings.Contains(err.Error(), "durable linearizability")
 }
+
+// RunScriptSettlingInTranslateOrder is the scripted single-shard run on an
+// engine that settles a raced key on the writer it translated last
+// (plantTranslateOrderWinner).
+func RunScriptSettlingInTranslateOrder(cfg Config, spec ScriptSpec) error {
+	_, err := runPlanted(cfg, spec, plantTranslateOrderWinner)
+	return err
+}
+
+// CaughtStaleServe reports whether err is Verify's check 6, at the fold or
+// at the clean drain — the only check a key served from the wrong racer can
+// be caught by, since the image and the history are both sound.
+func CaughtStaleServe(err error) bool {
+	return strings.Contains(err.Error(), "which an earlier fold had already superseded") ||
+		strings.Contains(err.Error(), "where recovery rebuilds")
+}

@@ -193,6 +193,35 @@ func TestPlantedDropTombstone(t *testing.T) {
 	store.Close()
 }
 
+// TestPlantedTranslateOrderWinner: an engine that settles a raced key on
+// the writer it translated last — what the three per-key maps this engine
+// once kept did — serves a value recovery does not rebuild. Nothing is
+// wrong with the image, so only check 6 can notice, and on every clean
+// drain of a script with a same-window race that commits out of translate
+// order it must; the honest engine passes the same runs.
+func TestPlantedTranslateOrderWinner(t *testing.T) {
+	for _, s := range []struct {
+		name string
+		spec ScriptSpec
+	}{
+		{"fpdump-merged", ScriptSpec{Sessions: 16, Rounds: 16, KeySpace: 24, ValueBytes: 192, Seed: 7}},
+		{"fpdump-long", longSpec()},
+		{"testSpec", testSpec()},
+	} {
+		if _, err := runPlanted(Config{Check: true}, s.spec, plantNone); err != nil {
+			t.Fatalf("%s, nothing planted: %v", s.name, err)
+		}
+		_, err := runPlanted(Config{Check: true}, s.spec, plantTranslateOrderWinner)
+		if err == nil {
+			t.Fatalf("%s: a key settled in translate order was served stale and nothing noticed", s.name)
+		}
+		if !CaughtStaleServe(err) {
+			t.Fatalf("%s: caught by an unexpected check: %v", s.name, err)
+		}
+		t.Logf("%s: %v", s.name, err)
+	}
+}
+
 // TestSessionChurnLeavesNothing: a session's request counter lives in the
 // Session the engine issued, so ten thousand short-lived sessions — a
 // server's connection churn — leave the engine holding nothing for them:

@@ -91,7 +91,11 @@ func FuzzDurableLinearizability(f *testing.F) {
 	// testdata's seed-06 (one session, one key, put del put put, crash at
 	// 250/256) is the smallest case that rejects an engine recycling entry
 	// lines one watermark early while the honest engine already reuses a
-	// line in it: pmkv.TestPlantedRecycleEarlyFuzzCases.
+	// line in it: pmkv.TestPlantedRecycleEarlyFuzzCases. seed-07 (two
+	// sessions, one key, one round: a Put, then a Delete that commits first)
+	// is the smallest case in which a key settled in translate order is
+	// served as gone and recovered as present:
+	// pmkv.TestPlantedTranslateOrderWinnerFuzzCase.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := CaseFromBytes(data)
 		fail := Run(c)

@@ -36,14 +36,17 @@
 // (see entryLinesFor).
 //
 // The engine does not simulate data bytes (the machine is version-based);
-// it keeps the logical key/value state itself and correlates logical writes
-// with the durable image through store tokens: each entry line and each
-// publish store is tagged, the machine reports the committed version per
-// tag, and recovery reconstructs exactly the prefix of publishes whose
-// versions reached NVRAM. Verify checks the §5 invariants (epoch order,
-// prefix closure) plus KV-level atomicity: no durable bucket head may name
-// a torn entry, and each session's durable publishes form a prefix of its
-// program order.
+// it keeps the values itself — in the checkpoint of durable publishes and,
+// until the durable watermark passes them, in the mutation records — and
+// correlates logical writes with the durable image through store tokens:
+// each entry line and each publish store is tagged, the machine reports the
+// committed version per tag, and recovery reconstructs exactly the prefix
+// of publishes whose versions reached NVRAM. A read observes its session's
+// own writes in the open commit window, else the key's newest retired
+// publish in commit order, the order recovery replays (see observedRead).
+// Verify checks the §5 invariants (epoch order, prefix closure) plus
+// KV-level atomicity: no durable bucket head may name a torn entry, and
+// each session's durable publishes form a prefix of its program order.
 package pmkv
 
 import (
@@ -167,18 +170,20 @@ type Request struct {
 	Value []byte
 }
 
-// Response answers a Request from the engine's volatile state (visibility
-// is immediate; durability is what Verify and RecoveredState reason about).
-// Within one commit window — the SubmitAppend batches fed since the last
-// completed PumpRetire — reads are snapshot-consistent: a Get (or a
-// Delete's Found) observes the state as of window admission plus the
-// session's own writes in the window — never another session's
-// same-window write. Same-window ops are concurrent in simulated time
-// (none has executed until the pump runs), and the machine only orders a
-// reader's later persists after a foreign write it observed when the
-// observation crosses a window boundary (the head-line load hits the
-// writer's unpersisted epoch), so serving foreign same-window writes
-// would be a dirty read that durable linearizability cannot honor.
+// Response answers a Request. A read (a Get, or a Delete's Found) observes
+// the session's own writes in the open commit window — the SubmitAppend
+// batches fed since the last completed PumpRetire — else the key's newest
+// retired publish in commit order: the checkpoint overlaid with the
+// unfolded tail, the head store that committed last winning, as on the
+// fast path and in recovery. Never another session's same-window write:
+// same-window ops are concurrent in simulated time (none has executed until
+// the pump runs), and the machine orders a reader's later persists after a
+// foreign write only when the observation crosses a window boundary (the
+// head-line load hits the writer's unpersisted epoch), so that would be a
+// dirty read durable linearizability cannot honor. translate leaves the
+// settled view alone, so a window needs no snapshot of it; only a fold
+// moves it under an open window, and a fold is a publish already in NVRAM,
+// which the fast path serves at any moment anyway.
 type Response struct {
 	Found bool
 	Value []byte
@@ -189,6 +194,9 @@ type Response struct {
 // record is then verified, folded into the checkpoint and released (see
 // Engine.fold), so at most the in-flight window of them exists.
 type OpRecord struct {
+	// Idx is the record's absolute index in the engine's mutation order, the
+	// name the checkpoint and the checker know its publish by.
+	Idx       int
 	Sess, Seq int
 	Core      int
 	Op        Op
@@ -203,10 +211,8 @@ type OpRecord struct {
 	EntryLine mem.Line
 	Entries   int
 	// Value is the value this publish installs (nil for Delete). Recovery
-	// replays each bucket's durable publishes, in the order their head
-	// stores committed, applying these deltas — the machine's commit order
-	// can differ from translate order for same-batch publishes, so a
-	// translate-time snapshot would misstate the durable contents.
+	// and reads apply these deltas in the order the head stores committed,
+	// which for same-window publishes can differ from translate order.
 	Value []byte
 }
 
@@ -217,15 +223,16 @@ type Engine struct {
 	cfg Config
 	m   *machine.Machine
 
-	// Per-key volatile state. None of it may hold a slice into a
-	// per-mutation arena chunk once the key's newest record is folded, or
-	// one live key would pin the chunk: kv is repointed at the checkpoint's
-	// copy of the value at fold time, and entries holds spans by value.
-	kv      map[string][]byte    // volatile logical state
-	entries map[string]lineSpan  // current entry lines per key (for Get loads)
-	lastRec map[string]int       // last mutation record index per key
-	batch   map[string]*batchKey // current commit window's write overlay
-	bkFree  []*batchKey          // overlay freelist (cleared entries, reused next window)
+	// A key's state has one home: the checkpoint overlaid with the unfolded
+	// tail, the publish whose head store committed last winning — the rule
+	// recovery replays by (see observedRead). live is the overlay: per key,
+	// the retired, unfolded record that committed last. batch is the open
+	// commit window's writes, per key and session, until clearBatchLocked
+	// settles them; bkFree keeps its cleared maps. All are bounded by what
+	// is in flight.
+	live   map[string]*OpRecord
+	batch  map[string]map[int]*OpRecord
+	bkFree []map[int]*OpRecord
 
 	// opBuf is the shared translation buffer: Feed copies the ops it is
 	// handed, so one builder (reset per request) serves every translate
@@ -316,10 +323,8 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:       cfg,
 		m:         m,
-		kv:        make(map[string][]byte),
-		entries:   make(map[string]lineSpan),
-		lastRec:   make(map[string]int),
-		batch:     make(map[string]*batchKey),
+		live:      make(map[string]*OpRecord),
+		batch:     make(map[string]map[int]*OpRecord),
 		owed:      make([]bool, cfg.Machine.Cores),
 		cp:        newCheckpoint(cfg.Buckets),
 		keep:      make([]mem.Version, cfg.Machine.Cores),
@@ -440,11 +445,11 @@ func (e *Engine) freeSpan(s lineSpan) {
 	e.free[c] = append(e.free[c], s.first)
 }
 
-// translate turns one request into a per-core op stream, updates the
-// volatile state, and records the audit trail for mutations. The
-// returned ops live in the engine's shared builder and are valid only
-// until the next translate — the caller must hand them to Feed (which
-// copies) before translating the next request.
+// translate turns one request into a per-core op stream and records a
+// mutation in the audit trail and the open window — nowhere else: the
+// settled view moves only when a window is settled or a record folds. The
+// ops live in the engine's shared builder, valid only until the next
+// translate: the caller hands them to Feed (which copies) first.
 func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 	if req.Sess == nil {
 		return Response{}, nil, fmt.Errorf("pmkv: request without session")
@@ -462,11 +467,8 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 	switch req.Op {
 	case Get:
 		b.Load(head.Addr())
-		val, found, obsRec := e.observedRead(req.Sess.ID, req.Key)
-		// Loads target the key's newest entry lines (the op stream is
-		// independent of which snapshot answers the read, keeping machine
-		// timing — and every existing fingerprint — unchanged).
-		span := e.entries[req.Key]
+		// A Get loads what it reads: the entry of the publish that answers it.
+		val, found, obsRec, span := e.observedRead(req.Sess.ID, req.Key)
 		for i := 0; i < span.n; i++ {
 			b.Load((span.first + mem.Line(i)).Addr())
 		}
@@ -479,11 +481,11 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 		copy(val, req.Value)
 		rec := e.arenaRecord()
 		*rec = OpRecord{
-			Sess: req.Sess.ID, Seq: seq, Core: core,
+			Idx: e.recordCount(), Sess: req.Sess.ID, Seq: seq, Core: core,
 			Op: Put, Key: req.Key, Bucket: bucket, Head: head,
 			Value: val,
 		}
-		e.plantedEarlyFree(req.Key)
+		e.plantedEarlyFree(req.Sess.ID, req.Key)
 		span := e.entryLinesFor(val)
 		rec.EntryLine, rec.Entries = span.first, span.n
 		b.Load(head.Addr())
@@ -501,24 +503,19 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 		e.owed[core] = true
 		b.TxEnd()
 
-		recIdx := e.recordCount()
-		bk := e.batchFor(req.Key)
-		bk.bySess[req.Sess.ID] = batchWrite{val: val, found: true, rec: recIdx}
-		e.kv[req.Key] = val
-		e.entries[req.Key] = span
-		e.lastRec[req.Key] = recIdx
+		e.batchFor(req.Key)[req.Sess.ID] = rec
 		e.tail = append(e.tail, rec)
-		e.dl.ObserveWrite(req.Sess.ID, recIdx, req.Key)
+		e.dl.ObserveWrite(req.Sess.ID, rec.Idx, req.Key)
 		return Response{Found: true, Value: val}, b.Ops(), nil
 
 	case Delete:
-		_, found, obsRec := e.observedRead(req.Sess.ID, req.Key)
+		_, found, obsRec, _ := e.observedRead(req.Sess.ID, req.Key)
 		rec := e.arenaRecord()
 		*rec = OpRecord{
-			Sess: req.Sess.ID, Seq: seq, Core: core,
+			Idx: e.recordCount(), Sess: req.Sess.ID, Seq: seq, Core: core,
 			Op: Delete, Key: req.Key, Bucket: bucket, Head: head,
 		}
-		e.plantedEarlyFree(req.Key)
+		e.plantedEarlyFree(req.Sess.ID, req.Key)
 		if e.owed[core] {
 			// No entry→publish barrier to ride on: pay the previous
 			// publish's barrier here, so publishes stay one per epoch.
@@ -531,15 +528,10 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 		e.owed[core] = true
 		b.TxEnd()
 
-		recIdx := e.recordCount()
-		bk := e.batchFor(req.Key)
-		bk.bySess[req.Sess.ID] = batchWrite{found: false, rec: recIdx}
-		delete(e.kv, req.Key)
-		delete(e.entries, req.Key)
-		e.lastRec[req.Key] = recIdx
+		e.batchFor(req.Key)[req.Sess.ID] = rec
 		e.tail = append(e.tail, rec)
 		e.dl.ObserveRead(req.Sess.ID, req.Key, obsRec)
-		e.dl.ObserveWrite(req.Sess.ID, recIdx, req.Key)
+		e.dl.ObserveWrite(req.Sess.ID, rec.Idx, req.Key)
 		return Response{Found: found}, b.Ops(), nil
 
 	default:
@@ -607,36 +599,56 @@ func (e *Engine) submitLocked(dst []Response, batch []Request) ([]Response, erro
 	if e.crashed {
 		return nil, ErrCrashed
 	}
-	// Reads in this batch observe the commit window's admission snapshot
-	// plus their own session's writes in the window (see Response). The
-	// overlay spans every batch fed since the last completed pump —
-	// pumpRetireLocked resets it, because that is when the fed writes
-	// stop being concurrent-in-flight and become pre-window state.
-	resps := dst
+	// Reads observe the settled state plus their own session's writes in
+	// the open window (see Response), which spans every batch fed since the
+	// last completed pump.
 	for _, req := range batch {
 		resp, ops, err := e.translate(req)
 		if err != nil {
 			return nil, err
 		}
-		resps = append(resps, resp)
+		dst = append(dst, resp)
 		if err := e.m.Feed(req.Sess.Core, ops); err != nil {
 			return nil, err
 		}
 	}
-	return resps, nil
+	return dst, nil
 }
 
-// clearBatchLocked ends the commit window: overlay entries are scrubbed
-// and returned to the freelist so the next window's batchFor calls
-// allocate nothing.
+// clearBatchLocked ends the commit window, every op of which has retired,
+// by settling each key it wrote: until it folds, the key is served from the
+// writer whose head store committed last, as NVRAM and recovery have it.
+// Only the window's writers compete (whatever retired earlier committed
+// earlier), a session's last write standing for its earlier ones. A writer
+// the watermark passed mid-window (durability stepped between SubmitAppend
+// and PumpRetire) is in the checkpoint, whose version for the key is then
+// the bar to beat. Head versions are distinct, so map order cannot matter.
 func (e *Engine) clearBatchLocked() {
-	if len(e.batch) == 0 {
-		return
-	}
-	for _, bk := range e.batch {
-		clear(bk.bySess)
-		bk.oldVal = nil
-		e.bkFree = append(e.bkFree, bk)
+	for key, writers := range e.batch {
+		var win *OpRecord
+		var winVer, bar mem.Version
+		for _, r := range writers {
+			if r.Idx < e.durableCursor {
+				if en := e.cp.lookup(key); en != nil {
+					bar = en.ver
+				}
+				continue
+			}
+			v := mem.Version(1) // a lone writer needs no lookup
+			if e.plant == plantTranslateOrderWinner {
+				v = mem.Version(r.Idx + 1)
+			} else if len(writers) > 1 {
+				v, _ = e.m.TokenVersion(r.PubToken)
+			}
+			if v > winVer {
+				win, winVer = r, v
+			}
+		}
+		if winVer > bar {
+			e.live[key] = win
+		}
+		clear(writers)
+		e.bkFree = append(e.bkFree, writers)
 	}
 	clear(e.batch)
 }
@@ -731,7 +743,7 @@ func (e *Engine) advanceWatermarkLocked() int {
 		if !durable {
 			break
 		}
-		e.fold(r, e.durableCursor+n, v)
+		e.fold(r, v)
 	}
 	if n > 0 {
 		e.release(n)
@@ -739,7 +751,7 @@ func (e *Engine) advanceWatermarkLocked() int {
 	return e.durableCursor
 }
 
-// plantedBug names a deliberate defect in the fold path (tests only).
+// plantedBug names a deliberate defect in the engine (tests only).
 type plantedBug uint8
 
 const (
@@ -751,28 +763,30 @@ const (
 	// plantRecycleEarly frees a key's entry lines when the write that
 	// supersedes them is translated — one watermark before fold would.
 	plantRecycleEarly
+	// plantTranslateOrderWinner settles a key on the window's writer that
+	// was translated last, not the one whose head store committed last.
+	plantTranslateOrderWinner
 )
 
 // plantedEarlyFree is plantRecycleEarly's free, called where translate
-// supersedes key's current entry.
-func (e *Engine) plantedEarlyFree(key string) {
-	if e.plant != plantRecycleEarly {
-		return
-	}
-	if span, ok := e.entries[key]; ok {
-		e.freeSpan(span)
+// supersedes the entry sess would read key from.
+func (e *Engine) plantedEarlyFree(sess int, key string) {
+	if e.plant == plantRecycleEarly {
+		if _, _, _, span := e.observedRead(sess, key); span.n > 0 {
+			e.freeSpan(span)
+		}
 	}
 }
 
-// fold is what happens to record idx at the instant it becomes durable,
-// with its publish committed at version v: it is verified with the
+// fold is what happens to a record at the instant it becomes durable, with
+// its publish committed at version v: it is verified with the
 // predicates Verify applies to the tail at Close, then folded into the
 // checkpoint. The publish being in NVRAM is the caller's loop condition,
 // and the record's session has no earlier non-durable publish because the
 // cursor passes records in submission order, which extends each session's
 // program order; what is left to check is the torn write — every entry
 // store retired and in NVRAM.
-func (e *Engine) fold(r *OpRecord, idx int, v mem.Version) {
+func (e *Engine) fold(r *OpRecord, v mem.Version) {
 	var hi mem.Version // the newest version the entry stores committed at
 	for i := 0; i < r.Entries; i++ {
 		l := r.EntryLine + mem.Line(i)
@@ -788,41 +802,30 @@ func (e *Engine) fold(r *OpRecord, idx int, v mem.Version) {
 	}
 	cp.lastVer[r.Bucket] = max(cp.lastVer[r.Bucket], v)
 	if e.dl != nil {
-		cp.stubs = append(cp.stubs, dlStub{ver: v, rec: idx, bucket: r.Bucket})
-	}
-	// The checkpoint and kv outlive the record, so they get their own copy
-	// of the value, not a slice of the arena chunk.
-	var val []byte
-	if r.Op == Put {
-		val = bytes.Clone(r.Value)
-		if e.lastRec[r.Key] == idx {
-			e.kv[r.Key] = val
-		}
+		cp.stubs = append(cp.stubs, dlStub{ver: v, rec: r.Idx, bucket: r.Bucket})
 	}
 	if r.Op == Put || e.plant != plantDropTombstone {
+		// The checkpoint outlives the record, so it gets its own copy of the
+		// value, not a slice of the arena chunk (nil for a Delete).
 		span := lineSpan{first: r.EntryLine, n: r.Entries}
-		loser := cp.insert(cpEntry{key: r.Key, val: val, rec: idx, ver: v, found: r.Op == Put, span: span, hi: hi})
+		loser, won := cp.insert(cpEntry{key: r.Key, val: bytes.Clone(r.Value), rec: r.Idx, ver: v, found: r.Op == Put, span: span, hi: hi})
+		// Check 6, online: a key is served from what committed last.
+		if !won && e.live[r.Key] == r && e.foldErr == nil {
+			e.foldErr = fmt.Errorf("pmkv: %q was served from record %d, which an earlier fold had already superseded", r.Key, r.Idx)
+		}
 		// The loser's lines are named by no durable head any more — the
 		// publish that superseded them is in NVRAM — so this, and nowhere
 		// else, is where they become reusable (see entryLinesFor).
-		if loser.n > 0 {
-			if loser == span && e.entries[r.Key] == span {
-				// This record lost to a same-window publish that committed
-				// after it, and no later Put has moved the key on: later
-				// GETs load the winner's lines, never freed ones.
-				if w := cp.lookup(r.Key); w.found {
-					e.entries[r.Key] = w.span
-				} else {
-					delete(e.entries, r.Key)
-				}
-			}
-			if e.plant != plantRecycleEarly {
-				e.freeSpan(loser)
-			}
+		if loser.n > 0 && e.plant != plantRecycleEarly {
+			e.freeSpan(loser)
 		}
 	}
+	// The checkpoint answers for r now: with it, or with what committed after.
+	if e.live[r.Key] == r {
+		delete(e.live, r.Key)
+	}
 	// Published last: a reader that sees the watermark finds the entry.
-	cp.folded.Store(int64(idx + 1))
+	cp.folded.Store(int64(r.Idx + 1))
 }
 
 // release drops the n oldest tail records, all just folded, and with them
@@ -1052,13 +1055,20 @@ func (e *Engine) Now() sim.Cycle {
 	return e.m.Now()
 }
 
-// Volatile returns a copy of the engine's in-memory (pre-crash) state.
+// Volatile returns the state reads are served from (a session with no write
+// in the open window); after a clean Close, what recovery must rebuild.
 func (e *Engine) Volatile() map[string][]byte {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make(map[string][]byte, len(e.kv))
-	for k, v := range e.kv {
-		out[k] = v
+	out := make(map[string][]byte, e.cp.keys+len(e.live))
+	serve := func(key string) {
+		if val, found, _, _ := e.observedRead(-1, key); found {
+			out[key] = val
+		}
+	}
+	e.cp.each(func(en *cpEntry) { serve(en.key) })
+	for key := range e.live {
+		serve(key)
 	}
 	return out
 }
@@ -1066,8 +1076,9 @@ func (e *Engine) Volatile() map[string][]byte {
 // Close ends the run and returns the machine result. On a clean close the
 // feed drains (all epochs persist — the machine's end-of-run drain closes
 // each core's open epoch, so a barrier still owed by writes submitted but
-// never pumped needs no flush here); after a crash the result is a
-// snapshot of the NVRAM image at the crash instant.
+// never pumped needs no flush here, and those writes are settled like any
+// window's); after a crash the result is a snapshot of the NVRAM image at
+// the crash instant.
 func (e *Engine) Close() (*machine.Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1078,7 +1089,9 @@ func (e *Engine) Close() (*machine.Result, error) {
 	if e.crashed {
 		return e.m.Snapshot(), nil
 	}
-	return e.m.Drain()
+	res, err := e.m.Drain()
+	e.clearBatchLocked()
+	return res, err
 }
 
 // pub is one retired publish in its bucket's commit order: the version

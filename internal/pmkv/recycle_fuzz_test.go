@@ -95,3 +95,31 @@ func TestPlantedRecycleEarlyFuzzCases(t *testing.T) {
 		t.Fatalf("planted early recycle rejected in only %d of %d fuzz cases", caught, len(inputs))
 	}
 }
+
+// TestPlantedTranslateOrderWinnerFuzzCase: seed-07 is the smallest scripted
+// case that rejects an engine settling a raced key on the writer it
+// translated last — two sessions, one window, a Put and then a Delete whose
+// head store commits first — and nothing folds before the close, so it is
+// the clean-drain half of check 6, the comparison of what is served with
+// what is recovered, that must speak. The honest engine passes it, through
+// the fuzzer's own scripted and live runs.
+func TestPlantedTranslateOrderWinnerFuzzCase(t *testing.T) {
+	data, ok := fuzzCorpus(t)["seed-07"]
+	if !ok {
+		t.Fatal("seed-07 is not in the corpus")
+	}
+	c := fuzz.CaseFromBytes(data)
+	if ops := pmkv.ScriptOps(c.Spec()); len(ops) != 2 || ops[0].Op != pmkv.Put || ops[1].Op != pmkv.Delete || ops[0].Key != ops[1].Key {
+		t.Fatalf("seed-07 decodes to %+v, want one Put and one Delete of one key", ops)
+	}
+	if f := fuzz.Run(c); f != nil {
+		t.Fatalf("honest engine: %v", f.Err)
+	}
+	if f := fuzz.RunLive(c); f != nil {
+		t.Fatalf("honest live store: %v", f.Err)
+	}
+	err := pmkv.RunScriptSettlingInTranslateOrder(pmkv.Config{Check: true}, c.Spec())
+	if err == nil || !strings.Contains(err.Error(), "where recovery rebuilds") {
+		t.Fatalf("planted engine: %v, want the clean drain's served-against-recovered comparison to reject it", err)
+	}
+}

@@ -15,8 +15,10 @@ import (
 // heapPartition checks that the lines the bump pointer has carved are
 // exactly the live checkpoint entries' spans, the tail Puts' spans and the
 // free spans, each at its class size and none twice — so no span was freed
-// twice, freed while an entry still owns it, or lost — and that no key's
-// current entry (what a GET loads) is on the free list.
+// twice, freed while an entry still owns it, or lost — and that the overlay
+// is a view of the tail: every live record is an unfolded one filed under
+// its own key, and no live Put's entry (what a GET loads) is on the free
+// list.
 func heapPartition(t *testing.T, e *Engine, when string) {
 	t.Helper()
 	bumped := e.Stats().EntryLinesBumped
@@ -37,9 +39,16 @@ func heapPartition(t *testing.T, e *Engine, when string) {
 			claim(first, c, "the free list")
 		}
 	}
-	for key, span := range e.entries {
-		if _, free := owner[span.first]; free {
-			t.Fatalf("%s: %q's current entry %+v is on the free list", when, key, span)
+	if len(e.live) > len(e.tail) {
+		t.Fatalf("%s: %d live records, %d in the tail", when, len(e.live), len(e.tail))
+	}
+	for key, r := range e.live {
+		if i := r.Idx - e.durableCursor; r.Key != key || i < 0 || i >= len(e.tail) || e.tail[i] != r {
+			t.Fatalf("%s: live[%q] is record %d of %q, which is not in the tail (%d records from %d)",
+				when, key, r.Idx, r.Key, len(e.tail), e.durableCursor)
+		}
+		if _, free := owner[r.EntryLine]; free && r.Op == Put {
+			t.Fatalf("%s: %q's live entry at %v is on the free list", when, key, r.EntryLine)
 		}
 	}
 	e.cp.each(func(en *cpEntry) {
@@ -78,13 +87,27 @@ func TestFreeListConservesSpans(t *testing.T) {
 	}
 }
 
-// settle drives the engine until every record issued so far is folded.
+// settle drives the engine until every record issued so far is folded,
+// which leaves the overlay nothing to hold.
 func settle(t *testing.T, e *Engine) {
 	t.Helper()
 	n := e.RecordCount()
 	if d, err := e.WaitDurable(n); err != nil || d != n {
 		t.Fatalf("%d of %d records durable, err %v", d, n, err)
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.live) != 0 {
+		t.Fatalf("everything is folded and %d keys are still served from the overlay", len(e.live))
+	}
+}
+
+// servedSpan is the entry a GET of key would load now.
+func servedSpan(e *Engine, key string) lineSpan {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, _, _, span := e.observedRead(-1, key)
+	return span
 }
 
 // onFreeList counts how many times a span's first line is on the list.
@@ -149,7 +172,7 @@ func TestFreeListRaceLoser(t *testing.T) {
 		if n := onFreeList(e, winner); n != 0 {
 			t.Fatalf("%s: winner's span is on the free list", second.name)
 		}
-		if got := e.entries["k"]; got != winner {
+		if got := servedSpan(e, "k"); got != winner {
 			t.Fatalf("%s: GETs of k would load %+v, the winner's lines are %+v", second.name, got, winner)
 		}
 		heapPartition(t, e, second.name)
@@ -161,7 +184,7 @@ func TestFreeListRaceLoser(t *testing.T) {
 		if _, err := e.Apply([]Request{{Sess: s0, Op: Put, Key: "other", Value: loserVal}}); err != nil {
 			t.Fatal(err)
 		}
-		if got := e.entries["other"]; got != loser || e.nextEntry != bumped {
+		if got := servedSpan(e, "other"); got != loser || e.nextEntry != bumped {
 			t.Fatalf("%s: next Put got %+v (bump pointer moved: %v), want the loser's %+v", second.name, got, e.nextEntry != bumped, loser)
 		}
 		settle(t, e)
@@ -200,7 +223,7 @@ func TestFreeListLIFOAndClasses(t *testing.T) {
 			t.Fatal(err)
 		}
 		settle(t, e)
-		return e.entries[kvs[len(kvs)-1].key]
+		return servedSpan(e, kvs[len(kvs)-1].key)
 	}
 	a, a2, b := put(kv{"a", 64}), put(kv{"a2", 64}), put(kv{"b", 192})
 	if a.n != 1 || a2.n != 1 || b.n != 3 || sizeClass(b.n) != 2 {

@@ -80,6 +80,9 @@ func tornWrite(r *OpRecord, l mem.Line) error {
 //     model has versions, not bytes, so this is how a line recycled before
 //     the publish that stopped naming it was durable shows: check 3's ">="
 //     cannot tell an entry's own store from a later occupant's.
+//  6. The engine serves what recovery rebuilds: the record a key is served
+//     from wins the key when it folds (latched there), and on a clean drain
+//     Volatile — settled online, from TokenVersion — is the image's replay.
 //
 // Every Report count is what a replay of the whole history would print:
 // the checkpoint's running totals plus the tail's.
@@ -185,7 +188,17 @@ func (e *Engine) Verify(res *machine.Result) (*Report, error) {
 		return rep, err
 	}
 	rep.RecoveredKeys = len(state)
-	fp, err := stats.Fingerprint(recoverySnapshot(state))
+	recovered := recoverySnapshot(state)
+	if res.Finished {
+		// An empty pair ends both lists, so one that stops short differs there.
+		served := append(recoverySnapshot(e.Volatile()), [2]string{})
+		for i, r := range append(recovered, [2]string{}) {
+			if s := served[i]; s != r {
+				return rep, fmt.Errorf("pmkv: clean drain: in key order, the store first serves %.40q where recovery rebuilds %.40q", s, r)
+			}
+		}
+	}
+	fp, err := stats.Fingerprint(recovered)
 	if err != nil {
 		return rep, err
 	}

