@@ -5,17 +5,17 @@
 //
 // Usage:
 //
-//	figures [-quick] [-threads N] [-seed S] [-json] [-j N] [-cache DIR] [-verify-determinism] <artifact>
+//	figures [-quick] [-threads N] [-seed S] [-json] [-j N] [-verify-determinism] <artifact>
 //
 // Artifacts: table1 table2 fig1 fig4 fig11 fig12 fig13 fig14 flushmode
 // writethrough conflictkinds ablations all
 //
 // Every artifact is a sweep of independent simulations; -j sets the
-// worker-pool parallelism (default GOMAXPROCS), -cache reuses per-run
-// summaries across invocations and artifacts (fig11, fig12, and
-// conflictkinds share the same underlying runs), and -verify-determinism
+// worker-pool parallelism (default GOMAXPROCS) and -verify-determinism
 // re-executes every run serially and fails on any divergence from the
-// pooled run. Output is byte-identical at every -j setting.
+// pooled run. Output is byte-identical at every -j setting. fig11, fig12
+// and conflictkinds are three views of one grid of runs, which "all"
+// simulates once.
 //
 // With -json, each artifact is emitted as a machine-readable document
 // {"artifact", "tables", "notes"} instead of ASCII tables; "all" emits a
@@ -29,6 +29,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 
 	"persistbarriers/internal/harness"
 	"persistbarriers/internal/profiling"
@@ -43,7 +44,6 @@ func main() {
 	appOps := flag.Int("appops", 0, "override app-model memory ops per thread")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of ASCII tables")
 	parallel := flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulations per sweep (worker-pool size)")
-	cacheDir := flag.String("cache", "", "cache per-run summaries (content-addressed) in this directory")
 	verifyDet := flag.Bool("verify-determinism", false, "run every sweep job twice (parallel + serial) and fail on divergence")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (pprof) to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (pprof) to this file on exit")
@@ -93,7 +93,6 @@ func main() {
 		opt.AppOps = *appOps
 	}
 	opt.Parallelism = *parallel
-	opt.CacheDir = *cacheDir
 	opt.VerifyDeterminism = *verifyDet
 
 	name := flag.Arg(0)
@@ -120,8 +119,9 @@ func main() {
 	}
 
 	var docs []artifactDoc
+	bep := sync.OnceValues(func() (*harness.BEPResults, error) { return harness.RunBEP(opt) })
 	for _, a := range names {
-		doc, err := runArtifact(a, opt)
+		doc, err := runArtifact(a, opt, bep)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", a, err)
 			profiling.Exit(1)
@@ -171,7 +171,9 @@ type artifactDoc struct {
 }
 
 // runArtifact computes one artifact and returns its tables and notes.
-func runArtifact(name string, opt harness.Options) (artifactDoc, error) {
+// bep is the grid of runs fig11, fig12 and conflictkinds all render,
+// simulated once, by whichever of them comes first.
+func runArtifact(name string, opt harness.Options, bep func() (*harness.BEPResults, error)) (artifactDoc, error) {
 	doc := artifactDoc{Artifact: name}
 	add := func(ts ...*stats.Table) {
 		for _, t := range ts {
@@ -202,7 +204,7 @@ func runArtifact(name string, opt harness.Options) (artifactDoc, error) {
 		}
 		add(r.Table())
 	case "fig11", "fig12", "conflictkinds":
-		r, err := harness.RunBEP(opt)
+		r, err := bep()
 		if err != nil {
 			return doc, err
 		}

@@ -11,12 +11,13 @@
 // prints the run summary as machine-readable JSON on stdout. Failure
 // diagnostics go to stderr so stdout stays parseable.
 //
-// Repeat mode: -repeat N runs the same configuration N times with seeds
+// Every invocation is a sweep of -repeat N runs (default 1) with seeds
 // seed, seed+1, ..., seed+N-1 fanned across the -j worker pool (the
-// harness sweep engine), printing one summary line per run in seed order
-// — or a JSON array of run summaries with -json. Observability exports
-// stay per-run: with -trace/-metrics each run gets its own private probe
-// and its own output file (a ".seedN" suffix is inserted before the
+// harness sweep engine). One run prints the full summary, or one JSON
+// document with -json; more print one summary line per run in seed order,
+// or a JSON array. Observability exports stay per-run: with
+// -trace/-metrics each run gets its own private probe and, when N > 1,
+// its own output file (a ".seedN" suffix is inserted before the
 // extension), so concurrent machines never share a sink.
 //
 // Examples:
@@ -94,6 +95,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "persistsim: -bulk must be >= 0, got %d\n", *bulk)
 		profiling.Exit(2)
 	}
+	if *logging && *bulk == 0 {
+		fmt.Fprintln(os.Stderr, "persistsim: -logging requires -bulk (undo logging belongs to hardware epochs)")
+		profiling.Exit(2)
+	}
+	if *repeat < 1 {
+		fmt.Fprintf(os.Stderr, "persistsim: -repeat must be >= 1, got %d\n", *repeat)
+		profiling.Exit(2)
+	}
 
 	cfg := machine.DefaultConfig()
 	cfg.Cores = *threads
@@ -132,104 +141,145 @@ func main() {
 	if *clflush {
 		cfg.FlushMode = cache.Invalidating
 	}
-
-	if *repeat < 1 {
-		fmt.Fprintln(os.Stderr, "persistsim: -repeat must be >= 1")
-		profiling.Exit(2)
-	}
-	if *repeat > 1 {
-		runRepeat(cfg, *wl, *threads, *ops, *seed, *repeat, *parallel,
-			*traceOut, *metricsOut, *window, *jsonOut, *verbose)
-		return
-	}
-
-	var (
-		tracer  *obs.ChromeTracer
-		sampler *obs.Sampler
-		sinks   []obs.Sink
-	)
-	if *traceOut != "" {
-		tracer = obs.NewChromeTracer()
-		sinks = append(sinks, tracer)
-	}
-	if *metricsOut != "" {
-		sampler = obs.NewSampler(sim.Cycle(*window))
-		sinks = append(sinks, sampler)
-	}
-	if len(sinks) > 0 {
-		cfg.Probe = obs.NewProbe(sinks...)
-	}
-
-	spec := workload.Spec{Threads: *threads, OpsPerThread: *ops, Seed: *seed}
-	var p *trace.Program
-	var err error
-	if gen, ok := workload.Microbenchmarks()[*wl]; ok {
-		p, err = gen(spec)
-	} else if prof, ok := workload.Apps()[*wl]; ok {
-		p, err = prof.Generate(spec)
-	} else {
+	gen, isMicro := workload.Microbenchmarks()[*wl]
+	prof, isApp := workload.Apps()[*wl]
+	if !isMicro && !isApp {
 		fmt.Fprintf(os.Stderr, "persistsim: unknown workload %q\n", *wl)
 		profiling.Exit(2)
 	}
+
+	// One sweep job per seed, -repeat 1 included. Each job gets its own
+	// machine config and, when exporting, its own probe and sinks: machines
+	// run concurrently and an event stream shared across runs would
+	// interleave.
+	type run struct {
+		spec    workload.Spec
+		prog    *trace.Program // what Gen last generated
+		tracer  *obs.ChromeTracer
+		sampler *obs.Sampler
+	}
+	runs := make([]run, *repeat)
+	jobs := make([]harness.Job, *repeat)
+	for i := range runs {
+		rn := &runs[i]
+		rn.spec = workload.Spec{Threads: *threads, OpsPerThread: *ops, Seed: *seed + uint64(i)}
+		jcfg := cfg
+		var sinks []obs.Sink
+		if *traceOut != "" {
+			rn.tracer = obs.NewChromeTracer()
+			sinks = append(sinks, rn.tracer)
+		}
+		if *metricsOut != "" {
+			rn.sampler = obs.NewSampler(sim.Cycle(*window))
+			sinks = append(sinks, rn.sampler)
+		}
+		if len(sinks) > 0 {
+			jcfg.Probe = obs.NewProbe(sinks...)
+		}
+		jobs[i] = harness.Job{
+			Key: fmt.Sprintf("%s/seed=%d", *wl, rn.spec.Seed),
+			Cfg: jcfg,
+			Gen: func() (p *trace.Program, err error) {
+				if isMicro {
+					p, err = gen(rn.spec)
+				} else {
+					p, err = prof.Generate(rn.spec)
+				}
+				rn.prog = p
+				return p, err
+			},
+		}
+	}
+	results, err := harness.Sweep(jobs, harness.SweepOptions{Parallelism: *parallel, AllowDeadlock: true})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "persistsim:", err)
 		profiling.Exit(1)
 	}
 
-	m, err := machine.New(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "persistsim:", err)
-		profiling.Exit(1)
-	}
-	if err := m.Load(p); err != nil {
-		fmt.Fprintln(os.Stderr, "persistsim:", err)
-		profiling.Exit(1)
-	}
-	r, err := m.Run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "persistsim:", err)
-		profiling.Exit(1)
-	}
-
-	// Exports are written even for deadlocked runs — a trace of the
-	// cycle the machine wedged at is exactly the debugging artifact.
-	if tracer != nil {
-		if err := writeFile(*traceOut, tracer.Export); err != nil {
-			fmt.Fprintln(os.Stderr, "persistsim:", err)
-			profiling.Exit(1)
+	// A lone run writes the file it was given; a repeat tags each with its
+	// seed.
+	exportPath := func(path string, seed uint64) string {
+		if *repeat == 1 {
+			return path
 		}
+		return seedPath(path, seed)
 	}
-	if sampler != nil {
-		export := sampler.WriteCSV
-		if strings.HasSuffix(*metricsOut, ".json") {
-			export = sampler.WriteJSON
+	deadlocked := false
+	var summaries []runSummary
+	for i, r := range results {
+		rn := &runs[i]
+		// Exports are written even for deadlocked runs — a trace of the
+		// cycle the machine wedged at is exactly the debugging artifact.
+		if rn.tracer != nil {
+			if err := writeFile(exportPath(*traceOut, rn.spec.Seed), rn.tracer.Export); err != nil {
+				fmt.Fprintln(os.Stderr, "persistsim:", err)
+				profiling.Exit(1)
+			}
 		}
-		if err := writeFile(*metricsOut, export); err != nil {
-			fmt.Fprintln(os.Stderr, "persistsim:", err)
-			profiling.Exit(1)
+		if rn.sampler != nil {
+			export := rn.sampler.WriteCSV
+			if strings.HasSuffix(*metricsOut, ".json") {
+				export = rn.sampler.WriteJSON
+			}
+			if err := writeFile(exportPath(*metricsOut, rn.spec.Seed), export); err != nil {
+				fmt.Fprintln(os.Stderr, "persistsim:", err)
+				profiling.Exit(1)
+			}
 		}
-	}
-
-	if *jsonOut {
-		printJSON(os.Stdout, *wl, spec, p, cfg, r)
 		if r.Deadlocked {
-			fmt.Fprintln(os.Stderr, "persistsim: DEADLOCKED (see §3.3 — enable splitting or fix barrier placement)")
+			// Diagnostics go to stderr so stdout stays machine-parseable.
+			deadlocked = true
+			fmt.Fprintf(os.Stderr, "persistsim: seed %d DEADLOCKED (see §3.3 — enable splitting or fix barrier placement)\n", rn.spec.Seed)
+		}
+		switch {
+		case *jsonOut:
+			summaries = append(summaries, buildSummary(*wl, rn.spec, rn.prog, cfg, r))
+		case *repeat == 1:
+			printRun(*wl, rn.spec, rn.prog, cfg, r, *verbose)
+		default:
+			status := ""
+			if r.Deadlocked {
+				status = "  DEADLOCKED"
+			}
+			fmt.Printf("seed %-6d %s  %12d cycles  %6d tx (%.3f/kcyc)  %6d epochs  %5.1f%% conflicting%s\n",
+				rn.spec.Seed, r.Barrier, uint64(r.ExecCycles), r.Transactions, r.Throughput(),
+				r.Epochs.Persisted, 100*r.Epochs.ConflictingFraction(), status)
+			if *verbose {
+				fmt.Printf("           conflicts: %d intra, %d inter, %d eviction; %d line persists\n",
+					r.Conflicts.Intra, r.Conflicts.Inter, r.Conflicts.Eviction, r.PersistedLines)
+			}
+		}
+	}
+	if *jsonOut {
+		// One run is a document, a repeat an array of them.
+		var doc any = summaries
+		if *repeat == 1 {
+			doc = &summaries[0]
+		}
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(doc); err != nil {
+			fmt.Fprintln(os.Stderr, "persistsim:", err)
 			profiling.Exit(1)
 		}
-		return
 	}
+	if deadlocked {
+		profiling.Exit(1)
+	}
+}
 
+// printRun renders one run's text summary; a deadlocked run has no
+// numbers past its configuration.
+func printRun(wl string, spec workload.Spec, p *trace.Program, cfg machine.Config, r *machine.Result, verbose bool) {
 	fmt.Printf("workload:        %s (%d threads x %d ops, %d trace ops, %d stores)\n",
-		*wl, *threads, *ops, p.Ops(), p.Stores())
+		wl, spec.Threads, spec.OpsPerThread, p.Ops(), p.Stores())
 	fmt.Printf("barrier:         %s", r.Barrier)
 	if cfg.BulkEpochStores > 0 {
 		fmt.Printf(" (bulk BSP, %d stores/epoch, logging=%v)", cfg.BulkEpochStores, cfg.Logging)
 	}
 	fmt.Println()
 	if r.Deadlocked {
-		// Diagnostics go to stderr so stdout stays machine-parseable.
-		fmt.Fprintln(os.Stderr, "persistsim: DEADLOCKED (see §3.3 — enable splitting or fix barrier placement)")
-		profiling.Exit(1)
+		return
 	}
 	fmt.Printf("exec cycles:     %d (drain at %d)\n", r.ExecCycles, r.DrainCycles)
 	fmt.Printf("transactions:    %d (%.3f per kilocycle)\n", r.Transactions, r.Throughput())
@@ -241,122 +291,11 @@ func main() {
 		r.PersistedLines, r.LogWrites, r.MC.Reads)
 	fmt.Printf("caches:          L1 %.1f%% hit, LLC %.1f%% hit\n",
 		stats.HitPct(r.L1.Hits, r.L1.Misses), stats.HitPct(r.LLC.Hits, r.LLC.Misses))
-	if *verbose {
+	if verbose {
 		fmt.Println("stalls (cycles summed over cores):")
 		for cause := machine.StallIntra; cause <= machine.StallWriteBuffer; cause++ {
 			fmt.Printf("  %-14s %d\n", cause, r.StallTotal(cause))
 		}
-	}
-}
-
-// runRepeat executes the same configuration n times with consecutive
-// seeds through the harness sweep engine, keeping observability sinks
-// private per run and reporting results in seed order.
-func runRepeat(cfg machine.Config, wl string, threads, ops int, seed uint64, n, parallel int, traceOut, metricsOut string, window uint64, jsonOut, verbose bool) {
-	gen, isMicro := workload.Microbenchmarks()[wl]
-	prof, isApp := workload.Apps()[wl]
-	if !isMicro && !isApp {
-		fmt.Fprintf(os.Stderr, "persistsim: unknown workload %q\n", wl)
-		profiling.Exit(2)
-	}
-	type probeSet struct {
-		tracer  *obs.ChromeTracer
-		sampler *obs.Sampler
-	}
-	probes := make([]probeSet, n)
-	specs := make([]workload.Spec, n)
-	jobs := make([]harness.Job, n)
-	for i := 0; i < n; i++ {
-		spec := workload.Spec{Threads: threads, OpsPerThread: ops, Seed: seed + uint64(i)}
-		specs[i] = spec
-		// Each job gets its own machine config and, when exporting, its
-		// own probe + sinks: machines run concurrently and an event
-		// stream shared across runs would interleave.
-		jcfg := cfg
-		var sinks []obs.Sink
-		if traceOut != "" {
-			probes[i].tracer = obs.NewChromeTracer()
-			sinks = append(sinks, probes[i].tracer)
-		}
-		if metricsOut != "" {
-			probes[i].sampler = obs.NewSampler(sim.Cycle(window))
-			sinks = append(sinks, probes[i].sampler)
-		}
-		if len(sinks) > 0 {
-			jcfg.Probe = obs.NewProbe(sinks...)
-		}
-		jobs[i] = harness.Job{
-			Key:     fmt.Sprintf("%s/seed=%d", wl, spec.Seed),
-			TraceID: fmt.Sprintf("%s/threads=%d/ops=%d/seed=%d", wl, threads, ops, spec.Seed),
-			Cfg:     jcfg,
-			Gen: func() (*trace.Program, error) {
-				if isMicro {
-					return gen(spec)
-				}
-				return prof.Generate(spec)
-			},
-		}
-	}
-	results, err := harness.Sweep(jobs, harness.SweepOptions{Parallelism: parallel, AllowDeadlock: true})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "persistsim:", err)
-		profiling.Exit(1)
-	}
-
-	deadlocked := false
-	var summaries []runSummary
-	for i, r := range results {
-		if probes[i].tracer != nil {
-			if err := writeFile(seedPath(traceOut, specs[i].Seed), probes[i].tracer.Export); err != nil {
-				fmt.Fprintln(os.Stderr, "persistsim:", err)
-				profiling.Exit(1)
-			}
-		}
-		if probes[i].sampler != nil {
-			export := probes[i].sampler.WriteCSV
-			if strings.HasSuffix(metricsOut, ".json") {
-				export = probes[i].sampler.WriteJSON
-			}
-			if err := writeFile(seedPath(metricsOut, specs[i].Seed), export); err != nil {
-				fmt.Fprintln(os.Stderr, "persistsim:", err)
-				profiling.Exit(1)
-			}
-		}
-		if r.Deadlocked {
-			deadlocked = true
-			fmt.Fprintf(os.Stderr, "persistsim: seed %d DEADLOCKED (see §3.3 — enable splitting or fix barrier placement)\n", specs[i].Seed)
-		}
-		if jsonOut {
-			p, err := jobs[i].Gen()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "persistsim:", err)
-				profiling.Exit(1)
-			}
-			summaries = append(summaries, buildSummary(wl, specs[i], p, cfg, r))
-			continue
-		}
-		status := ""
-		if r.Deadlocked {
-			status = "  DEADLOCKED"
-		}
-		fmt.Printf("seed %-6d %s  %12d cycles  %6d tx (%.3f/kcyc)  %6d epochs  %5.1f%% conflicting%s\n",
-			specs[i].Seed, r.Barrier, uint64(r.ExecCycles), r.Transactions, r.Throughput(),
-			r.Epochs.Persisted, 100*r.Epochs.ConflictingFraction(), status)
-		if verbose {
-			fmt.Printf("           conflicts: %d intra, %d inter, %d eviction; %d line persists\n",
-				r.Conflicts.Intra, r.Conflicts.Inter, r.Conflicts.Eviction, r.PersistedLines)
-		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(summaries); err != nil {
-			fmt.Fprintln(os.Stderr, "persistsim:", err)
-			profiling.Exit(1)
-		}
-	}
-	if deadlocked {
-		profiling.Exit(1)
 	}
 }
 
@@ -429,16 +368,6 @@ type runSummary struct {
 	} `json:"caches"`
 
 	Stalls map[string]uint64 `json:"stalls"`
-}
-
-func printJSON(w *os.File, wl string, spec workload.Spec, p *trace.Program, cfg machine.Config, r *machine.Result) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	s := buildSummary(wl, spec, p, cfg, r)
-	if err := enc.Encode(&s); err != nil {
-		fmt.Fprintln(os.Stderr, "persistsim:", err)
-		profiling.Exit(1)
-	}
 }
 
 // buildSummary flattens one run into the -json schema.

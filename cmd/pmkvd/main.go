@@ -3,8 +3,9 @@
 // documents the wire protocols, the drain and the report. With -shards N
 // the keyspace is partitioned by a stable hash across N independent
 // simulated machines, each owned by one worker goroutine running a
-// pipelined group commit; a client's ack is released only when the
-// shard's durable-prefix watermark covers its write.
+// group commit (what is queued, up to -maxbatch, is one commit window); a
+// client's ack is released only when the shard's durable-prefix watermark
+// covers its write.
 //
 // On SIGINT/SIGTERM the server drains, verifies every shard and prints
 // the per-shard and combined report. With -crash-at N every shard loses

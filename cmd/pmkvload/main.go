@@ -229,7 +229,6 @@ type ServerShard struct {
 	QueueDepth int     `json:"queue_depth"`
 	Batches    uint64  `json:"batches"`
 	AvgBatch   float64 `json:"avg_batch"`
-	BatchLimit int     `json:"batch_limit"`
 }
 
 // scrapeStages pulls the pooled server-side stage breakdown and the
@@ -560,7 +559,10 @@ func runBinaryConn(addr string, id int, deadline time.Time, interval time.Durati
 // (Percentile values have since become finer — bucket bounds at most
 // 12.5 % above the sample rather than the next power of two — with no
 // field added, renamed or removed.)
-const summarySchemaVersion = 4
+//
+// v5: server_shards[] loses its batch-limit field with the server's
+// adaptive limit; a batch is bounded by pmkvd's -maxbatch alone.
+const summarySchemaVersion = 5
 
 // KindSummary is one op kind's slice of the latency numbers (read =
 // gets; write = puts and deletes).
@@ -759,7 +761,7 @@ func report(stats []connStats, elapsed time.Duration, conns int, protoName strin
 			if i > 0 {
 				fmt.Printf(" | ")
 			}
-			fmt.Printf("%d: %d batches avg=%.1f limit=%d", sh.Shard, sh.Batches, sh.AvgBatch, sh.BatchLimit)
+			fmt.Printf("%d: %d batches avg=%.1f", sh.Shard, sh.Batches, sh.AvgBatch)
 		}
 		fmt.Println()
 	}

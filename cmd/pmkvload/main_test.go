@@ -51,8 +51,8 @@ func TestSummarySchemaLocked(t *testing.T) {
 	}
 
 	var ver int
-	if err := json.Unmarshal(m["schema_version"], &ver); err != nil || ver != 4 {
-		t.Fatalf("schema_version = %s, want 4", m["schema_version"])
+	if err := json.Unmarshal(m["schema_version"], &ver); err != nil || ver != 5 {
+		t.Fatalf("schema_version = %s, want 5", m["schema_version"])
 	}
 
 	kindWant := []string{
@@ -89,7 +89,7 @@ func TestSummarySchemaLocked(t *testing.T) {
 	if err := json.Unmarshal(m["server_shards"], &shards); err != nil || len(shards) != 1 {
 		t.Fatalf("server_shards malformed: %s", m["server_shards"])
 	}
-	for _, k := range []string{"shard", "queue_depth", "batches", "avg_batch", "batch_limit"} {
+	for _, k := range []string{"shard", "queue_depth", "batches", "avg_batch"} {
 		if _, ok := shards[0][k]; !ok {
 			t.Fatalf("server_shards entry missing %q: %s", k, m["server_shards"])
 		}

@@ -36,15 +36,16 @@ func RunFig7() (*Fig7Result, error) {
 	// Bank = line % 2: line 0 (A) -> bank 0, lines 1 (B) and 3 (C) ->
 	// bank 1.
 	lineA, lineB, lineC := mem.Addr(0), mem.Addr(64), mem.Addr(192)
-	var t0 trace.Builder
-	t0.Store(lineA).Store(lineB).Barrier() // epoch E1 = {A, B}
-	t0.Store(lineC).Barrier()              // epoch E2 = {C}
-	p := &trace.Program{Traces: [][]trace.Op{t0.Ops()}}
-
-	r, err := runOne(cfg, p)
+	results, err := Sweep([]Job{kernelJob("fig7", cfg, func() *trace.Program {
+		var t0 trace.Builder
+		t0.Store(lineA).Store(lineB).Barrier() // epoch E1 = {A, B}
+		t0.Store(lineC).Barrier()              // epoch E2 = {C}
+		return &trace.Program{Traces: [][]trace.Op{t0.Ops()}}
+	})}, SweepOptions{})
 	if err != nil {
 		return nil, err
 	}
+	r := results[0]
 	out := &Fig7Result{}
 	persist := map[mem.Line]uint64{}
 	for _, ev := range r.PersistLog {

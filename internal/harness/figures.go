@@ -40,6 +40,7 @@ func RunFig1() (*Fig1Result, error) {
 		LastAck:  make(map[string]uint64),
 		Persists: make(map[string]uint64),
 	}
+	var jobs []Job
 	for _, name := range out.Models {
 		cfg := machine.DefaultConfig()
 		cfg.Cores = 1
@@ -52,10 +53,14 @@ func RunFig1() (*Fig1Result, error) {
 		default:
 			cfg.Model = machine.LB
 		}
-		r, err := runOne(cfg, fig1Program())
-		if err != nil {
-			return nil, err
-		}
+		jobs = append(jobs, kernelJob("fig1/"+name, cfg, fig1Program))
+	}
+	results, err := Sweep(jobs, SweepOptions{})
+	if err != nil {
+		return nil, err
+	}
+	for i, name := range out.Models {
+		r := results[i]
 		out.Exec[name] = uint64(r.ExecCycles)
 		out.Persists[name] = r.PersistedLines
 		var last uint64
@@ -113,14 +118,14 @@ func fig4Program() *trace.Program {
 
 // RunFig4 measures the conflicting request's cost without and with IDT.
 func RunFig4() (*Fig4Result, error) {
-	lb, err := runOne(bepConfig(2, false, false), fig4Program())
+	results, err := Sweep([]Job{
+		kernelJob("fig4/LB", bepConfig(2, false, false), fig4Program),
+		kernelJob("fig4/LB+IDT", bepConfig(2, true, false), fig4Program),
+	}, SweepOptions{})
 	if err != nil {
 		return nil, err
 	}
-	idt, err := runOne(bepConfig(2, true, false), fig4Program())
-	if err != nil {
-		return nil, err
-	}
+	lb, idt := results[0], results[1]
 	return &Fig4Result{
 		ExecLB:   uint64(lb.ExecCycles),
 		ExecIDT:  uint64(idt.ExecCycles),

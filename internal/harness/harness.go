@@ -38,10 +38,6 @@ type Options struct {
 	// entry point. <= 0 means GOMAXPROCS. Results are identical at any
 	// setting — runs are independent and collected in submission order.
 	Parallelism int
-	// CacheDir, when non-empty, caches per-run summaries keyed by the
-	// (config, trace) content hash, so regenerating one figure does not
-	// re-simulate runs another figure already paid for.
-	CacheDir string
 	// VerifyDeterminism re-executes every sweep job serially and fails
 	// on any divergence from the pooled run (see SweepOptions).
 	VerifyDeterminism bool
@@ -84,6 +80,11 @@ func (o Options) validate() error {
 	if o.BulkEpoch <= 0 {
 		return fmt.Errorf("harness: BulkEpoch must be positive")
 	}
+	for _, size := range o.EpochSizes {
+		if size <= 0 {
+			return fmt.Errorf("harness: EpochSizes must be positive, got %d", size)
+		}
+	}
 	return nil
 }
 
@@ -121,23 +122,10 @@ func variantFlags(name string) (idt, pf bool, err error) {
 	}
 }
 
-// runOne executes a program on a machine built from cfg.
-func runOne(cfg machine.Config, p *trace.Program) (*machine.Result, error) {
-	m, err := machine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Load(p); err != nil {
-		return nil, err
-	}
-	r, err := m.Run()
-	if err != nil {
-		return nil, err
-	}
-	if r.Deadlocked {
-		return nil, fmt.Errorf("harness: %s run deadlocked", cfg.BarrierName())
-	}
-	return r, nil
+// kernelJob builds one sweep job over a hand-written kernel (Figures 1, 4
+// and 7).
+func kernelJob(key string, cfg machine.Config, kernel func() *trace.Program) Job {
+	return Job{Key: key, Cfg: cfg, Gen: func() (*trace.Program, error) { return kernel(), nil }}
 }
 
 // microProgram regenerates a micro-benchmark trace (each run needs a fresh
@@ -163,8 +151,6 @@ func appProgram(name string, opt Options) (*trace.Program, error) {
 func microJob(key, bench string, opt Options, cfg machine.Config) Job {
 	return Job{
 		Key: key,
-		TraceID: fmt.Sprintf("micro:%s/threads=%d/ops=%d/seed=%d",
-			bench, opt.Threads, opt.MicroOps, opt.Seed),
 		Cfg: cfg,
 		Gen: func() (*trace.Program, error) { return microProgram(bench, opt) },
 	}
@@ -174,8 +160,6 @@ func microJob(key, bench string, opt Options, cfg machine.Config) Job {
 func appJob(key, app string, opt Options, cfg machine.Config) Job {
 	return Job{
 		Key: key,
-		TraceID: fmt.Sprintf("app:%s/threads=%d/ops=%d/seed=%d",
-			app, opt.Threads, opt.AppOps, opt.Seed),
 		Cfg: cfg,
 		Gen: func() (*trace.Program, error) { return appProgram(app, opt) },
 	}

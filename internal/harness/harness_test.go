@@ -24,6 +24,7 @@ func TestOptionsValidate(t *testing.T) {
 		{Threads: 64, MicroOps: 1, AppOps: 1, BulkEpoch: 1},
 		{Threads: 4, MicroOps: 0, AppOps: 1, BulkEpoch: 1},
 		{Threads: 4, MicroOps: 1, AppOps: 1, BulkEpoch: 0},
+		{Threads: 4, MicroOps: 1, AppOps: 1, BulkEpoch: 1, EpochSizes: []int{300, 0}},
 	}
 	for i, o := range bad {
 		if err := o.validate(); err == nil {

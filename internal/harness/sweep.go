@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -21,11 +18,6 @@ import (
 type Job struct {
 	// Key names the job in error messages and logs ("queue/LB++").
 	Key string
-	// TraceID canonically describes the program Gen regenerates
-	// ("micro:queue/threads=8/ops=15/seed=42"); together with the config
-	// fingerprint it forms the cache identity, so it must capture every
-	// input that shapes the trace.
-	TraceID string
 	// Cfg is the machine configuration. Cfg.Probe, when set, must be
 	// private to this job: probes receive the machine's event stream and
 	// sharing one across concurrent runs would interleave streams.
@@ -38,15 +30,9 @@ type Job struct {
 type SweepOptions struct {
 	// Parallelism is the worker count; <= 0 means GOMAXPROCS.
 	Parallelism int
-	// CacheDir, when non-empty, is a directory of content-addressed run
-	// summaries: a job whose (config, trace) hash is present is loaded
-	// instead of simulated. Only probe-free, history-free runs are
-	// cacheable (see cacheable).
-	CacheDir string
 	// VerifyDeterminism re-executes every job serially after the pooled
 	// pass and fails on any divergence between the two Results — the
 	// bit-for-bit guarantee the recovery checker and golden tests assume.
-	// The cache is bypassed so both passes really simulate.
 	VerifyDeterminism bool
 	// AllowDeadlock returns deadlocked Results to the caller instead of
 	// failing the sweep (cmd/persistsim reports them per run).
@@ -72,7 +58,6 @@ func (o SweepOptions) workers(n int) int {
 func (o Options) sweepOptions() SweepOptions {
 	return SweepOptions{
 		Parallelism:       o.Parallelism,
-		CacheDir:          o.CacheDir,
 		VerifyDeterminism: o.VerifyDeterminism,
 	}
 }
@@ -142,16 +127,8 @@ func verifyDeterminism(jobs []Job, pooled []*machine.Result, opt SweepOptions) e
 	return nil
 }
 
-// runJob executes (or loads from cache) one job.
+// runJob simulates one job.
 func runJob(job Job, opt SweepOptions) (*machine.Result, error) {
-	useCache := opt.CacheDir != "" && !opt.VerifyDeterminism && cacheable(job.Cfg)
-	var path string
-	if useCache {
-		path = filepath.Join(opt.CacheDir, cacheKey(job)+".json")
-		if r, ok := loadCached(path); ok {
-			return r, nil
-		}
-	}
 	p, err := job.Gen()
 	if err != nil {
 		return nil, err
@@ -170,75 +147,5 @@ func runJob(job Job, opt SweepOptions) (*machine.Result, error) {
 	if r.Deadlocked && !opt.AllowDeadlock {
 		return nil, fmt.Errorf("harness: %s run deadlocked", job.Cfg.BarrierName())
 	}
-	if useCache && r.Finished {
-		storeCached(path, r)
-	}
 	return r, nil
-}
-
-// cacheable rejects configurations whose Results carry material the cache
-// does not replay (probe event streams, recovery histories, per-op
-// timelines, debug traces).
-func cacheable(cfg machine.Config) bool {
-	return cfg.Probe == nil && !cfg.RecordHistory && !cfg.RecordOpTimes && cfg.DebugLine == 0
-}
-
-// cacheFormat versions the cached-Result schema; bump it whenever
-// machine.Result changes shape so stale entries miss instead of
-// deserializing into garbage.
-const cacheFormat = "v1"
-
-// cacheKey is the content hash of everything that determines a job's
-// Result: the full machine configuration and the canonical trace
-// descriptor.
-func cacheKey(job Job) string {
-	cfg := job.Cfg
-	cfg.Probe = nil
-	return stats.MustFingerprint(struct {
-		Format string
-		Cfg    machine.Config
-		Trace  string
-	}{cacheFormat, cfg, job.TraceID})
-}
-
-// loadCached reads one cached Result; any failure (missing, truncated,
-// schema drift) is a cache miss, never an error.
-func loadCached(path string) (*machine.Result, bool) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	var r machine.Result
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, false
-	}
-	return &r, true
-}
-
-// storeCached writes the Result atomically (temp file + rename) so
-// concurrent workers and interrupted runs can never leave a torn entry.
-// Cache writes are best-effort: a read-only directory degrades to
-// simulation, not failure.
-func storeCached(path string, r *machine.Result) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
-	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".sweep-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-	}
 }

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -107,7 +105,7 @@ func TestSweepDeadlockPolicy(t *testing.T) {
 		t1.Store(64).Compute(100).Load(0).Store(192)
 		return &trace.Program{Traces: [][]trace.Op{t0.Ops(), t1.Ops()}}, nil
 	}
-	jobs := []Job{{Key: "fig5", TraceID: "fig5-kernel", Cfg: cfg, Gen: gen}}
+	jobs := []Job{{Key: "fig5", Cfg: cfg, Gen: gen}}
 	if _, err := Sweep(jobs, SweepOptions{}); err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("deadlocked job did not fail the sweep: %v", err)
 	}
@@ -117,53 +115,6 @@ func TestSweepDeadlockPolicy(t *testing.T) {
 	}
 	if !rs[0].Deadlocked {
 		t.Fatal("AllowDeadlock result not flagged Deadlocked")
-	}
-}
-
-// TestSweepCache: a second sweep over a warm cache returns bit-identical
-// results without simulating, corrupt entries degrade to misses, and
-// probe/history-carrying configs are never cached.
-func TestSweepCache(t *testing.T) {
-	opt := tinyOpt()
-	dir := t.TempDir()
-	so := SweepOptions{Parallelism: 4, CacheDir: dir}
-	cold, err := Sweep(testJobs(opt), so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(entries) != len(testJobs(opt)) {
-		t.Fatalf("cache entries = %d (%v), want %d", len(entries), err, len(testJobs(opt)))
-	}
-	warm, err := Sweep(testJobs(opt), so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc, fw := fingerprints(t, cold), fingerprints(t, warm)
-	for i := range fc {
-		if fc[i] != fw[i] {
-			t.Fatalf("job %d: cached result differs from simulated", i)
-		}
-	}
-	// Corruption is a miss, not a failure.
-	if err := os.WriteFile(entries[0], []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Sweep(testJobs(opt), so); err != nil {
-		t.Fatalf("corrupt cache entry failed the sweep: %v", err)
-	}
-	// History-recording configs must bypass the cache (their Results
-	// carry material the cache does not replay).
-	histDir := t.TempDir()
-	jobs := testJobs(opt)
-	for i := range jobs {
-		jobs[i].Cfg.RecordHistory = true
-	}
-	if _, err := Sweep(jobs, SweepOptions{CacheDir: histDir}); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := filepath.Glob(filepath.Join(histDir, "*.json")); len(got) != 0 {
-		t.Fatalf("history-recording runs were cached: %v", got)
 	}
 }
 

@@ -269,6 +269,57 @@ func TestReadFastPathServesDurableWrites(t *testing.T) {
 	}
 }
 
+// TestReadFallbackReasons: a GET that leaves the fast path is counted
+// under the first reason DoAsync found — the session's own unacked write,
+// the drain, the crash — and the reasons sum to the fallback count.
+func TestReadFallbackReasons(t *testing.T) {
+	store, err := NewSharded(ShardedConfig{Engine: Config{CrashAt: 3_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, want ReadFallbacks) {
+		t.Helper()
+		m := store.Metrics()[0]
+		if m.FallbackReasons != want || m.FastFallbacks != want.Pending+want.Draining+want.Crashed {
+			t.Fatalf("%s: reasons %+v summing to %d, want %+v", step, m.FallbackReasons, m.FastFallbacks, want)
+		}
+	}
+	writer, reader := store.NewSession(), store.NewSession()
+	if ack := store.Do(reader, Get, "k", nil); !ack.Fast {
+		t.Fatalf("fresh-store get = %+v, want the fast path", ack)
+	}
+	check("fast hit", ReadFallbacks{})
+
+	// A write in flight, as the counter DoAsync raises before the mailbox
+	// send: the session's own GET must go behind it.
+	writer.pending[0].Add(1)
+	if ack := store.Do(writer, Get, "k", nil); ack.Fast || ack.Err != nil {
+		t.Fatalf("get behind the session's own write = %+v, want the mailbox", ack)
+	}
+	writer.pending[0].Add(-1)
+	check("own write pending", ReadFallbacks{Pending: 1})
+
+	for i := 0; !store.Crashed(); i++ {
+		if i > 10_000 {
+			t.Fatal("crash instant never reached")
+		}
+		store.Do(writer, Put, fmt.Sprintf("k%d", i%8), []byte("v"))
+	}
+	if ack := store.Do(reader, Get, "k", nil); ack.Fast || ack.Err != ErrCrashed {
+		t.Fatalf("get after the crash = %+v, want the mailbox's refusal", ack)
+	}
+	check("crashed", ReadFallbacks{Pending: 1, Crashed: 1})
+
+	store.BeginDrain()
+	if ack := store.Do(reader, Get, "k", nil); ack.Err != ErrDraining {
+		t.Fatalf("get after BeginDrain = %+v, want ErrDraining", ack)
+	}
+	check("draining", ReadFallbacks{Pending: 1, Draining: 1, Crashed: 1})
+	if _, err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReadFastRaceStress races fast-path readers against writers (and
 // their workers' index publishes) with the checker on; run under -race
 // this is the memory-model guard for the lock-free index. Each reader

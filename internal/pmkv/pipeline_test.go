@@ -1,12 +1,13 @@
-// Tests for the v2 shard-worker hot path: the gather loop's boundary
-// behavior, the adaptive batch limit, crash routing on the busy ack
-// path, the allocation discipline of the group-commit path, and
-// recovery's byte-identity at every worker count.
+// Tests for the shard worker: the gather loop's boundaries, the one exit
+// every routed job takes, crash routing on the busy ack path, the
+// allocation discipline of the group-commit path, and recovery's
+// byte-identity at every worker count.
 package pmkv
 
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,13 +16,12 @@ import (
 )
 
 // testWorker builds a shardWorker around a bare mailbox (no engine):
-// gather and setLimit never touch the machine, so the loop boundaries
-// are testable in isolation.
+// gather never touches the machine, so the loop boundaries are testable
+// in isolation. One pending batch keeps gather from blocking.
 func testWorker(cfg ShardedConfig) (*shardWorker, *shard) {
 	cfg.fill()
 	sh := &shard{id: 0, mail: make(chan shardJob, cfg.Mailbox), open: true}
-	sh.batchLim.Store(int64(cfg.minBatch()))
-	w := &shardWorker{s: &ShardedStore{cfg: cfg}, sh: sh, open: true, limit: cfg.minBatch()}
+	w := &shardWorker{s: &ShardedStore{cfg: cfg}, sh: sh, open: true, pending: []pendingBatch{{}}}
 	return w, sh
 }
 
@@ -32,57 +32,25 @@ func fillMail(sh *shard, n int) {
 	}
 }
 
-// TestGatherExactLimit: with exactly limit requests queued, one gather
-// drains them all and — because nothing is left behind — the adaptive
-// limit must NOT grow.
-func TestGatherExactLimit(t *testing.T) {
-	w, sh := testWorker(ShardedConfig{MaxBatch: 32})
-	w.fed = append(w.fed, pendingBatch{}) // skip the blocking receive
-	fillMail(sh, 8)
-	batch := w.gather()
-	if len(batch) != 8 {
-		t.Fatalf("gather drained %d jobs, want exactly 8", len(batch))
-	}
-	if w.limit != 8 {
-		t.Fatalf("limit grew to %d on an exactly-full gather with an empty mailbox", w.limit)
-	}
-}
-
-// TestGatherGrowsUnderBacklog: filling the limit with requests still
-// queued behind it doubles the limit, capped at MaxBatch.
-func TestGatherGrowsUnderBacklog(t *testing.T) {
+// TestGatherTakesWhatIsQueued: a gather is bounded by MaxBatch and by
+// what is queued, nothing else — a backlog is taken in full batches from
+// the first gather on, in mailbox order, and a drained mailbox ends one.
+func TestGatherTakesWhatIsQueued(t *testing.T) {
 	w, sh := testWorker(ShardedConfig{MaxBatch: 32, Mailbox: 128})
-	w.fed = append(w.fed, pendingBatch{})
 	fillMail(sh, 80)
-	var sizes []int
-	for len(sh.mail) > 0 {
-		b := w.gather()
-		sizes = append(sizes, len(b))
-	}
-	if w.limit != 32 {
-		t.Fatalf("limit = %d after sustained backlog, want MaxBatch 32", w.limit)
-	}
-	if sizes[0] != 8 || sizes[1] != 16 || sizes[2] != 32 {
-		t.Fatalf("batch sizes %v: want doubling ramp 8, 16, 32, ...", sizes)
-	}
-	if got := sh.batchLim.Load(); got != 32 {
-		t.Fatalf("live batch-limit gauge = %d, want 32", got)
-	}
-}
-
-// TestGatherShrinksWhenBlocked: a worker that had to block for work
-// halves its limit (demand is light), never below the floor of 8.
-func TestGatherShrinksWhenBlocked(t *testing.T) {
-	w, sh := testWorker(ShardedConfig{MaxBatch: 64})
-	w.limit = 64
-	for i, want := range []int{32, 16, 8, 8} {
-		fillMail(sh, 1)
-		if b := w.gather(); len(b) != 1 {
-			t.Fatalf("block %d: gather returned %d jobs", i, len(b))
+	next := uint64(0)
+	for _, want := range []int{32, 32, 16, 0} {
+		batch := w.gather()
+		if len(batch) != want {
+			t.Fatalf("gather took %d jobs with %d queued behind it, want %d", len(batch), len(sh.mail), want)
 		}
-		if w.limit != want {
-			t.Fatalf("block %d: limit = %d, want %d", i, w.limit, want)
+		for _, j := range batch {
+			if j.tag != next {
+				t.Fatalf("job %d gathered where %d was due", j.tag, next)
+			}
+			next++
 		}
+		w.jobs.put(batch)
 	}
 }
 
@@ -91,7 +59,6 @@ func TestGatherShrinksWhenBlocked(t *testing.T) {
 // flip the worker closed.
 func TestGatherMailboxClosesMidGather(t *testing.T) {
 	w, sh := testWorker(ShardedConfig{MaxBatch: 8})
-	w.fed = append(w.fed, pendingBatch{})
 	fillMail(sh, 3)
 	close(sh.mail)
 	batch := w.gather()
@@ -107,31 +74,17 @@ func TestGatherMailboxClosesMidGather(t *testing.T) {
 	}
 }
 
-// TestSetLimitClamps: the adaptive limit can never leave
-// [min(8, MaxBatch), MaxBatch].
-func TestSetLimitClamps(t *testing.T) {
-	w, _ := testWorker(ShardedConfig{MaxBatch: 32})
-	w.setLimit(1 << 20)
-	if w.limit != 32 {
-		t.Fatalf("limit = %d, want clamped to MaxBatch 32", w.limit)
-	}
-	w.setLimit(0)
-	if w.limit != 8 {
-		t.Fatalf("limit = %d, want clamped to the floor of 8", w.limit)
-	}
-}
-
 // TestShardedConfigFillClamps pins the defaulting rules the flags rely
-// on, and that the batch floor folds down to a smaller MaxBatch.
+// on: unset sizes take their defaults, set ones are kept.
 func TestShardedConfigFillClamps(t *testing.T) {
-	c := ShardedConfig{MaxBatch: 4}
+	c := ShardedConfig{Shards: 3, Mailbox: 16, MaxBatch: 4}
 	c.fill()
-	if c.minBatch() != 4 {
-		t.Fatalf("minBatch = %d under MaxBatch 4, want 4", c.minBatch())
+	if c.Shards != 3 || c.Mailbox != 16 || c.MaxBatch != 4 {
+		t.Fatalf("fill moved set values: %+v", c)
 	}
 	var d ShardedConfig
 	d.fill()
-	if d.Shards != 1 || d.Mailbox != 256 || d.MaxBatch != 64 || d.minBatch() != 8 {
+	if d.Shards != 1 || d.Mailbox != 256 || d.MaxBatch != 64 {
 		t.Fatalf("defaults: %+v", d)
 	}
 }
@@ -228,11 +181,146 @@ func TestCrashWithBusyMailbox(t *testing.T) {
 	}
 }
 
+// TestEveryJobCompletesOnce drives a live store down each exit a routed
+// job can take — durable, acked early at shutdown, crashed with power
+// lost in PumpRetire or between release's polls, refused at SubmitAppend
+// after the crash, failed by an engine error at SubmitAppend or in
+// release — and holds them all to one rule: every routed job receives
+// exactly one Completion, and a session's pending counter stays raised
+// for exactly its writes that were not acked clean. Which of two
+// neighbouring exits a row takes depends on where the host scheduler
+// puts the event, so each fault runs under both kinds of traffic: senders
+// that saturate the mailbox (the worker polls the watermark) and senders
+// in lockstep with their acks (it idles, and release steps the machine).
+func TestEveryJobCompletesOnce(t *testing.T) {
+	const senders, jobs = 4, 96
+	lazy := SmallMachine()
+	lazy.PF = false // closed epochs wait for a conflict or the final drain
+	allClean := func(clean, crashed, refused, failed int) bool { return crashed+refused+failed == 0 }
+	powerLost := func(clean, crashed, refused, failed int) bool { return crashed > 0 && refused > 0 && failed == 0 }
+	engineFailed := func(_, crashed, refused, failed int) bool { return failed > 0 && crashed+refused == 0 }
+	closeEngine := func(s *ShardedStore) { s.shards[0].eng.Close() }
+	rows := []struct {
+		name     string
+		engine   Config
+		lockstep bool                  // a sender waits for each ack before its next request
+		during   func(s *ShardedStore) // runs with sender 0 held a quarter through, the others racing it
+		want     func(clean, crashed, refused, failed int) bool
+	}{
+		{name: "clean drain", want: func(clean, _, _, _ int) bool { return clean == senders*jobs }},
+		{name: "power lost early, saturating senders", engine: Config{CrashAt: 2_000}, want: powerLost},
+		{name: "power lost later, saturating senders", engine: Config{CrashAt: 9_000}, want: powerLost},
+		{name: "power lost early, lockstep senders", engine: Config{CrashAt: 2_000}, lockstep: true, want: powerLost},
+		{name: "power lost later, lockstep senders", engine: Config{CrashAt: 9_000}, lockstep: true, want: powerLost},
+		{name: "BeginDrain races the senders", during: (*ShardedStore).BeginDrain, want: allClean},
+		{name: "BeginDrain with acks gated and the machinery dry", engine: Config{Machine: lazy},
+			during: (*ShardedStore).BeginDrain, want: allClean},
+		{name: "engine error, saturating senders", during: closeEngine, want: engineFailed},
+		{name: "engine error, lockstep senders", lockstep: true, during: closeEngine, want: engineFailed},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			store, err := NewSharded(ShardedConfig{Mailbox: 16, MaxBatch: 4, Engine: row.engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			type sender struct {
+				sess   *ShardedSession
+				done   chan Completion
+				routed map[uint64]Op
+				acks   []Completion
+			}
+			all := make([]*sender, senders)
+			mid, resume := make(chan struct{}), make(chan struct{})
+			var wg sync.WaitGroup
+			for i := range all {
+				// Room for every ack twice over: a duplicate must land in
+				// the queue, not wedge the worker.
+				sd := &sender{sess: store.NewSession(), done: make(chan Completion, 2*jobs), routed: make(map[uint64]Op)}
+				all[i] = sd
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for j := 0; j < jobs; j++ {
+						if i == 0 && j == jobs/4 {
+							close(mid)
+							<-resume
+						}
+						op := []Op{Put, Put, Get, Delete}[j%4]
+						_, err := store.DoAsync(sd.sess, op, fmt.Sprintf("k%02d", (i*7+j)%24), []byte("v"), nil, uint64(j), sd.done)
+						if err == ErrDraining {
+							continue
+						}
+						if err != nil {
+							t.Errorf("DoAsync: %v", err)
+							return
+						}
+						sd.routed[uint64(j)] = op
+						if row.lockstep {
+							sd.acks = append(sd.acks, <-sd.done)
+						}
+					}
+					for len(sd.acks) < len(sd.routed) {
+						sd.acks = append(sd.acks, <-sd.done)
+					}
+				}()
+			}
+			<-mid
+			if row.during != nil {
+				row.during(store)
+			}
+			close(resume)
+			wg.Wait()
+			// The workers have exited once Close returns, so a second
+			// delivery of any job would be sitting in its queue by now. (An
+			// engine closed under the store cannot close again.)
+			engineErr := store.shards[0].eng.closed
+			if _, err := store.Close(); err != nil && !engineErr {
+				t.Errorf("Close: %v", err)
+			}
+			var clean, crashed, refused, failed int
+			for i, sd := range all {
+				if n := len(sd.done); n > 0 {
+					t.Errorf("sender %d: %d completions beyond its %d routed jobs", i, n, len(sd.routed))
+				}
+				raised := int32(0)
+				seen := make(map[uint64]bool)
+				for _, c := range sd.acks {
+					op, ok := sd.routed[c.Tag]
+					if !ok || seen[c.Tag] {
+						t.Errorf("sender %d: completion for tag %d, routed %v, seen before %v", i, c.Tag, ok, seen[c.Tag])
+					}
+					seen[c.Tag] = true
+					switch {
+					case c.Ack.Err == ErrCrashed:
+						refused++
+					case c.Ack.Err != nil:
+						failed++
+					case c.Ack.Crashed:
+						crashed++
+					default:
+						clean++
+					}
+					if op != Get && (c.Ack.Err != nil || c.Ack.Crashed) {
+						raised++
+					}
+				}
+				if got := sd.sess.pending[0].Load(); got != raised {
+					t.Errorf("sender %d: pending counter ends at %d, its acks leave %d writes unsettled", i, got, raised)
+				}
+			}
+			if !row.want(clean, crashed, refused, failed) {
+				t.Errorf("acks: %d clean, %d crashed, %d refused after the crash, %d failed", clean, crashed, refused, failed)
+			}
+		})
+	}
+}
+
 // TestBatchMetricsExposed: a worked store must report a populated
-// batch-size histogram and an in-bounds live batch limit through
-// Metrics.
+// batch-size histogram, no batch above MaxBatch, through Metrics (sizes
+// below 16 are exact in the histogram).
 func TestBatchMetricsExposed(t *testing.T) {
-	store, err := NewSharded(ShardedConfig{Shards: 2, MaxBatch: 16})
+	store, err := NewSharded(ShardedConfig{Shards: 2, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +339,8 @@ func TestBatchMetricsExposed(t *testing.T) {
 	}
 	var batches, sized uint64
 	for _, m := range store.Metrics() {
-		if m.BatchLimit < 8 || m.BatchLimit > 16 {
-			t.Fatalf("shard %d: batch limit %d outside [8, 16]", m.Shard, m.BatchLimit)
+		if hi := m.BatchSizes.Percentile(100); hi > 8 {
+			t.Fatalf("shard %d: a batch of %d under MaxBatch 8", m.Shard, hi)
 		}
 		batches += m.Batches
 		sized += m.BatchSizes.Total()

@@ -553,7 +553,7 @@ func (e *Engine) crashLimit() sim.Cycle {
 // shared bucket heads exactly like threads of Figure 10. It returns one
 // response per request (answered from volatile state, which survives even
 // if the machine crashes mid-batch — durability is judged later). Apply is
-// the blocking composition of the pipelined worker's halves under one
+// the blocking composition of the shard worker's calls under one
 // lock hold — SubmitAppend, PumpRetire, one BatchGap of think time, then
 // the durable watermark (so whatever became durable is folded and
 // released) — for callers that drive a single engine round by round (the
@@ -578,14 +578,14 @@ func (e *Engine) Apply(batch []Request) ([]Response, error) {
 }
 
 // SubmitAppend translates a batch and feeds it to the cores without
-// advancing the machine — the front half of a group commit. A sharded
-// worker submits batch k+1 while batch k's persist barriers are still
-// draining; PumpRetire then advances the clock. Each core's last publish
-// is left in an open epoch (its barrier owed), so a following
-// SubmitAppend's first write on that core merges into it. Responses
-// reflect the volatile state immediately and are appended to dst, so a
-// pipelined committer reuses one response buffer per in-flight batch
-// instead of allocating a fresh slice per commit.
+// advancing the machine — the front half of a group commit; PumpRetire
+// then advances the clock, and the batch's epochs go on persisting under
+// whatever is submitted next. Each core's last publish is left in an
+// open epoch (its barrier owed), so a following SubmitAppend's first
+// write on that core merges into it. Responses reflect the volatile
+// state immediately and are appended to dst, so a committer reuses one
+// response buffer per in-flight batch instead of allocating a fresh
+// slice per commit.
 func (e *Engine) SubmitAppend(dst []Response, batch []Request) ([]Response, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -676,8 +676,8 @@ func (e *Engine) pumpRetireLocked() error {
 	// epoch gets the one barrier it owes, so "everything fed has retired"
 	// includes "every fed publish is in a closed epoch" and the background
 	// machinery can persist it. Done here rather than per SubmitAppend so
-	// the debt also carries across the batches a pipelined worker feeds
-	// before one pump.
+	// the debt also carries across the batches a caller feeds before one
+	// pump.
 	for core, owed := range e.owed {
 		if !owed {
 			continue

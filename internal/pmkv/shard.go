@@ -1,9 +1,10 @@
 // Shard-parallel pmkv: the keyspace is partitioned by a stable hash
 // across N independent machine instances, each owned by one worker
-// goroutine with a bounded mailbox. Workers run a pipelined group
-// commit — batch k+1 is translated and fed while batch k's persist
-// barriers are still draining — and release client acks only when the
-// shard's durable-prefix watermark covers the batch, so an ack is a
+// goroutine with a bounded mailbox. Workers run a group commit — gather
+// what is queued, commit it as one window, release the acks the durable
+// watermark covers — and a batch's epochs persist, in simulated time,
+// under the batches committed after it. An ack is released only when the
+// shard's durable-prefix watermark covers its batch, so it is a
 // durability guarantee, not just visibility. Shards share no mutable
 // state; aggregate throughput scales with host cores and, on any host,
 // with the contention relief of smaller per-machine session counts.
@@ -68,8 +69,9 @@ type ShardedConfig struct {
 	Engine Config
 	// Mailbox is the per-shard request queue depth (default 256).
 	Mailbox int
-	// MaxBatch bounds how many mailbox requests one group commit drains
-	// (default 64).
+	// MaxBatch bounds one group commit (default 64): a batch is what the
+	// mailbox holds when the worker comes back, up to this many requests,
+	// and one commit window — the wider, the fewer barriers per write.
 	MaxBatch int
 	// DisableReadFast turns off the lock-free GET fast path. By default
 	// Do/DoAsync answer a GET directly from the shard engine's checkpoint
@@ -100,15 +102,6 @@ func (c *ShardedConfig) fill() {
 		c.MaxBatch = 64
 	}
 }
-
-// commitWindow bounds how many translated batches a worker feeds to the
-// machine before one retire pump closes the commit window.
-const commitWindow = 2
-
-// minBatch is the floor of the adaptive batch size. Workers start there,
-// double the limit when a gather fills it with requests still queued
-// behind it, and halve it when they have to block for work.
-func (c *ShardedConfig) minBatch() int { return min(8, c.MaxBatch) }
 
 // ShardedSession is one client's handle across every shard: its requests
 // execute in program order per shard (global cross-shard order is not
@@ -171,11 +164,12 @@ type shardJob struct {
 	pend *atomic.Int32
 }
 
-// deliver sends the job's completion. See shardJob.done for why this
-// must never block in practice. A mutation's pending count drops only on
-// a clean durable ack — crashed or errored writes leave it raised, so
-// the session's GETs stay on the slow path (conservative: the fast path
-// must never skip a write whose durability is unsettled).
+// deliver sends the job's completion (shardWorker.finish is the only
+// caller). See shardJob.done for why this must never block in practice.
+// A mutation's pending count drops only on a clean durable ack — crashed
+// or errored writes leave it raised, so the session's GETs stay on the
+// slow path (conservative: the fast path must never skip a write whose
+// durability is unsettled).
 func (j *shardJob) deliver(a ShardAck) {
 	if j.pend != nil && a.Err == nil && !a.Crashed {
 		j.pend.Add(-1)
@@ -195,10 +189,11 @@ type shard struct {
 	batches   atomic.Uint64
 	batchOps  atomic.Uint64
 	batchHist hist.Atomic   // group-commit size distribution
-	batchLim  atomic.Int64  // live adaptive batch limit
 	fastHits  atomic.Uint64 // GETs served on the fast path
-	fastFalls atomic.Uint64 // GETs that fell back to the mailbox
 	crashedFl atomic.Bool
+	// falls counts the GETs that left the fast path for the mailbox, by
+	// the first reason DoAsync found.
+	falls struct{ Pending, Draining, Crashed atomic.Uint64 }
 }
 
 // ShardedStore partitions the keyspace across independent engines. All
@@ -240,7 +235,6 @@ func NewSharded(cfg ShardedConfig) (*ShardedStore, error) {
 			mail: make(chan shardJob, cfg.Mailbox),
 			open: true,
 		}
-		sh.batchLim.Store(int64(cfg.minBatch()))
 		s.shards = append(s.shards, sh)
 	}
 	for _, sh := range s.shards {
@@ -314,7 +308,14 @@ func (s *ShardedStore) DoAsync(sess *ShardedSession, op Op, key string, value []
 	span.Stamp(telemetry.StageShardRoute)
 	sh := s.shards[id]
 	if op == Get && s.readFast {
-		if sess.pending[id].Load() == 0 && !s.draining.Load() && !sh.crashedFl.Load() {
+		switch {
+		case sess.pending[id].Load() != 0:
+			sh.falls.Pending.Add(1)
+		case s.draining.Load():
+			sh.falls.Draining.Add(1)
+		case sh.crashedFl.Load():
+			sh.falls.Crashed.Add(1)
+		default:
 			// The engine's checkpoint holds exactly the durable prefix:
 			// pending==0 means every one of this session's writes here is
 			// acked, and the watermark folds a batch's records before the
@@ -334,7 +335,6 @@ func (s *ShardedStore) DoAsync(sess *ShardedSession, op Op, key string, value []
 			}}
 			return id, nil
 		}
-		sh.fastFalls.Add(1)
 	}
 	j := shardJob{
 		req:  Request{Sess: sess.per[id], Op: op, Key: key, Value: value},
@@ -362,202 +362,143 @@ func (s *ShardedStore) DoAsync(sess *ShardedSession, op Op, key string, value []
 	return id, nil
 }
 
-// pendingBatch is one group commit in flight: after SubmitAppend its
-// volatile responses are known (fed, awaiting retirement); after the
-// retire pump its durability ack is gated on the durable-prefix watermark.
+// pendingBatch is one group commit in flight: retired, its volatile
+// responses known, its durability ack gated on the durable-prefix
+// watermark.
 type pendingBatch struct {
 	jobs   []shardJob
 	resps  []Response
 	target int // RecordCount after this batch's SubmitAppend
 }
 
-// shardWorker is runShard's per-goroutine state: the bounded in-flight
-// pipeline, the adaptive batch limit, and the slice pools that keep the
+// shardWorker is runShard's per-goroutine state: the retired batches
+// whose acks await the watermark, and the slice pools that keep the
 // steady-state commit path free of allocations.
+//
+// The pipeline is pending. The worker is one goroutine and the machine
+// advances only inside PumpRetire and StepDurable, so nothing translates
+// while anything retires and no host-side stage could overlap. What
+// overlaps is simulated: a retired batch's epochs are closed, not yet
+// persistent, and persist in the background under the batches committed
+// after it (the paper's lazy barrier) — so the worker goes back for the
+// next batch instead of waiting for the watermark.
 type shardWorker struct {
 	s  *ShardedStore
 	sh *shard
 
-	open bool
-	// fed holds batches translated and fed to the machine but not yet
-	// retired; pending holds retired batches whose acks await the
-	// watermark. Feeding batch k+1 while batch k's persist traffic
-	// drains is the pipeline.
-	fed     []pendingBatch
-	pending []pendingBatch
-
-	// limit is the adaptive batch size in [minBatch, MaxBatch].
-	limit int
+	open    bool           // mailbox not yet closed
+	pending []pendingBatch // oldest first
 
 	// dry records that the persist machinery has nothing scheduled while
 	// acks are still gated: durability cannot advance until new work
 	// arrives, so the worker blocks instead of spinning on the mailbox.
 	dry bool
 
-	reqs     []Request // reusable SubmitAppend argument (the engine copies what it keeps)
-	jobFree  [][]shardJob
-	respFree [][]Response
+	reqs  []Request // reusable SubmitAppend argument (the engine copies what it keeps)
+	jobs  bufPool[shardJob]
+	resps bufPool[Response]
 }
 
-// runShard is the shard's worker: the engine's single writer. Each pass
-// gathers a batch, translates and feeds it, and either goes straight
-// back for the next batch (window room and requests still queued — the
-// pump is deferred so translate overlaps the previous batches' persist
-// traffic) or pumps retirement and releases whatever acks the watermark
-// now covers.
+// runShard is the shard's worker, the engine's single writer: gather what
+// is queued, commit it as one window, release the acks the watermark now
+// covers.
 func (s *ShardedStore) runShard(sh *shard) {
-	w := &shardWorker{s: s, sh: sh, open: true, limit: int(sh.batchLim.Load())}
-	for w.open || len(w.fed)+len(w.pending) > 0 {
-		batch := w.gather()
-		if len(batch) == 0 {
-			w.putJobs(batch)
-		} else if !w.submit(batch) {
-			continue
-		}
-		if w.open && len(w.fed) > 0 && len(w.fed) < commitWindow && len(sh.mail) > 0 {
-			continue // pipeline: translate the next batch before pumping
-		}
-		if len(w.fed) > 0 && !w.pump() {
-			continue
-		}
+	w := &shardWorker{s: s, sh: sh, open: true}
+	for w.open || len(w.pending) > 0 {
+		w.commit(w.gather())
 		w.release()
 	}
 }
 
-// gather drains up to limit requests from the mailbox without blocking —
-// unless the worker has nothing in flight (or the machinery is dry with
-// acks gated, so only new work can advance durability), in which case it
-// blocks for the first request. Blocking shrinks the adaptive limit;
-// filling it with requests still queued grows it.
+// gather takes what the mailbox holds, up to MaxBatch requests, without
+// blocking — unless no ack is gated (or the machinery is dry with acks
+// gated, so only new work can advance durability), in which case it
+// blocks for the first request.
 func (w *shardWorker) gather() []shardJob {
-	sh := w.sh
-	batch := w.takeJobs()
-	if w.open && (len(w.fed)+len(w.pending) == 0 || w.dry) {
-		j, ok := <-sh.mail
-		if !ok {
-			w.open = false
-			return batch
-		}
-		j.span.Stamp(telemetry.StageDequeue)
-		batch = append(batch, j)
-		w.setLimit(w.limit / 2)
-	}
-	for w.open && len(batch) < w.limit {
-		select {
-		case j, ok := <-sh.mail:
-			if !ok {
-				w.open = false
+	batch := w.jobs.take(w.s.cfg.MaxBatch)
+	block := len(w.pending) == 0 || w.dry
+	for w.open && len(batch) < w.s.cfg.MaxBatch {
+		var j shardJob
+		if block {
+			j, w.open = <-w.sh.mail
+			block = false
+		} else {
+			select {
+			case j, w.open = <-w.sh.mail:
+			default:
 				return batch
 			}
+		}
+		if w.open {
 			j.span.Stamp(telemetry.StageDequeue)
 			batch = append(batch, j)
-		default:
-			return batch
 		}
-	}
-	if len(batch) == w.limit && len(sh.mail) > 0 {
-		w.setLimit(w.limit * 2)
 	}
 	return batch
 }
 
-// setLimit moves the adaptive batch limit, clamped to its bounds,
-// publishing changes to the live gauge.
-func (w *shardWorker) setLimit(l int) {
-	l = min(max(l, w.s.cfg.minBatch()), w.s.cfg.MaxBatch)
-	if l != w.limit {
-		w.limit = l
-		w.sh.batchLim.Store(int64(l))
-	}
-}
-
-// submit translates and feeds one batch. No simulated time passes: the
-// machine only schedules the ops, so earlier batches' persist traffic
-// keeps draining underneath. Reports false when the batch was refused
-// and the main loop should re-evaluate from the top.
-func (w *shardWorker) submit(batch []shardJob) bool {
+// commit runs one batch through one commit window. SubmitAppend
+// translates and feeds it (no simulated time passes); PumpRetire feeds
+// each core the one barrier its newest publish owes and advances the
+// machine until every op has retired, so the whole batch shares those
+// barriers and every publish in it sits in a closed epoch. The batch then
+// waits on pending for the watermark.
+func (w *shardWorker) commit(batch []shardJob) {
 	sh := w.sh
+	if len(batch) == 0 {
+		w.jobs.put(batch)
+		return
+	}
 	w.reqs = w.reqs[:0]
 	for i := range batch {
 		w.reqs = append(w.reqs, batch[i].req)
 	}
-	resps, err := sh.eng.SubmitAppend(w.takeResps(), w.reqs)
-	switch {
-	case err == nil:
-		cycle := int64(sh.eng.Now())
-		for i := range batch {
-			batch[i].span.StampAt(telemetry.StageTranslate, cycle)
+	p := pendingBatch{jobs: batch, resps: w.resps.take(w.s.cfg.MaxBatch)}
+	resps, err := sh.eng.SubmitAppend(p.resps, w.reqs)
+	if err != nil {
+		// Refused whole (SubmitAppend feeds nothing once the machine lost
+		// power or the engine closed): these clients see the error, after
+		// everything already in flight got its crashed acks.
+		if err == ErrCrashed {
+			w.crashFlush()
 		}
-		sh.batchHist.Observe(uint64(len(batch)))
-		sh.batches.Add(1)
-		sh.batchOps.Add(uint64(len(batch)))
-		w.fed = append(w.fed, pendingBatch{jobs: batch, resps: resps, target: sh.eng.RecordCount()})
-		w.dry = false
-		return true
-	case err == ErrCrashed:
-		// The machine lost power before this batch could be fed (SubmitAppend
-		// refuses wholesale once crashed): its clients see the error, and
-		// everything in flight gets crashed acks.
-		w.crashFlush()
-		for i := range batch {
-			batch[i].deliver(ShardAck{Shard: sh.id, Err: ErrCrashed})
-		}
-		w.putJobs(batch)
-		return false
-	default:
-		for i := range batch {
-			batch[i].deliver(ShardAck{Shard: sh.id, Err: err})
-		}
-		w.putJobs(batch)
-		return false
+		w.finish(p, ShardAck{Err: err})
+		return
 	}
-}
+	p.resps, p.target = resps, sh.eng.RecordCount()
+	cycle := int64(sh.eng.Now())
+	for i := range batch {
+		batch[i].span.StampAt(telemetry.StageTranslate, cycle)
+	}
+	sh.batchHist.Observe(uint64(len(batch)))
+	sh.batches.Add(1)
+	sh.batchOps.Add(uint64(len(batch)))
+	w.dry = false
 
-// pump retires everything fed since the last pump: one PumpRetire closes
-// the commit window for every in-flight batch at once — the engine first
-// feeds each core the one barrier its newest publish still owes, so the
-// batches fed since the last pump share that barrier and "retired" means
-// every fed publish sits in a closed epoch — and their acks move to the
-// watermark gate. Reports false on a crash (pipeline state was flushed).
-func (w *shardWorker) pump() bool {
-	sh := w.sh
-	err := sh.eng.PumpRetire()
-	switch {
-	case err == nil:
-		cycle := int64(sh.eng.Now())
-		for _, p := range w.fed {
-			for i := range p.jobs {
-				p.jobs[i].span.StampAt(telemetry.StageSubmit, cycle)
-			}
+	switch err := sh.eng.PumpRetire(); err {
+	case nil:
+		cycle = int64(sh.eng.Now())
+		for i := range batch {
+			batch[i].span.StampAt(telemetry.StageSubmit, cycle)
 		}
-		w.pending = append(w.pending, w.fed...)
-		w.fed = w.fed[:0]
-		return true
-	case err == ErrCrashed:
-		// The machine lost power mid-retire. The fed batches were applied:
-		// their clients get volatile responses flagged crashed — recovery,
-		// not the watermark, now judges durability.
+		w.pending = append(w.pending, p)
+	case ErrCrashed:
+		// The machine lost power mid-retire. The batch was applied: its
+		// clients get volatile responses flagged crashed, behind the older
+		// batches' — recovery, not the watermark, now judges durability.
+		w.pending = append(w.pending, p)
 		w.crashFlush()
-		return false
 	default:
-		for _, p := range w.fed {
-			for i := range p.jobs {
-				p.jobs[i].deliver(ShardAck{Shard: sh.id, Err: err})
-			}
-			w.recycle(p)
-		}
-		w.fed = w.fed[:0]
-		return true
+		w.finish(p, ShardAck{Err: err})
 	}
 }
 
 // release delivers acks for retired batches the durable watermark
-// covers. With requests queued behind it the watermark is only polled
-// (and a crash surfaced there is routed to the flush, where the pre-v2
-// busy path dropped the error and waited for durability that could
-// never come); with an idle mailbox one BatchGap of simulated time
-// advances per call, so the worker re-polls the mailbox between gap
-// steps instead of going blind inside a blocking WaitDurable loop.
+// covers. With requests queued behind it the watermark is only polled (a
+// crash surfaced there is routed to the flush); with an idle mailbox one
+// BatchGap of simulated time advances per call, so the worker re-polls
+// the mailbox between gap steps instead of going blind inside a blocking
+// WaitDurable loop.
 func (w *shardWorker) release() {
 	sh := w.sh
 	if len(w.pending) == 0 {
@@ -576,116 +517,89 @@ func (w *shardWorker) release() {
 		w.crashFlush()
 		return
 	case err != nil:
-		for _, p := range w.pending {
-			for i := range p.jobs {
-				p.jobs[i].deliver(ShardAck{Shard: sh.id, Err: err})
-			}
-			w.recycle(p)
-		}
-		w.pending = w.pending[:0]
+		w.ackOldest(len(w.pending), ShardAck{Err: err})
 		return
+	}
+	n := 0
+	for n < len(w.pending) && w.pending[n].target <= durable {
+		n++
+	}
+	if n < len(w.pending) && !w.open && sh.eng.Quiesced() {
+		// Mailbox closed and the machinery ran dry with acks still gated:
+		// only Close's final drain persists the rest. Ack now — Close runs
+		// the full drain before the recovery snapshot, so durability still
+		// precedes the snapshot (and the acks remain checker obligations).
+		n = len(w.pending)
 	}
 	// The watermark call above folded the newly durable records into the
 	// engine's checkpoint BEFORE any ack below is delivered: a client that
 	// has received a durable ack must find that write on the fast path (the
 	// atomic bucket store happens-before the ack's channel send, which
 	// happens-before the client's next request).
-	cycle := int64(sh.eng.Now())
-	for len(w.pending) > 0 && w.pending[0].target <= durable {
-		p := w.pending[0]
-		n := copy(w.pending, w.pending[1:])
-		w.pending[n] = pendingBatch{}
-		w.pending = w.pending[:n]
-		// These acks promise durability: record the obligation so the
-		// checker can hold the crash image to it.
-		sh.eng.DL().AckDurable(p.target)
-		for i := range p.jobs {
-			p.jobs[i].span.StampAt(telemetry.StageDurable, cycle)
-			p.jobs[i].deliver(ShardAck{Resp: p.resps[i], Shard: sh.id, Durable: durable})
-		}
-		w.recycle(p)
-	}
-	if len(w.pending) == 0 {
-		w.dry = false
-		return
-	}
-	if !w.open && sh.eng.Quiesced() {
-		// Mailbox closed and the machinery ran dry with acks still gated:
-		// only Close's final drain persists the rest. Ack now — Close runs
-		// the full drain before the recovery snapshot, so durability still
-		// precedes the snapshot (and the acks remain checker obligations).
-		for _, p := range w.pending {
-			sh.eng.DL().AckDurable(p.target)
-			for i := range p.jobs {
-				p.jobs[i].span.StampAt(telemetry.StageDurable, cycle)
-				p.jobs[i].deliver(ShardAck{Resp: p.resps[i], Shard: sh.id, Durable: durable})
-			}
-			w.recycle(p)
-		}
-		w.pending = w.pending[:0]
-		return
-	}
-	w.dry = dry
+	w.ackOldest(n, ShardAck{Durable: durable})
+	w.dry = dry && len(w.pending) > 0
 }
 
-// crashFlush delivers crashed acks for everything in flight — retired
-// batches still gated and fed batches whose retirement raced the power
-// loss — then fires OnCrash once.
+// crashFlush delivers crashed acks, volatile responses attached, for
+// every batch in flight, then fires OnCrash once.
 func (w *shardWorker) crashFlush() {
-	sh := w.sh
-	cycle := int64(sh.eng.Now())
-	for _, list := range [2][]pendingBatch{w.pending, w.fed} {
-		for _, p := range list {
-			for i := range p.jobs {
-				p.jobs[i].span.StampAt(telemetry.StageDurable, cycle)
-				p.jobs[i].deliver(ShardAck{Resp: p.resps[i], Shard: sh.id, Crashed: true})
-			}
-			w.recycle(p)
+	w.ackOldest(len(w.pending), ShardAck{Crashed: true})
+	if w.sh.crashedFl.CompareAndSwap(false, true) && w.s.cfg.OnCrash != nil {
+		w.s.cfg.OnCrash(w.sh.id)
+	}
+}
+
+// ackOldest finishes the n oldest pending batches with ack, in order.
+func (w *shardWorker) ackOldest(n int, ack ShardAck) {
+	for _, p := range w.pending[:n] {
+		w.finish(p, ack)
+	}
+	rest := copy(w.pending, w.pending[n:])
+	clear(w.pending[rest:])
+	w.pending = w.pending[:rest]
+}
+
+// finish completes every job of a batch with ack — carrying the job's own
+// volatile response unless the ack is an error — and returns the batch's
+// slices to the pools. Every exit a routed job can take (durable, early
+// ack at shutdown, crashed, refused, engine error) ends here, once.
+func (w *shardWorker) finish(p pendingBatch, ack ShardAck) {
+	eng := w.sh.eng
+	ack.Shard = w.sh.id
+	cycle := int64(eng.Now())
+	if ack.Err == nil && !ack.Crashed {
+		// This ack promises durability: record the obligation so the
+		// checker can hold the crash image to it.
+		eng.DL().AckDurable(p.target)
+	}
+	for i := range p.jobs {
+		if ack.Err == nil {
+			ack.Resp = p.resps[i]
+			p.jobs[i].span.StampAt(telemetry.StageDurable, cycle)
 		}
+		p.jobs[i].deliver(ack)
 	}
-	w.pending = w.pending[:0]
-	w.fed = w.fed[:0]
-	if sh.crashedFl.CompareAndSwap(false, true) && w.s.cfg.OnCrash != nil {
-		w.s.cfg.OnCrash(sh.id)
-	}
+	w.jobs.put(p.jobs)
+	w.resps.put(p.resps)
 }
 
-// takeJobs pops a pooled gather buffer (capacity MaxBatch).
-func (w *shardWorker) takeJobs() []shardJob {
-	if n := len(w.jobFree); n > 0 {
-		b := w.jobFree[n-1]
-		w.jobFree = w.jobFree[:n-1]
+// bufPool recycles a batch's slices, so a steady worker allocates none.
+type bufPool[T any] struct{ free [][]T }
+
+func (p *bufPool[T]) take(capacity int) []T {
+	if n := len(p.free); n > 0 {
+		b := p.free[n-1]
+		p.free = p.free[:n-1]
 		return b
 	}
-	return make([]shardJob, 0, w.s.cfg.MaxBatch)
+	return make([]T, 0, capacity)
 }
 
-// putJobs clears a job slice (dropping the completion-channel, span, and
-// request-value references its slots pin) and returns it to the pool.
-func (w *shardWorker) putJobs(jobs []shardJob) {
-	for i := range jobs {
-		jobs[i] = shardJob{}
-	}
-	w.jobFree = append(w.jobFree, jobs[:0])
-}
-
-// takeResps pops a pooled response buffer for SubmitAppend.
-func (w *shardWorker) takeResps() []Response {
-	if n := len(w.respFree); n > 0 {
-		b := w.respFree[n-1]
-		w.respFree = w.respFree[:n-1]
-		return b
-	}
-	return make([]Response, 0, w.s.cfg.MaxBatch)
-}
-
-// recycle returns a delivered batch's slices to the pools.
-func (w *shardWorker) recycle(p pendingBatch) {
-	w.putJobs(p.jobs)
-	for i := range p.resps {
-		p.resps[i] = Response{}
-	}
-	w.respFree = append(w.respFree, p.resps[:0])
+// put clears the slice (dropping the completion-channel, span and value
+// references its slots pin) and keeps it.
+func (p *bufPool[T]) put(b []T) {
+	clear(b)
+	p.free = append(p.free, b[:0])
 }
 
 // Crashed reports whether any shard has hit its crash instant.
@@ -706,16 +620,17 @@ type ShardMetrics struct {
 	MailboxCap int     `json:"mailbox_cap"`
 	Batches    uint64  `json:"batches"`
 	AvgBatch   float64 `json:"avg_batch"`
-	BatchLimit int     `json:"batch_limit"` // live adaptive batch limit
 	// Durable is the durable watermark as the worker last advanced it (a
 	// snapshot reads it, never moves it); Total the publishes issued.
 	Durable int  `json:"durable_publishes"`
 	Total   int  `json:"total_publishes"`
 	Crashed bool `json:"crashed,omitempty"`
 	// FastHits / FastFallbacks count GETs answered on the lock-free fast
-	// path vs routed through the mailbox while the fast path was on.
-	FastHits      uint64 `json:"read_fast_hits"`
-	FastFallbacks uint64 `json:"read_fallbacks"`
+	// path vs routed through the mailbox while the fast path was on;
+	// FallbackReasons splits the latter (it sums to FastFallbacks).
+	FastHits        uint64        `json:"read_fast_hits"`
+	FastFallbacks   uint64        `json:"read_fallbacks"`
+	FallbackReasons ReadFallbacks `json:"read_fallback_reasons"`
 	// Retention is what the shard's engine holds and has released; its
 	// Folded count is also the watermark the fast path's checkpoint covers.
 	Retention
@@ -726,6 +641,15 @@ type ShardMetrics struct {
 	Counters machine.Counters `json:"counters"`
 }
 
+// ReadFallbacks says why GETs left the fast path: the session had unacked
+// writes on the shard (the read must see them), the store was draining, or
+// the shard had lost power.
+type ReadFallbacks struct {
+	Pending  uint64 `json:"pending"`
+	Draining uint64 `json:"draining"`
+	Crashed  uint64 `json:"crashed"`
+}
+
 // Metrics snapshots every shard. It only reads: one Engine.Stats per
 // shard, which takes the engine lock once and leaves the watermark, the
 // tail and the machine's history to the worker.
@@ -733,20 +657,21 @@ func (s *ShardedStore) Metrics() []ShardMetrics {
 	out := make([]ShardMetrics, len(s.shards))
 	for i, sh := range s.shards {
 		st := sh.eng.Stats()
+		falls := ReadFallbacks{sh.falls.Pending.Load(), sh.falls.Draining.Load(), sh.falls.Crashed.Load()}
 		m := ShardMetrics{
-			Shard:         i,
-			QueueDepth:    len(sh.mail),
-			MailboxCap:    s.cfg.Mailbox,
-			Batches:       sh.batches.Load(),
-			BatchLimit:    int(sh.batchLim.Load()),
-			Durable:       st.Folded,
-			Total:         st.Folded + st.Retained,
-			Crashed:       sh.crashedFl.Load(),
-			FastHits:      sh.fastHits.Load(),
-			FastFallbacks: sh.fastFalls.Load(),
-			Retention:     st.Retention,
-			BatchSizes:    sh.batchHist.Snapshot(),
-			Counters:      st.Counters,
+			Shard:           i,
+			QueueDepth:      len(sh.mail),
+			MailboxCap:      s.cfg.Mailbox,
+			Batches:         sh.batches.Load(),
+			Durable:         st.Folded,
+			Total:           st.Folded + st.Retained,
+			Crashed:         sh.crashedFl.Load(),
+			FastHits:        sh.fastHits.Load(),
+			FastFallbacks:   falls.Pending + falls.Draining + falls.Crashed,
+			FallbackReasons: falls,
+			Retention:       st.Retention,
+			BatchSizes:      sh.batchHist.Snapshot(),
+			Counters:        st.Counters,
 		}
 		if m.Batches > 0 {
 			m.AvgBatch = float64(sh.batchOps.Load()) / float64(m.Batches)

@@ -214,12 +214,10 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 			func(m pmkv.ShardMetrics) float64 { return float64(m.Batches) }},
 		{"pmkv_shard_avg_batch", "Mean requests per group commit.",
 			func(m pmkv.ShardMetrics) float64 { return m.AvgBatch }},
-		{"pmkv_shard_batch_limit", "Live adaptive batch-size limit.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.BatchLimit) }},
 		{"pmkv_read_fast_hits_total", "GETs served from the committed-state index, bypassing the mailbox.",
 			func(m pmkv.ShardMetrics) float64 { return float64(m.FastHits) }},
-		{"pmkv_read_fallback_total", "GETs that fell back to the mailbox (pending writes, drain, or crash).",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.FastFallbacks) }},
+		{"pmkv_read_fallback_total", "GETs that fell back to the mailbox, by reason (the session's own pending writes, drain, or crash).",
+			nil}, // one sample per reason, below
 		{"pmkv_records_retained", "Mutation records still held: submitted, not yet durable.",
 			func(m pmkv.ShardMetrics) float64 { return float64(m.Retained) }},
 		{"pmkv_records_folded_total", "Mutation records verified, folded into the checkpoint (which fast GETs read) and released.",
@@ -254,7 +252,14 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 		}
 		dst = telemetry.AppendMetricHeader(dst, g.name, typ, g.help)
 		for _, m := range metrics {
-			dst = telemetry.AppendSample(dst, g.name, shardLabel(m.Shard), g.value(m))
+			if g.value != nil {
+				dst = telemetry.AppendSample(dst, g.name, shardLabel(m.Shard), g.value(m))
+				continue
+			}
+			f := m.FallbackReasons
+			for _, r := range []sample{{`reason="pending"`, f.Pending}, {`reason="draining"`, f.Draining}, {`reason="crashed"`, f.Crashed}} {
+				dst = telemetry.AppendUintSample(dst, g.name, shardLabel(m.Shard)+","+r.label, r.value)
+			}
 		}
 	}
 

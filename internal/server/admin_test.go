@@ -86,6 +86,12 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// GETs sent behind the window's unacked writes leave the fast path.
+	for i := 0; i < 8; i++ {
+		if err := c.Get(uint64(writes+i), []byte(fmt.Sprintf("k%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := c.Wait(); err != nil || failed > 0 {
 		t.Fatalf("%d of %d writes failed, wait: %v", failed, writes, err)
 	}
@@ -154,10 +160,14 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 			Epochs struct{ Persisted float64 }
 		} `json:"stats"`
 		Shards []struct {
-			Folded   int `json:"records_folded"`
-			Retained int `json:"records_retained"`
-			Keys     int `json:"checkpoint_keys"`
-			Trimmed  int `json:"epochs_trimmed"`
+			Folded    int     `json:"records_folded"`
+			Retained  int     `json:"records_retained"`
+			Keys      int     `json:"checkpoint_keys"`
+			Trimmed   int     `json:"epochs_trimmed"`
+			Fallbacks float64 `json:"read_fallbacks"`
+			Reasons   struct {
+				Pending, Draining, Crashed float64
+			} `json:"read_fallback_reasons"`
 		} `json:"shards"`
 		Process struct {
 			Heap uint64 `json:"heap_inuse_bytes"`
@@ -167,9 +177,18 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	folded, keys := 0, 0
+	var fallbacks, reasons float64
 	for _, sh := range statz.Shards {
 		folded += sh.Folded
 		keys += sh.Keys
+		fallbacks += sh.Fallbacks
+		reasons += sh.Reasons.Pending + sh.Reasons.Draining + sh.Reasons.Crashed
+	}
+	// One family, split by reason: the samples sum to the unsplit count
+	// /statz keeps.
+	if got := sums["pmkv_read_fallback_total"]; got != fallbacks || reasons != fallbacks ||
+		!bytes.Contains(exposition, []byte(`pmkv_read_fallback_total{shard="1",reason="pending"}`)) {
+		t.Errorf("pmkv_read_fallback_total sums to %v over reasons, /statz has read_fallbacks %v split into %v", got, fallbacks, reasons)
 	}
 	if folded != writes || keys != 40 || statz.Process.Heap == 0 {
 		t.Errorf("/statz: folded %d, keys %d, heap %d; want %d, 40, > 0", folded, keys, statz.Process.Heap, writes)
@@ -225,8 +244,8 @@ func TestStatsReplyFieldsStable(t *testing.T) {
 			t.Errorf("stats object lacks %q: %s", field, line)
 		}
 	}
-	for _, field := range []string{"shard", "queue_depth", "mailbox_cap", "batches", "avg_batch", "batch_limit",
-		"durable_publishes", "total_publishes", "read_fast_hits", "read_fallbacks", "records_retained",
+	for _, field := range []string{"shard", "queue_depth", "mailbox_cap", "batches", "avg_batch",
+		"durable_publishes", "total_publishes", "read_fast_hits", "read_fallbacks", "read_fallback_reasons", "records_retained",
 		"records_folded", "checkpoint_keys", "epochs_trimmed", "entry_lines_bumped", "entry_lines_recycled",
 		"entry_lines_free", "lines_tracked", "batch_sizes", "counters"} {
 		if _, ok := reply.Shards[0][field]; !ok {

@@ -1,0 +1,13 @@
+#!/usr/bin/env bash
+# loc.sh — the size ledger's three numbers, counted as every PR since 12
+# has counted them: lines of non-test Go outside benchmark/ (the number
+# ROADMAP aim 2 tracks), of test Go outside benchmark/, and of all Go in
+# benchmark/ (its own module).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+count() { find . -name '*.go' "$@" -print0 | xargs -0 cat | wc -l; }
+
+printf 'non-test Go outside benchmark/: %6d\n' "$(count -not -name '*_test.go' -not -path './benchmark/*')"
+printf 'test Go outside benchmark/:     %6d\n' "$(count -name '*_test.go' -not -path './benchmark/*')"
+printf 'benchmark/ (all Go):            %6d\n' "$(count -path './benchmark/*')"
