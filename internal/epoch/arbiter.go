@@ -9,7 +9,8 @@ import (
 // FlushDriver is the machine-layer mechanism that durably drains one
 // epoch's pending lines: L1 writebacks, the FlushEpoch broadcast to the
 // LLC banks, per-line NVRAM writes, and the BankAck/PersistCMP handshake
-// (Section 4.1). done must fire when rec.Pending is empty and durable.
+// (Section 4.1). done must fire when rec.Pending is empty and durable; rec
+// stays valid until then, since the epoch cannot persist mid-flush.
 type FlushDriver interface {
 	FlushEpoch(rec *Record, done func())
 }
@@ -21,10 +22,6 @@ type ArbiterStats struct {
 	Demands         uint64
 }
 
-// DemandSourceFunc forwards a flush demand to another core's arbiter: the
-// inform/dependence register handshake of §4.2 in the demand direction.
-type DemandSourceFunc func(source ID, cause FlushCause)
-
 // Arbiter is the per-core epoch arbiter of Section 4.1: it serializes
 // epoch flushes for its core (one at a time), enforces program-order and
 // IDT persist ordering, and retires epochs as they become durable.
@@ -33,14 +30,19 @@ type Arbiter struct {
 	table  *Table
 	driver FlushDriver
 
-	// demandSource lets a demanded flush pull its IDT sources along;
-	// without it a dependent epoch could wait forever on a source nobody
-	// else ever flushes.
-	demandSource DemandSourceFunc
+	// peers are every core's arbiter, indexed by core: an IDT source's
+	// table answers whether it has persisted, and a demanded flush pulls
+	// its sources along through their arbiters (the inform/dependence
+	// register handshake of §4.2) — without that a dependent epoch could
+	// wait forever on a source nobody else ever flushes.
+	peers []*Arbiter
 
 	// flushing is the epoch whose flush handshake is in flight, nil when
 	// none: the arbiter drives one flush at a time, so the record its done
-	// callback needs is a field and the callback is bound once.
+	// callback needs is a field and the callback is bound once. It is the
+	// one *Record held across events, and safely: the head cannot persist,
+	// and its slot cannot be reused, before its PersistCMP lands, because
+	// Kick does nothing while a flush is in flight.
 	flushing         *Record
 	flushCompletedFn func()
 	// kickFn is Kick bound once, for the dependence subscriptions.
@@ -49,8 +51,9 @@ type Arbiter struct {
 	stats ArbiterStats
 }
 
-// SetDemandSource installs the cross-core demand forwarder.
-func (a *Arbiter) SetDemandSource(fn DemandSourceFunc) { a.demandSource = fn }
+// SetPeers gives the arbiter every core's arbiter, indexed by core (its
+// own included), for the IDT sources its epochs depend on.
+func (a *Arbiter) SetPeers(peers []*Arbiter) { a.peers = peers }
 
 // NewArbiter wires an arbiter to its core's table and flush driver.
 func NewArbiter(eng *sim.Engine, table *Table, driver FlushDriver) (*Arbiter, error) {
@@ -75,15 +78,13 @@ func (a *Arbiter) Table() *Table { return a.table }
 
 // DemandThrough requests that every epoch up to and including num be
 // flushed (a conflict, eviction, or pressure demand). The first demand on
-// an epoch fixes its recorded cause. The caller should then wait on the
-// target epoch's Persisted signal.
+// an epoch fixes its recorded cause. The caller should then wait with
+// Table.OnPersisted(num, ...).
 func (a *Arbiter) DemandThrough(num uint64, cause FlushCause) {
 	a.stats.Demands++
-	for _, r := range a.table.window {
-		if r.ID.Num > num {
-			break
-		}
-		if !r.flushWanted {
+	t := a.table
+	for n := t.oldest; n <= num && n < t.next; n++ {
+		if r := t.slot(n); !r.flushWanted {
 			r.flushWanted = true
 			r.Cause = cause
 		}
@@ -116,9 +117,6 @@ func (a *Arbiter) Kick() {
 			return
 		}
 		head := a.table.Oldest()
-		if head == nil {
-			return
-		}
 		if head.State == Open {
 			// Cannot persist or flush an ongoing epoch; the barrier
 			// (or a deadlock-avoidance split) must close it first.
@@ -127,13 +125,16 @@ func (a *Arbiter) Kick() {
 		if !a.subscribeDeps(head) {
 			// Waiting on an IDT source to persist. If our flush has been
 			// demanded, the demand must pull the sources along, or a
-			// source nobody flushes would stall us forever.
-			if head.flushWanted && a.demandSource != nil {
-				for i := range head.Deps {
+			// source nobody flushes would stall us forever. A demand can
+			// persist head before the loop ends (its sources all persisted
+			// then) and its slot be reused, so the loop stops there.
+			if head.flushWanted {
+				num := head.ID.Num
+				for i := 0; !a.table.IsPersisted(num) && i < len(head.Deps); i++ {
 					d := &head.Deps[i]
-					if !d.persisted.Fired() && !d.demanded {
+					if !a.persisted(d.Source) && !d.demanded {
 						d.demanded = true
-						a.demandSource(d.Source, head.Cause)
+						a.peers[d.Source.Core].DemandThrough(d.Source.Num, head.Cause)
 					}
 				}
 			}
@@ -179,17 +180,31 @@ func (a *Arbiter) subscribeDeps(r *Record) bool {
 	ready := true
 	for i := range r.Deps {
 		d := &r.Deps[i]
-		if d.persisted.Fired() {
+		if a.persisted(d.Source) {
 			continue
 		}
 		ready = false
 		if !d.subscribed {
 			d.subscribed = true
-			d.persisted.Subscribe(a.kickFn)
+			a.peers[d.Source.Core].table.OnPersisted(d.Source.Num, a.kickFn)
 		}
 	}
 	return ready
 }
+
+// DepsPersisted reports whether every IDT source of r, an epoch of this
+// arbiter's core, has persisted. A line of r may reach NVRAM only when this
+// holds (and r is the core's oldest unpersisted epoch).
+func (a *Arbiter) DepsPersisted(r *Record) bool {
+	for i := range r.Deps {
+		if !a.persisted(r.Deps[i].Source) {
+			return false
+		}
+	}
+	return true
+}
+
+func (a *Arbiter) persisted(src ID) bool { return a.peers[src.Core].table.IsPersisted(src.Num) }
 
 // Stats returns a snapshot of the arbiter's counters.
 func (a *Arbiter) Stats() ArbiterStats { return a.stats }

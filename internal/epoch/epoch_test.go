@@ -1,6 +1,7 @@
 package epoch
 
 import (
+	"strings"
 	"testing"
 
 	"persistbarriers/internal/mem"
@@ -29,7 +30,7 @@ func TestIDBasics(t *testing.T) {
 }
 
 func TestStateAndCauseStrings(t *testing.T) {
-	for s, want := range map[State]string{Open: "open", Completed: "completed", Flushing: "flushing", Persisted: "persisted"} {
+	for s, want := range map[State]string{Open: "open", Completed: "completed", Flushing: "flushing"} {
 		if s.String() != want {
 			t.Errorf("%v.String() = %q, want %q", uint8(s), s.String(), want)
 		}
@@ -111,21 +112,17 @@ func TestTableIsPersisted(t *testing.T) {
 func TestAddDependenceRegisterLimit(t *testing.T) {
 	tbl := newTable(t, Config{MaxInFlight: 8, DepRegs: 2})
 	cur := tbl.Current()
-	sigs := make([]*sim.Signal, 3)
-	for i := range sigs {
-		sigs[i] = &sim.Signal{}
-	}
-	if !tbl.AddDependence(cur, ID{Core: 1, Num: 0}, sigs[0]) {
+	if !tbl.AddDependence(cur, ID{Core: 1, Num: 0}) {
 		t.Fatal("first dep rejected")
 	}
 	// Duplicate source: accepted without consuming a register.
-	if !tbl.AddDependence(cur, ID{Core: 1, Num: 0}, sigs[0]) {
+	if !tbl.AddDependence(cur, ID{Core: 1, Num: 0}) {
 		t.Fatal("duplicate dep rejected")
 	}
-	if !tbl.AddDependence(cur, ID{Core: 2, Num: 0}, sigs[1]) {
+	if !tbl.AddDependence(cur, ID{Core: 2, Num: 0}) {
 		t.Fatal("second dep rejected")
 	}
-	if tbl.AddDependence(cur, ID{Core: 3, Num: 0}, sigs[2]) {
+	if tbl.AddDependence(cur, ID{Core: 3, Num: 0}) {
 		t.Fatal("third dep accepted past register limit")
 	}
 	s := tbl.Stats()
@@ -153,14 +150,29 @@ func (d *fakeDriver) FlushEpoch(rec *Record, done func()) {
 
 func harness(t *testing.T, cfg Config) (*sim.Engine, *Table, *Arbiter, *fakeDriver) {
 	t.Helper()
+	eng, tbls, arbs, drvs := cores(t, 1, cfg)
+	return eng, tbls[0], arbs[0], drvs[0]
+}
+
+// cores builds n cores' tables and arbiters on one engine, each arbiter
+// the peer of every other, with 100-cycle fake flushes.
+func cores(t *testing.T, n int, cfg Config) (*sim.Engine, []*Table, []*Arbiter, []*fakeDriver) {
+	t.Helper()
 	eng := sim.NewEngine()
-	tbl := newTable(t, cfg)
-	drv := &fakeDriver{eng: eng, delay: 100}
-	arb, err := NewArbiter(eng, tbl, drv)
-	if err != nil {
-		t.Fatal(err)
+	tbls, arbs, drvs := make([]*Table, n), make([]*Arbiter, n), make([]*fakeDriver, n)
+	for i := range tbls {
+		tbl, err := NewTable(i, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drvs[i] = &fakeDriver{eng: eng, delay: 100}
+		if arbs[i], err = NewArbiter(eng, tbl, drvs[i]); err != nil {
+			t.Fatal(err)
+		}
+		arbs[i].SetPeers(arbs)
+		tbls[i] = tbl
 	}
-	return eng, tbl, arb, drv
+	return eng, tbls, arbs, drvs
 }
 
 func TestArbiterValidation(t *testing.T) {
@@ -235,22 +247,29 @@ func TestArbiterNaturalDrainPersistsWithoutFlush(t *testing.T) {
 }
 
 func TestArbiterWaitsForIDTSource(t *testing.T) {
-	eng, tbl, arb, drv := harness(t, DefaultConfig())
-	cur := tbl.Current()
+	eng, tbls, arbs, drvs := cores(t, 2, DefaultConfig())
+	// Core 0's epoch 0 depends on core 1's epoch 0, which is still open,
+	// so the demand forwarded to it cannot flush it yet.
+	cur := tbls[0].Current()
 	cur.AddPending(10)
-	src := &sim.Signal{}
-	if !tbl.AddDependence(cur, ID{Core: 1, Num: 7}, src) {
+	if !tbls[0].AddDependence(cur, ID{Core: 1, Num: 0}) {
 		t.Fatal("dep rejected")
 	}
-	tbl.Advance(0, BarrierAdvance)
-	arb.DemandThrough(0, CauseInter)
+	tbls[0].Advance(0, BarrierAdvance)
+	arbs[0].DemandThrough(0, CauseInter)
 	eng.Run()
-	if len(drv.flushes) != 0 {
+	if len(drvs[0].flushes) != 0 {
 		t.Fatal("flushed before IDT source persisted")
 	}
-	src.Fire() // source epoch persists -> subscription kicks the arbiter
+	if arbs[0].DepsPersisted(tbls[0].Lookup(0)) {
+		t.Fatal("DepsPersisted with the source open")
+	}
+	// The source closes with nothing pending and persists at its next
+	// Kick; its persist kicks the dependent's arbiter.
+	tbls[1].Advance(0, BarrierAdvance)
+	arbs[1].Kick()
 	eng.Run()
-	if len(drv.flushes) != 1 || !tbl.IsPersisted(0) {
+	if len(drvs[0].flushes) != 1 || !tbls[0].IsPersisted(0) {
 		t.Fatal("flush did not proceed after source persisted")
 	}
 }
@@ -327,13 +346,14 @@ func TestArbiterSerializesFlushes(t *testing.T) {
 func TestHistoryRecordsWritesAndDeps(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RecordHistory = true
-	eng, tbl, arb, _ := harness(t, cfg)
+	eng, tbls, arbs, _ := cores(t, 2, cfg)
+	tbl, arb := tbls[0], arbs[0]
+	tbls[1].Advance(0, BarrierAdvance) // E1.0 persists with nothing pending
+	arbs[1].Kick()
 	cur := tbl.Current()
 	cur.AddPending(10)
 	cur.Writes[10] = 42
-	src := &sim.Signal{}
-	src.Fire()
-	tbl.AddDependence(cur, ID{Core: 3, Num: 1}, src)
+	tbl.AddDependence(cur, ID{Core: 1, Num: 0})
 	tbl.Advance(0, BarrierAdvance)
 	tbl.Current().AddPending(11) // unpersisted at "crash"
 	arb.DemandThrough(0, CauseInter)
@@ -346,7 +366,7 @@ func TestHistoryRecordsWritesAndDeps(t *testing.T) {
 	if hist[0].ID.Num != 0 || !hist[0].PersistedFlag || hist[0].Writes[10] != 42 {
 		t.Fatalf("persisted summary = %+v", hist[0])
 	}
-	if len(hist[0].Deps) != 1 || hist[0].Deps[0] != (ID{Core: 3, Num: 1}) {
+	if len(hist[0].Deps) != 1 || hist[0].Deps[0] != (ID{Core: 1, Num: 0}) {
 		t.Fatalf("deps = %v", hist[0].Deps)
 	}
 	if hist[1].PersistedFlag {
@@ -421,31 +441,9 @@ func TestAddPendingReportsFirstWrite(t *testing.T) {
 func TestDemandPropagatesToIDTSources(t *testing.T) {
 	// Two tables: the dependent epoch's demanded flush must forward a
 	// demand to its source core's arbiter instead of waiting forever.
-	eng := sim.NewEngine()
-	srcTbl, err := NewTable(1, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcDrv := &fakeDriver{eng: eng, delay: 50}
-	srcArb, err := NewArbiter(eng, srcTbl, srcDrv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	depTbl, err := NewTable(0, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	depDrv := &fakeDriver{eng: eng, delay: 50}
-	depArb, err := NewArbiter(eng, depTbl, depDrv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	depArb.SetDemandSource(func(src ID, cause FlushCause) {
-		if src.Core != 1 {
-			t.Fatalf("demand forwarded to %v", src)
-		}
-		srcArb.DemandThrough(src.Num, cause)
-	})
+	eng, tbls, arbs, drvs := cores(t, 2, DefaultConfig())
+	depTbl, depArb, depDrv := tbls[0], arbs[0], drvs[0]
+	srcTbl, srcDrv := tbls[1], drvs[1]
 
 	// Source epoch 0 has a pending line and completes, but nobody
 	// demands it directly.
@@ -456,7 +454,7 @@ func TestDemandPropagatesToIDTSources(t *testing.T) {
 	// Dependent epoch 0 depends on it and is demanded.
 	depRec := depTbl.Current()
 	depRec.AddPending(200)
-	if !depTbl.AddDependence(depRec, srcRec.ID, &srcRec.Persisted) {
+	if !depTbl.AddDependence(depRec, srcRec.ID) {
 		t.Fatal("dep rejected")
 	}
 	depTbl.Advance(0, BarrierAdvance)
@@ -528,3 +526,127 @@ func TestConflictDemandedCountsInStats(t *testing.T) {
 type driverFunc func(rec *Record, done func())
 
 func (f driverFunc) FlushEpoch(rec *Record, done func()) { f(rec, done) }
+
+// TestOnPersistedOrder: what waits on an epoch runs at its persist, in the
+// order it subscribed; a wait on a persisted epoch runs at once; and a
+// waiter that opens epoch n+MaxInFlight into the slot whose persist is
+// being announced, then waits on that epoch, runs at its persist, not n's.
+func TestOnPersistedOrder(t *testing.T) {
+	_, tbl, arb, _ := harness(t, Config{MaxInFlight: 2, DepRegs: 4})
+	var order []string
+	note := func(s string) func() { return func() { order = append(order, s) } }
+	tbl.OnPersisted(0, note("a"))
+	tbl.OnPersisted(0, func() {
+		order = append(order, "b")
+		tbl.Advance(1, BarrierAdvance) // closes E0.1, opens E0.2 in E0.0's slot
+		tbl.OnPersisted(2, note("E0.2"))
+	})
+	tbl.OnPersisted(0, note("c"))
+	tbl.Advance(0, BarrierAdvance)
+	arb.Kick() // E0.0 and then E0.1 persist: nothing is pending
+	if got := strings.Join(order, " "); got != "a b c" || !tbl.IsPersisted(1) || tbl.IsPersisted(2) {
+		t.Fatalf("after E0.0 and E0.1 persisted: ran %q (want \"a b c\"), persisted(1)=%v persisted(2)=%v",
+			got, tbl.IsPersisted(1), tbl.IsPersisted(2))
+	}
+	ran := false
+	tbl.OnPersisted(0, func() { ran = true })
+	if !ran {
+		t.Fatal("a wait on a persisted epoch did not run at once")
+	}
+	tbl.Advance(2, BarrierAdvance)
+	arb.Kick()
+	if got := strings.Join(order, " "); got != "a b c E0.2" {
+		t.Fatalf("after E0.2 persisted: ran %q, want \"a b c E0.2\"", got)
+	}
+}
+
+// TestRingWrapKeepsHistory drives more than 3*MaxInFlight epochs through a
+// four-slot ring, a full window at a time, each with a dependence and an
+// online edge on core 1's persisted epoch 0. Every reopened slot must read
+// as a fresh epoch, and with history on History() must name every epoch
+// once, in order, with exactly the writes and edges it had.
+func TestRingWrapKeepsHistory(t *testing.T) {
+	const slots, epochs = 4, 3*4 + 3
+	src := ID{Core: 1, Num: 0}
+	for _, history := range []bool{false, true} {
+		eng, tbls, arbs, _ := cores(t, 2, Config{MaxInFlight: slots, DepRegs: 4, RecordHistory: history})
+		tbl, arb := tbls[0], arbs[0]
+		tbls[1].Advance(0, BarrierAdvance)
+		arbs[1].Kick() // src persists with nothing pending
+		for n := uint64(0); n < epochs; n++ {
+			cur := tbl.Current()
+			if cur.ID.Num != n || cur.State != Open || len(cur.Pending) != 0 || len(cur.Deps) != 0 ||
+				len(cur.OnlineEdges) != 0 || cur.flushWanted || cur.FlushCompleted || cur.StoreCount != 0 ||
+				(cur.Writes != nil) != history {
+				t.Fatalf("history=%v: epoch %d opened as %+v", history, n, cur)
+			}
+			cur.AddPending(mem.Line(n))
+			cur.StoreCount++
+			tbl.AddDependence(cur, src)
+			cur.OnlineEdges = append(cur.OnlineEdges, src)
+			if history {
+				cur.Writes[mem.Line(n)] = mem.Version(100 + n)
+			}
+			if !tbl.CanAdvance() {
+				arb.DemandThrough(tbl.Oldest().ID.Num, CausePressure)
+				eng.Run()
+			}
+			tbl.Advance(sim.Cycle(n), BarrierAdvance)
+		}
+		arb.DemandThrough(epochs-1, CauseDrain)
+		eng.Run()
+		if tbl.InFlight() != 1 || !tbl.IsPersisted(epochs-1) || tbl.IsPersisted(epochs) || tbl.Lookup(epochs-1) != nil {
+			t.Fatalf("history=%v: %d in flight after the drain", history, tbl.InFlight())
+		}
+		hist := tbl.History()
+		if !history {
+			if hist != nil {
+				t.Fatal("history returned without RecordHistory")
+			}
+			continue
+		}
+		if len(hist) != epochs+1 {
+			t.Fatalf("%d summaries, want %d", len(hist), epochs+1)
+		}
+		for i, s := range hist {
+			n := uint64(i)
+			if s.ID != (ID{Core: 0, Num: n}) || s.PersistedFlag != (n < epochs) {
+				t.Fatalf("summary %d is %v (persisted %v)", i, s.ID, s.PersistedFlag)
+			}
+			if n == epochs {
+				break // the open epoch: nothing written yet
+			}
+			if len(s.Writes) != 1 || s.Writes[mem.Line(n)] != mem.Version(100+n) || len(s.Deps) != 2 || s.Deps[0] != src || s.Deps[1] != src {
+				t.Fatalf("%v kept writes %v, edges %v", s.ID, s.Writes, s.Deps)
+			}
+		}
+	}
+}
+
+// TestRingRoundZeroAlloc: once every slot has served, an epoch round —
+// write a line, wait on the epoch, close it, drain it, persist it — reuses
+// the slot's Pending map and subscriber array: with history off the table
+// allocates nothing.
+func TestRingRoundZeroAlloc(t *testing.T) {
+	_, tbl, arb, _ := harness(t, DefaultConfig())
+	hits := 0
+	woke := func() { hits++ }
+	round := func() {
+		cur := tbl.Current()
+		cur.AddPending(7)
+		tbl.OnPersisted(cur.ID.Num, woke)
+		tbl.Advance(0, BarrierAdvance)
+		delete(cur.Pending, 7) // drained naturally
+		arb.Kick()
+	}
+	warm := 2 * DefaultConfig().MaxInFlight
+	for i := 0; i < warm; i++ {
+		round()
+	}
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("an epoch round allocates %.2f times, want 0", n)
+	}
+	if hits != warm+101 {
+		t.Fatalf("%d wake-ups, want %d: every round's epoch must persist once", hits, warm+101)
+	}
+}

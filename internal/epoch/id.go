@@ -8,10 +8,10 @@ package epoch
 import "fmt"
 
 // ID identifies one epoch: the core that created it and the core-local
-// epoch number. The paper stores this as CoreID+EpochID fields in cache
-// tags (Section 4.3); epoch numbers there wrap at 8 in-flight epochs, but
-// the simulator uses full-width numbers and enforces the in-flight limit
-// structurally in the Table.
+// epoch number (the CoreID+EpochID of cache tags and dependence registers,
+// Section 4.3). Anything outside one event names an epoch by ID: epoch n
+// holds slot n mod MaxInFlight of its core's Table only until it persists,
+// and n is full width, so an ID never names the slot's next epoch.
 type ID struct {
 	Core int
 	Num  uint64
@@ -38,7 +38,7 @@ func (id ID) Before(other ID) bool {
 	return id.Valid() && other.Valid() && id.Core == other.Core && id.Num < other.Num
 }
 
-// State is an epoch's lifecycle position.
+// State is an unpersisted epoch's lifecycle position (Table.IsPersisted).
 type State uint8
 
 const (
@@ -49,9 +49,6 @@ const (
 	Completed
 	// Flushing: the arbiter is driving this epoch's flush handshake.
 	Flushing
-	// Persisted: every line (and log entry) reached NVRAM and the
-	// PersistCMP broadcast retired.
-	Persisted
 )
 
 // String implements fmt.Stringer.
@@ -63,8 +60,6 @@ func (s State) String() string {
 		return "completed"
 	case Flushing:
 		return "flushing"
-	case Persisted:
-		return "persisted"
 	default:
 		return fmt.Sprintf("State(%d)", uint8(s))
 	}

@@ -104,15 +104,16 @@ func (c FlushCause) Conflicting() bool {
 }
 
 // Dep is one IDT dependence register: a source epoch that must persist
-// before the owning epoch may.
+// before the owning epoch may. It names the source; it does not point at it.
 type Dep struct {
 	Source     ID
-	persisted  *sim.Signal
 	subscribed bool
 	demanded   bool
 }
 
-// Record is one in-flight epoch's hardware state.
+// Record is one in-flight epoch's hardware state, a slot of its core's Table
+// that a later epoch reuses once this one persists: a *Record is valid only
+// inside the event that looked it up; hold the epoch's ID across events.
 type Record struct {
 	ID    ID
 	State State
@@ -144,8 +145,8 @@ type Record struct {
 	// another flush pass".
 	AcksInFlight int
 
-	// Persisted fires when the epoch is durably complete.
-	Persisted sim.Signal
+	// persisted fires when the epoch persists (Table.OnPersisted).
+	persisted sim.Signal
 
 	// Cause is why this epoch's flush was (first) demanded.
 	Cause FlushCause
@@ -169,20 +170,7 @@ type Record struct {
 	AdvReason AdvanceReason
 
 	CompletedAt sim.Cycle
-	PersistedAt sim.Cycle
 	StoreCount  uint64
-}
-
-// DepsPersisted reports whether every IDT source has persisted. A line of
-// this epoch may reach NVRAM only when this holds (and the program-order
-// predecessor has persisted).
-func (r *Record) DepsPersisted() bool {
-	for i := range r.Deps {
-		if !r.Deps[i].persisted.Fired() {
-			return false
-		}
-	}
-	return true
 }
 
 // AddPending registers a line write in this epoch. It returns true when
@@ -243,14 +231,15 @@ type Stats struct {
 	PersistLatency hist.Hist
 }
 
-// Table is one core's epoch-tracking hardware: the window of unpersisted
-// epochs, the epoch ID counter, and the IDT registers.
+// Table is one core's epoch-tracking hardware: a fixed ring of MaxInFlight
+// records, epoch n in slot n mod MaxInFlight, holding the window
+// [oldest, next) of unpersisted epochs, the last of which is the open one.
 type Table struct {
 	Core int
 	cfg  Config
 
-	nextNum uint64
-	window  []*Record // unpersisted epochs, oldest first; last is current
+	ring         []Record
+	oldest, next uint64
 
 	history []*Summary
 	stats   Stats
@@ -264,47 +253,49 @@ func NewTable(core int, cfg Config) (*Table, error) {
 	if cfg.DepRegs < 0 {
 		return nil, fmt.Errorf("epoch: DepRegs must be non-negative, got %d", cfg.DepRegs)
 	}
-	t := &Table{Core: core, cfg: cfg}
+	t := &Table{Core: core, cfg: cfg, ring: make([]Record, cfg.MaxInFlight)}
+	for i := range t.ring {
+		t.ring[i].Pending = make(map[mem.Line]struct{})
+	}
 	t.open(0)
 	return t, nil
 }
 
+// PlantShortRing (tests only) makes the ring one slot short of the in-flight
+// limit, to show the checkers catch a slot reused before its epoch persists.
+func (t *Table) PlantShortRing() { t.ring = t.ring[:len(t.ring)-1] }
+
+func (t *Table) slot(num uint64) *Record { return &t.ring[num%uint64(len(t.ring))] }
+
+// open reuses the next epoch's slot in place; with history off it allocates
+// nothing (Writes goes on to the epoch's Summary, so it is not reused).
 func (t *Table) open(now sim.Cycle) *Record {
-	r := &Record{
-		ID:      ID{Core: t.Core, Num: t.nextNum},
-		State:   Open,
-		Pending: make(map[mem.Line]struct{}),
-		Cause:   CauseNone,
-	}
+	r := t.slot(t.next)
+	clear(r.Pending)
+	r.persisted.Reset()
+	*r = Record{ID: ID{Core: t.Core, Num: t.next}, Pending: r.Pending,
+		Deps: r.Deps[:0], OnlineEdges: r.OnlineEdges[:0], persisted: r.persisted}
 	if t.cfg.RecordHistory {
 		r.Writes = make(map[mem.Line]mem.Version)
 	}
-	t.nextNum++
-	t.window = append(t.window, r)
+	t.next++
 	t.stats.EpochsOpened++
 	t.cfg.Probe.EpochOpen(now, t.Core, r.ID.Num)
 	return r
 }
 
 // Current returns the open epoch the core is executing in.
-func (t *Table) Current() *Record {
-	return t.window[len(t.window)-1]
-}
+func (t *Table) Current() *Record { return t.slot(t.next - 1) }
 
-// Oldest returns the oldest unpersisted epoch, or nil if all persisted.
-func (t *Table) Oldest() *Record {
-	if len(t.window) == 0 {
-		return nil
-	}
-	return t.window[0]
-}
+// Oldest returns the oldest unpersisted epoch (the open one never persists).
+func (t *Table) Oldest() *Record { return t.slot(t.oldest) }
 
 // InFlight reports the number of unpersisted epochs (including current).
-func (t *Table) InFlight() int { return len(t.window) }
+func (t *Table) InFlight() int { return int(t.next - t.oldest) }
 
 // CanAdvance reports whether a new epoch may open without exceeding the
 // in-flight limit.
-func (t *Table) CanAdvance() bool { return len(t.window) < t.cfg.MaxInFlight }
+func (t *Table) CanAdvance() bool { return t.InFlight() < t.cfg.MaxInFlight }
 
 // Advance completes the current epoch and opens the next. The caller must
 // have checked CanAdvance; violating the in-flight limit panics, modelling
@@ -329,30 +320,36 @@ func (t *Table) Advance(now sim.Cycle, why AdvanceReason) *Record {
 	return t.open(now)
 }
 
-// Lookup finds the unpersisted epoch numbered num, or nil (persisted or
-// never existed).
+// Lookup returns the record of unpersisted epoch num, or nil when num has
+// persisted or was never opened.
 func (t *Table) Lookup(num uint64) *Record {
-	for _, r := range t.window {
-		if r.ID.Num == num {
-			return r
-		}
+	if num < t.oldest || num >= t.next {
+		return nil
 	}
-	return nil
+	return t.slot(num)
 }
 
-// IsPersisted reports whether epoch num has fully persisted.
-func (t *Table) IsPersisted(num uint64) bool {
-	if num >= t.nextNum {
-		return false
+// IsPersisted reports whether epoch num has persisted: epochs persist in order.
+func (t *Table) IsPersisted(num uint64) bool { return num < t.oldest }
+
+// OnPersisted runs fn when epoch num has persisted: at once if it already
+// has, otherwise at its persist, after everything subscribed before it.
+func (t *Table) OnPersisted(num uint64, fn func()) {
+	if num < t.oldest {
+		fn()
+		return
 	}
-	return t.Lookup(num) == nil
+	if num >= t.next {
+		panic(fmt.Sprintf("epoch: waiting on E%d.%d, which has not opened", t.Core, num))
+	}
+	t.slot(num).persisted.Subscribe(fn)
 }
 
 // AddDependence records an IDT dependence: the dependent epoch (which must
 // belong to this table) may not persist until source does. It returns
 // false when the dependence registers are full — the caller must then fall
 // back to an online flush, as the real hardware would.
-func (t *Table) AddDependence(dependent *Record, source ID, sourcePersisted *sim.Signal) bool {
+func (t *Table) AddDependence(dependent *Record, source ID) bool {
 	for i := range dependent.Deps {
 		if dependent.Deps[i].Source == source {
 			return true // already tracked
@@ -362,18 +359,17 @@ func (t *Table) AddDependence(dependent *Record, source ID, sourcePersisted *sim
 		t.stats.DepRegFull++
 		return false
 	}
-	dependent.Deps = append(dependent.Deps, Dep{Source: source, persisted: sourcePersisted})
+	dependent.Deps = append(dependent.Deps, Dep{Source: source})
 	t.stats.DepsRecorded++
 	return true
 }
 
-// markPersisted transitions the oldest epoch to Persisted and pops it.
+// markPersisted retires the oldest epoch, frees its slot and runs what
+// waits on it.
 func (t *Table) markPersisted(r *Record, now sim.Cycle) {
-	if len(t.window) == 0 || t.window[0] != r {
+	if r.ID != (ID{Core: t.Core, Num: t.oldest}) {
 		panic(fmt.Sprintf("epoch: persisting %v out of order", r.ID))
 	}
-	r.State = Persisted
-	r.PersistedAt = now
 	cause := r.Cause
 	if !r.flushWanted {
 		cause = CauseNatural
@@ -400,12 +396,8 @@ func (t *Table) markPersisted(r *Record, now sim.Cycle) {
 			PersistedFlag: true,
 		})
 	}
-	// Copy down rather than reslice, so the window keeps its capacity and
-	// the next open appends without allocating.
-	n := copy(t.window, t.window[1:])
-	t.window[n] = nil
-	t.window = t.window[:n]
-	r.Persisted.Fire()
+	t.oldest++
+	r.persisted.Fire()
 }
 
 // History returns summaries of persisted epochs plus, at crash time, the
@@ -415,9 +407,10 @@ func (t *Table) History() []*Summary {
 	if !t.cfg.RecordHistory {
 		return nil
 	}
-	out := make([]*Summary, len(t.history), len(t.history)+len(t.window))
+	out := make([]*Summary, len(t.history), len(t.history)+t.InFlight())
 	copy(out, t.history)
-	for _, r := range t.window {
+	for n := t.oldest; n < t.next; n++ {
+		r := t.slot(n)
 		out = append(out, &Summary{
 			ID:          r.ID,
 			Writes:      r.Writes,

@@ -55,11 +55,11 @@ type memReq struct {
 	busy   sim.Signal // what ls.busy points at while locked
 	stall  stall
 
-	tag   epoch.ID      // the tag the conflict check ran against
-	src   *epoch.Record // inter-thread conflict: the source epoch being resolved
-	dep   *epoch.Record // deferred IDT dependence, attached at completion
-	owner *coreCtx      // recall in flight: the core being recalled
-	ver   mem.Version   // version in transit: the owner's copy (recall), then the LLC's (grant)
+	tag   epoch.ID    // the tag the conflict check ran against
+	src   epoch.ID    // inter-thread conflict: the source epoch being resolved
+	dep   epoch.ID    // deferred IDT dependence, attached at completion (None: nothing)
+	owner *coreCtx    // recall in flight: the core being recalled
+	ver   mem.Version // version in transit: the owner's copy (recall), then the LLC's (grant)
 
 	victim cache.Entry // the dirty L1 line the fill is writing back first
 
@@ -75,13 +75,13 @@ type memReq struct {
 func (m *Machine) acquireReq(c *coreCtx, kind mem.Kind, line mem.Line, done func()) *memReq {
 	r := m.memReqs.get()
 	if r == nil {
-		r = &memReq{m: m}
+		r = &memReq{m: m, src: epoch.None, dep: epoch.None}
 		r.stall.init(m)
 		r.atBankFn, r.atBankLockedFn, r.unlockFn = r.atBank, r.atBankLocked, r.unlock
 		r.recallArrivedFn, r.recallFinishFn = r.recallArrived, r.recallFinish
 		r.fillReadLineFn, r.fillReturnFn, r.fillInsertFn = r.fillReadLine, r.fillReturn, r.fillInsert
 		r.l1FillFn, r.victimAtBankFn, r.victimWrittenFn = r.l1Fill, r.victimAtBank, r.victimWritten
-		r.commitFn, r.resolvedNilFn = r.commit, func() { r.resolved(nil) }
+		r.commitFn, r.resolvedNilFn = r.commit, func() { r.resolved(epoch.None) }
 		r.idtResolveFn, r.onlineInterResolveFn = r.idtResolve, r.onlineInterResolve
 	}
 	r.c, r.kind, r.line, r.done = c, kind, line, done
@@ -93,8 +93,8 @@ func (m *Machine) acquireReq(c *coreCtx, kind mem.Kind, line mem.Line, done func
 // hands back its completion.
 func (m *Machine) releaseReq(r *memReq) func() {
 	done := r.done
-	r.c, r.done, r.b, r.ls, r.src, r.dep, r.owner, r.stall.c = nil, nil, nil, nil, nil, nil, nil, nil
-	r.locked = false
+	r.c, r.done, r.b, r.ls, r.owner, r.stall.c = nil, nil, nil, nil, nil, nil
+	r.src, r.dep, r.locked = epoch.None, epoch.None, false
 	m.memReqs.put(r)
 	return done
 }
@@ -113,7 +113,7 @@ func (r *memReq) atBank() {
 	r.ls, r.locked = ls, true
 	r.busy.Reset()
 	ls.busy = &r.busy
-	if m.trackBusy {
+	if m.cfg.DebugLine != 0 {
 		ls.busyInfo = fmt.Sprintf("core=%d kind=%v at=%d", r.c.id, r.kind, m.eng.Now())
 	}
 	r.atBankLocked()
@@ -131,7 +131,7 @@ func (r *memReq) unlock() {
 // busyPhase updates the line's transient-state holder description; a no-op
 // in normal runs.
 func (r *memReq) busyPhase(p string) {
-	if r.m.trackBusy && r.ls.busy != nil {
+	if r.m.cfg.DebugLine != 0 && r.ls.busy != nil {
 		r.ls.busyInfo = fmt.Sprintf("core=%d kind=%v phase=%s at=%d", r.c.id, r.kind, p, r.m.eng.Now())
 	}
 }
@@ -159,9 +159,9 @@ func (r *memReq) atBankLocked() {
 
 // resolved continues a request whose conflict check (against r.tag) is
 // settled. dep is the inter-thread source epoch whose dependence must be
-// attached to the requesting epoch at completion time (nil when the request
-// may complete without tracking anything).
-func (r *memReq) resolved(dep *epoch.Record) {
+// attached to the requesting epoch at completion time (epoch.None when the
+// request may complete without tracking anything).
+func (r *memReq) resolved(dep epoch.ID) {
 	r.dep = dep
 	if !r.locked {
 		r.commit()
@@ -281,8 +281,7 @@ func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver
 			if m.cfg.Probe.Active() {
 				m.cfg.Probe.Conflict(m.eng.Now(), obs.ConflictEviction, -1, rec.ID.Core, rec.ID.Num, line, obs.ResolveDemand)
 			}
-			src := m.cores[ent.Tag.Core]
-			m.demandFlush(src, rec, epoch.CauseEviction, func() {
+			m.demandFlush(ent.Tag, epoch.CauseEviction, func() {
 				m.llcApplyWriteback(b, line, tag, ver, cont)
 			})
 			return
@@ -405,7 +404,7 @@ func (m *Machine) llcInsert(c *coreCtx, b *bankCtx, line mem.Line, ver mem.Versi
 	}
 	w := m.deferInsert(c, b, line, ver, cont)
 	w.since = m.eng.Now()
-	m.demandFlush(src, rec, epoch.CauseEviction, w.flushedFn)
+	m.demandFlush(v.Tag, epoch.CauseEviction, w.flushedFn)
 }
 
 // insertWait is an llcInsert that has to wait before it can run again: for
@@ -470,7 +469,7 @@ func (w *insertWait) flushed() {
 // unpersisted epoch, with all IDT sources persisted and its undo-log
 // entries durable.
 func (m *Machine) canDrainLine(src *coreCtx, rec *epoch.Record) bool {
-	return src.table.Oldest() == rec && rec.DepsPersisted() && rec.LogPending == 0
+	return src.table.Oldest() == rec && src.arb.DepsPersisted(rec) && rec.LogPending == 0
 }
 
 // backInvalidate removes the clean L1 copies of a line the LLC is
@@ -568,16 +567,16 @@ func (r *memReq) commit() {
 					m.cfg.Probe.Conflict(m.eng.Now(), obs.ConflictIntra, c.id, rec.ID.Core, rec.ID.Num, line, obs.ResolveOnline)
 				}
 				c.arb.DemandThrough(ent.Tag.Num, epoch.CauseIntra)
-				r.stall.until(&rec.Persisted, StallIntra, r.commitFn)
+				r.stall.until(ent.Tag, StallIntra, r.commitFn)
 				return
 			}
 		}
-		if dep := r.dep; dep != nil && dep.State != epoch.Persisted {
+		if dep := r.dep; m.lookupRec(dep) != nil {
 			// Attach the deferred inter-thread dependence, then rerun
 			// every check: the register-full fallback may have waited,
 			// and the world may have moved meanwhile. On the synchronous
 			// success path the recheck happens in this same event.
-			r.dep = nil
+			r.dep = epoch.None
 			m.attachDep(r, dep, r.commitFn)
 			return
 		}
@@ -688,7 +687,7 @@ func (m *Machine) commitStore(c *coreCtx, line mem.Line) mem.Version {
 	if m.cfg.Logging && first {
 		m.logWrites++
 		cur.LogPending++
-		w := m.acquireNVWrite(cur, line, prev.Version)
+		w := m.acquireNVWrite(cur.ID, line, prev.Version)
 		w.log = true
 		m.eng.After(m.mesh.Latency(c.tile, m.mcTiles[w.mc.ID()], mem.LineSize), w.atControllerFn)
 	}
@@ -702,7 +701,7 @@ func (m *Machine) spPersist(c *coreCtx, line mem.Line, ver mem.Version, done fun
 	mcTile := m.mcTiles[mc.ID()]
 	m.eng.After(m.mesh.Latency(c.tile, mcTile, mem.LineSize), func() {
 		mc.Write(line, ver, func() {
-			m.lineDurable(nil, line, ver)
+			m.lineDurable(epoch.None, line, ver)
 			m.eng.After(m.mesh.Latency(mcTile, c.tile, 0), func() {
 				c.stalls[StallPersistQueue] += m.eng.Now() - t0
 				done()
@@ -743,7 +742,7 @@ func (m *Machine) wtIssueHead(c *coreCtx) {
 	mcTile := m.mcTiles[mc.ID()]
 	m.eng.After(m.mesh.Latency(c.tile, mcTile, mem.LineSize), func() {
 		mc.Write(w.line, w.ver, func() {
-			m.lineDurable(nil, w.line, w.ver)
+			m.lineDurable(epoch.None, w.line, w.ver)
 			c.wtQueue = c.wtQueue[1:]
 			c.wtInFlight--
 			if len(c.wtQueue) > 0 {
@@ -761,23 +760,25 @@ func (m *Machine) wtIssueHead(c *coreCtx) {
 // nvramWriteFrom issues a durable line write from a tile, notifying the
 // epoch bookkeeping (and optional ack) when the PersistAck returns.
 func (m *Machine) nvramWriteFrom(from noc.Tile, rec *epoch.Record, line mem.Line, ver mem.Version, ack func()) {
+	id := epoch.None
 	if rec != nil {
 		rec.AcksInFlight++
+		id = rec.ID
 	}
-	w := m.acquireNVWrite(rec, line, ver)
+	w := m.acquireNVWrite(id, line, ver)
 	w.ack = ack
 	m.eng.After(m.mesh.Latency(from, m.mcTiles[w.mc.ID()], mem.LineSize), w.atControllerFn)
 }
 
 // nvWrite is one durable write on its way from a tile to a memory
 // controller and into NVRAM: a line version, or (log set) the undo-log
-// entry saying line held version ver before epoch rec first wrote it. A
+// entry saying line held version ver before epoch id first wrote it. A
 // pooled frame like flush.go's: its two continuations are bound once, and the
 // frame is released when the PersistAck has fired.
 type nvWrite struct {
 	m    *Machine
 	mc   *nvram.Controller
-	rec  *epoch.Record
+	id   epoch.ID // the epoch the write belongs to; None for untagged data
 	line mem.Line
 	ver  mem.Version
 	log  bool
@@ -786,41 +787,42 @@ type nvWrite struct {
 	atControllerFn, persistAckFn func() // bound once in acquireNVWrite
 }
 
-func (m *Machine) acquireNVWrite(rec *epoch.Record, line mem.Line, ver mem.Version) *nvWrite {
+func (m *Machine) acquireNVWrite(id epoch.ID, line mem.Line, ver mem.Version) *nvWrite {
 	w := m.nvWrites.get()
 	if w == nil {
 		w = &nvWrite{m: m}
 		w.atControllerFn, w.persistAckFn = w.atController, w.persistAck
 	}
-	w.mc, w.rec, w.line, w.ver = m.mcs.ControllerFor(line), rec, line, ver
+	w.mc, w.id, w.line, w.ver = m.mcs.ControllerFor(line), id, line, ver
 	return w
 }
 
 func (w *nvWrite) atController() {
 	if w.log {
-		w.mc.WriteLog(nvram.LogEntry{Line: w.line, Old: w.ver, EpochCore: w.rec.ID.Core, EpochNum: w.rec.ID.Num}, w.persistAckFn)
+		w.mc.WriteLog(nvram.LogEntry{Line: w.line, Old: w.ver, EpochCore: w.id.Core, EpochNum: w.id.Num}, w.persistAckFn)
 		return
 	}
 	w.mc.Write(w.line, w.ver, w.persistAckFn)
 }
 
 func (w *nvWrite) persistAck() {
-	m, rec, line, ver, log, ack := w.m, w.rec, w.line, w.ver, w.log, w.ack
-	w.mc, w.rec, w.log, w.ack = nil, nil, false, nil
+	m, id, line, ver, log, ack := w.m, w.id, w.line, w.ver, w.log, w.ack
+	w.mc, w.log, w.ack = nil, false, nil
 	m.nvWrites.put(w)
 	if log {
-		rec.LogPending--
-		m.cores[rec.ID.Core].arb.Kick()
+		m.cores[id.Core].table.Lookup(id.Num).LogPending-- // cannot persist before this ack
+		m.cores[id.Core].arb.Kick()
 		return
 	}
-	m.lineDurable(rec, line, ver)
+	m.lineDurable(id, line, ver)
 	if ack != nil {
 		ack()
 	}
 }
 
 // lookupRec resolves a cache tag to its live epoch record, or nil when the
-// epoch has persisted (or the model tracks no epochs).
+// epoch has persisted (or the model tracks no epochs). Hold the tag, not
+// the record, across events.
 func (m *Machine) lookupRec(tag epoch.ID) *epoch.Record {
 	if !tag.Valid() || !m.usesEpochs() {
 		return nil

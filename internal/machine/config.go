@@ -124,16 +124,12 @@ type Config struct {
 	// and per-line persist events. Only for small traces.
 	RecordOpTimes bool
 
-	// DebugLine, when non-zero, turns on event tracing for that line;
-	// the trace is retrievable via Machine.DebugTrace. Diagnostic only.
+	// DebugLine, when non-zero, turns on event tracing for that line,
+	// retrievable via Machine.DebugTrace, and a description of every
+	// line's transient-state holder (lineState.busyInfo) for liveness
+	// diagnostics. Diagnostic only: the strings are formatted on every
+	// access.
 	DebugLine uint64
-
-	// TrackBusyInfo records a human-readable description of each line's
-	// transient-state holder (who owns the busy signal and why) for
-	// liveness diagnostics. Off by default: the strings are formatted on
-	// every access and nothing reads them in normal runs. A non-zero
-	// DebugLine implies the same tracking.
-	TrackBusyInfo bool
 
 	// Probe receives the observability event stream (epoch lifecycle,
 	// conflicts, flush handshakes, NVRAM/NoC samples) from every layer

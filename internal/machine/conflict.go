@@ -17,7 +17,7 @@ func (m *Machine) resolveConflict(r *memReq, tag epoch.ID) {
 	c := r.c
 	r.tag = tag
 	if !m.usesEpochs() || !tag.Valid() {
-		r.resolved(nil)
+		r.resolved(epoch.None)
 		return
 	}
 	if tag.Core == c.id {
@@ -25,12 +25,12 @@ func (m *Machine) resolveConflict(r *memReq, tag epoch.ID) {
 		// tracking already covers them, §3.2); writes to a line of an
 		// older unpersisted epoch must flush that epoch first.
 		if r.kind == mem.Load {
-			r.resolved(nil)
+			r.resolved(epoch.None)
 			return
 		}
 		rec := c.table.Lookup(tag.Num)
 		if rec == nil || rec == c.table.Current() {
-			r.resolved(nil)
+			r.resolved(epoch.None)
 			return
 		}
 		m.intraConflicts++
@@ -39,14 +39,14 @@ func (m *Machine) resolveConflict(r *memReq, tag epoch.ID) {
 			m.cfg.Probe.Conflict(m.eng.Now(), obs.ConflictIntra, c.id, rec.ID.Core, rec.ID.Num, r.line, obs.ResolveOnline)
 		}
 		c.arb.DemandThrough(tag.Num, epoch.CauseIntra)
-		r.stall.until(&rec.Persisted, StallIntra, r.resolvedNilFn)
+		r.stall.until(tag, StallIntra, r.resolvedNilFn)
 		return
 	}
 	// Inter-thread conflict (§3.1): both loads and stores establish a
 	// persist-ordering constraint on the source epoch.
 	rec := m.cores[tag.Core].table.Lookup(tag.Num)
 	if rec == nil {
-		r.resolved(nil)
+		r.resolved(epoch.None)
 		return
 	}
 	m.interConflicts++
@@ -58,7 +58,7 @@ func (m *Machine) resolveConflict(r *memReq, tag epoch.ID) {
 		}
 		m.cfg.Probe.Conflict(m.eng.Now(), obs.ConflictInter, c.id, rec.ID.Core, rec.ID.Num, r.line, res)
 	}
-	r.src = rec
+	r.src = tag
 	if m.cfg.IDT {
 		r.idtResolve()
 		return
@@ -72,9 +72,9 @@ func (m *Machine) resolveConflict(r *memReq, tag epoch.ID) {
 // ongoing, the deadlock-avoidance split (§3.3) closes it first so the
 // dependence can never become circular.
 func (r *memReq) idtResolve() {
-	m, rec := r.m, r.src
-	if rec.State == epoch.Persisted {
-		r.resolved(nil)
+	m, rec := r.m, r.m.lookupRec(r.src)
+	if rec == nil {
+		r.resolved(epoch.None)
 		return
 	}
 	if rec.State == epoch.Open {
@@ -85,10 +85,10 @@ func (r *memReq) idtResolve() {
 			r.onlineInterResolve()
 			return
 		}
-		m.splitEpoch(m.cores[rec.ID.Core], r.idtResolveFn)
+		m.splitEpoch(m.cores[r.src.Core], r.idtResolveFn)
 		return
 	}
-	r.resolved(rec)
+	r.resolved(r.src)
 }
 
 // attachDep registers the deferred IDT dependence on the current epoch of
@@ -96,23 +96,22 @@ func (r *memReq) idtResolve() {
 // it falls back to the online flush (as the hardware would) and retries;
 // retry runs in the same event as the eventual completion, so attachment
 // and the access commit stay atomic.
-func (m *Machine) attachDep(r *memReq, rec *epoch.Record, cont func()) {
+func (m *Machine) attachDep(r *memReq, dep epoch.ID, cont func()) {
 	c := r.c
-	if rec == nil || rec.State == epoch.Persisted {
+	if m.lookupRec(dep) == nil {
 		cont()
 		return
 	}
-	if c.table.AddDependence(c.table.Current(), rec.ID, &rec.Persisted) {
+	if c.table.AddDependence(c.table.Current(), dep) {
 		cont()
 		return
 	}
 	m.idtFallbacks++
 	if m.cfg.Probe.Active() {
-		m.cfg.Probe.IDTFallback(m.eng.Now(), c.id, rec.ID.Core, rec.ID.Num)
+		m.cfg.Probe.IDTFallback(m.eng.Now(), c.id, dep.Core, dep.Num)
 	}
-	src := m.cores[rec.ID.Core]
-	src.arb.DemandThrough(rec.ID.Num, epoch.CauseInter)
-	r.stall.until(&rec.Persisted, StallInter, cont)
+	m.cores[dep.Core].arb.DemandThrough(dep.Num, epoch.CauseInter)
+	r.stall.until(dep, StallInter, cont)
 }
 
 // onlineInterResolve is the LB behaviour: demand a flush of the source
@@ -121,12 +120,12 @@ func (m *Machine) attachDep(r *memReq, rec *epoch.Record, cont func()) {
 // half is flushed (the "[w]ithout IDT we would have had to flush the first
 // part" case of §3.3).
 func (r *memReq) onlineInterResolve() {
-	m, c, rec := r.m, r.c, r.src
-	if rec.State == epoch.Persisted {
-		r.resolved(nil)
+	m, c, id, rec := r.m, r.c, r.src, r.m.lookupRec(r.src)
+	if rec == nil {
+		r.resolved(epoch.None)
 		return
 	}
-	src := m.cores[rec.ID.Core]
+	src := m.cores[id.Core]
 	if rec.State == epoch.Open && m.cfg.EnableSplit {
 		m.splitEpoch(src, r.onlineInterResolveFn)
 		return
@@ -134,27 +133,28 @@ func (r *memReq) onlineInterResolve() {
 	if m.cfg.RecordHistory {
 		// The synchronous wait enforces source -> dependent ordering;
 		// record it so the recovery checker can verify it held.
-		c.table.Current().OnlineEdges = append(c.table.Current().OnlineEdges, rec.ID)
+		c.table.Current().OnlineEdges = append(c.table.Current().OnlineEdges, id)
 	}
-	src.arb.DemandThrough(rec.ID.Num, epoch.CauseInter)
-	r.stall.until(&rec.Persisted, StallInter, r.resolvedNilFn)
+	src.arb.DemandThrough(id.Num, epoch.CauseInter)
+	r.stall.until(id, StallInter, r.resolvedNilFn)
 }
 
-// demandFlush demands a flush through rec and runs then when it persists,
-// splitting the epoch first when it is still ongoing (otherwise the demand
-// would wait on a barrier that may itself be blocked behind this request —
-// the deadlock Section 3.3 avoids). Used by the eviction-ordering paths.
-func (m *Machine) demandFlush(src *coreCtx, rec *epoch.Record, cause epoch.FlushCause, then func()) {
-	if rec.State == epoch.Persisted {
+// demandFlush demands a flush through epoch id and runs then when it
+// persists, splitting the epoch first when it is still ongoing (otherwise the
+// demand would wait on a barrier that may itself be blocked behind this
+// request — the deadlock Section 3.3 avoids). Used by the eviction paths.
+func (m *Machine) demandFlush(id epoch.ID, cause epoch.FlushCause, then func()) {
+	rec, src := m.lookupRec(id), m.cores[id.Core]
+	if rec == nil {
 		then()
 		return
 	}
 	if rec.State == epoch.Open && m.cfg.EnableSplit {
-		m.splitEpoch(src, func() { m.demandFlush(src, rec, cause, then) })
+		m.splitEpoch(src, func() { m.demandFlush(id, cause, then) })
 		return
 	}
-	src.arb.DemandThrough(rec.ID.Num, cause)
-	rec.Persisted.Subscribe(then)
+	src.arb.DemandThrough(id.Num, cause)
+	src.table.OnPersisted(id.Num, then)
 }
 
 // splitEpoch closes src's ongoing epoch early (deadlock avoidance, §3.3).
@@ -162,9 +162,9 @@ func (m *Machine) demandFlush(src *coreCtx, rec *epoch.Record, cause epoch.Flush
 // pressure flush of src's oldest epoch.
 func (m *Machine) splitEpoch(src *coreCtx, cont func()) {
 	if !src.table.CanAdvance() {
-		oldest := src.table.Oldest()
-		src.arb.DemandThrough(oldest.ID.Num, epoch.CausePressure)
-		oldest.Persisted.Subscribe(func() { m.splitEpoch(src, cont) })
+		oldest := src.table.Oldest().ID.Num
+		src.arb.DemandThrough(oldest, epoch.CausePressure)
+		src.table.OnPersisted(oldest, func() { m.splitEpoch(src, cont) })
 		return
 	}
 	m.completeEpoch(src, epoch.SplitAdvance)

@@ -183,15 +183,15 @@ func (c *coreCtx) epBarrier() {
 	if !tbl.CanAdvance() {
 		// Cannot happen under EP (previous epoch persisted before the
 		// barrier returned), but guard for structural safety.
-		oldest := tbl.Oldest()
-		c.arb.DemandThrough(oldest.ID.Num, epoch.CausePressure)
-		c.stall.until(&oldest.Persisted, StallPressure, c.epBarrierFn)
+		oldest := tbl.Oldest().ID
+		c.arb.DemandThrough(oldest.Num, epoch.CausePressure)
+		c.stall.until(oldest, StallPressure, c.epBarrierFn)
 		return
 	}
-	closed := tbl.Current()
+	closed := tbl.Current().ID
 	tbl.Advance(m.eng.Now(), epoch.BarrierAdvance)
-	c.arb.DemandThrough(closed.ID.Num, epoch.CauseEager)
-	c.stall.until(&closed.Persisted, StallBarrier, c.after)
+	c.arb.DemandThrough(closed.Num, epoch.CauseEager)
+	c.stall.until(closed, StallBarrier, c.after)
 }
 
 // lbBarrier closes the epoch (for the reason in c.advanceWhy) without
@@ -200,9 +200,9 @@ func (c *coreCtx) epBarrier() {
 func (c *coreCtx) lbBarrier() {
 	tbl := c.table
 	if !tbl.CanAdvance() {
-		oldest := tbl.Oldest()
-		c.arb.DemandThrough(oldest.ID.Num, epoch.CausePressure)
-		c.stall.until(&oldest.Persisted, StallPressure, c.lbBarrierFn)
+		oldest := tbl.Oldest().ID
+		c.arb.DemandThrough(oldest.Num, epoch.CausePressure)
+		c.stall.until(oldest, StallPressure, c.lbBarrierFn)
 		return
 	}
 	c.m.completeEpoch(c, c.advanceWhy)
@@ -210,16 +210,15 @@ func (c *coreCtx) lbBarrier() {
 }
 
 // completeEpoch closes c's current epoch (barrier, hardware quota, split,
-// or drain), applies PF, and kicks the arbiter. It returns the closed
-// record. The caller must have ensured CanAdvance.
-func (m *Machine) completeEpoch(c *coreCtx, why epoch.AdvanceReason) *epoch.Record {
-	closed := c.table.Current()
+// or drain), applies PF, and kicks the arbiter. The caller must have
+// ensured CanAdvance.
+func (m *Machine) completeEpoch(c *coreCtx, why epoch.AdvanceReason) {
+	closed := c.table.Current().ID.Num
 	c.table.Advance(m.eng.Now(), why)
 	if m.cfg.PF {
-		c.arb.RequestProactive(closed.ID.Num)
+		c.arb.RequestProactive(closed)
 	}
 	c.arb.Kick()
-	return closed
 }
 
 // hardwareBarrier is the bulk-mode BSP epoch boundary: drain the write

@@ -16,7 +16,6 @@ func TestLivenessDiagnostics(t *testing.T) {
 	cfg.LLCSets, cfg.LLCWays = 8, 2
 	cfg.IDT = true
 	cfg.DebugLine = 0x505
-	cfg.TrackBusyInfo = true
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +42,7 @@ func TestLivenessDiagnostics(t *testing.T) {
 			for _, n := range nums {
 				if rec := c.table.Lookup(n); rec != nil {
 					t.Logf("  epoch %v state=%v pending=%d logPending=%d flushDone=%v cause=%v deps=%d depsOK=%v",
-						rec.ID, rec.State, len(rec.Pending), rec.LogPending, rec.FlushCompleted, rec.Cause, len(rec.Deps), rec.DepsPersisted())
+						rec.ID, rec.State, len(rec.Pending), rec.LogPending, rec.FlushCompleted, rec.Cause, len(rec.Deps), c.arb.DepsPersisted(rec))
 					for _, dp := range rec.Deps {
 						srcRec := m.cores[dp.Source.Core].table.Lookup(dp.Source.Num)
 						st := "persisted/gone"

@@ -82,7 +82,7 @@ func (m *Machine) flushEpoch(c *coreCtx, rec *epoch.Record, done func()) {
 			continue
 		} else if llcEnt.Version < ent.Version {
 			if llcEnt.Dirty && llcEnt.Tag.Valid() && llcEnt.Tag != id {
-				if fr := m.lookupRec(llcEnt.Tag); fr != nil {
+				if m.lookupRec(llcEnt.Tag) != nil {
 					// A foreign epoch's unpersisted version sits below
 					// ours (its writeback landed after our conflict
 					// check, outside the line's transaction window). It
@@ -90,8 +90,7 @@ func (m *Machine) flushEpoch(c *coreCtx, rec *epoch.Record, done func()) {
 					// dirty in the L1 and pending, and the arbiter
 					// re-flushes the epoch once the foreign epoch
 					// persists (we demand it here).
-					arb := c.arb
-					m.demandFlush(m.cores[llcEnt.Tag.Core], fr, epoch.CauseEviction, func() { arb.Kick() })
+					m.demandFlush(llcEnt.Tag, epoch.CauseEviction, c.arb.Kick)
 					continue
 				}
 			}
@@ -126,7 +125,7 @@ func (m *Machine) flushEpoch(c *coreCtx, rec *epoch.Record, done func()) {
 type flushOp struct {
 	m    *Machine
 	c    *coreCtx
-	rec  *epoch.Record
+	rec  *epoch.Record // the flushing head, safe to hold: Arbiter.flushing says why
 	done func()
 
 	banks   []bankOp // one per LLC bank, bank order

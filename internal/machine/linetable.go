@@ -16,8 +16,8 @@ type lineState struct {
 	// busy is the transient-state holder's signal (it lives in that
 	// request's memReq), nil when the line is free.
 	busy *sim.Signal
-	// busyInfo describes the busy holder; maintained only when the
-	// machine's trackBusy flag is set (Config.TrackBusyInfo or DebugLine).
+	// busyInfo describes the busy holder; maintained only when
+	// Config.DebugLine is set.
 	busyInfo string
 }
 

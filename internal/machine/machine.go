@@ -161,10 +161,6 @@ type Machine struct {
 	// lines interns all per-line state (directory, transient signals,
 	// latest version); see linetable.go.
 	lines lineTable
-	// trackBusy enables the busyInfo holder strings (Config.TrackBusyInfo
-	// or a DebugLine trace); off by default so the access hot path never
-	// formats a string nobody reads.
-	trackBusy bool
 	// avoidBusy is the victim filter llcInsert passes to VictimAvoiding,
 	// built once so the hot path does not allocate a closure per insert.
 	avoidBusy func(mem.Line) bool
@@ -243,7 +239,6 @@ func New(cfg Config) (*Machine, error) {
 		eng:           eng,
 		mesh:          mesh,
 		mcs:           mcs,
-		trackBusy:     cfg.TrackBusyInfo || cfg.DebugLine != 0,
 		tokenVersions: make(map[uint64]mem.Version),
 	}
 	m.avoidBusy = func(l mem.Line) bool {
@@ -272,6 +267,8 @@ func New(cfg Config) (*Machine, error) {
 	epochCfg := cfg.Epoch
 	epochCfg.RecordHistory = cfg.RecordHistory
 	epochCfg.Probe = cfg.Probe
+	// Each arbiter reaches its IDT sources' cores through peers (§4.2).
+	peers := make([]*epoch.Arbiter, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
 		c := &coreCtx{
 			id:   i,
@@ -296,19 +293,11 @@ func New(cfg Config) (*Machine, error) {
 			if err != nil {
 				return nil, err
 			}
-			c.arb = arb
+			arb.SetPeers(peers)
+			c.arb, peers[i] = arb, arb
 		}
 		m.bindCore(c)
 		m.cores = append(m.cores, c)
-	}
-	if m.usesEpochs() {
-		// Cross-core demand forwarding: a demanded flush pulls its IDT
-		// source epochs along (§4.2 inform/dependence registers).
-		for _, c := range m.cores {
-			c.arb.SetDemandSource(func(src epoch.ID, cause epoch.FlushCause) {
-				m.cores[src.Core].arb.DemandThrough(src.Num, cause)
-			})
-		}
 	}
 	shift := cfg.llcIndexShift()
 	for i := 0; i < cfg.LLCBanks; i++ {
@@ -584,21 +573,20 @@ func (m *Machine) wtDrain(c *coreCtx, done func()) {
 // epochDrain closes the current epoch and flushes everything (EP/LB).
 func (m *Machine) epochDrain(c *coreCtx, done func()) {
 	tbl := c.table
-	cur := tbl.Current()
-	if len(cur.Pending) == 0 && tbl.InFlight() == 1 {
+	if len(tbl.Current().Pending) == 0 && tbl.InFlight() == 1 {
 		done()
 		return
 	}
 	if !tbl.CanAdvance() {
-		oldest := tbl.Oldest()
-		c.arb.DemandThrough(oldest.ID.Num, epoch.CausePressure)
-		oldest.Persisted.Subscribe(func() { m.epochDrain(c, done) })
+		oldest := tbl.Oldest().ID.Num
+		c.arb.DemandThrough(oldest, epoch.CausePressure)
+		tbl.OnPersisted(oldest, func() { m.epochDrain(c, done) })
 		return
 	}
-	closed := tbl.Current()
+	closed := tbl.Current().ID.Num
 	tbl.Advance(m.eng.Now(), epoch.DrainAdvance)
-	c.arb.DemandThrough(closed.ID.Num, epoch.CauseDrain)
-	closed.Persisted.Subscribe(func() {
+	c.arb.DemandThrough(closed, epoch.CauseDrain)
+	tbl.OnPersisted(closed, func() {
 		// More epochs may remain (the freshly opened one is empty).
 		if tbl.InFlight() == 1 {
 			done()
@@ -609,28 +597,25 @@ func (m *Machine) epochDrain(c *coreCtx, done func()) {
 	c.arb.Kick()
 }
 
-// lineDurable records that a line version of an epoch reached NVRAM.
-func (m *Machine) lineDurable(rec *epoch.Record, line mem.Line, ver mem.Version) {
-	recID := epoch.None
-	if rec != nil {
-		recID = rec.ID
-	}
+// lineDurable records that a line version of epoch id (or untagged) is durable.
+func (m *Machine) lineDurable(id epoch.ID, line mem.Line, ver mem.Version) {
 	if m.cfg.DebugLine != 0 {
-		m.dbg(line, "lineDurable rec=%v ver=%d", recID, ver)
+		m.dbg(line, "lineDurable rec=%v ver=%d", id, ver)
 	}
 	m.persistedLines++
 	if m.cfg.Probe.Active() {
-		m.cfg.Probe.PersistAck(m.eng.Now(), line, recID.Core, recID.Num)
+		m.cfg.Probe.PersistAck(m.eng.Now(), line, id.Core, id.Num)
 	}
 	if m.cfg.RecordOpTimes {
-		id := epoch.None
-		if rec != nil {
-			id = rec.ID
-		}
 		m.persistLog = append(m.persistLog, PersistEvent{Line: line, Version: ver, Cycle: m.eng.Now(), Epoch: id})
 	}
-	if rec == nil {
+	if !id.Valid() {
 		return
+	}
+	rec := m.cores[id.Core].table.Lookup(id.Num)
+	if rec == nil {
+		// Its epoch persisted with this write in flight: a protocol bug.
+		panic(fmt.Sprintf("machine: PersistAck of %v for %v, which has already persisted", line, id))
 	}
 	rec.AcksInFlight--
 	// A same-epoch store may have re-dirtied the line while this (older)
@@ -674,9 +659,9 @@ func (m *Machine) dbg(line mem.Line, format string, args ...any) {
 // DebugTrace returns the accumulated line trace (diagnostics).
 func (m *Machine) DebugTrace() []string { return m.debugLog }
 
-// stall is one wait on a signal whose cycles are charged to a stall cause
-// of core c. Every frame that can wait embeds one: a frame is a sequential
-// chain, so it waits on one signal at a time, and wakeFn is bound once.
+// stall is one wait for an epoch to persist, charged to a stall cause of
+// core c. Every frame that can wait embeds one: a frame is a sequential
+// chain, so it waits on one epoch at a time, and wakeFn is bound once.
 type stall struct {
 	m     *Machine
 	c     *coreCtx
@@ -689,10 +674,10 @@ type stall struct {
 
 func (s *stall) init(m *Machine) { s.m, s.wakeFn = m, s.wake }
 
-// until runs cont when sig fires, attributing the waited cycles to cause.
-func (s *stall) until(sig *sim.Signal, cause StallCause, cont func()) {
+// until runs cont when epoch id has persisted, charging the wait to cause.
+func (s *stall) until(id epoch.ID, cause StallCause, cont func()) {
 	s.cause, s.since, s.cont = cause, s.m.eng.Now(), cont
-	sig.Subscribe(s.wakeFn)
+	s.m.cores[id.Core].table.OnPersisted(id.Num, s.wakeFn)
 }
 
 func (s *stall) wake() {

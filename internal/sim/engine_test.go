@@ -190,6 +190,28 @@ func TestSignalDoubleFireIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestSignalResubscribeDuringFire: a subscriber that Resets the signal it
+// was fired from and subscribes to the next round (an epoch slot reused
+// while its previous epoch's persist is still being announced) must not
+// run in this round, and must run once at the next Fire.
+func TestSignalResubscribeDuringFire(t *testing.T) {
+	var s Signal
+	next := 0
+	s.Subscribe(func() {
+		s.Reset()
+		s.Subscribe(func() { next++ })
+	})
+	s.Subscribe(func() {})
+	s.Fire()
+	if next != 0 || s.Fired() {
+		t.Fatalf("after the first Fire: next round ran %d times, fired=%v; want 0, false", next, s.Fired())
+	}
+	s.Fire()
+	if next != 1 {
+		t.Fatalf("next round's subscriber ran %d times at the second Fire, want 1", next)
+	}
+}
+
 // TestSignalResetZeroAlloc: a Reset signal serves another round of
 // subscribers from the array it already has, which is what lets a pooled
 // frame embed its signal instead of allocating one per use.

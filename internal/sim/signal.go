@@ -36,11 +36,14 @@ func (s *Signal) Fire() {
 		subs[i] = nil
 		fn()
 	}
-	s.subs = subs[:0] // keep the array for a Reset signal's next round
+	if s.subs == nil {
+		s.subs = subs[:0] // keep the array for a Reset signal's next round
+	}
 }
 
 // Reset returns a fired signal to the unfired state, so a signal embedded
 // in a reused frame can serve again (its subscriber array is kept, so a
-// steady-state Subscribe does not allocate). It must not be called while
-// Fire is running.
+// steady-state Subscribe does not allocate). A subscriber may Reset the
+// signal it was fired from and subscribe to the next round: that round's
+// subscribers run at the next Fire, not in the one running.
 func (s *Signal) Reset() { s.fired = false }
