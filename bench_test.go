@@ -33,6 +33,7 @@ func benchOpt() harness.Options {
 // BenchmarkTable1Config measures machine construction at the paper's
 // Table 1 parameters (32 cores, 32 LLC banks, 4 MCs).
 func BenchmarkTable1Config(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := machine.New(machine.DefaultConfig()); err != nil {
 			b.Fatal(err)

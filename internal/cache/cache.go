@@ -4,13 +4,15 @@
 // paper's Section 4.3, and the cache keeps the per-epoch line bookkeeping
 // that the paper's flush engines maintain as set bitmaps.
 //
-// Two hot-path properties matter to the simulator's throughput. Set
-// arrays are allocated lazily on first touch, so building a Table 1-sized
-// machine (32 MB of LLC way metadata) costs nothing for the many sets a
-// workload never references. And the per-epoch line bookkeeping keeps each
-// epoch's lines as an incrementally sorted slice, so the flush engine's
-// work list (LinesOf / AppendLinesOf) is already in deterministic order —
-// no sort on any flush.
+// Two hot-path properties matter to the simulator's throughput. A set's
+// ways exist only once the set is first touched: the cache keeps one
+// uint32 per set naming its slot, and carves touched sets' ways from
+// fixed-size chunks in first-touch order, so building a Table 1-sized
+// machine (24 MiB of LLC way metadata were every set touched) costs 4
+// bytes for each of the many sets a workload never references. And the
+// per-epoch line bookkeeping keeps each epoch's lines as an incrementally
+// sorted slice, so the flush engine's work list (LinesOf / AppendLinesOf)
+// is already in deterministic order — no sort on any flush.
 package cache
 
 import (
@@ -64,20 +66,30 @@ type Entry struct {
 }
 
 type way struct {
-	valid   bool
 	line    mem.Line
-	dirty   bool
 	tag     epoch.ID
 	version mem.Version
 	lastUse uint64
+	valid   bool
+	dirty   bool
 }
+
+// setsPerChunk is how many sets' ways one chunk holds. Touching k sets
+// allocates ⌈k / setsPerChunk⌉ chunks; a chunk is never copied or grown.
+const setsPerChunk = 32
 
 // Cache is a set-associative array with epoch-extended tags. It is a pure
 // state container: all timing lives in the machine layer.
 type Cache struct {
-	cfg  Config
-	sets [][]way // nil until the set is first touched
-	tick uint64
+	cfg Config
+	// index names each set's slot: 0 while the set is untouched, else
+	// 1 + the slot its ways were carved into.
+	index []uint32
+	// chunks hold the slots' ways, setsPerChunk slots apiece, in
+	// first-touch order; slots counts the slots carved so far.
+	chunks [][]way
+	slots  int
+	tick   uint64
 	// byEpoch is the flush-engine bookkeeping: which resident lines
 	// belong to each unpersisted epoch, kept sorted at all times so the
 	// flush work list needs no sort.
@@ -107,7 +119,8 @@ func New(cfg Config) (*Cache, error) {
 	}
 	return &Cache{
 		cfg:     cfg,
-		sets:    make([][]way, cfg.Sets),
+		index:   make([]uint32, cfg.Sets),
+		chunks:  make([][]way, 0, (cfg.Sets+setsPerChunk-1)/setsPerChunk),
 		byEpoch: make(map[epoch.ID][]mem.Line),
 	}, nil
 }
@@ -130,16 +143,34 @@ func (c *Cache) setOf(line mem.Line) int {
 
 // setFor returns line's set, which is nil when never touched.
 func (c *Cache) setFor(line mem.Line) []way {
-	return c.sets[c.setOf(line)]
+	k := c.index[c.setOf(line)]
+	if k == 0 {
+		return nil
+	}
+	return c.slot(int(k) - 1)
 }
 
-// ensureSet returns line's set, allocating its ways on first touch.
+// slot returns the ways of carved slot k.
+func (c *Cache) slot(k int) []way {
+	lo := k % setsPerChunk * c.cfg.Ways
+	hi := lo + c.cfg.Ways
+	return c.chunks[k/setsPerChunk][lo:hi:hi]
+}
+
+// ensureSet returns line's set, carving its ways on first touch. The
+// last chunk is cut short when fewer sets than a full chunk remain
+// untouched.
 func (c *Cache) ensureSet(line mem.Line) []way {
 	i := c.setOf(line)
-	if c.sets[i] == nil {
-		c.sets[i] = make([]way, c.cfg.Ways)
+	if c.index[i] == 0 {
+		if c.slots%setsPerChunk == 0 {
+			n := min(setsPerChunk, c.cfg.Sets-c.slots)
+			c.chunks = append(c.chunks, make([]way, n*c.cfg.Ways))
+		}
+		c.slots++
+		c.index[i] = uint32(c.slots)
 	}
-	return c.sets[i]
+	return c.slot(int(c.index[i]) - 1)
 }
 
 func (c *Cache) find(line mem.Line) *way {
@@ -454,9 +485,9 @@ func (c *Cache) dropFromEpoch(id epoch.ID, line mem.Line) {
 // drain uses it.
 func (c *Cache) DirtyLines() []Entry {
 	var out []Entry
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			w := &c.sets[s][i]
+	for _, chunk := range c.chunks {
+		for i := range chunk {
+			w := &chunk[i]
 			if w.valid && w.dirty {
 				out = append(out, Entry{Line: w.line, Dirty: true, Tag: w.tag, Version: w.version})
 			}

@@ -1,6 +1,11 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -299,5 +304,277 @@ func TestEpochBookkeepingConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewAllocs: building a cache costs a constant number of allocations
+// whatever its size, and first touches carve ways a whole chunk at a time.
+func TestNewAllocs(t *testing.T) {
+	for _, sets := range []int{1, setsPerChunk, 1024, 1 << 16} {
+		cfg := Config{Name: "t", Sets: sets, Ways: 16}
+		if n := testing.AllocsPerRun(20, func() { MustNew(cfg) }); n > 4 {
+			t.Errorf("New with %d sets allocates %.1f times, want <= 4", sets, n)
+		}
+	}
+	const sets = 4*setsPerChunk + 7
+	cfg := Config{Name: "t", Sets: sets, Ways: 4}
+	base := testing.AllocsPerRun(20, func() { MustNew(cfg) })
+	for _, k := range []int{1, setsPerChunk - 1, setsPerChunk, setsPerChunk + 1, sets} {
+		n := testing.AllocsPerRun(20, func() {
+			c := MustNew(cfg)
+			// First touches in descending set order.
+			for s := k - 1; s >= 0; s-- {
+				c.Insert(mem.Line(s), false, epoch.None, 0)
+			}
+		}) - base
+		if want := float64((k + setsPerChunk - 1) / setsPerChunk); n > want {
+			t.Errorf("touching %d sets allocates %.1f times, want <= %.0f", k, n, want)
+		}
+	}
+}
+
+// refLine is one resident line of refCache.
+type refLine struct {
+	dirty   bool
+	tag     epoch.ID
+	version mem.Version
+	lastUse uint64
+}
+
+// refCache is a map-based reference model of Cache: the same set mapping,
+// LRU clock and victim preference, with no way arrays at all.
+type refCache struct {
+	cfg   Config
+	lines map[mem.Line]*refLine
+	// resident lists lines' keys in a deterministic order to pick from.
+	resident []mem.Line
+	tick     uint64
+	stats    Stats
+}
+
+func (r *refCache) add(l mem.Line, x *refLine) {
+	r.lines[l] = x
+	r.resident = append(r.resident, l)
+}
+
+func (r *refCache) remove(l mem.Line) {
+	delete(r.lines, l)
+	i := slices.Index(r.resident, l)
+	r.resident = slices.Delete(r.resident, i, i+1)
+}
+
+func (r *refCache) set(l mem.Line) int {
+	return int((uint64(l) >> r.cfg.IndexShift) % uint64(r.cfg.Sets))
+}
+
+func (r *refCache) entry(l mem.Line) Entry {
+	x := r.lines[l]
+	return Entry{Line: l, Dirty: x.dirty, Tag: x.tag, Version: x.version}
+}
+
+// victim returns the line Insert(l) would evict, if l's set is full.
+func (r *refCache) victim(l mem.Line) (mem.Line, bool) {
+	var in []mem.Line
+	for m := range r.lines {
+		if r.set(m) == r.set(l) {
+			in = append(in, m)
+		}
+	}
+	if len(in) < r.cfg.Ways {
+		return 0, false
+	}
+	rank := func(x *refLine) int {
+		switch {
+		case !x.dirty:
+			return 0
+		case !x.tag.Valid():
+			return 1
+		}
+		return 2
+	}
+	best := in[0]
+	for _, m := range in[1:] {
+		a, b := r.lines[m], r.lines[best]
+		if rank(a) < rank(b) || rank(a) == rank(b) && a.lastUse < b.lastUse {
+			best = m
+		}
+	}
+	return best, true
+}
+
+func (r *refCache) dirtyLines() []Entry {
+	var out []Entry
+	for l, x := range r.lines {
+		if x.dirty {
+			out = append(out, r.entry(l))
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Line < out[j].Line })
+	return out
+}
+
+func (r *refCache) linesOf(id epoch.ID) []mem.Line {
+	var out []mem.Line
+	for l, x := range r.lines {
+		if x.tag == id {
+			out = append(out, l)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// TestMatchesReferenceAcrossChunks drives random operation sequences
+// through caches with more sets than one chunk holds, first touching
+// sets out of order, and compares every answer with refCache.
+func TestMatchesReferenceAcrossChunks(t *testing.T) {
+	for _, ways := range []int{1, 3, 4, 16} {
+		for _, shift := range []uint{0, 2} {
+			cfg := Config{Name: "t", Sets: 2*setsPerChunk + 11, Ways: ways, IndexShift: shift}
+			t.Run(fmt.Sprintf("ways=%d/shift=%d", ways, shift), func(t *testing.T) {
+				checkAgainstReference(t, cfg, uint64(ways)<<8|uint64(shift))
+			})
+		}
+	}
+}
+
+func checkAgainstReference(t *testing.T, cfg Config, seed uint64) {
+	c := MustNew(cfg)
+	ref := &refCache{cfg: cfg, lines: make(map[mem.Line]*refLine)}
+	rng := rand.New(rand.NewPCG(seed, 1))
+	// A universe of twice the cache's capacity, so sets fill and evict;
+	// random picks touch sets in no particular order.
+	universe := 2 * cfg.Sets * cfg.Ways << cfg.IndexShift
+	pickLine := func() mem.Line { return mem.Line(rng.IntN(universe)) }
+	pickResident := func() (mem.Line, bool) {
+		if len(ref.resident) == 0 {
+			return 0, false
+		}
+		return ref.resident[rng.IntN(len(ref.resident))], true
+	}
+	pickTag := func() epoch.ID {
+		if rng.IntN(4) == 0 {
+			return epoch.None
+		}
+		return e(rng.IntN(3), uint64(1+rng.IntN(4)))
+	}
+	var version mem.Version
+	for step := 0; step < 6000; step++ {
+		switch op := rng.IntN(8); op {
+		case 0, 1: // Insert
+			l := pickLine()
+			if _, ok := ref.lines[l]; ok {
+				continue
+			}
+			dirty := rng.IntN(2) == 0
+			tag := epoch.None
+			if dirty {
+				tag = pickTag()
+			}
+			version++
+			wantV, wantFull := ref.victim(l)
+			gotV, gotFull := c.Victim(l)
+			if gotFull != wantFull || gotFull && gotV != ref.entry(wantV) {
+				t.Fatalf("step %d: Victim(%v) = %+v,%v, want %v,%v", step, l, gotV, gotFull, wantV, wantFull)
+			}
+			var want Entry
+			if wantFull {
+				want = ref.entry(wantV)
+				ref.stats.Evictions++
+				if want.Dirty {
+					ref.stats.DirtyEvicts++
+				}
+				ref.remove(wantV)
+			}
+			ref.tick++
+			ref.add(l, &refLine{dirty: dirty, tag: tag, version: version, lastUse: ref.tick})
+			got, evicted := c.Insert(l, dirty, tag, version)
+			if evicted != wantFull || got != want {
+				t.Fatalf("step %d: Insert(%v) evicted %+v,%v, want %+v,%v", step, l, got, evicted, want, wantFull)
+			}
+		case 2: // Write
+			l, ok := pickResident()
+			if !ok {
+				continue
+			}
+			want := ref.entry(l)
+			tag := pickTag()
+			version++
+			ref.tick++
+			*ref.lines[l] = refLine{dirty: true, tag: tag, version: version, lastUse: ref.tick}
+			if got := c.Write(l, tag, version); got != want {
+				t.Fatalf("step %d: Write(%v) = %+v, want %+v", step, l, got, want)
+			}
+		case 3: // CleanLine
+			l := pickLine()
+			if x, ok := ref.lines[l]; ok {
+				x.dirty, x.tag = false, epoch.None
+			}
+			c.CleanLine(l)
+		case 4: // Invalidate
+			l, ok := pickResident()
+			if !ok || rng.IntN(2) == 0 {
+				l = pickLine()
+			}
+			_, want := ref.lines[l]
+			var wantE Entry
+			if want {
+				wantE = ref.entry(l)
+				ref.remove(l)
+			}
+			if got, ok := c.Invalidate(l); ok != want || got != wantE {
+				t.Fatalf("step %d: Invalidate(%v) = %+v,%v, want %+v,%v", step, l, got, ok, wantE, want)
+			}
+		case 5: // Retag
+			l, ok := pickResident()
+			if !ok {
+				continue
+			}
+			from, to := ref.lines[l].tag, pickTag()
+			if rng.IntN(4) == 0 {
+				from = pickTag() // usually a mismatch: a no-op
+			}
+			if x := ref.lines[l]; x.tag == from {
+				x.tag = to
+			}
+			c.Retag(l, from, to)
+		case 6: // Lookup
+			l := pickLine()
+			if rng.IntN(2) == 0 {
+				if r, ok := pickResident(); ok {
+					l = r
+				}
+			}
+			x, want := ref.lines[l]
+			var wantE Entry
+			if want {
+				ref.stats.Hits++
+				ref.tick++
+				x.lastUse = ref.tick
+				wantE = ref.entry(l)
+			} else {
+				ref.stats.Misses++
+			}
+			if got, ok := c.Lookup(l); ok != want || got != wantE {
+				t.Fatalf("step %d: Lookup(%v) = %+v,%v, want %+v,%v", step, l, got, ok, wantE, want)
+			}
+		case 7: // DirtyLines and the per-epoch bookkeeping
+			if got, want := c.DirtyLines(), ref.dirtyLines(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: DirtyLines = %v, want %v", step, got, want)
+			}
+			id := pickTag()
+			if !id.Valid() {
+				continue
+			}
+			if got, want := c.LinesOf(id), ref.linesOf(id); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: LinesOf(%v) = %v, want %v", step, id, got, want)
+			}
+		}
+	}
+	if got := c.Stats(); got != ref.stats {
+		t.Fatalf("stats %+v, want %+v", got, ref.stats)
+	}
+	if c.slots != cfg.Sets || len(c.chunks) != (cfg.Sets+setsPerChunk-1)/setsPerChunk {
+		t.Fatalf("%d of %d sets touched in %d chunks: the run never filled every chunk", c.slots, cfg.Sets, len(c.chunks))
 	}
 }

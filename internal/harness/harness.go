@@ -128,8 +128,9 @@ func kernelJob(key string, cfg machine.Config, kernel func() *trace.Program) Job
 	return Job{Key: key, Cfg: cfg, Gen: func() (*trace.Program, error) { return kernel(), nil }}
 }
 
-// microProgram regenerates a micro-benchmark trace (each run needs a fresh
-// program because generation is deterministic per spec).
+// microProgram generates a micro-benchmark's program. Jobs call it from
+// Gen when they run, so no two runs share a trace and a sweep holds only
+// the programs of the runs in flight.
 func microProgram(name string, opt Options) (*trace.Program, error) {
 	gen, ok := workload.Microbenchmarks()[name]
 	if !ok {

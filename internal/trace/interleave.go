@@ -33,32 +33,28 @@ func Interleave(cores int, data []byte) *Program {
 	if cores < 1 {
 		cores = 1
 	}
-	builders := make([]Builder, cores)
-	for i := 0; i+1 < len(data); i += 2 {
-		sel, arg := data[i], data[i+1]
-		b := &builders[int(sel>>3)%cores]
-		core := int(sel>>3) % cores
-		privBase := mem.Addr(0x100000 + core*0x4000)
-		switch sel & 7 {
-		case 0, 1:
-			b.Store(mem.Addr(int(arg%32) * 64))
-		case 2:
-			b.Load(mem.Addr(int(arg%32) * 64))
-		case 3:
-			b.Store(privBase + mem.Addr(int(arg%16)*64))
-		case 4:
-			b.Load(privBase + mem.Addr(int(arg%16)*64))
-		case 5:
-			b.Compute(sim.Cycle(arg))
-		case 6:
-			b.Barrier()
-		case 7:
-			b.TxEnd()
+	return Build(cores, func(bs []Builder) {
+		for i := 0; i+1 < len(data); i += 2 {
+			sel, arg := data[i], data[i+1]
+			b := &bs[int(sel>>3)%cores]
+			core := int(sel>>3) % cores
+			privBase := mem.Addr(0x100000 + core*0x4000)
+			switch sel & 7 {
+			case 0, 1:
+				b.Store(mem.Addr(int(arg%32) * 64))
+			case 2:
+				b.Load(mem.Addr(int(arg%32) * 64))
+			case 3:
+				b.Store(privBase + mem.Addr(int(arg%16)*64))
+			case 4:
+				b.Load(privBase + mem.Addr(int(arg%16)*64))
+			case 5:
+				b.Compute(sim.Cycle(arg))
+			case 6:
+				b.Barrier()
+			case 7:
+				b.TxEnd()
+			}
 		}
-	}
-	traces := make([][]Op, cores)
-	for i := range builders {
-		traces[i] = builders[i].Ops()
-	}
-	return &Program{Traces: traces}
+	})
 }

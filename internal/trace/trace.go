@@ -6,6 +6,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 
 	"persistbarriers/internal/mem"
 	"persistbarriers/internal/sim"
@@ -167,6 +168,59 @@ func (b *Builder) Reset() *Builder {
 
 // Len reports the number of accumulated ops.
 func (b *Builder) Len() int { return len(b.ops) }
+
+// scratch recycles the per-core builders Build generates into, so a
+// program's traces grow in buffers earlier programs already grew and the
+// packed copy is the only allocation sized by the program. It holds one
+// set of builders per Build that ever ran concurrently with another.
+// It is not a sync.Pool: a sweep collects garbage several times between
+// two generations, and a pool would hand back empty builders to regrow.
+// Build resets what it takes, so no caller sees another's ops.
+var scratch struct {
+	sync.Mutex
+	free [][]Builder
+}
+
+// Build generates a program of the given core count: fill appends core
+// i's ops to bs[i], and Build copies them into one allocation of exactly
+// the program's size. Trace i is a sub-slice of it whose capacity ends
+// where the trace does, so an append to one core's trace reallocates
+// instead of writing into the next core's. The builders are scratch: fill
+// must not keep them or the slices their Ops return.
+func Build(cores int, fill func(bs []Builder)) *Program {
+	var bs []Builder
+	scratch.Lock()
+	if n := len(scratch.free); n > 0 {
+		bs = scratch.free[n-1]
+		scratch.free = scratch.free[:n-1]
+	}
+	scratch.Unlock()
+	if cap(bs) < cores {
+		bs = append(bs[:cap(bs)], make([]Builder, cores-cap(bs))...)
+	}
+	bs = bs[:cores]
+	for i := range bs {
+		bs[i].Reset()
+	}
+	fill(bs)
+
+	n := 0
+	for i := range bs {
+		n += len(bs[i].ops)
+	}
+	ops := make([]Op, n)
+	traces := make([][]Op, cores)
+	at := 0
+	for i := range bs {
+		end := at + copy(ops[at:], bs[i].ops)
+		traces[i] = ops[at:end:end]
+		at = end
+	}
+	scratch.Lock()
+	scratch.free = append(scratch.free, bs)
+	scratch.Unlock()
+	return &Program{Traces: traces}
+}
 
 // Rand is a small deterministic PRNG (xorshift64*) so workload generation
 // never depends on global math/rand state.

@@ -144,3 +144,33 @@ func TestRandFloat64Range(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildPacksExactly: Build's traces share one exact-size array, and
+// each is capped at its own end, so appending to one core's trace cannot
+// write into the next core's.
+func TestBuildPacksExactly(t *testing.T) {
+	p := Build(3, func(bs []Builder) {
+		bs[0].Load(64).Store(128)
+		bs[2].Compute(5).Barrier().TxEnd()
+	})
+	if p.Cores() != 3 || p.Ops() != 5 {
+		t.Fatalf("cores %d ops %d, want 3 and 5", p.Cores(), p.Ops())
+	}
+	for i, tr := range p.Traces {
+		if cap(tr) != len(tr) {
+			t.Errorf("trace %d: cap %d, len %d", i, cap(tr), len(tr))
+		}
+	}
+	_ = append(p.Traces[0], Op{Kind: Store, Addr: 999})
+	if p.Traces[2][0] != (Op{Kind: Compute, Cycles: 5}) {
+		t.Fatalf("append to trace 0 overwrote trace 2: %+v", p.Traces[2][0])
+	}
+	// The next program reuses the scratch builders from empty.
+	q := Build(2, func(bs []Builder) { bs[1].Barrier() })
+	if q.Ops() != 1 || len(q.Traces[0]) != 0 || q.Traces[1][0].Kind != Barrier {
+		t.Fatalf("second program %+v", q.Traces)
+	}
+	if p.Traces[0][1] != (Op{Kind: Store, Addr: 128}) {
+		t.Fatalf("a later Build rewrote an earlier program: %+v", p.Traces[0])
+	}
+}

@@ -83,24 +83,50 @@ func (p AppProfile) Generate(spec Spec) (*trace.Program, error) {
 		return nil, fmt.Errorf("workload: profile %q has non-positive region sizes", p.Name)
 	}
 	sharedBase := mem.Addr(0x6000_0000)
-	traces := make([][]trace.Op, spec.Threads)
-	for t := 0; t < spec.Threads; t++ {
-		r := trace.NewRand(spec.Seed ^ (uint64(t)+1)*0x9e3779b97f4a7c15)
-		privBase := mem.Addr(0x7000_0000) + mem.Addr(t)*mem.Addr(p.PrivateLines+256)*mem.LineSize + mem.Addr(t)*17*mem.LineSize
-		var b trace.Builder
+	return trace.Build(spec.Threads, func(bs []trace.Builder) {
+		for t := range bs {
+			r := threadRand(spec, t)
+			privBase := mem.Addr(0x7000_0000) + mem.Addr(t)*mem.Addr(p.PrivateLines+256)*mem.LineSize + mem.Addr(t)*17*mem.LineSize
+			b := &bs[t]
 
-		// Per-region locality cursors.
-		sharedPos := r.Intn(p.SharedLines)
-		privPos := r.Intn(p.PrivateLines)
+			// Per-region locality cursors.
+			sharedPos := r.Intn(p.SharedLines)
+			privPos := r.Intn(p.PrivateLines)
 
-		for i := 0; i < spec.OpsPerThread; i++ {
-			if p.ComputePerOp > 0 {
-				b.Compute(sim.Cycle(r.Intn(int(p.ComputePerOp)*2 + 1)))
-			}
-			var addr mem.Addr
-			if p.HotLines > 0 && r.Float64() < p.HotFraction {
-				// Hot per-thread metadata line.
-				addr = privBase + mem.Addr(p.PrivateLines+r.Intn(p.HotLines))*mem.LineSize
+			for i := 0; i < spec.OpsPerThread; i++ {
+				if p.ComputePerOp > 0 {
+					b.Compute(sim.Cycle(r.Intn(int(p.ComputePerOp)*2 + 1)))
+				}
+				var addr mem.Addr
+				if p.HotLines > 0 && r.Float64() < p.HotFraction {
+					// Hot per-thread metadata line.
+					addr = privBase + mem.Addr(p.PrivateLines+r.Intn(p.HotLines))*mem.LineSize
+					if r.Float64() < p.StoreRatio {
+						b.Store(addr)
+					} else {
+						b.Load(addr)
+					}
+					if (i+1)%100 == 0 {
+						b.TxEnd()
+					}
+					continue
+				}
+				shared := r.Float64() < p.SharedFraction
+				if shared {
+					if r.Float64() < p.Locality {
+						sharedPos = (sharedPos + 1) % p.SharedLines
+					} else {
+						sharedPos = (r.Intn(p.SharedLines/p.BlockLines)*p.BlockLines + r.Intn(p.BlockLines)) % p.SharedLines
+					}
+					addr = sharedBase + mem.Addr(sharedPos)*mem.LineSize
+				} else {
+					if r.Float64() < p.Locality {
+						privPos = (privPos + 1) % p.PrivateLines
+					} else {
+						privPos = (r.Intn(p.PrivateLines/p.BlockLines)*p.BlockLines + r.Intn(p.BlockLines)) % p.PrivateLines
+					}
+					addr = privBase + mem.Addr(privPos)*mem.LineSize
+				}
 				if r.Float64() < p.StoreRatio {
 					b.Store(addr)
 				} else {
@@ -109,34 +135,7 @@ func (p AppProfile) Generate(spec Spec) (*trace.Program, error) {
 				if (i+1)%100 == 0 {
 					b.TxEnd()
 				}
-				continue
-			}
-			shared := r.Float64() < p.SharedFraction
-			if shared {
-				if r.Float64() < p.Locality {
-					sharedPos = (sharedPos + 1) % p.SharedLines
-				} else {
-					sharedPos = (r.Intn(p.SharedLines/p.BlockLines)*p.BlockLines + r.Intn(p.BlockLines)) % p.SharedLines
-				}
-				addr = sharedBase + mem.Addr(sharedPos)*mem.LineSize
-			} else {
-				if r.Float64() < p.Locality {
-					privPos = (privPos + 1) % p.PrivateLines
-				} else {
-					privPos = (r.Intn(p.PrivateLines/p.BlockLines)*p.BlockLines + r.Intn(p.BlockLines)) % p.PrivateLines
-				}
-				addr = privBase + mem.Addr(privPos)*mem.LineSize
-			}
-			if r.Float64() < p.StoreRatio {
-				b.Store(addr)
-			} else {
-				b.Load(addr)
-			}
-			if (i+1)%100 == 0 {
-				b.TxEnd()
 			}
 		}
-		traces[t] = b.Ops()
-	}
-	return &trace.Program{Traces: traces}, nil
+	}), nil
 }

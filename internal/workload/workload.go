@@ -125,17 +125,13 @@ func thinkTime(r *trace.Rand) sim.Cycle {
 // a shared structure evolves with interleaved ownership, the way 32
 // threads hammering one structure would interleave in practice.
 func roundRobin(spec Spec, step func(thread int, b *trace.Builder)) *trace.Program {
-	builders := make([]trace.Builder, spec.Threads)
-	for op := 0; op < spec.OpsPerThread; op++ {
-		for t := 0; t < spec.Threads; t++ {
-			step(t, &builders[t])
+	return trace.Build(spec.Threads, func(bs []trace.Builder) {
+		for op := 0; op < spec.OpsPerThread; op++ {
+			for t := range bs {
+				step(t, &bs[t])
+			}
 		}
-	}
-	traces := make([][]trace.Op, spec.Threads)
-	for t := range builders {
-		traces[t] = builders[t].Ops()
-	}
-	return &trace.Program{Traces: traces}
+	})
 }
 
 // perThread builds each thread's trace from its own private structure
@@ -143,17 +139,19 @@ func roundRobin(spec Spec, step func(thread int, b *trace.Builder)) *trace.Progr
 // conflicts dominate (§7.1). init is called once per thread and returns
 // the per-transaction step.
 func perThread(spec Spec, init func(thread int, r *trace.Rand, b *trace.Builder) func()) *trace.Program {
-	traces := make([][]trace.Op, spec.Threads)
-	for t := 0; t < spec.Threads; t++ {
-		r := trace.NewRand(spec.Seed ^ (uint64(t)+1)*0x9e3779b97f4a7c15)
-		var b trace.Builder
-		step := init(t, r, &b)
-		for op := 0; op < spec.OpsPerThread; op++ {
-			step()
+	return trace.Build(spec.Threads, func(bs []trace.Builder) {
+		for t := range bs {
+			step := init(t, threadRand(spec, t), &bs[t])
+			for op := 0; op < spec.OpsPerThread; op++ {
+				step()
+			}
 		}
-		traces[t] = b.Ops()
-	}
-	return &trace.Program{Traces: traces}
+	})
+}
+
+// threadRand seeds thread t's private generator.
+func threadRand(spec Spec, t int) *trace.Rand {
+	return trace.NewRand(spec.Seed ^ (uint64(t)+1)*0x9e3779b97f4a7c15)
 }
 
 // sortedKeys returns map keys in deterministic order.

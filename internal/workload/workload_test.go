@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"persistbarriers/internal/mem"
 	"persistbarriers/internal/trace"
@@ -306,6 +308,42 @@ func TestPickOpFallsBackToInsertWhenEmpty(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		if op := pickOp(r, 0); op != opInsert {
 			t.Fatalf("pickOp on empty structure returned %d", op)
+		}
+	}
+}
+
+// TestGenerateAllocs: an app program is allocated once at its final size.
+// After the first call has grown the scratch builders, Generate allocates
+// at most once per thread plus a few, and at most 1.1× the program's
+// own bytes.
+func TestGenerateAllocs(t *testing.T) {
+	spec := Spec{Threads: 32, OpsPerThread: 400, Seed: 1}
+	for _, name := range AppNames() {
+		prof := Apps()[name]
+		var p *trace.Program
+		gen := func() {
+			var err error
+			if p, err = prof.Generate(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(10, gen)
+		if limit := float64(spec.Threads + 4); allocs > limit {
+			t.Errorf("%s: Generate allocates %.1f times, want <= %.0f", name, allocs, limit)
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			gen()
+		}
+		runtime.ReadMemStats(&after)
+		final := uintptr(p.Ops())*unsafe.Sizeof(trace.Op{}) +
+			uintptr(len(p.Traces))*unsafe.Sizeof([]trace.Op(nil)) + unsafe.Sizeof(*p)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s: %.1f allocs, %.0f B for a %d B program", name, allocs, got, final)
+		if got > 1.1*float64(final) {
+			t.Errorf("%s: Generate allocates %.0f B, want <= 1.1 x the program's %d B", name, got, final)
 		}
 	}
 }
