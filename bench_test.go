@@ -128,6 +128,7 @@ func BenchmarkFig13EpochSize(b *testing.B) {
 // to NP for LB, LB+IDT, LB++, LB++NOLOG (paper gmeans: 1.5x, 1.35x, 1.3x,
 // 1.16x; ~86% of conflicts inter-thread).
 func BenchmarkFig14BSP(b *testing.B) {
+	b.ReportAllocs()
 	var last *harness.BSPResults
 	for i := 0; i < b.N; i++ {
 		r, err := harness.RunFig14(benchOpt())

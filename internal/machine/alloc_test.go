@@ -103,9 +103,8 @@ func TestPingPongZeroAlloc(t *testing.T) {
 // hold, so every access misses the LLC, fetches from NVRAM and evicts a
 // victim — clean for the loads, dirty (an untagged writeback to NVRAM,
 // behind a dirty L1 victim's writeback) for the stores. Every line was
-// touched in warm-up, so the L1 and LLC sets it maps to already have their
-// ways carved from a chunk (cache.ensureSet) and the line table's growth
-// is behind us. (With several cores walking it the LLC's victim is
+// touched in warm-up, so the L1 and LLC sets it maps to have already grown
+// to full width (cache.grow) and the line table's growth is behind us. (With several cores walking it the LLC's victim is
 // still dirty in some L1 and is recalled first; that rare path keeps its
 // two closures.)
 func TestLLCMissZeroAlloc(t *testing.T) {
