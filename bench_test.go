@@ -206,6 +206,7 @@ func BenchmarkMicroGeneration(b *testing.B) {
 	for _, name := range workload.MicrobenchmarkNames() {
 		gen := workload.Microbenchmarks()[name]
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := gen(spec); err != nil {
 					b.Fatal(err)

@@ -110,8 +110,8 @@ func TestPingPongZeroAlloc(t *testing.T) {
 func TestLLCMissZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		kind trace.OpKind
-	}{{"loads", trace.Load}, {"stores", trace.Store}} {
+		add  func(*trace.Builder, mem.Addr) *trace.Builder
+	}{{"loads", (*trace.Builder).Load}, {"stores", (*trace.Builder).Store}} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := allocMachine(t, NP)
 			cfg := m.Config()
@@ -119,11 +119,11 @@ func TestLLCMissZeroAlloc(t *testing.T) {
 			stride := mem.Addr(cfg.LLCBanks*cfg.LLCSets) * mem.LineSize
 			n := 2 * cfg.LLCWays
 			next := 0
-			op := make([]trace.Op, 1)
+			var b trace.Builder
 			round := func() {
-				op[0] = trace.Op{Kind: tc.kind, Addr: 0x100000 + mem.Addr(next%n)*stride}
+				tc.add(b.Reset(), 0x100000+mem.Addr(next%n)*stride)
 				next++
-				feedAndRun(t, m, 0, op)
+				feedAndRun(t, m, 0, b.Ops())
 				m.Step(2_000)
 			}
 			for i := 0; i < 4*n; i++ {

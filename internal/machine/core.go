@@ -48,9 +48,9 @@ func (c *coreCtx) stepCore() {
 	}
 	op := c.ops[c.pc]
 	c.pc++
-	switch op.Kind {
+	switch op.Kind() {
 	case trace.Compute:
-		m.eng.After(op.Cycles, c.after)
+		m.eng.After(op.Cycles(), c.after)
 	case trace.TxEnd:
 		c.txs++
 		if m.cfg.Probe.Active() {
@@ -60,10 +60,10 @@ func (c *coreCtx) stepCore() {
 	case trace.Barrier:
 		c.barrier()
 	case trace.Load:
-		m.access(c, mem.Load, mem.LineOf(op.Addr), c.after)
+		m.access(c, mem.Load, mem.LineOf(op.Addr()), c.after)
 	case trace.Store:
-		if op.Token != 0 {
-			line := mem.LineOf(op.Addr)
+		if tok := op.Token(); tok != 0 {
+			line := mem.LineOf(op.Addr())
 			if c.pendingTok == nil {
 				c.pendingTok = make(map[mem.Line]uint64)
 			}
@@ -74,11 +74,11 @@ func (c *coreCtx) stepCore() {
 				// separated by a barrier that drains the write buffer.
 				panic(fmt.Sprintf(
 					"machine: tagged store (token %d) to %v on core %d while token %d is still in flight to that line",
-					op.Token, line, c.id, prev))
+					tok, line, c.id, prev))
 			}
-			c.pendingTok[line] = op.Token
+			c.pendingTok[line] = tok
 		}
-		c.postStore(mem.LineOf(op.Addr))
+		c.postStore(mem.LineOf(op.Addr()))
 	default:
 		panic("machine: unknown op kind")
 	}

@@ -38,17 +38,6 @@ func LinesSpanned(a Addr, size uint64) int {
 	return int(last - first + 1)
 }
 
-// LineRange returns every line touched by the byte range [a, a+size).
-func LineRange(a Addr, size uint64) []Line {
-	n := LinesSpanned(a, size)
-	lines := make([]Line, 0, n)
-	first := LineOf(a)
-	for i := 0; i < n; i++ {
-		lines = append(lines, first+Line(i))
-	}
-	return lines
-}
-
 // Kind distinguishes the memory access types the cache hierarchy serves.
 type Kind uint8
 

@@ -61,40 +61,6 @@ func TestLinesSpanned(t *testing.T) {
 	}
 }
 
-func TestLineRangeIsContiguous(t *testing.T) {
-	lines := LineRange(100, 300)
-	if len(lines) != LinesSpanned(100, 300) {
-		t.Fatalf("len = %d, want %d", len(lines), LinesSpanned(100, 300))
-	}
-	for i := 1; i < len(lines); i++ {
-		if lines[i] != lines[i-1]+1 {
-			t.Fatalf("lines not contiguous: %v", lines)
-		}
-	}
-	if lines[0] != LineOf(100) {
-		t.Fatalf("first line = %v, want %v", lines[0], LineOf(100))
-	}
-}
-
-func TestLineRangeProperty(t *testing.T) {
-	f := func(rawAddr uint16, rawSize uint16) bool {
-		a, size := Addr(rawAddr), uint64(rawSize)
-		lines := LineRange(a, size)
-		if len(lines) != LinesSpanned(a, size) {
-			return false
-		}
-		if size == 0 {
-			return len(lines) == 0
-		}
-		// Every byte of the range must fall in exactly one returned line.
-		last := a + Addr(size) - 1
-		return lines[0] == LineOf(a) && lines[len(lines)-1] == LineOf(last)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Load.String() != "load" || Store.String() != "store" {
 		t.Errorf("Kind strings wrong: %q %q", Load, Store)

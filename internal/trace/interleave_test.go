@@ -45,8 +45,8 @@ func TestInterleaveSpreadsAcrossCores(t *testing.T) {
 		}
 	}
 	// Private addresses are disjoint across cores.
-	a0 := Interleave(4, []byte{0<<3 | 3, 0}).Traces[0][0].Addr
-	a1 := Interleave(4, []byte{1<<3 | 3, 0}).Traces[1][0].Addr
+	a0 := Interleave(4, []byte{0<<3 | 3, 0}).Traces[0][0].Addr()
+	a1 := Interleave(4, []byte{1<<3 | 3, 0}).Traces[1][0].Addr()
 	if a0 == a1 {
 		t.Fatalf("private bases collide: %#x", uint64(a0))
 	}

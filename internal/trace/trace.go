@@ -48,18 +48,49 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one trace operation. Addr is used by Load/Store; Cycles by Compute.
-// Token, when nonzero on a Store, asks the machine to record the store
+// Op is one trace operation, 16 bytes, built by a Builder and read through
+// its accessors. arg holds the address of a Load/Store or the cycles of a
+// Compute; meta holds the kind in its top byte and the token in its low 56
+// bits, so a token is at most MaxToken. An accessor returns 0 for a field
+// the op's kind does not use.
+//
+// A Token, when nonzero on a Store, asks the machine to record the store
 // version the write eventually commits with (Result.TokenVersions), so an
 // application layer can correlate its logical writes with the durable
 // image. At most one tagged store per (core, line) may be in flight at a
 // time — callers must separate same-line tagged stores with a Barrier.
 type Op struct {
-	Kind   OpKind
-	Addr   mem.Addr
-	Cycles sim.Cycle
-	Token  uint64
+	arg  uint64
+	meta uint64
 }
+
+// tokenBits is the width of the token in Op.meta; the kind sits above it.
+const tokenBits = 56
+
+// MaxToken is the largest token a tagged store can carry.
+const MaxToken = 1<<tokenBits - 1
+
+// Kind reports what the op does.
+func (o Op) Kind() OpKind { return OpKind(o.meta >> tokenBits) }
+
+// Addr reports the byte address a Load or Store touches.
+func (o Op) Addr() mem.Addr {
+	if o.Kind() == Compute {
+		return 0
+	}
+	return mem.Addr(o.arg)
+}
+
+// Cycles reports how long a Compute burns.
+func (o Op) Cycles() sim.Cycle {
+	if o.Kind() != Compute {
+		return 0
+	}
+	return sim.Cycle(o.arg)
+}
+
+// Token reports a tagged Store's token, 0 when untagged.
+func (o Op) Token() uint64 { return o.meta & MaxToken }
 
 // Program is one trace per core.
 type Program struct {
@@ -83,7 +114,7 @@ func (p *Program) Stores() int {
 	n := 0
 	for _, t := range p.Traces {
 		for _, op := range t {
-			if op.Kind == Store {
+			if op.Kind() == Store {
 				n++
 			}
 		}
@@ -96,39 +127,45 @@ type Builder struct {
 	ops []Op
 }
 
-// Load appends a line read of addr.
-func (b *Builder) Load(addr mem.Addr) *Builder {
-	b.ops = append(b.ops, Op{Kind: Load, Addr: addr})
+// add appends one op of kind k.
+func (b *Builder) add(k OpKind, arg, token uint64) *Builder {
+	b.ops = append(b.ops, Op{arg: arg, meta: uint64(k)<<tokenBits | token})
 	return b
 }
+
+// Load appends a line read of addr.
+func (b *Builder) Load(addr mem.Addr) *Builder { return b.add(Load, uint64(addr), 0) }
 
 // Store appends a line write of addr.
-func (b *Builder) Store(addr mem.Addr) *Builder {
-	b.ops = append(b.ops, Op{Kind: Store, Addr: addr})
-	return b
-}
+func (b *Builder) Store(addr mem.Addr) *Builder { return b.add(Store, uint64(addr), 0) }
 
 // StoreTagged appends a line write of addr carrying a version-tracking
-// token (see Op.Token).
+// token (see Op.Token). It panics when the token exceeds MaxToken.
 func (b *Builder) StoreTagged(addr mem.Addr, token uint64) *Builder {
-	b.ops = append(b.ops, Op{Kind: Store, Addr: addr, Token: token})
-	return b
+	if token > MaxToken {
+		panic(fmt.Sprintf("trace: token %d exceeds %d bits", token, tokenBits))
+	}
+	return b.add(Store, uint64(addr), token)
 }
 
 // StoreRange appends a store to every line of the byte range [addr,
 // addr+size) — how a 512-byte micro-benchmark entry write appears to the
 // memory system.
 func (b *Builder) StoreRange(addr mem.Addr, size uint64) *Builder {
-	for _, l := range mem.LineRange(addr, size) {
-		b.Store(l.Addr())
-	}
-	return b
+	return b.lines(Store, addr, size)
 }
 
 // LoadRange appends a load of every line of the byte range.
 func (b *Builder) LoadRange(addr mem.Addr, size uint64) *Builder {
-	for _, l := range mem.LineRange(addr, size) {
-		b.Load(l.Addr())
+	return b.lines(Load, addr, size)
+}
+
+// lines appends one op of kind k per line of the byte range.
+func (b *Builder) lines(k OpKind, addr mem.Addr, size uint64) *Builder {
+	first := mem.LineOf(addr)
+	end := first + mem.Line(mem.LinesSpanned(addr, size))
+	for l := first; l < end; l++ {
+		b.add(k, uint64(l.Addr()), 0)
 	}
 	return b
 }
@@ -136,22 +173,16 @@ func (b *Builder) LoadRange(addr mem.Addr, size uint64) *Builder {
 // Compute appends a pure-compute delay.
 func (b *Builder) Compute(cycles sim.Cycle) *Builder {
 	if cycles > 0 {
-		b.ops = append(b.ops, Op{Kind: Compute, Cycles: cycles})
+		b.add(Compute, uint64(cycles), 0)
 	}
 	return b
 }
 
 // Barrier appends a persist barrier.
-func (b *Builder) Barrier() *Builder {
-	b.ops = append(b.ops, Op{Kind: Barrier})
-	return b
-}
+func (b *Builder) Barrier() *Builder { return b.add(Barrier, 0, 0) }
 
 // TxEnd appends a transaction-completion marker.
-func (b *Builder) TxEnd() *Builder {
-	b.ops = append(b.ops, Op{Kind: TxEnd})
-	return b
-}
+func (b *Builder) TxEnd() *Builder { return b.add(TxEnd, 0, 0) }
 
 // Ops returns the accumulated trace.
 func (b *Builder) Ops() []Op { return b.ops }

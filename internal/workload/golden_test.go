@@ -22,10 +22,10 @@ func programDigest(p *trace.Program) string {
 	for _, tr := range p.Traces {
 		put(uint64(len(tr)))
 		for _, op := range tr {
-			put(uint64(op.Kind))
-			put(uint64(op.Addr))
-			put(uint64(op.Cycles))
-			put(op.Token)
+			put(uint64(op.Kind()))
+			put(uint64(op.Addr()))
+			put(uint64(op.Cycles()))
+			put(op.Token())
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -23,10 +23,8 @@ func Queue(spec Spec) (*trace.Program, error) {
 		alloc := newAllocator(0x2000_0000 + mem.Addr(thread)*0x0100_0000 + mem.Addr(thread)*17*512)
 		headPtr := alloc.line()
 		tailPtr := alloc.line()
-		ring := make([]mem.Addr, queueCapacity)
-		for i := range ring {
-			ring[i] = alloc.entry()
-		}
+		ring := alloc.entries(queueCapacity)
+		slot := func(i int) mem.Addr { return ring + mem.Addr(i%queueCapacity)*EntrySize }
 		head, tail := 0, 0
 		return func() {
 			b.Compute(thinkTime(r))
@@ -44,14 +42,14 @@ func Queue(spec Spec) (*trace.Program, error) {
 				//   4. Head = Head + EntryLen       — epoch B
 				//   5. persist barrier
 				b.Load(headPtr)
-				b.StoreRange(ring[head%queueCapacity], EntrySize)
+				b.StoreRange(slot(head), EntrySize)
 				b.Barrier()
 				b.Store(headPtr)
 				b.Barrier()
 				head++
 			case opDelete:
 				b.Load(tailPtr)
-				b.Load(ring[tail%queueCapacity]) // read the departing entry
+				b.Load(slot(tail)) // read the departing entry
 				b.Store(tailPtr)
 				b.Barrier()
 				tail++
@@ -60,18 +58,11 @@ func Queue(spec Spec) (*trace.Program, error) {
 				b.Load(headPtr)
 				n := r.Intn(min(population, 4)) + 1
 				for i := 0; i < n; i++ {
-					b.Load(ring[(tail+i)%queueCapacity])
+					b.Load(slot(tail + i))
 				}
 			}
 			b.TxEnd()
 		}
 	})
 	return p, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -24,10 +24,7 @@ func SPS(spec Spec) (*trace.Program, error) {
 	}
 	p := perThread(spec, func(thread int, r *trace.Rand, b *trace.Builder) func() {
 		alloc := newAllocator(0x3000_0000 + mem.Addr(thread)*0x0100_0000 + mem.Addr(thread)*17*512)
-		arr := make([]mem.Addr, spsEntries)
-		for i := range arr {
-			arr[i] = alloc.entry()
-		}
+		arr := alloc.entries(spsEntries)
 		return func() {
 			b.Compute(thinkTime(r))
 			i := r.Intn(spsEntries)
@@ -35,11 +32,12 @@ func SPS(spec Spec) (*trace.Program, error) {
 			for j == i {
 				j = r.Intn(spsEntries)
 			}
-			b.LoadRange(arr[i], EntrySize)
-			b.LoadRange(arr[j], EntrySize)
-			b.StoreRange(arr[i], EntrySize)
+			ei, ej := arr+mem.Addr(i)*EntrySize, arr+mem.Addr(j)*EntrySize
+			b.LoadRange(ei, EntrySize)
+			b.LoadRange(ej, EntrySize)
+			b.StoreRange(ei, EntrySize)
 			b.Barrier()
-			b.StoreRange(arr[j], EntrySize)
+			b.StoreRange(ej, EntrySize)
 			b.Barrier()
 			b.TxEnd()
 		}

@@ -71,10 +71,14 @@ type allocator struct {
 
 func newAllocator(base mem.Addr) *allocator { return &allocator{next: base} }
 
-func (a *allocator) entry() mem.Addr {
-	addr := a.next
-	a.next += EntrySize
-	return addr
+func (a *allocator) entry() mem.Addr { return a.entries(1) }
+
+// entries reserves n consecutive entries and returns the first: entry i
+// is at base + i·EntrySize, where n calls to entry would have put it.
+func (a *allocator) entries(n int) mem.Addr {
+	base := a.next
+	a.next += mem.Addr(n) * EntrySize
+	return base
 }
 
 func (a *allocator) line() mem.Addr {

@@ -54,7 +54,7 @@ func TestEveryMicrobenchmarkGenerates(t *testing.T) {
 		var barriers, txs int
 		for _, tr := range p.Traces {
 			for _, op := range tr {
-				switch op.Kind {
+				switch op.Kind() {
 				case trace.Barrier:
 					barriers++
 				case trace.TxEnd:
@@ -103,7 +103,7 @@ func TestHashEntrySpansEightLines(t *testing.T) {
 	// 8 entry-store lines, barrier, head store, barrier, txend.
 	stores := 0
 	for _, op := range p.Traces[0] {
-		if op.Kind == trace.Store {
+		if op.Kind() == trace.Store {
 			stores++
 		}
 	}
@@ -121,7 +121,7 @@ func TestQueueFigure10Pattern(t *testing.T) {
 	// with a barrier in between (Figure 10 ordering).
 	var kinds []trace.OpKind
 	for _, op := range p.Traces[0] {
-		kinds = append(kinds, op.Kind)
+		kinds = append(kinds, op.Kind())
 	}
 	sawEntryStore, sawBarrier, ok := false, false, false
 	for _, k := range kinds {
@@ -208,7 +208,7 @@ func TestSPSSwapShape(t *testing.T) {
 	}
 	loads, stores, barriers := 0, 0, 0
 	for _, op := range p.Traces[0] {
-		switch op.Kind {
+		switch op.Kind() {
 		case trace.Load:
 			loads++
 		case trace.Store:
@@ -245,13 +245,13 @@ func TestAppProfilesGenerateWithExpectedMix(t *testing.T) {
 		sharedOps := 0
 		for _, tr := range p.Traces {
 			for _, op := range tr {
-				switch op.Kind {
+				switch op.Kind() {
 				case trace.Load, trace.Store:
 					memOps++
-					if op.Kind == trace.Store {
+					if op.Kind() == trace.Store {
 						stores++
 					}
-					if op.Addr < 0x7000_0000 {
+					if op.Addr() < 0x7000_0000 {
 						sharedOps++
 					}
 				case trace.Barrier:
@@ -301,6 +301,10 @@ func TestAllocatorAlignment(t *testing.T) {
 	if mem.LineOf(l) == mem.LineOf(e2) {
 		t.Error("line allocation overlaps previous entry")
 	}
+	if base, next := a.entries(3), a.entry(); base != l+mem.LineSize || next != base+3*EntrySize {
+		t.Errorf("entries(3) = %#x then entry = %#x, want %#x and %#x",
+			uint64(base), uint64(next), uint64(l+mem.LineSize), uint64(l+mem.LineSize+3*EntrySize))
+	}
 }
 
 func TestPickOpFallsBackToInsertWhenEmpty(t *testing.T) {
@@ -312,6 +316,31 @@ func TestPickOpFallsBackToInsertWhenEmpty(t *testing.T) {
 	}
 }
 
+// measureGenerate calls gen until the scratch builders have grown, then
+// reports its allocations and bytes per call and the bytes of the program
+// it returns: the ops, the trace headers and the Program.
+func measureGenerate(t *testing.T, gen func() (*trace.Program, error)) (allocs, bytes float64, final uintptr) {
+	t.Helper()
+	var p *trace.Program
+	run := func() {
+		var err error
+		if p, err = gen(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = testing.AllocsPerRun(10, run)
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	final = uintptr(p.Ops())*unsafe.Sizeof(trace.Op{}) +
+		uintptr(len(p.Traces))*unsafe.Sizeof([]trace.Op(nil)) + unsafe.Sizeof(*p)
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs, final
+}
+
 // TestGenerateAllocs: an app program is allocated once at its final size.
 // After the first call has grown the scratch builders, Generate allocates
 // at most once per thread plus a few, and at most 1.1× the program's
@@ -320,30 +349,31 @@ func TestGenerateAllocs(t *testing.T) {
 	spec := Spec{Threads: 32, OpsPerThread: 400, Seed: 1}
 	for _, name := range AppNames() {
 		prof := Apps()[name]
-		var p *trace.Program
-		gen := func() {
-			var err error
-			if p, err = prof.Generate(spec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(10, gen)
+		allocs, got, final := measureGenerate(t, func() (*trace.Program, error) { return prof.Generate(spec) })
 		if limit := float64(spec.Threads + 4); allocs > limit {
 			t.Errorf("%s: Generate allocates %.1f times, want <= %.0f", name, allocs, limit)
 		}
-		const runs = 10
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			gen()
-		}
-		runtime.ReadMemStats(&after)
-		final := uintptr(p.Ops())*unsafe.Sizeof(trace.Op{}) +
-			uintptr(len(p.Traces))*unsafe.Sizeof([]trace.Op(nil)) + unsafe.Sizeof(*p)
-		got := float64(after.TotalAlloc-before.TotalAlloc) / runs
 		t.Logf("%s: %.1f allocs, %.0f B for a %d B program", name, allocs, got, final)
 		if got > 1.1*float64(final) {
 			t.Errorf("%s: Generate allocates %.0f B, want <= 1.1 x the program's %d B", name, got, final)
+		}
+	}
+}
+
+// TestMicroGenerateAllocs: a micro-benchmark generator allocates the
+// program and the state of the structure it simulates, nothing else. queue
+// and sps compute their entries' addresses, so they allocate little beyond
+// the program; hash, rbtree and sdg keep chains, nodes and adjacency lists.
+func TestMicroGenerateAllocs(t *testing.T) {
+	spec := Spec{Threads: 32, OpsPerThread: 40, Seed: 1}
+	// Measured: queue 1.03, sps 1.00, hash 1.47, rbtree 1.45, sdg 1.06.
+	ceiling := map[string]float64{"queue": 1.1, "sps": 1.1, "hash": 1.6, "rbtree": 1.6, "sdg": 1.2}
+	for _, name := range MicrobenchmarkNames() {
+		gen := Microbenchmarks()[name]
+		allocs, got, final := measureGenerate(t, func() (*trace.Program, error) { return gen(spec) })
+		t.Logf("%s: %.1f allocs, %.0f B for a %d B program (%.2fx)", name, allocs, got, final, got/float64(final))
+		if got > ceiling[name]*float64(final) {
+			t.Errorf("%s: generates with %.0f B, want <= %.2f x the program's %d B", name, got, ceiling[name], final)
 		}
 	}
 }
