@@ -6,8 +6,9 @@
 // Observability: -trace writes a Chrome trace-event JSON (load it in
 // Perfetto or chrome://tracing to see per-core epoch spans, per-bank
 // flush spans, and conflict markers on the simulated-cycle timebase);
-// -metrics writes cycle-windowed time-series metrics (CSV, or JSON when
-// the path ends in .json) with the window size set by -window; -json
+// -metrics writes, per -window cycles, how much each of the machine's
+// counters moved (CSV, or JSON when the path ends in .json), one column
+// per machine.Families sample, named as pmkvd's /metrics names them; -json
 // prints the run summary as machine-readable JSON on stdout. Failure
 // diagnostics go to stderr so stdout stays parseable.
 //
@@ -16,9 +17,9 @@
 // harness sweep engine). One run prints the full summary, or one JSON
 // document with -json; more print one summary line per run in seed order,
 // or a JSON array. Observability exports stay per-run: with
-// -trace/-metrics each run gets its own private probe and, when N > 1,
-// its own output file (a ".seedN" suffix is inserted before the
-// extension), so concurrent machines never share a sink.
+// -trace/-metrics each run gets its own private tracer and windows and,
+// when N > 1, its own output file (a ".seedN" suffix is inserted before
+// the extension), so concurrent machines never share one.
 //
 // Examples:
 //
@@ -64,7 +65,7 @@ func main() {
 
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-viewable) to this file")
 		metricsOut = flag.String("metrics", "", "write cycle-windowed metrics to this file (CSV, or JSON if it ends in .json)")
-		window     = flag.Uint64("window", uint64(obs.DefaultWindow), "metrics window size in cycles")
+		window     = flag.Uint64("window", 10000, "metrics window size in cycles")
 		jsonOut    = flag.Bool("json", false, "print the run summary as JSON on stdout")
 		repeat     = flag.Int("repeat", 1, "run N times with seeds seed..seed+N-1 (one summary per run)")
 		parallel   = flag.Int("j", runtime.GOMAXPROCS(0), "worker-pool size for -repeat runs")
@@ -101,6 +102,10 @@ func main() {
 	}
 	if *repeat < 1 {
 		fmt.Fprintf(os.Stderr, "persistsim: -repeat must be >= 1, got %d\n", *repeat)
+		profiling.Exit(2)
+	}
+	if *window < 1 {
+		fmt.Fprintln(os.Stderr, "persistsim: -window must be >= 1")
 		profiling.Exit(2)
 	}
 
@@ -149,36 +154,23 @@ func main() {
 	}
 
 	// One sweep job per seed, -repeat 1 included. Each job gets its own
-	// machine config and, when exporting, its own probe and sinks: machines
-	// run concurrently and an event stream shared across runs would
+	// machine config and, when exporting, its own tracer and windows:
+	// machines run concurrently and a stream shared across runs would
 	// interleave.
 	type run struct {
 		spec    workload.Spec
 		prog    *trace.Program // what Gen last generated
 		tracer  *obs.ChromeTracer
-		sampler *obs.Sampler
+		metrics *windows
 	}
 	runs := make([]run, *repeat)
 	jobs := make([]harness.Job, *repeat)
 	for i := range runs {
 		rn := &runs[i]
 		rn.spec = workload.Spec{Threads: *threads, OpsPerThread: *ops, Seed: *seed + uint64(i)}
-		jcfg := cfg
-		var sinks []obs.Sink
-		if *traceOut != "" {
-			rn.tracer = obs.NewChromeTracer()
-			sinks = append(sinks, rn.tracer)
-		}
-		if *metricsOut != "" {
-			rn.sampler = obs.NewSampler(sim.Cycle(*window))
-			sinks = append(sinks, rn.sampler)
-		}
-		if len(sinks) > 0 {
-			jcfg.Probe = obs.NewProbe(sinks...)
-		}
 		jobs[i] = harness.Job{
 			Key: fmt.Sprintf("%s/seed=%d", *wl, rn.spec.Seed),
-			Cfg: jcfg,
+			Cfg: cfg,
 			Gen: func() (p *trace.Program, err error) {
 				if isMicro {
 					p, err = gen(rn.spec)
@@ -188,6 +180,14 @@ func main() {
 				rn.prog = p
 				return p, err
 			},
+		}
+		if *traceOut != "" {
+			rn.tracer = obs.NewChromeTracer()
+			jobs[i].Cfg.Probe = obs.NewProbe(rn.tracer)
+		}
+		if *metricsOut != "" {
+			rn.metrics = &windows{window: sim.Cycle(*window)}
+			jobs[i].Window, jobs[i].Each = rn.metrics.window, rn.metrics.observe
 		}
 	}
 	results, err := harness.Sweep(jobs, harness.SweepOptions{Parallelism: *parallel, AllowDeadlock: true})
@@ -216,10 +216,10 @@ func main() {
 				profiling.Exit(1)
 			}
 		}
-		if rn.sampler != nil {
-			export := rn.sampler.WriteCSV
+		if rn.metrics != nil {
+			export := rn.metrics.writeCSV
 			if strings.HasSuffix(*metricsOut, ".json") {
-				export = rn.sampler.WriteJSON
+				export = rn.metrics.writeJSON
 			}
 			if err := writeFile(exportPath(*metricsOut, rn.spec.Seed), export); err != nil {
 				fmt.Fprintln(os.Stderr, "persistsim:", err)

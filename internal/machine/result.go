@@ -153,6 +153,76 @@ type Counters struct {
 	LLC cache.Stats `json:"llc"`
 }
 
+// Sample is one value of a counter family. Label, when set, is the value
+// of the family's label that tells it from the family's other samples.
+type Sample struct {
+	Label string
+	Value uint64
+}
+
+// Family is one named count read out of Counters.
+type Family struct {
+	// Name is the count's name: pmkvd's /metrics renders it as
+	// pmkv_<Name>_total, persistsim -metrics as the column <Name>, or
+	// <Name>_<label value> per sample of a labelled family.
+	Name, Help string
+	// Label is the label that tells samples apart ("" for one sample).
+	Label   string
+	Samples func(*Counters) []Sample
+}
+
+func one(v uint64) []Sample { return []Sample{{Value: v}} }
+
+// Families are the counts the paper evaluates a barrier by (§7), in the
+// one vocabulary pmkvd's /metrics and persistsim's windowed metrics share.
+// A family's samples and their labels do not depend on the counters read.
+var Families = []Family{
+	{"txs", "Transactions retired.", "",
+		func(c *Counters) []Sample { return one(c.Transactions) }},
+	{"epochs_opened", "Epochs opened.", "",
+		func(c *Counters) []Sample { return one(c.Epochs.Opened) }},
+	{"epochs_persisted", "Epochs made durable.", "",
+		func(c *Counters) []Sample { return one(c.Epochs.Persisted) }},
+	{"conflicts", "Epoch conflicts by kind.", "kind",
+		func(c *Counters) []Sample {
+			return []Sample{{"intra", c.Conflicts.Intra}, {"inter", c.Conflicts.Inter}, {"eviction", c.Conflicts.Eviction}}
+		}},
+	{"epochs_conflicting", "Persisted epochs that were the target of a conflict (Fig. 12's numerator; the denominator is epochs_persisted).", "",
+		func(c *Counters) []Sample { return one(c.Epochs.Conflicting) }},
+	{"epochs_persisted_by_cause", "Epochs made durable, by what made them persist: a conflict cause is an online persist (a request waited for it), every other cause an offline one.", "cause",
+		func(c *Counters) (out []Sample) {
+			for cause := epoch.CauseIntra; cause <= epoch.CauseNatural; cause++ {
+				out = append(out, Sample{cause.String(), c.Epochs.ByCause[cause]})
+			}
+			return out
+		}},
+	{"epoch_splits", "Ongoing epochs split by the deadlock-avoidance rule (Section 3.3).", "",
+		func(c *Counters) []Sample { return one(c.Epochs.Splits) }},
+	{"idt_edges", "Inter-thread dependences recorded in IDT registers instead of stalling the request.", "",
+		func(c *Counters) []Sample { return one(c.Epochs.Deps) }},
+	{"idt_fallbacks", "Inter-thread conflicts that found the dependence registers full and stalled online.", "",
+		func(c *Counters) []Sample { return one(c.Conflicts.IDTFallbacks) }},
+	{"stall_cycles", "Simulated cycles cores spent stalled on persist ordering, by cause, summed over cores.", "cause",
+		func(c *Counters) (out []Sample) {
+			for cause, cycles := range c.Stalls {
+				out = append(out, Sample{StallCause(cause).String(), uint64(cycles)})
+			}
+			return out
+		}},
+	{"epoch_flushes", "Epoch flushes the per-core arbiters drove.", "",
+		func(c *Counters) []Sample { return one(c.Epochs.Flushes) }},
+	{"persisted_lines", "Line versions made durable in NVRAM.", "",
+		func(c *Counters) []Sample { return one(c.PersistedLines) }},
+	{"noc_messages", "Messages sent over the mesh.", "",
+		func(c *Counters) []Sample { return one(c.NoC.Messages) }},
+	{"noc_flits", "Flits sent over the mesh.", "",
+		func(c *Counters) []Sample { return one(c.NoC.Flits) }},
+	{"nvram_admissions", "Requests (reads, writes, log writes) admitted at the memory controllers.", "",
+		func(c *Counters) []Sample { return one(c.MC.Reads + c.MC.Writes + c.MC.LogWrites) }},
+	{"nvram_wait_cycles", "Cycles admitted requests waited for a memory controller's channel, summed.", "",
+		func(c *Counters) []Sample { return one(uint64(c.MC.StallCycles)) }},
+}
+
 // addCache adds one cache's counts into dst.
 func addCache(dst *cache.Stats, s cache.Stats) {
 	dst.Hits += s.Hits

@@ -4,8 +4,10 @@
 //
 //	/metrics       Prometheus 0.0.4 text exposition — per-shard pipeline
 //	               stage histograms (seconds), each shard machine's own
-//	               counters (simulated cycles: persist latency, epochs by
-//	               cause, conflicts, IDT edges, splits, stall cycles), the
+//	               counters (simulated cycles: persist latency and the
+//	               machine.Families — epochs by cause, conflicts, IDT
+//	               edges, splits, stall cycles, flushes, NoC and NVRAM
+//	               traffic), the
 //	               commit-pipeline gauges, how much audit state each
 //	               engine holds and has released, and the process's
 //	               resident and heap memory.
@@ -31,7 +33,6 @@ import (
 	"strconv"
 	"strings"
 
-	"persistbarriers/internal/epoch"
 	"persistbarriers/internal/machine"
 	"persistbarriers/internal/pmkv"
 	"persistbarriers/internal/telemetry"
@@ -112,62 +113,10 @@ func (s *Server) AdminHandler() http.Handler {
 	return mux
 }
 
-// sample is one value of a counter family; label, when set, is the
-// pre-rendered label pair that tells it from the family's other samples.
-type sample struct {
-	label string
-	value uint64
-}
-
-func one(v uint64) []sample { return []sample{{value: v}} }
-
-// machineCounters are the /metrics families read from each shard
-// machine's counters: the quantities the paper evaluates a barrier by.
-var machineCounters = []struct {
-	name, help string
-	samples    func(*machine.Counters) []sample
-}{
-	{"pmkv_txs_total", "Transactions retired, per shard.",
-		func(c *machine.Counters) []sample { return one(c.Transactions) }},
-	{"pmkv_epochs_opened_total", "Epochs opened, per shard.",
-		func(c *machine.Counters) []sample { return one(c.Epochs.Opened) }},
-	{"pmkv_epochs_persisted_total", "Epochs made durable, per shard.",
-		func(c *machine.Counters) []sample { return one(c.Epochs.Persisted) }},
-	{"pmkv_conflicts_total", "Epoch conflicts by kind, per shard.",
-		func(c *machine.Counters) []sample {
-			return []sample{
-				{`kind="intra"`, c.Conflicts.Intra},
-				{`kind="inter"`, c.Conflicts.Inter},
-				{`kind="eviction"`, c.Conflicts.Eviction},
-			}
-		}},
-	{"pmkv_epochs_conflicting_total", "Persisted epochs that were the target of a conflict (Fig. 12's numerator; the denominator is pmkv_epochs_persisted_total).",
-		func(c *machine.Counters) []sample { return one(c.Epochs.Conflicting) }},
-	{"pmkv_epochs_persisted_by_cause_total", "Epochs made durable, by what made them persist: a conflict cause is an online persist (a request waited for it), every other cause an offline one.",
-		func(c *machine.Counters) (out []sample) {
-			for cause := epoch.CauseIntra; cause <= epoch.CauseNatural; cause++ {
-				out = append(out, sample{fmt.Sprintf("cause=%q", cause), c.Epochs.ByCause[cause]})
-			}
-			return out
-		}},
-	{"pmkv_epoch_splits_total", "Ongoing epochs split by the deadlock-avoidance rule (Section 3.3).",
-		func(c *machine.Counters) []sample { return one(c.Epochs.Splits) }},
-	{"pmkv_idt_edges_total", "Inter-thread dependences recorded in IDT registers instead of stalling the request.",
-		func(c *machine.Counters) []sample { return one(c.Epochs.Deps) }},
-	{"pmkv_idt_fallbacks_total", "Inter-thread conflicts that found the dependence registers full and stalled online.",
-		func(c *machine.Counters) []sample { return one(c.Conflicts.IDTFallbacks) }},
-	{"pmkv_stall_cycles_total", "Simulated cycles cores spent stalled on persist ordering, by cause, summed over cores.",
-		func(c *machine.Counters) (out []sample) {
-			for cause, cycles := range c.Stalls {
-				out = append(out, sample{fmt.Sprintf("cause=%q", machine.StallCause(cause)), uint64(cycles)})
-			}
-			return out
-		}},
-}
-
 // appendMetrics composes the full exposition: stage histograms from the
 // tracer, then everything store.Metrics reports — the machines' counters
-// and persist-latency histograms, and the pipeline gauges.
+// (one pmkv_<name>_total per machine.Families entry) and persist-latency
+// histograms, and the pipeline gauges.
 func (s *Server) appendMetrics(dst []byte) []byte {
 	dst = s.tracer.AppendStageMetrics(dst)
 
@@ -182,16 +131,17 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 		}
 	}
 
-	for _, f := range machineCounters {
-		dst = telemetry.AppendMetricHeader(dst, f.name, "counter", f.help)
+	for _, f := range machine.Families {
+		name := "pmkv_" + f.Name + "_total"
+		dst = telemetry.AppendMetricHeader(dst, name, "counter", f.Help)
 		for i := range metrics {
 			shard := shardLabel(i)
-			for _, sm := range f.samples(&metrics[i].Counters) {
+			for _, sm := range f.Samples(&metrics[i].Counters) {
 				labels := shard
-				if sm.label != "" {
-					labels += "," + sm.label
+				if sm.Label != "" {
+					labels += fmt.Sprintf(",%s=%q", f.Label, sm.Label)
 				}
-				dst = telemetry.AppendUintSample(dst, f.name, labels, sm.value)
+				dst = telemetry.AppendUintSample(dst, name, labels, sm.Value)
 			}
 		}
 	}
@@ -257,8 +207,11 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 				continue
 			}
 			f := m.FallbackReasons
-			for _, r := range []sample{{`reason="pending"`, f.Pending}, {`reason="draining"`, f.Draining}, {`reason="crashed"`, f.Crashed}} {
-				dst = telemetry.AppendUintSample(dst, g.name, shardLabel(m.Shard)+","+r.label, r.value)
+			for _, r := range []struct {
+				reason string
+				n      uint64
+			}{{"pending", f.Pending}, {"draining", f.Draining}, {"crashed", f.Crashed}} {
+				dst = telemetry.AppendUintSample(dst, g.name, fmt.Sprintf("%s,reason=%q", shardLabel(m.Shard), r.reason), r.n)
 			}
 		}
 	}
