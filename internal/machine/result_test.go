@@ -1,12 +1,15 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"persistbarriers/internal/epoch"
 	"persistbarriers/internal/noc"
 	"persistbarriers/internal/sim"
+	"persistbarriers/internal/stats"
+	"persistbarriers/internal/trace"
 	"persistbarriers/internal/workload"
 )
 
@@ -190,6 +193,102 @@ func TestCountersMatchResult(t *testing.T) {
 		}
 		check(t, m, r)
 	})
+}
+
+// TestRunEveryWindows: a windowed run is Run cut into slices. At windows
+// of 1, 97 and 5 000 cycles, on an LB++ micro run, a bulk BSP run with
+// logging and Figure 5(a)'s deadlock, RunEvery's Result has Run's
+// fingerprint, it reads the counters ⌊last event cycle / window⌋ + 1
+// times, no sample ever falls between readings, and the per-window
+// differences sum to the final counters.
+func TestRunEveryWindows(t *testing.T) {
+	spec := workload.Spec{Threads: 4, OpsPerThread: 40, Seed: 3}
+	queue, err := workload.Queue(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssca2, err := workload.Apps()["ssca2"].Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bulk := lbStreamConfig()
+	bulk.BulkEpochStores, bulk.Logging, bulk.CheckpointLines = 8, true, 4
+	var t0, t1 trace.Builder
+	t0.Store(0).Compute(100).Load(64).Store(128)
+	t1.Store(64).Compute(100).Load(0).Store(192)
+	deadlock := testConfig(LB)
+	deadlock.IDT, deadlock.EnableSplit = true, false
+	cases := []struct {
+		name string
+		cfg  Config
+		p    *trace.Program
+	}{
+		{"queue LB++", lbStreamConfig(), queue},
+		{"ssca2 bulk logging", bulk, ssca2},
+		{"deadlock without split", deadlock, &trace.Program{Traces: [][]trace.Op{t0.Ops(), t1.Ops()}}},
+	}
+	load := func(t *testing.T, cfg Config, p *trace.Program) *Machine {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for _, tc := range cases {
+		m := load(t, tc.cfg, tc.p)
+		ref, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := m.Now()
+		for _, window := range []sim.Cycle{1, 97, 5000} {
+			t.Run(fmt.Sprintf("%s/window=%d", tc.name, window), func(t *testing.T) {
+				m := load(t, tc.cfg, tc.p)
+				var prev Counters
+				sums := make([][]uint64, len(Families))
+				reads := 0
+				r, err := m.RunEvery(window, func(c Counters) {
+					reads++
+					for i, f := range Families {
+						was := f.Samples(&prev)
+						for j, s := range f.Samples(&c) {
+							if s.Value < was[j].Value {
+								t.Fatalf("reading %d: %s %q fell %d -> %d", reads, f.Name, s.Label, was[j].Value, s.Value)
+							}
+							if j == len(sums[i]) {
+								sums[i] = append(sums[i], 0)
+							}
+							sums[i][j] += s.Value - was[j].Value
+						}
+					}
+					prev = c
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Deadlocked != ref.Deadlocked || stats.MustFingerprint(r) != stats.MustFingerprint(ref) {
+					t.Fatalf("RunEvery's Result differs from Run's (deadlocked %v, Run's %v)", r.Deadlocked, ref.Deadlocked)
+				}
+				if want := int(last/window) + 1; reads != want {
+					t.Errorf("%d readings for a last event at cycle %d, want %d", reads, last, want)
+				}
+				final := m.Counters()
+				if prev != final || final.Cycle != last {
+					t.Errorf("last reading at cycle %d is not the final counters at cycle %d (last event %d)", prev.Cycle, final.Cycle, last)
+				}
+				for i, f := range Families {
+					for j, s := range f.Samples(&final) {
+						if sums[i][j] != s.Value {
+							t.Errorf("%s %q: windows sum to %d, final %d", f.Name, s.Label, sums[i][j], s.Value)
+						}
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestCountersAdd: pooling per-machine readings is exact. Counts and

@@ -13,7 +13,6 @@ package noc
 import (
 	"fmt"
 
-	"persistbarriers/internal/obs"
 	"persistbarriers/internal/sim"
 )
 
@@ -50,18 +49,6 @@ type Mesh struct {
 	messages uint64
 	flits    uint64
 	hopSum   uint64
-
-	// Observability: per-message traffic events. clock supplies the
-	// simulated time (the mesh itself holds no engine reference).
-	probe *obs.Probe
-	clock func() sim.Cycle
-}
-
-// AttachProbe installs an observability probe; clock supplies the
-// current simulated cycle for emitted traffic events.
-func (m *Mesh) AttachProbe(p *obs.Probe, clock func() sim.Cycle) {
-	m.probe = p
-	m.clock = clock
 }
 
 // New validates cfg and returns a Mesh.
@@ -115,9 +102,6 @@ func (m *Mesh) Latency(a, b Tile, payloadBytes int) sim.Cycle {
 	m.messages++
 	m.flits += uint64(fl)
 	m.hopSum += uint64(hops)
-	if m.probe.Active() && m.clock != nil {
-		m.probe.NoCMessage(m.clock(), fl, hops)
-	}
 	// Head flit pays the route; body flits pipeline behind it.
 	return m.cfg.RouterCycles + sim.Cycle(hops)*m.cfg.PerHopCycles + sim.Cycle(fl-1)
 }

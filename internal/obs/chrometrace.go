@@ -162,9 +162,6 @@ func (t *ChromeTracer) Emit(ev Event) {
 		})
 	case KTxRetired:
 		t.instant(ev, "tx", "tx", nil)
-	case KNoCMessage:
-		// Too fine-grained for a span/instant track; the sampler
-		// aggregates NoC traffic instead.
 	}
 }
 

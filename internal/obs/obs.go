@@ -1,8 +1,6 @@
-// Package obs is the simulator's observability layer: a typed event
-// stream (the Probe) emitted from the machine, epoch, nvram, and noc
-// layers, plus consumers that turn the stream into artifacts — a Chrome
-// trace-event exporter (chrometrace.go) and a cycle-windowed time-series
-// sampler (sampler.go).
+// Package obs is the simulator's event stream: a typed Probe emitted from
+// the machine, epoch and nvram layers into one Sink, and the Chrome
+// trace-event exporter (chrometrace.go) that is its one consumer.
 //
 // The layer is zero-overhead when disabled: every component holds a
 // *Probe that defaults to nil, every Probe method is nil-safe, and the
@@ -10,14 +8,15 @@
 // potential emission site. Components never format strings or allocate
 // unless a sink is attached.
 //
-// obs counts nothing. Every total the stream could be folded into is
-// already kept where it happens — epoch.Table, the arbiter, the machine's
-// access paths — and read through machine.Counters, which is what pmkvd
-// serves; its engines run with a nil Probe. The stream is for artifacts
-// that need the events themselves, in order: a trace, a time series.
+// obs counts nothing; the Chrome trace is its one consumer. Every total
+// the stream could be folded into is already kept where it happens —
+// epoch.Table, the arbiter, the machine's access paths — and read through
+// machine.Counters, which is what pmkvd serves (its engines run with a
+// nil Probe) and what persistsim -metrics writes per window. The stream
+// is for the trace, which needs the events themselves, in order.
 //
-// obs sits below epoch/nvram/noc/machine in the dependency order (it
-// imports only mem and sim), so any layer may emit without cycles.
+// obs sits below epoch/nvram/machine in the dependency order (it imports
+// only mem and sim), so any layer may emit without cycles.
 // Epoch identities are carried as plain (core, num) pairs for the same
 // reason.
 package obs
@@ -70,9 +69,6 @@ const (
 	// is the controller, Value the queuing delay (cycles) the request
 	// waited for the channel.
 	KNVRAMQueue
-	// KNoCMessage: one message traversed the mesh; Value is its flit
-	// count, Src/SrcEpoch unused, Unit the hop count.
-	KNoCMessage
 	numKinds
 )
 
@@ -103,8 +99,6 @@ func (k Kind) String() string {
 		return "tx-retired"
 	case KNVRAMQueue:
 		return "nvram-queue"
-	case KNoCMessage:
-		return "noc-message"
 	default:
 		return "kind(?)"
 	}
@@ -162,29 +156,17 @@ type Sink interface {
 // valid and inert: every method no-ops, so holders need no guards beyond
 // the implicit nil check.
 type Probe struct {
-	sinks []Sink
+	sink Sink
 }
 
-// NewProbe builds a probe fanning out to the given sinks; nil sinks are
-// dropped. With no sinks the probe is inert (but non-nil).
-func NewProbe(sinks ...Sink) *Probe {
-	p := &Probe{}
-	for _, s := range sinks {
-		if s != nil {
-			p.sinks = append(p.sinks, s)
-		}
-	}
-	return p
-}
+// NewProbe builds a probe emitting into s. With a nil sink the probe is
+// inert (but non-nil).
+func NewProbe(s Sink) *Probe { return &Probe{sink: s} }
 
-// Active reports whether any sink is attached.
-func (p *Probe) Active() bool { return p != nil && len(p.sinks) > 0 }
+// Active reports whether a sink is attached.
+func (p *Probe) Active() bool { return p != nil && p.sink != nil }
 
-func (p *Probe) emit(ev Event) {
-	for _, s := range p.sinks {
-		s.Emit(ev)
-	}
-}
+func (p *Probe) emit(ev Event) { p.sink.Emit(ev) }
 
 func base(k Kind, cy sim.Cycle) Event {
 	return Event{Kind: k, Cycle: cy, Core: -1, Epoch: -1, SrcCore: -1, SrcEpoch: -1, Unit: -1}
@@ -324,15 +306,5 @@ func (p *Probe) NVRAMQueue(cy sim.Cycle, ctrl int, wait sim.Cycle) {
 	}
 	ev := base(KNVRAMQueue, cy)
 	ev.Unit, ev.Value = ctrl, uint64(wait)
-	p.emit(ev)
-}
-
-// NoCMessage records one mesh message of the given flit and hop counts.
-func (p *Probe) NoCMessage(cy sim.Cycle, flits, hops int) {
-	if !p.Active() {
-		return
-	}
-	ev := base(KNoCMessage, cy)
-	ev.Unit, ev.Value = hops, uint64(flits)
 	p.emit(ev)
 }

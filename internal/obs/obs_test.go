@@ -26,42 +26,38 @@ func TestNilProbeSafe(t *testing.T) {
 	p.PersistAck(1, 0x40, 0, 0)
 	p.TxRetired(1, 0)
 	p.NVRAMQueue(1, 0, 12)
-	p.NoCMessage(1, 2, 3)
 }
 
 func TestEmptyProbeInactive(t *testing.T) {
-	p := NewProbe()
+	p := NewProbe(nil)
 	if p.Active() {
-		t.Error("sinkless probe reports active")
+		t.Error("probe of a nil sink reports active")
 	}
 	p.TxRetired(1, 0) // must not panic
-	if p2 := NewProbe(nil, nil); p2.Active() {
-		t.Error("probe of nil sinks reports active")
-	}
 }
 
+// TestProbeFanOut: the probe hands its one sink every event, in order,
+// with the fields its Kind documents.
 func TestProbeFanOut(t *testing.T) {
-	a, b := &recorder{}, &recorder{}
-	p := NewProbe(a, nil, b)
+	r := &recorder{}
+	p := NewProbe(r)
 	if !p.Active() {
-		t.Fatal("probe with sinks not active")
+		t.Fatal("probe with a sink not active")
 	}
 	p.Conflict(7, ConflictInter, 2, 5, 9, 0x80, ResolveIDT)
 	p.PersistAck(8, 0xc0, -1, 0)
-	for _, r := range []*recorder{a, b} {
-		if len(r.evs) != 2 {
-			t.Fatalf("sink saw %d events, want 2", len(r.evs))
-		}
-		c := r.evs[0]
-		if c.Kind != KConflict || c.Cycle != 7 || c.Core != 2 ||
-			c.SrcCore != 5 || c.SrcEpoch != 9 || c.Line != 0x80 ||
-			c.Label != ConflictInter || c.Detail != ResolveIDT {
-			t.Errorf("conflict event = %+v", c)
-		}
-		pa := r.evs[1]
-		if pa.Kind != KPersistAck || pa.Core != -1 || pa.Epoch != -1 {
-			t.Errorf("untracked persist-ack should keep -1 sentinels: %+v", pa)
-		}
+	if len(r.evs) != 2 {
+		t.Fatalf("sink saw %d events, want 2", len(r.evs))
+	}
+	c := r.evs[0]
+	if c.Kind != KConflict || c.Cycle != 7 || c.Core != 2 ||
+		c.SrcCore != 5 || c.SrcEpoch != 9 || c.Line != 0x80 ||
+		c.Label != ConflictInter || c.Detail != ResolveIDT {
+		t.Errorf("conflict event = %+v", c)
+	}
+	pa := r.evs[1]
+	if pa.Kind != KPersistAck || pa.Core != -1 || pa.Epoch != -1 {
+		t.Errorf("untracked persist-ack should keep -1 sentinels: %+v", pa)
 	}
 }
 

@@ -20,6 +20,10 @@ import (
 type eventOracle struct {
 	txs, opened, persisted, splits  uint64
 	intra, inter, eviction, idtFull uint64
+	flushes, persistAcks            uint64
+	// nvramAdmits counts controller admissions, nvramWait sums their
+	// queuing delay.
+	nvramAdmits, nvramWait uint64
 	// completedAt holds completion cycles of epochs awaiting durability,
 	// keyed by (core, epoch); the persist event consumes its entry.
 	completedAt map[[2]int64]sim.Cycle
@@ -43,6 +47,13 @@ func (o *eventOracle) Emit(ev obs.Event) {
 		delete(o.completedAt, key)
 	case obs.KIDTFallback:
 		o.idtFull++
+	case obs.KEpochFlushStart:
+		o.flushes++
+	case obs.KPersistAck:
+		o.persistAcks++
+	case obs.KNVRAMQueue:
+		o.nvramAdmits++
+		o.nvramWait += ev.Value
 	case obs.KConflict:
 		switch ev.Label {
 		case obs.ConflictIntra:
@@ -84,11 +95,13 @@ func TestStatsMatchEventOracle(t *testing.T) {
 		}
 		st := e.Stats()
 		got := [...]uint64{st.Transactions, st.Epochs.Opened, st.Epochs.Persisted, st.Epochs.Splits,
-			st.Conflicts.Intra, st.Conflicts.Inter, st.Conflicts.Eviction, st.Conflicts.IDTFallbacks}
+			st.Conflicts.Intra, st.Conflicts.Inter, st.Conflicts.Eviction, st.Conflicts.IDTFallbacks,
+			st.Epochs.Flushes, st.PersistedLines, st.MC.Reads + st.MC.Writes + st.MC.LogWrites, uint64(st.MC.StallCycles)}
 		want := [...]uint64{oracle.txs, oracle.opened, oracle.persisted, oracle.splits,
-			oracle.intra, oracle.inter, oracle.eviction, oracle.idtFull}
+			oracle.intra, oracle.inter, oracle.eviction, oracle.idtFull,
+			oracle.flushes, oracle.persistAcks, oracle.nvramAdmits, oracle.nvramWait}
 		if got != want {
-			t.Errorf("crash at %d: txs, epochs opened/persisted, splits, conflicts intra/inter/eviction, IDT fallbacks\n got %v\nwant %v", at, got, want)
+			t.Errorf("crash at %d: txs, epochs opened/persisted, splits, conflicts intra/inter/eviction, IDT fallbacks, flushes, persisted lines, NVRAM admissions/wait cycles\n got %v\nwant %v", at, got, want)
 		}
 		if st.PersistLatency != oracle.latency {
 			t.Errorf("crash at %d: latency histogram differs from the oracle's: %d samples sum %d, want %d sum %d",
