@@ -20,6 +20,16 @@ func RunScriptRecyclingEarly(cfg Config, spec ScriptSpec, planted bool) (*RunRes
 	return out, e.Stats().Retention, err
 }
 
+// EachScriptOp calls f for every op spec expands to, in execution order.
+func EachScriptOp(spec ScriptSpec, f func(round, sess int, op Op, key string, value []byte)) {
+	spec.fill()
+	for r, round := range genScript(spec) {
+		for s, op := range round {
+			f(r, s, op.op, op.key, op.value)
+		}
+	}
+}
+
 // CaughtEarlyRecycle reports whether err is a rejection an early recycle
 // may be caught by: Verify's check 5 or a checker verdict. The older
 // checks compare with ">=" and are satisfied by the overwriting store
