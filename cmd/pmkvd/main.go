@@ -56,10 +56,6 @@ func main() {
 		flightDump = flag.String("flight-dump", "", "write the flight-recorder dump here on crash/drain (empty = off)")
 
 		selfcheck = flag.Int("selfcheck", 0, "run N crash-injection instants and exit (no server)")
-		sessions  = flag.Int("sessions", 6, "selfcheck: concurrent scripted sessions")
-		rounds    = flag.Int("rounds", 24, "selfcheck: request batches per session")
-		keyspace  = flag.Int("keyspace", 16, "selfcheck: distinct keys")
-		seed      = flag.Uint64("seed", 42, "selfcheck: workload seed")
 	)
 	flag.Parse()
 
@@ -86,9 +82,6 @@ func main() {
 	atLeast("selfcheck", *selfcheck, 0)
 	within("window", *window, 1, 4096)
 	atLeast("maxconns", *maxconns, 0)
-	atLeast("sessions", *sessions, 1)
-	atLeast("rounds", *rounds, 1)
-	atLeast("keyspace", *keyspace, 1)
 
 	mcfg := pmkv.SmallMachine()
 	mcfg.Cores = *cores
@@ -106,8 +99,7 @@ func main() {
 	}
 
 	if *selfcheck > 0 {
-		spec := pmkv.ScriptSpec{Sessions: *sessions, Rounds: *rounds, KeySpace: *keyspace, Seed: *seed}
-		if err := runSelfcheck(cfg, spec, *selfcheck); err != nil {
+		if err := runSelfcheck(cfg, *selfcheck); err != nil {
 			fmt.Fprintln(os.Stderr, "pmkvd: selfcheck FAILED:", err)
 			os.Exit(1)
 		}
@@ -172,20 +164,23 @@ func serve(addr, adminAddr string, cfg pmkv.ShardedConfig, opts server.Options) 
 // the cycle span, then n evenly spaced crash instants, each fanned out to
 // every shard, fully verified (epoch order, prefix closure, KV atomicity,
 // session order) and checked for a reproducible combined fingerprint.
-func runSelfcheck(cfg pmkv.ShardedConfig, spec pmkv.ScriptSpec, n int) error {
+func runSelfcheck(cfg pmkv.ShardedConfig, n int) error {
+	script := pmkv.GenScript(pmkv.ScriptSpec{Sessions: 6, Rounds: 24, KeySpace: 16, Seed: 42})
 	cfg.Engine.CrashAt = 0
-	clean, err := pmkv.RunShardedScript(cfg, spec)
+	clean, err := pmkv.RunShardedScript(cfg, script)
 	if err != nil {
 		return fmt.Errorf("clean run: %w", err)
 	}
 	var span sim.Cycle
-	verdicts := make([]*dlcheck.Verdict, len(clean.PerShard))
-	for i, r := range clean.PerShard {
-		span = max(span, r.Cycles)
+	publishes := 0
+	verdicts := make([]*dlcheck.Verdict, len(clean))
+	for i, r := range clean {
+		span = max(span, r.Stats.Cycle)
+		publishes += r.Report.TotalPublishes
 		verdicts[i] = r.DL
 	}
 	fmt.Printf("clean run: %d shards, span %d cycles, %d publishes, combined fingerprint %.16s\n",
-		len(clean.PerShard), span, clean.TotalPublishes(), clean.Fingerprint)
+		len(clean), span, publishes, pmkv.CombineFingerprints(clean))
 	if v := dlcheck.Merge(verdicts); v != nil {
 		fmt.Printf("durable linearizability: %s\n", v)
 	}
@@ -193,19 +188,22 @@ func runSelfcheck(cfg pmkv.ShardedConfig, spec pmkv.ScriptSpec, n int) error {
 	for i, at := range pmkv.SweepInstants(span, n) {
 		ccfg := cfg
 		ccfg.Engine.CrashAt = at
-		out, err := pmkv.RunShardedScript(ccfg, spec)
+		out, err := pmkv.RunShardedScript(ccfg, script)
 		if err != nil {
 			return fmt.Errorf("crash %d/%d at cycle %d: %w", i+1, n, at, err)
 		}
-		again, err := pmkv.RunShardedScript(ccfg, spec)
+		again, err := pmkv.RunShardedScript(ccfg, script)
 		if err != nil {
 			return fmt.Errorf("crash %d/%d at cycle %d (replay): %w", i+1, n, at, err)
 		}
-		if out.Fingerprint != again.Fingerprint {
+		if pmkv.CombineFingerprints(out) != pmkv.CombineFingerprints(again) {
 			return fmt.Errorf("crash %d/%d at cycle %d: combined recovery not deterministic", i+1, n, at)
 		}
-		if out.Crashed {
-			crashed++
+		for _, r := range out {
+			if r.Crashed {
+				crashed++
+				break
+			}
 		}
 	}
 	if cfg.Engine.Check {

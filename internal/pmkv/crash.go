@@ -1,15 +1,14 @@
-// Crash-injection harness: deterministic scripted load so that the same
-// seed always produces the same request stream, a crash instant injected
-// at any cycle, and a verified recovery report. Tests sweep hundreds of
-// crash instants across a run through RunShardedScript (shardscript.go),
-// the one scripted driver; the pmkvd self-check fans the same instants
-// out to every shard.
+// Crash-injection harness: a deterministic scripted load, so the same seed
+// always produces the same request stream, a crash instant injected at
+// any cycle, and a verified recovery report. GenScript materialises the
+// load as a Script; tests sweep hundreds of crash instants across a run
+// through RunShardedScript (shardscript.go), the one scripted driver, and
+// the pmkvd self-check fans the same instants out to every shard.
 package pmkv
 
 import (
 	"fmt"
 
-	"persistbarriers/internal/dlcheck"
 	"persistbarriers/internal/sim"
 	"persistbarriers/internal/trace"
 )
@@ -28,11 +27,6 @@ type ScriptSpec struct {
 	// Delete); zero means default, so existing specs keep their exact
 	// request streams and fingerprints.
 	PutPct, GetPct int
-	// Keys, when non-nil, overrides the key universe: each op draws
-	// uniformly from Keys instead of the generated k%03d space. The rng
-	// consumes one draw either way, so crash sweeps over the same seed
-	// stay aligned (the metamorphic tests pin keys to one shard with it).
-	Keys []string
 }
 
 // fill applies defaults.
@@ -60,85 +54,59 @@ func (s *ScriptSpec) fill() {
 	}
 }
 
-// scriptOp is one scripted request before session binding.
-type scriptOp struct {
-	op    Op
-	key   string
-	value []byte
+// ScriptedOp is one scripted request: the session that issues it, the op,
+// its key and, for a Put, its value.
+type ScriptedOp struct {
+	Sess  int
+	Op    Op
+	Key   string
+	Value []byte
 }
 
-// genScript expands the spec into Rounds x Sessions requests. Generation
-// is a pure function of the spec, independent of crash timing, so every
-// crash instant replays the identical load.
-func genScript(spec ScriptSpec) [][]scriptOp {
+// Script is a materialised load, one batch per round. The driver runs each
+// batch as one Apply per shard, so a batch is one commit window.
+type Script [][]ScriptedOp
+
+// GenScript expands the spec into Rounds batches of one op per session, in
+// session order. Generation is a pure function of the spec, independent of
+// crash timing, so every crash instant replays the identical load.
+func GenScript(spec ScriptSpec) Script {
+	spec.fill()
 	rng := trace.NewRand(spec.Seed)
-	rounds := make([][]scriptOp, spec.Rounds)
-	for r := range rounds {
-		rounds[r] = make([]scriptOp, spec.Sessions)
-		for s := range rounds[r] {
-			var key string
-			if len(spec.Keys) > 0 {
-				key = spec.Keys[rng.Intn(len(spec.Keys))]
-			} else {
-				key = fmt.Sprintf("k%03d", rng.Intn(spec.KeySpace))
-			}
+	script := make(Script, spec.Rounds)
+	for r := range script {
+		script[r] = make([]ScriptedOp, spec.Sessions)
+		for s := range script[r] {
+			op := ScriptedOp{Sess: s, Key: fmt.Sprintf("k%03d", rng.Intn(spec.KeySpace))}
 			roll := rng.Intn(100)
 			switch {
 			case roll < spec.PutPct:
-				n := 1 + rng.Intn(spec.ValueBytes)
-				val := make([]byte, n)
-				for i := range val {
-					val[i] = byte(rng.Uint64())
+				op.Op = Put
+				op.Value = make([]byte, 1+rng.Intn(spec.ValueBytes))
+				for i := range op.Value {
+					op.Value[i] = byte(rng.Uint64())
 				}
-				rounds[r][s] = scriptOp{op: Put, key: key, value: val}
 			case roll < spec.PutPct+spec.GetPct:
-				rounds[r][s] = scriptOp{op: Get, key: key}
+				op.Op = Get
 			default:
-				rounds[r][s] = scriptOp{op: Delete, key: key}
+				op.Op = Delete
 			}
+			script[r][s] = op
 		}
 	}
-	return rounds
+	return script
 }
 
-// ScriptedOp is one scripted request, exported for counterexample
-// transcripts: the round and session it runs in, the op, its key, and
-// the value size (values themselves are deterministic from the spec).
-type ScriptedOp struct {
-	Round, Sess int
-	Op          Op
-	Key         string
-	ValueLen    int
-}
-
-// ScriptOps expands a spec into its full op trace in execution order —
-// the transcript a fuzzer prints for a minimized counterexample.
-func ScriptOps(spec ScriptSpec) []ScriptedOp {
-	spec.fill()
-	var out []ScriptedOp
-	for r, round := range genScript(spec) {
-		for s, op := range round {
-			out = append(out, ScriptedOp{Round: r, Sess: s, Op: op.op, Key: op.key, ValueLen: len(op.value)})
+// sessions is the number of sessions the script names: one past the
+// highest session index any op carries.
+func (s Script) sessions() int {
+	n := 0
+	for _, batch := range s {
+		for _, op := range batch {
+			n = max(n, op.Sess+1)
 		}
 	}
-	return out
-}
-
-// RunResult is the outcome of one scripted run.
-type RunResult struct {
-	// Crashed reports whether the configured crash instant was reached
-	// before the script completed.
-	Crashed bool
-	// Cycles is the final simulated cycle (the crash instant, or the
-	// clean-drain completion time).
-	Cycles sim.Cycle
-	// RoundsApplied counts fully applied request batches.
-	RoundsApplied int
-	// Report is the verification result; Recovered the durable state.
-	Report    *Report
-	Recovered map[string][]byte
-	// DL is the durable-linearizability verdict (nil unless cfg.Check).
-	DL *dlcheck.Verdict
+	return n
 }
 
 // SweepInstants spreads n crash instants evenly over (0, total], skipping

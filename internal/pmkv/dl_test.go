@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"persistbarriers/internal/dlcheck"
+	"persistbarriers/internal/sim"
 )
 
 // checkSpec keeps the checker tests aligned with the headline sweep.
@@ -26,7 +27,7 @@ func TestCheckDisabledIsNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.DL != nil {
-		t.Fatal("RunResult carries a verdict without Config.Check")
+		t.Fatal("ShardResult carries a verdict without Config.Check")
 	}
 }
 
@@ -60,7 +61,7 @@ func TestCheckCrashSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
-	for _, at := range SweepInstants(clean.Cycles, instants) {
+	for _, at := range SweepInstants(clean.Stats.Cycle, instants) {
 		out, err := runSingle(Config{CrashAt: at, Check: true}, spec)
 		if err != nil {
 			t.Fatalf("crash at %d: %v", at, err)
@@ -71,18 +72,25 @@ func TestCheckCrashSweep(t *testing.T) {
 	}
 }
 
-// shard0Keys returns n distinct keys that all route to shard 0 of a
-// 4-way store, so a 4-shard run executes the whole script on shard 0
-// with batches identical to the 1-shard run.
-func shard0Keys(n int) []string {
-	keys := make([]string, 0, n)
-	for i := 0; len(keys) < n; i++ {
-		k := fmt.Sprintf("m%03d", i)
-		if ShardOf(k, 4) == 0 {
-			keys = append(keys, k)
+// shard0Script is spec's script over n keys, each renamed to a key that
+// routes to shard 0 of a 4-way store, so a 4-shard run executes the whole
+// script on shard 0 with batches identical to the 1-shard run. Renaming
+// leaves the generator's draws as they are.
+func shard0Script(spec ScriptSpec, n int) Script {
+	rename := make(map[string]string, n)
+	for i := 0; len(rename) < n; i++ {
+		if k := fmt.Sprintf("m%03d", i); ShardOf(k, 4) == 0 {
+			rename[fmt.Sprintf("k%03d", len(rename))] = k
 		}
 	}
-	return keys
+	spec.KeySpace = n
+	script := GenScript(spec)
+	for _, batch := range script {
+		for i := range batch {
+			batch[i].Key = rename[batch[i].Key]
+		}
+	}
+	return script
 }
 
 // verdictSig summarizes a verdict for cross-run comparison.
@@ -102,29 +110,27 @@ func TestCheckMetamorphicShards(t *testing.T) {
 	if testing.Short() {
 		instants = 8
 	}
-	spec := ScriptSpec{Sessions: 4, Rounds: 12, ValueBytes: 96, Seed: 1107, Keys: shard0Keys(10)}
-	single, err := runSingle(Config{Check: true}, spec)
-	if err != nil {
-		t.Fatalf("clean single-shard run: %v", err)
+	script := shard0Script(ScriptSpec{Sessions: 4, Rounds: 12, ValueBytes: 96, Seed: 1107}, 10)
+	run := func(shards int, at sim.Cycle) []ShardResult {
+		t.Helper()
+		out, err := RunShardedScript(ShardedConfig{Shards: shards, Engine: Config{CrashAt: at, Check: true}}, script)
+		if err != nil {
+			t.Fatalf("%d-shard crash at %d: %v", shards, at, err)
+		}
+		return out
 	}
-	for _, at := range append(SweepInstants(single.Cycles, instants), 0) {
-		one, err := runSingle(Config{CrashAt: at, Check: true}, spec)
-		if err != nil {
-			t.Fatalf("1-shard crash at %d: %v", at, err)
-		}
-		four, err := RunShardedScript(ShardedConfig{Shards: 4, Engine: Config{CrashAt: at, Check: true}}, spec)
-		if err != nil {
-			t.Fatalf("4-shard crash at %d: %v", at, err)
-		}
-		got, want := verdictSig(four.PerShard[0].DL), verdictSig(one.DL)
+	single := run(1, 0)[0]
+	for _, at := range append(SweepInstants(single.Stats.Cycle, instants), 0) {
+		one, four := run(1, at)[0], run(4, at)
+		got, want := verdictSig(four[0].DL), verdictSig(one.DL)
 		if got != want {
 			t.Fatalf("crash at %d: shard-0 verdict %q != single-shard verdict %q", at, got, want)
 		}
-		if one.Report.Fingerprint != four.PerShard[0].Report.Fingerprint {
+		if one.Report.Fingerprint != four[0].Report.Fingerprint {
 			t.Fatalf("crash at %d: shard-0 fingerprint diverged from single-shard", at)
 		}
 		for s := 1; s < 4; s++ {
-			v := four.PerShard[s].DL
+			v := four[s].DL
 			if v == nil || !v.OK() || v.Publishes != 0 {
 				t.Fatalf("crash at %d: idle shard %d verdict %v", at, s, v)
 			}

@@ -4,30 +4,16 @@ import "strings"
 
 // RunScriptRecyclingEarly is the scripted single-shard run on an engine
 // that recycles entry lines one watermark early (plantRecycleEarly), or —
-// planted false — on an honest one, with what the engine's heap did. It is
-// exported to this package's external tests only, which drive it with the
-// crash fuzzer's own cases: the fuzz package imports this one, so the
-// in-package tests cannot.
-func RunScriptRecyclingEarly(cfg Config, spec ScriptSpec, planted bool) (*RunResult, Retention, error) {
+// planted false — on an honest one; the result's Stats say what the
+// engine's heap did. It is exported to this package's external tests only,
+// which drive it with the crash fuzzer's own cases: the fuzz package
+// imports this one, so the in-package tests cannot.
+func RunScriptRecyclingEarly(cfg Config, spec ScriptSpec, planted bool) (ShardResult, error) {
 	bug := plantNone
 	if planted {
 		bug = plantRecycleEarly
 	}
-	e, out, err := runPlantedEngine(cfg, spec, bug)
-	if e == nil {
-		return nil, Retention{}, err
-	}
-	return out, e.Stats().Retention, err
-}
-
-// EachScriptOp calls f for every op spec expands to, in execution order.
-func EachScriptOp(spec ScriptSpec, f func(round, sess int, op Op, key string, value []byte)) {
-	spec.fill()
-	for r, round := range genScript(spec) {
-		for s, op := range round {
-			f(r, s, op.op, op.key, op.value)
-		}
-	}
+	return runPlanted(cfg, spec, bug)
 }
 
 // CaughtEarlyRecycle reports whether err is a rejection an early recycle

@@ -18,22 +18,17 @@ import (
 // runPlantedEngine is the scripted driver's single-shard run (the one the
 // goldens are captured from) on an engine with a bug planted in its fold
 // path; the closed engine comes back for tests that read what it holds.
-func runPlantedEngine(cfg Config, spec ScriptSpec, bug plantedBug) (*Engine, *RunResult, error) {
-	spec.fill()
+func runPlantedEngine(cfg Config, spec ScriptSpec, bug plantedBug) (*Engine, ShardResult, error) {
 	e, err := New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, ShardResult{}, err
 	}
 	e.plant = bug
-	sessions := make([][]*Session, spec.Sessions)
-	for i := range sessions {
-		sessions[i] = []*Session{e.NewSession()}
-	}
-	out, err := runShardScript(e, 0, 1, sessions, genScript(spec))
-	return e, out, err
+	out, err := runScript([]*Engine{e}, GenScript(spec))
+	return e, out[0], err
 }
 
-func runPlanted(cfg Config, spec ScriptSpec, bug plantedBug) (*RunResult, error) {
+func runPlanted(cfg Config, spec ScriptSpec, bug plantedBug) (ShardResult, error) {
 	_, out, err := runPlantedEngine(cfg, spec, bug)
 	return out, err
 }
@@ -106,7 +101,7 @@ func TestPlantedCursorOffByOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	caught := 0
-	instants := SweepInstants(clean.Cycles, 40)
+	instants := SweepInstants(clean.Stats.Cycle, 40)
 	for _, at := range instants {
 		if _, err := runPlanted(Config{CrashAt: at, Check: true}, spec, plantNone); err != nil {
 			t.Fatalf("crash at %d, nothing planted: %v", at, err)
@@ -129,7 +124,7 @@ func TestPlantedCursorOffByOne(t *testing.T) {
 
 	// Live: one blocking client, so every write is its own batch and is
 	// acked the moment the planted cursor passes it — before it persists.
-	store, err := NewSharded(ShardedConfig{Shards: 1, Engine: Config{CrashAt: clean.Cycles / 2, Check: true}})
+	store, err := NewSharded(ShardedConfig{Shards: 1, Engine: Config{CrashAt: clean.Stats.Cycle / 2, Check: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

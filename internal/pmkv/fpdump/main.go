@@ -43,12 +43,13 @@ var sections = []section{
 // dump writes the clean-drain line and one line per crash instant, each
 // run on a fresh single-shard store.
 func dump(w io.Writer, s section) error {
-	run := func(at sim.Cycle) (*pmkv.RunResult, error) {
-		out, err := pmkv.RunShardedScript(pmkv.ShardedConfig{Shards: 1, Engine: pmkv.Config{CrashAt: at}}, s.spec)
+	script := pmkv.GenScript(s.spec)
+	run := func(at sim.Cycle) (pmkv.ShardResult, error) {
+		out, err := pmkv.RunShardedScript(pmkv.ShardedConfig{Shards: 1, Engine: pmkv.Config{CrashAt: at}}, script)
 		if err != nil {
-			return nil, err
+			return pmkv.ShardResult{}, err
 		}
-		return out.PerShard[0], nil
+		return out[0], nil
 	}
 	counts := func(r *pmkv.Report) string {
 		if !s.counts {
@@ -61,13 +62,13 @@ func dump(w io.Writer, s section) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "clean cycles=%d fp=%s%s\n", clean.Cycles, clean.Report.Fingerprint, counts(clean.Report))
-	for _, at := range pmkv.SweepInstants(clean.Cycles, s.instants) {
+	fmt.Fprintf(w, "clean cycles=%d fp=%s%s\n", clean.Stats.Cycle, clean.Report.Fingerprint, counts(clean.Report))
+	for _, at := range pmkv.SweepInstants(clean.Stats.Cycle, s.instants) {
 		out, err := run(at)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "at=%d crashed=%v cycles=%d fp=%s%s\n", at, out.Crashed, out.Cycles, out.Report.Fingerprint, counts(out.Report))
+		fmt.Fprintf(w, "at=%d crashed=%v cycles=%d fp=%s%s\n", at, out.Crashed, out.Stats.Cycle, out.Report.Fingerprint, counts(out.Report))
 	}
 	return nil
 }

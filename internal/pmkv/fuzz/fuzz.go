@@ -90,14 +90,10 @@ func runAt(c Case, at sim.Cycle) (sim.Cycle, error) {
 	out, err := pmkv.RunShardedScript(pmkv.ShardedConfig{
 		Shards: c.Shards,
 		Engine: pmkv.Config{CrashAt: at, Check: true},
-	}, c.Spec())
+	}, pmkv.GenScript(c.Spec()))
 	var cycles sim.Cycle
-	if out != nil {
-		for _, s := range out.PerShard {
-			if s != nil && s.Cycles > cycles {
-				cycles = s.Cycles
-			}
-		}
+	for _, s := range out {
+		cycles = max(cycles, s.Stats.Cycle)
 	}
 	return cycles, err
 }
@@ -151,13 +147,17 @@ func liveRun(c Case, at sim.Cycle, disableFast bool) (string, sim.Cycle, error) 
 	if err != nil {
 		return "", 0, err
 	}
-	ops := pmkv.ScriptOps(c.Spec())
+	// Completions are tagged with the op's index in script order.
+	var ops []pmkv.ScriptedOp
+	for _, batch := range pmkv.GenScript(c.Spec()) {
+		ops = append(ops, batch...)
+	}
 	sessions := make([]*pmkv.ShardedSession, ops[len(ops)-1].Sess+1)
 	for i := range sessions {
 		sessions[i] = store.NewSession()
 	}
-	// Completions are tagged with the op's index. The queue holds every
-	// request that can be outstanding, so the workers' sends never block.
+	// The queue holds every request that can be outstanding, so the
+	// workers' sends never block.
 	done := make(chan pmkv.Completion, liveWindow*len(sessions))
 	inFlight := make([]int, len(sessions))
 	writes := make(map[string]int) // in-flight writes per key
@@ -169,19 +169,12 @@ func liveRun(c Case, at sim.Cycle, disableFast bool) (string, sim.Cycle, error) 
 		}
 	}
 	for i, op := range ops {
-		var value []byte
-		if op.Op == pmkv.Put {
-			value = make([]byte, op.ValueLen)
-			for j := range value {
-				value[j] = byte('a' + op.Sess%26)
-			}
-		}
 		for inFlight[op.Sess] == liveWindow || (at == 0 && op.Op != pmkv.Get && writes[op.Key] > 0) {
 			retire()
 		}
 		// A refused request gets no completion; acks themselves are not
 		// inspected — recovery and the checker judge the run.
-		if _, err := store.DoAsync(sessions[op.Sess], op.Op, op.Key, value, nil, uint64(i), done); err != nil {
+		if _, err := store.DoAsync(sessions[op.Sess], op.Op, op.Key, op.Value, nil, uint64(i), done); err != nil {
 			continue
 		}
 		inFlight[op.Sess]++
@@ -198,21 +191,14 @@ func liveRun(c Case, at sim.Cycle, disableFast bool) (string, sim.Cycle, error) 
 	if err != nil {
 		return "", 0, err
 	}
-	fps := make([]string, len(results))
 	var cycles sim.Cycle
-	for i, r := range results {
+	for _, r := range results {
 		if r.DL == nil {
 			return "", 0, fmt.Errorf("shard %d: checker not armed", r.Shard)
 		}
-		if verr := r.DL.Err(); verr != nil {
-			return "", 0, fmt.Errorf("shard %d: %w", r.Shard, verr)
-		}
-		fps[i] = r.Report.Fingerprint
-		if r.Cycles > cycles {
-			cycles = r.Cycles
-		}
+		cycles = max(cycles, r.Cycles)
 	}
-	return pmkv.CombineFingerprints(fps), cycles, nil
+	return pmkv.CombineFingerprints(results), cycles, nil
 }
 
 // RunLive executes the case against the live store with the GET fast
@@ -325,12 +311,14 @@ func Transcript(f *Failure) string {
 	fmt.Fprintf(&sb, "crash instant: cycle %d (0 = clean drain)\n", f.At)
 	fmt.Fprintf(&sb, "error: %v\n", f.Err)
 	sb.WriteString("op trace (round session op key valuelen [shard]):\n")
-	for _, op := range pmkv.ScriptOps(c.Spec()) {
-		fmt.Fprintf(&sb, "  r%02d s%d %-3v %s %d", op.Round, op.Sess, op.Op, op.Key, op.ValueLen)
-		if c.Shards > 1 {
-			fmt.Fprintf(&sb, " shard%d", pmkv.ShardOf(op.Key, c.Shards))
+	for r, batch := range pmkv.GenScript(c.Spec()) {
+		for _, op := range batch {
+			fmt.Fprintf(&sb, "  r%02d s%d %-3v %s %d", r, op.Sess, op.Op, op.Key, len(op.Value))
+			if c.Shards > 1 {
+				fmt.Fprintf(&sb, " shard%d", pmkv.ShardOf(op.Key, c.Shards))
+			}
+			sb.WriteByte('\n')
 		}
-		sb.WriteByte('\n')
 	}
 	return sb.String()
 }

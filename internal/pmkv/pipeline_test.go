@@ -512,7 +512,7 @@ func TestGroupCommitAmortizesBarriers(t *testing.T) {
 		}
 		epochs = append(epochs, clean.Report.Epochs)
 		crashed := 0
-		for _, at := range SweepInstants(clean.Cycles, instants) {
+		for _, at := range SweepInstants(clean.Stats.Cycle, instants) {
 			out, err := runSingle(Config{CrashAt: at, Check: true}, spec)
 			if err != nil {
 				t.Fatalf("%d sessions, crash at %d: %v", sessions, at, err)
@@ -543,7 +543,7 @@ func TestParallelReplayByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, at := range append([]sim.Cycle{0}, SweepInstants(clean.Cycles, 6)...) {
+	for _, at := range append([]sim.Cycle{0}, SweepInstants(clean.Stats.Cycle, 6)...) {
 		a, err := runSingle(Config{CrashAt: at}, spec)
 		if err != nil {
 			t.Fatalf("at %d: %v", at, err)

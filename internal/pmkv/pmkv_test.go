@@ -13,14 +13,14 @@ func testSpec() ScriptSpec {
 	return ScriptSpec{Sessions: 6, Rounds: 24, KeySpace: 16, ValueBytes: 160, Seed: 42}
 }
 
-// runSingle drives the scripted load through a one-shard store and
-// returns that shard's result.
-func runSingle(cfg Config, spec ScriptSpec) (*RunResult, error) {
-	out, err := RunShardedScript(ShardedConfig{Shards: 1, Engine: cfg}, spec)
+// runSingle drives spec's script through a one-shard store and returns
+// that shard's result.
+func runSingle(cfg Config, spec ScriptSpec) (ShardResult, error) {
+	out, err := RunShardedScript(ShardedConfig{Shards: 1, Engine: cfg}, GenScript(spec))
 	if out == nil {
-		return nil, err
+		return ShardResult{}, err
 	}
-	return out.PerShard[0], err
+	return out[0], err
 }
 
 func TestPutGetDelete(t *testing.T) {
@@ -194,9 +194,6 @@ func TestCleanRunVerifies(t *testing.T) {
 	if out.Crashed {
 		t.Fatal("clean run reported crashed")
 	}
-	if out.RoundsApplied != testSpec().Rounds {
-		t.Fatalf("applied %d rounds, want %d", out.RoundsApplied, testSpec().Rounds)
-	}
 	if out.Report.TotalPublishes == 0 || out.Report.DurablePublishes != out.Report.TotalPublishes {
 		t.Fatalf("clean run publishes: %+v", out.Report)
 	}
@@ -225,18 +222,17 @@ func TestCleanRunMatchesScriptOracle(t *testing.T) {
 	}
 	for _, s := range specs {
 		name, spec := s.name, s.spec
-		spec.fill()
-		last := make(map[string][]scriptOp) // the key's writes in the last round that has any
-		for _, round := range genScript(spec) {
+		last := make(map[string][]ScriptedOp) // the key's writes in the last round that has any
+		for _, batch := range GenScript(spec) {
 			fresh := make(map[string]bool)
-			for _, op := range round {
-				if op.op == Get {
+			for _, op := range batch {
+				if op.Op == Get {
 					continue
 				}
-				if !fresh[op.key] {
-					fresh[op.key], last[op.key] = true, nil
+				if !fresh[op.Key] {
+					fresh[op.Key], last[op.Key] = true, nil
 				}
-				last[op.key] = append(last[op.key], op)
+				last[op.Key] = append(last[op.Key], op)
 			}
 		}
 		out, err := runSingle(Config{Check: true}, spec)
@@ -251,10 +247,10 @@ func TestCleanRunMatchesScriptOracle(t *testing.T) {
 			got, found := out.Recovered[key]
 			ok := false
 			for _, w := range writes {
-				if w.op == Delete {
+				if w.Op == Delete {
 					ok = ok || !found
 				} else {
-					ok = ok || (found && bytes.Equal(got, w.value))
+					ok = ok || (found && bytes.Equal(got, w.Value))
 				}
 			}
 			if !ok {
@@ -286,7 +282,7 @@ func TestCrashSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
-	instants := SweepInstants(clean.Cycles, 200)
+	instants := SweepInstants(clean.Stats.Cycle, 200)
 	crashed := 0
 	for _, at := range instants {
 		out, err := runSingle(Config{CrashAt: at}, spec)
@@ -295,8 +291,8 @@ func TestCrashSweep(t *testing.T) {
 		}
 		if out.Crashed {
 			crashed++
-			if out.Cycles != at {
-				t.Fatalf("crash at %d stopped clock at %d", at, out.Cycles)
+			if out.Cycles != at || out.Stats.Cycle != at {
+				t.Fatalf("crash at %d stopped clock at %d (%d after close)", at, out.Cycles, out.Stats.Cycle)
 			}
 		}
 	}
@@ -314,7 +310,7 @@ func TestCrashDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, frac := range []sim.Cycle{4, 2} {
-		at := clean.Cycles / frac
+		at := clean.Stats.Cycle / frac
 		a, err := runSingle(Config{CrashAt: at}, spec)
 		if err != nil {
 			t.Fatalf("run A at %d: %v", at, err)
@@ -326,8 +322,9 @@ func TestCrashDeterminism(t *testing.T) {
 		if a.Report.Fingerprint != b.Report.Fingerprint {
 			t.Fatalf("crash at %d: fingerprints differ:\n%s\n%s", at, a.Report.Fingerprint, b.Report.Fingerprint)
 		}
-		if a.Cycles != b.Cycles || a.RoundsApplied != b.RoundsApplied {
-			t.Fatalf("crash at %d: runs diverged: %+v vs %+v", at, a, b)
+		if a.Crashed != b.Crashed || a.Cycles != b.Cycles || a.Stats.Cycle != b.Stats.Cycle {
+			t.Fatalf("crash at %d: runs diverged: crashed %v/%v, cycles %d/%d, %d/%d after close",
+				at, a.Crashed, b.Crashed, a.Cycles, b.Cycles, a.Stats.Cycle, b.Stats.Cycle)
 		}
 	}
 }
@@ -342,7 +339,7 @@ func TestCrashMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := runSingle(Config{CrashAt: clean.Cycles / 2}, spec)
+	out, err := runSingle(Config{CrashAt: clean.Stats.Cycle / 2}, spec)
 	if err != nil {
 		t.Fatalf("mid-run crash: %v", err)
 	}

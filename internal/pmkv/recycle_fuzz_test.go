@@ -62,32 +62,32 @@ func TestPlantedRecycleEarlyFuzzCases(t *testing.T) {
 	caught := 0
 	for name, data := range inputs {
 		c := fuzz.CaseFromBytes(data)
-		honest := func(at sim.Cycle) (*pmkv.RunResult, pmkv.Retention) {
-			out, ret, err := pmkv.RunScriptRecyclingEarly(pmkv.Config{CrashAt: at, Check: true}, c.Spec(), false)
+		honest := func(at sim.Cycle) pmkv.ShardResult {
+			out, err := pmkv.RunScriptRecyclingEarly(pmkv.Config{CrashAt: at, Check: true}, c.Spec(), false)
 			if err != nil {
 				t.Fatalf("%s: honest engine, crash at %d: %v", name, at, err)
 			}
-			return out, ret
+			return out
 		}
 		rejects := func(at sim.Cycle) bool {
-			_, _, err := pmkv.RunScriptRecyclingEarly(pmkv.Config{CrashAt: at, Check: true}, c.Spec(), true)
+			_, err := pmkv.RunScriptRecyclingEarly(pmkv.Config{CrashAt: at, Check: true}, c.Spec(), true)
 			if err != nil && !pmkv.CaughtEarlyRecycle(err) {
 				t.Fatalf("%s: crash at %d: caught by an unexpected check: %v", name, at, err)
 			}
 			return err != nil
 		}
-		clean, ret := honest(0)
+		clean := honest(0)
 		rejected := rejects(0)
 		if c.Frac != 0 {
-			at := max(1, clean.Cycles*sim.Cycle(c.Frac)/256)
+			at := max(1, clean.Stats.Cycle*sim.Cycle(c.Frac)/256)
 			honest(at)
 			rejected = rejects(at) || rejected
 		}
 		if rejected {
 			caught++
 		}
-		if name == "seed-06" && (!rejected || ret.EntryLinesRecycled == 0) {
-			t.Fatalf("seed-06: planted engine rejected: %v; honest engine recycled %d lines", rejected, ret.EntryLinesRecycled)
+		if name == "seed-06" && (!rejected || clean.Stats.EntryLinesRecycled == 0) {
+			t.Fatalf("seed-06: planted engine rejected: %v; honest engine recycled %d lines", rejected, clean.Stats.EntryLinesRecycled)
 		}
 	}
 	t.Logf("planted early recycle rejected in %d of %d fuzz cases", caught, len(inputs))
@@ -109,8 +109,8 @@ func TestPlantedTranslateOrderWinnerFuzzCase(t *testing.T) {
 		t.Fatal("seed-07 is not in the corpus")
 	}
 	c := fuzz.CaseFromBytes(data)
-	if ops := pmkv.ScriptOps(c.Spec()); len(ops) != 2 || ops[0].Op != pmkv.Put || ops[1].Op != pmkv.Delete || ops[0].Key != ops[1].Key {
-		t.Fatalf("seed-07 decodes to %+v, want one Put and one Delete of one key", ops)
+	if s := pmkv.GenScript(c.Spec()); len(s) != 1 || len(s[0]) != 2 || s[0][0].Op != pmkv.Put || s[0][1].Op != pmkv.Delete || s[0][0].Key != s[0][1].Key {
+		t.Fatalf("seed-07 decodes to %+v, want one batch of a Put and a Delete of one key", s)
 	}
 	if f := fuzz.Run(c); f != nil {
 		t.Fatalf("honest engine: %v", f.Err)

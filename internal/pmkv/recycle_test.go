@@ -78,7 +78,7 @@ func TestFreeListConservesSpans(t *testing.T) {
 	if ret := clean.Stats().Retention; ret.EntryLinesRecycled < 4*ret.EntryLinesBumped {
 		t.Fatalf("%d lines recycled against %d carved: the free list is barely used", ret.EntryLinesRecycled, ret.EntryLinesBumped)
 	}
-	for _, at := range SweepInstants(out.Cycles, 50) {
+	for _, at := range SweepInstants(out.Stats.Cycle, 50) {
 		e, _, err := runPlantedEngine(Config{CrashAt: at}, spec, plantNone)
 		if err != nil {
 			t.Fatalf("crash at %d: %v", at, err)
@@ -269,7 +269,7 @@ func TestPlantedRecycleEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	caught := 0
-	instants := SweepInstants(clean.Cycles, 50)
+	instants := SweepInstants(clean.Stats.Cycle, 50)
 	for _, at := range instants {
 		if _, err := runPlanted(Config{CrashAt: at, Check: true}, spec, plantNone); err != nil {
 			t.Fatalf("crash at %d, nothing planted: %v", at, err)

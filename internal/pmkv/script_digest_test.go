@@ -14,9 +14,11 @@ import (
 // key and value bytes, in execution order.
 func scriptDigest(spec pmkv.ScriptSpec) string {
 	h := sha256.New()
-	pmkv.EachScriptOp(spec, func(round, sess int, op pmkv.Op, key string, value []byte) {
-		fmt.Fprintf(h, "%d %d %d %q %x\n", round, sess, op, key, value)
-	})
+	for round, batch := range pmkv.GenScript(spec) {
+		for _, op := range batch {
+			fmt.Fprintf(h, "%d %d %d %q %x\n", round, op.Sess, op.Op, op.Key, op.Value)
+		}
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -704,8 +704,11 @@ func (s *ShardedStore) BeginDrain() {
 
 // ShardResult is one shard's final, verified outcome.
 type ShardResult struct {
-	Shard     int
-	Crashed   bool
+	Shard   int
+	Crashed bool
+	// Cycles is the shard's clock when it was closed, before the closing
+	// drain (the crash instant where it lost power): the number the drain
+	// report prints.
 	Cycles    sim.Cycle
 	Report    *Report
 	Recovered map[string][]byte
@@ -714,7 +717,8 @@ type ShardResult struct {
 	DL *dlcheck.Verdict
 	// Stats is the engine's final snapshot, taken after it closed: Retained
 	// is the tail recovery walked, Folded what the checkpoint already
-	// covered, and the counters include the closing drain.
+	// covered, and the counters — Stats.Cycle, the run's full length,
+	// included — take in the closing drain.
 	Stats EngineStats
 	Err   error
 }
@@ -740,40 +744,60 @@ func (s *ShardedStore) Close() ([]ShardResult, error) {
 	var wg sync.WaitGroup
 	for _, sh := range s.shards {
 		wg.Add(1)
-		go func(sh *shard) {
+		go func() {
 			defer wg.Done()
-			r := ShardResult{Shard: sh.id, Crashed: sh.eng.Crashed(), Cycles: sh.eng.Now()}
-			res, err := sh.eng.Close()
-			r.Stats = sh.eng.Stats()
-			if err != nil {
-				r.Err = err
-			} else {
-				r.Report, r.Err = sh.eng.Verify(res)
-				if r.Err == nil {
-					r.Recovered, r.Err = sh.eng.RecoveredState(res)
-				}
-				r.DL = sh.eng.CheckDL(res)
-				if r.Err == nil && r.DL != nil {
-					r.Err = r.DL.Err()
-				}
-			}
-			results[sh.id] = r
-		}(sh)
+			results[sh.id] = closeShard(sh.id, sh.eng)
+		}()
 	}
 	wg.Wait()
-	var firstErr error
-	for i := range results {
-		if results[i].Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("pmkv: shard %d: %w", results[i].Shard, results[i].Err)
-		}
-	}
 	s.results = results
-	return s.results, firstErr
+	return s.results, firstErr(results)
 }
 
-// CombineFingerprints folds per-shard recovery fingerprints (in shard
+// closeShard ends one shard, live or scripted: Close (the full persist
+// drain, or the NVRAM image at the crash instant), Verify, RecoveredState
+// and the checker's verdict. Cycles is read before the drain and
+// Stats after it, so after a clean drain Cycles <= Stats.Cycle and after a
+// crash both are the crash instant. Verify's error comes first; the
+// verdict is still taken after a failed Verify, so it can be reported.
+func closeShard(id int, e *Engine) ShardResult {
+	r := ShardResult{Shard: id, Crashed: e.Crashed(), Cycles: e.Now()}
+	res, err := e.Close()
+	r.Stats = e.Stats()
+	if err != nil {
+		r.Err = err
+		return r
+	}
+	r.Report, r.Err = e.Verify(res)
+	if r.Err == nil {
+		r.Recovered, r.Err = e.RecoveredState(res)
+	}
+	r.DL = e.CheckDL(res)
+	if r.Err == nil && r.DL != nil {
+		if err := r.DL.Err(); err != nil {
+			r.Err = fmt.Errorf("pmkv: durable linearizability: %w", err)
+		}
+	}
+	return r
+}
+
+// firstErr is the lowest-numbered shard's error, naming the shard.
+func firstErr(results []ShardResult) error {
+	for _, r := range results {
+		if r.Err != nil {
+			return fmt.Errorf("pmkv: shard %d: %w", r.Shard, r.Err)
+		}
+	}
+	return nil
+}
+
+// CombineFingerprints folds the shards' recovery fingerprints (in shard
 // order) into one canonical store fingerprint.
-func CombineFingerprints(fps []string) string {
+func CombineFingerprints(results []ShardResult) string {
+	fps := make([]string, len(results))
+	for i, r := range results {
+		fps[i] = r.Report.Fingerprint
+	}
 	return stats.MustFingerprint(fps)
 }
 

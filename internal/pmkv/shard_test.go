@@ -88,19 +88,36 @@ func seqKeys(n int) []string {
 // generator's skew: few hot keys, short names).
 func scriptKeys(t *testing.T, n int) []string {
 	t.Helper()
-	spec := ScriptSpec{Sessions: 8, Rounds: n / 8, KeySpace: n, ValueBytes: 8, Seed: 7}
-	spec.fill()
 	seen := make(map[string]bool)
 	var out []string
-	for _, round := range genScript(spec) {
-		for _, op := range round {
-			if !seen[op.key] {
-				seen[op.key] = true
-				out = append(out, op.key)
+	for _, batch := range GenScript(ScriptSpec{Sessions: 8, Rounds: n / 8, KeySpace: n, ValueBytes: 8, Seed: 7}) {
+		for _, op := range batch {
+			if !seen[op.Key] {
+				seen[op.Key] = true
+				out = append(out, op.Key)
 			}
 		}
 	}
 	return out
+}
+
+// anyCrashed reports whether some shard of a run lost power.
+func anyCrashed(results []ShardResult) bool {
+	for _, r := range results {
+		if r.Crashed {
+			return true
+		}
+	}
+	return false
+}
+
+// span is the slowest shard's full run length, closing drain included.
+func span(results []ShardResult) sim.Cycle {
+	var c sim.Cycle
+	for _, r := range results {
+		c = max(c, r.Stats.Cycle)
+	}
+	return c
 }
 
 // TestShardedCrashSweep is the sharded headline test: 200 crash instants
@@ -111,40 +128,34 @@ func TestShardedCrashSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep is long")
 	}
-	spec := testSpec()
+	script := GenScript(testSpec())
 	cfg := ShardedConfig{Shards: 4}
-	clean, err := RunShardedScript(cfg, spec)
+	clean, err := RunShardedScript(cfg, script)
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
-	if clean.Crashed {
+	if anyCrashed(clean) {
 		t.Fatal("clean run reported crashed")
 	}
 	// Sweep over the slowest shard's full span so every shard sees early,
 	// middle, and late instants of its own clock.
-	var span sim.Cycle
-	for _, r := range clean.PerShard {
-		if r.Cycles > span {
-			span = r.Cycles
-		}
-	}
 	crashed := 0
-	for i, at := range SweepInstants(span, 200) {
+	for i, at := range SweepInstants(span(clean), 200) {
 		ccfg := cfg
 		ccfg.Engine.CrashAt = at
-		out, err := RunShardedScript(ccfg, spec)
+		out, err := RunShardedScript(ccfg, script)
 		if err != nil {
 			t.Fatalf("crash at %d: %v", at, err)
 		}
-		if out.Crashed {
+		if anyCrashed(out) {
 			crashed++
 		}
 		if i%20 == 0 { // replay a deterministic subset for byte-identity
-			again, err := RunShardedScript(ccfg, spec)
+			again, err := RunShardedScript(ccfg, script)
 			if err != nil {
 				t.Fatalf("crash at %d (replay): %v", at, err)
 			}
-			if again.Fingerprint != out.Fingerprint {
+			if CombineFingerprints(again) != CombineFingerprints(out) {
 				t.Fatalf("crash at %d: combined fingerprint not deterministic", at)
 			}
 		}
@@ -158,32 +169,26 @@ func TestShardedCrashSweep(t *testing.T) {
 // yield identical per-shard and combined fingerprints across runs (shard
 // goroutines run in parallel; their interleaving must not matter).
 func TestShardedDeterminism(t *testing.T) {
-	spec := testSpec()
+	script := GenScript(testSpec())
 	cfg := ShardedConfig{Shards: 4}
-	clean, err := RunShardedScript(cfg, spec)
+	clean, err := RunShardedScript(cfg, script)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var span sim.Cycle
-	for _, r := range clean.PerShard {
-		if r.Cycles > span {
-			span = r.Cycles
-		}
-	}
-	cfg.Engine.CrashAt = span / 2
-	a, err := RunShardedScript(cfg, spec)
+	cfg.Engine.CrashAt = span(clean) / 2
+	a, err := RunShardedScript(cfg, script)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunShardedScript(cfg, spec)
+	b, err := RunShardedScript(cfg, script)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Fingerprint != b.Fingerprint {
-		t.Fatalf("combined fingerprints differ: %s vs %s", a.Fingerprint, b.Fingerprint)
+	if fa, fb := CombineFingerprints(a), CombineFingerprints(b); fa != fb {
+		t.Fatalf("combined fingerprints differ: %s vs %s", fa, fb)
 	}
-	for s := range a.PerShard {
-		if a.PerShard[s].Report.Fingerprint != b.PerShard[s].Report.Fingerprint {
+	for s := range a {
+		if a[s].Report.Fingerprint != b[s].Report.Fingerprint {
 			t.Fatalf("shard %d fingerprints differ", s)
 		}
 	}
@@ -418,11 +423,7 @@ func TestShardedStoreCrashAcks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("crash-image verification failed: %v", err)
 	}
-	anyCrashed := false
-	for _, r := range results {
-		anyCrashed = anyCrashed || r.Crashed
-	}
-	if !anyCrashed {
+	if !anyCrashed(results) {
 		t.Fatal("no shard reported crashed")
 	}
 }
@@ -430,11 +431,18 @@ func TestShardedStoreCrashAcks(t *testing.T) {
 // TestCombineFingerprints: combination is order-sensitive (shard identity
 // matters) and deterministic.
 func TestCombineFingerprints(t *testing.T) {
-	a := CombineFingerprints([]string{"x", "y"})
-	if a != CombineFingerprints([]string{"x", "y"}) {
+	fps := func(fps ...string) []ShardResult {
+		out := make([]ShardResult, len(fps))
+		for i, fp := range fps {
+			out[i].Report = &Report{Fingerprint: fp}
+		}
+		return out
+	}
+	a := CombineFingerprints(fps("x", "y"))
+	if a != CombineFingerprints(fps("x", "y")) {
 		t.Fatal("combination not deterministic")
 	}
-	if a == CombineFingerprints([]string{"y", "x"}) {
+	if a == CombineFingerprints(fps("y", "x")) {
 		t.Fatal("combination ignores shard order")
 	}
 }

@@ -73,10 +73,8 @@ func (o *eventOracle) Emit(ev obs.Event) {
 // oracle's. This is what makes the machine's counters a replacement for
 // the event-folding collector rather than a second opinion.
 func TestStatsMatchEventOracle(t *testing.T) {
-	spec := longSpec()
-	spec.fill()
-	rounds := genScript(spec)
-	run := func(at sim.Cycle) *RunResult {
+	script := GenScript(longSpec())
+	run := func(at sim.Cycle) ShardResult {
 		t.Helper()
 		oracle := &eventOracle{completedAt: make(map[[2]int64]sim.Cycle)}
 		cfg := Config{CrashAt: at, Machine: SmallMachine()}
@@ -85,15 +83,12 @@ func TestStatsMatchEventOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sessions := make([][]*Session, spec.Sessions)
-		for i := range sessions {
-			sessions[i] = []*Session{e.NewSession()}
-		}
-		out, err := runShardScript(e, 0, 1, sessions, rounds)
+		results, err := runScript([]*Engine{e}, script)
 		if err != nil {
 			t.Fatalf("crash at %d: %v", at, err)
 		}
-		st := e.Stats()
+		out := results[0]
+		st := out.Stats
 		got := [...]uint64{st.Transactions, st.Epochs.Opened, st.Epochs.Persisted, st.Epochs.Splits,
 			st.Conflicts.Intra, st.Conflicts.Inter, st.Conflicts.Eviction, st.Conflicts.IDTFallbacks,
 			st.Epochs.Flushes, st.PersistedLines, st.MC.Reads + st.MC.Writes + st.MC.LogWrites, uint64(st.MC.StallCycles)}
@@ -107,8 +102,8 @@ func TestStatsMatchEventOracle(t *testing.T) {
 			t.Errorf("crash at %d: latency histogram differs from the oracle's: %d samples sum %d, want %d sum %d",
 				at, st.PersistLatency.Total(), st.PersistLatency.Sum, oracle.latency.Total(), oracle.latency.Sum)
 		}
-		if st.Cycle != out.Cycles {
-			t.Errorf("crash at %d: Stats says cycle %d, the run %d", at, st.Cycle, out.Cycles)
+		if st.Cycle != e.Now() {
+			t.Errorf("crash at %d: Stats says cycle %d, the run %d", at, st.Cycle, e.Now())
 		}
 		return out
 	}
@@ -117,7 +112,7 @@ func TestStatsMatchEventOracle(t *testing.T) {
 		t.Fatal("clean run crashed")
 	}
 	crashed := 0
-	for _, at := range SweepInstants(clean.Cycles, 50) {
+	for _, at := range SweepInstants(clean.Stats.Cycle, 50) {
 		if run(at).Crashed {
 			crashed++
 		}

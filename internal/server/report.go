@@ -87,7 +87,6 @@ func (s *Server) Close() (*Report, error) {
 	}
 	rep.Crashed = crashed
 	rep.Shards = make([]ShardReport, len(results))
-	fps := make([]string, len(results))
 	for i, r := range results {
 		rep.Shards[i] = ShardReport{
 			Shard:            r.Shard,
@@ -102,10 +101,9 @@ func (s *Server) Close() (*Report, error) {
 			Folded:           r.Stats.Folded,
 			Retained:         r.Stats.Retained,
 		}
-		fps[i] = r.Report.Fingerprint
 		rep.RecoveredKeys += r.Report.RecoveredKeys
 	}
-	rep.Fingerprint = pmkv.CombineFingerprints(fps)
+	rep.Fingerprint = pmkv.CombineFingerprints(results)
 	if s.tracer.Enabled() {
 		rep.Stages = s.tracer.StageSummary()
 		rep.Flight, err = s.flightCheck(rep.Shards)
