@@ -717,8 +717,8 @@ type ShardResult struct {
 	DL *dlcheck.Verdict
 	// Stats is the engine's final snapshot, taken after it closed: Retained
 	// is the tail recovery walked, Folded what the checkpoint already
-	// covered, and the counters — Stats.Cycle, the run's full length,
-	// included — take in the closing drain.
+	// covered, and the counters include the closing drain: Stats.Cycle is
+	// the clock after it, the length scripted sweeps size crash instants by.
 	Stats EngineStats
 	Err   error
 }
