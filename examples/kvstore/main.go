@@ -25,76 +25,53 @@ func main() {
 	// write recovers.)
 	const crashCycle = 12000
 
-	engine, err := pmkv.New(pmkv.Config{CrashAt: crashCycle})
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// Four sessions (one per simulated core) write a shared keyspace in
-	// batches; each batch is one group commit, so the sessions contend on
+	// rounds; each round is one group commit, so the sessions contend on
 	// bucket heads and the epoch hardware resolves the conflicts.
-	sessions := make([]*pmkv.Session, 4)
-	for i := range sessions {
-		sessions[i] = engine.NewSession()
-	}
-	issued := 0
-	for round := 0; !engine.Crashed(); round++ {
-		batch := make([]pmkv.Request, 0, len(sessions))
-		for i, s := range sessions {
-			key := fmt.Sprintf("user:%d", (round*len(sessions)+i)%10)
-			val := fmt.Sprintf("r%d-s%d", round, i)
-			op := pmkv.Put
+	const sessions, rounds = 4, 41
+	script := make(pmkv.Script, rounds)
+	for round := range script {
+		for i := 0; i < sessions; i++ {
+			op := pmkv.ScriptedOp{Sess: i, Op: pmkv.Put, Key: fmt.Sprintf("user:%d", (round*sessions+i)%10)}
 			if round > 0 && (round+i)%7 == 0 {
-				op = pmkv.Delete
+				op.Op = pmkv.Delete
+			} else {
+				op.Value = []byte(fmt.Sprintf("r%d-s%d", round, i))
 			}
-			batch = append(batch, pmkv.Request{Sess: s, Op: op, Key: key, Value: []byte(val)})
-		}
-		_, err := engine.Apply(batch)
-		if err == pmkv.ErrCrashed {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		issued += len(batch)
-		if round >= 40 { // bound the demo if the crash never lands
-			break
+			script[round] = append(script[round], op)
 		}
 	}
 
-	result, err := engine.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("crash at cycle %d: %d ops issued before power loss, %d lines durable\n",
-		engine.Now(), issued, len(result.Image))
-
-	// Recovery: rebuild the happens-before graph from the retained epoch
-	// histories, strengthen it with the per-bucket publish order, and
-	// verify every invariant — epoch ordering, persisted-set closure, KV
+	// One shard runs the script on its worker until the power fails, then
+	// recovery rebuilds the happens-before graph from the retained epoch
+	// histories, strengthens it with the per-bucket publish order, and
+	// verifies every invariant — epoch ordering, persisted-set closure, KV
 	// atomicity (no torn entries), and per-session prefix durability.
-	report, err := engine.Verify(result)
+	results, err := pmkv.RunShardedScript(pmkv.ShardedConfig{Engine: pmkv.Config{CrashAt: crashCycle}}, script)
 	if err != nil {
 		log.Fatalf("INCONSISTENT persistent state: %v", err)
 	}
+	r := results[0]
+	if r.Crashed {
+		fmt.Printf("crash at cycle %d, %d scripted rounds of %d ops\n", r.Cycles, rounds, sessions)
+	} else {
+		fmt.Printf("clean drain after %d cycles\n", r.Cycles)
+	}
+	report := r.Report
 	fmt.Printf("recovery check: %d epochs, %d publish-order edges, %d/%d publishes durable ✓\n",
 		report.Epochs, report.PublishEdges, report.DurablePublishes, report.TotalPublishes)
 
-	// Reconstruct the durable contents — what a restarting kvstore would
-	// actually serve.
-	recovered, err := engine.RecoveredState(result)
-	if err != nil {
-		log.Fatal(err)
-	}
-	keys := make([]string, 0, len(recovered))
-	for k := range recovered {
+	// The durable contents — what a restarting kvstore would actually
+	// serve.
+	keys := make([]string, 0, len(r.Recovered))
+	for k := range r.Recovered {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	fmt.Printf("recovered state (%d keys, fingerprint %.16s):\n",
-		len(recovered), report.Fingerprint)
+		len(r.Recovered), report.Fingerprint)
 	for _, k := range keys {
-		fmt.Printf("  %-8s = %s\n", k, recovered[k])
+		fmt.Printf("  %-8s = %s\n", k, r.Recovered[k])
 	}
 	fmt.Println("(every recovered pointer is a complete, barrier-ordered write — nothing torn)")
 }

@@ -63,8 +63,9 @@ type ScriptedOp struct {
 	Value []byte
 }
 
-// Script is a materialised load, one batch per round. The driver runs each
-// batch as one Apply per shard, so a batch is one commit window.
+// Script is a materialised load, one batch per round. Each shard's worker
+// runs a round as Submit, Pump, one Gap and Poll (Script.steps), so a
+// batch is one commit window.
 type Script [][]ScriptedOp
 
 // GenScript expands the spec into Rounds batches of one op per session, in

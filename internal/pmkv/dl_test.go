@@ -160,7 +160,7 @@ func corruptBase(t *testing.T) (*Engine, *dlcheck.Image) {
 		{{Sess: s[0], Op: Put, Key: "epsilon", Value: []byte("e1")}}, // rec 5
 	}
 	for _, b := range batches {
-		if _, err := e.Apply(b); err != nil {
+		if _, err := apply(e, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,10 +300,10 @@ func TestBatchSnapshotReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1, s2 := e.NewSession(), e.NewSession()
-	if _, err := e.Apply([]Request{{Sess: s1, Op: Put, Key: "k", Value: []byte("old")}}); err != nil {
+	if _, err := apply(e, []Request{{Sess: s1, Op: Put, Key: "k", Value: []byte("old")}}); err != nil {
 		t.Fatal(err)
 	}
-	resps, err := e.Apply([]Request{
+	resps, err := apply(e, []Request{
 		{Sess: s1, Op: Put, Key: "k", Value: []byte("new")},
 		{Sess: s2, Op: Get, Key: "k"},
 		{Sess: s1, Op: Get, Key: "k"},
@@ -323,7 +323,7 @@ func TestBatchSnapshotReads(t *testing.T) {
 	}
 	// Next batch: the window is settled, and everyone is served what NVRAM
 	// holds — the racer whose head store committed last, whichever it is.
-	resps, err = e.Apply([]Request{{Sess: s2, Op: Get, Key: "k"}})
+	resps, err = apply(e, []Request{{Sess: s2, Op: Get, Key: "k"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package pmkv
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -90,10 +91,10 @@ func TestShardedConfigFillClamps(t *testing.T) {
 }
 
 // TestDurableWatermarkReportsCrash: once the machine hits its crash
-// instant, DurableWatermark and StepDurable must surface ErrCrashed
-// while still reporting valid watermark numbers — the shard worker's
-// busy ack path keys crash handling off this error (it used to be
-// silently discarded).
+// instant, the Poll and Gap steps must surface ErrCrashed, Poll while
+// still reporting valid watermark numbers — the shard worker's busy ack
+// path keys crash handling off this error (it used to be silently
+// discarded).
 func TestDurableWatermarkReportsCrash(t *testing.T) {
 	e, err := New(Config{CrashAt: 5_000})
 	if err != nil {
@@ -104,7 +105,7 @@ func TestDurableWatermarkReportsCrash(t *testing.T) {
 		if i > 10_000 {
 			t.Fatal("crash instant never reached")
 		}
-		_, err := e.Apply([]Request{{Sess: sess, Op: Put, Key: fmt.Sprintf("k%d", i%8), Value: []byte("v")}})
+		_, err := apply(e, []Request{{Sess: sess, Op: Put, Key: fmt.Sprintf("k%d", i%8), Value: []byte("v")}})
 		if err == ErrCrashed {
 			break
 		}
@@ -119,8 +120,8 @@ func TestDurableWatermarkReportsCrash(t *testing.T) {
 	if d < 0 || d > total || total == 0 {
 		t.Fatalf("crashed watermark %d/%d implausible", d, total)
 	}
-	if _, _, err := e.StepDurable(total); err != ErrCrashed {
-		t.Fatalf("StepDurable err = %v, want ErrCrashed", err)
+	if err := e.gap(); err != ErrCrashed {
+		t.Fatalf("gap err = %v, want ErrCrashed", err)
 	}
 }
 
@@ -314,6 +315,57 @@ func TestEveryJobCompletesOnce(t *testing.T) {
 			}
 		})
 	}
+
+	// A scripted run is the same worker with the script's requests as its
+	// clients, and runSteps fails the run unless each completes exactly
+	// once — so a crash sweep holds every instant to this test's rule. A
+	// crash flush that drops the newest batch in flight must be caught at
+	// every instant that crashes a shard (a script's shard always has a
+	// batch in flight when the power fails), on one shard and on three.
+	t.Run("scripted crash sweep", func(t *testing.T) {
+		script := GenScript(testSpec())
+		for _, shards := range []int{1, 3} {
+			run := func(at sim.Cycle, bug plantedBug) ([]ShardResult, error) {
+				engines := make([]*Engine, shards)
+				for i := range engines {
+					e, err := New(Config{CrashAt: at})
+					if err != nil {
+						t.Fatal(err)
+					}
+					e.plant = bug
+					engines[i] = e
+				}
+				return runScript(engines, script)
+			}
+			clean, err := run(0, plantNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crashed, caught := 0, 0
+			instants := SweepInstants(span(clean), 40)
+			for _, at := range instants {
+				out, err := run(at, plantNone)
+				if err != nil {
+					t.Fatalf("%d shards, crash at %d: %v", shards, at, err)
+				}
+				if anyCrashed(out) {
+					crashed++
+				}
+				_, err = run(at, plantDropCrashedAcks)
+				if err == nil {
+					continue
+				}
+				if !strings.Contains(err.Error(), "completed 0 times") {
+					t.Fatalf("%d shards, crash at %d: the dropped acks were caught by an unexpected check: %v", shards, at, err)
+				}
+				caught++
+			}
+			if crashed < len(instants)*3/4 || caught != crashed {
+				t.Fatalf("%d shards: %d of %d instants crashed, the dropped acks caught at %d", shards, crashed, len(instants), caught)
+			}
+			t.Logf("%d shards: %d of %d instants crashed, the dropped acks caught at %d", shards, crashed, len(instants), caught)
+		}
+	})
 }
 
 // TestBatchMetricsExposed: a worked store must report a populated
@@ -581,7 +633,7 @@ func recoveryFixture(tb testing.TB, n int) (*Engine, *machine.Result) {
 			Value: val,
 		})
 		if len(batch) == batchLen || i == n-1 {
-			if _, err := e.Apply(batch); err != nil {
+			if _, err := apply(e, batch); err != nil {
 				tb.Fatal(err)
 			}
 			batch = batch[:0]

@@ -547,45 +547,19 @@ func (e *Engine) crashLimit() sim.Cycle {
 	return e.cfg.CrashAt
 }
 
-// Apply executes a batch of requests as one group commit: every request's
-// ops are fed to its session's core before the machine advances, so
-// requests in one batch run concurrently in simulated time and contend on
-// shared bucket heads exactly like threads of Figure 10. It returns one
-// response per request (answered from volatile state, which survives even
-// if the machine crashes mid-batch — durability is judged later). Apply is
-// the blocking composition of the shard worker's calls under one
-// lock hold — SubmitAppend, PumpRetire, one BatchGap of think time, then
-// the durable watermark (so whatever became durable is folded and
-// released) — for callers that drive a single engine round by round (the
-// scripted driver, examples/kvstore).
-func (e *Engine) Apply(batch []Request) ([]Response, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	resps, err := e.submitLocked(nil, batch)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.pumpRetireLocked(); err != nil {
-		if err == ErrCrashed {
-			e.advanceWatermarkLocked()
-			return resps, ErrCrashed
-		}
-		return nil, err
-	}
-	err = e.stepGapLocked()
-	e.advanceWatermarkLocked()
-	return resps, err
-}
-
 // SubmitAppend translates a batch and feeds it to the cores without
 // advancing the machine — the front half of a group commit; PumpRetire
 // then advances the clock, and the batch's epochs go on persisting under
-// whatever is submitted next. Each core's last publish is left in an
-// open epoch (its barrier owed), so a following SubmitAppend's first
-// write on that core merges into it. Responses reflect the volatile
-// state immediately and are appended to dst, so a committer reuses one
-// response buffer per in-flight batch instead of allocating a fresh
-// slice per commit.
+// whatever is submitted next. Every request's ops are fed to its
+// session's core before the machine advances, so the requests of one
+// batch run concurrently in simulated time and contend on shared bucket
+// heads exactly like threads of Figure 10. Each core's last publish is
+// left in an open epoch (its barrier owed), so a following SubmitAppend's
+// first write on that core merges into it. Responses reflect the volatile
+// state immediately (it survives even if the machine crashes mid-batch —
+// durability is judged later) and are appended to dst, so a committer
+// reuses one response buffer per in-flight batch instead of allocating a
+// fresh slice per commit.
 func (e *Engine) SubmitAppend(dst []Response, batch []Request) ([]Response, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -701,10 +675,23 @@ func (e *Engine) pumpRetireLocked() error {
 	return nil
 }
 
-// stepGapLocked lets the background persist machinery run for one
-// BatchGap of simulated think time, never past the crash instant.
-// ErrCrashed reports that the instant was reached during the gap.
+// gap lets the background persist machinery run for one BatchGap of
+// simulated think time — the shard worker's Gap step. ErrCrashed reports
+// that the crash instant was reached, during this gap or before it.
+func (e *Engine) gap() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return fmt.Errorf("pmkv: engine closed")
+	}
+	return e.stepGapLocked()
+}
+
+// stepGapLocked runs one BatchGap, never past the crash instant.
 func (e *Engine) stepGapLocked() error {
+	if e.crashed {
+		return ErrCrashed
+	}
 	limit := e.crashLimit()
 	gap := e.cfg.BatchGap
 	if limit != sim.MaxCycle && e.m.Now()+gap > limit {
@@ -766,6 +753,9 @@ const (
 	// plantTranslateOrderWinner settles a key on the window's writer that
 	// was translated last, not the one whose head store committed last.
 	plantTranslateOrderWinner
+	// plantDropCrashedAcks has the shard worker's crash flush drop the
+	// newest batch in flight without completing its jobs.
+	plantDropCrashedAcks
 )
 
 // plantedEarlyFree is plantRecycleEarly's free, called where translate
@@ -880,49 +870,19 @@ func (e *Engine) release(n int) {
 // error is ErrCrashed once the machine has hit its crash instant — the
 // numbers are still valid (the watermark as of the crash), but a caller
 // gating acks on them must switch to crash handling instead of waiting
-// for more durability that will never come.
+// for more durability that will never come. On a closed engine the error
+// says so, and the numbers are final.
 func (e *Engine) DurableWatermark() (durable, total int, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	d := e.advanceWatermarkLocked()
-	if e.crashed {
-		return d, e.recordCount(), ErrCrashed
+	switch {
+	case e.closed:
+		err = fmt.Errorf("pmkv: engine closed")
+	case e.crashed:
+		err = ErrCrashed
 	}
-	return d, e.recordCount(), nil
-}
-
-// StepDurable advances the durable watermark toward target without
-// blocking: it moves the cursor, and if target is not yet covered and
-// background persist machinery is scheduled, runs one BatchGap of
-// simulated time and moves the cursor again. dry reports that the
-// machinery has nothing scheduled — only new work or Close's final
-// drain can produce further durability. A worker interleaves StepDurable
-// with mailbox polls so waiting for durability never blinds it to
-// arriving requests (the queue_wait cost of a blocking WaitDurable loop).
-func (e *Engine) StepDurable(target int) (durable int, dry bool, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stepDurableLocked(target)
-}
-
-func (e *Engine) stepDurableLocked(target int) (durable int, dry bool, err error) {
-	if e.closed {
-		return e.durableCursor, false, fmt.Errorf("pmkv: engine closed")
-	}
-	d := e.advanceWatermarkLocked()
-	if d >= target {
-		return d, false, nil
-	}
-	if e.crashed {
-		return d, false, ErrCrashed
-	}
-	if e.m.Engine().Pending() == 0 {
-		return d, true, nil
-	}
-	if err := e.stepGapLocked(); err != nil {
-		return e.advanceWatermarkLocked(), false, err
-	}
-	return e.advanceWatermarkLocked(), false, nil
+	return d, e.recordCount(), err
 }
 
 // RecordCount reports how many mutation records the engine has issued
@@ -1021,17 +981,28 @@ func (e *Engine) Quiesced() bool {
 // watermark covers target records (or the crash instant hits, or the
 // machinery runs dry — closed epochs always drain through scheduled
 // events, so an empty event queue means only Close's final drain can make
-// further progress). It returns the watermark reached. This is StepDurable
-// looped under one lock hold, for a caller with no mailbox to poll
-// between steps — the single-goroutine engine driver in
-// benchmark/engine.go.
+// further progress). It returns the watermark reached. This is the shard
+// worker's Poll and Gap steps looped under one lock hold, for a caller
+// with no mailbox to poll between steps — the single-goroutine engine
+// driver in benchmark/engine.go.
 func (e *Engine) WaitDurable(target int) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.closed {
+		return e.durableCursor, fmt.Errorf("pmkv: engine closed")
+	}
 	for {
-		d, dry, err := e.stepDurableLocked(target)
-		if err != nil || dry || d >= target {
-			return d, err
+		d := e.advanceWatermarkLocked()
+		switch {
+		case d >= target:
+			return d, nil
+		case e.crashed:
+			return d, ErrCrashed
+		case e.m.Engine().Pending() == 0:
+			return d, nil
+		}
+		if err := e.stepGapLocked(); err != nil {
+			return e.advanceWatermarkLocked(), err
 		}
 	}
 }

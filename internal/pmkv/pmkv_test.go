@@ -23,13 +23,37 @@ func runSingle(cfg Config, spec ScriptSpec) (ShardResult, error) {
 	return out[0], err
 }
 
+// runScript is RunShardedScript on engines the test built, one per shard,
+// to plant a bug in an engine or attach a probe.
+func runScript(engines []*Engine, script Script) ([]ShardResult, error) {
+	s, err := newStore(ShardedConfig{Shards: len(engines)}, engines)
+	if err != nil {
+		return nil, err
+	}
+	return s.run(script.steps(len(engines)), script.sessions())
+}
+
+// apply runs one round on e in a script's steps — Submit, Pump, one Gap,
+// Poll — and returns the batch's volatile responses.
+func apply(e *Engine, batch []Request) ([]Response, error) {
+	resps, err := e.SubmitAppend(nil, batch)
+	if err != nil {
+		return nil, err
+	}
+	if err = e.PumpRetire(); err == nil {
+		err = e.gap()
+	}
+	e.DurableWatermark()
+	return resps, err
+}
+
 func TestPutGetDelete(t *testing.T) {
 	e, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s1, s2 := e.NewSession(), e.NewSession()
-	resps, err := e.Apply([]Request{
+	resps, err := apply(e, []Request{
 		{Sess: s1, Op: Put, Key: "alpha", Value: []byte("one")},
 		{Sess: s2, Op: Put, Key: "beta", Value: []byte("two")},
 	})
@@ -39,7 +63,7 @@ func TestPutGetDelete(t *testing.T) {
 	if len(resps) != 2 || !resps[0].Found || !resps[1].Found {
 		t.Fatalf("put responses: %+v", resps)
 	}
-	resps, err = e.Apply([]Request{
+	resps, err = apply(e, []Request{
 		{Sess: s1, Op: Get, Key: "beta"},
 		{Sess: s2, Op: Delete, Key: "alpha"},
 	})
@@ -52,7 +76,7 @@ func TestPutGetDelete(t *testing.T) {
 	if !resps[1].Found {
 		t.Fatal("delete alpha reported not-found")
 	}
-	resps, err = e.Apply([]Request{{Sess: s1, Op: Get, Key: "alpha"}})
+	resps, err = apply(e, []Request{{Sess: s1, Op: Get, Key: "alpha"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +150,7 @@ func TestCleanDrainContendedBucket(t *testing.T) {
 			val := bytes.Repeat([]byte{byte('a' + i)}, 1+(round*37+i*113)%200)
 			batch[i] = Request{Sess: s, Op: Put, Key: keys[i], Value: val}
 		}
-		if _, err := e.Apply(batch); err != nil {
+		if _, err := apply(e, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,8 +202,8 @@ func TestApplyAfterCloseFails(t *testing.T) {
 	if _, err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Apply([]Request{{Sess: s, Op: Put, Key: "k", Value: []byte("v")}}); err == nil {
-		t.Fatal("Apply after Close accepted")
+	if _, err := apply(e, []Request{{Sess: s, Op: Put, Key: "k", Value: []byte("v")}}); err == nil {
+		t.Fatal("a round after Close accepted")
 	}
 	if _, err := e.Close(); err == nil {
 		t.Fatal("double Close accepted")
@@ -396,7 +420,7 @@ func BenchmarkApplyRound(b *testing.B) {
 		for j, s := range sessions {
 			batch[j] = Request{Sess: s, Op: Put, Key: fmt.Sprintf("k%d", (i+j)%32), Value: []byte("value")}
 		}
-		if _, err := e.Apply(batch); err != nil {
+		if _, err := apply(e, batch); err != nil {
 			b.Fatal(err)
 		}
 	}

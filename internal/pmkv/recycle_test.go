@@ -181,7 +181,7 @@ func TestFreeListRaceLoser(t *testing.T) {
 		if loser.n > 1 {
 			loserVal = large
 		}
-		if _, err := e.Apply([]Request{{Sess: s0, Op: Put, Key: "other", Value: loserVal}}); err != nil {
+		if _, err := apply(e, []Request{{Sess: s0, Op: Put, Key: "other", Value: loserVal}}); err != nil {
 			t.Fatal(err)
 		}
 		if got := servedSpan(e, "other"); got != loser || e.nextEntry != bumped {
@@ -219,7 +219,7 @@ func TestFreeListLIFOAndClasses(t *testing.T) {
 		for _, p := range kvs {
 			batch = append(batch, Request{Sess: s, Op: Put, Key: p.key, Value: make([]byte, p.n)})
 		}
-		if _, err := e.Apply(batch); err != nil {
+		if _, err := apply(e, batch); err != nil {
 			t.Fatal(err)
 		}
 		settle(t, e)

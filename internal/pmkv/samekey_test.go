@@ -65,7 +65,7 @@ func (c raceCase) run(t *testing.T) (recovered string, agreed bool) {
 		return reqs
 	}
 	get := func(sess int) string {
-		resps, err := e.Apply([]Request{{Sess: sessions[sess], Op: Get, Key: "k"}})
+		resps, err := apply(e, []Request{{Sess: sessions[sess], Op: Get, Key: "k"}})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -76,7 +76,7 @@ func (c raceCase) run(t *testing.T) (recovered string, agreed bool) {
 		e.DL().AckDurable(e.RecordCount())
 	}
 	if len(c.before) > 0 {
-		if _, err := e.Apply(requests(c.before)); err != nil {
+		if _, err := apply(e, requests(c.before)); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		durable()
@@ -222,10 +222,11 @@ func TestSameKeyRaceFoldedMidWindow(t *testing.T) {
 		c := raceCase{name: row.name, window: row.window}
 		c.mid = func(t *testing.T, e *Engine, sessions []*Session) {
 			for i := 0; i < 100; i++ {
-				if d, _, err := e.StepDurable(row.folded); err != nil {
-					t.Fatal(err)
-				} else if d >= row.folded {
+				if d, _, _ := e.DurableWatermark(); d >= row.folded {
 					break
+				}
+				if err := e.gap(); err != nil {
+					t.Fatal(err)
 				}
 			}
 			resps, err := e.SubmitAppend(nil, []Request{{Sess: sessions[0], Op: Get, Key: "k"}})

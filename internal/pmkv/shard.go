@@ -219,23 +219,9 @@ type ShardedStore struct {
 
 // NewSharded builds the store and starts one worker per shard.
 func NewSharded(cfg ShardedConfig) (*ShardedStore, error) {
-	cfg.fill()
-	if cfg.Shards < 1 || cfg.Shards > MaxShards {
-		return nil, fmt.Errorf("pmkv: Shards must be in 1..%d, got %d", MaxShards, cfg.Shards)
-	}
-	s := &ShardedStore{cfg: cfg, readFast: !cfg.DisableReadFast}
-	for i := 0; i < cfg.Shards; i++ {
-		eng, err := New(cfg.Engine)
-		if err != nil {
-			return nil, fmt.Errorf("pmkv: shard %d: %w", i, err)
-		}
-		sh := &shard{
-			id:   i,
-			eng:  eng,
-			mail: make(chan shardJob, cfg.Mailbox),
-			open: true,
-		}
-		s.shards = append(s.shards, sh)
+	s, err := newStore(cfg, nil)
+	if err != nil {
+		return nil, err
 	}
 	for _, sh := range s.shards {
 		s.wg.Add(1)
@@ -243,6 +229,27 @@ func NewSharded(cfg ShardedConfig) (*ShardedStore, error) {
 			defer s.wg.Done()
 			s.runShard(sh)
 		}(sh)
+	}
+	return s, nil
+}
+
+// newStore builds the store's shards around engines, one per shard, and
+// fresh engines for the shards engines does not reach; no worker runs yet.
+func newStore(cfg ShardedConfig, engines []*Engine) (*ShardedStore, error) {
+	cfg.fill()
+	if cfg.Shards < 1 || cfg.Shards > MaxShards {
+		return nil, fmt.Errorf("pmkv: Shards must be in 1..%d, got %d", MaxShards, cfg.Shards)
+	}
+	for len(engines) < cfg.Shards {
+		eng, err := New(cfg.Engine)
+		if err != nil {
+			return nil, fmt.Errorf("pmkv: shard %d: %w", len(engines), err)
+		}
+		engines = append(engines, eng)
+	}
+	s := &ShardedStore{cfg: cfg, readFast: !cfg.DisableReadFast}
+	for i, eng := range engines {
+		s.shards = append(s.shards, &shard{id: i, eng: eng, mail: make(chan shardJob, cfg.Mailbox), open: true})
 	}
 	return s, nil
 }
@@ -371,23 +378,28 @@ type pendingBatch struct {
 	target int // RecordCount after this batch's SubmitAppend
 }
 
-// shardWorker is runShard's per-goroutine state: the retired batches
-// whose acks await the watermark, and the slice pools that keep the
-// steady-state commit path free of allocations.
+// shardWorker is the one driver of an engine: its state is the batches in
+// flight, whose acks await the watermark, and the slice pools that keep
+// the steady-state commit path free of allocations. It acts on the engine
+// in four steps — Submit, Pump, Gap, Poll — and records what it promised
+// clients as a fifth, Ack. Live, it picks its steps (runShard); scripted,
+// it takes them from a script (runSteps), so crash sweeps run the code
+// that decides what a client is told.
 //
 // The pipeline is pending. The worker is one goroutine and the machine
-// advances only inside PumpRetire and StepDurable, so nothing translates
-// while anything retires and no host-side stage could overlap. What
-// overlaps is simulated: a retired batch's epochs are closed, not yet
-// persistent, and persist in the background under the batches committed
-// after it (the paper's lazy barrier) — so the worker goes back for the
-// next batch instead of waiting for the watermark.
+// advances only inside Pump and Gap, so nothing translates while anything
+// retires and no host-side stage could overlap. What overlaps is
+// simulated: a retired batch's epochs are closed, not yet persistent, and
+// persist in the background under the batches committed after it (the
+// paper's lazy barrier) — so the worker goes back for the next batch
+// instead of waiting for the watermark.
 type shardWorker struct {
 	s  *ShardedStore
 	sh *shard
 
-	open    bool           // mailbox not yet closed
-	pending []pendingBatch // oldest first
+	scripted bool           // a script carries its own Ack steps, so finish takes none
+	open     bool           // mailbox not yet closed
+	pending  []pendingBatch // oldest first
 
 	// dry records that the persist machinery has nothing scheduled while
 	// acks are still gated: durability cannot advance until new work
@@ -399,13 +411,16 @@ type shardWorker struct {
 	resps bufPool[Response]
 }
 
-// runShard is the shard's worker, the engine's single writer: gather what
-// is queued, commit it as one window, release the acks the watermark now
-// covers.
+// runShard is the live worker: gather what is queued, commit it as one
+// window (Submit, Pump), release the acks the watermark now covers.
 func (s *ShardedStore) runShard(sh *shard) {
 	w := &shardWorker{s: s, sh: sh, open: true}
 	for w.open || len(w.pending) > 0 {
-		w.commit(w.gather())
+		if batch := w.gather(); len(batch) == 0 {
+			w.jobs.put(batch)
+		} else if w.submit(batch) {
+			w.pump()
+		}
 		w.release()
 	}
 }
@@ -437,18 +452,13 @@ func (w *shardWorker) gather() []shardJob {
 	return batch
 }
 
-// commit runs one batch through one commit window. SubmitAppend
-// translates and feeds it (no simulated time passes); PumpRetire feeds
-// each core the one barrier its newest publish owes and advances the
-// machine until every op has retired, so the whole batch shares those
-// barriers and every publish in it sits in a closed epoch. The batch then
-// waits on pending for the watermark.
-func (w *shardWorker) commit(batch []shardJob) {
+// submit is the Submit step: SubmitAppend translates the batch and feeds
+// it, no simulated time passing, and the batch joins pending. A refused
+// batch (the machine lost power or the engine closed) is finished with
+// the error, after everything in flight got its crashed acks; submit
+// reports whether the batch joined.
+func (w *shardWorker) submit(batch []shardJob) bool {
 	sh := w.sh
-	if len(batch) == 0 {
-		w.jobs.put(batch)
-		return
-	}
 	w.reqs = w.reqs[:0]
 	for i := range batch {
 		w.reqs = append(w.reqs, batch[i].req)
@@ -456,14 +466,11 @@ func (w *shardWorker) commit(batch []shardJob) {
 	p := pendingBatch{jobs: batch, resps: w.resps.take(w.s.cfg.MaxBatch)}
 	resps, err := sh.eng.SubmitAppend(p.resps, w.reqs)
 	if err != nil {
-		// Refused whole (SubmitAppend feeds nothing once the machine lost
-		// power or the engine closed): these clients see the error, after
-		// everything already in flight got its crashed acks.
 		if err == ErrCrashed {
 			w.crashFlush()
 		}
 		w.finish(p, ShardAck{Err: err})
-		return
+		return false
 	}
 	p.resps, p.target = resps, sh.eng.RecordCount()
 	cycle := int64(sh.eng.Now())
@@ -474,76 +481,95 @@ func (w *shardWorker) commit(batch []shardJob) {
 	sh.batches.Add(1)
 	sh.batchOps.Add(uint64(len(batch)))
 	w.dry = false
+	w.pending = append(w.pending, p)
+	return true
+}
 
-	switch err := sh.eng.PumpRetire(); err {
-	case nil:
-		cycle = int64(sh.eng.Now())
-		for i := range batch {
-			batch[i].span.StampAt(telemetry.StageSubmit, cycle)
+// pump is the Pump step: PumpRetire feeds each core the one barrier its
+// newest publish owes and runs the machine until every op has retired, so
+// every publish in flight sits in a closed epoch.
+func (w *shardWorker) pump() {
+	if !w.failed(w.sh.eng.PumpRetire()) && len(w.pending) > 0 {
+		cycle := int64(w.sh.eng.Now())
+		for _, j := range w.pending[len(w.pending)-1].jobs {
+			j.span.StampAt(telemetry.StageSubmit, cycle)
 		}
-		w.pending = append(w.pending, p)
-	case ErrCrashed:
-		// The machine lost power mid-retire. The batch was applied: its
-		// clients get volatile responses flagged crashed, behind the older
-		// batches' — recovery, not the watermark, now judges durability.
-		w.pending = append(w.pending, p)
-		w.crashFlush()
-	default:
-		w.finish(p, ShardAck{Err: err})
 	}
 }
 
-// release delivers acks for retired batches the durable watermark
-// covers. With requests queued behind it the watermark is only polled (a
-// crash surfaced there is routed to the flush); with an idle mailbox one
-// BatchGap of simulated time advances per call, so the worker re-polls
-// the mailbox between gap steps instead of going blind inside a blocking
-// WaitDurable loop.
-func (w *shardWorker) release() {
-	sh := w.sh
-	if len(w.pending) == 0 {
-		return
-	}
-	var durable int
-	var dry bool
-	var err error
-	if len(sh.mail) > 0 {
-		durable, _, err = sh.eng.DurableWatermark()
-	} else {
-		durable, dry, err = sh.eng.StepDurable(w.pending[len(w.pending)-1].target)
-	}
-	switch {
-	case err == ErrCrashed:
-		w.crashFlush()
-		return
-	case err != nil:
-		w.ackOldest(len(w.pending), ShardAck{Err: err})
+// gap is the Gap step: one BatchGap of simulated time, in which the
+// background persist machinery works on what pending waits for.
+func (w *shardWorker) gap() { w.failed(w.sh.eng.gap()) }
+
+// poll is the Poll step: DurableWatermark folds, releases and trims what
+// the watermark passed, and the batches it now covers are acked — after
+// the fold, so a client holding a durable ack finds that write on the fast
+// path (the atomic bucket store happens-before the ack's channel send,
+// which happens-before the client's next request).
+func (w *shardWorker) poll() {
+	durable, _, err := w.sh.eng.DurableWatermark()
+	if w.failed(err) {
 		return
 	}
 	n := 0
 	for n < len(w.pending) && w.pending[n].target <= durable {
 		n++
 	}
-	if n < len(w.pending) && !w.open && sh.eng.Quiesced() {
+	w.ackOldest(n, ShardAck{Durable: durable})
+}
+
+// failed routes a step's error to every batch in flight and reports
+// whether there was one. After a crash they get their volatile responses
+// flagged crashed: recovery, not the watermark, now judges durability.
+func (w *shardWorker) failed(err error) bool {
+	switch {
+	case err == ErrCrashed:
+		w.crashFlush()
+	case err != nil:
+		w.ackOldest(len(w.pending), ShardAck{Err: err})
+	}
+	return err != nil
+}
+
+// release is what the live worker does after a commit: Poll, and with the
+// mailbox idle and acks still gated, one Gap and Poll again, so it
+// re-polls the mailbox between gaps instead of going blind inside a
+// blocking WaitDurable loop. A dry machine gets no Gap.
+func (w *shardWorker) release() {
+	if len(w.pending) == 0 {
+		return
+	}
+	busy := len(w.sh.mail) > 0
+	w.poll()
+	if busy || len(w.pending) == 0 {
+		return
+	}
+	if !w.sh.eng.Quiesced() {
+		w.gap()
+		w.poll()
+	}
+	switch {
+	case len(w.pending) == 0 || !w.sh.eng.Quiesced():
+	case w.open:
+		w.dry = true
+	default:
 		// Mailbox closed and the machinery ran dry with acks still gated:
 		// only Close's final drain persists the rest. Ack now — Close runs
 		// the full drain before the recovery snapshot, so durability still
 		// precedes the snapshot (and the acks remain checker obligations).
-		n = len(w.pending)
+		w.ackOldest(len(w.pending), ShardAck{Durable: w.sh.eng.Committed()})
 	}
-	// The watermark call above folded the newly durable records into the
-	// engine's checkpoint BEFORE any ack below is delivered: a client that
-	// has received a durable ack must find that write on the fast path (the
-	// atomic bucket store happens-before the ack's channel send, which
-	// happens-before the client's next request).
-	w.ackOldest(n, ShardAck{Durable: durable})
-	w.dry = dry && len(w.pending) > 0
 }
 
 // crashFlush delivers crashed acks, volatile responses attached, for
 // every batch in flight, then fires OnCrash once.
 func (w *shardWorker) crashFlush() {
-	w.ackOldest(len(w.pending), ShardAck{Crashed: true})
+	n := len(w.pending)
+	if w.sh.eng.plant == plantDropCrashedAcks && n > 0 {
+		w.pending = w.pending[:n-1] // the newest batch's clients never hear back
+		n--
+	}
+	w.ackOldest(n, ShardAck{Crashed: true})
 	if w.sh.crashedFl.CompareAndSwap(false, true) && w.s.cfg.OnCrash != nil {
 		w.s.cfg.OnCrash(w.sh.id)
 	}
@@ -567,9 +593,9 @@ func (w *shardWorker) finish(p pendingBatch, ack ShardAck) {
 	eng := w.sh.eng
 	ack.Shard = w.sh.id
 	cycle := int64(eng.Now())
-	if ack.Err == nil && !ack.Crashed {
-		// This ack promises durability: record the obligation so the
-		// checker can hold the crash image to it.
+	if ack.Err == nil && !ack.Crashed && !w.scripted {
+		// The Ack step: this ack promises durability, an obligation the
+		// checker holds the crash image to.
 		eng.DL().AckDurable(p.target)
 	}
 	for i := range p.jobs {

@@ -1,17 +1,59 @@
-// Deterministic scripted driver: a Script routed through the shard router,
-// with each shard's engine driven batch by batch and then ended through
-// closeShard, as ShardedStore.Close ends a live shard. Shard engines never
-// observe each other's timing, so running them on parallel goroutines (or
-// under any sweep -j setting) yields the same per-shard fingerprints as
-// running them serially. A single-shard run feeds shard 0 every op of
-// every batch — the batch sequence the 201 fingerprints in
-// testdata/fpdump.golden were captured from.
+// Deterministic scripted driver: a Script routed through the shard router
+// into each shard's steps, which that shard's worker takes as its live
+// loop would, and each shard then ended through closeShard, as
+// ShardedStore.Close ends a live shard. Shard engines never observe each
+// other's timing, so running them on parallel goroutines (or under any
+// sweep -j setting) yields the same per-shard fingerprints as running them
+// serially. A single-shard run feeds shard 0 every op of every batch — the
+// batch sequence the 201 fingerprints in testdata/fpdump.golden were
+// captured from.
 package pmkv
 
 import (
 	"fmt"
 	"sync"
 )
+
+// stepKind names what a shard worker does to its engine. The live loop, a
+// script and benchmark/engine.go's loop are all words over the first four.
+type stepKind uint8
+
+const (
+	stepSubmit stepKind = iota // SubmitAppend: translate and feed a batch
+	stepPump                   // PumpRetire: close the window, run until it retired
+	stepGap                    // one BatchGap of simulated time
+	stepPoll                   // DurableWatermark, then ack what it covers
+	stepAck                    // clients were told records [0, target) are durable
+)
+
+type step struct {
+	kind   stepKind
+	batch  []ScriptedOp // stepSubmit
+	target int          // stepAck
+}
+
+// steps splits the script into each shard's steps: per round, a Submit of
+// the round's ops the shard owns, Pump, one Gap and Poll. A round with no
+// op routed to a shard still pumps and gaps there, so every shard's clock
+// advances through the same per-round cadence and crash instants land in
+// comparable execution phases across shards.
+func (s Script) steps(shards int) [][]step {
+	out := make([][]step, shards)
+	for _, batch := range s {
+		owned := [][]ScriptedOp{batch}
+		if shards > 1 {
+			owned = make([][]ScriptedOp, shards)
+			for _, op := range batch {
+				i := ShardOf(op.Key, shards)
+				owned[i] = append(owned[i], op)
+			}
+		}
+		for i := range out {
+			out[i] = append(out[i], step{kind: stepSubmit, batch: owned[i]}, step{kind: stepPump}, step{kind: stepGap}, step{kind: stepPoll})
+		}
+	}
+	return out
+}
 
 // RunShardedScript drives fresh shard engines through the script. The
 // crash instant (cfg.Engine.CrashAt) fans out: every shard loses power at
@@ -20,64 +62,92 @@ import (
 // reconstructed; the per-shard results are returned in shard order, and
 // the error is the lowest-numbered shard's.
 func RunShardedScript(cfg ShardedConfig, script Script) ([]ShardResult, error) {
-	cfg.fill()
-	if cfg.Shards < 1 || cfg.Shards > MaxShards {
-		return nil, fmt.Errorf("pmkv: Shards must be in 1..%d, got %d", MaxShards, cfg.Shards)
+	s, err := newStore(cfg, nil)
+	if err != nil {
+		return nil, err
 	}
-	engines := make([]*Engine, cfg.Shards)
-	for i := range engines {
-		eng, err := New(cfg.Engine)
-		if err != nil {
-			return nil, fmt.Errorf("pmkv: shard %d: %w", i, err)
-		}
-		engines[i] = eng
-	}
-	return runScript(engines, script)
+	return s.run(script.steps(len(s.shards)), script.sessions())
 }
 
-// runScript is RunShardedScript on engines the caller built, one per
-// shard; tests use it to plant a bug in an engine or attach a probe.
-func runScript(engines []*Engine, script Script) ([]ShardResult, error) {
-	// Session-major creation so every shard binds session i to the same
-	// core slot a single engine would.
-	sessions := make([][]*Session, script.sessions())
-	for i := range sessions {
-		sessions[i] = make([]*Session, len(engines))
-		for s, e := range engines {
-			sessions[i][s] = e.NewSession()
-		}
+// run has every shard's worker take its steps, then ends each shard.
+// Sessions are opened first, in order, so every shard binds session i to
+// the same core slot a single engine would.
+func (s *ShardedStore) run(steps [][]step, sessions int) ([]ShardResult, error) {
+	sess := make([]*ShardedSession, sessions)
+	for i := range sess {
+		sess[i] = s.NewSession()
 	}
-	results := make([]ShardResult, len(engines))
+	results := make([]ShardResult, len(s.shards))
 	var wg sync.WaitGroup
-	for s, e := range engines {
+	for _, sh := range s.shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[s] = runShardScript(e, s, len(engines), sessions, script)
+			w := &shardWorker{s: s, sh: sh, scripted: true}
+			if err := w.runSteps(steps[sh.id], sess); err != nil {
+				results[sh.id] = ShardResult{Shard: sh.id, Err: err}
+				return
+			}
+			results[sh.id] = closeShard(sh.id, sh.eng)
 		}()
 	}
 	wg.Wait()
 	return results, firstErr(results)
 }
 
-// runShardScript applies the batches one shard owns, then ends the shard.
-// A batch with no op routed here still Applies empty, so the shard's clock
-// advances through the same per-batch gap cadence and crash instants land
-// in comparable execution phases across shards.
-func runShardScript(e *Engine, shard, shards int, sessions [][]*Session, script Script) ShardResult {
-	reqs := make([]Request, 0, len(sessions))
-	for _, batch := range script {
-		reqs = reqs[:0]
-		for _, op := range batch {
-			if ShardOf(op.Key, shards) == shard {
-				reqs = append(reqs, Request{Sess: sessions[op.Sess][shard], Op: op.Op, Key: op.Key, Value: op.Value})
+// runSteps is the worker taking its steps from a script. After a crash
+// every later batch is refused, as the live worker refuses what reaches
+// it then; what is still in flight when the script ends is acked as at
+// shutdown, since Close's drain persists it before the recovery snapshot.
+// The script's requests are the worker's clients: each must complete
+// exactly once, and an engine error one receives fails the run.
+func (w *shardWorker) runSteps(steps []step, sessions []*ShardedSession) error {
+	ops := 0
+	for _, st := range steps {
+		ops += len(st.batch)
+	}
+	// Room for every completion twice over: a duplicate must land in the
+	// queue, not wedge the worker.
+	done := make(chan Completion, 2*ops)
+	tag := uint64(0)
+	for _, st := range steps {
+		switch st.kind {
+		case stepSubmit:
+			if len(st.batch) == 0 {
+				continue
 			}
-		}
-		if _, err := e.Apply(reqs); err == ErrCrashed {
-			break
-		} else if err != nil {
-			return ShardResult{Shard: shard, Err: err}
+			jobs := w.jobs.take(len(st.batch))
+			for _, op := range st.batch {
+				req := Request{Sess: sessions[op.Sess].per[w.sh.id], Op: op.Op, Key: op.Key, Value: op.Value}
+				jobs = append(jobs, shardJob{req: req, done: done, tag: tag})
+				tag++
+			}
+			w.submit(jobs)
+		case stepPump:
+			w.pump()
+		case stepGap:
+			w.gap()
+		case stepPoll:
+			w.poll()
+		case stepAck:
+			w.sh.eng.DL().AckDurable(st.target)
 		}
 	}
-	return closeShard(shard, e)
+	w.ackOldest(len(w.pending), ShardAck{Durable: w.sh.eng.Committed()})
+
+	completed := make([]int, ops)
+	var err error
+	for len(done) > 0 {
+		c := <-done
+		completed[c.Tag]++
+		if e := c.Ack.Err; e != nil && e != ErrCrashed && err == nil {
+			err = fmt.Errorf("pmkv: scripted request %d: %w", c.Tag, e)
+		}
+	}
+	for i, n := range completed {
+		if n != 1 {
+			return fmt.Errorf("pmkv: scripted request %d completed %d times", i, n)
+		}
+	}
+	return err
 }
