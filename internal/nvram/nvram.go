@@ -270,9 +270,6 @@ func (b *Bank) ControllerFor(line mem.Line) *Controller {
 	return b.ctrls[int(uint64(line)%uint64(len(b.ctrls)))]
 }
 
-// Controllers returns the underlying controllers.
-func (b *Bank) Controllers() []*Controller { return b.ctrls }
-
 // PersistedVersion returns the durable version of line (a point query on
 // the owning controller; NoVersion when never persisted).
 func (b *Bank) PersistedVersion(line mem.Line) mem.Version {

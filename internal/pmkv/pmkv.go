@@ -103,11 +103,21 @@ func (o Op) String() string {
 	}
 }
 
+// DefaultBuckets is the bucket count a zero Config.Buckets selects, and
+// pmkvd's -buckets default. Too few heads and the cores keep rewriting a
+// head still in one of their own unpersisted epochs (an intra-thread
+// conflict) or in another core's (an IDT edge, often an epoch split); too
+// many and the head lines start to crowd the L1s. 512 is the smallest
+// count within 1 % of the fewest cycles per op on the engine-crash script
+// over 64..4096 buckets (EXPERIMENTS.md, "Sizing the bucket table").
+const DefaultBuckets = 512
+
 // Config sizes the engine.
 type Config struct {
 	// Machine is the simulated multicore. Zero value selects SmallMachine.
 	Machine machine.Config
-	// Buckets is the hash-table bucket count (default 64).
+	// Buckets is the hash-table bucket count, one head line each (default
+	// DefaultBuckets).
 	Buckets int
 	// CrashAt, when nonzero, is the cycle at which the simulated machine
 	// loses power: execution never advances past it, and Close returns the
@@ -144,7 +154,7 @@ func (c *Config) fill() {
 	}
 	c.Machine.RecordHistory = true
 	if c.Buckets <= 0 {
-		c.Buckets = 64
+		c.Buckets = DefaultBuckets
 	}
 	if c.BatchGap == 0 {
 		c.BatchGap = 200

@@ -111,6 +111,13 @@ func TestStatsMatchEventOracle(t *testing.T) {
 	if clean.Crashed {
 		t.Fatal("clean run crashed")
 	}
+	// This script's sweeps exercise IDT only while its cores still meet on
+	// shared lines at the default table size: a roomier table must not
+	// leave inter-thread conflicts, dependence edges or splits at zero.
+	if st := clean.Stats; st.Conflicts.Inter == 0 || st.Epochs.Deps == 0 || st.Epochs.Splits == 0 {
+		t.Errorf("clean run at %d buckets: %d inter conflicts, %d IDT deps, %d splits; want all above 0",
+			DefaultBuckets, st.Conflicts.Inter, st.Epochs.Deps, st.Epochs.Splits)
+	}
 	crashed := 0
 	for _, at := range SweepInstants(clean.Stats.Cycle, 50) {
 		if run(at).Crashed {

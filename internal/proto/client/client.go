@@ -107,28 +107,97 @@ func (c *Client) Window() int { return c.win }
 
 // Get submits a GET for key under id.
 func (c *Client) Get(id uint64, key []byte) error {
+	if err := checkKey(key); err != nil {
+		return err
+	}
 	return c.submit(id, func(dst []byte) []byte { return proto.AppendGet(dst, id, key) })
 }
 
 // Put submits a PUT.
 func (c *Client) Put(id uint64, key, value []byte) error {
+	if err := checkKey(key); err != nil {
+		return err
+	}
+	if err := checkValue(value); err != nil {
+		return err
+	}
 	return c.submit(id, func(dst []byte) []byte { return proto.AppendPut(dst, id, key, value) })
 }
 
 // Del submits a DEL.
 func (c *Client) Del(id uint64, key []byte) error {
+	if err := checkKey(key); err != nil {
+		return err
+	}
 	return c.submit(id, func(dst []byte) []byte { return proto.AppendDel(dst, id, key) })
 }
 
 // MGet submits one MGET frame over keys: one window slot, one response
 // carrying len(keys) results.
 func (c *Client) MGet(id uint64, keys [][]byte) error {
+	if err := checkMulti(keys, nil); err != nil {
+		return err
+	}
 	return c.submit(id, func(dst []byte) []byte { return proto.AppendMGet(dst, id, keys) })
 }
 
 // MSet submits one MSET frame over parallel keys/vals.
 func (c *Client) MSet(id uint64, keys, vals [][]byte) error {
+	if len(vals) != len(keys) {
+		return fmt.Errorf("proto client: MSET of %d keys and %d values", len(keys), len(vals))
+	}
+	if err := checkMulti(keys, vals); err != nil {
+		return err
+	}
 	return c.submit(id, func(dst []byte) []byte { return proto.AppendMSet(dst, id, keys, vals) })
+}
+
+// The encoders write a key's length as a u16 and a multi frame's op count
+// as a u16, so past the wire limits a length wraps and the frame desyncs;
+// the server then drops the whole connection, every request in flight
+// with it. The checks below refuse such a request before it is encoded,
+// taking no window slot.
+
+func checkKey(key []byte) error {
+	if len(key) > proto.MaxKey {
+		return fmt.Errorf("proto client: %w: key of %d bytes (max %d)", proto.ErrLimits, len(key), proto.MaxKey)
+	}
+	return nil
+}
+
+func checkValue(value []byte) error {
+	if len(value) > proto.MaxValue {
+		return fmt.Errorf("proto client: %w: value of %d bytes (max %d)", proto.ErrLimits, len(value), proto.MaxValue)
+	}
+	return nil
+}
+
+// checkMulti bounds an MGET (vals nil) or MSET: 1 to MaxOpsPerFrame ops,
+// every key and value within its limit, the frame within MaxPayload.
+func checkMulti(keys, vals [][]byte) error {
+	switch n := len(keys); {
+	case n == 0:
+		return fmt.Errorf("proto client: %w", proto.ErrEmptyMulti)
+	case n > proto.MaxOpsPerFrame:
+		return fmt.Errorf("proto client: %w: %d ops per frame (max %d)", proto.ErrLimits, n, proto.MaxOpsPerFrame)
+	}
+	size := 8 + 1 + 2 // id, opcode, op count
+	for i, k := range keys {
+		if err := checkKey(k); err != nil {
+			return err
+		}
+		size += 2 + len(k)
+		if vals != nil {
+			if err := checkValue(vals[i]); err != nil {
+				return err
+			}
+			size += 4 + len(vals[i])
+		}
+	}
+	if size > proto.MaxPayload {
+		return fmt.Errorf("proto client: %w: %d bytes", proto.ErrFrameSize, size)
+	}
+	return nil
 }
 
 // submit acquires a window slot and encodes one frame. When the window

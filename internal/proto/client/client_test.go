@@ -2,6 +2,7 @@ package client
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -13,9 +14,11 @@ import (
 
 // stubServer reads request frames off conn and answers them in batches,
 // reversed — deliberately out of order — echoing each op's first key as
-// a found value. It exits on read error.
+// a found value. It exits, closing conn as pmkvd would, on a read or
+// parse error.
 func stubServer(t *testing.T, conn net.Conn, batch int) {
 	t.Helper()
+	defer conn.Close()
 	fr := proto.NewFrameReader(bufio.NewReader(conn))
 	var req proto.Request
 	var pending []proto.Response
@@ -250,4 +253,77 @@ func TestTransportFailureSynthesizesCompletions(t *testing.T) {
 	if err := c.Get(9, []byte("k")); err == nil {
 		t.Fatal("submit after failure did not error")
 	}
+}
+
+// TestWireLimitsRefused: a request the frame cannot carry — a key whose
+// length wraps the u16 field, an oversized value, an empty or too wide
+// fan-out — is refused before encoding, takes no window slot and leaves
+// the connection in sync: a key of exactly MaxKey bytes still round-trips.
+func TestWireLimitsRefused(t *testing.T) {
+	cc, sc := net.Pipe()
+	go stubServer(t, sc, 1)
+	var mu sync.Mutex
+	echoed := map[uint64]int{}
+	c, err := New(cc, Options{
+		Window: 1,
+		OnComplete: func(resp *proto.Response, _, _ int64) {
+			mu.Lock()
+			defer mu.Unlock()
+			if resp.Err != "" {
+				t.Errorf("id %d: %s", resp.ID, resp.Err)
+				return
+			}
+			echoed[resp.ID] = len(resp.Results[0].Value)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := make([]byte, proto.MaxKey+1)
+	k, v := []byte("k"), []byte("v")
+	wide := make([][]byte, proto.MaxOpsPerFrame+1)
+	for i := range wide {
+		wide[i] = k
+	}
+	big := make([]byte, proto.MaxValue)
+	heavy := make([][]byte, 17) // 17 values of MaxValue overflow MaxPayload
+	for i := range heavy {
+		heavy[i] = big
+	}
+	for _, bad := range []struct {
+		name string
+		want error
+		call func() error
+	}{
+		{"get long key", proto.ErrLimits, func() error { return c.Get(1, long) }},
+		{"put long key", proto.ErrLimits, func() error { return c.Put(1, long, v) }},
+		{"put long value", proto.ErrLimits, func() error { return c.Put(1, k, make([]byte, proto.MaxValue+1)) }},
+		{"del long key", proto.ErrLimits, func() error { return c.Del(1, long) }},
+		{"mget wide", proto.ErrLimits, func() error { return c.MGet(1, wide) }},
+		{"mget long key", proto.ErrLimits, func() error { return c.MGet(1, [][]byte{k, long}) }},
+		{"mget empty", proto.ErrEmptyMulti, func() error { return c.MGet(1, nil) }},
+		{"mset wide", proto.ErrLimits, func() error { return c.MSet(1, wide, wide) }},
+		{"mset past payload", proto.ErrFrameSize, func() error { return c.MSet(1, wide[:len(heavy)], heavy) }},
+	} {
+		if err := bad.call(); !errors.Is(err, bad.want) {
+			t.Errorf("%s: err %v, want %v", bad.name, err, bad.want)
+		}
+	}
+	if err := c.MSet(1, [][]byte{k, k}, [][]byte{v}); err == nil {
+		t.Error("MSET of 2 keys and 1 value accepted")
+	}
+	// The window holds one frame, so had any refusal taken the slot this
+	// would block; had any been sent, the stub's parse would have failed.
+	if err := c.Get(2, long[:proto.MaxKey]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(echoed) != 1 || echoed[2] != proto.MaxKey {
+		t.Fatalf("completions %v, want id 2 echoing a %d-byte key", echoed, proto.MaxKey)
+	}
+	cc.Close()
 }
