@@ -42,7 +42,6 @@ func main() {
 		shards   = flag.Int("shards", 1, "independent engine shards (1..256); keys route by stable hash")
 		cores    = flag.Int("cores", 4, "simulated cores per shard (1..32); sessions map onto cores round-robin")
 		buckets  = flag.Int("buckets", pmkv.DefaultBuckets, "hash-table buckets per shard")
-		gap      = flag.Uint64("gap", 200, "simulated cycles between request batches")
 		crashAt  = flag.Uint64("crash-at", 0, "simulated power loss at this cycle of each shard's clock (0 = never)")
 		mailbox  = flag.Int("mailbox", 256, "per-shard request queue depth")
 		maxbatch = flag.Int("maxbatch", 64, "max requests per group commit")
@@ -88,11 +87,10 @@ func main() {
 	cfg := pmkv.ShardedConfig{
 		Shards: *shards,
 		Engine: pmkv.Config{
-			Machine:  mcfg,
-			Buckets:  *buckets,
-			BatchGap: sim.Cycle(*gap),
-			CrashAt:  sim.Cycle(*crashAt),
-			Check:    *check,
+			Machine: mcfg,
+			Buckets: *buckets,
+			CrashAt: sim.Cycle(*crashAt),
+			Check:   *check,
 		},
 		Mailbox:  *mailbox,
 		MaxBatch: *maxbatch,

@@ -335,6 +335,11 @@ func (m *Machine) PersistedVersion(line mem.Line) mem.Version {
 	return m.mcs.PersistedVersion(line)
 }
 
+// PersistedLines counts the line versions made durable so far (the
+// running Counters.PersistedLines, without building Counters): a caller
+// waiting for durability need look again only when it has moved.
+func (m *Machine) PersistedLines() uint64 { return m.persistedLines }
+
 // TokenVersion reports the version a tagged store committed, live (the
 // streaming analogue of Result.TokenVersions). ok is false while the
 // store has not yet retired.

@@ -290,13 +290,15 @@ func TestReadFallbackReasons(t *testing.T) {
 	}
 	check("fast hit", ReadFallbacks{})
 
-	// A write in flight, as the counter DoAsync raises before the mailbox
-	// send: the session's own GET must go behind it.
-	writer.pending[0].Add(1)
+	// A write to the key in flight, as the counter DoAsync raises in the
+	// key's slot before the mailbox send: the session's own GET must go
+	// behind it.
+	slot := &writer.pending[0][pendSlot(shardHash("k"))]
+	slot.Add(1)
 	if ack := store.Do(writer, Get, "k", nil); ack.Fast || ack.Err != nil {
 		t.Fatalf("get behind the session's own write = %+v, want the mailbox", ack)
 	}
-	writer.pending[0].Add(-1)
+	slot.Add(-1)
 	check("own write pending", ReadFallbacks{Pending: 1})
 
 	for i := 0; !store.Crashed(); i++ {
@@ -324,66 +326,182 @@ func TestReadFallbackReasons(t *testing.T) {
 // their workers' index publishes) with the checker on; run under -race
 // this is the memory-model guard for the lock-free index. Each reader
 // session never writes, so its pending counters stay zero and every GET
-// takes the fast path.
+// takes the fast path. Each writer also re-reads a key of its own right
+// behind every unacked Put of it, and must read that Put.
 func TestReadFastRaceStress(t *testing.T) {
 	for _, crash := range []sim.Cycle{0, 60_000} {
-		store, err := NewSharded(ShardedConfig{
-			Shards: 4,
-			Engine: Config{Check: true, CrashAt: crash},
-		})
+		if stale := readFastRaceStress(t, crash, plantNone); stale > 0 {
+			t.Errorf("crash=%d: %d reads right behind the session's own unacked Put missed it", crash, stale)
+		}
+	}
+}
+
+// TestPlantedFastPathWrongSlot: a GET that checks another key's pending
+// slot takes the fast path past its session's own unacked Put, and
+// TestReadFastRaceStress's writers catch it reading the older value.
+func TestPlantedFastPathWrongSlot(t *testing.T) {
+	if stale := readFastRaceStress(t, 0, plantFastPathWrongSlot); stale == 0 {
+		t.Fatal("no writer read past its own unacked Put with the fast path checking the wrong slot")
+	}
+}
+
+// readFastRaceStress is TestReadFastRaceStress's run on engines carrying
+// bug. It fails t on a checker or recovery rejection, except under a
+// plant, and returns how many of the writers' own re-reads missed the Put
+// just before them.
+func readFastRaceStress(t *testing.T, crash sim.Cycle, bug plantedBug) (stale int) {
+	cfg := ShardedConfig{Shards: 4, Engine: Config{Check: true, CrashAt: crash}}
+	engines := make([]*Engine, cfg.Shards)
+	for i := range engines {
+		e, err := New(cfg.Engine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		const writers, readers, ops, keys = 4, 4, 150, 24
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			sess := store.NewSession()
-			wg.Add(1)
-			go func(w int, sess *ShardedSession) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(w)))
-				for n := 0; n < ops; n++ {
-					key := fmt.Sprintf("k%03d", rng.Intn(keys))
-					var ack ShardAck
-					if rng.Intn(5) == 0 {
-						ack = store.Do(sess, Delete, key, nil)
-					} else {
-						ack = store.Do(sess, Put, key, []byte(fmt.Sprintf("w%d-%d", w, n)))
-					}
-					if ack.Err != nil || ack.Crashed {
-						return // draining or crashed: stop writing
-					}
+		e.plant = bug
+		engines[i] = e
+	}
+	store, err := newStore(cfg, engines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.start()
+	const writers, readers, ops, keys = 4, 4, 150, 24
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	for w := 0; w < writers; w++ {
+		sess := store.NewSession()
+		wg.Add(1)
+		go func(w int, sess *ShardedSession) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			own, done := fmt.Sprintf("own%d", w), make(chan Completion, 1)
+			for n := 0; n < ops; n++ {
+				key := fmt.Sprintf("k%03d", rng.Intn(keys))
+				var ack ShardAck
+				if rng.Intn(5) == 0 {
+					ack = store.Do(sess, Delete, key, nil)
+				} else {
+					ack = store.Do(sess, Put, key, []byte(fmt.Sprintf("w%d-%d", w, n)))
 				}
-			}(w, sess)
-		}
-		for r := 0; r < readers; r++ {
-			sess := store.NewSession()
-			wg.Add(1)
-			go func(r int, sess *ShardedSession) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(1000 + r)))
-				for n := 0; n < ops*2; n++ {
-					key := fmt.Sprintf("k%03d", rng.Intn(keys))
-					ack := store.Do(sess, Get, key, nil)
-					if ack.Err != nil || ack.Crashed {
-						return
-					}
+				if ack.Err != nil || ack.Crashed {
+					return // draining or crashed: stop writing
 				}
-			}(r, sess)
-		}
-		wg.Wait()
-		results, err := store.Close()
-		if err != nil {
-			t.Fatalf("crash=%d: %v", crash, err)
-		}
-		for _, res := range results {
-			if res.DL == nil {
-				t.Fatalf("crash=%d shard %d: checker off", crash, res.Shard)
+				val := fmt.Sprintf("own%d-%d", w, n)
+				if _, err := store.DoAsync(sess, Put, own, []byte(val), nil, 0, done); err != nil {
+					return
+				}
+				read := store.Do(sess, Get, own, nil)
+				if put := (<-done).Ack; put.Err != nil || put.Crashed || read.Err != nil || read.Crashed {
+					return
+				}
+				if string(read.Resp.Value) != val {
+					mu.Lock()
+					stale++
+					mu.Unlock()
+				}
 			}
-			if res.DL.Err() != nil {
-				t.Fatalf("crash=%d shard %d: %v", crash, res.Shard, res.DL.Err())
+		}(w, sess)
+	}
+	for r := 0; r < readers; r++ {
+		sess := store.NewSession()
+		wg.Add(1)
+		go func(r int, sess *ShardedSession) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(1000 + r)))
+			for n := 0; n < ops*2; n++ {
+				key := fmt.Sprintf("k%03d", rng.Intn(keys))
+				ack := store.Do(sess, Get, key, nil)
+				if ack.Err != nil || ack.Crashed {
+					return
+				}
 			}
+		}(r, sess)
+	}
+	wg.Wait()
+	results, err := store.Close()
+	if bug != plantNone {
+		return stale
+	}
+	if err != nil {
+		t.Fatalf("crash=%d: %v", crash, err)
+	}
+	for _, res := range results {
+		if res.DL == nil {
+			t.Fatalf("crash=%d shard %d: checker off", crash, res.Shard)
 		}
+		if res.DL.Err() != nil {
+			t.Fatalf("crash=%d shard %d: %v", crash, res.Shard, res.DL.Err())
+		}
+	}
+	return stale
+}
+
+// TestFastPathPerKey: a GET waits only for its own session's unacked write
+// to its key. While the session's Put of A is unacked, its GET of B (same
+// shard, another pending slot) is fast; its GETs of A, and of a key
+// sharing A's slot, fall back behind the Put and see it. Once A's Put is
+// acked, a GET of A is fast again.
+func TestFastPathPerKey(t *testing.T) {
+	const shards = 2
+	a := "alpha"
+	mate := slotMate(a, shards)
+	b := ""
+	for i := 0; b == ""; i++ {
+		k := fmt.Sprintf("other%d", i)
+		if ShardOf(k, shards) == ShardOf(a, shards) && pendSlot(shardHash(k)) != pendSlot(shardHash(a)) {
+			b = k
+		}
+	}
+
+	// No proactive flush: A's epoch stays unpersisted, so its ack — and the
+	// ack of every GET committed behind it — waits for the closing drain.
+	lazy := SmallMachine()
+	lazy.PF = false
+	store, err := NewSharded(ShardedConfig{Shards: shards, Engine: Config{Machine: lazy}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := store.NewSession()
+	done := make(chan Completion, 3)
+	if _, err := store.DoAsync(sess, Put, a, []byte("new"), nil, 0, done); err != nil {
+		t.Fatal(err)
+	}
+	if ack := store.Do(sess, Get, b, nil); !ack.Fast || ack.Err != nil || ack.Resp.Found {
+		t.Fatalf("GET of %s behind the session's unacked Put of %s = %+v, want a fast not-found", b, a, ack)
+	}
+	for tag, key := range []string{a, mate} {
+		if _, err := store.DoAsync(sess, Get, key, nil, nil, uint64(1+tag), done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := store.Metrics()[ShardOf(a, shards)]
+	if m.FastHits != 1 || m.FallbackReasons.Pending != 2 {
+		t.Fatalf("shard of %s: %d fast hits, fallbacks %+v; want 1 and 2 pending", a, m.FastHits, m.FallbackReasons)
+	}
+	if _, err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64]string{0: "new", 1: "new", 2: "<absent>"}
+	for range want {
+		c := <-done
+		if got := answer(c.Ack.Resp.Value, c.Ack.Resp.Found); c.Ack.Err != nil || c.Ack.Fast || got != want[c.Tag] {
+			t.Errorf("request %d: %+v (%s), want %s through the mailbox", c.Tag, c.Ack, got, want[c.Tag])
+		}
+	}
+
+	store, err = NewSharded(ShardedConfig{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess = store.NewSession()
+	if ack := store.Do(sess, Put, a, []byte("acked")); ack.Err != nil || ack.Crashed {
+		t.Fatal(ack)
+	}
+	if ack := store.Do(sess, Get, a, nil); !ack.Fast || string(ack.Resp.Value) != "acked" {
+		t.Fatalf("GET of %s after its Put was acked = %+v, want the fast path", a, ack)
+	}
+	if _, err := store.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

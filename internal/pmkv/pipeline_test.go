@@ -120,7 +120,7 @@ func TestDurableWatermarkReportsCrash(t *testing.T) {
 	if d < 0 || d > total || total == 0 {
 		t.Fatalf("crashed watermark %d/%d implausible", d, total)
 	}
-	if err := e.gap(); err != ErrCrashed {
+	if err := e.gap(0); err != ErrCrashed {
 		t.Fatalf("gap err = %v, want ErrCrashed", err)
 	}
 }
@@ -306,7 +306,11 @@ func TestEveryJobCompletesOnce(t *testing.T) {
 						raised++
 					}
 				}
-				if got := sd.sess.pending[0].Load(); got != raised {
+				got := int32(0)
+				for slot := range sd.sess.pending[0] {
+					got += sd.sess.pending[0][slot].Load()
+				}
+				if got != raised {
 					t.Errorf("sender %d: pending counter ends at %d, its acks leave %d writes unsettled", i, got, raised)
 				}
 			}

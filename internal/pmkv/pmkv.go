@@ -123,9 +123,6 @@ type Config struct {
 	// loses power: execution never advances past it, and Close returns the
 	// NVRAM image as of that instant.
 	CrashAt sim.Cycle
-	// BatchGap is simulated time between request batches (background
-	// persist machinery keeps running during the gap). Default 200.
-	BatchGap sim.Cycle
 	// Check enables the online durable-linearizability tracker
 	// (internal/dlcheck): every read observation, publish, and
 	// durability-gated ack is recorded, and CheckDL decides the verdict
@@ -156,10 +153,11 @@ func (c *Config) fill() {
 	if c.Buckets <= 0 {
 		c.Buckets = DefaultBuckets
 	}
-	if c.BatchGap == 0 {
-		c.BatchGap = 200
-	}
 }
+
+// gapCycles bounds one Gap step: the simulated think time between request
+// batches in which only the background persist machinery runs.
+const gapCycles = sim.Cycle(200)
 
 // Session is one client's ordered stream of operations. Sessions map onto
 // cores round-robin; a session's requests execute in program order on its
@@ -297,6 +295,14 @@ type Engine struct {
 	foldErr error
 	// keep is TrimHistory's per-core argument, reused across releases.
 	keep []mem.Version
+	// The Gap's stop test (gapWaiting), its state kept here so a Gap
+	// allocates nothing: the Gap waits for records below gapTarget to be
+	// durable, those below gapSeen already are, gapLines is the
+	// persisted-line count it last looked at, and gapWait the method value
+	// RunWhile calls, bound once.
+	gapTarget, gapSeen int
+	gapLines           uint64
+	gapWait            func() bool
 	// plant, set only by tests, makes fold misbehave in one named way so
 	// the checkers can be shown to catch it.
 	plant plantedBug
@@ -340,6 +346,7 @@ func New(cfg Config) (*Engine, error) {
 		keep:      make([]mem.Version, cfg.Machine.Cores),
 		nextEntry: entryBase,
 	}
+	e.gapWait = e.gapWaiting
 	if cfg.Check {
 		e.dl = dlcheck.New()
 	}
@@ -685,29 +692,44 @@ func (e *Engine) pumpRetireLocked() error {
 	return nil
 }
 
-// gap lets the background persist machinery run for one BatchGap of
-// simulated think time — the shard worker's Gap step. ErrCrashed reports
-// that the crash instant was reached, during this gap or before it.
-func (e *Engine) gap() error {
+// gap lets the background persist machinery run — the shard worker's Gap
+// step — until the durable watermark could cover target records, for at
+// most gapCycles of simulated think time (see stepGapLocked). ErrCrashed
+// reports that the crash instant was reached, during this gap or before it.
+func (e *Engine) gap(target int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return fmt.Errorf("pmkv: engine closed")
 	}
-	return e.stepGapLocked()
+	return e.stepGapLocked(target)
 }
 
-// stepGapLocked runs one BatchGap, never past the crash instant.
-func (e *Engine) stepGapLocked() error {
+// stepGapLocked runs one Gap: gapCycles of simulated time, never past the
+// crash instant, and ending early at the line persist after which every
+// record below target is durable — the instant the watermark can cover
+// the batch waiting on it, so its ack waits for no further time. A target
+// the watermark already covers (nothing pending) gets the full gap.
+func (e *Engine) stepGapLocked(target int) error {
 	if e.crashed {
 		return ErrCrashed
 	}
 	limit := e.crashLimit()
-	gap := e.cfg.BatchGap
-	if limit != sim.MaxCycle && e.m.Now()+gap > limit {
-		gap = limit - e.m.Now()
+	end := e.m.Now() + gapCycles
+	if limit != sim.MaxCycle && end > limit {
+		end = limit
 	}
-	e.m.Step(gap)
+	stopped := false
+	if target > e.durableCursor {
+		e.gapTarget, e.gapSeen, e.gapLines = min(target, e.recordCount()), e.durableCursor, math.MaxUint64
+		e.m.Engine().RunWhile(end, e.gapWait)
+		// Stopped on the crash cycle, the rest of that cycle still runs:
+		// the crash image holds every event at the crash instant.
+		stopped = e.gapSeen == e.gapTarget && e.m.Now() < limit
+	}
+	if !stopped {
+		e.m.Step(end - e.m.Now())
+	}
 	if limit != sim.MaxCycle && e.m.Now() >= limit {
 		e.crashed = true
 		return ErrCrashed
@@ -715,16 +737,42 @@ func (e *Engine) stepGapLocked() error {
 	return nil
 }
 
-// advanceWatermarkLocked moves the durable-prefix cursor: a record is
-// durable once its publish store retired with version v and NVRAM holds
+// gapWaiting is the Gap's stop test, which RunWhile asks before each
+// event: are records below gapTarget still not all durable? Durability
+// only moves when a line persists, so the records are looked at only when
+// the persisted-line count has moved, from the first one not yet seen
+// durable (a durable record stays durable).
+func (e *Engine) gapWaiting() bool {
+	if n := e.m.PersistedLines(); n != e.gapLines {
+		e.gapLines = n
+		for e.gapSeen < e.gapTarget {
+			if _, ok := e.durable(e.tail[e.gapSeen-e.durableCursor]); !ok {
+				break
+			}
+			e.gapSeen++
+		}
+	}
+	return e.gapSeen < e.gapTarget
+}
+
+// durable reports whether r's publish is in NVRAM, and the version its
+// head store committed at: it retired with version v and NVRAM holds
 // version >= v of its bucket head (the line-rewrite conflict rules make
-// ">=" exactly "v persisted"). The cursor stops at the first non-durable
-// record, so everything below it is a durable prefix of the engine's
-// mutation order. Durability is also the moment audit state is checked
-// and dropped: each record the cursor passes is verified and folded into
-// the checkpoint, then the passed records are released together. After
-// Close the image is final and the cursor stays put, so Verify,
-// RecoveredState and DLImage all read one frozen checkpoint and tail.
+// ">=" exactly "v persisted").
+func (e *Engine) durable(r *OpRecord) (mem.Version, bool) {
+	v, ok := e.m.TokenVersion(r.PubToken)
+	return v, ok && v != mem.NoVersion && e.m.PersistedVersion(r.Head) >= v
+}
+
+// advanceWatermarkLocked moves the durable-prefix cursor past every record
+// whose publish is durable (see durable). The cursor stops at the first
+// non-durable record, so everything below it is a durable prefix of the
+// engine's mutation order. Durability is also the moment audit state is
+// checked and dropped: each record the cursor passes is verified and
+// folded into the checkpoint, then the passed records are released
+// together. After Close the image is final and the cursor stays put, so
+// Verify, RecoveredState and DLImage all read one frozen checkpoint and
+// tail.
 func (e *Engine) advanceWatermarkLocked() int {
 	if e.closed {
 		return e.durableCursor
@@ -732,10 +780,10 @@ func (e *Engine) advanceWatermarkLocked() int {
 	n := 0
 	for ; n < len(e.tail); n++ {
 		r := e.tail[n]
-		v, ok := e.m.TokenVersion(r.PubToken)
-		durable := ok && v != mem.NoVersion && e.m.PersistedVersion(r.Head) >= v
-		if e.plant == plantCursorOffByOne && ok && n == 0 {
-			durable = true // the oldest retired publish counts as durable
+		v, durable := e.durable(r)
+		if e.plant == plantCursorOffByOne && n == 0 {
+			_, retired := e.m.TokenVersion(r.PubToken)
+			durable = durable || retired // the oldest retired publish counts as durable
 		}
 		if !durable {
 			break
@@ -766,6 +814,10 @@ const (
 	// plantDropCrashedAcks has the shard worker's crash flush drop the
 	// newest batch in flight without completing its jobs.
 	plantDropCrashedAcks
+	// plantFastPathWrongSlot has a GET check a pending counter other than
+	// its key's, so it can take the fast path past its session's own
+	// unacked write to the key.
+	plantFastPathWrongSlot
 )
 
 // plantedEarlyFree is plantRecycleEarly's free, called where translate
@@ -987,7 +1039,7 @@ func (e *Engine) Quiesced() bool {
 	return e.m.Engine().Pending() == 0
 }
 
-// WaitDurable advances simulated time in BatchGap steps until the durable
+// WaitDurable advances simulated time in Gap steps until the durable
 // watermark covers target records (or the crash instant hits, or the
 // machinery runs dry — closed epochs always drain through scheduled
 // events, so an empty event queue means only Close's final drain can make
@@ -1011,7 +1063,7 @@ func (e *Engine) WaitDurable(target int) (int, error) {
 		case e.m.Engine().Pending() == 0:
 			return d, nil
 		}
-		if err := e.stepGapLocked(); err != nil {
+		if err := e.stepGapLocked(target); err != nil {
 			return e.advanceWatermarkLocked(), err
 		}
 	}

@@ -34,14 +34,15 @@ func runScript(engines []*Engine, script Script) ([]ShardResult, error) {
 }
 
 // apply runs one round on e in a script's steps — Submit, Pump, one Gap,
-// Poll — and returns the batch's volatile responses.
+// Poll — and returns the batch's volatile responses. apply keeps no
+// batches pending, so its Gap is the full one.
 func apply(e *Engine, batch []Request) ([]Response, error) {
 	resps, err := e.SubmitAppend(nil, batch)
 	if err != nil {
 		return nil, err
 	}
 	if err = e.PumpRetire(); err == nil {
-		err = e.gap()
+		err = e.gap(0)
 	}
 	e.DurableWatermark()
 	return resps, err

@@ -225,7 +225,7 @@ func TestSameKeyRaceFoldedMidWindow(t *testing.T) {
 				if d, _, _ := e.DurableWatermark(); d >= row.folded {
 					break
 				}
-				if err := e.gap(); err != nil {
+				if err := e.gap(0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -339,12 +339,12 @@ func TestShardedSameKeyRaceOneAnswer(t *testing.T) {
 			if fast.Err != nil || !fast.Fast {
 				t.Fatalf("round %d: read of %q with nothing in flight: %+v", round, key, fast)
 			}
-			// The reader's own write to another key holds its Gets off the
-			// fast path until it is acked; should the ack win the race to
-			// the Get, go again.
+			// The reader's own write to a key sharing key's pending slot
+			// holds its Gets of key off the fast path until it is acked;
+			// should the ack win the race to the Get, go again.
 			slow := ShardAck{Fast: true}
 			for slow.Fast {
-				if _, err := store.DoAsync(reader, Put, "own", []byte{byte(round)}, nil, 0, done); err != nil {
+				if _, err := store.DoAsync(reader, Put, slotMate(key, 1), []byte{byte(round)}, nil, 0, done); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := store.DoAsync(reader, Get, key, nil, nil, 1, done); err != nil {
@@ -372,6 +372,17 @@ func TestShardedSameKeyRaceOneAnswer(t *testing.T) {
 		val, found := recovered[key]
 		if got := answer(val, found); got != last[key] {
 			t.Errorf("%q was last served as %.16q and recovers as %.16q", key, last[key], got)
+		}
+	}
+}
+
+// slotMate is a key other than key that a store of the given shard count
+// routes to key's shard and counts in key's pending slot.
+func slotMate(key string, shards int) string {
+	for i := 0; ; i++ {
+		mate := fmt.Sprintf("mate%d", i)
+		if mate != key && ShardOf(mate, shards) == ShardOf(key, shards) && pendSlot(shardHash(mate)) == pendSlot(shardHash(key)) {
+			return mate
 		}
 	}
 }

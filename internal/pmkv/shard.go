@@ -75,12 +75,12 @@ type ShardedConfig struct {
 	MaxBatch int
 	// DisableReadFast turns off the lock-free GET fast path. By default
 	// Do/DoAsync answer a GET directly from the shard engine's checkpoint
-	// — no mailbox hop, no translate, no machine time — when the session
-	// has no in-flight writes on that shard (so the PR 7 snapshot
-	// semantics hold: own same-batch writes visible via the fallback,
-	// foreign same-batch writes never, because the checkpoint only ever
-	// holds the durable prefix). The engine keeps its checkpoint either
-	// way; this only decides whether GETs consult it.
+	// — no mailbox hop, no translate, no machine time — unless the session
+	// has an unacked write to the key in flight (then the GET goes behind
+	// it, so the session reads its own write; a foreign unacked write is
+	// never visible, because the checkpoint only ever holds the durable
+	// prefix). The engine keeps its checkpoint either way; this only
+	// decides whether GETs consult it.
 	DisableReadFast bool
 	// OnCrash, when non-nil, is called once per shard, from that shard's
 	// worker goroutine, after the shard hits its crash instant and its
@@ -109,13 +109,27 @@ func (c *ShardedConfig) fill() {
 type ShardedSession struct {
 	ID  int
 	per []*Session // per-shard engine sessions, indexed by shard
-	// pending[shard] counts this session's mutations routed to the shard
-	// whose durable acks have not yet been delivered. The GET fast path
-	// requires it to be zero: with writes in flight the read falls back
-	// to the mailbox so it observes the session's own unacked writes
-	// (read-your-writes within the commit window).
-	pending []atomic.Int32
+	// pending[shard][slot] counts this session's mutations routed to the
+	// shard, of keys whose hash picks slot (pendSlot), whose durable acks
+	// have not yet been delivered. A GET takes the fast path only when its
+	// key's slot is zero; otherwise it falls back to the mailbox, behind
+	// the session's own unacked write (read-your-writes within the commit
+	// window). Keys sharing a slot cost each other only that fallback.
+	pending [][pendSlots]atomic.Int32
 }
+
+// pendSlots is the number of per-key pending counters a session keeps per
+// shard: 256 keep a GET's chance of sharing a slot with one of its
+// session's unacked writes at a few percent with a full 64-deep pipeline,
+// at 1 KiB per session per shard.
+const (
+	pendSlotBits = 8
+	pendSlots    = 1 << pendSlotBits
+)
+
+// pendSlot picks a key's pending counter from its router hash. The shard
+// is the hash modulo the shard count, so the slot takes the top bits.
+func pendSlot(h uint64) int { return int(h >> (64 - pendSlotBits)) }
 
 // ShardAck answers one request routed through the sharded store. For
 // mutations the ack is durability-gated: when Err is nil and Crashed is
@@ -159,17 +173,18 @@ type shardJob struct {
 	// retirement, and the durable watermark. A nil span costs one branch
 	// per stamp site.
 	span *telemetry.Span
-	// pend, set for mutations, is the session's per-shard in-flight
-	// write counter; deliver decrements it on a successful durable ack.
+	// pend, set for mutations, is the session's in-flight write counter
+	// for the key's slot on this shard; deliver decrements it on a
+	// successful durable ack.
 	pend *atomic.Int32
 }
 
 // deliver sends the job's completion (shardWorker.finish is the only
 // caller). See shardJob.done for why this must never block in practice.
 // A mutation's pending count drops only on a clean durable ack — crashed
-// or errored writes leave it raised, so the session's GETs stay on the
-// slow path (conservative: the fast path must never skip a write whose
-// durability is unsettled).
+// or errored writes leave it raised, so the session's GETs of that key
+// stay on the slow path (conservative: the fast path must never skip a
+// write whose durability is unsettled).
 func (j *shardJob) deliver(a ShardAck) {
 	if j.pend != nil && a.Err == nil && !a.Crashed {
 		j.pend.Add(-1)
@@ -190,6 +205,9 @@ type shard struct {
 	batchOps  atomic.Uint64
 	batchHist hist.Atomic   // group-commit size distribution
 	fastHits  atomic.Uint64 // GETs served on the fast path
+	// cycles counts the simulated cycles the worker's steps advanced the
+	// machine by, per step.
+	cycles    struct{ Pump, Gap atomic.Uint64 }
 	crashedFl atomic.Bool
 	// falls counts the GETs that left the fast path for the mailbox, by
 	// the first reason DoAsync found.
@@ -223,6 +241,12 @@ func NewSharded(cfg ShardedConfig) (*ShardedStore, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.start()
+	return s, nil
+}
+
+// start runs one live worker per shard.
+func (s *ShardedStore) start() {
 	for _, sh := range s.shards {
 		s.wg.Add(1)
 		go func(sh *shard) {
@@ -230,7 +254,6 @@ func NewSharded(cfg ShardedConfig) (*ShardedStore, error) {
 			s.runShard(sh)
 		}(sh)
 	}
-	return s, nil
 }
 
 // newStore builds the store's shards around engines, one per shard, and
@@ -265,7 +288,7 @@ func (s *ShardedStore) NewSession() *ShardedSession {
 	sess := &ShardedSession{
 		ID:      s.sessions,
 		per:     make([]*Session, len(s.shards)),
-		pending: make([]atomic.Int32, len(s.shards)),
+		pending: make([][pendSlots]atomic.Int32, len(s.shards)),
 	}
 	s.sessions++
 	for i, sh := range s.shards {
@@ -311,24 +334,31 @@ func (s *ShardedStore) DoAsync(sess *ShardedSession, op Op, key string, value []
 	if sess == nil {
 		return -1, errNoSession
 	}
-	id := ShardOf(key, len(s.shards))
+	h := shardHash(key)
+	id := int(h % uint64(len(s.shards))) // ShardOf, hashing once
 	span.Stamp(telemetry.StageShardRoute)
 	sh := s.shards[id]
+	pend := &sess.pending[id][pendSlot(h)]
 	if op == Get && s.readFast {
+		check := pend
+		if sh.eng.plant == plantFastPathWrongSlot {
+			check = &sess.pending[id][(pendSlot(h)+1)%pendSlots]
+		}
 		switch {
-		case sess.pending[id].Load() != 0:
+		case check.Load() != 0:
 			sh.falls.Pending.Add(1)
 		case s.draining.Load():
 			sh.falls.Draining.Add(1)
 		case sh.crashedFl.Load():
 			sh.falls.Crashed.Add(1)
 		default:
-			// The engine's checkpoint holds exactly the durable prefix:
-			// pending==0 means every one of this session's writes here is
-			// acked, and the watermark folds a batch's records before the
-			// worker releases its acks, so the session's own writes are
-			// present and any missing foreign write is unacked (free to
-			// linearize after this read). Absence is therefore an
+			// The engine's checkpoint holds exactly the durable prefix, and
+			// the watermark folds a batch's records before the worker
+			// releases its acks, so it holds every acked write. The one
+			// write this read can owe visibility to and not find there is
+			// its own session's unacked write to key, and a zero slot says
+			// there is none; any other missing write is unacked and free to
+			// linearize after this read. Absence is therefore an
 			// authoritative not-found.
 			val, found, rec := sh.eng.ReadCommitted(key)
 			sh.eng.ObserveFastRead(sess.per[id].ID, key, rec)
@@ -350,8 +380,8 @@ func (s *ShardedStore) DoAsync(sess *ShardedSession, op Op, key string, value []
 		span: span,
 	}
 	if op != Get {
-		sess.pending[id].Add(1)
-		j.pend = &sess.pending[id]
+		pend.Add(1)
+		j.pend = pend
 	}
 	sh.subMu.RLock()
 	if !sh.open {
@@ -489,17 +519,32 @@ func (w *shardWorker) submit(batch []shardJob) bool {
 // newest publish owes and runs the machine until every op has retired, so
 // every publish in flight sits in a closed epoch.
 func (w *shardWorker) pump() {
-	if !w.failed(w.sh.eng.PumpRetire()) && len(w.pending) > 0 {
-		cycle := int64(w.sh.eng.Now())
+	eng := w.sh.eng
+	t0 := eng.Now()
+	err := eng.PumpRetire()
+	cycle := eng.Now()
+	w.sh.cycles.Pump.Add(uint64(cycle - t0))
+	if !w.failed(err) && len(w.pending) > 0 {
 		for _, j := range w.pending[len(w.pending)-1].jobs {
-			j.span.StampAt(telemetry.StageSubmit, cycle)
+			j.span.StampAt(telemetry.StageSubmit, int64(cycle))
 		}
 	}
 }
 
-// gap is the Gap step: one BatchGap of simulated time, in which the
-// background persist machinery works on what pending waits for.
-func (w *shardWorker) gap() { w.failed(w.sh.eng.gap()) }
+// gap is the Gap step: simulated time in which the background persist
+// machinery works on what pending waits for, up to the instant the oldest
+// batch's records are durable (at most gapCycles; see Engine.gap).
+func (w *shardWorker) gap() {
+	target := 0 // nothing pending: the full gap
+	if len(w.pending) > 0 {
+		target = w.pending[0].target
+	}
+	eng := w.sh.eng
+	t0 := eng.Now()
+	err := eng.gap(target)
+	w.sh.cycles.Gap.Add(uint64(eng.Now() - t0))
+	w.failed(err)
+}
 
 // poll is the Poll step: DurableWatermark folds, releases and trims what
 // the watermark passed, and the batches it now covers are acked — after
@@ -657,6 +702,10 @@ type ShardMetrics struct {
 	FastHits        uint64        `json:"read_fast_hits"`
 	FastFallbacks   uint64        `json:"read_fallbacks"`
 	FallbackReasons ReadFallbacks `json:"read_fallback_reasons"`
+	// SimCycles splits the shard's simulated time by the worker step that
+	// advanced its machine; until the closing drain they sum to
+	// Counters.Cycle.
+	SimCycles StepCycles `json:"sim_cycles"`
 	// Retention is what the shard's engine holds and has released; its
 	// Folded count is also the watermark the fast path's checkpoint covers.
 	Retention
@@ -667,9 +716,17 @@ type ShardMetrics struct {
 	Counters machine.Counters `json:"counters"`
 }
 
-// ReadFallbacks says why GETs left the fast path: the session had unacked
-// writes on the shard (the read must see them), the store was draining, or
-// the shard had lost power.
+// StepCycles counts simulated cycles by worker step: Pump (a commit
+// window running until every op retired) and Gap (think time in which only
+// the background persist machinery runs).
+type StepCycles struct {
+	Pump uint64 `json:"pump"`
+	Gap  uint64 `json:"gap"`
+}
+
+// ReadFallbacks says why GETs left the fast path: the session had an
+// unacked write to the key in flight (the read must see it), the store was
+// draining, or the shard had lost power.
 type ReadFallbacks struct {
 	Pending  uint64 `json:"pending"`
 	Draining uint64 `json:"draining"`
@@ -695,6 +752,7 @@ func (s *ShardedStore) Metrics() []ShardMetrics {
 			FastHits:        sh.fastHits.Load(),
 			FastFallbacks:   falls.Pending + falls.Draining + falls.Crashed,
 			FallbackReasons: falls,
+			SimCycles:       StepCycles{sh.cycles.Pump.Load(), sh.cycles.Gap.Load()},
 			Retention:       st.Retention,
 			BatchSizes:      sh.batchHist.Snapshot(),
 			Counters:        st.Counters,

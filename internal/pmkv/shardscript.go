@@ -21,7 +21,7 @@ type stepKind uint8
 const (
 	stepSubmit stepKind = iota // SubmitAppend: translate and feed a batch
 	stepPump                   // PumpRetire: close the window, run until it retired
-	stepGap                    // one BatchGap of simulated time
+	stepGap                    // background persists, until the oldest batch is durable
 	stepPoll                   // DurableWatermark, then ack what it covers
 	stepAck                    // clients were told records [0, target) are durable
 )

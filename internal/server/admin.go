@@ -8,7 +8,8 @@
 //	               machine.Families — epochs by cause, conflicts, IDT
 //	               edges, splits, stall cycles, flushes, NoC and NVRAM
 //	               traffic), the
-//	               commit-pipeline gauges, how much audit state each
+//	               commit-pipeline gauges, the simulated cycles each
+//	               worker step took, how much audit state each
 //	               engine holds and has released, and the process's
 //	               resident and heap memory.
 //	/statz         The wire "stats" reply: the store-wide counters, every
@@ -166,8 +167,6 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 			func(m pmkv.ShardMetrics) float64 { return m.AvgBatch }},
 		{"pmkv_read_fast_hits_total", "GETs served from the committed-state index, bypassing the mailbox.",
 			func(m pmkv.ShardMetrics) float64 { return float64(m.FastHits) }},
-		{"pmkv_read_fallback_total", "GETs that fell back to the mailbox, by reason (the session's own pending writes, drain, or crash).",
-			nil}, // one sample per reason, below
 		{"pmkv_records_retained", "Mutation records still held: submitted, not yet durable.",
 			func(m pmkv.ShardMetrics) float64 { return float64(m.Retained) }},
 		{"pmkv_records_folded_total", "Mutation records verified, folded into the checkpoint (which fast GETs read) and released.",
@@ -189,7 +188,6 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 		"pmkv_shard_batches_total":        true,
 		"pmkv_shard_publishes_total":      true,
 		"pmkv_read_fast_hits_total":       true,
-		"pmkv_read_fallback_total":        true,
 		"pmkv_records_folded_total":       true,
 		"pmkv_epochs_trimmed_total":       true,
 		"pmkv_entry_lines_bumped_total":   true,
@@ -202,16 +200,29 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 		}
 		dst = telemetry.AppendMetricHeader(dst, g.name, typ, g.help)
 		for _, m := range metrics {
-			if g.value != nil {
-				dst = telemetry.AppendSample(dst, g.name, shardLabel(m.Shard), g.value(m))
-				continue
-			}
-			f := m.FallbackReasons
-			for _, r := range []struct {
-				reason string
-				n      uint64
-			}{{"pending", f.Pending}, {"draining", f.Draining}, {"crashed", f.Crashed}} {
-				dst = telemetry.AppendUintSample(dst, g.name, fmt.Sprintf("%s,reason=%q", shardLabel(m.Shard), r.reason), r.n)
+			dst = telemetry.AppendSample(dst, g.name, shardLabel(m.Shard), g.value(m))
+		}
+	}
+
+	// Counters split by a label, one sample per shard and label value.
+	for _, c := range []struct {
+		name, help, label string
+		samples           func(pmkv.ShardMetrics) []machine.Sample
+	}{
+		{"pmkv_read_fallback_total", "GETs that fell back to the mailbox, by reason (the session's own unacked write to the key, drain, or crash).", "reason",
+			func(m pmkv.ShardMetrics) []machine.Sample {
+				f := m.FallbackReasons
+				return []machine.Sample{{Label: "pending", Value: f.Pending}, {Label: "draining", Value: f.Draining}, {Label: "crashed", Value: f.Crashed}}
+			}},
+		{"pmkv_shard_sim_cycles_total", "Simulated cycles the shard worker advanced its machine by, by step (pump: a commit window running until it retired; gap: background persists, up to the instant the oldest batch is durable).", "step",
+			func(m pmkv.ShardMetrics) []machine.Sample {
+				return []machine.Sample{{Label: "pump", Value: m.SimCycles.Pump}, {Label: "gap", Value: m.SimCycles.Gap}}
+			}},
+	} {
+		dst = telemetry.AppendMetricHeader(dst, c.name, "counter", c.help)
+		for _, m := range metrics {
+			for _, sm := range c.samples(m) {
+				dst = telemetry.AppendUintSample(dst, c.name, fmt.Sprintf("%s,%s=%q", shardLabel(m.Shard), c.label, sm.Label), sm.Value)
 			}
 		}
 	}

@@ -154,12 +154,24 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 	if sums["pmkv_stall_cycles_total"] == 0 || sums["pmkv_epochs_conflicting_total"] > persisted {
 		t.Errorf("stall cycles %v, conflicting epochs %v of %v", sums["pmkv_stall_cycles_total"], sums["pmkv_epochs_conflicting_total"], persisted)
 	}
+	// Nothing is in flight: every cycle on a shard's clock was taken by a
+	// Pump or a Gap step, and the writes needed both.
+	if got, clock := sums["pmkv_shard_sim_cycles_total"], sums["pmkv_shard_cycle"]; got != clock || clock == 0 ||
+		!bytes.Contains(exposition, []byte(`pmkv_shard_sim_cycles_total{shard="0",step="gap"}`)) {
+		t.Errorf("pmkv_shard_sim_cycles_total sums to %v over steps, the shard clocks to %v", got, clock)
+	}
 
 	var statz struct {
 		Stats struct {
 			Epochs struct{ Persisted float64 }
 		} `json:"stats"`
 		Shards []struct {
+			Cycles struct {
+				Pump, Gap uint64
+			} `json:"sim_cycles"`
+			Counters struct {
+				Cycle uint64 `json:"cycle"`
+			} `json:"counters"`
 			Folded    int     `json:"records_folded"`
 			Retained  int     `json:"records_retained"`
 			Keys      int     `json:"checkpoint_keys"`
@@ -178,7 +190,10 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 	}
 	folded, keys := 0, 0
 	var fallbacks, reasons float64
-	for _, sh := range statz.Shards {
+	for i, sh := range statz.Shards {
+		if sh.Cycles.Pump == 0 || sh.Cycles.Gap == 0 || sh.Cycles.Pump+sh.Cycles.Gap != sh.Counters.Cycle {
+			t.Errorf("/statz shard %d: sim_cycles %+v, clock %d", i, sh.Cycles, sh.Counters.Cycle)
+		}
 		folded += sh.Folded
 		keys += sh.Keys
 		fallbacks += sh.Fallbacks
@@ -245,7 +260,7 @@ func TestStatsReplyFieldsStable(t *testing.T) {
 		}
 	}
 	for _, field := range []string{"shard", "queue_depth", "mailbox_cap", "batches", "avg_batch",
-		"durable_publishes", "total_publishes", "read_fast_hits", "read_fallbacks", "read_fallback_reasons", "records_retained",
+		"durable_publishes", "total_publishes", "read_fast_hits", "read_fallbacks", "read_fallback_reasons", "sim_cycles", "records_retained",
 		"records_folded", "checkpoint_keys", "epochs_trimmed", "entry_lines_bumped", "entry_lines_recycled",
 		"entry_lines_free", "lines_tracked", "batch_sizes", "counters"} {
 		if _, ok := reply.Shards[0][field]; !ok {
