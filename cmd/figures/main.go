@@ -40,8 +40,6 @@ func main() {
 	quick := flag.Bool("quick", false, "use the scaled-down quick option set")
 	threads := flag.Int("threads", 0, "override thread/core count (1..32)")
 	seed := flag.Uint64("seed", 0, "override workload seed")
-	microOps := flag.Int("microops", 0, "override micro-benchmark transactions per thread")
-	appOps := flag.Int("appops", 0, "override app-model memory ops per thread")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of ASCII tables")
 	parallel := flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulations per sweep (worker-pool size)")
 	verifyDet := flag.Bool("verify-determinism", false, "run every sweep job twice (parallel + serial) and fail on divergence")
@@ -71,10 +69,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "figures: -j must be >= 1, got %d\n", *parallel)
 		profiling.Exit(2)
 	}
-	if *microOps < 0 || *appOps < 0 {
-		fmt.Fprintf(os.Stderr, "figures: -microops and -appops must be >= 0\n")
-		profiling.Exit(2)
-	}
 
 	opt := harness.Defaults()
 	if *quick {
@@ -85,12 +79,6 @@ func main() {
 	}
 	if *seed != 0 {
 		opt.Seed = *seed
-	}
-	if *microOps > 0 {
-		opt.MicroOps = *microOps
-	}
-	if *appOps > 0 {
-		opt.AppOps = *appOps
 	}
 	opt.Parallelism = *parallel
 	opt.VerifyDeterminism = *verifyDet

@@ -40,7 +40,6 @@ import (
 	"runtime"
 	"strings"
 
-	"persistbarriers/internal/cache"
 	"persistbarriers/internal/harness"
 	"persistbarriers/internal/machine"
 	"persistbarriers/internal/obs"
@@ -60,7 +59,6 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "workload seed")
 		bulk    = flag.Int("bulk", 0, "bulk-mode BSP: hardware epoch size in stores (0 = programmer barriers)")
 		logging = flag.Bool("logging", false, "enable hardware undo logging (bulk mode)")
-		clflush = flag.Bool("clflush", false, "use invalidating (clflush-style) persists")
 		verbose = flag.Bool("v", false, "print per-cause stall and conflict breakdown")
 
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-viewable) to this file")
@@ -142,9 +140,6 @@ func main() {
 		}
 		cfg.BulkEpochStores = *bulk
 		cfg.Logging = *logging
-	}
-	if *clflush {
-		cfg.FlushMode = cache.Invalidating
 	}
 	gen, isMicro := workload.Microbenchmarks()[*wl]
 	prof, isApp := workload.Apps()[*wl]

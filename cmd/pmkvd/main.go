@@ -3,8 +3,8 @@
 // documents the wire protocols, the drain and the report. With -shards N
 // the keyspace is partitioned by a stable hash across N independent
 // simulated machines, each owned by one worker goroutine running a
-// group commit (what is queued, up to -maxbatch, is one commit window); a
-// client's ack is released only when the shard's durable-prefix watermark
+// group commit (what is queued, up to 64 requests, is one commit window);
+// a client's ack is released only when the shard's durable-prefix watermark
 // covers its write.
 //
 // On SIGINT/SIGTERM the server drains, verifies every shard and prints
@@ -38,14 +38,12 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", "127.0.0.1:7070", "listen address")
-		shards   = flag.Int("shards", 1, "independent engine shards (1..256); keys route by stable hash")
-		cores    = flag.Int("cores", 4, "simulated cores per shard (1..32); sessions map onto cores round-robin")
-		buckets  = flag.Int("buckets", pmkv.DefaultBuckets, "hash-table buckets per shard")
-		crashAt  = flag.Uint64("crash-at", 0, "simulated power loss at this cycle of each shard's clock (0 = never)")
-		mailbox  = flag.Int("mailbox", 256, "per-shard request queue depth")
-		maxbatch = flag.Int("maxbatch", 64, "max requests per group commit")
-		check    = flag.Bool("check", false, "run the online durable-linearizability checker; verdict printed at drain and after every selfcheck instant")
+		addr    = flag.String("addr", "127.0.0.1:7070", "listen address")
+		shards  = flag.Int("shards", 1, "independent engine shards (1..256); keys route by stable hash")
+		cores   = flag.Int("cores", 4, "simulated cores per shard (1..32); sessions map onto cores round-robin")
+		buckets = flag.Int("buckets", pmkv.DefaultBuckets, "hash-table buckets per shard")
+		crashAt = flag.Uint64("crash-at", 0, "simulated power loss at this cycle of each shard's clock (0 = never)")
+		check   = flag.Bool("check", false, "run the online durable-linearizability checker; verdict printed at drain and after every selfcheck instant")
 
 		window      = flag.Int("window", 128, "binary protocol: max in-flight requests per connection (1..4096)")
 		maxconns    = flag.Int("maxconns", 0, "max concurrent client connections (0 = unlimited)")
@@ -75,9 +73,7 @@ func main() {
 	}
 	within("shards", *shards, 1, pmkv.MaxShards)
 	within("cores", *cores, 1, 32)
-	atLeast("buckets", *buckets, 1)
-	atLeast("mailbox", *mailbox, 1)
-	atLeast("maxbatch", *maxbatch, 1)
+	within("buckets", *buckets, 1, pmkv.MaxBuckets)
 	atLeast("selfcheck", *selfcheck, 0)
 	within("window", *window, 1, 4096)
 	atLeast("maxconns", *maxconns, 0)
@@ -92,8 +88,6 @@ func main() {
 			CrashAt: sim.Cycle(*crashAt),
 			Check:   *check,
 		},
-		Mailbox:  *mailbox,
-		MaxBatch: *maxbatch,
 	}
 
 	if *selfcheck > 0 {

@@ -561,7 +561,7 @@ func runBinaryConn(addr string, id int, deadline time.Time, interval time.Durati
 // field added, renamed or removed.)
 //
 // v5: server_shards[] loses its batch-limit field with the server's
-// adaptive limit; a batch is bounded by pmkvd's -maxbatch alone.
+// adaptive limit; a batch is bounded by its fixed 64-request cap alone.
 const summarySchemaVersion = 5
 
 // KindSummary is one op kind's slice of the latency numbers (read =

@@ -509,9 +509,6 @@ func (c *Cache) AppendLinesOf(dst []mem.Line, id epoch.ID) []mem.Line {
 	return append(dst, c.byEpoch[id]...)
 }
 
-// EpochLineCount reports how many resident lines carry the given tag.
-func (c *Cache) EpochLineCount(id epoch.ID) int { return len(c.byEpoch[id]) }
-
 // addToEpoch inserts line into id's sorted line set. Epoch sets are small
 // (bounded by what one epoch writes while resident), so the binary search
 // plus copy stays cheap and the flush path never sorts.

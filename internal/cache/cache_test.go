@@ -170,10 +170,10 @@ func TestWriteMovesLineBetweenEpochs(t *testing.T) {
 	c := small(t)
 	c.Insert(4, true, e(1, 1), 1)
 	c.Write(4, e(1, 3), 2)
-	if n := c.EpochLineCount(e(1, 1)); n != 0 {
+	if n := len(c.byEpoch[e(1, 1)]); n != 0 {
 		t.Fatalf("old epoch still has %d lines", n)
 	}
-	if n := c.EpochLineCount(e(1, 3)); n != 1 {
+	if n := len(c.byEpoch[e(1, 3)]); n != 1 {
 		t.Fatalf("new epoch has %d lines, want 1", n)
 	}
 }
@@ -202,7 +202,7 @@ func TestCleanLineKeepsDataDropsTag(t *testing.T) {
 	if ent.Version != 9 {
 		t.Fatalf("clean lost the version: %+v", ent)
 	}
-	if c.EpochLineCount(e(1, 1)) != 0 {
+	if len(c.byEpoch[e(1, 1)]) != 0 {
 		t.Fatal("epoch bookkeeping kept a cleaned line")
 	}
 	c.CleanLine(99) // absent line: no-op
@@ -240,7 +240,7 @@ func TestEvictionDropsEpochBookkeeping(t *testing.T) {
 	c := MustNew(Config{Name: "tiny", Sets: 1, Ways: 1})
 	c.Insert(0, true, e(1, 1), 1)
 	c.Insert(1, false, epoch.None, 0) // evicts line 0
-	if c.EpochLineCount(e(1, 1)) != 0 {
+	if len(c.byEpoch[e(1, 1)]) != 0 {
 		t.Fatal("evicted line still in epoch bookkeeping")
 	}
 	if c.Stats().DirtyEvicts != 1 {
@@ -290,7 +290,7 @@ func TestEpochBookkeepingConsistency(t *testing.T) {
 			}
 		}
 		for _, tag := range tags[:3] {
-			if counts[tag] != c.EpochLineCount(tag) {
+			if counts[tag] != len(c.byEpoch[tag]) {
 				return false
 			}
 		}

@@ -85,9 +85,6 @@ func New() *Tracker {
 	return &Tracker{byRec: make(map[int32]writeRef)}
 }
 
-// Enabled reports whether the tracker is live.
-func (t *Tracker) Enabled() bool { return t != nil }
-
 // ensure grows the session table through id and returns its state.
 func (t *Tracker) ensure(id int) *sessState {
 	for len(t.sess) <= id {
@@ -195,28 +192,6 @@ func (t *Tracker) AckDurable(n int) {
 		t.acked = n
 	}
 	t.mu.Unlock()
-}
-
-// Snapshots reports how many full vector-clock snapshots the adaptive
-// representation has materialized (tests pin that same-session runs cost
-// none).
-func (t *Tracker) Snapshots() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.snaps)
-}
-
-// Ops reports the number of observed operations.
-func (t *Tracker) Ops() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ops
 }
 
 const never = int32(math.MaxInt32)

@@ -18,14 +18,8 @@ func TestDisabledZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("disabled observation path allocates %v per op, want 0", allocs)
 	}
-	if tr.Enabled() {
-		t.Fatal("nil tracker reports Enabled")
-	}
 	if tr.Check(&Image{}) != nil {
 		t.Fatal("nil tracker Check returned a verdict")
-	}
-	if tr.Snapshots() != 0 || tr.Ops() != 0 {
-		t.Fatal("nil tracker reports nonzero counters")
 	}
 }
 
@@ -40,7 +34,7 @@ func TestAdaptiveSnapshots(t *testing.T) {
 		tr.ObserveWrite(0, i, "k000")
 		tr.ObserveRead(0, "k000", i)
 	}
-	if got := tr.Snapshots(); got != 0 {
+	if got := len(tr.snaps); got != 0 {
 		t.Fatalf("single-session run took %d snapshots, want 0", got)
 	}
 
@@ -48,7 +42,7 @@ func TestAdaptiveSnapshots(t *testing.T) {
 	// and exactly one snapshot is taken at its next write.
 	tr.ObserveRead(1, "k000", 99)
 	tr.ObserveWrite(1, 100, "k777")
-	if got := tr.Snapshots(); got != 1 {
+	if got := len(tr.snaps); got != 1 {
 		t.Fatalf("after one cross-session join: %d snapshots, want 1", got)
 	}
 
@@ -58,14 +52,14 @@ func TestAdaptiveSnapshots(t *testing.T) {
 	for i := 101; i < 110; i++ {
 		tr.ObserveWrite(1, i, "k777")
 	}
-	if got := tr.Snapshots(); got != 1 {
+	if got := len(tr.snaps); got != 1 {
 		t.Fatalf("no new joins but %d snapshots, want 1", got)
 	}
 
 	// A join in the other direction costs exactly one more.
 	tr.ObserveRead(0, "k777", 109)
 	tr.ObserveWrite(0, 110, "k000")
-	if got := tr.Snapshots(); got != 2 {
+	if got := len(tr.snaps); got != 2 {
 		t.Fatalf("after reverse join: %d snapshots, want 2", got)
 	}
 }

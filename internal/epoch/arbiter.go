@@ -73,9 +73,6 @@ func (a *Arbiter) flushCompleted() {
 	a.Kick()
 }
 
-// Table returns the arbiter's epoch table.
-func (a *Arbiter) Table() *Table { return a.table }
-
 // DemandThrough requests that every epoch up to and including num be
 // flushed (a conflict, eviction, or pressure demand). The first demand on
 // an epoch fixes its recorded cause. The caller should then wait with

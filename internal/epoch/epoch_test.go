@@ -13,13 +13,8 @@ func TestIDBasics(t *testing.T) {
 		t.Error("None reported valid")
 	}
 	a := ID{Core: 1, Num: 3}
-	b := ID{Core: 1, Num: 5}
-	c := ID{Core: 2, Num: 4}
-	if !a.Valid() || !a.Before(b) || b.Before(a) {
-		t.Error("program-order comparison wrong")
-	}
-	if a.Before(c) || c.Before(a) {
-		t.Error("cross-core IDs must not be program-ordered")
+	if !a.Valid() {
+		t.Error("E1.3 reported invalid")
 	}
 	if a.String() != "E1.3" {
 		t.Errorf("String = %q", a.String())

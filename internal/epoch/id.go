@@ -32,12 +32,6 @@ func (id ID) String() string {
 	return fmt.Sprintf("E%d.%d", id.Core, id.Num)
 }
 
-// Before reports whether id precedes other in the same core's program
-// order. IDs from different cores are never program-ordered.
-func (id ID) Before(other ID) bool {
-	return id.Valid() && other.Valid() && id.Core == other.Core && id.Num < other.Num
-}
-
 // State is an unpersisted epoch's lifecycle position (Table.IsPersisted).
 type State uint8
 

@@ -113,9 +113,6 @@ func (r *memReq) atBank() {
 	r.ls, r.locked = ls, true
 	r.busy.Reset()
 	ls.busy = &r.busy
-	if m.cfg.DebugLine != 0 {
-		ls.busyInfo = fmt.Sprintf("core=%d kind=%v at=%d", r.c.id, r.kind, m.eng.Now())
-	}
 	r.atBankLocked()
 }
 
@@ -123,17 +120,8 @@ func (r *memReq) atBank() {
 // the requests queued behind it re-arrive, and done fires.
 func (r *memReq) unlock() {
 	r.ls.busy = nil
-	r.ls.busyInfo = ""
 	r.busy.Fire()
 	r.m.releaseReq(r)()
-}
-
-// busyPhase updates the line's transient-state holder description; a no-op
-// in normal runs.
-func (r *memReq) busyPhase(p string) {
-	if r.m.cfg.DebugLine != 0 && r.ls.busy != nil {
-		r.ls.busyInfo = fmt.Sprintf("core=%d kind=%v phase=%s at=%d", r.c.id, r.kind, p, r.m.eng.Now())
-	}
 }
 
 // atBankLocked processes a request that holds the line's transient state:
@@ -143,17 +131,14 @@ func (r *memReq) busyPhase(p string) {
 func (r *memReq) atBankLocked() {
 	d := &r.ls.dir
 	if d.owner >= 0 && d.owner != r.c.id {
-		r.busyPhase("recall")
 		r.recallOwner()
 		return
 	}
 	if !r.b.arr.Contains(r.line) {
-		r.busyPhase("fill")
 		r.llcFill()
 		return
 	}
 	ent, _ := r.b.arr.Lookup(r.line)
-	r.busyPhase("conflict")
 	r.m.resolveConflict(r, ent.Tag)
 }
 
@@ -174,7 +159,6 @@ func (r *memReq) resolved(dep epoch.ID) {
 		r.atBankLocked()
 		return
 	}
-	r.busyPhase("grant")
 	r.grant()
 }
 
@@ -196,9 +180,6 @@ func (r *memReq) recallArrived() {
 		return
 	}
 	ent, has := o.l1.Peek(r.line)
-	if m.cfg.DebugLine != 0 {
-		m.dbg(r.line, "recallOwner from=%d kind=%v has=%v dirty=%v tag=%v ver=%d", o.id, r.kind, has, ent.Dirty, ent.Tag, ent.Version)
-	}
 	r.ver = ent.Version
 	if has && ent.Dirty {
 		m.llcApplyWriteback(r.b, r.line, ent.Tag, ent.Version, r.recallFinishFn)
@@ -243,9 +224,6 @@ func (r *memReq) recallFinish() {
 func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver mem.Version, cont func()) {
 	if !b.arr.Contains(line) {
 		// Inclusion was broken by a concurrent eviction: re-establish.
-		if m.cfg.DebugLine != 0 {
-			m.dbg(line, "llcApplyWriteback reinsert tag=%v ver=%d", tag, ver)
-		}
 		m.llcInsert(nil, b, line, ver, func() {
 			m.llcApplyWriteback(b, line, tag, ver, cont)
 		})
@@ -253,9 +231,6 @@ func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver
 	}
 	ent, _ := b.arr.Peek(line)
 	if ent.Version > ver {
-		if m.cfg.DebugLine != 0 {
-			m.dbg(line, "llcApplyWriteback stale-skip tag=%v ver=%d entVer=%d entTag=%v entDirty=%v", tag, ver, ent.Version, ent.Tag, ent.Dirty)
-		}
 		cont() // a newer version already landed; drop the stale data
 		return
 	}
@@ -266,9 +241,6 @@ func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver
 		// epoch is still unpersisted; otherwise the copy is legitimately
 		// clean.
 		if !ent.Dirty && m.lookupRec(tag) != nil {
-			if m.cfg.DebugLine != 0 {
-				m.dbg(line, "llcApplyWriteback restore-tag tag=%v ver=%d", tag, ver)
-			}
 			b.arr.Write(line, tag, ver)
 		}
 		cont()
@@ -286,9 +258,6 @@ func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver
 			})
 			return
 		}
-	}
-	if m.cfg.DebugLine != 0 {
-		m.dbg(line, "llcApplyWriteback apply tag=%v ver=%d", tag, ver)
 	}
 	b.arr.Write(line, tag, ver)
 	cont()
@@ -353,9 +322,6 @@ func (m *Machine) llcInsert(c *coreCtx, b *bankCtx, line mem.Line, ver mem.Versi
 		vd.owner = -1
 	}
 	finishInsert := func() {
-		if m.cfg.DebugLine != 0 {
-			m.dbg(v.Line, "llcInsert evict victim dirty=%v tag=%v ver=%d", v.Dirty, v.Tag, v.Version)
-		}
 		m.backInvalidate(v.Line, vd)
 		if vd.owner >= 0 {
 			// A dirty private copy survived an ownership race; the
@@ -673,9 +639,6 @@ func (m *Machine) commitStore(c *coreCtx, line mem.Line) mem.Version {
 	cur := c.table.Current()
 	first := cur.AddPending(line)
 	prev := c.l1.Write(line, cur.ID, ver)
-	if m.cfg.DebugLine != 0 {
-		m.dbg(line, "commitStore core=%d epoch=%v ver=%d prev={dirty=%v tag=%v ver=%d}", c.id, cur.ID, ver, prev.Dirty, prev.Tag, prev.Version)
-	}
 	if prev.Dirty && prev.Tag.Valid() && prev.Tag != cur.ID && m.lookupRec(prev.Tag) != nil {
 		panic(fmt.Sprintf("machine: store on core %d overwrote unpersisted %v version of %v",
 			c.id, prev.Tag, line))

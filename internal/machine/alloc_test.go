@@ -114,7 +114,7 @@ func TestLLCMissZeroAlloc(t *testing.T) {
 	}{{"loads", (*trace.Builder).Load}, {"stores", (*trace.Builder).Store}} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := allocMachine(t, NP)
-			cfg := m.Config()
+			cfg := m.cfg
 			// Lines of one bank and one LLC set (hence also one L1 set).
 			stride := mem.Addr(cfg.LLCBanks*cfg.LLCSets) * mem.LineSize
 			n := 2 * cfg.LLCWays

@@ -124,13 +124,6 @@ type Config struct {
 	// and per-line persist events. Only for small traces.
 	RecordOpTimes bool
 
-	// DebugLine, when non-zero, turns on event tracing for that line,
-	// retrievable via Machine.DebugTrace, and a description of every
-	// line's transient-state holder (lineState.busyInfo) for liveness
-	// diagnostics. Diagnostic only: the strings are formatted on every
-	// access.
-	DebugLine uint64
-
 	// Probe receives the observability event stream (epoch lifecycle,
 	// conflicts, flush handshakes, NVRAM/NoC samples) from every layer
 	// of the machine. Nil (the default) disables instrumentation; the

@@ -7,15 +7,13 @@ import (
 // TestLivenessDiagnostics is a bounded liveness regression with rich
 // diagnostics: the tiny-cache random workload must finish well within the
 // cycle budget; on failure it dumps per-core progress, epoch windows,
-// pending-line locations, transient-state holders, and a per-line event
-// trace — the tooling that located every protocol bug during bring-up.
+// pending-line locations and the lines held in a transient state.
 func TestLivenessDiagnostics(t *testing.T) {
 	p := randomProgram(21, 4, 200, true)
 	cfg := testConfig(LB)
 	cfg.L1Sets, cfg.L1Ways = 4, 2
 	cfg.LLCSets, cfg.LLCWays = 8, 2
 	cfg.IDT = true
-	cfg.DebugLine = 0x505
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -80,11 +78,8 @@ func TestLivenessDiagnostics(t *testing.T) {
 	}
 	m.lines.forEach(func(ls *lineState) {
 		if ls.busy != nil {
-			t.Logf("busy line %v fired=%v holder=%s", ls.line, ls.busy.Fired(), ls.busyInfo)
+			t.Logf("busy line %v", ls.line)
 		}
 	})
-	for _, l := range m.DebugTrace() {
-		t.Log(l)
-	}
 	t.Fail()
 }

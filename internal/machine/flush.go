@@ -70,9 +70,6 @@ func (m *Machine) flushEpoch(c *coreCtx, rec *epoch.Record, done func()) {
 		if bo := &f.banks[b.id]; arrive > bo.ready {
 			bo.ready = arrive
 		}
-		if m.cfg.DebugLine != 0 {
-			m.dbg(line, "flushEpoch l1-writeback epoch=%v ver=%d", id, ent.Version)
-		}
 		if llcEnt, ok := b.arr.Peek(line); !ok {
 			// The LLC no longer holds the line (evicted or clflushed):
 			// flush it straight from the L1 to NVRAM instead of forcing
@@ -206,14 +203,8 @@ func (lo *lineOp) drainLine() {
 	m, rec, b, line := lo.bo.f.m, lo.bo.f.rec, lo.bo.b, lo.line
 	ent, ok := b.arr.Peek(line)
 	if !ok || ent.Tag != rec.ID {
-		if m.cfg.DebugLine != 0 {
-			m.dbg(line, "bankFlush skip epoch=%v ok=%v tag=%v", rec.ID, ok, ent.Tag)
-		}
 		lo.lineDone() // drained or evicted concurrently
 		return
-	}
-	if m.cfg.DebugLine != 0 {
-		m.dbg(line, "bankFlush drain epoch=%v ver=%d", rec.ID, ent.Version)
 	}
 	if m.cfg.FlushMode == cache.Invalidating {
 		// clflush semantics: the flush evicts the line from the

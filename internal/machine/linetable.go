@@ -5,9 +5,8 @@ import (
 	"persistbarriers/internal/sim"
 )
 
-// lineState consolidates the per-line machine state that used to live in
-// five separate maps (dir, mshr, busy, latest, busyInfo): one probe on the
-// access path now finds coherence, transient-state, and version bookkeeping
+// lineState consolidates the per-line machine state: one probe on the
+// access path finds coherence, transient-state, and version bookkeeping
 // together.
 type lineState struct {
 	line   mem.Line
@@ -16,9 +15,6 @@ type lineState struct {
 	// busy is the transient-state holder's signal (it lives in that
 	// request's memReq), nil when the line is free.
 	busy *sim.Signal
-	// busyInfo describes the busy holder; maintained only when
-	// Config.DebugLine is set.
-	busyInfo string
 }
 
 const (

@@ -198,8 +198,6 @@ type Machine struct {
 
 	persistLog []PersistEvent
 
-	debugLog []string
-
 	// Global-arbiter ablation state: one flush in flight machine-wide.
 	globalFlushBusy    bool
 	globalFlushWaiters []func()
@@ -348,10 +346,6 @@ func (m *Machine) TokenVersion(token uint64) (mem.Version, bool) {
 	return v, ok
 }
 
-// TaggedStores reports how many retired tagged stores the machine still
-// remembers the committed version of.
-func (m *Machine) TaggedStores() int { return len(m.tokenVersions) }
-
 // LinesTracked reports how many distinct lines the machine keeps per-line
 // state for: every line ever touched, since the line table is insert-only.
 func (m *Machine) LinesTracked() int { return m.lines.count }
@@ -404,9 +398,6 @@ func (m *Machine) TrimHistory(keep []mem.Version) (trimmed int, err error) {
 	}
 	return trimmed, err
 }
-
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
 
 func (m *Machine) bank(line mem.Line) *bankCtx {
 	return m.banks[int(uint64(line)%uint64(len(m.banks)))]
@@ -623,9 +614,6 @@ func (m *Machine) epochDrain(c *coreCtx, done func()) {
 
 // lineDurable records that a line version of epoch id (or untagged) is durable.
 func (m *Machine) lineDurable(id epoch.ID, line mem.Line, ver mem.Version) {
-	if m.cfg.DebugLine != 0 {
-		m.dbg(line, "lineDurable rec=%v ver=%d", id, ver)
-	}
 	m.persistedLines++
 	if m.cfg.Probe.Active() {
 		m.cfg.Probe.PersistAck(m.eng.Now(), line, id.Core, id.Num)
@@ -667,21 +655,6 @@ func (m *Machine) lineDurable(id epoch.ID, line mem.Line, ver mem.Version) {
 	}
 	m.cores[rec.ID.Core].arb.Kick()
 }
-
-// dbg appends a trace entry when line tracing is enabled for this line.
-// Every call site sits behind `if m.cfg.DebugLine != 0`: the early return
-// below runs only after Go has boxed the arguments into a []any, which with
-// tracing off was 14.7 heap objects per KV op.
-func (m *Machine) dbg(line mem.Line, format string, args ...any) {
-	if m.cfg.DebugLine == 0 || mem.Line(m.cfg.DebugLine) != line {
-		return
-	}
-	m.debugLog = append(m.debugLog,
-		fmt.Sprintf("[%d] %v: %s", m.eng.Now(), line, fmt.Sprintf(format, args...)))
-}
-
-// DebugTrace returns the accumulated line trace (diagnostics).
-func (m *Machine) DebugTrace() []string { return m.debugLog }
 
 // stall is one wait for an epoch to persist, charged to a stall cause of
 // core c. Every frame that can wait embeds one: a frame is a sequential

@@ -153,7 +153,7 @@ func TestStoreThenLoadSameCore(t *testing.T) {
 	if !r.Finished {
 		t.Fatal("did not finish")
 	}
-	if r.Conflicts.Total() != 0 {
+	if r.Conflicts != (ConflictCounts{}) {
 		t.Fatalf("unexpected conflicts: %+v", r.Conflicts)
 	}
 }

@@ -28,12 +28,6 @@ type ConflictCounts struct {
 	IDTFallbacks uint64
 }
 
-// Total sums all conflict events. IDTFallbacks is deliberately excluded:
-// a fallback is a resolution path of an inter-thread conflict that was
-// already counted in Inter (the dependence registers were full, so the
-// request stalled online instead), not an additional conflict event.
-func (c ConflictCounts) Total() uint64 { return c.Intra + c.Inter + c.Eviction }
-
 // IDTResolved counts inter-thread conflicts that IDT resolved offline
 // through a dependence register: every inter conflict under IDT either
 // lands in a register or falls back online (IDTFallbacks), so the

@@ -201,8 +201,8 @@ func streamTagged(t *testing.T, n int) *Machine {
 // the result; later ones stay.
 func TestForgetTokensThrough(t *testing.T) {
 	m := streamTagged(t, 6)
-	if m.TaggedStores() != 6 {
-		t.Fatalf("tagged stores = %d, want 6", m.TaggedStores())
+	if len(m.tokenVersions) != 6 {
+		t.Fatalf("tagged stores = %d, want 6", len(m.tokenVersions))
 	}
 	m.ForgetTokensThrough(4)
 	if _, ok := m.TokenVersion(4); ok {

@@ -106,19 +106,6 @@ func (m *Mesh) Latency(a, b Tile, payloadBytes int) sim.Cycle {
 	return m.cfg.RouterCycles + sim.Cycle(hops)*m.cfg.PerHopCycles + sim.Cycle(fl-1)
 }
 
-// BroadcastLatency returns the time for a message from src to reach every
-// tile in dsts (the slowest leaf), modelling the arbiter's FlushEpoch and
-// PersistCMP broadcasts. Traffic is accounted per destination.
-func (m *Mesh) BroadcastLatency(src Tile, dsts []Tile, payloadBytes int) sim.Cycle {
-	var worst sim.Cycle
-	for _, d := range dsts {
-		if l := m.Latency(src, d, payloadBytes); l > worst {
-			worst = l
-		}
-	}
-	return worst
-}
-
 // Stats is a snapshot of accumulated traffic.
 type Stats struct {
 	Messages uint64

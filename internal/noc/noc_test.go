@@ -3,8 +3,6 @@ package noc
 import (
 	"testing"
 	"testing/quick"
-
-	"persistbarriers/internal/sim"
 )
 
 func mustMesh(t *testing.T) *Mesh {
@@ -116,29 +114,6 @@ func TestSelfMessageStillPaysRouter(t *testing.T) {
 	m := mustMesh(t)
 	if got := m.Latency(Tile{1, 1}, Tile{1, 1}, 0); got != 1 {
 		t.Errorf("self latency = %d, want router overhead 1", got)
-	}
-}
-
-func TestBroadcastLatencyIsWorstLeaf(t *testing.T) {
-	m := mustMesh(t)
-	src := Tile{0, 0}
-	dsts := []Tile{{0, 1}, {3, 7}, {1, 1}}
-	want := sim.Cycle(0)
-	probe, _ := New(DefaultConfig())
-	for _, d := range dsts {
-		if l := probe.Latency(src, d, 0); l > want {
-			want = l
-		}
-	}
-	if got := m.BroadcastLatency(src, dsts, 0); got != want {
-		t.Errorf("broadcast latency = %d, want %d", got, want)
-	}
-}
-
-func TestBroadcastLatencyEmpty(t *testing.T) {
-	m := mustMesh(t)
-	if got := m.BroadcastLatency(Tile{0, 0}, nil, 0); got != 0 {
-		t.Errorf("empty broadcast latency = %d, want 0", got)
 	}
 }
 

@@ -211,29 +211,12 @@ func (c *Controller) WriteLog(entry LogEntry, done func()) {
 // Stats returns a snapshot of the controller's counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// Image returns the durable data image (line -> persisted version) as of
-// the current simulation instant. The returned map is a copy.
-func (c *Controller) Image() map[mem.Line]mem.Version {
-	out := make(map[mem.Line]mem.Version, len(c.image))
-	for l, v := range c.image {
-		out[l] = v
-	}
-	return out
-}
-
 // PersistedVersion returns the version of line currently durable at this
-// controller (NoVersion if the line has never persisted). Unlike Image it
+// controller (NoVersion if the line has never persisted). Unlike Bank.Image it
 // is a point query with no allocation, cheap enough for live durability
 // watermarks polled between request batches.
 func (c *Controller) PersistedVersion(line mem.Line) mem.Version {
 	return c.image[line]
-}
-
-// Log returns the durable undo-log entries in append order (a copy).
-func (c *Controller) Log() []LogEntry {
-	out := make([]LogEntry, len(c.log))
-	copy(out, c.log)
-	return out
 }
 
 // Bank groups several controllers and routes lines to them by address

@@ -50,11 +50,11 @@ func TestWriteDurableExactlyAtAck(t *testing.T) {
 	c.Write(7, 42, nil)
 	// One cycle before the ack the image must be empty.
 	eng.RunUntil(DefaultConfig().WriteLatency - 1)
-	if v := c.Image()[7]; v != mem.NoVersion {
+	if v := c.PersistedVersion(7); v != mem.NoVersion {
 		t.Fatalf("write visible before ack: version %d", v)
 	}
 	eng.Run()
-	if v := c.Image()[7]; v != 42 {
+	if v := c.PersistedVersion(7); v != 42 {
 		t.Fatalf("after ack, image[7] = %d, want 42", v)
 	}
 }
@@ -95,7 +95,7 @@ func TestLaterWriteWins(t *testing.T) {
 	c.Write(3, 1, nil)
 	c.Write(3, 2, nil)
 	eng.Run()
-	if v := c.Image()[3]; v != 2 {
+	if v := c.PersistedVersion(3); v != 2 {
 		t.Fatalf("image[3] = %d, want 2 (later write wins)", v)
 	}
 }
@@ -107,11 +107,11 @@ func TestWriteLogAppendsDurably(t *testing.T) {
 	e2 := LogEntry{Line: 6, Old: 11, EpochCore: 1, EpochNum: 2}
 	c.WriteLog(e1, nil)
 	c.WriteLog(e2, nil)
-	if len(c.Log()) != 0 {
+	if len(c.log) != 0 {
 		t.Fatal("log visible before writes complete")
 	}
 	eng.Run()
-	log := c.Log()
+	log := c.log
 	if len(log) != 2 || log[0] != e1 || log[1] != e2 {
 		t.Fatalf("log = %+v, want [%+v %+v]", log, e1, e2)
 	}
@@ -122,13 +122,16 @@ func TestWriteLogAppendsDurably(t *testing.T) {
 
 func TestImageIsACopy(t *testing.T) {
 	eng := sim.NewEngine()
-	c := newCtrl(t, eng)
-	c.Write(1, 5, nil)
+	b, err := NewBank(1, eng, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.ControllerFor(1).Write(1, 5, nil)
 	eng.Run()
-	img := c.Image()
+	img := b.Image()
 	img[1] = 99
-	if c.Image()[1] != 5 {
-		t.Fatal("mutating the returned image affected the controller")
+	if b.Image()[1] != 5 {
+		t.Fatal("mutating the returned image affected the bank")
 	}
 }
 

@@ -221,23 +221,23 @@ func TestReadFastPathServesDurableWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := store.NewSession()
-	if ack := store.Do(sess, Get, "nope", nil); !ack.Fast || ack.Resp.Found || ack.Err != nil {
+	if ack := store.do(sess, Get, "nope", nil); !ack.Fast || ack.Resp.Found || ack.Err != nil {
 		t.Fatalf("fresh-store get = %+v, want fast not-found", ack)
 	}
-	if ack := store.Do(sess, Put, "k", []byte("v")); ack.Err != nil || ack.Fast {
+	if ack := store.do(sess, Put, "k", []byte("v")); ack.Err != nil || ack.Fast {
 		t.Fatalf("put ack = %+v (writes never take the fast path)", ack)
 	}
-	ack := store.Do(sess, Get, "k", nil)
+	ack := store.do(sess, Get, "k", nil)
 	if ack.Err != nil || !ack.Fast || !ack.Resp.Found || string(ack.Resp.Value) != "v" {
 		t.Fatalf("get after acked put = %+v, want fast hit with v", ack)
 	}
 	if ack.Durable < 1 {
 		t.Fatalf("fast ack watermark = %d, want >= 1", ack.Durable)
 	}
-	if ack := store.Do(sess, Delete, "k", nil); ack.Err != nil {
+	if ack := store.do(sess, Delete, "k", nil); ack.Err != nil {
 		t.Fatalf("del: %+v", ack)
 	}
-	if ack := store.Do(sess, Get, "k", nil); !ack.Fast || ack.Resp.Found {
+	if ack := store.do(sess, Get, "k", nil); !ack.Fast || ack.Resp.Found {
 		t.Fatalf("get after acked del = %+v, want fast tombstone", ack)
 	}
 	m := store.Metrics()
@@ -257,8 +257,8 @@ func TestReadFastPathServesDurableWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	osess := off.NewSession()
-	off.Do(osess, Put, "k", []byte("v"))
-	if ack := off.Do(osess, Get, "k", nil); ack.Fast {
+	off.do(osess, Put, "k", []byte("v"))
+	if ack := off.do(osess, Get, "k", nil); ack.Fast {
 		t.Fatalf("fast ack with DisableReadFast: %+v", ack)
 	}
 	if m := off.Metrics(); m[0].FastHits+m[1].FastHits != 0 {
@@ -285,7 +285,7 @@ func TestReadFallbackReasons(t *testing.T) {
 		}
 	}
 	writer, reader := store.NewSession(), store.NewSession()
-	if ack := store.Do(reader, Get, "k", nil); !ack.Fast {
+	if ack := store.do(reader, Get, "k", nil); !ack.Fast {
 		t.Fatalf("fresh-store get = %+v, want the fast path", ack)
 	}
 	check("fast hit", ReadFallbacks{})
@@ -295,7 +295,7 @@ func TestReadFallbackReasons(t *testing.T) {
 	// behind it.
 	slot := &writer.pending[0][pendSlot(shardHash("k"))]
 	slot.Add(1)
-	if ack := store.Do(writer, Get, "k", nil); ack.Fast || ack.Err != nil {
+	if ack := store.do(writer, Get, "k", nil); ack.Fast || ack.Err != nil {
 		t.Fatalf("get behind the session's own write = %+v, want the mailbox", ack)
 	}
 	slot.Add(-1)
@@ -305,15 +305,15 @@ func TestReadFallbackReasons(t *testing.T) {
 		if i > 10_000 {
 			t.Fatal("crash instant never reached")
 		}
-		store.Do(writer, Put, fmt.Sprintf("k%d", i%8), []byte("v"))
+		store.do(writer, Put, fmt.Sprintf("k%d", i%8), []byte("v"))
 	}
-	if ack := store.Do(reader, Get, "k", nil); ack.Fast || ack.Err != ErrCrashed {
+	if ack := store.do(reader, Get, "k", nil); ack.Fast || ack.Err != ErrCrashed {
 		t.Fatalf("get after the crash = %+v, want the mailbox's refusal", ack)
 	}
 	check("crashed", ReadFallbacks{Pending: 1, Crashed: 1})
 
 	store.BeginDrain()
-	if ack := store.Do(reader, Get, "k", nil); ack.Err != ErrDraining {
+	if ack := store.do(reader, Get, "k", nil); ack.Err != ErrDraining {
 		t.Fatalf("get after BeginDrain = %+v, want ErrDraining", ack)
 	}
 	check("draining", ReadFallbacks{Pending: 1, Draining: 1, Crashed: 1})
@@ -379,9 +379,9 @@ func readFastRaceStress(t *testing.T, crash sim.Cycle, bug plantedBug) (stale in
 				key := fmt.Sprintf("k%03d", rng.Intn(keys))
 				var ack ShardAck
 				if rng.Intn(5) == 0 {
-					ack = store.Do(sess, Delete, key, nil)
+					ack = store.do(sess, Delete, key, nil)
 				} else {
-					ack = store.Do(sess, Put, key, []byte(fmt.Sprintf("w%d-%d", w, n)))
+					ack = store.do(sess, Put, key, []byte(fmt.Sprintf("w%d-%d", w, n)))
 				}
 				if ack.Err != nil || ack.Crashed {
 					return // draining or crashed: stop writing
@@ -390,7 +390,7 @@ func readFastRaceStress(t *testing.T, crash sim.Cycle, bug plantedBug) (stale in
 				if _, err := store.DoAsync(sess, Put, own, []byte(val), nil, 0, done); err != nil {
 					return
 				}
-				read := store.Do(sess, Get, own, nil)
+				read := store.do(sess, Get, own, nil)
 				if put := (<-done).Ack; put.Err != nil || put.Crashed || read.Err != nil || read.Crashed {
 					return
 				}
@@ -410,7 +410,7 @@ func readFastRaceStress(t *testing.T, crash sim.Cycle, bug plantedBug) (stale in
 			rng := rand.New(rand.NewSource(int64(1000 + r)))
 			for n := 0; n < ops*2; n++ {
 				key := fmt.Sprintf("k%03d", rng.Intn(keys))
-				ack := store.Do(sess, Get, key, nil)
+				ack := store.do(sess, Get, key, nil)
 				if ack.Err != nil || ack.Crashed {
 					return
 				}
@@ -466,7 +466,7 @@ func TestFastPathPerKey(t *testing.T) {
 	if _, err := store.DoAsync(sess, Put, a, []byte("new"), nil, 0, done); err != nil {
 		t.Fatal(err)
 	}
-	if ack := store.Do(sess, Get, b, nil); !ack.Fast || ack.Err != nil || ack.Resp.Found {
+	if ack := store.do(sess, Get, b, nil); !ack.Fast || ack.Err != nil || ack.Resp.Found {
 		t.Fatalf("GET of %s behind the session's unacked Put of %s = %+v, want a fast not-found", b, a, ack)
 	}
 	for tag, key := range []string{a, mate} {
@@ -494,10 +494,10 @@ func TestFastPathPerKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess = store.NewSession()
-	if ack := store.Do(sess, Put, a, []byte("acked")); ack.Err != nil || ack.Crashed {
+	if ack := store.do(sess, Put, a, []byte("acked")); ack.Err != nil || ack.Crashed {
 		t.Fatal(ack)
 	}
-	if ack := store.Do(sess, Get, a, nil); !ack.Fast || string(ack.Resp.Value) != "acked" {
+	if ack := store.do(sess, Get, a, nil); !ack.Fast || string(ack.Resp.Value) != "acked" {
 		t.Fatalf("GET of %s after its Put was acked = %+v, want the fast path", a, ack)
 	}
 	if _, err := store.Close(); err != nil {
@@ -527,7 +527,7 @@ func liveRun(t *testing.T, cfg ShardedConfig, spec ScriptSpec, crash sim.Cycle) 
 				sess = store.NewSession()
 				sessions[op.Sess] = sess
 			}
-			store.Do(sess, op.Op, op.Key, op.Value)
+			store.do(sess, op.Op, op.Key, op.Value)
 		}
 	}
 	results, err := store.Close()
@@ -543,7 +543,7 @@ func liveRun(t *testing.T, cfg ShardedConfig, spec ScriptSpec, crash sim.Cycle) 
 	for _, m := range store.Metrics() {
 		hits += m.FastHits
 	}
-	return CombineFingerprints(results), MergeRecovered(results), hits
+	return CombineFingerprints(results), mergeRecovered(results), hits
 }
 
 // TestReadFastMetamorphic is the equivalence pin: the same workload with
@@ -604,7 +604,7 @@ func BenchmarkReadFastPath(b *testing.B) {
 		}
 		sess := store.NewSession()
 		for _, k := range keys {
-			if ack := store.Do(sess, Put, k, []byte("warmval-benchmark")); ack.Err != nil {
+			if ack := store.do(sess, Put, k, []byte("warmval-benchmark")); ack.Err != nil {
 				b.Fatal(ack.Err)
 			}
 		}
@@ -622,7 +622,7 @@ func BenchmarkReadFastPath(b *testing.B) {
 		store, sess := setup(b, false)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ack := store.Do(sess, Get, keys[i%keyCount], nil)
+			ack := store.do(sess, Get, keys[i%keyCount], nil)
 			if ack.Err != nil || !ack.Fast {
 				b.Fatalf("expected fast hit: %+v", ack)
 			}
@@ -635,7 +635,7 @@ func BenchmarkReadFastPath(b *testing.B) {
 		store, sess := setup(b, true)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ack := store.Do(sess, Get, keys[i%keyCount], nil)
+			ack := store.do(sess, Get, keys[i%keyCount], nil)
 			if ack.Err != nil || ack.Fast {
 				b.Fatalf("expected mailbox read: %+v", ack)
 			}
@@ -650,9 +650,9 @@ func BenchmarkReadFastPath(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var ack ShardAck
 			if i%20 == 19 {
-				ack = store.Do(sess, Put, keys[i%keyCount], []byte("mixed-write-value"))
+				ack = store.do(sess, Put, keys[i%keyCount], []byte("mixed-write-value"))
 			} else {
-				ack = store.Do(sess, Get, keys[i%keyCount], nil)
+				ack = store.do(sess, Get, keys[i%keyCount], nil)
 			}
 			if ack.Err != nil {
 				b.Fatal(ack.Err)

@@ -358,7 +358,7 @@ func TestShardedStoreCheckLive(t *testing.T) {
 		acked := 0
 		for i := 0; i < 40; i++ {
 			key := fmt.Sprintf("live%02d", i%8)
-			ack := st.Do(sess, Put, key, []byte{byte(i)})
+			ack := st.do(sess, Put, key, []byte{byte(i)})
 			if ack.Err != nil {
 				break
 			}
@@ -366,7 +366,7 @@ func TestShardedStoreCheckLive(t *testing.T) {
 				acked++
 			}
 			if i%5 == 4 {
-				if g := st.Do(sess, Get, key, nil); g.Err == nil && !g.Crashed && !g.Resp.Found {
+				if g := st.do(sess, Get, key, nil); g.Err == nil && !g.Crashed && !g.Resp.Found {
 					t.Fatalf("durably acked key %q not visible", key)
 				}
 			}

@@ -137,7 +137,7 @@ func TestPlantedCursorOffByOne(t *testing.T) {
 	// Crashed flag only after it has delivered it.
 	crashed := false
 	for i := 0; i < 10_000 && !crashed; i++ {
-		ack := store.Do(sess, Put, fmt.Sprintf("k%02d", i%16), []byte("v"))
+		ack := store.do(sess, Put, fmt.Sprintf("k%02d", i%16), []byte("v"))
 		if crashed = ack.Crashed || ack.Err == ErrCrashed; !crashed && ack.Err != nil {
 			t.Fatal(ack.Err)
 		}
@@ -180,9 +180,9 @@ func TestPlantedDropTombstone(t *testing.T) {
 	eng.plant = plantDropTombstone
 	eng.mu.Unlock()
 	sess := store.NewSession()
-	store.Do(sess, Put, "k", []byte("v"))
-	store.Do(sess, Delete, "k", nil)
-	if ack := store.Do(sess, Get, "k", nil); !ack.Fast || !ack.Resp.Found {
+	store.do(sess, Put, "k", []byte("v"))
+	store.do(sess, Delete, "k", nil)
+	if ack := store.do(sess, Get, "k", nil); !ack.Fast || !ack.Resp.Found {
 		t.Fatalf("planted bug did not reach the fast path: %+v", ack)
 	}
 	store.Close()
@@ -314,7 +314,7 @@ func TestRetainedStateBounded(t *testing.T) {
 			// not by i (a Put tags two stores, a Delete one).
 			for _, sh := range store.shards {
 				sh.eng.mu.Lock()
-				retained, tokens := len(sh.eng.tail), sh.eng.m.TaggedStores()
+				retained, tokens := len(sh.eng.tail), len(sh.eng.m.Snapshot().TokenVersions)
 				sh.eng.mu.Unlock()
 				if retained > window || tokens > 2*window {
 					t.Fatalf("after %d ops shard %d retains %d records and %d store tokens", i, sh.id, retained, tokens)

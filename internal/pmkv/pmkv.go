@@ -112,12 +112,16 @@ func (o Op) String() string {
 // over 64..4096 buckets (EXPERIMENTS.md, "Sizing the bucket table").
 const DefaultBuckets = 512
 
+// MaxBuckets is the largest bucket count whose head lines all lie below
+// the first entry line.
+const MaxBuckets = int((entryBase - headBase) / mem.LineSize)
+
 // Config sizes the engine.
 type Config struct {
 	// Machine is the simulated multicore. Zero value selects SmallMachine.
 	Machine machine.Config
 	// Buckets is the hash-table bucket count, one head line each (default
-	// DefaultBuckets).
+	// DefaultBuckets, at most MaxBuckets).
 	Buckets int
 	// CrashAt, when nonzero, is the cycle at which the simulated machine
 	// loses power: execution never advances past it, and Close returns the
@@ -329,6 +333,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Machine.BulkEpochStores > 0 {
 		return nil, fmt.Errorf("pmkv: bulk-epoch mode (BulkEpochStores=%d) makes programmer barriers transparent; publish stores to one bucket head would overlap", cfg.Machine.BulkEpochStores)
 	}
+	if cfg.Buckets > MaxBuckets {
+		return nil, fmt.Errorf("pmkv: %d buckets would put bucket heads on entry lines (at most %d)", cfg.Buckets, MaxBuckets)
+	}
 	m, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
@@ -361,9 +368,6 @@ func (e *Engine) NewSession() *Session {
 	e.sessions++
 	return s
 }
-
-// Cores reports the machine's core count.
-func (e *Engine) Cores() int { return e.cfg.Machine.Cores }
 
 // fnv1a hashes a key to its bucket.
 func (e *Engine) bucketOf(key string) int {

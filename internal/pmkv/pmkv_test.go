@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"persistbarriers/internal/machine"
+	"persistbarriers/internal/mem"
 	"persistbarriers/internal/sim"
+	"persistbarriers/internal/stats"
 )
 
 func testSpec() ScriptSpec {
@@ -191,6 +193,21 @@ func TestNewRejectsUnsafeMachine(t *testing.T) {
 	cfg.Machine.BulkEpochStores = 64
 	if _, err := New(cfg); err == nil {
 		t.Fatal("New accepted bulk-epoch mode (programmer barriers transparent)")
+	}
+}
+
+// TestBucketsBounded: the largest table keeps its last head line below
+// the first entry line, and one bucket more is refused.
+func TestBucketsBounded(t *testing.T) {
+	if _, err := New(Config{Buckets: MaxBuckets + 1}); err == nil {
+		t.Fatalf("New accepted %d buckets", MaxBuckets+1)
+	}
+	e, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last, first := e.headLine(MaxBuckets-1), mem.LineOf(entryBase); last >= first {
+		t.Fatalf("head line of bucket %d is %v, not below the first entry line %v", MaxBuckets-1, last, first)
 	}
 }
 
@@ -400,11 +417,12 @@ func TestSweepInstants(t *testing.T) {
 func TestFingerprintStateStable(t *testing.T) {
 	a := map[string][]byte{"x": []byte("1"), "y": []byte("2")}
 	b := map[string][]byte{"y": []byte("2"), "x": []byte("1")}
-	if FingerprintState(a) != FingerprintState(b) {
+	fp := func(state map[string][]byte) string { return stats.MustFingerprint(recoverySnapshot(state)) }
+	if fp(a) != fp(b) {
 		t.Fatal("fingerprint depends on map iteration order")
 	}
 	c := map[string][]byte{"x": []byte("1"), "y": []byte("3")}
-	if FingerprintState(a) == FingerprintState(c) {
+	if fp(a) == fp(c) {
 		t.Fatal("fingerprint ignores values")
 	}
 }

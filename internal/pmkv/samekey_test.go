@@ -335,7 +335,7 @@ func TestShardedSameKeyRaceOneAnswer(t *testing.T) {
 		}
 		await(writers * depth)
 		for _, key := range keys {
-			fast := store.Do(reader, Get, key, nil)
+			fast := store.do(reader, Get, key, nil)
 			if fast.Err != nil || !fast.Fast {
 				t.Fatalf("round %d: read of %q with nothing in flight: %+v", round, key, fast)
 			}
@@ -367,7 +367,7 @@ func TestShardedSameKeyRaceOneAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recovered := MergeRecovered(results)
+	recovered := mergeRecovered(results)
 	for _, key := range keys {
 		val, found := recovered[key]
 		if got := answer(val, found); got != last[key] {

@@ -74,7 +74,7 @@ type ShardedConfig struct {
 	// and one commit window — the wider, the fewer barriers per write.
 	MaxBatch int
 	// DisableReadFast turns off the lock-free GET fast path. By default
-	// Do/DoAsync answer a GET directly from the shard engine's checkpoint
+	// DoAsync answers a GET directly from the shard engine's checkpoint
 	// — no mailbox hop, no translate, no machine time — unless the session
 	// has an unacked write to the key in flight (then the GET goes behind
 	// it, so the session reads its own write; a foreign unacked write is
@@ -163,9 +163,8 @@ type shardJob struct {
 	// done receives exactly one Completion carrying tag. Shard workers
 	// deliver with a plain channel send and must never block on a slow
 	// consumer, so the caller guarantees free capacity for every
-	// outstanding request it has routed to done (Do uses a private
-	// one-slot channel; pipelined servers bound in-flight requests by the
-	// queue's capacity).
+	// outstanding request it has routed to done (pipelined servers bound
+	// in-flight requests by the queue's capacity).
 	done chan<- Completion
 	tag  uint64
 	// span, when non-nil, is the caller-owned telemetry record the
@@ -295,20 +294,6 @@ func (s *ShardedStore) NewSession() *ShardedSession {
 		sess.per[i] = sh.eng.NewSession()
 	}
 	return sess
-}
-
-// Do routes one request to its key's shard and blocks until the shard
-// acks it (for mutations: until the publish is durable, the shard
-// crashed, or the store refused the request). It is DoAsync with a
-// private one-slot completion queue; callers that want telemetry spans,
-// pipelining, or a reused queue call DoAsync directly.
-func (s *ShardedStore) Do(sess *ShardedSession, op Op, key string, value []byte) ShardAck {
-	done := make(chan Completion, 1)
-	shard, err := s.DoAsync(sess, op, key, value, nil, 0, done)
-	if err != nil {
-		return ShardAck{Shard: shard, Err: err}
-	}
-	return (<-done).Ack
 }
 
 // DoAsync routes one request to its key's shard and returns immediately;
@@ -883,16 +868,4 @@ func CombineFingerprints(results []ShardResult) string {
 		fps[i] = r.Report.Fingerprint
 	}
 	return stats.MustFingerprint(fps)
-}
-
-// MergeRecovered unions per-shard recovered states. Shards partition the
-// keyspace, so the maps are disjoint.
-func MergeRecovered(results []ShardResult) map[string][]byte {
-	out := make(map[string][]byte)
-	for _, r := range results {
-		for k, v := range r.Recovered {
-			out[k] = v
-		}
-	}
-	return out
 }

@@ -353,8 +353,3 @@ func (e *Engine) replayState(byBucket [][]pub, total int, image map[mem.Line]mem
 	}
 	return state, nil
 }
-
-// FingerprintState canonically hashes a recovered state.
-func FingerprintState(state map[string][]byte) string {
-	return stats.MustFingerprint(recoverySnapshot(state))
-}

@@ -102,9 +102,6 @@ func New(conn net.Conn, opts Options) (*Client, error) {
 // subtract submitNS/sendNS from it for latencies.
 func (c *Client) NowNS() int64 { return int64(time.Since(c.epoch)) }
 
-// Window reports the configured pipeline depth.
-func (c *Client) Window() int { return c.win }
-
 // Get submits a GET for key under id.
 func (c *Client) Get(id uint64, key []byte) error {
 	if err := checkKey(key); err != nil {

@@ -90,29 +90,6 @@ func AppendMSet(dst []byte, id uint64, keys, vals [][]byte) []byte {
 	return patchFrameLen(dst, start)
 }
 
-// AppendRequest appends r as a request frame (the generic form of the
-// typed appenders; used by tests and the differential fuzzer).
-func AppendRequest(dst []byte, r *Request) []byte {
-	switch r.Op {
-	case OpGet:
-		return AppendGet(dst, r.ID, r.Keys[0])
-	case OpPut:
-		return AppendPut(dst, r.ID, r.Keys[0], r.Vals[0])
-	case OpDel:
-		return AppendDel(dst, r.ID, r.Keys[0])
-	case OpMGet:
-		return AppendMGet(dst, r.ID, r.Keys)
-	case OpMSet:
-		return AppendMSet(dst, r.ID, r.Keys, r.Vals)
-	}
-	// Unknown opcodes still frame (the server answers them with an error
-	// response), keyless.
-	dst, start := appendFrameHeader(dst, FrameRequest)
-	dst = appendU64(dst, r.ID)
-	dst = append(dst, byte(r.Op))
-	return patchFrameLen(dst, start)
-}
-
 // AppendResponse appends r as a response frame.
 func AppendResponse(dst []byte, r *Response) []byte {
 	dst, start := appendFrameHeader(dst, FrameResponse)

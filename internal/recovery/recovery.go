@@ -81,9 +81,6 @@ func (g *Graph) AddEdge(later, earlier epoch.ID) {
 	g.preds[later] = append(g.preds[later], earlier)
 }
 
-// Summary returns the history entry for an epoch, or nil.
-func (g *Graph) Summary(id epoch.ID) *epoch.Summary { return g.epochs[id] }
-
 // Epochs returns every known epoch in deterministic order.
 func (g *Graph) Epochs() []epoch.ID { return g.order }
 

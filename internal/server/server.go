@@ -84,7 +84,7 @@ func New(cfg pmkv.ShardedConfig, opts Options) (*Server, error) {
 	}
 	s := &Server{opts: opts, conns: make(map[net.Conn]bool)}
 	if opts.Tracing || opts.FlightPath != "" {
-		s.tracer = telemetry.New(telemetry.Config{Shards: cfg.Shards})
+		s.tracer = telemetry.New(cfg.Shards)
 	}
 	// OnCrash runs on the crashing shard's worker goroutine; the drain must
 	// start elsewhere (BeginDrain waits on producers only workers unblock).

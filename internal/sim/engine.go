@@ -51,10 +51,9 @@ type bucket struct {
 // Engine is a deterministic discrete-event scheduler. The zero value is
 // ready to use.
 type Engine struct {
-	now     Cycle
-	seq     uint64
-	stopped bool
-	fired   uint64
+	now   Cycle
+	seq   uint64
+	fired uint64
 
 	// Calendar ring for events within ringSpan cycles of now. All events
 	// in one bucket share the same timestamp (two pending events that
@@ -106,14 +105,10 @@ func (e *Engine) At(when Cycle, fn func()) {
 // After schedules fn to run delta cycles from now.
 func (e *Engine) After(delta Cycle, fn func()) { e.At(e.now+delta, fn) }
 
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue drains or Stop is called. It returns
-// the cycle at which the simulation quiesced.
+// Run executes events until the queue drains. It returns the cycle at
+// which the simulation quiesced.
 func (e *Engine) Run() Cycle {
-	e.stopped = false
-	for e.ringCount+len(e.heap) > 0 && !e.stopped {
+	for e.ringCount+len(e.heap) > 0 {
 		e.step()
 	}
 	return e.now
@@ -122,11 +117,10 @@ func (e *Engine) Run() Cycle {
 // RunUntil executes events with timestamps <= limit. The clock is advanced
 // to limit if the queue drains early. It returns the current cycle.
 func (e *Engine) RunUntil(limit Cycle) Cycle {
-	e.stopped = false
-	for e.ringCount+len(e.heap) > 0 && !e.stopped && e.nextWhen() <= limit {
+	for e.ringCount+len(e.heap) > 0 && e.nextWhen() <= limit {
 		e.step()
 	}
-	if !e.stopped && e.now < limit {
+	if e.now < limit {
 		e.now = limit
 	}
 	return e.now
@@ -140,11 +134,10 @@ func (e *Engine) RunUntil(limit Cycle) Cycle {
 // caller is waiting on something that will never fire (a deadlock it can
 // detect via Pending() == 0). It returns the current cycle.
 func (e *Engine) RunWhile(limit Cycle, cond func() bool) Cycle {
-	e.stopped = false
-	for e.ringCount+len(e.heap) > 0 && !e.stopped && cond() && e.nextWhen() <= limit {
+	for e.ringCount+len(e.heap) > 0 && cond() && e.nextWhen() <= limit {
 		e.step()
 	}
-	if !e.stopped && cond() && e.ringCount+len(e.heap) > 0 && e.nextWhen() > limit && e.now < limit {
+	if cond() && e.ringCount+len(e.heap) > 0 && e.nextWhen() > limit && e.now < limit {
 		e.now = limit
 	}
 	return e.now

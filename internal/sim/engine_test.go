@@ -81,20 +81,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.At(1, func() { count++; e.Stop() })
-	e.At(2, func() { count++ })
-	e.Run()
-	if count != 1 {
-		t.Fatalf("count = %d, want 1 (stopped after first event)", count)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-}
-
 func TestEngineClockAdvancesToDrainedLimit(t *testing.T) {
 	e := NewEngine()
 	e.RunUntil(100)
@@ -164,8 +150,8 @@ func TestSignalSubscribeBeforeFire(t *testing.T) {
 	if hits != 2 {
 		t.Fatalf("hits = %d, want 2", hits)
 	}
-	if !s.Fired() {
-		t.Fatal("Fired() = false after Fire")
+	if !s.fired {
+		t.Fatal("signal not fired after Fire")
 	}
 }
 
@@ -203,8 +189,8 @@ func TestSignalResubscribeDuringFire(t *testing.T) {
 	})
 	s.Subscribe(func() {})
 	s.Fire()
-	if next != 0 || s.Fired() {
-		t.Fatalf("after the first Fire: next round ran %d times, fired=%v; want 0, false", next, s.Fired())
+	if next != 0 || s.fired {
+		t.Fatalf("after the first Fire: next round ran %d times, fired=%v; want 0, false", next, s.fired)
 	}
 	s.Fire()
 	if next != 1 {
@@ -224,7 +210,7 @@ func TestSignalResetZeroAlloc(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			s.Subscribe(fn)
 		}
-		if s.Fired() {
+		if s.fired {
 			t.Fatal("signal reads fired after Reset")
 		}
 		s.Fire()

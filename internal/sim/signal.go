@@ -10,9 +10,6 @@ type Signal struct {
 	subs  []func()
 }
 
-// Fired reports whether the signal has been raised.
-func (s *Signal) Fired() bool { return s.fired }
-
 // Subscribe registers fn to run when the signal fires. If the signal has
 // already fired, fn runs synchronously.
 func (s *Signal) Subscribe(fn func()) {

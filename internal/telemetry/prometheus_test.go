@@ -17,7 +17,7 @@ var update = flag.Bool("update", false, "rewrite the golden metrics file")
 // deterministicTracer builds a 2-shard tracer with fixed observations so
 // the exposition is byte-stable.
 func deterministicTracer() *Tracer {
-	tr := New(Config{Shards: 2, Ring: 8})
+	tr := New(2)
 	gapsA := [NumSegments]int64{500, 1000, 250000, 4000, 90000, 1500000, 12000}
 	gapsB := [NumSegments]int64{700, 900, 180000, 5000, 110000, 2100000, 9000}
 	for i := 0; i < 3; i++ {

@@ -69,7 +69,7 @@ func TestRecorderConcurrentPut(t *testing.T) {
 }
 
 func TestTracerDumpShape(t *testing.T) {
-	tr := New(Config{Shards: 2, Ring: 8})
+	tr := New(2)
 	gaps := [NumSegments]int64{1, 2, 3, 4, 5, 6, 7}
 	tr.Complete(0, stampedSpan(100, gaps), Meta{Op: "put", Sess: 1, Key: "a", Durable: 1, OK: true})
 	tr.Complete(1, stampedSpan(200, gaps), Meta{Op: "del", Sess: 2, Key: "b", Durable: 2, Crashed: true, OK: true})

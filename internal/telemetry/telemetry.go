@@ -103,14 +103,6 @@ var segmentNames = [NumSegments]string{
 	"ack_write",    // durable          -> ack-written
 }
 
-// SegmentName reports segment i's label ("" out of range).
-func SegmentName(i int) string {
-	if i < 0 || i >= NumSegments {
-		return ""
-	}
-	return segmentNames[i]
-}
-
 // Span is one operation's preallocated stage record. Wall holds unix
 // nanoseconds per stamped stage (0 = never stamped); Cycle holds the
 // owning shard's simulated clock where the stamping site knows it
@@ -148,9 +140,6 @@ func (s *Span) StampAt(st Stage, cycle int64) {
 	s.Cycle[st] = cycle
 }
 
-// Stamped reports whether stage st was stamped.
-func (s *Span) Stamped(st Stage) bool { return s != nil && s.Wall[st] != 0 }
-
 // Meta carries the per-op identity folded into the flight recorder at
 // completion time.
 type Meta struct {
@@ -180,17 +169,8 @@ type shardTel struct {
 	ops      atomic.Uint64
 }
 
-// Config sizes a Tracer.
-type Config struct {
-	// Shards is the number of independent pipeline instances (>= 1).
-	Shards int
-	// Ring is the per-shard flight-recorder capacity, rounded up to a
-	// power of two (<= 0 selects DefaultRing).
-	Ring int
-}
-
-// DefaultRing is the default flight-recorder capacity per shard.
-const DefaultRing = 1024
+// ringSize is the flight-recorder capacity per shard.
+const ringSize = 1024
 
 // Tracer owns per-shard stage histograms and flight recorders. A nil
 // *Tracer is valid and inert — servers built without telemetry pass nil
@@ -199,18 +179,14 @@ type Tracer struct {
 	shards []shardTel
 }
 
-// New builds a tracer for the given shard count.
-func New(cfg Config) *Tracer {
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
+// New builds a tracer for the given shard count (at least 1).
+func New(shards int) *Tracer {
+	if shards < 1 {
+		shards = 1
 	}
-	ring := cfg.Ring
-	if ring <= 0 {
-		ring = DefaultRing
-	}
-	t := &Tracer{shards: make([]shardTel, cfg.Shards)}
+	t := &Tracer{shards: make([]shardTel, shards)}
 	for i := range t.shards {
-		t.shards[i].rec.init(ring)
+		t.shards[i].rec.init(ringSize)
 	}
 	return t
 }
@@ -271,22 +247,6 @@ func (t *Tracer) ObserveReadPath(shard int, fast bool, d uint64) {
 	} else {
 		t.shards[shard].fallback.Observe(d)
 	}
-}
-
-// Ops reports how many completed operations shard has folded.
-func (t *Tracer) Ops(shard int) uint64 {
-	if t == nil || shard < 0 || shard >= len(t.shards) {
-		return 0
-	}
-	return t.shards[shard].ops.Load()
-}
-
-// SegmentHist snapshots one shard's segment histogram.
-func (t *Tracer) SegmentHist(shard, seg int) hist.Hist {
-	if t == nil || shard < 0 || shard >= len(t.shards) || seg < 0 || seg >= NumSegments {
-		return hist.Hist{}
-	}
-	return t.shards[shard].segs[seg].Snapshot()
 }
 
 // StageStats summarizes one segment's duration distribution in

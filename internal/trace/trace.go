@@ -197,9 +197,6 @@ func (b *Builder) Reset() *Builder {
 	return b
 }
 
-// Len reports the number of accumulated ops.
-func (b *Builder) Len() int { return len(b.ops) }
-
 // scratch recycles the per-core builders Build generates into, so a
 // program's traces grow in buffers earlier programs already grew and the
 // packed copy is the only allocation sized by the program. It holds one

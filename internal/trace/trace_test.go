@@ -32,7 +32,7 @@ func TestBuilderSequence(t *testing.T) {
 func TestComputeZeroIsElided(t *testing.T) {
 	var b Builder
 	b.Compute(0)
-	if b.Len() != 0 {
+	if len(b.ops) != 0 {
 		t.Fatal("zero-cycle compute was appended")
 	}
 }
@@ -40,8 +40,8 @@ func TestComputeZeroIsElided(t *testing.T) {
 func TestStoreRangeCoversEveryLine(t *testing.T) {
 	var b Builder
 	b.StoreRange(0, 512) // the paper's 512 B entry: 8 lines
-	if b.Len() != 8 {
-		t.Fatalf("512B store range = %d ops, want 8", b.Len())
+	if len(b.ops) != 8 {
+		t.Fatalf("512B store range = %d ops, want 8", len(b.ops))
 	}
 	for i, op := range b.Ops() {
 		if op.Kind() != Store {
@@ -105,8 +105,8 @@ func TestRangeBuildersZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		b.Reset().StoreRange(32, 512).LoadRange(32, 512)
 	})
-	if allocs != 0 || b.Len() != 18 {
-		t.Fatalf("two 9-line ranges: %d ops, %.1f allocations; want 18 and 0", b.Len(), allocs)
+	if allocs != 0 || len(b.ops) != 18 {
+		t.Fatalf("two 9-line ranges: %d ops, %.1f allocations; want 18 and 0", len(b.ops), allocs)
 	}
 }
 
@@ -175,8 +175,8 @@ func TestStoreTaggedPanicsOnWideToken(t *testing.T) {
 func TestLoadRangeUnaligned(t *testing.T) {
 	var b Builder
 	b.LoadRange(32, 512)
-	if b.Len() != 9 {
-		t.Fatalf("unaligned 512B load range = %d ops, want 9", b.Len())
+	if len(b.ops) != 9 {
+		t.Fatalf("unaligned 512B load range = %d ops, want 9", len(b.ops))
 	}
 }
 
