@@ -50,7 +50,7 @@ func main() {
 		connTimeout = flag.Duration("conn-timeout", 0, "per-connection read idle timeout (0 = none)")
 
 		admin      = flag.String("admin", "", "admin HTTP address for /metrics, /statz, /debug/pprof (empty = off)")
-		flightDump = flag.String("flight-dump", "", "write the flight-recorder dump here on crash/drain (empty = off)")
+		flightDump = flag.String("flight-dump", "", "on crash/drain, write the flight recorder here as a Chrome trace (open in Perfetto; 1 us = 1 ns; empty = off)")
 
 		selfcheck = flag.Int("selfcheck", 0, "run N crash-injection instants and exit (no server)")
 	)

@@ -28,6 +28,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -65,7 +66,8 @@ func (d *dist) merge(o *dist) {
 
 // opDists bundles the three latency distributions for one op kind:
 // total from the scheduled instant, svc from the socket send, queue the
-// gap between the two.
+// gap between the two (total equals svc in closed-loop JSON mode, where
+// an op is scheduled the moment it is sent).
 type opDists struct {
 	ops   uint64
 	total dist
@@ -87,14 +89,11 @@ func (d *opDists) merge(o *opDists) {
 	d.queue.merge(&o.queue)
 }
 
-// connStats is one connection's tally, merged after the run. total is
-// latency from the op's scheduled instant, svc from its socket send,
-// queue the gap between the two (all equal in closed-loop JSON mode,
-// where an op is scheduled the moment it is sent). Reads (gets) and
-// writes (puts, deletes) keep separate distributions so the read fast
-// path's effect is visible without a second run.
+// connStats is one connection's tally, merged after the run. Reads (gets)
+// and writes (puts, deletes) keep separate distributions so the read fast
+// path's effect is visible without a second run; the combined ones are
+// their merge, taken at report time.
 type connStats struct {
-	ops      uint64
 	gets     uint64
 	puts     uint64
 	dels     uint64
@@ -103,17 +102,11 @@ type connStats struct {
 	errors   uint64
 	crashed  uint64
 	draining uint64
-	total    dist
-	svc      dist
-	queue    dist
 	read     opDists
 	write    opDists
 }
 
 func (c *connStats) record(scheduledToDone, sendToDone, queued time.Duration, isRead bool) {
-	c.total.record(uint64(scheduledToDone.Microseconds()))
-	c.svc.record(uint64(sendToDone.Microseconds()))
-	c.queue.record(uint64(queued.Microseconds()))
 	if isRead {
 		c.read.record(scheduledToDone, sendToDone, queued)
 	} else {
@@ -218,7 +211,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pmkvload: admin scrape: %v\n", err)
 		}
 	}
-	report(stats, elapsed, *conns, *protoF, *window, *jsonOut, stages, shards)
+	report(summarize(stats, elapsed, *conns, *protoF, *window, stages, shards), *jsonOut)
 }
 
 // ServerShard is the per-shard commit-pipeline view scraped from /statz
@@ -366,7 +359,6 @@ func runJSONConn(addr string, id int, deadline time.Time, interval time.Duration
 		}
 		done := time.Now()
 		st.record(done.Sub(scheduled), done.Sub(sent), sent.Sub(scheduled), isRead)
-		st.ops++
 
 		var resp proto.LineResponse
 		if err := json.Unmarshal(respLine, &resp); err != nil {
@@ -443,7 +435,6 @@ func runBinaryConn(addr string, id int, deadline time.Time, interval time.Durati
 			for i := uint64(0); i < n; i++ {
 				st.record(time.Duration(done-schedNS), time.Duration(done-sendNS), time.Duration(sendNS-schedNS), fm.read)
 			}
-			st.ops += n
 			switch {
 			case resp.Err != "":
 				if strings.Contains(resp.Err, "draining") {
@@ -473,10 +464,7 @@ func runBinaryConn(addr string, id int, deadline time.Time, interval time.Durati
 	defer c.Close()
 
 	smp := newSampler(id, g)
-	value := make([]byte, g.valueLen)
-	for i := range value {
-		value[i] = 'v'
-	}
+	value := bytes.Repeat([]byte{'v'}, g.valueLen)
 	keyBuf := make([][]byte, g.multi)
 	valBuf := make([][]byte, g.multi)
 	endNS := c.NowNS() + int64(time.Until(deadline))
@@ -609,14 +597,15 @@ func kindSummary(d *opDists) KindSummary {
 }
 
 // Summary is the -json output: the client-side tallies plus, when -admin
-// was given, the server-side per-stage breakdown for the same run.
+// was given, the server-side per-stage breakdown for the same run. The
+// embedded KindSummary is every op's (its fields sit flat in the object,
+// beside the two that only the combined distribution reports).
 type Summary struct {
 	SchemaVersion int     `json:"schema_version"`
 	Conns         int     `json:"conns"`
 	Proto         string  `json:"proto"`
 	Window        int     `json:"window"`
 	ElapsedSec    float64 `json:"elapsed_sec"`
-	Ops           uint64  `json:"ops"`
 	OpsPerSec     float64 `json:"ops_per_sec"`
 	Gets          uint64  `json:"gets"`
 	Puts          uint64  `json:"puts"`
@@ -626,22 +615,9 @@ type Summary struct {
 	Errors        uint64  `json:"errors"`
 	Crashed       uint64  `json:"crashed"`
 	Draining      uint64  `json:"draining"`
-	MeanUS        uint64  `json:"mean_us"`
-	P50US         uint64  `json:"p50_us"`
-	P90US         uint64  `json:"p90_us"`
-	P99US         uint64  `json:"p99_us"`
-	P999US        uint64  `json:"p999_us"`
-	MaxUS         uint64  `json:"max_us"`
-	SvcMeanUS     uint64  `json:"svc_mean_us"`
-	SvcP50US      uint64  `json:"svc_p50_us"`
-	SvcP90US      uint64  `json:"svc_p90_us"`
-	SvcP99US      uint64  `json:"svc_p99_us"`
-	SvcP999US     uint64  `json:"svc_p999_us"`
-	SvcMaxUS      uint64  `json:"svc_max_us"`
-	QueueMeanUS   uint64  `json:"queue_mean_us"`
-	QueueP50US    uint64  `json:"queue_p50_us"`
-	QueueP99US    uint64  `json:"queue_p99_us"`
-	QueueMaxUS    uint64  `json:"queue_max_us"`
+	KindSummary
+	SvcP90US  uint64 `json:"svc_p90_us"`
+	SvcP999US uint64 `json:"svc_p999_us"`
 
 	Read  KindSummary `json:"read"`
 	Write KindSummary `json:"write"`
@@ -656,11 +632,14 @@ func distSummary(d *dist) (mean, p50, p90, p99, p999 uint64) {
 	return uint64(d.Mean()), d.Percentile(50), d.Percentile(90), d.Percentile(99), d.Percentile(99.9)
 }
 
-func report(stats []connStats, elapsed time.Duration, conns int, protoName string, window int, jsonOut bool, stages []telemetry.StageStats, shards []ServerShard) {
+// summarize merges the connections' tallies into the -json summary. Every
+// op's distributions are the read and write ones merged: bucket counts
+// and sums add and the larger maximum is the maximum, so they are exactly
+// what recording every op into one distribution would give.
+func summarize(stats []connStats, elapsed time.Duration, conns int, protoName string, window int, stages []telemetry.StageStats, shards []ServerShard) Summary {
 	var total connStats
 	for i := range stats {
 		s := &stats[i]
-		total.ops += s.ops
 		total.gets += s.gets
 		total.puts += s.puts
 		total.dels += s.dels
@@ -669,85 +648,68 @@ func report(stats []connStats, elapsed time.Duration, conns int, protoName strin
 		total.errors += s.errors
 		total.crashed += s.crashed
 		total.draining += s.draining
-		total.total.merge(&s.total)
-		total.svc.merge(&s.svc)
-		total.queue.merge(&s.queue)
 		total.read.merge(&s.read)
 		total.write.merge(&s.write)
 	}
-	opsPerSec := float64(total.ops) / elapsed.Seconds()
-	mean, p50, p90, p99, p999 := distSummary(&total.total)
-	svcMean, svcP50, svcP90, svcP99, svcP999 := distSummary(&total.svc)
-	qMean, qP50, _, qP99, _ := distSummary(&total.queue)
+	all := total.read
+	all.merge(&total.write)
+	_, _, svcP90, _, svcP999 := distSummary(&all.svc)
 	if protoName == "json" {
 		window = 1 // one op in flight by construction
 	}
+	return Summary{
+		SchemaVersion: summarySchemaVersion,
+		Conns:         conns,
+		Proto:         protoName,
+		Window:        window,
+		ElapsedSec:    elapsed.Seconds(),
+		OpsPerSec:     float64(all.ops) / elapsed.Seconds(),
+		Gets:          total.gets,
+		Puts:          total.puts,
+		Dels:          total.dels,
+		Found:         total.found,
+		NotFound:      total.notFound,
+		Errors:        total.errors,
+		Crashed:       total.crashed,
+		Draining:      total.draining,
+		KindSummary:   kindSummary(&all),
+		SvcP90US:      svcP90,
+		SvcP999US:     svcP999,
+		Read:          kindSummary(&total.read),
+		Write:         kindSummary(&total.write),
+		ServerStages:  stages,
+		ServerShards:  shards,
+	}
+}
 
+// report prints the summary: as one JSON object with -json, else as text.
+func report(out Summary, jsonOut bool) {
 	if jsonOut {
-		out := Summary{
-			SchemaVersion: summarySchemaVersion,
-			Conns:         conns,
-			Proto:         protoName,
-			Window:        window,
-			ElapsedSec:    elapsed.Seconds(),
-			Ops:           total.ops,
-			OpsPerSec:     opsPerSec,
-			Gets:          total.gets,
-			Puts:          total.puts,
-			Dels:          total.dels,
-			Found:         total.found,
-			NotFound:      total.notFound,
-			Errors:        total.errors,
-			Crashed:       total.crashed,
-			Draining:      total.draining,
-			MeanUS:        mean,
-			P50US:         p50,
-			P90US:         p90,
-			P99US:         p99,
-			P999US:        p999,
-			MaxUS:         total.total.maxUS,
-			SvcMeanUS:     svcMean,
-			SvcP50US:      svcP50,
-			SvcP90US:      svcP90,
-			SvcP99US:      svcP99,
-			SvcP999US:     svcP999,
-			SvcMaxUS:      total.svc.maxUS,
-			QueueMeanUS:   qMean,
-			QueueP50US:    qP50,
-			QueueP99US:    qP99,
-			QueueMaxUS:    total.queue.maxUS,
-			Read:          kindSummary(&total.read),
-			Write:         kindSummary(&total.write),
-			ServerStages:  stages,
-			ServerShards:  shards,
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.Encode(out)
+		json.NewEncoder(os.Stdout).Encode(out)
 		return
 	}
 	fmt.Printf("pmkvload: %d conns (%s, window %d), %.1fs: %d ops (%.1f ops/sec), %d get / %d put / %d del\n",
-		conns, protoName, window, elapsed.Seconds(), total.ops, opsPerSec, total.gets, total.puts, total.dels)
+		out.Conns, out.Proto, out.Window, out.ElapsedSec, out.Ops, out.OpsPerSec, out.Gets, out.Puts, out.Dels)
 	fmt.Printf("  found %d, not-found %d, errors %d, crashed %d, draining %d\n",
-		total.found, total.notFound, total.errors, total.crashed, total.draining)
+		out.Found, out.NotFound, out.Errors, out.Crashed, out.Draining)
 	fmt.Printf("  latency (us, bucket upper bounds): mean=%d p50=%d p90=%d p99=%d p99.9=%d max=%d\n",
-		mean, p50, p90, p99, p999, total.total.maxUS)
+		out.MeanUS, out.P50US, out.P90US, out.P99US, out.P999US, out.MaxUS)
 	fmt.Printf("  service (us): mean=%d p50=%d p90=%d p99=%d p99.9=%d max=%d; queueing: mean=%d p50=%d p99=%d max=%d\n",
-		svcMean, svcP50, svcP90, svcP99, svcP999, total.svc.maxUS, qMean, qP50, qP99, total.queue.maxUS)
+		out.SvcMeanUS, out.SvcP50US, out.SvcP90US, out.SvcP99US, out.SvcP999US, out.SvcMaxUS,
+		out.QueueMeanUS, out.QueueP50US, out.QueueP99US, out.QueueMaxUS)
 	for _, kind := range []struct {
 		name string
-		d    *opDists
-	}{{"reads", &total.read}, {"writes", &total.write}} {
-		if kind.d.ops == 0 {
-			continue
+		ks   KindSummary
+	}{{"reads", out.Read}, {"writes", out.Write}} {
+		if ks := kind.ks; ks.Ops > 0 {
+			fmt.Printf("  %s (us): %d ops, mean=%d p50=%d p90=%d p99=%d p99.9=%d max=%d; svc: mean=%d p50=%d p99=%d\n",
+				kind.name, ks.Ops, ks.MeanUS, ks.P50US, ks.P90US, ks.P99US, ks.P999US, ks.MaxUS,
+				ks.SvcMeanUS, ks.SvcP50US, ks.SvcP99US)
 		}
-		ks := kindSummary(kind.d)
-		fmt.Printf("  %s (us): %d ops, mean=%d p50=%d p90=%d p99=%d p99.9=%d max=%d; svc: mean=%d p50=%d p99=%d\n",
-			kind.name, ks.Ops, ks.MeanUS, ks.P50US, ks.P90US, ks.P99US, ks.P999US, ks.MaxUS,
-			ks.SvcMeanUS, ks.SvcP50US, ks.SvcP99US)
 	}
-	if len(stages) > 0 {
+	if len(out.ServerStages) > 0 {
 		fmt.Printf("  server stages (us): ")
-		for i, st := range stages {
+		for i, st := range out.ServerStages {
 			if i > 0 {
 				fmt.Printf(" | ")
 			}
@@ -755,9 +717,9 @@ func report(stats []connStats, elapsed time.Duration, conns int, protoName strin
 		}
 		fmt.Println()
 	}
-	if len(shards) > 0 {
+	if len(out.ServerShards) > 0 {
 		fmt.Printf("  server shards: ")
-		for i, sh := range shards {
+		for i, sh := range out.ServerShards {
 			if i > 0 {
 				fmt.Printf(" | ")
 			}

@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"persistbarriers/internal/telemetry"
 )
@@ -108,5 +110,35 @@ func TestSummaryOmitsStagesWithoutAdmin(t *testing.T) {
 	}
 	if strings.Contains(string(raw), "server_shards") {
 		t.Fatalf("server_shards present with no admin scrape: %s", raw)
+	}
+}
+
+// TestFlatSummaryIsMergedKinds: the flat latency fields, merged from the
+// read and write distributions at report time, equal what recording
+// every op into one distribution as well gives.
+func TestFlatSummaryIsMergedKinds(t *testing.T) {
+	stats := make([]connStats, 3)
+	var every opDists
+	rng := rand.New(rand.NewSource(1))
+	for i := range 3000 {
+		isRead := rng.Intn(4) > 0
+		svc := time.Duration(20+rng.Intn(400)) * time.Microsecond
+		if !isRead {
+			svc *= 30 // writes wait for durability
+		}
+		queued := time.Duration(rng.Intn(2000)) * time.Microsecond
+		stats[i%len(stats)].record(queued+svc, svc, queued, isRead)
+		every.record(queued+svc, svc, queued)
+	}
+	s := summarize(stats, time.Second, len(stats), "binary", 32, nil, nil)
+	want := kindSummary(&every)
+	if s.KindSummary != want {
+		t.Errorf("flat fields\n%+v\nwant one distribution of every op\n%+v", s.KindSummary, want)
+	}
+	if _, _, p90, _, p999 := distSummary(&every.svc); s.SvcP90US != p90 || s.SvcP999US != p999 {
+		t.Errorf("svc p90/p99.9 = %d/%d, want %d/%d", s.SvcP90US, s.SvcP999US, p90, p999)
+	}
+	if s.Read.Ops+s.Write.Ops != s.Ops || s.Read.Ops == 0 || s.Write.Ops == 0 || s.Read.P50US == s.Write.P50US {
+		t.Errorf("kinds %d + %d ops (p50 %d, %d) do not split %d ops", s.Read.Ops, s.Write.Ops, s.Read.P50US, s.Write.P50US, s.Ops)
 	}
 }

@@ -1,18 +1,18 @@
 package obs
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"persistbarriers/internal/sim"
 )
 
 // ChromeTracer is a Sink that renders the event stream in Chrome
-// trace-event JSON (the array format), viewable in Perfetto or
-// chrome://tracing. Timestamps are simulated cycles reported in the
-// format's microsecond field, so 1 us on screen = 1 cycle.
+// trace-event JSON through a TraceWriter. Timestamps are simulated
+// cycles reported in the format's microsecond field, so 1 us on screen =
+// 1 cycle.
 //
 // Track layout:
 //   - one process per core ("core N"), with a dynamically allocated set
@@ -30,7 +30,7 @@ import (
 // Within every track, spans are non-overlapping by construction (lane
 // allocation) and the output is sorted by timestamp.
 type ChromeTracer struct {
-	events []chromeEvent
+	trace TraceWriter
 
 	// Open epoch spans and per-core lane occupancy.
 	epochs map[epochKey]*epochSpan
@@ -38,9 +38,6 @@ type ChromeTracer struct {
 
 	// Open bank flush spans, keyed by (bank, flushing core).
 	bankFlush map[bankKey]sim.Cycle
-
-	procNames   map[int]string
-	threadNames map[pidTid]string
 
 	persistedLines uint64
 	lastCycle      sim.Cycle
@@ -56,10 +53,6 @@ type bankKey struct {
 	core int
 }
 
-type pidTid struct {
-	pid, tid int
-}
-
 type epochSpan struct {
 	lane        int
 	openAt      sim.Cycle
@@ -68,21 +61,7 @@ type epochSpan struct {
 	completed   bool
 	flushed     bool
 	reason      string
-	cause       string
 	stores      uint64
-}
-
-// chromeEvent is one trace-event record. Field order is the JSON order.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   uint64         `json:"ts"`
-	Dur  uint64         `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
 }
 
 // Track numbering. Process IDs partition the structures; marker lanes
@@ -98,11 +77,9 @@ const (
 // NewChromeTracer returns an empty tracer ready to use as a Sink.
 func NewChromeTracer() *ChromeTracer {
 	return &ChromeTracer{
-		epochs:      make(map[epochKey]*epochSpan),
-		lanes:       make(map[int][]bool),
-		bankFlush:   make(map[bankKey]sim.Cycle),
-		procNames:   make(map[int]string),
-		threadNames: make(map[pidTid]string),
+		epochs:    make(map[epochKey]*epochSpan),
+		lanes:     make(map[int][]bool),
+		bankFlush: make(map[bankKey]sim.Cycle),
 	}
 }
 
@@ -146,16 +123,16 @@ func (t *ChromeTracer) Emit(ev Event) {
 		t.closeBankFlush(ev)
 	case KPersistAck:
 		t.persistedLines++
-		t.ensureProc(nvramPid, "NVRAM")
-		t.events = append(t.events, chromeEvent{
+		t.trace.Process(nvramPid, "NVRAM", nil)
+		t.trace.Add(TraceEvent{
 			Name: "persisted lines", Ph: "C", Ts: uint64(ev.Cycle),
 			Pid: nvramPid, Tid: 0,
 			Args: map[string]any{"lines": t.persistedLines},
 		})
 	case KNVRAMQueue:
 		pid := mcPidBase + ev.Unit
-		t.ensureProc(pid, fmt.Sprintf("MC %d", ev.Unit))
-		t.events = append(t.events, chromeEvent{
+		t.trace.Process(pid, fmt.Sprintf("MC %d", ev.Unit), nil)
+		t.trace.Add(TraceEvent{
 			Name: "queue wait", Ph: "C", Ts: uint64(ev.Cycle),
 			Pid: pid, Tid: 0,
 			Args: map[string]any{"cycles": ev.Value},
@@ -170,13 +147,7 @@ func (t *ChromeTracer) Emit(ev Event) {
 // so spans on one lane can never overlap.
 func (t *ChromeTracer) openEpoch(ev Event) {
 	lanes := t.lanes[ev.Core]
-	lane := -1
-	for i, used := range lanes {
-		if !used {
-			lane = i
-			break
-		}
-	}
+	lane := slices.Index(lanes, false)
 	if lane == -1 {
 		lane = len(lanes)
 		lanes = append(lanes, false)
@@ -186,8 +157,8 @@ func (t *ChromeTracer) openEpoch(ev Event) {
 	t.epochs[epochKey{ev.Core, ev.Epoch}] = &epochSpan{lane: lane, openAt: ev.Cycle}
 
 	pid := corePidBase + ev.Core
-	t.ensureProc(pid, fmt.Sprintf("core %d", ev.Core))
-	t.ensureThread(pid, lane, fmt.Sprintf("epochs.%d", lane))
+	t.trace.Process(pid, fmt.Sprintf("core %d", ev.Core), nil)
+	t.trace.Thread(pid, lane, fmt.Sprintf("epochs.%d", lane))
 }
 
 // closeEpoch emits the epoch's span (and nested persist-phase span) and
@@ -220,7 +191,7 @@ func (t *ChromeTracer) emitEpochSpan(core int, num int64, sp *epochSpan, end sim
 	if unfinished {
 		args["unfinished"] = true
 	}
-	t.events = append(t.events, chromeEvent{
+	t.trace.Add(TraceEvent{
 		Name: fmt.Sprintf("E%d.%d", core, num), Cat: "epoch", Ph: "X",
 		Ts: uint64(sp.openAt), Dur: uint64(end - sp.openAt),
 		Pid: pid, Tid: sp.lane, Args: args,
@@ -228,7 +199,7 @@ func (t *ChromeTracer) emitEpochSpan(core int, num int64, sp *epochSpan, end sim
 	if sp.completed && end > sp.completedAt {
 		// The persist phase: barrier retire -> PersistCMP, nested
 		// inside the epoch span on the same lane.
-		t.events = append(t.events, chromeEvent{
+		t.trace.Add(TraceEvent{
 			Name: fmt.Sprintf("persist E%d.%d", core, num), Cat: "persist", Ph: "X",
 			Ts: uint64(sp.completedAt), Dur: uint64(end - sp.completedAt),
 			Pid: pid, Tid: sp.lane,
@@ -246,9 +217,9 @@ func (t *ChromeTracer) closeBankFlush(ev Event) {
 	}
 	delete(t.bankFlush, key)
 	pid := bankPidBase + ev.Unit
-	t.ensureProc(pid, fmt.Sprintf("LLC bank %d", ev.Unit))
-	t.ensureThread(pid, ev.Core, fmt.Sprintf("flush core %d", ev.Core))
-	t.events = append(t.events, chromeEvent{
+	t.trace.Process(pid, fmt.Sprintf("LLC bank %d", ev.Unit), nil)
+	t.trace.Thread(pid, ev.Core, fmt.Sprintf("flush core %d", ev.Core))
+	t.trace.Add(TraceEvent{
 		Name: fmt.Sprintf("flush E%d.%d", ev.Core, ev.Epoch), Cat: "flush", Ph: "X",
 		Ts: uint64(start), Dur: uint64(ev.Cycle - start),
 		Pid: pid, Tid: ev.Core,
@@ -267,25 +238,12 @@ func (t *ChromeTracer) instant(ev Event, name, cat string, args map[string]any) 
 		return
 	}
 	pid := corePidBase + core
-	t.ensureProc(pid, fmt.Sprintf("core %d", core))
-	t.ensureThread(pid, markerTid, "markers")
-	t.events = append(t.events, chromeEvent{
+	t.trace.Process(pid, fmt.Sprintf("core %d", core), nil)
+	t.trace.Thread(pid, markerTid, "markers")
+	t.trace.Add(TraceEvent{
 		Name: name, Cat: cat, Ph: "i", Ts: uint64(ev.Cycle),
 		Pid: pid, Tid: markerTid, S: "t", Args: args,
 	})
-}
-
-func (t *ChromeTracer) ensureProc(pid int, name string) {
-	if _, ok := t.procNames[pid]; !ok {
-		t.procNames[pid] = name
-	}
-}
-
-func (t *ChromeTracer) ensureThread(pid, tid int, name string) {
-	key := pidTid{pid, tid}
-	if _, ok := t.threadNames[key]; !ok {
-		t.threadNames[key] = name
-	}
 }
 
 // Export finalizes the trace and writes it as a JSON array. Epochs
@@ -297,11 +255,8 @@ func (t *ChromeTracer) Export(w io.Writer) error {
 	for k := range t.epochs {
 		open = append(open, k)
 	}
-	sort.Slice(open, func(i, j int) bool {
-		if open[i].core != open[j].core {
-			return open[i].core < open[j].core
-		}
-		return open[i].num < open[j].num
+	slices.SortFunc(open, func(a, b epochKey) int {
+		return cmp.Or(cmp.Compare(a.core, b.core), cmp.Compare(a.num, b.num))
 	})
 	for _, k := range open {
 		sp := t.epochs[k]
@@ -312,37 +267,5 @@ func (t *ChromeTracer) Export(w io.Writer) error {
 		t.emitEpochSpan(k.core, k.num, sp, t.lastCycle, cause, true)
 		delete(t.epochs, k)
 	}
-
-	// Metadata events first, sorted by (pid, tid).
-	var meta []chromeEvent
-	for pid, name := range t.procNames {
-		meta = append(meta, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
-			Args: map[string]any{"name": name},
-		})
-	}
-	for key, name := range t.threadNames {
-		meta = append(meta, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: key.pid, Tid: key.tid,
-			Args: map[string]any{"name": name},
-		})
-	}
-	sort.Slice(meta, func(i, j int) bool {
-		if meta[i].Pid != meta[j].Pid {
-			return meta[i].Pid < meta[j].Pid
-		}
-		if meta[i].Tid != meta[j].Tid {
-			return meta[i].Tid < meta[j].Tid
-		}
-		return meta[i].Name < meta[j].Name
-	})
-
-	// Content events sorted by timestamp; the stable sort keeps the
-	// emission order (outer span before nested span) on ties.
-	sort.SliceStable(t.events, func(i, j int) bool { return t.events[i].Ts < t.events[j].Ts })
-
-	all := append(meta, t.events...)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(all)
+	return t.trace.Encode(w)
 }

@@ -1,6 +1,8 @@
 // Package obs is the simulator's event stream: a typed Probe emitted from
 // the machine, epoch and nvram layers into one Sink, and the Chrome
-// trace-event exporter (chrometrace.go) that is its one consumer.
+// trace-event exporter (chrometrace.go) that is its one consumer. The
+// exporter writes through TraceWriter (tracewriter.go), the repository's
+// one trace-event writer, which the server's flight recorder shares.
 //
 // The layer is zero-overhead when disabled: every component holds a
 // *Probe that defaults to nil, every Probe method is nil-safe, and the

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -111,31 +112,29 @@ func (s *Server) Close() (*Report, error) {
 	return rep, err
 }
 
-// flightCheck runs the FlightCheck and writes the dump (shards are in
-// shard order, as pmkv.ShardedStore.Close returns them).
+// flightCheck runs the FlightCheck and writes the dump, a Chrome trace
+// of the rings (shards are in shard order, as pmkv.ShardedStore.Close
+// returns them).
 func (s *Server) flightCheck(shards []ShardReport) (*FlightCheck, error) {
 	fc := &FlightCheck{DumpPath: s.opts.FlightPath}
-	for _, fs := range s.tracer.Dump().Shards {
-		durable := shards[fs.Shard].DurablePublishes
-		fc.Events += fs.Retained
-		for _, ev := range fs.Events {
-			if ev.OK && !ev.Crashed && ev.Durable > durable {
+	for i, sh := range shards {
+		recs := s.tracer.Ring(i).Snapshot()
+		fc.Events += len(recs)
+		for _, r := range recs {
+			if m := r.Meta; m.OK && !m.Crashed && m.Durable > sh.DurablePublishes {
 				fc.BadAcks++
 				fmt.Fprintf(os.Stderr, "pmkvd: shard %d op %s %q acked at watermark %d but only %d publishes recovered durable\n",
-					fs.Shard, ev.Op, ev.Key, ev.Durable, durable)
+					i, m.Op, m.Key, m.Durable, sh.DurablePublishes)
 			}
 		}
 	}
 	if fc.DumpPath != "" {
-		f, err := os.Create(fc.DumpPath)
+		var trace bytes.Buffer
+		err := s.tracer.WriteTrace(&trace)
+		if err == nil {
+			err = os.WriteFile(fc.DumpPath, trace.Bytes(), 0o666)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("flight dump: %w", err)
-		}
-		if err := s.tracer.WriteDump(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("flight dump: %w", err)
-		}
-		if err := f.Close(); err != nil {
 			return nil, fmt.Errorf("flight dump: %w", err)
 		}
 	}

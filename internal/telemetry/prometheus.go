@@ -130,7 +130,7 @@ func (t *Tracer) AppendStageMetrics(dst []byte) []byte {
 		"Completed operations folded into the stage tracer, per shard.")
 	for shard := range t.shards {
 		dst = AppendUintSample(dst, "pmkv_stage_ops_total",
-			fmt.Sprintf("shard=%q", strconv.Itoa(shard)), t.shards[shard].ops.Load())
+			fmt.Sprintf("shard=%q", strconv.Itoa(shard)), t.shards[shard].rec.Len())
 	}
 	return dst
 }

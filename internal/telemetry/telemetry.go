@@ -22,7 +22,6 @@
 package telemetry
 
 import (
-	"sync/atomic"
 	"time"
 
 	"persistbarriers/internal/hist"
@@ -61,29 +60,14 @@ const (
 	NumStages
 )
 
-// String implements fmt.Stringer.
-func (s Stage) String() string {
-	switch s {
-	case StageConnRead:
-		return "conn-read"
-	case StageShardRoute:
-		return "shard-route"
-	case StageEnqueue:
-		return "mailbox-enqueue"
-	case StageDequeue:
-		return "dequeue"
-	case StageTranslate:
-		return "translate"
-	case StageSubmit:
-		return "submit"
-	case StageDurable:
-		return "durable-watermark"
-	case StageAckWritten:
-		return "ack-written"
-	default:
-		return "stage(?)"
-	}
+// stageNames label the stamp points, in Stage order.
+var stageNames = [NumStages]string{
+	"conn-read", "shard-route", "mailbox-enqueue", "dequeue",
+	"translate", "submit", "durable-watermark", "ack-written",
 }
+
+// String implements fmt.Stringer.
+func (s Stage) String() string { return stageNames[s] }
 
 // NumSegments is the number of consecutive-stage duration histograms.
 const NumSegments = int(NumStages) - 1
@@ -108,8 +92,8 @@ var segmentNames = [NumSegments]string{
 // owning shard's simulated clock where the stamping site knows it
 // (-1 = unknown). A nil *Span is valid: every method no-ops.
 type Span struct {
-	Wall  [NumStages]int64 `json:"wall"`
-	Cycle [NumStages]int64 `json:"cycle"`
+	Wall  [NumStages]int64
+	Cycle [NumStages]int64
 }
 
 // Reset clears the span for reuse.
@@ -166,10 +150,9 @@ type shardTel struct {
 	fast     hist.Atomic
 	fallback hist.Atomic
 	rec      Recorder
-	ops      atomic.Uint64
 }
 
-// ringSize is the flight-recorder capacity per shard.
+// ringSize is the flight-recorder capacity per shard, a power of two.
 const ringSize = 1024
 
 // Tracer owns per-shard stage histograms and flight recorders. A nil
@@ -216,23 +199,9 @@ func (t *Tracer) Complete(shard int, sp *Span, m Meta) {
 		if a == 0 || b == 0 {
 			continue
 		}
-		d := b - a
-		if d < 0 {
-			d = 0
-		}
-		st.segs[i].Observe(uint64(d))
+		st.segs[i].Observe(uint64(max(b-a, 0)))
 	}
-	st.ops.Add(1)
-	st.rec.put(Record{
-		Shard:   shard,
-		Sess:    m.Sess,
-		Op:      m.Op,
-		Key:     m.Key,
-		Durable: m.Durable,
-		Crashed: m.Crashed,
-		OK:      m.OK,
-		Span:    *sp,
-	})
+	st.rec.put(Record{Meta: m, Span: *sp})
 }
 
 // ObserveReadPath folds one completed GET's end-to-end duration (ns,

@@ -4,10 +4,13 @@
 # endpoint and flight recorder on. Mid-run the smoke scrapes /metrics and
 # validates the exposition with promcheck; then the crashing shard fires,
 # the server self-initiates the drain, every shard's recovery invariants
-# must verify, and the flight-recorder dump must be written and
-# consistent with the recovery report (no ack beyond the durable prefix).
-# The dump is copied to $FLIGHT_ARTIFACT (default flight-recorder.json in
-# the repo root) so CI can upload it as a post-mortem artifact. Between
+# must verify, and the flight recorder must be consistent with the
+# recovery report (no ack beyond the durable prefix). Its dump is a Chrome
+# trace, the format persistsim -trace writes (open it in Perfetto; 1 us on
+# screen = 1 ns): it must parse as JSON, name a process for each of the 4
+# shards and hold at least one durable_wait span. The dump is copied to
+# $FLIGHT_ARTIFACT (default flight-recorder.json in the repo root) so CI
+# can upload it as a post-mortem artifact. Between
 # the two, a write-heavy soak scrapes /metrics mid-run and asserts that
 # the engines are releasing what is durable (pmkv_records_folded_total
 # against pmkv_records_retained), that Puts rewrite recycled entry lines
@@ -258,8 +261,20 @@ grep -q "durable linearizability: OK" "$dir/pmkvd.log" || {
     echo "scale_smoke: no durable-linearizability verdict under crash" >&2
     exit 1
 }
-[ -s "$dir/flight.json" ] || {
-    echo "scale_smoke: flight-recorder dump missing or empty" >&2
+# The dump is a Chrome trace: one process per shard, each op a span with
+# a nested span per pipeline segment.
+python3 -m json.tool "$dir/flight.json" >"$dir/flight.pretty" || {
+    echo "scale_smoke: flight-recorder dump missing or not JSON" >&2
+    exit 1
+}
+for shard in 0 1 2 3; do
+    grep -q "\"name\": \"shard $shard\"" "$dir/flight.pretty" || {
+        echo "scale_smoke: flight-recorder dump names no process for shard $shard" >&2
+        exit 1
+    }
+done
+grep -q '"name": "durable_wait"' "$dir/flight.pretty" || {
+    echo "scale_smoke: flight-recorder dump has no durable_wait span" >&2
     exit 1
 }
 cp "$dir/flight.json" "$artifact"
