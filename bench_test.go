@@ -13,6 +13,7 @@ import (
 	"persistbarriers/internal/harness"
 	"persistbarriers/internal/machine"
 	"persistbarriers/internal/pmkv"
+	"persistbarriers/internal/stats"
 	"persistbarriers/internal/trace"
 	"persistbarriers/internal/workload"
 )
@@ -45,7 +46,7 @@ func BenchmarkTable1Config(b *testing.B) {
 func BenchmarkFig1Timelines(b *testing.B) {
 	var last *harness.Fig1Result
 	for i := 0; i < b.N; i++ {
-		r, err := harness.RunFig1()
+		r, err := harness.RunFig1(benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func BenchmarkFig1Timelines(b *testing.B) {
 func BenchmarkFig4IDT(b *testing.B) {
 	var last *harness.Fig4Result
 	for i := 0; i < b.N; i++ {
-		r, err := harness.RunFig4()
+		r, err := harness.RunFig4(benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func BenchmarkFig4IDT(b *testing.B) {
 // LB+IDT 1.03x, LB+PF 1.17x, LB++ 1.22x).
 func BenchmarkFig11BEPThroughput(b *testing.B) {
 	b.ReportAllocs()
-	var last *harness.BEPResults
+	var last *harness.Grid
 	for i := 0; i < b.N; i++ {
 		r, err := harness.RunBEP(benchOpt())
 		if err != nil {
@@ -85,7 +86,7 @@ func BenchmarkFig11BEPThroughput(b *testing.B) {
 		last = r
 	}
 	for _, v := range harness.BEPVariants {
-		b.ReportMetric(last.GmeanThroughput(v), "gmean-"+v)
+		b.ReportMetric(gmeanVs(last, v, "LB", (*machine.Result).Throughput), "gmean-"+v)
 	}
 }
 
@@ -93,7 +94,7 @@ func BenchmarkFig11BEPThroughput(b *testing.B) {
 // epochs flushed because of a conflict (paper ameans: LB 90%, LB+IDT ~90%,
 // LB+PF 77%, LB++ 75%).
 func BenchmarkFig12ConflictingEpochs(b *testing.B) {
-	var last *harness.BEPResults
+	var last *harness.Grid
 	for i := 0; i < b.N; i++ {
 		r, err := harness.RunBEP(benchOpt())
 		if err != nil {
@@ -102,7 +103,11 @@ func BenchmarkFig12ConflictingEpochs(b *testing.B) {
 		last = r
 	}
 	for _, v := range harness.BEPVariants {
-		b.ReportMetric(last.AmeanConflicting(v), "pct-"+v)
+		var vs []float64
+		for _, bench := range last.Rows {
+			vs = append(vs, last.Results[bench][v].Epochs.ConflictingFraction()*100)
+		}
+		b.ReportMetric(stats.Amean(vs), "pct-"+v)
 	}
 }
 
@@ -111,7 +116,7 @@ func BenchmarkFig12ConflictingEpochs(b *testing.B) {
 // overhead shrinking as epochs grow).
 func BenchmarkFig13EpochSize(b *testing.B) {
 	opt := benchOpt()
-	var last *harness.EpochSweepResults
+	var last *harness.Grid
 	for i := 0; i < b.N; i++ {
 		r, err := harness.RunFig13(opt)
 		if err != nil {
@@ -119,8 +124,8 @@ func BenchmarkFig13EpochSize(b *testing.B) {
 		}
 		last = r
 	}
-	for _, size := range last.Sizes {
-		b.ReportMetric(last.GmeanNormalized(size), "gmean-LB"+itoa(size))
+	for _, col := range last.Cols[1:] {
+		b.ReportMetric(gmeanVs(last, col, "NP", execCycles), "gmean-"+col)
 	}
 }
 
@@ -138,7 +143,7 @@ func BenchmarkFig14BSP(b *testing.B) {
 		last = r
 	}
 	for _, v := range harness.BSPVariants {
-		b.ReportMetric(last.GmeanNormalized(v), "gmean-"+v)
+		b.ReportMetric(gmeanVs(last.Grid, v, "NP", execCycles), "gmean-"+v)
 	}
 	b.ReportMetric(100*last.InterConflictShare("LB"), "inter-share-pct")
 }
@@ -146,7 +151,7 @@ func BenchmarkFig14BSP(b *testing.B) {
 // BenchmarkFlushMode regenerates the §7 clwb-vs-clflush comparison (paper:
 // non-invalidating ~30% faster).
 func BenchmarkFlushMode(b *testing.B) {
-	var last *harness.FlushModeResults
+	var last *harness.Grid
 	for i := 0; i < b.N; i++ {
 		r, err := harness.RunFlushMode(benchOpt())
 		if err != nil {
@@ -155,10 +160,10 @@ func BenchmarkFlushMode(b *testing.B) {
 		last = r
 	}
 	sum := 0.0
-	for _, bench := range last.Benches {
-		sum += last.Clwb[bench].Throughput() / last.Clflush[bench].Throughput()
+	for _, bench := range last.Rows {
+		sum += last.Results[bench]["clwb"].Throughput() / last.Results[bench]["clflush"].Throughput()
 	}
-	b.ReportMetric(sum/float64(len(last.Benches)), "clwb-vs-clflush")
+	b.ReportMetric(sum/float64(len(last.Rows)), "clwb-vs-clflush")
 }
 
 // BenchmarkWriteThrough regenerates the §7.2 naive write-through BSP
@@ -173,8 +178,8 @@ func BenchmarkWriteThrough(b *testing.B) {
 			b.Fatal(err)
 		}
 		worst = 0
-		for _, app := range r.Apps {
-			v := float64(r.WT[app].ExecCycles) / float64(r.NP[app].ExecCycles)
+		for _, app := range r.Rows {
+			v := float64(r.Results[app]["WT"].ExecCycles) / float64(r.Results[app]["NP"].ExecCycles)
 			if v > worst {
 				worst = v
 			}
@@ -187,7 +192,7 @@ func BenchmarkWriteThrough(b *testing.B) {
 func BenchmarkAblations(b *testing.B) {
 	opt := benchOpt()
 	opt.MicroOps = 8
-	var last *harness.AblationResults
+	var last *harness.Grid
 	for i := 0; i < b.N; i++ {
 		r, err := harness.RunAblations(opt)
 		if err != nil {
@@ -195,9 +200,25 @@ func BenchmarkAblations(b *testing.B) {
 		}
 		last = r
 	}
-	b.ReportMetric(last.DepRegThroughput[4], "gmean-4-depregs")
-	b.ReportMetric(float64(last.DepRegFallbacks[1]), "fallbacks-1-reg")
+	var fallbacks uint64
+	for _, bench := range last.Rows {
+		fallbacks += last.Results[bench]["depregs=1"].Conflicts.IDTFallbacks
+	}
+	b.ReportMetric(gmeanVs(last, "depregs=4", "base", (*machine.Result).Throughput), "gmean-4-depregs")
+	b.ReportMetric(float64(fallbacks), "fallbacks-1-reg")
 }
+
+// gmeanVs is the suite gmean of col's metric normalized to base's in the
+// same row: a figure's closing gmean bar.
+func gmeanVs(g *harness.Grid, col, base string, metric func(*machine.Result) float64) float64 {
+	var vs []float64
+	for _, row := range g.Rows {
+		vs = append(vs, metric(g.Results[row][col])/metric(g.Results[row][base]))
+	}
+	return stats.Gmean(vs)
+}
+
+func execCycles(r *machine.Result) float64 { return float64(r.ExecCycles) }
 
 // BenchmarkMicroGeneration measures trace generation for each Table 2
 // micro-benchmark (the workload substrate itself).

@@ -10,7 +10,8 @@
 // Artifacts: table1 table2 fig1 fig4 fig11 fig12 fig13 fig14 flushmode
 // writethrough conflictkinds ablations all
 //
-// Every artifact is a sweep of independent simulations; -j sets the
+// Every artifact but the two parameter tables is a sweep of independent
+// simulations, the Figure 1, 4 and 7 kernels included; -j sets the
 // worker-pool parallelism (default GOMAXPROCS) and -verify-determinism
 // re-executes every run serially and fails on any divergence from the
 // pooled run. Output is byte-identical at every -j setting. fig11, fig12
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -84,30 +86,20 @@ func main() {
 	opt.VerifyDeterminism = *verifyDet
 
 	name := flag.Arg(0)
-	known := false
-	for _, a := range artifactNames() {
-		if a == name {
-			known = true
-			break
+	names := []string{name}
+	if name == "all" {
+		names = names[:0]
+		for _, a := range artifacts {
+			names = append(names, a.name)
 		}
-	}
-	if !known {
+	} else if !slices.ContainsFunc(artifacts, func(a artifact) bool { return a.name == name }) {
 		fmt.Fprintf(os.Stderr, "figures: unknown artifact %q (choose from: %s)\n",
 			name, strings.Join(artifactNames(), " "))
 		profiling.Exit(2)
 	}
-	names := []string{name}
-	if name == "all" {
-		names = names[:0]
-		for _, a := range artifactNames() {
-			if a != "all" {
-				names = append(names, a)
-			}
-		}
-	}
 
 	var docs []artifactDoc
-	bep := sync.OnceValues(func() (*harness.BEPResults, error) { return harness.RunBEP(opt) })
+	bep := sync.OnceValues(func() (*harness.Grid, error) { return harness.RunBEP(opt) })
 	for _, a := range names {
 		doc, err := runArtifact(a, opt, bep)
 		if err != nil {
@@ -142,14 +134,6 @@ func main() {
 	}
 }
 
-func artifactNames() []string {
-	return []string{
-		"table1", "table2", "fig1", "fig4", "fig7",
-		"fig11", "fig12", "fig13", "fig14",
-		"flushmode", "writethrough", "conflictkinds", "ablations", "all",
-	}
-}
-
 // artifactDoc is one artifact's output: its tables in machine-readable
 // form plus any free-text notes printed after them in text mode.
 type artifactDoc struct {
@@ -158,89 +142,100 @@ type artifactDoc struct {
 	Notes    []string          `json:"notes,omitempty"`
 }
 
-// runArtifact computes one artifact and returns its tables and notes.
-// bep is the grid of runs fig11, fig12 and conflictkinds all render,
-// simulated once, by whichever of them comes first.
-func runArtifact(name string, opt harness.Options, bep func() (*harness.BEPResults, error)) (artifactDoc, error) {
-	doc := artifactDoc{Artifact: name}
-	add := func(ts ...*stats.Table) {
-		for _, t := range ts {
-			doc.Tables = append(doc.Tables, t.Data())
-		}
-	}
-	switch name {
-	case "table1":
-		add(harness.Table1())
-	case "table2":
-		add(harness.Table2())
-	case "fig1":
-		r, err := harness.RunFig1()
-		if err != nil {
-			return doc, err
-		}
-		add(r.Table())
-	case "fig4":
-		r, err := harness.RunFig4()
-		if err != nil {
-			return doc, err
-		}
-		add(r.Table())
-	case "fig7":
-		r, err := harness.RunFig7()
-		if err != nil {
-			return doc, err
-		}
-		add(r.Table())
-	case "fig11", "fig12", "conflictkinds":
-		r, err := bep()
-		if err != nil {
-			return doc, err
-		}
-		switch name {
-		case "fig11":
-			add(r.Fig11Table())
-		case "fig12":
-			add(r.Fig12Table())
-		default:
-			add(r.ConflictKindsTable())
-		}
-	case "fig13":
-		r, err := harness.RunFig13(opt)
-		if err != nil {
-			return doc, err
-		}
-		add(r.Fig13Table())
-	case "fig14":
+// artifact is one table or figure and the function that computes its
+// tables and notes.
+type artifact struct {
+	name string
+	run  runFunc
+}
+
+// runFunc computes an artifact. bep is the grid of runs fig11, fig12 and
+// conflictkinds all render, simulated once, by whichever of them comes
+// first.
+type runFunc func(opt harness.Options, bep func() (*harness.Grid, error)) (tables []*stats.Table, notes []string, err error)
+
+// artifacts lists every artifact in the order "all" runs them.
+var artifacts = []artifact{
+	{"table1", fixed(harness.Table1)},
+	{"table2", fixed(harness.Table2)},
+	{"fig1", table(harness.RunFig1, (*harness.Fig1Result).Table)},
+	{"fig4", table(harness.RunFig4, (*harness.Fig4Result).Table)},
+	{"fig7", table(harness.RunFig7, (*harness.Fig7Result).Table)},
+	{"fig11", bepTable(harness.Fig11Table)},
+	{"fig12", bepTable(harness.Fig12Table)},
+	{"fig13", table(harness.RunFig13, harness.Fig13Table)},
+	{"fig14", func(opt harness.Options, _ func() (*harness.Grid, error)) ([]*stats.Table, []string, error) {
 		r, err := harness.RunFig14(opt)
 		if err != nil {
-			return doc, err
+			return nil, nil, err
 		}
-		add(r.Fig14Table())
-		doc.Notes = append(doc.Notes, fmt.Sprintf(
+		return []*stats.Table{r.Fig14Table()}, []string{fmt.Sprintf(
 			"inter-thread share of conflicts under LB: %.0f%% (paper: ~86%%)",
-			100*r.InterConflictShare("LB")))
-	case "flushmode":
-		r, err := harness.RunFlushMode(opt)
+			100*r.InterConflictShare("LB"))}, nil
+	}},
+	{"flushmode", table(harness.RunFlushMode, harness.FlushModeTable)},
+	{"writethrough", table(harness.RunWriteThrough, harness.WriteThroughTable)},
+	{"conflictkinds", bepTable(harness.ConflictKindsTable)},
+	{"ablations", func(opt harness.Options, _ func() (*harness.Grid, error)) ([]*stats.Table, []string, error) {
+		g, err := harness.RunAblations(opt)
 		if err != nil {
-			return doc, err
+			return nil, nil, err
 		}
-		add(r.Table())
-	case "writethrough":
-		r, err := harness.RunWriteThrough(opt)
+		return harness.AblationTables(g), nil, nil
+	}},
+}
+
+// fixed is an artifact that runs nothing: one table of parameters.
+func fixed(render func() *stats.Table) runFunc {
+	return func(harness.Options, func() (*harness.Grid, error)) ([]*stats.Table, []string, error) {
+		return []*stats.Table{render()}, nil, nil
+	}
+}
+
+// table is an artifact that renders one table from its own run.
+func table[R any](run func(harness.Options) (R, error), render func(R) *stats.Table) runFunc {
+	return func(opt harness.Options, _ func() (*harness.Grid, error)) ([]*stats.Table, []string, error) {
+		r, err := run(opt)
 		if err != nil {
-			return doc, err
+			return nil, nil, err
 		}
-		add(r.Table())
-	case "ablations":
-		r, err := harness.RunAblations(opt)
+		return []*stats.Table{render(r)}, nil, nil
+	}
+}
+
+// bepTable is an artifact that renders one view of the shared BEP grid.
+func bepTable(render func(*harness.Grid) *stats.Table) runFunc {
+	return func(_ harness.Options, bep func() (*harness.Grid, error)) ([]*stats.Table, []string, error) {
+		g, err := bep()
 		if err != nil {
-			return doc, err
+			return nil, nil, err
 		}
-		add(r.Tables()...)
-	default:
+		return []*stats.Table{render(g)}, nil, nil
+	}
+}
+
+// artifactNames is what figures accepts: every artifact, then "all".
+func artifactNames() []string {
+	names := make([]string, 0, len(artifacts)+1)
+	for _, a := range artifacts {
+		names = append(names, a.name)
+	}
+	return append(names, "all")
+}
+
+// runArtifact computes one artifact and returns its tables and notes.
+func runArtifact(name string, opt harness.Options, bep func() (*harness.Grid, error)) (artifactDoc, error) {
+	doc := artifactDoc{Artifact: name}
+	i := slices.IndexFunc(artifacts, func(a artifact) bool { return a.name == name })
+	if i < 0 {
 		return doc, fmt.Errorf("unknown artifact %q", name)
 	}
-	return doc, nil
+	ts, notes, err := artifacts[i].run(opt, bep)
+	for _, t := range ts {
+		doc.Tables = append(doc.Tables, t.Data())
+	}
+	doc.Notes = notes
+	return doc, err
 }
 
 // renderData round-trips a TableData through the ASCII renderer so text

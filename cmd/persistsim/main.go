@@ -109,27 +109,7 @@ func main() {
 
 	cfg := machine.DefaultConfig()
 	cfg.Cores = *threads
-	switch strings.ToUpper(*barrier) {
-	case "NP":
-		cfg.Model = machine.NP
-	case "SP":
-		cfg.Model = machine.SP
-	case "WT":
-		cfg.Model = machine.WT
-	case "EP":
-		cfg.Model = machine.EP
-	case "LB":
-		cfg.Model = machine.LB
-	case "LB+IDT":
-		cfg.Model = machine.LB
-		cfg.IDT = true
-	case "LB+PF":
-		cfg.Model = machine.LB
-		cfg.PF = true
-	case "LB++":
-		cfg.Model = machine.LB
-		cfg.IDT, cfg.PF = true, true
-	default:
+	if err := cfg.SetBarrier(strings.ToUpper(*barrier)); err != nil {
 		fmt.Fprintf(os.Stderr, "persistsim: unknown barrier %q\n", *barrier)
 		profiling.Exit(2)
 	}

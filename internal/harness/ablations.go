@@ -2,153 +2,94 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"persistbarriers/internal/machine"
 	"persistbarriers/internal/stats"
 	"persistbarriers/internal/workload"
 )
 
-// AblationResults holds the design-choice studies DESIGN.md calls out:
-// IDT register count, in-flight epoch window, write-buffer depth, and the
-// PF/epoch-size interaction.
-type AblationResults struct {
-	Opt Options
-
-	// DepRegSweep: IDT register pairs -> (gmean normalized throughput vs
-	// LB, fallback count) on the BEP suite under LB++.
-	DepRegs          []int
-	DepRegThroughput map[int]float64
-	DepRegFallbacks  map[int]uint64
-
-	// WindowSweep: in-flight epoch limit -> gmean normalized throughput.
-	Windows          []int
-	WindowThroughput map[int]float64
-
-	// WriteBufferSweep: posted-store window -> gmean normalized
-	// throughput.
-	Buffers          []int
-	BufferThroughput map[int]float64
-
-	// Arbiter comparison: per-core arbiters (the paper's design) vs one
-	// global arbiter serializing all flushes (§4.1's bottleneck).
-	PerCoreArbiter float64
-	GlobalArbiter  float64
+// ablationCols are the design-choice configurations DESIGN.md calls out,
+// each named knob=setting: IDT register pairs, in-flight epoch window,
+// posted-store write-buffer depth, and per-core arbiters (the paper's
+// design) vs one global arbiter serializing all flushes (§4.1's
+// bottleneck). Each is LB++ at the default sizing with one knob moved;
+// "base", plain LB, is the baseline every table normalizes to.
+var ablationCols = []string{
+	"base",
+	"depregs=0", "depregs=1", "depregs=4", "depregs=16",
+	"window=2", "window=4", "window=8", "window=32",
+	"writebuffer=0", "writebuffer=8", "writebuffer=32", "writebuffer=128",
+	"arbiter=percore", "arbiter=global",
 }
 
-// suiteGmean reduces one suite's results against the baseline suite:
-// gmean of per-bench normalized throughput plus total IDT fallbacks.
-func suiteGmean(runs, base []*machine.Result) (float64, uint64) {
-	var vals []float64
-	var fallbacks uint64
-	for i := range runs {
-		vals = append(vals, runs[i].Throughput()/base[i].Throughput())
-		fallbacks += runs[i].Conflicts.IDTFallbacks
+// ablationConfig builds the machine one ablation column names.
+func ablationConfig(threads int, col string) machine.Config {
+	if col == "base" {
+		return config(threads, "LB")
 	}
-	return stats.Gmean(vals), fallbacks
+	cfg := config(threads, "LB++")
+	knob, setting, _ := strings.Cut(col, "=")
+	n, _ := strconv.Atoi(setting)
+	switch knob {
+	case "depregs":
+		cfg.Epoch.DepRegs = n
+	case "window":
+		cfg.Epoch.MaxInFlight = n
+	case "writebuffer":
+		cfg.WriteBuffer = n
+	case "arbiter":
+		cfg.GlobalArbiter = setting == "global"
+	}
+	return cfg
 }
 
-// RunAblations executes the design-choice sweeps. The baseline for every
-// normalization is plain LB at the default hardware sizing. The entire
-// grid — baseline suite plus every (knob, value, bench) combination — is
-// submitted as one sweep so the worker pool sees maximal parallelism.
-func RunAblations(opt Options) (*AblationResults, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	out := &AblationResults{
-		Opt:              opt,
-		DepRegs:          []int{0, 1, 4, 16},
-		DepRegThroughput: make(map[int]float64),
-		DepRegFallbacks:  make(map[int]uint64),
-		Windows:          []int{2, 4, 8, 32},
-		WindowThroughput: make(map[int]float64),
-		Buffers:          []int{0, 8, 32, 128},
-		BufferThroughput: make(map[int]float64),
-	}
+// RunAblations executes the design-choice sweeps: every micro-benchmark
+// under every ablation column, as one sweep.
+func RunAblations(opt Options) (*Grid, error) {
+	return runGrid(opt, workload.MicrobenchmarkNames(), ablationCols, func(bench, col string) Job {
+		return microJob(bench, opt, ablationConfig(opt.Threads, col))
+	})
+}
 
-	benches := workload.MicrobenchmarkNames()
-	var jobs []Job
-	addSuite := func(label string, cfg machine.Config) {
-		for _, bench := range benches {
-			jobs = append(jobs, microJob(label+"/"+bench, bench, opt, cfg))
+// AblationTables renders RunAblations' grid, one table per knob: each
+// setting's gmean throughput normalized to base, plus the suite's
+// register-full fallbacks for the IDT registers.
+func AblationTables(g *Grid) []*stats.Table {
+	vsLB := relative("base", (*machine.Result).Throughput)
+	labels := map[string]string{"percore": "per-core (paper)", "global": "single global"}
+	var tables []*stats.Table
+	for _, k := range []struct{ knob, title, header string }{
+		{"depregs", "Ablation: IDT dependence registers per epoch (LB++ vs LB gmean throughput)", "regs"},
+		{"window", "Ablation: in-flight epoch window (LB++ vs LB gmean throughput)", "window"},
+		{"writebuffer", "Ablation: posted-store write buffer (LB++ vs LB gmean throughput)", "entries"},
+		{"arbiter", "Ablation: flush arbiter placement (LB++ vs LB gmean throughput, §4.1)", "arbiter"},
+	} {
+		headers := []string{k.header, "gmean vs LB"}
+		if k.knob == "depregs" {
+			headers = append(headers, "register-full fallbacks")
 		}
+		t := stats.NewTable(k.title, headers...)
+		for _, col := range g.Cols {
+			knob, setting, _ := strings.Cut(col, "=")
+			if knob != k.knob {
+				continue
+			}
+			if l, ok := labels[setting]; ok {
+				setting = l
+			}
+			cells := []string{setting, fmt.Sprintf("%.3f", stats.Gmean(g.column(col, vsLB)))}
+			if k.knob == "depregs" {
+				var n uint64
+				for _, bench := range g.Rows {
+					n += g.Results[bench][col].Conflicts.IDTFallbacks
+				}
+				cells = append(cells, fmt.Sprintf("%d", n))
+			}
+			t.AddRow(cells...)
+		}
+		tables = append(tables, t)
 	}
-	addSuite("base", bepConfig(opt.Threads, false, false))
-	for _, regs := range out.DepRegs {
-		cfg := bepConfig(opt.Threads, true, true)
-		cfg.Epoch.DepRegs = regs
-		addSuite(fmt.Sprintf("depregs=%d", regs), cfg)
-	}
-	for _, w := range out.Windows {
-		cfg := bepConfig(opt.Threads, true, true)
-		cfg.Epoch.MaxInFlight = w
-		addSuite(fmt.Sprintf("window=%d", w), cfg)
-	}
-	for _, wb := range out.Buffers {
-		cfg := bepConfig(opt.Threads, true, true)
-		cfg.WriteBuffer = wb
-		addSuite(fmt.Sprintf("writebuffer=%d", wb), cfg)
-	}
-	addSuite("arbiter=percore", bepConfig(opt.Threads, true, true))
-	gcfg := bepConfig(opt.Threads, true, true)
-	gcfg.GlobalArbiter = true
-	addSuite("arbiter=global", gcfg)
-
-	results, err := Sweep(jobs, opt.sweepOptions())
-	if err != nil {
-		return nil, err
-	}
-	cur := 0
-	nextSuite := func() []*machine.Result {
-		s := results[cur : cur+len(benches)]
-		cur += len(benches)
-		return s
-	}
-	base := nextSuite()
-	for _, regs := range out.DepRegs {
-		g, fb := suiteGmean(nextSuite(), base)
-		out.DepRegThroughput[regs] = g
-		out.DepRegFallbacks[regs] = fb
-	}
-	for _, w := range out.Windows {
-		g, _ := suiteGmean(nextSuite(), base)
-		out.WindowThroughput[w] = g
-	}
-	for _, wb := range out.Buffers {
-		g, _ := suiteGmean(nextSuite(), base)
-		out.BufferThroughput[wb] = g
-	}
-	out.PerCoreArbiter, _ = suiteGmean(nextSuite(), base)
-	out.GlobalArbiter, _ = suiteGmean(nextSuite(), base)
-	return out, nil
-}
-
-// Tables renders the ablation studies.
-func (a *AblationResults) Tables() []*stats.Table {
-	t1 := stats.NewTable(
-		"Ablation: IDT dependence registers per epoch (LB++ vs LB gmean throughput)",
-		"regs", "gmean vs LB", "register-full fallbacks")
-	for _, r := range a.DepRegs {
-		t1.AddRow(fmt.Sprintf("%d", r),
-			fmt.Sprintf("%.3f", a.DepRegThroughput[r]),
-			fmt.Sprintf("%d", a.DepRegFallbacks[r]))
-	}
-	t2 := stats.NewTable(
-		"Ablation: in-flight epoch window (LB++ vs LB gmean throughput)",
-		"window", "gmean vs LB")
-	for _, w := range a.Windows {
-		t2.AddF(fmt.Sprintf("%d", w), "%.3f", a.WindowThroughput[w])
-	}
-	t3 := stats.NewTable(
-		"Ablation: posted-store write buffer (LB++ vs LB gmean throughput)",
-		"entries", "gmean vs LB")
-	for _, w := range a.Buffers {
-		t3.AddF(fmt.Sprintf("%d", w), "%.3f", a.BufferThroughput[w])
-	}
-	t4 := stats.NewTable(
-		"Ablation: flush arbiter placement (LB++ vs LB gmean throughput, §4.1)",
-		"arbiter", "gmean vs LB")
-	t4.AddF("per-core (paper)", "%.3f", a.PerCoreArbiter)
-	t4.AddF("single global", "%.3f", a.GlobalArbiter)
-	return []*stats.Table{t1, t2, t3, t4}
+	return tables
 }

@@ -1,144 +1,53 @@
 package harness
 
 import (
+	"persistbarriers/internal/cache"
 	"persistbarriers/internal/epoch"
 	"persistbarriers/internal/machine"
 	"persistbarriers/internal/stats"
 	"persistbarriers/internal/workload"
 )
 
-// BEPResults holds the raw results behind Figures 11 and 12: every
-// micro-benchmark under every LB variant.
-type BEPResults struct {
-	Opt     Options
-	Benches []string
-	Results map[string]map[string]*machine.Result // bench -> variant -> result
+// RunBEP executes the buffered-epoch-persistency study behind Figures 11
+// and 12 (Section 7.1): every micro-benchmark under every BEPVariants
+// barrier.
+func RunBEP(opt Options) (*Grid, error) {
+	return runGrid(opt, workload.MicrobenchmarkNames(), BEPVariants, func(bench, variant string) Job {
+		return microJob(bench, opt, config(opt.Threads, variant))
+	})
 }
 
-// RunBEP executes the buffered-epoch-persistency study (Section 7.1).
-// Every (bench, variant) run is independent, so the whole grid fans out
-// across the sweep worker pool.
-func RunBEP(opt Options) (*BEPResults, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	out := &BEPResults{
-		Opt:     opt,
-		Benches: workload.MicrobenchmarkNames(),
-		Results: make(map[string]map[string]*machine.Result),
-	}
-	var jobs []Job
-	for _, bench := range out.Benches {
-		for _, variant := range BEPVariants {
-			idt, pf, err := variantFlags(variant)
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, microJob(bench+"/"+variant, bench, opt, bepConfig(opt.Threads, idt, pf)))
-		}
-	}
-	results, err := Sweep(jobs, opt.sweepOptions())
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, bench := range out.Benches {
-		out.Results[bench] = make(map[string]*machine.Result)
-		for _, variant := range BEPVariants {
-			out.Results[bench][variant] = results[i]
-			i++
-		}
-	}
-	return out, nil
+// conflicting is the percentage of a run's persisted epochs flushed
+// because of a conflict: one bar of Figure 12.
+func conflicting(row map[string]*machine.Result, col string) float64 {
+	return row[col].Epochs.ConflictingFraction() * 100
 }
 
-// NormalizedThroughput returns a bench's variant throughput normalized to
-// LB — one bar of Figure 11.
-func (b *BEPResults) NormalizedThroughput(bench, variant string) float64 {
-	base := b.Results[bench]["LB"].Throughput()
-	if base == 0 {
-		return 0
-	}
-	return b.Results[bench][variant].Throughput() / base
+// Fig11Table renders Figure 11 from RunBEP's grid: transaction throughput
+// normalized to LB.
+func Fig11Table(g *Grid) *stats.Table {
+	return g.table("Figure 11: Transaction throughput normalized to LB (BEP micro-benchmarks)",
+		append([]string{"bench"}, g.Cols...), g.Cols, "%.3f", relative("LB", (*machine.Result).Throughput), "gmean")
 }
 
-// GmeanThroughput returns the geometric-mean normalized throughput of a
-// variant across the suite (Figure 11's gmean group).
-func (b *BEPResults) GmeanThroughput(variant string) float64 {
-	var vs []float64
-	for _, bench := range b.Benches {
-		vs = append(vs, b.NormalizedThroughput(bench, variant))
-	}
-	return stats.Gmean(vs)
+// Fig12Table renders Figure 12 from RunBEP's grid: percentage of
+// conflicting epochs.
+func Fig12Table(g *Grid) *stats.Table {
+	return g.table("Figure 12: Percentage of conflicting epochs (out of all persisted epochs)",
+		append([]string{"bench"}, g.Cols...), g.Cols, "%.1f", conflicting, "amean")
 }
 
-// ConflictingPercent returns the percentage of epochs flushed because of a
-// conflict — one bar of Figure 12.
-func (b *BEPResults) ConflictingPercent(bench, variant string) float64 {
-	return b.Results[bench][variant].Epochs.ConflictingFraction() * 100
-}
-
-// AmeanConflicting returns the arithmetic-mean conflicting-epoch
-// percentage across the suite (Figure 12's amean group).
-func (b *BEPResults) AmeanConflicting(variant string) float64 {
-	var vs []float64
-	for _, bench := range b.Benches {
-		vs = append(vs, b.ConflictingPercent(bench, variant))
-	}
-	return stats.Amean(vs)
-}
-
-// Fig11Table renders Figure 11: transaction throughput normalized to LB.
-func (b *BEPResults) Fig11Table() *stats.Table {
-	t := stats.NewTable(
-		"Figure 11: Transaction throughput normalized to LB (BEP micro-benchmarks)",
-		append([]string{"bench"}, BEPVariants...)...)
-	for _, bench := range b.Benches {
-		vals := make([]float64, 0, len(BEPVariants))
-		for _, v := range BEPVariants {
-			vals = append(vals, b.NormalizedThroughput(bench, v))
-		}
-		t.AddF(bench, "%.3f", vals...)
-	}
-	gm := make([]float64, 0, len(BEPVariants))
-	for _, v := range BEPVariants {
-		gm = append(gm, b.GmeanThroughput(v))
-	}
-	t.AddF("gmean", "%.3f", gm...)
-	return t
-}
-
-// Fig12Table renders Figure 12: percentage of conflicting epochs.
-func (b *BEPResults) Fig12Table() *stats.Table {
-	t := stats.NewTable(
-		"Figure 12: Percentage of conflicting epochs (out of all persisted epochs)",
-		append([]string{"bench"}, BEPVariants...)...)
-	for _, bench := range b.Benches {
-		vals := make([]float64, 0, len(BEPVariants))
-		for _, v := range BEPVariants {
-			vals = append(vals, b.ConflictingPercent(bench, v))
-		}
-		t.AddF(bench, "%.1f", vals...)
-	}
-	am := make([]float64, 0, len(BEPVariants))
-	for _, v := range BEPVariants {
-		am = append(am, b.AmeanConflicting(v))
-	}
-	t.AddF("amean", "%.1f", am...)
-	return t
-}
-
-// ConflictKindsTable breaks epoch-flush causes down per variant for one
-// benchmark suite run — the §7.2 "86% of conflicts are inter-thread"
-// style analysis, applied to the BEP runs.
-func (b *BEPResults) ConflictKindsTable() *stats.Table {
+// ConflictKindsTable breaks epoch-flush causes down per variant over
+// RunBEP's grid — the §7.2 "86% of conflicts are inter-thread" style
+// analysis, applied to the BEP runs.
+func ConflictKindsTable(g *Grid) *stats.Table {
 	t := stats.NewTable(
 		"Epoch flush causes (suite totals, % of persisted epochs)",
 		"variant", "intra", "inter", "eviction", "pressure", "proactive", "natural", "drain")
-	for _, v := range BEPVariants {
+	for _, v := range g.Cols {
 		var agg machine.EpochAggregate
-		for _, bench := range b.Benches {
-			e := b.Results[bench][v].Epochs
+		for _, bench := range g.Rows {
+			e := g.Results[bench][v].Epochs
 			agg.Persisted += e.Persisted
 			for i := range e.ByCause {
 				agg.ByCause[i] += e.ByCause[i]
@@ -156,4 +65,24 @@ func (b *BEPResults) ConflictKindsTable() *stats.Table {
 			pct(epoch.CauseDrain))
 	}
 	return t
+}
+
+// RunFlushMode runs the §7 invalidating-vs-non-invalidating study ("using
+// a non-invalidating flush is significantly faster, around 30%"): every
+// micro-benchmark under LB++ with clwb-style and clflush-style persists.
+func RunFlushMode(opt Options) (*Grid, error) {
+	return runGrid(opt, workload.MicrobenchmarkNames(), []string{"clwb", "clflush"}, func(bench, mode string) Job {
+		cfg := config(opt.Threads, "LB++")
+		if mode == "clflush" {
+			cfg.FlushMode = cache.Invalidating
+		}
+		return microJob(bench, opt, cfg)
+	})
+}
+
+// FlushModeTable renders RunFlushMode's grid: clwb throughput normalized
+// to clflush per benchmark.
+func FlushModeTable(g *Grid) *stats.Table {
+	return g.table("Flush-mode study: clwb (non-invalidating) throughput normalized to clflush",
+		[]string{"bench", "clwb/clflush"}, []string{"clwb"}, "%.3f", relative("clflush", (*machine.Result).Throughput), "gmean")
 }

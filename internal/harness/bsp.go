@@ -2,212 +2,75 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"persistbarriers/internal/machine"
 	"persistbarriers/internal/stats"
 	"persistbarriers/internal/workload"
 )
 
-// bspConfig builds a bulk-mode BSP machine (§5.2): hardware-inserted
-// barriers every epochStores dynamic stores, register checkpointing, and
-// undo logging unless disabled.
-func bspConfig(threads, epochStores int, idt, pf, logging bool) machine.Config {
-	cfg := bepConfig(threads, idt, pf)
-	cfg.BulkEpochStores = epochStores
-	cfg.Logging = logging
-	cfg.CheckpointLines = 4
-	return cfg
-}
-
-// npConfig builds the No Persistency baseline (NVRAM as plain memory).
-func npConfig(threads int) machine.Config {
-	cfg := machine.DefaultConfig()
-	cfg.Cores = threads
-	cfg.Model = machine.NP
-	return cfg
-}
-
-// EpochSweepResults backs Figure 13: execution time for several hardware
-// epoch sizes, normalized to NP, per app model.
-type EpochSweepResults struct {
-	Opt   Options
-	Apps  []string
-	Sizes []int
-	// NP[app] is the baseline; Runs[app][size] the LB run.
-	NP   map[string]*machine.Result
-	Runs map[string]map[int]*machine.Result
-}
-
-// RunFig13 executes the epoch-size study (unoptimized LB barrier).
-func RunFig13(opt Options) (*EpochSweepResults, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
+// RunFig13 executes the epoch-size study behind Figure 13: every app model
+// under NP and under the unoptimized LB barrier at each of
+// opt.EpochSizes dynamic stores per hardware epoch (columns "LB<size>").
+func RunFig13(opt Options) (*Grid, error) {
 	if len(opt.EpochSizes) == 0 {
 		return nil, fmt.Errorf("harness: no epoch sizes configured")
 	}
-	out := &EpochSweepResults{
-		Opt:   opt,
-		Apps:  workload.AppNames(),
-		Sizes: opt.EpochSizes,
-		NP:    make(map[string]*machine.Result),
-		Runs:  make(map[string]map[int]*machine.Result),
+	cols := []string{"NP"}
+	sizes := map[string]int{}
+	for _, size := range opt.EpochSizes {
+		col := fmt.Sprintf("LB%d", size)
+		cols = append(cols, col)
+		sizes[col] = size
 	}
-	var jobs []Job
-	for _, app := range out.Apps {
-		jobs = append(jobs, appJob(app+"/NP", app, opt, npConfig(opt.Threads)))
-		for _, size := range out.Sizes {
-			jobs = append(jobs, appJob(fmt.Sprintf("%s/LB%d", app, size), app, opt,
-				bspConfig(opt.Threads, size, false, false, true)))
+	return runGrid(opt, workload.AppNames(), cols, func(app, col string) Job {
+		if col == "NP" {
+			return appJob(app, opt, config(opt.Threads, "NP"))
 		}
-	}
-	results, err := Sweep(jobs, opt.sweepOptions())
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, app := range out.Apps {
-		out.NP[app] = results[i]
-		i++
-		out.Runs[app] = make(map[int]*machine.Result)
-		for _, size := range out.Sizes {
-			out.Runs[app][size] = results[i]
-			i++
-		}
-	}
-	return out, nil
+		return appJob(app, opt, bspConfig(config(opt.Threads, "LB"), sizes[col], true))
+	})
 }
 
-// Normalized returns the execution-time overhead of one (app, size) run
-// relative to NP.
-func (e *EpochSweepResults) Normalized(app string, size int) float64 {
-	np := float64(e.NP[app].ExecCycles)
-	if np == 0 {
-		return 0
-	}
-	return float64(e.Runs[app][size].ExecCycles) / np
+// Fig13Table renders Figure 13 from RunFig13's grid: execution time
+// normalized to NP.
+func Fig13Table(g *Grid) *stats.Table {
+	return g.table("Figure 13: Execution time with varying epoch sizes, normalized to NP",
+		append([]string{"app"}, g.Cols[1:]...), g.Cols[1:], "%.2f", relative("NP", execCycles), "gmean")
 }
 
-// GmeanNormalized returns the suite geometric mean for one epoch size.
-func (e *EpochSweepResults) GmeanNormalized(size int) float64 {
-	var vs []float64
-	for _, app := range e.Apps {
-		vs = append(vs, e.Normalized(app, size))
-	}
-	return stats.Gmean(vs)
-}
-
-// Fig13Table renders Figure 13.
-func (e *EpochSweepResults) Fig13Table() *stats.Table {
-	headers := []string{"app"}
-	for _, s := range e.Sizes {
-		headers = append(headers, fmt.Sprintf("LB%d", s))
-	}
-	t := stats.NewTable(
-		"Figure 13: Execution time with varying epoch sizes, normalized to NP",
-		headers...)
-	for _, app := range e.Apps {
-		vals := make([]float64, 0, len(e.Sizes))
-		for _, s := range e.Sizes {
-			vals = append(vals, e.Normalized(app, s))
-		}
-		t.AddF(app, "%.2f", vals...)
-	}
-	gm := make([]float64, 0, len(e.Sizes))
-	for _, s := range e.Sizes {
-		gm = append(gm, e.GmeanNormalized(s))
-	}
-	t.AddF("gmean", "%.2f", gm...)
-	return t
-}
-
-// BSPResults backs Figure 14: BSP under LB, LB+IDT, LB++, and LB++ without
-// logging, normalized to NP.
+// BSPResults backs Figure 14: every app model under NP and under each
+// BSPVariants barrier at the configured bulk epoch size. NP and Runs are
+// the views of the grid's Results that benchmark/sim.go reads.
 type BSPResults struct {
-	Opt  Options
-	Apps []string
-	NP   map[string]*machine.Result
-	Runs map[string]map[string]*machine.Result // app -> variant -> result
+	*Grid
+	NP   map[string]*machine.Result            // app -> NP run
+	Runs map[string]map[string]*machine.Result // app -> variant -> run (= Results)
 }
 
-// RunFig14 executes the BSP barrier-variant study at the configured bulk
-// epoch size.
+// RunFig14 executes the BSP barrier-variant study. LB++NOLOG is LB++
+// without undo logging.
 func RunFig14(opt Options) (*BSPResults, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	out := &BSPResults{
-		Opt:  opt,
-		Apps: workload.AppNames(),
-		NP:   make(map[string]*machine.Result),
-		Runs: make(map[string]map[string]*machine.Result),
-	}
-	var jobs []Job
-	for _, app := range out.Apps {
-		jobs = append(jobs, appJob(app+"/NP", app, opt, npConfig(opt.Threads)))
-		for _, variant := range BSPVariants {
-			idt, pf, err := variantFlags(variant)
-			if err != nil {
-				return nil, err
-			}
-			logging := variant != "LB++NOLOG"
-			jobs = append(jobs, appJob(app+"/"+variant, app, opt,
-				bspConfig(opt.Threads, opt.BulkEpoch, idt, pf, logging)))
+	g, err := runGrid(opt, workload.AppNames(), append([]string{"NP"}, BSPVariants...), func(app, col string) Job {
+		if col == "NP" {
+			return appJob(app, opt, config(opt.Threads, "NP"))
 		}
-	}
-	results, err := Sweep(jobs, opt.sweepOptions())
+		barrier, nolog := strings.CutSuffix(col, "NOLOG")
+		return appJob(app, opt, bspConfig(config(opt.Threads, barrier), opt.BulkEpoch, !nolog))
+	})
 	if err != nil {
 		return nil, err
 	}
-	i := 0
-	for _, app := range out.Apps {
-		out.NP[app] = results[i]
-		i++
-		out.Runs[app] = make(map[string]*machine.Result)
-		for _, variant := range BSPVariants {
-			out.Runs[app][variant] = results[i]
-			i++
-		}
+	out := &BSPResults{Grid: g, NP: make(map[string]*machine.Result), Runs: g.Results}
+	for _, app := range g.Rows {
+		out.NP[app] = g.Results[app]["NP"]
 	}
 	return out, nil
 }
 
-// Normalized returns execution time of (app, variant) relative to NP.
-func (b *BSPResults) Normalized(app, variant string) float64 {
-	np := float64(b.NP[app].ExecCycles)
-	if np == 0 {
-		return 0
-	}
-	return float64(b.Runs[app][variant].ExecCycles) / np
-}
-
-// GmeanNormalized returns the suite geometric mean for one variant.
-func (b *BSPResults) GmeanNormalized(variant string) float64 {
-	var vs []float64
-	for _, app := range b.Apps {
-		vs = append(vs, b.Normalized(app, variant))
-	}
-	return stats.Gmean(vs)
-}
-
-// Fig14Table renders Figure 14.
+// Fig14Table renders Figure 14: execution time normalized to NP.
 func (b *BSPResults) Fig14Table() *stats.Table {
-	t := stats.NewTable(
-		"Figure 14: BSP execution time normalized to NP",
-		append([]string{"app"}, BSPVariants...)...)
-	for _, app := range b.Apps {
-		vals := make([]float64, 0, len(BSPVariants))
-		for _, v := range BSPVariants {
-			vals = append(vals, b.Normalized(app, v))
-		}
-		t.AddF(app, "%.2f", vals...)
-	}
-	gm := make([]float64, 0, len(BSPVariants))
-	for _, v := range BSPVariants {
-		gm = append(gm, b.GmeanNormalized(v))
-	}
-	t.AddF("gmean", "%.2f", gm...)
-	return t
+	return b.table("Figure 14: BSP execution time normalized to NP",
+		append([]string{"app"}, BSPVariants...), BSPVariants, "%.2f", relative("NP", execCycles), "gmean")
 }
 
 // InterConflictShare returns the fraction of (intra+inter) conflicts that
@@ -215,7 +78,7 @@ func (b *BSPResults) Fig14Table() *stats.Table {
 // large number (86%) of conflicts are inter-thread conflicts" claim.
 func (b *BSPResults) InterConflictShare(variant string) float64 {
 	var intra, inter uint64
-	for _, app := range b.Apps {
+	for _, app := range b.Rows {
 		c := b.Runs[app][variant].Conflicts
 		intra += c.Intra
 		inter += c.Inter
@@ -226,53 +89,17 @@ func (b *BSPResults) InterConflictShare(variant string) float64 {
 	return float64(inter) / float64(intra+inter)
 }
 
-// WriteThroughResults backs the §7.2 naive-BSP comparison (~8x NP).
-type WriteThroughResults struct {
-	Apps []string
-	NP   map[string]*machine.Result
-	WT   map[string]*machine.Result
+// RunWriteThrough measures the naive write-through BSP design (WT)
+// against NP on every app model: the §7.2 comparison (~8x NP).
+func RunWriteThrough(opt Options) (*Grid, error) {
+	return runGrid(opt, workload.AppNames(), []string{"NP", "WT"}, func(app, model string) Job {
+		return appJob(app, opt, config(opt.Threads, model))
+	})
 }
 
-// RunWriteThrough measures the naive write-through BSP design against NP.
-func RunWriteThrough(opt Options) (*WriteThroughResults, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	out := &WriteThroughResults{
-		Apps: workload.AppNames(),
-		NP:   make(map[string]*machine.Result),
-		WT:   make(map[string]*machine.Result),
-	}
-	wtCfg := machine.DefaultConfig()
-	wtCfg.Cores = opt.Threads
-	wtCfg.Model = machine.WT
-	var jobs []Job
-	for _, app := range out.Apps {
-		jobs = append(jobs, appJob(app+"/NP", app, opt, npConfig(opt.Threads)))
-		jobs = append(jobs, appJob(app+"/WT", app, opt, wtCfg))
-	}
-	results, err := Sweep(jobs, opt.sweepOptions())
-	if err != nil {
-		return nil, err
-	}
-	for i, app := range out.Apps {
-		out.NP[app] = results[2*i]
-		out.WT[app] = results[2*i+1]
-	}
-	return out, nil
-}
-
-// Table renders the write-through overhead per app and its gmean.
-func (w *WriteThroughResults) Table() *stats.Table {
-	t := stats.NewTable(
-		"Naive write-through BSP: execution time normalized to NP (§7.2 text, ~8x)",
-		"app", "WT/NP")
-	var vs []float64
-	for _, app := range w.Apps {
-		v := float64(w.WT[app].ExecCycles) / float64(w.NP[app].ExecCycles)
-		vs = append(vs, v)
-		t.AddF(app, "%.2f", v)
-	}
-	t.AddF("gmean", "%.2f", stats.Gmean(vs))
-	return t
+// WriteThroughTable renders RunWriteThrough's grid: the write-through
+// overhead per app and its gmean.
+func WriteThroughTable(g *Grid) *stats.Table {
+	return g.table("Naive write-through BSP: execution time normalized to NP (§7.2 text, ~8x)",
+		[]string{"app", "WT/NP"}, []string{"WT"}, "%.2f", relative("NP", execCycles), "gmean")
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"persistbarriers/internal/machine"
 	"persistbarriers/internal/mem"
 	"persistbarriers/internal/stats"
 	"persistbarriers/internal/trace"
@@ -23,29 +22,27 @@ type Fig7Result struct {
 }
 
 // RunFig7 runs the two-bank epoch-ordering kernel on a 2-bank machine
-// under plain LB with an immediate conflict forcing E2's flush (the
-// adversarial schedule of Figure 7(a)).
-func RunFig7() (*Fig7Result, error) {
-	cfg := machine.DefaultConfig()
-	cfg.Cores = 2
-	cfg.LLCBanks = 2
-	cfg.Model = machine.LB
-	cfg.PF = true // flush epochs as soon as they complete
-	cfg.RecordOpTimes = true
-
+// under LB+PF, which flushes E2 as soon as it completes (the adversarial
+// schedule of Figure 7(a)).
+func RunFig7(opt Options) (*Fig7Result, error) {
 	// Bank = line % 2: line 0 (A) -> bank 0, lines 1 (B) and 3 (C) ->
 	// bank 1.
 	lineA, lineB, lineC := mem.Addr(0), mem.Addr(64), mem.Addr(192)
-	results, err := Sweep([]Job{kernelJob("fig7", cfg, func() *trace.Program {
-		var t0 trace.Builder
-		t0.Store(lineA).Store(lineB).Barrier() // epoch E1 = {A, B}
-		t0.Store(lineC).Barrier()              // epoch E2 = {C}
-		return &trace.Program{Traces: [][]trace.Op{t0.Ops()}}
-	})}, SweepOptions{})
+	g, err := runGrid(opt, []string{"fig7"}, []string{"LB+PF"}, func(_, barrier string) Job {
+		cfg := config(2, barrier)
+		cfg.LLCBanks = 2
+		cfg.RecordOpTimes = true
+		return kernelJob(cfg, func() *trace.Program {
+			var t0 trace.Builder
+			t0.Store(lineA).Store(lineB).Barrier() // epoch E1 = {A, B}
+			t0.Store(lineC).Barrier()              // epoch E2 = {C}
+			return &trace.Program{Traces: [][]trace.Op{t0.Ops()}}
+		})
+	})
 	if err != nil {
 		return nil, err
 	}
-	r := results[0]
+	r := g.Results["fig7"]["LB+PF"]
 	out := &Fig7Result{}
 	persist := map[mem.Line]uint64{}
 	for _, ev := range r.PersistLog {

@@ -33,34 +33,23 @@ func fig1Program() *trace.Program {
 // RunFig1 runs the timeline probe. It demonstrates the model ordering the
 // paper's Figure 1 illustrates: SP serializes visibility behind persists,
 // EP stalls at barriers, BEP overlaps everything.
-func RunFig1() (*Fig1Result, error) {
+func RunFig1(opt Options) (*Fig1Result, error) {
 	out := &Fig1Result{
 		Models:   []string{"SP", "EP", "BEP(LB)"},
 		Exec:     make(map[string]uint64),
 		LastAck:  make(map[string]uint64),
 		Persists: make(map[string]uint64),
 	}
-	var jobs []Job
-	for _, name := range out.Models {
-		cfg := machine.DefaultConfig()
-		cfg.Cores = 1
+	g, err := runGrid(opt, []string{"fig1"}, []string{"SP", "EP", "LB"}, func(_, barrier string) Job {
+		cfg := config(1, barrier)
 		cfg.RecordOpTimes = true
-		switch name {
-		case "SP":
-			cfg.Model = machine.SP
-		case "EP":
-			cfg.Model = machine.EP
-		default:
-			cfg.Model = machine.LB
-		}
-		jobs = append(jobs, kernelJob("fig1/"+name, cfg, fig1Program))
-	}
-	results, err := Sweep(jobs, SweepOptions{})
+		return kernelJob(cfg, fig1Program)
+	})
 	if err != nil {
 		return nil, err
 	}
 	for i, name := range out.Models {
-		r := results[i]
+		r := g.Results["fig1"][g.Cols[i]]
 		out.Exec[name] = uint64(r.ExecCycles)
 		out.Persists[name] = r.PersistedLines
 		var last uint64
@@ -117,15 +106,14 @@ func fig4Program() *trace.Program {
 }
 
 // RunFig4 measures the conflicting request's cost without and with IDT.
-func RunFig4() (*Fig4Result, error) {
-	results, err := Sweep([]Job{
-		kernelJob("fig4/LB", bepConfig(2, false, false), fig4Program),
-		kernelJob("fig4/LB+IDT", bepConfig(2, true, false), fig4Program),
-	}, SweepOptions{})
+func RunFig4(opt Options) (*Fig4Result, error) {
+	g, err := runGrid(opt, []string{"fig4"}, []string{"LB", "LB+IDT"}, func(_, barrier string) Job {
+		return kernelJob(config(2, barrier), fig4Program)
+	})
 	if err != nil {
 		return nil, err
 	}
-	lb, idt := results[0], results[1]
+	lb, idt := g.Results["fig4"]["LB"], g.Results["fig4"]["LB+IDT"]
 	return &Fig4Result{
 		ExecLB:   uint64(lb.ExecCycles),
 		ExecIDT:  uint64(idt.ExecCycles),
@@ -176,61 +164,5 @@ func Table2() *stats.Table {
 	for _, n := range workload.MicrobenchmarkNames() {
 		t.AddRow(n, desc[n])
 	}
-	return t
-}
-
-// FlushModeResults backs the §7 invalidating-vs-non-invalidating study
-// ("using a non-invalidating flush is significantly faster, around 30%").
-type FlushModeResults struct {
-	Benches []string
-	Clwb    map[string]*machine.Result
-	Clflush map[string]*machine.Result
-}
-
-// RunFlushMode compares clwb-style and clflush-style persists under LB++.
-func RunFlushMode(opt Options) (*FlushModeResults, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	out := &FlushModeResults{
-		Benches: workload.MicrobenchmarkNames(),
-		Clwb:    make(map[string]*machine.Result),
-		Clflush: make(map[string]*machine.Result),
-	}
-	var jobs []Job
-	for _, bench := range out.Benches {
-		for _, invalidating := range []bool{false, true} {
-			cfg := bepConfig(opt.Threads, true, true)
-			key := bench + "/clwb"
-			if invalidating {
-				cfg.FlushMode = 1 // cache.Invalidating
-				key = bench + "/clflush"
-			}
-			jobs = append(jobs, microJob(key, bench, opt, cfg))
-		}
-	}
-	results, err := Sweep(jobs, opt.sweepOptions())
-	if err != nil {
-		return nil, err
-	}
-	for i, bench := range out.Benches {
-		out.Clwb[bench] = results[2*i]
-		out.Clflush[bench] = results[2*i+1]
-	}
-	return out, nil
-}
-
-// Table renders clwb throughput normalized to clflush per benchmark.
-func (f *FlushModeResults) Table() *stats.Table {
-	t := stats.NewTable(
-		"Flush-mode study: clwb (non-invalidating) throughput normalized to clflush",
-		"bench", "clwb/clflush")
-	var vs []float64
-	for _, bench := range f.Benches {
-		v := f.Clwb[bench].Throughput() / f.Clflush[bench].Throughput()
-		vs = append(vs, v)
-		t.AddF(bench, "%.3f", v)
-	}
-	t.AddF("gmean", "%.3f", stats.Gmean(vs))
 	return t
 }

@@ -21,7 +21,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 //
 // and justify the new numbers in the commit message.
 func TestGoldenFig4(t *testing.T) {
-	r, err := RunFig4()
+	r, err := RunFig4(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 // Package harness runs the paper's experiments end to end: it builds
 // machines, generates workloads, sweeps parameters, and renders tables
 // whose rows correspond to the bars of each figure in the evaluation
-// (Section 7). Every figure and table of the paper has a RunFigN /
-// TableN entry point here; cmd/figures exposes them on the command line.
+// (Section 7). Every study is a Grid of workloads × machine
+// configurations, run as one sweep and rendered by one table function;
+// the hand-written kernels of Figures 1, 4 and 7 are one-row grids.
+// cmd/figures exposes every figure and table on the command line.
 package harness
 
 import (
@@ -34,9 +36,9 @@ type Options struct {
 	Seed uint64
 
 	// Parallelism is the sweep worker-pool size: how many independent
-	// simulations run concurrently inside each RunFig*/RunAblations
-	// entry point. <= 0 means GOMAXPROCS. Results are identical at any
-	// setting — runs are independent and collected in submission order.
+	// simulations run concurrently inside each Run* entry point. <= 0
+	// means GOMAXPROCS. Results are identical at any setting — runs are
+	// independent and collected in submission order.
 	Parallelism int
 	// VerifyDeterminism re-executes every sweep job serially and fails
 	// on any divergence from the pooled run (see SweepOptions).
@@ -96,72 +98,54 @@ var (
 	BSPVariants = []string{"LB", "LB+IDT", "LB++", "LB++NOLOG"}
 )
 
-// bepConfig builds the machine for a buffered-epoch-persistency run.
-func bepConfig(threads int, idt, pf bool) machine.Config {
+// config builds the default machine with threads cores under the named
+// barrier (machine.Config.SetBarrier). Every name the harness passes is
+// one of its own constants, so an unknown one is a programming error.
+func config(threads int, barrier string) machine.Config {
 	cfg := machine.DefaultConfig()
 	cfg.Cores = threads
-	cfg.Model = machine.LB
-	cfg.IDT = idt
-	cfg.PF = pf
+	if err := cfg.SetBarrier(barrier); err != nil {
+		panic(err)
+	}
 	return cfg
 }
 
-// variantFlags maps a variant name to its IDT/PF switches.
-func variantFlags(name string) (idt, pf bool, err error) {
-	switch name {
-	case "LB":
-		return false, false, nil
-	case "LB+IDT":
-		return true, false, nil
-	case "LB+PF":
-		return false, true, nil
-	case "LB++", "LB++NOLOG":
-		return true, true, nil
-	default:
-		return false, false, fmt.Errorf("harness: unknown variant %q", name)
-	}
+// bspConfig turns an LB-family machine into a bulk-mode BSP one (§5.2):
+// hardware-inserted barriers every epochStores dynamic stores, register
+// checkpointing, and undo logging unless disabled.
+func bspConfig(cfg machine.Config, epochStores int, logging bool) machine.Config {
+	cfg.BulkEpochStores = epochStores
+	cfg.Logging = logging
+	cfg.CheckpointLines = 4
+	return cfg
 }
 
 // kernelJob builds one sweep job over a hand-written kernel (Figures 1, 4
 // and 7).
-func kernelJob(key string, cfg machine.Config, kernel func() *trace.Program) Job {
-	return Job{Key: key, Cfg: cfg, Gen: func() (*trace.Program, error) { return kernel(), nil }}
+func kernelJob(cfg machine.Config, kernel func() *trace.Program) Job {
+	return Job{Cfg: cfg, Gen: func() (*trace.Program, error) { return kernel(), nil }}
 }
 
-// microProgram generates a micro-benchmark's program. Jobs call it from
-// Gen when they run, so no two runs share a trace and a sweep holds only
-// the programs of the runs in flight.
-func microProgram(name string, opt Options) (*trace.Program, error) {
-	gen, ok := workload.Microbenchmarks()[name]
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown micro-benchmark %q", name)
-	}
-	return gen(workload.Spec{Threads: opt.Threads, OpsPerThread: opt.MicroOps, Seed: opt.Seed})
-}
-
-// appProgram regenerates a BSP app-model trace.
-func appProgram(name string, opt Options) (*trace.Program, error) {
-	prof, ok := workload.Apps()[name]
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown app %q", name)
-	}
-	return prof.Generate(workload.Spec{Threads: opt.Threads, OpsPerThread: opt.AppOps, Seed: opt.Seed})
-}
-
-// microJob builds one sweep job over a micro-benchmark trace.
-func microJob(key, bench string, opt Options, cfg machine.Config) Job {
-	return Job{
-		Key: key,
-		Cfg: cfg,
-		Gen: func() (*trace.Program, error) { return microProgram(bench, opt) },
-	}
+// microJob builds one sweep job over a micro-benchmark trace. Gen
+// generates the program when the job runs, so no two runs share a trace
+// and a sweep holds only the programs of the runs in flight.
+func microJob(bench string, opt Options, cfg machine.Config) Job {
+	return Job{Cfg: cfg, Gen: func() (*trace.Program, error) {
+		gen, ok := workload.Microbenchmarks()[bench]
+		if !ok {
+			return nil, fmt.Errorf("harness: unknown micro-benchmark %q", bench)
+		}
+		return gen(workload.Spec{Threads: opt.Threads, OpsPerThread: opt.MicroOps, Seed: opt.Seed})
+	}}
 }
 
 // appJob builds one sweep job over a BSP app-model trace.
-func appJob(key, app string, opt Options, cfg machine.Config) Job {
-	return Job{
-		Key: key,
-		Cfg: cfg,
-		Gen: func() (*trace.Program, error) { return appProgram(app, opt) },
-	}
+func appJob(app string, opt Options, cfg machine.Config) Job {
+	return Job{Cfg: cfg, Gen: func() (*trace.Program, error) {
+		prof, ok := workload.Apps()[app]
+		if !ok {
+			return nil, fmt.Errorf("harness: unknown app %q", app)
+		}
+		return prof.Generate(workload.Spec{Threads: opt.Threads, OpsPerThread: opt.AppOps, Seed: opt.Seed})
+	}}
 }

@@ -1,9 +1,11 @@
 package harness
 
 import (
-	"math"
 	"strings"
 	"testing"
+
+	"persistbarriers/internal/machine"
+	"persistbarriers/internal/stats"
 )
 
 // tinyOpt keeps harness tests fast while still exercising every code path.
@@ -39,55 +41,57 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-func TestVariantFlags(t *testing.T) {
-	cases := map[string][2]bool{
-		"LB": {false, false}, "LB+IDT": {true, false},
-		"LB+PF": {false, true}, "LB++": {true, true}, "LB++NOLOG": {true, true},
+// gmeanVs is the suite gmean of col's metric normalized to base's in the
+// same row: a figure's closing gmean bar.
+func gmeanVs(g *Grid, col, base string, metric func(*machine.Result) float64) float64 {
+	var vs []float64
+	for _, row := range g.Rows {
+		vs = append(vs, metric(g.Results[row][col])/metric(g.Results[row][base]))
 	}
-	for name, want := range cases {
-		idt, pf, err := variantFlags(name)
-		if err != nil || idt != want[0] || pf != want[1] {
-			t.Errorf("%s -> (%v,%v,%v)", name, idt, pf, err)
-		}
-	}
-	if _, _, err := variantFlags("bogus"); err == nil {
-		t.Error("bogus variant accepted")
-	}
+	return stats.Gmean(vs)
 }
+
+func execCyclesOf(r *machine.Result) float64 { return float64(r.ExecCycles) }
 
 func TestRunBEPProducesFigures(t *testing.T) {
 	r, err := RunBEP(tinyOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Benches) != 5 {
-		t.Fatalf("benches = %v", r.Benches)
+	if len(r.Rows) != 5 {
+		t.Fatalf("benches = %v", r.Rows)
 	}
-	for _, bench := range r.Benches {
+	for _, bench := range r.Rows {
 		for _, v := range BEPVariants {
 			res := r.Results[bench][v]
 			if res == nil || !res.Finished {
 				t.Fatalf("%s/%s missing or unfinished", bench, v)
 			}
 		}
-		// LB normalizes to exactly 1.
-		if got := r.NormalizedThroughput(bench, "LB"); math.Abs(got-1) > 1e-9 {
-			t.Errorf("%s LB normalized = %v", bench, got)
+	}
+	// LB normalizes to exactly 1: Figure 11's LB column.
+	fig11 := Fig11Table(r).Data()
+	for _, row := range fig11.Rows {
+		if row[1] != "1.000" {
+			t.Errorf("%s LB normalized = %s", row[0], row[1])
 		}
 	}
-	for _, tbl := range []string{r.Fig11Table().Render(), r.Fig12Table().Render(), r.ConflictKindsTable().Render()} {
+	for _, tbl := range []string{Fig11Table(r).Render(), Fig12Table(r).Render(), ConflictKindsTable(r).Render()} {
 		if !strings.Contains(tbl, "queue") && !strings.Contains(tbl, "LB++") {
 			t.Errorf("table missing expected rows:\n%s", tbl)
 		}
 	}
 	// The headline claim, in shape: LB++ must not lose to LB on gmean.
-	if g := r.GmeanThroughput("LB++"); g < 1.0 {
+	if g := gmeanVs(r, "LB++", "LB", (*machine.Result).Throughput); g < 1.0 {
 		t.Errorf("LB++ gmean %v < 1 (slower than LB)", g)
 	}
 	// Conflicting-epoch percentages are percentages.
 	for _, v := range BEPVariants {
-		p := r.AmeanConflicting(v)
-		if p < 0 || p > 100 {
+		var vs []float64
+		for _, bench := range r.Rows {
+			vs = append(vs, r.Results[bench][v].Epochs.ConflictingFraction()*100)
+		}
+		if p := stats.Amean(vs); p < 0 || p > 100 {
 			t.Errorf("%s amean conflicting = %v", v, p)
 		}
 	}
@@ -98,15 +102,15 @@ func TestRunFig13Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, app := range r.Apps {
-		for _, size := range r.Sizes {
-			n := r.Normalized(app, size)
+	for _, app := range r.Rows {
+		for _, col := range r.Cols[1:] {
+			n := execCyclesOf(r.Results[app][col]) / execCyclesOf(r.Results[app]["NP"])
 			if n < 1.0 {
-				t.Errorf("%s/LB%d normalized %v < 1 (faster than NP?)", app, size, n)
+				t.Errorf("%s/%s normalized %v < 1 (faster than NP?)", app, col, n)
 			}
 		}
 	}
-	tbl := r.Fig13Table().Render()
+	tbl := Fig13Table(r).Render()
 	if !strings.Contains(tbl, "ssca2") || !strings.Contains(tbl, "gmean") {
 		t.Errorf("fig13 table malformed:\n%s", tbl)
 	}
@@ -117,7 +121,7 @@ func TestRunFig14Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, app := range r.Apps {
+	for _, app := range r.Rows {
 		for _, v := range BSPVariants {
 			if r.Runs[app][v] == nil || !r.Runs[app][v].Finished {
 				t.Fatalf("%s/%s unfinished", app, v)
@@ -125,8 +129,9 @@ func TestRunFig14Shape(t *testing.T) {
 		}
 	}
 	// Without logging the overhead must not exceed the logged LB++.
-	if r.GmeanNormalized("LB++NOLOG") > r.GmeanNormalized("LB++")+1e-9 {
-		t.Errorf("NOLOG %v slower than logged %v", r.GmeanNormalized("LB++NOLOG"), r.GmeanNormalized("LB++"))
+	nolog, logged := gmeanVs(r.Grid, "LB++NOLOG", "NP", execCyclesOf), gmeanVs(r.Grid, "LB++", "NP", execCyclesOf)
+	if nolog > logged+1e-9 {
+		t.Errorf("NOLOG %v slower than logged %v", nolog, logged)
 	}
 	share := r.InterConflictShare("LB")
 	if share < 0 || share > 1 {
@@ -135,7 +140,7 @@ func TestRunFig14Shape(t *testing.T) {
 }
 
 func TestRunFig1Timelines(t *testing.T) {
-	r, err := RunFig1()
+	r, err := RunFig1(tinyOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +162,7 @@ func TestRunFig1Timelines(t *testing.T) {
 }
 
 func TestRunFig4IDTBenefit(t *testing.T) {
-	r, err := RunFig4()
+	r, err := RunFig4(tinyOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,13 +201,13 @@ func TestRunFlushMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// clwb must beat (or at worst match) clflush on every benchmark.
-	for _, bench := range r.Benches {
-		ratio := r.Clwb[bench].Throughput() / r.Clflush[bench].Throughput()
+	for _, bench := range r.Rows {
+		ratio := r.Results[bench]["clwb"].Throughput() / r.Results[bench]["clflush"].Throughput()
 		if ratio < 0.95 {
 			t.Errorf("%s: clwb/clflush = %v, non-invalidating flush lost badly", bench, ratio)
 		}
 	}
-	if !strings.Contains(r.Table().Render(), "gmean") {
+	if !strings.Contains(FlushModeTable(r).Render(), "gmean") {
 		t.Error("flushmode table malformed")
 	}
 }
@@ -220,8 +225,8 @@ func TestRunWriteThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, app := range r.Apps {
-		ratio := float64(r.WT[app].ExecCycles) / float64(r.NP[app].ExecCycles)
+	for _, app := range r.Rows {
+		ratio := float64(r.Results[app]["WT"].ExecCycles) / float64(r.Results[app]["NP"].ExecCycles)
 		if ratio < 0.999 {
 			t.Errorf("%s: WT/NP = %v < 1", app, ratio)
 		}
@@ -229,7 +234,7 @@ func TestRunWriteThrough(t *testing.T) {
 			t.Errorf("ssca2: WT/NP = %v, expected saturation overhead", ratio)
 		}
 	}
-	if !strings.Contains(r.Table().Render(), "gmean") {
+	if !strings.Contains(WriteThroughTable(r).Render(), "gmean") {
 		t.Error("writethrough table malformed")
 	}
 }
@@ -239,22 +244,30 @@ func TestRunAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Tables()) != 4 {
-		t.Fatalf("ablation tables = %d, want 4", len(r.Tables()))
+	if n := len(AblationTables(r)); n != 4 {
+		t.Fatalf("ablation tables = %d, want 4", n)
+	}
+	fallbacks := func(col string) (n uint64) {
+		for _, bench := range r.Rows {
+			n += r.Results[bench][col].Conflicts.IDTFallbacks
+		}
+		return n
 	}
 	// More IDT registers can only reduce fallbacks.
-	if r.DepRegFallbacks[16] > r.DepRegFallbacks[1] {
-		t.Errorf("fallbacks grew with more registers: %v", r.DepRegFallbacks)
+	if fallbacks("depregs=16") > fallbacks("depregs=1") {
+		t.Errorf("fallbacks grew with more registers: %d with 16, %d with 1", fallbacks("depregs=16"), fallbacks("depregs=1"))
 	}
 	// Serializing all flushes through one arbiter must not beat the
 	// paper's per-core arbiters.
-	if r.GlobalArbiter > r.PerCoreArbiter*1.05 {
-		t.Errorf("global arbiter %.3f outperformed per-core %.3f", r.GlobalArbiter, r.PerCoreArbiter)
+	global := gmeanVs(r, "arbiter=global", "base", (*machine.Result).Throughput)
+	perCore := gmeanVs(r, "arbiter=percore", "base", (*machine.Result).Throughput)
+	if global > perCore*1.05 {
+		t.Errorf("global arbiter %.3f outperformed per-core %.3f", global, perCore)
 	}
 }
 
 func TestRunFig7BankOrdering(t *testing.T) {
-	r, err := RunFig7()
+	r, err := RunFig7(tinyOpt())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,9 @@ func testJobs(opt Options) []Job {
 	var jobs []Job
 	for _, bench := range []string{"queue", "hash"} {
 		for _, variant := range BEPVariants {
-			idt, pf, _ := variantFlags(variant)
-			jobs = append(jobs, microJob(bench+"/"+variant, bench, opt, bepConfig(opt.Threads, idt, pf)))
+			j := microJob(bench, opt, config(opt.Threads, variant))
+			j.Key = bench + "/" + variant
+			jobs = append(jobs, j)
 		}
 	}
 	return jobs
@@ -72,7 +73,7 @@ func TestSweepErrorDeterministic(t *testing.T) {
 		jobs = append(jobs, j)
 	}
 	fail := func(key string) Job {
-		return Job{Key: key, Cfg: bepConfig(opt.Threads, false, false),
+		return Job{Key: key, Cfg: config(opt.Threads, "LB"),
 			Gen: func() (*trace.Program, error) { return nil, boom }}
 	}
 	jobs[2] = fail("fail-low")
@@ -146,7 +147,7 @@ func TestSweepRaceStressFig11(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bench := range pooled.Benches {
+	for _, bench := range pooled.Rows {
 		for _, v := range BEPVariants {
 			fp, err := stats.Fingerprint(pooled.Results[bench][v])
 			if err != nil {

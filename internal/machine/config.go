@@ -206,22 +206,43 @@ func (c *Config) llcIndexShift() uint {
 	return shift
 }
 
+// barriers names every barrier variant the way the paper's figures label
+// them, with the switches that select it. BarrierName and SetBarrier both
+// read it.
+var barriers = []struct {
+	name    string
+	model   Model
+	idt, pf bool
+}{
+	{"NP", NP, false, false},
+	{"SP", SP, false, false},
+	{"WT", WT, false, false},
+	{"EP", EP, false, false},
+	{"LB", LB, false, false},
+	{"LB+IDT", LB, true, false},
+	{"LB+PF", LB, false, true},
+	{"LB++", LB, true, true},
+}
+
 // BarrierName renders the configured barrier variant the way the paper's
-// figures label them.
+// figures label them. IDT and PF name a variant only under LB.
 func (c *Config) BarrierName() string {
-	switch c.Model {
-	case LB:
-		switch {
-		case c.IDT && c.PF:
-			return "LB++"
-		case c.IDT:
-			return "LB+IDT"
-		case c.PF:
-			return "LB+PF"
-		default:
-			return "LB"
+	for _, b := range barriers {
+		if b.model == c.Model && (b.model != LB || b.idt == c.IDT && b.pf == c.PF) {
+			return b.name
 		}
-	default:
-		return c.Model.String()
 	}
+	return c.Model.String()
+}
+
+// SetBarrier is BarrierName's inverse: it sets Model, IDT and PF to the
+// variant named (NP, SP, WT, EP, LB, LB+IDT, LB+PF or LB++).
+func (c *Config) SetBarrier(name string) error {
+	for _, b := range barriers {
+		if b.name == name {
+			c.Model, c.IDT, c.PF = b.model, b.idt, b.pf
+			return nil
+		}
+	}
+	return fmt.Errorf("machine: unknown barrier %q", name)
 }

@@ -88,6 +88,27 @@ func TestBarrierName(t *testing.T) {
 	}
 }
 
+// TestSetBarrierRoundTrip: SetBarrier is BarrierName's inverse on every
+// variant, and refuses a name BarrierName never renders.
+func TestSetBarrierRoundTrip(t *testing.T) {
+	for _, name := range []string{"NP", "SP", "WT", "EP", "LB", "LB+IDT", "LB+PF", "LB++"} {
+		cfg := DefaultConfig()
+		cfg.IDT, cfg.PF = true, true
+		if err := cfg.SetBarrier(name); err != nil {
+			t.Fatalf("SetBarrier(%q): %v", name, err)
+		}
+		if got := cfg.BarrierName(); got != name {
+			t.Errorf("SetBarrier(%q) then BarrierName() = %q", name, got)
+		}
+	}
+	for _, name := range []string{"bogus", "LB++NOLOG", "lb++", ""} {
+		cfg := DefaultConfig()
+		if err := cfg.SetBarrier(name); err == nil {
+			t.Errorf("SetBarrier(%q) accepted", name)
+		}
+	}
+}
+
 func TestRunRequiresProgram(t *testing.T) {
 	m, err := New(testConfig(NP))
 	if err != nil {
