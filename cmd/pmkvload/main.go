@@ -165,11 +165,18 @@ func main() {
 	if *multi > 1 && *protoF != "binary" {
 		fail("-multi requires -proto binary")
 	}
+	if *duration <= 0 {
+		fail("-duration must be > 0, got %v", *duration)
+	}
 
 	// Open-loop pacing: each connection runs at rate/conns ops/sec.
 	var interval time.Duration
-	if *rate > 0 {
-		interval = time.Duration(float64(*conns) / *rate * float64(time.Second))
+	if *rate != 0 {
+		ns := float64(*conns) / *rate * float64(time.Second)
+		if !(ns >= 1 && ns < 1<<63) { // NaN, ±Inf and negative rates fail too
+			fail("-rate must be 0 (closed loop) or pace each of the %d connections at 1ns..%v per op, got %g ops/s", *conns, time.Duration(1<<63-1), *rate)
+		}
+		interval = time.Duration(ns)
 	}
 
 	deadline := time.Now().Add(*duration)

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"math/rand"
+	"os"
+	"os/exec"
 	"sort"
 	"strings"
 	"testing"
@@ -10,6 +14,50 @@ import (
 
 	"persistbarriers/internal/telemetry"
 )
+
+// asMain is the environment variable under which the test binary runs
+// main() instead of its tests, so a test can re-execute it as pmkvload.
+const asMain = "PMKVLOAD_TEST_AS_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asMain) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadPacingRefused: a -rate or -duration that cannot pace a run exits
+// 2 with a flag message before anything is dialed (nothing listens on the
+// address, so a dial would fail with exit 1). A negative, NaN or infinite
+// rate, one so high the per-connection interval truncates to 0 ns and one
+// so low it overflows would otherwise run closed loop unannounced.
+func TestBadPacingRefused(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-rate", "-5"},
+		{"-rate", "NaN"},
+		{"-rate", "Inf"},
+		{"-rate", "-Inf"},
+		{"-rate", "1e30"},
+		{"-rate", "1e-300"},
+		{"-duration", "-1s"},
+		{"-duration", "0"},
+	} {
+		cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:1", "-duration", "1ms", tc.flag, tc.value)
+		cmd.Env = append(os.Environ(), asMain+"=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%s %s: %v, want exit status 2\n%s", tc.flag, tc.value, err, stderr.Bytes())
+			continue
+		}
+		if want := "pmkvload: " + tc.flag + " must "; !strings.HasPrefix(stderr.String(), want) {
+			t.Errorf("%s %s: stderr %q, want it to start %q", tc.flag, tc.value, stderr.String(), want)
+		}
+	}
+}
 
 // TestSummarySchemaLocked pins the -json output schema: the exact
 // top-level field set, the schema_version value, and the per-stage

@@ -9,7 +9,7 @@ import (
 )
 
 // The gates below hold the access path and the §4.1 flush handshake to
-// their allocation budget where the frames live: a streaming machine of
+// their allocation budget where the frames live: a fed machine of
 // four cores with history off, warmed until every free list, event bucket
 // and cache set it will use exists. They are what keeps README's "the
 // simulator's hot path is allocation-free" true; CI runs them by name.
@@ -21,9 +21,6 @@ func allocMachine(t *testing.T, model Model) *Machine {
 	cfg.IDT, cfg.PF = true, true
 	m, err := New(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.StartStream(); err != nil {
 		t.Fatal(err)
 	}
 	return m

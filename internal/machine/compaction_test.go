@@ -16,9 +16,6 @@ func TestStreamFeedCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.StartStream(); err != nil {
-		t.Fatal(err)
-	}
 	const rounds, opsPerRound = 50, 4 // store+barrier+store+barrier
 	var b trace.Builder
 	total := 0
@@ -39,7 +36,7 @@ func TestStreamFeedCompaction(t *testing.T) {
 				i, got, opsPerRound)
 		}
 	}
-	r, err := m.Drain()
+	r, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,9 @@ func (c *coreCtx) retireOp() {
 func (c *coreCtx) stepCore() {
 	m := c.m
 	if c.pc >= len(c.ops) {
-		if m.streaming && !m.feedClosed {
-			// Streaming mode: park until Feed appends more ops (or
-			// CloseFeed retires the core).
+		if !m.feedClosed {
+			// Park until Feed appends more ops (or CloseFeed retires
+			// the core).
 			c.waiting = true
 			return
 		}

@@ -21,9 +21,6 @@ func TestLivenessDiagnostics(t *testing.T) {
 	if err := m.Load(p); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.start(); err != nil {
-		t.Fatal(err)
-	}
 	m.eng.RunUntil(3_000_000)
 	if m.finished {
 		return // healthy: the workload completed within the budget

@@ -90,15 +90,15 @@ type coreCtx struct {
 	ops []trace.Op
 	pc  int
 	// retired counts ops consumed and compacted out of the front of ops
-	// (streaming mode reclaims the consumed prefix when the core parks, so
-	// a long-lived feed does not grow the slice without bound). The core's
-	// total retirement count is retired + pc.
+	// (Feed reclaims the consumed prefix of a parked core, so a long-lived
+	// feed does not grow the slice without bound). The core's total
+	// retirement count is retired + pc.
 	retired int
 	txs     uint64
 	done    bool
 
-	// waiting marks a streaming-mode core parked with no ops left; Feed
-	// (or CloseFeed) reschedules it.
+	// waiting marks a core parked with no ops left while the feed is
+	// open; Feed (or CloseFeed) reschedules it.
 	waiting bool
 
 	// The core's continuations, bound once by bindCore (core.go): xFn is
@@ -202,9 +202,7 @@ type Machine struct {
 	globalFlushBusy    bool
 	globalFlushWaiters []func()
 
-	// Streaming-mode state (see stream.go): ops arrive at runtime via
-	// Feed instead of a preloaded program.
-	streaming  bool
+	// feedClosed is set once no more ops can arrive (see stream.go).
 	feedClosed bool
 
 	// tokenVersions records the committed store version of every tagged
@@ -295,7 +293,9 @@ func New(cfg Config) (*Machine, error) {
 		}
 		m.bindCore(c)
 		m.cores = append(m.cores, c)
+		eng.At(0, c.stepCoreFn) // parks until Load or Feed gives it ops
 	}
+	m.runningCores = cfg.Cores
 	shift := cfg.llcIndexShift()
 	for i := 0; i < cfg.LLCBanks; i++ {
 		m.banks = append(m.banks, &bankCtx{
@@ -328,7 +328,7 @@ func (m *Machine) Engine() *sim.Engine { return m.eng }
 // PersistedVersion returns the version of line durable in NVRAM as of the
 // current instant (NoVersion if never persisted). A point query with no
 // allocation — the live analogue of Result.Image for durability
-// watermarks polled between streaming batches.
+// watermarks polled between fed batches.
 func (m *Machine) PersistedVersion(line mem.Line) mem.Version {
 	return m.mcs.PersistedVersion(line)
 }
@@ -339,7 +339,7 @@ func (m *Machine) PersistedVersion(line mem.Line) mem.Version {
 func (m *Machine) PersistedLines() uint64 { return m.persistedLines }
 
 // TokenVersion reports the version a tagged store committed, live (the
-// streaming analogue of Result.TokenVersions). ok is false while the
+// running analogue of Result.TokenVersions). ok is false while the
 // store has not yet retired.
 func (m *Machine) TokenVersion(token uint64) (mem.Version, bool) {
 	v, ok := m.tokenVersions[token]
@@ -352,7 +352,7 @@ func (m *Machine) LinesTracked() int { return m.lines.count }
 
 // ForgetTokensThrough drops the committed versions of every tagged store
 // whose token is at most tok: TokenVersion and Result.TokenVersions stop
-// reporting them. A streaming application that hands out tokens in
+// reporting them. An application feeding ops that hands out tokens in
 // increasing order calls it once it has settled what those stores did, so
 // the table holds only the stores still in question.
 func (m *Machine) ForgetTokensThrough(tok uint64) {
@@ -451,20 +451,29 @@ func (m *Machine) releaseLineBuf(buf []mem.Line) {
 	}
 }
 
-// Load installs a program onto the cores. Traces beyond Config.Cores are
-// rejected; missing traces leave cores idle.
+// Load installs a program onto the cores of a machine nothing has been
+// fed, and closes the feed: a loaded program is the whole stream. Traces
+// beyond Config.Cores and a program with no ops are rejected; missing
+// traces leave cores idle. The traces are installed, not copied: no Feed
+// can follow to append to them.
 func (m *Machine) Load(p *trace.Program) error {
-	if p.Cores() > m.cfg.Cores {
+	switch {
+	case m.feedClosed:
+		return fmt.Errorf("machine: Load after CloseFeed")
+	case p.Cores() > m.cfg.Cores:
 		return fmt.Errorf("machine: program has %d traces for %d cores", p.Cores(), m.cfg.Cores)
+	case p.Ops() == 0:
+		return fmt.Errorf("machine: program has no ops")
 	}
 	for i, ops := range p.Traces {
 		m.cores[i].ops = ops
 	}
+	m.CloseFeed()
 	return nil
 }
 
-// Run executes the loaded program to completion (including the final
-// persist drain) and returns the result. A machine runs one program once.
+// Run closes the feed, runs every core to completion (including the final
+// persist drain) and returns the result.
 func (m *Machine) Run() (*Result, error) { return m.RunEvery(0, nil) }
 
 // RunEvery is Run in windows of window cycles: it runs the engine in
@@ -473,9 +482,7 @@ func (m *Machine) Run() (*Result, error) { return m.RunEvery(0, nil) }
 // event is added, so the Result is Run's. A zero window or nil each is
 // Run.
 func (m *Machine) RunEvery(window sim.Cycle, each func(Counters)) (*Result, error) {
-	if err := m.start(); err != nil {
-		return nil, err
-	}
+	m.CloseFeed()
 	if window == 0 || each == nil {
 		m.eng.Run()
 	} else {
@@ -496,39 +503,14 @@ func (m *Machine) RunEvery(window sim.Cycle, each func(Counters)) (*Result, erro
 	return m.result(), nil
 }
 
-// RunUntil executes the program until the given cycle (a crash instant)
-// or completion, whichever is first, and returns the result. The durable
-// state visible in the result is exactly what NVRAM held at that instant.
+// RunUntil closes the feed and runs until the given cycle (a crash
+// instant) or completion, whichever is first, and returns the result. The
+// durable state visible in the result is exactly what NVRAM held at that
+// instant.
 func (m *Machine) RunUntil(crash sim.Cycle) (*Result, error) {
-	if err := m.start(); err != nil {
-		return nil, err
-	}
+	m.CloseFeed()
 	m.eng.RunUntil(crash)
 	return m.result(), nil
-}
-
-func (m *Machine) start() error {
-	if m.runningCores != 0 || m.finished {
-		return fmt.Errorf("machine: already run")
-	}
-	any := false
-	for _, c := range m.cores {
-		if len(c.ops) > 0 {
-			any = true
-			m.runningCores++
-		}
-	}
-	if !any {
-		return fmt.Errorf("machine: no program loaded")
-	}
-	for _, c := range m.cores {
-		if len(c.ops) > 0 {
-			m.eng.At(0, c.stepCoreFn)
-		} else {
-			c.done = true
-		}
-	}
-	return nil
 }
 
 // coreFinished runs when a core retires its last op.

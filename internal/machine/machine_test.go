@@ -109,16 +109,6 @@ func TestSetBarrierRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRunRequiresProgram(t *testing.T) {
-	m, err := New(testConfig(NP))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err == nil {
-		t.Fatal("empty machine ran")
-	}
-}
-
 func TestLoadRejectsTooManyTraces(t *testing.T) {
 	m, err := New(testConfig(NP))
 	if err != nil {

@@ -88,7 +88,7 @@ func countersOf(r *Result) Counters {
 }
 
 // TestCountersMatchResult: Machine.Counters is the counter half of
-// result(), so after Run, Snapshot and Drain it must equal the returned
+// result(), so after Run and Snapshot it must equal the returned
 // Result field for field — and carry one latency sample per persisted
 // epoch at the machine's clock.
 func TestCountersMatchResult(t *testing.T) {
@@ -160,9 +160,6 @@ func TestCountersMatchResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.StartStream(); err != nil {
-			t.Fatal(err)
-		}
 		for core, ops := range queue.Traces {
 			if err := m.Feed(core, ops); err != nil {
 				t.Fatal(err)
@@ -175,7 +172,7 @@ func TestCountersMatchResult(t *testing.T) {
 		if !m.PumpUntilIdle(sim.MaxCycle) {
 			t.Fatal("machine did not go idle")
 		}
-		r, err := m.Drain()
+		r, err := m.Run()
 		if err != nil || !r.Finished {
 			t.Fatalf("drain: %v, finished %v", err, r.Finished)
 		}

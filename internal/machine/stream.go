@@ -7,35 +7,20 @@ import (
 	"persistbarriers/internal/trace"
 )
 
-// Streaming mode lets a live application program the machine at runtime:
-// instead of preloading a fixed trace, ops are appended per core with Feed
-// while the simulation is paused, and PumpUntilIdle advances the machine
-// until every core has retired its queued ops (background persist
-// machinery keeps its in-flight state across pumps, so epochs persist
-// lazily under later batches exactly as buffered epoch persistency
-// intends). The driver is single-threaded with respect to the machine:
+// Every machine runs one stream of ops per core. New parks each core at
+// cycle 0; Feed appends ops to a core while the simulation is paused, and
+// PumpUntilIdle advances the machine until every core has retired its
+// queued ops (background persist machinery keeps its in-flight state
+// across pumps, so epochs persist lazily under later batches exactly as
+// buffered epoch persistency intends). Step and Snapshot also run between
+// feeds. CloseFeed ends the stream: Run, RunEvery and RunUntil close it
+// before they run, and Load installs a whole program and closes it at
+// once. The driver is single-threaded with respect to the machine:
 // Feed/Pump/Step/Snapshot calls must not race the engine.
-
-// StartStream puts an unused machine into streaming mode. Every core
-// starts parked with an empty trace; Feed supplies ops.
-func (m *Machine) StartStream() error {
-	if m.runningCores != 0 || m.finished || m.streaming {
-		return fmt.Errorf("machine: already run")
-	}
-	m.streaming = true
-	m.runningCores = len(m.cores)
-	for _, c := range m.cores {
-		m.eng.At(0, c.stepCoreFn)
-	}
-	return nil
-}
 
 // Feed appends ops to core's instruction stream, waking it if parked. It
 // may only be called between pumps (never from inside an engine event).
 func (m *Machine) Feed(core int, ops []trace.Op) error {
-	if !m.streaming {
-		return fmt.Errorf("machine: Feed outside streaming mode")
-	}
 	if m.feedClosed {
 		return fmt.Errorf("machine: Feed after CloseFeed")
 	}
@@ -63,7 +48,7 @@ func (m *Machine) Feed(core int, ops []trace.Op) error {
 // cores are released so they can retire; the run then finishes (with the
 // usual end-of-run persist drain) once every core runs dry.
 func (m *Machine) CloseFeed() {
-	if !m.streaming || m.feedClosed {
+	if m.feedClosed {
 		return
 	}
 	m.feedClosed = true
@@ -91,9 +76,6 @@ func (m *Machine) Idle() bool {
 // limit first (a crash instant — snapshot with Snapshot) or the machine
 // deadlocked (Deadlocked reports which).
 func (m *Machine) PumpUntilIdle(limit sim.Cycle) bool {
-	if !m.streaming {
-		return false
-	}
 	m.eng.RunWhile(limit, func() bool { return !m.Idle() })
 	if m.Idle() {
 		return true
@@ -108,27 +90,9 @@ func (m *Machine) PumpUntilIdle(limit sim.Cycle) bool {
 
 // Step advances the clock by up to delta cycles, running whatever
 // background machinery (epoch flushes, NVRAM writes) is scheduled — the
-// streaming analogue of wall-clock time passing between request batches.
+// analogue of wall-clock time passing between request batches.
 func (m *Machine) Step(delta sim.Cycle) {
-	if !m.streaming {
-		return
-	}
 	m.eng.RunUntil(m.eng.Now() + delta)
-}
-
-// Drain ends a streaming run: the feed closes, every core retires, and
-// the end-of-run persist drain flushes all outstanding epochs. It returns
-// the final result.
-func (m *Machine) Drain() (*Result, error) {
-	if !m.streaming {
-		return nil, fmt.Errorf("machine: Drain outside streaming mode")
-	}
-	m.CloseFeed()
-	m.eng.Run()
-	if !m.finished {
-		m.deadlocked = true
-	}
-	return m.result(), nil
 }
 
 // Snapshot captures the machine state as a Result without ending the run

@@ -7,7 +7,9 @@ import (
 	"persistbarriers/internal/mem"
 	"persistbarriers/internal/recovery"
 	"persistbarriers/internal/sim"
+	"persistbarriers/internal/stats"
 	"persistbarriers/internal/trace"
+	"persistbarriers/internal/workload"
 )
 
 func lbStreamConfig() Config {
@@ -19,9 +21,6 @@ func lbStreamConfig() Config {
 func TestStreamFeedAndDrain(t *testing.T) {
 	m, err := New(lbStreamConfig())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.StartStream(); err != nil {
 		t.Fatal(err)
 	}
 	var b trace.Builder
@@ -41,7 +40,7 @@ func TestStreamFeedAndDrain(t *testing.T) {
 	if !m.PumpUntilIdle(sim.MaxCycle) {
 		t.Fatal("machine did not go idle after second feed")
 	}
-	r, err := m.Drain()
+	r, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +61,6 @@ func TestStreamFeedAndDrain(t *testing.T) {
 func TestStreamCrashLimit(t *testing.T) {
 	m, err := New(lbStreamConfig())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.StartStream(); err != nil {
 		t.Fatal(err)
 	}
 	var b trace.Builder
@@ -95,15 +91,12 @@ func TestStreamTokenVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.StartStream(); err != nil {
-		t.Fatal(err)
-	}
 	var b trace.Builder
 	b.StoreTagged(0x1000, 7).Barrier().StoreTagged(0x1000, 8).Barrier()
 	if err := m.Feed(0, b.Ops()); err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Drain()
+	r, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,23 +118,119 @@ func TestStreamFeedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Feed(0, nil); err == nil {
-		t.Fatal("Feed before StartStream accepted")
-	}
-	if err := m.StartStream(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.StartStream(); err == nil {
-		t.Fatal("double StartStream accepted")
-	}
 	if err := m.Feed(99, nil); err == nil {
 		t.Fatal("Feed to out-of-range core accepted")
 	}
-	if _, err := m.Drain(); err != nil {
+	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Feed(0, nil); err == nil {
-		t.Fatal("Feed after Drain accepted")
+		t.Fatal("Feed after Run accepted")
+	}
+}
+
+// TestLoadIsAClosedFeed: a machine has one lifecycle. Loading a program
+// and running it gives the Result that feeding each core its trace and
+// running gives, on an LB++ micro run and on a bulk BSP run with undo
+// logging; three traces on four cores also cover a core nothing reaches.
+func TestLoadIsAClosedFeed(t *testing.T) {
+	spec := workload.Spec{Threads: 3, OpsPerThread: 40, Seed: 3}
+	queue, err := workload.Queue(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssca2, err := workload.Apps()["ssca2"].Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bulk := lbStreamConfig()
+	bulk.BulkEpochStores, bulk.Logging, bulk.CheckpointLines = 8, true, 4
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		p    *trace.Program
+	}{
+		{"queue LB++", lbStreamConfig(), queue},
+		{"ssca2 bulk logging", bulk, ssca2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			loaded := run(t, tc.cfg, tc.p)
+			m, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for core, ops := range tc.p.Traces {
+				if err := m.Feed(core, ops); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fed, err := m.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !loaded.Finished || loaded.PersistedLines == 0 {
+				t.Fatalf("loaded run is empty: finished %v, %d lines persisted", loaded.Finished, loaded.PersistedLines)
+			}
+			if got, want := stats.MustFingerprint(fed), stats.MustFingerprint(loaded); got != want {
+				t.Fatalf("fed run fingerprint %s, loaded %s", got[:12], want[:12])
+			}
+		})
+	}
+}
+
+// TestEmptyStreamRuns: a machine nothing was fed is a valid run (a pmkv
+// shard that received no request), finished at cycle 0 with nothing done.
+func TestEmptyStreamRuns(t *testing.T) {
+	m, err := New(lbStreamConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Finished || r.Deadlocked || r.DrainCycles != 0 || m.Now() != 0 || r.Transactions != 0 {
+		t.Fatalf("empty run: finished %v, deadlocked %v, drained at %d, clock %d, %d txs",
+			r.Finished, r.Deadlocked, r.DrainCycles, m.Now(), r.Transactions)
+	}
+}
+
+// TestLoadClosesFeed: Load is the whole stream, so nothing may be fed
+// after it, and a machine whose feed is closed takes no program.
+func TestLoadClosesFeed(t *testing.T) {
+	var b trace.Builder
+	b.Store(0x1000).Barrier()
+	m, err := New(lbStreamConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Load(singleTrace(&b)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Feed(0, b.Ops()); err == nil {
+		t.Fatal("Feed after Load accepted")
+	}
+	m, err = New(lbStreamConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.CloseFeed()
+	if err := m.Load(singleTrace(&b)); err == nil {
+		t.Fatal("Load after CloseFeed accepted")
+	}
+}
+
+// TestLoadRequiresProgram: a program without ops is refused at Load (an
+// empty stream is only what a machine nothing was fed runs).
+func TestLoadRequiresProgram(t *testing.T) {
+	for _, p := range []*trace.Program{{}, {Traces: make([][]trace.Op, 4)}} {
+		m, err := New(testConfig(NP))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Load(p); err == nil {
+			t.Fatalf("program with %d empty traces loaded", p.Cores())
+		}
 	}
 }
 
@@ -152,9 +241,6 @@ func TestStreamFeedErrors(t *testing.T) {
 func TestStreamTaggedSameLineOverlapPanics(t *testing.T) {
 	m, err := New(lbStreamConfig())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.StartStream(); err != nil {
 		t.Fatal(err)
 	}
 	var b trace.Builder
@@ -171,14 +257,11 @@ func TestStreamTaggedSameLineOverlapPanics(t *testing.T) {
 }
 
 // streamTagged runs n barriered tagged stores (tokens 1..n, one line each)
-// on core 0 of a streaming machine and lets every epoch persist.
+// on core 0 of a fed machine and lets every epoch persist.
 func streamTagged(t *testing.T, n int) *Machine {
 	t.Helper()
 	m, err := New(lbStreamConfig())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.StartStream(); err != nil {
 		t.Fatal(err)
 	}
 	var b trace.Builder

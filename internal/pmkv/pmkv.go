@@ -1,8 +1,8 @@
 // Package pmkv is a durable key-value engine built on the epoch-persistency
 // runtime: every Put/Delete is translated online into the paper's Figure 10
 // discipline — write the entry, persist barrier, publish the bucket-head
-// pointer — and executed on the simulated multicore through the machine's
-// streaming program source. Client sessions multiplex onto cores, so
+// pointer — and fed to the simulated multicore's cores with
+// machine.Feed as the requests arrive. Client sessions multiplex onto cores, so
 // concurrent sessions sharing a bucket produce genuine inter-thread
 // dependences (IDT edges) in the epoch hardware.
 //
@@ -315,16 +315,16 @@ type Engine struct {
 	closed  bool
 }
 
-// New builds an engine on a fresh streaming machine. The engine's token
-// correlation requires that two tagged stores to one line are never in
-// flight at once. An entry line is rewritten only after the record that
-// last stored to it was folded, hence retired (see entryLinesFor); a core's
-// publish stores rewrite its bucket heads, and between any two of them
-// translate places exactly one persist barrier (a Put's entry→publish
+// New builds an engine on a fresh machine, fed as requests arrive. The
+// engine's token correlation requires that two tagged stores to one line are
+// never in flight at once. An entry line is rewritten only after the record
+// that last stored to it was folded, hence retired (see entryLinesFor); a
+// core's publish stores rewrite its bucket heads, and between any two of
+// them translate places exactly one persist barrier (a Put's entry→publish
 // barrier, or the owed barrier a Delete pays), which drains every posted
-// store before the next op issues. So the machine must use the LB model
-// with programmer barriers: NP ignores barriers and bulk-epoch mode makes
-// them transparent.
+// store before the next op issues. So the machine must use the LB model with
+// programmer barriers: NP ignores barriers and bulk-epoch mode makes them
+// transparent.
 func New(cfg Config) (*Engine, error) {
 	cfg.fill()
 	if cfg.Machine.Model != machine.LB {
@@ -338,9 +338,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	m, err := machine.New(cfg.Machine)
 	if err != nil {
-		return nil, err
-	}
-	if err := m.StartStream(); err != nil {
 		return nil, err
 	}
 	e := &Engine{
@@ -1126,7 +1123,7 @@ func (e *Engine) Close() (*machine.Result, error) {
 	if e.crashed {
 		return e.m.Snapshot(), nil
 	}
-	res, err := e.m.Drain()
+	res, err := e.m.Run()
 	e.clearBatchLocked()
 	return res, err
 }
