@@ -1,6 +1,6 @@
 // Command pmkvd serves the pmkv durable key-value engine over TCP. It is
 // flag parsing, signal wiring and printing around internal/server, which
-// documents the wire protocols, the drain and the report. With -shards N
+// documents the wire protocol, the drain and the report. With -shards N
 // the keyspace is partitioned by a stable hash across N independent
 // simulated machines, each owned by one worker goroutine running a
 // group commit (what is queued, up to 64 requests, is one commit window);
@@ -10,7 +10,7 @@
 // On SIGINT/SIGTERM the server drains, verifies every shard and prints
 // the per-shard and combined report. With -crash-at N every shard loses
 // power at cycle N of its own clock; clients in a crashing batch still
-// get their responses (flagged "crashed":true) and the server drains the
+// get their responses (flagged crashed) and the server drains the
 // surviving shards and verifies every crash image.
 //
 // -selfcheck N runs the deterministic crash-injection sweep (N seeded
@@ -45,7 +45,7 @@ func main() {
 		crashAt = flag.Uint64("crash-at", 0, "simulated power loss at this cycle of each shard's clock (0 = never)")
 		check   = flag.Bool("check", false, "run the online durable-linearizability checker; verdict printed at drain and after every selfcheck instant")
 
-		window      = flag.Int("window", 128, "binary protocol: max in-flight requests per connection (1..4096)")
+		window      = flag.Int("window", 128, "max in-flight requests per connection (1..4096)")
 		maxconns    = flag.Int("maxconns", 0, "max concurrent client connections (0 = unlimited)")
 		connTimeout = flag.Duration("conn-timeout", 0, "per-connection read idle timeout (0 = none)")
 

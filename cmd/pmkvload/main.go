@@ -6,9 +6,8 @@
 // shard's durable-prefix watermark covers them, the measured latency is
 // durable-commit latency, not just visibility.
 //
-// -proto picks the wire protocol: "json" is the original line protocol
-// (one op in flight per connection), "binary" the pipelined frame
-// protocol with -window requests in flight per connection and, with
+// Each connection speaks pmkvd's pipelined binary frames with -window
+// requests in flight (-window 1 keeps one op in flight) and, with
 // -multi N, N-op MGET/MSET frames. Open-loop runs avoid coordinated
 // omission by scheduling ops on a fixed cadence and measuring from the
 // schedule: total latency = completion - scheduled, split into queueing
@@ -27,9 +26,9 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -66,8 +65,8 @@ func (d *dist) merge(o *dist) {
 
 // opDists bundles the three latency distributions for one op kind:
 // total from the scheduled instant, svc from the socket send, queue the
-// gap between the two (total equals svc in closed-loop JSON mode, where
-// an op is scheduled the moment it is sent).
+// gap between the two (in closed loop an op is scheduled the moment it
+// is submitted).
 type opDists struct {
 	ops   uint64
 	total dist
@@ -126,9 +125,8 @@ func main() {
 		delFrac  = flag.Float64("del", 0.05, "fraction of operations that are deletes")
 		valueLen = flag.Int("value", 64, "value bytes per put")
 		seed     = flag.Int64("seed", 1, "workload seed")
-		protoF   = flag.String("proto", "json", "wire protocol: json (line, one op in flight) or binary (pipelined frames)")
-		window   = flag.Int("window", 128, "binary protocol: in-flight requests per connection")
-		multi    = flag.Int("multi", 1, "binary protocol: ops per MGET/MSET frame (1 = single-op frames)")
+		window   = flag.Int("window", 128, "in-flight requests per connection (1 = one op in flight)")
+		multi    = flag.Int("multi", 1, "ops per MGET/MSET frame (1 = single-op frames)")
 		jsonOut  = flag.Bool("json", false, "emit a JSON summary instead of text")
 		admin    = flag.String("admin", "", "pmkvd admin address; scrape /statz after the run for the server-side stage breakdown")
 	)
@@ -150,11 +148,8 @@ func main() {
 	if *getFrac < 0 || *delFrac < 0 || *getFrac+*delFrac > 1 {
 		fail("-get and -del must be nonnegative and sum to <= 1")
 	}
-	if *valueLen < 1 {
-		fail("-value must be >= 1, got %d", *valueLen)
-	}
-	if *protoF != "json" && *protoF != "binary" {
-		fail("-proto must be json or binary, got %q", *protoF)
+	if *valueLen < 1 || *valueLen > proto.MaxValue {
+		fail("-value must be in 1..%d, got %d", proto.MaxValue, *valueLen)
 	}
 	if *window < 1 || *window > 4096 {
 		fail("-window must be in 1..4096, got %d", *window)
@@ -162,8 +157,13 @@ func main() {
 	if *multi < 1 || *multi > proto.MaxOpsPerFrame {
 		fail("-multi must be in 1..%d, got %d", proto.MaxOpsPerFrame, *multi)
 	}
-	if *multi > 1 && *protoF != "binary" {
-		fail("-multi requires -proto binary")
+	if *multi > 1 {
+		// An MSET payload: id, opcode and op count, then each key (the
+		// longest is the last key's name) with its value.
+		size := 8 + 1 + 2 + *multi*(2+len(keyName(*keys-1))+4+*valueLen)
+		if size > proto.MaxPayload {
+			fail("-multi must keep an MSET frame within %d bytes, got %d ops of -value %d (%d bytes)", proto.MaxPayload, *multi, *valueLen, size)
+		}
 	}
 	if *duration <= 0 {
 		fail("-duration must be > 0, got %v", *duration)
@@ -182,8 +182,8 @@ func main() {
 	deadline := time.Now().Add(*duration)
 	stats := make([]connStats, *conns)
 	var wg sync.WaitGroup
-	var dialErr error
-	var dialErrOnce sync.Once
+	var runErr error
+	var runErrOnce sync.Once
 	start := time.Now()
 	for i := 0; i < *conns; i++ {
 		wg.Add(1)
@@ -193,21 +193,16 @@ func main() {
 				keys: *keys, zipf: *zipf, getFrac: *getFrac, delFrac: *delFrac,
 				valueLen: *valueLen, seed: *seed, window: *window, multi: *multi,
 			}
-			var err error
-			if *protoF == "binary" {
-				err = runBinaryConn(*addr, i, deadline, interval, g, &stats[i])
-			} else {
-				err = runJSONConn(*addr, i, deadline, interval, g, &stats[i])
-			}
-			if err != nil {
-				dialErrOnce.Do(func() { dialErr = err })
+			if err := runConn(*addr, i, deadline, interval, g, &stats[i]); err != nil {
+				runErrOnce.Do(func() { runErr = err })
 			}
 		}(i)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	if dialErr != nil {
-		fail("%v", dialErr)
+	if runErr != nil {
+		fmt.Fprintf(os.Stderr, "pmkvload: %v\n", runErr)
+		os.Exit(1)
 	}
 
 	var stages []telemetry.StageStats
@@ -218,7 +213,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pmkvload: admin scrape: %v\n", err)
 		}
 	}
-	report(summarize(stats, elapsed, *conns, *protoF, *window, stages, shards), *jsonOut)
+	report(summarize(stats, elapsed, *conns, *window, stages, shards), *jsonOut)
 }
 
 // ServerShard is the per-shard commit-pipeline view scraped from /statz
@@ -266,8 +261,7 @@ type genConfig struct {
 	multi    int
 }
 
-// sampler is the deterministic per-connection workload source shared by
-// both protocol runners.
+// sampler is the deterministic per-connection workload source.
 type sampler struct {
 	rng     *rand.Rand
 	zipfGen *rand.Zipf
@@ -302,102 +296,18 @@ func (s *sampler) op() int {
 	}
 }
 
-// runJSONConn drives one JSON-line connection until the deadline, the
-// server drains, or a crash-flagged response arrives. One op is in
-// flight at a time — the write+read syscall pair per op that bounds this
-// protocol's throughput.
-func runJSONConn(addr string, id int, deadline time.Time, interval time.Duration, g genConfig, st *connStats) error {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return fmt.Errorf("conn %d: %w", id, err)
-	}
-	defer conn.Close()
-	r := bufio.NewReaderSize(conn, 64<<10)
-	w := bufio.NewWriterSize(conn, 64<<10)
+// keyName is the wire key of key index i.
+func keyName(i int) string { return fmt.Sprintf("k%06d", i) }
 
-	smp := newSampler(id, g)
-	value := strings.Repeat("v", g.valueLen)
-	reqBuf := make([]byte, 0, 256)
-	next := time.Now()
-
-	for time.Now().Before(deadline) {
-		// Open loop: the op is *scheduled* at its cadence tick even if the
-		// connection is still busy with the previous one — measuring from
-		// the tick keeps coordinated omission out of the numbers.
-		scheduled := time.Now()
-		if interval > 0 {
-			if d := time.Until(next); d > 0 {
-				time.Sleep(d)
-			}
-			scheduled = next
-			next = next.Add(interval)
-		}
-		key := fmt.Sprintf("k%06d", smp.key())
-		var req proto.LineRequest
-		isRead := false
-		switch smp.op() {
-		case 0:
-			req = proto.LineRequest{Op: "get", Key: key}
-			st.gets++
-			isRead = true
-		case 2:
-			req = proto.LineRequest{Op: "del", Key: key}
-			st.dels++
-		default:
-			req = proto.LineRequest{Op: "put", Key: key, Value: value}
-			st.puts++
-		}
-		line, err := json.Marshal(req)
-		if err != nil {
-			return fmt.Errorf("conn %d: %w", id, err)
-		}
-		reqBuf = append(append(reqBuf[:0], line...), '\n')
-
-		sent := time.Now()
-		if _, err := w.Write(reqBuf); err != nil {
-			return nil // server went away mid-run: the drain races us
-		}
-		if err := w.Flush(); err != nil {
-			return nil
-		}
-		respLine, err := r.ReadBytes('\n')
-		if err != nil {
-			return nil
-		}
-		done := time.Now()
-		st.record(done.Sub(scheduled), done.Sub(sent), sent.Sub(scheduled), isRead)
-
-		var resp proto.LineResponse
-		if err := json.Unmarshal(respLine, &resp); err != nil {
-			st.errors++
-			continue
-		}
-		switch {
-		case resp.Error != "":
-			if strings.Contains(resp.Error, "draining") {
-				st.draining++
-				return nil
-			}
-			st.errors++
-		case resp.Crashed:
-			// Applied at the instant of power loss; the server is draining.
-			st.crashed++
-			return nil
-		case resp.Found:
-			st.found++
-		default:
-			st.notFound++
-		}
-	}
-	return nil
-}
-
-// runBinaryConn drives one pipelined binary connection: up to g.window
-// requests in flight, completions handled out of order on the client's
-// reader goroutine. Closed loop keeps the window full; open loop
-// schedules frames on the cadence and lets the window absorb bursts,
-// with time spent blocked on a full window showing up as queueing delay.
-func runBinaryConn(addr string, id int, deadline time.Time, interval time.Duration, g genConfig, st *connStats) error {
+// runConn drives one pipelined connection until the deadline, the server
+// drains, or a crash-flagged response arrives: up to g.window requests
+// in flight, completions handled out of order on the client's reader
+// goroutine. Closed loop keeps the window full; open loop schedules
+// frames on the cadence and lets the window absorb bursts, with time
+// spent blocked on a full window showing up as queueing delay. A request
+// the wire cannot carry is an error; a transport that dies mid-run is
+// the drain racing the loader, so it ends the run cleanly.
+func runConn(addr string, id int, deadline time.Time, interval time.Duration, g genConfig, st *connStats) error {
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		return fmt.Errorf("conn %d: %w", id, err)
@@ -499,7 +409,7 @@ func runBinaryConn(addr string, id int, deadline time.Time, interval time.Durati
 		switch {
 		case frameOps > 1:
 			for j := 0; j < g.multi; j++ {
-				keyBuf[j] = []byte(fmt.Sprintf("k%06d", smp.key()))
+				keyBuf[j] = []byte(keyName(smp.key()))
 				valBuf[j] = value
 			}
 			if kind == 0 {
@@ -510,7 +420,7 @@ func runBinaryConn(addr string, id int, deadline time.Time, interval time.Durati
 				submitErr = c.MSet(id64, keyBuf, valBuf)
 			}
 		default:
-			key := []byte(fmt.Sprintf("k%06d", smp.key()))
+			key := []byte(keyName(smp.key()))
 			switch kind {
 			case 0:
 				st.gets++
@@ -522,6 +432,9 @@ func runBinaryConn(addr string, id int, deadline time.Time, interval time.Durati
 				st.puts++
 				submitErr = c.Put(id64, key, value)
 			}
+		}
+		if errors.Is(submitErr, proto.ErrLimits) || errors.Is(submitErr, proto.ErrFrameSize) {
+			return fmt.Errorf("conn %d: %w", id, submitErr)
 		}
 		if submitErr != nil {
 			return nil // transport died mid-run: the drain races us
@@ -557,7 +470,10 @@ func runBinaryConn(addr string, id int, deadline time.Time, interval time.Durati
 //
 // v5: server_shards[] loses its batch-limit field with the server's
 // adaptive limit; a batch is bounded by its fixed 64-request cap alone.
-const summarySchemaVersion = 5
+//
+// v6: drops proto with the JSON line protocol; every run speaks the
+// binary frames, and window is what each connection kept in flight.
+const summarySchemaVersion = 6
 
 // KindSummary is one op kind's slice of the latency numbers (read =
 // gets; write = puts and deletes).
@@ -610,7 +526,6 @@ func kindSummary(d *opDists) KindSummary {
 type Summary struct {
 	SchemaVersion int     `json:"schema_version"`
 	Conns         int     `json:"conns"`
-	Proto         string  `json:"proto"`
 	Window        int     `json:"window"`
 	ElapsedSec    float64 `json:"elapsed_sec"`
 	OpsPerSec     float64 `json:"ops_per_sec"`
@@ -643,7 +558,7 @@ func distSummary(d *dist) (mean, p50, p90, p99, p999 uint64) {
 // op's distributions are the read and write ones merged: bucket counts
 // and sums add and the larger maximum is the maximum, so they are exactly
 // what recording every op into one distribution would give.
-func summarize(stats []connStats, elapsed time.Duration, conns int, protoName string, window int, stages []telemetry.StageStats, shards []ServerShard) Summary {
+func summarize(stats []connStats, elapsed time.Duration, conns, window int, stages []telemetry.StageStats, shards []ServerShard) Summary {
 	var total connStats
 	for i := range stats {
 		s := &stats[i]
@@ -661,13 +576,9 @@ func summarize(stats []connStats, elapsed time.Duration, conns int, protoName st
 	all := total.read
 	all.merge(&total.write)
 	_, _, svcP90, _, svcP999 := distSummary(&all.svc)
-	if protoName == "json" {
-		window = 1 // one op in flight by construction
-	}
 	return Summary{
 		SchemaVersion: summarySchemaVersion,
 		Conns:         conns,
-		Proto:         protoName,
 		Window:        window,
 		ElapsedSec:    elapsed.Seconds(),
 		OpsPerSec:     float64(all.ops) / elapsed.Seconds(),
@@ -695,8 +606,8 @@ func report(out Summary, jsonOut bool) {
 		json.NewEncoder(os.Stdout).Encode(out)
 		return
 	}
-	fmt.Printf("pmkvload: %d conns (%s, window %d), %.1fs: %d ops (%.1f ops/sec), %d get / %d put / %d del\n",
-		out.Conns, out.Proto, out.Window, out.ElapsedSec, out.Ops, out.OpsPerSec, out.Gets, out.Puts, out.Dels)
+	fmt.Printf("pmkvload: %d conns (window %d), %.1fs: %d ops (%.1f ops/sec), %d get / %d put / %d del\n",
+		out.Conns, out.Window, out.ElapsedSec, out.Ops, out.OpsPerSec, out.Gets, out.Puts, out.Dels)
 	fmt.Printf("  found %d, not-found %d, errors %d, crashed %d, draining %d\n",
 		out.Found, out.NotFound, out.Errors, out.Crashed, out.Draining)
 	fmt.Printf("  latency (us, bucket upper bounds): mean=%d p50=%d p90=%d p99=%d p99.9=%d max=%d\n",

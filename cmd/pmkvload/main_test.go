@@ -5,13 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"net"
 	"os"
 	"os/exec"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"persistbarriers/internal/pmkv"
+	"persistbarriers/internal/server"
 	"persistbarriers/internal/telemetry"
 )
 
@@ -25,6 +29,39 @@ func TestMain(m *testing.M) {
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// pmkvload re-executes the test binary as pmkvload with args and
+// returns its stdout, stderr and exit status (0 when it exited cleanly).
+func pmkvload(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), asMain+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	case err != nil:
+		t.Fatal(err)
+	}
+	return out.Bytes(), errOut.Bytes(), code
+}
+
+// wantRefused runs pmkvload with args and wants exit 2 with a message
+// that starts "pmkvload: <flag> must ".
+func wantRefused(t *testing.T, flag string, args ...string) {
+	t.Helper()
+	_, stderr, code := pmkvload(t, args...)
+	if code != 2 {
+		t.Errorf("%v: exit status %d, want 2\n%s", args, code, stderr)
+		return
+	}
+	if want := "pmkvload: " + flag + " must "; !strings.HasPrefix(string(stderr), want) {
+		t.Errorf("%v: stderr %q, want it to start %q", args, stderr, want)
+	}
 }
 
 // TestBadPacingRefused: a -rate or -duration that cannot pace a run exits
@@ -43,19 +80,86 @@ func TestBadPacingRefused(t *testing.T) {
 		{"-duration", "-1s"},
 		{"-duration", "0"},
 	} {
-		cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:1", "-duration", "1ms", tc.flag, tc.value)
-		cmd.Env = append(os.Environ(), asMain+"=1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("%s %s: %v, want exit status 2\n%s", tc.flag, tc.value, err, stderr.Bytes())
-			continue
+		wantRefused(t, tc.flag, "-addr", "127.0.0.1:1", "-duration", "1ms", tc.flag, tc.value)
+	}
+}
+
+// TestUnsendableValueRefused: a value or an MSET frame past the wire
+// limits exits 2 with a flag message before anything is dialed. The
+// client refuses such a request without sending it, so a loader that
+// dialed would count puts it never sent and end the run as if the
+// server had drained.
+func TestUnsendableValueRefused(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dials atomic.Int64
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			c.Close()
 		}
-		if want := "pmkvload: " + tc.flag + " must "; !strings.HasPrefix(stderr.String(), want) {
-			t.Errorf("%s %s: stderr %q, want it to start %q", tc.flag, tc.value, stderr.String(), want)
+	}()
+	addr := ln.Addr().String()
+	wantRefused(t, "-value", "-addr", addr, "-duration", "1s", "-conns", "2", "-value", "2000000")
+	wantRefused(t, "-multi", "-addr", addr, "-duration", "1s", "-multi", "32", "-value", "600000")
+	ln.Close()
+	if n := dials.Load(); n > 0 {
+		t.Errorf("a refused run dialed %d connections", n)
+	}
+}
+
+// TestLoadAgainstLiveServer drives an in-process server with pmkvload
+// closed loop at window 8 and paced with one op in flight, and holds
+// each -json summary to its own tallies: every op counted once by kind
+// and once by outcome, none failed, and a run as long as -duration
+// asked for.
+func TestLoadAgainstLiveServer(t *testing.T) {
+	srv, err := server.New(pmkv.ShardedConfig{Shards: 2}, server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+
+	const duration = time.Second
+	for _, args := range [][]string{
+		{"-window", "8"},
+		{"-window", "1", "-rate", "400"},
+	} {
+		args = append(args, "-addr", ln.Addr().String(), "-conns", "2", "-duration", duration.String(), "-json")
+		stdout, stderr, code := pmkvload(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit status %d\n%s", args, code, stderr)
 		}
+		var s Summary
+		if err := json.Unmarshal(stdout, &s); err != nil {
+			t.Fatalf("%v: summary %q: %v", args, stdout, err)
+		}
+		if s.Ops == 0 || s.Errors != 0 || s.Gets+s.Puts+s.Dels != s.Ops || s.Found+s.NotFound != s.Ops {
+			t.Errorf("%v: %d ops, %d errors, %d get + %d put + %d del, %d found + %d not found",
+				args, s.Ops, s.Errors, s.Gets, s.Puts, s.Dels, s.Found, s.NotFound)
+		}
+		if s.ElapsedSec < 0.9*duration.Seconds() {
+			t.Errorf("%v: ran %.3fs of a %v run", args, s.ElapsedSec, duration)
+		}
+	}
+
+	srv.BeginDrain()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := srv.Close(); err != nil || rep.Crashed {
+		t.Fatalf("drain: crashed %v, %v", rep != nil && rep.Crashed, err)
 	}
 }
 
@@ -79,7 +183,7 @@ func TestSummarySchemaLocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"schema_version", "conns", "proto", "window", "elapsed_sec", "ops",
+		"schema_version", "conns", "window", "elapsed_sec", "ops",
 		"ops_per_sec", "gets", "puts", "dels", "found", "not_found", "errors",
 		"crashed", "draining", "mean_us", "p50_us", "p90_us", "p99_us",
 		"p999_us", "max_us",
@@ -101,8 +205,8 @@ func TestSummarySchemaLocked(t *testing.T) {
 	}
 
 	var ver int
-	if err := json.Unmarshal(m["schema_version"], &ver); err != nil || ver != 5 {
-		t.Fatalf("schema_version = %s, want 5", m["schema_version"])
+	if err := json.Unmarshal(m["schema_version"], &ver); err != nil || ver != 6 {
+		t.Fatalf("schema_version = %s, want 6", m["schema_version"])
 	}
 
 	kindWant := []string{
@@ -178,7 +282,7 @@ func TestFlatSummaryIsMergedKinds(t *testing.T) {
 		stats[i%len(stats)].record(queued+svc, svc, queued, isRead)
 		every.record(queued+svc, svc, queued)
 	}
-	s := summarize(stats, time.Second, len(stats), "binary", 32, nil, nil)
+	s := summarize(stats, time.Second, len(stats), 32, nil, nil)
 	want := kindSummary(&every)
 	if s.KindSummary != want {
 		t.Errorf("flat fields\n%+v\nwant one distribution of every op\n%+v", s.KindSummary, want)

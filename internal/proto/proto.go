@@ -3,11 +3,9 @@
 // can keep many requests in flight and receive their responses out of
 // order — the transport analogue of the paper's pipelined epochs, which
 // overlap the persist latency of batch k with the execution of batch
-// k+1. The JSON line protocol costs a write+read syscall pair per
-// operation and bounds any connection to one in-flight request; this
-// protocol amortizes both: requests batch into one socket write, and a
-// response is keyed by id rather than by position, so the server acks
-// each operation the moment its shard's durable watermark covers it.
+// k+1. Requests batch into one socket write, and a response is keyed by
+// id rather than by position, so the server acks each operation the
+// moment its shard's durable watermark covers it.
 //
 // Frame layout (all integers little-endian):
 //
@@ -28,11 +26,6 @@
 //	  multi body : n(2) n x ( rflags(1) [ vlen(4) value ] )
 //	  rflags: 0x01 found, 0x02 value follows
 //
-// The request magic has its high bit set, so the first byte of a binary
-// connection is distinguishable from any JSON line ('{' = 0x7B or
-// whitespace): pmkvd auto-detects the protocol per connection by peeking
-// one byte, and JSON-line clients keep working unchanged.
-//
 // The decoder and encoder are zero-allocation at steady state: parsing
 // sub-slices the frame payload into caller-reused key/value slice
 // headers, and encoding appends into a caller-owned buffer — both
@@ -44,8 +37,7 @@ import (
 	"fmt"
 )
 
-// Frame magics. FrameRequest's high bit doubles as the protocol
-// auto-detection signal.
+// Frame magics.
 const (
 	FrameRequest  byte = 0xB1
 	FrameResponse byte = 0xB2
@@ -62,8 +54,7 @@ const (
 	OpMSet Opcode = 5
 )
 
-// String implements fmt.Stringer (the names match the JSON protocol's op
-// strings for the tracer's Meta.Op field).
+// String implements fmt.Stringer (the tracer's Meta.Op field).
 func (o Opcode) String() string {
 	switch o {
 	case OpGet:
@@ -124,9 +115,8 @@ type Request struct {
 // Result is one operation's outcome inside a response.
 type Result struct {
 	Found bool
-	// HasValue reports whether a value field follows (GET hits). It
-	// mirrors the JSON protocol's omitempty: an empty value is encoded as
-	// absent.
+	// HasValue reports whether a value field follows (GET hits). An
+	// empty value is encoded as absent.
 	HasValue bool
 	Value    []byte
 }

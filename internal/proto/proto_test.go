@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"strings"
 	"testing"
 )
 
@@ -245,22 +244,6 @@ func TestFrameReaderZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("frame decode allocates %.1f times per run; want 0", allocs)
-	}
-}
-
-// TestAutoDetectDisjoint pins the protocol auto-detection invariant: no
-// JSON line's first byte can collide with the request magic.
-func TestAutoDetectDisjoint(t *testing.T) {
-	for _, first := range []byte{'{', ' ', '\t', '\r', '\n', '"'} {
-		if first == FrameRequest {
-			t.Fatalf("JSON first byte 0x%02x collides with FrameRequest", first)
-		}
-	}
-	if FrameRequest < 0x80 {
-		t.Fatalf("FrameRequest = 0x%02x must have the high bit set (JSON is ASCII)", FrameRequest)
-	}
-	if strings.IndexByte("{\t\n\r \"[tfn0123456789-", FrameRequest) >= 0 {
-		t.Fatal("FrameRequest collides with a JSON start byte")
 	}
 }
 

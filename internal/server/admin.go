@@ -12,7 +12,7 @@
 //	               worker step took, how much audit state each
 //	               engine holds and has released, and the process's
 //	               resident and heap memory.
-//	/statz         The wire "stats" reply: the store-wide counters, every
+//	/statz         The stats document (JSON): the store-wide counters, every
 //	               shard's ShardMetrics, and the live per-stage breakdown
 //	               (pooled and per shard).
 //	/debug/pprof/  the standard Go profiling handlers.
@@ -39,10 +39,10 @@ import (
 	"persistbarriers/internal/telemetry"
 )
 
-// Statz is the stats snapshot: the /statz payload and the wire "stats"
-// reply. Stats and Shards[].Counters are the simulated-cycle domain (each
-// shard machine's own counters; Stats is their sum), Stages the wall-clock
-// one (the tracer).
+// Statz is the stats snapshot, the /statz payload. Stats and
+// Shards[].Counters are the simulated-cycle domain (each shard machine's
+// own counters; Stats is their sum), Stages the wall-clock one (the
+// tracer).
 type Statz struct {
 	OK      bool                `json:"ok"`
 	Stats   machine.Counters    `json:"stats"`

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -226,31 +225,36 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 	}
 }
 
-// TestStatsReplyFieldsStable pins the wire names of the JSON-line "stats"
-// reply (/statz is the same document): live clients parse it, so a rename
-// is a breaking change. The nested epochs, conflicts and cache objects
-// carry machine.Result's own field names — they are untagged there
-// because their canonical JSON is fingerprinted.
+// TestStatsReplyFieldsStable pins the wire names of the /statz
+// document: live clients parse it, so a rename is a breaking change. The
+// nested epochs, conflicts and cache objects carry machine.Result's own
+// field names — they are untagged there because their canonical JSON is
+// fingerprinted.
 func TestStatsReplyFieldsStable(t *testing.T) {
 	ts := startTestServer(t, pmkv.ShardedConfig{Shards: 2}, server.Options{})
-	conn := ts.dial(t)
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	fmt.Fprintf(conn, "{\"op\":\"put\",\"key\":\"k\",\"value\":\"v\"}\n{\"op\":\"stats\"}\n")
-	if _, err := r.ReadBytes('\n'); err != nil {
-		t.Fatal(err)
-	}
-	line, err := r.ReadBytes('\n')
+	c, err := client.New(ts.dial(t), client.Options{OnComplete: func(*proto.Response, int64, int64) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := c.Put(1, []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	var body bytes.Buffer
+	if err := json.Compact(&body, scrape(t, ts, "/statz")); err != nil {
+		t.Fatal(err)
+	}
+	line := body.Bytes()
 	var reply struct {
 		OK     bool                       `json:"ok"`
 		Stats  map[string]json.RawMessage `json:"stats"`
 		Shards []map[string]json.RawMessage
 	}
 	if err := json.Unmarshal(line, &reply); err != nil || !reply.OK || len(reply.Shards) != 2 {
-		t.Fatalf("stats reply %q: %v", line, err)
+		t.Fatalf("/statz %q: %v", line, err)
 	}
 	counters := []string{"cycle", "txs", "conflicts", "epochs", "persist_latency", "stall_cycles",
 		"persisted_lines", "log_writes", "mc", "noc", "l1", "llc"}
@@ -269,7 +273,7 @@ func TestStatsReplyFieldsStable(t *testing.T) {
 	}
 	for _, nested := range []string{`"epochs":{"Opened":`, `"Persisted":`, `"ByCause":[`, `"conflicts":{"Intra":`, `"IDTFallbacks":`} {
 		if !strings.Contains(string(line), nested) {
-			t.Errorf("stats reply lacks %s: %s", nested, line)
+			t.Errorf("/statz lacks %s: %s", nested, line)
 		}
 	}
 	ts.drain(t)

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bufio"
 	"fmt"
 	"testing"
 
@@ -18,28 +17,11 @@ var benchConfig = pmkv.ShardedConfig{
 }
 
 // BenchmarkProtoPipeline measures live ops/sec through a loopback
-// server: the JSON line protocol (one op in flight per connection, a
-// write+read syscall pair each) against the pipelined binary protocol
-// at several window depths. This is the transport bound the binary
-// protocol exists to break.
+// server at several window depths: binary-w1 keeps one op in flight per
+// connection (a write+read syscall pair each), the deeper windows
+// pipeline. That transport bound is what pipelining exists to break.
 func BenchmarkProtoPipeline(b *testing.B) {
-	b.Run("json", func(b *testing.B) {
-		ts := startTestServer(b, benchConfig, server.Options{Window: 4096})
-		conn := ts.dial(b)
-		br := bufio.NewReader(conn)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fmt.Fprintf(conn, "{\"op\":\"put\",\"key\":\"k%d\",\"value\":\"v\"}\n", i%64)
-			if _, err := br.ReadBytes('\n'); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		reportOpsPerSec(b)
-		conn.Close()
-		ts.drain(b)
-	})
-	for _, w := range []int{16, 128, 1024} {
+	for _, w := range []int{1, 16, 128, 1024} {
 		b.Run(fmt.Sprintf("binary-w%d", w), func(b *testing.B) {
 			ts := startTestServer(b, benchConfig, server.Options{Window: 4096})
 			conn := ts.dial(b)

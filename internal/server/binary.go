@@ -66,10 +66,18 @@ type binConn struct {
 // binTag packs a record slot and subop index into a completion tag.
 func binTag(rec uint32, sub int) uint64 { return uint64(rec)<<32 | uint64(uint32(sub)) }
 
-// handleBinary runs one binary connection's reader side and owns its
-// teardown: by the time it returns, every dispatched op has completed
-// and the writer has flushed (or discarded) every response.
-func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
+// handle runs one connection's reader side and owns its teardown: by
+// the time it returns, every dispatched op has completed, the writer has
+// flushed (or discarded) every response, and the connection is closed
+// and untracked. A bad magic, the first frame's included, ends the
+// connection like any framing error.
+func (s *Server) handle(conn net.Conn) {
+	defer func() {
+		conn.Close()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+	}()
 	win := s.opts.Window
 	bc := &binConn{
 		s:      s,
@@ -90,7 +98,7 @@ func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 	writerDone := make(chan struct{})
 	go bc.writeLoop(writerDone)
 
-	fr := proto.NewFrameReader(br)
+	fr := proto.NewFrameReader(bufio.NewReaderSize(conn, 64<<10))
 	var req proto.Request
 	for {
 		s.armReadDeadline(conn)
@@ -99,8 +107,8 @@ func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 			break
 		}
 		if err := proto.ParseRequest(payload, &req); err != nil {
-			// Framing is suspect past a parse error; unlike the JSON
-			// path's in-band "unknown op", the connection is done.
+			// Framing is suspect past a parse error: the connection is
+			// done.
 			break
 		}
 		bc.dispatch(&req)

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -58,8 +57,8 @@ func sumMatches(re *regexp.Regexp, text string) (sum int64) {
 	return sum
 }
 
-// TestBenchmarkContract drives a traced, checked 2-shard server over both
-// protocols, drains it, and holds the three surfaces the benchmark reads
+// TestBenchmarkContract drives a traced, checked 2-shard server from a
+// pipelined and a one-in-flight connection, drains it, and holds the three surfaces the benchmark reads
 // to one another: the Report's fields, the text WriteText renders from
 // them, and /statz.
 func TestBenchmarkContract(t *testing.T) {
@@ -104,33 +103,38 @@ func TestBenchmarkContract(t *testing.T) {
 	}
 	c.Close()
 
-	// JSON lines: the same shape, one op in flight.
-	jc := ts.dial(t)
-	jr := bufio.NewReader(jc)
-	for i := 0; i < 60; i++ {
-		req := proto.LineRequest{Op: "put", Key: fmt.Sprintf("j%02d", i%20), Value: "json-value"}
-		switch i % 3 {
-		case 1:
-			req = proto.LineRequest{Op: "get", Key: req.Key}
-		case 2:
-			req = proto.LineRequest{Op: "del", Key: req.Key}
-		}
-		line, _ := json.Marshal(req)
-		if _, err := jc.Write(append(line, '\n')); err != nil {
-			t.Fatal(err)
-		}
-		var resp proto.LineResponse
-		reply, err := jr.ReadBytes('\n')
-		if err != nil || json.Unmarshal(reply, &resp) != nil || !resp.OK || resp.Crashed {
-			t.Fatalf("json %s %s: %q, %v", req.Op, req.Key, reply, err)
-		}
-		if req.Op != "get" {
+	// One op in flight: 60 ops over 20 keys, put, get and delete in turn.
+	c, err = client.New(ts.dial(t), client.Options{Window: 1, OnComplete: func(resp *proto.Response, _, _ int64) {
+		switch {
+		case resp.Err != "" || resp.Crashed:
+			failures.Add(1)
+		case resp.ID%3 != 1:
 			acked.Add(1)
 		}
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	jc.Close()
+	for id := uint64(0); id < 60; id++ {
+		key := []byte(fmt.Sprintf("j%02d", id%20))
+		switch id % 3 {
+		case 0:
+			err = c.Put(id, key, []byte("serial-value"))
+		case 1:
+			err = c.Get(id, key)
+		case 2:
+			err = c.Del(id, key)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
 	if n := failures.Load(); n > 0 {
-		t.Fatalf("%d binary ops failed", n)
+		t.Fatalf("%d ops failed", n)
 	}
 	want := acked.Load()
 

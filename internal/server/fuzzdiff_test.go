@@ -1,9 +1,7 @@
 package server_test
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -16,7 +14,8 @@ import (
 )
 
 // diffOp is one operation of a differential-fuzz case. Multi groups
-// (MGET/MSET) run as one binary frame but as individual JSON lines.
+// (MGET/MSET) run as one frame on the pipelined side but as single-op
+// frames on the serial side.
 type diffOp struct {
 	kind byte // 0 get, 1 put, 2 del, 3 mget, 4 mset
 	keys []int
@@ -49,7 +48,7 @@ func decodeDiffCase(data []byte) []diffOp {
 	return ops
 }
 
-// diffOutcome is one op's observable result, protocol-independent.
+// diffOutcome is one op's observable result, however it was framed.
 type diffOutcome struct {
 	Found bool
 	Value string
@@ -93,56 +92,34 @@ func (d *diffServer) finish(t testing.TB) string {
 
 func diffKey(i int) string { return fmt.Sprintf("k%d", i) }
 func diffVal(i int) string { return fmt.Sprintf("v%d", i) }
-func jsonOp(kind byte) string {
-	switch kind {
-	case 1, 4:
-		return "put"
-	case 2:
-		return "del"
-	default:
-		return "get"
-	}
-}
 
-// runJSON drives the ops over the JSON line protocol, one at a time,
-// splitting multi groups into individual requests.
-func runJSON(t testing.TB, conn net.Conn, ops []diffOp) []diffOutcome {
-	t.Helper()
-	br := bufio.NewReader(conn)
-	var out []diffOutcome
+// serialize splits every multi group into single-op GETs or PUTs.
+func serialize(ops []diffOp) []diffOp {
+	var out []diffOp
 	for _, op := range ops {
+		kind := op.kind
+		switch kind {
+		case 3:
+			kind = 0
+		case 4:
+			kind = 1
+		}
 		for j := range op.keys {
-			req := fmt.Sprintf("{\"op\":%q,\"key\":%q,\"value\":%q}\n",
-				jsonOp(op.kind), diffKey(op.keys[j]), diffVal(op.vals[j]))
-			if op.kind != 1 && op.kind != 4 {
-				req = fmt.Sprintf("{\"op\":%q,\"key\":%q}\n", jsonOp(op.kind), diffKey(op.keys[j]))
-			}
-			if _, err := conn.Write([]byte(req)); err != nil {
-				t.Fatalf("json write: %v", err)
-			}
-			line, err := br.ReadBytes('\n')
-			if err != nil {
-				t.Fatalf("json read: %v", err)
-			}
-			var resp proto.LineResponse
-			if err := json.Unmarshal(line, &resp); err != nil {
-				t.Fatalf("json resp %q: %v", line, err)
-			}
-			out = append(out, diffOutcome{Found: resp.Found, Value: resp.Value, Err: resp.Error})
+			out = append(out, diffOp{kind: kind, keys: op.keys[j : j+1], vals: op.vals[j : j+1]})
 		}
 	}
 	return out
 }
 
-// runBinary drives the same ops over the pipelined binary protocol —
-// multi groups as single MGET/MSET frames — and flattens responses back
-// to per-op outcomes in submission order.
-func runBinary(t testing.TB, conn net.Conn, ops []diffOp) []diffOutcome {
+// runFrames drives ops through one client connection with window frames
+// in flight, one frame per op, and flattens the responses back to
+// per-key outcomes in submission order.
+func runFrames(t testing.TB, conn net.Conn, ops []diffOp, window int) []diffOutcome {
 	t.Helper()
 	var mu sync.Mutex
 	byID := make(map[uint64][]diffOutcome)
 	c, err := client.New(conn, client.Options{
-		Window: 8,
+		Window: window,
 		OnComplete: func(resp *proto.Response, _, _ int64) {
 			var outs []diffOutcome
 			if resp.Err != "" {
@@ -181,27 +158,28 @@ func runBinary(t testing.TB, conn net.Conn, ops []diffOp) []diffOutcome {
 			err = c.MSet(uint64(id), keys, vals)
 		}
 		if err != nil {
-			t.Fatalf("binary submit %d: %v", id, err)
+			t.Fatalf("window %d: submit %d: %v", window, id, err)
 		}
 	}
 	if err := c.Wait(); err != nil {
-		t.Fatalf("binary wait: %v", err)
+		t.Fatalf("window %d: wait: %v", window, err)
 	}
 	var out []diffOutcome
 	for id, op := range ops {
 		outs := byID[uint64(id)]
 		if len(outs) != len(op.keys) {
-			t.Fatalf("binary op %d: %d outcomes for %d subops", id, len(outs), len(op.keys))
+			t.Fatalf("window %d: op %d: %d outcomes for %d subops", window, id, len(outs), len(op.keys))
 		}
 		out = append(out, outs...)
 	}
 	return out
 }
 
-// FuzzProtoVsJSON is the differential fuzz over the two wire protocols:
-// the same op stream runs through a JSON-line connection on one server
-// and a pipelined binary connection on another (identical engine
-// configs, checker on). Both must produce identical per-op outcomes,
+// FuzzPipelinedVsSerial is the differential fuzz over how a connection
+// frames its ops: the same op stream runs through a one-in-flight
+// connection of single-op frames on one server and a pipelined
+// connection of up to 8 frames in flight, multi groups as MGET/MSET, on
+// another (identical engine configs, checker on). Both must produce identical per-op outcomes,
 // identical recovered-state fingerprints after a clean drain, and clean
 // durable-linearizability verdicts. The GET read fast path is toggled
 // independently per side from the input bytes, so the fuzzer also pins
@@ -209,8 +187,8 @@ func runBinary(t testing.TB, conn net.Conn, ops []diffOp) []diffOutcome {
 // observe the same answers whichever path serves its reads. Crash
 // instants are excluded by design — batching differences change
 // simulated crash timing — so this target pins semantic equivalence of
-// the transports, while the dlcheck fuzzer covers crashes.
-func FuzzProtoVsJSON(f *testing.F) {
+// serial and pipelined framing, while the dlcheck fuzzer covers crashes.
+func FuzzPipelinedVsSerial(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0, 0})                            // put k0; get k0
 	f.Add([]byte{4, 0x35, 7, 3, 0x21, 1, 2, 0, 0})             // mset; mget; del
@@ -221,30 +199,30 @@ func FuzzProtoVsJSON(f *testing.F) {
 		ops := decodeDiffCase(data)
 		// Fold the input into per-side fast-path toggles: all four on/off
 		// combinations appear across the corpus, including asymmetric ones
-		// where only one transport serves reads from the index.
+		// where only one side serves reads from the index.
 		var fold byte
 		for _, b := range data {
 			fold ^= b
 		}
 
-		js := newDiffServer(t, fold&1 != 0)
-		jsonOut := runJSON(t, js.conn, ops)
-		jsonFP := js.finish(t)
+		ss := newDiffServer(t, fold&1 != 0)
+		serialOut := runFrames(t, ss.conn, serialize(ops), 1)
+		serialFP := ss.finish(t)
 
-		bs := newDiffServer(t, fold&2 != 0)
-		binOut := runBinary(t, bs.conn, ops)
-		binFP := bs.finish(t)
+		ps := newDiffServer(t, fold&2 != 0)
+		pipeOut := runFrames(t, ps.conn, ops, 8)
+		pipeFP := ps.finish(t)
 
-		if len(jsonOut) != len(binOut) {
-			t.Fatalf("outcome counts differ: json %d, binary %d", len(jsonOut), len(binOut))
+		if len(serialOut) != len(pipeOut) {
+			t.Fatalf("outcome counts differ: serial %d, pipelined %d", len(serialOut), len(pipeOut))
 		}
-		for i := range jsonOut {
-			if jsonOut[i] != binOut[i] {
-				t.Fatalf("op %d diverged: json %+v, binary %+v", i, jsonOut[i], binOut[i])
+		for i := range serialOut {
+			if serialOut[i] != pipeOut[i] {
+				t.Fatalf("op %d diverged: serial %+v, pipelined %+v", i, serialOut[i], pipeOut[i])
 			}
 		}
-		if jsonFP != binFP {
-			t.Fatalf("recovered fingerprints diverged: json %.16s, binary %.16s", jsonFP, binFP)
+		if serialFP != pipeFP {
+			t.Fatalf("recovered fingerprints diverged: serial %.16s, pipelined %.16s", serialFP, pipeFP)
 		}
 	})
 }

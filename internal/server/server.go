@@ -3,13 +3,12 @@
 // flag parsing around it; tests, fuzzers and benchmarks start one
 // in-process through the same few calls.
 //
-// Two wire protocols share the port, auto-detected per connection from
-// its first byte. A 0xB1 byte opens the pipelined binary protocol
-// (internal/proto): length-prefixed frames with client-chosen request
-// ids, up to Options.Window requests in flight per connection, responses
-// written out of order the moment each op's shard acks it, batched into
-// single socket writes. Anything else is the JSON line protocol
-// (proto.LineRequest), one request in flight at a time.
+// The wire protocol is the pipelined binary one (internal/proto):
+// length-prefixed frames with client-chosen request ids, up to
+// Options.Window requests in flight per connection, responses written
+// out of order the moment each op's shard acks it, batched into single
+// socket writes. A connection that does not open with a request frame is
+// closed unanswered.
 //
 // A server's life is New, Serve (or ServeConn per connection), then
 // Close. BeginDrain — called on a signal, or by the server itself when a
@@ -22,8 +21,6 @@
 package server
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -31,7 +28,6 @@ import (
 	"time"
 
 	"persistbarriers/internal/pmkv"
-	"persistbarriers/internal/proto"
 	"persistbarriers/internal/telemetry"
 )
 
@@ -178,30 +174,6 @@ func (s *Server) BeginDrain() {
 	}
 }
 
-// handle runs one connection, auto-detecting its protocol from the
-// first byte: the binary request magic (0xB1, high bit set) opens the
-// pipelined path; anything else — a JSON line starts with '{' or
-// whitespace, all < 0x80 — falls through to the line protocol.
-func (s *Server) handle(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	s.armReadDeadline(conn)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == proto.FrameRequest {
-		s.handleBinary(conn, br)
-		return
-	}
-	s.handleJSON(conn, br)
-}
-
 // armReadDeadline (re)arms the rolling idle deadline, then re-checks the
 // drain flag: BeginDrain's immediate deadline must win the race against
 // a reader extending its own, or a drain could stall for a full idle
@@ -216,65 +188,6 @@ func (s *Server) armReadDeadline(conn net.Conn) {
 	}
 }
 
-// handleJSON runs one JSON-line connection: a session whose operations
-// execute in program order on each shard, one request in flight at a
-// time. This is the debug and differential-oracle protocol (the binary
-// protocol is the fast one), so it encodes with encoding/json.
-func (s *Server) handleJSON(conn net.Conn, br *bufio.Reader) {
-	sess := s.store.NewSession()
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	w := bufio.NewWriterSize(conn, 32<<10)
-	enc := json.NewEncoder(w)
-	// One request in flight, so one completion slot serves every op.
-	done := make(chan pmkv.Completion, 1)
-	// One span per connection, reused for every request: the stamp/fold
-	// path stays allocation-free (enforced by telemetry's AllocsPerRun
-	// guards), so tracing costs a few clock reads per op.
-	var span *telemetry.Span
-	if s.tracer.Enabled() {
-		span = new(telemetry.Span)
-	}
-	for {
-		s.armReadDeadline(conn)
-		if !sc.Scan() {
-			return
-		}
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		span.Reset()
-		span.Stamp(telemetry.StageConnRead)
-		var req proto.LineRequest
-		var reply any
-		ack := pmkv.ShardAck{Shard: -1}
-		if err := json.Unmarshal(line, &req); err != nil {
-			reply = proto.LineResponse{Error: "bad request: " + err.Error()}
-		} else if req.Op == "stats" {
-			reply = s.statsReply()
-		} else {
-			reply, ack = s.dispatch(sess, req, span, done)
-		}
-		if err := enc.Encode(reply); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if span != nil && ack.Shard >= 0 && ack.Err == nil {
-			s.complete(ack.Shard, span, req.Op == "get", ack.Fast, telemetry.Meta{
-				Op:      req.Op,
-				Sess:    sess.ID,
-				Key:     req.Key,
-				Durable: ack.Durable,
-				Crashed: ack.Crashed,
-				OK:      true,
-			})
-		}
-	}
-}
-
 // complete stamps a traced op's ack as written and folds its span into
 // the tracer; a served GET also lands in its read-path histogram.
 func (s *Server) complete(shard int, span *telemetry.Span, servedGet, fast bool, m telemetry.Meta) {
@@ -285,49 +198,4 @@ func (s *Server) complete(shard int, span *telemetry.Span, servedGet, fast bool,
 		}
 	}
 	s.tracer.Complete(shard, span, m)
-}
-
-// dispatch routes one data operation to its shard, waits for the ack on
-// the connection's completion slot, and shapes the reply. The returned
-// ack's Shard is -1 when the request never reached a shard (unknown op,
-// missing key), so the caller knows not to trace it.
-func (s *Server) dispatch(sess *pmkv.ShardedSession, req proto.LineRequest, span *telemetry.Span, done chan pmkv.Completion) (proto.LineResponse, pmkv.ShardAck) {
-	none := pmkv.ShardAck{Shard: -1}
-	var op pmkv.Op
-	switch req.Op {
-	case "get":
-		op = pmkv.Get
-	case "put":
-		op = pmkv.Put
-	case "del":
-		op = pmkv.Delete
-	default:
-		return proto.LineResponse{Error: fmt.Sprintf("unknown op %q", req.Op)}, none
-	}
-	if req.Key == "" {
-		return proto.LineResponse{Error: "missing key"}, none
-	}
-	shard, err := s.store.DoAsync(sess, op, req.Key, []byte(req.Value), span, 0, done)
-	ack := pmkv.ShardAck{Shard: shard, Err: err}
-	if err == nil {
-		ack = (<-done).Ack
-	}
-	switch {
-	case ack.Err == pmkv.ErrDraining:
-		return proto.LineResponse{Error: "draining"}, ack
-	case ack.Err != nil:
-		return proto.LineResponse{Error: ack.Err.Error()}, ack
-	}
-	return proto.LineResponse{OK: true, Found: ack.Resp.Found, Value: string(ack.Resp.Value), Crashed: ack.Crashed}, ack
-}
-
-// statsReply is the stats reply (aggregate + per-shard, plus the stage
-// breakdown when tracing is on), pre-marshaled so a value encoding/json
-// rejects becomes an error line instead of a dropped connection.
-func (s *Server) statsReply() any {
-	line, err := json.Marshal(s.Statz())
-	if err != nil {
-		return proto.LineResponse{Error: "stats: " + err.Error()}
-	}
-	return json.RawMessage(line)
 }

@@ -2,7 +2,7 @@ package server_test
 
 import (
 	"bufio"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -168,50 +168,57 @@ func TestBinaryProtocolRoundTrip(t *testing.T) {
 	ts.drain(t)
 }
 
-// TestAutoDetectBothProtocols: a JSON-line connection and a binary
-// connection work side by side against one server.
-func TestAutoDetectBothProtocols(t *testing.T) {
+// TestNonFrameConnectionClosed: a connection that does not open with a
+// request frame — here a JSON object — is closed with no reply, while a
+// binary connection on the same server is served, and the drain is
+// clean.
+func TestNonFrameConnectionClosed(t *testing.T) {
 	ts := startTestServer(t, pmkv.ShardedConfig{Shards: 1}, server.Options{Window: 8})
 
-	// JSON connection writes a key...
 	jc := ts.dial(t)
-	fmt.Fprintf(jc, "{\"op\":\"put\",\"key\":\"shared\",\"value\":\"from-json\"}\n")
-	var jresp proto.LineResponse
-	jr := bufio.NewReader(jc)
-	line, err := jr.ReadBytes('\n')
-	if err != nil || json.Unmarshal(line, &jresp) != nil || !jresp.OK {
-		t.Fatalf("json put: %q err=%v", line, err)
+	fmt.Fprintf(jc, "{\"op\":\"put\",\"key\":\"shared\",\"value\":\"v\"}\n")
+	jc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// Closed is EOF, or a reset if the close beat the server's read of
+	// the whole line; a timeout means the server kept the connection.
+	n, err := jc.Read(make([]byte, 64))
+	var ne net.Error
+	if n != 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("non-frame connection: read %d bytes, %v; want closed with no reply", n, err)
 	}
+	jc.Close()
 
-	// ...and a binary connection reads it back.
-	bcn := ts.dial(t)
-	got := make(chan string, 1)
-	c, err := client.New(bcn, client.Options{
+	got := make(chan string, 2)
+	c, err := client.New(ts.dial(t), client.Options{
 		Window: 8,
 		OnComplete: func(resp *proto.Response, _, _ int64) {
-			if resp.Err != "" {
+			switch {
+			case resp.Err != "":
 				got <- "error: " + resp.Err
-				return
+			case resp.ID == 2:
+				got <- fmt.Sprintf("found=%v", resp.Results[0].Found)
 			}
-			got <- string(resp.Results[0].Value)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Get(1, []byte("shared")); err != nil {
+	if err := c.Put(1, []byte("other"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Get(2, []byte("shared")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if v := <-got; v != "from-json" {
-		t.Fatalf("binary get over json put = %q", v)
+	if v := <-got; v != "found=false" {
+		t.Fatalf("binary get of the non-frame connection's key = %q, want not found", v)
 	}
 	c.Close()
-	jc.Close()
 
-	ts.drain(t)
+	if rep := ts.drain(t); rep.Crashed || rep.Shards[0].TotalPublishes != 1 {
+		t.Fatalf("drain: crashed %v, %d publishes; want clean with the binary put alone", rep.Crashed, rep.Shards[0].TotalPublishes)
+	}
 }
 
 // TestDrainWithStalledPipelinedClient is the PR 3 drain-unblock
@@ -270,9 +277,9 @@ func TestMaxConnsLimit(t *testing.T) {
 	// closed without a response.
 	ping := func(c net.Conn, want bool) bool {
 		t.Helper()
-		fmt.Fprintf(c, "{\"op\":\"get\",\"key\":\"x\"}\n")
+		c.Write(proto.AppendGet(nil, 1, []byte("x")))
 		c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		_, err := bufio.NewReader(c).ReadBytes('\n')
+		_, _, err := proto.NewFrameReader(bufio.NewReader(c)).Next()
 		return (err == nil) == want
 	}
 

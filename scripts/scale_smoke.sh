@@ -20,10 +20,9 @@
 #
 # Both phases run with -check, so the online durable-linearizability
 # verdict line must appear — under a clean SIGTERM drain first, then
-# under the injected crash. Each phase drives BOTH wire protocols at
-# once: a JSON-line loader and a pipelined binary loader (-proto binary)
-# share the server, so protocol auto-detection, the pipelined completion
-# path, and the drain/crash handling are all exercised together.
+# under the injected crash. In each phase a one-in-flight paced loader
+# and a pipelined loader share the server, so serial and pipelined
+# completions and the drain/crash handling are exercised together.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,6 +41,9 @@ go build -o "$dir/promcheck" ./cmd/promcheck
 start_server() {
     local log=$1
     shift
+    # Created here, not by the child's redirect, so the first poll below
+    # cannot run before the file exists.
+    : >"$log"
     "$dir/pmkvd" -addr 127.0.0.1:0 -admin 127.0.0.1:0 "$@" >"$log" 2>&1 &
     pid=$!
     for _ in $(seq 1 200); do
@@ -81,13 +83,13 @@ wait_exit() {
 # 73 000 writes, nearly half of them committing in the other order than
 # they were translated in), and the recovery invariants (Verify's check 6:
 # every key is served as it is recovered) are held against all of them.
-# Paced at 150 ops/s two such writes essentially never met. The JSON
-# loader stays paced.
+# Paced at 150 ops/s two such writes essentially never met. The
+# one-in-flight loader stays paced.
 start_server "$dir/pmkvd-clean.log" -shards 4 -check
-"$dir/pmkvload" -addr "$addr" -conns 2 -rate 150 -duration 2s &
-jsonload=$!
-"$dir/pmkvload" -addr "$addr" -proto binary -window 32 -conns 2 -duration 2s
-wait "$jsonload"
+"$dir/pmkvload" -addr "$addr" -window 1 -conns 2 -rate 150 -duration 2s &
+pacedload=$!
+"$dir/pmkvload" -addr "$addr" -window 32 -conns 2 -duration 2s
+wait "$pacedload"
 kill -TERM "$pid"
 wait_exit "clean phase" "$dir/pmkvd-clean.log"
 grep -q "clean drain" "$dir/pmkvd-clean.log" || {
@@ -108,11 +110,11 @@ grep -q "flight recorder: .* consistency OK" "$dir/pmkvd-clean.log" || {
 # drain's durable-linearizability verdict must still be OK with reads
 # bypassing the shard mailboxes.
 start_server "$dir/pmkvd-read.log" -shards 4 -check
-"$dir/pmkvload" -addr "$addr" -get 0.95 -del 0.01 -conns 2 -rate 300 -duration 2s &
-jsonload=$!
-"$dir/pmkvload" -addr "$addr" -proto binary -window 32 -get 0.95 -del 0.01 \
+"$dir/pmkvload" -addr "$addr" -window 1 -get 0.95 -del 0.01 -conns 2 -rate 300 -duration 2s &
+pacedload=$!
+"$dir/pmkvload" -addr "$addr" -window 32 -get 0.95 -del 0.01 \
     -conns 2 -rate 300 -duration 2s
-wait "$jsonload"
+wait "$pacedload"
 curl -fsS "http://$admin/metrics" >"$dir/metrics-read.txt" || {
     echo "scale_smoke: /metrics scrape (read phase) failed" >&2
     exit 1
@@ -146,7 +148,7 @@ grep -q "flight recorder: .* consistency OK" "$dir/pmkvd-read.log" || {
 # keeps per op, so the ceiling is tied to this run length.
 rss_ceiling=$((86 << 20))
 start_server "$dir/pmkvd-soak.log" -shards 2 -check
-"$dir/pmkvload" -addr "$addr" -proto binary -window 64 -conns 2 -keys 4096 \
+"$dir/pmkvload" -addr "$addr" -window 64 -conns 2 -keys 4096 \
     -get 0.45 -del 0.05 -rate 40000 -duration 10s &
 loadpid=$!
 sleep 8
@@ -203,9 +205,9 @@ grep -q "durable linearizability: OK" "$dir/pmkvd-soak.log" || {
 start_server "$dir/pmkvd.log" -shards 4 -crash-at 100000 -check \
     -flight-dump "$dir/flight.json"
 
-"$dir/pmkvload" -addr "$addr" -conns 4 -rate 200 -duration 5s &
-jsonload=$!
-"$dir/pmkvload" -addr "$addr" -proto binary -window 32 -multi 2 \
+"$dir/pmkvload" -addr "$addr" -window 1 -conns 4 -rate 200 -duration 5s &
+pacedload=$!
+"$dir/pmkvload" -addr "$addr" -window 32 -multi 2 \
     -conns 4 -rate 200 -duration 5s -admin "$admin" &
 loadpid=$!
 
@@ -241,7 +243,7 @@ grep -q '"stages"' "$dir/statz.json" || {
 }
 
 wait "$loadpid"
-wait "$jsonload"
+wait "$pacedload"
 
 # The crash fires mid-load and the server drains itself; wait for exit.
 wait_exit "crash phase" "$dir/pmkvd.log"
