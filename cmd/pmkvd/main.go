@@ -77,6 +77,9 @@ func main() {
 	atLeast("selfcheck", *selfcheck, 0)
 	within("window", *window, 1, 4096)
 	atLeast("maxconns", *maxconns, 0)
+	if *connTimeout < 0 {
+		fail("-conn-timeout must be >= 0, got %v", *connTimeout)
+	}
 
 	mcfg := pmkv.SmallMachine()
 	mcfg.Cores = *cores

@@ -7,12 +7,12 @@
 // durable-commit latency, not just visibility.
 //
 // Each connection speaks pmkvd's pipelined binary frames with -window
-// requests in flight (-window 1 keeps one op in flight) and, with
-// -multi N, N-op MGET/MSET frames. Open-loop runs avoid coordinated
-// omission by scheduling ops on a fixed cadence and measuring from the
-// schedule: total latency = completion - scheduled, split into queueing
-// delay (send - scheduled: time spent blocked behind the pipe or the
-// window) and service time (completion - send: the server round trip).
+// requests in flight (-window 1 keeps one op in flight). Open-loop runs
+// avoid coordinated omission by scheduling ops on a fixed cadence and
+// measuring from the schedule: total latency = completion - scheduled,
+// split into queueing delay (send - scheduled: time spent blocked behind
+// the pipe or the window) and service time (completion - send: the
+// server round trip).
 //
 // Output is a throughput line plus latency summaries (p50/p90/p99/p99.9
 // from internal/hist microsecond histograms merged across connections —
@@ -126,7 +126,6 @@ func main() {
 		valueLen = flag.Int("value", 64, "value bytes per put")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		window   = flag.Int("window", 128, "in-flight requests per connection (1 = one op in flight)")
-		multi    = flag.Int("multi", 1, "ops per MGET/MSET frame (1 = single-op frames)")
 		jsonOut  = flag.Bool("json", false, "emit a JSON summary instead of text")
 		admin    = flag.String("admin", "", "pmkvd admin address; scrape /statz after the run for the server-side stage breakdown")
 	)
@@ -154,17 +153,6 @@ func main() {
 	if *window < 1 || *window > 4096 {
 		fail("-window must be in 1..4096, got %d", *window)
 	}
-	if *multi < 1 || *multi > proto.MaxOpsPerFrame {
-		fail("-multi must be in 1..%d, got %d", proto.MaxOpsPerFrame, *multi)
-	}
-	if *multi > 1 {
-		// An MSET payload: id, opcode and op count, then each key (the
-		// longest is the last key's name) with its value.
-		size := 8 + 1 + 2 + *multi*(2+len(keyName(*keys-1))+4+*valueLen)
-		if size > proto.MaxPayload {
-			fail("-multi must keep an MSET frame within %d bytes, got %d ops of -value %d (%d bytes)", proto.MaxPayload, *multi, *valueLen, size)
-		}
-	}
 	if *duration <= 0 {
 		fail("-duration must be > 0, got %v", *duration)
 	}
@@ -191,7 +179,7 @@ func main() {
 			defer wg.Done()
 			g := genConfig{
 				keys: *keys, zipf: *zipf, getFrac: *getFrac, delFrac: *delFrac,
-				valueLen: *valueLen, seed: *seed, window: *window, multi: *multi,
+				valueLen: *valueLen, seed: *seed, window: *window,
 			}
 			if err := runConn(*addr, i, deadline, interval, g, &stats[i]); err != nil {
 				runErrOnce.Do(func() { runErr = err })
@@ -258,7 +246,6 @@ type genConfig struct {
 	valueLen int
 	seed     int64
 	window   int
-	multi    int
 }
 
 // sampler is the deterministic per-connection workload source.
@@ -313,18 +300,16 @@ func runConn(addr string, id int, deadline time.Time, interval time.Duration, g 
 		return fmt.Errorf("conn %d: %w", id, err)
 	}
 
-	// frameMeta carries what the completion handler can't recover from
-	// the response alone: the scheduled instant (open loop), the subop
-	// count (error responses carry no results), and whether the frame was
-	// a read (GET/MGET) for the per-kind latency split.
-	type frameMeta struct {
+	// opMeta carries what the completion handler can't recover from the
+	// response alone: the scheduled instant (open loop) and whether the
+	// op was a read (GET) for the per-kind latency split.
+	type opMeta struct {
 		schedNS int64
-		n       uint64
 		read    bool
 	}
 	var (
 		mu   sync.Mutex
-		meta = make(map[uint64]frameMeta, g.window)
+		meta = make(map[uint64]opMeta, g.window)
 		stop atomic.Bool
 	)
 	openLoop := interval > 0
@@ -335,42 +320,29 @@ func runConn(addr string, id int, deadline time.Time, interval time.Duration, g 
 		OnComplete: func(resp *proto.Response, submitNS, sendNS int64) {
 			done := c.NowNS()
 			mu.Lock()
-			fm := meta[resp.ID]
+			m := meta[resp.ID]
 			delete(meta, resp.ID)
 			mu.Unlock()
 			schedNS := submitNS
 			if openLoop {
-				schedNS = fm.schedNS
+				schedNS = m.schedNS
 			}
-			n := fm.n
-			if n == 0 {
-				n = 1
-			}
-			// One frame = one scheduling decision and one response: its
-			// latency sample counts once per subop so multi-frame runs stay
-			// comparable op-for-op.
-			for i := uint64(0); i < n; i++ {
-				st.record(time.Duration(done-schedNS), time.Duration(done-sendNS), time.Duration(sendNS-schedNS), fm.read)
-			}
+			st.record(time.Duration(done-schedNS), time.Duration(done-sendNS), time.Duration(sendNS-schedNS), m.read)
 			switch {
 			case resp.Err != "":
 				if strings.Contains(resp.Err, "draining") {
-					st.draining += n
+					st.draining++
 					stop.Store(true)
 					return
 				}
-				st.errors += n
+				st.errors++
 			case resp.Crashed:
-				st.crashed += n
+				st.crashed++
 				stop.Store(true)
+			case resp.Results[0].Found:
+				st.found++
 			default:
-				for _, r := range resp.Results {
-					if r.Found {
-						st.found++
-					} else {
-						st.notFound++
-					}
-				}
+				st.notFound++
 			}
 		},
 	})
@@ -382,8 +354,6 @@ func runConn(addr string, id int, deadline time.Time, interval time.Duration, g 
 
 	smp := newSampler(id, g)
 	value := bytes.Repeat([]byte{'v'}, g.valueLen)
-	keyBuf := make([][]byte, g.multi)
-	valBuf := make([][]byte, g.multi)
 	endNS := c.NowNS() + int64(time.Until(deadline))
 	var nextNS int64
 	id64 := uint64(0)
@@ -391,49 +361,30 @@ func runConn(addr string, id int, deadline time.Time, interval time.Duration, g 
 	for c.NowNS() < endNS && !stop.Load() {
 		schedNS := c.NowNS()
 		kind := smp.op()
-		frameOps := 1
-		if g.multi > 1 && kind != 2 {
-			frameOps = g.multi
-		}
 		if openLoop {
 			if d := nextNS - c.NowNS(); d > 0 {
 				time.Sleep(time.Duration(d))
 			}
 			schedNS = nextNS
-			nextNS += int64(interval) * int64(frameOps)
+			nextNS += int64(interval)
 		}
 		mu.Lock()
-		meta[id64] = frameMeta{schedNS: schedNS, n: uint64(frameOps), read: kind == 0}
+		meta[id64] = opMeta{schedNS: schedNS, read: kind == 0}
 		mu.Unlock()
 		var submitErr error
-		switch {
-		case frameOps > 1:
-			for j := 0; j < g.multi; j++ {
-				keyBuf[j] = []byte(keyName(smp.key()))
-				valBuf[j] = value
-			}
-			if kind == 0 {
-				st.gets += uint64(g.multi)
-				submitErr = c.MGet(id64, keyBuf)
-			} else {
-				st.puts += uint64(g.multi)
-				submitErr = c.MSet(id64, keyBuf, valBuf)
-			}
+		key := []byte(keyName(smp.key()))
+		switch kind {
+		case 0:
+			st.gets++
+			submitErr = c.Get(id64, key)
+		case 2:
+			st.dels++
+			submitErr = c.Del(id64, key)
 		default:
-			key := []byte(keyName(smp.key()))
-			switch kind {
-			case 0:
-				st.gets++
-				submitErr = c.Get(id64, key)
-			case 2:
-				st.dels++
-				submitErr = c.Del(id64, key)
-			default:
-				st.puts++
-				submitErr = c.Put(id64, key, value)
-			}
+			st.puts++
+			submitErr = c.Put(id64, key, value)
 		}
-		if errors.Is(submitErr, proto.ErrLimits) || errors.Is(submitErr, proto.ErrFrameSize) {
+		if errors.Is(submitErr, proto.ErrLimits) {
 			return fmt.Errorf("conn %d: %w", id, submitErr)
 		}
 		if submitErr != nil {

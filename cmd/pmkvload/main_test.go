@@ -84,11 +84,10 @@ func TestBadPacingRefused(t *testing.T) {
 	}
 }
 
-// TestUnsendableValueRefused: a value or an MSET frame past the wire
-// limits exits 2 with a flag message before anything is dialed. The
-// client refuses such a request without sending it, so a loader that
-// dialed would count puts it never sent and end the run as if the
-// server had drained.
+// TestUnsendableValueRefused: a value past the wire limits exits 2 with
+// a flag message before anything is dialed. The client refuses such a
+// request without sending it, so a loader that dialed would count puts
+// it never sent and end the run as if the server had drained.
 func TestUnsendableValueRefused(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -107,7 +106,6 @@ func TestUnsendableValueRefused(t *testing.T) {
 	}()
 	addr := ln.Addr().String()
 	wantRefused(t, "-value", "-addr", addr, "-duration", "1s", "-conns", "2", "-value", "2000000")
-	wantRefused(t, "-multi", "-addr", addr, "-duration", "1s", "-multi", "32", "-value", "600000")
 	ln.Close()
 	if n := dials.Load(); n > 0 {
 		t.Errorf("a refused run dialed %d connections", n)

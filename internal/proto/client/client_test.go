@@ -13,8 +13,8 @@ import (
 )
 
 // stubServer reads request frames off conn and answers them in batches,
-// reversed — deliberately out of order — echoing each op's first key as
-// a found value. It exits, closing conn as pmkvd would, on a read or
+// reversed — deliberately out of order — echoing each op's key as a
+// found value. It exits, closing conn as pmkvd would, on a read or
 // parse error.
 func stubServer(t *testing.T, conn net.Conn, batch int) {
 	t.Helper()
@@ -46,11 +46,8 @@ func stubServer(t *testing.T, conn net.Conn, batch int) {
 			t.Errorf("stub server: parse: %v", err)
 			return
 		}
-		resp := proto.Response{ID: req.ID, OK: true, Multi: req.Op.Multi()}
-		for _, k := range req.Keys {
-			v := append([]byte(nil), k...)
-			resp.Results = append(resp.Results, proto.Result{Found: true, HasValue: true, Value: v})
-		}
+		v := append([]byte(nil), req.Key...)
+		resp := proto.Response{ID: req.ID, OK: true, Results: []proto.Result{{Found: true, HasValue: true, Value: v}}}
 		pending = append(pending, resp)
 		if len(pending) >= batch {
 			flush()
@@ -123,48 +120,6 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 		if g.submit > g.send || g.send > g.completed {
 			t.Fatalf("id %d timestamps out of order: submit=%d send=%d completed=%d", id, g.submit, g.send, g.completed)
 		}
-	}
-	cc.Close()
-}
-
-// TestMultiOpFrames: an MGET/MSET frame costs one window slot and
-// returns one response with per-op results.
-func TestMultiOpFrames(t *testing.T) {
-	cc, sc := net.Pipe()
-	go stubServer(t, sc, 1)
-
-	var mu sync.Mutex
-	var nresults []int
-	c, err := New(cc, Options{
-		Window: 2,
-		OnComplete: func(resp *proto.Response, _, _ int64) {
-			mu.Lock()
-			defer mu.Unlock()
-			if resp.Err != "" {
-				nresults = append(nresults, -1)
-				return
-			}
-			nresults = append(nresults, len(resp.Results))
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
-	vals := [][]byte{[]byte("1"), []byte("2"), []byte("3")}
-	if err := c.MSet(1, keys, vals); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MGet(2, keys); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(nresults) != 2 || nresults[0] != 3 || nresults[1] != 3 {
-		t.Fatalf("multi-op results: %v, want [3 3]", nresults)
 	}
 	cc.Close()
 }
@@ -256,8 +211,7 @@ func TestTransportFailureSynthesizesCompletions(t *testing.T) {
 }
 
 // TestWireLimitsRefused: a request the frame cannot carry — a key whose
-// length wraps the u16 field, an oversized value, an empty or too wide
-// fan-out — is refused before encoding, takes no window slot and leaves
+// length wraps the u16 field, an oversized value — is refused before encoding, takes no window slot and leaves
 // the connection in sync: a key of exactly MaxKey bytes still round-trips.
 func TestWireLimitsRefused(t *testing.T) {
 	cc, sc := net.Pipe()
@@ -281,15 +235,6 @@ func TestWireLimitsRefused(t *testing.T) {
 	}
 	long := make([]byte, proto.MaxKey+1)
 	k, v := []byte("k"), []byte("v")
-	wide := make([][]byte, proto.MaxOpsPerFrame+1)
-	for i := range wide {
-		wide[i] = k
-	}
-	big := make([]byte, proto.MaxValue)
-	heavy := make([][]byte, 17) // 17 values of MaxValue overflow MaxPayload
-	for i := range heavy {
-		heavy[i] = big
-	}
 	for _, bad := range []struct {
 		name string
 		want error
@@ -299,18 +244,10 @@ func TestWireLimitsRefused(t *testing.T) {
 		{"put long key", proto.ErrLimits, func() error { return c.Put(1, long, v) }},
 		{"put long value", proto.ErrLimits, func() error { return c.Put(1, k, make([]byte, proto.MaxValue+1)) }},
 		{"del long key", proto.ErrLimits, func() error { return c.Del(1, long) }},
-		{"mget wide", proto.ErrLimits, func() error { return c.MGet(1, wide) }},
-		{"mget long key", proto.ErrLimits, func() error { return c.MGet(1, [][]byte{k, long}) }},
-		{"mget empty", proto.ErrEmptyMulti, func() error { return c.MGet(1, nil) }},
-		{"mset wide", proto.ErrLimits, func() error { return c.MSet(1, wide, wide) }},
-		{"mset past payload", proto.ErrFrameSize, func() error { return c.MSet(1, wide[:len(heavy)], heavy) }},
 	} {
 		if err := bad.call(); !errors.Is(err, bad.want) {
 			t.Errorf("%s: err %v, want %v", bad.name, err, bad.want)
 		}
-	}
-	if err := c.MSet(1, [][]byte{k, k}, [][]byte{v}); err == nil {
-		t.Error("MSET of 2 keys and 1 value accepted")
 	}
 	// The window holds one frame, so had any refusal taken the slot this
 	// would block; had any been sent, the stub's parse would have failed.

@@ -17,13 +17,12 @@ import (
 // Protocol errors. ErrBadMagic and friends wrap into the error returned
 // to callers; all are terminal for the connection.
 var (
-	ErrBadMagic   = errors.New("proto: bad frame magic")
-	ErrFrameSize  = errors.New("proto: frame exceeds MaxPayload")
-	ErrTruncated  = errors.New("proto: truncated payload")
-	ErrBadOpcode  = errors.New("proto: unknown opcode")
-	ErrLimits     = errors.New("proto: field exceeds wire limits")
-	ErrTrailing   = errors.New("proto: trailing bytes after body")
-	ErrEmptyMulti = errors.New("proto: multi frame with zero ops")
+	ErrBadMagic  = errors.New("proto: bad frame magic")
+	ErrFrameSize = errors.New("proto: frame exceeds MaxPayload")
+	ErrTruncated = errors.New("proto: truncated payload")
+	ErrBadOpcode = errors.New("proto: unknown opcode")
+	ErrLimits    = errors.New("proto: field exceeds wire limits")
+	ErrTrailing  = errors.New("proto: trailing bytes after body")
 )
 
 // FrameReader reads frames off a buffered connection into a reused
@@ -156,8 +155,8 @@ func (c *cursor) value() ([]byte, error) {
 	return v, nil
 }
 
-// ParseRequest decodes a request payload into req, reusing req's Keys
-// and Vals backing arrays. The sub-slices alias payload.
+// ParseRequest decodes a request payload into req. Key and Value alias
+// payload.
 func ParseRequest(payload []byte, req *Request) error {
 	c := cursor{b: payload}
 	id, ok := c.u64()
@@ -170,54 +169,19 @@ func ParseRequest(payload []byte, req *Request) error {
 	}
 	req.ID = id
 	req.Op = Opcode(opb)
-	req.Keys = req.Keys[:0]
-	req.Vals = req.Vals[:0]
-	switch req.Op {
-	case OpGet, OpDel:
-		k, err := c.key()
-		if err != nil {
-			return err
-		}
-		req.Keys = append(req.Keys, k)
-		req.Vals = append(req.Vals, nil)
-	case OpPut:
-		k, err := c.key()
-		if err != nil {
-			return err
-		}
-		v, err := c.value()
-		if err != nil {
-			return err
-		}
-		req.Keys = append(req.Keys, k)
-		req.Vals = append(req.Vals, v)
-	case OpMGet, OpMSet:
-		n, ok := c.u16()
-		if !ok {
-			return ErrTruncated
-		}
-		if n == 0 {
-			return ErrEmptyMulti
-		}
-		if int(n) > MaxOpsPerFrame {
-			return fmt.Errorf("%w: %d ops per frame", ErrLimits, n)
-		}
-		for i := 0; i < int(n); i++ {
-			k, err := c.key()
-			if err != nil {
-				return err
-			}
-			var v []byte
-			if req.Op == OpMSet {
-				if v, err = c.value(); err != nil {
-					return err
-				}
-			}
-			req.Keys = append(req.Keys, k)
-			req.Vals = append(req.Vals, v)
-		}
-	default:
+	req.Key, req.Value = nil, nil
+	if req.Op != OpGet && req.Op != OpPut && req.Op != OpDel {
 		return fmt.Errorf("%w: %d", ErrBadOpcode, opb)
+	}
+	k, err := c.key()
+	if err != nil {
+		return err
+	}
+	req.Key = k
+	if req.Op == OpPut {
+		if req.Value, err = c.value(); err != nil {
+			return err
+		}
 	}
 	if c.remain() != 0 {
 		return fmt.Errorf("%w: %d bytes", ErrTrailing, c.remain())
@@ -240,14 +204,9 @@ func ParseResponse(payload []byte, resp *Response) error {
 	resp.ID = id
 	resp.OK = flags&flagOK != 0
 	resp.Crashed = flags&flagCrashed != 0
-	resp.Multi = flags&flagMulti != 0
 	resp.Err = ""
 	resp.Results = resp.Results[:0]
-	switch {
-	case flags&flagError != 0:
-		// An error reply carries only the message; a multi bit alongside
-		// the error bit is meaningless and is dropped.
-		resp.Multi = false
+	if flags&flagError != 0 {
 		n, ok := c.u16()
 		if !ok {
 			return ErrTruncated
@@ -257,25 +216,7 @@ func ParseResponse(payload []byte, resp *Response) error {
 			return ErrTruncated
 		}
 		resp.Err = string(e)
-	case resp.Multi:
-		n, ok := c.u16()
-		if !ok {
-			return ErrTruncated
-		}
-		if n == 0 {
-			return ErrEmptyMulti
-		}
-		if int(n) > MaxOpsPerFrame {
-			return fmt.Errorf("%w: %d results per frame", ErrLimits, n)
-		}
-		for i := 0; i < int(n); i++ {
-			res, err := c.result()
-			if err != nil {
-				return err
-			}
-			resp.Results = append(resp.Results, res)
-		}
-	default:
+	} else {
 		res, err := c.result()
 		if err != nil {
 			return err

@@ -62,34 +62,6 @@ func AppendDel(dst []byte, id uint64, key []byte) []byte {
 	return patchFrameLen(dst, start)
 }
 
-// AppendMGet appends an MGET request frame over keys.
-func AppendMGet(dst []byte, id uint64, keys [][]byte) []byte {
-	dst, start := appendFrameHeader(dst, FrameRequest)
-	dst = appendU64(dst, id)
-	dst = append(dst, byte(OpMGet))
-	dst = appendU16(dst, uint16(len(keys)))
-	for _, k := range keys {
-		dst = appendU16(dst, uint16(len(k)))
-		dst = append(dst, k...)
-	}
-	return patchFrameLen(dst, start)
-}
-
-// AppendMSet appends an MSET request frame over parallel keys/vals.
-func AppendMSet(dst []byte, id uint64, keys, vals [][]byte) []byte {
-	dst, start := appendFrameHeader(dst, FrameRequest)
-	dst = appendU64(dst, id)
-	dst = append(dst, byte(OpMSet))
-	dst = appendU16(dst, uint16(len(keys)))
-	for i, k := range keys {
-		dst = appendU16(dst, uint16(len(k)))
-		dst = append(dst, k...)
-		dst = appendU32(dst, uint32(len(vals[i])))
-		dst = append(dst, vals[i]...)
-	}
-	return patchFrameLen(dst, start)
-}
-
 // AppendResponse appends r as a response frame.
 func AppendResponse(dst []byte, r *Response) []byte {
 	dst, start := appendFrameHeader(dst, FrameResponse)
@@ -103,26 +75,17 @@ func AppendResponse(dst []byte, r *Response) []byte {
 	}
 	if r.Err != "" {
 		flags |= flagError
-	} else if r.Multi {
-		flags |= flagMulti
 	}
 	dst = append(dst, flags)
 	switch {
 	case r.Err != "":
 		dst = appendU16(dst, uint16(len(r.Err)))
 		dst = append(dst, r.Err...)
-	case r.Multi:
-		dst = appendU16(dst, uint16(len(r.Results)))
-		for i := range r.Results {
-			dst = appendResult(dst, &r.Results[i])
-		}
+	case len(r.Results) > 0:
+		dst = appendResult(dst, &r.Results[0])
 	default:
-		if len(r.Results) > 0 {
-			dst = appendResult(dst, &r.Results[0])
-		} else {
-			var zero Result
-			dst = appendResult(dst, &zero)
-		}
+		var zero Result
+		dst = appendResult(dst, &zero)
 	}
 	return patchFrameLen(dst, start)
 }

@@ -3,9 +3,10 @@
 // can keep many requests in flight and receive their responses out of
 // order — the transport analogue of the paper's pipelined epochs, which
 // overlap the persist latency of batch k with the execution of batch
-// k+1. Requests batch into one socket write, and a response is keyed by
-// id rather than by position, so the server acks each operation the
-// moment its shard's durable watermark covers it.
+// k+1. A frame carries one operation; requests batch into one socket
+// write, and a response is keyed by id rather than by position, so the
+// server acks each operation the moment its shard's durable watermark
+// covers it.
 //
 // Frame layout (all integers little-endian):
 //
@@ -16,20 +17,17 @@
 //	  GET  (1): klen(2) key
 //	  PUT  (2): klen(2) key vlen(4) value
 //	  DEL  (3): klen(2) key
-//	  MGET (4): n(2) n x ( klen(2) key )
-//	  MSET (5): n(2) n x ( klen(2) key vlen(4) value )
 //
 //	response := id(8) | flags(1) | body
-//	  flags: 0x01 OK, 0x02 crashed, 0x04 error, 0x08 multi
+//	  flags: 0x01 OK, 0x02 crashed, 0x04 error
 //	  error body : elen(2) message            (flags has 0x04)
-//	  single body: rflags(1) [ vlen(4) value ] (one op)
-//	  multi body : n(2) n x ( rflags(1) [ vlen(4) value ] )
+//	  result body: rflags(1) [ vlen(4) value ]
 //	  rflags: 0x01 found, 0x02 value follows
 //
 // The decoder and encoder are zero-allocation at steady state: parsing
-// sub-slices the frame payload into caller-reused key/value slice
-// headers, and encoding appends into a caller-owned buffer — both
-// guarded by AllocsPerRun tests.
+// sub-slices the frame payload into a caller-reused Request or Response,
+// and encoding appends into a caller-owned buffer — both guarded by
+// AllocsPerRun tests.
 package proto
 
 import (
@@ -47,11 +45,9 @@ const (
 type Opcode uint8
 
 const (
-	OpGet  Opcode = 1
-	OpPut  Opcode = 2
-	OpDel  Opcode = 3
-	OpMGet Opcode = 4
-	OpMSet Opcode = 5
+	OpGet Opcode = 1
+	OpPut Opcode = 2
+	OpDel Opcode = 3
 )
 
 // String implements fmt.Stringer (the tracer's Meta.Op field).
@@ -63,17 +59,10 @@ func (o Opcode) String() string {
 		return "put"
 	case OpDel:
 		return "del"
-	case OpMGet:
-		return "mget"
-	case OpMSet:
-		return "mset"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}
 }
-
-// Multi reports whether the opcode carries multiple keyed operations.
-func (o Opcode) Multi() bool { return o == OpMGet || o == OpMSet }
 
 // Wire limits. Violations are protocol errors: the peer is malformed or
 // hostile, and the connection should be closed.
@@ -82,8 +71,6 @@ const (
 	MaxKey = 1<<16 - 1
 	// MaxValue bounds one value.
 	MaxValue = 1 << 20
-	// MaxOpsPerFrame bounds MGET/MSET fan-out.
-	MaxOpsPerFrame = 1024
 	// MaxPayload bounds one frame's payload.
 	MaxPayload = 1 << 24
 )
@@ -93,23 +80,19 @@ const (
 	flagOK      = 0x01
 	flagCrashed = 0x02
 	flagError   = 0x04
-	flagMulti   = 0x08
 
 	rflagFound = 0x01
 	rflagValue = 0x02
 )
 
-// Request is one decoded request frame. Keys and Vals are parallel:
-// Vals[i] is nil for ops that carry no value (GET/DEL/MGET). The slices
-// sub-slice the frame payload — they are valid only until the payload
-// buffer is reused — and their backing arrays are reused across
-// ParseRequest calls on the same Request, so steady-state decoding does
-// not allocate.
+// Request is one decoded request frame. Value is nil for ops that carry
+// none (GET/DEL). Key and Value sub-slice the frame payload: they are
+// valid only until the payload buffer is reused.
 type Request struct {
-	ID   uint64
-	Op   Opcode
-	Keys [][]byte
-	Vals [][]byte
+	ID    uint64
+	Op    Opcode
+	Key   []byte
+	Value []byte
 }
 
 // Result is one operation's outcome inside a response.
@@ -122,14 +105,13 @@ type Result struct {
 }
 
 // Response is one decoded (or to-be-encoded) response frame. When Err is
-// non-empty the response is an error reply and Results is ignored; when
-// Multi is set Results holds one entry per requested op; otherwise
-// Results[0] answers the single op.
+// non-empty the response is an error reply and Results is ignored;
+// otherwise Results[0] answers the op, and a decoded Results holds
+// exactly that one entry.
 type Response struct {
 	ID      uint64
 	OK      bool
 	Crashed bool
-	Multi   bool
 	Err     string
 	Results []Result
 }

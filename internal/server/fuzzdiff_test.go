@@ -13,42 +13,39 @@ import (
 	"persistbarriers/internal/server"
 )
 
-// diffOp is one operation of a differential-fuzz case. Multi groups
-// (MGET/MSET) run as one frame on the pipelined side but as single-op
-// frames on the serial side.
+// diffOp is one single-op request of a differential-fuzz case.
 type diffOp struct {
-	kind byte // 0 get, 1 put, 2 del, 3 mget, 4 mset
-	keys []int
-	vals []int
+	kind byte // 0 get, 1 put, 2 del
+	key  int
+	val  int
 }
 
 // decodeDiffCase is a total decoder from fuzz bytes to a bounded op
 // stream over a small keyspace: every input is a valid case, so the
-// fuzzer explores semantics rather than parse failures.
+// fuzzer explores semantics rather than parse failures. Each 3-byte
+// group is one op, or for kinds 3 and 4 a run of up to maxRun GETs or
+// PUTs over consecutive keys.
 func decodeDiffCase(data []byte) []diffOp {
 	const (
-		maxOps   = 24
-		keyspace = 8
-		valspace = 16
-		maxMulti = 4
+		maxGroups = 24
+		keyspace  = 8
+		valspace  = 16
+		maxRun    = 4
 	)
 	var ops []diffOp
-	for i := 0; i+2 < len(data) && len(ops) < maxOps; i += 3 {
-		op := diffOp{kind: data[i] % 5}
-		n := 1
-		if op.kind >= 3 {
-			n = 1 + int(data[i+1]>>4)%maxMulti
+	for i, g := 0, 0; i+2 < len(data) && g < maxGroups; i, g = i+3, g+1 {
+		kind, n := data[i]%5, 1
+		if kind >= 3 {
+			kind, n = kind-3, 1+int(data[i+1]>>4)%maxRun
 		}
 		for j := 0; j < n; j++ {
-			op.keys = append(op.keys, (int(data[i+1])+j)%keyspace)
-			op.vals = append(op.vals, (int(data[i+2])+j)%valspace)
+			ops = append(ops, diffOp{kind: kind, key: (int(data[i+1]) + j) % keyspace, val: (int(data[i+2]) + j) % valspace})
 		}
-		ops = append(ops, op)
 	}
 	return ops
 }
 
-// diffOutcome is one op's observable result, however it was framed.
+// diffOutcome is one op's observable result.
 type diffOutcome struct {
 	Found bool
 	Value string
@@ -93,44 +90,21 @@ func (d *diffServer) finish(t testing.TB) string {
 func diffKey(i int) string { return fmt.Sprintf("k%d", i) }
 func diffVal(i int) string { return fmt.Sprintf("v%d", i) }
 
-// serialize splits every multi group into single-op GETs or PUTs.
-func serialize(ops []diffOp) []diffOp {
-	var out []diffOp
-	for _, op := range ops {
-		kind := op.kind
-		switch kind {
-		case 3:
-			kind = 0
-		case 4:
-			kind = 1
-		}
-		for j := range op.keys {
-			out = append(out, diffOp{kind: kind, keys: op.keys[j : j+1], vals: op.vals[j : j+1]})
-		}
-	}
-	return out
-}
-
 // runFrames drives ops through one client connection with window frames
-// in flight, one frame per op, and flattens the responses back to
-// per-key outcomes in submission order.
+// in flight and returns their outcomes in submission order.
 func runFrames(t testing.TB, conn net.Conn, ops []diffOp, window int) []diffOutcome {
 	t.Helper()
 	var mu sync.Mutex
-	byID := make(map[uint64][]diffOutcome)
+	byID := make(map[uint64]diffOutcome)
 	c, err := client.New(conn, client.Options{
 		Window: window,
 		OnComplete: func(resp *proto.Response, _, _ int64) {
-			var outs []diffOutcome
-			if resp.Err != "" {
-				outs = append(outs, diffOutcome{Err: resp.Err})
-			} else {
-				for _, r := range resp.Results {
-					outs = append(outs, diffOutcome{Found: r.Found, Value: string(r.Value)})
-				}
+			out := diffOutcome{Err: resp.Err}
+			if resp.Err == "" {
+				out.Found, out.Value = resp.Results[0].Found, string(resp.Results[0].Value)
 			}
 			mu.Lock()
-			byID[resp.ID] = outs
+			byID[resp.ID] = out
 			mu.Unlock()
 		},
 	})
@@ -138,24 +112,15 @@ func runFrames(t testing.TB, conn net.Conn, ops []diffOp, window int) []diffOutc
 		t.Fatal(err)
 	}
 	for id, op := range ops {
-		keys := make([][]byte, len(op.keys))
-		vals := make([][]byte, len(op.keys))
-		for j := range op.keys {
-			keys[j] = []byte(diffKey(op.keys[j]))
-			vals[j] = []byte(diffVal(op.vals[j]))
-		}
+		key := []byte(diffKey(op.key))
 		var err error
 		switch op.kind {
 		case 0:
-			err = c.Get(uint64(id), keys[0])
+			err = c.Get(uint64(id), key)
 		case 1:
-			err = c.Put(uint64(id), keys[0], vals[0])
+			err = c.Put(uint64(id), key, []byte(diffVal(op.val)))
 		case 2:
-			err = c.Del(uint64(id), keys[0])
-		case 3:
-			err = c.MGet(uint64(id), keys)
-		case 4:
-			err = c.MSet(uint64(id), keys, vals)
+			err = c.Del(uint64(id), key)
 		}
 		if err != nil {
 			t.Fatalf("window %d: submit %d: %v", window, id, err)
@@ -164,22 +129,22 @@ func runFrames(t testing.TB, conn net.Conn, ops []diffOp, window int) []diffOutc
 	if err := c.Wait(); err != nil {
 		t.Fatalf("window %d: wait: %v", window, err)
 	}
-	var out []diffOutcome
-	for id, op := range ops {
-		outs := byID[uint64(id)]
-		if len(outs) != len(op.keys) {
-			t.Fatalf("window %d: op %d: %d outcomes for %d subops", window, id, len(outs), len(op.keys))
+	out := make([]diffOutcome, len(ops))
+	for id := range ops {
+		o, ok := byID[uint64(id)]
+		if !ok {
+			t.Fatalf("window %d: op %d: no response", window, id)
 		}
-		out = append(out, outs...)
+		out[id] = o
 	}
 	return out
 }
 
 // FuzzPipelinedVsSerial is the differential fuzz over how a connection
-// frames its ops: the same op stream runs through a one-in-flight
-// connection of single-op frames on one server and a pipelined
-// connection of up to 8 frames in flight, multi groups as MGET/MSET, on
-// another (identical engine configs, checker on). Both must produce identical per-op outcomes,
+// pipelines its ops: the same op stream runs through a one-in-flight
+// connection (window 1) on one server and a pipelined connection of up
+// to 8 frames in flight on another (identical engine configs, checker
+// on). Both must produce identical per-op outcomes,
 // identical recovered-state fingerprints after a clean drain, and clean
 // durable-linearizability verdicts. The GET read fast path is toggled
 // independently per side from the input bytes, so the fuzzer also pins
@@ -187,13 +152,13 @@ func runFrames(t testing.TB, conn net.Conn, ops []diffOp, window int) []diffOutc
 // observe the same answers whichever path serves its reads. Crash
 // instants are excluded by design — batching differences change
 // simulated crash timing — so this target pins semantic equivalence of
-// serial and pipelined framing, while the dlcheck fuzzer covers crashes.
+// serial and pipelined submission, while the dlcheck fuzzer covers crashes.
 func FuzzPipelinedVsSerial(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0, 0})                            // put k0; get k0
-	f.Add([]byte{4, 0x35, 7, 3, 0x21, 1, 2, 0, 0})             // mset; mget; del
+	f.Add([]byte{4, 0x35, 7, 3, 0x21, 1, 2, 0, 0})             // put run; get run; del
 	f.Add([]byte{1, 1, 1, 1, 1, 2, 2, 1, 0, 0, 1, 0})          // overwrite then delete then read
-	f.Add(bytes.Repeat([]byte{3, 0x75, 9}, 8))                 // mget storm
+	f.Add(bytes.Repeat([]byte{3, 0x75, 9}, 8))                 // get-run storm
 	f.Add([]byte{0, 3, 0, 1, 3, 3, 0, 3, 0, 2, 3, 0, 0, 3, 0}) // read-heavy, toggles flipped
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeDiffCase(data)
@@ -206,16 +171,13 @@ func FuzzPipelinedVsSerial(f *testing.F) {
 		}
 
 		ss := newDiffServer(t, fold&1 != 0)
-		serialOut := runFrames(t, ss.conn, serialize(ops), 1)
+		serialOut := runFrames(t, ss.conn, ops, 1)
 		serialFP := ss.finish(t)
 
 		ps := newDiffServer(t, fold&2 != 0)
 		pipeOut := runFrames(t, ps.conn, ops, 8)
 		pipeFP := ps.finish(t)
 
-		if len(serialOut) != len(pipeOut) {
-			t.Fatalf("outcome counts differ: serial %d, pipelined %d", len(serialOut), len(pipeOut))
-		}
 		for i := range serialOut {
 			if serialOut[i] != pipeOut[i] {
 				t.Fatalf("op %d diverged: serial %+v, pipelined %+v", i, serialOut[i], pipeOut[i])

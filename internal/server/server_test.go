@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -80,9 +81,8 @@ func (ts *testServer) drain(tb testing.TB) *server.Report {
 	}
 }
 
-// TestBinaryProtocolRoundTrip drives pipelined puts/gets/dels and a
-// multi-op frame through a live server and checks every response, then
-// drains cleanly.
+// TestBinaryProtocolRoundTrip drives pipelined puts/gets/dels through a
+// live server and checks every response, then drains cleanly.
 func TestBinaryProtocolRoundTrip(t *testing.T) {
 	ts := startTestServer(t, pmkv.ShardedConfig{Shards: 2}, server.Options{Window: 16})
 	conn := ts.dial(t)
@@ -124,8 +124,8 @@ func TestBinaryProtocolRoundTrip(t *testing.T) {
 		}
 		id++
 	}
-	mgetID := id
-	if err := c.MGet(id, [][]byte{[]byte("k0"), []byte("k1"), []byte("no-such")}); err != nil {
+	missID := id
+	if err := c.Get(id, []byte("no-such")); err != nil {
 		t.Fatal(err)
 	}
 	id++
@@ -150,9 +150,8 @@ func TestBinaryProtocolRoundTrip(t *testing.T) {
 			t.Fatalf("get k%d: %+v", i, r)
 		}
 	}
-	mg := replies[mgetID]
-	if mg.errMsg != "" || len(mg.results) != 3 || !mg.results[0].Found || !mg.results[1].Found || mg.results[2].Found {
-		t.Fatalf("mget: %+v", mg)
+	if r := replies[missID]; r.errMsg != "" || len(r.results) != 1 || r.results[0].Found {
+		t.Fatalf("get no-such: %+v", r)
 	}
 	if r := replies[delID]; r.errMsg != "" || !r.results[0].Found {
 		t.Fatalf("del: %+v", r)
@@ -169,23 +168,47 @@ func TestBinaryProtocolRoundTrip(t *testing.T) {
 }
 
 // TestNonFrameConnectionClosed: a connection that does not open with a
-// request frame — here a JSON object — is closed with no reply, while a
-// binary connection on the same server is served, and the drain is
-// clean.
+// request frame it can parse — a JSON object, or a well-framed request
+// with the retired MGET (4) or MSET (5) opcode — is closed with no reply
+// and nothing applied, while a binary connection on the same server is
+// served, and the drain is clean.
 func TestNonFrameConnectionClosed(t *testing.T) {
 	ts := startTestServer(t, pmkv.ShardedConfig{Shards: 1}, server.Options{Window: 8})
 
-	jc := ts.dial(t)
-	fmt.Fprintf(jc, "{\"op\":\"put\",\"key\":\"shared\",\"value\":\"v\"}\n")
-	jc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	// Closed is EOF, or a reset if the close beat the server's read of
-	// the whole line; a timeout means the server kept the connection.
-	n, err := jc.Read(make([]byte, 64))
-	var ne net.Error
-	if n != 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
-		t.Fatalf("non-frame connection: read %d bytes, %v; want closed with no reply", n, err)
+	// retired frames a one-op request under opcode op: id 1, then the
+	// op count, key and (for MSET) value the retired bodies carried.
+	retired := func(op byte) []byte {
+		payload := binary.LittleEndian.AppendUint64(nil, 1)
+		payload = append(payload, op, 1, 0, 6, 0)
+		payload = append(payload, "shared"...)
+		if op == 5 {
+			payload = append(payload, 1, 0, 0, 0, 'v')
+		}
+		frame := binary.LittleEndian.AppendUint32([]byte{proto.FrameRequest}, uint32(len(payload)))
+		return append(frame, payload...)
 	}
-	jc.Close()
+	for _, tc := range []struct {
+		name  string
+		input []byte
+	}{
+		{"json", []byte("{\"op\":\"put\",\"key\":\"shared\",\"value\":\"v\"}\n")},
+		{"mget opcode", retired(4)},
+		{"mset opcode", retired(5)},
+	} {
+		jc := ts.dial(t)
+		if _, err := jc.Write(tc.input); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		jc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		// Closed is EOF, or a reset if the close beat the server's read of
+		// the whole input; a timeout means the server kept the connection.
+		n, err := jc.Read(make([]byte, 64))
+		var ne net.Error
+		if n != 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("%s: read %d bytes, %v; want closed with no reply", tc.name, n, err)
+		}
+		jc.Close()
+	}
 
 	got := make(chan string, 2)
 	c, err := client.New(ts.dial(t), client.Options{
@@ -212,7 +235,7 @@ func TestNonFrameConnectionClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v := <-got; v != "found=false" {
-		t.Fatalf("binary get of the non-frame connection's key = %q, want not found", v)
+		t.Fatalf("binary get of the closed connections' key = %q, want not found", v)
 	}
 	c.Close()
 

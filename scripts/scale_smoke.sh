@@ -207,8 +207,7 @@ start_server "$dir/pmkvd.log" -shards 4 -crash-at 100000 -check \
 
 "$dir/pmkvload" -addr "$addr" -window 1 -conns 4 -rate 200 -duration 5s &
 pacedload=$!
-"$dir/pmkvload" -addr "$addr" -window 32 -multi 2 \
-    -conns 4 -rate 200 -duration 5s -admin "$admin" &
+"$dir/pmkvload" -addr "$addr" -window 32 -conns 4 -rate 200 -duration 5s -admin "$admin" &
 loadpid=$!
 
 # Mid-run: scrape the live exposition and assert it parses.
