@@ -41,7 +41,7 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "use the scaled-down quick option set")
 	threads := flag.Int("threads", 0, "override thread/core count (1..32)")
-	seed := flag.Uint64("seed", 0, "override workload seed")
+	seed := flag.Uint64("seed", harness.Defaults().Seed, "workload seed")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of ASCII tables")
 	parallel := flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulations per sweep (worker-pool size)")
 	verifyDet := flag.Bool("verify-determinism", false, "run every sweep job twice (parallel + serial) and fail on divergence")
@@ -79,9 +79,7 @@ func main() {
 	if *threads > 0 {
 		opt.Threads = *threads
 	}
-	if *seed != 0 {
-		opt.Seed = *seed
-	}
+	opt.Seed = *seed
 	opt.Parallelism = *parallel
 	opt.VerifyDeterminism = *verifyDet
 

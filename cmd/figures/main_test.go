@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,6 +15,41 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/quick.golden.json")
+
+// asMain is the environment variable under which the test binary runs
+// main() instead of its tests, so a test can re-execute it as figures.
+const asMain = "FIGURES_TEST_AS_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asMain) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// figures runs the test binary as figures with args and returns its
+// stdout; a non-zero exit fails the test.
+func figures(t *testing.T, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), asMain+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("figures %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+	}
+	return out
+}
+
+// TestSeedZeroIsASeed: -seed 0 runs seed 0, not the option set's seed 42.
+func TestSeedZeroIsASeed(t *testing.T) {
+	zero := figures(t, "-quick", "-seed", "0", "-json", "fig12")
+	if def := figures(t, "-quick", "-seed", "42", "-json", "fig12"); bytes.Equal(zero, def) {
+		t.Errorf("-seed 0 printed what -seed 42 prints:\n%s", zero)
+	}
+}
 
 // once runs f(opt) at most once: the BEP grid fig11, fig12 and
 // conflictkinds share.

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -141,11 +142,15 @@ func main() {
 	if *keys < 1 {
 		fail("-keys must be >= 1, got %d", *keys)
 	}
-	if *zipf != 0 && *zipf <= 1 {
-		fail("-zipf must be > 1 (or 0 for uniform), got %g", *zipf)
+	// Written so that NaN fails every comparison and ±Inf the bounds.
+	if *zipf != 0 && !(*zipf > 1 && *zipf <= math.MaxFloat64) {
+		fail("-zipf must be a finite value > 1 (or 0 for uniform), got %g", *zipf)
 	}
-	if *getFrac < 0 || *delFrac < 0 || *getFrac+*delFrac > 1 {
-		fail("-get and -del must be nonnegative and sum to <= 1")
+	if !(*getFrac >= 0 && *getFrac <= 1) {
+		fail("-get must be in [0, 1], got %g", *getFrac)
+	}
+	if !(*delFrac >= 0 && *getFrac+*delFrac <= 1) {
+		fail("-del must be in [0, 1] and leave -get + -del <= 1, got %g with -get %g", *delFrac, *getFrac)
 	}
 	if *valueLen < 1 || *valueLen > proto.MaxValue {
 		fail("-value must be in 1..%d, got %d", proto.MaxValue, *valueLen)

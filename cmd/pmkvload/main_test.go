@@ -64,11 +64,14 @@ func wantRefused(t *testing.T, flag string, args ...string) {
 	}
 }
 
-// TestBadPacingRefused: a -rate or -duration that cannot pace a run exits
-// 2 with a flag message before anything is dialed (nothing listens on the
-// address, so a dial would fail with exit 1). A negative, NaN or infinite
-// rate, one so high the per-connection interval truncates to 0 ns and one
-// so low it overflows would otherwise run closed loop unannounced.
+// TestBadPacingRefused: a -rate or -duration that cannot pace a run, or a
+// -zipf, -get or -del that cannot shape its ops, exits 2 with a flag
+// message before anything is dialed (nothing listens on the address, so a
+// dial would fail with exit 1). A negative, NaN or infinite rate, one so
+// high the per-connection interval truncates to 0 ns and one so low it
+// overflows would otherwise run closed loop unannounced; an infinite
+// -zipf hangs every connection in the key sampler, and a NaN -get or -del
+// silently runs only puts.
 func TestBadPacingRefused(t *testing.T) {
 	for _, tc := range []struct{ flag, value string }{
 		{"-rate", "-5"},
@@ -79,6 +82,10 @@ func TestBadPacingRefused(t *testing.T) {
 		{"-rate", "1e-300"},
 		{"-duration", "-1s"},
 		{"-duration", "0"},
+		{"-zipf", "Inf"},
+		{"-zipf", "NaN"},
+		{"-get", "NaN"},
+		{"-del", "NaN"},
 	} {
 		wantRefused(t, tc.flag, "-addr", "127.0.0.1:1", "-duration", "1ms", tc.flag, tc.value)
 	}

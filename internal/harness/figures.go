@@ -5,6 +5,8 @@ import (
 
 	"persistbarriers/internal/machine"
 	"persistbarriers/internal/mem"
+	"persistbarriers/internal/noc"
+	"persistbarriers/internal/nvram"
 	"persistbarriers/internal/stats"
 	"persistbarriers/internal/trace"
 	"persistbarriers/internal/workload"
@@ -140,12 +142,12 @@ func Table1() *stats.Table {
 	t := stats.NewTable("Table 1: System parameters", "parameter", "value")
 	t.AddRow("Cores", fmt.Sprintf("%d in-order trace cores @ 2GHz (paper: OoO)", cfg.Cores))
 	t.AddRow("L1 I/D Cache", fmt.Sprintf("%d sets x %d ways x 64B = 32KB", cfg.L1Sets, cfg.L1Ways))
-	t.AddRow("L1 Access Latency", fmt.Sprintf("%d cycles", cfg.L1Latency))
+	t.AddRow("L1 Access Latency", fmt.Sprintf("%d cycles", machine.L1Latency))
 	t.AddRow("L2 (LLC)", fmt.Sprintf("%d banks x %d sets x %d ways x 64B = 1MB/bank", cfg.LLCBanks, cfg.LLCSets, cfg.LLCWays))
-	t.AddRow("L2 Access Latency", fmt.Sprintf("%d cycles", cfg.LLCLatency))
-	t.AddRow("Memory Controllers", fmt.Sprintf("%d (mesh corners)", cfg.MemControllers))
-	t.AddRow("NVRAM Access Latency", fmt.Sprintf("%d (%d) cycles write (read)", cfg.NVRAM.WriteLatency, cfg.NVRAM.ReadLatency))
-	t.AddRow("On-chip network", fmt.Sprintf("2D mesh, %d rows x %d cols, 16B flits", cfg.Mesh.Rows, cfg.Mesh.Cols))
+	t.AddRow("L2 Access Latency", fmt.Sprintf("%d cycles", machine.LLCLatency))
+	t.AddRow("Memory Controllers", fmt.Sprintf("%d (mesh corners)", machine.MemControllers))
+	t.AddRow("NVRAM Access Latency", fmt.Sprintf("%d (%d) cycles write (read)", nvram.WriteLatency, nvram.ReadLatency))
+	t.AddRow("On-chip network", fmt.Sprintf("2D mesh, %d rows x %d cols, 16B flits", noc.Rows, noc.Cols))
 	t.AddRow("In-flight epochs", fmt.Sprintf("%d per core", cfg.Epoch.MaxInFlight))
 	t.AddRow("IDT registers", fmt.Sprintf("%d pairs per epoch", cfg.Epoch.DepRegs))
 	return t

@@ -17,7 +17,7 @@ import (
 func (m *Machine) access(c *coreCtx, kind mem.Kind, line mem.Line, done func()) {
 	if ent, hit := c.l1.Lookup(line); hit {
 		if kind == mem.Load {
-			m.eng.After(m.cfg.L1Latency, done)
+			m.eng.After(L1Latency, done)
 			return
 		}
 		d := m.dirEntryFor(line)
@@ -31,7 +31,7 @@ func (m *Machine) access(c *coreCtx, kind mem.Kind, line mem.Line, done func()) 
 	}
 	r := m.acquireReq(c, kind, line, done)
 	r.b = m.bank(line)
-	m.eng.After(m.cfg.L1Latency+m.mesh.Latency(c.tile, r.b.tile, 0), r.atBankFn)
+	m.eng.After(L1Latency+m.mesh.Latency(c.tile, r.b.tile, 0), r.atBankFn)
 }
 
 // memReq is one load or store from the moment it needs more than an L1
@@ -169,7 +169,7 @@ func (r *memReq) recallOwner() {
 	m, b := r.m, r.b
 	o := m.cores[r.ls.dir.owner]
 	r.owner = o
-	lat := m.mesh.Latency(b.tile, o.tile, 0) + m.cfg.L1Latency + m.mesh.Latency(o.tile, b.tile, mem.LineSize)
+	lat := m.mesh.Latency(b.tile, o.tile, 0) + L1Latency + m.mesh.Latency(o.tile, b.tile, mem.LineSize)
 	m.eng.After(lat, r.recallArrivedFn)
 }
 
@@ -298,7 +298,7 @@ func (m *Machine) llcInsert(c *coreCtx, b *bankCtx, line mem.Line, ver mem.Versi
 	// heavy set contention. If every way is busy, retry shortly.
 	v, full, ok := b.arr.VictimAvoiding(line, m.avoidBusy)
 	if !ok {
-		m.eng.After(m.cfg.LLCLatency, m.deferInsert(c, b, line, ver, cont).rerunFn)
+		m.eng.After(LLCLatency, m.deferInsert(c, b, line, ver, cont).rerunFn)
 		return
 	}
 	if !full {
@@ -313,7 +313,7 @@ func (m *Machine) llcInsert(c *coreCtx, b *bankCtx, line mem.Line, ver mem.Versi
 		o := m.cores[vd.owner]
 		ent, has := o.l1.Peek(v.Line)
 		if has && ent.Dirty {
-			lat := m.mesh.Latency(b.tile, o.tile, 0) + m.cfg.L1Latency + m.mesh.Latency(o.tile, b.tile, mem.LineSize)
+			lat := m.mesh.Latency(b.tile, o.tile, 0) + L1Latency + m.mesh.Latency(o.tile, b.tile, mem.LineSize)
 			w := m.deferInsert(c, b, line, ver, cont)
 			w.owner, w.held = o, ent
 			m.eng.After(lat, w.recalledFn)
@@ -478,7 +478,7 @@ func (r *memReq) grant() {
 	}
 	ent, _ := b.arr.Peek(line)
 	r.ver = ent.Version
-	respLat := m.cfg.LLCLatency + m.mesh.Latency(b.tile, c.tile, mem.LineSize)
+	respLat := LLCLatency + m.mesh.Latency(b.tile, c.tile, mem.LineSize)
 	if r.kind == mem.Store {
 		// Invalidate the other sharers; the slowest round trip bounds
 		// the grant.
@@ -610,11 +610,11 @@ func (m *Machine) finishStore(c *coreCtx, line mem.Line, done func()) {
 	ver := m.commitStore(c, line)
 	switch m.cfg.Model {
 	case SP:
-		m.eng.After(m.cfg.L1Latency, func() { m.spPersist(c, line, ver, done) })
+		m.eng.After(L1Latency, func() { m.spPersist(c, line, ver, done) })
 	case WT:
-		m.eng.After(m.cfg.L1Latency, func() { m.wtPersist(c, line, ver, done) })
+		m.eng.After(L1Latency, func() { m.wtPersist(c, line, ver, done) })
 	default:
-		m.eng.After(m.cfg.L1Latency, done)
+		m.eng.After(L1Latency, done)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"persistbarriers/internal/cache"
 	"persistbarriers/internal/epoch"
 	"persistbarriers/internal/noc"
-	"persistbarriers/internal/nvram"
 	"persistbarriers/internal/obs"
 	"persistbarriers/internal/sim"
 )
@@ -58,28 +57,34 @@ func (m Model) String() string {
 	}
 }
 
+// The fixed hardware of the paper's Table 1. The mesh is noc.Rows x
+// noc.Cols and the NVRAM latencies are nvram.ReadLatency and
+// nvram.WriteLatency.
+const (
+	// L1Latency and LLCLatency are the L1 and LLC access latencies.
+	L1Latency  sim.Cycle = 3
+	LLCLatency sim.Cycle = 30
+	// MemControllers is the memory controller count, one at each mesh
+	// corner (Figure 2).
+	MemControllers = 4
+	// flushIssue is the flush engine's per-line issue interval.
+	flushIssue sim.Cycle = 4
+)
+
 // Config describes one simulated machine.
 type Config struct {
 	Cores int
 
-	// L1 geometry and latency (Table 1: 32 KB, 64 B lines, 4-way, 3 cyc).
-	L1Sets    int
-	L1Ways    int
-	L1Latency sim.Cycle
+	// L1 geometry (Table 1: 32 KB, 64 B lines, 4-way).
+	L1Sets int
+	L1Ways int
 
-	// LLC geometry and latency (Table 1: 1 MB x 32 banks, 16-way, 30 cyc).
-	LLCBanks   int
-	LLCSets    int
-	LLCWays    int
-	LLCLatency sim.Cycle
+	// LLC geometry (Table 1: 1 MB x 32 banks, 16-way).
+	LLCBanks int
+	LLCSets  int
+	LLCWays  int
 
-	// FlushIssue is the flush engine's per-line issue interval.
-	FlushIssue sim.Cycle
-
-	Mesh           noc.Config
-	MemControllers int
-	NVRAM          nvram.Config
-	Epoch          epoch.Config
+	Epoch epoch.Config
 
 	// FlushMode selects clwb-like (non-invalidating) or clflush-like
 	// (invalidating) persists.
@@ -138,15 +143,9 @@ func DefaultConfig() Config {
 		Cores:           32,
 		L1Sets:          128, // 32 KB / 64 B / 4 ways
 		L1Ways:          4,
-		L1Latency:       3,
 		LLCBanks:        32,
 		LLCSets:         1024, // 1 MB / 64 B / 16 ways per bank
 		LLCWays:         16,
-		LLCLatency:      30,
-		FlushIssue:      4,
-		Mesh:            noc.DefaultConfig(),
-		MemControllers:  4,
-		NVRAM:           nvram.DefaultConfig(),
 		Epoch:           epoch.DefaultConfig(),
 		FlushMode:       cache.NonInvalidating,
 		Model:           LB,
@@ -162,21 +161,15 @@ func (c *Config) Validate() error {
 	if c.Cores <= 0 {
 		return fmt.Errorf("machine: Cores must be positive, got %d", c.Cores)
 	}
-	if c.Cores > c.Mesh.Rows*c.Mesh.Cols {
+	if c.Cores > noc.Rows*noc.Cols {
 		return fmt.Errorf("machine: %d cores do not fit on a %dx%d mesh",
-			c.Cores, c.Mesh.Rows, c.Mesh.Cols)
+			c.Cores, noc.Rows, noc.Cols)
 	}
-	if c.LLCBanks <= 0 || c.LLCBanks > c.Mesh.Rows*c.Mesh.Cols {
-		return fmt.Errorf("machine: LLCBanks %d must be in 1..%d", c.LLCBanks, c.Mesh.Rows*c.Mesh.Cols)
+	if c.LLCBanks <= 0 || c.LLCBanks > noc.Rows*noc.Cols {
+		return fmt.Errorf("machine: LLCBanks %d must be in 1..%d", c.LLCBanks, noc.Rows*noc.Cols)
 	}
 	if c.L1Sets <= 0 || c.L1Ways <= 0 || c.LLCSets <= 0 || c.LLCWays <= 0 {
 		return fmt.Errorf("machine: cache geometry must be positive")
-	}
-	if c.MemControllers <= 0 {
-		return fmt.Errorf("machine: MemControllers must be positive, got %d", c.MemControllers)
-	}
-	if c.L1Latency == 0 || c.LLCLatency == 0 {
-		return fmt.Errorf("machine: cache latencies must be nonzero")
 	}
 	if c.Model == WT && c.WTQueue <= 0 {
 		return fmt.Errorf("machine: WT model requires a positive WTQueue, got %d", c.WTQueue)

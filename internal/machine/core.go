@@ -105,7 +105,7 @@ func (c *coreCtx) postStore(line mem.Line) {
 	c.wbOutstanding++
 	c.countBulkStore()
 	m.access(c, mem.Store, line, c.postedStoreDoneFn)
-	m.eng.After(m.cfg.L1Latency, c.afterStoreFn)
+	m.eng.After(L1Latency, c.afterStoreFn)
 }
 
 // postedStoreDone is the completion of a store posted through the write

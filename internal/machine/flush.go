@@ -60,13 +60,13 @@ func (m *Machine) flushEpoch(c *coreCtx, rec *epoch.Record, done func()) {
 	f := m.acquireFlushOp(c, rec, done)
 
 	// Step 1a: L1 writebacks of the epoch's lines, pipelined one line per
-	// FlushIssue interval; each bank may not start before its last line
+	// flushIssue interval; each bank may not start before its last line
 	// arrives (the EpochCMP precondition of §4.1).
 	l1Lines := c.l1.AppendLinesOf(m.acquireLineBuf(), id)
 	for i, line := range l1Lines {
 		b := m.bank(line)
 		ent, _ := c.l1.Peek(line)
-		arrive := now + sim.Cycle(i)*m.cfg.FlushIssue + m.mesh.Latency(c.tile, b.tile, 64)
+		arrive := now + sim.Cycle(i)*flushIssue + m.mesh.Latency(c.tile, b.tile, 64)
 		if bo := &f.banks[b.id]; arrive > bo.ready {
 			bo.ready = arrive
 		}
@@ -193,7 +193,7 @@ func (bo *bankOp) bankFlush() {
 			lo.drainLineFn, lo.lineDoneFn = lo.drainLine, lo.lineDone
 		}
 		lo.bo, lo.line = bo, line
-		m.eng.After(sim.Cycle(i)*m.cfg.FlushIssue, lo.drainLineFn)
+		m.eng.After(sim.Cycle(i)*flushIssue, lo.drainLineFn)
 	}
 	// Each lineOp holds its own line; the snapshot buffer is free to reuse.
 	m.releaseLineBuf(lines)

@@ -153,7 +153,7 @@ type bankCtx struct {
 type Machine struct {
 	cfg   Config
 	eng   *sim.Engine
-	mesh  *noc.Mesh
+	mesh  noc.Mesh
 	mcs   *nvram.Bank
 	cores []*coreCtx
 	banks []*bankCtx
@@ -186,7 +186,7 @@ type Machine struct {
 	plantEarlyFlushRelease bool
 
 	vs      mem.VersionSource
-	mcTiles []noc.Tile
+	mcTiles [MemControllers]noc.Tile
 
 	// Conflict event counters (events, as opposed to per-epoch causes).
 	intraConflicts    uint64
@@ -222,18 +222,13 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine()
-	mesh, err := noc.New(cfg.Mesh)
-	if err != nil {
-		return nil, err
-	}
-	mcs, err := nvram.NewBank(cfg.MemControllers, eng, cfg.NVRAM)
+	mcs, err := nvram.NewBank(MemControllers, eng)
 	if err != nil {
 		return nil, err
 	}
 	m := &Machine{
 		cfg:           cfg,
 		eng:           eng,
-		mesh:          mesh,
 		mcs:           mcs,
 		tokenVersions: make(map[uint64]mem.Version),
 	}
@@ -249,14 +244,8 @@ func New(cfg Config) (*Machine, error) {
 	}
 
 	// Memory controllers sit at the mesh corners (Figure 2).
-	corners := []int{
-		0,
-		cfg.Mesh.Cols - 1,
-		(cfg.Mesh.Rows - 1) * cfg.Mesh.Cols,
-		cfg.Mesh.Rows*cfg.Mesh.Cols - 1,
-	}
-	for i := 0; i < cfg.MemControllers; i++ {
-		m.mcTiles = append(m.mcTiles, mesh.TileOf(corners[i%len(corners)]))
+	for i, corner := range [MemControllers]int{0, noc.Cols - 1, (noc.Rows - 1) * noc.Cols, noc.Rows*noc.Cols - 1} {
+		m.mcTiles[i] = noc.TileOf(corner)
 	}
 
 	epochCfg := cfg.Epoch
@@ -267,7 +256,7 @@ func New(cfg Config) (*Machine, error) {
 	for i := 0; i < cfg.Cores; i++ {
 		c := &coreCtx{
 			id:   i,
-			tile: mesh.TileOf(i % mesh.Tiles()),
+			tile: noc.TileOf(i % (noc.Rows * noc.Cols)),
 			l1: cache.MustNew(cache.Config{
 				Name:              fmt.Sprintf("L1-%d", i),
 				Sets:              cfg.L1Sets,
@@ -300,7 +289,7 @@ func New(cfg Config) (*Machine, error) {
 	for i := 0; i < cfg.LLCBanks; i++ {
 		m.banks = append(m.banks, &bankCtx{
 			id:   i,
-			tile: mesh.TileOf(i % mesh.Tiles()),
+			tile: noc.TileOf(i % (noc.Rows * noc.Cols)),
 			arr: cache.MustNew(cache.Config{
 				Name:       fmt.Sprintf("LLC-%d", i),
 				Sets:       cfg.LLCSets,

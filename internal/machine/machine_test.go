@@ -45,8 +45,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Cores = 33 },
 		func(c *Config) { c.LLCBanks = 0 },
 		func(c *Config) { c.L1Sets = 0 },
-		func(c *Config) { c.MemControllers = 0 },
-		func(c *Config) { c.L1Latency = 0 },
 		func(c *Config) { c.Model = WT; c.WTQueue = 0 },
 		func(c *Config) { c.BulkEpochStores = -1 },
 		func(c *Config) { c.Model = NP; c.BulkEpochStores = 100 },
@@ -152,8 +150,8 @@ func TestL1HitIsFast(t *testing.T) {
 	if times[0] < 200 {
 		t.Errorf("cold load completed at %d, expected NVRAM-latency path", times[0])
 	}
-	if d := times[1] - times[0]; d != cfg.L1Latency {
-		t.Errorf("warm load took %d, want L1 latency %d", d, cfg.L1Latency)
+	if d := times[1] - times[0]; d != L1Latency {
+		t.Errorf("warm load took %d, want L1 latency %d", d, L1Latency)
 	}
 }
 
@@ -540,7 +538,7 @@ func TestSharersInvalidatedOnRemoteStore(t *testing.T) {
 	r := run(t, cfg, p)
 	times := r.Cores[0].OpTimes
 	reloadLat := times[2] - times[1] - 2000
-	if reloadLat <= cfg.L1Latency {
+	if reloadLat <= L1Latency {
 		t.Fatalf("reload after remote store took %d cycles — stale L1 hit?", reloadLat)
 	}
 }

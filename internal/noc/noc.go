@@ -19,6 +19,16 @@ import (
 // FlitBytes is the mesh link width (Table 1: 16-byte flits).
 const FlitBytes = 16
 
+// Rows and Cols are the paper's 32-tile mesh (Table 1: 4 rows x 8 columns).
+const Rows, Cols = 4, 8
+
+const (
+	// perHopCycles is the router pipeline + link traversal cost per hop.
+	perHopCycles sim.Cycle = 2
+	// routerCycles is the fixed injection/ejection overhead per message.
+	routerCycles sim.Cycle = 1
+)
+
 // Tile is a coordinate on the mesh.
 type Tile struct {
 	Row, Col int
@@ -27,50 +37,21 @@ type Tile struct {
 // String implements fmt.Stringer.
 func (t Tile) String() string { return fmt.Sprintf("tile(%d,%d)", t.Row, t.Col) }
 
-// Config describes a mesh geometry and its router timing.
-type Config struct {
-	Rows, Cols int
-	// PerHopCycles is the router pipeline + link traversal cost per hop.
-	PerHopCycles sim.Cycle
-	// RouterCycles is the fixed injection/ejection overhead per message.
-	RouterCycles sim.Cycle
-}
-
-// DefaultConfig matches the paper's 32-tile mesh: 4 rows x 8 columns.
-func DefaultConfig() Config {
-	return Config{Rows: 4, Cols: 8, PerHopCycles: 2, RouterCycles: 1}
-}
-
-// Mesh computes message latencies over a 2D mesh and accounts traffic.
+// Mesh computes message latencies over the Rows x Cols mesh and accounts
+// traffic. The zero value is ready to use.
 type Mesh struct {
-	cfg Config
-
-	// Traffic accounting.
 	messages uint64
 	flits    uint64
 	hopSum   uint64
 }
 
-// New validates cfg and returns a Mesh.
-func New(cfg Config) (*Mesh, error) {
-	if cfg.Rows <= 0 || cfg.Cols <= 0 {
-		return nil, fmt.Errorf("noc: mesh dimensions must be positive, got %dx%d", cfg.Rows, cfg.Cols)
+// TileOf maps a dense node index (0..Rows*Cols-1) to its coordinate,
+// row-major.
+func TileOf(node int) Tile {
+	if node < 0 || node >= Rows*Cols {
+		panic(fmt.Sprintf("noc: node %d out of range [0,%d)", node, Rows*Cols))
 	}
-	if cfg.PerHopCycles == 0 {
-		return nil, fmt.Errorf("noc: PerHopCycles must be nonzero")
-	}
-	return &Mesh{cfg: cfg}, nil
-}
-
-// Tiles reports the number of tiles in the mesh.
-func (m *Mesh) Tiles() int { return m.cfg.Rows * m.cfg.Cols }
-
-// TileOf maps a dense node index (0..Tiles-1) to its coordinate, row-major.
-func (m *Mesh) TileOf(node int) Tile {
-	if node < 0 || node >= m.Tiles() {
-		panic(fmt.Sprintf("noc: node %d out of range [0,%d)", node, m.Tiles()))
-	}
-	return Tile{Row: node / m.cfg.Cols, Col: node % m.cfg.Cols}
+	return Tile{Row: node / Cols, Col: node % Cols}
 }
 
 // Hops returns the Manhattan distance between two tiles (XY routing).
@@ -103,7 +84,7 @@ func (m *Mesh) Latency(a, b Tile, payloadBytes int) sim.Cycle {
 	m.flits += uint64(fl)
 	m.hopSum += uint64(hops)
 	// Head flit pays the route; body flits pipeline behind it.
-	return m.cfg.RouterCycles + sim.Cycle(hops)*m.cfg.PerHopCycles + sim.Cycle(fl-1)
+	return routerCycles + sim.Cycle(hops)*perHopCycles + sim.Cycle(fl-1)
 }
 
 // Stats is a snapshot of accumulated traffic.

@@ -5,51 +5,28 @@ import (
 	"testing/quick"
 )
 
-func mustMesh(t *testing.T) *Mesh {
-	t.Helper()
-	m, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func TestNewRejectsBadConfig(t *testing.T) {
-	if _, err := New(Config{Rows: 0, Cols: 4, PerHopCycles: 1}); err == nil {
-		t.Error("zero rows accepted")
-	}
-	if _, err := New(Config{Rows: 4, Cols: -1, PerHopCycles: 1}); err == nil {
-		t.Error("negative cols accepted")
-	}
-	if _, err := New(Config{Rows: 4, Cols: 8}); err == nil {
-		t.Error("zero per-hop latency accepted")
-	}
-}
-
 func TestDefaultMeshGeometry(t *testing.T) {
-	m := mustMesh(t)
-	if m.Tiles() != 32 {
-		t.Fatalf("Tiles = %d, want 32 (4x8 mesh)", m.Tiles())
+	if Rows*Cols != 32 {
+		t.Fatalf("%dx%d mesh, want 32 tiles (4x8)", Rows, Cols)
 	}
-	if got := m.TileOf(0); got != (Tile{0, 0}) {
+	if got := TileOf(0); got != (Tile{0, 0}) {
 		t.Errorf("TileOf(0) = %v", got)
 	}
-	if got := m.TileOf(31); got != (Tile{3, 7}) {
+	if got := TileOf(31); got != (Tile{3, 7}) {
 		t.Errorf("TileOf(31) = %v", got)
 	}
-	if got := m.TileOf(9); got != (Tile{1, 1}) {
+	if got := TileOf(9); got != (Tile{1, 1}) {
 		t.Errorf("TileOf(9) = %v", got)
 	}
 }
 
 func TestTileOfPanicsOutOfRange(t *testing.T) {
-	m := mustMesh(t)
 	defer func() {
 		if recover() == nil {
 			t.Error("TileOf(32) did not panic")
 		}
 	}()
-	m.TileOf(32)
+	TileOf(32)
 }
 
 func TestHops(t *testing.T) {
@@ -85,7 +62,7 @@ func TestHopsIsSymmetricAndTriangular(t *testing.T) {
 }
 
 func TestLatencyGrowsWithDistanceAndPayload(t *testing.T) {
-	m := mustMesh(t)
+	var m Mesh
 	near := m.Latency(Tile{0, 0}, Tile{0, 1}, 0)
 	far := m.Latency(Tile{0, 0}, Tile{3, 7}, 0)
 	if far <= near {
@@ -99,7 +76,7 @@ func TestLatencyGrowsWithDistanceAndPayload(t *testing.T) {
 }
 
 func TestLatencyControlMessage(t *testing.T) {
-	m := mustMesh(t)
+	var m Mesh
 	// 1 hop, control message: router(1) + 1 hop * 2 + 0 body flits = 3.
 	if got := m.Latency(Tile{0, 0}, Tile{0, 1}, 0); got != 3 {
 		t.Errorf("control-message latency = %d, want 3", got)
@@ -111,14 +88,14 @@ func TestLatencyControlMessage(t *testing.T) {
 }
 
 func TestSelfMessageStillPaysRouter(t *testing.T) {
-	m := mustMesh(t)
+	var m Mesh
 	if got := m.Latency(Tile{1, 1}, Tile{1, 1}, 0); got != 1 {
 		t.Errorf("self latency = %d, want router overhead 1", got)
 	}
 }
 
 func TestStatsAccounting(t *testing.T) {
-	m := mustMesh(t)
+	var m Mesh
 	m.Latency(Tile{0, 0}, Tile{0, 2}, 64) // 2 hops, 5 flits
 	m.Latency(Tile{0, 0}, Tile{0, 0}, 0)  // 0 hops, 1 flit
 	s := m.Stats()

@@ -19,29 +19,22 @@ import (
 	"persistbarriers/internal/sim"
 )
 
-// Config holds the timing parameters of one memory controller.
-type Config struct {
-	ReadLatency  sim.Cycle // device latency for a line read (Table 1: 240)
-	WriteLatency sim.Cycle // device latency for a durable line write (Table 1: 360)
-	// ReadService and WriteService are the controller occupancy per
-	// request; successive requests to the same MC are spaced at least
-	// this far apart, modelling channel bandwidth.
-	ReadService  sim.Cycle
-	WriteService sim.Cycle
-}
+// ReadLatency and WriteLatency are the device latencies of a line read
+// and of a durable line write (Table 1: 240 and 360 cycles).
+const (
+	ReadLatency  sim.Cycle = 240
+	WriteLatency sim.Cycle = 360
+)
 
-// DefaultConfig matches the paper's Table 1 latencies with service
-// intervals sized for a banked PCM-class DIMM: bank-level parallelism
-// hides most of the cell-write occupancy, leaving the channel busy for a
-// burst per request (writes still cost ~2x reads).
-func DefaultConfig() Config {
-	return Config{
-		ReadLatency:  240,
-		WriteLatency: 360,
-		ReadService:  6,
-		WriteService: 12,
-	}
-}
+// readService and writeService are a controller's occupancy per request:
+// successive requests to the same MC are spaced at least this far apart,
+// modelling channel bandwidth. They are sized for a banked PCM-class DIMM:
+// bank-level parallelism hides most of the cell-write occupancy, leaving
+// the channel busy for a burst per request (writes still cost ~2x reads).
+const (
+	readService  sim.Cycle = 6
+	writeService sim.Cycle = 12
+)
 
 // LogEntry is one undo-log record: the version of line that was durable
 // before the logged epoch first modified it. LogSeq orders entries within
@@ -58,7 +51,6 @@ type LogEntry struct {
 type Controller struct {
 	id   int
 	eng  *sim.Engine
-	cfg  Config
 	free sim.Cycle // earliest cycle the next request can begin service
 
 	image map[mem.Line]mem.Version // durable data region
@@ -137,20 +129,13 @@ type Stats struct {
 }
 
 // NewController returns a controller with an empty durable image.
-func NewController(id int, eng *sim.Engine, cfg Config) (*Controller, error) {
+func NewController(id int, eng *sim.Engine) (*Controller, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("nvram: engine must not be nil")
-	}
-	if cfg.ReadLatency == 0 || cfg.WriteLatency == 0 {
-		return nil, fmt.Errorf("nvram: device latencies must be nonzero")
-	}
-	if cfg.ReadService == 0 || cfg.WriteService == 0 {
-		return nil, fmt.Errorf("nvram: service intervals must be nonzero")
 	}
 	return &Controller{
 		id:    id,
 		eng:   eng,
-		cfg:   cfg,
 		image: make(map[mem.Line]mem.Version),
 	}, nil
 }
@@ -182,30 +167,30 @@ func (c *Controller) admit(service sim.Cycle) sim.Cycle {
 // Read schedules a line read; done fires when the data is available at the
 // controller.
 func (c *Controller) Read(line mem.Line, done func()) {
-	start := c.admit(c.cfg.ReadService)
+	start := c.admit(readService)
 	c.stats.Reads++
-	c.eng.At(start+c.cfg.ReadLatency, done)
+	c.eng.At(start+ReadLatency, done)
 }
 
 // Write durably writes version v of line. done (the PersistAck) fires when
 // the write has reached NVRAM; the shadow image updates at that same cycle,
 // so a crash strictly before the ack does not observe the write.
 func (c *Controller) Write(line mem.Line, v mem.Version, done func()) {
-	start := c.admit(c.cfg.WriteService)
+	start := c.admit(writeService)
 	c.stats.Writes++
 	w := c.acquireWrite(done)
 	w.line, w.v = line, v
-	c.eng.At(start+c.cfg.WriteLatency, w.fireWriteFn)
+	c.eng.At(start+WriteLatency, w.fireWriteFn)
 }
 
 // WriteLog durably appends an undo-log entry. done fires when the entry is
 // durable. Log writes share the controller's write bandwidth.
 func (c *Controller) WriteLog(entry LogEntry, done func()) {
-	start := c.admit(c.cfg.WriteService)
+	start := c.admit(writeService)
 	c.stats.LogWrites++
 	w := c.acquireWrite(done)
 	w.entry = entry
-	c.eng.At(start+c.cfg.WriteLatency, w.fireLogFn)
+	c.eng.At(start+WriteLatency, w.fireLogFn)
 }
 
 // Stats returns a snapshot of the controller's counters.
@@ -225,14 +210,14 @@ type Bank struct {
 	ctrls []*Controller
 }
 
-// NewBank creates n controllers sharing one config.
-func NewBank(n int, eng *sim.Engine, cfg Config) (*Bank, error) {
+// NewBank creates n controllers.
+func NewBank(n int, eng *sim.Engine) (*Bank, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("nvram: controller count must be positive, got %d", n)
 	}
 	b := &Bank{ctrls: make([]*Controller, n)}
 	for i := range b.ctrls {
-		c, err := NewController(i, eng, cfg)
+		c, err := NewController(i, eng)
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,7 @@ import (
 
 func newCtrl(t *testing.T, eng *sim.Engine) *Controller {
 	t.Helper()
-	c, err := NewController(0, eng, DefaultConfig())
+	c, err := NewController(0, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,19 +17,8 @@ func newCtrl(t *testing.T, eng *sim.Engine) *Controller {
 }
 
 func TestNewControllerValidation(t *testing.T) {
-	eng := sim.NewEngine()
-	if _, err := NewController(0, nil, DefaultConfig()); err == nil {
+	if _, err := NewController(0, nil); err == nil {
 		t.Error("nil engine accepted")
-	}
-	bad := DefaultConfig()
-	bad.WriteLatency = 0
-	if _, err := NewController(0, eng, bad); err == nil {
-		t.Error("zero write latency accepted")
-	}
-	bad = DefaultConfig()
-	bad.ReadService = 0
-	if _, err := NewController(0, eng, bad); err == nil {
-		t.Error("zero read service accepted")
 	}
 }
 
@@ -39,8 +28,8 @@ func TestReadLatency(t *testing.T) {
 	var done sim.Cycle
 	c.Read(1, func() { done = eng.Now() })
 	eng.Run()
-	if done != DefaultConfig().ReadLatency {
-		t.Fatalf("read completed at %d, want %d", done, DefaultConfig().ReadLatency)
+	if done != ReadLatency {
+		t.Fatalf("read completed at %d, want %d", done, ReadLatency)
 	}
 }
 
@@ -49,7 +38,7 @@ func TestWriteDurableExactlyAtAck(t *testing.T) {
 	c := newCtrl(t, eng)
 	c.Write(7, 42, nil)
 	// One cycle before the ack the image must be empty.
-	eng.RunUntil(DefaultConfig().WriteLatency - 1)
+	eng.RunUntil(WriteLatency - 1)
 	if v := c.PersistedVersion(7); v != mem.NoVersion {
 		t.Fatalf("write visible before ack: version %d", v)
 	}
@@ -62,7 +51,6 @@ func TestWriteDurableExactlyAtAck(t *testing.T) {
 func TestWritesSerializeAtServiceInterval(t *testing.T) {
 	eng := sim.NewEngine()
 	c := newCtrl(t, eng)
-	cfg := DefaultConfig()
 	var acks []sim.Cycle
 	for i := 0; i < 3; i++ {
 		c.Write(mem.Line(i), mem.Version(i+1), func() { acks = append(acks, eng.Now()) })
@@ -72,9 +60,9 @@ func TestWritesSerializeAtServiceInterval(t *testing.T) {
 		t.Fatalf("got %d acks, want 3", len(acks))
 	}
 	for i, want := range []sim.Cycle{
-		cfg.WriteLatency,
-		cfg.WriteService + cfg.WriteLatency,
-		2*cfg.WriteService + cfg.WriteLatency,
+		WriteLatency,
+		writeService + WriteLatency,
+		2*writeService + WriteLatency,
 	} {
 		if acks[i] != want {
 			t.Errorf("ack %d at %d, want %d", i, acks[i], want)
@@ -122,7 +110,7 @@ func TestWriteLogAppendsDurably(t *testing.T) {
 
 func TestImageIsACopy(t *testing.T) {
 	eng := sim.NewEngine()
-	b, err := NewBank(1, eng, DefaultConfig())
+	b, err := NewBank(1, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +125,7 @@ func TestImageIsACopy(t *testing.T) {
 
 func TestBankInterleavesLines(t *testing.T) {
 	eng := sim.NewEngine()
-	b, err := NewBank(4, eng, DefaultConfig())
+	b, err := NewBank(4, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +143,14 @@ func TestBankInterleavesLines(t *testing.T) {
 }
 
 func TestBankRejectsZeroControllers(t *testing.T) {
-	if _, err := NewBank(0, sim.NewEngine(), DefaultConfig()); err == nil {
+	if _, err := NewBank(0, sim.NewEngine()); err == nil {
 		t.Error("zero-controller bank accepted")
 	}
 }
 
 func TestBankImageMergesControllers(t *testing.T) {
 	eng := sim.NewEngine()
-	b, err := NewBank(2, eng, DefaultConfig())
+	b, err := NewBank(2, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +169,7 @@ func TestBankImageMergesControllers(t *testing.T) {
 
 func TestParallelControllersDoNotQueueOnEachOther(t *testing.T) {
 	eng := sim.NewEngine()
-	b, err := NewBank(4, eng, DefaultConfig())
+	b, err := NewBank(4, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +180,8 @@ func TestParallelControllersDoNotQueueOnEachOther(t *testing.T) {
 	}
 	eng.Run()
 	for i, a := range acks {
-		if a != DefaultConfig().WriteLatency {
-			t.Errorf("ack %d at %d, want %d (no cross-MC queuing)", i, a, DefaultConfig().WriteLatency)
+		if a != WriteLatency {
+			t.Errorf("ack %d at %d, want %d (no cross-MC queuing)", i, a, WriteLatency)
 		}
 	}
 }
