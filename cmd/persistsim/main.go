@@ -9,7 +9,8 @@
 // -metrics writes, per -window cycles, how much each of the machine's
 // counters moved (CSV, or JSON when the path ends in .json), one column
 // per machine.Families sample, named as pmkvd's /metrics names them; -json
-// prints the run summary as machine-readable JSON on stdout. Failure
+// prints the run's setup and clocks on stdout with its counts under
+// "stats", the machine.Counters object pmkvd's /statz serves. Failure
 // diagnostics go to stderr so stdout stays parseable.
 //
 // Every invocation is a sweep of -repeat N runs (default 1) with seeds
@@ -180,7 +181,7 @@ func main() {
 		return seedPath(path, seed)
 	}
 	deadlocked := false
-	var summaries []runSummary
+	var docs []runDoc
 	for i, r := range results {
 		rn := &runs[i]
 		// Exports are written even for deadlocked runs — a trace of the
@@ -208,7 +209,14 @@ func main() {
 		}
 		switch {
 		case *jsonOut:
-			summaries = append(summaries, buildSummary(*wl, rn.spec, rn.prog, cfg, r))
+			docs = append(docs, runDoc{
+				Workload: *wl, Barrier: r.Barrier,
+				Threads: rn.spec.Threads, OpsPerThread: rn.spec.OpsPerThread, Seed: rn.spec.Seed,
+				TraceOps: rn.prog.Ops(), TraceStores: rn.prog.Stores(),
+				BulkStores: cfg.BulkEpochStores, Logging: cfg.Logging,
+				Deadlocked: r.Deadlocked, ExecCycles: r.ExecCycles, DrainCycles: r.DrainCycles,
+				Stats: r.Counters,
+			})
 		case *repeat == 1:
 			printRun(*wl, rn.spec, rn.prog, cfg, r, *verbose)
 		default:
@@ -227,9 +235,9 @@ func main() {
 	}
 	if *jsonOut {
 		// One run is a document, a repeat an array of them.
-		var doc any = summaries
+		var doc any = docs
 		if *repeat == 1 {
-			doc = &summaries[0]
+			doc = &docs[0]
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", " ")
@@ -260,8 +268,12 @@ func printRun(wl string, spec workload.Spec, p *trace.Program, cfg machine.Confi
 	fmt.Printf("transactions:    %d (%.3f per kilocycle)\n", r.Transactions, r.Throughput())
 	fmt.Printf("epochs:          %d persisted, %.1f%% conflicting, %d IDT deps, %d splits\n",
 		r.Epochs.Persisted, 100*r.Epochs.ConflictingFraction(), r.Epochs.Deps, r.Epochs.Splits)
-	fmt.Printf("conflicts:       %d intra, %d inter, %d eviction (%d IDT fallbacks)\n",
+	fmt.Printf("conflicts:       %d intra, %d inter, %d eviction (%d IDT fallbacks",
 		r.Conflicts.Intra, r.Conflicts.Inter, r.Conflicts.Eviction, r.Conflicts.IDTFallbacks)
+	if cfg.IDT {
+		fmt.Printf(", %d resolved by IDT", r.Conflicts.IDTResolved())
+	}
+	fmt.Println(")")
 	fmt.Printf("NVRAM:           %d line persists, %d log writes, %d reads\n",
 		r.PersistedLines, r.LogWrites, r.MC.Reads)
 	fmt.Printf("caches:          L1 %.1f%% hit, LLC %.1f%% hit\n",
@@ -294,9 +306,9 @@ func writeFile(path string, export func(w io.Writer) error) error {
 	return f.Close()
 }
 
-// runSummary is the -json schema: one flat document with the same
-// numbers the text summary prints, plus the per-cause stall breakdown.
-type runSummary struct {
+// runDoc is one -json document: the run's setup and clocks, then its
+// counts as the machine.Counters pmkvd's /statz serves under "stats".
+type runDoc struct {
 	Workload     string `json:"workload"`
 	Barrier      string `json:"barrier"`
 	Threads      int    `json:"threads"`
@@ -307,81 +319,9 @@ type runSummary struct {
 	BulkStores   int    `json:"bulk_epoch_stores,omitempty"`
 	Logging      bool   `json:"logging,omitempty"`
 
-	Deadlocked          bool    `json:"deadlocked"`
-	ExecCycles          uint64  `json:"exec_cycles"`
-	DrainCycles         uint64  `json:"drain_cycles"`
-	Transactions        uint64  `json:"transactions"`
-	ThroughputPerKcycle float64 `json:"throughput_per_kcycle"`
+	Deadlocked  bool      `json:"deadlocked"`
+	ExecCycles  sim.Cycle `json:"exec_cycles"`
+	DrainCycles sim.Cycle `json:"drain_cycles"`
 
-	Epochs struct {
-		Opened         uint64  `json:"opened"`
-		Persisted      uint64  `json:"persisted"`
-		ConflictingPct float64 `json:"conflicting_pct"`
-		IDTDeps        uint64  `json:"idt_deps"`
-		Splits         uint64  `json:"splits"`
-		Flushes        uint64  `json:"flushes"`
-		Natural        uint64  `json:"natural_persists"`
-	} `json:"epochs"`
-
-	Conflicts struct {
-		Intra        uint64 `json:"intra"`
-		Inter        uint64 `json:"inter"`
-		Eviction     uint64 `json:"eviction"`
-		IDTFallbacks uint64 `json:"idt_fallbacks"`
-		IDTResolved  uint64 `json:"idt_resolved"`
-	} `json:"conflicts"`
-
-	NVRAM struct {
-		LinePersists uint64 `json:"line_persists"`
-		LogWrites    uint64 `json:"log_writes"`
-		Reads        uint64 `json:"reads"`
-	} `json:"nvram"`
-
-	Caches struct {
-		L1HitPct  float64 `json:"l1_hit_pct"`
-		LLCHitPct float64 `json:"llc_hit_pct"`
-	} `json:"caches"`
-
-	Stalls map[string]uint64 `json:"stalls"`
-}
-
-// buildSummary flattens one run into the -json schema.
-func buildSummary(wl string, spec workload.Spec, p *trace.Program, cfg machine.Config, r *machine.Result) runSummary {
-	var s runSummary
-	s.Workload = wl
-	s.Barrier = r.Barrier
-	s.Threads = spec.Threads
-	s.OpsPerThread = spec.OpsPerThread
-	s.Seed = spec.Seed
-	s.TraceOps = p.Ops()
-	s.TraceStores = p.Stores()
-	s.BulkStores = cfg.BulkEpochStores
-	s.Logging = cfg.Logging
-	s.Deadlocked = r.Deadlocked
-	s.ExecCycles = uint64(r.ExecCycles)
-	s.DrainCycles = uint64(r.DrainCycles)
-	s.Transactions = r.Transactions
-	s.ThroughputPerKcycle = r.Throughput()
-	s.Epochs.Opened = r.Epochs.Opened
-	s.Epochs.Persisted = r.Epochs.Persisted
-	s.Epochs.ConflictingPct = 100 * r.Epochs.ConflictingFraction()
-	s.Epochs.IDTDeps = r.Epochs.Deps
-	s.Epochs.Splits = r.Epochs.Splits
-	s.Epochs.Flushes = r.Epochs.Flushes
-	s.Epochs.Natural = r.Epochs.Natural
-	s.Conflicts.Intra = r.Conflicts.Intra
-	s.Conflicts.Inter = r.Conflicts.Inter
-	s.Conflicts.Eviction = r.Conflicts.Eviction
-	s.Conflicts.IDTFallbacks = r.Conflicts.IDTFallbacks
-	s.Conflicts.IDTResolved = r.Conflicts.IDTResolved()
-	s.NVRAM.LinePersists = r.PersistedLines
-	s.NVRAM.LogWrites = r.LogWrites
-	s.NVRAM.Reads = r.MC.Reads
-	s.Caches.L1HitPct = stats.HitPct(r.L1.Hits, r.L1.Misses)
-	s.Caches.LLCHitPct = stats.HitPct(r.LLC.Hits, r.LLC.Misses)
-	s.Stalls = make(map[string]uint64)
-	for cause := machine.StallIntra; cause <= machine.StallWriteBuffer; cause++ {
-		s.Stalls[cause.String()] = uint64(r.StallTotal(cause))
-	}
-	return s
+	Stats machine.Counters `json:"stats"`
 }

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"persistbarriers/internal/machine"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/summary.golden.json")
@@ -87,5 +89,66 @@ func TestSummaryGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("persistsim output drifted from golden file %s\n-- got --\n%s-- want --\n%s", path, got, want)
+	}
+}
+
+// TestStatsIsTheServersRecord: a -json document's "stats" is the
+// machine.Counters object pmkvd's /statz serves under the same key, not
+// a schema of its own. Every stats object in the summary golden decodes
+// into machine.Counters with no field left over and encodes back to the
+// same bytes.
+func TestStatsIsTheServersRecord(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "summary.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []struct {
+		Args   string          `json:"args"`
+		Stdout json.RawMessage `json:"stdout"`
+	}
+	if err := json.Unmarshal(golden, &runs); err != nil {
+		t.Fatal(err)
+	}
+	type doc struct {
+		Stats json.RawMessage `json:"stats"`
+	}
+	n := 0
+	for _, r := range runs {
+		// One run prints a document, a sweep an array of them.
+		docs := make([]doc, 1)
+		if bytes.HasPrefix(r.Stdout, []byte("[")) {
+			err = json.Unmarshal(r.Stdout, &docs)
+		} else {
+			err = json.Unmarshal(r.Stdout, &docs[0])
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", r.Args, err)
+		}
+		for _, d := range docs {
+			if d.Stats == nil {
+				t.Fatalf("%s: a document without stats", r.Args)
+			}
+			var c machine.Counters
+			dec := json.NewDecoder(bytes.NewReader(d.Stats))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&c); err != nil {
+				t.Fatalf("%s: stats is not a machine.Counters: %v", r.Args, err)
+			}
+			got, err := json.Marshal(&c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := json.Compact(&want, d.Stats); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("%s: stats re-encodes differently\n got %s\nwant %s", r.Args, got, want.Bytes())
+			}
+			n++
+		}
+	}
+	if n != 12 {
+		t.Errorf("checked %d stats objects, want 12 (9 single runs and a 3-seed sweep)", n)
 	}
 }

@@ -165,7 +165,7 @@ func (a *Arbiter) Kick() {
 		a.flushing = head
 		head.State = Flushing
 		a.stats.FlushesDriven++
-		a.table.cfg.Probe.EpochFlushStart(a.eng.Now(), head.ID.Core, head.ID.Num, head.Cause.String())
+		a.table.probe.EpochFlushStart(a.eng.Now(), head.ID.Core, head.ID.Num, head.Cause.String())
 		a.driver.FlushEpoch(head, a.flushCompletedFn)
 		return
 	}

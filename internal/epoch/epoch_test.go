@@ -40,7 +40,7 @@ func TestStateAndCauseStrings(t *testing.T) {
 
 func newTable(t *testing.T, cfg Config) *Table {
 	t.Helper()
-	tbl, err := NewTable(0, cfg)
+	tbl, err := NewTable(0, cfg, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +48,10 @@ func newTable(t *testing.T, cfg Config) *Table {
 }
 
 func TestTableValidation(t *testing.T) {
-	if _, err := NewTable(0, Config{MaxInFlight: 1, DepRegs: 4}); err == nil {
+	if _, err := NewTable(0, Config{MaxInFlight: 1, DepRegs: 4}, false, nil); err == nil {
 		t.Error("MaxInFlight=1 accepted")
 	}
-	if _, err := NewTable(0, Config{MaxInFlight: 8, DepRegs: -1}); err == nil {
+	if _, err := NewTable(0, Config{MaxInFlight: 8, DepRegs: -1}, false, nil); err == nil {
 		t.Error("negative DepRegs accepted")
 	}
 }
@@ -145,18 +145,19 @@ func (d *fakeDriver) FlushEpoch(rec *Record, done func()) {
 
 func harness(t *testing.T, cfg Config) (*sim.Engine, *Table, *Arbiter, *fakeDriver) {
 	t.Helper()
-	eng, tbls, arbs, drvs := cores(t, 1, cfg)
+	eng, tbls, arbs, drvs := cores(t, 1, cfg, false)
 	return eng, tbls[0], arbs[0], drvs[0]
 }
 
 // cores builds n cores' tables and arbiters on one engine, each arbiter
-// the peer of every other, with 100-cycle fake flushes.
-func cores(t *testing.T, n int, cfg Config) (*sim.Engine, []*Table, []*Arbiter, []*fakeDriver) {
+// the peer of every other, with 100-cycle fake flushes; history is each
+// table's recordHistory.
+func cores(t *testing.T, n int, cfg Config, history bool) (*sim.Engine, []*Table, []*Arbiter, []*fakeDriver) {
 	t.Helper()
 	eng := sim.NewEngine()
 	tbls, arbs, drvs := make([]*Table, n), make([]*Arbiter, n), make([]*fakeDriver, n)
 	for i := range tbls {
-		tbl, err := NewTable(i, cfg)
+		tbl, err := NewTable(i, cfg, history, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +243,7 @@ func TestArbiterNaturalDrainPersistsWithoutFlush(t *testing.T) {
 }
 
 func TestArbiterWaitsForIDTSource(t *testing.T) {
-	eng, tbls, arbs, drvs := cores(t, 2, DefaultConfig())
+	eng, tbls, arbs, drvs := cores(t, 2, DefaultConfig(), false)
 	// Core 0's epoch 0 depends on core 1's epoch 0, which is still open,
 	// so the demand forwarded to it cannot flush it yet.
 	cur := tbls[0].Current()
@@ -339,9 +340,7 @@ func TestArbiterSerializesFlushes(t *testing.T) {
 }
 
 func TestHistoryRecordsWritesAndDeps(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RecordHistory = true
-	eng, tbls, arbs, _ := cores(t, 2, cfg)
+	eng, tbls, arbs, _ := cores(t, 2, DefaultConfig(), true)
 	tbl, arb := tbls[0], arbs[0]
 	tbls[1].Advance(0, BarrierAdvance) // E1.0 persists with nothing pending
 	arbs[1].Kick()
@@ -373,9 +372,8 @@ func TestHistoryRecordsWritesAndDeps(t *testing.T) {
 // rest, in order, ahead of the unpersisted window in History, and the
 // backing array lets go of what was dropped.
 func TestDropHistory(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RecordHistory = true
-	eng, tbl, arb, _ := harness(t, cfg)
+	eng, tbls, arbs, _ := cores(t, 1, DefaultConfig(), true)
+	tbl, arb := tbls[0], arbs[0]
 	for i := 0; i < 3; i++ {
 		tbl.Current().AddPending(mem.Line(10 + i))
 		tbl.Advance(0, BarrierAdvance)
@@ -406,7 +404,7 @@ func TestDropHistory(t *testing.T) {
 func TestHistoryDisabledReturnsNil(t *testing.T) {
 	tbl := newTable(t, DefaultConfig())
 	if tbl.History() != nil {
-		t.Fatal("history returned without RecordHistory")
+		t.Fatal("history returned without recordHistory")
 	}
 }
 
@@ -436,7 +434,7 @@ func TestAddPendingReportsFirstWrite(t *testing.T) {
 func TestDemandPropagatesToIDTSources(t *testing.T) {
 	// Two tables: the dependent epoch's demanded flush must forward a
 	// demand to its source core's arbiter instead of waiting forever.
-	eng, tbls, arbs, drvs := cores(t, 2, DefaultConfig())
+	eng, tbls, arbs, drvs := cores(t, 2, DefaultConfig(), false)
 	depTbl, depArb, depDrv := tbls[0], arbs[0], drvs[0]
 	srcTbl, srcDrv := tbls[1], drvs[1]
 
@@ -564,7 +562,7 @@ func TestRingWrapKeepsHistory(t *testing.T) {
 	const slots, epochs = 4, 3*4 + 3
 	src := ID{Core: 1, Num: 0}
 	for _, history := range []bool{false, true} {
-		eng, tbls, arbs, _ := cores(t, 2, Config{MaxInFlight: slots, DepRegs: 4, RecordHistory: history})
+		eng, tbls, arbs, _ := cores(t, 2, Config{MaxInFlight: slots, DepRegs: 4}, history)
 		tbl, arb := tbls[0], arbs[0]
 		tbls[1].Advance(0, BarrierAdvance)
 		arbs[1].Kick() // src persists with nothing pending
@@ -596,7 +594,7 @@ func TestRingWrapKeepsHistory(t *testing.T) {
 		hist := tbl.History()
 		if !history {
 			if hist != nil {
-				t.Fatal("history returned without RecordHistory")
+				t.Fatal("history returned without recordHistory")
 			}
 			continue
 		}

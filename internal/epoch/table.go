@@ -189,12 +189,6 @@ type Config struct {
 	MaxInFlight int
 	// DepRegs bounds IDT dependence registers per epoch (paper: 4).
 	DepRegs int
-	// RecordHistory retains per-epoch write sets and a summary of every
-	// closed epoch for the recovery checker. Benchmarks leave it off.
-	RecordHistory bool
-	// Probe receives epoch-lifecycle events (open, complete, flush
-	// start, persist, split). Nil disables instrumentation.
-	Probe *obs.Probe
 }
 
 // DefaultConfig matches Section 4.3's hardware sizing.
@@ -237,6 +231,12 @@ type Stats struct {
 type Table struct {
 	Core int
 	cfg  Config
+	// recordHistory retains per-epoch write sets and a summary of every
+	// closed epoch for the recovery checker.
+	recordHistory bool
+	// probe receives epoch-lifecycle events (open, complete, flush
+	// start, persist, split); nil disables instrumentation.
+	probe *obs.Probe
 
 	ring         []Record
 	oldest, next uint64
@@ -245,15 +245,17 @@ type Table struct {
 	stats   Stats
 }
 
-// NewTable returns a table with epoch 0 open.
-func NewTable(core int, cfg Config) (*Table, error) {
+// NewTable returns a table with epoch 0 open. With recordHistory it keeps
+// what History returns (benchmarks leave it off); probe, when non-nil,
+// receives the table's epoch-lifecycle events.
+func NewTable(core int, cfg Config, recordHistory bool, probe *obs.Probe) (*Table, error) {
 	if cfg.MaxInFlight < 2 {
 		return nil, fmt.Errorf("epoch: MaxInFlight must be at least 2, got %d", cfg.MaxInFlight)
 	}
 	if cfg.DepRegs < 0 {
 		return nil, fmt.Errorf("epoch: DepRegs must be non-negative, got %d", cfg.DepRegs)
 	}
-	t := &Table{Core: core, cfg: cfg, ring: make([]Record, cfg.MaxInFlight)}
+	t := &Table{Core: core, cfg: cfg, recordHistory: recordHistory, probe: probe, ring: make([]Record, cfg.MaxInFlight)}
 	for i := range t.ring {
 		t.ring[i].Pending = make(map[mem.Line]struct{})
 	}
@@ -275,12 +277,12 @@ func (t *Table) open(now sim.Cycle) *Record {
 	r.persisted.Reset()
 	*r = Record{ID: ID{Core: t.Core, Num: t.next}, Pending: r.Pending,
 		Deps: r.Deps[:0], OnlineEdges: r.OnlineEdges[:0], persisted: r.persisted}
-	if t.cfg.RecordHistory {
+	if t.recordHistory {
 		r.Writes = make(map[mem.Line]mem.Version)
 	}
 	t.next++
 	t.stats.EpochsOpened++
-	t.cfg.Probe.EpochOpen(now, t.Core, r.ID.Num)
+	t.probe.EpochOpen(now, t.Core, r.ID.Num)
 	return r
 }
 
@@ -314,9 +316,9 @@ func (t *Table) Advance(now sim.Cycle, why AdvanceReason) *Record {
 	t.stats.ByAdvance[why]++
 	if why == SplitAdvance {
 		t.stats.Splits++
-		t.cfg.Probe.EpochSplit(now, t.Core, cur.ID.Num)
+		t.probe.EpochSplit(now, t.Core, cur.ID.Num)
 	}
-	t.cfg.Probe.EpochComplete(now, t.Core, cur.ID.Num, why.String(), cur.StoreCount)
+	t.probe.EpochComplete(now, t.Core, cur.ID.Num, why.String(), cur.StoreCount)
 	return t.open(now)
 }
 
@@ -383,8 +385,8 @@ func (t *Table) markPersisted(r *Record, now sim.Cycle) {
 	if r.ConflictDemanded || cause.Conflicting() {
 		t.stats.ConflictingEpochs++
 	}
-	t.cfg.Probe.EpochPersist(now, t.Core, r.ID.Num, cause.String())
-	if t.cfg.RecordHistory {
+	t.probe.EpochPersist(now, t.Core, r.ID.Num, cause.String())
+	if t.recordHistory {
 		t.history = append(t.history, &Summary{
 			ID:            r.ID,
 			Writes:        r.Writes,
@@ -404,7 +406,7 @@ func (t *Table) markPersisted(r *Record, now sim.Cycle) {
 // still-unpersisted window (PersistedFlag false) so the recovery checker
 // sees every epoch.
 func (t *Table) History() []*Summary {
-	if !t.cfg.RecordHistory {
+	if !t.recordHistory {
 		return nil
 	}
 	out := make([]*Summary, len(t.history), len(t.history)+t.InFlight())

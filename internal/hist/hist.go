@@ -1,7 +1,8 @@
 // Package hist is the repository's one histogram: a fixed log-linear
 // bucket layout, a plain mergeable value type, and an atomic view of the
-// same layout for hot paths. Simulated-cycle latencies (internal/obs),
-// wall-clock stage durations (internal/telemetry), group-commit sizes
+// same layout for hot paths. Epoch persist latencies in simulated cycles
+// (internal/epoch's Table, read through machine.Counters), wall-clock
+// stage durations (internal/telemetry), group-commit sizes
 // (internal/pmkv) and client latencies (cmd/pmkvload) all fold into it,
 // so every percentile in the system follows one rule at one resolution.
 //

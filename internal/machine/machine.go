@@ -248,9 +248,6 @@ func New(cfg Config) (*Machine, error) {
 		m.mcTiles[i] = noc.TileOf(corner)
 	}
 
-	epochCfg := cfg.Epoch
-	epochCfg.RecordHistory = cfg.RecordHistory
-	epochCfg.Probe = cfg.Probe
 	// Each arbiter reaches its IDT sources' cores through peers (§4.2).
 	peers := make([]*epoch.Arbiter, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
@@ -268,7 +265,7 @@ func New(cfg Config) (*Machine, error) {
 			ckptBase: mem.Addr(1)<<40 + mem.Addr(i)*8*64*mem.Addr(maxInt(cfg.CheckpointLines, 1)),
 		}
 		if m.usesEpochs() {
-			tbl, err := epoch.NewTable(i, epochCfg)
+			tbl, err := epoch.NewTable(i, cfg.Epoch, cfg.RecordHistory, cfg.Probe)
 			if err != nil {
 				return nil, err
 			}

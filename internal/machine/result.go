@@ -74,18 +74,10 @@ type Result struct {
 	Finished    bool
 	Deadlocked  bool
 
-	Transactions uint64
-	Cores        []CoreResult
-	Conflicts    ConflictCounts
-	Epochs       EpochAggregate
-
-	PersistedLines uint64
-	LogWrites      uint64
-
-	MC  nvram.Stats
-	NoC noc.Stats
-	L1  cache.Stats
-	LLC cache.Stats
+	// Counters is Machine.Counters read when the Result was taken: at
+	// the run's end, its crash instant or a Snapshot.
+	Counters
+	Cores []CoreResult
 
 	// Recovery material (populated per the Record* config flags).
 	Histories  [][]*epoch.Summary
@@ -109,21 +101,15 @@ func (r *Result) Throughput() float64 {
 	return float64(r.Transactions) / float64(r.ExecCycles) * 1000
 }
 
-// StallTotal sums a stall cause over all cores.
-func (r *Result) StallTotal(cause StallCause) sim.Cycle {
-	var t sim.Cycle
-	for i := range r.Cores {
-		t += r.Cores[i].Stalls[cause]
-	}
-	return t
-}
+// StallTotal is a stall cause's cycles summed over all cores.
+func (r *Result) StallTotal(cause StallCause) sim.Cycle { return r.Stalls[cause] }
 
 // Counters is the machine's running totals: every quantity the paper
 // evaluates a barrier by (§7), counted once where it happens — in the
 // epoch tables, the arbiters, the access paths — and summed here. Reading
 // them is O(cores + banks) and touches no history, image or token map, so
-// a live service reads them at any instant; Result carries the same
-// numbers for a finished run. The JSON tags are the names pmkvd's stats
+// a live service reads them at any instant; a Result embeds the reading
+// taken with it. The JSON tags are the names pmkvd's stats
 // reply uses; the nested types keep their Go field names there, because
 // their untagged canonical JSON is what run fingerprints hash.
 type Counters struct {
@@ -320,28 +306,19 @@ func (m *Machine) Counters() Counters {
 // result snapshots the machine state into a Result: the counters, plus
 // the per-core detail and the recovery material only a Result carries.
 func (m *Machine) result() *Result {
-	c := m.Counters()
 	r := &Result{
-		Barrier:        m.cfg.BarrierName(),
-		Model:          m.cfg.Model,
-		ExecCycles:     m.execCycles,
-		DrainCycles:    m.drainCycles,
-		Finished:       m.finished,
-		Deadlocked:     m.deadlocked,
-		Transactions:   c.Transactions,
-		Conflicts:      c.Conflicts,
-		Epochs:         c.Epochs,
-		PersistedLines: c.PersistedLines,
-		LogWrites:      c.LogWrites,
-		MC:             c.MC,
-		NoC:            c.NoC,
-		L1:             c.L1,
-		LLC:            c.LLC,
-		PersistLog:     m.persistLog,
+		Barrier:     m.cfg.BarrierName(),
+		Model:       m.cfg.Model,
+		ExecCycles:  m.execCycles,
+		DrainCycles: m.drainCycles,
+		Finished:    m.finished,
+		Deadlocked:  m.deadlocked,
+		Counters:    m.Counters(),
+		PersistLog:  m.persistLog,
 	}
 	if !m.finished {
 		// Crashed or deadlocked mid-run: report progress so far.
-		r.ExecCycles = c.Cycle
+		r.ExecCycles = r.Cycle
 	}
 	for _, core := range m.cores {
 		r.Cores = append(r.Cores, CoreResult{

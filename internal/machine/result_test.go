@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"persistbarriers/internal/epoch"
@@ -43,54 +44,50 @@ func TestConflictingFraction(t *testing.T) {
 }
 
 func TestResultThroughput(t *testing.T) {
-	r := &Result{Transactions: 50, ExecCycles: 10000}
+	r := &Result{Counters: Counters{Transactions: 50}, ExecCycles: 10000}
 	if got := r.Throughput(); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Throughput = %v, want 5 per kilocycle", got)
 	}
-	if got := (&Result{Transactions: 50}).Throughput(); got != 0 {
+	if got := (&Result{Counters: Counters{Transactions: 50}}).Throughput(); got != 0 {
 		t.Errorf("zero-cycle Throughput = %v, want 0", got)
 	}
 }
 
+// TestResultStallTotal: after a real run, each cause's stall total is
+// the sum of the per-core stalls.
 func TestResultStallTotal(t *testing.T) {
-	r := &Result{Cores: make([]CoreResult, 3)}
-	r.Cores[0].Stalls[StallIntra] = 10
-	r.Cores[2].Stalls[StallIntra] = 5
-	r.Cores[1].Stalls[StallBarrier] = 7
-	if got := r.StallTotal(StallIntra); got != sim.Cycle(15) {
-		t.Errorf("StallTotal(intra) = %d, want 15", got)
+	queue, err := workload.Queue(workload.Spec{Threads: 4, OpsPerThread: 40, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := r.StallTotal(StallBarrier); got != sim.Cycle(7) {
-		t.Errorf("StallTotal(barrier) = %d, want 7", got)
+	m, err := New(lbStreamConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := r.StallTotal(StallEviction); got != 0 {
-		t.Errorf("StallTotal(eviction) = %d, want 0", got)
+	if err := m.Load(queue); err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.StallTotal(StallWriteBuffer) == 0 {
+		t.Fatal("run too tame: no write-buffer stalls")
+	}
+	for cause := range r.Stalls {
+		var sum sim.Cycle
+		for i := range r.Cores {
+			sum += r.Cores[i].Stalls[cause]
+		}
+		if got := r.StallTotal(StallCause(cause)); got != sum {
+			t.Errorf("StallTotal(%s) = %d, cores sum to %d", StallCause(cause), got, sum)
+		}
 	}
 }
 
-// countersOf picks out of a Result the fields Counters also carries.
-func countersOf(r *Result) Counters {
-	c := Counters{
-		Transactions:   r.Transactions,
-		Conflicts:      r.Conflicts,
-		Epochs:         r.Epochs,
-		PersistedLines: r.PersistedLines,
-		LogWrites:      r.LogWrites,
-		MC:             r.MC,
-		NoC:            r.NoC,
-		L1:             r.L1,
-		LLC:            r.LLC,
-	}
-	for cause := range c.Stalls {
-		c.Stalls[cause] = r.StallTotal(StallCause(cause))
-	}
-	return c
-}
-
-// TestCountersMatchResult: Machine.Counters is the counter half of
-// result(), so after Run and Snapshot it must equal the returned
-// Result field for field — and carry one latency sample per persisted
-// epoch at the machine's clock.
+// TestCountersMatchResult: a Result's counters are the machine's reading
+// at the instant it was taken, after Run and at Snapshot — at the
+// machine's clock, with one latency sample per persisted epoch.
 func TestCountersMatchResult(t *testing.T) {
 	check := func(t *testing.T, m *Machine, r *Result) {
 		t.Helper()
@@ -101,10 +98,8 @@ func TestCountersMatchResult(t *testing.T) {
 		if n := got.PersistLatency.Total(); n != r.Epochs.Persisted || n == 0 {
 			t.Errorf("%d latency samples for %d persisted epochs", n, r.Epochs.Persisted)
 		}
-		want := countersOf(r)
-		want.Cycle, want.PersistLatency = got.Cycle, got.PersistLatency
-		if got != want {
-			t.Errorf("Counters differ from the Result:\n got %+v\nwant %+v", got, want)
+		if r.Counters != got {
+			t.Errorf("Counters differ from the Result's:\n got %+v\nwant %+v", got, r.Counters)
 		}
 	}
 	spec := workload.Spec{Threads: 4, OpsPerThread: 40, Seed: 3}
@@ -276,11 +271,11 @@ func TestRunEveryWindows(t *testing.T) {
 	}
 }
 
-// TestCountersAdd: pooling per-machine readings is exact. Counts and
-// stall cycles sum, Cycle is the furthest clock, and percentiles of the
-// merged latency histogram are true percentiles of the union — a shard
-// with many fast samples pulls the pooled p50 down to its bucket, which an
-// elementwise rule over per-shard percentiles could not represent.
+// TestCountersAdd: pooling per-machine readings is exact. Adding to a
+// zero reading copies, and percentiles of the merged latency histogram
+// are true percentiles of the union — a shard with many fast samples
+// pulls the pooled p50 down to its bucket, which an elementwise rule
+// over per-shard percentiles could not represent.
 func TestCountersAdd(t *testing.T) {
 	var a, b Counters
 	for i := 0; i < 90; i++ {
@@ -289,13 +284,8 @@ func TestCountersAdd(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.PersistLatency.Observe(1000) // bucket [960, 1023]
 	}
-	a.Cycle, a.Transactions, a.Epochs.Opened, a.Epochs.Persisted, a.Conflicts.Intra = 100, 5, 4, 3, 1
-	a.Epochs.ByCause[epoch.CauseProactive], a.Stalls[StallWriteBuffer], a.L1.Hits = 3, 40, 7
+	a.Cycle, a.Transactions, a.Epochs.Persisted, a.Stalls[StallWriteBuffer] = 100, 5, 3, 40
 	a.NoC = noc.Stats{Messages: 30, Flits: 60, AvgHops: 2}
-	b.Cycle, b.Transactions, b.Epochs.Opened, b.Epochs.Persisted, b.Conflicts.Inter = 250, 7, 6, 5, 2
-	b.Epochs.ByCause[epoch.CauseProactive], b.Stalls[StallWriteBuffer], b.L1.Hits = 4, 2, 1
-	b.Epochs.ByCause[epoch.CauseNatural], b.Epochs.Deps, b.MC.Writes, b.LLC.Misses = 1, 2, 9, 3
-	b.NoC = noc.Stats{Messages: 10, Flits: 10, AvgHops: 4}
 
 	var sum Counters
 	sum.Add(&a)
@@ -303,18 +293,6 @@ func TestCountersAdd(t *testing.T) {
 		t.Fatalf("zero + a = %+v, want a", sum)
 	}
 	sum.Add(&b)
-	if sum.Cycle != 250 {
-		t.Errorf("Cycle = %d, want the furthest clock 250", sum.Cycle)
-	}
-	if sum.Transactions != 12 || sum.Epochs.Opened != 10 || sum.Epochs.Persisted != 8 ||
-		sum.Conflicts.Intra != 1 || sum.Conflicts.Inter != 2 || sum.Epochs.Deps != 2 ||
-		sum.Epochs.ByCause[epoch.CauseProactive] != 7 || sum.Epochs.ByCause[epoch.CauseNatural] != 1 ||
-		sum.Stalls[StallWriteBuffer] != 42 || sum.L1.Hits != 8 || sum.LLC.Misses != 3 || sum.MC.Writes != 9 {
-		t.Errorf("counts not summed: %+v", sum)
-	}
-	if sum.NoC.Messages != 40 || sum.NoC.Flits != 70 || sum.NoC.AvgHops != 2.5 {
-		t.Errorf("NoC = %+v, want 40 messages, 70 flits, 2.5 hops on average", sum.NoC)
-	}
 	h := sum.PersistLatency
 	if h.Total() != 100 || h.Sum != 90*10+10*1000 {
 		t.Fatalf("merged histogram holds %d samples summing to %d", h.Total(), h.Sum)
@@ -324,4 +302,86 @@ func TestCountersAdd(t *testing.T) {
 	if p50, p90, p99 := h.Percentile(50), h.Percentile(90), h.Percentile(99); p50 != 10 || p90 != 10 || p99 != 1023 {
 		t.Errorf("pooled p50/p90/p99 = %d/%d/%d, want 10/10/1023", p50, p90, p99)
 	}
+}
+
+// TestCountersAddCoversEveryField: Add folds in every count Counters
+// carries. Every numeric field of two readings, found by reflection so a
+// field added later is covered too, gets a value of its own; the pooled
+// reading must hold each field's sum — the latency histogram's buckets
+// and sum included, which is its exact merge — except Cycle, the
+// furthest clock, and NoC.AvgHops, the message-weighted mean.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var a, b Counters
+	la, lb := numericLeaves(t, &a), numericLeaves(t, &b)
+	for i := range la {
+		setLeaf(la[i].v, uint64(i+1))
+		setLeaf(lb[i].v, uint64(len(la)+2*i+1))
+	}
+	sum := a
+	sum.Add(&b)
+	for i, l := range numericLeaves(t, &sum) {
+		x, y := leafValue(la[i].v), leafValue(lb[i].v)
+		want := x + y
+		switch l.path {
+		case "Cycle":
+			want = max(x, y)
+		case "NoC.AvgHops":
+			want = (x*float64(a.NoC.Messages) + y*float64(b.NoC.Messages)) / float64(a.NoC.Messages+b.NoC.Messages)
+		}
+		if got := leafValue(l.v); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%s: %v + %v pooled to %v, want %v", l.path, x, y, got, want)
+		}
+	}
+	t.Logf("%d numeric fields pooled", len(la))
+}
+
+type leaf struct {
+	path string
+	v    reflect.Value
+}
+
+// numericLeaves lists c's numeric fields, array elements included, in
+// declaration order; any other kind of field fails the test, so a new
+// one must be given a pooling rule here first.
+func numericLeaves(t *testing.T, c *Counters) []leaf {
+	t.Helper()
+	var out []leaf
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				name := v.Type().Field(i).Name
+				if path != "" {
+					name = path + "." + name
+				}
+				walk(name, v.Field(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+			}
+		case reflect.Uint64, reflect.Float64:
+			out = append(out, leaf{path, v})
+		default:
+			t.Fatalf("Counters field %s is a %s: give it a pooling rule", path, v.Kind())
+		}
+	}
+	walk("", reflect.ValueOf(c).Elem())
+	return out
+}
+
+func setLeaf(v reflect.Value, n uint64) {
+	if v.Kind() == reflect.Float64 {
+		v.SetFloat(float64(n))
+		return
+	}
+	v.SetUint(n)
+}
+
+func leafValue(v reflect.Value) float64 {
+	if v.Kind() == reflect.Float64 {
+		return v.Float()
+	}
+	return float64(v.Uint())
 }

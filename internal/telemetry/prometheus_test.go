@@ -105,7 +105,7 @@ func (noFlush) FlushEpoch(*epoch.Record, func()) { panic("flush of an epoch with
 // must still validate with sub-buckets summed into them.
 func TestPersistLatencySumExact(t *testing.T) {
 	eng := sim.NewEngine()
-	tbl, err := epoch.NewTable(0, epoch.DefaultConfig())
+	tbl, err := epoch.NewTable(0, epoch.DefaultConfig(), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
