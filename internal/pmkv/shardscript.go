@@ -89,10 +89,20 @@ func (s *ShardedStore) run(steps [][]step, sessions int) ([]ShardResult, error) 
 				return
 			}
 			results[sh.id] = closeShard(sh.id, sh.eng)
+			results[sh.id].history = w.history
 		}()
 	}
 	wg.Wait()
 	return results, firstErr(results)
+}
+
+// clientOp is one scripted request as its client saw it: what it asked,
+// the step it was submitted at (inv) and the step after which its
+// completion had arrived (ret), and the completion itself.
+type clientOp struct {
+	op       ScriptedOp
+	inv, ret int
+	ack      ShardAck
 }
 
 // runSteps is the worker taking its steps from a script. After a crash
@@ -100,7 +110,8 @@ func (s *ShardedStore) run(steps [][]step, sessions int) ([]ShardResult, error) 
 // it then; what is still in flight when the script ends is acked as at
 // shutdown, since Close's drain persists it before the recovery snapshot.
 // The script's requests are the worker's clients: each must complete
-// exactly once, and an engine error one receives fails the run.
+// exactly once, and an engine error one receives fails the run. What each
+// was told, and when, is kept in w.history, in submission order.
 func (w *shardWorker) runSteps(steps []step, sessions []*ShardedSession) error {
 	ops := 0
 	for _, st := range steps {
@@ -109,8 +120,21 @@ func (w *shardWorker) runSteps(steps []step, sessions []*ShardedSession) error {
 	// Room for every completion twice over: a duplicate must land in the
 	// queue, not wedge the worker.
 	done := make(chan Completion, 2*ops)
-	tag := uint64(0)
-	for _, st := range steps {
+	completed := make([]int, ops)
+	var err error
+	collect := func(at int) {
+		for len(done) > 0 {
+			c := <-done
+			if completed[c.Tag]++; completed[c.Tag] == 1 {
+				w.history[c.Tag].ret, w.history[c.Tag].ack = at, c.Ack
+			}
+			if e := c.Ack.Err; e != nil && e != ErrCrashed && err == nil {
+				err = fmt.Errorf("pmkv: scripted request %d: %w", c.Tag, e)
+			}
+		}
+	}
+	w.history = make([]clientOp, 0, ops)
+	for at, st := range steps {
 		switch st.kind {
 		case stepSubmit:
 			if len(st.batch) == 0 {
@@ -119,8 +143,8 @@ func (w *shardWorker) runSteps(steps []step, sessions []*ShardedSession) error {
 			jobs := w.jobs.take(len(st.batch))
 			for _, op := range st.batch {
 				req := Request{Sess: sessions[op.Sess].per[w.sh.id], Op: op.Op, Key: op.Key, Value: op.Value}
-				jobs = append(jobs, shardJob{req: req, done: done, tag: tag})
-				tag++
+				jobs = append(jobs, shardJob{req: req, done: done, tag: uint64(len(w.history))})
+				w.history = append(w.history, clientOp{op: op, inv: at})
 			}
 			w.submit(jobs)
 		case stepPump:
@@ -132,18 +156,10 @@ func (w *shardWorker) runSteps(steps []step, sessions []*ShardedSession) error {
 		case stepAck:
 			w.sh.eng.DL().AckDurable(st.target)
 		}
+		collect(at)
 	}
 	w.ackOldest(len(w.pending), ShardAck{Durable: w.sh.eng.Committed()})
-
-	completed := make([]int, ops)
-	var err error
-	for len(done) > 0 {
-		c := <-done
-		completed[c.Tag]++
-		if e := c.Ack.Err; e != nil && e != ErrCrashed && err == nil {
-			err = fmt.Errorf("pmkv: scripted request %d: %w", c.Tag, e)
-		}
-	}
+	collect(len(steps))
 	for i, n := range completed {
 		if n != 1 {
 			return fmt.Errorf("pmkv: scripted request %d completed %d times", i, n)
