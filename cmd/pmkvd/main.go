@@ -41,7 +41,7 @@ func main() {
 		addr    = flag.String("addr", "127.0.0.1:7070", "listen address")
 		shards  = flag.Int("shards", 1, "independent engine shards (1..256); keys route by stable hash")
 		cores   = flag.Int("cores", 4, "simulated cores per shard (1..32); sessions map onto cores round-robin")
-		buckets = flag.Int("buckets", pmkv.DefaultBuckets, "hash-table buckets per shard")
+		buckets = flag.Int("buckets", pmkv.DefaultBuckets, "volatile-index buckets per shard (one probed line each; nothing persists there)")
 		crashAt = flag.Uint64("crash-at", 0, "simulated power loss at this cycle of each shard's clock (0 = never)")
 		check   = flag.Bool("check", false, "run the online durable-linearizability checker; verdict printed at drain and after every selfcheck instant")
 

@@ -1,11 +1,12 @@
 // kvstore: a durable key-value store under buffered epoch persistency,
 // crashed at an arbitrary instant. Four client sessions hammer the pmkv
-// engine concurrently; every Put becomes the paper's Figure 10 discipline
-// on the simulated multicore — write the entry, persist barrier, publish
-// the bucket head, persist barrier. Mid-run the machine loses power, and
-// recovery proves the guarantee BEP gives you: the durable image is an
-// epoch-ordered cut, no bucket head names a torn entry, and each
-// session's durable writes are a prefix of what it issued.
+// engine concurrently; every Put stores one entry on the simulated
+// multicore, and each core closes a round's entries with one persist
+// barrier (a layout beyond the paper's Figure 10, which also publishes
+// each entry through a bucket-head pointer). Mid-run the machine loses
+// power, and recovery proves the guarantee BEP gives you: the durable
+// image is an epoch-ordered cut, and each key recovers as its newest
+// complete entry.
 //
 // Run with:
 //
@@ -26,8 +27,8 @@ func main() {
 	const crashCycle = 12000
 
 	// Four sessions (one per simulated core) write a shared keyspace in
-	// rounds; each round is one group commit, so the sessions contend on
-	// bucket heads and the epoch hardware resolves the conflicts.
+	// rounds; each round is one group commit, whose entries each core
+	// closes with one persist barrier.
 	const sessions, rounds = 4, 41
 	script := make(pmkv.Script, rounds)
 	for round := range script {
@@ -44,9 +45,9 @@ func main() {
 
 	// One shard runs the script on its worker until the power fails, then
 	// recovery rebuilds the happens-before graph from the retained epoch
-	// histories, strengthens it with the per-bucket publish order, and
-	// verifies every invariant — epoch ordering, persisted-set closure, KV
-	// atomicity (no torn entries), and per-session prefix durability.
+	// histories and verifies every invariant — epoch ordering,
+	// persisted-set closure, no live entry overwritten — and recovers, per
+	// key, the complete entry written last.
 	results, err := pmkv.RunShardedScript(pmkv.ShardedConfig{Engine: pmkv.Config{CrashAt: crashCycle}}, script)
 	if err != nil {
 		log.Fatalf("INCONSISTENT persistent state: %v", err)
@@ -58,8 +59,8 @@ func main() {
 		fmt.Printf("clean drain after %d cycles\n", r.Cycles)
 	}
 	report := r.Report
-	fmt.Printf("recovery check: %d epochs, %d publish-order edges, %d/%d publishes durable ✓\n",
-		report.Epochs, report.PublishEdges, report.DurablePublishes, report.TotalPublishes)
+	fmt.Printf("recovery check: %d epochs, %d/%d writes durable ✓\n",
+		report.Epochs, report.DurablePublishes, report.TotalPublishes)
 
 	// The durable contents — what a restarting kvstore would actually
 	// serve.
@@ -73,5 +74,5 @@ func main() {
 	for _, k := range keys {
 		fmt.Printf("  %-8s = %s\n", k, r.Recovered[k])
 	}
-	fmt.Println("(every recovered pointer is a complete, barrier-ordered write — nothing torn)")
+	fmt.Println("(every recovered key is its newest complete entry — nothing torn)")
 }

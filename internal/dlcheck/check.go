@@ -1,6 +1,7 @@
-// Crash-image decision procedure: given the per-bucket publish order and
-// durability flags the engine derives from a machine result, decide
-// durable linearizability against everything the tracker observed online.
+// Crash-image decision procedure: given each key's publishes in record
+// order and the durability flags the engine derives from a machine result,
+// decide durable linearizability against everything the tracker observed
+// online.
 package dlcheck
 
 import (
@@ -8,19 +9,20 @@ import (
 	"fmt"
 )
 
-// Publish is one retired publish as the crash image orders it: the
-// engine mutation-record index, the bucket it published to, and whether
-// its head-pointer store reached NVRAM.
+// Publish is one retired publish as the crash image lists it: the engine
+// mutation-record index, the key it wrote, and whether it reached NVRAM.
 type Publish struct {
 	Rec     int
-	Bucket  int
+	Key     string
 	Durable bool
 }
 
 // Image is the checker's view of one crash (or clean-drain) image: every
-// retired publish in global commit (version) order. Publishes the
-// tracker observed but the image does not list never retired before the
-// crash and are treated as lost.
+// retired publish, chained per key in record order. A key's publishes
+// persist independently of each other, so a chain carries no
+// happens-before edge; it fixes the order violations are reported in.
+// Publishes the tracker observed but the image does not list never
+// retired before the crash and are treated as lost.
 type Image struct {
 	Order []Publish
 }
@@ -36,7 +38,8 @@ type Kind uint8
 const (
 	// KindAckedLost: an op acked durable is not recovered.
 	KindAckedLost Kind = iota
-	// KindHBOrder: a recovered publish happens-after a lost one.
+	// KindHBOrder: a recovered publish happens-after another session's
+	// lost one.
 	KindHBOrder
 	// KindReadContradiction: the recovered state contradicts a value a
 	// client already observed (e.g. a deleted key resurrected, or a read
@@ -127,12 +130,22 @@ func Merge(vs []*Verdict) *Verdict {
 // Check decides durable linearizability of the image. It runs entirely
 // at check time: per-session lost thresholds come from the first
 // non-durable publish in program order, full clocks are reconstructed
-// from the adaptive timestamps, publish-order edges are folded in by
-// joining a running clock per bucket along commit order, and the three
-// conditions (acked⇒recovered, reads uncontradicted, happens-before
-// closure) are checked against every durable publish. All violations
-// are collected — not just the first — so counterexample minimization
-// sees the complete diagnosis.
+// from the adaptive timestamps, and the three conditions are checked
+// against every durable publish:
+//
+//	(a) every publish acked durable is recovered;
+//	(b) a read that observed another session's write which is lost is
+//	    followed by no recovered publish that happens-after it;
+//	(c) no recovered publish happens-after another session's lost one.
+//
+// Closure (c) leaves a session's own program order out. An engine that
+// persists a session's unacked writes in any order — pending ops may take
+// effect independently — is still durably linearizable, because acks are
+// gated on a watermark that passes records in order: (a) holds every
+// acked write, and with it everything before it. Edges between sessions
+// come only from reads, which the engine must honour. All violations are
+// collected — not just the first — so counterexample minimization sees
+// the complete diagnosis.
 func (t *Tracker) Check(img *Image) *Verdict {
 	if t == nil {
 		return nil
@@ -188,12 +201,11 @@ func (t *Tracker) Check(img *Image) *Verdict {
 		}
 	}
 
-	// Walk the commit order once, reconstructing each publish's full
-	// clock joined with its bucket's running clock (the publish-order
-	// edges), and check closure for the durable ones. maxDur[s] tracks
-	// the highest component of s any durable publish carries, with a
-	// witness for read diagnostics.
-	bucketVC := make(map[int][]int32)
+	// Walk the image once, reconstructing each durable publish's full
+	// clock and checking closure against every other session. maxDur[s]
+	// tracks the highest component of s any durable publish carries, with
+	// a witness for read diagnostics.
+	var full []int32
 	maxDur := make([]int32, nSess)
 	maxDurWitness := make([]int32, nSess)
 	for i := range maxDurWitness {
@@ -204,13 +216,12 @@ func (t *Tracker) Check(img *Image) *Verdict {
 		if owner == nil {
 			continue
 		}
-		full := t.vcAt(owner.pub.own, owner.pub.snap, owner.sess, bucketVC[p.Bucket])
-		bucketVC[p.Bucket] = full
 		if !p.Durable {
 			continue
 		}
+		full = t.vcAt(owner.pub.own, owner.pub.snap, owner.sess, full[:0])
 		for sid := 0; sid < nSess && sid < len(full); sid++ {
-			if full[sid] >= lostAt[sid] {
+			if int32(sid) != owner.sess && full[sid] >= lostAt[sid] {
 				v.Violations = append(v.Violations, &Violation{
 					Kind: KindHBOrder, Sess: sid, Rec: p.Rec, Other: int(lostRec[sid]),
 					Msg: fmt.Sprintf(
@@ -240,12 +251,13 @@ func (t *Tracker) Check(img *Image) *Verdict {
 		}
 	}
 
-	// Reads: a client observed write W; if W is lost, nothing that
-	// happens-after the read may be recovered. maxDur[s] > idx means
-	// some durable publish carries the reader's state past the read.
+	// Reads: a client observed another session's write W; if W is lost,
+	// nothing that happens-after the read may be recovered. maxDur[s] >
+	// idx means some durable publish carries the reader's state past the
+	// read.
 	for sid, s := range t.sess {
 		for _, r := range s.reads {
-			if !r.hasW || durable[r.w.rec] {
+			if !r.hasW || int(r.w.sess) == sid || durable[r.w.rec] {
 				continue
 			}
 			if sid < len(maxDur) && maxDur[sid] > r.idx {

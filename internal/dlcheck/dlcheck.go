@@ -2,12 +2,14 @@
 // FastTrack-style happens-before tracker observes every client operation
 // online — reads with the identity of the publish whose value they
 // returned, publishes, and durability-gated acks — and, given a crash
-// image's per-bucket publish order and durability flags, checks that
+// image's per-key publishes and durability flags, checks that
 //
 //	(a) every op acked durable is recovered,
-//	(b) no recovered state contradicts a value a client already observed,
+//	(b) no recovered state contradicts a value a client already observed
+//	    of another session's write,
 //	(c) the recovered publishes are downward-closed under the recorded
-//	    happens-before ∪ publish-order relation.
+//	    happens-before relation between sessions (a session's own unacked
+//	    publishes may persist in any order; see Check).
 //
 // The clock representation is adaptive, in the FastTrack tradition: each
 // session carries one vector-clock component, every op ticks its own

@@ -81,8 +81,8 @@ func TestCheckOK(t *testing.T) {
 	tr.ObserveWrite(1, 1, "k002") // W1
 	tr.AckDurable(2)
 	v := tr.Check(&Image{Order: []Publish{
-		{Rec: 0, Bucket: 0, Durable: true},
-		{Rec: 1, Bucket: 1, Durable: true},
+		{Rec: 0, Key: "k000", Durable: true},
+		{Rec: 1, Key: "k001", Durable: true},
 	}})
 	if !v.OK() {
 		t.Fatalf("expected OK, got %s", v)
@@ -99,24 +99,27 @@ func TestCheckOK(t *testing.T) {
 }
 
 // TestSessionPrefixHBOrder: a session's later publish durable while its
-// earlier one is lost violates happens-before closure (program order).
+// earlier one is lost is no violation while neither was acked — pending
+// ops may take effect independently — and an acked-lost one once the
+// earlier was acked.
 func TestSessionPrefixHBOrder(t *testing.T) {
 	tr := New()
 	tr.ObserveWrite(0, 0, "k001")
 	tr.ObserveWrite(0, 1, "k002")
-	v := tr.Check(&Image{Order: []Publish{
-		{Rec: 0, Bucket: 0, Durable: false},
-		{Rec: 1, Bucket: 1, Durable: true},
-	}})
-	if v.OK() {
-		t.Fatal("expected violation")
+	img := &Image{Order: []Publish{
+		{Rec: 0, Key: "k001", Durable: false},
+		{Rec: 1, Key: "k002", Durable: true},
+	}}
+	if v := tr.Check(img); !v.OK() {
+		t.Fatalf("unacked writes persisting out of program order rejected: %s", v)
 	}
+	tr.AckDurable(1)
+	v := tr.Check(img)
 	k := kinds(v)
-	if k[KindHBOrder] != 1 || len(v.Violations) != 1 {
-		t.Fatalf("want exactly one hb-order violation, got %v (%s)", k, v)
+	if k[KindAckedLost] != 1 || len(v.Violations) != 1 {
+		t.Fatalf("want exactly one acked-lost violation, got %v (%s)", k, v)
 	}
-	viol := v.Violations[0]
-	if viol.Rec != 1 || viol.Other != 0 || viol.Sess != 0 {
+	if viol := v.Violations[0]; viol.Rec != 0 || viol.Sess != 0 {
 		t.Fatalf("violation identity wrong: %+v", viol)
 	}
 }
@@ -130,8 +133,8 @@ func TestCrossSessionHBOrder(t *testing.T) {
 	tr.ObserveRead(1, "k001", 0)
 	tr.ObserveWrite(1, 1, "k002") // W1, durable
 	v := tr.Check(&Image{Order: []Publish{
-		{Rec: 0, Bucket: 0, Durable: false},
-		{Rec: 1, Bucket: 1, Durable: true},
+		{Rec: 0, Key: "k000", Durable: false},
+		{Rec: 1, Key: "k001", Durable: true},
 	}})
 	k := kinds(v)
 	if k[KindHBOrder] != 1 || k[KindReadContradiction] != 1 {
@@ -150,7 +153,7 @@ func TestAckedLost(t *testing.T) {
 	tr := New()
 	tr.ObserveWrite(0, 0, "k001")
 	tr.AckDurable(1)
-	v := tr.Check(&Image{Order: []Publish{{Rec: 0, Bucket: 0, Durable: false}}})
+	v := tr.Check(&Image{Order: []Publish{{Rec: 0, Key: "k000", Durable: false}}})
 	k := kinds(v)
 	if k[KindAckedLost] != 1 || len(v.Violations) != 1 {
 		t.Fatalf("want exactly one acked-lost violation, got %v (%s)", k, v)
@@ -170,9 +173,9 @@ func TestResurrectedDelete(t *testing.T) {
 	tr.ObserveRead(1, "k001", 1)  // s1 sees the deletion
 	tr.ObserveWrite(1, 2, "k002") // s1's later durable effect
 	v := tr.Check(&Image{Order: []Publish{
-		{Rec: 0, Bucket: 0, Durable: true},
-		{Rec: 1, Bucket: 0, Durable: false}, // tombstone lost => k001 resurrected
-		{Rec: 2, Bucket: 1, Durable: true},
+		{Rec: 0, Key: "k000", Durable: true},
+		{Rec: 1, Key: "k000", Durable: false}, // tombstone lost => k001 resurrected
+		{Rec: 2, Key: "k001", Durable: true},
 	}})
 	k := kinds(v)
 	if k[KindReadContradiction] != 1 {
@@ -189,20 +192,26 @@ func TestResurrectedDelete(t *testing.T) {
 	}
 }
 
-// TestBucketOrderClosure: publish-order edges within a bucket carry
-// foreign clocks — a durable publish ordered after a lost one in the
-// same bucket is rejected even with no direct session/read link.
+// TestBucketOrderClosure: a key's chain carries no happens-before edge —
+// its publishes persist independently — so a durable publish after
+// another session's lost one of the same key, with no read between them,
+// is accepted; a read of the lost one makes it a violation.
 func TestBucketOrderClosure(t *testing.T) {
 	tr := New()
-	tr.ObserveWrite(0, 0, "k001") // bucket 3, first in commit order, lost
-	tr.ObserveWrite(1, 1, "k002") // bucket 3, second in commit order, durable
-	v := tr.Check(&Image{Order: []Publish{
-		{Rec: 0, Bucket: 3, Durable: false},
-		{Rec: 1, Bucket: 3, Durable: true},
-	}})
-	k := kinds(v)
-	if k[KindHBOrder] != 1 {
-		t.Fatalf("want hb-order from the bucket chain, got %v (%s)", k, v)
+	tr.ObserveWrite(0, 0, "k001") // first in record order, lost
+	tr.ObserveWrite(1, 1, "k001") // second, durable
+	img := &Image{Order: []Publish{
+		{Rec: 0, Key: "k001", Durable: false},
+		{Rec: 1, Key: "k001", Durable: true},
+	}}
+	if v := tr.Check(img); !v.OK() {
+		t.Fatalf("independent entries of one key rejected: %s", v)
+	}
+	tr.ObserveRead(1, "k001", 0)
+	tr.ObserveWrite(1, 2, "k002")
+	img.Order = append(img.Order, Publish{Rec: 2, Key: "k002", Durable: true})
+	if k := kinds(tr.Check(img)); k[KindHBOrder] != 1 {
+		t.Fatalf("want hb-order through the read, got %v", k)
 	}
 }
 
@@ -212,8 +221,8 @@ func TestUnknownPublish(t *testing.T) {
 	tr := New()
 	tr.ObserveWrite(0, 0, "k001")
 	v := tr.Check(&Image{Order: []Publish{
-		{Rec: 0, Bucket: 0, Durable: true},
-		{Rec: 99, Bucket: 0, Durable: true},
+		{Rec: 0, Key: "k000", Durable: true},
+		{Rec: 99, Key: "k000", Durable: true},
 	}})
 	k := kinds(v)
 	if k[KindUnknownPublish] != 1 {
@@ -227,7 +236,7 @@ func TestUnknownPublish(t *testing.T) {
 // TestCloneIsolation: mutation tests corrupt clones; the original image
 // must be unaffected.
 func TestCloneIsolation(t *testing.T) {
-	img := &Image{Order: []Publish{{Rec: 0, Bucket: 0, Durable: true}}}
+	img := &Image{Order: []Publish{{Rec: 0, Key: "k000", Durable: true}}}
 	c := img.Clone()
 	c.Order[0].Durable = false
 	if !img.Order[0].Durable {

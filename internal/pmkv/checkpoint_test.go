@@ -13,33 +13,27 @@ import (
 )
 
 // TestReadIndexBasics: insert/get/tombstone semantics on the bare
-// checkpoint, including the rule that commit order, not insert order,
-// picks a key's winner.
+// checkpoint: records fold in index order, so each insert is its key's
+// newest.
 func TestReadIndexBasics(t *testing.T) {
-	cp := newCheckpoint(64)
+	cp := newCheckpoint()
 	if v, found, rec := cp.get("a"); v != nil || found || rec != -1 {
 		t.Fatalf("empty checkpoint get = (%q, %v, %d), want (nil, false, -1)", v, found, rec)
 	}
-	cp.insert(cpEntry{key: "a", val: []byte("v1"), found: true, rec: 0, ver: 10})
-	cp.insert(cpEntry{key: "b", val: []byte("v2"), found: true, rec: 1, ver: 11})
+	cp.insert(cpEntry{key: "a", val: []byte("v1"), found: true, rec: 0})
+	cp.insert(cpEntry{key: "b", val: []byte("v2"), found: true, rec: 1})
 	if v, found, rec := cp.get("a"); string(v) != "v1" || !found || rec != 0 {
 		t.Fatalf("get a = (%q, %v, %d)", v, found, rec)
 	}
 	// Newer insert shadows the older entry.
-	cp.insert(cpEntry{key: "a", val: []byte("v3"), found: true, rec: 2, ver: 12})
+	cp.insert(cpEntry{key: "a", val: []byte("v3"), found: true, rec: 2})
 	if v, _, rec := cp.get("a"); string(v) != "v3" || rec != 2 {
 		t.Fatalf("shadowed get a = (%q, rec %d), want (v3, 2)", v, rec)
 	}
 	// A tombstone answers found=false but keeps the record index.
-	cp.insert(cpEntry{key: "b", rec: 3, ver: 13})
+	cp.insert(cpEntry{key: "b", rec: 3})
 	if v, found, rec := cp.get("b"); v != nil || found || rec != 3 {
 		t.Fatalf("tombstone get b = (%q, %v, %d), want (nil, false, 3)", v, found, rec)
-	}
-	// A later record whose publish committed earlier loses: NVRAM holds
-	// the higher version last.
-	cp.insert(cpEntry{key: "a", val: []byte("stale"), found: true, rec: 4, ver: 5})
-	if v, _, rec := cp.get("a"); string(v) != "v3" || rec != 2 {
-		t.Fatalf("get a after a lower-version insert = (%q, rec %d), want (v3, 2)", v, rec)
 	}
 	if cp.keys != 2 || cp.entries != 4 {
 		t.Fatalf("keys, entries = %d, %d, want 2, 4", cp.keys, cp.entries)
@@ -54,14 +48,14 @@ func TestReadIndexAbsoluteRecordIndex(t *testing.T) {
 	if math.MaxInt == math.MaxInt32 {
 		t.Skip("int is 32 bits on this platform")
 	}
-	cp := newCheckpoint(64)
+	cp := newCheckpoint()
 	big := math.MaxInt32 + 12345
-	cp.insert(cpEntry{key: "k", val: []byte("v"), found: true, rec: big, ver: 1})
+	cp.insert(cpEntry{key: "k", val: []byte("v"), found: true, rec: big})
 	if _, _, rec := cp.get("k"); rec != big {
 		t.Fatalf("rec = %d, want %d", rec, big)
 	}
 	for i := 0; i < 4*cpMinRebuild; i++ { // force a rebuild to copy the entry
-		cp.insert(cpEntry{key: fmt.Sprintf("x%d", i%8), rec: big + 1 + i, ver: mem.Version(2 + i)})
+		cp.insert(cpEntry{key: fmt.Sprintf("x%d", i%8), rec: big + 1 + i})
 	}
 	if _, _, rec := cp.get("k"); rec != big {
 		t.Fatalf("rec after rebuild = %d, want %d", rec, big)
@@ -125,7 +119,7 @@ func TestReadIndexPublishPrefix(t *testing.T) {
 // key's newest state — including tombstones, which still shadow older
 // live entries — and shrink the chain count to the live key count.
 func TestReadIndexRebuildKeepsTombstones(t *testing.T) {
-	cp := newCheckpoint(64)
+	cp := newCheckpoint()
 	const keys = 32
 	// Hammer a small key set until rebuilds have certainly run
 	// (entries > 128 and > 2*keys triggers one per insert past that).
@@ -135,10 +129,10 @@ func TestReadIndexRebuildKeepsTombstones(t *testing.T) {
 		for k := 0; k < keys; k++ {
 			key := fmt.Sprintf("k%03d", k)
 			if (round+k)%5 == 0 {
-				cp.insert(cpEntry{key: key, rec: rec, ver: mem.Version(rec + 1)})
+				cp.insert(cpEntry{key: key, rec: rec})
 				want[k] = -rec // negative marks a tombstone
 			} else {
-				cp.insert(cpEntry{key: key, val: []byte(fmt.Sprintf("v%d", rec)), found: true, rec: rec, ver: mem.Version(rec + 1)})
+				cp.insert(cpEntry{key: key, val: []byte(fmt.Sprintf("v%d", rec)), found: true, rec: rec})
 				want[k] = rec
 			}
 			rec++
@@ -169,10 +163,10 @@ func TestReadIndexRebuildKeepsTombstones(t *testing.T) {
 // keys (nothing shadowed, so compaction alone never fires) must still
 // grow, or chains lengthen without bound.
 func TestReadIndexGrowsWithDistinctKeys(t *testing.T) {
-	cp := newCheckpoint(64)
+	cp := newCheckpoint()
 	const keys = 4096
 	for i := 0; i < keys; i++ {
-		cp.insert(cpEntry{key: fmt.Sprintf("d%05d", i), val: []byte("v"), found: true, rec: i, ver: mem.Version(i + 1)})
+		cp.insert(cpEntry{key: fmt.Sprintf("d%05d", i), val: []byte("v"), found: true, rec: i})
 	}
 	if n := len(cp.table.Load().buckets); n < keys {
 		t.Fatalf("table has %d buckets for %d distinct keys", n, keys)
@@ -189,11 +183,11 @@ func TestReadIndexGrowsWithDistinctKeys(t *testing.T) {
 // back later, so an entry that lost them in a rebuild would leak its lines
 // and pass the check blind.
 func TestCheckpointRebuildKeepsSpans(t *testing.T) {
-	cp := newCheckpoint(64)
+	cp := newCheckpoint()
 	const keys = 2 * cpMinRebuild
 	spanOf := func(i int) lineSpan { return lineSpan{first: mem.Line(1000 + 8*i), n: 1 + i%5} }
 	for i := 0; i < keys; i++ {
-		cp.insert(cpEntry{key: fmt.Sprintf("s%04d", i), val: []byte("v"), found: true, rec: i, ver: mem.Version(i + 1), span: spanOf(i), hi: mem.Version(i + 1)})
+		cp.insert(cpEntry{key: fmt.Sprintf("s%04d", i), val: []byte("v"), found: true, rec: i, span: spanOf(i), hi: mem.Version(i + 1)})
 	}
 	old := cp.table.Load()
 	cp.rebuild()
@@ -205,8 +199,8 @@ func TestCheckpointRebuildKeepsSpans(t *testing.T) {
 		if en := cp.lookup(key); en.hi != mem.Version(i+1) {
 			t.Fatalf("%s: hi = %d after the rebuild, want %d", key, en.hi, i+1)
 		}
-		if loser, _ := cp.insert(cpEntry{key: key, rec: keys + i, ver: mem.Version(keys + i + 1)}); loser != spanOf(i) {
-			t.Fatalf("%s: shadowing it returned span %+v, want the one inserted, %+v", key, loser, spanOf(i))
+		if _, shadowed := cp.insert(cpEntry{key: key, rec: keys + i}); shadowed.span != spanOf(i) {
+			t.Fatalf("%s: shadowing it returned span %+v, want the one inserted, %+v", key, shadowed.span, spanOf(i))
 		}
 	}
 }

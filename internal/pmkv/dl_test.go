@@ -322,7 +322,7 @@ func TestBatchSnapshotReads(t *testing.T) {
 		t.Fatal("same-batch foreign delete should observe the pre-batch key")
 	}
 	// Next batch: the window is settled, and everyone is served what NVRAM
-	// holds — the racer whose head store committed last, whichever it is.
+	// holds — the racer with the highest record index.
 	resps, err = apply(e, []Request{{Sess: s2, Op: Get, Key: "k"}})
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,9 @@
 // instant of three scripted pmkv sweeps — the byte-identity baseline used to
 // prove optimizations changed speed, not semantics. The first section (one
 // op per core per round) is pinned in ../testdata/fpdump.golden, the
-// second (four ops per core per round, so publishes share epochs with the
-// next Put's entries) in ../testdata/fpdump-merged.golden, and the third
-// (4 096 ops over 256 keys, so most publishes are superseded long after
+// second (four ops per core per round, so each core's window epoch holds
+// four entries) in ../testdata/fpdump-merged.golden, and the third
+// (4 096 ops over 256 keys, so most entries are superseded long after
 // they became durable, with every Report count printed beside the
 // fingerprint) in ../testdata/fpdump-long.golden; TestFpdumpGolden
 // regenerates all three through the same dump function.
@@ -30,7 +30,7 @@ type section struct {
 
 // All sections run on the 4-core SmallMachine: with 4 sessions every
 // commit window holds one op per core, with 16 it holds four, so only the
-// second crosses epochs merged by the per-core owed barrier. The long
+// second has several entries in one core's window epoch. The long
 // section was captured while the engine still kept every record for the
 // life of the run; it holds checkpoint-plus-tail recovery to the counts a
 // full replay printed.
@@ -55,8 +55,8 @@ func dump(w io.Writer, s section) error {
 		if !s.counts {
 			return ""
 		}
-		return fmt.Sprintf(" epochs=%d edges=%d durable=%d total=%d keys=%d",
-			r.Epochs, r.PublishEdges, r.DurablePublishes, r.TotalPublishes, r.RecoveredKeys)
+		return fmt.Sprintf(" epochs=%d durable=%d total=%d keys=%d",
+			r.Epochs, r.DurablePublishes, r.TotalPublishes, r.RecoveredKeys)
 	}
 	clean, err := run(0)
 	if err != nil {

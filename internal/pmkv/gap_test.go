@@ -10,8 +10,9 @@ import (
 
 // gapRig drives one engine the way the shard worker does with its mailbox
 // idle, without the worker: a round submits a batch and pumps it, then
-// twice polls and takes a Gap on the oldest batch still waiting for its
-// ack.
+// four times polls and takes a Gap on the oldest batch still waiting for
+// its ack (a window's entries share one epoch per core, so a batch takes a
+// few Gaps to become durable).
 type gapRig struct {
 	e        *Engine
 	sess     []*Session
@@ -61,11 +62,11 @@ func (r *gapRig) commit(t *testing.T) {
 }
 
 // next brings the rig up to its next Gap: a new round's commit when this
-// round's two Gaps are taken, then a Poll.
+// round's four Gaps are taken, then a Poll.
 func (r *gapRig) next(t *testing.T) {
 	if r.gapsLeft == 0 {
 		r.commit(t)
-		r.gapsLeft = 2
+		r.gapsLeft = 4
 	}
 	r.gapsLeft--
 	d, _, _ := r.e.DurableWatermark()
@@ -111,7 +112,7 @@ func TestGapEndsAtDurable(t *testing.T) {
 			t.Fatal(err)
 		}
 		end := start + gapCycles
-		for c := start; c <= start+gapCycles; c++ {
+		for c := start; target > oracle.e.Committed() && c <= start+gapCycles; c++ {
 			oracle.e.m.Step(c - oracle.e.Now()) // every event up to cycle c
 			if d, _, _ := oracle.e.DurableWatermark(); d >= target {
 				end = c

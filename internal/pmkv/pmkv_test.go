@@ -196,8 +196,8 @@ func TestNewRejectsUnsafeMachine(t *testing.T) {
 	}
 }
 
-// TestBucketsBounded: the largest table keeps its last head line below
-// the first entry line, and one bucket more is refused.
+// TestBucketsBounded: the largest index keeps its last line below the
+// first entry line, and one bucket more is refused.
 func TestBucketsBounded(t *testing.T) {
 	if _, err := New(Config{Buckets: MaxBuckets + 1}); err == nil {
 		t.Fatalf("New accepted %d buckets", MaxBuckets+1)
@@ -206,8 +206,8 @@ func TestBucketsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last, first := e.headLine(MaxBuckets-1), mem.LineOf(entryBase); last >= first {
-		t.Fatalf("head line of bucket %d is %v, not below the first entry line %v", MaxBuckets-1, last, first)
+	if last, first := e.indexLine(MaxBuckets-1), mem.LineOf(entryBase); last >= first {
+		t.Fatalf("index line of bucket %d is %v, not below the first entry line %v", MaxBuckets-1, last, first)
 	}
 }
 
@@ -239,19 +239,16 @@ func TestCleanRunVerifies(t *testing.T) {
 	if out.Report.TotalPublishes == 0 || out.Report.DurablePublishes != out.Report.TotalPublishes {
 		t.Fatalf("clean run publishes: %+v", out.Report)
 	}
-	if out.Report.PublishEdges == 0 {
-		t.Fatal("no publish-order edges: sessions never contended on a bucket")
-	}
 }
 
 // TestCleanRunMatchesScriptOracle pins what a clean run must recover, from
 // the script alone, so it holds whatever addresses and timing the engine
-// chooses (the fpdump goldens pin one engine's commit order; this does
-// not). A round is one commit window: the last round that writes a key
-// decides it. One writer there and the recovered value is exactly that
-// write (absent for a Delete); several and they raced across cores, the
-// durable winner is whichever head store committed last, and the recovered
-// value must be one of theirs.
+// chooses (the fpdump goldens pin one engine's timing; this does not). A
+// round is one commit window: the last round that writes a key decides
+// it. One writer there and the recovered value is exactly that write
+// (absent for a Delete); several and they raced across cores, and the
+// recovered value must be one of theirs (the engine gives the key to the
+// highest record index, which this oracle does not assume).
 func TestCleanRunMatchesScriptOracle(t *testing.T) {
 	specs := []struct {
 		name string

@@ -41,8 +41,8 @@ func fuzzCorpus(t *testing.T) map[string][]byte {
 // a clean drain, then a crash at Frac/256 of it, checker armed — are
 // driven here because the plant is reachable only from this package: over
 // the committed corpus and 64 generated inputs the honest engine passes
-// every case and the planted one is rejected, by check 5 or the checker
-// and nothing else, in at least half of them. seed-06 is the plant's
+// every case and the planted one is rejected, by check 5, the checker or
+// the client-history oracle and nothing else, in at least half of them. seed-06 is the plant's
 // smallest failing case in which the honest engine itself reuses a line.
 func TestPlantedRecycleEarlyFuzzCases(t *testing.T) {
 	inputs := fuzzCorpus(t)
@@ -70,11 +70,11 @@ func TestPlantedRecycleEarlyFuzzCases(t *testing.T) {
 			return out
 		}
 		rejects := func(at sim.Cycle) bool {
-			_, err := pmkv.RunScriptRecyclingEarly(pmkv.Config{CrashAt: at, Check: true}, c.Spec(), true)
+			out, err := pmkv.RunScriptRecyclingEarly(pmkv.Config{CrashAt: at, Check: true}, c.Spec(), true)
 			if err != nil && !pmkv.CaughtEarlyRecycle(err) {
 				t.Fatalf("%s: crash at %d: caught by an unexpected check: %v", name, at, err)
 			}
-			return err != nil
+			return err != nil || pmkv.OracleCheck([]pmkv.ShardResult{out}) != nil
 		}
 		clean := honest(0)
 		rejected := rejects(0)
@@ -96,13 +96,56 @@ func TestPlantedRecycleEarlyFuzzCases(t *testing.T) {
 	}
 }
 
+// TestPlantedResurrectionFuzzCases: the crash fuzzer's own case shape — a
+// clean drain, then a crash at Frac/256 of it, checker armed — rejects an
+// engine whose fold frees a durable tombstone's line early, over the
+// committed corpus and 64 generated inputs with Deletes, while the honest
+// engine passes the same cases.
+func TestPlantedResurrectionFuzzCases(t *testing.T) {
+	inputs := fuzzCorpus(t)
+	rng := uint64(43)
+	for i := 0; i < 64; i++ {
+		data := make([]byte, 9)
+		for j := range data {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			data[j] = byte(rng >> 56)
+		}
+		data[6] = 0 // one shard: the planted run is a single engine
+		inputs["generated-"+strconv.Itoa(i)] = data
+	}
+	caught := 0
+	for name, data := range inputs {
+		c := fuzz.CaseFromBytes(data)
+		rejects := func(at sim.Cycle) (sim.Cycle, bool) {
+			clean, err := pmkv.RunScriptRecyclingEarly(pmkv.Config{CrashAt: at, Check: true}, c.Spec(), false)
+			if err != nil {
+				t.Fatalf("%s: honest engine, crash at %d: %v", name, at, err)
+			}
+			_, err = pmkv.RunScriptResurrecting(pmkv.Config{CrashAt: at, Check: true}, c.Spec())
+			return clean.Stats.Cycle, err != nil
+		}
+		cycles, rejected := rejects(0)
+		if c.Frac != 0 {
+			_, crashed := rejects(max(1, cycles*sim.Cycle(c.Frac)/256))
+			rejected = rejected || crashed
+		}
+		if rejected {
+			caught++
+		}
+	}
+	t.Logf("resurrection plant rejected in %d of %d fuzz cases", caught, len(inputs))
+	if 4*caught < len(inputs) {
+		t.Fatalf("resurrection plant rejected in only %d of %d fuzz cases", caught, len(inputs))
+	}
+}
+
 // TestPlantedTranslateOrderWinnerFuzzCase: seed-07 is the smallest scripted
-// case that rejects an engine settling a raced key on the writer it
-// translated last — two sessions, one window, a Put and then a Delete whose
-// head store commits first — and nothing folds before the close, so it is
-// the clean-drain half of check 6, the comparison of what is served with
-// what is recovered, that must speak. The honest engine passes it, through
-// the fuzzer's own scripted and live runs.
+// case that rejects an engine settling a raced key on the window's writer
+// with the lowest record index — two sessions, one window, a Put and then
+// a Delete of one key — so the store serves the Put while recovery keeps
+// the Delete, and check 6 must speak, at the fold or at the clean drain.
+// The honest engine passes it, through the fuzzer's own scripted and live
+// runs.
 func TestPlantedTranslateOrderWinnerFuzzCase(t *testing.T) {
 	data, ok := fuzzCorpus(t)["seed-07"]
 	if !ok {
@@ -118,8 +161,8 @@ func TestPlantedTranslateOrderWinnerFuzzCase(t *testing.T) {
 	if f := fuzz.RunLive(c); f != nil {
 		t.Fatalf("honest live store: %v", f.Err)
 	}
-	err := pmkv.RunScriptSettlingInTranslateOrder(pmkv.Config{Check: true}, c.Spec())
-	if err == nil || !strings.Contains(err.Error(), "where recovery rebuilds") {
-		t.Fatalf("planted engine: %v, want the clean drain's served-against-recovered comparison to reject it", err)
+	err := pmkv.RunScriptSettlingOnLowestIdx(pmkv.Config{Check: true}, c.Spec())
+	if err == nil || !pmkv.CaughtStaleServe(err) {
+		t.Fatalf("planted engine: %v, want check 6 to reject it", err)
 	}
 }

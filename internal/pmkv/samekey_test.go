@@ -1,8 +1,8 @@
 // Tests for writes to one key that race inside one commit window, on
-// different cores: the head stores can commit in the other order than the
-// requests were translated in, and every way of asking — a Get through the
-// engine, the lock-free fast path, recovery — must then name the same
-// winner, the write NVRAM holds last.
+// different cores: their entries can persist in either order, and every
+// way of asking — a Get through the engine, the lock-free fast path,
+// recovery — must then name the same winner, the write with the highest
+// record index.
 package pmkv
 
 import (
@@ -41,6 +41,9 @@ type raceCase struct {
 	name   string
 	before []raceOp // applied and made durable first
 	window []raceOp // the racing window
+	// pending is submitted and pumped right before the window, and left to
+	// persist under it.
+	pending []raceOp
 	// mid, if set, runs between the window's SubmitAppend and its PumpRetire.
 	mid func(t *testing.T, e *Engine, sessions []*Session)
 }
@@ -80,6 +83,14 @@ func (c raceCase) run(t *testing.T) (recovered string, agreed bool) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		durable()
+	}
+	if len(c.pending) > 0 {
+		if _, err := e.SubmitAppend(nil, requests(c.pending)); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := e.PumpRetire(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 	}
 	if _, err := e.SubmitAppend(nil, requests(c.window)); err != nil {
 		t.Fatalf("%s: %v", c.name, err)
@@ -133,15 +144,11 @@ func (c raceCase) lastTranslated() string {
 
 // TestSameKeyRaceOneAnswer: four sessions on four cores Put one key in one
 // window, 40 times over with the value sizes and the translate order
-// varied, and the key is served as it is recovered every time. The trials
-// only mean something while some of them commit in another order than they
-// were translated in, so that is asserted too (it is 32 of the 40, and each
-// core wins at least seven; the engine that served a key from the write it
-// translated last got exactly those 32 wrong). Then
-// the two shapes in which the loser and the winner differ in kind: a Delete
-// translated after a Put that commits after it — the stale answer tells a
-// client an acked Put is gone, and recovery brings it back — and a Put
-// translated after a Delete that commits after it.
+// varied, and the key is served as it is recovered every time: as the
+// write translated last, whichever entry persisted first. Then the two
+// shapes in which the loser and the winner differ in kind: a Delete
+// translated after a Put whose longer entry persists after it, and a Put
+// translated after a Delete queued behind its core's long Put.
 func TestSameKeyRaceOneAnswer(t *testing.T) {
 	inverted, disagreed := 0, 0
 	winners := make(map[string]int) // by the winning session's letter
@@ -150,8 +157,8 @@ func TestSameKeyRaceOneAnswer(t *testing.T) {
 		for j := 0; j < 4; j++ {
 			sess := (trial + j) % 4
 			if (trial/4+j)%3 == 0 {
-				// Held up behind a Put of its own, so the last core to commit
-				// is not always the same one.
+				// Held up behind a Put of its own, so the last core to
+				// persist is not always the same one.
 				c.window = append(c.window, raceOp{sess: sess, op: Put, key: fmt.Sprintf("own%d", sess), n: 1 + (trial*31+j*71)%250})
 			}
 			c.window = append(c.window, raceOp{sess: sess, op: Put, key: "k", n: 1 + (trial*53+j*97)%250})
@@ -165,61 +172,52 @@ func TestSameKeyRaceOneAnswer(t *testing.T) {
 			disagreed++
 		}
 	}
-	t.Logf("%d of 40 four-way races committed in another order than they were translated in; %d were served differently from what they recovered as; winners %v", inverted, disagreed, winners)
-	if inverted < 8 {
-		t.Fatalf("only %d of 40 races committed out of translate order: the trials no longer race", inverted)
+	t.Logf("%d of 40 four-way races recovered another write than the one translated last; %d were served differently from what they recovered as; winners %v", inverted, disagreed, winners)
+	if inverted != 0 || len(winners) != 4 {
+		t.Fatalf("%d of 40 races settled against record order, winners %v: want none, and every session winning some", inverted, winners)
 	}
 
 	seed := []raceOp{{sess: 0, op: Put, key: "k", n: 3}}
-	for _, row := range []struct {
-		raceCase
-		want string
-	}{
-		// The Delete has no entry to store, so its head store commits first.
-		{raceCase{name: "put then delete", before: seed, window: []raceOp{
+	for _, row := range []raceCase{
+		{name: "put then delete", before: seed, window: []raceOp{
 			{sess: 0, op: Put, key: "k", n: 200},
 			{sess: 1, op: Delete, key: "k"},
-		}}, answer(bytes.Repeat([]byte{'a'}, 200), true)},
-		// The Delete queues behind its core's long Put, the Put is short.
-		{raceCase{name: "delete then put", before: seed, window: []raceOp{
+		}},
+		{name: "delete then put", before: seed, window: []raceOp{
 			{sess: 0, op: Put, key: "other", n: 250},
 			{sess: 0, op: Delete, key: "k"},
 			{sess: 1, op: Put, key: "k", n: 8},
-		}}, "<absent>"},
+		}},
 	} {
-		if got, _ := row.run(t); got != row.want || got == row.lastTranslated() {
-			t.Errorf("%s: k recovered as %.12q: the row is meant to commit against translate order and leave %.12q",
-				row.name, got, row.want)
+		if got, _ := row.run(t); got != row.lastTranslated() {
+			t.Errorf("%s: k recovered as %.12q, want the write translated last, %.12q", row.name, got, row.lastTranslated())
 		}
 	}
 }
 
-// TestSameKeyRaceFoldedMidWindow: the watermark may pass a racer while the
-// window is still open, when a caller steps durability between SubmitAppend
-// and PumpRetire. A publish can persist — and fold — before the pump once a
-// later write on its core has closed its epoch, and the cursor stops at the
-// first record whose core wrote nothing after it. So the window is settled
-// with writers in the checkpoint, whose version for the key is the bar,
-// and writers in the tail: one folded and committing last; one folded and
-// beaten by the unfolded one (held up behind a Put of its own core); and
-// both folded, where session 0's own later read must be served from the
-// checkpoint — its own write lost there, and its lines are free again.
+// TestSameKeyRaceFoldedMidWindow: the watermark may pass a writer while a
+// later window is still open, when a caller steps durability between
+// SubmitAppend and PumpRetire: the worker's pipeline persists a window
+// under the next. The open window is settled with writers in the
+// checkpoint and in the tail: one folded and superseded by the open
+// window's unfolded one; and two folded, where session 0's own later read
+// must be served from the checkpoint — its own write superseded there, and
+// its lines free again.
 func TestSameKeyRaceFoldedMidWindow(t *testing.T) {
 	a, b := raceOp{sess: 0, op: Put, key: "k", n: 1}, raceOp{sess: 1, op: Put, key: "k", n: 1}
 	after := func(sess int) raceOp { return raceOp{sess: sess, op: Put, key: fmt.Sprintf("after%d", sess), n: 64} }
-	hold := raceOp{sess: 1, op: Put, key: "hold", n: 250}
 	for _, row := range []struct {
 		name    string
+		pending []raceOp
 		window  []raceOp
 		folded  int    // records the cursor passes with the window open
 		ownRead string // what session 0 then reads
 		winner  string
 	}{
-		{"the folded writer committed last", []raceOp{a, after(0), b}, 1, "a", "a"},
-		{"the unfolded writer committed last", []raceOp{a, after(0), hold, b}, 1, "a", "b"},
-		{"both folded", []raceOp{a, hold, b, after(0), after(1)}, 3, "b", "b"},
+		{"the open window's writer is last", []raceOp{a}, []raceOp{b}, 1, "a", "b"},
+		{"both folded", []raceOp{a, b}, []raceOp{after(0), after(1)}, 2, "b", "b"},
 	} {
-		c := raceCase{name: row.name, window: row.window}
+		c := raceCase{name: row.name, pending: row.pending, window: row.window}
 		c.mid = func(t *testing.T, e *Engine, sessions []*Session) {
 			for i := 0; i < 100; i++ {
 				if d, _, _ := e.DurableWatermark(); d >= row.folded {
@@ -249,7 +247,8 @@ func TestSameKeyRaceFoldedMidWindow(t *testing.T) {
 // TestSameKeyRaceSettledAtClose: a window that was fed and never pumped is
 // retired by Close's drain and settled there, so the state a clean Close
 // leaves is still the one recovery rebuilds (Verify's check 6 compares
-// them), and the one writer the race left standing is the last committed.
+// them), and the one writer the race left standing is the last
+// translated, though its entry is the shortest.
 func TestSameKeyRaceSettledAtClose(t *testing.T) {
 	e, err := New(Config{Check: true})
 	if err != nil {
@@ -274,11 +273,8 @@ func TestSameKeyRaceSettledAtClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	served := e.Volatile()
-	if len(served) != 1 || string(served["k"]) != string(state["k"]) || len(state["k"]) == 0 {
-		t.Fatalf("a clean Close serves %.12q, recovery holds %.12q", served["k"], state["k"])
-	}
-	if string(state["k"]) == string(window[3].Value) {
-		t.Fatal("the last writer translated also committed last: the window no longer races")
+	if len(served) != 1 || string(served["k"]) != string(state["k"]) || string(state["k"]) != string(window[3].Value) {
+		t.Fatalf("a clean Close serves %.12q, recovery holds %.12q, want the last writer translated", served["k"], state["k"])
 	}
 }
 

@@ -112,11 +112,12 @@ func TestStatsMatchEventOracle(t *testing.T) {
 		t.Fatal("clean run crashed")
 	}
 	// This script's sweeps exercise IDT only while its cores still meet on
-	// shared lines at the default table size: a roomier table must not
-	// leave inter-thread conflicts, dependence edges or splits at zero.
-	if st := clean.Stats; st.Conflicts.Inter == 0 || st.Epochs.Deps == 0 || st.Epochs.Splits == 0 {
-		t.Errorf("clean run at %d buckets: %d inter conflicts, %d IDT deps, %d splits; want all above 0",
-			DefaultBuckets, st.Conflicts.Inter, st.Epochs.Deps, st.Epochs.Splits)
+	// shared lines: a read loading another core's unpersisted entry must
+	// leave inter-thread conflicts and dependence edges above zero. (No
+	// core stores to a line another core's unpersisted epoch holds, so
+	// pmkv splits no epoch; the machine's own tests cover splits.)
+	if st := clean.Stats; st.Conflicts.Inter == 0 || st.Epochs.Deps == 0 {
+		t.Errorf("clean run: %d inter conflicts, %d IDT deps; want both above 0", st.Conflicts.Inter, st.Epochs.Deps)
 	}
 	crashed := 0
 	for _, at := range SweepInstants(clean.Stats.Cycle, 50) {

@@ -80,50 +80,3 @@ func TestChecksOnEmptyGraph(t *testing.T) {
 		t.Fatalf("empty per-core histories rejected: %v", err)
 	}
 }
-
-func TestAddEdgeStrengthensGraph(t *testing.T) {
-	a := epoch.ID{Core: 0, Num: 0}
-	b := epoch.ID{Core: 1, Num: 0}
-	h := [][]*epoch.Summary{
-		{summary(0, 0, false, map[mem.Line]mem.Version{1: 10})},
-		{summary(1, 0, false, map[mem.Line]mem.Version{2: 20})},
-	}
-	// Image where b's write is durable but a's is not: fine without the
-	// edge, a violation once the application declares a happened-before b.
-	img := map[mem.Line]mem.Version{2: 20}
-	g := NewGraph(h)
-	if err := CheckOrdering(g, img); err != nil {
-		t.Fatalf("independent epochs rejected: %v", err)
-	}
-	g.AddEdge(b, a)
-	if preds := g.Predecessors(b); len(preds) != 1 || preds[0] != a {
-		t.Fatalf("predecessors after AddEdge = %v", preds)
-	}
-	if err := CheckOrdering(g, img); err == nil {
-		t.Fatal("application-order violation not detected after AddEdge")
-	}
-}
-
-func TestAddEdgeIgnoresBogusInput(t *testing.T) {
-	a := epoch.ID{Core: 0, Num: 0}
-	h := [][]*epoch.Summary{{summary(0, 0, true, map[mem.Line]mem.Version{1: 10})}}
-	g := NewGraph(h)
-	g.AddEdge(a, a)                         // self edge
-	g.AddEdge(a, epoch.ID{Core: 9, Num: 9}) // unknown earlier
-	g.AddEdge(epoch.ID{Core: 9, Num: 9}, a) // unknown later
-	if preds := g.Predecessors(a); len(preds) != 0 {
-		t.Fatalf("bogus edges stuck: %v", preds)
-	}
-	// Duplicate edges collapse.
-	b := epoch.ID{Core: 0, Num: 1}
-	h2 := [][]*epoch.Summary{{
-		summary(0, 0, true, map[mem.Line]mem.Version{1: 10}),
-		summary(0, 1, true, map[mem.Line]mem.Version{2: 20}),
-	}}
-	g2 := NewGraph(h2)
-	g2.AddEdge(b, a)
-	g2.AddEdge(b, a)
-	if preds := g2.Predecessors(b); len(preds) != 1 {
-		t.Fatalf("duplicate AddEdge grew preds: %v", preds)
-	}
-}

@@ -61,26 +61,6 @@ func NewGraph(histories [][]*epoch.Summary) *Graph {
 	return g
 }
 
-// AddEdge records an externally known happens-before edge: earlier must
-// persist before later. Application layers (e.g. a KV store that knows
-// its publish order per bucket) use this to strengthen the graph with
-// dependences the hardware histories may have resolved without a
-// register. Edges naming unknown epochs are ignored.
-func (g *Graph) AddEdge(later, earlier epoch.ID) {
-	if later == earlier {
-		return
-	}
-	if g.epochs[later] == nil || g.epochs[earlier] == nil {
-		return
-	}
-	for _, p := range g.preds[later] {
-		if p == earlier {
-			return
-		}
-	}
-	g.preds[later] = append(g.preds[later], earlier)
-}
-
 // Epochs returns every known epoch in deterministic order.
 func (g *Graph) Epochs() []epoch.ID { return g.order }
 

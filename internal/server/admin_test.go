@@ -130,12 +130,13 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 	if sums["pmkv_epochs_trimmed_total"] == 0 {
 		t.Error("pmkv_epochs_trimmed_total = 0 after 200 durable writes")
 	}
-	// 180 of the writes are one-line Puts: each got its line off the bump
-	// pointer or the free list, and 40 keys cannot need 180 lines.
+	// Every write is a one-line entry (180 short Puts, 20 tombstones): each
+	// got its line off the bump pointer or the free list, and 40 keys
+	// cannot need 200 lines.
 	bumped, recycled := sums["pmkv_entry_lines_bumped_total"], sums["pmkv_entry_lines_recycled_total"]
-	if bumped+recycled != writes*9/10 || recycled == 0 || sums["pmkv_machine_lines_tracked"] < bumped {
-		t.Errorf("entry lines: %v bumped + %v recycled for %d Puts, %v free, machine tracks %v",
-			bumped, recycled, writes*9/10, sums["pmkv_entry_lines_free"], sums["pmkv_machine_lines_tracked"])
+	if bumped+recycled != writes || recycled == 0 || sums["pmkv_machine_lines_tracked"] < bumped {
+		t.Errorf("entry lines: %v bumped + %v recycled for %d writes, %v free, machine tracks %v",
+			bumped, recycled, writes, sums["pmkv_entry_lines_free"], sums["pmkv_machine_lines_tracked"])
 	}
 	if sums["go_memstats_heap_inuse_bytes"] == 0 {
 		t.Error("go_memstats_heap_inuse_bytes = 0")
@@ -236,11 +237,16 @@ func TestStatsReplyFieldsStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(1, []byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
+	// Three acked Puts in turn: an ack needs the entry's line durable, not
+	// its epoch's persist handshake, so one alone can leave persist_latency
+	// (omitted while empty) without a sample.
+	for id := uint64(1); id <= 3; id++ {
+		if err := c.Put(id, []byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c.Close()
 	var body bytes.Buffer

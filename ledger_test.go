@@ -142,8 +142,8 @@ func engineRow(name string, script pmkv.Script, crashAt sim.Cycle) (ledgerRow, e
 		name: name,
 		ops:  ops,
 		c:    r.Stats.Counters,
-		extra: fmt.Sprintf(" crashed=%v closed_at=%d retained=%d folded=%d graph_epochs=%d publish_edges=%d durable=%d publishes=%d keys=%d fp=%s",
-			r.Crashed, r.Cycles, r.Stats.Retained, r.Stats.Folded, rep.Epochs, rep.PublishEdges,
+		extra: fmt.Sprintf(" crashed=%v closed_at=%d retained=%d folded=%d graph_epochs=%d durable=%d publishes=%d keys=%d fp=%s",
+			r.Crashed, r.Cycles, r.Stats.Retained, r.Stats.Folded, rep.Epochs,
 			rep.DurablePublishes, rep.TotalPublishes, rep.RecoveredKeys, rep.Fingerprint),
 	}, nil
 }

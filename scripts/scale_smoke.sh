@@ -172,7 +172,7 @@ echo "scale_smoke: soak scrape: entry lines bumped $bumped, recycled $recycled; 
 }
 # The persistent heap is the live keys, not the writes served: by now the
 # Puts are fed by the free list, and the machines keep per-line state for
-# the 4 096 keys' entries, the in-flight window and the bucket heads.
+# the 4 096 keys' entries, the in-flight window and the index lines.
 [ "$bumped" -gt 0 ] && [ "$recycled" -ge $((5 * bumped)) ] || {
     echo "scale_smoke: soak: $recycled entry lines recycled has not passed 5 x $bumped bumped" >&2
     exit 1
