@@ -239,10 +239,11 @@ type Engine struct {
 	batch   map[windowKey]*OpRecord
 	settled int
 
-	// opBuf is the shared translation buffer: Feed copies the ops it is
-	// handed, so one builder (reset per request) serves every translate
-	// without allocating.
-	opBuf trace.Builder
+	// window[core] is the core's share of the open commit window, held
+	// until the pump feeds it: translate appends each request's ops in
+	// request order, and Feed copies them, so the builders are reused
+	// window after window without allocating.
+	window []trace.Builder
 
 	// Arenas for the per-mutation state (value bytes, audit records) a
 	// write needs until it is durable. Chunked bump allocation amortizes
@@ -336,6 +337,7 @@ func New(cfg Config) (*Engine, error) {
 		m:         m,
 		live:      make(map[string]*OpRecord),
 		batch:     make(map[windowKey]*OpRecord),
+		window:    make([]trace.Builder, cfg.Machine.Cores),
 		wrote:     make([]bool, cfg.Machine.Cores),
 		cp:        newCheckpoint(),
 		keep:      make([]mem.Version, cfg.Machine.Cores),
@@ -462,27 +464,32 @@ type windowKey struct {
 	sess int
 }
 
-// translate turns one request into a per-core op stream and records a
-// mutation in the audit trail and the open window — nowhere else: the
-// settled view moves only when a window is settled or a record folds. The
-// ops live in the engine's shared builder, valid only until the next
-// translate: the caller hands them to Feed (which copies) first.
-func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
+// translate turns one request into ops appended to its core's share of
+// the open window, and records a mutation in the audit trail and the open
+// window — nowhere else: the settled view moves only when a window is
+// settled or a record folds.
+func (e *Engine) translate(req Request) (Response, error) {
 	if req.Sess == nil {
-		return Response{}, nil, fmt.Errorf("pmkv: request without session")
+		return Response{}, fmt.Errorf("pmkv: request without session")
 	}
 	core := req.Sess.Core
-	if core < 0 || core >= len(e.wrote) {
-		return Response{}, nil, fmt.Errorf("pmkv: session %d bound to core %d of %d", req.Sess.ID, core, len(e.wrote))
+	if core < 0 || core >= len(e.window) {
+		return Response{}, fmt.Errorf("pmkv: session %d bound to core %d of %d", req.Sess.ID, core, len(e.window))
+	}
+	if req.Op > Delete {
+		return Response{}, fmt.Errorf("pmkv: unknown op %v", req.Op)
 	}
 	seq := req.Sess.seq
 	req.Sess.seq++
 
 	// Every request probes the volatile index first.
-	b := e.opBuf.Reset().Load(e.indexLine(e.bucketOf(req.Key)).Addr())
+	b := e.window[core].Load(e.indexLine(e.bucketOf(req.Key)).Addr())
 	var resp Response
-	switch req.Op {
-	case Get, Delete:
+	if req.Op == Put {
+		resp.Value = e.arenaBytes(len(req.Value))
+		copy(resp.Value, req.Value)
+		resp.Found = true
+	} else {
 		// A read loads what it reads, the entry that answers it: a Get for
 		// its value, a Delete for its Found. That load is what orders the
 		// reader's later persists after the writer's.
@@ -494,14 +501,9 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 		resp.Found = found
 		if req.Op == Get {
 			resp.Value = val
-			return resp, b.TxEnd().Ops(), nil
+			b.TxEnd()
+			return resp, nil
 		}
-	case Put:
-		resp.Value = e.arenaBytes(len(req.Value))
-		copy(resp.Value, req.Value)
-		resp.Found = true
-	default:
-		return Response{}, nil, fmt.Errorf("pmkv: unknown op %v", req.Op)
 	}
 	val := resp.Value
 	rec := e.arenaRecord()
@@ -521,7 +523,7 @@ func (e *Engine) translate(req Request) (Response, []trace.Op, error) {
 	e.batch[windowKey{req.Key, req.Sess.ID}] = rec
 	e.tail = append(e.tail, rec)
 	e.dl.ObserveWrite(req.Sess.ID, rec.Idx, req.Key)
-	return resp, b.Ops(), nil
+	return resp, nil
 }
 
 // crashLimit is the pump limit: the crash instant, or forever.
@@ -532,14 +534,14 @@ func (e *Engine) crashLimit() sim.Cycle {
 	return e.cfg.CrashAt
 }
 
-// SubmitAppend translates a batch and feeds it to the cores without
-// advancing the machine — the front half of a group commit; PumpRetire
-// then advances the clock, and the batch's epochs go on persisting under
-// whatever is submitted next. Every request's ops are fed to its
-// session's core before the machine advances, so the requests of one
-// batch run concurrently in simulated time. Each core's entries are left
-// in its open epoch until PumpRetire's barrier closes it, so a following
-// SubmitAppend's writes on that core join the same epoch. Responses
+// SubmitAppend translates a batch into the open commit window without
+// feeding the machine anything — the front half of a group commit;
+// PumpRetire then feeds each core its share of the window and advances
+// the clock, and the window's epochs go on persisting under whatever is
+// submitted next. Every request's response is computed here, in request
+// order, and its ops wait in its session's core's share of the window, so
+// the requests of one window run concurrently in simulated time and a
+// following SubmitAppend before the pump joins the same window. Responses
 // reflect the volatile state immediately (it survives even if the machine
 // crashes mid-batch — durability is judged later) and are appended to
 // dst, so a committer reuses one response buffer per in-flight batch
@@ -561,14 +563,11 @@ func (e *Engine) submitLocked(dst []Response, batch []Request) ([]Response, erro
 	// the open window (see Response), which spans every batch fed since the
 	// last completed pump.
 	for _, req := range batch {
-		resp, ops, err := e.translate(req)
+		resp, err := e.translate(req)
 		if err != nil {
 			return nil, err
 		}
 		dst = append(dst, resp)
-		if err := e.m.Feed(req.Sess.Core, ops); err != nil {
-			return nil, err
-		}
 	}
 	return dst, nil
 }
@@ -612,15 +611,9 @@ func (e *Engine) pumpRetireLocked() error {
 	// The window's barriers: each core that wrote gets one, so "everything
 	// fed has retired" includes "every fed entry is in a closed epoch" and
 	// the background machinery can persist it. Done here rather than per
-	// SubmitAppend so the batches a caller feeds before one pump share it.
-	for core, wrote := range e.wrote {
-		if !wrote {
-			continue
-		}
-		if err := e.m.Feed(core, e.opBuf.Reset().Barrier().Ops()); err != nil {
-			return err
-		}
-		e.wrote[core] = false
+	// SubmitAppend so the batches a caller submits before one pump share it.
+	if err := e.feedWindowLocked(true); err != nil {
+		return err
 	}
 	limit := e.crashLimit()
 	if !e.m.PumpUntilIdle(limit) {
@@ -633,6 +626,26 @@ func (e *Engine) pumpRetireLocked() error {
 	// Every fed op retired: the commit window is over, its writes are
 	// pre-window state for whatever is submitted next.
 	e.settleLocked()
+	return nil
+}
+
+// feedWindowLocked feeds each core its share of the open window and, if
+// barrier is set, the window barrier of each core that wrote in it.
+func (e *Engine) feedWindowLocked(barrier bool) error {
+	for core := range e.window {
+		w := &e.window[core]
+		if barrier && e.wrote[core] {
+			w.Barrier()
+			e.wrote[core] = false
+		}
+		if len(w.Ops()) == 0 {
+			continue
+		}
+		if err := e.m.Feed(core, w.Ops()); err != nil {
+			return err
+		}
+		w.Reset()
+	}
 	return nil
 }
 
@@ -1083,11 +1096,12 @@ func (e *Engine) Volatile() map[string][]byte {
 	return out
 }
 
-// Close ends the run and returns the machine result. On a clean close the
-// feed drains (all epochs persist — the machine's end-of-run drain closes
-// each core's open epoch, so writes submitted but never pumped need no
-// barrier here, and they are settled like any window's); after a crash the
-// result is a snapshot of the NVRAM image at the crash instant.
+// Close ends the run and returns the machine result. On a clean close a
+// window submitted but never pumped is fed, then the feed drains (all
+// epochs persist — the machine's end-of-run drain closes each core's open
+// epoch, so that window needs no barrier here, and it is settled like any
+// window); after a crash the result is a snapshot of the NVRAM image at
+// the crash instant.
 func (e *Engine) Close() (*machine.Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1097,6 +1111,9 @@ func (e *Engine) Close() (*machine.Result, error) {
 	e.closed = true
 	if e.crashed {
 		return e.m.Snapshot(), nil
+	}
+	if err := e.feedWindowLocked(false); err != nil {
+		return nil, err
 	}
 	res, err := e.m.Run()
 	e.settleLocked()
