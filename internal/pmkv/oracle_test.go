@@ -388,9 +388,13 @@ func TestOracleCatchesPlants(t *testing.T) {
 // the line be reused while the key's older entry still sits whole on the
 // free list; once the reuse persists, recovery's scan finds the older entry
 // and the deleted key comes back. Over every image of fpdump's first two
-// scripts (item 13(a)'s sweep) Verify's check 5, dlcheck and the oracle
-// must each reject it somewhere; the honest engine passed the same images
-// in TestCrashAtEveryImage.
+// scripts (item 13(a)'s sweep) Verify's check 5 and dlcheck must each
+// reject it somewhere; the honest engine passed the same images in
+// TestCrashAtEveryImage. On those two scripts no client sees the
+// resurrection: no key comes back whose last write was an acked Delete,
+// so the oracle rightly passes them all. fpdump-long's sweep, where keys
+// are deleted and freed over hundreds of rounds, is where it shows, and
+// where the oracle must reject it too.
 func TestPlantedResurrection(t *testing.T) {
 	var images []image
 	for _, s := range fpdumpSpecs[:2] {
@@ -399,24 +403,39 @@ func TestPlantedResurrection(t *testing.T) {
 			images = append(images, image{spec: s.spec, bug: plantResurrect, at: at})
 		}
 	}
+	short := len(images)
+	long := fpdumpSpecs[2]
+	clean, err := runSingle(Config{}, long.spec)
+	if err != nil {
+		t.Fatalf("%s clean: %v", long.name, err)
+	}
+	images = append(images, image{spec: long.spec, bug: plantResurrect})
+	for _, at := range SweepInstants(clean.Stats.Cycle, long.instants) {
+		images = append(images, image{spec: long.spec, bug: plantResurrect, at: at})
+	}
 	judgeImages(images)
-	var verify, dl, oracle int
-	for _, im := range images {
+	var verify, dl, oracle [2]int
+	for i, im := range images {
+		g := 0
+		if i >= short {
+			g = 1
+		}
 		if im.err != nil && !strings.Contains(im.err.Error(), "durable linearizability") {
 			if !strings.Contains(im.err.Error(), "was overwritten while the entry was live") {
 				t.Fatalf("crash at %d: caught by an unexpected check: %v", im.at, im.err)
 			}
-			verify++
+			verify[g]++
 		}
 		if im.dlBad {
-			dl++
+			dl[g]++
 		}
 		if im.oerr != nil {
-			oracle++
+			oracle[g]++
 		}
 	}
-	t.Logf("resurrection plant over %d images: Verify rejects %d, dlcheck %d, the oracle %d", len(images), verify, dl, oracle)
-	if verify == 0 || dl == 0 || oracle == 0 {
-		t.Fatalf("resurrection plant over %d images: Verify rejects %d, dlcheck %d, the oracle %d; want each above 0", len(images), verify, dl, oracle)
+	t.Logf("resurrection plant over %d images of fpdump and fpdump-merged: Verify rejects %d, dlcheck %d, the oracle %d", short, verify[0], dl[0], oracle[0])
+	t.Logf("resurrection plant over %d images of fpdump-long: Verify rejects %d, dlcheck %d, the oracle %d", len(images)-short, verify[1], dl[1], oracle[1])
+	if verify[0] == 0 || dl[0] == 0 || oracle[0]+oracle[1] == 0 {
+		t.Fatalf("resurrection plant: Verify rejects %d and dlcheck %d of %d short-script images, the oracle %d of %d; want each above 0", verify[0], dl[0], short, oracle[0]+oracle[1], len(images))
 	}
 }

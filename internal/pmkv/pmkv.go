@@ -240,10 +240,8 @@ type Engine struct {
 	settled int
 
 	// window[core] is the core's share of the open commit window, held
-	// until the pump feeds it: translate appends each request's ops in
-	// request order, and Feed copies them, so the builders are reused
-	// window after window without allocating.
-	window []trace.Builder
+	// until the pump feeds it (see coreWindow).
+	window []coreWindow
 
 	// Arenas for the per-mutation state (value bytes, audit records) a
 	// write needs until it is durable. Chunked bump allocation amortizes
@@ -256,10 +254,6 @@ type Engine struct {
 	// dl observes ops for durable-linearizability checking; nil unless
 	// cfg.Check (nil-receiver methods make disabled hooks free).
 	dl *dlcheck.Tracker
-
-	// wrote[core] records that the core stored an entry since its last
-	// barrier: pumpRetireLocked gives it the window's one barrier.
-	wrote []bool
 
 	nextToken uint64
 	sessions  int
@@ -337,8 +331,7 @@ func New(cfg Config) (*Engine, error) {
 		m:         m,
 		live:      make(map[string]*OpRecord),
 		batch:     make(map[windowKey]*OpRecord),
-		window:    make([]trace.Builder, cfg.Machine.Cores),
-		wrote:     make([]bool, cfg.Machine.Cores),
+		window:    make([]coreWindow, cfg.Machine.Cores),
 		cp:        newCheckpoint(),
 		keep:      make([]mem.Version, cfg.Machine.Cores),
 		nextEntry: entryBase,
@@ -458,6 +451,18 @@ func (e *Engine) freeEntry(en *cpEntry) {
 	e.free[c] = append(e.free[c], en)
 }
 
+// coreWindow is one core's share of the open commit window, in two
+// builders the pump feeds in turn: stores, every entry store (Put values
+// and Delete tombstones) in request order, then reads, every index probe,
+// entry load and TxEnd in request order. A window's ops are concurrent in
+// simulated time, so only their order inside the window moves: the
+// posted stores' misses overlap the blocking loads that follow instead of
+// being waited for by the window barrier. Feed copies, so the builders
+// are reused window after window without allocating.
+type coreWindow struct {
+	stores, reads trace.Builder
+}
+
 // windowKey names one session's writes of one key in the open window.
 type windowKey struct {
 	key  string
@@ -483,7 +488,8 @@ func (e *Engine) translate(req Request) (Response, error) {
 	req.Sess.seq++
 
 	// Every request probes the volatile index first.
-	b := e.window[core].Load(e.indexLine(e.bucketOf(req.Key)).Addr())
+	w := &e.window[core]
+	w.reads.Load(e.indexLine(e.bucketOf(req.Key)).Addr())
 	var resp Response
 	if req.Op == Put {
 		resp.Value = e.arenaBytes(len(req.Value))
@@ -495,13 +501,13 @@ func (e *Engine) translate(req Request) (Response, error) {
 		// reader's later persists after the writer's.
 		val, found, obsRec, span := e.observedRead(req.Sess.ID, req.Key)
 		for i := 0; i < span.n; i++ {
-			b.Load((span.first + mem.Line(i)).Addr())
+			w.reads.Load((span.first + mem.Line(i)).Addr())
 		}
 		e.dl.ObserveRead(req.Sess.ID, req.Key, obsRec)
 		resp.Found = found
 		if req.Op == Get {
 			resp.Value = val
-			b.TxEnd()
+			w.reads.TxEnd()
 			return resp, nil
 		}
 	}
@@ -516,10 +522,9 @@ func (e *Engine) translate(req Request) (Response, error) {
 	rec.EntryLine, rec.Entries = span.first, span.n
 	for i := 0; i < span.n; i++ {
 		e.nextToken++
-		b.StoreTagged((span.first + mem.Line(i)).Addr(), e.nextToken)
+		w.stores.StoreTagged((span.first + mem.Line(i)).Addr(), e.nextToken)
 	}
-	b.TxEnd()
-	e.wrote[core] = true
+	w.reads.TxEnd()
 	e.batch[windowKey{req.Key, req.Sess.ID}] = rec
 	e.tail = append(e.tail, rec)
 	e.dl.ObserveWrite(req.Sess.ID, rec.Idx, req.Key)
@@ -629,22 +634,24 @@ func (e *Engine) pumpRetireLocked() error {
 	return nil
 }
 
-// feedWindowLocked feeds each core its share of the open window and, if
-// barrier is set, the window barrier of each core that wrote in it.
+// feedWindowLocked feeds each core its share of the open window — its
+// stores, then its reads (see coreWindow) — and, if barrier is set, a core
+// that wrote in the window the window barrier after them.
 func (e *Engine) feedWindowLocked(barrier bool) error {
 	for core := range e.window {
 		w := &e.window[core]
-		if barrier && e.wrote[core] {
-			w.Barrier()
-			e.wrote[core] = false
+		if barrier && len(w.stores.Ops()) > 0 {
+			w.reads.Barrier()
 		}
-		if len(w.Ops()) == 0 {
-			continue
+		for _, b := range [...]*trace.Builder{&w.stores, &w.reads} {
+			if len(b.Ops()) == 0 {
+				continue
+			}
+			if err := e.m.Feed(core, b.Ops()); err != nil {
+				return err
+			}
+			b.Reset()
 		}
-		if err := e.m.Feed(core, w.Ops()); err != nil {
-			return err
-		}
-		w.Reset()
 	}
 	return nil
 }
