@@ -14,9 +14,11 @@ import (
 )
 
 // observedRead is the one answer to "what does key hold for session sess":
-// the session's own write in the open commit window (unless the watermark
-// has already folded it), else the key's settled state — the overlay's
-// record, which is the newest retired write, else the checkpoint's entry.
+// the session's own write in the open commit window, else the key's settled
+// state — the overlay's record, which is the newest retired write, else the
+// checkpoint's entry. A window's writes cannot fold before its pump feeds
+// them; only after a pump that returned a deadlock (see settleLocked) can
+// the watermark have folded one, and the checkpoint answers for it then.
 // It returns the value, whether the key is present, the mutation record
 // that wrote it (-1: never written; the tracker's happens-before edge) and
 // its entry lines, which are what a Get loads. Caller holds e.mu.

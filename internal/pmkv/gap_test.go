@@ -210,3 +210,45 @@ func TestGapAllocs(t *testing.T) {
 		t.Fatal("no measured Gap ended early: the stop test never fired")
 	}
 }
+
+// TestSubmitFeedsNothingUntilPump: SubmitAppend only translates; a
+// window's ops reach the machine when PumpRetire feeds them, so a Gap
+// between the two runs no transaction and persists no line, and the pump
+// then runs the whole window.
+func TestSubmitFeedsNothingUntilPump(t *testing.T) {
+	r := newGapRig(t, Config{})
+	r.commit(t) // a first window, so the Gap has something to persist
+	if _, err := r.e.WaitDurable(r.e.RecordCount()); err != nil {
+		t.Fatal(err)
+	}
+	batch := []Request{
+		{Sess: r.sess[0], Op: Put, Key: "a", Value: make([]byte, 100)},
+		{Sess: r.sess[1], Op: Delete, Key: "g00"},
+		{Sess: r.sess[2], Op: Get, Key: "g07"},
+		{Sess: r.sess[3], Op: Put, Key: "b", Value: make([]byte, 8)},
+	}
+	before := r.e.Stats()
+	if _, err := r.e.SubmitAppend(nil, batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.e.gap(r.e.RecordCount()); err != nil {
+		t.Fatal(err)
+	}
+	held := r.e.Stats()
+	if held.Cycle != before.Cycle+gapCycles {
+		t.Fatalf("the Gap ran from cycle %d to %d, want the full %d cycles", before.Cycle, held.Cycle, gapCycles)
+	}
+	if held.Transactions != before.Transactions || held.PersistedLines != before.PersistedLines {
+		t.Fatalf("a submitted, unpumped window ran: transactions %d -> %d, persisted lines %d -> %d",
+			before.Transactions, held.Transactions, before.PersistedLines, held.PersistedLines)
+	}
+	if err := r.e.PumpRetire(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.e.Stats().Transactions, before.Transactions+uint64(len(batch)); got != want {
+		t.Fatalf("after the pump %d transactions, want %d", got, want)
+	}
+	if d, err := r.e.WaitDurable(r.e.RecordCount()); err != nil || d != r.e.RecordCount() {
+		t.Fatalf("watermark %d of %d after the pump (%v)", d, r.e.RecordCount(), err)
+	}
+}

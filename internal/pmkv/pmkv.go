@@ -1,7 +1,11 @@
 // Package pmkv is a durable key-value engine built on the epoch-persistency
 // runtime. Every Put/Delete is translated online into stores to one entry —
-// the key's new value, or a one-line tombstone — and fed to the simulated
-// multicore's cores with machine.Feed as the requests arrive. Client
+// the key's new value, or a one-line tombstone — as the requests arrive,
+// and each request's response is computed then. The ops wait in the open
+// commit window, one share per core, until the window is pumped: only then
+// are they fed to the simulated multicore's cores with machine.Feed, each
+// core's entry stores first and its index probes and entry loads after
+// them, so the stores' misses overlap the loads (see coreWindow). Client
 // sessions multiplex onto cores.
 //
 // The layout goes beyond the paper's Figure 10. Figure 10 writes the entry,
@@ -101,10 +105,13 @@ func (o Op) String() string {
 // DefaultBuckets is the bucket count a zero Config.Buckets selects, and
 // pmkvd's -buckets default. A bucket is one line of the volatile index,
 // which every request loads and nothing stores to, so the count sets only
-// how many lines the probes spread over: few enough to stay in the L1s,
-// many enough that the probes rarely miss on each other's fills. 512 was
-// sized when buckets were persistent heads (EXPERIMENTS.md, "Sizing the
-// bucket table") and is kept so runs stay comparable.
+// how many lines the probes spread over. 512 index lines fill a 512-line
+// L1 rather than stay in it: on engine-crash's script the probe misses L1
+// 43 % of the time. 512 was sized when buckets were persistent heads
+// (EXPERIMENTS.md, "Sizing the bucket table") and is kept because it gives
+// the index 8 bytes per key at 4 096 keys; packing more heads per line
+// would make the probes cheaper only by modelling an index smaller than
+// its keys need.
 const DefaultBuckets = 512
 
 // MaxBuckets is the largest bucket count whose index lines all lie below
@@ -155,7 +162,9 @@ func (c *Config) fill() {
 }
 
 // gapCycles bounds one Gap step: the simulated think time between request
-// batches in which only the background persist machinery runs.
+// batches in which only the background persist machinery runs. A window
+// submitted but not yet pumped was fed nothing, so it does not run in a
+// Gap either.
 const gapCycles = sim.Cycle(200)
 
 // Session is one client's ordered stream of operations. Sessions map onto
@@ -180,7 +189,7 @@ type Request struct {
 
 // Response answers a Request. A read (a Get, or a Delete's Found) observes
 // the session's own writes in the open commit window — the SubmitAppend
-// batches fed since the last completed PumpRetire — else the key's newest
+// batches since the last completed PumpRetire — else the key's newest
 // retired write: the checkpoint overlaid with the unfolded tail, the
 // highest record index winning, as on the fast path and in recovery. Never
 // another session's same-window write: same-window ops are concurrent in
@@ -565,8 +574,8 @@ func (e *Engine) submitLocked(dst []Response, batch []Request) ([]Response, erro
 		return nil, ErrCrashed
 	}
 	// Reads observe the settled state plus their own session's writes in
-	// the open window (see Response), which spans every batch fed since the
-	// last completed pump.
+	// the open window (see Response), which spans every batch submitted
+	// since the last completed pump.
 	for _, req := range batch {
 		resp, err := e.translate(req)
 		if err != nil {
@@ -579,9 +588,12 @@ func (e *Engine) submitLocked(dst []Response, batch []Request) ([]Response, erro
 
 // settleLocked ends the commit window, every op of which has retired: each
 // key the window wrote is served, until it folds, from the window's writer
-// with the highest record index — the entry recovery keeps. A writer the
-// watermark passed mid-window (durability stepped between SubmitAppend and
-// PumpRetire) is in the checkpoint, and so is every record below it.
+// with the highest record index — the entry recovery keeps. A window is
+// fed only by its pump, so none of its records is durable before it
+// settles, except after a pump that returned a deadlock: that window was
+// fed and never settled, and the watermark may since have passed some of
+// its writers, which are then in the checkpoint with every record below
+// them — hence the max.
 func (e *Engine) settleLocked() {
 	from := max(e.settled, e.durableCursor)
 	for _, r := range e.tail[from-e.durableCursor:] {
@@ -594,12 +606,13 @@ func (e *Engine) settleLocked() {
 	clear(e.batch)
 }
 
-// PumpRetire closes the commit window: it feeds each core that wrote in it
-// one persist barrier, then advances the machine until every fed op has
-// retired (or the crash instant / a deadlock intervenes). Retirement is
-// the ack point of the pipelined commit: visibility is settled and every
-// fed entry sits in a closed epoch, while those epochs keep persisting in
-// the background.
+// PumpRetire closes the commit window: it feeds each core its share of the
+// window — every entry store, then every index probe, entry load and TxEnd,
+// each in request order — and, if the core wrote, one persist barrier,
+// then advances the machine until every fed op has retired (or the crash
+// instant / a deadlock intervenes). Retirement is the ack point of the
+// pipelined commit: visibility is settled and every fed entry sits in a
+// closed epoch, while those epochs keep persisting in the background.
 func (e *Engine) PumpRetire() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -468,8 +468,8 @@ func (w *shardWorker) gather() []shardJob {
 	return batch
 }
 
-// submit is the Submit step: SubmitAppend translates the batch and feeds
-// it, no simulated time passing, and the batch joins pending. A refused
+// submit is the Submit step: SubmitAppend translates the batch into the
+// open window, no simulated time passing, and the batch joins pending. A refused
 // batch (the machine lost power or the engine closed) is finished with
 // the error, after everything in flight got its crashed acks; submit
 // reports whether the batch joined.
@@ -501,9 +501,9 @@ func (w *shardWorker) submit(batch []shardJob) bool {
 	return true
 }
 
-// pump is the Pump step: PumpRetire feeds each core the one barrier its
-// newest publish owes and runs the machine until every op has retired, so
-// every publish in flight sits in a closed epoch.
+// pump is the Pump step: PumpRetire feeds each core its share of the
+// window and the window barrier, and runs the machine until every op has
+// retired, so every publish in flight sits in a closed epoch.
 func (w *shardWorker) pump() {
 	eng := w.sh.eng
 	t0 := eng.Now()
