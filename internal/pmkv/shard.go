@@ -710,6 +710,11 @@ type StepCycles struct {
 	Gap  uint64 `json:"gap"`
 }
 
+// stepCycles reads the shard's Pump and Gap counters.
+func (sh *shard) stepCycles() StepCycles {
+	return StepCycles{sh.cycles.Pump.Load(), sh.cycles.Gap.Load()}
+}
+
 // ReadFallbacks says why GETs left the fast path: the session had an
 // unacked write to the key in flight (the read must see it), the store was
 // draining, or the shard had lost power.
@@ -738,7 +743,7 @@ func (s *ShardedStore) Metrics() []ShardMetrics {
 			FastHits:        sh.fastHits.Load(),
 			FastFallbacks:   falls.Pending + falls.Draining + falls.Crashed,
 			FallbackReasons: falls,
-			SimCycles:       StepCycles{sh.cycles.Pump.Load(), sh.cycles.Gap.Load()},
+			SimCycles:       sh.stepCycles(),
 			Retention:       st.Retention,
 			BatchSizes:      sh.batchHist.Snapshot(),
 			Counters:        st.Counters,
@@ -779,7 +784,11 @@ type ShardResult struct {
 	// Cycles is the shard's clock when it was closed, before the closing
 	// drain (the crash instant where it lost power): the number the drain
 	// report prints.
-	Cycles    sim.Cycle
+	Cycles sim.Cycle
+	// SimCycles splits the shard's simulated time by the worker step that
+	// advanced its machine, as ShardMetrics does; Cycles is their sum when
+	// the worker alone drove the engine.
+	SimCycles StepCycles
 	Report    *Report
 	Recovered map[string][]byte
 	// DL is the durable-linearizability verdict (nil unless the shard
@@ -819,7 +828,7 @@ func (s *ShardedStore) Close() ([]ShardResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[sh.id] = closeShard(sh.id, sh.eng)
+			results[sh.id] = closeShard(sh)
 		}()
 	}
 	wg.Wait()
@@ -833,8 +842,9 @@ func (s *ShardedStore) Close() ([]ShardResult, error) {
 // Stats after it, so after a clean drain Cycles <= Stats.Cycle and after a
 // crash both are the crash instant. Verify's error comes first; the
 // verdict is still taken after a failed Verify, so it can be reported.
-func closeShard(id int, e *Engine) ShardResult {
-	r := ShardResult{Shard: id, Crashed: e.Crashed(), Cycles: e.Now()}
+func closeShard(sh *shard) ShardResult {
+	e := sh.eng
+	r := ShardResult{Shard: sh.id, Crashed: e.Crashed(), Cycles: e.Now(), SimCycles: sh.stepCycles()}
 	res, err := e.Close()
 	r.Stats = e.Stats()
 	if err != nil {

@@ -85,10 +85,10 @@ func (s *ShardedStore) run(steps [][]step, sessions int) ([]ShardResult, error) 
 			defer wg.Done()
 			w := &shardWorker{s: s, sh: sh, scripted: true}
 			if err := w.runSteps(steps[sh.id], sess); err != nil {
-				results[sh.id] = ShardResult{Shard: sh.id, Err: err}
+				results[sh.id] = ShardResult{Shard: sh.id, SimCycles: sh.stepCycles(), Err: err}
 				return
 			}
-			results[sh.id] = closeShard(sh.id, sh.eng)
+			results[sh.id] = closeShard(sh)
 			results[sh.id].history = w.history
 		}()
 	}

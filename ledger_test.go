@@ -127,7 +127,9 @@ func engineCrashScript() pmkv.Script {
 }
 
 // engineRow runs script on one shard through the worker's own driver
-// (pmkv.RunShardedScript), losing power at crashAt when it is nonzero.
+// (pmkv.RunShardedScript), losing power at crashAt when it is nonzero. Its
+// clock before the closing drain, closed_at, is split into the cycles the
+// worker's Pump and Gap steps ran.
 func engineRow(name string, script pmkv.Script, crashAt sim.Cycle) (ledgerRow, error) {
 	res, err := pmkv.RunShardedScript(pmkv.ShardedConfig{Shards: 1, Engine: pmkv.Config{CrashAt: crashAt}}, script)
 	if err != nil {
@@ -142,8 +144,8 @@ func engineRow(name string, script pmkv.Script, crashAt sim.Cycle) (ledgerRow, e
 		name: name,
 		ops:  ops,
 		c:    r.Stats.Counters,
-		extra: fmt.Sprintf(" crashed=%v closed_at=%d retained=%d folded=%d graph_epochs=%d durable=%d publishes=%d keys=%d fp=%s",
-			r.Crashed, r.Cycles, r.Stats.Retained, r.Stats.Folded, rep.Epochs,
+		extra: fmt.Sprintf(" crashed=%v closed_at=%d pump_cycles=%d gap_cycles=%d retained=%d folded=%d graph_epochs=%d durable=%d publishes=%d keys=%d fp=%s",
+			r.Crashed, r.Cycles, r.SimCycles.Pump, r.SimCycles.Gap, r.Stats.Retained, r.Stats.Folded, rep.Epochs,
 			rep.DurablePublishes, rep.TotalPublishes, rep.RecoveredKeys, rep.Fingerprint),
 	}, nil
 }
