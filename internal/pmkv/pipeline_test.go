@@ -561,7 +561,7 @@ func TestGroupCommitAmortizesBarriers(t *testing.T) {
 	}
 	var epochs []int
 	for _, sessions := range []int{4, 16, 64} {
-		spec := ScriptSpec{Sessions: sessions, Rounds: 256 / sessions, KeySpace: 24, ValueBytes: 192, Seed: 7}
+		spec := amortizeSpec(sessions)
 		clean, err := runSingle(Config{Check: true}, spec)
 		if err != nil {
 			t.Fatalf("%d sessions, clean run: %v", sessions, err)
@@ -592,6 +592,64 @@ func TestGroupCommitAmortizesBarriers(t *testing.T) {
 	if 10*epochs[2] > 7*epochs[0] {
 		t.Fatalf("16 ops per core persisted %d epochs, want <= 0.70 x the %d of 1 op per core", epochs[2], epochs[0])
 	}
+}
+
+// amortizeSpec is TestGroupCommitAmortizesBarriers' script at a session
+// count: 256 ops over 24 keys, so a round puts sessions/4 ops on each core.
+func amortizeSpec(sessions int) ScriptSpec {
+	return ScriptSpec{Sessions: sessions, Rounds: 256 / sessions, KeySpace: 24, ValueBytes: 192, Seed: 7}
+}
+
+// TestPlantedReadsAfterBarrier shows why a read that observes another
+// core's unpersisted entry goes before its core's window barrier: fed after
+// it, as plantReadsAfterBarrier feeds every read, its entry load no longer
+// orders the window's own entries after the writer's, and dlcheck finds a
+// crash image in which a write that happens-after the read survived the
+// entry it read. Over TestGroupCommitAmortizesBarriers' 4-session crash
+// sweep dlcheck must reject at least one image with the plant and none
+// without it. What Verify and the oracle reject is logged only: for the
+// oracle a pipelined session's read and a later write of its own batch are
+// concurrent, so the lost order is not a client-visible violation to it.
+func TestPlantedReadsAfterBarrier(t *testing.T) {
+	spec := amortizeSpec(4)
+	clean, err := runSingle(Config{}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var images []image
+	for _, at := range SweepInstants(clean.Stats.Cycle, 200) {
+		images = append(images, image{spec: spec, at: at}, image{spec: spec, bug: plantReadsAfterBarrier, at: at})
+	}
+	judgeImages(images)
+	var verify, dl, oracle int
+	var first *image
+	for i := range images {
+		im := &images[i]
+		if im.bug == plantNone {
+			if im.err != nil {
+				t.Errorf("crash at %d, nothing planted: %v", im.at, im.err)
+			}
+			continue
+		}
+		if im.err != nil && !strings.Contains(im.err.Error(), "durable linearizability") {
+			verify++
+		}
+		if im.dlBad {
+			dl++
+			if first == nil {
+				first = im
+			}
+		}
+		if im.oerr != nil {
+			oracle++
+		}
+	}
+	n := len(images) / 2
+	t.Logf("reads-after-barrier plant over %d images: Verify rejects %d, dlcheck %d, the oracle %d", n, verify, dl, oracle)
+	if first == nil {
+		t.Fatalf("reads-after-barrier plant: dlcheck rejects none of %d images", n)
+	}
+	t.Logf("first dlcheck rejection, crash at %d: %v", first.at, first.err)
 }
 
 // TestParallelReplayByteIdentical: recovery must produce the
