@@ -105,6 +105,7 @@ type coreCtx struct {
 	// c.x, and after (c.retireOp) completes every op the core executes.
 	stepCoreFn, after               func()
 	postedStoreDoneFn, afterStoreFn func()
+	postedLoadDoneFn, drainStoresFn func()
 	epBarrierFn, lbBarrierFn        func()
 	writeCheckpointFn               func()
 	stall                           stall
@@ -137,6 +138,15 @@ type coreCtx struct {
 	wbStalledAt   sim.Cycle
 	wbDrained     func()
 	wbDrainAt     sim.Cycle
+
+	// Posted loads (trace.PostedLoad): the loads in flight, at most
+	// loadSlots; the continuation parked until at most ldWaitMax of them
+	// remain; and what a drain runs once they are in and the write buffer
+	// has drained.
+	ldOutstanding int
+	ldWaitMax     int
+	ldWait        func()
+	drainThen     func()
 
 	stalls   [numStallCauses]sim.Cycle
 	opTimes  []sim.Cycle
@@ -184,6 +194,11 @@ type Machine struct {
 	// list when the last BankAck is sent instead of when it arrives, to
 	// show the goldens catch a frame released while still in flight.
 	plantEarlyFlushRelease bool
+	// plantBarrierSkipsLoads (tests only) lets a drain (a barrier's, or
+	// the end of the run's) go on with posted loads still in flight, to
+	// show the checkers catch a read's dependence landing on the epoch
+	// after the one the barrier closed.
+	plantBarrierSkipsLoads bool
 
 	vs      mem.VersionSource
 	mcTiles [MemControllers]noc.Tile

@@ -120,7 +120,7 @@ func TestOpLayout(t *testing.T) {
 	const maxAddr, maxCycles = mem.Addr(math.MaxUint64), sim.Cycle(math.MaxUint64)
 	var b Builder
 	b.Load(maxAddr).Store(maxAddr).StoreTagged(maxAddr, MaxToken).StoreTagged(64, 1).
-		Compute(maxCycles).Compute(1).Barrier().TxEnd().Load(0)
+		Compute(maxCycles).Compute(1).Barrier().TxEnd().Load(0).PostedLoad(maxAddr)
 	want := []struct {
 		kind   OpKind
 		addr   mem.Addr
@@ -136,6 +136,7 @@ func TestOpLayout(t *testing.T) {
 		{Barrier, 0, 0, 0},
 		{TxEnd, 0, 0, 0},
 		{Load, 0, 0, 0},
+		{PostedLoad, maxAddr, 0, 0},
 	}
 	if MaxToken != 1<<56-1 {
 		t.Fatalf("MaxToken = %#x, want 2^56-1", uint64(MaxToken))
@@ -197,7 +198,7 @@ func TestProgramCounts(t *testing.T) {
 }
 
 func TestOpKindStrings(t *testing.T) {
-	kinds := []OpKind{Compute, Load, Store, Barrier, TxEnd, OpKind(99)}
+	kinds := []OpKind{Compute, Load, Store, Barrier, TxEnd, PostedLoad, OpKind(99)}
 	for _, k := range kinds {
 		if k.String() == "" {
 			t.Errorf("empty string for kind %d", uint8(k))
