@@ -137,3 +137,41 @@ func TestLLCMissZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestPostedLoadWindowAllocs: one commit window of pmkv's shape — a store,
+// posted loads, the barrier, more posted loads — with every load an L1
+// miss (twelve lines of one L1 set, more than its ways and than
+// loadSlots), so the window fills the slots, parks on a full set of
+// them, drains them at the barrier and at the end of the feed, and
+// persists its epoch. Nothing may allocate.
+func TestPostedLoadWindowAllocs(t *testing.T) {
+	m := allocMachine(t, LB)
+	stride := mem.Addr(m.cfg.L1Sets) * mem.LineSize
+	var b trace.Builder
+	b.Store(0x4000)
+	for i := 0; i < 12; i++ {
+		b.PostedLoad(0x100000 + mem.Addr(i)*stride)
+		if i == 8 {
+			b.Barrier()
+		}
+	}
+	ops := b.Ops()
+	round := func() {
+		before := m.Counters().Epochs.Persisted
+		feedAndRun(t, m, 0, ops)
+		for m.Counters().Epochs.Persisted == before {
+			m.Step(200)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	misses := m.Counters().L1.Misses
+	n := testing.AllocsPerRun(200, round)
+	if got := m.Counters().L1.Misses - misses; got < 201*12 {
+		t.Fatalf("%d L1 misses in 201 windows of 12 posted loads: the loads hit", got)
+	}
+	if n != 0 {
+		t.Fatalf("a posted-load window allocates %.2f times, want 0", n)
+	}
+}

@@ -3,6 +3,7 @@ package pmkv
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"persistbarriers/internal/sim"
@@ -168,8 +169,13 @@ func TestGapEndsAtDurable(t *testing.T) {
 // before every simulated event, so one allocation there would be one per
 // event. The persists a Gap runs do allocate (an epoch's history summary),
 // so each Gap is held to a twin engine that runs the same events with a
-// bare event count for a stop test: the two must allocate alike.
+// bare event count for a stop test: the two must allocate alike. The
+// count is the process's, so the collector is off while it runs: a
+// collection that falls inside one of the two spans adds its own
+// allocations there (the first one starts its mark workers), which is
+// how identical twins once differed.
 func TestGapAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	gapped, twin := newGapRig(t, Config{}), newGapRig(t, Config{})
 	var fired uint64 // the twin runs while it has fired fewer events
 	twinRunning := func() bool { return twin.e.m.Engine().Fired() < fired }
