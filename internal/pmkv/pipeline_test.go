@@ -7,6 +7,7 @@ package pmkv
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -463,7 +464,11 @@ func TestGroupCommitAllocs(t *testing.T) {
 
 	// Submit layer, read-only: exactly zero, every single batch. The
 	// pump runs outside the measured window to keep the machine drained.
+	// The counts are the process's, so the collector is off while they are
+	// taken: a collection inside a measured batch adds its own allocations
+	// (see TestGapAllocs).
 	var before, after runtime.MemStats
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.GC()
 	for i := 0; i < 30; i++ {
 		runtime.ReadMemStats(&before)
