@@ -3,11 +3,12 @@
 // the key's new value, or a one-line tombstone — as the requests arrive,
 // and each request's response is computed then. The ops wait in the open
 // commit window, one share per core, until the window is pumped: only then
-// are they fed to the simulated multicore's cores with machine.Feed, each
-// core's entry stores first, so the stores' misses overlap the loads, then
-// the reads that must be ordered before the window barrier, the writes'
-// index probes and the barrier, and last the reads that order nothing, so
-// the window's epoch persists while the core serves them (see coreWindow).
+// are they fed to the simulated multicore's cores with machine.Feed, as the
+// two sides of each core's window barrier. Before it go the core's entry
+// stores, first so their misses overlap the loads, then the reads that
+// observe another core's unpersisted entry and the writes' index probes;
+// after it go the reads that order nothing, so the window's epoch persists
+// while the core serves them (see coreWindow).
 // Every load is a posted load (trace.PostedLoad), so a window's loads
 // overlap each other as an out-of-order core's misses would.
 // Client sessions multiplex onto cores.
@@ -178,9 +179,6 @@ const gapCycles = sim.Cycle(200)
 type Session struct {
 	ID   int
 	Core int
-	// seq numbers the session's requests; like the rest of the session's
-	// engine-side state it is touched only under the engine lock.
-	seq int
 }
 
 // Request is one client operation.
@@ -218,11 +216,10 @@ type OpRecord struct {
 	// Idx is the record's absolute index in the engine's mutation order:
 	// the key's order, and the name the checkpoint and the checker know the
 	// write by.
-	Idx       int
-	Sess, Seq int
-	Core      int
-	Op        Op
-	Key       string
+	Idx  int
+	Core int
+	Op   Op
+	Key  string
 	// Token tags the entry's first line store: the stores cover the Entries
 	// consecutive lines from EntryLine and carry tokens Token, Token+1, ...
 	// in line order (the counter only moves forward). A Delete's tombstone
@@ -323,7 +320,9 @@ type Engine struct {
 // durability rests on the one barrier per core per window closing the
 // epoch that holds the window's entries, so the machine must use the LB
 // model with programmer barriers: NP ignores barriers and bulk-epoch mode
-// makes them transparent.
+// makes them transparent. Every pump must also finish its window, so the
+// machine must split epochs to avoid deadlock (§3.3): without the split a
+// pump can wedge with its window fed and never settled.
 func New(cfg Config) (*Engine, error) {
 	cfg.fill()
 	if cfg.Machine.Model != machine.LB {
@@ -331,6 +330,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Machine.BulkEpochStores > 0 {
 		return nil, fmt.Errorf("pmkv: bulk-epoch mode (BulkEpochStores=%d) makes programmer barriers transparent; the window barrier would close nothing", cfg.Machine.BulkEpochStores)
+	}
+	if !cfg.Machine.EnableSplit {
+		return nil, fmt.Errorf("pmkv: a machine without the deadlock-avoidance epoch split can wedge a pump (set EnableSplit)")
 	}
 	if cfg.Buckets > MaxBuckets {
 		return nil, fmt.Errorf("pmkv: %d buckets would put index lines on entry lines (at most %d)", cfg.Buckets, MaxBuckets)
@@ -464,34 +466,36 @@ func (e *Engine) freeEntry(en *cpEntry) {
 	e.free[c] = append(e.free[c], en)
 }
 
-// coreWindow is one core's share of the open commit window, in four
-// builders the pump feeds in turn, each in request order:
+// coreWindow is one core's share of the open commit window: the two sides
+// of its window barrier, in three builders the pump feeds in turn, each in
+// request order:
 //
 //   - stores: every entry store (Put values and Delete tombstones);
-//   - ordered: the reads that order something — a Get's or Delete's index
-//     probe and entry loads (and a Get's TxEnd) when the entry it observes
-//     is not yet durable and was written on another core;
-//   - links: every Put's index probe, then the window barrier if the core
-//     wrote;
-//   - free: every other read, and the writes' TxEnds.
+//   - ordered: the rest of the barrier's near side — a Get's or Delete's
+//     index probe and entry loads (and a Get's TxEnd) when the entry it
+//     observes is not yet durable and was written on another core, and
+//     every Put's index probe — then the window barrier if the core wrote;
+//   - free: the far side — every other read, and the writes' TxEnds.
 //
 // A read orders the reader's later persists after a writer's only through
 // its entry load, which adds the inter-thread dependence when it finds the
 // writer's epoch unpersisted; a read that observes nothing, a folded
-// (durable) entry or its own core's entry (which per-core epoch order already puts
-// before anything the core persists later) orders nothing, so it runs
-// after the barrier and the window's epoch starts persisting without
-// waiting for it. The links keep the barrier's write-buffer drain covered.
-// A window's ops are concurrent in simulated time, so only their order
-// inside the window moves: the posted stores' misses overlap the loads that
-// follow. Every probe and entry load is posted (trace.PostedLoad), so the
-// loads overlap each other too; the barrier waits for the ordered reads'
-// loads before it closes the epoch, and the core waits for the free
-// reads' loads before it parks, so a pumped window has retired them all.
-// A read's TxEnd does not wait for its loads. Feed copies, so the
-// builders are reused window after window without allocating.
+// (durable) entry or its own core's entry (which per-core epoch order
+// already puts before anything the core persists later) orders nothing, so
+// it runs after the barrier and the window's epoch starts persisting
+// without waiting for it. The Put probes stay before the barrier, where
+// their misses overlap the write-buffer drain it waits for (after it, the
+// engine-crash ledger row measured 4.2 % more cycles). A window's ops are
+// concurrent in simulated time, so only their order inside the window
+// moves: the posted stores' misses overlap the loads that follow. Every
+// probe and entry load is posted (trace.PostedLoad), so the loads overlap
+// each other too; the barrier waits for the ordered loads before it closes
+// the epoch, and the core waits for the free loads before it parks, so a
+// pumped window has retired them all. A read's TxEnd does not wait for its
+// loads. Feed copies, so the builders are reused window after window
+// without allocating.
 type coreWindow struct {
-	stores, ordered, links, free trace.Builder
+	stores, ordered, free trace.Builder
 }
 
 // windowKey names one session's writes of one key in the open window.
@@ -516,16 +520,14 @@ func (e *Engine) translate(req Request) (Response, error) {
 	if req.Op > Delete {
 		return Response{}, fmt.Errorf("pmkv: unknown op %v", req.Op)
 	}
-	seq := req.Sess.seq
-	req.Sess.seq++
 
-	// Every request probes the volatile index: a Put's probe is its link, a
-	// read's goes with its entry loads.
+	// Every request probes the volatile index: a Put's probe goes before the
+	// barrier, a read's with its entry loads.
 	w := &e.window[core]
 	probe := e.indexLine(e.bucketOf(req.Key)).Addr()
 	var resp Response
 	if req.Op == Put {
-		w.links.PostedLoad(probe)
+		w.ordered.PostedLoad(probe)
 		resp.Value = e.arenaBytes(len(req.Value))
 		copy(resp.Value, req.Value)
 		resp.Found = true
@@ -554,8 +556,8 @@ func (e *Engine) translate(req Request) (Response, error) {
 	val := resp.Value
 	rec := e.arenaRecord()
 	*rec = OpRecord{
-		Idx: e.recordCount(), Sess: req.Sess.ID, Seq: seq, Core: core,
-		Op: req.Op, Key: req.Key, Value: val, Token: e.nextToken + 1,
+		Idx: e.recordCount(), Core: core, Op: req.Op, Key: req.Key,
+		Value: val, Token: e.nextToken + 1,
 	}
 	e.plantedEarlyFree(req.Sess.ID, req.Key)
 	span := e.entryLinesFor(val)
@@ -594,31 +596,26 @@ func (e *Engine) crashLimit() sim.Cycle {
 // PumpRetire then feeds each core its share of the window and advances
 // the clock, and the window's epochs go on persisting under whatever is
 // submitted next. Every request's response is computed here, in request
-// order, and so is each read's place in its core's share, before or after
-// the window barrier, from the record it observes (see coreWindow). The
-// ops wait in their session's core's share of the window, so
-// the requests of one window run concurrently in simulated time and a
-// following SubmitAppend before the pump joins the same window. Responses
-// reflect the volatile state immediately (it survives even if the machine
-// crashes mid-batch — durability is judged later) and are appended to
-// dst, so a committer reuses one response buffer per in-flight batch
-// instead of allocating a fresh slice per commit.
+// order, and so is each read's side of its core's window barrier, from the
+// record it observes (see coreWindow): reads observe the settled state plus
+// their own session's writes in the open window (see Response), which
+// spans every batch submitted since the last pump. The ops wait in their
+// session's core's share of the window, so the requests of one window run
+// concurrently in simulated time and a following SubmitAppend before the
+// pump joins the same window. Responses reflect the volatile state
+// immediately (it survives even if the machine crashes mid-batch —
+// durability is judged later) and are appended to dst, so a committer
+// reuses one response buffer per in-flight batch instead of allocating a
+// fresh slice per commit.
 func (e *Engine) SubmitAppend(dst []Response, batch []Request) ([]Response, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.submitLocked(dst, batch)
-}
-
-func (e *Engine) submitLocked(dst []Response, batch []Request) ([]Response, error) {
 	if e.closed {
 		return nil, fmt.Errorf("pmkv: engine closed")
 	}
 	if e.crashed {
 		return nil, ErrCrashed
 	}
-	// Reads observe the settled state plus their own session's writes in
-	// the open window (see Response), which spans every batch submitted
-	// since the last completed pump.
 	for _, req := range batch {
 		resp, err := e.translate(req)
 		if err != nil {
@@ -632,15 +629,11 @@ func (e *Engine) submitLocked(dst []Response, batch []Request) ([]Response, erro
 // settleLocked ends the commit window, every op of which has retired: each
 // key the window wrote is served, until it folds, from the window's writer
 // with the highest record index — the entry recovery keeps. A window is
-// fed only by its pump, so none of its records is durable before it
-// settles, except after a pump that returned a deadlock: that window was
-// fed and never settled, and the watermark may since have passed some of
-// its writers, which are then in the checkpoint with every record below
-// them — hence the max.
+// fed only by the pump that settles it (or by Close), so none of its
+// records can have folded yet: they are all in the tail.
 func (e *Engine) settleLocked() {
-	from := max(e.settled, e.durableCursor)
-	for _, r := range e.tail[from-e.durableCursor:] {
-		if l := e.live[r.Key]; e.plant == plantLowestIdxWinner && l != nil && l.Idx >= from {
+	for _, r := range e.tail[e.settled-e.durableCursor:] {
+		if l := e.live[r.Key]; e.plant == plantLowestIdxWinner && l != nil && l.Idx >= e.settled {
 			continue
 		}
 		e.live[r.Key] = r
@@ -649,15 +642,16 @@ func (e *Engine) settleLocked() {
 	clear(e.batch)
 }
 
-// PumpRetire closes the commit window: it feeds each core its share of the
-// window — every entry store, then the reads that order another core's
-// unpersisted entry before the window's, then every Put's index probe and,
-// if the core wrote, one persist barrier, then every other read and the
-// writes' TxEnds, each in request order (see coreWindow) — then advances
-// the machine until every fed op has retired (or the crash instant / a
-// deadlock intervenes). Retirement is the ack point of the
-// pipelined commit: visibility is settled and every fed entry sits in a
-// closed epoch, while those epochs keep persisting in the background.
+// PumpRetire closes the commit window: it feeds each core the two sides of
+// its window barrier — the entry stores, the reads that order another
+// core's unpersisted entry before the window's and every Put's index probe,
+// then, if the core wrote, the barrier, then every other read and the
+// writes' TxEnds (see coreWindow) — then advances the machine until every
+// fed op has retired (or the crash instant intervenes). Retirement is the
+// ack point of the pipelined commit: visibility is settled and every fed
+// entry sits in a closed epoch, while those epochs keep persisting in the
+// background. New refuses a machine that can deadlock, so a deadlock error
+// reports a machine fault.
 func (e *Engine) PumpRetire() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -667,10 +661,6 @@ func (e *Engine) PumpRetire() error {
 	if e.crashed {
 		return ErrCrashed
 	}
-	return e.pumpRetireLocked()
-}
-
-func (e *Engine) pumpRetireLocked() error {
 	// The window's barriers: each core that wrote gets one, so "everything
 	// fed has retired" includes "every fed entry is in a closed epoch" and
 	// the background machinery can persist it. Done here rather than per
@@ -693,16 +683,16 @@ func (e *Engine) pumpRetireLocked() error {
 }
 
 // feedWindowLocked feeds each core its share of the open window — its
-// stores, ordered reads, links and free ops (see coreWindow) — and, if
-// barrier is set, a core that wrote in the window the window barrier after
-// its links.
+// stores, ordered ops and free ops (see coreWindow) — and, if barrier is
+// set, a core that wrote in the window the window barrier between the
+// ordered ops and the free ones.
 func (e *Engine) feedWindowLocked(barrier bool) error {
 	for core := range e.window {
 		w := &e.window[core]
 		if barrier && len(w.stores.Ops()) > 0 {
-			w.links.Barrier()
+			w.ordered.Barrier()
 		}
-		for _, b := range [...]*trace.Builder{&w.stores, &w.ordered, &w.links, &w.free} {
+		for _, b := range [...]*trace.Builder{&w.stores, &w.ordered, &w.free} {
 			if len(b.Ops()) == 0 {
 				continue
 			}

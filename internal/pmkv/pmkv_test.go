@@ -182,17 +182,23 @@ func TestCleanDrainContendedBucket(t *testing.T) {
 // TestNewRejectsUnsafeMachine: the engine's token correlation requires
 // barriers that drain posted stores, so configs where they don't (NP
 // ignores barriers; bulk-epoch mode makes them transparent) must be
-// rejected up front instead of corrupting TokenVersions at run time.
+// rejected up front instead of corrupting TokenVersions at run time, and
+// so must a machine without the deadlock-avoidance split, on which a pump
+// can wedge with its window fed and never settled.
 func TestNewRejectsUnsafeMachine(t *testing.T) {
-	cfg := Config{Machine: SmallMachine()}
-	cfg.Machine.Model = machine.NP
-	if _, err := New(cfg); err == nil {
-		t.Fatal("New accepted an NP machine (barriers ignored)")
-	}
-	cfg = Config{Machine: SmallMachine()}
-	cfg.Machine.BulkEpochStores = 64
-	if _, err := New(cfg); err == nil {
-		t.Fatal("New accepted bulk-epoch mode (programmer barriers transparent)")
+	for _, c := range []struct {
+		what string
+		set  func(*machine.Config)
+	}{
+		{"an NP machine (barriers ignored)", func(m *machine.Config) { m.Model = machine.NP }},
+		{"bulk-epoch mode (programmer barriers transparent)", func(m *machine.Config) { m.BulkEpochStores = 64 }},
+		{"a machine without the epoch split (pumps can deadlock)", func(m *machine.Config) { m.EnableSplit = false }},
+	} {
+		cfg := Config{Machine: SmallMachine()}
+		c.set(&cfg.Machine)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New accepted %s", c.what)
+		}
 	}
 }
 

@@ -677,11 +677,7 @@ type ShardMetrics struct {
 	MailboxCap int     `json:"mailbox_cap"`
 	Batches    uint64  `json:"batches"`
 	AvgBatch   float64 `json:"avg_batch"`
-	// Durable is the durable watermark as the worker last advanced it (a
-	// snapshot reads it, never moves it); Total the publishes issued.
-	Durable int  `json:"durable_publishes"`
-	Total   int  `json:"total_publishes"`
-	Crashed bool `json:"crashed,omitempty"`
+	Crashed    bool    `json:"crashed,omitempty"`
 	// FastHits / FastFallbacks count GETs answered on the lock-free fast
 	// path vs routed through the mailbox while the fast path was on;
 	// FallbackReasons splits the latter (it sums to FastFallbacks).
@@ -692,8 +688,10 @@ type ShardMetrics struct {
 	// advanced its machine; until the closing drain they sum to
 	// Counters.Cycle.
 	SimCycles StepCycles `json:"sim_cycles"`
-	// Retention is what the shard's engine holds and has released; its
-	// Folded count is also the watermark the fast path's checkpoint covers.
+	// Retention is what the shard's engine holds and has released: its
+	// Folded count is the durable watermark as the worker last advanced it
+	// (a snapshot reads it, never moves it) and the one the fast path's
+	// checkpoint covers; Folded + Retained are the records issued.
 	Retention
 	// BatchSizes is the group-commit size distribution.
 	BatchSizes hist.Hist `json:"batch_sizes"`
@@ -737,8 +735,6 @@ func (s *ShardedStore) Metrics() []ShardMetrics {
 			QueueDepth:      len(sh.mail),
 			MailboxCap:      s.cfg.Mailbox,
 			Batches:         sh.batches.Load(),
-			Durable:         st.Folded,
-			Total:           st.Folded + st.Retained,
 			Crashed:         sh.crashedFl.Load(),
 			FastHits:        sh.fastHits.Load(),
 			FastFallbacks:   falls.Pending + falls.Draining + falls.Crashed,

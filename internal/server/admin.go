@@ -157,10 +157,6 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 			func(m pmkv.ShardMetrics) float64 { return float64(m.QueueDepth) }},
 		{"pmkv_shard_mailbox_capacity", "Shard mailbox capacity.",
 			func(m pmkv.ShardMetrics) float64 { return float64(m.MailboxCap) }},
-		{"pmkv_shard_publishes_durable", "Durable-prefix watermark (publishes covered).",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.Durable) }},
-		{"pmkv_shard_publishes_total", "Publishes issued.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.Total) }},
 		{"pmkv_shard_batches_total", "Group commits retired.",
 			func(m pmkv.ShardMetrics) float64 { return float64(m.Batches) }},
 		{"pmkv_shard_avg_batch", "Mean requests per group commit.",
@@ -186,7 +182,6 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 	}
 	counterNames := map[string]bool{
 		"pmkv_shard_batches_total":        true,
-		"pmkv_shard_publishes_total":      true,
 		"pmkv_read_fast_hits_total":       true,
 		"pmkv_records_folded_total":       true,
 		"pmkv_epochs_trimmed_total":       true,

@@ -270,7 +270,7 @@ func TestStatsReplyFieldsStable(t *testing.T) {
 		}
 	}
 	for _, field := range []string{"shard", "queue_depth", "mailbox_cap", "batches", "avg_batch",
-		"durable_publishes", "total_publishes", "read_fast_hits", "read_fallbacks", "read_fallback_reasons", "sim_cycles", "records_retained",
+		"read_fast_hits", "read_fallbacks", "read_fallback_reasons", "sim_cycles", "records_retained",
 		"records_folded", "checkpoint_keys", "epochs_trimmed", "entry_lines_bumped", "entry_lines_recycled",
 		"entry_lines_free", "lines_tracked", "batch_sizes", "counters"} {
 		if _, ok := reply.Shards[0][field]; !ok {
