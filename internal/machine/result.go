@@ -199,6 +199,8 @@ var Families = []Family{
 		func(c *Counters) []Sample { return one(c.NoC.Flits) }},
 	{"nvram_admissions", "Requests (reads, writes, log writes) admitted at the memory controllers.", "",
 		func(c *Counters) []Sample { return one(c.MC.Reads + c.MC.Writes + c.MC.LogWrites) }},
+	{"nvram_reads", "Line fills read from NVRAM at the memory controllers.", "",
+		func(c *Counters) []Sample { return one(c.MC.Reads) }},
 	{"nvram_wait_cycles", "Cycles admitted requests waited for a memory controller's channel, summed.", "",
 		func(c *Counters) []Sample { return one(uint64(c.MC.StallCycles)) }},
 }
