@@ -12,9 +12,10 @@ import (
 	"persistbarriers/internal/sim"
 )
 
-// access serves one load or store for core c, firing done at completion.
-// This is the path on which epoch conflicts are detected (Section 3).
-func (m *Machine) access(c *coreCtx, kind mem.Kind, line mem.Line, done func()) {
+// access serves one load or store for core c, firing done at completion;
+// whole marks a store that writes the line whole (trace.StoreLine). This
+// is the path on which epoch conflicts are detected (Section 3).
+func (m *Machine) access(c *coreCtx, kind mem.Kind, line mem.Line, whole bool, done func()) {
 	if ent, hit := c.l1.Lookup(line); hit {
 		if kind == mem.Load {
 			m.eng.After(L1Latency, done)
@@ -24,12 +25,12 @@ func (m *Machine) access(c *coreCtx, kind mem.Kind, line mem.Line, done func()) 
 		if d.owner == c.id {
 			// Exclusive hit. The only ordering hazard is an intra-thread
 			// conflict with the line's own older-epoch tag.
-			m.resolveConflict(m.acquireReq(c, kind, line, done), ent.Tag)
+			m.resolveConflict(m.acquireReq(c, kind, line, whole, done), ent.Tag)
 			return
 		}
 		// Shared hit needing an upgrade: take the LLC path for ownership.
 	}
-	r := m.acquireReq(c, kind, line, done)
+	r := m.acquireReq(c, kind, line, whole, done)
 	r.b = m.bank(line)
 	m.eng.After(L1Latency+m.mesh.Latency(c.tile, r.b.tile, 0), r.atBankFn)
 }
@@ -43,11 +44,12 @@ func (m *Machine) access(c *coreCtx, kind mem.Kind, line mem.Line, done func()) 
 // stall serves every wait. A locked request goes back to the free list in
 // unlock, an unlocked one when its store commits or restarts.
 type memReq struct {
-	m    *Machine
-	c    *coreCtx
-	kind mem.Kind
-	line mem.Line
-	done func()
+	m     *Machine
+	c     *coreCtx
+	kind  mem.Kind
+	line  mem.Line
+	whole bool // a store that writes the line whole: no data travels to the writer
+	done  func()
 
 	b      *bankCtx   // home bank
 	ls     *lineState // the line's state, once locked
@@ -72,7 +74,7 @@ type memReq struct {
 	idtResolveFn, onlineInterResolveFn         func()
 }
 
-func (m *Machine) acquireReq(c *coreCtx, kind mem.Kind, line mem.Line, done func()) *memReq {
+func (m *Machine) acquireReq(c *coreCtx, kind mem.Kind, line mem.Line, whole bool, done func()) *memReq {
 	r := m.memReqs.get()
 	if r == nil {
 		r = &memReq{m: m, src: epoch.None, dep: epoch.None}
@@ -84,7 +86,7 @@ func (m *Machine) acquireReq(c *coreCtx, kind mem.Kind, line mem.Line, done func
 		r.commitFn, r.resolvedNilFn = r.commit, func() { r.resolved(epoch.None) }
 		r.idtResolveFn, r.onlineInterResolveFn = r.idtResolve, r.onlineInterResolve
 	}
-	r.c, r.kind, r.line, r.done = c, kind, line, done
+	r.c, r.kind, r.line, r.whole, r.done = c, kind, line, whole, done
 	r.stall.c = c
 	return r
 }
@@ -264,8 +266,13 @@ func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver
 }
 
 // llcFill fetches a missing line from NVRAM into the bank: request to the
-// controller's tile, device read, data back to the bank, insert.
+// controller's tile, device read, data back to the bank, insert. A
+// whole-line store reads nothing: the bank allocates the line at once.
 func (r *memReq) llcFill() {
+	if r.whole {
+		r.fillInsert()
+		return
+	}
 	m := r.m
 	mcTile := m.mcTiles[m.mcs.ControllerFor(r.line).ID()]
 	m.eng.After(m.mesh.Latency(r.b.tile, mcTile, 0), r.fillReadLineFn)
@@ -465,7 +472,8 @@ func (m *Machine) backInvalidate(line mem.Line, d *dirEntry) {
 }
 
 // grant finishes a request at the bank: data response for loads,
-// ownership (with sharer invalidation) for stores.
+// ownership (with sharer invalidation) for stores, with the line's data
+// unless the store writes the line whole.
 func (r *memReq) grant() {
 	m, c, b, line, d := r.m, r.c, r.b, r.line, &r.ls.dir
 	if !b.arr.Contains(line) {
@@ -478,7 +486,11 @@ func (r *memReq) grant() {
 	}
 	ent, _ := b.arr.Peek(line)
 	r.ver = ent.Version
-	respLat := LLCLatency + m.mesh.Latency(b.tile, c.tile, mem.LineSize)
+	payload := mem.LineSize
+	if r.whole {
+		payload = 0
+	}
+	respLat := LLCLatency + m.mesh.Latency(b.tile, c.tile, payload)
 	if r.kind == mem.Store {
 		// Invalidate the other sharers; the slowest round trip bounds
 		// the grant.
@@ -557,7 +569,8 @@ func (r *memReq) commit() {
 		r.atBankLocked()
 		return
 	}
-	m.access(c, mem.Store, line, m.releaseReq(r))
+	whole := r.whole
+	m.access(c, mem.Store, line, whole, m.releaseReq(r))
 }
 
 // l1Fill installs the granted line into the requester's L1, writing back a

@@ -67,7 +67,7 @@ func (c *coreCtx) stepCore() {
 	case trace.Barrier:
 		c.barrier()
 	case trace.Load:
-		m.access(c, mem.Load, mem.LineOf(op.Addr()), c.after)
+		m.access(c, mem.Load, mem.LineOf(op.Addr()), false, c.after)
 	case trace.PostedLoad:
 		if c.ldOutstanding >= loadSlots {
 			c.pc-- // issue it again when a slot frees
@@ -75,9 +75,9 @@ func (c *coreCtx) stepCore() {
 			return
 		}
 		c.ldOutstanding++
-		m.access(c, mem.Load, mem.LineOf(op.Addr()), c.postedLoadDoneFn)
+		m.access(c, mem.Load, mem.LineOf(op.Addr()), false, c.postedLoadDoneFn)
 		m.eng.After(L1Latency, c.after)
-	case trace.Store:
+	case trace.Store, trace.StoreLine:
 		if c.ldOutstanding > 0 {
 			// In-order retirement: a store leaves for the write buffer
 			// only after every older load is in, so an inter-thread
@@ -103,33 +103,33 @@ func (c *coreCtx) stepCore() {
 			}
 			c.pendingTok[line] = tok
 		}
-		c.postStore(mem.LineOf(op.Addr()))
+		c.postStore(mem.LineOf(op.Addr()), op.Kind() == trace.StoreLine)
 	default:
 		panic("machine: unknown op kind")
 	}
 }
 
-// postStore issues a store through the write buffer (Table 1: 32 entries):
-// the core moves on after the issue latency while the access completes in
-// the background, stalling only when the buffer is full. Strict
-// persistency bypasses the buffer — rule S2 forbids a store to issue
-// before its predecessor persisted.
-func (c *coreCtx) postStore(line mem.Line) {
+// postStore issues a store (whole: a trace.StoreLine) through the write
+// buffer (Table 1: 32 entries): the core moves on after the issue latency
+// while the access completes in the background, stalling only when the
+// buffer is full. Strict persistency bypasses the buffer — rule S2 forbids
+// a store to issue before its predecessor persisted.
+func (c *coreCtx) postStore(line mem.Line, whole bool) {
 	m := c.m
 	if m.cfg.Model == SP || m.cfg.WriteBuffer == 0 {
 		c.countBulkStore()
-		m.access(c, mem.Store, line, c.afterStoreFn)
+		m.access(c, mem.Store, line, whole, c.afterStoreFn)
 		return
 	}
 	if c.wbOutstanding >= m.cfg.WriteBuffer {
 		// The core stops here until a slot frees, so there is only ever
 		// this one store waiting.
-		c.wbStalled, c.wbStalledLine, c.wbStalledAt = true, line, m.eng.Now()
+		c.wbStalled, c.wbStalledLine, c.wbStalledWhole, c.wbStalledAt = true, line, whole, m.eng.Now()
 		return
 	}
 	c.wbOutstanding++
 	c.countBulkStore()
-	m.access(c, mem.Store, line, c.postedStoreDoneFn)
+	m.access(c, mem.Store, line, whole, c.postedStoreDoneFn)
 	m.eng.After(L1Latency, c.afterStoreFn)
 }
 
@@ -142,7 +142,7 @@ func (c *coreCtx) postedStoreDone() {
 	if c.wbStalled {
 		c.wbStalled = false
 		c.stalls[StallWriteBuffer] += now - c.wbStalledAt
-		c.postStore(c.wbStalledLine)
+		c.postStore(c.wbStalledLine, c.wbStalledWhole)
 	}
 	if c.wbOutstanding == 0 && c.wbDrained != nil {
 		drained := c.wbDrained
@@ -308,5 +308,5 @@ func (c *coreCtx) writeCheckpoint() {
 	c.ckptNext++
 	slot := c.table.Current().ID.Num % 8
 	addr := c.ckptBase + mem.Addr(slot)*mem.Addr(m.cfg.CheckpointLines)*64 + mem.Addr(i)*64
-	m.access(c, mem.Store, mem.LineOf(addr), c.writeCheckpointFn)
+	m.access(c, mem.Store, mem.LineOf(addr), false, c.writeCheckpointFn)
 }

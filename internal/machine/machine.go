@@ -130,14 +130,15 @@ type coreCtx struct {
 
 	// Posted-store write buffer (Table 1: 32 entries): the stores in
 	// flight, the one store the core is stalled on while the buffer is full
-	// (and since when), and the continuation waiting for the buffer to
-	// drain (and since when).
-	wbOutstanding int
-	wbStalled     bool
-	wbStalledLine mem.Line
-	wbStalledAt   sim.Cycle
-	wbDrained     func()
-	wbDrainAt     sim.Cycle
+	// (whether it writes its line whole, and since when), and the
+	// continuation waiting for the buffer to drain (and since when).
+	wbOutstanding  int
+	wbStalled      bool
+	wbStalledLine  mem.Line
+	wbStalledWhole bool
+	wbStalledAt    sim.Cycle
+	wbDrained      func()
+	wbDrainAt      sim.Cycle
 
 	// Posted loads (trace.PostedLoad): the loads in flight, at most
 	// loadSlots; the continuation parked until at most ldWaitMax of them

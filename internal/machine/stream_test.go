@@ -92,7 +92,7 @@ func TestStreamTokenVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b trace.Builder
-	b.StoreTagged(0x1000, 7).Barrier().StoreTagged(0x1000, 8).Barrier()
+	b.StoreLine(0x1000, 7).Barrier().StoreLine(0x1000, 8).Barrier()
 	if err := m.Feed(0, b.Ops()); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestStreamTaggedSameLineOverlapPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b trace.Builder
-	b.StoreTagged(0x1000, 7).StoreTagged(0x1000, 8) // no draining barrier between
+	b.StoreLine(0x1000, 7).StoreLine(0x1000, 8) // no draining barrier between
 	if err := m.Feed(0, b.Ops()); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func streamTagged(t *testing.T, n int) *Machine {
 	}
 	var b trace.Builder
 	for i := 0; i < n; i++ {
-		b.StoreTagged(mem.Addr(0x1000+i*64), uint64(i+1)).Barrier()
+		b.StoreLine(mem.Addr(0x1000+i*64), uint64(i+1)).Barrier()
 	}
 	if err := m.Feed(0, b.Ops()); err != nil {
 		t.Fatal(err)

@@ -346,8 +346,15 @@ func TestEveryJobCompletesOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Size the sweep by the clock before the closing drain
+			// (ShardResult.Cycles): an instant inside the drain cannot
+			// crash a shard.
+			var closedAt sim.Cycle
+			for _, r := range clean {
+				closedAt = max(closedAt, r.Cycles)
+			}
 			crashed, caught := 0, 0
-			instants := SweepInstants(span(clean), 40)
+			instants := SweepInstants(closedAt, 40)
 			for _, at := range instants {
 				out, err := run(at, plantNone)
 				if err != nil {

@@ -10,7 +10,10 @@
 // after it go the reads that order nothing, so the window's epoch persists
 // while the core serves them (see coreWindow).
 // Every load is a posted load (trace.PostedLoad), so a window's loads
-// overlap each other as an out-of-order core's misses would.
+// overlap each other as an out-of-order core's misses would, and every
+// entry store a whole-line store (trace.StoreLine): an entry is written
+// whole into lines nothing reads the old bytes of, so the core takes each
+// line without fetching it from NVRAM.
 // Client sessions multiplex onto cores.
 //
 // The layout goes beyond the paper's Figure 10. Figure 10 writes the entry,
@@ -49,7 +52,7 @@
 // it keeps the values itself — in the checkpoint of durable entries and,
 // until the durable watermark passes them, in the mutation records — and
 // correlates logical writes with the durable image through store tokens:
-// each entry line store is tagged, the machine reports the committed
+// each entry line store carries a token, the machine reports the committed
 // version per tag, and recovery keeps exactly the entries whose versions
 // reached NVRAM. A read observes its session's own writes in the open
 // commit window, else the key's newest retired write (see observedRead).
@@ -470,7 +473,8 @@ func (e *Engine) freeEntry(en *cpEntry) {
 // of its window barrier, in three builders the pump feeds in turn, each in
 // request order:
 //
-//   - stores: every entry store (Put values and Delete tombstones);
+//   - stores: every entry store (Put values and Delete tombstones), each a
+//     trace.StoreLine, since an entry is written whole;
 //   - ordered: the rest of the barrier's near side — a Get's or Delete's
 //     index probe and entry loads (and a Get's TxEnd) when the entry it
 //     observes is not yet durable and was written on another core, and
@@ -564,7 +568,7 @@ func (e *Engine) translate(req Request) (Response, error) {
 	rec.EntryLine, rec.Entries = span.first, span.n
 	for i := 0; i < span.n; i++ {
 		e.nextToken++
-		w.stores.StoreTagged((span.first + mem.Line(i)).Addr(), e.nextToken)
+		w.stores.StoreLine((span.first + mem.Line(i)).Addr(), e.nextToken)
 	}
 	w.free.TxEnd()
 	e.batch[windowKey{req.Key, req.Sess.ID}] = rec

@@ -42,12 +42,14 @@ func fuzzCorpus(t *testing.T) map[string][]byte {
 // driven here because the plant is reachable only from this package: over
 // the committed corpus and 64 generated inputs the honest engine passes
 // every case and the planted one is rejected, by check 5, the checker or
-// the client-history oracle and nothing else, in at least half of them. seed-06 is the plant's
-// smallest failing case in which the honest engine itself reuses a line.
+// the client-history oracle and nothing else, in at least half of them. seed-01 is the plant's
+// smallest failing case in which the honest engine itself reuses a line
+// (seed-06 was, until whole-line stores moved its timing: the honest
+// engine now reuses no line there).
 func TestPlantedRecycleEarlyFuzzCases(t *testing.T) {
 	inputs := fuzzCorpus(t)
-	if _, ok := inputs["seed-06"]; !ok {
-		t.Fatal("seed-06 is not in the corpus")
+	if _, ok := inputs["seed-01"]; !ok {
+		t.Fatal("seed-01 is not in the corpus")
 	}
 	rng := uint64(18)
 	for i := 0; i < 64; i++ {
@@ -86,8 +88,8 @@ func TestPlantedRecycleEarlyFuzzCases(t *testing.T) {
 		if rejected {
 			caught++
 		}
-		if name == "seed-06" && (!rejected || clean.Stats.EntryLinesRecycled == 0) {
-			t.Fatalf("seed-06: planted engine rejected: %v; honest engine recycled %d lines", rejected, clean.Stats.EntryLinesRecycled)
+		if name == "seed-01" && (!rejected || clean.Stats.EntryLinesRecycled == 0) {
+			t.Fatalf("seed-01: planted engine rejected: %v; honest engine recycled %d lines", rejected, clean.Stats.EntryLinesRecycled)
 		}
 	}
 	t.Logf("planted early recycle rejected in %d of %d fuzz cases", caught, len(inputs))

@@ -1,7 +1,7 @@
 // Package trace defines the per-core instruction streams the simulated
-// machine executes: loads (blocking or posted), stores, compute delays,
-// persist barriers, and transaction markers, plus builders and a deterministic RNG for workload
-// generators.
+// machine executes: loads (blocking or posted), stores (partial or
+// whole-line), compute delays, persist barriers, and transaction markers,
+// plus builders and a deterministic RNG for workload generators.
 package trace
 
 import (
@@ -35,6 +35,13 @@ const (
 	// when every outstanding-load slot is taken, and at the end of its
 	// stream.
 	PostedLoad
+	// StoreLine writes one cache line whole, carrying a token (see
+	// Op.Token). It goes beyond the paper's trace core, which stores
+	// partial lines: since no byte of the old line survives, the writer
+	// takes ownership without fetching the line's data, as a full-line
+	// write (x86 ItoM, a non-temporal store, ARM DC ZVA) does. Ordering is
+	// a Store's: the same write buffer, conflict check and persist rules.
+	StoreLine
 )
 
 // String implements fmt.Stringer.
@@ -52,6 +59,8 @@ func (k OpKind) String() string {
 		return "txend"
 	case PostedLoad:
 		return "posted-load"
+	case StoreLine:
+		return "store-line"
 	default:
 		return fmt.Sprintf("OpKind(%d)", uint8(k))
 	}
@@ -63,11 +72,12 @@ func (k OpKind) String() string {
 // bits, so a token is at most MaxToken. An accessor returns 0 for a field
 // the op's kind does not use.
 //
-// A Token, when nonzero on a Store, asks the machine to record the store
-// version the write eventually commits with (Result.TokenVersions), so an
-// application layer can correlate its logical writes with the durable
-// image. At most one tagged store per (core, line) may be in flight at a
-// time — callers must separate same-line tagged stores with a Barrier.
+// A Token, when nonzero on a StoreLine, asks the machine to record the
+// store version the write eventually commits with (Result.TokenVersions),
+// so an application layer can correlate its logical writes with the
+// durable image. At most one tagged store per (core, line) may be in
+// flight at a time — callers must separate same-line tagged stores with a
+// Barrier.
 type Op struct {
 	arg  uint64
 	meta uint64
@@ -76,13 +86,14 @@ type Op struct {
 // tokenBits is the width of the token in Op.meta; the kind sits above it.
 const tokenBits = 56
 
-// MaxToken is the largest token a tagged store can carry.
+// MaxToken is the largest token a StoreLine can carry.
 const MaxToken = 1<<tokenBits - 1
 
 // Kind reports what the op does.
 func (o Op) Kind() OpKind { return OpKind(o.meta >> tokenBits) }
 
-// Addr reports the byte address a Load, PostedLoad or Store touches.
+// Addr reports the byte address a Load, PostedLoad, Store or StoreLine
+// touches.
 func (o Op) Addr() mem.Addr {
 	if o.Kind() == Compute {
 		return 0
@@ -98,7 +109,7 @@ func (o Op) Cycles() sim.Cycle {
 	return sim.Cycle(o.arg)
 }
 
-// Token reports a tagged Store's token, 0 when untagged.
+// Token reports a StoreLine's token, 0 when untagged.
 func (o Op) Token() uint64 { return o.meta & MaxToken }
 
 // Program is one trace per core.
@@ -118,12 +129,13 @@ func (p *Program) Ops() int {
 	return n
 }
 
-// Stores reports the total store count across all traces.
+// Stores reports the total store count (Store and StoreLine) across all
+// traces.
 func (p *Program) Stores() int {
 	n := 0
 	for _, t := range p.Traces {
 		for _, op := range t {
-			if op.Kind() == Store {
+			if k := op.Kind(); k == Store || k == StoreLine {
 				n++
 			}
 		}
@@ -152,13 +164,14 @@ func (b *Builder) PostedLoad(addr mem.Addr) *Builder { return b.add(PostedLoad, 
 // Store appends a line write of addr.
 func (b *Builder) Store(addr mem.Addr) *Builder { return b.add(Store, uint64(addr), 0) }
 
-// StoreTagged appends a line write of addr carrying a version-tracking
-// token (see Op.Token). It panics when the token exceeds MaxToken.
-func (b *Builder) StoreTagged(addr mem.Addr, token uint64) *Builder {
+// StoreLine appends a whole-line write of addr carrying a
+// version-tracking token (see the StoreLine kind and Op.Token). It panics
+// when the token exceeds MaxToken.
+func (b *Builder) StoreLine(addr mem.Addr, token uint64) *Builder {
 	if token > MaxToken {
 		panic(fmt.Sprintf("trace: token %d exceeds %d bits", token, tokenBits))
 	}
-	return b.add(Store, uint64(addr), token)
+	return b.add(StoreLine, uint64(addr), token)
 }
 
 // StoreRange appends a store to every line of the byte range [addr,

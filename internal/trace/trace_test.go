@@ -119,7 +119,7 @@ func TestOpLayout(t *testing.T) {
 	}
 	const maxAddr, maxCycles = mem.Addr(math.MaxUint64), sim.Cycle(math.MaxUint64)
 	var b Builder
-	b.Load(maxAddr).Store(maxAddr).StoreTagged(maxAddr, MaxToken).StoreTagged(64, 1).
+	b.Load(maxAddr).Store(maxAddr).StoreLine(maxAddr, MaxToken).StoreLine(64, 1).
 		Compute(maxCycles).Compute(1).Barrier().TxEnd().Load(0).PostedLoad(maxAddr)
 	want := []struct {
 		kind   OpKind
@@ -129,8 +129,8 @@ func TestOpLayout(t *testing.T) {
 	}{
 		{Load, maxAddr, 0, 0},
 		{Store, maxAddr, 0, 0},
-		{Store, maxAddr, 0, MaxToken},
-		{Store, 64, 0, 1},
+		{StoreLine, maxAddr, 0, MaxToken},
+		{StoreLine, 64, 0, 1},
 		{Compute, 0, maxCycles, 0},
 		{Compute, 0, 1, 0},
 		{Barrier, 0, 0, 0},
@@ -157,18 +157,18 @@ func TestOpLayout(t *testing.T) {
 	}
 }
 
-// TestStoreTaggedPanicsOnWideToken: a token the packing cannot hold is
+// TestStoreLinePanicsOnWideToken: a token the packing cannot hold is
 // refused, never truncated.
-func TestStoreTaggedPanicsOnWideToken(t *testing.T) {
+func TestStoreLinePanicsOnWideToken(t *testing.T) {
 	for _, tok := range []uint64{MaxToken + 1, math.MaxUint64} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("StoreTagged(_, %#x) did not panic", tok)
+					t.Errorf("StoreLine(_, %#x) did not panic", tok)
 				}
 			}()
 			var b Builder
-			b.StoreTagged(0, tok)
+			b.StoreLine(0, tok)
 		}()
 	}
 }
@@ -183,7 +183,7 @@ func TestLoadRangeUnaligned(t *testing.T) {
 
 func TestProgramCounts(t *testing.T) {
 	var a, b Builder
-	a.Store(0).Store(64).Load(0).TxEnd()
+	a.Store(0).StoreLine(64, 1).Load(0).TxEnd()
 	b.Store(128).Barrier()
 	p := Program{Traces: [][]Op{a.Ops(), b.Ops()}}
 	if p.Cores() != 2 {
@@ -198,7 +198,7 @@ func TestProgramCounts(t *testing.T) {
 }
 
 func TestOpKindStrings(t *testing.T) {
-	kinds := []OpKind{Compute, Load, Store, Barrier, TxEnd, PostedLoad, OpKind(99)}
+	kinds := []OpKind{Compute, Load, Store, Barrier, TxEnd, PostedLoad, StoreLine, OpKind(99)}
 	for _, k := range kinds {
 		if k.String() == "" {
 			t.Errorf("empty string for kind %d", uint8(k))
