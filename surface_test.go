@@ -11,6 +11,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -46,6 +47,36 @@ var surfaceAllowlist = map[string]string{
 	"internal/server.Options.WriteTimeout": "internal/server.TestDrainWithStalledPipelinedClient",
 }
 
+// writeOnlyBaseline names the exported fields non-test code writes and
+// never reads that were there when the write-only check came in, each
+// with what does read it. A field written and never read costs a store on
+// every write and tells a reader nothing; a new one fails the gate.
+var writeOnlyBaseline = map[string]string{
+	// Read by tests alone.
+	"internal/dlcheck.Violation.Key":      "dlcheck's tests; product code reports a violation through Msg",
+	"internal/dlcheck.Violation.Kind":     "dlcheck's tests; product code reports a violation through Msg",
+	"internal/dlcheck.Violation.Other":    "dlcheck's tests; product code reports a violation through Msg",
+	"internal/dlcheck.Violation.Rec":      "dlcheck's tests; product code reports a violation through Msg",
+	"internal/dlcheck.Violation.Sess":     "dlcheck's tests; product code reports a violation through Msg",
+	"internal/epoch.Stats.DepRegFull":     "internal/epoch's tests",
+	"internal/pmkv.ShardAck.Shard":        "pmkv's and the server's tests",
+	"internal/pmkv.ShardResult.SimCycles": "the ledger test's pump_cycles= and gap_cycles= columns",
+	// Emitted in machine.Result's JSON, which benchmark/sim.go fingerprints
+	// (untagged, as every fingerprinted type is).
+	"internal/epoch.Summary.AdvReason":         "Result.Histories' JSON when RecordHistory is on",
+	"internal/epoch.Summary.Cause":             "Result.Histories' JSON when RecordHistory is on; machine's debug test",
+	"internal/epoch.Summary.CompletedAt":       "Result.Histories' JSON when RecordHistory is on",
+	"internal/epoch.Summary.PersistedAt":       "Result.Histories' JSON when RecordHistory is on",
+	"internal/machine.CoreResult.ExecDone":     "Result.Cores' JSON",
+	"internal/machine.CoreResult.OpTimes":      "Result.Cores' JSON when RecordOpTimes is on; machine's tests",
+	"internal/machine.CoreResult.Transactions": "Result.Cores' JSON; machine's and pmkv's tests",
+	"internal/machine.PersistEvent.Epoch":      "Result.PersistLog's JSON when RecordOpTimes is on; machine's tests",
+	"internal/machine.PersistEvent.Version":    "Result.PersistLog's JSON when RecordOpTimes is on; machine's tests",
+	"internal/machine.Result.Model":            "Result's JSON; the tests of several packages",
+	// Read by nothing.
+	"internal/epoch.ArbiterStats.Demands": "nothing: the arbiter counts each demanded flush and Counters takes only FlushesDriven and NaturalPersists",
+}
+
 // TestEveryExportHasAUser is ROADMAP aim 2's rule as a gate: every
 // exported func, method, type, const and var outside benchmark/, every
 // field of a *Config, *Options or *Spec struct and every flag a command
@@ -56,6 +87,9 @@ var surfaceAllowlist = map[string]string{
 // through an embedded field. A Config field's user must set it; filling
 // in its default does not count. A flag's user is a README code block or
 // code span, a script, a CI step, a test or benchmark/ that passes it.
+// Every exported field must also be read: by non-test code other than as
+// an assignment target or a composite-literal key, or by encoding/json
+// through a tag that names it; writeOnlyBaseline lists the exceptions.
 func TestEveryExportHasAUser(t *testing.T) {
 	start := time.Now()
 	s, err := scanSurface(".")
@@ -83,14 +117,29 @@ func TestEveryExportHasAUser(t *testing.T) {
 			t.Errorf("allowlist: %s is not an entry without a user; drop it from the list", name)
 		}
 	}
+	writeOnly := map[string]bool{}
+	for _, name := range s.writeOnly {
+		writeOnly[name] = true
+		if _, ok := writeOnlyBaseline[name]; !ok {
+			t.Errorf("%s is written but never read outside tests: read it, delete it, or tag it for JSON", name)
+		}
+	}
+	for name := range writeOnlyBaseline {
+		if !writeOnly[name] {
+			t.Errorf("write-only baseline: %s is read now, or gone; drop it from the list", name)
+		}
+	}
 	t.Logf("%d exports, %d Config fields, %d flags; %d allowlisted; %.2fs",
 		s.exports, s.fields, s.flags, len(surfaceAllowlist), time.Since(start).Seconds())
+	t.Logf("%d exported fields written and never read; %d baselined", len(s.writeOnly), len(writeOnlyBaseline))
 }
 
 // TestSurfaceGateCatchesFixture runs the gate's scan on a planted tree:
 // an export no file uses, one only a test uses, a String method, an
-// embedded field and a flag nobody passes. It must report exactly the
-// first, the second and the flag.
+// embedded field, a flag nobody passes, and a struct whose fields are
+// read, emitted as JSON, and written but read only by a test. It must
+// report exactly the first, the second and the flag as unused, and the
+// last field as write-only.
 func TestSurfaceGateCatchesFixture(t *testing.T) {
 	s, err := scanSurface(filepath.Join("testdata", "surface"))
 	if err != nil {
@@ -100,6 +149,9 @@ func TestSurfaceGateCatchesFixture(t *testing.T) {
 	if fmt.Sprint(s.unused) != fmt.Sprint(want) {
 		t.Fatalf("unused = %q, want %q", s.unused, want)
 	}
+	if want := []string{"internal/lib.Tally.Unread"}; fmt.Sprint(s.writeOnly) != fmt.Sprint(want) {
+		t.Fatalf("write-only = %q, want %q", s.writeOnly, want)
+	}
 }
 
 func lastWord(name string) string {
@@ -107,12 +159,14 @@ func lastWord(name string) string {
 }
 
 // surface is what scanSurface found: how many entries of each kind it
-// listed, and the sorted names of those without a user. Exports and
-// fields read "dir.Name" or "dir.Type.Member" (dir relative to the
+// listed, the sorted names of those without a user, and the sorted names
+// of the exported fields non-test code writes but never reads. Exports
+// and fields read "dir.Name" or "dir.Type.Member" (dir relative to the
 // root), flags "dir -name".
 type surface struct {
 	exports, fields, flags int
 	unused                 []string
+	writeOnly              []string
 }
 
 // pkgSrc is one directory's non-test Go package.
@@ -241,6 +295,7 @@ func scanSurface(root string) (*surface, error) {
 	}
 	used := map[types.Object]bool{}
 	set := map[types.Object]bool{}
+	read := map[types.Object]bool{}
 	ifaces := map[string][]*types.Interface{}
 	addIface := func(it *types.Interface) {
 		for i := 0; i < it.NumMethods(); i++ {
@@ -269,6 +324,7 @@ func scanSurface(root string) (*surface, error) {
 	for _, p := range pkgs {
 		walkScope(p.pkg)
 		markSets(p, set)
+		markReads(p, read)
 		for _, obj := range p.info.Uses {
 			used[origin(obj)] = true
 		}
@@ -338,6 +394,9 @@ func scanSurface(root string) (*surface, error) {
 			config := strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Spec")
 			for i := 0; i < st.NumFields(); i++ {
 				f := st.Field(i)
+				if f.Exported() && !f.Embedded() && !read[f] && !jsonEmits(st.Tag(i)) {
+					s.writeOnly = append(s.writeOnly, p.rel+"."+name+"."+f.Name())
+				}
 				switch {
 				case config:
 					s.fields++
@@ -364,6 +423,7 @@ func scanSurface(root string) (*surface, error) {
 		}
 	}
 	sort.Strings(s.unused)
+	sort.Strings(s.writeOnly)
 	return s, nil
 }
 
@@ -431,6 +491,48 @@ func markSets(p *pkgSrc, set map[types.Object]bool) {
 			return true
 		})
 	}
+}
+
+// markReads records the fields p's files read: every use of a field but
+// as the target of an assignment or increment, or as a composite-literal
+// key. Indexing a field, taking its address or passing it on reads it.
+func markReads(p *pkgSrc, read map[types.Object]bool) {
+	writes := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			writes[e.Sel] = true
+		case *ast.Ident:
+			writes[e] = true
+		}
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					target(l)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.KeyValueExpr:
+				target(n.Key)
+			}
+			return true
+		})
+	}
+	for id, obj := range p.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+			read[v.Origin()] = true
+		}
+	}
+}
+
+// jsonEmits reports whether a field's tag names it in encoding/json's
+// output: encoding/json reads it whenever its struct is marshalled.
+func jsonEmits(tag string) bool {
+	name, ok := reflect.StructTag(tag).Lookup("json")
+	return ok && name != "-"
 }
 
 func origin(obj types.Object) types.Object {

@@ -3,8 +3,10 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"os"
 
 	"fixture/internal/lib"
 )
@@ -17,4 +19,9 @@ func main() {
 	g.Lock()
 	defer g.Unlock()
 	fmt.Println(lib.Name("x"), *passed, *unpassed)
+	tally := lib.Tally{Seen: *passed, Unread: 1}
+	tally.Emitted++
+	tally.Unread = 2
+	fmt.Println(tally.Seen)
+	json.NewEncoder(os.Stdout).Encode(tally)
 }

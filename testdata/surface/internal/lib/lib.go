@@ -1,5 +1,6 @@
 // Package lib is the surface gate's planted fixture: of its exports only
-// Orphan and TestOnly lack a user.
+// Orphan and TestOnly lack a user, and of its fields only Tally.Unread is
+// never read.
 package lib
 
 import "sync"
@@ -20,4 +21,12 @@ func (n Name) String() string { return string(n) }
 // mutex: the field is used by promotion alone.
 type Guarded struct {
 	sync.Mutex
+}
+
+// Tally is filled in by cmd/tool, which reads Seen and prints the struct
+// as JSON, which reads Emitted; only lib_test.go reads Unread.
+type Tally struct {
+	Seen    int
+	Unread  int
+	Emitted int `json:"emitted"`
 }

@@ -7,3 +7,9 @@ func TestTestOnly(t *testing.T) {
 		t.Fatal("TestOnly() != 1")
 	}
 }
+
+func TestTallyUnread(t *testing.T) {
+	if (Tally{Unread: 1}).Unread != 1 {
+		t.Fatal("Unread != 1")
+	}
+}
