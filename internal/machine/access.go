@@ -569,7 +569,7 @@ func (r *memReq) commit() {
 		r.atBankLocked()
 		return
 	}
-	whole := r.whole
+	whole := r.whole // read before releaseReq hands the frame back
 	m.access(c, mem.Store, line, whole, m.releaseReq(r))
 }
 
