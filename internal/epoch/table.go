@@ -145,6 +145,12 @@ type Record struct {
 	// another flush pass".
 	AcksInFlight int
 
+	// EarlyWrites counts the lines of this epoch written back early, at
+	// their store (the machine's early write-back, beyond the paper). An
+	// epoch with early writes must not gain an inter-thread ordering
+	// edge: the machine splits it first.
+	EarlyWrites int
+
 	// persisted fires when the epoch persists (Table.OnPersisted).
 	persisted sim.Signal
 

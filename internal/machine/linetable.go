@@ -11,7 +11,10 @@ import (
 type lineState struct {
 	line   mem.Line
 	latest mem.Version // newest committed version (0: never written)
-	dir    dirEntry
+	// early is the last version of the line written back early (at its
+	// store, beyond the paper); an epoch flush skips an L1 copy holding it.
+	early mem.Version
+	dir   dirEntry
 	// busy is the transient-state holder's signal (it lives in that
 	// request's memReq), nil when the line is free.
 	busy *sim.Signal

@@ -126,6 +126,10 @@ type Counters struct {
 	Stalls         [numStallCauses]sim.Cycle `json:"stall_cycles"`
 	PersistedLines uint64                    `json:"persisted_lines"`
 	LogWrites      uint64                    `json:"log_writes"`
+	// EarlyWritebacks counts whole-line stores written back early, at
+	// their commit (beyond the paper). Omitted from JSON while zero: no
+	// figure's machine writes back early, and its fingerprint holds.
+	EarlyWritebacks uint64 `json:"early_writebacks,omitzero"`
 
 	MC  nvram.Stats `json:"mc"`
 	NoC noc.Stats   `json:"noc"`
@@ -203,6 +207,10 @@ var Families = []Family{
 		func(c *Counters) []Sample { return one(c.MC.Reads) }},
 	{"nvram_wait_cycles", "Cycles admitted requests waited for a memory controller's channel, summed.", "",
 		func(c *Counters) []Sample { return one(uint64(c.MC.StallCycles)) }},
+	{"early_writebacks", "Whole-line stores written back to NVRAM at their commit, ahead of their epoch's flush (beyond the paper).", "",
+		func(c *Counters) []Sample { return one(c.EarlyWritebacks) }},
+	{"nvram_background_wait_cycles", "Cycles early write-backs waited for an idle memory controller, summed (not in nvram_wait_cycles).", "",
+		func(c *Counters) []Sample { return one(uint64(c.MC.BackgroundWaitCycles)) }},
 }
 
 // addCache adds one cache's counts into dst.
@@ -243,11 +251,13 @@ func (c *Counters) Add(o *Counters) {
 	}
 	c.PersistedLines += o.PersistedLines
 	c.LogWrites += o.LogWrites
+	c.EarlyWritebacks += o.EarlyWritebacks
 	c.MC.Reads += o.MC.Reads
 	c.MC.Writes += o.MC.Writes
 	c.MC.LogWrites += o.MC.LogWrites
 	c.MC.BusyCycles += o.MC.BusyCycles
 	c.MC.StallCycles += o.MC.StallCycles
+	c.MC.BackgroundWaitCycles += o.MC.BackgroundWaitCycles
 	if msgs := c.NoC.Messages + o.NoC.Messages; msgs > 0 {
 		c.NoC.AvgHops = (c.NoC.AvgHops*float64(c.NoC.Messages) + o.NoC.AvgHops*float64(o.NoC.Messages)) / float64(msgs)
 	}
@@ -261,11 +271,12 @@ func (c *Counters) Add(o *Counters) {
 // every Machine method it must not race the engine.
 func (m *Machine) Counters() Counters {
 	c := Counters{
-		Cycle:          m.eng.Now(),
-		PersistedLines: m.persistedLines,
-		LogWrites:      m.logWrites,
-		MC:             m.mcs.Stats(),
-		NoC:            m.mesh.Stats(),
+		Cycle:           m.eng.Now(),
+		PersistedLines:  m.persistedLines,
+		LogWrites:       m.logWrites,
+		EarlyWritebacks: m.earlyWritebacks,
+		MC:              m.mcs.Stats(),
+		NoC:             m.mesh.Stats(),
 		Conflicts: ConflictCounts{
 			Intra:        m.intraConflicts,
 			Inter:        m.interConflicts,

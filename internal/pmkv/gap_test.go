@@ -9,11 +9,16 @@ import (
 	"persistbarriers/internal/sim"
 )
 
-// gapRig drives one engine the way the shard worker does with its mailbox
-// idle, without the worker: a round submits a batch and pumps it, then
-// four times polls and takes a Gap on the oldest batch still waiting for
-// its ack (a window's entries share one epoch per core, so a batch takes a
-// few Gaps to become durable).
+// gapRig drives one engine the way the shard worker does, without the
+// worker: a round submits a batch and pumps it, then four times polls and
+// takes a Gap on the oldest batch still waiting for its ack (a window's
+// entries share one epoch per core, so a batch takes a few Gaps to become
+// durable), as the worker does with its mailbox idle. Every other round
+// takes one Gap only, so the next window is pumped while this one is still
+// in flight, as with a busy mailbox: entry lines stored while an older
+// epoch of their core is unpersisted wait for their epoch's flush instead
+// of being written back early, and the flush's PersistAcks share cycles
+// with other events, which is what makes a Gap end mid-cycle.
 type gapRig struct {
 	e        *Engine
 	sess     []*Session
@@ -68,6 +73,9 @@ func (r *gapRig) next(t *testing.T) {
 	if r.gapsLeft == 0 {
 		r.commit(t)
 		r.gapsLeft = 4
+		if r.round%2 == 0 {
+			r.gapsLeft = 1
+		}
 	}
 	r.gapsLeft--
 	d, _, _ := r.e.DurableWatermark()

@@ -73,8 +73,6 @@ var writeOnlyBaseline = map[string]string{
 	"internal/machine.PersistEvent.Epoch":      "Result.PersistLog's JSON when RecordOpTimes is on; machine's tests",
 	"internal/machine.PersistEvent.Version":    "Result.PersistLog's JSON when RecordOpTimes is on; machine's tests",
 	"internal/machine.Result.Model":            "Result's JSON; the tests of several packages",
-	// Read by nothing.
-	"internal/epoch.ArbiterStats.Demands": "nothing: the arbiter counts each demanded flush and Counters takes only FlushesDriven and NaturalPersists",
 }
 
 // TestEveryExportHasAUser is ROADMAP aim 2's rule as a gate: every
