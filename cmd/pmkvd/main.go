@@ -156,9 +156,11 @@ func serve(addr, adminAddr string, cfg pmkv.ShardedConfig, opts server.Options) 
 }
 
 // runSelfcheck executes the crash-injection sweep: one clean run to size
-// the cycle span, then n evenly spaced crash instants, each fanned out to
-// every shard, fully verified (epoch order, prefix closure, KV atomicity,
-// session order) and checked for a reproducible combined fingerprint.
+// the cycle span (each shard's clock before its closing drain, so every
+// instant falls inside the run), then n evenly spaced crash instants, each
+// fanned out to every shard, fully verified (epoch order, prefix closure,
+// KV atomicity, session order) and checked for a reproducible combined
+// fingerprint.
 func runSelfcheck(cfg pmkv.ShardedConfig, n int) error {
 	script := pmkv.GenScript(pmkv.ScriptSpec{Sessions: 6, Rounds: 24, KeySpace: 16, Seed: 42})
 	cfg.Engine.CrashAt = 0
@@ -170,7 +172,7 @@ func runSelfcheck(cfg pmkv.ShardedConfig, n int) error {
 	publishes := 0
 	verdicts := make([]*dlcheck.Verdict, len(clean))
 	for i, r := range clean {
-		span = max(span, r.Stats.Cycle)
+		span = max(span, r.Cycles)
 		publishes += r.Report.TotalPublishes
 		verdicts[i] = r.DL
 	}

@@ -111,11 +111,12 @@ func anyCrashed(results []ShardResult) bool {
 	return false
 }
 
-// span is the slowest shard's full run length, closing drain included.
+// span is the slowest shard's clock before its closing drain: a crash
+// instant past it would land in the drain, after every scripted op.
 func span(results []ShardResult) sim.Cycle {
 	var c sim.Cycle
 	for _, r := range results {
-		c = max(c, r.Stats.Cycle)
+		c = max(c, r.Cycles)
 	}
 	return c
 }
@@ -160,6 +161,7 @@ func TestShardedCrashSweep(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d of 200 instants crashed a shard", crashed)
 	if crashed < 50 {
 		t.Fatalf("only %d/200 instants crashed any shard; sweep is not exercising mid-run states", crashed)
 	}
