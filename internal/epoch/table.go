@@ -224,7 +224,6 @@ type Stats struct {
 	ByAdvance         [DrainAdvance + 1]uint64
 	ByCause           [CauseNatural + 1]uint64
 	DepsRecorded      uint64
-	DepRegFull        uint64
 	Splits            uint64
 	// PersistLatency is each persisted epoch's completion-to-durability
 	// time in cycles.
@@ -364,7 +363,6 @@ func (t *Table) AddDependence(dependent *Record, source ID) bool {
 		}
 	}
 	if len(dependent.Deps) >= t.cfg.DepRegs {
-		t.stats.DepRegFull++
 		return false
 	}
 	dependent.Deps = append(dependent.Deps, Dep{Source: source})

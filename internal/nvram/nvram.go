@@ -319,9 +319,15 @@ func (b *Bank) AttachProbe(p *obs.Probe) {
 	}
 }
 
-// ControllerFor returns the controller owning line (line-interleaved).
+// Interleave is the index of the controller, of n, that owns line: lines
+// are interleaved one at a time, so consecutive lines go to consecutive
+// controllers. It is the one placement rule; software that places data
+// per controller uses it too.
+func Interleave(line mem.Line, n int) int { return int(uint64(line) % uint64(n)) }
+
+// ControllerFor returns the controller owning line (see Interleave).
 func (b *Bank) ControllerFor(line mem.Line) *Controller {
-	return b.ctrls[int(uint64(line)%uint64(len(b.ctrls)))]
+	return b.ctrls[Interleave(line, len(b.ctrls))]
 }
 
 // PersistedVersion returns the durable version of line (a point query on

@@ -40,6 +40,9 @@ type cpEntry struct {
 	// order, and the checker's identity for it).
 	rec   int
 	found bool
+	// core is the core that wrote the entry, whose free stack its lines go
+	// back to (an int32 beside found, so the entry stays 96 bytes).
+	core int32
 	// span is the entry's lines (one for a tombstone), and lo and hi the
 	// lowest and highest versions its stores committed at. While the entry
 	// is its key's newest nothing else may write those lines, so a line of

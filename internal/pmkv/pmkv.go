@@ -72,16 +72,22 @@ import (
 	"persistbarriers/internal/dlcheck"
 	"persistbarriers/internal/machine"
 	"persistbarriers/internal/mem"
+	"persistbarriers/internal/nvram"
 	"persistbarriers/internal/sim"
 	"persistbarriers/internal/trace"
 )
 
 // Address-space layout. The index's bucket lines and the entries live well
 // below the machine's checkpoint region (1<<40) and far from the low
-// addresses the canned workloads use.
+// addresses the canned workloads use. The entry heap is cut into lanes of
+// laneLines lines, one per size class and memory controller: the lane of
+// class c and controller mc holds the class-c spans whose first line is on
+// mc, carved one after another (see carve). Size classes below 32, which
+// no value reaches, keep the lanes below the checkpoint region.
 const (
 	indexBase = mem.Addr(0x2000_0000)
 	entryBase = mem.Addr(0x4000_0000)
+	laneLines = 1 << 26
 )
 
 // Op enumerates client operations.
@@ -271,15 +277,18 @@ type Engine struct {
 	nextToken uint64
 	sessions  int
 
-	// The entry-line heap: nextEntry is the bump pointer, free the entries
-	// whose lines were given back — one LIFO stack per power-of-two size
-	// class (see entryLinesFor); until its lines are reused, NVRAM may
-	// still hold a freed entry, which recovery's scan can find — and
-	// recycled the lines taken off free again, counted at class size like
-	// everything here.
-	nextEntry mem.Addr
-	free      [][]*cpEntry
-	recycled  int
+	// The entry-line heap: free holds the entries whose lines were given
+	// back — one LIFO stack per power-of-two size class, core that wrote
+	// the entry and controller of its first line, at freeSlot (see
+	// entryLinesFor); until its lines are reused, NVRAM may still hold a
+	// freed entry, which recovery's scan can find. carved counts the spans
+	// cut from each lane, bumped the lines cut and recycled those taken off
+	// free again, counted at class size like everything here. nextMC is
+	// the controller the next span starts on.
+	free             []freeStack
+	carved           []int
+	nextMC           int
+	bumped, recycled int
 
 	// tail is the audit trail still owed a persist: the mutation records,
 	// oldest first, that the durable watermark has not passed. Record
@@ -345,14 +354,13 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:       cfg,
-		m:         m,
-		live:      make(map[string]*OpRecord),
-		batch:     make(map[windowKey]*OpRecord),
-		window:    make([]coreWindow, cfg.Machine.Cores),
-		cp:        newCheckpoint(),
-		keep:      make([]mem.Version, cfg.Machine.Cores),
-		nextEntry: entryBase,
+		cfg:    cfg,
+		m:      m,
+		live:   make(map[string]*OpRecord),
+		batch:  make(map[windowKey]*OpRecord),
+		window: make([]coreWindow, cfg.Machine.Cores),
+		cp:     newCheckpoint(),
+		keep:   make([]mem.Version, cfg.Machine.Cores),
 	}
 	e.gapWait = e.gapWaiting
 	if cfg.Check {
@@ -429,10 +437,16 @@ type lineSpan struct {
 // at: class c spans are 1<<c lines long (1, 2, 3–4, 5–8, ... lines).
 func sizeClass(n int) int { return bits.Len(uint(n - 1)) }
 
-// entryLinesFor finds lines for a value (at least one, so a tombstone has
-// one; one line per 64 value bytes): the most recently freed span of the
-// value's size class, which the caches most likely still hold, or — only
-// when that class has none — new lines off the bump pointer.
+// entryLinesFor finds lines for a value written on core (at least one, so
+// a tombstone has one; one line per 64 value bytes). The spans go
+// round-robin over the memory controllers: each starts on nextMC, the
+// controller after the previous span's last line, so a commit window's
+// entry lines queue evenly at the controllers that persist them. On that
+// controller it takes the most recently freed span of the value's size
+// class that core wrote — a line the core's cache most likely still holds,
+// and no other core's, so the core rewrites it without a recall — else the
+// most recently freed one of another core, else a new span carved from the
+// controller's lane.
 //
 // Reuse is safe under one rule: a key's newest durable entry, tombstone
 // included, is never freed; its lines are freed only when a later entry
@@ -445,29 +459,101 @@ func sizeClass(n int) int { return bits.Len(uint(n - 1)) }
 // one-tagged-store-per-line constraint (the last record to store to a
 // freed line retired before it could fold) and frees each span exactly
 // once. Verify's check 5 is what notices a line rewritten too early.
-func (e *Engine) entryLinesFor(value []byte) lineSpan {
+func (e *Engine) entryLinesFor(core int, value []byte) lineSpan {
 	n := max(1, (len(value)+int(mem.LineSize)-1)/int(mem.LineSize))
 	c := sizeClass(n)
-	if c < len(e.free) && len(e.free[c]) > 0 {
-		stack := e.free[c]
-		e.free[c] = stack[:len(stack)-1]
+	first, ok := e.takeFree(c, core, e.nextMC)
+	if ok {
 		e.recycled += 1 << c
-		return lineSpan{first: stack[len(stack)-1].span.first, n: n}
+	} else {
+		first = e.carve(c, e.nextMC)
+		e.bumped += 1 << c
 	}
-	span := lineSpan{first: mem.LineOf(e.nextEntry), n: n}
-	e.nextEntry += mem.Addr(1<<c) * mem.LineSize
-	return span
+	e.nextMC = controllerOf(first + mem.Line(n))
+	return lineSpan{first: first, n: n}
+}
+
+// takeFree pops the free class-c span on controller mc that a write on
+// core takes (see entryLinesFor) and returns its first line; ok is false
+// when mc has none.
+func (e *Engine) takeFree(c, core, mc int) (first mem.Line, ok bool) {
+	cores := e.cfg.Machine.Cores
+	if e.freeSlot(c, 0, 0) >= len(e.free) {
+		return 0, false
+	}
+	for k := range cores {
+		if first, ok = e.free[e.freeSlot(c, (core+k)%cores, mc)].pop(); ok {
+			return first, true
+		}
+	}
+	return 0, false
+}
+
+// carve cuts a new class-c span off the lane of controller mc. A lane's
+// spans lie max(4, 1<<c) lines apart, so each starts on mc.
+func (e *Engine) carve(c, mc int) mem.Line {
+	lane := c*machine.MemControllers + mc
+	for len(e.carved) <= lane {
+		e.carved = append(e.carved, 0)
+	}
+	k := e.carved[lane]
+	e.carved[lane]++
+	return mem.LineOf(entryBase) + mem.Line(lane*laneLines+mc+k*max(machine.MemControllers, 1<<c))
 }
 
 // freeEntry gives an entry's lines back for reuse. Only fold may call it
 // (see entryLinesFor).
 func (e *Engine) freeEntry(en *cpEntry) {
 	c := sizeClass(en.span.n)
-	for len(e.free) <= c {
-		e.free = append(e.free, nil)
+	for len(e.free) <= e.freeSlot(c, 0, 0) {
+		e.free = append(e.free, make([]freeStack, e.cfg.Machine.Cores*machine.MemControllers)...)
 	}
-	e.free[c] = append(e.free[c], en)
+	e.free[e.freeSlot(c, int(en.core), controllerOf(en.span.first))].push(en)
 }
+
+// freeSlot is the index in free of the stack of class c spans that core
+// wrote last and whose first line is on controller mc; freeClass is the
+// class of the stack at index i.
+func (e *Engine) freeSlot(c, core, mc int) int {
+	return (c*e.cfg.Machine.Cores+core)*machine.MemControllers + mc
+}
+
+func (e *Engine) freeClass(i int) int { return i / (e.cfg.Machine.Cores * machine.MemControllers) }
+
+// freeStack is the freed entries of one free slot, newest on top. It
+// keeps its own copy of each, value included, in storage it reuses, so a
+// steady state allocates nothing: an entry can wait long at the bottom of
+// a stack, and a reference to the checkpoint's entry would keep that
+// entry and its value — and the heap spans they sit in — alive as long.
+type freeStack []cpEntry
+
+func (s *freeStack) push(en *cpEntry) {
+	n := len(*s)
+	if n == cap(*s) {
+		*s = append(*s, cpEntry{})
+	} else {
+		*s = (*s)[:n+1]
+	}
+	top := &(*s)[n]
+	val := append(top.val[:0], en.val...)
+	*top = *en
+	top.next, top.val = nil, val
+}
+
+// pop takes the newest entry off the stack and returns its first line;
+// ok is false when the stack is empty.
+func (s *freeStack) pop() (first mem.Line, ok bool) {
+	n := len(*s) - 1
+	if n < 0 {
+		return 0, false
+	}
+	first = (*s)[n].span.first
+	*s = (*s)[:n]
+	return first, true
+}
+
+// controllerOf is the memory controller that persists line.
+func controllerOf(l mem.Line) int { return nvram.Interleave(l, machine.MemControllers) }
 
 // coreWindow is one core's share of the open commit window: the two sides
 // of its window barrier, in three builders the pump feeds in turn, each in
@@ -564,7 +650,7 @@ func (e *Engine) translate(req Request) (Response, error) {
 		Value: val, Token: e.nextToken + 1,
 	}
 	e.plantedEarlyFree(req.Sess.ID, req.Key)
-	span := e.entryLinesFor(val)
+	span := e.entryLinesFor(core, val)
 	rec.EntryLine, rec.Entries = span.first, span.n
 	for i := 0; i < span.n; i++ {
 		e.nextToken++
@@ -891,7 +977,13 @@ func (e *Engine) plantedEarlyFree(sess int, key string) {
 			}
 		}
 	}
-	e.freeEntry(&cpEntry{key: key, span: span})
+	en := &cpEntry{key: key, span: span}
+	if rec >= e.durableCursor {
+		en.core = int32(e.tail[rec-e.durableCursor].Core)
+	} else {
+		en.core = e.cp.lookup(key).core
+	}
+	e.freeEntry(en)
 }
 
 // fold is what happens to a record at the instant its entry becomes
@@ -914,7 +1006,7 @@ func (e *Engine) fold(r *OpRecord) {
 	if r.Op == Put || e.plant != plantDropTombstone {
 		// The checkpoint outlives the record, so it gets its own copy of the
 		// value, not a slice of the arena chunk (nil for a Delete).
-		linked, shadowed := cp.insert(cpEntry{key: r.Key, val: bytes.Clone(r.Value), rec: r.Idx, found: r.Op == Put, span: span, lo: lo, hi: hi})
+		linked, shadowed := cp.insert(cpEntry{key: r.Key, val: bytes.Clone(r.Value), rec: r.Idx, found: r.Op == Put, span: span, core: int32(r.Core), lo: lo, hi: hi})
 		// The shadowed entry's key now has a newer durable entry, so this,
 		// and nowhere else, is where its lines become reusable (see
 		// entryLinesFor).
@@ -1052,8 +1144,8 @@ func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	free := 0
-	for c, stack := range e.free {
-		free += len(stack) << c
+	for i, stack := range e.free {
+		free += len(stack) << e.freeClass(i)
 	}
 	return EngineStats{
 		Retention: Retention{
@@ -1061,7 +1153,7 @@ func (e *Engine) Stats() EngineStats {
 			Folded:             e.durableCursor,
 			CheckpointKeys:     e.cp.keys,
 			EpochsTrimmed:      e.cp.trimmed,
-			EntryLinesBumped:   int((e.nextEntry - entryBase) / mem.LineSize),
+			EntryLinesBumped:   e.bumped,
 			EntryLinesRecycled: e.recycled,
 			EntryLinesFree:     free,
 			LinesTracked:       e.m.LinesTracked(),

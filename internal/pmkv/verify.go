@@ -231,7 +231,8 @@ func (e *Engine) scan(res *machine.Result) map[string]winner {
 		}
 	})
 	for _, stack := range free {
-		for _, g := range stack {
+		for i := range stack {
+			g := &stack[i]
 			if best, ok := lost[g.key]; ok && intact(res.Image, g) && (best == nil || g.rec > best.rec) {
 				lost[g.key] = g
 			}
