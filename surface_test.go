@@ -58,7 +58,6 @@ var writeOnlyBaseline = map[string]string{
 	"internal/dlcheck.Violation.Other":    "dlcheck's tests; product code reports a violation through Msg",
 	"internal/dlcheck.Violation.Rec":      "dlcheck's tests; product code reports a violation through Msg",
 	"internal/dlcheck.Violation.Sess":     "dlcheck's tests; product code reports a violation through Msg",
-	"internal/epoch.Stats.DepRegFull":     "internal/epoch's tests",
 	"internal/pmkv.ShardAck.Shard":        "pmkv's and the server's tests",
 	"internal/pmkv.ShardResult.SimCycles": "the ledger test's pump_cycles= and gap_cycles= columns",
 	// Emitted in machine.Result's JSON, which benchmark/sim.go fingerprints
