@@ -61,7 +61,7 @@ func TestCheckCrashSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
-	for _, at := range SweepInstants(clean.Stats.Cycle, instants) {
+	for _, at := range SweepInstants(clean.Cycles, instants) {
 		out, err := runSingle(Config{CrashAt: at, Check: true}, spec)
 		if err != nil {
 			t.Fatalf("crash at %d: %v", at, err)
@@ -120,7 +120,7 @@ func TestCheckMetamorphicShards(t *testing.T) {
 		return out
 	}
 	single := run(1, 0)[0]
-	for _, at := range append(SweepInstants(single.Stats.Cycle, instants), 0) {
+	for _, at := range append(SweepInstants(single.Cycles, instants), 0) {
 		one, four := run(1, at)[0], run(4, at)
 		got, want := verdictSig(four[0].DL), verdictSig(one.DL)
 		if got != want {

@@ -41,7 +41,8 @@ var sections = []section{
 }
 
 // dump writes the clean-drain line and one line per crash instant, each
-// run on a fresh single-shard store.
+// run on a fresh single-shard store. The instants are spread over the
+// clean run's clock before its closing drain, so each one crashes the run.
 func dump(w io.Writer, s section) error {
 	script := pmkv.GenScript(s.spec)
 	run := func(at sim.Cycle) (pmkv.ShardResult, error) {
@@ -63,7 +64,7 @@ func dump(w io.Writer, s section) error {
 		return err
 	}
 	fmt.Fprintf(w, "clean cycles=%d fp=%s%s\n", clean.Stats.Cycle, clean.Report.Fingerprint, counts(clean.Report))
-	for _, at := range pmkv.SweepInstants(clean.Stats.Cycle, s.instants) {
+	for _, at := range pmkv.SweepInstants(clean.Cycles, s.instants) {
 		out, err := run(at)
 		if err != nil {
 			return err

@@ -327,7 +327,7 @@ func TestCrashSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
-	instants := SweepInstants(clean.Stats.Cycle, 200)
+	instants := SweepInstants(clean.Cycles, 200)
 	crashed := 0
 	for _, at := range instants {
 		out, err := runSingle(Config{CrashAt: at}, spec)

@@ -779,7 +779,8 @@ type ShardResult struct {
 	Crashed bool
 	// Cycles is the shard's clock when it was closed, before the closing
 	// drain (the crash instant where it lost power): the number the drain
-	// report prints.
+	// report prints, and the length scripted sweeps size their crash
+	// instants by, so that each falls inside the run.
 	Cycles sim.Cycle
 	// SimCycles splits the shard's simulated time by the worker step that
 	// advanced its machine, as ShardMetrics does; Cycles is their sum when
@@ -793,7 +794,7 @@ type ShardResult struct {
 	// Stats is the engine's final snapshot, taken after it closed: Retained
 	// is the tail recovery walked, Folded what the checkpoint already
 	// covered, and the counters include the closing drain: Stats.Cycle is
-	// the clock after it, the length scripted sweeps size crash instants by.
+	// the clock after it.
 	Stats EngineStats
 	Err   error
 	// history is what a scripted run's clients were told (the oracle's

@@ -120,7 +120,7 @@ func TestStatsMatchEventOracle(t *testing.T) {
 		t.Errorf("clean run: %d inter conflicts, %d IDT deps; want both above 0", st.Conflicts.Inter, st.Epochs.Deps)
 	}
 	crashed := 0
-	for _, at := range SweepInstants(clean.Stats.Cycle, 50) {
+	for _, at := range SweepInstants(clean.Cycles, 50) {
 		if run(at).Crashed {
 			crashed++
 		}
