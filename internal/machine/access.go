@@ -72,7 +72,7 @@ type memReq struct {
 	l1FillFn, victimAtBankFn, victimWrittenFn  func()
 	commitFn, resolvedNilFn                    func()
 	idtResolveFn, onlineInterResolveFn         func()
-	l1FilledFn                                 func()
+	onlineWaitedFn, l1FilledFn                 func()
 }
 
 func (m *Machine) acquireReq(c *coreCtx, kind mem.Kind, line mem.Line, whole bool, done func()) *memReq {
@@ -86,7 +86,7 @@ func (m *Machine) acquireReq(c *coreCtx, kind mem.Kind, line mem.Line, whole boo
 		r.l1FillFn, r.victimAtBankFn, r.victimWrittenFn = r.l1Fill, r.victimAtBank, r.victimWritten
 		r.commitFn, r.resolvedNilFn = r.commit, func() { r.resolved(epoch.None) }
 		r.idtResolveFn, r.onlineInterResolveFn = r.idtResolve, r.onlineInterResolve
-		r.l1FilledFn = r.l1Filled
+		r.onlineWaitedFn, r.l1FilledFn = r.onlineWaited, r.l1Filled
 	}
 	r.c, r.kind, r.line, r.whole, r.done = c, kind, line, whole, done
 	r.stall.c = c

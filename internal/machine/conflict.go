@@ -128,7 +128,7 @@ func (m *Machine) attachDep(r *memReq, dep epoch.ID, cont func()) {
 // half is flushed (the "[w]ithout IDT we would have had to flush the first
 // part" case of §3.3).
 func (r *memReq) onlineInterResolve() {
-	m, c, id, rec := r.m, r.c, r.src, r.m.lookupRec(r.src)
+	m, id, rec := r.m, r.src, r.m.lookupRec(r.src)
 	if rec == nil {
 		r.resolved(epoch.None)
 		return
@@ -138,13 +138,24 @@ func (r *memReq) onlineInterResolve() {
 		m.splitEpoch(src, r.onlineInterResolveFn)
 		return
 	}
-	if m.cfg.RecordHistory {
-		// The synchronous wait enforces source -> dependent ordering;
-		// record it so the recovery checker can verify it held.
-		c.table.Current().OnlineEdges = append(c.table.Current().OnlineEdges, id)
-	}
 	src.arb.DemandThrough(id.Num, epoch.CauseInter)
-	r.stall.until(id, StallInter, r.resolvedNilFn)
+	r.stall.until(id, StallInter, r.onlineWaitedFn)
+}
+
+// onlineWaited continues a request whose online wait for r.src is over.
+// The synchronous wait enforces source -> dependent ordering, and the edge
+// is recorded for the recovery checker on the epoch current now, not the
+// one current when the wait began: another core's deadlock-avoidance split
+// can close that epoch meanwhile, and it then persists on its own, holding
+// nothing the access wrote. As with an IDT dependence (resolveConflict),
+// the edge belongs to the epoch that performs the access, and so no epoch
+// carries an online edge whose source has not persisted.
+func (r *memReq) onlineWaited() {
+	if r.m.cfg.RecordHistory {
+		cur := r.c.table.Current()
+		cur.OnlineEdges = append(cur.OnlineEdges, r.src)
+	}
+	r.resolved(epoch.None)
 }
 
 // demandFlush demands a flush through epoch id and runs then when it
