@@ -32,40 +32,33 @@ func (img *Image) Clone() *Image {
 	return &Image{Order: append([]Publish(nil), img.Order...)}
 }
 
-// Kind classifies a violation.
-type Kind uint8
-
+// The kinds of violation. Each Violation's Msg carries its kind as a
+// tag after "dlcheck: ", so a log line or a test can tell them apart.
 const (
-	// KindAckedLost: an op acked durable is not recovered.
-	KindAckedLost Kind = iota
-	// KindHBOrder: a recovered publish happens-after another session's
-	// lost one.
-	KindHBOrder
-	// KindReadContradiction: the recovered state contradicts a value a
+	// ackedLost: an op acked durable is not recovered.
+	ackedLost = "acked-lost"
+	// hbOrder: a recovered publish happens-after another session's lost
+	// one.
+	hbOrder = "hb-order"
+	// readContradiction: the recovered state contradicts a value a
 	// client already observed (e.g. a deleted key resurrected, or a read
 	// write lost while later effects survived).
-	KindReadContradiction
-	// KindUnknownPublish: the image names a publish the tracker never
+	readContradiction = "read-contradiction"
+	// unknownPublish: the image names a publish the tracker never
 	// observed (a corrupt or mismatched image).
-	KindUnknownPublish
+	unknownPublish = "unknown-publish"
 )
 
-// Violation is one durable-linearizability violation with enough
-// identity for a fuzzer to minimize against: the offending publish
-// record, the session involved, and the lost record it conflicts with.
+// Violation is one durable-linearizability violation. Msg names its
+// kind, the publish record at fault, the session involved and, where
+// there is one, the lost record and the key it conflicts with.
 type Violation struct {
-	Kind Kind
-	// Sess is the session whose order or observation is violated.
-	Sess int
-	// Rec is the durable (or acked) publish record at fault.
-	Rec int
-	// Other is the lost record Rec conflicts with (-1 when not
-	// applicable).
-	Other int
-	// Key is the contradicted key (read contradictions only).
-	Key string
-	// Msg is the full human-readable diagnostic.
 	Msg string
+}
+
+// violation formats a Violation of kind.
+func violation(kind, format string, args ...any) *Violation {
+	return &Violation{Msg: "dlcheck: " + kind + ": " + fmt.Sprintf(format, args...)}
 }
 
 // Error implements error.
@@ -173,10 +166,8 @@ func (t *Tracker) Check(img *Image) *Verdict {
 	for _, p := range img.Order {
 		rec := int32(p.Rec)
 		if known[rec] == nil {
-			v.Violations = append(v.Violations, &Violation{
-				Kind: KindUnknownPublish, Sess: -1, Rec: p.Rec, Other: -1,
-				Msg: fmt.Sprintf("dlcheck: image orders publish rec %d the tracker never observed", p.Rec),
-			})
+			v.Violations = append(v.Violations, violation(unknownPublish,
+				"image orders publish rec %d the tracker never observed", p.Rec))
 			continue
 		}
 		if p.Durable {
@@ -222,12 +213,9 @@ func (t *Tracker) Check(img *Image) *Verdict {
 		full = t.vcAt(owner.pub.own, owner.pub.snap, owner.sess, full[:0])
 		for sid := 0; sid < nSess && sid < len(full); sid++ {
 			if int32(sid) != owner.sess && full[sid] >= lostAt[sid] {
-				v.Violations = append(v.Violations, &Violation{
-					Kind: KindHBOrder, Sess: sid, Rec: p.Rec, Other: int(lostRec[sid]),
-					Msg: fmt.Sprintf(
-						"dlcheck: recovered publish rec %d (session %d) happens-after lost publish rec %d of session %d",
-						p.Rec, owner.sess, lostRec[sid], sid),
-				})
+				v.Violations = append(v.Violations, violation(hbOrder,
+					"recovered publish rec %d (session %d) happens-after lost publish rec %d of session %d",
+					p.Rec, owner.sess, lostRec[sid], sid))
 			}
 			if full[sid] > maxDur[sid] {
 				maxDur[sid] = full[sid]
@@ -241,12 +229,8 @@ func (t *Tracker) Check(img *Image) *Verdict {
 	for sid, s := range t.sess {
 		for _, p := range s.pubs {
 			if int(p.rec) < t.acked && !durable[p.rec] {
-				v.Violations = append(v.Violations, &Violation{
-					Kind: KindAckedLost, Sess: sid, Rec: int(p.rec), Other: -1,
-					Msg: fmt.Sprintf(
-						"dlcheck: publish rec %d (session %d) was acked durable but is not recovered",
-						p.rec, sid),
-				})
+				v.Violations = append(v.Violations, violation(ackedLost,
+					"publish rec %d (session %d) was acked durable but is not recovered", p.rec, sid))
 			}
 		}
 	}
@@ -261,13 +245,9 @@ func (t *Tracker) Check(img *Image) *Verdict {
 				continue
 			}
 			if sid < len(maxDur) && maxDur[sid] > r.idx {
-				v.Violations = append(v.Violations, &Violation{
-					Kind: KindReadContradiction, Sess: sid, Rec: int(maxDurWitness[sid]),
-					Other: int(r.w.rec), Key: r.key,
-					Msg: fmt.Sprintf(
-						"dlcheck: session %d observed write rec %d of key %q, which is not recovered, but publish rec %d that happens-after the read is",
-						sid, r.w.rec, r.key, maxDurWitness[sid]),
-				})
+				v.Violations = append(v.Violations, violation(readContradiction,
+					"session %d observed write rec %d of key %q, which is not recovered, but publish rec %d that happens-after the read is",
+					sid, r.w.rec, r.key, maxDurWitness[sid]))
 			}
 		}
 	}

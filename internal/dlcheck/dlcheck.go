@@ -28,7 +28,6 @@
 package dlcheck
 
 import (
-	"fmt"
 	"math"
 	"sync"
 )
@@ -220,20 +219,4 @@ func (t *Tracker) vcAt(own, snap int32, sess int32, dst []int32) []int32 {
 		dst[sess] = own
 	}
 	return dst
-}
-
-// String renders a violation kind.
-func (k Kind) String() string {
-	switch k {
-	case KindAckedLost:
-		return "acked-lost"
-	case KindHBOrder:
-		return "hb-order"
-	case KindReadContradiction:
-		return "read-contradiction"
-	case KindUnknownPublish:
-		return "unknown-publish"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
 }

@@ -64,10 +64,16 @@ func TestAdaptiveSnapshots(t *testing.T) {
 	}
 }
 
-func kinds(v *Verdict) map[Kind]int {
-	out := make(map[Kind]int)
+// kindOf reads a violation's kind tag from its message.
+func kindOf(viol *Violation) string {
+	tag, _, _ := strings.Cut(strings.TrimPrefix(viol.Msg, "dlcheck: "), ":")
+	return tag
+}
+
+func kinds(v *Verdict) map[string]int {
+	out := make(map[string]int)
 	for _, viol := range v.Violations {
-		out[viol.Kind]++
+		out[kindOf(viol)]++
 	}
 	return out
 }
@@ -116,11 +122,11 @@ func TestSessionPrefixHBOrder(t *testing.T) {
 	tr.AckDurable(1)
 	v := tr.Check(img)
 	k := kinds(v)
-	if k[KindAckedLost] != 1 || len(v.Violations) != 1 {
+	if k[ackedLost] != 1 || len(v.Violations) != 1 {
 		t.Fatalf("want exactly one acked-lost violation, got %v (%s)", k, v)
 	}
-	if viol := v.Violations[0]; viol.Rec != 0 || viol.Sess != 0 {
-		t.Fatalf("violation identity wrong: %+v", viol)
+	if viol := v.Violations[0]; !strings.Contains(viol.Msg, "publish rec 0 (session 0)") {
+		t.Fatalf("violation identity wrong: %s", viol.Msg)
 	}
 }
 
@@ -137,12 +143,12 @@ func TestCrossSessionHBOrder(t *testing.T) {
 		{Rec: 1, Key: "k001", Durable: true},
 	}})
 	k := kinds(v)
-	if k[KindHBOrder] != 1 || k[KindReadContradiction] != 1 {
+	if k[hbOrder] != 1 || k[readContradiction] != 1 {
 		t.Fatalf("want hb-order + read-contradiction, got %v (%s)", k, v)
 	}
 	for _, viol := range v.Violations {
-		if viol.Kind == KindReadContradiction && viol.Key != "k001" {
-			t.Fatalf("read contradiction names key %q, want k001", viol.Key)
+		if kindOf(viol) == readContradiction && !strings.Contains(viol.Msg, `of key "k001"`) {
+			t.Fatalf("read contradiction %q does not name key k001", viol.Msg)
 		}
 	}
 }
@@ -155,7 +161,7 @@ func TestAckedLost(t *testing.T) {
 	tr.AckDurable(1)
 	v := tr.Check(&Image{Order: []Publish{{Rec: 0, Key: "k000", Durable: false}}})
 	k := kinds(v)
-	if k[KindAckedLost] != 1 || len(v.Violations) != 1 {
+	if k[ackedLost] != 1 || len(v.Violations) != 1 {
 		t.Fatalf("want exactly one acked-lost violation, got %v (%s)", k, v)
 	}
 	if !strings.Contains(v.Violations[0].Msg, "acked durable") {
@@ -178,17 +184,17 @@ func TestResurrectedDelete(t *testing.T) {
 		{Rec: 2, Key: "k001", Durable: true},
 	}})
 	k := kinds(v)
-	if k[KindReadContradiction] != 1 {
+	if k[readContradiction] != 1 {
 		t.Fatalf("want read-contradiction, got %v (%s)", k, v)
 	}
 	var rc *Violation
 	for _, viol := range v.Violations {
-		if viol.Kind == KindReadContradiction {
+		if kindOf(viol) == readContradiction {
 			rc = viol
 		}
 	}
-	if rc.Key != "k001" || rc.Other != 1 || rc.Sess != 1 {
-		t.Fatalf("read contradiction identity wrong: %+v", rc)
+	if !strings.Contains(rc.Msg, `session 1 observed write rec 1 of key "k001"`) {
+		t.Fatalf("read contradiction identity wrong: %s", rc.Msg)
 	}
 }
 
@@ -210,7 +216,7 @@ func TestBucketOrderClosure(t *testing.T) {
 	tr.ObserveRead(1, "k001", 0)
 	tr.ObserveWrite(1, 2, "k002")
 	img.Order = append(img.Order, Publish{Rec: 2, Key: "k002", Durable: true})
-	if k := kinds(tr.Check(img)); k[KindHBOrder] != 1 {
+	if k := kinds(tr.Check(img)); k[hbOrder] != 1 {
 		t.Fatalf("want hb-order through the read, got %v", k)
 	}
 }
@@ -225,7 +231,7 @@ func TestUnknownPublish(t *testing.T) {
 		{Rec: 99, Key: "k000", Durable: true},
 	}})
 	k := kinds(v)
-	if k[KindUnknownPublish] != 1 {
+	if k[unknownPublish] != 1 {
 		t.Fatalf("want unknown-publish, got %v (%s)", k, v)
 	}
 	if !strings.Contains(v.String(), "FAILED") {
@@ -244,17 +250,18 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestKindString pins the diagnostic vocabulary.
+// TestKindString pins the diagnostic vocabulary: the tag each kind of
+// violation carries in its message.
 func TestKindString(t *testing.T) {
-	want := map[Kind]string{
-		KindAckedLost:         "acked-lost",
-		KindHBOrder:           "hb-order",
-		KindReadContradiction: "read-contradiction",
-		KindUnknownPublish:    "unknown-publish",
+	want := map[string]string{
+		ackedLost:         "acked-lost",
+		hbOrder:           "hb-order",
+		readContradiction: "read-contradiction",
+		unknownPublish:    "unknown-publish",
 	}
 	for k, s := range want {
-		if k.String() != s {
-			t.Fatalf("Kind(%d).String() = %q, want %q", k, k.String(), s)
+		if got := kindOf(violation(k, "rec %d", 1)); got != s {
+			t.Fatalf("kind %q renders as %q, want %q", k, got, s)
 		}
 	}
 }

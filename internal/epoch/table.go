@@ -172,9 +172,6 @@ type Record struct {
 	// conflicting epochs", §7.1).
 	ConflictDemanded bool
 
-	// AdvReason records how the epoch was closed.
-	AdvReason AdvanceReason
-
 	CompletedAt sim.Cycle
 	StoreCount  uint64
 }
@@ -202,13 +199,9 @@ func DefaultConfig() Config { return Config{MaxInFlight: 8, DepRegs: 4} }
 
 // Summary is the retained history of a closed epoch (recovery checking).
 type Summary struct {
-	ID          ID
-	Writes      map[mem.Line]mem.Version
-	Deps        []ID
-	AdvReason   AdvanceReason
-	Cause       FlushCause
-	CompletedAt sim.Cycle
-	PersistedAt sim.Cycle
+	ID     ID
+	Writes map[mem.Line]mem.Version
+	Deps   []ID
 	// PersistedFlag is set when the epoch fully persisted before the
 	// crash/end of simulation.
 	PersistedFlag bool
@@ -317,7 +310,6 @@ func (t *Table) Advance(now sim.Cycle, why AdvanceReason) *Record {
 	}
 	cur.State = Completed
 	cur.CompletedAt = now
-	cur.AdvReason = why
 	t.stats.ByAdvance[why]++
 	if why == SplitAdvance {
 		t.stats.Splits++
@@ -395,10 +387,6 @@ func (t *Table) markPersisted(r *Record, now sim.Cycle) {
 			ID:            r.ID,
 			Writes:        r.Writes,
 			Deps:          r.allEdges(),
-			AdvReason:     r.AdvReason,
-			Cause:         cause,
-			CompletedAt:   r.CompletedAt,
-			PersistedAt:   now,
 			PersistedFlag: true,
 		})
 	}
@@ -417,14 +405,7 @@ func (t *Table) History() []*Summary {
 	copy(out, t.history)
 	for n := t.oldest; n < t.next; n++ {
 		r := t.slot(n)
-		out = append(out, &Summary{
-			ID:          r.ID,
-			Writes:      r.Writes,
-			Deps:        r.allEdges(),
-			AdvReason:   r.AdvReason,
-			Cause:       r.Cause,
-			CompletedAt: r.CompletedAt,
-		})
+		out = append(out, &Summary{ID: r.ID, Writes: r.Writes, Deps: r.allEdges()})
 	}
 	return out
 }

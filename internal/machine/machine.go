@@ -58,11 +58,13 @@ func (s StallCause) String() string {
 }
 
 // PersistEvent records one line version becoming durable (RecordOpTimes).
+// Version and Epoch are read by fingerprints alone, so they carry their
+// own names as tags, as CoreResult's fields do.
 type PersistEvent struct {
 	Line    mem.Line
-	Version mem.Version
+	Version mem.Version `json:"Version"`
 	Cycle   sim.Cycle
-	Epoch   epoch.ID
+	Epoch   epoch.ID `json:"Epoch"`
 }
 
 // wtWrite is one queued naive-BSP persist.

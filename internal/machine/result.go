@@ -10,13 +10,16 @@ import (
 	"persistbarriers/internal/sim"
 )
 
-// CoreResult summarizes one core's run.
+// CoreResult summarizes one core's run. A field no product code reads is
+// tagged with its own name: a Result's JSON is what run fingerprints hash
+// (stats.Fingerprint), so encoding/json reads it, and the tag leaves the
+// bytes an untagged field gives.
 type CoreResult struct {
-	Transactions uint64
+	Transactions uint64 `json:"Transactions"`
 	OpsRetired   int
-	ExecDone     sim.Cycle
+	ExecDone     sim.Cycle `json:"ExecDone"`
 	Stalls       [numStallCauses]sim.Cycle
-	OpTimes      []sim.Cycle
+	OpTimes      []sim.Cycle `json:"OpTimes"`
 }
 
 // ConflictCounts are conflict events observed on the access paths (as
@@ -68,7 +71,7 @@ func (e EpochAggregate) ConflictingFraction() float64 {
 // Result is the complete outcome of one simulation run.
 type Result struct {
 	Barrier     string
-	Model       Model
+	Model       Model `json:"Model"` // read by fingerprints alone, as CoreResult's tagged fields
 	ExecCycles  sim.Cycle
 	DrainCycles sim.Cycle
 	Finished    bool

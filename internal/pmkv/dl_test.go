@@ -2,6 +2,7 @@ package pmkv
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"persistbarriers/internal/dlcheck"
@@ -187,10 +188,17 @@ func setDurable(t *testing.T, img *dlcheck.Image, rec int, durable bool) {
 	t.Fatalf("rec %d not in image", rec)
 }
 
-func violationKinds(v *dlcheck.Verdict) map[dlcheck.Kind]int {
-	out := make(map[dlcheck.Kind]int)
+// violationKind reads a violation's kind tag ("acked-lost", "hb-order",
+// "read-contradiction") from its message.
+func violationKind(viol *dlcheck.Violation) string {
+	tag, _, _ := strings.Cut(strings.TrimPrefix(viol.Msg, "dlcheck: "), ":")
+	return tag
+}
+
+func violationKinds(v *dlcheck.Verdict) map[string]int {
+	out := make(map[string]int)
 	for _, viol := range v.Violations {
-		out[viol.Kind]++
+		out[violationKind(viol)]++
 	}
 	return out
 }
@@ -207,11 +215,11 @@ func TestMutationDropAckedPublish(t *testing.T) {
 		t.Fatal("dropped acked publish accepted")
 	}
 	k := violationKinds(v)
-	if k[dlcheck.KindAckedLost] != 1 {
+	if k["acked-lost"] != 1 {
 		t.Fatalf("want one acked-lost, got %v (%s)", k, v)
 	}
-	if v.Violations[0].Rec != 5 {
-		t.Fatalf("diagnostic names rec %d, want 5: %s", v.Violations[0].Rec, v.Violations[0].Msg)
+	if !strings.Contains(v.Violations[0].Msg, "publish rec 5 (") {
+		t.Fatalf("diagnostic does not name rec 5: %s", v.Violations[0].Msg)
 	}
 }
 
@@ -228,10 +236,10 @@ func TestMutationReorderHBVersions(t *testing.T) {
 		t.Fatal("hb-inverted image accepted")
 	}
 	k := violationKinds(v)
-	if k[dlcheck.KindHBOrder] == 0 {
+	if k["hb-order"] == 0 {
 		t.Fatalf("want hb-order, got %v (%s)", k, v)
 	}
-	if k[dlcheck.KindReadContradiction] == 0 {
+	if k["read-contradiction"] == 0 {
 		t.Fatalf("want the contradicted read reported too, got %v (%s)", k, v)
 	}
 }
@@ -248,12 +256,12 @@ func TestMutationResurrectDeletedKey(t *testing.T) {
 		t.Fatal("resurrected delete accepted")
 	}
 	k := violationKinds(v)
-	if k[dlcheck.KindReadContradiction] == 0 {
+	if k["read-contradiction"] == 0 {
 		t.Fatalf("want read-contradiction, got %v (%s)", k, v)
 	}
 	found := false
 	for _, viol := range v.Violations {
-		if viol.Kind == dlcheck.KindReadContradiction && viol.Key == "alpha" && viol.Other == 2 {
+		if violationKind(viol) == "read-contradiction" && strings.Contains(viol.Msg, `observed write rec 2 of key "alpha"`) {
 			found = true
 		}
 	}
@@ -267,14 +275,14 @@ func TestMutationResurrectDeletedKey(t *testing.T) {
 func TestMutationDiagnosticsDistinct(t *testing.T) {
 	e, img := corruptBase(t)
 	e.DL().AckDurable(6)
-	kinds := make(map[dlcheck.Kind]bool)
+	kinds := make(map[string]bool)
 	for _, m := range []struct {
 		rec  int
-		want dlcheck.Kind
+		want string
 	}{
-		{5, dlcheck.KindAckedLost},
-		{0, dlcheck.KindHBOrder},
-		{2, dlcheck.KindReadContradiction},
+		{5, "acked-lost"},
+		{0, "hb-order"},
+		{2, "read-contradiction"},
 	} {
 		bad := img.Clone()
 		setDurable(t, bad, m.rec, false)

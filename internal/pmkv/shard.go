@@ -140,7 +140,6 @@ func pendSlot(h uint64) int { return int(h >> (64 - pendSlotBits)) }
 // unknown, judged by recovery).
 type ShardAck struct {
 	Resp    Response
-	Shard   int
 	Durable int // shard durable-prefix watermark at ack time
 	Crashed bool
 	// Fast marks a GET answered on the lock-free fast path (from the
@@ -351,7 +350,6 @@ func (s *ShardedStore) DoAsync(sess *ShardedSession, op Op, key string, value []
 			span.Stamp(telemetry.StageDurable)
 			done <- Completion{Tag: tag, Ack: ShardAck{
 				Resp:    Response{Found: found, Value: val},
-				Shard:   id,
 				Durable: sh.eng.Committed(),
 				Fast:    true,
 			}}
@@ -622,7 +620,6 @@ func (w *shardWorker) ackOldest(n int, ack ShardAck) {
 // ack at shutdown, crashed, refused, engine error) ends here, once.
 func (w *shardWorker) finish(p pendingBatch, ack ShardAck) {
 	eng := w.sh.eng
-	ack.Shard = w.sh.id
 	cycle := int64(eng.Now())
 	if ack.Err == nil && !ack.Crashed && !w.scripted {
 		// The Ack step: this ack promises durability, an obligation the

@@ -295,16 +295,21 @@ func TestShardedDurabilityAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := store.NewSession()
-	ack := store.do(sess, Put, "wm-key", []byte("wm-val"))
+	done := make(chan Completion, 1)
+	shard, err := store.DoAsync(sess, Put, "wm-key", []byte("wm-val"), nil, 0, done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack := (<-done).Ack
 	if ack.Err != nil || ack.Crashed {
 		t.Fatalf("put ack: %+v", ack)
 	}
 	if ack.Durable < 1 {
 		t.Fatalf("ack released before the durable watermark covered the publish: %+v", ack)
 	}
-	m := store.Metrics()[ack.Shard]
+	m := store.Metrics()[shard]
 	if m.Retained != 0 || m.Folded < 1 {
-		t.Fatalf("shard %d: %d records folded, %d retained after ack", ack.Shard, m.Folded, m.Retained)
+		t.Fatalf("shard %d: %d records folded, %d retained after ack", shard, m.Folded, m.Retained)
 	}
 	if _, err := store.Close(); err != nil {
 		t.Fatal(err)
@@ -593,9 +598,8 @@ func TestDoAsyncPipelining(t *testing.T) {
 // one-slot completion queue.
 func (s *ShardedStore) do(sess *ShardedSession, op Op, key string, value []byte) ShardAck {
 	done := make(chan Completion, 1)
-	shard, err := s.DoAsync(sess, op, key, value, nil, 0, done)
-	if err != nil {
-		return ShardAck{Shard: shard, Err: err}
+	if _, err := s.DoAsync(sess, op, key, value, nil, 0, done); err != nil {
+		return ShardAck{Err: err}
 	}
 	return (<-done).Ack
 }

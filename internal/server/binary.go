@@ -173,7 +173,7 @@ func (bc *binConn) dispatch(req *proto.Request) {
 // reached a shard. The reader holds the op's record, which is exactly
 // the free done capacity the send consumes.
 func (bc *binConn) synthesize(ri uint32, err error) {
-	bc.done <- pmkv.Completion{Tag: uint64(ri), Ack: pmkv.ShardAck{Shard: -1, Err: err}}
+	bc.done <- pmkv.Completion{Tag: uint64(ri), Ack: pmkv.ShardAck{Err: err}}
 }
 
 // apply folds the op's ack into its record.

@@ -171,6 +171,9 @@ func TestBenchmarkContract(t *testing.T) {
 		durable += int64(sh.DurablePublishes)
 		cycles += int64(sh.Cycles)
 		epochs += int64(sh.EpochsPersisted)
+		if steps := sh.SimCycles.Pump + sh.SimCycles.Gap; steps != uint64(sh.Cycles) {
+			t.Errorf("shard %d: pump %d + gap %d cycles != its %d cycles", sh.Shard, sh.SimCycles.Pump, sh.SimCycles.Gap, sh.Cycles)
+		}
 	}
 	if durable != want {
 		t.Errorf("report recovers %d durable publishes, clients saw %d writes acked", durable, want)
@@ -223,9 +226,11 @@ func TestReportTextGolden(t *testing.T) {
 		Crashed: true,
 		Shards: []server.ShardReport{
 			{Shard: 0, Cycles: 181234, DurablePublishes: 412, TotalPublishes: 412, Keys: 97,
-				EpochsPersisted: 388, LatencyP50: 1471, LatencyP99: 2303, Folded: 412},
+				EpochsPersisted: 388, LatencyP50: 1471, LatencyP99: 2303, Folded: 412,
+				SimCycles: pmkv.StepCycles{Pump: 80120, Gap: 101114}},
 			{Shard: 1, Crashed: true, Cycles: 100000, DurablePublishes: 230, TotalPublishes: 236, Keys: 88,
-				EpochsPersisted: 201, LatencyP50: 1535, LatencyP99: 2431, Folded: 228, Retained: 8},
+				EpochsPersisted: 201, LatencyP50: 1535, LatencyP99: 2431, Folded: 228, Retained: 8,
+				SimCycles: pmkv.StepCycles{Pump: 44870, Gap: 55130}},
 		},
 		RecoveredKeys: 185,
 		Fingerprint:   "0123456789abcdef0123456789abcdef",

@@ -51,6 +51,9 @@ type ShardReport struct {
 	// Folded + Retained = TotalPublishes: records released behind the
 	// durable watermark, and the tail recovery walked.
 	Folded, Retained int
+	// SimCycles splits the shard's simulated time into the worker's Pump
+	// and Gap steps.
+	SimCycles pmkv.StepCycles
 }
 
 // FlightCheck cross-checks the flight recorder against the recovery
@@ -101,6 +104,7 @@ func (s *Server) Close() (*Report, error) {
 			LatencyP99:       sim.Cycle(r.Stats.PersistLatency.Percentile(99)),
 			Folded:           r.Stats.Folded,
 			Retained:         r.Stats.Retained,
+			SimCycles:        r.SimCycles,
 		}
 		rep.RecoveredKeys += r.Report.RecoveredKeys
 	}
@@ -165,9 +169,10 @@ func (r *Report) WriteText(w io.Writer) error {
 			if sh.Crashed {
 				shardMode = fmt.Sprintf("crashed at cycle %d", sh.Cycles)
 			}
-			p("  shard %d: %s after %d cycles; publishes %d durable / %d total; %d keys; %d epochs persisted (p50=%d p99=%d cycles); folded %d / retained %d\n",
+			p("  shard %d: %s after %d cycles; publishes %d durable / %d total; %d keys; %d epochs persisted (p50=%d p99=%d cycles); folded %d / retained %d; pump %d / gap %d cycles\n",
 				sh.Shard, shardMode, sh.Cycles, sh.DurablePublishes, sh.TotalPublishes,
-				sh.Keys, sh.EpochsPersisted, sh.LatencyP50, sh.LatencyP99, sh.Folded, sh.Retained)
+				sh.Keys, sh.EpochsPersisted, sh.LatencyP50, sh.LatencyP99, sh.Folded, sh.Retained,
+				sh.SimCycles.Pump, sh.SimCycles.Gap)
 		}
 		p("  recovered keys: %d; combined fingerprint %.16s\n", r.RecoveredKeys, r.Fingerprint)
 		p("  recovery invariants: OK\n")

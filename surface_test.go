@@ -47,33 +47,6 @@ var surfaceAllowlist = map[string]string{
 	"internal/server.Options.WriteTimeout": "internal/server.TestDrainWithStalledPipelinedClient",
 }
 
-// writeOnlyBaseline names the exported fields non-test code writes and
-// never reads that were there when the write-only check came in, each
-// with what does read it. A field written and never read costs a store on
-// every write and tells a reader nothing; a new one fails the gate.
-var writeOnlyBaseline = map[string]string{
-	// Read by tests alone.
-	"internal/dlcheck.Violation.Key":      "dlcheck's tests; product code reports a violation through Msg",
-	"internal/dlcheck.Violation.Kind":     "dlcheck's tests; product code reports a violation through Msg",
-	"internal/dlcheck.Violation.Other":    "dlcheck's tests; product code reports a violation through Msg",
-	"internal/dlcheck.Violation.Rec":      "dlcheck's tests; product code reports a violation through Msg",
-	"internal/dlcheck.Violation.Sess":     "dlcheck's tests; product code reports a violation through Msg",
-	"internal/pmkv.ShardAck.Shard":        "pmkv's and the server's tests",
-	"internal/pmkv.ShardResult.SimCycles": "the ledger test's pump_cycles= and gap_cycles= columns",
-	// Emitted in machine.Result's JSON, which benchmark/sim.go fingerprints
-	// (untagged, as every fingerprinted type is).
-	"internal/epoch.Summary.AdvReason":         "Result.Histories' JSON when RecordHistory is on",
-	"internal/epoch.Summary.Cause":             "Result.Histories' JSON when RecordHistory is on; machine's debug test",
-	"internal/epoch.Summary.CompletedAt":       "Result.Histories' JSON when RecordHistory is on",
-	"internal/epoch.Summary.PersistedAt":       "Result.Histories' JSON when RecordHistory is on",
-	"internal/machine.CoreResult.ExecDone":     "Result.Cores' JSON",
-	"internal/machine.CoreResult.OpTimes":      "Result.Cores' JSON when RecordOpTimes is on; machine's tests",
-	"internal/machine.CoreResult.Transactions": "Result.Cores' JSON; machine's and pmkv's tests",
-	"internal/machine.PersistEvent.Epoch":      "Result.PersistLog's JSON when RecordOpTimes is on; machine's tests",
-	"internal/machine.PersistEvent.Version":    "Result.PersistLog's JSON when RecordOpTimes is on; machine's tests",
-	"internal/machine.Result.Model":            "Result's JSON; the tests of several packages",
-}
-
 // TestEveryExportHasAUser is ROADMAP aim 2's rule as a gate: every
 // exported func, method, type, const and var outside benchmark/, every
 // field of a *Config, *Options or *Spec struct and every flag a command
@@ -86,7 +59,7 @@ var writeOnlyBaseline = map[string]string{
 // code span, a script, a CI step, a test or benchmark/ that passes it.
 // Every exported field must also be read: by non-test code other than as
 // an assignment target or a composite-literal key, or by encoding/json
-// through a tag that names it; writeOnlyBaseline lists the exceptions.
+// through a tag that names it. There is no exception to that rule.
 func TestEveryExportHasAUser(t *testing.T) {
 	start := time.Now()
 	s, err := scanSurface(".")
@@ -114,21 +87,12 @@ func TestEveryExportHasAUser(t *testing.T) {
 			t.Errorf("allowlist: %s is not an entry without a user; drop it from the list", name)
 		}
 	}
-	writeOnly := map[string]bool{}
 	for _, name := range s.writeOnly {
-		writeOnly[name] = true
-		if _, ok := writeOnlyBaseline[name]; !ok {
-			t.Errorf("%s is written but never read outside tests: read it, delete it, or tag it for JSON", name)
-		}
-	}
-	for name := range writeOnlyBaseline {
-		if !writeOnly[name] {
-			t.Errorf("write-only baseline: %s is read now, or gone; drop it from the list", name)
-		}
+		t.Errorf("%s is written but never read outside tests: read it, delete it, or tag it for JSON", name)
 	}
 	t.Logf("%d exports, %d Config fields, %d flags; %d allowlisted; %.2fs",
 		s.exports, s.fields, s.flags, len(surfaceAllowlist), time.Since(start).Seconds())
-	t.Logf("%d exported fields written and never read; %d baselined", len(s.writeOnly), len(writeOnlyBaseline))
+	t.Logf("%d exported fields written and never read", len(s.writeOnly))
 }
 
 // TestSurfaceGateCatchesFixture runs the gate's scan on a planted tree:
