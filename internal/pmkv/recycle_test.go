@@ -66,7 +66,8 @@ func heapPartition(t *testing.T, e *Engine, when string) {
 }
 
 // TestFreeListConservesSpans: over the long script, at the clean close and
-// at 50 crash instants, every carved line has exactly one owner.
+// at 50 crash instants spread over the run (ShardResult.Cycles, the clock
+// before the closing drain), every carved line has exactly one owner.
 func TestFreeListConservesSpans(t *testing.T) {
 	spec := longSpec()
 	clean, out, err := runPlantedEngine(Config{}, spec, plantNone)
@@ -77,13 +78,18 @@ func TestFreeListConservesSpans(t *testing.T) {
 	if ret := clean.Stats().Retention; ret.EntryLinesRecycled < 4*ret.EntryLinesBumped {
 		t.Fatalf("%d lines recycled against %d carved: the free list is barely used", ret.EntryLinesRecycled, ret.EntryLinesBumped)
 	}
-	for _, at := range SweepInstants(out.Stats.Cycle, 50) {
+	crashed := 0
+	for _, at := range SweepInstants(out.Cycles, 50) {
 		e, _, err := runPlantedEngine(Config{CrashAt: at}, spec, plantNone)
 		if err != nil {
 			t.Fatalf("crash at %d: %v", at, err)
 		}
 		heapPartition(t, e, fmt.Sprintf("crash at %d", at))
+		if e.Crashed() {
+			crashed++
+		}
 	}
+	t.Logf("%d of 50 instants crash inside the run", crashed)
 }
 
 // settle drives the engine until every record issued so far is folded,
@@ -415,5 +421,65 @@ func TestPlantedRecycleEarly(t *testing.T) {
 	t.Logf("planted early recycle caught at %d of %d crash instants", caught, len(instants))
 	if caught < len(instants)/2 {
 		t.Fatalf("planted early recycle caught at only %d of %d crash instants", caught, len(instants))
+	}
+}
+
+// recycleEarlyScript is shaped for the early-recycle plant. Session 0
+// puts four one-line keys, rewrites them in the next window, and puts four
+// fresh keys in the window after: under the plant the rewrites free the
+// old entries' lines at translate, one on each controller, and each fresh
+// Put takes its core's own freed line on its controller. In the rewriting
+// window session 1 first puts a 960-byte value, a lower record whose
+// persist is slow, so the watermark holds the rewrites back from folding
+// while the fresh stores persist over the entries they superseded. A
+// closing window reads the four keys from session 1.
+func recycleEarlyScript() Script {
+	line := make([]byte, mem.LineSize)
+	rewrite := []ScriptedOp{{Sess: 1, Op: Put, Key: "slow", Value: make([]byte, 960)}}
+	var put, fresh, get []ScriptedOp
+	for i := range 4 {
+		key := fmt.Sprintf("k%d", i)
+		put = append(put, ScriptedOp{Sess: 0, Op: Put, Key: key, Value: line})
+		rewrite = append(rewrite, ScriptedOp{Sess: 0, Op: Put, Key: key, Value: line})
+		fresh = append(fresh, ScriptedOp{Sess: 0, Op: Put, Key: fmt.Sprintf("f%d", i), Value: line})
+		get = append(get, ScriptedOp{Sess: 1, Op: Get, Key: key})
+	}
+	return Script{put, rewrite, fresh, get}
+}
+
+// TestPlantedRecycleEarlyScript: over every image of recycleEarlyScript
+// the honest engine passes Verify, dlcheck and the oracle, and the
+// early-recycle plant is rejected by Verify's check 5 and by the oracle,
+// each at some image, so the plant's catch does not ride on which line
+// fpdump-long's next write happens to take.
+func TestPlantedRecycleEarlyScript(t *testing.T) {
+	script := recycleEarlyScript()
+	instants, _ := everyImage(t, script)
+	bugs := []plantedBug{plantNone, plantRecycleEarly}
+	var images []image
+	for _, bug := range bugs {
+		for _, at := range instants {
+			images = append(images, image{script: script, bug: bug, at: at})
+		}
+	}
+	judgeImages(images)
+	for i, bug := range bugs {
+		verified, oracle := 0, 0
+		for _, im := range images[i*len(instants) : (i+1)*len(instants)] {
+			switch {
+			case im.err == nil:
+			case bug == plantNone || !CaughtEarlyRecycle(im.err):
+				t.Errorf("plant %d, crash at %d: %v", bug, im.at, im.err)
+			case !im.dlBad:
+				verified++
+			}
+			if im.oerr != nil {
+				oracle++
+			}
+		}
+		t.Logf("plant %d: Verify rejects %d and the oracle %d of %d images", bug, verified, oracle, len(instants))
+		if bug == plantNone && oracle != 0 || bug != plantNone && (verified == 0 || oracle == 0) {
+			t.Errorf("plant %d: Verify rejects %d and the oracle %d of %d images", bug, verified, oracle, len(instants))
+		}
 	}
 }
