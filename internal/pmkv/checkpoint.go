@@ -9,14 +9,14 @@
 // without touching the shard mailbox, the engine lock, or the simulated
 // machine.
 //
-// The per-key map is a chained hash whose bucket heads are atomic pointers
-// to immutable entries. The discipline mirrors the paper's publish-pointer
-// idiom one level up: an entry is fully built before the single atomic
-// store that links it, and once linked it is never mutated — readers that
-// traverse a chain can only observe states that were durable when the head
-// store happened. There is exactly one writer at a time (whoever holds the
-// engine lock), so inserts need no CAS loop; amortized chain compaction and
-// table growth swap in a rebuilt table with one atomic pointer store.
+// The per-key map is an open-addressed array of atomic pointers to
+// immutable entries, one slot per key: an entry is fully built before the
+// single atomic store that puts it in its key's slot (the paper's
+// publish-pointer idiom one level up), so a reader only observes states
+// that were durable when that store happened. The one writer (whoever
+// holds the engine lock) needs no CAS loop, and keys are never removed (a
+// delete is a tombstone entry), so an empty slot ends a probe. Growth
+// re-slots the entries into a table twice the size, published by one store.
 package pmkv
 
 import (
@@ -26,47 +26,39 @@ import (
 )
 
 // cpEntry is one immutable checkpoint entry: the newest durable write of a
-// key at the moment it was linked. found=false is a tombstone (the key's
-// newest durable write is a delete). Entries shadowed by a newer insert
-// for the same key stay in the chain until compaction; readers take the
-// first match, which is always the newest. Nothing in an entry points into
-// a per-mutation arena: val is the checkpoint's own copy and key is shared
-// with the entry it shadows.
+// key at the moment it was stored. found=false is a tombstone (the key's
+// newest durable write is a delete). Nothing in an entry points into a
+// per-mutation arena: val is the checkpoint's own copy and key is shared
+// with the entry it replaced.
 type cpEntry struct {
-	next *cpEntry
-	key  string
-	val  []byte
+	key string
+	val []byte
 	// rec is the absolute mutation-record index of the write (the key's
 	// order, and the checker's identity for it).
 	rec   int
 	found bool
 	// core is the core that wrote the entry, whose free stack its lines go
-	// back to (an int32 beside found, so the entry stays 96 bytes).
+	// back to (an int32 beside found, so the entry stays 88 bytes).
 	core int32
 	// span is the entry's lines (one for a tombstone), and lo and hi the
 	// lowest and highest versions its stores committed at. While the entry
 	// is its key's newest nothing else may write those lines, so a line of
 	// span holding a version above hi was recycled too early (Verify check
-	// 5); once a newer entry shadows this one, it goes on the engine's free
+	// 5); once a newer entry replaces this one, it goes on the engine's free
 	// list. A line below lo never got the entry's store.
 	span   lineSpan
 	lo, hi mem.Version
 }
 
-// cpTable is one immutable-shape bucket array. Growth replaces the whole
-// table (readers re-load the pointer per lookup), so mask and the slice
-// header never change under a reader.
+// cpTable is one immutable-shape slot array: growth replaces the whole
+// table, so mask and the slice header never change under a reader.
 type cpTable struct {
-	mask    uint64
-	buckets []atomic.Pointer[cpEntry]
+	mask  uint64
+	slots []atomic.Pointer[cpEntry]
 }
 
-// cpMinBuckets is the initial (and minimum) table size.
-const cpMinBuckets = 64
-
-// cpMinRebuild is the entry count below which compaction is never
-// triggered, so small stores don't churn tables.
-const cpMinRebuild = 128
+// cpMinSlots is the initial table size.
+const cpMinSlots = 64
 
 // dlStub is what a folded write leaves behind for the
 // durable-linearizability checker (Config.Check only): enough to place it
@@ -87,9 +79,8 @@ type checkpoint struct {
 	// it covers.
 	folded atomic.Int64
 
-	// Bookkeeping driving amortized compaction.
-	entries int // chain nodes across the table, including shadowed ones
-	keys    int // distinct keys present
+	// keys counts the distinct keys, one slot each: at most half the table.
+	keys int
 
 	// trimmed counts the epochs dropped from the machine's retained
 	// history, so Report.Epochs is what the whole history would count.
@@ -101,40 +92,30 @@ type checkpoint struct {
 
 func newCheckpoint() *checkpoint {
 	cp := &checkpoint{}
-	cp.table.Store(newCPTable(cpMinBuckets))
+	cp.table.Store(newCPTable(cpMinSlots))
 	return cp
 }
 
 func newCPTable(n int) *cpTable {
-	return &cpTable{mask: uint64(n - 1), buckets: make([]atomic.Pointer[cpEntry], n)}
+	return &cpTable{mask: uint64(n - 1), slots: make([]atomic.Pointer[cpEntry], n)}
 }
 
-// bucket picks a key's chain. shardHash's low bits chose the shard
-// (key % shards is constant within one engine), so the chain comes from
-// the high half of the avalanched hash.
-func (t *cpTable) bucket(key string) *atomic.Pointer[cpEntry] {
-	return &t.buckets[(shardHash(key)>>33)&t.mask]
+// slot finds a key's slot, or the empty one that ends its probe.
+// shardHash's low bits chose the shard (key % shards is constant within
+// one engine), so the probe starts from the high half of the avalanched
+// hash.
+func (t *cpTable) slot(key string) *atomic.Pointer[cpEntry] {
+	for i := shardHash(key) >> 33; ; i++ {
+		s := &t.slots[i&t.mask]
+		if e := s.Load(); e == nil || e.key == key {
+			return s
+		}
+	}
 }
 
 // lookup returns the key's newest folded entry, or nil.
 func (cp *checkpoint) lookup(key string) *cpEntry {
-	for e := cp.table.Load().bucket(key).Load(); e != nil; e = e.next {
-		if e.key == key {
-			return e
-		}
-	}
-	return nil
-}
-
-// shadowed returns the older entry of e's key that e shadows in its chain
-// (compaction drops it), or nil.
-func (e *cpEntry) shadowed() *cpEntry {
-	for d := e.next; d != nil; d = d.next {
-		if d.key == e.key {
-			return d
-		}
-	}
-	return nil
+	return cp.table.Load().slot(key).Load()
 }
 
 // get answers a key from the durably-published state: (value, true, rec)
@@ -149,78 +130,48 @@ func (cp *checkpoint) get(key string) (val []byte, found bool, rec int) {
 	return nil, false, -1
 }
 
-// insert links a write at its key's chain head (single atomic store; the
-// entry and its chain are immutable from that point). Writes fold in
-// record order, so en is always its key's newest. It returns the linked
-// entry and the one it shadows (nil: the key is new), whose lines no
-// newest entry names any more. en.val must not alias memory the caller
-// will reuse or wants released.
-func (cp *checkpoint) insert(en cpEntry) (linked, shadowed *cpEntry) {
+// insert stores a write in its key's slot with one atomic store; writes
+// fold in record order, so en is always its key's newest. It returns the
+// stored entry and the one it replaced (nil: the key is new), which the
+// table no longer reaches and whose lines no newest entry names. en.val
+// must not alias memory the caller will reuse or wants released.
+func (cp *checkpoint) insert(en cpEntry) (linked, replaced *cpEntry) {
 	t := cp.table.Load()
-	b := t.bucket(en.key)
-	head := b.Load()
-	for e := head; e != nil; e = e.next {
-		if e.key == en.key {
-			// Share the shadowed entry's key so a hot key pins one string,
-			// not the latest request's.
-			en.key, shadowed = e.key, e
-			break
+	s := t.slot(en.key)
+	if replaced = s.Load(); replaced != nil {
+		// Share the replaced entry's key so a hot key pins one string, not
+		// the latest request's.
+		en.key = replaced.key
+	} else {
+		cp.keys++
+		if 2*cp.keys > len(t.slots) {
+			t = cp.grow(t)
+			s = t.slot(en.key)
 		}
 	}
-	en.next = head
-	b.Store(&en)
-	cp.entries++
-	if shadowed == nil {
-		cp.keys++
+	s.Store(&en)
+	return &en, replaced
+}
+
+// grow publishes a table twice t's size holding t's entries, the same
+// pointers: readers probe t until that one table.Store, and both agree.
+func (cp *checkpoint) grow(t *cpTable) *cpTable {
+	nt := newCPTable(2 * len(t.slots))
+	for i := range t.slots {
+		if e := t.slots[i].Load(); e != nil {
+			nt.slot(e.key).Store(e)
+		}
 	}
-	// Amortized compaction: once shadowed entries outnumber live keys the
-	// next rebuild is O(entries) against >= entries/2 inserts since the
-	// last one. Growth rides along (table sized to the live key count), and
-	// a table that has filled with distinct keys grows the same way.
-	if cp.entries > cpMinRebuild && (cp.entries > 2*cp.keys || cp.entries > len(t.buckets)) {
-		cp.rebuild()
-	}
-	return &en, shadowed
+	cp.table.Store(nt)
+	return nt
 }
 
 // each calls fn with the newest entry of every key, tombstones included.
 func (cp *checkpoint) each(fn func(*cpEntry)) {
 	t := cp.table.Load()
-	for i := range t.buckets {
-		head := t.buckets[i].Load()
-	entries:
-		for e := head; e != nil; e = e.next {
-			// Chains are newest-first, so an entry is shadowed exactly when
-			// its key appears nearer the head.
-			for d := head; d != e; d = d.next {
-				if d.key == e.key {
-					continue entries
-				}
-			}
+	for i := range t.slots {
+		if e := t.slots[i].Load(); e != nil {
 			fn(e)
 		}
 	}
-}
-
-// rebuild swaps in a compacted table holding exactly the newest entry
-// per key (tombstones included — a deleted key must keep shadowing any
-// older live entry). Readers keep traversing the old table until the
-// single table.Store, and both tables answer every key with the same
-// newest entry state.
-func (cp *checkpoint) rebuild() {
-	n := cpMinBuckets
-	for n < 2*cp.keys {
-		n <<= 1
-	}
-	nt := newCPTable(n)
-	kept := 0
-	cp.each(func(e *cpEntry) {
-		b := nt.bucket(e.key)
-		ne := *e
-		ne.next = b.Load()
-		b.Store(&ne)
-		kept++
-	})
-	cp.entries, cp.keys = kept, kept
-	cp.table.Store(nt)
 }

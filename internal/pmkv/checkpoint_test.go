@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"persistbarriers/internal/mem"
 	"persistbarriers/internal/sim"
@@ -14,7 +17,7 @@ import (
 
 // TestReadIndexBasics: insert/get/tombstone semantics on the bare
 // checkpoint: records fold in index order, so each insert is its key's
-// newest.
+// newest and replaces the entry its key had.
 func TestReadIndexBasics(t *testing.T) {
 	cp := newCheckpoint()
 	if v, found, rec := cp.get("a"); v != nil || found || rec != -1 {
@@ -25,18 +28,20 @@ func TestReadIndexBasics(t *testing.T) {
 	if v, found, rec := cp.get("a"); string(v) != "v1" || !found || rec != 0 {
 		t.Fatalf("get a = (%q, %v, %d)", v, found, rec)
 	}
-	// Newer insert shadows the older entry.
-	cp.insert(cpEntry{key: "a", val: []byte("v3"), found: true, rec: 2})
+	// A newer insert replaces the older entry and hands it back.
+	if _, replaced := cp.insert(cpEntry{key: "a", val: []byte("v3"), found: true, rec: 2}); replaced == nil || replaced.rec != 0 {
+		t.Fatalf("replacing a returned %+v, want its rec 0 entry", replaced)
+	}
 	if v, _, rec := cp.get("a"); string(v) != "v3" || rec != 2 {
-		t.Fatalf("shadowed get a = (%q, rec %d), want (v3, 2)", v, rec)
+		t.Fatalf("replaced get a = (%q, rec %d), want (v3, 2)", v, rec)
 	}
 	// A tombstone answers found=false but keeps the record index.
 	cp.insert(cpEntry{key: "b", rec: 3})
 	if v, found, rec := cp.get("b"); v != nil || found || rec != 3 {
 		t.Fatalf("tombstone get b = (%q, %v, %d), want (nil, false, 3)", v, found, rec)
 	}
-	if cp.keys != 2 || cp.entries != 4 {
-		t.Fatalf("keys, entries = %d, %d, want 2, 4", cp.keys, cp.entries)
+	if cp.keys != 2 {
+		t.Fatalf("keys = %d, want 2", cp.keys)
 	}
 }
 
@@ -54,11 +59,15 @@ func TestReadIndexAbsoluteRecordIndex(t *testing.T) {
 	if _, _, rec := cp.get("k"); rec != big {
 		t.Fatalf("rec = %d, want %d", rec, big)
 	}
-	for i := 0; i < 4*cpMinRebuild; i++ { // force a rebuild to copy the entry
-		cp.insert(cpEntry{key: fmt.Sprintf("x%d", i%8), rec: big + 1 + i})
+	old := cp.table.Load()
+	for i := 0; i < cpMinSlots; i++ { // force growth to re-slot the entry
+		cp.insert(cpEntry{key: fmt.Sprintf("x%d", i), rec: big + 1 + i})
+	}
+	if cp.table.Load() == old {
+		t.Fatal("the table never grew")
 	}
 	if _, _, rec := cp.get("k"); rec != big {
-		t.Fatalf("rec after rebuild = %d, want %d", rec, big)
+		t.Fatalf("rec after growth = %d, want %d", rec, big)
 	}
 }
 
@@ -115,31 +124,33 @@ func TestReadIndexPublishPrefix(t *testing.T) {
 	}
 }
 
-// TestReadIndexRebuildKeepsTombstones: compaction must preserve each
-// key's newest state — including tombstones, which still shadow older
-// live entries — and shrink the chain count to the live key count.
-func TestReadIndexRebuildKeepsTombstones(t *testing.T) {
+// TestReadIndexGrowthKeepsTombstones: growth must keep each key's newest
+// state — tombstones included, which still answer for deleted keys — with
+// exactly one entry per key. New keys arrive between rewrites and deletes
+// of the old ones, so the table grows several times with tombstones in it.
+func TestReadIndexGrowthKeepsTombstones(t *testing.T) {
 	cp := newCheckpoint()
-	const keys = 32
-	// Hammer a small key set until rebuilds have certainly run
-	// (entries > 128 and > 2*keys triggers one per insert past that).
+	const keys = 512
 	rec := 0
 	want := make(map[int]int)
-	for round := 0; round < 20; round++ {
-		for k := 0; k < keys; k++ {
-			key := fmt.Sprintf("k%03d", k)
-			if (round+k)%5 == 0 {
-				cp.insert(cpEntry{key: key, rec: rec})
-				want[k] = -rec // negative marks a tombstone
-			} else {
-				cp.insert(cpEntry{key: key, val: []byte(fmt.Sprintf("v%d", rec)), found: true, rec: rec})
-				want[k] = rec
-			}
-			rec++
+	write := func(k int, tombstone bool) {
+		key := fmt.Sprintf("k%03d", k)
+		if tombstone {
+			cp.insert(cpEntry{key: key, rec: rec})
+			want[k] = -rec // negative marks a tombstone
+		} else {
+			cp.insert(cpEntry{key: key, val: []byte(fmt.Sprintf("v%d", rec)), found: true, rec: rec})
+			want[k] = rec
 		}
+		rec++
 	}
-	if cp.entries > 2*keys {
-		t.Fatalf("rebuild never compacted: %d entries for %d keys", cp.entries, keys)
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= keys; n++ {
+		write(n-1, false)
+		write(rng.Intn(n), n%3 == 0)
+	}
+	if n := len(cp.table.Load().slots); cp.keys != keys || n < 2*keys {
+		t.Fatalf("%d keys in %d slots, want %d keys in at least twice as many", cp.keys, n, keys)
 	}
 	seen := 0
 	cp.each(func(*cpEntry) { seen++ })
@@ -151,7 +162,7 @@ func TestReadIndexRebuildKeepsTombstones(t *testing.T) {
 		v, found, gotRec := cp.get(key)
 		if w := want[k]; w < 0 {
 			if found || gotRec != -w {
-				t.Fatalf("%s: tombstone lost in rebuild: (%q, %v, %d)", key, v, found, gotRec)
+				t.Fatalf("%s: tombstone lost in growth: (%q, %v, %d)", key, v, found, gotRec)
 			}
 		} else if !found || string(v) != fmt.Sprintf("v%d", w) || gotRec != w {
 			t.Fatalf("%s = (%q, %v, %d), want v%d", key, v, found, gotRec, w)
@@ -160,16 +171,16 @@ func TestReadIndexRebuildKeepsTombstones(t *testing.T) {
 }
 
 // TestReadIndexGrowsWithDistinctKeys: a table that fills with distinct
-// keys (nothing shadowed, so compaction alone never fires) must still
-// grow, or chains lengthen without bound.
+// keys must grow to keep at least half its slots empty, or probes lengthen
+// without bound.
 func TestReadIndexGrowsWithDistinctKeys(t *testing.T) {
 	cp := newCheckpoint()
 	const keys = 4096
 	for i := 0; i < keys; i++ {
 		cp.insert(cpEntry{key: fmt.Sprintf("d%05d", i), val: []byte("v"), found: true, rec: i})
 	}
-	if n := len(cp.table.Load().buckets); n < keys {
-		t.Fatalf("table has %d buckets for %d distinct keys", n, keys)
+	if n := len(cp.table.Load().slots); n < 2*keys {
+		t.Fatalf("table has %d slots for %d distinct keys", n, keys)
 	}
 	for i := 0; i < keys; i += 97 {
 		if _, found, rec := cp.get(fmt.Sprintf("d%05d", i)); !found || rec != i {
@@ -178,30 +189,109 @@ func TestReadIndexGrowsWithDistinctKeys(t *testing.T) {
 	}
 }
 
-// TestCheckpointRebuildKeepsSpans: a rebuild copies whole entries. The span
-// and hi an entry carries are what the free list and Verify's check 5 get
-// back later, so an entry that lost them in a rebuild would leak its lines
-// and pass the check blind.
-func TestCheckpointRebuildKeepsSpans(t *testing.T) {
+// TestCheckpointGrowthKeepsSpans: growth re-slots the entries themselves.
+// The span and hi an entry carries are what the free list and Verify's
+// check 5 get back later, so an entry that lost them in growth would leak
+// its lines and pass the check blind.
+func TestCheckpointGrowthKeepsSpans(t *testing.T) {
 	cp := newCheckpoint()
-	const keys = 2 * cpMinRebuild
+	const keys = cpMinSlots / 2 // the most the first table holds
 	spanOf := func(i int) lineSpan { return lineSpan{first: mem.Line(1000 + 8*i), n: 1 + i%5} }
+	before := make([]*cpEntry, keys)
 	for i := 0; i < keys; i++ {
-		cp.insert(cpEntry{key: fmt.Sprintf("s%04d", i), val: []byte("v"), found: true, rec: i, span: spanOf(i), hi: mem.Version(i + 1)})
+		before[i], _ = cp.insert(cpEntry{key: fmt.Sprintf("s%04d", i), val: []byte("v"), found: true, rec: i, span: spanOf(i), hi: mem.Version(i + 1)})
 	}
 	old := cp.table.Load()
-	cp.rebuild()
-	if cp.table.Load() == old {
-		t.Fatal("rebuild did not swap the table")
+	cp.insert(cpEntry{key: "one more", rec: keys})
+	if t2 := cp.table.Load(); t2 == old || len(t2.slots) != 2*len(old.slots) {
+		t.Fatalf("one key past half of %d slots left a table of %d", len(old.slots), len(t2.slots))
 	}
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("s%04d", i)
-		if en := cp.lookup(key); en.hi != mem.Version(i+1) {
-			t.Fatalf("%s: hi = %d after the rebuild, want %d", key, en.hi, i+1)
+		if en := cp.lookup(key); en != before[i] || en.hi != mem.Version(i+1) {
+			t.Fatalf("%s: growth left %p with hi %d, want the inserted entry %p with hi %d", key, en, en.hi, before[i], i+1)
 		}
-		if _, shadowed := cp.insert(cpEntry{key: key, rec: keys + i}); shadowed.span != spanOf(i) {
-			t.Fatalf("%s: shadowing it returned span %+v, want the one inserted, %+v", key, shadowed.span, spanOf(i))
+		if _, replaced := cp.insert(cpEntry{key: key, rec: 2*keys + i}); replaced.span != spanOf(i) {
+			t.Fatalf("%s: replacing it returned span %+v, want the one inserted, %+v", key, replaced.span, spanOf(i))
 		}
+	}
+}
+
+// TestReadIndexDropsReplacedEntries: once insert has replaced a key's
+// entry, the table no longer reaches it — before growth or after — so the
+// checkpoint pins one value per key, never every superseded one.
+func TestReadIndexDropsReplacedEntries(t *testing.T) {
+	cp := newCheckpoint()
+	rec := 0
+	put := func(key string) {
+		cp.insert(cpEntry{key: key, val: make([]byte, 1024), found: true, rec: rec})
+		rec++
+	}
+	dropped := func(when string, w weak.Pointer[cpEntry]) {
+		t.Helper()
+		runtime.GC()
+		if w.Value() != nil {
+			t.Fatalf("%s: the replaced entry is still reachable", when)
+		}
+	}
+	put("hot")
+	w := weak.Make(cp.lookup("hot"))
+	put("hot")
+	dropped("same table", w)
+
+	w = weak.Make(cp.lookup("hot"))
+	old := cp.table.Load()
+	for i := 0; cp.table.Load() == old; i++ {
+		put(fmt.Sprintf("cold%d", i))
+	}
+	put("hot")
+	dropped("after growth", w)
+	if _, found, r := cp.get("hot"); !found || r != rec-1 {
+		t.Fatalf("hot = found %v rec %d, want the newest, %d", found, r, rec-1)
+	}
+}
+
+// TestFoldReplaceAllocs: folding a write of a key the checkpoint already
+// holds costs exactly two allocations, the entry and its copy of the
+// value. The replaced entry leaves the table in the same store, and its
+// lines go on a free stack that reuses its storage. The memory profile
+// counts every allocation under fold, so a cost paid once in many folds
+// counts too, where an average per fold would round it away.
+func TestFoldReplaceAllocs(t *testing.T) {
+	e, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 96)
+	r := &OpRecord{Op: Put, Key: "k", Value: val}
+	put := func() {
+		// The lines of the entry the last fold replaced, as the key's next
+		// Put takes them.
+		span := e.entryLinesFor(0, val)
+		r.EntryLine, r.Entries = span.first, span.n
+		e.fold(r)
+		r.Idx++
+	}
+	for i := 0; i < 8; i++ { // every free stack the key's lines visit has storage
+		put()
+	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	since := allocProfile()
+	const folds = 500
+	for i := 0; i < folds; i++ {
+		put()
+	}
+	var n int64
+	var stacks strings.Builder
+	for site, k := range allocSites(since) {
+		if strings.Contains(site, ".(*Engine).fold\n") {
+			n += k
+			fmt.Fprintf(&stacks, "%d allocation(s):\n%s", k, site)
+		}
+	}
+	if n != 2*folds {
+		t.Fatalf("%d folds replacing a key's entry allocated %d times, want %d; allocating stacks:\n%s", folds, n, 2*folds, stacks.String())
 	}
 }
 

@@ -32,7 +32,7 @@ func (e *Engine) observedRead(sess int, key string) (val []byte, found bool, rec
 	}
 	en := e.cp.lookup(key)
 	if e.plant == plantStaleRead && en != nil {
-		en = en.shadowed()
+		en = e.superseded[key]
 	}
 	if en != nil {
 		return en.val, en.found, en.rec, en.span

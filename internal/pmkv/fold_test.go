@@ -99,7 +99,7 @@ func TestScriptedRunFoldsAndTrims(t *testing.T) {
 // TestPlantedCursorOffByOne: a durable cursor one record ahead of the
 // truth folds an entry that is not in NVRAM yet. A crash before it
 // persists must be caught — by Verify finding the folded entry not
-// durable in the image or (the early fold also frees the entry it shadowed
+// durable in the image or (the early fold also frees the entry it replaced
 // early) a live entry overwritten, by the checker reporting a write the
 // image has lost, or by the client-history oracle — and the live store,
 // which acks on the cursor, must be caught acking a lost write.

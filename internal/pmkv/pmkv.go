@@ -318,8 +318,10 @@ type Engine struct {
 	gapLines           uint64
 	gapWait            func() bool
 	// plant, set only by tests, makes fold misbehave in one named way so
-	// the checkers can be shown to catch it.
-	plant plantedBug
+	// the checkers can be shown to catch it. Under plantStaleRead,
+	// superseded maps each key to the entry its newest one replaced.
+	plant      plantedBug
+	superseded map[string]*cpEntry
 
 	crashed bool
 	closed  bool
@@ -537,7 +539,7 @@ func (s *freeStack) push(en *cpEntry) {
 	top := &(*s)[n]
 	val := append(top.val[:0], en.val...)
 	*top = *en
-	top.next, top.val = nil, val
+	top.val = val
 }
 
 // pop takes the newest entry off the stack and returns its first line;
@@ -988,7 +990,7 @@ func (e *Engine) plantedEarlyFree(sess int, key string) {
 
 // fold is what happens to a record at the instant its entry becomes
 // durable: it is checked (check 6, online) and folded into the checkpoint,
-// where it shadows its key's previous entry, whose lines are freed. A
+// where it replaces its key's previous entry, whose lines are freed. A
 // record folds in index order, so it always supersedes what the
 // checkpoint holds for its key.
 func (e *Engine) fold(r *OpRecord) {
@@ -1006,15 +1008,21 @@ func (e *Engine) fold(r *OpRecord) {
 	if r.Op == Put || e.plant != plantDropTombstone {
 		// The checkpoint outlives the record, so it gets its own copy of the
 		// value, not a slice of the arena chunk (nil for a Delete).
-		linked, shadowed := cp.insert(cpEntry{key: r.Key, val: bytes.Clone(r.Value), rec: r.Idx, found: r.Op == Put, span: span, core: int32(r.Core), lo: lo, hi: hi})
-		// The shadowed entry's key now has a newer durable entry, so this,
+		linked, replaced := cp.insert(cpEntry{key: r.Key, val: bytes.Clone(r.Value), rec: r.Idx, found: r.Op == Put, span: span, core: int32(r.Core), lo: lo, hi: hi})
+		// The replaced entry's key now has a newer durable entry, so this,
 		// and nowhere else, is where its lines become reusable (see
 		// entryLinesFor).
-		if shadowed != nil && e.plant != plantRecycleEarly && (e.plant != plantResurrect || shadowed.found) {
-			e.freeEntry(shadowed)
+		if replaced != nil && e.plant != plantRecycleEarly && (e.plant != plantResurrect || replaced.found) {
+			e.freeEntry(replaced)
+		}
+		if e.plant == plantStaleRead {
+			if e.superseded == nil {
+				e.superseded = make(map[string]*cpEntry)
+			}
+			e.superseded[r.Key] = replaced
 		}
 		if e.plant == plantResurrect && r.Op == Delete {
-			e.freeEntry(linked) // now, not when a later entry shadows it
+			e.freeEntry(linked) // now, not when a later entry replaces it
 		}
 	}
 	// The checkpoint answers for r now: with it, or with what came after.
