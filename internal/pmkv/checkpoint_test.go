@@ -1,7 +1,6 @@
 package pmkv
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -589,83 +588,22 @@ func TestFastPathPerKey(t *testing.T) {
 	}
 }
 
-// liveRun drives spec's scripted ops sequentially against a live store
-// and returns the combined recovery fingerprint, the recovered state,
-// and the total fast-hit count. Sequential issuance makes the mutation
-// order — hence the clean-drain recovered state — identical across
-// configurations, which is what lets the metamorphic test compare
-// fingerprints byte-for-byte.
-func liveRun(t *testing.T, cfg ShardedConfig, spec ScriptSpec, crash sim.Cycle) (string, map[string][]byte, uint64) {
-	t.Helper()
-	cfg.Engine.Check = true
-	cfg.Engine.CrashAt = crash
-	store, err := NewSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessions := make(map[int]*ShardedSession)
-	for _, batch := range GenScript(spec) {
-		for _, op := range batch {
-			sess := sessions[op.Sess]
-			if sess == nil {
-				sess = store.NewSession()
-				sessions[op.Sess] = sess
-			}
-			store.do(sess, op.Op, op.Key, op.Value)
-		}
-	}
-	results, err := store.Close()
-	if err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	var hits uint64
-	for _, r := range results {
-		if r.DL == nil {
-			t.Fatalf("shard %d: checker not armed", r.Shard)
-		}
-	}
-	for _, m := range store.Metrics() {
-		hits += m.FastHits
-	}
-	return CombineFingerprints(results), mergeRecovered(results), hits
-}
-
-// TestReadFastMetamorphic is the equivalence pin: the same workload with
-// the fast path on and off must recover byte-identical state from a
-// clean drain (GETs never mutate, whichever path serves them) and pass
-// the durable-linearizability checker either way; under a crash the
-// recovered prefixes may differ (timing) but both verdicts must hold.
+// TestReadFastMetamorphic is the equivalence pin, through the fuzzer's
+// live runner: the same read-heavy workload with the fast path on and off
+// must recover byte-identical state from a clean drain (GETs never
+// mutate, whichever path serves them) and pass the durable-linearizability
+// checker either way; under a crash halfway through, the recovered
+// prefixes may differ (timing) but both verdicts must hold.
 func TestReadFastMetamorphic(t *testing.T) {
-	spec := ScriptSpec{Sessions: 4, Rounds: 30, KeySpace: 12, Seed: 99, PutPct: 40, GetPct: 45}
 	for _, shards := range []int{1, 4} {
-		on := ShardedConfig{Shards: shards}
-		off := ShardedConfig{Shards: shards, DisableReadFast: true}
-
-		fpOn, recOn, hitsOn := liveRun(t, on, spec, 0)
-		fpOff, recOff, hitsOff := liveRun(t, off, spec, 0)
-		if hitsOn == 0 {
+		c := fuzzCase{ScriptSpec: ScriptSpec{Sessions: 4, Rounds: 30, KeySpace: 12, Seed: 99, PutPct: 40, GetPct: 45}, Shards: shards, Frac: 128}
+		hits, f := runLive(c)
+		if f != nil {
+			t.Fatalf("shards=%d:\n%s", shards, transcript(f))
+		}
+		if hits == 0 {
 			t.Fatalf("shards=%d: fast path never hit — the test exercises nothing", shards)
 		}
-		if hitsOff != 0 {
-			t.Fatalf("shards=%d: %d fast hits with the path disabled", shards, hitsOff)
-		}
-		if fpOn != fpOff {
-			t.Fatalf("shards=%d: clean-drain fingerprints diverge: fast-on %s, fast-off %s",
-				shards, fpOn, fpOff)
-		}
-		if len(recOn) != len(recOff) {
-			t.Fatalf("shards=%d: recovered sizes diverge: %d vs %d", shards, len(recOn), len(recOff))
-		}
-		for k, v := range recOn {
-			if !bytes.Equal(v, recOff[k]) {
-				t.Fatalf("shards=%d: recovered[%q] diverges: %q vs %q", shards, k, v, recOff[k])
-			}
-		}
-
-		// Crash variant: liveRun fails the test itself on any verification
-		// or checker rejection; fingerprints legitimately differ here.
-		liveRun(t, on, spec, 40_000)
-		liveRun(t, off, spec, 40_000)
 	}
 }
 

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
@@ -224,28 +227,62 @@ func linearizeKey(ops []oracleOp, final []byte, present bool) error {
 	return nil
 }
 
-// fpdumpSpecs are fpdump's three sections, with their sweep sizes.
-var fpdumpSpecs = []struct {
+// sweepSpec is a named script, how many crash instants to spread over its
+// clean run, and whether each golden line also carries the Report counts.
+type sweepSpec struct {
 	name     string
 	spec     ScriptSpec
 	instants int
-}{
-	{"fpdump", ScriptSpec{Sessions: 4, Rounds: 16, KeySpace: 24, ValueBytes: 192, Seed: 7}, 200},
-	{"fpdump-merged", ScriptSpec{Sessions: 16, Rounds: 16, KeySpace: 24, ValueBytes: 192, Seed: 7}, 200},
-	{"fpdump-long", longSpec(), 50},
+	counts   bool
 }
+
+// fpdumpSpecs are the three crash sweeps whose every image's recovered
+// state is pinned in testdata/<name>.golden. All three run on the
+// 4-core SmallMachine: with 4 sessions every commit window holds one op
+// per core, with 16 it holds four, so only the second has several entries
+// in one core's window epoch. The long sweep (4 096 ops over 256 keys, so
+// most entries are superseded long after they became durable) was
+// captured while the engine still kept every record for the life of the
+// run; it holds checkpoint-plus-tail recovery to the counts a full replay
+// printed.
+var fpdumpSpecs = []sweepSpec{
+	{"fpdump", ScriptSpec{Sessions: 4, Rounds: 16, KeySpace: 24, ValueBytes: 192, Seed: 7}, 200, false},
+	{"fpdump-merged", ScriptSpec{Sessions: 16, Rounds: 16, KeySpace: 24, ValueBytes: 192, Seed: 7}, 200, false},
+	{"fpdump-long", ScriptSpec{Sessions: 8, Rounds: 512, KeySpace: 256, ValueBytes: 192, Seed: 7}, 50, true},
+}
+
+// update rewrites the fpdump goldens from the sweep instead of comparing.
+var update = flag.Bool("update", false, "rewrite testdata/fpdump*.golden")
 
 // image is one crash instant of one script on an engine with bug planted
 // (plantNone: an honest one), judged three ways.
 type image struct {
-	name   string
-	script Script
-	bug    plantedBug
-	at     sim.Cycle
-	fp     string
-	err    error // Verify's, or dlcheck's when Verify passed
-	dlBad  bool  // dlcheck rejected it
-	oerr   error // the oracle's
+	name    string
+	script  Script
+	bug     plantedBug
+	at      sim.Cycle
+	crashed bool
+	cycles  sim.Cycle // the clock before the closing drain
+	end     sim.Cycle // and after it
+	rep     *Report   // nil when the run failed before recovery
+	err     error     // Verify's, or dlcheck's when Verify passed
+	dlBad   bool      // dlcheck rejected it
+	oerr    error     // the oracle's
+}
+
+// line renders the image as its golden line: the clean drain's clock and
+// fingerprint, or the crash instant, whether power was lost, the clock and
+// the fingerprint; with counts, every Report count after them.
+func (im *image) line(counts bool) string {
+	s := fmt.Sprintf("clean cycles=%d fp=%s", im.end, im.rep.Fingerprint)
+	if im.at != 0 {
+		s = fmt.Sprintf("at=%d crashed=%v cycles=%d fp=%s", im.at, im.crashed, im.end, im.rep.Fingerprint)
+	}
+	if counts {
+		r := im.rep
+		s += fmt.Sprintf(" epochs=%d durable=%d total=%d keys=%d", r.Epochs, r.DurablePublishes, r.TotalPublishes, r.RecoveredKeys)
+	}
+	return s
 }
 
 // judgeImages runs every image with the checker armed, on a few workers.
@@ -259,9 +296,7 @@ func judgeImages(images []image) {
 			for im := range work {
 				_, out, err := runPlantedScript(Config{CrashAt: im.at, Check: true}, im.script, im.bug)
 				im.err, im.dlBad, im.oerr = err, out.DL != nil && !out.DL.OK(), oracleCheck([]ShardResult{out})
-				if out.Report != nil {
-					im.fp = out.Report.Fingerprint
-				}
+				im.crashed, im.cycles, im.end, im.rep = out.Crashed, out.Cycles, out.Stats.Cycle, out.Report
 			}
 		}()
 	}
@@ -272,29 +307,98 @@ func judgeImages(images []image) {
 	wg.Wait()
 }
 
-// TestOracleAgreesWithDLCheck: over every image of fpdump's three sweeps,
-// the oracle and the engine's own checkers (Verify and dlcheck) reach the
-// same verdict — all clean, on an honest engine.
-func TestOracleAgreesWithDLCheck(t *testing.T) {
-	var images []image
-	for _, s := range fpdumpSpecs {
-		clean, err := runSingle(Config{}, s.spec)
-		if err != nil {
-			t.Fatalf("%s clean: %v", s.name, err)
-		}
-		script := GenScript(s.spec)
-		images = append(images, image{name: s.name, script: script})
-		for _, at := range SweepInstants(clean.Cycles, s.instants) {
-			images = append(images, image{name: s.name, script: script, at: at})
+// fpdumpSweep judges the crash sweep of fpdumpSpecs once per test binary:
+// each script's clean drain, then a crash at each of its instants, spread
+// over the clean run's clock before its closing drain so that each one
+// crashes the run. TestOracleAgreesWithDLCheck reads its verdicts and
+// TestFpdumpGolden its recovered states, so each of the 453 images runs
+// once however many of the two run.
+var fpdumpSweep = sync.OnceValue(func() []image {
+	clean := make([]image, len(fpdumpSpecs))
+	for i, s := range fpdumpSpecs {
+		clean[i] = image{name: s.name, script: GenScript(s.spec)}
+	}
+	judgeImages(clean)
+	var crashes []image
+	for i, s := range fpdumpSpecs {
+		for _, at := range SweepInstants(clean[i].cycles, s.instants) {
+			crashes = append(crashes, image{name: s.name, script: clean[i].script, at: at})
 		}
 	}
-	judgeImages(images)
+	judgeImages(crashes)
+	return append(clean, crashes...)
+})
+
+// TestOracleAgreesWithDLCheck: over every image of fpdumpSweep the oracle
+// and the engine's own checkers (Verify and dlcheck) reach the same
+// verdict — all clean, on an honest engine.
+func TestOracleAgreesWithDLCheck(t *testing.T) {
+	images := fpdumpSweep()
 	for _, im := range images {
 		if im.err != nil || im.oerr != nil {
 			t.Errorf("%s, crash at %d: checkers %v, oracle %v", im.name, im.at, im.err, im.oerr)
 		}
 	}
-	t.Logf("%d images of fpdump's three sweeps: checkers and oracle all clean", len(images))
+	if !t.Failed() {
+		t.Logf("%d images of fpdump's three sweeps: checkers and oracle all clean", len(images))
+	}
+}
+
+// TestFpdumpGolden: every image of fpdumpSweep recovers its golden line,
+// byte for byte — the proof that a speed-only change changed speed, not
+// semantics. fpdump.golden's clean-drain fingerprint and 200
+// crash-instant fingerprints were captured from the single-engine driver
+// before it was deleted, and survived the move to one persist barrier per
+// write unchanged (one op per core per window never merges epochs);
+// fpdump-merged.golden pins the same sweep where epochs do merge; and
+// fpdump-long.golden was captured from the engine that kept every record,
+// before records were folded behind the durable watermark, so
+// checkpoint-plus-tail recovery is held to a full replay's fingerprint and
+// Report counts. Run with -update to rewrite the goldens.
+func TestFpdumpGolden(t *testing.T) {
+	images := fpdumpSweep()
+	for _, im := range images {
+		if im.rep == nil {
+			t.Fatalf("%s, crash at %d: no recovered state to render: %v", im.name, im.at, im.err)
+		}
+	}
+	for _, s := range fpdumpSpecs {
+		var got strings.Builder
+		for _, im := range images {
+			if im.name == s.name {
+				got.WriteString(im.line(s.counts) + "\n")
+			}
+		}
+		checkGolden(t, filepath.Join("testdata", s.name+".golden"), got.String())
+	}
+}
+
+// checkGolden holds got to the golden file line by line, naming the first
+// line that differs, or rewrites the file under -update.
+func checkGolden(t *testing.T, golden, got string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	gotLines := strings.Split(got, "\n")
+	wantLines := strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("the sweep rendered %d lines, golden %s has %d (run with -update to regenerate)",
+			len(gotLines)-1, golden, len(wantLines)-1)
+	}
+	for i := range wantLines {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("line %d differs from golden %s (run with -update to regenerate)\n got: %s\nwant: %s",
+				i+1, golden, gotLines[i], wantLines[i])
+		}
+	}
 }
 
 // persistCycles is the sink that collects the distinct cycles at which
@@ -324,8 +428,9 @@ func TestCrashAtEveryImage(t *testing.T) {
 		for _, im := range images {
 			if im.err != nil || im.oerr != nil {
 				t.Errorf("%s crash at %d: checkers %v, oracle %v", s.name, im.at, im.err, im.oerr)
+				continue
 			}
-			fps[im.fp] = struct{}{}
+			fps[im.rep.Fingerprint] = struct{}{}
 		}
 		t.Logf("%s: %d persist cycles, %d images, %d distinct fingerprints, Verify, dlcheck and oracle clean", s.name, persists, len(images), len(fps))
 	}

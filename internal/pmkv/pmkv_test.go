@@ -3,6 +3,7 @@ package pmkv
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"persistbarriers/internal/machine"
@@ -256,16 +257,7 @@ func TestCleanRunVerifies(t *testing.T) {
 // recovered value must be one of theirs (the engine gives the key to the
 // highest record index, which this oracle does not assume).
 func TestCleanRunMatchesScriptOracle(t *testing.T) {
-	specs := []struct {
-		name string
-		spec ScriptSpec
-	}{
-		{"fpdump", ScriptSpec{Sessions: 4, Rounds: 16, KeySpace: 24, ValueBytes: 192, Seed: 7}},
-		{"fpdump-merged", ScriptSpec{Sessions: 16, Rounds: 16, KeySpace: 24, ValueBytes: 192, Seed: 7}},
-		{"fpdump-long", longSpec()},
-		{"testSpec", testSpec()},
-	}
-	for _, s := range specs {
+	for _, s := range slices.Concat(fpdumpSpecs, []sweepSpec{{name: "testSpec", spec: testSpec()}}) {
 		name, spec := s.name, s.spec
 		last := make(map[string][]ScriptedOp) // the key's writes in the last round that has any
 		for _, batch := range GenScript(spec) {

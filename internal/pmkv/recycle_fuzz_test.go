@@ -1,48 +1,21 @@
-package pmkv_test
+package pmkv
 
 import (
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
-	"persistbarriers/internal/pmkv"
-	"persistbarriers/internal/pmkv/fuzz"
 	"persistbarriers/internal/sim"
 )
 
-// fuzzCorpus reads FuzzDurableLinearizability's committed corpus.
-func fuzzCorpus(t *testing.T) map[string][]byte {
-	t.Helper()
-	files, err := filepath.Glob("fuzz/testdata/fuzz/FuzzDurableLinearizability/*")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no fuzz corpus: %v", err)
-	}
-	corpus := make(map[string][]byte)
-	for _, f := range files {
-		raw, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n[]byte(")
-		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
-		if !ok || err != nil {
-			t.Fatalf("%s: not a one-value []byte corpus file: %v", f, err)
-		}
-		corpus[filepath.Base(f)] = []byte(data)
-	}
-	return corpus
-}
-
 // TestPlantedRecycleEarlyFuzzCases: the crash fuzzer must be able to find
 // an engine that recycles entry lines one watermark early, inside a budget
-// far below one CI smoke run. Its own decoder and its own case shape —
-// a clean drain, then a crash at Frac/256 of it, checker armed — are
-// driven here because the plant is reachable only from this package: over
-// the committed corpus and 64 generated inputs the honest engine passes
-// every case and the planted one is rejected, by check 5, the checker or
-// the client-history oracle and nothing else, in at least half of them. seed-01 is the plant's
+// far below one CI smoke run. Its own decoder and its own runner — a
+// clean drain, then a crash at Frac/256 of it, checker armed and the
+// client-history oracle behind it — drive the plant: over the committed
+// corpus and 64 generated inputs the honest engine passes every case and
+// the planted one is rejected, by check 5, the checker or the oracle and
+// nothing else, in at least half of them. seed-01 is the plant's
 // smallest failing case in which the honest engine itself reuses a line
 // (seed-06 was, until whole-line stores moved its timing: the honest
 // engine now reuses no line there).
@@ -58,30 +31,29 @@ func TestPlantedRecycleEarlyFuzzCases(t *testing.T) {
 			rng = rng*6364136223846793005 + 1442695040888963407
 			data[j] = byte(rng >> 56)
 		}
-		data[6] = 0 // one shard: the planted run is a single engine
+		data[6] = 0 // one shard
 		inputs["generated-"+strconv.Itoa(i)] = data
 	}
 	caught := 0
 	for name, data := range inputs {
-		c := fuzz.CaseFromBytes(data)
-		honest := func(at sim.Cycle) pmkv.ShardResult {
-			out, err := pmkv.RunScriptRecyclingEarly(pmkv.Config{CrashAt: at, Check: true}, c.Spec(), false)
+		c := caseFromBytes(data)
+		honest := func(at sim.Cycle) ShardResult {
+			out, err := runAt(c, at, plantNone)
 			if err != nil {
 				t.Fatalf("%s: honest engine, crash at %d: %v", name, at, err)
 			}
-			return out
+			return out[0]
 		}
 		rejects := func(at sim.Cycle) bool {
-			out, err := pmkv.RunScriptRecyclingEarly(pmkv.Config{CrashAt: at, Check: true}, c.Spec(), true)
-			if err != nil && !pmkv.CaughtEarlyRecycle(err) {
+			_, err := runAt(c, at, plantRecycleEarly)
+			if err != nil && !caughtEarlyRecycle(err) && !strings.HasPrefix(err.Error(), "oracle: ") {
 				t.Fatalf("%s: crash at %d: caught by an unexpected check: %v", name, at, err)
 			}
-			return err != nil || pmkv.OracleCheck([]pmkv.ShardResult{out}) != nil
+			return err != nil
 		}
 		clean := honest(0)
 		rejected := rejects(0)
-		if c.Frac != 0 {
-			at := max(1, clean.Stats.Cycle*sim.Cycle(c.Frac)/256)
+		if at := c.crashAt(clean.Stats.Cycle); at != 0 {
 			honest(at)
 			rejected = rejects(at) || rejected
 		}
@@ -98,8 +70,9 @@ func TestPlantedRecycleEarlyFuzzCases(t *testing.T) {
 	}
 }
 
-// TestPlantedResurrectionFuzzCases: the crash fuzzer's own case shape — a
-// clean drain, then a crash at Frac/256 of it, checker armed — rejects an
+// TestPlantedResurrectionFuzzCases: the crash fuzzer's own runner — a
+// clean drain, then a crash at Frac/256 of it, checker armed and the
+// client-history oracle behind it — rejects an
 // engine whose fold frees a durable tombstone's line early, over the
 // committed corpus and 64 generated inputs with Deletes, while the honest
 // engine passes the same cases.
@@ -112,23 +85,23 @@ func TestPlantedResurrectionFuzzCases(t *testing.T) {
 			rng = rng*6364136223846793005 + 1442695040888963407
 			data[j] = byte(rng >> 56)
 		}
-		data[6] = 0 // one shard: the planted run is a single engine
+		data[6] = 0 // one shard
 		inputs["generated-"+strconv.Itoa(i)] = data
 	}
 	caught := 0
 	for name, data := range inputs {
-		c := fuzz.CaseFromBytes(data)
+		c := caseFromBytes(data)
 		rejects := func(at sim.Cycle) (sim.Cycle, bool) {
-			clean, err := pmkv.RunScriptRecyclingEarly(pmkv.Config{CrashAt: at, Check: true}, c.Spec(), false)
+			clean, err := runAt(c, at, plantNone)
 			if err != nil {
 				t.Fatalf("%s: honest engine, crash at %d: %v", name, at, err)
 			}
-			_, err = pmkv.RunScriptResurrecting(pmkv.Config{CrashAt: at, Check: true}, c.Spec())
-			return clean.Stats.Cycle, err != nil
+			_, err = runAt(c, at, plantResurrect)
+			return lastCycle(clean), err != nil
 		}
 		cycles, rejected := rejects(0)
-		if c.Frac != 0 {
-			_, crashed := rejects(max(1, cycles*sim.Cycle(c.Frac)/256))
+		if at := c.crashAt(cycles); at != 0 {
+			_, crashed := rejects(at)
 			rejected = rejected || crashed
 		}
 		if rejected {
@@ -153,18 +126,18 @@ func TestPlantedTranslateOrderWinnerFuzzCase(t *testing.T) {
 	if !ok {
 		t.Fatal("seed-07 is not in the corpus")
 	}
-	c := fuzz.CaseFromBytes(data)
-	if s := pmkv.GenScript(c.Spec()); len(s) != 1 || len(s[0]) != 2 || s[0][0].Op != pmkv.Put || s[0][1].Op != pmkv.Delete || s[0][0].Key != s[0][1].Key {
+	c := caseFromBytes(data)
+	if s := GenScript(c.ScriptSpec); len(s) != 1 || len(s[0]) != 2 || s[0][0].Op != Put || s[0][1].Op != Delete || s[0][0].Key != s[0][1].Key {
 		t.Fatalf("seed-07 decodes to %+v, want one batch of a Put and a Delete of one key", s)
 	}
-	if f := fuzz.Run(c); f != nil {
-		t.Fatalf("honest engine: %v", f.Err)
+	if f := c.run(); f != nil {
+		t.Fatalf("honest engine: %v", f.err)
 	}
-	if f := fuzz.RunLive(c); f != nil {
-		t.Fatalf("honest live store: %v", f.Err)
+	if _, f := runLive(c); f != nil {
+		t.Fatalf("honest live store: %v", f.err)
 	}
-	err := pmkv.RunScriptSettlingOnLowestIdx(pmkv.Config{Check: true}, c.Spec())
-	if err == nil || !pmkv.CaughtStaleServe(err) {
+	_, err := runPlanted(Config{Check: true}, c.ScriptSpec, plantLowestIdxWinner)
+	if err == nil || !caughtStaleServe(err) {
 		t.Fatalf("planted engine: %v, want check 6 to reject it", err)
 	}
 }

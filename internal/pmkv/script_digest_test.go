@@ -1,20 +1,17 @@
-package pmkv_test
+package pmkv
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"testing"
-
-	"persistbarriers/internal/pmkv"
-	"persistbarriers/internal/pmkv/fuzz"
 )
 
 // scriptDigest hashes every op a spec expands to: its round, session, op,
 // key and value bytes, in execution order.
-func scriptDigest(spec pmkv.ScriptSpec) string {
+func scriptDigest(spec ScriptSpec) string {
 	h := sha256.New()
-	for round, batch := range pmkv.GenScript(spec) {
+	for round, batch := range GenScript(spec) {
 		for _, op := range batch {
 			fmt.Fprintf(h, "%d %d %d %q %x\n", round, op.Sess, op.Op, op.Key, op.Value)
 		}
@@ -28,15 +25,15 @@ func scriptDigest(spec pmkv.ScriptSpec) string {
 // crash sweep is a function of these scripts, so a change to how a script
 // is produced or carried must leave this table as it is.
 func TestScriptDigests(t *testing.T) {
-	specs := map[string]pmkv.ScriptSpec{
-		"fpdump":        {Sessions: 4, Rounds: 16, KeySpace: 24, ValueBytes: 192, Seed: 7},
-		"fpdump-merged": {Sessions: 16, Rounds: 16, KeySpace: 24, ValueBytes: 192, Seed: 7},
-		"fpdump-long":   {Sessions: 8, Rounds: 512, KeySpace: 256, ValueBytes: 192, Seed: 7},
-		"testSpec":      {Sessions: 6, Rounds: 24, KeySpace: 16, ValueBytes: 160, Seed: 42},
-		"selfcheck":     {Sessions: 6, Rounds: 24, KeySpace: 16, Seed: 42},
+	specs := map[string]ScriptSpec{
+		"testSpec":  testSpec(),
+		"selfcheck": {Sessions: 6, Rounds: 24, KeySpace: 16, Seed: 42},
+	}
+	for _, s := range fpdumpSpecs {
+		specs[s.name] = s.spec
 	}
 	for name, data := range fuzzCorpus(t) {
-		specs["corpus/"+name] = fuzz.CaseFromBytes(data).Spec()
+		specs["corpus/"+name] = caseFromBytes(data).ScriptSpec
 	}
 	want := map[string]string{
 		"fpdump":         "bec5e2ec394d48894cb02878e7d9d406a41b5f978b95343858a7f24fbefc2a1d",

@@ -31,7 +31,7 @@ func stepDigest(script Script, shard, shards int) string {
 // what the worker is told to do with them, so a change to the expansion
 // must edit this table on purpose.
 func TestStepDigests(t *testing.T) {
-	fpdump := GenScript(ScriptSpec{Sessions: 4, Rounds: 16, KeySpace: 24, ValueBytes: 192, Seed: 7})
+	fpdump := GenScript(fpdumpSpecs[0].spec)
 	long := GenScript(longSpec())
 	test := GenScript(testSpec())
 	for _, row := range []struct {

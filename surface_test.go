@@ -22,24 +22,24 @@ import (
 
 // surfaceAllowlist names the exports and Config fields that only tests
 // use, each with a test that needs it. Only oracles (reference answers a
-// test compares the product against), plant hooks, fuzz decoders, the
-// fuzz harness and bounds a test shrinks belong here: anything else with
-// no user goes.
+// test compares the product against), plant hooks, fuzz decoders and what
+// they draw, and bounds a test shrinks belong here: anything else with no
+// user goes.
 var surfaceAllowlist = map[string]string{
-	// Oracles.
-	"internal/cache.Cache.DirtyLines": "internal/cache.TestEpochBookkeepingConsistency",
-	"internal/dlcheck.Image.Clone":    "internal/pmkv.TestMutationDropAckedPublish",
-	"internal/recovery.CheckAll":      "internal/machine.TestCompletedRunIsFullyDurable",
+	// Oracles. DisableReadFast forces the mailbox path, the reference the
+	// fuzzer's live runner holds the GET fast path to.
+	"internal/cache.Cache.DirtyLines":             "internal/cache.TestEpochBookkeepingConsistency",
+	"internal/dlcheck.Image.Clone":                "internal/pmkv.TestMutationDropAckedPublish",
+	"internal/recovery.CheckAll":                  "internal/machine.TestCompletedRunIsFullyDurable",
+	"internal/pmkv.ShardedConfig.DisableReadFast": "internal/pmkv.TestReadFastPathServesDurableWrites",
 	// Plant hook.
 	"internal/epoch.Table.PlantShortRing": "internal/machine.TestPlantedShortRing",
-	// Fuzz decoder.
-	"internal/trace.Interleave": "internal/trace.FuzzTraceInterleaver",
-	// Fuzz harness.
-	"internal/pmkv/fuzz.CaseFromBytes": "internal/pmkv/fuzz.FuzzDurableLinearizability",
-	"internal/pmkv/fuzz.Minimize":      "internal/pmkv/fuzz.FuzzDurableLinearizability",
-	"internal/pmkv/fuzz.Run":           "internal/pmkv/fuzz.FuzzDurableLinearizability",
-	"internal/pmkv/fuzz.RunLive":       "internal/pmkv/fuzz.FuzzDurableLinearizability",
-	"internal/pmkv/fuzz.Transcript":    "internal/pmkv/fuzz.TestTranscriptRendersTrace",
+	// Fuzz decoders, and the script shapes the crash fuzzer's decoder draws
+	// (the fpdump goldens' 192-byte values among them).
+	"internal/trace.Interleave":           "internal/trace.FuzzTraceInterleaver",
+	"internal/pmkv.ScriptSpec.ValueBytes": "internal/pmkv.TestCaseFromBytesTotal",
+	"internal/pmkv.ScriptSpec.PutPct":     "internal/pmkv.TestCaseFromBytesTotal",
+	"internal/pmkv.ScriptSpec.GetPct":     "internal/pmkv.TestCaseFromBytesTotal",
 	// Bounds a test shrinks: a full batch, a busy mailbox, a stalled
 	// client's write deadline.
 	"internal/pmkv.ShardedConfig.MaxBatch": "internal/pmkv.TestGatherTakesWhatIsQueued",
@@ -54,7 +54,10 @@ var surfaceAllowlist = map[string]string{
 // needs it. A non-test file anywhere in the repository (benchmark/,
 // cmd/ and examples/ included) that refers to an export is a user, and
 // so is an interface the method's type satisfies or a selector promoted
-// through an embedded field. A Config field's user must set it; filling
+// through an embedded field — unless no command reaches the file's
+// package: a package that only tests import, directly or through other
+// such packages, is test code outside a test file, and its references
+// count for nothing (so its own exports have no user either). A Config field's user must set it; filling
 // in its default does not count. A flag's user is a README code block or
 // code span, a script, a CI step, a test or benchmark/ that passes it.
 // Every exported field must also be read: by non-test code other than as
@@ -96,17 +99,18 @@ func TestEveryExportHasAUser(t *testing.T) {
 }
 
 // TestSurfaceGateCatchesFixture runs the gate's scan on a planted tree:
-// an export no file uses, one only a test uses, a String method, an
-// embedded field, a flag nobody passes, and a struct whose fields are
-// read, emitted as JSON, and written but read only by a test. It must
-// report exactly the first, the second and the flag as unused, and the
-// last field as write-only.
+// an export no file uses, one only a test uses, one only a package that
+// only a test imports uses, a String method, an embedded field, a flag
+// nobody passes, and a struct whose fields are read, emitted as JSON, and
+// written but read only by a test. It must report exactly the first
+// three, that package's own export and the flag as unused, and the last
+// field as write-only.
 func TestSurfaceGateCatchesFixture(t *testing.T) {
 	s, err := scanSurface(filepath.Join("testdata", "surface"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"cmd/tool -unpassed", "internal/lib.Orphan", "internal/lib.TestOnly"}
+	want := []string{"cmd/tool -unpassed", "internal/harness.Drive", "internal/lib.HarnessOnly", "internal/lib.Orphan", "internal/lib.TestOnly"}
 	if fmt.Sprint(s.unused) != fmt.Sprint(want) {
 		t.Fatalf("unused = %q, want %q", s.unused, want)
 	}
@@ -264,6 +268,23 @@ func scanSurface(root string) (*surface, error) {
 		}
 	}
 	addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	// Only commands and what they import, directly or not, are users: a
+	// package no command's non-test code reaches serves tests alone.
+	reached := map[*types.Package]bool{}
+	var reach func(*types.Package)
+	reach = func(pkg *types.Package) {
+		if !reached[pkg] {
+			reached[pkg] = true
+			for _, imp := range pkg.Imports() {
+				reach(imp)
+			}
+		}
+	}
+	for _, p := range pkgs {
+		if p.pkg.Name() == "main" {
+			reach(p.pkg)
+		}
+	}
 	seen := map[*types.Package]bool{}
 	var walkScope func(*types.Package)
 	walkScope = func(pkg *types.Package) {
@@ -283,6 +304,9 @@ func scanSurface(root string) (*surface, error) {
 		}
 	}
 	for _, p := range pkgs {
+		if !reached[p.pkg] {
+			continue
+		}
 		walkScope(p.pkg)
 		markSets(p, set)
 		markReads(p, read)

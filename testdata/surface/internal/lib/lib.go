@@ -1,6 +1,6 @@
 // Package lib is the surface gate's planted fixture: of its exports only
-// Orphan and TestOnly lack a user, and of its fields only Tally.Unread is
-// never read.
+// Orphan, TestOnly and HarnessOnly lack a user, and of its fields only
+// Tally.Unread is never read.
 package lib
 
 import "sync"
@@ -10,6 +10,10 @@ func Orphan() {}
 
 // TestOnly is called only from lib_test.go.
 func TestOnly() int { return 1 }
+
+// HarnessOnly is called only from internal/harness, which only a test
+// imports.
+func HarnessOnly() int { return 2 }
 
 // Name is used by cmd/tool.
 type Name string
