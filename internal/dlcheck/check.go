@@ -27,11 +27,6 @@ type Image struct {
 	Order []Publish
 }
 
-// Clone deep-copies the image (mutation tests corrupt copies).
-func (img *Image) Clone() *Image {
-	return &Image{Order: append([]Publish(nil), img.Order...)}
-}
-
 // The kinds of violation. Each Violation's Msg carries its kind as a
 // tag after "dlcheck: ", so a log line or a test can tell them apart.
 const (

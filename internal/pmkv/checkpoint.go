@@ -4,7 +4,7 @@
 // entry lines and versions), newest entry per key — and drops the record
 // itself, so audit state exists only while a persist is still owed.
 // One structure serves both consumers: recovery (Verify, RecoveredState and
-// DLImage are this checkpoint plus the unfolded tail) and the GET fast
+// dlImage are this checkpoint plus the unfolded tail) and the GET fast
 // path, whose callers answer reads against precisely the durable prefix
 // without touching the shard mailbox, the engine lock, or the simulated
 // machine.

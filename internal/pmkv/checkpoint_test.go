@@ -71,7 +71,7 @@ func TestReadIndexAbsoluteRecordIndex(t *testing.T) {
 }
 
 // TestReadIndexPublishPrefix: the checkpoint covers exactly the durable
-// prefix — a write is invisible to ReadCommitted until the watermark has
+// prefix — a write is invisible to readCommitted until the watermark has
 // passed it, visible from then on, and stale watermark polls change
 // nothing.
 func TestReadIndexPublishPrefix(t *testing.T) {
@@ -94,28 +94,28 @@ func TestReadIndexPublishPrefix(t *testing.T) {
 	if d, err := e.WaitDurable(2); err != nil || d != 2 {
 		t.Fatalf("WaitDurable(2) = %d, %v", d, err)
 	}
-	if e.Committed() != 2 {
-		t.Fatalf("Committed = %d, want 2", e.Committed())
+	if e.committed() != 2 {
+		t.Fatalf("committed = %d, want 2", e.committed())
 	}
 	submit(Delete, "x", "")
 	submit(Put, "z", "3")
 	// Retired but not yet durable: PumpRetire does not move the watermark.
-	if v, found, rec := e.ReadCommitted("x"); string(v) != "1" || !found || rec != 0 {
+	if v, found, rec := e.readCommitted("x"); string(v) != "1" || !found || rec != 0 {
 		t.Fatalf("x before its delete is durable = (%q, %v, %d)", v, found, rec)
 	}
-	if _, found, rec := e.ReadCommitted("z"); found || rec != -1 {
+	if _, found, rec := e.readCommitted("z"); found || rec != -1 {
 		t.Fatal("z visible before its publish is durable")
 	}
 	if d, err := e.WaitDurable(4); err != nil || d != 4 {
 		t.Fatalf("WaitDurable(4) = %d, %v", d, err)
 	}
-	if d, _, _ := e.DurableWatermark(); d != 4 || e.Committed() != 4 {
-		t.Fatalf("watermark %d, Committed %d after a repeat poll, want 4", d, e.Committed())
+	if d, _, _ := e.durableWatermark(); d != 4 || e.committed() != 4 {
+		t.Fatalf("watermark %d, committed %d after a repeat poll, want 4", d, e.committed())
 	}
-	if v, found, rec := e.ReadCommitted("x"); v != nil || found || rec != 2 {
+	if v, found, rec := e.readCommitted("x"); v != nil || found || rec != 2 {
 		t.Fatalf("x after delete = (%q, %v, %d), want tombstone rec 2", v, found, rec)
 	}
-	if v, _, _ := e.ReadCommitted("z"); string(v) != "3" {
+	if v, _, _ := e.readCommitted("z"); string(v) != "3" {
 		t.Fatalf("z = %q, want 3", v)
 	}
 	if ret := e.Stats().Retention; ret.Retained != 0 || ret.Folded != 4 || ret.CheckpointKeys != 3 {

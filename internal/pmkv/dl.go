@@ -40,22 +40,7 @@ func (e *Engine) observedRead(sess int, key string) (val []byte, found bool, rec
 	return nil, false, -1, lineSpan{}
 }
 
-// DL exposes the engine's durable-linearizability tracker (nil unless
-// Config.Check); callers hand it ack watermarks, and its nil-receiver
-// methods make every hook free when checking is off.
-func (e *Engine) DL() *dlcheck.Tracker { return e.dl }
-
-// ObserveFastRead records a fast-path read observation with the tracker:
-// the session's response carried the value (or tombstone) of mutation
-// record rec (-1: no durable publish for the key). The tracker locks
-// internally, so this takes no engine lock and is safe from any caller
-// goroutine — which is the point: fast-path GETs never enter the
-// engine's single-writer pipeline, but the checker still sees them.
-func (e *Engine) ObserveFastRead(sess int, key string, rec int) {
-	e.dl.ObserveRead(sess, key, rec)
-}
-
-// DLImage translates a machine result into the checker's image: every
+// dlImage translates a machine result into the checker's image: every
 // write whose entry stores all retired, grouped per key in record order,
 // flagged durable when its whole entry reached NVRAM and recovery keeps it
 // or a later write of its key — the stubs of the folded writes (judged
@@ -63,7 +48,7 @@ func (e *Engine) ObserveFastRead(sess int, key string, rec int) {
 // lost) plus the tail's. A write above the one recovery keeps for its key
 // is lost however its lines read: that is how a freed entry's survivor
 // shows. Keys are emitted in ascending order for determinism.
-func (e *Engine) DLImage(res *machine.Result) *dlcheck.Image {
+func (e *Engine) dlImage(res *machine.Result) *dlcheck.Image {
 	e.mu.Lock()
 	tail := e.tail
 	pubs := slices.Clone(e.cp.stubs)
@@ -109,5 +94,5 @@ func (e *Engine) CheckDL(res *machine.Result) *dlcheck.Verdict {
 	if e.dl == nil {
 		return nil
 	}
-	return e.dl.Check(e.DLImage(res))
+	return e.dl.Check(e.dlImage(res))
 }

@@ -2,6 +2,7 @@ package pmkv
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestCheckDisabledIsNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.DL() != nil {
+	if e.dl != nil {
 		t.Fatal("tracker present without Config.Check")
 	}
 	out, err := runSingle(Config{}, checkSpec())
@@ -169,8 +170,8 @@ func corruptBase(t *testing.T) (*Engine, *dlcheck.Image) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := e.DLImage(res)
-	if v := e.DL().Check(img); !v.OK() {
+	img := e.dlImage(res)
+	if v := e.dl.Check(img); !v.OK() {
 		t.Fatalf("clean image rejected: %s", v)
 	}
 	return e, img
@@ -207,10 +208,10 @@ func violationKinds(v *dlcheck.Verdict) map[string]int {
 // the store acked durable must be rejected as acked-lost.
 func TestMutationDropAckedPublish(t *testing.T) {
 	e, img := corruptBase(t)
-	e.DL().AckDurable(6) // the store acked every mutation durable
-	bad := img.Clone()
+	e.dl.AckDurable(6) // the store acked every mutation durable
+	bad := &dlcheck.Image{Order: slices.Clone(img.Order)}
 	setDurable(t, bad, 5, false) // tail publish: no hb successor, pure ack loss
-	v := e.DL().Check(bad)
+	v := e.dl.Check(bad)
 	if v.OK() {
 		t.Fatal("dropped acked publish accepted")
 	}
@@ -229,9 +230,9 @@ func TestMutationDropAckedPublish(t *testing.T) {
 // contradicted read reported too).
 func TestMutationReorderHBVersions(t *testing.T) {
 	e, img := corruptBase(t)
-	bad := img.Clone()
+	bad := &dlcheck.Image{Order: slices.Clone(img.Order)}
 	setDurable(t, bad, 0, false) // alpha=a1 lost; s1 read it, then wrote beta (rec 1, durable)
-	v := e.DL().Check(bad)
+	v := e.dl.Check(bad)
 	if v.OK() {
 		t.Fatal("hb-inverted image accepted")
 	}
@@ -249,9 +250,9 @@ func TestMutationReorderHBVersions(t *testing.T) {
 // be rejected as a read contradiction naming the key.
 func TestMutationResurrectDeletedKey(t *testing.T) {
 	e, img := corruptBase(t)
-	bad := img.Clone()
+	bad := &dlcheck.Image{Order: slices.Clone(img.Order)}
 	setDurable(t, bad, 2, false) // alpha's tombstone lost => alpha resurrected
-	v := e.DL().Check(bad)
+	v := e.dl.Check(bad)
 	if v.OK() {
 		t.Fatal("resurrected delete accepted")
 	}
@@ -274,7 +275,7 @@ func TestMutationResurrectDeletedKey(t *testing.T) {
 // distinct primary diagnostics (guards against one catch-all error).
 func TestMutationDiagnosticsDistinct(t *testing.T) {
 	e, img := corruptBase(t)
-	e.DL().AckDurable(6)
+	e.dl.AckDurable(6)
 	kinds := make(map[string]bool)
 	for _, m := range []struct {
 		rec  int
@@ -284,9 +285,9 @@ func TestMutationDiagnosticsDistinct(t *testing.T) {
 		{0, "hb-order"},
 		{2, "read-contradiction"},
 	} {
-		bad := img.Clone()
+		bad := &dlcheck.Image{Order: slices.Clone(img.Order)}
 		setDurable(t, bad, m.rec, false)
-		v := e.DL().Check(bad)
+		v := e.dl.Check(bad)
 		if violationKinds(v)[m.want] == 0 {
 			t.Fatalf("mutating rec %d: want kind %v, got %s", m.rec, m.want, v)
 		}

@@ -78,7 +78,7 @@ func (r *gapRig) next(t *testing.T) {
 		}
 	}
 	r.gapsLeft--
-	d, _, _ := r.e.DurableWatermark()
+	d, _, _ := r.e.durableWatermark()
 	for len(r.targets) > 0 && r.targets[0] <= d {
 		r.targets = r.targets[1:]
 	}
@@ -121,9 +121,9 @@ func TestGapEndsAtDurable(t *testing.T) {
 			t.Fatal(err)
 		}
 		end := start + gapCycles
-		for c := start; target > oracle.e.Committed() && c <= start+gapCycles; c++ {
+		for c := start; target > oracle.e.committed() && c <= start+gapCycles; c++ {
 			oracle.e.m.Step(c - oracle.e.Now()) // every event up to cycle c
-			if d, _, _ := oracle.e.DurableWatermark(); d >= target {
+			if d, _, _ := oracle.e.durableWatermark(); d >= target {
 				end = c
 				break
 			}
@@ -165,10 +165,10 @@ func TestGapEndsAtDurable(t *testing.T) {
 	// Nothing pending — no target, or one the watermark already covers —
 	// is the full gap, whatever persists in it.
 	r := rigAt(t, Config{}, 3)
-	for _, target := range []int{0, r.e.Committed()} {
+	for _, target := range []int{0, r.e.committed()} {
 		start := r.e.Now()
 		if err := r.e.gap(target); err != nil || r.e.Now() != start+gapCycles {
-			t.Fatalf("Gap with target %d (watermark %d) ran %d..%d, %v; want %d cycles", target, r.e.Committed(), start, r.e.Now(), err, gapCycles)
+			t.Fatalf("Gap with target %d (watermark %d) ran %d..%d, %v; want %d cycles", target, r.e.committed(), start, r.e.Now(), err, gapCycles)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func TestDurableWatermarkReportsCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d, total, err := e.DurableWatermark()
+	d, total, err := e.durableWatermark()
 	if err != ErrCrashed {
 		t.Fatalf("DurableWatermark err = %v, want ErrCrashed", err)
 	}

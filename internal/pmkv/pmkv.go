@@ -896,7 +896,7 @@ func (e *Engine) durable(r *OpRecord) bool {
 // checked and dropped: each record the cursor passes is verified and
 // folded into the checkpoint, then the passed records are released
 // together. After Close the image is final and the cursor stays put, so
-// Verify, RecoveredState and DLImage all read one frozen checkpoint and
+// Verify, RecoveredState and dlImage all read one frozen checkpoint and
 // tail.
 func (e *Engine) advanceWatermarkLocked() int {
 	if e.closed {
@@ -1078,7 +1078,7 @@ func (e *Engine) release(n int) {
 	}
 }
 
-// DurableWatermark reports the durable-prefix watermark: the number of
+// durableWatermark reports the durable-prefix watermark: the number of
 // mutation records (in submission order) whose entries have reached
 // NVRAM, and the total number of mutation records submitted. Acks gated
 // on the watermark are durability guarantees, not just visibility. The
@@ -1087,7 +1087,7 @@ func (e *Engine) release(n int) {
 // gating acks on them must switch to crash handling instead of waiting
 // for more durability that will never come. On a closed engine the error
 // says so, and the numbers are final.
-func (e *Engine) DurableWatermark() (durable, total int, err error) {
+func (e *Engine) durableWatermark() (durable, total int, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	d := e.advanceWatermarkLocked()
@@ -1146,7 +1146,7 @@ type EngineStats struct {
 }
 
 // Stats reads the engine's state under one lock hold. Unlike
-// DurableWatermark it folds, releases and trims nothing, so any goroutine
+// durableWatermark it folds, releases and trims nothing, so any goroutine
 // — a metrics scrape — may call it without doing the driver's work.
 func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
@@ -1170,23 +1170,23 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// ReadCommitted answers a key from the checkpoint — the state as of the
+// readCommitted answers a key from the checkpoint — the state as of the
 // durable watermark — without taking the engine lock: the value (or a
 // durable tombstone, found=false) and the mutation record that wrote it,
 // rec=-1 when no durable entry names the key. Safe from any
 // goroutine; the shard GET fast path.
-func (e *Engine) ReadCommitted(key string) (val []byte, found bool, rec int) {
+func (e *Engine) readCommitted(key string) (val []byte, found bool, rec int) {
 	return e.cp.get(key)
 }
 
-// Committed reports the durable watermark ReadCommitted's answers cover:
+// committed reports the durable watermark readCommitted's answers cover:
 // every mutation record below it is in the checkpoint.
-func (e *Engine) Committed() int { return int(e.cp.folded.Load()) }
+func (e *Engine) committed() int { return int(e.cp.folded.Load()) }
 
-// Quiesced reports whether the machine has nothing scheduled — no
+// quiesced reports whether the machine has nothing scheduled — no
 // background persist machinery in flight, so only Close's final drain
 // (or new requests) can change the durable image.
-func (e *Engine) Quiesced() bool {
+func (e *Engine) quiesced() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.m.Engine().Pending() == 0
@@ -1241,9 +1241,9 @@ func (e *Engine) Now() sim.Cycle {
 	return e.m.Now()
 }
 
-// Volatile returns the state reads are served from (a session with no write
+// volatile returns the state reads are served from (a session with no write
 // in the open window); after a clean Close, what recovery must rebuild.
-func (e *Engine) Volatile() map[string][]byte {
+func (e *Engine) volatile() map[string][]byte {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make(map[string][]byte, e.cp.keys+len(e.live))

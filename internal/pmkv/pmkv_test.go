@@ -47,7 +47,7 @@ func apply(e *Engine, batch []Request) ([]Response, error) {
 	if err = e.PumpRetire(); err == nil {
 		err = e.gap(0)
 	}
-	e.DurableWatermark()
+	e.durableWatermark()
 	return resps, err
 }
 
@@ -107,7 +107,7 @@ func TestPutGetDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := e.Volatile()
+	want := e.volatile()
 	if len(state) != len(want) {
 		t.Fatalf("recovered %d keys, want %d", len(state), len(want))
 	}
@@ -169,7 +169,7 @@ func TestCleanDrainContendedBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := e.Volatile()
+	want := e.volatile()
 	if len(got) != len(want) {
 		t.Fatalf("recovered %d keys, want %d: a committed publish was dropped or invented", len(got), len(want))
 	}

@@ -76,7 +76,7 @@ func (c raceCase) run(t *testing.T) (recovered string, agreed bool) {
 	}
 	durable := func() {
 		settle(t, e)
-		e.DL().AckDurable(e.RecordCount())
+		e.dl.AckDurable(e.RecordCount())
 	}
 	if len(c.before) > 0 {
 		if _, err := apply(e, requests(c.before)); err != nil {
@@ -104,7 +104,7 @@ func (c raceCase) run(t *testing.T) (recovered string, agreed bool) {
 	early := get(3)
 	durable()
 	late := get(2)
-	fastVal, fastFound, _ := e.ReadCommitted("k")
+	fastVal, fastFound, _ := e.readCommitted("k")
 	fast := answer(fastVal, fastFound)
 	res, err := e.Close()
 	if err != nil {
@@ -220,7 +220,7 @@ func TestSameKeyRaceFoldedMidWindow(t *testing.T) {
 		c := raceCase{name: row.name, pending: row.pending, window: row.window}
 		c.mid = func(t *testing.T, e *Engine, sessions []*Session) {
 			for i := 0; i < 100; i++ {
-				if d, _, _ := e.DurableWatermark(); d >= row.folded {
+				if d, _, _ := e.durableWatermark(); d >= row.folded {
 					break
 				}
 				if err := e.gap(0); err != nil {
@@ -272,7 +272,7 @@ func TestSameKeyRaceSettledAtClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	served := e.Volatile()
+	served := e.volatile()
 	if len(served) != 1 || string(served["k"]) != string(state["k"]) || string(state["k"]) != string(window[3].Value) {
 		t.Fatalf("a clean Close serves %.12q, recovery holds %.12q, want the last writer translated", served["k"], state["k"])
 	}

@@ -343,14 +343,15 @@ func (s *ShardedStore) DoAsync(sess *ShardedSession, op Op, key string, value []
 			// its own session's unacked write to key, and a zero slot says
 			// there is none; any other missing write is unacked and free to
 			// linearize after this read. Absence is therefore an
-			// authoritative not-found.
-			val, found, rec := sh.eng.ReadCommitted(key)
-			sh.eng.ObserveFastRead(sess.per[id].ID, key, rec)
+			// authoritative not-found. The tracker locks on its own, so
+			// the checker sees this read without the engine lock.
+			val, found, rec := sh.eng.readCommitted(key)
+			sh.eng.dl.ObserveRead(sess.per[id].ID, key, rec)
 			sh.fastHits.Add(1)
 			span.Stamp(telemetry.StageDurable)
 			done <- Completion{Tag: tag, Ack: ShardAck{
 				Resp:    Response{Found: found, Value: val},
-				Durable: sh.eng.Committed(),
+				Durable: sh.eng.committed(),
 				Fast:    true,
 			}}
 			return id, nil
@@ -394,10 +395,11 @@ type pendingBatch struct {
 // shardWorker is the one driver of an engine: its state is the batches in
 // flight, whose acks await the watermark, and the slice pools that keep
 // the steady-state commit path free of allocations. It acts on the engine
-// in four steps — Submit, Pump, Gap, Poll — and records what it promised
-// clients as a fifth, Ack. Live, it picks its steps (runShard); scripted,
-// it takes them from a script (runSteps), so crash sweeps run the code
-// that decides what a client is told.
+// in four steps — Submit, Pump, Gap, Poll — and finish tells the checker
+// every durable ack it gives. Live, it picks its steps (runShard);
+// scripted, it takes them from a script (runSteps), so crash sweeps run
+// the code that decides what a client is told, and the checker holds
+// their images to exactly those acks.
 //
 // The pipeline is pending. The worker is one goroutine and the machine
 // advances only inside Pump and Gap, so nothing translates while anything
@@ -410,10 +412,9 @@ type shardWorker struct {
 	s  *ShardedStore
 	sh *shard
 
-	scripted bool           // a script carries its own Ack steps, so finish takes none
-	history  []clientOp     // scripted only: what each request was told, and when
-	open     bool           // mailbox not yet closed
-	pending  []pendingBatch // oldest first
+	history []clientOp     // scripted only: what each request was told, and when
+	open    bool           // mailbox not yet closed
+	pending []pendingBatch // oldest first
 
 	// dry records that the persist machinery has nothing scheduled while
 	// acks are still gated: durability cannot advance until new work
@@ -530,13 +531,13 @@ func (w *shardWorker) gap() {
 	w.failed(err)
 }
 
-// poll is the Poll step: DurableWatermark folds, releases and trims what
+// poll is the Poll step: durableWatermark folds, releases and trims what
 // the watermark passed, and the batches it now covers are acked — after
 // the fold, so a client holding a durable ack finds that write on the fast
 // path (the atomic bucket store happens-before the ack's channel send,
 // which happens-before the client's next request).
 func (w *shardWorker) poll() {
-	durable, _, err := w.sh.eng.DurableWatermark()
+	durable, _, err := w.sh.eng.durableWatermark()
 	if w.failed(err) {
 		return
 	}
@@ -573,12 +574,12 @@ func (w *shardWorker) release() {
 	if busy || len(w.pending) == 0 {
 		return
 	}
-	if !w.sh.eng.Quiesced() {
+	if !w.sh.eng.quiesced() {
 		w.gap()
 		w.poll()
 	}
 	switch {
-	case len(w.pending) == 0 || !w.sh.eng.Quiesced():
+	case len(w.pending) == 0 || !w.sh.eng.quiesced():
 	case w.open:
 		w.dry = true
 	default:
@@ -586,7 +587,7 @@ func (w *shardWorker) release() {
 		// only Close's final drain persists the rest. Ack now — Close runs
 		// the full drain before the recovery snapshot, so durability still
 		// precedes the snapshot (and the acks remain checker obligations).
-		w.ackOldest(len(w.pending), ShardAck{Durable: w.sh.eng.Committed()})
+		w.ackOldest(len(w.pending), ShardAck{Durable: w.sh.eng.committed()})
 	}
 }
 
@@ -621,10 +622,10 @@ func (w *shardWorker) ackOldest(n int, ack ShardAck) {
 func (w *shardWorker) finish(p pendingBatch, ack ShardAck) {
 	eng := w.sh.eng
 	cycle := int64(eng.Now())
-	if ack.Err == nil && !ack.Crashed && !w.scripted {
-		// The Ack step: this ack promises durability, an obligation the
-		// checker holds the crash image to.
-		eng.DL().AckDurable(p.target)
+	if ack.Err == nil && !ack.Crashed {
+		// This ack promises durability, an obligation the checker holds
+		// the crash image to.
+		eng.dl.AckDurable(p.target)
 	}
 	for i := range p.jobs {
 		if ack.Err == nil {

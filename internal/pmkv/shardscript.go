@@ -15,21 +15,19 @@ import (
 )
 
 // stepKind names what a shard worker does to its engine. The live loop, a
-// script and benchmark/engine.go's loop are all words over the first four.
+// script and benchmark/engine.go's loop are all words over these four.
 type stepKind uint8
 
 const (
 	stepSubmit stepKind = iota // SubmitAppend: translate and feed a batch
 	stepPump                   // PumpRetire: close the window, run until it retired
 	stepGap                    // background persists, until the oldest batch is durable
-	stepPoll                   // DurableWatermark, then ack what it covers
-	stepAck                    // clients were told records [0, target) are durable
+	stepPoll                   // durableWatermark, then ack what it covers
 )
 
 type step struct {
-	kind   stepKind
-	batch  []ScriptedOp // stepSubmit
-	target int          // stepAck
+	kind  stepKind
+	batch []ScriptedOp // stepSubmit
 }
 
 // steps splits the script into each shard's steps: per round, a Submit of
@@ -83,7 +81,7 @@ func (s *ShardedStore) run(steps [][]step, sessions int) ([]ShardResult, error) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := &shardWorker{s: s, sh: sh, scripted: true}
+			w := &shardWorker{s: s, sh: sh}
 			if err := w.runSteps(steps[sh.id], sess); err != nil {
 				results[sh.id] = ShardResult{Shard: sh.id, SimCycles: sh.stepCycles(), Err: err}
 				return
@@ -153,12 +151,10 @@ func (w *shardWorker) runSteps(steps []step, sessions []*ShardedSession) error {
 			w.gap()
 		case stepPoll:
 			w.poll()
-		case stepAck:
-			w.sh.eng.DL().AckDurable(st.target)
 		}
 		collect(at)
 	}
-	w.ackOldest(len(w.pending), ShardAck{Durable: w.sh.eng.Committed()})
+	w.ackOldest(len(w.pending), ShardAck{Durable: w.sh.eng.committed()})
 	collect(len(steps))
 	for i, n := range completed {
 		if n != 1 {

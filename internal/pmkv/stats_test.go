@@ -135,8 +135,8 @@ func TestStatsMatchEventOracle(t *testing.T) {
 // submitted and pumped without anyone asking for the watermark; pumping
 // the later ones has let the first one's epochs persist, so there is
 // durability nobody has folded yet. Reading Stats — twice — must leave it
-// unfolded; the driver's DurableWatermark then folds it. The parent's
-// Metrics() called DurableWatermark and fails the first half.
+// unfolded; the driver's durableWatermark then folds it. The parent's
+// Metrics() called durableWatermark and fails the first half.
 func TestStatsLeavesTheWatermark(t *testing.T) {
 	e, err := New(Config{})
 	if err != nil {
@@ -169,9 +169,9 @@ func TestStatsLeavesTheWatermark(t *testing.T) {
 			t.Fatalf("read %d: %d epochs persisted at cycle %d (clock %d): nothing for a watermark to find", i, st.Epochs.Persisted, st.Cycle, e.Now())
 		}
 	}
-	d, n, err := e.DurableWatermark()
+	d, n, err := e.durableWatermark()
 	if err != nil || d == 0 || n != total {
-		t.Fatalf("DurableWatermark = %d of %d, %v; want some durable prefix", d, n, err)
+		t.Fatalf("durableWatermark = %d of %d, %v; want some durable prefix", d, n, err)
 	}
 	if st := e.Stats(); st.Folded != d || st.Retained != total-d || st.EpochsTrimmed == 0 {
 		t.Fatalf("after the watermark moved to %d: %+v", d, st.Retention)

@@ -145,7 +145,7 @@ func (e *Engine) Verify(res *machine.Result) (*Report, error) {
 	recovered := recoverySnapshot(state)
 	if res.Finished {
 		// An empty pair ends both lists, so one that stops short differs there.
-		served := append(recoverySnapshot(e.Volatile()), [2]string{})
+		served := append(recoverySnapshot(e.volatile()), [2]string{})
 		for i, r := range append(recovered, [2]string{}) {
 			if s := served[i]; s != r {
 				return rep, fmt.Errorf("pmkv: clean drain: in key order, the store first serves %.40q where recovery rebuilds %.40q", s, r)

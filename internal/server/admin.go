@@ -4,14 +4,13 @@
 //
 //	/metrics       Prometheus 0.0.4 text exposition — per-shard pipeline
 //	               stage histograms (seconds), each shard machine's own
-//	               counters (simulated cycles: persist latency and the
+//	               counts (simulated cycles: persist latency and the
 //	               machine.Families — epochs by cause, conflicts, IDT
 //	               edges, splits, stall cycles, flushes, NoC and NVRAM
-//	               traffic), the
-//	               commit-pipeline gauges, the simulated cycles each
-//	               worker step took, how much audit state each
-//	               engine holds and has released, and the process's
-//	               resident and heap memory.
+//	               traffic), the commit pipeline's counts and batch
+//	               sizes, the simulated cycles each worker step took,
+//	               how much audit state each engine holds and has
+//	               released, and the process's resident and heap memory.
 //	/statz         The stats document (JSON): the store-wide counters, every
 //	               shard's ShardMetrics, and the live per-stage breakdown
 //	               (pooled and per shard).
@@ -114,10 +113,72 @@ func (s *Server) AdminHandler() http.Handler {
 	return mux
 }
 
+// shardFamily is one per-shard sample family on /metrics: a counter when
+// its name ends in _total, a gauge otherwise. label names what tells one
+// shard's samples apart ("" when each shard has one).
+type shardFamily struct {
+	name, help, label string
+	samples           func(*pmkv.ShardMetrics) []machine.Sample
+}
+
+func one(v uint64) []machine.Sample { return []machine.Sample{{Value: v}} }
+
+// shardFamilies are the per-shard families in exposition order: one
+// pmkv_<name>_total per machine.Families entry, read from the shard
+// machine's counters, then the shard's commit pipeline and what its engine
+// holds and has released.
+var shardFamilies = append(machineFamilies(), []shardFamily{
+	{"pmkv_shard_cycle", "Shard simulated clock.", "",
+		func(m *pmkv.ShardMetrics) []machine.Sample { return one(uint64(m.Counters.Cycle)) }},
+	{"pmkv_shard_queue_depth", "Requests waiting in the shard mailbox.", "",
+		func(m *pmkv.ShardMetrics) []machine.Sample { return one(uint64(m.QueueDepth)) }},
+	{"pmkv_shard_mailbox_capacity", "Shard mailbox capacity.", "",
+		func(m *pmkv.ShardMetrics) []machine.Sample { return one(uint64(m.MailboxCap)) }},
+	{"pmkv_shard_batches_total", "Group commits retired.", "",
+		func(m *pmkv.ShardMetrics) []machine.Sample { return one(m.Batches) }},
+	{"pmkv_read_fast_hits_total", "GETs served from the committed-state index, bypassing the mailbox.", "",
+		func(m *pmkv.ShardMetrics) []machine.Sample { return one(m.FastHits) }},
+	{"pmkv_records_retained", "Mutation records still held: submitted, not yet durable.", "",
+		func(m *pmkv.ShardMetrics) []machine.Sample { return one(uint64(m.Retained)) }},
+	{"pmkv_records_folded_total", "Mutation records verified, folded into the checkpoint (which fast GETs read) and released.", "",
+		func(m *pmkv.ShardMetrics) []machine.Sample { return one(uint64(m.Folded)) }},
+	{"pmkv_checkpoint_keys", "Keys in the committed-state checkpoint, tombstones included.", "",
+		func(m *pmkv.ShardMetrics) []machine.Sample { return one(uint64(m.CheckpointKeys)) }},
+	{"pmkv_epochs_trimmed_total", "Persisted epochs dropped from the machine's retained history.", "",
+		func(m *pmkv.ShardMetrics) []machine.Sample { return one(uint64(m.EpochsTrimmed)) }},
+	{"pmkv_entry_lines_bumped_total", "Entry lines carved off the heap's bump pointer: the persistent heap's size, flat once the free list feeds the Puts.", "",
+		func(m *pmkv.ShardMetrics) []machine.Sample { return one(uint64(m.EntryLinesBumped)) }},
+	{"pmkv_entry_lines_recycled_total", "Entry lines taken off the free list for a Put instead of carving new ones.", "",
+		func(m *pmkv.ShardMetrics) []machine.Sample { return one(uint64(m.EntryLinesRecycled)) }},
+	{"pmkv_entry_lines_free", "Entry lines on the free list: superseded behind the durable watermark, not yet reused.", "",
+		func(m *pmkv.ShardMetrics) []machine.Sample { return one(uint64(m.EntryLinesFree)) }},
+	{"pmkv_machine_lines_tracked", "Lines the simulated machine keeps per-line state for.", "",
+		func(m *pmkv.ShardMetrics) []machine.Sample { return one(uint64(m.LinesTracked)) }},
+	{"pmkv_read_fallback_total", "GETs that fell back to the mailbox, by reason (the session's own unacked write to the key, drain, or crash).", "reason",
+		func(m *pmkv.ShardMetrics) []machine.Sample {
+			f := m.FallbackReasons
+			return []machine.Sample{{Label: "pending", Value: f.Pending}, {Label: "draining", Value: f.Draining}, {Label: "crashed", Value: f.Crashed}}
+		}},
+	{"pmkv_shard_sim_cycles_total", "Simulated cycles the shard worker advanced its machine by, by step (pump: a commit window running until it retired; gap: background persists, up to the instant the oldest batch is durable).", "step",
+		func(m *pmkv.ShardMetrics) []machine.Sample {
+			return []machine.Sample{{Label: "pump", Value: m.SimCycles.Pump}, {Label: "gap", Value: m.SimCycles.Gap}}
+		}},
+}...)
+
+// machineFamilies enters each machine.Families entry as a shard family.
+func machineFamilies() []shardFamily {
+	out := make([]shardFamily, len(machine.Families))
+	for i, f := range machine.Families {
+		out[i] = shardFamily{"pmkv_" + f.Name + "_total", f.Help, f.Label,
+			func(m *pmkv.ShardMetrics) []machine.Sample { return f.Samples(&m.Counters) }}
+	}
+	return out
+}
+
 // appendMetrics composes the full exposition: stage histograms from the
-// tracer, then everything store.Metrics reports — the machines' counters
-// (one pmkv_<name>_total per machine.Families entry) and persist-latency
-// histograms, and the pipeline gauges.
+// tracer, then everything store.Metrics reports — the machines'
+// persist-latency histograms, every shardFamilies row and the batch-size
+// histograms — and the process's memory.
 func (s *Server) appendMetrics(dst []byte) []byte {
 	dst = s.tracer.AppendStageMetrics(dst)
 
@@ -132,92 +193,20 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 		}
 	}
 
-	for _, f := range machine.Families {
-		name := "pmkv_" + f.Name + "_total"
-		dst = telemetry.AppendMetricHeader(dst, name, "counter", f.Help)
-		for i := range metrics {
-			shard := shardLabel(i)
-			for _, sm := range f.Samples(&metrics[i].Counters) {
-				labels := shard
-				if sm.Label != "" {
-					labels += fmt.Sprintf(",%s=%q", f.Label, sm.Label)
-				}
-				dst = telemetry.AppendUintSample(dst, name, labels, sm.Value)
-			}
-		}
-	}
-
-	gauges := []struct {
-		name, help string
-		value      func(pmkv.ShardMetrics) float64
-	}{
-		{"pmkv_shard_cycle", "Shard simulated clock.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.Counters.Cycle) }},
-		{"pmkv_shard_queue_depth", "Requests waiting in the shard mailbox.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.QueueDepth) }},
-		{"pmkv_shard_mailbox_capacity", "Shard mailbox capacity.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.MailboxCap) }},
-		{"pmkv_shard_batches_total", "Group commits retired.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.Batches) }},
-		{"pmkv_shard_avg_batch", "Mean requests per group commit.",
-			func(m pmkv.ShardMetrics) float64 { return m.AvgBatch }},
-		{"pmkv_read_fast_hits_total", "GETs served from the committed-state index, bypassing the mailbox.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.FastHits) }},
-		{"pmkv_records_retained", "Mutation records still held: submitted, not yet durable.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.Retained) }},
-		{"pmkv_records_folded_total", "Mutation records verified, folded into the checkpoint (which fast GETs read) and released.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.Folded) }},
-		{"pmkv_checkpoint_keys", "Keys in the committed-state checkpoint, tombstones included.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.CheckpointKeys) }},
-		{"pmkv_epochs_trimmed_total", "Persisted epochs dropped from the machine's retained history.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.EpochsTrimmed) }},
-		{"pmkv_entry_lines_bumped_total", "Entry lines carved off the heap's bump pointer: the persistent heap's size, flat once the free list feeds the Puts.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.EntryLinesBumped) }},
-		{"pmkv_entry_lines_recycled_total", "Entry lines taken off the free list for a Put instead of carving new ones.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.EntryLinesRecycled) }},
-		{"pmkv_entry_lines_free", "Entry lines on the free list: superseded behind the durable watermark, not yet reused.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.EntryLinesFree) }},
-		{"pmkv_machine_lines_tracked", "Lines the simulated machine keeps per-line state for.",
-			func(m pmkv.ShardMetrics) float64 { return float64(m.LinesTracked) }},
-	}
-	counterNames := map[string]bool{
-		"pmkv_shard_batches_total":        true,
-		"pmkv_read_fast_hits_total":       true,
-		"pmkv_records_folded_total":       true,
-		"pmkv_epochs_trimmed_total":       true,
-		"pmkv_entry_lines_bumped_total":   true,
-		"pmkv_entry_lines_recycled_total": true,
-	}
-	for _, g := range gauges {
+	for _, f := range shardFamilies {
 		typ := "gauge"
-		if counterNames[g.name] {
+		if strings.HasSuffix(f.name, "_total") {
 			typ = "counter"
 		}
-		dst = telemetry.AppendMetricHeader(dst, g.name, typ, g.help)
-		for _, m := range metrics {
-			dst = telemetry.AppendSample(dst, g.name, shardLabel(m.Shard), g.value(m))
-		}
-	}
-
-	// Counters split by a label, one sample per shard and label value.
-	for _, c := range []struct {
-		name, help, label string
-		samples           func(pmkv.ShardMetrics) []machine.Sample
-	}{
-		{"pmkv_read_fallback_total", "GETs that fell back to the mailbox, by reason (the session's own unacked write to the key, drain, or crash).", "reason",
-			func(m pmkv.ShardMetrics) []machine.Sample {
-				f := m.FallbackReasons
-				return []machine.Sample{{Label: "pending", Value: f.Pending}, {Label: "draining", Value: f.Draining}, {Label: "crashed", Value: f.Crashed}}
-			}},
-		{"pmkv_shard_sim_cycles_total", "Simulated cycles the shard worker advanced its machine by, by step (pump: a commit window running until it retired; gap: background persists, up to the instant the oldest batch is durable).", "step",
-			func(m pmkv.ShardMetrics) []machine.Sample {
-				return []machine.Sample{{Label: "pump", Value: m.SimCycles.Pump}, {Label: "gap", Value: m.SimCycles.Gap}}
-			}},
-	} {
-		dst = telemetry.AppendMetricHeader(dst, c.name, "counter", c.help)
-		for _, m := range metrics {
-			for _, sm := range c.samples(m) {
-				dst = telemetry.AppendUintSample(dst, c.name, fmt.Sprintf("%s,%s=%q", shardLabel(m.Shard), c.label, sm.Label), sm.Value)
+		dst = telemetry.AppendMetricHeader(dst, f.name, typ, f.help)
+		for i := range metrics {
+			m := &metrics[i]
+			for _, sm := range f.samples(m) {
+				labels := shardLabel(m.Shard)
+				if sm.Label != "" {
+					labels += fmt.Sprintf(",%s=%q", f.label, sm.Label)
+				}
+				dst = telemetry.AppendUintSample(dst, f.name, labels, sm.Value)
 			}
 		}
 	}

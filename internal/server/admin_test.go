@@ -59,9 +59,11 @@ func scrape(t *testing.T, ts *testServer, path string) []byte {
 // TestMetricsFamiliesGolden holds a live server's /metrics to what
 // promcheck accepts (telemetry.ValidateExposition) and pins the families
 // it exposes — name and type, in exposition order — so a gauge cannot
-// vanish or change type unnoticed. It then reads the retention gauges
-// back: after acked writes the engines have folded and released records,
-// and the same numbers appear on /statz and in the drain report.
+// vanish or change type unnoticed, and every family but a histogram must
+// be a counter exactly when its name ends in _total. It then reads the
+// retention gauges back: after acked writes the engines have folded and
+// released records, and the same numbers appear on /statz and in the
+// drain report.
 func TestMetricsFamiliesGolden(t *testing.T) {
 	ts := startTestServer(t, pmkv.ShardedConfig{Shards: 2}, server.Options{Tracing: true})
 	const writes = 200
@@ -105,6 +107,10 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 	for _, line := range strings.Split(string(exposition), "\n") {
 		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
 			families.WriteString(rest + "\n")
+			name, typ, _ := strings.Cut(rest, " ")
+			if typ != "histogram" && (typ == "counter") != strings.HasSuffix(name, "_total") {
+				t.Errorf("%s is a %s: a family other than a histogram is a counter iff its name ends in _total", name, typ)
+			}
 			continue
 		}
 		if name, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {

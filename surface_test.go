@@ -22,21 +22,19 @@ import (
 
 // surfaceAllowlist names the exports and Config fields that only tests
 // use, each with a test that needs it. Only oracles (reference answers a
-// test compares the product against), plant hooks, fuzz decoders and what
-// they draw, and bounds a test shrinks belong here: anything else with no
-// user goes.
+// test compares the product against), plant hooks, what fuzz decoders
+// draw, and bounds a test shrinks belong here: anything else with no user
+// goes.
 var surfaceAllowlist = map[string]string{
 	// Oracles. DisableReadFast forces the mailbox path, the reference the
 	// fuzzer's live runner holds the GET fast path to.
 	"internal/cache.Cache.DirtyLines":             "internal/cache.TestEpochBookkeepingConsistency",
-	"internal/dlcheck.Image.Clone":                "internal/pmkv.TestMutationDropAckedPublish",
 	"internal/recovery.CheckAll":                  "internal/machine.TestCompletedRunIsFullyDurable",
 	"internal/pmkv.ShardedConfig.DisableReadFast": "internal/pmkv.TestReadFastPathServesDurableWrites",
 	// Plant hook.
 	"internal/epoch.Table.PlantShortRing": "internal/machine.TestPlantedShortRing",
-	// Fuzz decoders, and the script shapes the crash fuzzer's decoder draws
-	// (the fpdump goldens' 192-byte values among them).
-	"internal/trace.Interleave":           "internal/trace.FuzzTraceInterleaver",
+	// The script shapes the crash fuzzer's decoder draws (the fpdump
+	// goldens' 192-byte values among them).
 	"internal/pmkv.ScriptSpec.ValueBytes": "internal/pmkv.TestCaseFromBytesTotal",
 	"internal/pmkv.ScriptSpec.PutPct":     "internal/pmkv.TestCaseFromBytesTotal",
 	"internal/pmkv.ScriptSpec.GetPct":     "internal/pmkv.TestCaseFromBytesTotal",
