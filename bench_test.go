@@ -338,34 +338,3 @@ func BenchmarkEngineOpCost(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkPmkvShardScaling measures aggregate pmkv throughput as the
-// keyspace is partitioned across independent shard machines. Each
-// iteration replays the same deterministic scripted workload (so the
-// numbers gate cleanly in CI); ops/sec is total logical operations over
-// wall time. The win at higher shard counts is algorithmic even on one
-// host core: fewer sessions multiplex each simulated machine, so group
-// commits serialize fewer same-core epochs and contend on fewer buckets.
-func BenchmarkPmkvShardScaling(b *testing.B) {
-	spec := pmkv.ScriptSpec{Sessions: 8, Rounds: 12, KeySpace: 32, ValueBytes: 64, Seed: 42}
-	script := pmkv.GenScript(spec)
-	ops := float64(spec.Sessions * spec.Rounds)
-	for _, shards := range []int{1, 2, 4} {
-		b.Run("shards="+itoa(shards), func(b *testing.B) {
-			var out []pmkv.ShardResult
-			for i := 0; i < b.N; i++ {
-				r, err := pmkv.RunShardedScript(pmkv.ShardedConfig{Shards: shards}, script)
-				if err != nil {
-					b.Fatal(err)
-				}
-				out = r
-			}
-			b.ReportMetric(ops*float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
-			publishes := 0
-			for _, r := range out {
-				publishes += r.Report.TotalPublishes
-			}
-			b.ReportMetric(float64(publishes), "publishes")
-		})
-	}
-}

@@ -12,13 +12,6 @@
 // power at cycle N of its own clock; clients in a crashing batch still
 // get their responses (flagged crashed) and the server drains the
 // surviving shards and verifies every crash image.
-//
-// -selfcheck N runs the deterministic crash-injection sweep (N seeded
-// crash instants under concurrent scripted load) without any networking
-// and exits nonzero on the first invariant violation: each instant fans
-// out to every shard (-shards 1 is the one-shard case of the same sweep)
-// and the combined fingerprint is checked for deterministic recovery. CI
-// uses it as the crash smoke test.
 package main
 
 import (
@@ -30,7 +23,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"persistbarriers/internal/dlcheck"
 	"persistbarriers/internal/pmkv"
 	"persistbarriers/internal/server"
 	"persistbarriers/internal/sim"
@@ -43,7 +35,7 @@ func main() {
 		cores   = flag.Int("cores", 4, "simulated cores per shard (1..32); sessions map onto cores round-robin")
 		buckets = flag.Int("buckets", pmkv.DefaultBuckets, "volatile-index buckets per shard (one probed line each; nothing persists there)")
 		crashAt = flag.Uint64("crash-at", 0, "simulated power loss at this cycle of each shard's clock (0 = never)")
-		check   = flag.Bool("check", false, "run the online durable-linearizability checker; verdict printed at drain and after every selfcheck instant")
+		check   = flag.Bool("check", false, "run the online durable-linearizability checker; verdict printed at drain")
 
 		window      = flag.Int("window", 128, "max in-flight requests per connection (1..4096)")
 		maxconns    = flag.Int("maxconns", 0, "max concurrent client connections (0 = unlimited)")
@@ -51,8 +43,6 @@ func main() {
 
 		admin      = flag.String("admin", "", "admin HTTP address for /metrics, /statz, /debug/pprof (empty = off)")
 		flightDump = flag.String("flight-dump", "", "on crash/drain, write the flight recorder here as a Chrome trace (open in Perfetto; 1 us = 1 ns; empty = off)")
-
-		selfcheck = flag.Int("selfcheck", 0, "run N crash-injection instants and exit (no server)")
 	)
 	flag.Parse()
 
@@ -74,7 +64,6 @@ func main() {
 	within("shards", *shards, 1, pmkv.MaxShards)
 	within("cores", *cores, 1, 32)
 	within("buckets", *buckets, 1, pmkv.MaxBuckets)
-	atLeast("selfcheck", *selfcheck, 0)
 	within("window", *window, 1, 4096)
 	atLeast("maxconns", *maxconns, 0)
 	if *connTimeout < 0 {
@@ -93,13 +82,6 @@ func main() {
 		},
 	}
 
-	if *selfcheck > 0 {
-		if err := runSelfcheck(cfg, *selfcheck); err != nil {
-			fmt.Fprintln(os.Stderr, "pmkvd: selfcheck FAILED:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	opts := server.Options{
 		Window:      *window,
 		MaxConns:    *maxconns,
@@ -153,60 +135,4 @@ func serve(addr, adminAddr string, cfg pmkv.ShardedConfig, opts server.Options) 
 		err = serveErr
 	}
 	return err
-}
-
-// runSelfcheck executes the crash-injection sweep: one clean run to size
-// the cycle span (each shard's clock before its closing drain, so every
-// instant falls inside the run), then n evenly spaced crash instants, each
-// fanned out to every shard, fully verified (epoch order, prefix closure,
-// KV atomicity, session order) and checked for a reproducible combined
-// fingerprint.
-func runSelfcheck(cfg pmkv.ShardedConfig, n int) error {
-	script := pmkv.GenScript(pmkv.ScriptSpec{Sessions: 6, Rounds: 24, KeySpace: 16, Seed: 42})
-	cfg.Engine.CrashAt = 0
-	clean, err := pmkv.RunShardedScript(cfg, script)
-	if err != nil {
-		return fmt.Errorf("clean run: %w", err)
-	}
-	var span sim.Cycle
-	publishes := 0
-	verdicts := make([]*dlcheck.Verdict, len(clean))
-	for i, r := range clean {
-		span = max(span, r.Cycles)
-		publishes += r.Report.TotalPublishes
-		verdicts[i] = r.DL
-	}
-	fmt.Printf("clean run: %d shards, span %d cycles, %d publishes, combined fingerprint %.16s\n",
-		len(clean), span, publishes, pmkv.CombineFingerprints(clean))
-	if v := dlcheck.Merge(verdicts); v != nil {
-		fmt.Printf("durable linearizability: %s\n", v)
-	}
-	crashed := 0
-	for i, at := range pmkv.SweepInstants(span, n) {
-		ccfg := cfg
-		ccfg.Engine.CrashAt = at
-		out, err := pmkv.RunShardedScript(ccfg, script)
-		if err != nil {
-			return fmt.Errorf("crash %d/%d at cycle %d: %w", i+1, n, at, err)
-		}
-		again, err := pmkv.RunShardedScript(ccfg, script)
-		if err != nil {
-			return fmt.Errorf("crash %d/%d at cycle %d (replay): %w", i+1, n, at, err)
-		}
-		if pmkv.CombineFingerprints(out) != pmkv.CombineFingerprints(again) {
-			return fmt.Errorf("crash %d/%d at cycle %d: combined recovery not deterministic", i+1, n, at)
-		}
-		for _, r := range out {
-			if r.Crashed {
-				crashed++
-				break
-			}
-		}
-	}
-	if cfg.Engine.Check {
-		fmt.Printf("durable linearizability: OK across %d crash instants\n", n)
-	}
-	fmt.Printf("selfcheck OK: %d shards x %d instants (%d mid-run crashes), all invariants held, recovery deterministic\n",
-		cfg.Shards, n, crashed)
-	return nil
 }

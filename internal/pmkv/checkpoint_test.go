@@ -596,7 +596,7 @@ func TestFastPathPerKey(t *testing.T) {
 // prefixes may differ (timing) but both verdicts must hold.
 func TestReadFastMetamorphic(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		c := fuzzCase{ScriptSpec: ScriptSpec{Sessions: 4, Rounds: 30, KeySpace: 12, Seed: 99, PutPct: 40, GetPct: 45}, Shards: shards, Frac: 128}
+		c := fuzzCase{scriptSpec: scriptSpec{Sessions: 4, Rounds: 30, KeySpace: 12, Seed: 99, PutPct: 40, GetPct: 45}, Shards: shards, Frac: 128}
 		hits, f := runLive(c)
 		if f != nil {
 			t.Fatalf("shards=%d:\n%s", shards, transcript(f))

@@ -10,9 +10,6 @@ import (
 	"persistbarriers/internal/sim"
 )
 
-// checkSpec keeps the checker tests aligned with the headline sweep.
-func checkSpec() ScriptSpec { return testSpec() }
-
 // TestCheckDisabledIsNil: without Config.Check the tracker is absent and
 // every hook is the nil-receiver no-op (the zero-alloc guard for the
 // no-op itself lives in internal/dlcheck).
@@ -24,7 +21,7 @@ func TestCheckDisabledIsNil(t *testing.T) {
 	if e.dl != nil {
 		t.Fatal("tracker present without Config.Check")
 	}
-	out, err := runSingle(Config{}, checkSpec())
+	out, err := runSingle(Config{}, testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +33,7 @@ func TestCheckDisabledIsNil(t *testing.T) {
 // TestCheckCleanRun: a clean drain must be durably linearizable with
 // every publish durable.
 func TestCheckCleanRun(t *testing.T) {
-	out, err := runSingle(Config{Check: true}, checkSpec())
+	out, err := runSingle(Config{Check: true}, testSpec())
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -49,36 +46,11 @@ func TestCheckCleanRun(t *testing.T) {
 	}
 }
 
-// TestCheckCrashSweep is the checker acceptance sweep: every crash
-// instant's image must be durably linearizable. The scripted driver
-// already fails the run on a bad verdict; this pins it across the full
-// sweep.
-func TestCheckCrashSweep(t *testing.T) {
-	instants := 200
-	if testing.Short() {
-		instants = 12
-	}
-	spec := checkSpec()
-	clean, err := runSingle(Config{Check: true}, spec)
-	if err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
-	for _, at := range SweepInstants(clean.Cycles, instants) {
-		out, err := runSingle(Config{CrashAt: at, Check: true}, spec)
-		if err != nil {
-			t.Fatalf("crash at %d: %v", at, err)
-		}
-		if out.DL == nil {
-			t.Fatalf("crash at %d: no verdict", at)
-		}
-	}
-}
-
 // shard0Script is spec's script over n keys, each renamed to a key that
 // routes to shard 0 of a 4-way store, so a 4-shard run executes the whole
 // script on shard 0 with batches identical to the 1-shard run. Renaming
 // leaves the generator's draws as they are.
-func shard0Script(spec ScriptSpec, n int) Script {
+func shard0Script(spec scriptSpec, n int) Script {
 	rename := make(map[string]string, n)
 	for i := 0; len(rename) < n; i++ {
 		if k := fmt.Sprintf("m%03d", i); ShardOf(k, 4) == 0 {
@@ -86,7 +58,7 @@ func shard0Script(spec ScriptSpec, n int) Script {
 		}
 	}
 	spec.KeySpace = n
-	script := GenScript(spec)
+	script := genScript(spec)
 	for _, batch := range script {
 		for i := range batch {
 			batch[i].Key = rename[batch[i].Key]
@@ -112,7 +84,7 @@ func TestCheckMetamorphicShards(t *testing.T) {
 	if testing.Short() {
 		instants = 8
 	}
-	script := shard0Script(ScriptSpec{Sessions: 4, Rounds: 12, ValueBytes: 96, Seed: 1107}, 10)
+	script := shard0Script(scriptSpec{Sessions: 4, Rounds: 12, ValueBytes: 96, Seed: 1107}, 10)
 	run := func(shards int, at sim.Cycle) []ShardResult {
 		t.Helper()
 		out, err := RunShardedScript(ShardedConfig{Shards: shards, Engine: Config{CrashAt: at, Check: true}}, script)
@@ -122,7 +94,7 @@ func TestCheckMetamorphicShards(t *testing.T) {
 		return out
 	}
 	single := run(1, 0)[0]
-	for _, at := range append(SweepInstants(single.Cycles, instants), 0) {
+	for _, at := range append(sweepInstants(single.Cycles, instants), 0) {
 		one, four := run(1, at)[0], run(4, at)
 		got, want := verdictSig(four[0].DL), verdictSig(one.DL)
 		if got != want {

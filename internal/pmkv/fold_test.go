@@ -5,12 +5,9 @@
 package pmkv
 
 import (
-	"bufio"
 	"fmt"
-	"os"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,51 +18,32 @@ import (
 // runPlantedEngine is the scripted driver's single-shard run (the one the
 // goldens are captured from) on an engine with a bug planted in its fold
 // path; the closed engine comes back for tests that read what it holds.
-func runPlantedEngine(cfg Config, spec ScriptSpec, bug plantedBug) (*Engine, ShardResult, error) {
-	return runPlantedScript(cfg, GenScript(spec), bug)
-}
-
-// runPlantedScript is runPlantedEngine on a script built by hand.
-func runPlantedScript(cfg Config, script Script, bug plantedBug) (*Engine, ShardResult, error) {
-	e, err := New(cfg)
+func runPlantedEngine(cfg Config, spec scriptSpec, bug plantedBug) (*Engine, ShardResult, error) {
+	engines, err := plantedEngines(cfg, 1, bug)
 	if err != nil {
 		return nil, ShardResult{}, err
 	}
-	e.plant = bug
-	out, err := runScript([]*Engine{e}, script)
-	return e, out[0], err
+	out, err := runScript(engines, genScript(spec))
+	return engines[0], out[0], err
 }
 
-func runPlanted(cfg Config, spec ScriptSpec, bug plantedBug) (ShardResult, error) {
-	_, out, err := runPlantedEngine(cfg, spec, bug)
-	return out, err
+// plantedEngines builds n engines from cfg, each with bug planted.
+func plantedEngines(cfg Config, n int, bug plantedBug) ([]*Engine, error) {
+	engines := make([]*Engine, n)
+	for i := range engines {
+		e, err := New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		e.plant = bug
+		engines[i] = e
+	}
+	return engines, nil
 }
 
 // longSpec is fpdump's third section: 4 096 ops over 256 keys, so most
 // publishes are superseded long after they were folded.
-func longSpec() ScriptSpec { return fpdumpSpecs[2].spec }
-
-// goldenLongFingerprint reads the clean-drain fingerprint pinned in
-// testdata/fpdump-long.golden from the engine that kept every record.
-func goldenLongFingerprint(t *testing.T) string {
-	t.Helper()
-	f, err := os.Open("testdata/fpdump-long.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() {
-		t.Fatal("fpdump-long.golden is empty")
-	}
-	for _, field := range strings.Fields(sc.Text()) {
-		if fp, ok := strings.CutPrefix(field, "fp="); ok {
-			return fp
-		}
-	}
-	t.Fatalf("no fp= on the golden's clean line: %q", sc.Text())
-	return ""
-}
+func longSpec() scriptSpec { return fpdumpSpecs[2].spec }
 
 // TestScriptedRunFoldsAndTrims: the scripted driver — what the goldens and
 // the crash fuzzer run — must exercise the checkpoint, not leave
@@ -100,37 +78,13 @@ func TestScriptedRunFoldsAndTrims(t *testing.T) {
 // persists must be caught — by Verify finding the folded entry not
 // durable in the image or (the early fold also frees the entry it replaced
 // early) a live entry overwritten, by the checker reporting a write the
-// image has lost, or by the client-history oracle — and the live store,
-// which acks on the cursor, must be caught acking a lost write.
+// image has lost, or by the client-history oracle. Over testSpec's every
+// image the sweep's line for the plant counts which (plants.golden). The
+// live store, which acks on the cursor, must be caught acking a lost
+// write.
 func TestPlantedCursorOffByOne(t *testing.T) {
-	spec := testSpec()
-	clean, err := runSingle(Config{Check: true}, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	caught := 0
-	instants := SweepInstants(clean.Cycles, 40)
-	for _, at := range instants {
-		if _, err := runPlanted(Config{CrashAt: at, Check: true}, spec, plantNone); err != nil {
-			t.Fatalf("crash at %d, nothing planted: %v", at, err)
-		}
-		out, err := runPlanted(Config{CrashAt: at, Check: true}, spec, plantCursorOffByOne)
-		if err == nil {
-			if oracleCheck([]ShardResult{out}) != nil {
-				caught++
-			}
-			continue
-		}
-		caught++
-		msg := err.Error()
-		if !strings.Contains(msg, "was not durable") && !strings.Contains(msg, "happens-after lost publish") &&
-			!strings.Contains(msg, "was overwritten while the entry was live") {
-			t.Fatalf("crash at %d: caught by an unexpected check: %v", at, err)
-		}
-	}
-	if caught < len(instants)/4 {
-		t.Fatalf("planted off-by-one cursor caught at only %d of %d crash instants", caught, len(instants))
-	}
+	requireCaught(t, "testSpec", plantCursorOffByOne, "unfolded")
+	clean := swept(t, "testSpec", plantNone)[0]
 
 	// Live: one blocking client, so every write is its own batch and is
 	// acked the moment the planted cursor passes it — before it persists.
@@ -138,7 +92,7 @@ func TestPlantedCursorOffByOne(t *testing.T) {
 	// per write, so the store is crashed at eight instants 97 cycles apart.
 	liveCaught := 0
 	for k := range 8 {
-		store, err := NewSharded(ShardedConfig{Shards: 1, Engine: Config{CrashAt: clean.Stats.Cycle/2 + sim.Cycle(97*k), Check: true}})
+		store, err := NewSharded(ShardedConfig{Shards: 1, Engine: Config{CrashAt: clean.end/2 + sim.Cycle(97*k), Check: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,22 +127,12 @@ func TestPlantedCursorOffByOne(t *testing.T) {
 }
 
 // TestPlantedDropTombstone: a Delete left out of the checkpoint resurrects
-// the key it deleted. The recovered state must then differ from the
-// fingerprint the retain-everything engine pinned, and a fast GET after an
-// acked delete must expose it on the live store.
+// the key it deleted. The recovered state must then differ from the honest
+// engine's — the state fpdump-long.golden pins — at some image of
+// fpdump-long's sweep, and a fast GET after an acked delete must expose it
+// on the live store.
 func TestPlantedDropTombstone(t *testing.T) {
-	want := goldenLongFingerprint(t)
-	honest, err := runPlanted(Config{}, longSpec(), plantNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if honest.Report.Fingerprint != want {
-		t.Fatalf("unplanted run recovered %s, golden pins %s", honest.Report.Fingerprint, want)
-	}
-	planted, err := runPlanted(Config{}, longSpec(), plantDropTombstone)
-	if err == nil && planted.Report.Fingerprint == want && planted.Report.RecoveredKeys == honest.Report.RecoveredKeys {
-		t.Fatal("a tombstone dropped from the checkpoint left the recovered state unchanged")
-	}
+	requireCaught(t, "fpdump-long", plantDropTombstone, "moved")
 
 	store, err := NewSharded(ShardedConfig{Shards: 1})
 	if err != nil {
@@ -212,20 +156,13 @@ func TestPlantedDropTombstone(t *testing.T) {
 // entry recovery keeps — serves a value recovery does not rebuild.
 // Nothing is wrong with the image, so only check 6 can notice, and on
 // every clean drain of a script with a same-window race it must; the
-// honest engine passes the same runs.
+// honest engine passes the same runs (TestCrashSweep).
 func TestPlantedTranslateOrderWinner(t *testing.T) {
-	for _, s := range slices.Concat(fpdumpSpecs[1:], []sweepSpec{{name: "testSpec", spec: testSpec()}}) {
-		if _, err := runPlanted(Config{Check: true}, s.spec, plantNone); err != nil {
-			t.Fatalf("%s, nothing planted: %v", s.name, err)
+	for _, row := range []string{"fpdump-merged", "fpdump-long", "testSpec"} {
+		im := swept(t, row, plantLowestIdxWinner)[0]
+		if im.err == nil || verifyCheck(im.err) != "served" {
+			t.Errorf("%s: a key settled on its lowest-index writer was served stale, and the clean drain's Verify said %v", row, im.err)
 		}
-		_, err := runPlanted(Config{Check: true}, s.spec, plantLowestIdxWinner)
-		if err == nil {
-			t.Fatalf("%s: a key settled on its lowest-index writer was served stale and nothing noticed", s.name)
-		}
-		if !caughtStaleServe(err) {
-			t.Fatalf("%s: caught by an unexpected check: %v", s.name, err)
-		}
-		t.Logf("%s: %v", s.name, err)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 
 // fuzzCase is one decoded fuzz input: a bounded workload plus crash timing.
 type fuzzCase struct {
-	ScriptSpec
+	scriptSpec
 	Shards int
 	// Frac positions the crash instant at Frac/256 of the clean run's
 	// length; 0 means clean drain only.
@@ -45,7 +45,7 @@ func caseFromBytes(data []byte) fuzzCase {
 	put := 20 + int(b[4])%61 // 20..80
 	get := 5 + int(b[5])%(95-put)
 	return fuzzCase{
-		ScriptSpec: ScriptSpec{
+		scriptSpec: scriptSpec{
 			Sessions:   1 + int(b[0])%16,
 			Rounds:     1 + int(b[1])%14,
 			KeySpace:   1 + int(b[2])%12,
@@ -83,16 +83,11 @@ func (c fuzzCase) crashAt(cycles sim.Cycle) sim.Cycle {
 // client-history oracle. It returns the shards' results and the first
 // rejection.
 func runAt(c fuzzCase, at sim.Cycle, bug plantedBug) ([]ShardResult, error) {
-	engines := make([]*Engine, c.Shards)
-	for i := range engines {
-		e, err := New(Config{CrashAt: at, Check: true})
-		if err != nil {
-			return nil, err
-		}
-		e.plant = bug
-		engines[i] = e
+	engines, err := plantedEngines(Config{CrashAt: at, Check: true}, c.Shards, bug)
+	if err != nil {
+		return nil, err
 	}
-	out, err := runScript(engines, GenScript(c.ScriptSpec))
+	out, err := runScript(engines, genScript(c.scriptSpec))
 	if err == nil {
 		err = oracleCheck(out)
 	}
@@ -155,7 +150,7 @@ func liveRun(c fuzzCase, at sim.Cycle, disableFast bool) (string, sim.Cycle, uin
 	}
 	// Completions are tagged with the op's index in script order.
 	var ops []ScriptedOp
-	for _, batch := range GenScript(c.ScriptSpec) {
+	for _, batch := range genScript(c.scriptSpec) {
 		ops = append(ops, batch...)
 	}
 	sessions := make([]*ShardedSession, ops[len(ops)-1].Sess+1)
@@ -323,7 +318,7 @@ func transcript(f *fuzzFailure) string {
 	fmt.Fprintf(&sb, "crash instant: cycle %d (0 = clean drain)\n", f.at)
 	fmt.Fprintf(&sb, "error: %v\n", f.err)
 	sb.WriteString("op trace (round session op key valuelen [shard]):\n")
-	for r, batch := range GenScript(c.ScriptSpec) {
+	for r, batch := range genScript(c.scriptSpec) {
 		for _, op := range batch {
 			fmt.Fprintf(&sb, "  r%02d s%d %-3v %s %d", r, op.Sess, op.Op, op.Key, len(op.Value))
 			if c.Shards > 1 {
@@ -407,7 +402,7 @@ func TestCaseFromBytesTotal(t *testing.T) {
 
 // TestRunCleanCase: a small known-good case passes end to end.
 func TestRunCleanCase(t *testing.T) {
-	c := fuzzCase{ScriptSpec: ScriptSpec{Sessions: 3, Rounds: 6, KeySpace: 6, ValueBytes: 48, PutPct: 60, GetPct: 25, Seed: 7}, Shards: 1, Frac: 128}
+	c := fuzzCase{scriptSpec: scriptSpec{Sessions: 3, Rounds: 6, KeySpace: 6, ValueBytes: 48, PutPct: 60, GetPct: 25, Seed: 7}, Shards: 1, Frac: 128}
 	if f := c.run(); f != nil {
 		t.Fatalf("known-good case failed: %v\n%s", f.err, transcript(f))
 	}
@@ -416,7 +411,7 @@ func TestRunCleanCase(t *testing.T) {
 // TestTranscriptRendersTrace: the artifact names the case, the instant,
 // the error, and every scripted op.
 func TestTranscriptRendersTrace(t *testing.T) {
-	c := fuzzCase{ScriptSpec: ScriptSpec{Sessions: 2, Rounds: 2, KeySpace: 3, ValueBytes: 16, PutPct: 70, GetPct: 15, Seed: 9}, Shards: 4, Frac: 64}
+	c := fuzzCase{scriptSpec: scriptSpec{Sessions: 2, Rounds: 2, KeySpace: 3, ValueBytes: 16, PutPct: 70, GetPct: 15, Seed: 9}, Shards: 4, Frac: 64}
 	f := &fuzzFailure{c: c, at: 1234, err: os.ErrInvalid}
 	tr := transcript(f)
 	for _, want := range []string{"counterexample", "sessions=2", "cycle 1234", "invalid argument", "shard"} {

@@ -328,7 +328,7 @@ func TestEveryJobCompletesOnce(t *testing.T) {
 	// every instant that crashes a shard (a script's shard always has a
 	// batch in flight when the power fails), on one shard and on three.
 	t.Run("scripted crash sweep", func(t *testing.T) {
-		script := GenScript(testSpec())
+		script := genScript(testSpec())
 		for _, shards := range []int{1, 3} {
 			run := func(at sim.Cycle, bug plantedBug) ([]ShardResult, error) {
 				engines := make([]*Engine, shards)
@@ -354,7 +354,7 @@ func TestEveryJobCompletesOnce(t *testing.T) {
 				closedAt = max(closedAt, r.Cycles)
 			}
 			crashed, caught := 0, 0
-			instants := SweepInstants(closedAt, 40)
+			instants := sweepInstants(closedAt, 40)
 			for _, at := range instants {
 				out, err := run(at, plantNone)
 				if err != nil {
@@ -624,38 +624,18 @@ func allocSites(since map[[32]uintptr]int64) map[string]int64 {
 // ops cut into rounds of 1, 4 and 16 ops per core (SmallMachine has 4
 // cores); only the merged cuts put several writes on one core in one
 // commit window, whose entries share the core's one window epoch. Each cut
-// is then crash-swept with every checker on, because no 4-session sweep
-// ever reaches a merged epoch.
+// is a row of the crash sweep, crash-swept with every checker on, because
+// no 4-session sweep ever reaches a merged epoch: amortize-4,
+// fpdump-merged (the 16-session cut) and amortize-64. Their clean drains
+// are read here.
 func TestGroupCommitAmortizesBarriers(t *testing.T) {
-	instants := 200
-	if testing.Short() {
-		instants = 12
-	}
 	var epochs []int
-	for _, sessions := range []int{4, 16, 64} {
-		spec := amortizeSpec(sessions)
-		clean, err := runSingle(Config{Check: true}, spec)
-		if err != nil {
-			t.Fatalf("%d sessions, clean run: %v", sessions, err)
+	for _, row := range []string{"amortize-4", "fpdump-merged", "amortize-64"} {
+		rep := swept(t, row, plantNone)[0].rep
+		if rep == nil || rep.DurablePublishes != rep.TotalPublishes {
+			t.Fatalf("%s: clean drain recovered %+v; want every publish durable", row, rep)
 		}
-		if clean.Report.DurablePublishes != clean.Report.TotalPublishes {
-			t.Fatalf("%d sessions: %d of %d publishes durable after a clean drain",
-				sessions, clean.Report.DurablePublishes, clean.Report.TotalPublishes)
-		}
-		epochs = append(epochs, clean.Report.Epochs)
-		crashed := 0
-		for _, at := range SweepInstants(clean.Cycles, instants) {
-			out, err := runSingle(Config{CrashAt: at, Check: true}, spec)
-			if err != nil {
-				t.Fatalf("%d sessions, crash at %d: %v", sessions, at, err)
-			}
-			if out.Crashed {
-				crashed++
-			}
-		}
-		if crashed < instants/2 {
-			t.Fatalf("%d sessions: only %d/%d instants crashed mid-run", sessions, crashed, instants)
-		}
+		epochs = append(epochs, rep.Epochs)
 	}
 	t.Logf("epochs persisted at 1/4/16 ops per core per commit: %v", epochs)
 	if !(epochs[0] > epochs[1] && epochs[1] > epochs[2]) {
@@ -668,8 +648,9 @@ func TestGroupCommitAmortizesBarriers(t *testing.T) {
 
 // amortizeSpec is TestGroupCommitAmortizesBarriers' script at a session
 // count: 256 ops over 24 keys, so a round puts sessions/4 ops on each core.
-func amortizeSpec(sessions int) ScriptSpec {
-	return ScriptSpec{Sessions: sessions, Rounds: 256 / sessions, KeySpace: 24, ValueBytes: 192, Seed: 7}
+// At 16 sessions it is fpdump-merged's spec.
+func amortizeSpec(sessions int) scriptSpec {
+	return scriptSpec{Sessions: sessions, Rounds: 256 / sessions, KeySpace: 24, ValueBytes: 192, Seed: 7}
 }
 
 // TestPlantedReadsAfterBarrier shows why a read that observes another
@@ -678,51 +659,13 @@ func amortizeSpec(sessions int) ScriptSpec {
 // orders the window's own entries after the writer's, and dlcheck finds a
 // crash image in which a write that happens-after the read survived the
 // entry it read. Over TestGroupCommitAmortizesBarriers' 4-session crash
-// sweep dlcheck must reject at least one image with the plant and none
-// without it. What Verify and the oracle reject is logged only: for the
-// oracle a pipelined session's read and a later write of its own batch are
-// concurrent, so the lost order is not a client-visible violation to it.
+// sweep (the sweep's amortize-4 row) dlcheck must reject at least one
+// image with the plant. What Verify and the oracle reject is pinned in
+// plants.golden only: for the oracle a pipelined session's read and a
+// later write of its own batch are concurrent, so the lost order is not a
+// client-visible violation to it.
 func TestPlantedReadsAfterBarrier(t *testing.T) {
-	spec := amortizeSpec(4)
-	clean, err := runSingle(Config{}, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	script := GenScript(spec)
-	var images []image
-	for _, at := range SweepInstants(clean.Cycles, 200) {
-		images = append(images, image{script: script, at: at}, image{script: script, bug: plantReadsAfterBarrier, at: at})
-	}
-	judgeImages(images)
-	var verify, dl, oracle int
-	var first *image
-	for i := range images {
-		im := &images[i]
-		if im.bug == plantNone {
-			if im.err != nil {
-				t.Errorf("crash at %d, nothing planted: %v", im.at, im.err)
-			}
-			continue
-		}
-		if im.err != nil && !strings.Contains(im.err.Error(), "durable linearizability") {
-			verify++
-		}
-		if im.dlBad {
-			dl++
-			if first == nil {
-				first = im
-			}
-		}
-		if im.oerr != nil {
-			oracle++
-		}
-	}
-	n := len(images) / 2
-	t.Logf("reads-after-barrier plant over %d images: Verify rejects %d, dlcheck %d, the oracle %d", n, verify, dl, oracle)
-	if first == nil {
-		t.Fatalf("reads-after-barrier plant: dlcheck rejects none of %d images", n)
-	}
-	t.Logf("first dlcheck rejection, crash at %d: %v", first.at, first.err)
+	requireCaught(t, "amortize-4", plantReadsAfterBarrier, "dlcheck")
 }
 
 // TestParallelReplayByteIdentical: recovery must produce the
@@ -734,7 +677,7 @@ func TestParallelReplayByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, at := range append([]sim.Cycle{0}, SweepInstants(clean.Cycles, 6)...) {
+	for _, at := range append([]sim.Cycle{0}, sweepInstants(clean.Cycles, 6)...) {
 		a, err := runSingle(Config{CrashAt: at}, spec)
 		if err != nil {
 			t.Fatalf("at %d: %v", at, err)

@@ -127,7 +127,7 @@ func TestPlantedTranslateOrderWinnerFuzzCase(t *testing.T) {
 		t.Fatal("seed-07 is not in the corpus")
 	}
 	c := caseFromBytes(data)
-	if s := GenScript(c.ScriptSpec); len(s) != 1 || len(s[0]) != 2 || s[0][0].Op != Put || s[0][1].Op != Delete || s[0][0].Key != s[0][1].Key {
+	if s := genScript(c.scriptSpec); len(s) != 1 || len(s[0]) != 2 || s[0][0].Op != Put || s[0][1].Op != Delete || s[0][0].Key != s[0][1].Key {
 		t.Fatalf("seed-07 decodes to %+v, want one batch of a Put and a Delete of one key", s)
 	}
 	if f := c.run(); f != nil {
@@ -136,7 +136,7 @@ func TestPlantedTranslateOrderWinnerFuzzCase(t *testing.T) {
 	if _, f := runLive(c); f != nil {
 		t.Fatalf("honest live store: %v", f.err)
 	}
-	_, err := runPlanted(Config{Check: true}, c.ScriptSpec, plantLowestIdxWinner)
+	_, _, err := runPlantedEngine(Config{Check: true}, c.scriptSpec, plantLowestIdxWinner)
 	if err == nil || !caughtStaleServe(err) {
 		t.Fatalf("planted engine: %v, want check 6 to reject it", err)
 	}

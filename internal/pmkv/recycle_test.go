@@ -80,7 +80,7 @@ func TestFreeListConservesSpans(t *testing.T) {
 		t.Fatalf("%d lines recycled against %d carved: the free list is barely used", ret.EntryLinesRecycled, ret.EntryLinesBumped)
 	}
 	crashed := 0
-	for _, at := range SweepInstants(out.Cycles, 50) {
+	for _, at := range sweepInstants(out.Cycles, 50) {
 		e, _, err := runPlantedEngine(Config{CrashAt: at}, spec, plantNone)
 		if err != nil {
 			t.Fatalf("crash at %d: %v", at, err)
@@ -394,35 +394,9 @@ func TestEntryLinesAllocFree(t *testing.T) {
 // the next write overwrite the key's newest durable entry. Only check 5, the
 // checker or the client-history oracle may be what notices: the ordering
 // checks compare with ">=" and are satisfied by the overwriting store
-// itself.
+// itself. Over fpdump-long's sweep check 5 must catch it.
 func TestPlantedRecycleEarly(t *testing.T) {
-	spec := longSpec()
-	clean, err := runPlanted(Config{Check: true}, spec, plantNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	caught := 0
-	instants := SweepInstants(clean.Cycles, 50)
-	for _, at := range instants {
-		if _, err := runPlanted(Config{CrashAt: at, Check: true}, spec, plantNone); err != nil {
-			t.Fatalf("crash at %d, nothing planted: %v", at, err)
-		}
-		out, err := runPlanted(Config{CrashAt: at, Check: true}, spec, plantRecycleEarly)
-		if err == nil {
-			if oracleCheck([]ShardResult{out}) != nil {
-				caught++
-			}
-			continue
-		}
-		caught++
-		if !caughtEarlyRecycle(err) {
-			t.Fatalf("crash at %d: caught by an unexpected check: %v", at, err)
-		}
-	}
-	t.Logf("planted early recycle caught at %d of %d crash instants", caught, len(instants))
-	if caught < len(instants)/2 {
-		t.Fatalf("planted early recycle caught at only %d of %d crash instants", caught, len(instants))
-	}
+	requireCaught(t, "fpdump-long", plantRecycleEarly, "overwritten")
 }
 
 // recycleEarlyScript is shaped for the early-recycle plant. Session 0
@@ -449,40 +423,11 @@ func recycleEarlyScript() Script {
 }
 
 // TestPlantedRecycleEarlyScript: over every image of recycleEarlyScript
-// the honest engine passes Verify, dlcheck and the oracle, and the
-// early-recycle plant is rejected by Verify's check 5 and by the oracle,
-// each at some image, so the plant's catch does not ride on which line
-// fpdump-long's next write happens to take.
+// the early-recycle plant is rejected by Verify's check 5 and by the
+// oracle, each at some image, so the plant's catch does not ride on which
+// line fpdump-long's next write happens to take.
 func TestPlantedRecycleEarlyScript(t *testing.T) {
-	script := recycleEarlyScript()
-	instants, _ := everyImage(t, script)
-	bugs := []plantedBug{plantNone, plantRecycleEarly}
-	var images []image
-	for _, bug := range bugs {
-		for _, at := range instants {
-			images = append(images, image{script: script, bug: bug, at: at})
-		}
-	}
-	judgeImages(images)
-	for i, bug := range bugs {
-		verified, oracle := 0, 0
-		for _, im := range images[i*len(instants) : (i+1)*len(instants)] {
-			switch {
-			case im.err == nil:
-			case bug == plantNone || !caughtEarlyRecycle(im.err):
-				t.Errorf("plant %d, crash at %d: %v", bug, im.at, im.err)
-			case !im.dlBad:
-				verified++
-			}
-			if im.oerr != nil {
-				oracle++
-			}
-		}
-		t.Logf("plant %d: Verify rejects %d and the oracle %d of %d images", bug, verified, oracle, len(instants))
-		if bug == plantNone && oracle != 0 || bug != plantNone && (verified == 0 || oracle == 0) {
-			t.Errorf("plant %d: Verify rejects %d and the oracle %d of %d images", bug, verified, oracle, len(instants))
-		}
-	}
+	requireCaught(t, "recycle-early", plantRecycleEarly, "overwritten", "oracle")
 }
 
 // caughtEarlyRecycle reports whether err is a rejection an early recycle

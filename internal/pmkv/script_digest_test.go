@@ -9,9 +9,9 @@ import (
 
 // scriptDigest hashes every op a spec expands to: its round, session, op,
 // key and value bytes, in execution order.
-func scriptDigest(spec ScriptSpec) string {
+func scriptDigest(spec scriptSpec) string {
 	h := sha256.New()
-	for round, batch := range GenScript(spec) {
+	for round, batch := range genScript(spec) {
 		for _, op := range batch {
 			fmt.Fprintf(h, "%d %d %d %q %x\n", round, op.Sess, op.Op, op.Key, op.Value)
 		}
@@ -20,20 +20,20 @@ func scriptDigest(spec ScriptSpec) string {
 }
 
 // TestScriptDigests pins the scripted load op for op, values included: the
-// three fpdump sections, the in-package crash tests' testSpec, pmkvd's
-// selfcheck spec and every case of the fuzz corpus. Every golden and
+// three fpdump sections, the in-package crash tests' testSpec, the crash
+// sweep's selfcheck spec and every case of the fuzz corpus. Every golden and
 // crash sweep is a function of these scripts, so a change to how a script
 // is produced or carried must leave this table as it is.
 func TestScriptDigests(t *testing.T) {
-	specs := map[string]ScriptSpec{
+	specs := map[string]scriptSpec{
 		"testSpec":  testSpec(),
-		"selfcheck": {Sessions: 6, Rounds: 24, KeySpace: 16, Seed: 42},
+		"selfcheck": selfcheckSpec(),
 	}
 	for _, s := range fpdumpSpecs {
 		specs[s.name] = s.spec
 	}
 	for name, data := range fuzzCorpus(t) {
-		specs["corpus/"+name] = caseFromBytes(data).ScriptSpec
+		specs["corpus/"+name] = caseFromBytes(data).scriptSpec
 	}
 	want := map[string]string{
 		"fpdump":         "bec5e2ec394d48894cb02878e7d9d406a41b5f978b95343858a7f24fbefc2a1d",

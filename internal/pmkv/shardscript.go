@@ -14,6 +14,32 @@ import (
 	"sync"
 )
 
+// ScriptedOp is one scripted request: the session that issues it, the op,
+// its key and, for a Put, its value.
+type ScriptedOp struct {
+	Sess  int
+	Op    Op
+	Key   string
+	Value []byte
+}
+
+// Script is a materialised load, one batch per round. Each shard's worker
+// runs a round as Submit, Pump, one Gap and Poll (Script.steps), so a
+// batch is one commit window.
+type Script [][]ScriptedOp
+
+// sessions is the number of sessions the script names: one past the
+// highest session index any op carries.
+func (s Script) sessions() int {
+	n := 0
+	for _, batch := range s {
+		for _, op := range batch {
+			n = max(n, op.Sess+1)
+		}
+	}
+	return n
+}
+
 // stepKind names what a shard worker does to its engine. The live loop, a
 // script and benchmark/engine.go's loop are all words over these four.
 type stepKind uint8

@@ -30,9 +30,9 @@ func stepDigest(script Script, shard, shards int) string {
 // what the worker is told to do with them, so a change to the expansion
 // must edit this table on purpose.
 func TestStepDigests(t *testing.T) {
-	fpdump := GenScript(fpdumpSpecs[0].spec)
-	long := GenScript(longSpec())
-	test := GenScript(testSpec())
+	fpdump := genScript(fpdumpSpecs[0].spec)
+	long := genScript(longSpec())
+	test := genScript(testSpec())
 	for _, row := range []struct {
 		name          string
 		script        Script
@@ -59,7 +59,7 @@ func TestStepDigests(t *testing.T) {
 // batches unacked, and its verdict holds the image to the acks given
 // before power was lost, each of which must have been durable.
 func TestScriptAckSteps(t *testing.T) {
-	script := GenScript(testSpec())
+	script := genScript(testSpec())
 	run := func(at sim.Cycle) ShardResult {
 		t.Helper()
 		out, err := RunShardedScript(ShardedConfig{Engine: Config{CrashAt: at, Check: true}}, script)

@@ -66,67 +66,45 @@ func (o *eventOracle) Emit(ev obs.Event) {
 	}
 }
 
-// TestStatsMatchEventOracle runs fpdump's long script, clean and at 50
-// crash instants, with the oracle attached to the engine's machine: every
-// count Stats reports that the event stream also carries, and the persist
-// latency histogram bucket for bucket and in its sum, must equal the
-// oracle's. This is what makes the machine's counters a replacement for
-// the event-folding collector rather than a second opinion.
+// TestStatsMatchEventOracle reads fpdump-long's row of the crash sweep,
+// whose runs, clean and at 50 crash instants, honest and planted, had
+// the oracle attached to the engine's machine: every count Stats reports
+// that the event stream also carries, and the persist latency histogram
+// bucket for bucket and in its sum, must equal the oracle's. This is what
+// makes the machine's counters a replacement for the event-folding
+// collector rather than a second opinion.
 func TestStatsMatchEventOracle(t *testing.T) {
-	script := GenScript(longSpec())
-	run := func(at sim.Cycle) ShardResult {
-		t.Helper()
-		oracle := &eventOracle{completedAt: make(map[[2]int64]sim.Cycle)}
-		cfg := Config{CrashAt: at, Machine: SmallMachine()}
-		cfg.Machine.Probe = obs.NewProbe(oracle)
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, ims := range sweep()["fpdump-long"] {
+		for _, im := range ims {
+			if im.stats == nil {
+				t.Fatalf("plant %s, crash at %d: no stats: %v", plantNames[im.bug], im.at, im.err)
+			}
+			st, oracle := im.stats, im.events
+			got := [...]uint64{st.Transactions, st.Epochs.Opened, st.Epochs.Persisted, st.Epochs.Splits,
+				st.Conflicts.Intra, st.Conflicts.Inter, st.Conflicts.Eviction, st.Conflicts.IDTFallbacks,
+				st.Epochs.Flushes, st.PersistedLines, st.MC.Reads + st.MC.Writes + st.MC.LogWrites, uint64(st.MC.StallCycles)}
+			want := [...]uint64{oracle.txs, oracle.opened, oracle.persisted, oracle.splits,
+				oracle.intra, oracle.inter, oracle.eviction, oracle.idtFull,
+				oracle.flushes, oracle.persistAcks, oracle.nvramAdmits, oracle.nvramWait}
+			if got != want {
+				t.Errorf("plant %s, crash at %d: txs, epochs opened/persisted, splits, conflicts intra/inter/eviction, IDT fallbacks, flushes, persisted lines, NVRAM admissions/wait cycles\n got %v\nwant %v", plantNames[im.bug], im.at, got, want)
+			}
+			if st.PersistLatency != oracle.latency {
+				t.Errorf("plant %s, crash at %d: latency histogram differs from the oracle's: %d samples sum %d, want %d sum %d",
+					plantNames[im.bug], im.at, st.PersistLatency.Total(), st.PersistLatency.Sum, oracle.latency.Total(), oracle.latency.Sum)
+			}
+			if st.Cycle != im.now {
+				t.Errorf("plant %s, crash at %d: Stats says cycle %d, the run %d", plantNames[im.bug], im.at, st.Cycle, im.now)
+			}
 		}
-		results, err := runScript([]*Engine{e}, script)
-		if err != nil {
-			t.Fatalf("crash at %d: %v", at, err)
-		}
-		out := results[0]
-		st := out.Stats
-		got := [...]uint64{st.Transactions, st.Epochs.Opened, st.Epochs.Persisted, st.Epochs.Splits,
-			st.Conflicts.Intra, st.Conflicts.Inter, st.Conflicts.Eviction, st.Conflicts.IDTFallbacks,
-			st.Epochs.Flushes, st.PersistedLines, st.MC.Reads + st.MC.Writes + st.MC.LogWrites, uint64(st.MC.StallCycles)}
-		want := [...]uint64{oracle.txs, oracle.opened, oracle.persisted, oracle.splits,
-			oracle.intra, oracle.inter, oracle.eviction, oracle.idtFull,
-			oracle.flushes, oracle.persistAcks, oracle.nvramAdmits, oracle.nvramWait}
-		if got != want {
-			t.Errorf("crash at %d: txs, epochs opened/persisted, splits, conflicts intra/inter/eviction, IDT fallbacks, flushes, persisted lines, NVRAM admissions/wait cycles\n got %v\nwant %v", at, got, want)
-		}
-		if st.PersistLatency != oracle.latency {
-			t.Errorf("crash at %d: latency histogram differs from the oracle's: %d samples sum %d, want %d sum %d",
-				at, st.PersistLatency.Total(), st.PersistLatency.Sum, oracle.latency.Total(), oracle.latency.Sum)
-		}
-		if st.Cycle != e.Now() {
-			t.Errorf("crash at %d: Stats says cycle %d, the run %d", at, st.Cycle, e.Now())
-		}
-		return out
-	}
-	clean := run(0)
-	if clean.Crashed {
-		t.Fatal("clean run crashed")
 	}
 	// This script's sweeps exercise IDT only while its cores still meet on
 	// shared lines: a read loading another core's unpersisted entry must
 	// leave inter-thread conflicts and dependence edges above zero. (No
 	// core stores to a line another core's unpersisted epoch holds, so
 	// pmkv splits no epoch; the machine's own tests cover splits.)
-	if st := clean.Stats; st.Conflicts.Inter == 0 || st.Epochs.Deps == 0 {
+	if st := swept(t, "fpdump-long", plantNone)[0].stats; st.Conflicts.Inter == 0 || st.Epochs.Deps == 0 {
 		t.Errorf("clean run: %d inter conflicts, %d IDT deps; want both above 0", st.Conflicts.Inter, st.Epochs.Deps)
-	}
-	crashed := 0
-	for _, at := range SweepInstants(clean.Cycles, 50) {
-		if run(at).Crashed {
-			crashed++
-		}
-	}
-	if crashed < 40 {
-		t.Fatalf("only %d of 50 instants crashed mid-run", crashed)
 	}
 }
 

@@ -13,40 +13,44 @@ import (
 
 // TestDrainReportClocks holds the two clocks a closed shard carries apart.
 // ShardResult.Cycles is read before the closing drain and is what the
-// drain report prints (and the benchmark sums into kv-* cycles per op);
-// Stats.Cycle is read after it and is what every scripted sweep sizes its
-// crash instants by. The machine runs LB+IDT, without proactive flushing:
+// drain report prints (and the benchmark sums into kv-* cycles per op,
+// and scripted sweeps size their crash instants by); Stats.Cycle is read
+// after it. The machine runs LB+IDT, without proactive flushing:
 // a closed epoch persists only when something forces it out (a
 // conflicting store, an eviction, the in-flight limit), so the last epoch
 // each core closed is still in the caches when the worker, its mailbox
 // closed and the machinery dry, acks early and the drain begins. Only the
 // closing drain persists it, so a clean shard's
 // Stats.Cycle must be past its Cycles at any bucket count; a crashed shard
-// drains nothing, so both clocks are the crash instant. The crash comes
-// halfway through the same shard's clean run, so power is lost inside it
-// however fast the machine serves the writes.
+// drains nothing, so both clocks are the crash instant. The crash must
+// fall inside the crash run, whose clock host timing sets: the worker
+// gathers what is queued, and 64 writes in one batch end near cycle 2 700
+// where 64 batches of one run past cycle 35 000. Whatever the batching,
+// the first batch holds the first write and its window does at least the
+// work of that write alone, so power is lost halfway through a clean run
+// of that one write, which every batching reaches.
 func TestDrainReportClocks(t *testing.T) {
 	mc := pmkv.SmallMachine()
 	mc.PF = false
 	for _, buckets := range []int{64, pmkv.DefaultBuckets} {
-		clean := drainClocks(t, pmkv.Config{Machine: mc, Buckets: buckets})
-		if clean < 2 {
-			t.Fatalf("%d buckets: the clean run took %d cycles, too few to crash inside", buckets, clean)
+		drainClocks(t, pmkv.Config{Machine: mc, Buckets: buckets}, 64)
+		one := drainClocks(t, pmkv.Config{Machine: mc, Buckets: buckets}, 1)
+		if one < 2 {
+			t.Fatalf("%d buckets: one write took %d cycles, too few to crash inside", buckets, one)
 		}
-		drainClocks(t, pmkv.Config{Machine: mc, Buckets: buckets, CrashAt: clean / 2})
+		drainClocks(t, pmkv.Config{Machine: mc, Buckets: buckets, CrashAt: one / 2}, 64)
 	}
 }
 
-// drainClocks writes to one shard, closes it and checks its two clocks; it
-// returns the ShardResult.Cycles the drain report printed.
-func drainClocks(t *testing.T, cfg pmkv.Config) sim.Cycle {
+// drainClocks puts writes keys to one shard, closes it and checks its two
+// clocks; it returns the ShardResult.Cycles the drain report printed.
+func drainClocks(t *testing.T, cfg pmkv.Config, writes int) sim.Cycle {
 	t.Helper()
 	at := cfg.CrashAt
 	s, err := New(pmkv.ShardedConfig{Engine: cfg}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const writes = 64
 	sess := s.store.NewSession()
 	done := make(chan pmkv.Completion, writes)
 	for i := range writes {

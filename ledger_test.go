@@ -12,6 +12,7 @@ import (
 	"persistbarriers/internal/machine"
 	"persistbarriers/internal/pmkv"
 	"persistbarriers/internal/sim"
+	"persistbarriers/internal/trace"
 	"persistbarriers/internal/workload"
 )
 
@@ -109,12 +110,39 @@ func simRows(mut func(*machine.Config)) ([]ledgerRow, error) {
 	return out, nil
 }
 
+// genScript is the seeded load internal/pmkv's crash tests generate,
+// drawn the same way: rounds batches of one op per session, each on one of
+// keys keys, a Put of 1 to 192 random bytes, a Get or a Delete by putPct
+// and getPct percent. The engine rows' fingerprints pin every op.
+func genScript(sessions, rounds, keys, putPct, getPct int, seed uint64) pmkv.Script {
+	rng := trace.NewRand(seed)
+	script := make(pmkv.Script, rounds)
+	for r := range script {
+		for s := range sessions {
+			op := pmkv.ScriptedOp{Sess: s, Key: fmt.Sprintf("k%03d", rng.Intn(keys))}
+			switch roll := rng.Intn(100); {
+			case roll < putPct:
+				op.Op, op.Value = pmkv.Put, make([]byte, 1+rng.Intn(192))
+				for i := range op.Value {
+					op.Value[i] = byte(rng.Uint64())
+				}
+			case roll < putPct+getPct:
+				op.Op = pmkv.Get
+			default:
+				op.Op = pmkv.Delete
+			}
+			script[r] = append(script[r], op)
+		}
+	}
+	return script
+}
+
 // engineCrashScript has engine-crash's shape: 4 sessions, rounds of 64
-// ops, a 30/60/10 get/put/del mix and 72 000 ops. GenScript issues one op
+// ops, a 30/60/10 get/put/del mix and 72 000 ops. genScript issues one op
 // per session per round, so every 16 of its rounds make one.
 func engineCrashScript() pmkv.Script {
 	const sessions, round, ops = 4, 64, 72_000
-	gen := pmkv.GenScript(pmkv.ScriptSpec{Sessions: sessions, Rounds: ops / sessions, KeySpace: 4096, GetPct: 30, PutPct: 60, Seed: 1})
+	gen := genScript(sessions, ops/sessions, 4096, 60, 30, 1)
 	script := make(pmkv.Script, 0, ops/round)
 	for i := 0; i < len(gen); i += round / sessions {
 		var batch []pmkv.ScriptedOp
@@ -158,7 +186,7 @@ func ledger() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	long, err := engineRow("engine fpdump-long clean", pmkv.GenScript(pmkv.ScriptSpec{Sessions: 8, Rounds: 512, KeySpace: 256, ValueBytes: 192, Seed: 7}), 0)
+	long, err := engineRow("engine fpdump-long clean", genScript(8, 512, 256, 70, 15, 7), 0)
 	if err != nil {
 		return "", err
 	}

@@ -33,11 +33,6 @@ var surfaceAllowlist = map[string]string{
 	"internal/pmkv.ShardedConfig.DisableReadFast": "internal/pmkv.TestReadFastPathServesDurableWrites",
 	// Plant hook.
 	"internal/epoch.Table.PlantShortRing": "internal/machine.TestPlantedShortRing",
-	// The script shapes the crash fuzzer's decoder draws (the fpdump
-	// goldens' 192-byte values among them).
-	"internal/pmkv.ScriptSpec.ValueBytes": "internal/pmkv.TestCaseFromBytesTotal",
-	"internal/pmkv.ScriptSpec.PutPct":     "internal/pmkv.TestCaseFromBytesTotal",
-	"internal/pmkv.ScriptSpec.GetPct":     "internal/pmkv.TestCaseFromBytesTotal",
 	// Bounds a test shrinks: a full batch, a busy mailbox, a stalled
 	// client's write deadline.
 	"internal/pmkv.ShardedConfig.MaxBatch": "internal/pmkv.TestGatherTakesWhatIsQueued",
