@@ -654,7 +654,7 @@ func (m *Machine) writeBackEarly(c *coreCtx, line mem.Line, ver mem.Version) {
 		return
 	}
 	rec := c.table.Current()
-	if !m.canDrainLine(c, rec) && !m.plantEarlyWriteAnyEpoch {
+	if !m.canDrainLine(c, rec) && m.plant != plantEarlyWriteAnyEpoch {
 		return
 	}
 	b := m.bank(line)

@@ -102,7 +102,7 @@ func (m *Machine) attachDep(r *memReq, dep epoch.ID, cont func()) {
 		cont()
 		return
 	}
-	if c.table.Current().EarlyWrites > 0 && !m.plantEarlyEdgeNoSplit {
+	if c.table.Current().EarlyWrites > 0 && m.plant != plantEarlyEdgeNoSplit {
 		// Lines of the epoch are already on their way to NVRAM, ahead of
 		// dep: split it, so the dependence lands on the next epoch, then
 		// complete the request again (l1Filled, for a load or a store).

@@ -196,7 +196,7 @@ func (c *coreCtx) waitLoads(n int, cont func()) {
 // first so that the inter-thread dependence a read finds lands on the
 // epoch the barrier closes.
 func (c *coreCtx) drain(cont func()) {
-	if c.ldOutstanding == 0 || c.m.plantBarrierSkipsLoads {
+	if c.ldOutstanding == 0 || c.m.plant == plantBarrierSkipsLoads {
 		c.drainWriteBuffer(cont)
 		return
 	}

@@ -3,241 +3,106 @@ package machine
 import (
 	"fmt"
 	"testing"
-
-	"persistbarriers/internal/mem"
-	"persistbarriers/internal/recovery"
-	"persistbarriers/internal/sim"
-	"persistbarriers/internal/trace"
 )
 
-// randomProgram builds a multi-threaded program with shared and private
-// data, barriers, and enough conflicts to stress every protocol path.
-func randomProgram(seed uint64, cores, opsPerCore int, withBarriers bool) *trace.Program {
-	r := trace.NewRand(seed)
-	var traces [][]trace.Op
-	for c := 0; c < cores; c++ {
-		var b trace.Builder
-		privBase := mem.Addr(0x10000 + c*0x4000)
-		for i := 0; i < opsPerCore; i++ {
-			switch r.Intn(10) {
-			case 0, 1: // shared-region store (inter-thread conflicts)
-				b.Store(mem.Addr(r.Intn(32) * 64))
-			case 2: // shared-region load
-				b.Load(mem.Addr(r.Intn(32) * 64))
-			case 3, 4, 5: // private stores (intra-thread conflicts on reuse)
-				b.Store(privBase + mem.Addr(r.Intn(16)*64))
-			case 6:
-				b.Load(privBase + mem.Addr(r.Intn(16)*64))
-			case 7:
-				b.Compute(sim.Cycle(r.Intn(50)))
-			default:
-				if withBarriers {
-					b.Barrier()
-				} else {
-					b.Store(privBase + mem.Addr(r.Intn(16)*64))
-				}
-			}
-		}
-		traces = append(traces, b.Ops())
-	}
-	return &trace.Program{Traces: traces}
-}
-
-// crashCheck runs the program under cfg, crashes at the given cycle, and
-// verifies the recovery invariants.
-func crashCheck(t *testing.T, cfg Config, p *trace.Program, crash sim.Cycle, rollback bool) {
-	t.Helper()
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(p); err != nil {
-		t.Fatal(err)
-	}
-	r, err := m.RunUntil(crash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := recovery.CheckAll(r.Histories, r.Image, r.UndoLog, rollback); err != nil {
-		t.Fatalf("crash at %d under %s: %v", crash, cfg.BarrierName(), err)
-	}
-}
+// Each crash property below names the rows of the crash sweep
+// (sweep_test.go) that crash its programs, and requireClean holds the
+// honest machine to every check on them.
 
 // TestCrashConsistencyAcrossBarriers is the headline property test:
 // whatever instant we crash at, under every LB variant, the durable image
 // respects the epoch happens-before order.
 func TestCrashConsistencyAcrossBarriers(t *testing.T) {
-	variants := []struct {
-		name    string
-		idt, pf bool
-	}{
-		{"LB", false, false},
-		{"LB+IDT", true, false},
-		{"LB+PF", false, true},
-		{"LB++", true, true},
-	}
-	for _, v := range variants {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			cfg := testConfig(LB)
-			cfg.IDT, cfg.PF = v.idt, v.pf
-			for seed := uint64(1); seed <= 3; seed++ {
-				p := randomProgram(seed, 4, 120, true)
-				for _, crash := range []sim.Cycle{500, 2000, 5000, 12000, 30000, 80000} {
-					crashCheck(t, cfg, p, crash, false)
-				}
-			}
-		})
+	for _, b := range barriers[LB:] {
+		t.Run(b.name, func(t *testing.T) { requireClean(t, "plain/"+b.name+"/seed=[123]", 3) })
 	}
 }
 
 // TestCrashConsistencyBulkBSPWithLogging verifies that after rollback the
 // recovered state is epoch-atomic.
-func TestCrashConsistencyBulkBSPWithLogging(t *testing.T) {
-	cfg := testConfig(LB)
-	cfg.IDT = true
-	cfg.PF = true
-	cfg.Logging = true
-	cfg.BulkEpochStores = 20
-	cfg.CheckpointLines = 2
-	for seed := uint64(1); seed <= 3; seed++ {
-		p := randomProgram(seed, 4, 150, false)
-		for _, crash := range []sim.Cycle{1000, 4000, 10000, 25000, 60000} {
-			crashCheck(t, cfg, p, crash, true)
-		}
-	}
-}
+func TestCrashConsistencyBulkBSPWithLogging(t *testing.T) { requireClean(t, "bulk20/seed=*", 3) }
 
 // TestCrashConsistencyEP: unbuffered epoch persistency keeps at most one
 // epoch in flight, so the same ordering invariant must hold trivially.
-func TestCrashConsistencyEP(t *testing.T) {
-	cfg := testConfig(EP)
-	p := randomProgram(11, 4, 60, true)
-	for _, crash := range []sim.Cycle{1000, 10000, 50000, 150000} {
-		crashCheck(t, cfg, p, crash, false)
-	}
-}
+func TestCrashConsistencyEP(t *testing.T) { requireClean(t, "ep60/seed=11", 1) }
 
 // TestCompletedRunIsFullyDurable: after a clean run + drain, every epoch
 // must be persisted and the image must equal the latest versions.
-func TestCompletedRunIsFullyDurable(t *testing.T) {
-	for _, v := range []struct{ idt, pf bool }{{false, false}, {true, true}} {
-		cfg := testConfig(LB)
-		cfg.IDT, cfg.PF = v.idt, v.pf
-		p := randomProgram(5, 4, 150, true)
-		r := run(t, cfg, p)
-		if !r.Finished {
-			t.Fatalf("%s: did not finish", cfg.BarrierName())
-		}
-		for line, want := range r.Latest {
-			if got := r.Image[line]; got != want {
-				t.Fatalf("%s: line %v durable=%d latest=%d", cfg.BarrierName(), line, got, want)
-			}
-		}
-		if err := recovery.CheckAll(r.Histories, r.Image, r.UndoLog, false); err != nil {
-			t.Fatalf("%s: %v", cfg.BarrierName(), err)
-		}
-		// All closed epochs must be persisted (the open trailing epoch
-		// per core is empty).
-		for _, hist := range r.Histories {
-			for _, s := range hist {
-				if !s.PersistedFlag && len(s.Writes) > 0 {
-					t.Fatalf("%s: epoch %v with writes unpersisted after drain", cfg.BarrierName(), s.ID)
-				}
-			}
-		}
-	}
-}
+func TestCompletedRunIsFullyDurable(t *testing.T) { requireClean(t, "plain150/*/seed=5", 2) }
 
-// TestCrashSweepFineGrained crashes one workload at many instants under
+// TestCrashSweepFineGrained crashes one workload at every image under
 // LB++ to catch window-edge protocol bugs.
-func TestCrashSweepFineGrained(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fine-grained sweep skipped in -short")
-	}
-	cfg := testConfig(LB)
-	cfg.IDT = true
-	cfg.PF = true
-	p := randomProgram(99, 4, 100, true)
-	for crash := sim.Cycle(100); crash <= 20000; crash += 700 {
-		crashCheck(t, cfg, p, crash, false)
-	}
-}
+func TestCrashSweepFineGrained(t *testing.T) { requireClean(t, "plain100/LB++/seed=99", 1) }
 
 // TestHotLineContention drives every core at the same few lines to stress
-// recall/writeback collisions, then checks consistency at several crashes.
-func TestHotLineContention(t *testing.T) {
-	mk := func() *trace.Program {
-		r := trace.NewRand(3)
-		var traces [][]trace.Op
-		for c := 0; c < 4; c++ {
-			var b trace.Builder
-			for i := 0; i < 150; i++ {
-				a := mem.Addr(r.Intn(4) * 64) // 4 hot lines
-				if r.Intn(3) == 0 {
-					b.Load(a)
-				} else {
-					b.Store(a)
-				}
-				if r.Intn(5) == 0 {
-					b.Barrier()
-				}
-			}
-			traces = append(traces, b.Ops())
-		}
-		return &trace.Program{Traces: traces}
-	}
-	cfg := testConfig(LB)
-	cfg.IDT = true
-	cfg.PF = true
-	r := run(t, cfg, mk())
-	if !r.Finished {
-		t.Fatal("hot-line workload did not finish")
-	}
-	for _, crash := range []sim.Cycle{777, 3141, 9999, 27182} {
-		crashCheck(t, cfg, mk(), crash, false)
-	}
-}
+// recall/writeback collisions, crashed at every image.
+func TestHotLineContention(t *testing.T) { requireClean(t, "hot-line", 1) }
 
 // TestTinyCachePressure shrinks the caches so natural evictions and
 // eviction conflicts dominate, stressing the drain-ordering rules.
 func TestTinyCachePressure(t *testing.T) {
-	cfg := testConfig(LB)
-	cfg.L1Sets, cfg.L1Ways = 4, 2
-	cfg.LLCSets, cfg.LLCWays = 8, 2
-	cfg.IDT = true
-	p := randomProgram(21, 4, 200, true)
-	r := run(t, cfg, p)
-	if !r.Finished {
-		t.Fatal("did not finish under cache pressure")
-	}
-	if r.LLC.Evictions == 0 {
+	requireClean(t, "tiny-cache", 1)
+	if cleanRun(t, "tiny-cache").LLC.Evictions == 0 {
 		t.Fatal("no LLC evictions despite tiny cache")
-	}
-	for _, crash := range []sim.Cycle{2000, 8000, 20000} {
-		crashCheck(t, cfg, randomProgram(21, 4, 200, true), crash, false)
 	}
 }
 
 // TestInvalidatingFlushMode runs the clflush-style configuration and
 // checks both correctness and the expected performance loss.
 func TestInvalidatingFlushMode(t *testing.T) {
-	mk := func() *trace.Program { return randomProgram(8, 4, 200, true) }
-	clwb := testConfig(LB)
-	clwb.PF = true
-	clflush := clwb
-	clflush.FlushMode = 1 // cache.Invalidating
-	r1 := run(t, clwb, mk())
-	r2 := run(t, clflush, mk())
-	if !r1.Finished || !r2.Finished {
-		t.Fatal("runs did not finish")
-	}
+	requireClean(t, "clflush", 1)
+	r1, r2 := run(t, barrier("LB+PF"), randomProgram(8, 4, 200, true)), cleanRun(t, "clflush")
 	if r2.ExecCycles <= r1.ExecCycles {
 		t.Errorf("invalidating flush (%d cyc) not slower than non-invalidating (%d cyc)",
 			r2.ExecCycles, r1.ExecCycles)
 	}
-	for _, crash := range []sim.Cycle{3000, 15000} {
-		crashCheck(t, clflush, mk(), crash, false)
+}
+
+// TestInvariantsUnderRandomInterleavings property-tests DESIGN §5
+// invariants 1 and 2 across all 8 barrier engines, five random programs
+// each crashed at five instants: epoch order (the order column), a
+// declared-persisted set that is downward-closed and durable (closed),
+// and no image version newer than the newest written (future). Engines
+// without epoch machinery (NP, SP, WT) have empty histories, for which
+// the first two hold vacuously.
+func TestInvariantsUnderRandomInterleavings(t *testing.T) {
+	for _, b := range barriers {
+		t.Run(b.name, func(t *testing.T) { requireClean(t, "random/"+b.name+"/seed=*", 5) })
+	}
+}
+
+// TestInvariantsBulkBSPPrefixAndAtomicity extends invariant 2 to the
+// bulk-mode BSP engine with hardware undo logging: after rollback the
+// recovered image must reflect whole epochs only.
+func TestInvariantsBulkBSPPrefixAndAtomicity(t *testing.T) { requireClean(t, "bulk16/seed=*", 4) }
+
+// TestOnlineEdgeLandsAfterTheWait: under LB, a request that conflicts
+// with another core's epoch waits for it to persist, and the ordering it
+// enforces is recorded as an online edge. While it waits, a third core can
+// split the requester's epoch, which then persists on its own; the edge
+// must be on the epoch that performs the access, not on that one. With it
+// on the split epoch, a crash between the two persists left an image where
+// E1.9 is durable and its edge's source E2.14 is not (seed 3, private
+// stores as whole lines, LB + PF, crash at cycle 5000; that row is
+// crashed at every image). The rows crash LB and LB + PF runs of twelve
+// programs, plain and whole-line.
+func TestOnlineEdgeLandsAfterTheWait(t *testing.T) {
+	for _, rows := range []string{"plain/LB/*", "plain/LB+PF/*", "whole/LB/*", "whole/LB+PF/*"} {
+		requireClean(t, rows, 12)
+	}
+}
+
+// TestCrashConsistencyWithEarlyWriteBack: programs whose private stores
+// write whole lines, on LB++, the one machine that writes back early, so
+// early write-backs meet conflicts, splits and flushes.
+func TestCrashConsistencyWithEarlyWriteBack(t *testing.T) {
+	requireClean(t, "whole/LB++/seed=*", 3)
+	early := uint64(0)
+	for seed := 1; seed <= 3; seed++ {
+		early += cleanRun(t, fmt.Sprintf("whole/LB++/seed=%d", seed)).EarlyWritebacks
+	}
+	if early == 0 {
+		t.Fatal("no store was written back early: the rows exercise nothing")
 	}
 }
 

@@ -4,18 +4,9 @@ import (
 	"testing"
 
 	"persistbarriers/internal/mem"
-	"persistbarriers/internal/recovery"
 	"persistbarriers/internal/sim"
 	"persistbarriers/internal/trace"
 )
-
-// lbpp is the LB++ test machine, the one pmkv runs: early write-back
-// needs PF, and IDT is what makes the split rule matter.
-func lbpp() Config {
-	cfg := testConfig(LB)
-	cfg.IDT, cfg.PF = true, true
-	return cfg
-}
 
 // TestEarlyWriteBackAtCommit: on an LB++ machine a whole-line store is
 // written back when it commits, so its line is durable about one device
@@ -40,7 +31,7 @@ func TestEarlyWriteBackAtCommit(t *testing.T) {
 		}
 		return r, r.PersistLog[0].Cycle
 	}
-	r, early := durableAt(lbpp(), true)
+	r, early := durableAt(barrier("LB++"), true)
 	if r.EarlyWritebacks != 1 {
 		t.Fatalf("LB++ StoreLine: %d early write-backs, want 1", r.EarlyWritebacks)
 	}
@@ -52,9 +43,9 @@ func TestEarlyWriteBackAtCommit(t *testing.T) {
 		cfg   Config
 		whole bool
 	}{
-		{"LB++ Store", lbpp(), false},
-		{"LB+IDT StoreLine", func() Config { c := lbpp(); c.PF = false; return c }(), true},
-		{"LB+PF StoreLine", func() Config { c := lbpp(); c.IDT = false; return c }(), true},
+		{"LB++ Store", barrier("LB++"), false},
+		{"LB+IDT StoreLine", barrier("LB+IDT"), true},
+		{"LB+PF StoreLine", barrier("LB+PF"), true},
 	} {
 		r, at := durableAt(c.cfg, c.whole)
 		if r.EarlyWritebacks != 0 || at < 2000 {
@@ -71,36 +62,51 @@ func TestEarlyWriteBackWaitsForOlderEpochs(t *testing.T) {
 	lines := missLines(3)
 	var b trace.Builder
 	b.Store(lines[0]).Barrier().StoreLine(lines[1], 0).Barrier().Compute(2000).StoreLine(lines[2], 0).Barrier()
-	r := run(t, lbpp(), singleTrace(&b))
+	r := run(t, barrier("LB++"), singleTrace(&b))
 	if r.EarlyWritebacks != 1 || r.PersistedLines != 3 {
 		t.Fatalf("%d early write-backs and %d persisted lines, want 1 (the second StoreLine) and 3", r.EarlyWritebacks, r.PersistedLines)
 	}
 }
 
-// TestRewriteAfterEarlyWriteBack: a second store to a line whose early
-// write-back is still queued or in flight, in the same epoch, is not
-// written back early; the flush writes it, and the controller admits the
-// queued older version first, so the newer one is what stays durable.
-func TestRewriteAfterEarlyWriteBack(t *testing.T) {
+// rewriteProgram queues a line's write-back and rewrites it in its epoch.
+func rewriteProgram() *trace.Program {
 	lines := missLines(68)
 	var b trace.Builder
 	for i := 4; i < len(lines); i += 4 {
 		b.StoreLine(lines[i], 0) // 16 lines on lines[0]'s controller, so its write-back queues
 	}
 	b.StoreLine(lines[0], 0).StoreLine(lines[0], 0).Barrier().Compute(2000)
-	p := singleTrace(&b)
-	bad, images, r := orderingViolations(t, lbpp(), p, nil)
-	if bad != 0 {
-		t.Fatalf("%d of %d crash images rejected", bad, images)
-	}
+	return singleTrace(&b)
+}
+
+// TestRewriteAfterEarlyWriteBack: a second store to a line whose early
+// write-back is still queued or in flight, in the same epoch, is not
+// written back early; the flush writes it, and the controller admits the
+// queued older version first, so the newer one is what stays durable.
+// The sweep's rewrite row crashes it at every image.
+func TestRewriteAfterEarlyWriteBack(t *testing.T) {
+	requireClean(t, "rewrite", 1)
+	r := cleanRun(t, "rewrite")
 	if r.EarlyWritebacks != 17 || r.MC.BackgroundWaitCycles == 0 {
 		t.Fatalf("%d early write-backs, %d background wait cycles; want 17, the rewrite not among them, and some queueing",
 			r.EarlyWritebacks, r.MC.BackgroundWaitCycles)
 	}
-	line := mem.LineOf(lines[0])
+	line := mem.LineOf(missLines(1)[0])
 	if got, want := r.Image[line], r.Latest[line]; got != want {
 		t.Fatalf("line durable at version %d, the rewrite committed %d", got, want)
 	}
+}
+
+// overtakenProgram is TestEarlyWriteOvertakenBySameVersion's two cores,
+// run on one-line caches.
+func overtakenProgram() *trace.Program {
+	lines := missLines(72)
+	var t0, t2 trace.Builder
+	for i := 8; i < len(lines); i += 4 {
+		t2.StoreLine(lines[i], 0) // core 2 fills L's controller's queue
+	}
+	t0.Compute(20).StoreLine(lines[0], 0).Barrier().StoreLine(lines[4], 0).Compute(3000).Barrier()
+	return &trace.Program{Traces: [][]trace.Op{t0.Ops(), nil, t2.Ops()}}
 }
 
 // TestEarlyWriteOvertakenBySameVersion: on one-line caches, core 0's
@@ -111,24 +117,13 @@ func TestRewriteAfterEarlyWriteBack(t *testing.T) {
 // a foreground write that admits the queued one first. The first ack
 // leaves the epoch with nothing pending and the second write in flight:
 // the arbiter must wait for that ack before it persists the epoch, or the
-// ack finds the epoch gone and panics.
+// ack finds the epoch gone and panics. The sweep's overtaken row crashes
+// it at every image.
 func TestEarlyWriteOvertakenBySameVersion(t *testing.T) {
-	lines := missLines(72)
-	var t0, t2 trace.Builder
-	for i := 8; i < len(lines); i += 4 {
-		t2.StoreLine(lines[i], 0) // core 2 fills L's controller's queue
-	}
-	t0.Compute(20).StoreLine(lines[0], 0).Barrier().StoreLine(lines[4], 0).Compute(3000).Barrier()
-	p := &trace.Program{Traces: [][]trace.Op{t0.Ops(), nil, t2.Ops()}}
-	cfg := lbpp()
-	cfg.L1Sets, cfg.L1Ways, cfg.LLCSets, cfg.LLCWays = 1, 1, 1, 1
-	bad, images, r := orderingViolations(t, cfg, p, nil)
-	if bad != 0 {
-		t.Fatalf("%d of %d crash images rejected", bad, images)
-	}
+	requireClean(t, "overtaken", 1)
 	var writes []mem.Version
-	for _, e := range r.PersistLog {
-		if e.Line == mem.LineOf(lines[0]) {
+	for _, e := range cleanRun(t, "overtaken").PersistLog {
+		if e.Line == mem.LineOf(missLines(1)[0]) {
 			writes = append(writes, e.Version)
 		}
 	}
@@ -172,63 +167,15 @@ func fig4(order int) *trace.Program {
 	return &trace.Program{Traces: [][]trace.Op{t0.Ops(), t1.Ops()}}
 }
 
-// orderingViolations crashes p under cfg at every distinct cycle a line
-// became durable in its uncrashed run (a crash image changes only there)
-// and counts the images recovery.CheckAll rejects; plant, if not nil, is
-// applied to each machine first.
-func orderingViolations(t *testing.T, cfg Config, p *trace.Program, plant func(*Machine)) (bad, images int, clean *Result) {
-	t.Helper()
-	cfg.RecordOpTimes = true
-	mk := func() *Machine {
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plant != nil {
-			plant(m)
-		}
-		if err := m.Load(p); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	clean, err := mk().Run()
-	if err != nil || !clean.Finished {
-		t.Fatalf("uncrashed run: finished %v, %v", clean.Finished, err)
-	}
-	last := sim.Cycle(0)
-	for _, e := range clean.PersistLog {
-		if e.Cycle == last {
-			continue
-		}
-		last = e.Cycle
-		r, err := mk().RunUntil(e.Cycle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		images++
-		if recovery.CheckAll(r.Histories, r.Image, r.UndoLog, false) != nil {
-			bad++
-		}
-	}
-	return bad, images, clean
-}
-
 // TestPlantedEarlyWriteAnyEpoch tests the tester: with core 1's load
 // first, core 1's epoch depends on core 0's open epoch when B's store
 // commits, so canDrainLine forbids writing B back yet. The plant writes it
 // back anyway, and some crash image holds B without A.
 func TestPlantedEarlyWriteAnyEpoch(t *testing.T) {
-	p := fig4(loadThenStore)
-	bad, images, r := orderingViolations(t, lbpp(), p, nil)
-	if bad != 0 || r.Epochs.Deps != 1 || r.EarlyWritebacks != 0 {
-		t.Fatalf("clean: %d of %d images rejected, %d IDT edges, %d early write-backs; want 0, 1 and 0", bad, images, r.Epochs.Deps, r.EarlyWritebacks)
+	if r := cleanRun(t, "fig4/load-then-store"); r.Epochs.Deps != 1 || r.EarlyWritebacks != 0 {
+		t.Fatalf("clean: %d IDT edges, %d early write-backs; want 1 and 0", r.Epochs.Deps, r.EarlyWritebacks)
 	}
-	bad, images, _ = orderingViolations(t, lbpp(), p, func(m *Machine) { m.plantEarlyWriteAnyEpoch = true })
-	t.Logf("planted: recovery.CheckAll rejects %d of %d crash images", bad, images)
-	if bad == 0 {
-		t.Fatal("a line written back ahead of its epoch's IDT source: no crash image rejected")
-	}
+	requireCaught(t, "fig4/load-then-store", plantEarlyWriteAnyEpoch, "order")
 }
 
 // TestPlantedEarlyEdgeNoSplit tests the tester: with core 1's store
@@ -236,47 +183,11 @@ func TestPlantedEarlyWriteAnyEpoch(t *testing.T) {
 // the epoch after B's, which the split before it makes. The plant attaches
 // it to B's epoch unsplit, and some crash image holds B without A.
 func TestPlantedEarlyEdgeNoSplit(t *testing.T) {
-	p := fig4(storeThenLoad)
-	bad, images, r := orderingViolations(t, lbpp(), p, nil)
-	if bad != 0 || r.Epochs.Deps != 1 || r.EarlyWritebacks != 1 || r.Epochs.Splits != 2 {
-		t.Fatalf("clean: %d of %d images rejected, %d IDT edges, %d early write-backs, %d splits; want 0, 1, 1 and 2 (core 0's open epoch, then core 1's)",
-			bad, images, r.Epochs.Deps, r.EarlyWritebacks, r.Epochs.Splits)
+	if r := cleanRun(t, "fig4/store-then-load"); r.Epochs.Deps != 1 || r.EarlyWritebacks != 1 || r.Epochs.Splits != 2 {
+		t.Fatalf("clean: %d IDT edges, %d early write-backs, %d splits; want 1, 1 and 2 (core 0's open epoch, then core 1's)",
+			r.Epochs.Deps, r.EarlyWritebacks, r.Epochs.Splits)
 	}
-	bad, images, _ = orderingViolations(t, lbpp(), p, func(m *Machine) { m.plantEarlyEdgeNoSplit = true })
-	t.Logf("planted: recovery.CheckAll rejects %d of %d crash images", bad, images)
-	if bad == 0 {
-		t.Fatal("an edge attached to an epoch that wrote back early: no crash image rejected")
-	}
-}
-
-// TestCrashConsistencyWithEarlyWriteBack is the crash-consistency property
-// test on programs whose private stores write whole lines, so early
-// write-backs meet conflicts, splits and flushes, on LB++, the one machine
-// that writes back early.
-func TestCrashConsistencyWithEarlyWriteBack(t *testing.T) {
-	early := uint64(0)
-	{
-		cfg := lbpp()
-		for seed := uint64(1); seed <= 3; seed++ {
-			p := randomProgram(seed, 4, 120, true)
-			for _, ops := range p.Traces {
-				for i, op := range ops {
-					if op.Kind() == trace.Store && op.Addr() >= 0x10000 {
-						var b trace.Builder
-						ops[i] = b.StoreLine(op.Addr(), 0).Ops()[0]
-					}
-				}
-			}
-			early += run(t, cfg, p).EarlyWritebacks
-			for _, crash := range []sim.Cycle{500, 2000, 5000, 12000, 30000, 80000} {
-				crashCheck(t, cfg, p, crash, false)
-			}
-		}
-	}
-	if early == 0 {
-		t.Fatal("no store was written back early: the test exercises nothing")
-	}
-	t.Logf("%d early write-backs over the runs", early)
+	requireCaught(t, "fig4/store-then-load", plantEarlyEdgeNoSplit, "order")
 }
 
 // TestLoadAfterEarlyWriteBack: core 0's whole-line store is written back
@@ -289,7 +200,7 @@ func TestLoadAfterEarlyWriteBack(t *testing.T) {
 	var t0, t1 trace.Builder
 	t0.StoreLine(line, 0).Compute(3000).Barrier()
 	t1.Compute(1500).Load(line)
-	cfg := lbpp()
+	cfg := barrier("LB++")
 	cfg.RecordOpTimes = true
 	m, err := New(cfg)
 	if err != nil {

@@ -255,7 +255,7 @@ func (bo *bankOp) sendAck() {
 	}
 	m.eng.After(m.mesh.Latency(bo.b.tile, c.tile, 0), f.bankAckArrivedFn)
 	f.sending--
-	if m.plantEarlyFlushRelease && f.sending == 0 {
+	if m.plant == plantEarlyFlushRelease && f.sending == 0 {
 		m.releaseFlushOp(f)
 	}
 }
@@ -274,7 +274,7 @@ func (f *flushOp) bankAckArrived() {
 			worst = l
 		}
 	}
-	if !m.plantEarlyFlushRelease {
+	if m.plant != plantEarlyFlushRelease {
 		m.releaseFlushOp(f)
 	}
 	m.eng.After(worst, done) // PersistCMP broadcast

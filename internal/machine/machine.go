@@ -162,6 +162,18 @@ type bankCtx struct {
 	arr  *cache.Cache
 }
 
+// plant names a deliberate defect in the machine (tests only).
+type plant uint8
+
+const (
+	plantNone               plant = iota
+	plantEarlyFlushRelease        // a flushOp freed when its last BankAck is sent, not when it arrives
+	plantBarrierSkipsLoads        // a drain goes on with posted loads still in flight
+	plantEarlyWriteAnyEpoch       // a StoreLine written back early though its epoch may not drain it
+	plantEarlyEdgeNoSplit         // an epoch that wrote back early takes an IDT edge unsplit
+	plantShortRing                // each core's epoch ring one slot short (epoch.Table.PlantShortRing)
+)
+
 // Machine is one assembled multicore simulation.
 type Machine struct {
 	cfg   Config
@@ -193,21 +205,8 @@ type Machine struct {
 	nvWrites    pool[nvWrite]
 	memReqs     pool[memReq]
 	insertWaits pool[insertWait]
-	// plantEarlyFlushRelease (tests only) returns a flushOp to its free
-	// list when the last BankAck is sent instead of when it arrives, to
-	// show the goldens catch a frame released while still in flight.
-	plantEarlyFlushRelease bool
-	// plantBarrierSkipsLoads (tests only) lets a drain (a barrier's, or
-	// the end of the run's) go on with posted loads still in flight, to
-	// show the checkers catch a read's dependence landing on the epoch
-	// after the one the barrier closed.
-	plantBarrierSkipsLoads bool
-	// plantEarlyWriteAnyEpoch (tests only) writes a whole-line store back
-	// early even when its epoch may not drain the line yet, and
-	// plantEarlyEdgeNoSplit lets an epoch that has written back early
-	// take an inter-thread edge unsplit, to show the checkers catch each.
-	plantEarlyWriteAnyEpoch bool
-	plantEarlyEdgeNoSplit   bool
+	// plant (tests only) is the bug planted, to show the checkers catch it.
+	plant plant
 
 	vs      mem.VersionSource
 	mcTiles [MemControllers]noc.Tile

@@ -84,18 +84,20 @@ func TestWTQueueBackpressure(t *testing.T) {
 
 // --- EP vs LB barrier semantics ---------------------------------------------
 
-func TestEPEpochAtomicOrderAtEveryCrash(t *testing.T) {
-	// EP holds at most one unpersisted epoch; any crash must show a
-	// prefix of whole epochs (ordering implies atomicity here because
-	// the barrier blocked until each epoch persisted).
+// epEpochsProgram is one core's six epochs of two stores each.
+func epEpochsProgram() *trace.Program {
 	var b trace.Builder
 	for i := 0; i < 6; i++ {
 		b.Store(mem.Addr(i * 128)).Store(mem.Addr(i*128 + 64)).Barrier()
 	}
-	for crash := sim.Cycle(200); crash < 12000; crash += 400 {
-		crashCheck(t, testConfig(EP), singleTrace(&b), crash, false)
-	}
+	return singleTrace(&b)
 }
+
+// TestEPEpochAtomicOrderAtEveryCrash: EP holds at most one unpersisted
+// epoch; any crash must show a prefix of whole epochs (ordering implies
+// atomicity here because the barrier blocked until each epoch persisted).
+// The sweep's ep-epochs row crashes epEpochsProgram at every image.
+func TestEPEpochAtomicOrderAtEveryCrash(t *testing.T) { requireClean(t, "ep-epochs", 1) }
 
 func TestEPWaitsFullPersistLatencyPerBarrier(t *testing.T) {
 	var b trace.Builder
@@ -219,24 +221,19 @@ func TestBulkEpochStoreCountsCheckpointWrites(t *testing.T) {
 
 // --- Global-arbiter ablation ---------------------------------------------------
 
+// TestGlobalArbiterSerializesFlushes: one flush in flight machine-wide
+// is slower than one per core, and correctness holds under the
+// serialization too (the sweep's global-arbiter row).
 func TestGlobalArbiterSerializesFlushes(t *testing.T) {
-	mk := func() *trace.Program { return randomProgram(17, 4, 150, true) }
-	perCore := testConfig(LB)
-	perCore.PF = true
-	global := perCore
-	global.GlobalArbiter = true
-	r1 := run(t, perCore, mk())
-	r2 := run(t, global, mk())
-	if !r1.Finished || !r2.Finished {
-		t.Fatal("runs did not finish")
+	requireClean(t, "global-arbiter", 1)
+	r1 := run(t, barrier("LB+PF"), randomProgram(17, 4, 150, true))
+	r2 := cleanRun(t, "global-arbiter")
+	if !r1.Finished {
+		t.Fatal("per-core run did not finish")
 	}
 	if r2.ExecCycles < r1.ExecCycles {
 		t.Fatalf("global arbiter (%d cyc) faster than per-core (%d cyc)?",
 			r2.ExecCycles, r1.ExecCycles)
-	}
-	// Correctness must hold under serialization too.
-	for _, crash := range []sim.Cycle{2000, 9000} {
-		crashCheck(t, global, mk(), crash, false)
 	}
 }
 
@@ -271,54 +268,39 @@ func TestIDTRegisterExhaustionFallsBack(t *testing.T) {
 
 // --- Epoch-split interaction with posted stores ------------------------------
 
+// splitPostedProgram is a reader that conflicts with a writer's ongoing
+// epoch while the writer has stores in flight.
+func splitPostedProgram() *trace.Program {
+	var w, rd trace.Builder
+	// The writer dirties its hot line early, then keeps the epoch
+	// ongoing with compute and more posted stores.
+	w.Store(0x9500_0000)
+	for i := 0; i < 20; i++ {
+		w.Compute(400)
+		w.Store(mem.Addr(0x9400_0000 + i*64))
+	}
+	w.Barrier()
+	// The reader probes mid-epoch: after the hot store committed,
+	// long before the writer's barrier.
+	rd.Compute(2000).Load(0x9500_0000).Store(0x9600_0000).Barrier()
+	return &trace.Program{Traces: [][]trace.Op{w.Ops(), rd.Ops()}}
+}
+
+// TestSplitDuringPostedStores: the reader's conflict splits the writer's
+// ongoing epoch, and the split keeps ordering intact at every crash
+// point (the sweep's split-posted row).
 func TestSplitDuringPostedStores(t *testing.T) {
-	// A reader conflicts with a writer's ongoing epoch while the writer
-	// has stores in flight; the split must keep ordering intact at every
-	// crash point.
-	mk := func() *trace.Program {
-		var w, rd trace.Builder
-		// The writer dirties its hot line early, then keeps the epoch
-		// ongoing with compute and more posted stores.
-		w.Store(0x9500_0000)
-		for i := 0; i < 20; i++ {
-			w.Compute(400)
-			w.Store(mem.Addr(0x9400_0000 + i*64))
-		}
-		w.Barrier()
-		// The reader probes mid-epoch: after the hot store committed,
-		// long before the writer's barrier.
-		rd.Compute(2000).Load(0x9500_0000).Store(0x9600_0000).Barrier()
-		return &trace.Program{Traces: [][]trace.Op{w.Ops(), rd.Ops()}}
-	}
-	cfg := testConfig(LB)
-	cfg.IDT = true
-	cfg.PF = true
-	r := run(t, cfg, mk())
-	if r.Epochs.Splits == 0 {
+	requireClean(t, "split-posted", 1)
+	if cleanRun(t, "split-posted").Epochs.Splits == 0 {
 		t.Fatal("reader conflict with ongoing epoch did not split")
-	}
-	for crash := sim.Cycle(300); crash < 6000; crash += 450 {
-		crashCheck(t, cfg, mk(), crash, false)
 	}
 }
 
 // --- Monolithic-LLC configuration (§4.1's simpler protocol) -------------------
 
-func TestMonolithicLLCWorks(t *testing.T) {
-	cfg := testConfig(LB)
-	cfg.LLCBanks = 1
-	cfg.LLCSets = 256
-	cfg.IDT = true
-	cfg.PF = true
-	p := randomProgram(23, 4, 150, true)
-	r := run(t, cfg, p)
-	if !r.Finished {
-		t.Fatal("monolithic-LLC run did not finish")
-	}
-	for _, crash := range []sim.Cycle{1500, 7000} {
-		crashCheck(t, cfg, randomProgram(23, 4, 150, true), crash, false)
-	}
-}
+// TestMonolithicLLCWorks: one LLC bank (the sweep's monolithic-llc row)
+// finishes and holds the recovery invariants at every instant crashed.
+func TestMonolithicLLCWorks(t *testing.T) { requireClean(t, "monolithic-llc", 1) }
 
 // --- Recovery integration: random graph property ------------------------------
 

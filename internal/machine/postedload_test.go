@@ -87,32 +87,20 @@ func edgeHolders(r *Result) []uint64 {
 // load finds lands on the epoch its core's next barrier closes, because
 // the barrier waits for the load. Without that wait the barrier closes
 // the epoch first and the edge lands on the one after, which a read's ack
-// does not wait for (plantBarrierSkipsLoads).
+// does not wait for (plantBarrierSkipsLoads). No crash image of the
+// sweep's barrier-edge row can tell the two apart; its clean drains can.
 func TestPostedLoadEdgeOnBarrierEpoch(t *testing.T) {
-	cfg := testConfig(LB)
-	cfg.IDT, cfg.PF = true, false
-	edge := func(plant bool) []uint64 {
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.plantBarrierSkipsLoads = plant
-		if err := m.Load(barrierEdgeTrace()); err != nil {
-			t.Fatal(err)
-		}
-		r, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+	edge := func(bug plant) []uint64 {
+		r := swept(t, "barrier-edge", bug)[0].res[0]
 		if r.Conflicts.Inter != 1 || r.Epochs.Deps != 1 {
-			t.Fatalf("plant %v: %d inter conflicts and %d IDT edges, want one of each", plant, r.Conflicts.Inter, r.Epochs.Deps)
+			t.Fatalf("plant %s: %d inter conflicts and %d IDT edges, want one of each", plantNames[bug], r.Conflicts.Inter, r.Epochs.Deps)
 		}
 		return edgeHolders(r)
 	}
-	if got := edge(false); len(got) != 1 || got[0] != 0 {
+	if got := edge(plantNone); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("core 1's epochs %v depend on core 0's epoch 0, want only epoch 0, the one the barrier after the load closed", got)
 	}
-	if got := edge(true); len(got) == 1 && got[0] == 0 {
+	if got := edge(plantBarrierSkipsLoads); len(got) == 1 && got[0] == 0 {
 		t.Fatal("with the barrier skipping the loads the edge still lands on the barrier's epoch: the test cannot see the plant")
 	}
 }

@@ -5,78 +5,17 @@ import (
 	"testing/quick"
 
 	"persistbarriers/internal/mem"
-	"persistbarriers/internal/recovery"
-	"persistbarriers/internal/sim"
 	"persistbarriers/internal/trace"
 )
 
-// TestQuickCrashConsistency is the fuzz-shaped version of the crash sweep:
-// testing/quick draws raw bytes that are decoded into a multi-threaded
-// program, a barrier variant, and a crash instant; the durable image must
-// always satisfy the recovery invariants.
-func TestQuickCrashConsistency(t *testing.T) {
-	f := func(seed uint64, variant uint8, crashRaw uint16, opsRaw uint8) bool {
-		cfg := testConfig(LB)
-		cfg.IDT = variant&1 != 0
-		cfg.PF = variant&2 != 0
-		logging := variant&4 != 0
-		if logging {
-			cfg.Logging = true
-			cfg.BulkEpochStores = 15 + int(variant%17)
-			cfg.CheckpointLines = int(variant % 3)
-		}
-		ops := 40 + int(opsRaw)%120
-		crash := sim.Cycle(crashRaw)*7 + 200
-
-		p := randomProgram(seed, 4, ops, !logging)
-		m, err := New(cfg)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		if err := m.Load(p); err != nil {
-			t.Log(err)
-			return false
-		}
-		r, err := m.RunUntil(crash)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		if err := recovery.CheckAll(r.Histories, r.Image, r.UndoLog, logging); err != nil {
-			t.Logf("seed=%d variant=%d crash=%d: %v", seed, variant, crash, err)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
+// TestQuickCrashConsistency: the LB variants with and without undo
+// logging, on random programs of 40 to 159 ops, each crashed at five
+// instants, satisfy the recovery invariants.
+func TestQuickCrashConsistency(t *testing.T) { requireClean(t, "quick/*/*", 8) }
 
 // TestQuickDurableEquality: for completed runs under any LB variant, drain
 // leaves NVRAM holding exactly the newest version of every written line.
-func TestQuickDurableEquality(t *testing.T) {
-	f := func(seed uint64, variant uint8) bool {
-		cfg := testConfig(LB)
-		cfg.IDT = variant&1 != 0
-		cfg.PF = variant&2 != 0
-		r := run(t, cfg, randomProgram(seed, 4, 100, true))
-		if !r.Finished {
-			return false
-		}
-		for line, want := range r.Latest {
-			if r.Image[line] != want {
-				t.Logf("seed=%d: line %v image=%d latest=%d", seed, line, r.Image[line], want)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
+func TestQuickDurableEquality(t *testing.T) { requireClean(t, "*/LB*/seed=*", 84) }
 
 // TestQuickThroughputSane: throughput is positive and bounded by the
 // physical issue rate for arbitrary small programs.
@@ -92,25 +31,7 @@ func TestQuickThroughputSane(t *testing.T) {
 }
 
 // TestCrashAtCycleZeroIsEmpty: the degenerate crash instant.
-func TestCrashAtCycleZeroIsEmpty(t *testing.T) {
-	m, err := New(testConfig(LB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(randomProgram(1, 4, 50, true)); err != nil {
-		t.Fatal(err)
-	}
-	r, err := m.RunUntil(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Image) != 0 {
-		t.Fatalf("image at cycle 0 has %d lines", len(r.Image))
-	}
-	if err := recovery.CheckAll(r.Histories, r.Image, r.UndoLog, false); err != nil {
-		t.Fatal(err)
-	}
-}
+func TestCrashAtCycleZeroIsEmpty(t *testing.T) { requireClean(t, "plain50/LB/seed=1", 1) }
 
 // TestSingleStoreProgram: the minimal persistent program end to end.
 func TestSingleStoreProgram(t *testing.T) {

@@ -29,7 +29,7 @@ var surfaceAllowlist = map[string]string{
 	// Oracles. DisableReadFast forces the mailbox path, the reference the
 	// fuzzer's live runner holds the GET fast path to.
 	"internal/cache.Cache.DirtyLines":             "internal/cache.TestEpochBookkeepingConsistency",
-	"internal/recovery.CheckAll":                  "internal/machine.TestCompletedRunIsFullyDurable",
+	"internal/recovery.CheckAll":                  "internal/machine.TestTrimHistory",
 	"internal/pmkv.ShardedConfig.DisableReadFast": "internal/pmkv.TestReadFastPathServesDurableWrites",
 	// Plant hook.
 	"internal/epoch.Table.PlantShortRing": "internal/machine.TestPlantedShortRing",
